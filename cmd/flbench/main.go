@@ -70,7 +70,7 @@ type roundtputRow struct {
 }
 
 // roundtputResult mirrors BenchmarkRoundThroughput for the CLI: one real
-// round per cell through the Master Aggregator fan-out/ingest pipeline.
+// round per cell through the server's EdgeRound fan-out/ingest pipeline.
 type roundtputResult struct {
 	Rows []roundtputRow
 }

@@ -4,7 +4,7 @@
 // labeled data point."
 //
 // This example runs the *full protocol*, not just the algorithm: an
-// actor-based FL server (Coordinator, Selectors, Master Aggregator,
+// actor-based FL server (Coordinator, Selectors, EdgeRound,
 // Aggregators) over an in-memory transport, with a fleet of device runtimes
 // holding click data in their example stores.
 //

@@ -1,7 +1,7 @@
 // Package repro is a from-scratch Go reproduction of "Towards Federated
 // Learning at Scale: System Design" (Bonawitz et al., MLSys 2019): the
 // synchronous FL protocol, the actor-based server (Coordinator / Selector /
-// Master Aggregator / Aggregator), the on-device runtime, pace steering,
+// EdgeRound / Aggregator), the on-device runtime, pace steering,
 // Secure Aggregation, the analytics layer, and the model engineer workflow.
 //
 // This root package is the public API surface. Three levels of use:

@@ -3,8 +3,7 @@
 // communicate only by message passing, can spawn ephemeral children, and
 // keep all state in memory. Supervision is watch-based: watchers receive a
 // Terminated message when an actor stops or panics, which is how the
-// Coordinator restarts failed Master Aggregators and the Selector layer
-// respawns a dead Coordinator (Sec. 4.4).
+// Selector layer respawns a dead Coordinator (Sec. 4.4).
 //
 // Ref is an interface so references are location-transparent (Sec. 4.1:
 // actor instances "may be co-located on the same process or distributed
@@ -177,7 +176,7 @@ func (s *System) Spawn(name string, b Behavior) Ref {
 		return r
 	}
 	s.actors = append(s.actors, r)
-	// Ephemeral actors (one Master Aggregator and a handful of Aggregators
+	// Ephemeral actors (one EdgeRound and a handful of Aggregators
 	// per round) would grow the registry forever on a long-running server;
 	// compact stopped refs periodically.
 	if len(s.actors)%256 == 0 {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -19,10 +18,12 @@ import (
 	"repro/internal/transport"
 )
 
-// ScenarioConfig drives one chaos scenario: a full sharded deployment —
-// one coordinator, N selector processes, a device swarm — with every
-// shard↔coordinator link (and optionally the device links) wrapped in the
-// seeded fault schedule, run to Rounds committed rounds and then verified.
+// ScenarioConfig drives one chaos scenario: a full deployment of the one
+// round engine — sharded (one coordinator, N selector processes) or
+// in-process (Shards == 0: one server, one local edge) — plus a device
+// swarm, with every shard↔coordinator link (and optionally the device
+// links) wrapped in the seeded fault schedule, run to Rounds committed
+// rounds and then verified.
 type ScenarioConfig struct {
 	// Seed makes the whole fault schedule reproducible (see Injector).
 	Seed uint64
@@ -31,7 +32,8 @@ type ScenarioConfig struct {
 	// links, "device" for device↔selector links (only when WrapDevices).
 	Spec Spec
 
-	// Shards is the number of selector processes (default 3).
+	// Shards is the number of selector processes; 0 runs the in-process
+	// server, whose only links are the device links (set WrapDevices).
 	Shards int
 	// Devices is the swarm size (default 3×K).
 	Devices int
@@ -41,6 +43,11 @@ type ScenarioConfig struct {
 	Rounds int
 	// Features sizes the model (default 4).
 	Features int
+	// SecAggGroup, when positive, runs the task under Secure Aggregation in
+	// groups of that size: with IdenticalDevices and a Reference, SumProbe
+	// then checks that every commit is the exact survivor sum — a group
+	// that cannot recover its masks must abort, never commit a wrong sum.
+	SecAggGroup int
 
 	// IdenticalDevices gives every device the same local data and runtime
 	// seed, which makes the committed lineage independent of which subset of
@@ -100,16 +107,13 @@ func fastPeer() remote.Options {
 	}
 }
 
-// RunScenario builds the sharded topology, injects the fault schedule,
+// RunScenario builds the topology, injects the fault schedule,
 // drives it to cfg.Rounds committed rounds, tears everything down, and runs
 // the invariant probes. The returned error is an infrastructure failure
 // (rounds never committed, setup failed); invariant violations are in
 // Result.Report.
 func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	var res ScenarioResult
-	if cfg.Shards <= 0 {
-		cfg.Shards = 3
-	}
 	if cfg.TargetDevices <= 0 {
 		cfg.TargetDevices = 8
 	}
@@ -154,6 +158,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		// allowed to be missing and the survivors still commit.
 		MinReportFraction: 0.25,
 		SelectionTimeout:  30 * time.Second, ReportTimeout: cfg.ReportTimeout,
+		SecureAggregation: cfg.SecAggGroup > 0, SecAggGroupSize: cfg.SecAggGroup,
 	})
 	if err != nil {
 		return res, err
@@ -172,58 +177,124 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 
 	store := NewWatchStore(storage.NewMem())
-	coord, err := shard.NewCoordinatorProc(shard.CoordinatorConfig{
-		Population: pop,
-		Plans:      []*plan.Plan{p},
-		Store:      store,
-		Steering:   pacing.New(time.Second),
-		MaxRounds:  cfg.Rounds,
-		// MinShards stays 1: rounds must keep settling partial results while
-		// a shard is partitioned away, not stall the fleet.
-		MinShards: 1,
-		SealGrace: cfg.SealGrace,
-		TickEvery: cfg.TickEvery,
-	})
-	if err != nil {
-		return res, err
-	}
-	defer coord.Close()
-
 	mem := transport.NewMemNetwork()
-	rawCoordL, err := mem.Listen("chaos-coord")
-	if err != nil {
-		return res, err
-	}
-	coordL := inj.WrapListener("coord", rawCoordL)
-	defer coordL.Close()
-	go coord.Serve(coordL)
-
-	shards := make([]*shard.SelectorProc, cfg.Shards)
-	shardDials := make([]func() (transport.Conn, error), cfg.Shards)
-	for i := range shards {
-		dial := inj.WrapDialer(Role(fmt.Sprintf("shard:%d", i)),
-			func() (transport.Conn, error) { return mem.Dial("chaos-coord") })
-		sp := shard.NewSelectorProc(shard.SelectorConfig{
-			Shard:              uint32(i),
-			Steering:           pacing.New(time.Second),
-			PopulationEstimate: cfg.Devices,
-			Seed:               cfg.Seed + uint64(i)*131,
-			Peer:               cfg.Peer,
-			RateProbeInterval:  100 * time.Millisecond,
-		}, dial)
-		shards[i] = sp
-		defer sp.Close()
-		name := fmt.Sprintf("chaos-shard-%d", i)
+	// deviceListener opens one device-facing listener, fault-wrapped when
+	// the scenario asks for it.
+	deviceListener := func(name string) (transport.Listener, func() (transport.Conn, error), error) {
 		l, err := mem.Listen(name)
 		if err != nil {
-			return res, err
+			return nil, nil, err
 		}
 		if cfg.WrapDevices {
 			l = inj.WrapListener(RoleDevice, l)
 		}
-		defer l.Close()
-		go sp.Serve(l)
-		shardDials[i] = func() (transport.Conn, error) { return mem.Dial(name) }
+		return l, func() (transport.Conn, error) { return mem.Dial(name) }, nil
+	}
+	// The topology under test, reduced to what the scenario drives and
+	// reads: where devices dial, when the rounds are done, the progress and
+	// selector-layer counters, and how to tear it all down.
+	var (
+		deviceDials []func() (transport.Conn, error)
+		done        <-chan struct{}
+		progress    func() (shard.CoordStats, error)
+		selectors   func() (flserver.SelectorStats, error)
+		teardown    []func()
+	)
+	closeAll := func() {
+		for i := len(teardown) - 1; i >= 0; i-- {
+			teardown[i]()
+		}
+		teardown = nil
+	}
+	defer closeAll()
+	if cfg.Shards == 0 {
+		srv, err := flserver.New(flserver.Config{
+			Population: pop, Plans: []*plan.Plan{p}, Store: store,
+			Steering: pacing.New(time.Second), PopulationEstimate: cfg.Devices,
+			MaxRounds: cfg.Rounds, Seed: cfg.Seed,
+		})
+		if err != nil {
+			return res, err
+		}
+		teardown = append(teardown, srv.Close)
+		l, dial, err := deviceListener("chaos-server")
+		if err != nil {
+			return res, err
+		}
+		teardown = append(teardown, func() { l.Close() })
+		go srv.Serve(l)
+		deviceDials, done, selectors = append(deviceDials, dial), srv.Done(), srv.SelectorStats
+		progress = func() (shard.CoordStats, error) {
+			st, err := srv.Stats()
+			return shard.CoordStats{RoundsCompleted: st.RoundsCompleted, RoundsFailed: st.RoundsFailed}, err
+		}
+	} else {
+		coord, err := shard.NewCoordinatorProc(shard.CoordinatorConfig{
+			Population: pop,
+			Plans:      []*plan.Plan{p},
+			Store:      store,
+			Steering:   pacing.New(time.Second),
+			MaxRounds:  cfg.Rounds,
+			// MinShards stays 1: rounds must keep settling partial results
+			// while a shard is partitioned away, not stall the fleet.
+			MinShards: 1,
+			SealGrace: cfg.SealGrace,
+			TickEvery: cfg.TickEvery,
+		})
+		if err != nil {
+			return res, err
+		}
+		teardown = append(teardown, coord.Close)
+		rawCoordL, err := mem.Listen("chaos-coord")
+		if err != nil {
+			return res, err
+		}
+		coordL := inj.WrapListener("coord", rawCoordL)
+		teardown = append(teardown, func() { coordL.Close() })
+		go coord.Serve(coordL)
+
+		shards := make([]*shard.SelectorProc, cfg.Shards)
+		for i := range shards {
+			dial := inj.WrapDialer(Role(fmt.Sprintf("shard:%d", i)),
+				func() (transport.Conn, error) { return mem.Dial("chaos-coord") })
+			sp := shard.NewSelectorProc(shard.SelectorConfig{
+				Shard:              uint32(i),
+				Steering:           pacing.New(time.Second),
+				PopulationEstimate: cfg.Devices,
+				Seed:               cfg.Seed + uint64(i)*131,
+				Peer:               cfg.Peer,
+				RateProbeInterval:  100 * time.Millisecond,
+			}, dial)
+			shards[i] = sp
+			l, dial, err := deviceListener(fmt.Sprintf("chaos-shard-%d", i))
+			if err != nil {
+				return res, err
+			}
+			teardown = append(teardown, func() { l.Close() })
+			go sp.Serve(l)
+			deviceDials = append(deviceDials, dial)
+		}
+		// Last in, first out: shards close before the coordinator's
+		// listener and the coordinator itself.
+		teardown = append(teardown, func() {
+			for _, sp := range shards {
+				if sp != nil {
+					sp.Close()
+				}
+			}
+		})
+		done, progress = coord.Done(), coord.Stats
+		selectors = func() (flserver.SelectorStats, error) {
+			var total flserver.SelectorStats
+			for _, sp := range shards {
+				ss, err := sp.Stats()
+				if err != nil {
+					return total, err
+				}
+				total.Add(ss.Selector)
+			}
+			return total, nil
+		}
 	}
 
 	// The round poller advances round-addressed windows/resets as commits
@@ -263,19 +334,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 			seed = cfg.Seed + 1000
 			user = 0
 		}
-		rt := device.NewRuntime(id, 3, nil, seed)
-		st, err := device.NewMemStore(pop+"-store", 1000, 0)
-		if err != nil {
-			return nil, err
-		}
-		now := time.Now()
-		for _, ex := range fed.Users[user] {
-			st.Add(ex, now)
-		}
-		if err := rt.RegisterStore(st); err != nil {
-			return nil, err
-		}
-		return &flserver.DeviceClient{ID: id, Population: pop, Runtime: rt}, nil
+		return flserver.NewLocalDataClient(id, pop, pop+"-store", fed.Users[user], seed)
 	}
 	stopDevices := make(chan struct{})
 	var devices sync.WaitGroup
@@ -286,7 +345,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 			return res, err
 		}
 		idx := i
-		dial := shardDials[i%cfg.Shards]
+		dial := deviceDials[i%len(deviceDials)]
 		devices.Add(1)
 		go func() {
 			defer devices.Done()
@@ -323,7 +382,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 
 	select {
-	case <-coord.Done():
+	case <-done:
 	case <-time.After(cfg.Timeout):
 		_ = stopSwarm()
 		return res, fmt.Errorf("chaos scenario: %d rounds did not commit within %v (seed=%d)\n%s",
@@ -335,42 +394,26 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 
 	// Stats and the quota ledger are read while the processes are alive.
-	cs, err := coord.Stats()
+	cs, err := progress()
 	if err != nil {
 		return res, err
 	}
 	res.Rounds = cs.RoundsCompleted
 	res.SealsReceived = cs.SealsReceived
 	res.BytesUpstream = cs.BytesUpstream
-	fetchLedger := func() (QuotaLedger, error) {
-		var l QuotaLedger
-		for _, sp := range shards {
-			ss, err := sp.Stats()
-			if err != nil {
-				return l, err
-			}
-			l.Granted += ss.Selector.QuotaGranted
-			l.Consumed += ss.Selector.QuotaConsumed
-			l.Revoked += ss.Selector.QuotaRevoked
-			l.Outstanding += ss.Selector.QuotaOutstanding
-		}
-		return l, nil
+	sel, err := selectors()
+	if err != nil {
+		return res, err
 	}
-	for _, sp := range shards {
-		ss, err := sp.Stats()
-		if err != nil {
-			return res, err
-		}
-		res.Accepted += ss.Selector.Accepted
-	}
-	quotaReport := Verify(QuotaProbe(fetchLedger))
+	res.Accepted = sel.Accepted
+	quotaReport := Verify(QuotaProbe(func() (QuotaLedger, error) {
+		sel, err := selectors()
+		return QuotaLedger{Granted: sel.QuotaGranted, Consumed: sel.QuotaConsumed,
+			Revoked: sel.QuotaRevoked, Outstanding: sel.QuotaOutstanding}, err
+	}))
 
 	// Teardown, then the quiescence probes.
-	for _, sp := range shards {
-		sp.Close()
-	}
-	coordL.Close()
-	coord.Close()
+	closeAll()
 
 	probes := []Probe{
 		store.LineageProbe(),

@@ -90,6 +90,58 @@ func TestScenarioEndToEnd(t *testing.T) {
 	}
 }
 
+// runDeviceFaultScenario runs base fault-free for a reference lineage, then
+// again under 8% drop and 20ms jitter on every device link, and requires
+// every round to commit with every invariant green — SumProbe included, so
+// no commit may deviate from the fault-free lineage.
+func runDeviceFaultScenario(t *testing.T, base ScenarioConfig) {
+	t.Helper()
+	ref, err := RunScenario(base)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	if !ref.Report.OK() {
+		t.Fatalf("reference run invariants:\n%s", ref.Report)
+	}
+	cfg := base
+	cfg.Spec = Spec{Rules: []Rule{{Role: RoleDevice, Drop: 0.08, Jitter: 20 * time.Millisecond}}}
+	cfg.Reference = ref.Lineage
+	res, err := RunScenario(cfg)
+	if err != nil {
+		t.Fatalf("chaos run: %v\nfaults: %v", err, res.FaultCounts)
+	}
+	t.Logf("chaos run: %d rounds in %v, faults %v", res.Rounds, res.Elapsed, res.FaultCounts)
+	if !res.Report.OK() {
+		t.Fatalf("invariants violated (seed=%d):\n%s\nplan:\n%s", res.Seed, res.Report, res.Plan)
+	}
+	if res.FaultTotal == 0 {
+		t.Fatal("chaos run recorded no faults — the schedule never engaged")
+	}
+}
+
+// TestScenarioInProcess runs the in-process shape (zero shards: the one
+// engine over its local edge, device links the only links) through the
+// same harness and invariant probes as the sharded deployment.
+func TestScenarioInProcess(t *testing.T) {
+	runDeviceFaultScenario(t, ScenarioConfig{
+		Seed: 7, Shards: 0, TargetDevices: 8, Rounds: 4,
+		IdenticalDevices: true, WrapDevices: true, ReportTimeout: time.Second,
+	})
+}
+
+// TestScenarioSecureRoundsUnderDeviceDrop: Secure Aggregation in groups of 4
+// while device links drop frames. A device whose report vanishes stays in
+// its group as a protocol dropout; the group either recovers the survivors'
+// exact sum through t-of-n reconstruction or aborts — with identical
+// devices any wrong sum (an unremoved mask, a miscounted weight) would
+// break the lineage match SumProbe checks.
+func TestScenarioSecureRoundsUnderDeviceDrop(t *testing.T) {
+	runDeviceFaultScenario(t, ScenarioConfig{
+		Seed: 11, Shards: 0, TargetDevices: 8, Rounds: 6, SecAggGroup: 4,
+		IdenticalDevices: true, WrapDevices: true, ReportTimeout: time.Second,
+	})
+}
+
 // decisionStream draws the first n fault decisions of role's next link.
 func decisionStream(t *testing.T, in *Injector, role Role, n int) []decision {
 	t.Helper()

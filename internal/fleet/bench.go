@@ -127,24 +127,9 @@ func RunBenchMultiPop(cfg BenchConfig) (BenchStats, error) {
 	}
 
 	// One listener, one address, every population behind it.
-	var l transport.Listener
-	var dial func() (transport.Conn, error)
-	if cfg.TCP {
-		tl, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			return stats, err
-		}
-		l = tl
-		addr := tl.Addr()
-		dial = func() (transport.Conn, error) { return transport.DialTCP(addr) }
-	} else {
-		net := transport.NewMemNetwork()
-		ml, err := net.Listen("fleet")
-		if err != nil {
-			return stats, err
-		}
-		l = ml
-		dial = func() (transport.Conn, error) { return net.Dial("fleet") }
+	l, dial, err := flserver.Listen(cfg.TCP, transport.NewMemNetwork(), "fleet")
+	if err != nil {
+		return stats, err
 	}
 	defer l.Close()
 	go f.Serve(l)

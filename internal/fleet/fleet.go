@@ -8,8 +8,7 @@
 // added to a running fleet without restarting it.
 //
 // The Fleet composes the same actors as internal/flserver — Selector,
-// Coordinator, Master Aggregator — through that package's exported entry
-// points. flserver.Server remains the single-population special case;
+// Coordinator, local edge — through that package's exported entry points. flserver.Server remains the single-population special case;
 // Fleet is the shared layer the paper describes ("Selectors accept
 // connections for many FL populations, while Coordinators are one per
 // population").
@@ -87,9 +86,11 @@ type PopulationStats struct {
 // popEntry is the registry record for one registered population.
 type popEntry struct {
 	spec PopulationSpec
-	// tasks is the population's task registry; it outlives any one
-	// Coordinator (crash respawns reuse it).
+	// tasks is the population's task registry and edge its local edge over
+	// the shared Selectors; both outlive any one Coordinator (crash
+	// respawns reuse them).
 	tasks *tasks.TaskSet
+	edge  *flserver.LocalEdge
 	coord actor.Ref
 	done  chan struct{}
 }
@@ -179,7 +180,8 @@ func (f *Fleet) Register(spec PopulationSpec) error {
 	}
 	ts.SetPopulationEstimate(spec.PopulationEstimate)
 
-	entry := &popEntry{spec: spec, tasks: ts, done: make(chan struct{})}
+	entry := &popEntry{spec: spec, tasks: ts, done: make(chan struct{}),
+		edge: flserver.NewLocalEdge(f.sys, f.selectors, spec.Population)}
 	f.mu.Lock()
 	if f.closed.Load() {
 		f.mu.Unlock()
@@ -258,98 +260,75 @@ func (f *Fleet) Deregister(population string) error {
 	return nil
 }
 
-// spawnCoordinator starts entry's Coordinator plus a watcher that respawns
-// it on failure — unless the population has since been deregistered or the
-// fleet closed. All watchers share the one lock service, so racing
-// respawns can never yield two live Coordinators for one population: the
-// loser's first tick fails to acquire the lock and it stops itself.
-func (f *Fleet) spawnCoordinator(entry *popEntry) {
-	name := entry.spec.Population
-	f.mu.Lock()
-	if f.closed.Load() || f.pops[name] != entry {
-		f.mu.Unlock()
-		return
+// coordinatorParams wires entry's Coordinator: the shared lock service and
+// the population's own store, task set and local edge.
+func (f *Fleet) coordinatorParams(entry *popEntry) flserver.CoordinatorParams {
+	return flserver.CoordinatorParams{
+		Population: entry.spec.Population, Lock: f.lock, Store: entry.spec.Store, Tasks: entry.tasks,
+		Steering: entry.spec.Steering, PopulationEstimate: entry.spec.PopulationEstimate,
+		Edges: []flserver.Edge{entry.edge}, MaxRounds: entry.spec.MaxRounds, Done: entry.done, Now: f.cfg.Now,
 	}
-	coord := f.sys.Spawn("coordinator/"+name,
-		flserver.NewCoordinator(name, f.lock, entry.spec.Store, entry.tasks, f.selectors,
-			entry.spec.MaxRounds, entry.done, f.cfg.Now).
-			WithPacing(entry.spec.Steering, entry.spec.PopulationEstimate))
-	entry.coord = coord
-	f.mu.Unlock()
-
-	// Watch before the first tick so even an instant crash is supervised.
-	watcher := f.sys.Spawn("coordinator-watcher/"+name, actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		if t, ok := msg.(actor.Terminated); ok && t.Ref == coord {
-			if t.Failure && !f.closed.Load() {
-				f.spawnCoordinator(entry)
-			}
-			ctx.Stop()
-		}
-	}))
-	f.sys.Watch(coord, watcher)
-	_ = flserver.StartCoordinator(coord)
 }
 
-// liveCoordinator resolves a population's current Coordinator for a task
-// lifecycle call.
-func (f *Fleet) liveCoordinator(population string) (actor.Ref, error) {
+// spawnCoordinator starts entry's supervised Coordinator, respawned on
+// failure — unless the population has since been deregistered or the fleet
+// closed. All watchers share the one lock service, so racing respawns can
+// never yield two live Coordinators for one population: the loser's first
+// tick fails to acquire the lock and it stops itself.
+func (f *Fleet) spawnCoordinator(entry *popEntry) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed.Load() || f.pops[entry.spec.Population] != entry {
+		return
+	}
+	entry.coord = flserver.SuperviseCoordinator(f.sys, f.coordinatorParams(entry),
+		func() { f.spawnCoordinator(entry) })
+}
+
+// onCoordinator runs one task lifecycle call against a population's
+// current Coordinator. The mutation is routed through the Coordinator's
+// mailbox, so it serializes with round scheduling.
+func (f *Fleet) onCoordinator(population string, call func(actor.Ref) error) error {
 	coord, ok := f.Coordinator(population)
 	if !ok {
-		return nil, fmt.Errorf("fleet: population %q not registered (or still starting)", population)
+		return fmt.Errorf("fleet: population %q not registered (or still starting)", population)
 	}
-	return coord, nil
+	return call(coord)
 }
 
 // SubmitTask deploys a new FL task (plan + scheduling policy) onto a live
 // registered population — no restart, no effect on the round in flight.
-// The mutation is routed through the population Coordinator's mailbox so
-// it serializes with round scheduling.
 func (f *Fleet) SubmitTask(population string, p *plan.Plan, pol tasks.Policy) error {
-	coord, err := f.liveCoordinator(population)
-	if err != nil {
-		return err
-	}
-	return flserver.SubmitTask(coord, p, pol)
+	return f.onCoordinator(population, func(c actor.Ref) error { return flserver.SubmitTask(c, p, pol) })
 }
 
 // PauseTask stops scheduling a population's task; an in-flight round
 // completes normally and the task keeps its stats and checkpoints.
 func (f *Fleet) PauseTask(population, id string) error {
-	coord, err := f.liveCoordinator(population)
-	if err != nil {
-		return err
-	}
-	return flserver.PauseTask(coord, id)
+	return f.onCoordinator(population, func(c actor.Ref) error { return flserver.PauseTask(c, id) })
 }
 
 // ResumeTask reactivates a population's paused task.
 func (f *Fleet) ResumeTask(population, id string) error {
-	coord, err := f.liveCoordinator(population)
-	if err != nil {
-		return err
-	}
-	return flserver.ResumeTask(coord, id)
+	return f.onCoordinator(population, func(c actor.Ref) error { return flserver.ResumeTask(c, id) })
 }
 
 // RetireTask permanently stops scheduling a population's task. A round
 // already in flight completes (and is recorded) rather than being aborted.
 func (f *Fleet) RetireTask(population, id string) error {
-	coord, err := f.liveCoordinator(population)
-	if err != nil {
-		return err
-	}
-	return flserver.RetireTask(coord, id)
+	return f.onCoordinator(population, func(c actor.Ref) error { return flserver.RetireTask(c, id) })
 }
 
 // TaskStats reports every task of a population — state, policy, rounds
 // committed/failed, cumulative devices, last round time — in submission
 // order.
 func (f *Fleet) TaskStats(population string) ([]tasks.Stats, error) {
-	coord, err := f.liveCoordinator(population)
-	if err != nil {
-		return nil, err
-	}
-	return flserver.QueryTaskStats(coord)
+	var sts []tasks.Stats
+	err := f.onCoordinator(population, func(c actor.Ref) (err error) {
+		sts, err = flserver.QueryTaskStats(c)
+		return err
+	})
+	return sts, err
 }
 
 // Populations lists the registered population names, sorted.
@@ -414,20 +393,15 @@ func (f *Fleet) PopulationStats(population string) (PopulationStats, error) {
 		// yet (racing stats poller).
 		return PopulationStats{}, fmt.Errorf("fleet: population %q still starting", population)
 	}
-	st := PopulationStats{Population: population}
 	coord, err := flserver.QueryCoordinatorStats(ref)
 	if err != nil {
 		return PopulationStats{}, err
 	}
-	st.Coordinator = coord
-	for _, sel := range f.selectors {
-		s, err := flserver.QuerySelectorStats(sel, population)
-		if err != nil {
-			return PopulationStats{}, err
-		}
-		st.Selector.Add(s)
+	sel, err := flserver.SumSelectorStats(f.selectors, population)
+	if err != nil {
+		return PopulationStats{}, err
 	}
-	return st, nil
+	return PopulationStats{Population: population, Coordinator: coord, Selector: sel}, nil
 }
 
 // Stats reports every registered population (keyed by name). A population
@@ -447,31 +421,7 @@ func (f *Fleet) Stats() (map[string]PopulationStats, error) {
 // SelectorTotals sums the selector layer's counters across every
 // population, including unknown-population rejections.
 func (f *Fleet) SelectorTotals() (flserver.SelectorStats, error) {
-	var total flserver.SelectorStats
-	for _, sel := range f.selectors {
-		st, err := flserver.QuerySelectorStats(sel, "")
-		if err != nil {
-			return flserver.SelectorStats{}, err
-		}
-		total.Add(st)
-	}
-	return total, nil
-}
-
-// PerSelectorStats breaks the shared selector layer down by Selector actor
-// name, all populations summed per Selector — the per-shard view behind
-// SelectorTotals. The error is non-nil when any Selector is dead or
-// unresponsive: a dead selector is an explicit failure, never zeros.
-func (f *Fleet) PerSelectorStats() (map[string]flserver.SelectorStats, error) {
-	out := make(map[string]flserver.SelectorStats, len(f.selectors))
-	for _, sel := range f.selectors {
-		st, err := flserver.QuerySelectorStats(sel, "")
-		if err != nil {
-			return nil, err
-		}
-		out[sel.Name()] = st
-	}
-	return out, nil
+	return flserver.SumSelectorStats(f.selectors, "")
 }
 
 // Serve accepts device connections from l until l closes, routing each

@@ -89,11 +89,10 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 		rivals := make(map[string]actor.Ref, len(pops))
 		for _, pop := range pops {
 			f.mu.Lock()
-			spec := f.pops[pop].spec
-			popTasks := f.pops[pop].tasks
+			params := f.coordinatorParams(f.pops[pop])
 			f.mu.Unlock()
-			rival := f.sys.Spawn("rival-coordinator/"+pop,
-				flserver.NewCoordinator(pop, f.lock, spec.Store, popTasks, f.selectors, 0, nil, nil))
+			params.MaxRounds, params.Done = 0, nil
+			rival := f.sys.Spawn("rival-coordinator/"+pop, flserver.NewCoordinator(params))
 			rivals[pop] = rival
 			if err := flserver.StartCoordinator(rival); err != nil {
 				t.Fatal(err)

@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/checkpoint"
 	"repro/internal/secagg"
 	"repro/internal/storage"
-	"repro/internal/tensor"
 )
 
 // feedSecureGroup sends count updates with distinct device names prefixed
@@ -19,8 +17,7 @@ import (
 func feedSecureGroup(t *testing.T, agg actor.Ref, sig chan struct{}, prefix string, count int) {
 	t.Helper()
 	for i := 0; i < count; i++ {
-		_ = agg.Send(msgAddUpdate{DeviceID: fmt.Sprintf("%s%d", prefix, i),
-			Update: &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1}})
+		_ = agg.Send(msgAddUpdate{DeviceID: fmt.Sprintf("%s%d", prefix, i), Input: secInput(1, 1, 2)})
 	}
 	waitSignals(t, sig, count)
 }
@@ -60,11 +57,11 @@ func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
 
-	aggA := NewAggregator(2, true, master)
+	aggA := NewAggregator(2, master)
 	// Participant 2 (device a1) deals poisoned shares: excluded before
 	// masking, blamed via holder complaints.
 	aggA.churn = func(n, tt int) secagg.Schedule { return secagg.Schedule{PoisonShare: []int{2}} }
-	aggB := NewAggregator(2, true, master)
+	aggB := NewAggregator(2, master)
 	// Participant 1 (device b0) forges its unmask response: rejected at
 	// the commitment check, blamed, sum reconstructed from the rest.
 	aggB.churn = func(n, tt int) secagg.Schedule { return secagg.Schedule{ForgeUnmask: []int{1}} }
@@ -115,7 +112,7 @@ func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 func TestSecureGroupLostDevicesBecomeDropouts(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, true, master))
+	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
 	feedSecureGroup(t, agg, sig, "d", 4)
@@ -140,12 +137,11 @@ func TestSecureGroupLostDevicesBecomeDropouts(t *testing.T) {
 func TestSecureGroupBelowThresholdAbortsWithMetrics(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, true, master))
+	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
 	for i := 0; i < 3; i++ {
-		_ = agg.Send(msgAddUpdate{DeviceID: fmt.Sprintf("d%d", i),
-			Update:  &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1},
+		_ = agg.Send(msgAddUpdate{DeviceID: fmt.Sprintf("d%d", i), Input: secInput(1, 1, 2),
 			Metrics: map[string]float64{"train_loss": 0.5}})
 	}
 	waitSignals(t, sig, 3)
@@ -170,7 +166,7 @@ func TestSecureGroupBelowThresholdAbortsWithMetrics(t *testing.T) {
 func TestSecureThresholdFractionOverride(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := NewAggregator(2, true, master)
+	agg := NewAggregator(2, master)
 	// Tolerate up to half the group: t = ⌈0.5 n⌉.
 	agg.threshold = func(n int) int { return (n + 1) / 2 }
 	ref := sys.Spawn("agg", agg)
@@ -213,7 +209,7 @@ func TestSecureFinalizeWatchdogUnstallsGroup(t *testing.T) {
 
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := NewAggregator(2, true, master)
+	agg := NewAggregator(2, master)
 	agg.finalizeTimeout = 100 * time.Millisecond
 	ref := sys.Spawn("agg", agg)
 	defer sys.Shutdown(master, ref)
@@ -236,37 +232,32 @@ func TestSecureFinalizeWatchdogUnstallsGroup(t *testing.T) {
 	runtime.Gosched()
 }
 
-// TestRoundCompleteCarriesBlamedDevices: per-group blame survives the
-// master merge into the round completion record.
-func TestRoundCompleteCarriesBlamedDevices(t *testing.T) {
-	sys := actor.NewSystem()
-	coord, got, sig := collectMaster(sys)
+// TestRoundCarriesBlamedDevices: per-group blame survives the edge's merge
+// of the group partials and the Coordinator's merge of the seals into the
+// round record and the round trace.
+func TestRoundCarriesBlamedDevices(t *testing.T) {
 	store := storage.NewMem()
-	p := testPlan(t, 4, true)
-	m, err := p.Device.Model.Build()
-	if err != nil {
-		t.Fatal(err)
+	// Participant 2 of every group deals poisoned shares: excluded before
+	// masking, blamed via holder complaints; each group commits on 3 of 4.
+	out := runHookedRound(t, twoGroupSecurePlan(t), store, 8, func(int, int) secagg.Schedule {
+		return secagg.Schedule{PoisonShare: []int{2}}
+	})
+	if out.Committed == nil {
+		t.Fatalf("round failed: %s", out.FailReason)
 	}
-	dim := m.NumParams()
-	global := &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, dim)}
-	ma := NewMasterAggregator(p, global, store, coord, nil, 0, nil)
-	ma.state = "collecting"
-	ma.aggs = make([]actor.Ref, 2)
-	ref := sys.Spawn("ma", ma)
-	defer sys.Shutdown(coord, ref)
-
-	_ = ref.Send(msgGroupResult{Sum: make(tensor.Vector, dim), Weight: 4, Count: 4,
-		Blamed: []string{"dev-7: forged share"}})
-	_ = ref.Send(msgGroupResult{Sum: make(tensor.Vector, dim), Weight: 4, Count: 4,
-		Blamed: []string{"dev-9: complaint from holder"}})
-	waitSignals(t, sig, 1)
-
-	msgs := got()
-	done, ok := msgs[len(msgs)-1].(msgRoundComplete)
-	if !ok {
-		t.Fatalf("coordinator got %T", msgs[len(msgs)-1])
+	if len(out.BlamedDevices) != 2 {
+		t.Fatalf("blamed devices not merged: %+v", out.BlamedDevices)
 	}
-	if len(done.BlamedDevices) != 2 {
-		t.Fatalf("blamed devices not merged: %+v", done.BlamedDevices)
+	for _, b := range out.BlamedDevices {
+		if !strings.Contains(b, "dev-") || !strings.Contains(b, "complaint") {
+			t.Fatalf("blame not attributed by device name: %q", b)
+		}
+	}
+	if out.Completed != 6 {
+		t.Fatalf("completed = %d, want 6 (one poisoner excluded per group)", out.Completed)
+	}
+	traces := store.RoundTraces()
+	if len(traces) == 0 || traces[len(traces)-1].Blamed != 2 {
+		t.Fatalf("round trace does not count the blamed devices: %+v", traces)
 	}
 }

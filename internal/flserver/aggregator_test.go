@@ -5,20 +5,28 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/checkpoint"
 	"repro/internal/data"
+	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
+	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
 
-// collectMaster spawns an actor standing in for the Master Aggregator,
-// recording everything the Aggregator sends.
+// secInput builds a secure group input: the delta with the weight appended,
+// as the connection reader decodes it.
+func secInput(weight float64, delta ...float64) tensor.Vector {
+	return append(append(tensor.Vector{}, delta...), weight)
+}
+
+// collectMaster spawns an actor standing in for the EdgeRound, recording
+// everything the Aggregator sends.
 func collectMaster(s *actor.System) (actor.Ref, func() []actor.Message, chan struct{}) {
 	var mu sync.Mutex
 	var got []actor.Message
@@ -47,81 +55,50 @@ func waitSignals(t *testing.T, sig chan struct{}, n int) {
 	}
 }
 
-func TestAggregatorSimpleSum(t *testing.T) {
-	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, false, master))
-	defer sys.Shutdown(master, agg)
-
-	_ = agg.Send(msgAddUpdate{DeviceID: "a", Update: &checkpoint.Checkpoint{Params: tensor.Vector{2, 4}, Weight: 2}, Metrics: map[string]float64{"loss": 1}})
-	_ = agg.Send(msgAddUpdate{DeviceID: "b", Update: &checkpoint.Checkpoint{Params: tensor.Vector{1, 1}, Weight: 1}, Metrics: map[string]float64{"loss": 3}})
-	waitSignals(t, sig, 2)
-	_ = agg.Send(msgFinalizeGroup{})
-	waitSignals(t, sig, 1)
-
-	msgs := got()
-	res, ok := msgs[len(msgs)-1].(msgGroupResult)
-	if !ok {
-		t.Fatalf("last message %T", msgs[len(msgs)-1])
-	}
-	if res.Count != 2 || res.Weight != 3 {
-		t.Fatalf("result: %+v", res)
-	}
-	if res.Sum[0] != 3 || res.Sum[1] != 5 {
-		t.Fatalf("sum = %v", res.Sum)
-	}
-	if len(res.Metrics["loss"]) != 2 {
-		t.Fatalf("metrics: %+v", res.Metrics)
-	}
-}
-
 func TestAggregatorRejectsBadUpdates(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, false, master))
+	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
-	_ = agg.Send(msgAddUpdate{DeviceID: "a", Update: &checkpoint.Checkpoint{Params: tensor.Vector{1}, Weight: 1}})
-	_ = agg.Send(msgAddUpdate{DeviceID: "b", Update: &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 0}})
+	_ = agg.Send(msgAddUpdate{DeviceID: "a", Input: secInput(1, 1)})
+	_ = agg.Send(msgAddUpdate{DeviceID: "b", Input: secInput(1, 1, 2, 3)})
 	waitSignals(t, sig, 2)
 	for _, m := range got() {
-		if r, ok := m.(msgAddResult); ok && r.OK {
+		if r, ok := m.(msgReportDone); ok && r.OK {
 			t.Fatalf("bad update accepted: %+v", r)
 		}
 	}
 }
 
-func TestAggregatorSecureMatchesSimple(t *testing.T) {
+func TestAggregatorSecureMatchesPlainSum(t *testing.T) {
 	sys := actor.NewSystem()
-	updates := []*checkpoint.Checkpoint{
-		{Params: tensor.Vector{1, -2, 0.5}, Weight: 3},
-		{Params: tensor.Vector{0.25, 1, 1}, Weight: 1},
-		{Params: tensor.Vector{-1, -1, -1}, Weight: 2},
+	master, got, sig := collectMaster(sys)
+	agg := sys.Spawn("agg", NewAggregator(3, master))
+	defer sys.Shutdown(master, agg)
+	inputs := []tensor.Vector{
+		secInput(3, 1, -2, 0.5),
+		secInput(1, 0.25, 1, 1),
+		secInput(2, -1, -1, -1),
 	}
-	run := func(secure bool) msgGroupResult {
-		master, got, sig := collectMaster(sys)
-		agg := sys.Spawn("agg", NewAggregator(3, secure, master))
-		defer func() { master.Stop(); agg.Stop() }()
-		for i, u := range updates {
-			_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Update: u})
+	want := make([]float64, 4)
+	for i, in := range inputs {
+		for j, v := range in {
+			want[j] += v
 		}
-		waitSignals(t, sig, len(updates))
-		_ = agg.Send(msgFinalizeGroup{})
-		waitSignals(t, sig, 1)
-		msgs := got()
-		return msgs[len(msgs)-1].(msgGroupResult)
+		_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Input: in.Clone()})
 	}
-	plainRes := run(false)
-	secureRes := run(true)
-	if plainRes.Count != secureRes.Count {
-		t.Fatalf("counts differ: %d vs %d", plainRes.Count, secureRes.Count)
+	waitSignals(t, sig, len(inputs))
+	_ = agg.Send(msgFinalizeGroup{})
+	waitSignals(t, sig, 1)
+	msgs := got()
+	res := msgs[len(msgs)-1].(msgGroupResult)
+	if res.Count != len(inputs) || math.Abs(res.Weight-want[3]) > 1e-3 {
+		t.Fatalf("count %d weight %v, want %d / %v", res.Count, res.Weight, len(inputs), want[3])
 	}
-	if math.Abs(plainRes.Weight-secureRes.Weight) > 1e-3 {
-		t.Fatalf("weights differ: %v vs %v", plainRes.Weight, secureRes.Weight)
-	}
-	for i := range plainRes.Sum {
-		if math.Abs(plainRes.Sum[i]-secureRes.Sum[i]) > 1e-3 {
-			t.Fatalf("secure sum %v != plain %v", secureRes.Sum, plainRes.Sum)
+	for i := range res.Sum {
+		if math.Abs(res.Sum[i]-want[i]) > 1e-3 {
+			t.Fatalf("secure sum %v != plain %v", res.Sum, want[:3])
 		}
 	}
 }
@@ -133,11 +110,10 @@ func TestSecureSingletonRefusesDirectSum(t *testing.T) {
 	// path.
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, true, master))
+	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
-	_ = agg.Send(msgAddUpdate{DeviceID: "solo",
-		Update:  &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1},
+	_ = agg.Send(msgAddUpdate{DeviceID: "solo", Input: secInput(1, 1, 2),
 		Metrics: map[string]float64{"train_loss": 0.5}})
 	waitSignals(t, sig, 1)
 	_ = agg.Send(msgFinalizeGroup{})
@@ -164,12 +140,11 @@ func TestSecAggFailureStillReportsMetrics(t *testing.T) {
 	// silently dropping the group's metrics and hiding the error.
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, true, master))
+	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
 	for i, loss := range []float64{0.5, 0.7} {
-		_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)),
-			Update:  &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1},
+		_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Input: secInput(1, 1, 2),
 			Metrics: map[string]float64{"train_loss": loss}})
 	}
 	waitSignals(t, sig, 2)
@@ -194,48 +169,85 @@ func TestSecAggFailureStillReportsMetrics(t *testing.T) {
 	}
 }
 
-func TestMasterAggregatorSurfacesGroupErrors(t *testing.T) {
-	// A failed group's metrics still reach storage, its error reaches the
-	// Coordinator, and the round completes on the healthy groups.
-	sys := actor.NewSystem()
-	coord, got, sig := collectMaster(sys)
-	store := storage.NewMem()
-	p := testPlan(t, 4, true)
-	m, err := p.Device.Model.Build()
+// twoGroupSecurePlan is a secure task whose 8 admitted devices (no
+// over-selection) fill exactly two groups of 4, so a test can fail or
+// perturb a group and know what the other one holds.
+func twoGroupSecurePlan(t *testing.T) *plan.Plan {
+	t.Helper()
+	p, err := plan.Generate(plan.Config{
+		TaskID: "pop/train", Population: "pop",
+		Model:     nn.Spec{Kind: nn.KindLogistic, Features: 4, Classes: 3, Seed: 1},
+		StoreName: "clicks", BatchSize: 10, Epochs: 1, LearningRate: 0.05,
+		TargetDevices: 8, OverSelectFactor: 1.0, MinReportFraction: 0.5,
+		SelectionTimeout: 10 * time.Second, ReportTimeout: 20 * time.Second,
+		SecureAggregation: true, SecAggGroupSize: 4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dim := m.NumParams()
-	global := &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, dim)}
-	ma := NewMasterAggregator(p, global, store, coord, nil, 0, nil)
-	ma.state = "collecting"
-	ma.aggs = make([]actor.Ref, 2)
-	ref := sys.Spawn("ma", ma)
-	defer sys.Shutdown(coord, ref)
+	return p
+}
 
-	_ = ref.Send(msgGroupResult{Sum: make(tensor.Vector, dim), Weight: 4, Count: 4,
-		Metrics: map[string][]float64{"train_loss": {1, 2, 3, 4}}})
-	_ = ref.Send(msgGroupResult{Err: "secagg: injected failure",
-		Metrics: map[string][]float64{"train_loss": {9, 9}}})
-	waitSignals(t, sig, 1)
+// runHookedRound runs one round of p through a real Server with the given
+// secagg churn injected into every group, and returns the Coordinator's
+// record of it.
+func runHookedRound(t *testing.T, p *plan.Plan, store storage.Store, devices int, churn func(n, t int) secagg.Schedule) roundOutcome {
+	t.Helper()
+	fed, _ := data.Blobs(data.BlobsConfig{Users: devices, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 41})
+	outcomes := make(chan roundOutcome, 16)
+	srv, err := newServer(Config{
+		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
+		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 42,
+	}, func(out roundOutcome) { outcomes <- out }, churn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, addr := serveMem(t, srv)
+	fl := newFleet(t, devices, fed, 3)
+	fl.run(net, addr)
+	defer fl.halt()
+	select {
+	case out := <-outcomes:
+		return out
+	case <-time.After(60 * time.Second):
+		t.Fatal("round never settled")
+		return roundOutcome{}
+	}
+}
 
-	msgs := got()
-	done, ok := msgs[len(msgs)-1].(msgRoundComplete)
-	if !ok {
-		t.Fatalf("coordinator got %T: %+v", msgs[len(msgs)-1], msgs[len(msgs)-1])
+func TestRoundSurfacesGroupErrors(t *testing.T) {
+	// A failed group's metrics still reach storage, its error reaches the
+	// Coordinator's round record, and the round commits on the healthy
+	// group.
+	store := storage.NewMem()
+	var calls atomic.Int32
+	out := runHookedRound(t, twoGroupSecurePlan(t), store, 8, func(n, _ int) secagg.Schedule {
+		if calls.Add(1) > 1 {
+			return secagg.Schedule{}
+		}
+		// Whichever group finalizes first loses all but one dealer: the
+		// mask set falls below threshold and the run aborts.
+		var sched secagg.Schedule
+		for id := 2; id <= n; id++ {
+			sched.DropShareKeys = append(sched.DropShareKeys, id)
+		}
+		return sched
+	})
+	if out.Committed == nil {
+		t.Fatalf("round failed: %s", out.FailReason)
 	}
-	if len(done.GroupErrors) != 1 || !strings.Contains(done.GroupErrors[0], "injected failure") {
-		t.Fatalf("group errors not surfaced: %+v", done.GroupErrors)
+	if len(out.GroupErrors) != 1 || !strings.Contains(out.GroupErrors[0], "secagg") {
+		t.Fatalf("group errors not surfaced: %+v", out.GroupErrors)
 	}
-	if done.Completed != 4 {
-		t.Fatalf("completed = %d, want 4 (the failed group's updates are lost)", done.Completed)
+	if out.Completed != 4 {
+		t.Fatalf("completed = %d, want 4 (the failed group's updates are lost)", out.Completed)
 	}
-	ms, err := store.Metrics(p.ID)
+	ms, err := store.Metrics("pop/train")
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("metrics never materialized: %v", err)
 	}
-	if n := ms[0].Stats["train_loss"].Count; n != 6 {
-		t.Fatalf("train_loss count = %d, want 6 (failed group's metrics must not be dropped)", n)
+	if n := ms[0].Stats["train_loss"].Count; n != 8 {
+		t.Fatalf("train_loss count = %d, want 8 (failed group's metrics must not be dropped)", n)
 	}
 }
 
@@ -245,15 +257,13 @@ func TestTwoSecureGroupsFinalizeConcurrently(t *testing.T) {
 	// -race (CI does) to check the parallel finalization pipeline.
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	aggA := sys.Spawn("agg-a", NewAggregator(2, true, master))
-	aggB := sys.Spawn("agg-b", NewAggregator(2, true, master))
+	aggA := sys.Spawn("agg-a", NewAggregator(2, master))
+	aggB := sys.Spawn("agg-b", NewAggregator(2, master))
 	defer sys.Shutdown(master, aggA, aggB)
 
 	for i := 0; i < 3; i++ {
-		_ = aggA.Send(msgAddUpdate{DeviceID: string(rune('a' + i)),
-			Update: &checkpoint.Checkpoint{Params: tensor.Vector{1, 2}, Weight: 1}})
-		_ = aggB.Send(msgAddUpdate{DeviceID: string(rune('x' + i)),
-			Update: &checkpoint.Checkpoint{Params: tensor.Vector{3, 4}, Weight: 2}})
+		_ = aggA.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Input: secInput(1, 1, 2)})
+		_ = aggB.Send(msgAddUpdate{DeviceID: string(rune('x' + i)), Input: secInput(2, 3, 4)})
 	}
 	waitSignals(t, sig, 6)
 	_ = aggA.Send(msgFinalizeGroup{})
@@ -315,7 +325,7 @@ func TestSecureRemainderFoldedIntoLastGroup(t *testing.T) {
 func TestAggregatorEvalMetricsOnly(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, false, master))
+	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
 	_ = agg.Send(msgAddUpdate{DeviceID: "a", Metrics: map[string]float64{"eval_accuracy": 0.8}})

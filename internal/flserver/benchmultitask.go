@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
@@ -105,24 +104,9 @@ func RunBenchMultiTask(cfg BenchMultiTaskConfig) (BenchMultiTaskStats, error) {
 	}
 	defer srv.Close()
 
-	var l transport.Listener
-	var dial func() (transport.Conn, error)
-	if cfg.TCP {
-		tl, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			return stats, err
-		}
-		l = tl
-		addr := tl.Addr()
-		dial = func() (transport.Conn, error) { return transport.DialTCP(addr) }
-	} else {
-		net := transport.NewMemNetwork()
-		ml, err := net.Listen(pop)
-		if err != nil {
-			return stats, err
-		}
-		l = ml
-		dial = func() (transport.Conn, error) { return net.Dial(pop) }
+	l, dial, err := Listen(cfg.TCP, transport.NewMemNetwork(), pop)
+	if err != nil {
+		return stats, err
 	}
 	defer l.Close()
 	go srv.Serve(l)
@@ -138,34 +122,14 @@ func RunBenchMultiTask(cfg BenchMultiTaskConfig) (BenchMultiTaskStats, error) {
 	var devices sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < cfg.Devices; i++ {
-		id := fmt.Sprintf("mt-dev-%d", i)
-		st, err := device.NewMemStore(pop+"-store", 1000, 0)
+		client, err := NewLocalDataClient(fmt.Sprintf("mt-dev-%d", i), pop, pop+"-store", fed.Users[i], cfg.Seed+uint64(i)+100)
 		if err != nil {
 			return stats, err
 		}
-		now := time.Now()
-		for _, ex := range fed.Users[i] {
-			st.Add(ex, now)
-		}
-		rt := device.NewRuntime(id, 3, nil, cfg.Seed+uint64(i)+100)
-		if err := rt.RegisterStore(st); err != nil {
-			return stats, err
-		}
-		client := &DeviceClient{ID: id, Population: pop, Runtime: rt}
 		devices.Add(1)
 		go func() {
 			defer devices.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if conn, err := dial(); err == nil {
-					_, _ = client.RunOnce(conn)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
+			client.Loop(dial, stop)
 		}()
 	}
 	defer func() {

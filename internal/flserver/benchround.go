@@ -5,9 +5,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/nn"
+	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/storage"
@@ -59,8 +59,8 @@ type BenchRoundConfig struct {
 type BenchRoundStats struct {
 	Completed int
 	Lost      int
-	// PlanMarshals is how many times the Master Aggregator marshaled a plan
-	// during Configuration (O(distinct versions), not O(devices)).
+	// PlanMarshals is how many times the round marshaled a plan during
+	// Configuration (O(distinct versions), not O(devices)).
 	PlanMarshals int64
 	Elapsed      time.Duration
 	// Committed is the checkpoint the round committed (nil if the plan's
@@ -74,11 +74,11 @@ type BenchRoundStats struct {
 	RobustRejected []string
 }
 
-// RunBenchRound drives one round through a real Master Aggregator and real
-// transport connections: it injects K held devices (as a Selector would),
-// and a goroutine per device answers the CheckinResponse with a
-// pre-marshaled update. Used by BenchmarkRoundThroughput, `flbench -exp
-// roundtput`, and the -race fan-out/ingest tests.
+// RunBenchRound drives one round through a real Server (Selectors,
+// Coordinator, local edge) and real transport connections: a goroutine per
+// device checks in and answers the CheckinResponse with a pre-marshaled
+// update. Used by BenchmarkRoundThroughput, `flbench -exp roundtput`, and
+// the -race fan-out/ingest tests.
 func RunBenchRound(cfg BenchRoundConfig) (BenchRoundStats, error) {
 	var stats BenchRoundStats
 	if cfg.Devices <= 0 || cfg.Dim <= 0 {
@@ -118,8 +118,8 @@ func RunBenchRound(cfg BenchRoundConfig) (BenchRoundStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	// The Master Aggregator takes its dimension from the global checkpoint,
-	// so the model spec above stays tiny while the wire payloads scale.
+	// The round takes its dimension from the stored global checkpoint, so
+	// the model spec above stays tiny while the wire payloads scale.
 	global := &checkpoint.Checkpoint{TaskName: p.ID, Round: 0, Params: make(tensor.Vector, cfg.Dim)}
 	upd := &checkpoint.Checkpoint{TaskName: p.ID, Round: 0, Weight: 1, Params: make(tensor.Vector, cfg.Dim)}
 	for i := range upd.Params {
@@ -151,131 +151,106 @@ func RunBenchRound(cfg BenchRoundConfig) (BenchRoundStats, error) {
 		}
 	}
 
-	// Connect K device endpoints to K server-held connections.
-	serverConns := make([]transport.Conn, cfg.Devices)
-	clientConns := make([]transport.Conn, cfg.Devices)
+	store := storage.NewMem()
+	if err := store.PutCheckpoint(global); err != nil {
+		return stats, err
+	}
+	outcomes := make(chan roundOutcome, 1)
+	srv, err := newServer(Config{
+		Population: "bench", Plans: []*plan.Plan{p}, Store: store,
+		Steering: pacing.New(time.Second), PopulationEstimate: cfg.Devices, MaxRounds: 1,
+	}, func(out roundOutcome) {
+		select {
+		case outcomes <- out:
+		default: // only the first round is measured
+		}
+	}, nil)
+	if err != nil {
+		return stats, err
+	}
+	defer srv.Close()
+
 	if cfg.TCP {
 		// Both ends of every connection live in this process: 2K sockets
 		// plus headroom for the listener, test harness, and runtime.
 		if err := ensureFDLimit(2*uint64(cfg.Devices) + 64); err != nil {
 			return stats, fmt.Errorf("benchround: %w", err)
 		}
-		l, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			return stats, err
-		}
-		defer l.Close()
-		acceptErr := make(chan error, 1)
-		go func() {
-			for i := range serverConns {
-				c, err := l.Accept()
-				if err != nil {
-					acceptErr <- err
-					return
-				}
-				serverConns[i] = c
-			}
-			acceptErr <- nil
-		}()
-		for i := range clientConns {
-			c, err := transport.DialTCP(l.Addr())
-			if err != nil {
-				return stats, err
-			}
-			clientConns[i] = c
-		}
-		if err := <-acceptErr; err != nil {
-			return stats, err
-		}
-	} else {
-		for i := range serverConns {
-			serverConns[i], clientConns[i] = transport.Pipe()
-		}
 	}
-
-	// One goroutine per device: await the CheckinResponse, report the
-	// pre-marshaled update, read the ack.
-	var devices sync.WaitGroup
-	for i, conn := range clientConns {
-		devices.Add(1)
-		go func(i int, conn transport.Conn) {
-			defer devices.Done()
-			defer conn.Close()
-			msg, err := conn.Recv()
-			if err != nil {
-				return
-			}
-			resp, ok := msg.(protocol.CheckinResponse)
-			if !ok || !resp.Accepted {
-				return
-			}
-			_ = conn.Send(protocol.ReportRequest{
-				DeviceID: fmt.Sprintf("bench-%d", i),
-				TaskID:   resp.TaskID,
-				Round:    resp.Round,
-				Update:   updBytes[i],
-				Metrics:  map[string]float64{"train_loss": 0.5},
-			})
-			_, _ = conn.Recv()
-		}(i, conn)
+	l, dial, err := Listen(cfg.TCP, transport.NewMemNetwork(), "bench")
+	if err != nil {
+		return stats, err
 	}
+	defer l.Close()
+	go srv.Serve(l)
 
-	sys := actor.NewSystem()
-	defer sys.Shutdown()
-	type roundOutcome struct {
-		complete msgRoundComplete
-		failed   msgRoundFailed
-		ok       bool
-	}
-	done := make(chan roundOutcome, 1)
-	coord := sys.Spawn("bench-coord", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		switch m := msg.(type) {
-		case msgRoundComplete:
-			done <- roundOutcome{complete: m, ok: true}
-		case msgRoundFailed:
-			done <- roundOutcome{failed: m}
-		}
-	}))
-	ma := sys.Spawn("bench-ma", NewMasterAggregator(p, global, storage.NewMem(), coord, nil, 0, nil))
-
-	held := make([]heldDevice, cfg.Devices)
-	now := time.Now()
-	for i := range held {
+	// One goroutine per device: check in (again, while a Selector has no
+	// quota for it yet), await the CheckinResponse, report the pre-marshaled
+	// update, read the ack.
+	stop := make(chan struct{})
+	device := func(i int) {
+		id := fmt.Sprintf("bench-%d", i)
 		version := 3
 		if cfg.MixedVersions && i%2 == 1 {
 			version = 1
 		}
-		held[i] = heldDevice{
-			ID:             fmt.Sprintf("bench-%d", i),
-			RuntimeVersion: version,
-			Conn:           serverConns[i],
-			AcceptedAt:     now,
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			conn, err := dial()
+			if err != nil {
+				return
+			}
+			_ = conn.Send(protocol.CheckinRequest{DeviceID: id, Population: "bench", RuntimeVersion: version})
+			msg, err := conn.Recv()
+			if resp, ok := msg.(protocol.CheckinResponse); err == nil && ok && resp.Accepted {
+				_ = conn.Send(protocol.ReportRequest{
+					DeviceID: id,
+					TaskID:   resp.TaskID,
+					Round:    resp.Round,
+					Update:   updBytes[i],
+					Metrics:  map[string]float64{"train_loss": 0.5},
+				})
+				_, _ = conn.Recv()
+				conn.Close()
+				return
+			}
+			conn.Close()
+			time.Sleep(time.Millisecond)
 		}
 	}
-
 	marshalsBefore := planMarshals.Load()
 	start := time.Now()
-	// Injecting exactly SelectTarget devices triggers Configuration, as a
-	// Selector's msgDevices would; msgStartRound is skipped because no
-	// selection phase is being measured.
-	if err := ma.Send(msgDevices{Devices: held}); err != nil {
-		return stats, err
+	var devices sync.WaitGroup
+	devices.Add(cfg.Devices)
+	for i := 0; i < cfg.Devices; i++ {
+		go func(i int) {
+			defer devices.Done()
+			device(i)
+		}(i)
 	}
+	defer func() {
+		close(stop)
+		devices.Wait()
+	}()
+
 	select {
-	case out := <-done:
+	case out := <-outcomes:
 		stats.Elapsed = time.Since(start)
 		stats.PlanMarshals = planMarshals.Load() - marshalsBefore
-		if !out.ok {
-			return stats, fmt.Errorf("benchround: round failed: %s", out.failed.Reason)
+		if out.Committed == nil {
+			return stats, fmt.Errorf("benchround: round failed: %s", out.FailReason)
 		}
-		stats.Completed = out.complete.Completed
-		stats.Lost = out.complete.Lost
-		stats.Committed = out.complete.Committed
-		stats.Clipped = out.complete.Clipped
-		stats.RobustRejected = out.complete.RobustRejected
+		stats.Completed = out.Completed
+		stats.Lost = out.Lost
+		stats.Committed = out.Committed
+		stats.Clipped = out.Clipped
+		stats.RobustRejected = out.RobustRejected
 	case <-time.After(5 * time.Minute):
 		return stats, fmt.Errorf("benchround: round timed out")
 	}
-	devices.Wait()
 	return stats, nil
 }

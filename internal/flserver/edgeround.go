@@ -1,77 +1,99 @@
 package flserver
 
 import (
-	"sync"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/protocol"
+	"repro/internal/robust"
+	"repro/internal/secagg"
 	"repro/internal/transport"
 )
 
-// EdgeRoundConfig configures one shard-local round: a selector process runs
-// the whole device-facing protocol at the edge — configuration fan-out,
-// decode-and-accumulate into stripes — and ships exactly one sealed stripe
-// upstream when the round closes. Device connections never cross the
-// process boundary; only the seal does.
+// EdgeRoundConfig is the one per-round instruction a Coordinator fans out
+// to every edge: run the device-facing half of this round — selection,
+// configuration fan-out, report ingest, group aggregation — and hand back
+// exactly one EdgeSeal. Everything the plan states (windows, aggregation
+// mode, robust policy, encodings) is read from Plan; the fields beside it
+// are what the plan cannot know. Device connections never leave the edge;
+// only the seal does.
 type EdgeRoundConfig struct {
 	Population string
-	TaskID     string
-	Round      int64
-	// PlanBytes / Checkpoint are served to devices verbatim: in sharded
-	// mode the coordinator marshals them once and every shard fans out the
-	// same bytes (single plan version — per-version lowering is a
-	// single-process feature, documented in DESIGN.md).
-	PlanBytes  []byte
+	// Plan is the task's plan. A local edge shares the Coordinator's
+	// pointer; a remote edge decodes it once per round from the wire.
+	Plan  *plan.Plan
+	Round int64
+	// Global is the round's global model as the Coordinator holds it;
+	// Checkpoint is its marshaled form, served to devices verbatim. The
+	// Coordinator sets only Global and leaves the O(model) marshal to
+	// whoever needs the bytes first — a local EdgeRound configuring its
+	// first device, a remote edge's link framing the config — which keeps
+	// it off the path between a commit and the next round's quota grant.
+	// A remote edge host sets only Checkpoint, from the wire.
+	Global     *checkpoint.Checkpoint
 	Checkpoint []byte
 	// Dim is the model parameter count (sizes the accumulator stripes).
 	Dim int
-	// Target is this shard's share of the round's device target; reaching
-	// it seals the stripe early.
+	// Target is this edge's share of the round's device target; reaching
+	// it seals the round early.
 	Target int
 	// Admit is how many devices to request from the Selectors
 	// (over-selection, Sec. 2.2); 0 defaults to Target.
-	Admit    int
-	EvalOnly bool
-	// ReportDeadline is echoed to devices in their CheckinResponse.
-	ReportDeadline time.Duration
-	// ReportTimeout bounds the reporting window; at expiry the round seals
-	// with whatever reports it holds (the coordinator enforces the global
-	// minimum across shards).
-	ReportTimeout time.Duration
-	// ClipNorm, when positive, applies the norm-bound robust policy at this
-	// shard's edge: each report's per-example-average L2 norm is bounded
-	// before it folds into a stripe. Clipping is per-update, so it
-	// distributes across shards; the seal carries the clip count upstream.
-	ClipNorm float64
+	Admit int
+	// MinReports is this edge's share of the round's minimum report count:
+	// an edge still holding fewer live devices when Plan's SelectionTimeout
+	// expires seals what it has (the Coordinator then fails the round if
+	// the total is short) instead of waiting out the report window.
+	MinReports int
+	// MinRuntime, when positive, is the task policy's floor on device
+	// runtime versions: older devices are rejected outright instead of
+	// being served a version-lowered plan.
+	MinRuntime int
+	// Estimate is the Coordinator's live population estimate, for the edge
+	// host's pace steering.
+	Estimate int
 	// Linger is how long the sealed (or abandoned) round stays alive to
 	// answer stragglers with explicit aborts before stopping itself
-	// (default defaultEdgeRoundLinger). Devices arriving inside the window
-	// get a protocol.Abort; after it, the Selectors' quota revocation has
-	// drained and check-ins fall back to clean steering rejections.
+	// (default defaultEdgeRoundLinger). Set by the edge host, not the
+	// Coordinator.
 	Linger time.Duration
+	// churn, when set (tests), perturbs every secure group's secagg
+	// schedule on top of the real losses.
+	churn func(n, t int) secagg.Schedule
 }
 
-// EdgeSeal is an edge round's result: the shard's merged stripe plus the
-// loss accounting the coordinator folds into round totals. It is what
-// crosses the selector→coordinator wire (as a protocol.StripeSeal).
+// EdgeSeal is an edge round's result: the edge's merged partial sum plus
+// the accounting the Coordinator folds into round totals. A local edge
+// hands it over by reference; a remote one ships it as a
+// protocol.StripeSeal.
 type EdgeSeal struct {
 	Population string
 	TaskID     string
 	Round      int64
 	Seal       fedavg.SealedStripe
 	Lost       int
-	Aborted    int
-	// Clipped counts reports the norm-bound policy clipped at this shard.
+	// Aborted counts configured devices told to stop at the seal because
+	// the edge had enough reports.
+	Aborted int
+	// Clipped counts reports the norm-bound policy clipped at this edge.
 	Clipped int64
 	// Phases maps round-lifecycle phase name (obs.PhaseConfigure etc.) to
-	// wall nanoseconds this shard spent in it. The coordinator max-merges
-	// the per-shard maps into the round trace: the fleet-wide cost of a
-	// phase is its slowest shard.
+	// wall nanoseconds this edge spent in it. The Coordinator max-merges
+	// the per-edge maps into the round trace: the fleet-wide cost of a
+	// phase is its slowest edge.
 	Phases map[string]int64
+	// Blamed lists devices Secure Aggregation excluded with attribution,
+	// RobustRejected those a retention policy rejected or attributed (each
+	// "deviceID: reason"); GroupErrors lists per-group finalization
+	// failures (the failed groups' updates are simply absent from Seal).
+	Blamed, GroupErrors, RobustRejected []string
 }
 
 // msgEdgeStart kicks off a spawned edge round.
@@ -87,9 +109,9 @@ type msgEdgeStart struct{}
 // seconds is far beyond safe.
 const defaultEdgeRoundLinger = 2 * time.Second
 
-// msgEdgeFinalize is the coordinator-forced window close (it saw enough
-// reports across all shards, or the round deadline passed): seal and ship
-// whatever this shard holds.
+// msgEdgeFinalize closes the window — the plan's ReportTimeout expired, or
+// the coordinator's round deadline passed: seal and ship whatever this
+// edge holds.
 type msgEdgeFinalize struct{}
 
 // edgeDev is one configured device's accounting on an edge round.
@@ -99,56 +121,82 @@ type edgeDev struct {
 	lost     bool
 }
 
-// EdgeRound runs one round's device-facing half on a selector shard: it
-// requests devices from the shard's local Selectors, streams each arrival
-// its configuration (the pre-framed plan+checkpoint response, built once),
-// lets per-connection readers decode-and-accumulate reports into this
-// round's stripes, and — on target, timeout, or coordinator order — merges
-// the stripes into a single fedavg.SealedStripe handed to ship. It reuses
-// the single-process round machinery (reportReader, roundIngest,
-// sendThenClose) so the edge path is identical in both deployments; only
-// who merges the seal differs.
+// versionResp is the memoized Configuration payload for one effective
+// runtime version: either a CheckinResponse pre-framed for the wire, or
+// the reason devices of that version cannot run the plan.
+type versionResp struct {
+	enc *transport.Encoded
+	err string
+}
+
+// planMarshals counts plan.Marshal calls made during Configuration,
+// process-wide. Tests and BenchmarkRoundThroughput read the delta across a
+// round to assert marshals stay O(distinct runtime versions), not O(devices).
+var planMarshals atomic.Int64
+
+// EdgeRound runs one round's device-facing half (Sec. 4.2's Master
+// Aggregator and Aggregators, at the edge): it requests devices from its
+// Selectors, streams each arrival its configuration (the plan lowered to
+// the device's runtime version plus the checkpoint, pre-framed once per
+// version), lets per-connection readers consume reports — folded into
+// stripes, retained for a robust reduce, or routed to Secure Aggregation
+// groups — and, on target, timeout, or coordinator order, merges
+// everything into a single EdgeSeal handed to ship. The same actor serves
+// an in-process Coordinator (ship is a mailbox send) and a selector shard
+// (ship crosses the peer link).
 type EdgeRound struct {
 	cfg       EdgeRoundConfig
 	selectors []actor.Ref
 	ship      func(EdgeSeal)
 
+	// Exactly one ingest shape per round: stripes (plain and norm-bound),
+	// a retention buffer drained by aggs[0] (per-update robust policies),
+	// or secure groups aggs[g] sized by assigned[g].
 	ingest    *roundIngest
-	resp      *transport.Encoded
+	robustBuf *robust.Buffer
+	secure    bool
+	groupSize int
+	aggs      []actor.Ref
+	assigned  [][]string
+	partials  []msgGroupResult
+
+	reader    reportReader
+	resps     map[int]*versionResp
 	devices   map[string]*edgeDev
 	completed int
 	lost      int
+	aborted   int
 	sealed    bool
 	// topUpAt round-robins replacement-quota requests across Selectors.
 	topUpAt int
+	// timers are the armed selection and report windows, stopped at release
+	// so a settled round's mailbox is not pinned until they would have fired.
+	timers []*time.Timer
 
-	// startAt anchors the report-window span; checkinNanos is the wait for
-	// the first device batch (round start → the Selectors delivering);
-	// configNanos accumulates the configuration fan-out wall time across
-	// device batches (written by the fan-out completion goroutines, read at
-	// seal time).
-	startAt      time.Time
-	checkinNanos int64
-	configNanos  atomic.Int64
+	// startAt anchors the report-window span; the first device batch closes
+	// the check-in span (round start → the Selectors delivering) and opens
+	// the configure span, which runs to the last configuration send done
+	// (configEnd, unix nanos, written by the per-device goroutines);
+	// mergeStart opens the edge-accumulate span.
+	startAt     time.Time
+	firstBatch  time.Time
+	configEnd   atomic.Int64
+	windowNanos int64
+	mergeStart  time.Time
 
-	// clipped counts norm-bound edge clips (written by reader goroutines);
-	// obsClipped is the task-labeled series, resolved once at start.
-	clipped    atomic.Int64
-	obsClipped *obs.Counter
+	// clipped counts norm-bound edge clips (written by reader goroutines).
+	clipped atomic.Int64
 }
 
-// NewEdgeRound returns the behavior for one shard-local round. ship runs on
-// the actor goroutine and must not block (hand the seal to a peer link or a
-// channel).
+// NewEdgeRound returns the behavior for one edge round. ship runs on the
+// actor goroutine and must not block (hand the seal to a peer link or a
+// mailbox).
 func NewEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal)) *EdgeRound {
 	if cfg.Target < 1 {
 		cfg.Target = 1
 	}
 	if cfg.Admit < cfg.Target {
 		cfg.Admit = cfg.Target
-	}
-	if cfg.ReportTimeout <= 0 {
-		cfg.ReportTimeout = 30 * time.Second
 	}
 	if cfg.Linger <= 0 {
 		cfg.Linger = defaultEdgeRoundLinger
@@ -157,6 +205,7 @@ func NewEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal
 		cfg:       cfg,
 		selectors: selectors,
 		ship:      ship,
+		resps:     make(map[int]*versionResp),
 		devices:   make(map[string]*edgeDev),
 	}
 }
@@ -170,41 +219,35 @@ func (er *EdgeRound) Receive(ctx *actor.Context, msg actor.Message) {
 		er.onDevices(ctx, m)
 	case msgReportDone:
 		er.noteOutcome(ctx, m.DeviceID, m.OK)
-	case msgDeviceLost:
-		er.onLost(ctx, m.DeviceID)
-	case msgReportTimeout:
-		er.seal(ctx)
+	case msgSelectionTimeout:
+		live := 0
+		for _, d := range er.devices {
+			if !d.lost {
+				live++
+			}
+		}
+		if live < er.cfg.MinReports {
+			er.seal(ctx)
+		}
 	case msgEdgeFinalize:
 		er.seal(ctx)
+	case msgGroupResult:
+		er.onGroupResult(ctx, m)
 	case msgAbandonRound:
 		er.abandon(ctx, m.Reason)
 	}
 }
 
-// start asks the local Selectors for devices and opens the reporting
-// window. The device-facing response frame is encoded once here and shared
-// by every configuration send.
-func (er *EdgeRound) start(ctx *actor.Context) {
-	er.startAt = time.Now()
-	er.ingest = newRoundIngest(er.cfg.Dim)
-	if er.cfg.ClipNorm > 0 {
-		er.obsClipped, _, _ = robustTaskCounters(er.cfg.TaskID)
-	}
-	er.resp = transport.Encode(protocol.CheckinResponse{
-		Accepted:       true,
-		TaskID:         er.cfg.TaskID,
-		Round:          er.cfg.Round,
-		Plan:           er.cfg.PlanBytes,
-		Checkpoint:     er.cfg.Checkpoint,
-		ReportDeadline: er.cfg.ReportDeadline,
-	})
-
-	// Split the admit count across local Selectors, remainder to the
-	// first. Quota and forward go out together so devices stream to this
-	// round as they check in.
+// requestDevices asks the local Selectors for the round's devices: the
+// admit count is split across them, remainder to the first, quota and
+// forward going out together so devices stream to the round (self) as they
+// check in. It runs on the spawner's goroutine, before the actor's first
+// message: devices re-check-in the moment the previous round commits, so
+// every microsecond until the grant lands is a rejected check-in.
+func (er *EdgeRound) requestDevices(self actor.Ref) {
 	n := len(er.selectors)
 	if n == 0 {
-		n = 1
+		return
 	}
 	share := er.cfg.Admit / n
 	extra := er.cfg.Admit - share*n
@@ -216,90 +259,195 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 		if want <= 0 {
 			continue
 		}
-		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: want})
-		_ = sel.Send(msgForwardDevices{Population: er.cfg.Population, N: want, To: ctx.Self})
+		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: want, Owner: self})
+		_ = sel.Send(msgForwardDevices{Population: er.cfg.Population, N: want, To: self})
+	}
+}
+
+// start picks the round's ingest shape from the plan and arms the selection
+// and report windows.
+func (er *EdgeRound) start(ctx *actor.Context) {
+	er.startAt = time.Now()
+	srv := er.cfg.Plan.Server
+	spawnAgg := func(g int) actor.Ref {
+		agg := NewAggregator(er.cfg.Dim, ctx.Self)
+		agg.threshold = srv.SecAggThreshold
+		agg.finalizeTimeout = srv.FinalizeTimeout()
+		agg.churn = er.cfg.churn
+		agg.robustPolicy = srv.Robust
+		if srv.Robust.PerUpdate() {
+			_, agg.obsRejectedTask, agg.obsTrimmedTask = robustTaskCounters(er.cfg.Plan.ID)
+		}
+		return ctx.Spawn(fmt.Sprintf("%s/agg-%d", ctx.Self.Name(), g), agg)
+	}
+	switch {
+	case srv.Aggregation == plan.AggregationSecure:
+		// Devices join groups by arrival index against the spans of the
+		// admit count. secagg.GroupSpans folds the remainder into the last
+		// full group so no planned group falls below 2 (the Aggregator's
+		// singleton refusal backstops a starved round); groups never span
+		// edges (Sec. 6: the sums are merged above them in the clear).
+		er.secure = true
+		er.groupSize = srv.SecAggGroupSize // ≥ 2: plan.Validate
+		er.aggs = make([]actor.Ref, len(secagg.GroupSpans(er.cfg.Admit, er.groupSize)))
+		er.assigned = make([][]string, len(er.aggs))
+		for g := range er.aggs {
+			er.aggs[g] = spawnAgg(g)
+		}
+	case srv.Robust.PerUpdate():
+		// The robust reduce is an order statistic over the whole cohort —
+		// it cannot be striped — so one reducer drains one buffer.
+		er.robustBuf = robust.NewBuffer(er.cfg.Dim)
+		er.aggs = []actor.Ref{spawnAgg(0)}
+	default:
+		er.ingest = newRoundIngest(er.cfg.Dim)
+	}
+
+	er.reader = reportReader{
+		self:     ctx.Self,
+		dim:      er.cfg.Dim,
+		secure:   er.secure,
+		evalOnly: er.cfg.Plan.Type == plan.TaskEval,
+		ingest:   er.ingest,
+		buf:      er.robustBuf,
+	}
+	if !er.secure && srv.Robust.Kind == plan.RobustNormBound {
+		er.reader.clip = srv.Robust.ClipNorm
+		er.reader.clipped = &er.clipped
+		er.reader.obsClipped, _, _ = robustTaskCounters(er.cfg.Plan.ID)
 	}
 
 	self := ctx.Self
-	time.AfterFunc(er.cfg.ReportTimeout, func() { _ = self.Send(msgReportTimeout{}) })
+	if srv.SelectionTimeout > 0 {
+		er.timers = append(er.timers, time.AfterFunc(srv.SelectionTimeout, func() { _ = self.Send(msgSelectionTimeout{}) }))
+	}
+	er.timers = append(er.timers, time.AfterFunc(srv.ReportTimeout, func() { FinalizeEdgeRound(self) }))
 }
 
-// onDevices configures a batch of forwarded devices: the shared pre-framed
-// response goes out on a bounded worker pool (a dead socket must never
-// stall the actor), and each successful send hands the connection to a
-// reportReader goroutine that consumes the report at the edge.
+// respFor returns the Configuration payload for a device runtime version,
+// marshaling the plan and building + pre-framing the CheckinResponse once
+// per distinct *effective* version: every runtime at or above the plan's
+// MinRuntimeVersion executes the plan unchanged and shares one marshaled
+// copy; each older version gets one lowered plan. Pre-framing
+// (transport.Encode) means the multi-MB plan+checkpoint wire frame is built
+// O(versions) per round and every send pushes the same immutable bytes.
+func (er *EdgeRound) respFor(version int) *versionResp {
+	p := er.cfg.Plan
+	v := version
+	if v > p.Device.MinRuntimeVersion {
+		v = p.Device.MinRuntimeVersion
+	}
+	if vr, ok := er.resps[v]; ok {
+		return vr
+	}
+	vr := &versionResp{}
+	er.resps[v] = vr
+	vp, err := p.ForVersion(version)
+	var planBytes []byte
+	if err == nil {
+		planBytes, err = vp.Marshal()
+		planMarshals.Add(1)
+		obsPlanMarshals.Inc()
+	}
+	if err == nil && er.cfg.Checkpoint == nil {
+		er.cfg.Checkpoint, err = er.cfg.Global.Marshal(checkpoint.EncodingFloat64)
+	}
+	if err != nil {
+		// Devices of this version cannot be served any form of the plan;
+		// every one of them is rejected with the reason.
+		vr.err = err.Error()
+		return vr
+	}
+	vr.enc = transport.Encode(protocol.CheckinResponse{
+		Accepted:       true,
+		TaskID:         p.ID,
+		Round:          er.cfg.Round,
+		Plan:           planBytes,
+		Checkpoint:     er.cfg.Checkpoint,
+		ReportDeadline: p.Server.ParticipationCap,
+	})
+	return vr
+}
+
+// onDevices configures a batch of forwarded devices. Each accepted device
+// gets one goroutine for the rest of its round: it pushes the device's
+// version's shared pre-framed response (a dead socket stalls only that
+// goroutine, never the actor; the frame is immutable shared bytes written
+// with one vectored write, so concurrent sends hold no per-device copy) and
+// then consumes the report at the edge — the O(dim) decode-and-accumulate
+// happens there, and only fixed-size accounting reaches the actor.
 func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 	if er.sealed {
 		for _, d := range m.Devices {
-			sendThenClose(d.Conn, protocol.Abort{TaskID: er.cfg.TaskID, Round: er.cfg.Round, Reason: "round sealed"})
+			sendThenClose(d.Conn, protocol.Abort{TaskID: er.cfg.Plan.ID, Round: er.cfg.Round, Reason: "round sealed"})
 		}
 		return
 	}
-	if er.checkinNanos == 0 && len(m.Devices) > 0 {
-		er.checkinNanos = time.Since(er.startAt).Nanoseconds()
+	if er.firstBatch.IsZero() {
+		er.firstBatch = time.Now()
 	}
-	jobs := make([]configJob, 0, len(m.Devices))
-	dups := 0
+	// refuse answers a device this round cannot use and hands its quota slot
+	// back, or refused devices would burn the admit budget below the seal
+	// target and stall the round to its timeout. The rejection rides the
+	// bounded response pool, which owns the close.
+	replace := 0
+	refuse := func(conn transport.Conn, reason string) {
+		replace++
+		sendThenClose(conn, protocol.CheckinResponse{Accepted: false, Reason: reason})
+	}
+	self, reader := ctx.Self, er.reader
 	for _, d := range m.Devices {
 		if _, dup := er.devices[d.ID]; dup {
-			// A device this round already configured checked in again (it
-			// completed — or lost its connection — and redialed while the
-			// window is still open). Reject it and hand the quota slot back,
-			// or completed devices would burn the admit budget below the
-			// seal target and stall the round to its timeout.
-			dups++
-			sendThenClose(d.Conn, protocol.CheckinResponse{
-				Accepted: false, Reason: "already participating in this round",
-			})
+			// Already configured; it completed — or lost its connection —
+			// and redialed while the window is still open.
+			refuse(d.Conn, "already participating in this round")
 			continue
 		}
-		er.devices[d.ID] = &edgeDev{conn: d.Conn}
-		jobs = append(jobs, configJob{deviceID: d.ID, conn: d.Conn, resp: er.resp})
-	}
-	er.topUp(ctx, dups)
-	if len(jobs) == 0 {
-		return
-	}
-
-	self := ctx.Self
-	rr := reportReader{
-		self:     self,
-		dim:      er.cfg.Dim,
-		evalOnly: er.cfg.EvalOnly,
-		ingest:   er.ingest,
-	}
-	if er.cfg.ClipNorm > 0 {
-		rr.clip = er.cfg.ClipNorm
-		rr.clipped = &er.clipped
-		rr.obsClipped = er.obsClipped
-	}
-	jobCh := make(chan configJob, len(jobs))
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	var sends sync.WaitGroup
-	sends.Add(len(jobs))
-	for w := fanoutWorkers(len(jobs)); w > 0; w-- {
-		go func() {
-			for j := range jobCh {
-				if err := j.conn.Send(j.resp); err != nil {
-					_ = j.conn.Close()
-					_ = self.Send(msgDeviceLost{DeviceID: j.deviceID})
-				} else {
-					go rr.read(j.deviceID, j.conn, nil)
-				}
-				sends.Done()
+		if er.cfg.MinRuntime > 0 && d.RuntimeVersion < er.cfg.MinRuntime {
+			// The task's policy pins a runtime floor: reject instead of
+			// serving a lowered plan the engineer asked us not to serve.
+			er.lost++
+			refuse(d.Conn, fmt.Sprintf("task %s requires device runtime ≥ %d", er.cfg.Plan.ID, er.cfg.MinRuntime))
+			continue
+		}
+		vr := er.respFor(d.RuntimeVersion)
+		if vr.err != "" {
+			er.lost++
+			refuse(d.Conn, vr.err)
+			continue
+		}
+		var group actor.Ref
+		if er.secure {
+			// From here the device counts toward its group's secagg instance
+			// size: not delivering makes it a protocol dropout, not a no-show.
+			g := len(er.devices) / er.groupSize
+			if g >= len(er.aggs) {
+				g = len(er.aggs) - 1
 			}
-		}()
+			er.assigned[g] = append(er.assigned[g], d.ID)
+			group = er.aggs[g]
+		}
+		er.devices[d.ID] = &edgeDev{conn: d.Conn}
+		go func(id string, conn transport.Conn) {
+			err := conn.Send(vr.enc)
+			er.configEnd.Store(time.Now().UnixNano())
+			if err != nil {
+				// A failed Configuration send means a dead peer: release
+				// the fd here, then account the loss on the actor.
+				_ = conn.Close()
+				_ = self.Send(msgReportDone{DeviceID: id})
+				return
+			}
+			reader.read(id, conn, group)
+		}(d.ID, d.Conn)
 	}
-	batchStart := time.Now()
-	go func() {
-		sends.Wait()
-		er.configNanos.Add(time.Since(batchStart).Nanoseconds())
-	}()
+	er.topUp(ctx, replace)
 }
 
+// noteOutcome settles one configured device: reported, or lost (rejected
+// report, dead connection). A lost device of a plain round is replaced; a
+// secure round keeps it as a dropout of its group, absorbed — as the paper
+// has it — by over-selection.
 func (er *EdgeRound) noteOutcome(ctx *actor.Context, deviceID string, ok bool) {
 	d, exists := er.devices[deviceID]
 	if !exists || d.reported || d.lost {
@@ -308,24 +456,16 @@ func (er *EdgeRound) noteOutcome(ctx *actor.Context, deviceID string, ok bool) {
 	if !ok {
 		d.lost = true
 		er.lost++
-		er.topUp(ctx, 1)
+		if !er.secure {
+			er.topUp(ctx, 1)
+		}
 		return
 	}
 	d.reported = true
 	er.completed++
-	if !er.sealed && er.completed >= er.cfg.Target {
+	if er.completed >= er.cfg.Target {
 		er.seal(ctx)
 	}
-}
-
-func (er *EdgeRound) onLost(ctx *actor.Context, deviceID string) {
-	d, ok := er.devices[deviceID]
-	if !ok || d.reported || d.lost {
-		return
-	}
-	d.lost = true
-	er.lost++
-	er.topUp(ctx, 1)
 }
 
 // topUp asks a Selector (round-robin) for n replacement devices after
@@ -340,104 +480,179 @@ func (er *EdgeRound) topUp(ctx *actor.Context, n int) {
 	_ = sel.Send(msgQuotaTopUp{Population: er.cfg.Population, N: n, To: ctx.Self})
 }
 
-// seal closes the window: stripes are sealed (a reader racing the close
-// gets ErrPartialClosed and answers its device "window closed"), merged
-// into one SealedStripe, unreported devices are aborted, quota is revoked,
-// and the seal ships upstream. The actor lingers briefly to abort devices a
-// Selector streamed concurrently with the seal, then stops — an edge round,
-// like a Master Aggregator, is per-round ephemeral.
-func (er *EdgeRound) seal(ctx *actor.Context) {
-	if er.sealed {
-		return
-	}
-	er.sealed = true
-	windowNanos := time.Since(er.startAt).Nanoseconds()
-	mergeStart := time.Now()
-	er.ingest.close()
-	sealed, err := fedavg.SealStripes(er.ingest.stripes)
-	if err != nil {
-		// Dimension mismatch across stripes cannot happen (one dim per
-		// round); ship an empty seal so the coordinator still hears from
-		// this shard rather than waiting out its straggler timeout.
-		sealed = fedavg.SealedStripe{}
-	}
-
-	abort := protocol.Abort{TaskID: er.cfg.TaskID, Round: er.cfg.Round, Reason: "enough devices completed"}
-	aborted := 0
-	for _, d := range er.devices {
-		if !d.reported && !d.lost {
-			aborted++
-			sendThenClose(d.conn, abort)
-		}
-	}
-	for _, sel := range er.selectors {
-		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: 0})
-	}
-	if er.ship != nil {
-		phases := map[string]int64{
-			obs.PhaseReportWindow:   windowNanos,
-			obs.PhaseEdgeAccumulate: time.Since(mergeStart).Nanoseconds(),
-		}
-		if er.checkinNanos > 0 {
-			phases[obs.PhaseCheckin] = er.checkinNanos
-		}
-		if cfgNs := er.configNanos.Load(); cfgNs > 0 {
-			phases[obs.PhaseConfigure] = cfgNs
-		}
-		er.ship(EdgeSeal{
-			Population: er.cfg.Population,
-			TaskID:     er.cfg.TaskID,
-			Round:      er.cfg.Round,
-			Seal:       sealed,
-			Lost:       er.lost,
-			Aborted:    aborted,
-			Clipped:    er.clipped.Load(),
-			Phases:     phases,
-		})
-	}
-	er.lingerThenStop(ctx)
-}
-
-// abandon fails the round without shipping: close every held connection
-// with an abort, then linger (like seal) so concurrently streamed devices
-// are answered rather than dropped with the mailbox.
-func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
-	if er.sealed {
-		// Already sealed or abandoned; the linger timer armed then will
-		// stop the actor.
-		return
-	}
+// closeWindow ends device intake: the ingest is sealed (a reader racing the
+// close gets ErrPartialClosed / ErrBufferClosed and answers its device
+// "window closed" instead of slipping past the merge), unreported devices
+// are told to stop, and quota is revoked. The sends ride the bounded
+// response pool: an unreported device may still have a configuration send
+// in flight on a stuck socket, and its conn's send lock would block the
+// actor forever. Close always happens — after the Abort is delivered, or
+// after the grace period — which also unblocks a configuration send wedged
+// on the same connection.
+func (er *EdgeRound) closeWindow(self actor.Ref, reason string) {
 	er.sealed = true
 	if er.ingest != nil {
 		er.ingest.close()
 	}
-	abort := protocol.Abort{TaskID: er.cfg.TaskID, Round: er.cfg.Round, Reason: reason}
+	if er.robustBuf != nil {
+		er.robustBuf.Close()
+	}
+	abort := protocol.Abort{TaskID: er.cfg.Plan.ID, Round: er.cfg.Round, Reason: reason}
 	for _, d := range er.devices {
 		if !d.reported && !d.lost {
+			er.aborted++
 			sendThenClose(d.conn, abort)
 		}
 	}
 	for _, sel := range er.selectors {
-		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: 0})
+		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Owner: self})
 	}
-	er.lingerThenStop(ctx)
 }
 
-// lingerThenStop schedules the round's actual stop cfg.Linger after it
-// sealed. In between, late msgDevices are answered with an abort by
-// onDevices' sealed branch — a device connection must never be dropped
+// seal closes the window and produces the round's one EdgeSeal: stripes
+// merge here; secure groups and the retention reducer are told to finalize
+// (each secure group with its configured-device list, so devices that never
+// delivered enter the protocol as real dropouts instead of silently
+// shrinking the group) and the seal ships once every group has answered.
+func (er *EdgeRound) seal(ctx *actor.Context) {
+	if er.sealed {
+		return
+	}
+	er.windowNanos = time.Since(er.startAt).Nanoseconds()
+	er.mergeStart = time.Now()
+	er.closeWindow(ctx.Self, "enough devices completed")
+	if len(er.aggs) == 0 {
+		// A dimension mismatch across stripes cannot happen (one dim per
+		// round); an empty seal still tells the coordinator this edge is
+		// done rather than leaving it to its straggler timeout.
+		sealed, _ := fedavg.SealStripes(er.ingest.stripes)
+		er.shipSeal(ctx, EdgeSeal{Seal: sealed})
+		return
+	}
+	for g, agg := range er.aggs {
+		fin := msgFinalizeGroup{Robust: er.robustBuf}
+		if er.secure {
+			fin.Assigned = er.assigned[g]
+		}
+		_ = agg.Send(fin)
+	}
+}
+
+// onGroupResult collects the group partials and, once all are in, merges
+// them — in the clear, above the groups (Sec. 6) — into the seal. Metrics
+// flow regardless of finalization errors: they never went through the
+// secure path and describe reports that did complete.
+func (er *EdgeRound) onGroupResult(ctx *actor.Context, m msgGroupResult) {
+	if len(er.aggs) == 0 {
+		return // abandoned while the groups were finalizing
+	}
+	er.partials = append(er.partials, m)
+	if len(er.partials) < len(er.aggs) {
+		return
+	}
+	seal := EdgeSeal{Phases: make(map[string]int64)}
+	s := &seal.Seal
+	evalOnly := er.cfg.Plan.Type == plan.TaskEval
+	for _, p := range er.partials {
+		if p.Err != "" {
+			seal.GroupErrors = append(seal.GroupErrors, p.Err)
+		}
+		seal.Blamed = append(seal.Blamed, p.Blamed...)
+		seal.RobustRejected = append(seal.RobustRejected, p.RobustRejected...)
+		// Groups finalize concurrently, so the round's secagg phase cost is
+		// the slowest group's — max-merge, don't sum.
+		for name, d := range p.Phases {
+			if !strings.HasPrefix(name, "robust_") {
+				name = "secagg_" + name
+			}
+			if ns := d.Nanoseconds(); ns > seal.Phases[name] {
+				seal.Phases[name] = ns
+			}
+		}
+		for name, vs := range p.Metrics {
+			if s.Metrics == nil {
+				s.Metrics = make(map[string][]float64)
+			}
+			s.Metrics[name] = append(s.Metrics[name], vs...)
+		}
+		switch {
+		case evalOnly:
+			s.EvalCount += p.Count
+		case p.Count > 0 && len(p.Sum) > 0:
+			if s.Sum == nil {
+				s.Sum = p.Sum
+			} else {
+				s.Sum.Axpy(1, p.Sum)
+			}
+			s.Weight += p.Weight
+			s.Count += p.Count
+		}
+	}
+	er.shipSeal(ctx, seal)
+}
+
+// shipSeal stamps the round's accounting and lifecycle spans on the seal,
+// ships it, and drops everything the lingering actor no longer needs: a
+// server commits tens of rounds a second, so a retained stripe set or
+// pre-framed response per lingering round is hundreds of dead megabytes.
+func (er *EdgeRound) shipSeal(ctx *actor.Context, seal EdgeSeal) {
+	if seal.Phases == nil {
+		seal.Phases = make(map[string]int64, 4)
+	}
+	seal.Phases[obs.PhaseReportWindow] = er.windowNanos
+	seal.Phases[obs.PhaseEdgeAccumulate] = time.Since(er.mergeStart).Nanoseconds()
+	if !er.firstBatch.IsZero() {
+		seal.Phases[obs.PhaseCheckin] = er.firstBatch.Sub(er.startAt).Nanoseconds()
+		if end := er.configEnd.Load(); end > 0 {
+			seal.Phases[obs.PhaseConfigure] = end - er.firstBatch.UnixNano()
+		}
+	}
+	seal.Population, seal.TaskID, seal.Round = er.cfg.Population, er.cfg.Plan.ID, er.cfg.Round
+	seal.Lost, seal.Aborted, seal.Clipped = er.lost, er.aborted, er.clipped.Load()
+	if er.ship != nil {
+		er.ship(seal)
+	}
+	er.release(ctx)
+}
+
+// abandon fails the round without shipping: every held connection gets an
+// abort, group Aggregators stop, and the actor lingers (like a sealed
+// round) so concurrently streamed devices are answered rather than dropped
+// with the mailbox.
+func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
+	if er.sealed {
+		// Already sealed or abandoned; the round is finishing on its own.
+		return
+	}
+	er.closeWindow(ctx.Self, reason)
+	for _, agg := range er.aggs {
+		agg.Stop()
+	}
+	er.release(ctx)
+}
+
+// release drops the round's state and schedules the actor's actual stop
+// cfg.Linger later. In between, late msgDevices are answered with an abort
+// by onDevices' sealed branch — a device connection must never be dropped
 // unanswered with the mailbox.
-func (er *EdgeRound) lingerThenStop(ctx *actor.Context) {
-	self := ctx.Self
-	time.AfterFunc(er.cfg.Linger, self.Stop)
+func (er *EdgeRound) release(ctx *actor.Context) {
+	er.ingest, er.robustBuf, er.reader, er.resps, er.devices = nil, nil, reportReader{}, nil, nil
+	er.aggs, er.assigned, er.partials = nil, nil, nil
+	er.cfg.Global, er.cfg.Checkpoint = nil, nil
+	for _, t := range er.timers {
+		t.Stop()
+	}
+	time.AfterFunc(er.cfg.Linger, ctx.Self.Stop)
 }
 
 // StartEdgeRound spawns an edge round on sys under the given actor name and
 // kicks it off. The returned ref accepts FinalizeEdgeRound /
 // AbandonEdgeRound; the actor stops itself once sealed or abandoned.
 func StartEdgeRound(sys *actor.System, name string, cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal)) actor.Ref {
-	ref := sys.Spawn(name, NewEdgeRound(cfg, selectors, ship))
+	er := NewEdgeRound(cfg, selectors, ship)
+	ref := sys.Spawn(name, er)
 	_ = ref.Send(msgEdgeStart{})
+	er.requestDevices(ref)
 	return ref
 }
 

@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/checkpoint"
 	"repro/internal/pacing"
 	"repro/internal/protocol"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -24,15 +26,20 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 
 	seals := make(chan EdgeSeal, 1)
 	const linger = 400 * time.Millisecond
-	ref := StartEdgeRound(sys, "edge-linger-test", EdgeRoundConfig{
-		Population:    "pop",
-		TaskID:        "task",
-		Round:         7,
-		Dim:           4,
-		Target:        1,
-		ReportTimeout: 50 * time.Millisecond,
-		Linger:        linger,
+	p := testPlan(t, 1, false)
+	p.ID, p.Server.ReportTimeout = "task", 50*time.Millisecond
+	er := NewEdgeRound(EdgeRoundConfig{
+		Population: "pop",
+		Plan:       p,
+		Round:      7,
+		Global:     &checkpoint.Checkpoint{TaskName: "task", Round: 7, Params: make(tensor.Vector, 4)},
+		Dim:        4,
+		Target:     1,
+		Linger:     linger,
 	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })
+	ref := sys.Spawn("edge-linger-test", er)
+	_ = ref.Send(msgEdgeStart{})
+	er.requestDevices(ref)
 
 	// No device reports; the window times out and the round seals empty.
 	select {
@@ -68,6 +75,14 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 		}
 	case <-time.After(linger):
 		t.Fatal("late device inside window never answered")
+	}
+	// The abort was sent after the seal on the actor's goroutine, so the
+	// round's state is safe to read: a lingering round must hold nothing
+	// model-sized — at tens of rounds a second, 2s of linger is hundreds of
+	// live rounds.
+	if er.ingest != nil || er.resps != nil || er.devices != nil || er.reader.ingest != nil ||
+		er.cfg.Global != nil || er.cfg.Checkpoint != nil {
+		t.Fatalf("lingering round retains round state: %+v", er)
 	}
 	// The connection is closed after the abort, not left half-open.
 	if _, err := devEnd.Recv(); err == nil {
@@ -112,11 +127,11 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 // TestEdgeRoundLingerDefault pins the default window so the knob's zero
 // value stays backward compatible.
 func TestEdgeRoundLingerDefault(t *testing.T) {
-	er := NewEdgeRound(EdgeRoundConfig{Population: "p", TaskID: "t", Dim: 1}, nil, func(EdgeSeal) {})
+	er := NewEdgeRound(EdgeRoundConfig{Population: "p", Dim: 1}, nil, func(EdgeSeal) {})
 	if er.cfg.Linger != defaultEdgeRoundLinger {
 		t.Fatalf("default linger = %v, want %v", er.cfg.Linger, defaultEdgeRoundLinger)
 	}
-	er = NewEdgeRound(EdgeRoundConfig{Population: "p", TaskID: "t", Dim: 1, Linger: time.Second}, nil, func(EdgeSeal) {})
+	er = NewEdgeRound(EdgeRoundConfig{Population: "p", Dim: 1, Linger: time.Second}, nil, func(EdgeSeal) {})
 	if er.cfg.Linger != time.Second {
 		t.Fatalf("explicit linger = %v, want 1s", er.cfg.Linger)
 	}

@@ -65,7 +65,7 @@ func TestCommitFailureAbandonsRoundThenRecovers(t *testing.T) {
 
 func TestSelectorForwardsToDeadMasterLosesOnlyThoseDevices(t *testing.T) {
 	// Sec. 4.4: if an actor holding devices dies, only those devices are
-	// lost. Simulate by forwarding to an already-stopped Master Aggregator
+	// lost. Simulate by forwarding to an already-stopped round
 	// ref: the Selector must close the connections and carry on.
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 6, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 33})
 	store := storage.NewMem()
@@ -80,7 +80,7 @@ func TestSelectorForwardsToDeadMasterLosesOnlyThoseDevices(t *testing.T) {
 	fl.halt()
 	// The real assertion is end-to-end: rounds complete despite the
 	// forward-to-dead-ref path being exercised in Selector.onForward
-	// whenever a Master Aggregator stops while devices stream in.
+	// whenever an EdgeRound stops while devices stream in.
 	if stats(t, srv).RoundsCompleted < 2 {
 		t.Fatal("training did not complete")
 	}

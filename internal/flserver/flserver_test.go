@@ -127,6 +127,13 @@ func runServer(t *testing.T, cfg Config) (*Server, *transport.MemNetwork, string
 	if err != nil {
 		t.Fatal(err)
 	}
+	net, addr := serveMem(t, srv)
+	return srv, net, addr
+}
+
+// serveMem serves srv on a fresh mem network until the test ends.
+func serveMem(t *testing.T, srv *Server) (*transport.MemNetwork, string) {
+	t.Helper()
 	net := transport.NewMemNetwork()
 	l, err := net.Listen("fl")
 	if err != nil {
@@ -137,7 +144,7 @@ func runServer(t *testing.T, cfg Config) (*Server, *transport.MemNetwork, string
 		l.Close()
 		srv.Close()
 	})
-	return srv, net, "fl"
+	return net, "fl"
 }
 
 func waitDone(t *testing.T, srv *Server, timeout time.Duration) {
@@ -317,7 +324,7 @@ func TestSecureAggregationRound(t *testing.T) {
 	}
 }
 
-func TestMasterAggregatorCrashRestartsRound(t *testing.T) {
+func TestCoordinatorCrashRestartsRound(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 10, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 9})
 	store := storage.NewMem()
 	p := testPlan(t, 4, false)

@@ -1,12 +1,19 @@
 package flserver
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/actor"
+	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
+	"repro/internal/obs"
+	"repro/internal/protocol"
+	"repro/internal/robust"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -15,8 +22,8 @@ import (
 // round: GOMAXPROCS mutex-striped partial accumulators that the per-device
 // connection readers fold decoded updates into directly. The per-device hot
 // loop performs zero O(dim) allocations and zero O(dim) actor-mailbox hops;
-// at finalization the stripes are sealed and distributed across the round's
-// group Aggregators for merging (the Sec. 4.3 aggregation tree).
+// at the window close the stripes are sealed and merged into the round's
+// one EdgeSeal (the Sec. 4.3 aggregation tree's first level).
 type roundIngest struct {
 	stripes []*fedavg.PartialAccumulator
 	next    atomic.Uint64
@@ -50,18 +57,6 @@ func (ri *roundIngest) close() {
 	}
 }
 
-// reports counts the device reports already folded into the stripes
-// (updates plus metrics-only). The Master Aggregator's accounting lags the
-// folds by one mailbox hop, so window-close decisions consult this ground
-// truth rather than fail a round whose reports physically arrived.
-func (ri *roundIngest) reports() int {
-	n := 0
-	for _, s := range ri.stripes {
-		n += s.Reports()
-	}
-	return n
-}
-
 // updateBufPool recycles O(dim) parameter buffers across devices and across
 // rounds: the secure Reporting path decodes each device's delta‖weight into
 // a pooled buffer that the group Aggregator returns after the secagg run
@@ -93,8 +88,8 @@ var respGate = make(chan struct{}, 256)
 
 // sendThenClose delivers msg to conn on its own goroutine and then closes
 // the connection. Every path that answers a device from an actor goroutine
-// (Master Aggregator rejections and aborts, group Aggregator report
-// responses) routes through here: a stalled socket blocks one pooled
+// (EdgeRound rejections and aborts, group Aggregator report responses)
+// routes through here: a stalled socket blocks one pooled
 // goroutine for at most abortGrace — never an actor, never the round.
 func sendThenClose(conn transport.Conn, msg interface{}) {
 	go func() {
@@ -124,4 +119,162 @@ func sendWithGrace(conn transport.Conn, msg interface{}) {
 	case <-grace.C:
 	}
 	_ = conn.Close()
+}
+
+// abortGrace bounds how long an over-selected device gets to take delivery
+// of its Abort message before its connection is torn down regardless.
+const abortGrace = 5 * time.Second
+
+// reportReader is what a per-device connection reader needs to consume one
+// report at the edge: the non-secure path decodes-and-accumulates into the
+// round's stripes, the secure path decodes into a pooled buffer delivered
+// straight to the device's group Aggregator.
+type reportReader struct {
+	self     actor.Ref
+	dim      int
+	secure   bool
+	evalOnly bool
+	ingest   *roundIngest
+	// clip, when positive, is the norm-bound policy's L2 bound on each
+	// update's per-example average: over-norm updates are folded through
+	// checkpoint.Meta.AccumulateParamsScaled instead of AccumulateParams —
+	// still two streaming passes over the wire bytes, still zero O(dim)
+	// allocation.
+	clip float64
+	// buf, when set, is the round's per-update retention buffer: the
+	// policy needs individual updates at finalize, so readers decode into
+	// pooled vectors instead of folding into stripes.
+	buf *robust.Buffer
+	// clipped counts edge clips for the round (the EdgeRound's counter);
+	// obsClipped is the task-labeled series, resolved once per round.
+	clipped    *atomic.Int64
+	obsClipped *obs.Counter
+}
+
+// read blocks for one device's ReportRequest and consumes it at the edge:
+// the O(devices × dim) decode work runs on the per-device reader goroutines
+// concurrently, non-secure updates are dequantized straight into one of the
+// round's accumulator stripes (zero O(dim) allocation, zero O(dim) mailbox
+// hop), and secure updates are decoded into a pooled buffer delivered
+// straight to the device's group Aggregator — the EdgeRound only ever sees
+// fixed-size accounting messages.
+func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref) {
+	msg, err := conn.Recv()
+	req, ok := msg.(protocol.ReportRequest)
+	if err != nil || !ok {
+		_ = conn.Close()
+		obsDevicesLost.Inc()
+		_ = r.self.Send(msgReportDone{DeviceID: deviceID})
+		return
+	}
+	// Each verdict accounts first (a fixed-size message to the actor), then
+	// answers the device from this goroutine — a stalled peer stalls only
+	// its own reader, for at most abortGrace.
+	reject := func(reason string) {
+		obsReportsRejected.Inc()
+		_ = r.self.Send(msgReportDone{DeviceID: deviceID})
+		sendWithGrace(conn, protocol.ReportResponse{Accepted: false, Reason: reason})
+	}
+	// settle maps a fold's outcome to the device's verdict. A fold that lost
+	// the race against the closing of the reporting window (the '#' outcome
+	// of Table 1) is answered without accounting: the round already settled
+	// this device's fate.
+	settle := func(err error) {
+		switch {
+		case errors.Is(err, fedavg.ErrPartialClosed), errors.Is(err, robust.ErrBufferClosed):
+			obsReportsLate.Inc()
+			sendWithGrace(conn, protocol.ReportResponse{Accepted: false, Reason: "reporting window closed"})
+		case err != nil:
+			reject(err.Error())
+		default:
+			obsReportsOK.Inc()
+			_ = r.self.Send(msgReportDone{DeviceID: deviceID, OK: true})
+			sendWithGrace(conn, protocol.ReportResponse{Accepted: true})
+		}
+	}
+	if req.Aborted {
+		reject("device aborted")
+		return
+	}
+	if len(req.Update) == 0 {
+		switch {
+		case !r.evalOnly:
+			// A training task must carry an update.
+			reject("missing update")
+		case r.secure:
+			// Metrics-only report (evaluation task).
+			_ = group.Send(msgAddUpdate{DeviceID: deviceID, Metrics: req.Metrics, Conn: conn})
+		default:
+			settle(r.ingest.stripe().AddEval(req.Metrics))
+		}
+		return
+	}
+	meta, err := checkpoint.ParseMeta(req.Update)
+	if err != nil {
+		reject("bad update: " + err.Error())
+		return
+	}
+	if meta.NumParams != r.dim {
+		reject(fmt.Sprintf("update dim %d, want %d", meta.NumParams, r.dim))
+		return
+	}
+	if meta.Weight <= 0 {
+		reject("non-positive weight")
+		return
+	}
+	if r.secure {
+		// Decode delta‖weight into a pooled buffer; the group Aggregator
+		// (which must keep per-device vectors for the secagg run) owns it
+		// from here and recycles it after the protocol consumes it.
+		buf := getParamBuf(r.dim + 1)
+		if err := meta.DecodeParams(req.Update, buf[:r.dim]); err != nil {
+			putParamBuf(buf)
+			reject("bad update: " + err.Error())
+			return
+		}
+		buf[r.dim] = meta.Weight
+		_ = group.Send(msgAddUpdate{DeviceID: deviceID, Input: buf, Metrics: req.Metrics, Conn: conn})
+		return
+	}
+	if r.buf != nil {
+		// Per-update retention (trimmed mean / median / cosine): decode
+		// into a pooled vector the robust reduce consumes at the seal.
+		// Acceptance means "buffered" — a later defensive trim or rejection
+		// is the server's business, attributed in the EdgeSeal.
+		settle(r.buf.Add(deviceID, meta.Weight, req.Metrics, func(dst tensor.Vector) error {
+			return meta.DecodeParams(req.Update, dst)
+		}))
+		return
+	}
+	// Decode-and-accumulate at the edge: the wire bytes are folded
+	// (dequantized, for Quant8) straight into a stripe of the round
+	// accumulator, under that stripe's lock — no intermediate vector.
+	// A norm-bound policy first measures the update's streaming norm; an
+	// over-norm update is folded pre-scaled (two passes over the wire
+	// bytes, still no intermediate vector).
+	fold := func(sum tensor.Vector) error {
+		return meta.AccumulateParams(req.Update, sum)
+	}
+	if r.clip > 0 {
+		if scale := robust.ClipScale(meta.ParamNorm(req.Update), meta.Weight, r.clip); scale < 1 {
+			fold = func(sum tensor.Vector) error {
+				if err := meta.AccumulateParamsScaled(req.Update, sum, scale); err != nil {
+					return err
+				}
+				// Counted inside the fold, under the stripe lock: a seal
+				// drains the stripes under the same locks, so its Clipped
+				// snapshot can never miss a clip whose fold is already in
+				// the sum (clips == clipped folds, exactly).
+				r.clipped.Add(1)
+				obsRobustClipped.Inc()
+				r.obsClipped.Inc()
+				return nil
+			}
+		}
+	}
+	err = r.ingest.stripe().Accumulate(meta.Weight, req.Metrics, fold)
+	if err == nil {
+		obsEdgeFolds.Inc()
+	}
+	settle(err)
 }

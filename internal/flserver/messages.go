@@ -1,9 +1,11 @@
 // Package flserver implements the FL server of Sec. 4: an actor-based
 // architecture with Coordinators (one per FL population, registered in a
 // shared locking service), Selectors (accept and forward device
-// connections), and per-round Master Aggregators that delegate to
-// ephemeral Aggregator actors. All round state lives in actor memory; only
-// the fully aggregated result is committed to storage.
+// connections), and per-round EdgeRounds that run the device-facing half
+// of a round — delegating to ephemeral group Aggregator actors where the
+// round needs them — and hand the Coordinator one sealed partial each. All
+// round state lives in actor memory; only the fully aggregated result is
+// committed to storage.
 //
 // The actors exchange the message types in this file. Device connections
 // are transport.Conn streams; a goroutine per connection turns wire
@@ -14,8 +16,6 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/checkpoint"
-	"repro/internal/fedavg"
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/robust"
@@ -29,8 +29,6 @@ type heldDevice struct {
 	ID             string
 	RuntimeVersion int
 	Conn           transport.Conn
-	// AcceptedAt is when the device checked in (for participation timing).
-	AcceptedAt time.Time
 }
 
 // --- Selector messages ---
@@ -41,16 +39,21 @@ type msgCheckin struct {
 	Conn transport.Conn
 }
 
-// msgSetQuota is the Coordinator's periodic instruction telling a Selector
-// how many devices to accept for a population (Sec. 4.2).
+// msgSetQuota tells a Selector how many devices to accept for a population
+// on behalf of a round (Sec. 4.2). A grant replaces whatever quota
+// remained; Accept 0 revokes it when the round seals or is abandoned.
 type msgSetQuota struct {
 	Population string
 	// Accept is the number of additional devices the Selector may hold.
 	Accept int
+	// Owner is the round the quota belongs to. A revocation from any other
+	// round is ignored: a superseded round's late revocation must not strip
+	// the quota its successor was just granted.
+	Owner actor.Ref
 }
 
 // msgForwardDevices instructs a Selector to send up to N of a population's
-// held devices to the given Master Aggregator.
+// held devices to the given EdgeRound.
 type msgForwardDevices struct {
 	Population string
 	N          int
@@ -104,7 +107,9 @@ type msgRateProbe struct {
 // per-selector demand Demand. A Selector only emits a sample once its
 // window is long enough to carry signal.
 type msgCheckinRate struct {
-	From       actor.Ref
+	// Source names the Selector (or, relayed by a shard, "shard-N/selector")
+	// that observed the sample; the Coordinator keeps the latest per source.
+	Source     string
 	Population string
 	Count      int64
 	Elapsed    time.Duration
@@ -156,55 +161,43 @@ func (s SelectorStats) QuotaConserved() bool {
 	return s.QuotaGranted == s.QuotaConsumed+s.QuotaRevoked+s.QuotaOutstanding
 }
 
-// --- Master Aggregator messages ---
+// --- EdgeRound messages ---
 
-// msgDevices delivers forwarded devices to a Master Aggregator.
+// msgDevices delivers forwarded devices to an EdgeRound.
 type msgDevices struct {
 	Devices []heldDevice
 }
 
-// msgSelectionTimeout fires when the selection window closes.
+// msgSelectionTimeout fires when the plan's selection window closes: an
+// EdgeRound still short of its minimum seals what it holds.
 type msgSelectionTimeout struct{}
-
-// msgReportTimeout fires when the reporting window closes.
-type msgReportTimeout struct{}
 
 // msgReportDone is the fixed-size outcome of one device's report, posted by
 // its connection reader after the O(dim) work already happened at the edge
 // (decode-and-accumulate into a stripe for non-secure rounds, decode into a
 // pooled group-Aggregator input for secure ones). Only round accounting
-// crosses the Master Aggregator's mailbox — never a parameter vector.
+// crosses the EdgeRound's mailbox — never a parameter vector.
 type msgReportDone struct {
 	DeviceID string
-	// OK is true when the report was folded in; false records a rejected
-	// report (device abort, malformed or dimension-mismatched update).
+	// OK is true when the report was folded in; false records a device
+	// lost to the round: a rejected report (device abort, malformed or
+	// dimension-mismatched update) or a connection that died first.
 	OK bool
 }
 
-// msgDeviceLost is posted when a device connection dies before reporting.
-type msgDeviceLost struct {
-	DeviceID string
-}
-
 // msgFinalizeGroup tells an Aggregator to deliver its partial aggregate.
-// For non-secure rounds it carries the Aggregator's share of the round's
-// edge-accumulation stripes to merge first — the aggregation tree of
-// Sec. 4.3: readers fold into stripes, group Aggregators merge stripes,
-// the Master Aggregator merges group partials.
 type msgFinalizeGroup struct {
-	Stripes []*fedavg.PartialAccumulator
 	// Assigned lists the device ids configured into this group, in
 	// assignment order. Secure groups derive their secagg instance size
 	// from it: devices that were configured but never delivered an update
 	// (connection died, timed out, aborted) become real dropouts in the
 	// protocol's churn schedule rather than silently shrinking the group.
-	// Empty means "size the instance by what was delivered" (legacy/test
-	// paths).
+	// Empty means "size the instance by what was delivered" (tests).
 	Assigned []string
 	// Robust is the round's per-update retention buffer (trimmed mean /
 	// median / cosine policies); the receiving Aggregator drains it and
 	// runs the robust reduce in place of a stripe merge. Handed to exactly
-	// one group per round, already sealed by the Master Aggregator.
+	// the round's one reducer, already closed by the EdgeRound.
 	Robust *robust.Buffer
 }
 
@@ -236,50 +229,21 @@ type msgGroupResult struct {
 
 // --- Coordinator messages ---
 
-// msgRoundComplete reports a committed round to the Coordinator.
-type msgRoundComplete struct {
-	TaskID    string
-	Round     int64
-	Committed *checkpoint.Checkpoint
-	Completed int
-	Aborted   int
-	Lost      int
-	// GroupErrors lists per-group finalization failures in an otherwise
-	// successful round (the failed groups' updates are simply absent).
-	GroupErrors []string
-	// BlamedDevices lists devices blamed by Secure Aggregation across the
-	// round's groups, each as "deviceID: reason" — operator-visible
-	// attribution for misbehaving (not merely lost) devices.
-	BlamedDevices []string
-	// RobustRejected lists devices the task's robust aggregation policy
-	// rejected (cosine outliers, non-finite updates) or attributed as
-	// dominating the trimmed tails, each as "deviceID: reason" — so
-	// operators can tell defense hits from churn (BlamedDevices covers
-	// secagg misbehavior, Lost covers churn).
-	RobustRejected []string
-	// Clipped counts updates whose norm the round's norm-bound policy
-	// clipped at the edge.
-	Clipped int
-}
+// msgTick drives the Coordinator's scheduling. Periodic marks the
+// self-re-arming timer tick of a Coordinator built with a tick period.
+type msgTick struct{ Periodic bool }
 
-// msgRoundFailed reports an abandoned round.
-type msgRoundFailed struct {
-	TaskID string
-	Round  int64
-	Reason string
-}
-
-// msgTick drives the Coordinator's periodic scheduling.
-type msgTick struct{}
+// msgCrash makes a Coordinator panic (failure-injection tests).
+type msgCrash struct{}
 
 // msgStopCoordinator tells a Coordinator to shut down cleanly: abandon any
 // in-flight round, release the population lock, and stop without a failure
 // (so watchers do not respawn it). Sent on population deregistration.
 type msgStopCoordinator struct{}
 
-// msgAbandonRound tells a Master Aggregator to fail its round immediately
-// (e.g. the population was deregistered mid-round): device connections are
-// closed and group Aggregators stopped.
+// msgAbandonRound tells an EdgeRound to fail its round immediately (the
+// population was deregistered, the round superseded, the coordinator link
+// lost): held devices are aborted and group Aggregators stopped.
 type msgAbandonRound struct {
 	Reason string
 }
@@ -323,4 +287,7 @@ type CoordinatorStats struct {
 	RoundsCompleted int
 	RoundsFailed    int
 	CurrentRound    int64
+	// Clipped totals norm-bound edge clips reported in seals across every
+	// round so far.
+	Clipped int64
 }

@@ -25,8 +25,9 @@ import (
 // declaring it unresponsive.
 const statsTimeout = 5 * time.Second
 
-// StartCoordinator kicks a freshly spawned Coordinator's scheduling loop.
-func StartCoordinator(coord actor.Ref) error { return coord.Send(msgTick{}) }
+// StartCoordinator kicks a freshly spawned Coordinator's scheduling loop
+// (and, when it was built with a tick period, its periodic tick).
+func StartCoordinator(coord actor.Ref) error { return coord.Send(msgTick{Periodic: true}) }
 
 // StopCoordinator cleanly shuts a Coordinator down: the in-flight round is
 // abandoned, the population lock released, and watchers see a non-failure
@@ -88,7 +89,7 @@ func NewRateForwarder(fn func(source, population string, count int64, elapsed ti
 // Receive implements actor.Behavior.
 func (rf *rateForwarder) Receive(ctx *actor.Context, msg actor.Message) {
 	if m, ok := msg.(msgCheckinRate); ok {
-		rf.fn(m.From.Name(), m.Population, m.Count, m.Elapsed, m.Demand)
+		rf.fn(m.Source, m.Population, m.Count, m.Elapsed, m.Demand)
 	}
 }
 
@@ -116,69 +117,73 @@ func RetireTask(coord actor.Ref, id string) error {
 	return taskOpRequest(coord, msgTaskOp{Op: taskOpRetire, ID: id})
 }
 
-// taskOpRequest routes one lifecycle mutation through the Coordinator's
-// mailbox and waits for its verdict. The error is the mutation's own
-// (unknown task, duplicate ID, bad transition) or a transport-level one
-// when the Coordinator is stopped or unresponsive.
-func taskOpRequest(coord actor.Ref, m msgTaskOp) error {
-	m.Reply = make(chan error, 1)
-	if err := coord.Send(m); err != nil {
-		return fmt.Errorf("flserver: task op: %w", err)
+// ask sends an actor one request carrying a reply channel and waits for
+// the answer. The error is non-nil when the actor is stopped or does not
+// answer within statsTimeout — callers must not mistake a dead actor for a
+// zero-valued answer.
+func ask[T any](ref actor.Ref, what string, request func(reply chan T) actor.Message) (T, error) {
+	var zero T
+	reply := make(chan T, 1)
+	if err := ref.Send(request(reply)); err != nil {
+		return zero, fmt.Errorf("flserver: %s: %w", what, err)
 	}
 	select {
-	case err := <-m.Reply:
-		return err
+	case v := <-reply:
+		return v, nil
 	case <-time.After(statsTimeout):
-		return fmt.Errorf("flserver: coordinator %s did not answer task op within %v", coord.Name(), statsTimeout)
+		return zero, fmt.Errorf("flserver: %s did not answer %s within %v", ref.Name(), what, statsTimeout)
 	}
+}
+
+// taskOpRequest routes one lifecycle mutation through the Coordinator's
+// mailbox and returns its verdict: the mutation's own error (unknown task,
+// duplicate ID, bad transition) or a transport-level one.
+func taskOpRequest(coord actor.Ref, m msgTaskOp) error {
+	verdict, err := ask(coord, "task op", func(reply chan error) actor.Message {
+		m.Reply = reply
+		return m
+	})
+	if err != nil {
+		return err
+	}
+	return verdict
 }
 
 // QueryTaskStats asks a Coordinator for every task's lifecycle record, in
 // submission order. Routed through the mailbox so the snapshot can never
 // interleave with a mid-commit round.
 func QueryTaskStats(coord actor.Ref) ([]tasks.Stats, error) {
-	reply := make(chan []tasks.Stats, 1)
-	if err := coord.Send(msgTaskStats{Reply: reply}); err != nil {
-		return nil, fmt.Errorf("flserver: task stats: %w", err)
-	}
-	select {
-	case st := <-reply:
-		return st, nil
-	case <-time.After(statsTimeout):
-		return nil, fmt.Errorf("flserver: coordinator %s did not answer task stats within %v", coord.Name(), statsTimeout)
-	}
+	return ask(coord, "task stats", func(reply chan []tasks.Stats) actor.Message { return msgTaskStats{Reply: reply} })
 }
 
-// QueryCoordinatorStats asks a Coordinator for its round progress. The
-// error is non-nil when the Coordinator is stopped or unresponsive —
-// callers must not mistake a dead Coordinator for zero progress.
+// QueryCoordinatorStats asks a Coordinator for its round progress.
 func QueryCoordinatorStats(coord actor.Ref) (CoordinatorStats, error) {
-	reply := make(chan CoordinatorStats, 1)
-	if err := coord.Send(msgCoordinatorStats{Reply: reply}); err != nil {
-		return CoordinatorStats{}, fmt.Errorf("flserver: coordinator stats: %w", err)
-	}
-	select {
-	case st := <-reply:
-		return st, nil
-	case <-time.After(statsTimeout):
-		return CoordinatorStats{}, fmt.Errorf("flserver: coordinator %s did not answer stats within %v", coord.Name(), statsTimeout)
-	}
+	return ask(coord, "coordinator stats", func(reply chan CoordinatorStats) actor.Message {
+		return msgCoordinatorStats{Reply: reply}
+	})
 }
 
 // QuerySelectorStats asks one Selector for its counts; population "" sums
-// across every population the Selector serves. The error is non-nil when
-// the Selector is stopped or unresponsive.
+// across every population the Selector serves.
 func QuerySelectorStats(sel actor.Ref, population string) (SelectorStats, error) {
-	reply := make(chan SelectorStats, 1)
-	if err := sel.Send(msgSelectorStats{Population: population, Reply: reply}); err != nil {
-		return SelectorStats{}, fmt.Errorf("flserver: selector stats: %w", err)
+	return ask(sel, "selector stats", func(reply chan SelectorStats) actor.Message {
+		return msgSelectorStats{Population: population, Reply: reply}
+	})
+}
+
+// SumSelectorStats sums one population's counts (or, for "", every
+// population's) across a Selector layer. The error is non-nil when any
+// Selector is dead or unresponsive.
+func SumSelectorStats(selectors []actor.Ref, population string) (SelectorStats, error) {
+	var total SelectorStats
+	for _, sel := range selectors {
+		st, err := QuerySelectorStats(sel, population)
+		if err != nil {
+			return SelectorStats{}, err
+		}
+		total.Add(st)
 	}
-	select {
-	case st := <-reply:
-		return st, nil
-	case <-time.After(statsTimeout):
-		return SelectorStats{}, fmt.Errorf("flserver: selector %s did not answer stats within %v", sel.Name(), statsTimeout)
-	}
+	return total, nil
 }
 
 // Hinter produces pace-steering reconnect hints outside any actor — on the

@@ -50,9 +50,11 @@ func clippedSerialReference(t *testing.T, devices, dim, attackers int, scale, cl
 // TestEdgeClippingMatchesSerial: the streaming norm-bound path (one
 // ParamNorm pass + one scaled accumulate pass per report, folded
 // concurrently into stripes) must commit the same checkpoint as clipping
-// each materialized update serially, over both transports and both uplink
-// encodings. CI runs this under -race, so the concurrent clipped folds are
-// also checked for unsynchronized access.
+// each materialized update serially, over TCP and over the quant8 uplink.
+// (The float64-over-mem case is the norm_bound row of
+// shard.TestEngineEquivalenceMatrix, which runs it in process, 1+1 and
+// 1+3.) CI runs this under -race, so the concurrent clipped folds are also
+// checked for unsynchronized access.
 func TestEdgeClippingMatchesSerial(t *testing.T) {
 	const devices, dim, attackers = 48, 256, 9
 	const attackScale, clip = -40.0, 1.5
@@ -61,7 +63,6 @@ func TestEdgeClippingMatchesSerial(t *testing.T) {
 		tcp  bool
 		enc  checkpoint.Encoding
 	}{
-		{"mem/float64", false, checkpoint.EncodingFloat64},
 		{"mem/quant8", false, checkpoint.EncodingQuant8},
 		{"tcp/float64", true, checkpoint.EncodingFloat64},
 		{"tcp/quant8", true, checkpoint.EncodingQuant8},
@@ -177,8 +178,10 @@ func insertionSort(v []float64) {
 // TestRetentionRoundCommitsRobustMeanAndAttributes: an end-to-end
 // trimmed-mean round over mem and tcp with 2/12 devices reporting updates
 // scaled by 1e6. The committed checkpoint must equal the sorted-sample
-// reference (immune to the attackers), and msgRoundComplete must attribute
-// the attackers by name in RobustRejected.
+// reference (immune to the attackers), and the round record must attribute
+// the attackers by name in RobustRejected. (The same reference across
+// topologies — and the refusal on more than one edge — is the trimmed_mean
+// row of shard.TestEngineEquivalenceMatrix.)
 func TestRetentionRoundCommitsRobustMeanAndAttributes(t *testing.T) {
 	const devices, dim, attackers = 12, 32, 2
 	for _, tcp := range []bool{false, true} {

@@ -27,7 +27,9 @@ type selPop struct {
 	populationEstimate int
 	demand             int
 
-	quota    int
+	quota int
+	// owner is the round the current quota was granted to (see msgSetQuota).
+	owner    actor.Ref
 	held     []heldDevice
 	accepted int64
 	rejected int64
@@ -45,7 +47,7 @@ type selPop struct {
 	seen int64
 
 	// pendingTo/pendingN track an outstanding forward request from a
-	// Master Aggregator, so devices checking in after the request still
+	// round, so devices checking in after the request still
 	// flow to the round as they arrive.
 	pendingTo actor.Ref
 	pendingN  int
@@ -141,7 +143,7 @@ func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
 	case msgDeregisterPopulation:
 		s.deregister(m.Name)
 	case msgSetQuota:
-		if p, ok := s.pops[m.Population]; ok {
+		if p, ok := s.pops[m.Population]; ok && (m.Accept > 0 || m.Owner == p.owner) {
 			// A grant replaces whatever quota remained: the old slots are
 			// revoked, the new ones granted.
 			p.revoked += int64(p.quota)
@@ -149,7 +151,7 @@ func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
 			p.quota = m.Accept
 			p.seen = 0
 			if m.Accept > 0 {
-				p.demand = m.Accept
+				p.demand, p.owner = m.Accept, m.Owner
 			} else {
 				// Revocation (the round sealed or was abandoned): cancel the
 				// forward stream too, so a stale destination can never receive
@@ -167,9 +169,6 @@ func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
 		s.releaseParked(m.Population)
 	case msgSelectorStats:
 		m.Reply <- s.stats(m.Population)
-	case actor.Terminated:
-		// A watched Coordinator died; respawn is handled by the owning
-		// Server or Fleet watcher.
 	}
 }
 
@@ -213,7 +212,7 @@ func (s *Selector) onRateProbe(ctx *actor.Context, m msgRateProbe) {
 		return
 	}
 	_ = m.To.Send(msgCheckinRate{
-		From:       ctx.Self,
+		Source:     ctx.Self.Name(),
 		Population: p.name,
 		Count:      p.arrivals,
 		Elapsed:    elapsed,
@@ -317,7 +316,6 @@ func (s *Selector) onCheckin(m msgCheckin) {
 				ID:             m.Req.DeviceID,
 				RuntimeVersion: m.Req.RuntimeVersion,
 				Conn:           m.Conn,
-				AcceptedAt:     now,
 			}
 			p.rejected++
 			s.rejectConn(victim.Conn, "displaced by reservoir sampling", p.steering, p.populationEstimate, p.demand, now)
@@ -342,7 +340,6 @@ func (s *Selector) onCheckin(m msgCheckin) {
 		ID:             m.Req.DeviceID,
 		RuntimeVersion: m.Req.RuntimeVersion,
 		Conn:           m.Conn,
-		AcceptedAt:     now,
 	}
 	if p.pendingN > 0 && p.pendingTo != nil {
 		if err := p.pendingTo.Send(msgDevices{Devices: []heldDevice{d}}); err != nil {
@@ -431,7 +428,7 @@ func (s *Selector) onForward(m msgForwardDevices) {
 		copy(batch, p.held[:n])
 		p.held = append(p.held[:0], p.held[n:]...)
 		if err := m.To.Send(msgDevices{Devices: batch}); err != nil {
-			// Master Aggregator already gone; the devices are lost, mirroring
+			// The round is already gone; the devices are lost, mirroring
 			// "if an Aggregator or Selector crashes, only the devices
 			// connected to that actor will be lost".
 			for _, d := range batch {

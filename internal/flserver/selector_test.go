@@ -353,3 +353,27 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition never held")
 }
+
+// TestStaleRevocationKeepsSuccessorQuota: a superseded round revokes its
+// quota when it is abandoned — possibly after its successor's grant already
+// landed (the successor's grant is a function call, the abandon a mailbox
+// hop). The late revocation must not strip the successor's quota, or the
+// new round starves until its selection window expires.
+func TestStaleRevocationKeepsSuccessorQuota(t *testing.T) {
+	sys := actor.NewSystem()
+	defer sys.Shutdown()
+	sel := spawnSelector(sys, "sel", 0, 1, "pop")
+	noop := actor.BehaviorFunc(func(*actor.Context, actor.Message) {})
+	old, next := sys.Spawn("round-old", noop), sys.Spawn("round-next", noop)
+
+	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 3, Owner: old})
+	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 2, Owner: next})
+	_ = sel.Send(msgSetQuota{Population: "pop", Owner: old}) // the stale revocation
+	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 2 || !st.QuotaConserved() {
+		t.Fatalf("stale revocation touched the successor's quota: %+v", st)
+	}
+	_ = sel.Send(msgSetQuota{Population: "pop", Owner: next})
+	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 0 || !st.QuotaConserved() {
+		t.Fatalf("the owner's own revocation was ignored: %+v", st)
+	}
+}

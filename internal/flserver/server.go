@@ -10,6 +10,7 @@ import (
 	"repro/internal/attest"
 	"repro/internal/pacing"
 	"repro/internal/plan"
+	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tasks"
 	"repro/internal/transport"
@@ -42,13 +43,92 @@ type Config struct {
 	Now func() time.Time
 }
 
+// LocalEdge is the in-process Edge: opening a round is a function call that
+// starts an EdgeRound on the local actor system over the local Selectors,
+// and the seal comes back to the Coordinator by reference — no codec, no
+// copy. One LocalEdge serves one population and outlives its Coordinators:
+// a respawned Coordinator opening a round supersedes whatever round its
+// crashed predecessor left running.
+type LocalEdge struct {
+	sys        *actor.System
+	selectors  []actor.Ref
+	population string
+	// churn is injected into the secure groups of every round (tests).
+	churn func(n, t int) secagg.Schedule
+	cur   actor.Ref
+}
+
+// NewLocalEdge returns the local edge for one population served by the
+// given Selectors.
+func NewLocalEdge(sys *actor.System, selectors []actor.Ref, population string) *LocalEdge {
+	return &LocalEdge{sys: sys, selectors: selectors, population: population}
+}
+
+// Open implements Edge.
+func (e *LocalEdge) Open(cfg *EdgeRoundConfig, coord actor.Ref) error {
+	if e.cur != nil {
+		AbandonEdgeRound(e.cur, "superseded by a newer round")
+	}
+	local := *cfg
+	local.churn = e.churn
+	e.cur = StartEdgeRound(e.sys, fmt.Sprintf("edge/%s/r%d", cfg.Plan.ID, cfg.Round), local, e.selectors,
+		func(seal EdgeSeal) { _ = DeliverSeal(coord, e, seal) })
+	return nil
+}
+
+// Finalize implements Edge.
+func (e *LocalEdge) Finalize(string, int64) error {
+	FinalizeEdgeRound(e.cur)
+	return nil
+}
+
+// Abort implements Edge.
+func (e *LocalEdge) Abort(taskID string, _ int64, reason string) {
+	if taskID != "" {
+		AbandonEdgeRound(e.cur, reason)
+		return
+	}
+	for _, sel := range e.selectors {
+		_ = ReleaseParked(sel, e.population)
+	}
+}
+
+// ProbeRates implements Edge.
+func (e *LocalEdge) ProbeRates(coord actor.Ref) {
+	for _, sel := range e.selectors {
+		_ = ProbeCheckinRate(sel, e.population, coord)
+	}
+}
+
+// SuperviseCoordinator spawns a Coordinator for p on sys, watches it, and
+// starts it: the Selector layer's supervision duty (Sec. 4.4: "if the
+// Coordinator dies, the Selector layer will detect this and respawn it").
+// respawn runs when the Coordinator terminates with a failure and decides
+// whether to supervise a replacement. The lock service guarantees a single
+// live owner even if several watchers race.
+func SuperviseCoordinator(sys *actor.System, p CoordinatorParams, respawn func()) actor.Ref {
+	coord := sys.Spawn("coordinator/"+p.Population, NewCoordinator(p))
+	// Watch before the first tick so even an instant crash is supervised.
+	watcher := sys.Spawn("coordinator-watcher/"+p.Population, actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		if t, ok := msg.(actor.Terminated); ok && t.Ref == coord {
+			if t.Failure {
+				respawn()
+			}
+			ctx.Stop()
+		}
+	}))
+	sys.Watch(coord, watcher)
+	_ = StartCoordinator(coord)
+	return coord
+}
+
 // Server wires the actor architecture to a transport listener for a single
-// FL population: it spawns the Selector layer and the Coordinator,
-// dispatches device check-ins to Selectors, and supervises the Coordinator
-// via the lock service (a dead Coordinator is detected and respawned
-// exactly once, Sec. 4.4). The multi-population equivalent — one shared
-// Selector layer serving many populations — is internal/fleet, built from
-// the same actors.
+// FL population: it spawns the Selector layer, the population's local edge
+// and the Coordinator, dispatches device check-ins to Selectors, and
+// supervises the Coordinator via the lock service (a dead Coordinator is
+// detected and respawned exactly once, Sec. 4.4). The multi-population
+// equivalent — one shared Selector layer serving many populations — is
+// internal/fleet, built from the same actors.
 type Server struct {
 	cfg    Config
 	sys    *actor.System
@@ -58,6 +138,9 @@ type Server struct {
 	// Coordinator (respawns reuse it); mutations are routed through the
 	// live Coordinator's mailbox so they serialize with round scheduling.
 	tasks *tasks.TaskSet
+	edge  *LocalEdge
+	// onOutcome is handed to every Coordinator spawned (benchmarks, tests).
+	onOutcome func(roundOutcome)
 
 	selectors []actor.Ref
 	mu        sync.Mutex
@@ -68,7 +151,12 @@ type Server struct {
 }
 
 // New builds the server and spawns its actors.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, nil, nil) }
+
+// newServer is New with the round hooks tests and benchmarks inject: every
+// settled round is reported to onOutcome, and churn perturbs the secagg
+// schedule of every secure group.
+func newServer(cfg Config, onOutcome func(roundOutcome), churn func(n, t int) secagg.Schedule) (*Server, error) {
 	if cfg.Population == "" || cfg.Store == nil {
 		return nil, fmt.Errorf("flserver: Population and Store are required")
 	}
@@ -99,11 +187,12 @@ func New(cfg Config) (*Server, error) {
 	ts.SetPopulationEstimate(cfg.PopulationEstimate)
 
 	s := &Server{
-		cfg:   cfg,
-		sys:   actor.NewSystem(),
-		lock:  actor.NewLockService(),
-		tasks: ts,
-		done:  make(chan struct{}),
+		cfg:       cfg,
+		sys:       actor.NewSystem(),
+		lock:      actor.NewLockService(),
+		tasks:     ts,
+		onOutcome: onOutcome,
+		done:      make(chan struct{}),
 	}
 	pop := SelectorPopulation{
 		Name:               cfg.Population,
@@ -116,34 +205,27 @@ func New(cfg Config) (*Server, error) {
 		s.selectors = append(s.selectors, sel)
 	}
 	s.router = NewCheckinRouter(s.selectors, NewHinter(cfg.Steering, cfg.PopulationEstimate, cfg.Seed+7919, cfg.Now))
+	s.edge = NewLocalEdge(s.sys, s.selectors, cfg.Population)
+	s.edge.churn = churn
 	s.spawnCoordinator()
 	return s, nil
 }
 
-// spawnCoordinator starts a Coordinator and a watcher that respawns it on
-// failure. The lock service guarantees a single live owner even if several
-// watchers race.
+// spawnCoordinator starts a supervised Coordinator over the local edge;
+// a crashed one is respawned until the server closes.
 func (s *Server) spawnCoordinator() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	coord := s.sys.Spawn("coordinator/"+s.cfg.Population,
-		NewCoordinator(s.cfg.Population, s.lock, s.cfg.Store, s.tasks, s.selectors, s.cfg.MaxRounds, s.done, s.cfg.Now).
-			WithPacing(s.cfg.Steering, s.cfg.PopulationEstimate))
-	s.coord = coord
-
-	// The Selector layer's supervision duty (Sec. 4.4: "if the Coordinator
-	// dies, the Selector layer will detect this and respawn it"). Watch
-	// before the first tick so even an instant crash is supervised.
-	watcher := s.sys.Spawn("coordinator-watcher", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		if t, ok := msg.(actor.Terminated); ok && t.Ref == coord {
-			if !s.closed.Load() && t.Failure {
-				s.spawnCoordinator()
-			}
-			ctx.Stop()
+	s.coord = SuperviseCoordinator(s.sys, CoordinatorParams{
+		Population: s.cfg.Population, Lock: s.lock, Store: s.cfg.Store, Tasks: s.tasks,
+		Steering: s.cfg.Steering, PopulationEstimate: s.cfg.PopulationEstimate,
+		Edges: []Edge{s.edge}, MaxRounds: s.cfg.MaxRounds, Done: s.done, Now: s.cfg.Now,
+		onOutcome: s.onOutcome,
+	}, func() {
+		if !s.closed.Load() {
+			s.spawnCoordinator()
 		}
-	}))
-	s.sys.Watch(coord, watcher)
-	_ = StartCoordinator(coord)
+	})
 }
 
 // Coordinator returns the current coordinator ref (tests).
@@ -166,31 +248,7 @@ func (s *Server) Stats() (CoordinatorStats, error) {
 // SelectorStats sums stats across the selector layer. The error is non-nil
 // when any Selector is dead or unresponsive.
 func (s *Server) SelectorStats() (SelectorStats, error) {
-	var total SelectorStats
-	for _, sel := range s.selectors {
-		st, err := QuerySelectorStats(sel, "")
-		if err != nil {
-			return SelectorStats{}, err
-		}
-		total.Add(st)
-	}
-	return total, nil
-}
-
-// PerSelectorStats reports each Selector's counts keyed by its actor name
-// — the per-shard/per-selector breakdown behind SelectorStats' totals. The
-// error is non-nil when any Selector is dead or unresponsive: a dead
-// selector must read as an explicit failure, never as zeros.
-func (s *Server) PerSelectorStats() (map[string]SelectorStats, error) {
-	out := make(map[string]SelectorStats, len(s.selectors))
-	for _, sel := range s.selectors {
-		st, err := QuerySelectorStats(sel, "")
-		if err != nil {
-			return nil, err
-		}
-		out[sel.Name()] = st
-	}
-	return out, nil
+	return SumSelectorStats(s.selectors, "")
 }
 
 // SubmitTask deploys a new FL task — plan plus scheduling policy — onto

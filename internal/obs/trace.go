@@ -10,10 +10,10 @@ import (
 // trace record carries a duration for each phase that ran; secagg phases
 // appear only on secure-aggregation rounds.
 const (
-	PhaseCheckin        = "checkin"         // round start → device fanout complete
-	PhaseConfigure      = "configure"       // plan/config push to selected devices
-	PhaseReportWindow   = "report_window"   // report window open → close
-	PhaseEdgeAccumulate = "edge_accumulate" // decode-and-accumulate of arriving reports
+	PhaseCheckin        = "checkin"         // round open → first devices delivered by the Selectors
+	PhaseConfigure      = "configure"       // first plan/checkpoint push → last one done
+	PhaseReportWindow   = "report_window"   // round open → window close (seal)
+	PhaseEdgeAccumulate = "edge_accumulate" // seal → edge partial merged (stripes, reduce, secagg)
 	PhaseSecaggAdvert   = "secagg_advertise"
 	PhaseSecaggShare    = "secagg_share"
 	PhaseSecaggCommit   = "secagg_commit"

@@ -70,9 +70,13 @@ type LockResponse struct {
 }
 
 // RoundConfig opens a round on a selector shard (coordinator→shard): the
-// shard should select Target devices for the task, serve them the plan and
-// checkpoint, and fold their reports into its stripes. Plan and Checkpoint
-// are multi-MB payloads marshaled once by the coordinator and fanned out to
+// shard should select Admit devices for the task, serve them the plan and
+// checkpoint, and run the device-facing round at its edge. Everything the
+// plan itself states — windows, aggregation mode, robust policy, report
+// encoding — is read from Plan, which the shard decodes once per round;
+// only what the plan cannot know (this shard's share of the round and the
+// task policy's runtime floor) rides as fields. Plan and Checkpoint are
+// multi-MB payloads marshaled once by the coordinator and fanned out to
 // every shard via vectored writes (the segments are aliased, never copied
 // into the frame).
 type RoundConfig struct {
@@ -84,24 +88,17 @@ type RoundConfig struct {
 	// Admit is how many devices the shard should select (over-selection,
 	// Sec. 2.2); 0 defaults to Target.
 	Admit int
+	// MinReports is this shard's share of the round's minimum report
+	// count: a shard that has configured fewer devices when the plan's
+	// SelectionTimeout expires seals what it holds instead of waiting out
+	// the report window.
+	MinReports int
+	// MinRuntime is the task policy's device-runtime floor (0 = none):
+	// older devices are rejected rather than served a lowered plan.
+	MinRuntime int
 	// Estimate is the coordinator's live population estimate, used by the
 	// shard's pace steering.
-	Estimate int
-	// EvalOnly marks an evaluation task: devices report metrics only.
-	EvalOnly bool
-	// ReportDeadline is forwarded to devices; ReportTimeout bounds the
-	// shard's local reporting window.
-	ReportDeadline time.Duration
-	ReportTimeout  time.Duration
-	// RobustKind mirrors plan.RobustPolicy.Kind for the task. Only the
-	// norm-bound policy crosses shards — each shard clips reports at its
-	// own edge before folding, which distributes because clipping is
-	// per-update. Retention policies (trimmed mean, median, cosine) need
-	// every individual update in one place and are refused for sharded
-	// populations at task submission.
-	RobustKind uint8
-	// ClipNorm is the norm-bound policy's per-example-average L2 bound.
-	ClipNorm   float64
+	Estimate   int
 	Plan       []byte
 	Checkpoint []byte
 }
@@ -124,23 +121,27 @@ type RoundAbort struct {
 	Reason     string
 }
 
-// StripeSeal ships a shard's sealed accumulator stripe upstream
-// (shard→coordinator) at round finalize: the raw delta sum over every
-// update the shard folded at the edge, plus the weight/count bookkeeping
-// and metric samples. This is the aggregation tree crossing the process
-// boundary — device updates never do. Sum is the fedavg.MarshalSum wire
-// form and is aliased into the frame by the codec, so a multi-MB partial
-// is written straight from the seal buffer.
+// StripeSeal ships a shard's sealed round upstream (shard→coordinator) at
+// round finalize: the raw delta sum over every update the shard accepted —
+// folded at the edge, or merged from its Secure Aggregation group sums —
+// plus the weight/count bookkeeping, loss accounting and metric samples.
+// This is the aggregation tree crossing the process boundary — device
+// updates never do. Sum is the fedavg.MarshalSum wire form and is aliased
+// into the frame by the codec, so a multi-MB partial is written straight
+// from the seal buffer.
 type StripeSeal struct {
 	Population string
 	TaskID     string
 	Round      int64
 	Shard      uint32
 	// Reports counts device updates folded into Sum; EvalReports counts
-	// metrics-only reports; Lost counts devices that vanished mid-round.
+	// metrics-only reports; Lost counts devices that vanished mid-round;
+	// Aborted counts configured devices the seal told to stop because the
+	// shard had enough reports (over-selection, Sec. 2.2).
 	Reports     int64
 	EvalReports int64
 	Lost        int64
+	Aborted     int64
 	// Clipped counts updates the round's norm-bound policy clipped at this
 	// shard's edge before folding.
 	Clipped int64
@@ -155,6 +156,13 @@ type StripeSeal struct {
 	// by obs phase name) for this round's edge work, so the coordinator's
 	// round trace covers the whole deployment, not just its own process.
 	Phases map[string]int64
+	// Blamed lists devices Secure Aggregation excluded with attribution,
+	// GroupErrors the shard's per-group finalization failures, and
+	// RobustRejected the devices a retention policy rejected or attributed
+	// — each entry "deviceID: reason" (GroupErrors: free text).
+	Blamed         []string
+	GroupErrors    []string
+	RobustRejected []string
 }
 
 // TelemetrySnapshot ships one process's obs registry export upstream

@@ -18,7 +18,7 @@ import (
 func marshalShardParts(msg interface{}) (code byte, parts [][]byte, ok bool) {
 	switch m := msg.(type) {
 	case StripeSeal:
-		head := make([]byte, 0, sizeStr(m.Population)+sizeStr(m.TaskID)+8+4+8+8+8+8+8+4)
+		head := make([]byte, 0, sizeStr(m.Population)+sizeStr(m.TaskID)+8+4+8+8+8+8+8+8+4)
 		head = appendStr(head, m.Population)
 		head = appendStr(head, m.TaskID)
 		head = binary.BigEndian.AppendUint64(head, uint64(m.Round))
@@ -26,26 +26,28 @@ func marshalShardParts(msg interface{}) (code byte, parts [][]byte, ok bool) {
 		head = binary.BigEndian.AppendUint64(head, uint64(m.Reports))
 		head = binary.BigEndian.AppendUint64(head, uint64(m.EvalReports))
 		head = binary.BigEndian.AppendUint64(head, uint64(m.Lost))
+		head = binary.BigEndian.AppendUint64(head, uint64(m.Aborted))
 		head = binary.BigEndian.AppendUint64(head, uint64(m.Clipped))
 		head = binary.BigEndian.AppendUint64(head, math.Float64bits(m.Weight))
 		head = binary.BigEndian.AppendUint32(head, uint32(len(m.Sum)))
-		tail := make([]byte, 0, sizeMetricSamples(m.Metrics)+sizeNamedI64s(m.Phases))
+		tail := make([]byte, 0, sizeMetricSamples(m.Metrics)+sizeNamedI64s(m.Phases)+
+			sizeStrs(m.Blamed)+sizeStrs(m.GroupErrors)+sizeStrs(m.RobustRejected))
 		tail = appendMetricSamples(tail, m.Metrics)
 		tail = appendNamedI64s(tail, m.Phases)
+		tail = appendStrs(tail, m.Blamed)
+		tail = appendStrs(tail, m.GroupErrors)
+		tail = appendStrs(tail, m.RobustRejected)
 		return CodeStripeSeal, [][]byte{head, m.Sum, tail}, true
 	case RoundConfig:
-		head := make([]byte, 0, sizeStr(m.Population)+sizeStr(m.TaskID)+8+8+8+8+1+8+8+1+8+4)
+		head := make([]byte, 0, sizeStr(m.Population)+sizeStr(m.TaskID)+8+8+8+8+8+8+4)
 		head = appendStr(head, m.Population)
 		head = appendStr(head, m.TaskID)
 		head = binary.BigEndian.AppendUint64(head, uint64(m.Round))
 		head = binary.BigEndian.AppendUint64(head, uint64(int64(m.Target)))
 		head = binary.BigEndian.AppendUint64(head, uint64(int64(m.Admit)))
+		head = binary.BigEndian.AppendUint64(head, uint64(int64(m.MinReports)))
+		head = binary.BigEndian.AppendUint64(head, uint64(int64(m.MinRuntime)))
 		head = binary.BigEndian.AppendUint64(head, uint64(int64(m.Estimate)))
-		head = appendBool(head, m.EvalOnly)
-		head = binary.BigEndian.AppendUint64(head, uint64(int64(m.ReportDeadline)))
-		head = binary.BigEndian.AppendUint64(head, uint64(int64(m.ReportTimeout)))
-		head = append(head, m.RobustKind)
-		head = binary.BigEndian.AppendUint64(head, math.Float64bits(m.ClipNorm))
 		head = binary.BigEndian.AppendUint32(head, uint32(len(m.Plan)))
 		mid := make([]byte, 0, 4)
 		mid = binary.BigEndian.AppendUint32(mid, uint32(len(m.Checkpoint)))
@@ -127,11 +129,15 @@ func unmarshalShard(code byte, r *reader) (msg interface{}, handled bool) {
 		m.Reports = r.i64()
 		m.EvalReports = r.i64()
 		m.Lost = r.i64()
+		m.Aborted = r.i64()
 		m.Clipped = r.i64()
 		m.Weight = r.f64()
 		m.Sum = r.bytes()
 		m.Metrics = r.metricSamples()
 		m.Phases = r.namedI64s("seal phases")
+		m.Blamed = r.strs("seal blamed")
+		m.GroupErrors = r.strs("seal group errors")
+		m.RobustRejected = r.strs("seal robust rejections")
 		return m, true
 	case CodeRoundConfig:
 		m := RoundConfig{}
@@ -140,12 +146,9 @@ func unmarshalShard(code byte, r *reader) (msg interface{}, handled bool) {
 		m.Round = r.i64()
 		m.Target = int(r.i64())
 		m.Admit = int(r.i64())
+		m.MinReports = int(r.i64())
+		m.MinRuntime = int(r.i64())
 		m.Estimate = int(r.i64())
-		m.EvalOnly = r.bool()
-		m.ReportDeadline = time.Duration(r.i64())
-		m.ReportTimeout = time.Duration(r.i64())
-		m.RobustKind = r.u8("robust kind")
-		m.ClipNorm = r.f64()
 		m.Plan = r.bytes()
 		m.Checkpoint = r.bytes()
 		return m, true
@@ -248,6 +251,45 @@ func appendNamedI64s(buf []byte, m map[string]int64) []byte {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v))
 	}
 	return buf
+}
+
+func sizeStrs(ss []string) int {
+	n := 4
+	for _, s := range ss {
+		n += sizeStr(s)
+	}
+	return n
+}
+
+func appendStrs(buf []byte, ss []string) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ss)))
+	for _, s := range ss {
+		buf = appendStr(buf, s)
+	}
+	return buf
+}
+
+// strs decodes a string list (seal attributions). The entry count is
+// validated against the bytes actually remaining — each entry is ≥ 4 bytes
+// (its length prefix) — so a hostile count cannot commit memory
+// proportional to its claim.
+func (r *reader) strs(what string) []string {
+	n := r.u32(what + " count")
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	if n > len(r.b)/4 {
+		r.fail(what + " entries")
+		return nil
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = r.str()
+	}
+	if r.err != nil {
+		return nil
+	}
+	return ss
 }
 
 // namedI64s decodes a name→int64 map (telemetry counters, seal phase

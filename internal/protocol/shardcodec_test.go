@@ -14,15 +14,16 @@ import (
 func shardMessages() []interface{} {
 	return []interface{}{
 		StripeSeal{Population: "pop", TaskID: "task", Round: 7, Shard: 2,
-			Reports: 100, EvalReports: 3, Lost: 4, Clipped: 9, Weight: 41.5,
-			Sum:     []byte{1, 2, 3, 4, 5, 6, 7, 8},
-			Metrics: map[string][]float64{"train_loss": {0.5, 0.25}, "train_acc": {1}},
-			Phases:  map[string]int64{"configure": 12_000_000, "edge_accumulate": 34_000_000}},
+			Reports: 100, EvalReports: 3, Lost: 4, Aborted: 5, Clipped: 9, Weight: 41.5,
+			Sum:            []byte{1, 2, 3, 4, 5, 6, 7, 8},
+			Metrics:        map[string][]float64{"train_loss": {0.5, 0.25}, "train_acc": {1}},
+			Phases:         map[string]int64{"configure": 12_000_000, "edge_accumulate": 34_000_000},
+			Blamed:         []string{"dev-7: forged share", "dev-9: complaint from holder"},
+			GroupErrors:    []string{"secagg: only 1 of 4 group devices delivered"},
+			RobustRejected: []string{"dev-1: cosine distance 1.9"}},
 		StripeSeal{},
 		RoundConfig{Population: "pop", TaskID: "task", Round: 9, Target: 100,
-			Admit: 130, Estimate: 5000, EvalOnly: true,
-			ReportDeadline: 2 * time.Minute, ReportTimeout: time.Minute,
-			RobustKind: 1, ClipNorm: 1.5,
+			Admit: 130, MinReports: 80, MinRuntime: 3, Estimate: 5000,
 			Plan: []byte{9, 9}, Checkpoint: []byte{7}},
 		RoundConfig{},
 		RoundFinalize{Population: "pop", TaskID: "task", Round: 3},
@@ -96,6 +97,7 @@ func hostileShardPayloads() map[string][2]interface{} {
 		b = hU64(b, 0)                   // Reports
 		b = hU64(b, 0)                   // EvalReports
 		b = hU64(b, 0)                   // Lost
+		b = hU64(b, 0)                   // Aborted
 		b = hU64(b, 0)                   // Clipped
 		b = hU64(b, math.Float64bits(1)) // Weight
 		return hU32(b, sumLen)           // Sum length
@@ -106,12 +108,9 @@ func hostileShardPayloads() map[string][2]interface{} {
 		b = hU64(b, 1) // Round
 		b = hU64(b, 1) // Target
 		b = hU64(b, 1) // Admit
+		b = hU64(b, 1) // MinReports
+		b = hU64(b, 0) // MinRuntime
 		b = hU64(b, 1) // Estimate
-		b = append(b, 0)
-		b = hU64(b, 0)   // ReportDeadline
-		b = hU64(b, 0)   // ReportTimeout
-		b = append(b, 0) // RobustKind
-		b = hU64(b, 0)   // ClipNorm
 		return b
 	}
 	return map[string][2]interface{}{
@@ -121,6 +120,14 @@ func hostileShardPayloads() map[string][2]interface{} {
 			hU32(hStr(hU32(sealHead(0), 1), "k"), 0x40000000)},
 		"stripe-seal 1B phase entries": {CodeStripeSeal,
 			hU32(hU32(sealHead(0), 0), 0x40000000)},
+		"stripe-seal 1B blamed entries": {CodeStripeSeal,
+			hU32(hU32(hU32(sealHead(0), 0), 0), 0x40000000)},
+		"stripe-seal blamed entry 4GiB": {CodeStripeSeal,
+			hU32(hU32(hU32(hU32(sealHead(0), 0), 0), 1), 0xFFFFFFFF)},
+		"stripe-seal 1B group-error entries": {CodeStripeSeal,
+			hU32(hU32(hU32(hU32(sealHead(0), 0), 0), 0), 0x40000000)},
+		"stripe-seal 1B robust-rejection entries": {CodeStripeSeal,
+			hU32(hU32(hU32(hU32(hU32(sealHead(0), 0), 0), 0), 0), 0x40000000)},
 		"round-config plan 4GiB":       {CodeRoundConfig, hU32(rcHead(), 0xFFFFFFFF)},
 		"round-config checkpoint 4GiB": {CodeRoundConfig, hU32(hU32(rcHead(), 0), 0xFFFFFFF0)},
 		"round-abort reason 4GiB":      {CodeRoundAbort, hU32(hU64(hStr(hStr(nil, ""), ""), 1), 0xFFFFFFFF)},

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/pacing"
@@ -88,13 +87,17 @@ func RunBenchSharded(cfg BenchShardedConfig) (BenchShardedStats, error) {
 	}
 
 	const pop = "pop-sharded"
+	var robust plan.RobustPolicy
+	if cfg.ClipNorm > 0 {
+		robust = plan.RobustPolicy{Kind: plan.RobustNormBound, ClipNorm: cfg.ClipNorm}
+	}
 	p, err := plan.Generate(plan.Config{
 		TaskID: pop + "/train", Population: pop,
 		Model:     nn.Spec{Kind: nn.KindLogistic, Features: cfg.Features, Classes: 3, Seed: 1},
 		StoreName: pop + "-store", BatchSize: 5, Epochs: 1, LearningRate: 0.1,
 		TargetDevices: cfg.TargetDevices, MinReportFraction: 0.5,
 		SelectionTimeout: 30 * time.Second, ReportTimeout: 20 * time.Second,
-		Robust: robustCfg(cfg.ClipNorm),
+		Robust: robust,
 	})
 	if err != nil {
 		return stats, err
@@ -132,27 +135,12 @@ func RunBenchSharded(cfg BenchShardedConfig) (BenchShardedStats, error) {
 	// Wire the topology: one coordinator listener the shards dial, one
 	// device listener per shard the swarm dials.
 	mem := transport.NewMemNetwork()
-	listen := func(name string) (transport.Listener, error) {
-		if cfg.TCP {
-			return transport.ListenTCP("127.0.0.1:0")
-		}
-		return mem.Listen(name)
-	}
-	dialer := func(l transport.Listener, name string) func() (transport.Conn, error) {
-		if cfg.TCP {
-			addr := l.Addr()
-			return func() (transport.Conn, error) { return transport.DialTCP(addr) }
-		}
-		return func() (transport.Conn, error) { return mem.Dial(name) }
-	}
-
-	coordL, err := listen("coord")
+	coordL, coordDial, err := flserver.Listen(cfg.TCP, mem, "coord")
 	if err != nil {
 		return stats, err
 	}
 	defer coordL.Close()
 	go coord.Serve(coordL)
-	coordDial := dialer(coordL, "coord")
 
 	shards := make([]*SelectorProc, cfg.Shards)
 	shardDials := make([]func() (transport.Conn, error), cfg.Shards)
@@ -166,14 +154,13 @@ func RunBenchSharded(cfg BenchShardedConfig) (BenchShardedStats, error) {
 		}, coordDial)
 		shards[i] = sp
 		defer sp.Close()
-		name := fmt.Sprintf("shard-%d", i)
-		l, err := listen(name)
+		l, dial, err := flserver.Listen(cfg.TCP, mem, fmt.Sprintf("shard-%d", i))
 		if err != nil {
 			return stats, err
 		}
 		defer l.Close()
 		go sp.Serve(l)
-		shardDials[i] = dialer(l, name)
+		shardDials[i] = dial
 	}
 
 	// The device swarm, spread across shards: device i homes on shard
@@ -183,37 +170,18 @@ func RunBenchSharded(cfg BenchShardedConfig) (BenchShardedStats, error) {
 	var devices sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < cfg.Devices; i++ {
-		id := fmt.Sprintf("shard-dev-%d", i)
-		rt := device.NewRuntime(id, 3, nil, cfg.Seed+uint64(i)+100)
-		st, err := device.NewMemStore(pop+"-store", 1000, 0)
+		client, err := flserver.NewLocalDataClient(fmt.Sprintf("shard-dev-%d", i), pop, pop+"-store",
+			fed.Users[i], cfg.Seed+uint64(i)+100)
 		if err != nil {
 			return stats, err
 		}
-		now := time.Now()
-		for _, ex := range fed.Users[i] {
-			st.Add(ex, now)
-		}
-		if err := rt.RegisterStore(st); err != nil {
-			return stats, err
-		}
-		client := &flserver.DeviceClient{ID: id, Population: pop, Runtime: rt}
 		dial := shardDials[i%cfg.Shards]
 		devices.Add(1)
 		go func() {
 			defer devices.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if conn, err := dial(); err == nil {
-					_, _ = client.RunOnce(conn)
-				}
-				// Check in again quickly: the shard's pace steering rejects
-				// the surplus; the coordinator's rate tracker sees the flow.
-				time.Sleep(2 * time.Millisecond)
-			}
+			// Check-ins repeat quickly: the shard's pace steering rejects the
+			// surplus; the coordinator's rate tracker sees the flow.
+			client.Loop(dial, stop)
 		}()
 	}
 
@@ -245,10 +213,7 @@ func RunBenchSharded(cfg BenchShardedConfig) (BenchShardedStats, error) {
 	stats.SealsReceived = cs.SealsReceived
 	stats.BytesUpstream = cs.BytesUpstream
 	stats.Clipped = cs.Clipped
-	stats.PerShard, err = coord.PerShardStats()
-	if err != nil {
-		return stats, err
-	}
+	stats.PerShard = coord.PerShardStats()
 	for _, sp := range shards {
 		ss, err := sp.Stats()
 		if err != nil {
@@ -260,12 +225,4 @@ func RunBenchSharded(cfg BenchShardedConfig) (BenchShardedStats, error) {
 		return stats, fmt.Errorf("shard bench: no committed checkpoint: %w", err)
 	}
 	return stats, nil
-}
-
-// robustCfg builds the norm-bound policy for a positive clip, or none.
-func robustCfg(clip float64) plan.RobustPolicy {
-	if clip > 0 {
-		return plan.RobustPolicy{Kind: plan.RobustNormBound, ClipNorm: clip}
-	}
-	return plan.RobustPolicy{}
 }

@@ -2,13 +2,14 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
-	"repro/internal/metrics"
+	"repro/internal/flserver"
 	"repro/internal/obs"
 	"repro/internal/pacing"
 	"repro/internal/plan"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/remote"
 	"repro/internal/storage"
 	"repro/internal/tasks"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -42,30 +42,6 @@ type CoordinatorConfig struct {
 	// TickEvery paces the scheduling loop (default 250ms).
 	TickEvery time.Duration
 	Now       func() time.Time
-}
-
-// --- coordinator actor messages ---
-
-type msgShardUp struct {
-	Sess  *remote.Session
-	Hello protocol.ShardHello
-}
-type msgShardDown struct{ Sess *remote.Session }
-type msgSeal struct {
-	Sess *remote.Session
-	M    protocol.StripeSeal
-}
-type msgRate struct{ M protocol.CheckinRate }
-type msgShardAbort struct {
-	Sess *remote.Session
-	M    protocol.RoundAbort
-}
-type msgCoordTick struct{}
-type msgRoundDeadline struct{ Round int64 }
-type msgRoundGrace struct{ Round int64 }
-type msgCoordStats struct{ Reply chan CoordStats }
-type msgPerShard struct {
-	Reply chan map[uint32]ShardContribution
 }
 
 // CoordStats reports the sharded coordinator's progress.
@@ -96,543 +72,12 @@ type ShardContribution struct {
 	Lost      int64
 }
 
-// shardRound is the coordinator's state for the round in flight.
-type shardRound struct {
-	p        *plan.Plan
-	task     tasks.Task
-	global   *checkpoint.Checkpoint
-	round    int64
-	evalOnly bool
-	acc      *fedavg.Accumulator
-	metrics  map[string][]float64
-	reports  int
-	evalRep  int
-	lost     int
-	// clipped totals the shards' norm-bound edge clips for the round.
-	clipped int64
-	pending map[*remote.Session]bool
-	// enc is the round's RoundConfig pre-framed once and fanned out to
-	// every shard (and re-sent to reconnecting shards).
-	enc    *transport.Encoded
-	cfgMsg protocol.RoundConfig
-	// finalizing is set once RoundFinalize went out to stragglers.
-	finalizing bool
-	// started anchors the round trace; phases max-merges the per-shard
-	// lifecycle spans shipped inside the seals (the fleet-wide cost of a
-	// phase is its slowest shard's).
-	started time.Time
-	phases  map[string]int64
-}
-
-// shardCoordinator is the coordinator actor: the analogue of
-// flserver.Coordinator plus Master Aggregator for the sharded deployment —
-// shards run the device-facing round at the edge, so what remains here is
-// task scheduling, RoundConfig fan-out, seal merging, and the commit.
-type shardCoordinator struct {
-	cfg   CoordinatorConfig
-	locks *actor.LockService
-	tasks *tasks.TaskSet
-	now   func() time.Time
-
-	acquired bool
-	shards   map[*remote.Session]protocol.ShardHello
-	contrib  map[uint32]*ShardContribution
-	global   map[string]*checkpoint.Checkpoint
-	rates    *pacing.RateTracker
-
-	cur       *shardRound
-	completed int
-	failed    int
-	drained   bool
-	onDone    chan struct{}
-
-	sealsRecv  int64
-	bytesUp    int64
-	clippedTot int64
-}
-
-// Receive implements actor.Behavior.
-func (sc *shardCoordinator) Receive(ctx *actor.Context, msg actor.Message) {
-	switch m := msg.(type) {
-	case msgCoordTick:
-		sc.onTick(ctx)
-	case msgShardUp:
-		sc.onShardUp(ctx, m)
-	case msgShardDown:
-		sc.onShardDown(ctx, m.Sess)
-	case msgSeal:
-		sc.onSeal(ctx, m)
-	case msgRate:
-		sc.onRate(m.M)
-	case msgShardAbort:
-		// A shard refused the round (e.g. undecodable checkpoint). Its seal
-		// will never come; drop it from the round like a disconnect.
-		if sc.cur != nil && m.M.TaskID == sc.cur.p.ID && m.M.Round == sc.cur.round && sc.cur.pending[m.Sess] {
-			delete(sc.cur.pending, m.Sess)
-			if len(sc.cur.pending) == 0 {
-				sc.finish(ctx)
-			}
-		}
-	case msgRoundDeadline:
-		sc.onDeadline(ctx, m.Round)
-	case msgRoundGrace:
-		if sc.cur != nil && sc.cur.round == m.Round {
-			sc.finish(ctx)
-		}
-	case msgCoordStats:
-		round := int64(0)
-		if sc.cur != nil {
-			round = sc.cur.round
-		} else if id, ok := sc.tasks.PrimaryID(); ok {
-			if g, ok := sc.global[id]; ok {
-				round = g.Round
-			}
-		}
-		m.Reply <- CoordStats{
-			RoundsCompleted: sc.completed,
-			RoundsFailed:    sc.failed,
-			CurrentRound:    round,
-			Shards:          len(sc.shards),
-			SealsReceived:   sc.sealsRecv,
-			BytesUpstream:   sc.bytesUp,
-			Clipped:         sc.clippedTot,
-		}
-	case msgPerShard:
-		out := make(map[uint32]ShardContribution, len(sc.contrib))
-		for id, c := range sc.contrib {
-			cc := *c
-			cc.Connected = sc.connected(id)
-			out[id] = cc
-		}
-		m.Reply <- out
-	}
-}
-
-func (sc *shardCoordinator) connected(id uint32) bool {
-	for _, h := range sc.shards {
-		if h.Shard == id {
-			return true
-		}
-	}
-	return false
-}
-
-func (sc *shardCoordinator) onShardUp(ctx *actor.Context, m msgShardUp) {
-	_, known := sc.shards[m.Sess]
-	sc.shards[m.Sess] = m.Hello
-	if _, ok := sc.contrib[m.Hello.Shard]; !ok {
-		sc.contrib[m.Hello.Shard] = &ShardContribution{Name: m.Hello.Name}
-	} else {
-		sc.contrib[m.Hello.Shard].Name = m.Hello.Name
-	}
-	if known {
-		// A re-announced hello on an already-registered session (peers
-		// re-send hellos periodically in case the first was lost): nothing
-		// to resume.
-		return
-	}
-	if sc.drained {
-		// The population already finished its rounds; tell the newcomer to
-		// steer its devices away rather than park them forever.
-		_ = m.Sess.Send(protocol.RoundAbort{Population: sc.cfg.Population, Reason: "population drained"})
-		return
-	}
-	if sc.cur != nil {
-		// Reconnect mid-round: re-send the round's config so the shard
-		// starts a fresh edge round for the same global round, and expect
-		// its seal (reconnect-then-resume).
-		if err := m.Sess.Send(sc.cur.enc); err == nil {
-			sc.cur.pending[m.Sess] = true
-		}
-		return
-	}
-	sc.onTick(ctx)
-}
-
-func (sc *shardCoordinator) onShardDown(ctx *actor.Context, sess *remote.Session) {
-	delete(sc.shards, sess)
-	if sc.cur != nil && sc.cur.pending[sess] {
-		// The shard's devices (and its seal) are lost to this round —
-		// Sec. 4.4: "only the devices connected to that actor will be
-		// lost". The round settles with the remaining shards.
-		delete(sc.cur.pending, sess)
-		if len(sc.cur.pending) == 0 {
-			sc.finish(ctx)
-		}
-	}
-}
-
-func (sc *shardCoordinator) onRate(m protocol.CheckinRate) {
-	if m.Elapsed > 0 {
-		obs.Default.Gauge(obs.Label("fl_shard_checkin_rate", "shard", fmt.Sprint(m.Shard))).
-			Set(float64(m.Count) / m.Elapsed.Seconds())
-	}
-	if sc.rates == nil {
-		return
-	}
-	sc.tasks.SetPopulationEstimate(sc.rates.Fold(pacing.RateSample{
-		Source:  fmt.Sprintf("shard-%d/%s", m.Shard, m.Source),
-		Count:   m.Count,
-		Elapsed: m.Elapsed,
-		Demand:  int(m.Demand),
-	}, sc.now()))
-}
-
-func (sc *shardCoordinator) onTick(ctx *actor.Context) {
-	// Registration in the locking service: the coordinator process owns the
-	// population. The same LockService is served to the shards over their
-	// peer links (remote.Session), so cross-process owners coexist with
-	// this local one.
-	if !sc.acquired {
-		if !sc.locks.Acquire(sc.cfg.Population, ctx.Self) {
-			return // another live owner (e.g. mid-failover)
-		}
-		sc.acquired = true
-	}
-	if sc.cur != nil {
-		return
-	}
-	if sc.cfg.MaxRounds > 0 && sc.completed >= sc.cfg.MaxRounds {
-		if !sc.drained {
-			sc.drained = true
-			// No further round: shards steer their parked devices away.
-			for sess := range sc.shards {
-				_ = sess.Send(protocol.RoundAbort{Population: sc.cfg.Population, Reason: "population drained"})
-			}
-			if sc.onDone != nil {
-				select {
-				case <-sc.onDone:
-				default:
-					close(sc.onDone)
-				}
-			}
-		}
-		return
-	}
-	if len(sc.shards) < sc.cfg.MinShards {
-		return
-	}
-
-	t, ok := sc.tasks.Next()
-	if !ok {
-		return
-	}
-	p := t.Plan
-	if p.Server.Aggregation == plan.AggregationSecure {
-		// Sharded mode limitation (documented in DESIGN.md): secure
-		// aggregation needs the per-device vectors inside one process.
-		// Auto-pause with an operator-visible reason rather than burning a
-		// failed round every tick with no hint in the stats why.
-		sc.failed++
-		sc.tasks.NoteFailed(p.ID)
-		_ = sc.tasks.AutoPause(p.ID,
-			"secure aggregation is unavailable in sharded mode; run this task on a single-process coordinator or resume after removing the secure-aggregation requirement")
-		return
-	}
-	if p.Server.Robust.PerUpdate() {
-		// Same shape of limitation: retention policies (trimmed mean,
-		// median, cosine outlier) need every individual update in one
-		// process, but shards only ship merged sums upstream. Norm bounding
-		// distributes (each shard clips at its own edge) and is allowed.
-		sc.failed++
-		sc.tasks.NoteFailed(p.ID)
-		_ = sc.tasks.AutoPause(p.ID,
-			"per-update robust policies are unavailable in sharded mode (shards ship merged sums, not individual updates); use the norm_bound policy or run this task on a single-process coordinator")
-		return
-	}
-	global, err := sc.loadGlobal(t)
-	if err != nil {
-		sc.failed++
-		sc.tasks.NoteFailed(p.ID)
-		return
-	}
-
-	planBytes, err := p.Marshal()
-	if err != nil {
-		sc.failed++
-		sc.tasks.NoteFailed(p.ID)
-		return
-	}
-	ckptBytes, err := global.Marshal(checkpoint.EncodingFloat64)
-	if err != nil {
-		sc.failed++
-		sc.tasks.NoteFailed(p.ID)
-		return
-	}
-
-	// Per-shard targets: every shard gets the same ceil share, so the
-	// whole RoundConfig — plan and checkpoint included — is marshaled and
-	// framed ONCE (transport.Encoded) and fanned out to every shard link.
-	n := len(sc.shards)
-	perTarget := (p.Server.TargetDevices + n - 1) / n
-	perAdmit := (p.Server.SelectTarget() + n - 1) / n
-	cfgMsg := protocol.RoundConfig{
-		Population:     sc.cfg.Population,
-		TaskID:         p.ID,
-		Round:          global.Round,
-		Target:         perTarget,
-		Admit:          perAdmit,
-		Estimate:       sc.tasks.PopulationEstimate(),
-		EvalOnly:       p.Type == plan.TaskEval,
-		ReportDeadline: p.Server.ParticipationCap,
-		ReportTimeout:  p.Server.ReportTimeout,
-		Plan:           planBytes,
-		Checkpoint:     ckptBytes,
-	}
-	if p.Server.Robust.Kind == plan.RobustNormBound {
-		cfgMsg.RobustKind = uint8(plan.RobustNormBound)
-		cfgMsg.ClipNorm = p.Server.Robust.ClipNorm
-	}
-	enc := transport.Encode(cfgMsg)
-	cur := &shardRound{
-		p:        p,
-		task:     t,
-		global:   global,
-		round:    global.Round,
-		evalOnly: p.Type == plan.TaskEval,
-		acc:      fedavg.NewAccumulator(len(global.Params)),
-		metrics:  make(map[string][]float64),
-		pending:  make(map[*remote.Session]bool),
-		enc:      enc,
-		cfgMsg:   cfgMsg,
-		started:  sc.now(),
-		phases:   make(map[string]int64),
-	}
-	for sess := range sc.shards {
-		if err := sess.Send(enc); err == nil {
-			cur.pending[sess] = true
-		}
-	}
-	if len(cur.pending) == 0 {
-		// No shard took the round; retry on the next tick.
-		sc.failed++
-		sc.tasks.NoteFailed(p.ID)
-		return
-	}
-	sc.cur = cur
-
-	grace := sc.cfg.SealGrace
-	round := cur.round
-	self := ctx.Self
-	time.AfterFunc(p.Server.ReportTimeout+grace, func() { _ = self.Send(msgRoundDeadline{Round: round}) })
-}
-
-// onDeadline fires when the round's report window (plus grace) has passed
-// and stragglers still owe seals: order them to seal NOW, then settle after
-// one more grace period regardless.
-func (sc *shardCoordinator) onDeadline(ctx *actor.Context, round int64) {
-	if sc.cur == nil || sc.cur.round != round || sc.cur.finalizing {
-		return
-	}
-	if len(sc.cur.pending) == 0 {
-		return
-	}
-	sc.cur.finalizing = true
-	fin := protocol.RoundFinalize{Population: sc.cfg.Population, TaskID: sc.cur.p.ID, Round: round}
-	for sess := range sc.cur.pending {
-		if err := sess.Send(fin); err != nil {
-			// The straggler's link is already dead (or its send queue is
-			// wedged): it can never deliver a seal, so waiting the grace on
-			// it would only stall the fleet. Settle without it.
-			delete(sc.cur.pending, sess)
-		}
-	}
-	if len(sc.cur.pending) == 0 {
-		sc.finish(ctx)
-		return
-	}
-	self := ctx.Self
-	time.AfterFunc(sc.cfg.SealGrace, func() { _ = self.Send(msgRoundGrace{Round: round}) })
-}
-
-// onSeal folds one shard's sealed stripe into the round: the aggregation
-// tree's top level, merging per-shard sums instead of per-device updates.
-func (sc *shardCoordinator) onSeal(ctx *actor.Context, m msgSeal) {
-	seal := m.M
-	sc.sealsRecv++
-	wire := sealWireBytes(seal)
-	sc.bytesUp += wire
-	obsSealsReceived.Inc()
-	obsBytesUpstream.Add(wire)
-	shardLabel := fmt.Sprint(seal.Shard)
-	obs.Default.Counter(obs.Label("fl_shard_seals_total", "shard", shardLabel)).Inc()
-	if c, ok := sc.contrib[seal.Shard]; ok {
-		c.Seals++
-		c.Bytes += wire
-		c.Reports += seal.Reports + seal.EvalReports
-		c.Lost += seal.Lost
-	}
-	cur := sc.cur
-	if cur == nil || seal.TaskID != cur.p.ID || seal.Round != cur.round || !cur.pending[m.Sess] {
-		return // late or duplicate seal: the round already settled it
-	}
-	delete(cur.pending, m.Sess)
-
-	// Per-shard seal latency: round open → this shard's seal arriving.
-	obs.Default.Summary(obs.Label("fl_shard_seal_seconds", "shard", shardLabel)).
-		Observe(sc.now().Sub(cur.started).Seconds())
-	for phase, ns := range seal.Phases {
-		if ns > cur.phases[phase] {
-			cur.phases[phase] = ns
-		}
-	}
-
-	if seal.Clipped > 0 {
-		// Per-shard defense visibility on the coordinator's aggregated
-		// /metrics, mirroring the seal counters above.
-		obs.Default.Counter(obs.Label("fl_robust_clipped_total", "shard", shardLabel)).Add(seal.Clipped)
-		cur.clipped += seal.Clipped
-		sc.clippedTot += seal.Clipped
-	}
-	cur.lost += int(seal.Lost)
-	for name, vs := range seal.Metrics {
-		cur.metrics[name] = append(cur.metrics[name], vs...)
-	}
-	sum, err := fedavg.UnmarshalSum(seal.Sum)
-	if err == nil {
-		s := fedavg.SealedStripe{Sum: sum, Weight: seal.Weight, Count: int(seal.Reports)}
-		if cur.evalOnly || cur.acc.AddSealed(s) == nil {
-			cur.reports += int(seal.Reports)
-			cur.evalRep += int(seal.EvalReports)
-		} else {
-			cur.lost += int(seal.Reports)
-		}
-	} else {
-		cur.lost += int(seal.Reports)
-	}
-
-	if len(cur.pending) == 0 {
-		sc.finish(ctx)
-	}
-}
-
-// finish settles the round in flight: commit when enough reports survived,
-// fail otherwise. Mirrors the Master Aggregator's commit path with sealed
-// shards in place of group partials.
-func (sc *shardCoordinator) finish(ctx *actor.Context) {
-	cur := sc.cur
-	sc.cur = nil
-	if cur == nil {
-		return
-	}
-	fail := func(reason string) {
-		sc.failed++
-		sc.tasks.NoteFailed(cur.p.ID)
-		sc.recordTrace(cur, false, cur.round, cur.reports+cur.evalRep, 0, reason)
-	}
-	reports := cur.reports + cur.evalRep
-	if reports < cur.p.Server.MinReports() {
-		fail(fmt.Sprintf("%d reports below minimum", reports))
-		return
-	}
-
-	commitStart := sc.now()
-	newGlobal := cur.global
-	if !cur.evalOnly {
-		avg, err := cur.acc.Average()
-		if err != nil {
-			fail(err.Error())
-			return
-		}
-		newGlobal = cur.global.Clone()
-		newGlobal.Round++
-		newGlobal.Weight = cur.acc.Weight()
-		if err := fedavg.Apply(newGlobal.Params, avg); err != nil {
-			fail(err.Error())
-			return
-		}
-		// The single write to persistent storage for this round.
-		if err := sc.cfg.Store.PutCheckpoint(newGlobal); err != nil {
-			fail(err.Error())
-			return
-		}
-	}
-	mat := &metrics.Materialized{TaskName: cur.p.ID, Round: newGlobal.Round, Stats: map[string]metrics.Snapshot{}}
-	for name, vs := range cur.metrics {
-		s := metrics.NewSummary()
-		for _, v := range vs {
-			s.Add(v)
-		}
-		mat.Stats[name] = s.Snapshot()
-	}
-	_ = sc.cfg.Store.PutMetrics(mat)
-
-	// Only train rounds advance a checkpoint lineage (see
-	// flserver.Coordinator.onRoundComplete).
-	if !cur.evalOnly {
-		sc.global[cur.p.ID] = newGlobal
-	}
-	sc.tasks.NoteCommitted(cur.p.ID, newGlobal.Round, reports, sc.now())
-	sc.completed++
-	sc.recordTrace(cur, true, newGlobal.Round, reports, sc.now().Sub(commitStart).Nanoseconds(), "")
-	sc.onTick(ctx)
-}
-
-// recordTrace emits the round's trace record: the max-merged per-shard
-// lifecycle spans plus the coordinator's own commit span, persisted as one
-// JSONL line when the store supports it.
-func (sc *shardCoordinator) recordTrace(cur *shardRound, committed bool, round int64, reports int, commitNanos int64, failReason string) {
-	phases := make(map[string]int64, len(cur.phases)+1)
-	for name, ns := range cur.phases {
-		if ns > 0 {
-			phases[name] = ns
-		}
-	}
-	if commitNanos > 0 {
-		phases[obs.PhaseCommit] = commitNanos
-	}
-	ts, _ := sc.cfg.Store.(obs.TraceStore)
-	_ = obs.Default.RecordTrace(obs.RoundTrace{
-		Population: sc.cfg.Population,
-		TaskID:     cur.p.ID,
-		Round:      round,
-		Start:      cur.started,
-		TotalNanos: sc.now().Sub(cur.started).Nanoseconds(),
-		Phases:     phases,
-		Committed:  committed,
-		Reports:    reports,
-		Lost:       cur.lost,
-		FailReason: failReason,
-	}, ts)
-}
-
-// loadGlobal fetches the checkpoint the task's next round serves — the
-// same lineage rules as flserver.Coordinator.loadGlobal: eval tasks with a
-// base serve (and cache under) the BASE task's lineage read-only.
-func (sc *shardCoordinator) loadGlobal(t tasks.Task) (*checkpoint.Checkpoint, error) {
-	p := t.Plan
-	if p.Type == plan.TaskEval && t.Policy.EvalOf != "" {
-		if g, ok := sc.global[t.Policy.EvalOf]; ok {
-			return g, nil
-		}
-		g, err := sc.cfg.Store.LatestCheckpoint(t.Policy.EvalOf)
-		if err != nil {
-			return nil, fmt.Errorf("eval task %q: base task %q has no committed checkpoint: %w", p.ID, t.Policy.EvalOf, err)
-		}
-		sc.global[t.Policy.EvalOf] = g
-		return g, nil
-	}
-	if g, ok := sc.global[p.ID]; ok {
-		return g, nil
-	}
-	if g, err := sc.cfg.Store.LatestCheckpoint(p.ID); err == nil {
-		sc.global[p.ID] = g
-		return g, nil
-	}
-	m, err := p.Device.Model.Build()
-	if err != nil {
-		return nil, err
-	}
-	params := make(tensor.Vector, m.NumParams())
-	m.ReadParams(params)
-	g := &checkpoint.Checkpoint{TaskName: p.ID, Round: 0, Params: params}
-	sc.global[p.ID] = g
-	return g, nil
-}
-
 // CoordinatorProc is the coordinator process: it accepts shard links,
-// serves the lock service and actor registry over them, and runs the
-// shardCoordinator actor that owns all round state.
+// serves the lock service and actor registry over them, and runs the one
+// round engine — flserver.Coordinator — with one Edge per connected shard
+// link. What lives here is only what is about links rather than rounds: the
+// session plumbing, the wire form of configs and seals, and the per-shard
+// traffic accounting.
 type CoordinatorProc struct {
 	cfg      CoordinatorConfig
 	sys      *actor.System
@@ -641,21 +86,82 @@ type CoordinatorProc struct {
 	registry *remote.Registry
 	coord    actor.Ref
 	done     chan struct{}
-	stop     chan struct{}
-	closed   atomic.Bool
+
+	// framed/frame memoize the round's RoundConfig pre-framed once and
+	// fanned out to every shard (and re-sent to reconnecting shards).
+	// Touched only on the coordinator actor's goroutine (Edge.Open).
+	framed *flserver.EdgeRoundConfig
+	frame  *transport.Encoded
+
+	mu        sync.Mutex
+	live      map[*shardEdge]uint32 // announced links → shard index
+	contrib   map[uint32]*ShardContribution
+	sealsRecv int64
+	bytesUp   int64
 }
+
+// shardEdge is one shard link as the coordinator's Edge: opening a round
+// sends the shared RoundConfig frame down the link; the seal comes back as
+// a protocol.StripeSeal handled in serveConn.
+type shardEdge struct {
+	cp   *CoordinatorProc
+	sess *remote.Session
+	// openedAt (unix nanos) anchors the per-shard seal latency; written on
+	// the coordinator actor's goroutine, read on the link's reader.
+	openedAt atomic.Int64
+}
+
+// Open implements flserver.Edge.
+func (e *shardEdge) Open(cfg *flserver.EdgeRoundConfig, _ actor.Ref) error {
+	cp := e.cp
+	if cp.framed != cfg {
+		planBytes, err := cfg.Plan.Marshal()
+		if err != nil {
+			return err
+		}
+		ckptBytes, err := cfg.Global.Marshal(checkpoint.EncodingFloat64)
+		if err != nil {
+			return err
+		}
+		cp.framed, cp.frame = cfg, transport.Encode(protocol.RoundConfig{
+			Population: cfg.Population,
+			TaskID:     cfg.Plan.ID,
+			Round:      cfg.Round,
+			Target:     cfg.Target,
+			Admit:      cfg.Admit,
+			MinReports: cfg.MinReports,
+			MinRuntime: cfg.MinRuntime,
+			Estimate:   cfg.Estimate,
+			Plan:       planBytes,
+			Checkpoint: ckptBytes,
+		})
+	}
+	if err := e.sess.Send(cp.frame); err != nil {
+		return err
+	}
+	e.openedAt.Store(time.Now().UnixNano())
+	return nil
+}
+
+// Finalize implements flserver.Edge.
+func (e *shardEdge) Finalize(taskID string, round int64) error {
+	return e.sess.Send(protocol.RoundFinalize{Population: e.cp.cfg.Population, TaskID: taskID, Round: round})
+}
+
+// Abort implements flserver.Edge.
+func (e *shardEdge) Abort(taskID string, round int64, reason string) {
+	_ = e.sess.Send(protocol.RoundAbort{Population: e.cp.cfg.Population, TaskID: taskID, Round: round, Reason: reason})
+}
+
+// ProbeRates implements flserver.Edge: shards push CheckinRate samples on
+// their own cadence.
+func (e *shardEdge) ProbeRates(actor.Ref) {}
 
 // NewCoordinatorProc builds the coordinator process and starts its
 // scheduling loop (rounds begin once MinShards shards connect).
 func NewCoordinatorProc(cfg CoordinatorConfig) (*CoordinatorProc, error) {
 	if cfg.Population == "" || cfg.Store == nil {
 		return nil, fmt.Errorf("shard: Population and Store are required")
-	}
-	if cfg.MinShards <= 0 {
-		cfg.MinShards = 1
-	}
-	if cfg.SealGrace <= 0 {
-		cfg.SealGrace = 2 * time.Second
 	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 250 * time.Millisecond
@@ -665,9 +171,6 @@ func NewCoordinatorProc(cfg CoordinatorConfig) (*CoordinatorProc, error) {
 	}
 	if cfg.PopulationEstimate <= 0 {
 		cfg.PopulationEstimate = 1000
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	ts, err := tasks.New(cfg.Population, cfg.Store, cfg.Now)
 	if err != nil {
@@ -685,56 +188,33 @@ func NewCoordinatorProc(cfg CoordinatorConfig) (*CoordinatorProc, error) {
 		tasks:    ts,
 		registry: remote.NewRegistry(),
 		done:     make(chan struct{}),
-		stop:     make(chan struct{}),
+		live:     make(map[*shardEdge]uint32),
+		contrib:  make(map[uint32]*ShardContribution),
 	}
-	sc := &shardCoordinator{
-		cfg:     cfg,
-		locks:   cp.locks,
-		tasks:   ts,
-		now:     cfg.Now,
-		shards:  make(map[*remote.Session]protocol.ShardHello),
-		contrib: make(map[uint32]*ShardContribution),
-		global:  make(map[string]*checkpoint.Checkpoint),
-		rates:   pacing.NewRateTracker(cfg.Steering, cfg.PopulationEstimate),
-		onDone:  cp.done,
-	}
-	cp.coord = cp.sys.Spawn("coordinator/"+cfg.Population, sc)
+	cp.coord = cp.sys.Spawn("coordinator/"+cfg.Population, flserver.NewCoordinator(flserver.CoordinatorParams{
+		Population: cfg.Population, Lock: cp.locks, Store: cfg.Store, Tasks: ts,
+		Steering: cfg.Steering, PopulationEstimate: cfg.PopulationEstimate,
+		MinEdges: cfg.MinShards, SealGrace: cfg.SealGrace, TickEvery: cfg.TickEvery,
+		MaxRounds: cfg.MaxRounds, Done: cp.done, Now: cfg.Now,
+	}))
 	// Location transparency: the coordinator actor is addressable from
 	// shard processes through ActorEnvelope frames as well.
 	cp.registry.Register("coordinator/"+cfg.Population, cp.coord)
-
-	go func() {
-		tick := time.NewTicker(cfg.TickEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-cp.stop:
-				return
-			case <-tick.C:
-				_ = cp.coord.Send(msgCoordTick{})
-			}
-		}
-	}()
+	_ = flserver.StartCoordinator(cp.coord)
 	return cp, nil
 }
-
-// Locks exposes the population's lock service (served to shards over their
-// links; local callers use it directly).
-func (cp *CoordinatorProc) Locks() *actor.LockService { return cp.locks }
-
-// Registry exposes the actor registry remote peers can address.
-func (cp *CoordinatorProc) Registry() *remote.Registry { return cp.registry }
 
 // Done is closed when MaxRounds rounds have committed.
 func (cp *CoordinatorProc) Done() <-chan struct{} { return cp.done }
 
 // TaskStats reports every task's lifecycle record, in submission order —
-// the operator surface that carries auto-pause notes (e.g. a secure-
-// aggregation task the sharded scheduler refused to run).
+// the operator surface that carries auto-pause notes (e.g. a
+// retention-policy task the scheduler refused to run across several
+// shards).
 func (cp *CoordinatorProc) TaskStats() []tasks.Stats { return cp.tasks.Stats() }
 
 // ResumeTask reactivates a paused task (clearing any auto-pause note).
-func (cp *CoordinatorProc) ResumeTask(id string) error { return cp.tasks.Resume(id) }
+func (cp *CoordinatorProc) ResumeTask(id string) error { return flserver.ResumeTask(cp.coord, id) }
 
 // Serve accepts shard connections from l until l closes. Each connection
 // becomes a remote.Session serving heartbeats, the lock service, and actor
@@ -750,18 +230,31 @@ func (cp *CoordinatorProc) Serve(l transport.Listener) {
 }
 
 func (cp *CoordinatorProc) serveConn(conn transport.Conn) {
-	var sess *remote.Session
-	sess = remote.NewSession(conn, remote.SessionOptions{
+	edge := &shardEdge{cp: cp}
+	edge.sess = remote.NewSession(conn, remote.SessionOptions{
 		Registry: cp.registry,
 		Locks:    cp.locks,
 		Handle: func(msg interface{}) {
 			switch m := msg.(type) {
 			case protocol.ShardHello:
-				_ = cp.coord.Send(msgShardUp{Sess: sess, Hello: m})
+				cp.mu.Lock()
+				cp.live[edge] = m.Shard
+				if c, ok := cp.contrib[m.Shard]; ok {
+					c.Name = m.Name
+				} else {
+					cp.contrib[m.Shard] = &ShardContribution{Name: m.Name}
+				}
+				cp.mu.Unlock()
+				_ = flserver.EdgeUp(cp.coord, edge)
 			case protocol.StripeSeal:
-				_ = cp.coord.Send(msgSeal{Sess: sess, M: m})
+				cp.onSeal(edge, m)
 			case protocol.CheckinRate:
-				_ = cp.coord.Send(msgRate{M: m})
+				if m.Elapsed > 0 {
+					obs.Default.Gauge(obs.Label("fl_shard_checkin_rate", "shard", fmt.Sprint(m.Shard))).
+						Set(float64(m.Count) / m.Elapsed.Seconds())
+				}
+				_ = flserver.DeliverRate(cp.coord, fmt.Sprintf("shard-%d/%s", m.Shard, m.Source),
+					m.Population, m.Count, m.Elapsed, int(m.Demand))
 			case protocol.TelemetrySnapshot:
 				// Fold the shard's registry export into the local one under
 				// a shard label, so this process's /metrics aggregates the
@@ -773,53 +266,108 @@ func (cp *CoordinatorProc) serveConn(conn transport.Conn) {
 					Summaries: m.Summaries,
 				})
 			case protocol.RoundAbort:
-				_ = cp.coord.Send(msgShardAbort{Sess: sess, M: m})
+				// The shard refused the round (e.g. undecodable checkpoint):
+				// an empty seal settles it without this shard.
+				_ = flserver.DeliverSeal(cp.coord, edge, flserver.EdgeSeal{TaskID: m.TaskID, Round: m.Round})
 			}
 		},
 	})
-	_ = sess.Run()
-	_ = cp.coord.Send(msgShardDown{Sess: sess})
+	_ = edge.sess.Run()
+	cp.mu.Lock()
+	delete(cp.live, edge)
+	cp.mu.Unlock()
+	_ = flserver.EdgeDown(cp.coord, edge)
+}
+
+// onSeal accounts one received StripeSeal — every one, late and duplicate
+// seals included: this is link traffic, the round engine dedups — and hands
+// its decoded form to the coordinator.
+func (cp *CoordinatorProc) onSeal(edge *shardEdge, m protocol.StripeSeal) {
+	wire := sealWireBytes(m)
+	shardLabel := fmt.Sprint(m.Shard)
+	obsSealsReceived.Inc()
+	obsBytesUpstream.Add(wire)
+	obs.Default.Counter(obs.Label("fl_shard_seals_total", "shard", shardLabel)).Inc()
+	if opened := edge.openedAt.Load(); opened > 0 {
+		// Per-shard seal latency: round config sent → this shard's seal.
+		obs.Default.Summary(obs.Label("fl_shard_seal_seconds", "shard", shardLabel)).
+			Observe(time.Since(time.Unix(0, opened)).Seconds())
+	}
+	if m.Clipped > 0 {
+		// Per-shard defense visibility on the coordinator's aggregated
+		// /metrics, mirroring the seal counters above.
+		obs.Default.Counter(obs.Label("fl_robust_clipped_total", "shard", shardLabel)).Add(m.Clipped)
+	}
+	cp.mu.Lock()
+	cp.sealsRecv++
+	cp.bytesUp += wire
+	if c, ok := cp.contrib[m.Shard]; ok {
+		c.Seals++
+		c.Bytes += wire
+		c.Reports += m.Reports + m.EvalReports
+		c.Lost += m.Lost
+	}
+	cp.mu.Unlock()
+
+	seal := flserver.EdgeSeal{
+		Population: m.Population, TaskID: m.TaskID, Round: m.Round,
+		Seal: fedavg.SealedStripe{Weight: m.Weight, Count: int(m.Reports),
+			EvalCount: int(m.EvalReports), Metrics: m.Metrics},
+		Lost: int(m.Lost), Aborted: int(m.Aborted), Clipped: m.Clipped, Phases: m.Phases,
+		Blamed: m.Blamed, GroupErrors: m.GroupErrors, RobustRejected: m.RobustRejected,
+	}
+	var err error
+	if seal.Seal.Sum, err = fedavg.UnmarshalSum(m.Sum); err != nil {
+		// An undecodable sum loses the shard's updates, not the round.
+		seal.Lost += int(m.Reports)
+		seal.Seal.Weight, seal.Seal.Count = 0, 0
+	}
+	_ = flserver.DeliverSeal(cp.coord, edge, seal)
 }
 
 // Stats snapshots coordinator progress. The error is non-nil when the
 // coordinator actor is dead or unresponsive.
 func (cp *CoordinatorProc) Stats() (CoordStats, error) {
-	reply := make(chan CoordStats, 1)
-	if err := cp.coord.Send(msgCoordStats{Reply: reply}); err != nil {
-		return CoordStats{}, fmt.Errorf("shard: coordinator stats: %w", err)
+	st, err := flserver.QueryCoordinatorStats(cp.coord)
+	if err != nil {
+		return CoordStats{}, fmt.Errorf("shard: %w", err)
 	}
-	select {
-	case st := <-reply:
-		return st, nil
-	case <-time.After(5 * time.Second):
-		return CoordStats{}, fmt.Errorf("shard: coordinator did not answer stats")
-	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return CoordStats{
+		RoundsCompleted: st.RoundsCompleted,
+		RoundsFailed:    st.RoundsFailed,
+		CurrentRound:    st.CurrentRound,
+		Clipped:         st.Clipped,
+		Shards:          len(cp.live),
+		SealsReceived:   cp.sealsRecv,
+		BytesUpstream:   cp.bytesUp,
+	}, nil
 }
 
 // PerShardStats breaks the upstream traffic down by shard index,
 // cumulative across reconnects.
-func (cp *CoordinatorProc) PerShardStats() (map[uint32]ShardContribution, error) {
-	reply := make(chan map[uint32]ShardContribution, 1)
-	if err := cp.coord.Send(msgPerShard{Reply: reply}); err != nil {
-		return nil, fmt.Errorf("shard: per-shard stats: %w", err)
+func (cp *CoordinatorProc) PerShardStats() map[uint32]ShardContribution {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	out := make(map[uint32]ShardContribution, len(cp.contrib))
+	for id, c := range cp.contrib {
+		out[id] = *c
 	}
-	select {
-	case st := <-reply:
-		return st, nil
-	case <-time.After(5 * time.Second):
-		return nil, fmt.Errorf("shard: coordinator did not answer per-shard stats")
+	for _, id := range cp.live {
+		if c, ok := out[id]; ok {
+			c.Connected = true
+			out[id] = c
+		}
 	}
+	return out
 }
 
 // ShardStats reports one shard's contribution. A shard that is not
 // currently connected returns an explicit error — a dead peer must never
 // read as zeros (the PR 3 stats contract, extended across the wire).
 func (cp *CoordinatorProc) ShardStats(id uint32) (ShardContribution, error) {
-	all, err := cp.PerShardStats()
-	if err != nil {
-		return ShardContribution{}, err
-	}
-	c, ok := all[id]
+	c, ok := cp.PerShardStats()[id]
 	if !ok {
 		return ShardContribution{}, fmt.Errorf("shard: shard %d has never connected", id)
 	}
@@ -829,11 +377,6 @@ func (cp *CoordinatorProc) ShardStats(id uint32) (ShardContribution, error) {
 	return c, nil
 }
 
-// Close stops the coordinator process.
-func (cp *CoordinatorProc) Close() {
-	if cp.closed.Swap(true) {
-		return
-	}
-	close(cp.stop)
-	cp.sys.Shutdown(cp.coord)
-}
+// Close stops the coordinator process (idempotent, like the Shutdown it
+// wraps).
+func (cp *CoordinatorProc) Close() { cp.sys.Shutdown(cp.coord) }

@@ -159,9 +159,6 @@ func NewSelectorProc(cfg SelectorConfig, dial remote.Dialer) *SelectorProc {
 // Serve accepts device connections from l until l closes.
 func (p *SelectorProc) Serve(l transport.Listener) { p.router.Serve(l) }
 
-// CoordinatorAlive reports whether the coordinator link is up.
-func (p *SelectorProc) CoordinatorAlive() bool { return p.peer.Alive() }
-
 // onPeerMsg handles coordinator→shard control messages. It runs on the
 // peer's reader goroutine; all work it does is non-blocking actor sends.
 func (p *SelectorProc) onPeerMsg(msg interface{}) {
@@ -179,25 +176,31 @@ func (p *SelectorProc) onPeerMsg(msg interface{}) {
 
 // onRoundConfig opens one edge round: register the population on the local
 // Selectors on first sight, then spawn the ephemeral EdgeRound actor that
-// selects devices, folds their reports into stripes, and ships the seal.
+// runs the device-facing half of the round and ships the seal. A config
+// this shard cannot decode is refused, so the coordinator stops waiting for
+// its seal.
 func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig) {
-	// Only the norm-bound robust policy reaches shards (the coordinator
-	// refuses retention policies at scheduling); any other kind on the wire
-	// is ignored rather than guessed at.
-	var clipNorm float64
-	if m.RobustKind == uint8(plan.RobustNormBound) {
-		clipNorm = m.ClipNorm
+	refuse := func(why string, err error) {
+		_ = p.peer.Send(protocol.RoundAbort{Population: m.Population, TaskID: m.TaskID,
+			Round: m.Round, Reason: why + ": " + err.Error()})
 	}
 	meta, err := checkpoint.ParseMeta(m.Checkpoint)
 	if err != nil {
-		_ = p.peer.Send(protocol.RoundAbort{Population: m.Population, TaskID: m.TaskID,
-			Round: m.Round, Reason: "bad checkpoint: " + err.Error()})
+		refuse("bad checkpoint", err)
+		return
+	}
+	pl, err := plan.Unmarshal(m.Plan)
+	if err == nil {
+		err = pl.Validate()
+	}
+	if err != nil {
+		refuse("bad plan", err)
 		return
 	}
 
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return
 	}
 	if !p.pops[m.Population] {
@@ -216,7 +219,6 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig) {
 		if h.taskID == m.TaskID && h.round == m.Round {
 			// Duplicate (coordinator re-sent after a reconnect it noticed
 			// before we noticed the drop): the round is already running.
-			p.mu.Unlock()
 			return
 		}
 		// A different round supersedes the old one.
@@ -225,23 +227,19 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig) {
 	ref := flserver.StartEdgeRound(p.sys,
 		fmt.Sprintf("%s/edge/%s/r%d", p.cfg.Name, m.TaskID, m.Round),
 		flserver.EdgeRoundConfig{
-			Population:     m.Population,
-			TaskID:         m.TaskID,
-			Round:          m.Round,
-			PlanBytes:      m.Plan,
-			Checkpoint:     m.Checkpoint,
-			Dim:            meta.NumParams,
-			Target:         m.Target,
-			Admit:          m.Admit,
-			EvalOnly:       m.EvalOnly,
-			ReportDeadline: m.ReportDeadline,
-			ReportTimeout:  m.ReportTimeout,
-			ClipNorm:       clipNorm,
-			Linger:         p.cfg.EdgeLinger,
+			Population: m.Population,
+			Plan:       pl,
+			Round:      m.Round,
+			Checkpoint: m.Checkpoint,
+			Dim:        meta.NumParams,
+			Target:     m.Target,
+			Admit:      m.Admit,
+			MinReports: m.MinReports,
+			MinRuntime: m.MinRuntime,
+			Linger:     p.cfg.EdgeLinger,
 		}, p.selectors, p.ship)
 	p.rounds[m.Population] = &edgeHandle{taskID: m.TaskID, round: m.Round, ref: ref}
 	p.roundsOpened.Add(1)
-	p.mu.Unlock()
 }
 
 // onRoundAbort abandons a matching in-flight round; an abort for no
@@ -304,11 +302,16 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 			Reports:     int64(seal.Seal.Count),
 			EvalReports: int64(seal.Seal.EvalCount),
 			Lost:        int64(seal.Lost),
+			Aborted:     int64(seal.Aborted),
 			Clipped:     seal.Clipped,
 			Weight:      seal.Seal.Weight,
 			Sum:         fedavg.MarshalSum(seal.Seal.Sum),
 			Metrics:     seal.Seal.Metrics,
 			Phases:      seal.Phases,
+
+			Blamed:         seal.Blamed,
+			GroupErrors:    seal.GroupErrors,
+			RobustRejected: seal.RobustRejected,
 		}
 		deadline := time.Now().Add(p.cfg.SealRetryBudget)
 		backoff := 25 * time.Millisecond
@@ -455,8 +458,6 @@ func (p *SelectorProc) relayRate(source, population string, count int64, elapsed
 type SelectorProcStats struct {
 	// Selector sums the local Selector actors' counters.
 	Selector flserver.SelectorStats
-	// PerSelector breaks them down by Selector actor name.
-	PerSelector map[string]flserver.SelectorStats
 	// SealsShipped / BytesShipped count sealed stripes (and their wire
 	// bytes) delivered upstream; RoundsDropped counts rounds lost to a dead
 	// coordinator link; RoundsOpened counts fresh EdgeRound spawns (a
@@ -472,23 +473,18 @@ type SelectorProcStats struct {
 // Stats snapshots the shard. The error is non-nil when a local Selector is
 // dead or unresponsive — an explicit failure, never zeros.
 func (p *SelectorProc) Stats() (SelectorProcStats, error) {
-	st := SelectorProcStats{
-		PerSelector:   make(map[string]flserver.SelectorStats, len(p.selectors)),
+	sel, err := flserver.SumSelectorStats(p.selectors, "")
+	if err != nil {
+		return SelectorProcStats{}, err
+	}
+	return SelectorProcStats{
+		Selector:      sel,
 		SealsShipped:  p.sealsShipped.Load(),
 		BytesShipped:  p.bytesShipped.Load(),
 		RoundsDropped: p.roundsDropped.Load(),
 		RoundsOpened:  p.roundsOpened.Load(),
 		CoordinatorUp: p.peer.Alive(),
-	}
-	for _, sel := range p.selectors {
-		s, err := flserver.QuerySelectorStats(sel, "")
-		if err != nil {
-			return SelectorProcStats{}, err
-		}
-		st.PerSelector[sel.Name()] = s
-		st.Selector.Add(s)
-	}
-	return st, nil
+	}, nil
 }
 
 // Close tears the shard down: in-flight rounds are abandoned, the
