@@ -42,8 +42,6 @@ func main() {
 	peerMiss := flag.Int("peer-miss", 0, "consecutive missed heartbeats declaring the coordinator dead (0 = default 4)")
 	peerBackoffMin := flag.Duration("peer-backoff-min", 0, "minimum reconnect backoff (0 = default 50ms)")
 	peerBackoffMax := flag.Duration("peer-backoff-max", 0, "maximum reconnect backoff (0 = default 5s)")
-	peerCallTimeout := flag.Duration("peer-call-timeout", 0, "lock RPC round-trip timeout (0 = default 5s)")
-	peerRetryBudget := flag.Duration("peer-retry-budget", 0, "total lock RPC retry budget across link drops (0 = default 2s, negative = fail fast)")
 	edgeLinger := flag.Duration("edge-linger", 0, "how long a sealed round answers late devices with explicit aborts (0 = default 2s)")
 	chaosSpec := flag.String("chaos", "", `fault-injection spec for the coordinator link, e.g. "shard:drop=0.05,jitter=200ms;shard:partition@6s+2s" (empty = off)`)
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed making the -chaos fault schedule reproducible")
@@ -54,8 +52,6 @@ func main() {
 		HeartbeatMiss:     *peerMiss,
 		BackoffMin:        *peerBackoffMin,
 		BackoffMax:        *peerBackoffMax,
-		CallTimeout:       *peerCallTimeout,
-		CallRetryBudget:   *peerRetryBudget,
 	}
 	if err := peer.Validate(); err != nil {
 		log.Fatal(err)

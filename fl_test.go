@@ -3,6 +3,8 @@ package repro
 import (
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 func TestTrainQuickstartPath(t *testing.T) {
@@ -118,7 +120,7 @@ func TestTCPFacade(t *testing.T) {
 	go func() {
 		c, err := l.Accept()
 		if err == nil {
-			_ = c.Send("pong")
+			_ = c.Send(protocol.Abort{Reason: "pong"})
 			c.Close()
 		}
 	}()
@@ -128,7 +130,7 @@ func TestTCPFacade(t *testing.T) {
 	}
 	defer c.Close()
 	msg, err := c.Recv()
-	if err != nil || msg != "pong" {
+	if err != nil || msg != (protocol.Abort{Reason: "pong"}) {
 		t.Fatalf("recv: %v %v", msg, err)
 	}
 }

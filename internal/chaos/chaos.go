@@ -39,7 +39,7 @@ type Role string
 const (
 	// RoleDevice is a device↔selector link.
 	RoleDevice Role = "device"
-	// RoleShard is a shard↔coordinator link (lock RPCs ride it too).
+	// RoleShard is a shard↔coordinator link.
 	RoleShard Role = "shard"
 )
 

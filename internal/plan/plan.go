@@ -10,14 +10,13 @@
 package plan
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/nn"
+	"repro/internal/wire"
 )
 
 // Op is one step of the device-side computation. The sequence of ops is the
@@ -306,22 +305,117 @@ func (p *Plan) UplinkEncoding() checkpoint.Encoding {
 	return checkpoint.EncodingFloat64
 }
 
-// Marshal encodes the plan for the wire.
+// wireFormat is the first byte of a marshaled plan; it moves whenever the
+// field list below does. DESIGN.md tabulates the layout.
+const wireFormat = 1
+
+// Marshal encodes the plan for the wire: the format byte, then every field
+// of Plan, DevicePlan (nn.Spec, SelectionCriteria), ServerPlan and
+// RobustPolicy in declaration order under internal/wire's conventions —
+// ints and durations as i64, floats as f64, enums as u8, Ops as a byte
+// string.
 func (p *Plan) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("plan: marshal: %w", err)
+	d, m, s, r := &p.Device, &p.Device.Model, &p.Server, &p.Server.Robust
+	b := make([]byte, 0, 256+len(p.ID)+len(p.Population)+len(d.Selection.StoreName)+len(d.Ops))
+	b = append(b, wireFormat)
+	b = wire.AppendStr(b, p.ID)
+	b = wire.AppendStr(b, p.Population)
+	b = append(b, byte(p.Type))
+
+	b = append(b, byte(m.Kind))
+	for _, v := range [...]int{m.Features, m.Hidden, m.Classes, m.Vocab, m.Embed} {
+		b = wire.AppendI64(b, int64(v))
 	}
-	return buf.Bytes(), nil
+	b = wire.AppendI64(b, int64(m.Seed))
+	b = wire.AppendU32(b, uint32(len(d.Ops)))
+	for _, op := range d.Ops {
+		b = append(b, byte(op))
+	}
+	b = wire.AppendStr(b, d.Selection.StoreName)
+	b = wire.AppendI64(b, int64(d.Selection.MaxExamples))
+	b = wire.AppendI64(b, int64(d.Selection.MaxAge))
+	b = wire.AppendI64(b, int64(d.BatchSize))
+	b = wire.AppendI64(b, int64(d.Epochs))
+	b = wire.AppendF64(b, d.LearningRate)
+	b = append(b, byte(d.ReportEncoding))
+	b = wire.AppendI64(b, int64(d.MinRuntimeVersion))
+	b = wire.AppendF64(b, d.ClipNorm)
+
+	b = append(b, byte(s.Aggregation))
+	b = wire.AppendI64(b, int64(s.SecAggGroupSize))
+	b = wire.AppendF64(b, s.SecAggThresholdFraction)
+	b = wire.AppendI64(b, int64(s.SecAggFinalizeTimeout))
+	b = wire.AppendI64(b, int64(s.TargetDevices))
+	b = wire.AppendF64(b, s.OverSelectFactor)
+	b = wire.AppendF64(b, s.MinReportFraction)
+	b = wire.AppendI64(b, int64(s.SelectionTimeout))
+	b = wire.AppendI64(b, int64(s.ReportTimeout))
+	b = wire.AppendI64(b, int64(s.ParticipationCap))
+	b = append(b, byte(s.ReportEncoding))
+
+	b = append(b, byte(r.Kind))
+	b = wire.AppendF64(b, r.ClipNorm)
+	b = wire.AppendF64(b, r.TrimFraction)
+	b = wire.AppendF64(b, r.MaxCosineDistance)
+	b = wire.AppendBool(b, r.QuantSafe)
+	return b, nil
 }
 
-// Unmarshal decodes a plan produced by Marshal.
+// Unmarshal decodes a plan produced by Marshal. It rejects an unknown
+// format byte, a truncated body and trailing bytes; it never panics.
 func Unmarshal(b []byte) (*Plan, error) {
-	var p Plan
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
+	if len(b) == 0 || b[0] != wireFormat {
+		return nil, fmt.Errorf("plan: unmarshal: not a format-%d plan descriptor", wireFormat)
+	}
+	rd := wire.NewReader(b[1:])
+	p := &Plan{}
+	d, m, s, r := &p.Device, &p.Device.Model, &p.Server, &p.Server.Robust
+	p.ID = rd.Str()
+	p.Population = rd.Str()
+	p.Type = TaskType(rd.U8("task type"))
+
+	m.Kind = nn.Kind(rd.U8("model kind"))
+	for _, v := range [...]*int{&m.Features, &m.Hidden, &m.Classes, &m.Vocab, &m.Embed} {
+		*v = int(rd.I64())
+	}
+	m.Seed = uint64(rd.I64())
+	if ops := rd.Bytes(); len(ops) > 0 {
+		d.Ops = make([]Op, len(ops))
+		for i, op := range ops {
+			d.Ops[i] = Op(op)
+		}
+	}
+	d.Selection.StoreName = rd.Str()
+	d.Selection.MaxExamples = int(rd.I64())
+	d.Selection.MaxAge = time.Duration(rd.I64())
+	d.BatchSize = int(rd.I64())
+	d.Epochs = int(rd.I64())
+	d.LearningRate = rd.F64()
+	d.ReportEncoding = checkpoint.Encoding(rd.U8("device report encoding"))
+	d.MinRuntimeVersion = int(rd.I64())
+	d.ClipNorm = rd.F64()
+
+	s.Aggregation = AggregationKind(rd.U8("aggregation kind"))
+	s.SecAggGroupSize = int(rd.I64())
+	s.SecAggThresholdFraction = rd.F64()
+	s.SecAggFinalizeTimeout = time.Duration(rd.I64())
+	s.TargetDevices = int(rd.I64())
+	s.OverSelectFactor = rd.F64()
+	s.MinReportFraction = rd.F64()
+	s.SelectionTimeout = time.Duration(rd.I64())
+	s.ReportTimeout = time.Duration(rd.I64())
+	s.ParticipationCap = time.Duration(rd.I64())
+	s.ReportEncoding = checkpoint.Encoding(rd.U8("server report encoding"))
+
+	r.Kind = RobustKind(rd.U8("robust kind"))
+	r.ClipNorm = rd.F64()
+	r.TrimFraction = rd.F64()
+	r.MaxCosineDistance = rd.F64()
+	r.QuantSafe = rd.Bool()
+	if err := rd.Finish(); err != nil {
 		return nil, fmt.Errorf("plan: unmarshal: %w", err)
 	}
-	return &p, nil
+	return p, nil
 }
 
 // WireSize returns the encoded plan size in bytes; the analytics layer uses

@@ -1,13 +1,16 @@
 package plan
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/nn"
+	"repro/internal/wire/wiretest"
 )
 
 func testConfig() Config {
@@ -129,28 +132,106 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	}
 }
 
+// marshalCases is every plan shape the codec must carry: a plan whose
+// every field holds a distinct non-zero value (so a field added to Plan but
+// not to Marshal/Unmarshal fails the round trip), the zero plan, and each
+// kind of generated plan together with all its ForVersion lowerings.
+func marshalCases(t testing.TB) map[string]*Plan {
+	cases := map[string]*Plan{"zero": {}, "every field distinct": {}}
+	wiretest.Fill(cases["every field distinct"])
+	for name, mod := range map[string]func(*Config){
+		"train": func(*Config) {},
+		"fused": func(c *Config) { c.UseFusedOps = true },
+		"eval":  func(c *Config) { c.Type = TaskEval },
+		"secagg": func(c *Config) {
+			c.SecureAggregation, c.SecAggThresholdFraction, c.SecAggFinalizeTimeout = true, 0.75, time.Second
+		},
+		"norm bound": func(c *Config) { c.Robust = RobustPolicy{Kind: RobustNormBound, ClipNorm: 2.5} },
+		"cosine quant-safe": func(c *Config) {
+			c.ReportEncoding = checkpoint.EncodingFloat64
+			c.Robust = RobustPolicy{Kind: RobustCosineOutlier, MaxCosineDistance: 0.7, QuantSafe: true}
+		},
+	} {
+		cfg := testConfig()
+		mod(&cfg)
+		p, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cases[name] = p
+		for v := 1; v < p.Device.MinRuntimeVersion; v++ {
+			if cases[fmt.Sprintf("%s/v%d", name, v)], err = p.ForVersion(v); err != nil {
+				t.Fatalf("%s lowered to v%d: %v", name, v, err)
+			}
+		}
+	}
+	return cases
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
-	p, _ := Generate(testConfig())
-	b, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != p.ID || got.Population != p.Population || len(got.Device.Ops) != len(p.Device.Ops) {
-		t.Fatalf("round-trip mismatch: %+v vs %+v", got, p)
-	}
-	if got.Server.TargetDevices != p.Server.TargetDevices {
-		t.Fatal("server plan lost in round-trip")
+	for name, p := range marshalCases(t) {
+		b, err := p.Marshal()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := Unmarshal(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("%s: round trip changed the plan:\n in  %+v\n out %+v", name, p, got)
+		}
+		for n := 0; n < len(b); n++ {
+			if _, err := Unmarshal(b[:n]); err == nil {
+				t.Errorf("%s truncated to %d/%d bytes decoded cleanly", name, n, len(b))
+			}
+		}
+		if _, err := Unmarshal(append(b[:len(b):len(b)], 0)); err == nil {
+			t.Errorf("%s with a trailing byte decoded cleanly", name)
+		}
 	}
 }
 
+// hostilePlans promise more bytes than they hold, behind a valid format byte.
+var hostilePlans = [][]byte{
+	{wireFormat, 0xFF, 0xFF, 0xFF, 0xFF, 'x'},        // 4 GiB ID
+	{wireFormat, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // 4 GiB Population
+}
+
 func TestUnmarshalGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte("not a plan")); err == nil {
-		t.Fatal("expected error")
+	zero, _ := (&Plan{}).Marshal()
+	zero[0] = wireFormat + 1
+	for _, b := range append(hostilePlans, nil, []byte("not a plan"), zero) {
+		if _, err := Unmarshal(b); err == nil {
+			t.Fatalf("Unmarshal(%q) succeeded", b)
+		}
 	}
+}
+
+// FuzzPlanUnmarshal: Unmarshal never panics, and whatever it accepts
+// re-encodes to bytes that decode to the same plan.
+func FuzzPlanUnmarshal(f *testing.F) {
+	for _, p := range marshalCases(f) {
+		b, _ := p.Marshal()
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+	}
+	for _, b := range hostilePlans {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := Unmarshal(b)
+		if err != nil {
+			return
+		}
+		again, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("accepted bytes are not canonical:\n in  %x\n out %x", b, again)
+		}
+	})
 }
 
 func TestWireSizeScalesWithModel(t *testing.T) {

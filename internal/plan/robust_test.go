@@ -170,24 +170,3 @@ func TestValidateRobustEvalTask(t *testing.T) {
 		t.Fatalf("Generate(eval + robust) error = %v, want eval-task rejection", err)
 	}
 }
-
-func TestRobustPolicySurvivesMarshal(t *testing.T) {
-	cfg := testConfig()
-	cfg.ReportEncoding = checkpoint.EncodingFloat64
-	cfg.Robust = RobustPolicy{Kind: RobustCosineOutlier, MaxCosineDistance: 0.7, QuantSafe: true}
-	p, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Server.Robust != p.Server.Robust {
-		t.Fatalf("robust policy did not survive marshal: %+v != %+v", q.Server.Robust, p.Server.Robust)
-	}
-}

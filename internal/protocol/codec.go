@@ -1,29 +1,25 @@
 package protocol
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
+
+	"repro/internal/wire"
 )
 
-// Binary wire codec for the five protocol messages. The gob envelope the
-// TCP transport used previously walks every value through reflection and
-// buffers it twice; with multi-MB plan/checkpoint/update payloads flowing
-// once per device per round, the codec below writes each message into a
-// single exact-size buffer instead. Layout is fixed-order big-endian
-// fields; strings and byte slices are u32-length-prefixed; durations are
-// i64 nanoseconds; metric maps are u32-count-prefixed (name, f64) pairs.
+// Binary wire codec for the protocol messages: the only serialisation a
+// message has. With multi-MB plan/checkpoint/update payloads flowing once
+// per device per round, each message is written into exact-size buffers
+// with no reflection, following internal/wire's layout conventions.
 //
 // The transport frames each payload with a wire-version byte and one of
-// these type codes; unknown message types fall back to gob (CodeGob), so
-// simulation-only or test-only messages keep working.
+// these type codes. A type without a code here cannot cross the wire.
 
 // Type codes carried in the transport frame header.
 const (
-	// CodeGob marks a gob-encoded fallback payload for message types
-	// outside the five below.
-	CodeGob byte = iota
+	// Code 0 is reserved and never assigned, so an all-zero frame is
+	// rejected like any unknown code.
+	_ byte = iota
 	CodeCheckinRequest
 	CodeCheckinResponse
 	CodeReportRequest
@@ -37,13 +33,16 @@ const (
 	CodeShardHello
 	CodeCheckinRate
 	CodeActorEnvelope
-	CodeLockRequest
-	CodeLockResponse
 	CodeHeartbeat
 	CodeTelemetrySnapshot
+	codeEnd
 )
 
-// MarshalBinaryParts encodes one of the five protocol messages as an
+// KnownCode reports whether code names a message type, so a transport can
+// reject a frame by its header before committing memory to its payload.
+func KnownCode(code byte) bool { return code > 0 && code < codeEnd }
+
+// MarshalBinaryParts encodes one protocol message as an
 // ordered list of byte segments whose concatenation is the MarshalBinary
 // payload. Large byte-slice fields — a ReportRequest's Update, a
 // CheckinResponse's Plan and Checkpoint — are returned as their own
@@ -51,57 +50,56 @@ const (
 // with vectored writes ships a multi-MB update without ever building a
 // contiguous frame: the per-report O(dim) payload copy disappears from the
 // uplink hot path. Callers must not mutate the message's byte fields until
-// the parts have been written. ok is false for any other type, which the
-// transport then routes through the gob fallback.
+// the parts have been written. ok is false for any other type.
 func MarshalBinaryParts(msg interface{}) (code byte, parts [][]byte, ok bool) {
 	switch m := msg.(type) {
 	case CheckinRequest:
-		buf := make([]byte, 0, sizeStr(m.DeviceID)+sizeStr(m.Population)+8+sizeBytes(m.AttestationToken))
-		buf = appendStr(buf, m.DeviceID)
-		buf = appendStr(buf, m.Population)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(m.RuntimeVersion)))
-		buf = appendBytes(buf, m.AttestationToken)
+		buf := make([]byte, 0, wire.SizeStr(m.DeviceID)+wire.SizeStr(m.Population)+8+wire.SizeBytes(m.AttestationToken))
+		buf = wire.AppendStr(buf, m.DeviceID)
+		buf = wire.AppendStr(buf, m.Population)
+		buf = wire.AppendI64(buf, int64(m.RuntimeVersion))
+		buf = wire.AppendBytes(buf, m.AttestationToken)
 		return CodeCheckinRequest, [][]byte{buf}, true
 	case CheckinResponse:
-		head := make([]byte, 0, 1+8+sizeStr(m.Reason)+sizeStr(m.TaskID)+8+4)
-		head = appendBool(head, m.Accepted)
-		head = binary.BigEndian.AppendUint64(head, uint64(int64(m.RetryAfter)))
-		head = appendStr(head, m.Reason)
-		head = appendStr(head, m.TaskID)
-		head = binary.BigEndian.AppendUint64(head, uint64(m.Round))
-		head = binary.BigEndian.AppendUint32(head, uint32(len(m.Plan)))
+		head := make([]byte, 0, 1+8+wire.SizeStr(m.Reason)+wire.SizeStr(m.TaskID)+8+4)
+		head = wire.AppendBool(head, m.Accepted)
+		head = wire.AppendI64(head, int64(m.RetryAfter))
+		head = wire.AppendStr(head, m.Reason)
+		head = wire.AppendStr(head, m.TaskID)
+		head = wire.AppendI64(head, m.Round)
+		head = wire.AppendU32(head, uint32(len(m.Plan)))
 		mid := make([]byte, 0, 4)
-		mid = binary.BigEndian.AppendUint32(mid, uint32(len(m.Checkpoint)))
+		mid = wire.AppendU32(mid, uint32(len(m.Checkpoint)))
 		tail := make([]byte, 0, 8)
-		tail = binary.BigEndian.AppendUint64(tail, uint64(int64(m.ReportDeadline)))
+		tail = wire.AppendI64(tail, int64(m.ReportDeadline))
 		return CodeCheckinResponse, [][]byte{head, m.Plan, mid, m.Checkpoint, tail}, true
 	case ReportRequest:
-		head := make([]byte, 0, sizeStr(m.DeviceID)+sizeStr(m.TaskID)+8+4)
-		head = appendStr(head, m.DeviceID)
-		head = appendStr(head, m.TaskID)
-		head = binary.BigEndian.AppendUint64(head, uint64(m.Round))
-		head = binary.BigEndian.AppendUint32(head, uint32(len(m.Update)))
-		tail := make([]byte, 0, sizeMetrics(m.Metrics)+1)
-		tail = appendMetrics(tail, m.Metrics)
-		tail = appendBool(tail, m.Aborted)
+		head := make([]byte, 0, wire.SizeStr(m.DeviceID)+wire.SizeStr(m.TaskID)+8+4)
+		head = wire.AppendStr(head, m.DeviceID)
+		head = wire.AppendStr(head, m.TaskID)
+		head = wire.AppendI64(head, m.Round)
+		head = wire.AppendU32(head, uint32(len(m.Update)))
+		tail := make([]byte, 0, wire.SizeMetrics(m.Metrics)+1)
+		tail = wire.AppendMetrics(tail, m.Metrics)
+		tail = wire.AppendBool(tail, m.Aborted)
 		return CodeReportRequest, [][]byte{head, m.Update, tail}, true
 	case ReportResponse:
-		buf := make([]byte, 0, 1+sizeStr(m.Reason)+8)
-		buf = appendBool(buf, m.Accepted)
-		buf = appendStr(buf, m.Reason)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(m.RetryAfter)))
+		buf := make([]byte, 0, 1+wire.SizeStr(m.Reason)+8)
+		buf = wire.AppendBool(buf, m.Accepted)
+		buf = wire.AppendStr(buf, m.Reason)
+		buf = wire.AppendI64(buf, int64(m.RetryAfter))
 		return CodeReportResponse, [][]byte{buf}, true
 	case Abort:
-		buf := make([]byte, 0, sizeStr(m.TaskID)+8+sizeStr(m.Reason))
-		buf = appendStr(buf, m.TaskID)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-		buf = appendStr(buf, m.Reason)
+		buf := make([]byte, 0, wire.SizeStr(m.TaskID)+8+wire.SizeStr(m.Reason))
+		buf = wire.AppendStr(buf, m.TaskID)
+		buf = wire.AppendI64(buf, m.Round)
+		buf = wire.AppendStr(buf, m.Reason)
 		return CodeAbort, [][]byte{buf}, true
 	}
 	return marshalShardParts(msg)
 }
 
-// MarshalBinary encodes one of the five protocol messages into a single
+// MarshalBinary encodes one protocol message into a single
 // contiguous buffer (the concatenation of MarshalBinaryParts). ok is false
 // for any other type.
 func MarshalBinary(msg interface{}) (code byte, payload []byte, ok bool) {
@@ -128,47 +126,47 @@ func MarshalBinary(msg interface{}) (code byte, payload []byte, ok bool) {
 // decode is copy-free). A truncated or inconsistent payload returns an
 // error, never panics.
 func UnmarshalBinary(code byte, payload []byte) (interface{}, error) {
-	r := &reader{b: payload}
+	r := wire.NewReader(payload)
 	var msg interface{}
 	switch code {
 	case CodeCheckinRequest:
 		m := CheckinRequest{}
-		m.DeviceID = r.str()
-		m.Population = r.str()
-		m.RuntimeVersion = int(r.i64())
-		m.AttestationToken = r.bytes()
+		m.DeviceID = r.Str()
+		m.Population = r.Str()
+		m.RuntimeVersion = int(r.I64())
+		m.AttestationToken = r.Bytes()
 		msg = m
 	case CodeCheckinResponse:
 		m := CheckinResponse{}
-		m.Accepted = r.bool()
-		m.RetryAfter = time.Duration(r.i64())
-		m.Reason = r.str()
-		m.TaskID = r.str()
-		m.Round = r.i64()
-		m.Plan = r.bytes()
-		m.Checkpoint = r.bytes()
-		m.ReportDeadline = time.Duration(r.i64())
+		m.Accepted = r.Bool()
+		m.RetryAfter = time.Duration(r.I64())
+		m.Reason = r.Str()
+		m.TaskID = r.Str()
+		m.Round = r.I64()
+		m.Plan = r.Bytes()
+		m.Checkpoint = r.Bytes()
+		m.ReportDeadline = time.Duration(r.I64())
 		msg = m
 	case CodeReportRequest:
 		m := ReportRequest{}
-		m.DeviceID = r.str()
-		m.TaskID = r.str()
-		m.Round = r.i64()
-		m.Update = r.bytes()
-		m.Metrics = r.metrics()
-		m.Aborted = r.bool()
+		m.DeviceID = r.Str()
+		m.TaskID = r.Str()
+		m.Round = r.I64()
+		m.Update = r.Bytes()
+		m.Metrics = r.Metrics()
+		m.Aborted = r.Bool()
 		msg = m
 	case CodeReportResponse:
 		m := ReportResponse{}
-		m.Accepted = r.bool()
-		m.Reason = r.str()
-		m.RetryAfter = time.Duration(r.i64())
+		m.Accepted = r.Bool()
+		m.Reason = r.Str()
+		m.RetryAfter = time.Duration(r.I64())
 		msg = m
 	case CodeAbort:
 		m := Abort{}
-		m.TaskID = r.str()
-		m.Round = r.i64()
-		m.Reason = r.str()
+		m.TaskID = r.Str()
+		m.Round = r.I64()
+		m.Reason = r.Str()
 		msg = m
 	default:
 		m, handled := unmarshalShard(code, r)
@@ -177,135 +175,8 @@ func UnmarshalBinary(code byte, payload []byte) (interface{}, error) {
 		}
 		msg = m
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("protocol: %d trailing bytes after type %d", len(r.b), code)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("protocol: type code %d: %w", code, err)
 	}
 	return msg, nil
-}
-
-// --- encoding helpers ---
-
-func sizeStr(s string) int   { return 4 + len(s) }
-func sizeBytes(b []byte) int { return 4 + len(b) }
-func sizeMetrics(m map[string]float64) int {
-	n := 4
-	for k := range m {
-		n += sizeStr(k) + 8
-	}
-	return n
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-func appendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func appendMetrics(buf []byte, m map[string]float64) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m)))
-	for k, v := range m {
-		buf = appendStr(buf, k)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
-// --- decoding helpers ---
-
-// reader consumes a payload front to back, latching the first error.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("protocol: truncated %s (%d bytes left)", what, len(r.b))
-	}
-}
-
-func (r *reader) take(n int, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b) < n {
-		r.fail(what)
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *reader) u32(what string) int {
-	b := r.take(4, what)
-	if b == nil {
-		return 0
-	}
-	return int(binary.BigEndian.Uint32(b))
-}
-
-func (r *reader) i64() int64 {
-	b := r.take(8, "int64")
-	if b == nil {
-		return 0
-	}
-	return int64(binary.BigEndian.Uint64(b))
-}
-
-func (r *reader) bool() bool {
-	b := r.take(1, "bool")
-	return b != nil && b[0] != 0
-}
-
-func (r *reader) str() string {
-	n := r.u32("string length")
-	return string(r.take(n, "string"))
-}
-
-// bytes returns the field aliased into the payload; nil-length fields decode
-// as nil so round-trips preserve emptiness.
-func (r *reader) bytes() []byte {
-	n := r.u32("bytes length")
-	if n == 0 {
-		return nil
-	}
-	return r.take(n, "bytes")
-}
-
-func (r *reader) metrics() map[string]float64 {
-	n := r.u32("metrics count")
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	// Each entry is ≥ 12 bytes; reject counts the payload cannot hold
-	// before allocating.
-	if n > len(r.b)/12 {
-		r.fail("metrics entries")
-		return nil
-	}
-	m := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		k := r.str()
-		v := r.i64()
-		if r.err != nil {
-			return nil
-		}
-		m[k] = math.Float64frombits(uint64(v))
-	}
-	return m
 }

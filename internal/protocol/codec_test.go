@@ -1,9 +1,12 @@
 package protocol
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/wire/wiretest"
 )
 
 // binRoundTrip pushes a message through the binary codec and back.
@@ -20,8 +23,10 @@ func binRoundTrip(t *testing.T, msg interface{}) interface{} {
 	return out
 }
 
-func TestBinaryCodecRoundTripsAllMessages(t *testing.T) {
-	msgs := []interface{}{
+// deviceMessages returns populated and sparse instances of the five
+// device-facing wire messages.
+func deviceMessages() []interface{} {
+	return []interface{}{
 		CheckinRequest{DeviceID: "d1", Population: "pop", RuntimeVersion: 3,
 			AttestationToken: []byte{1, 2, 3}},
 		CheckinRequest{DeviceID: "", Population: "p"},
@@ -34,6 +39,26 @@ func TestBinaryCodecRoundTripsAllMessages(t *testing.T) {
 		ReportResponse{Accepted: true, RetryAfter: time.Minute},
 		ReportResponse{Accepted: false, Reason: "reporting window closed"},
 		Abort{TaskID: "t", Round: 2, Reason: "enough devices"},
+	}
+}
+
+// TestBinaryCodecRoundTripsAllMessages is also the codec's field-coverage
+// guard: each message type additionally round-trips with every field set to
+// a distinct non-zero value, so a field added to a message but not to its
+// codec case fails here.
+func TestBinaryCodecRoundTripsAllMessages(t *testing.T) {
+	msgs := append(deviceMessages(), shardMessages()...)
+	seen := map[reflect.Type]bool{}
+	for _, m := range msgs[:len(msgs):len(msgs)] {
+		if typ := reflect.TypeOf(m); !seen[typ] {
+			seen[typ] = true
+			filled := reflect.New(typ)
+			wiretest.Fill(filled.Interface())
+			msgs = append(msgs, filled.Elem().Interface())
+		}
+	}
+	if len(seen) != int(codeEnd)-1 {
+		t.Fatalf("%d message types exercised, %d codes assigned", len(seen), codeEnd-1)
 	}
 	for _, in := range msgs {
 		out := binRoundTrip(t, in)
@@ -70,7 +95,7 @@ func TestBinaryCodecLargePayloads(t *testing.T) {
 
 func TestBinaryCodecRejectsUnknownTypes(t *testing.T) {
 	if _, _, ok := MarshalBinary("not a protocol message"); ok {
-		t.Fatal("strings must fall through to the gob path")
+		t.Fatal("a string is not a wire message")
 	}
 	if _, _, ok := MarshalBinary(&CheckinRequest{}); ok {
 		t.Fatal("pointer forms are not wire messages")
@@ -78,8 +103,8 @@ func TestBinaryCodecRejectsUnknownTypes(t *testing.T) {
 	if _, err := UnmarshalBinary(99, nil); err == nil {
 		t.Fatal("unknown type code must error")
 	}
-	if _, err := UnmarshalBinary(CodeGob, nil); err == nil {
-		t.Fatal("the gob code is the transport's, not the codec's")
+	if _, err := UnmarshalBinary(0, nil); err == nil {
+		t.Fatal("code 0 is reserved: an all-zero frame must not parse")
 	}
 }
 
@@ -111,7 +136,15 @@ func TestBinaryCodecTruncationSafe(t *testing.T) {
 // than the payload holds, including a metrics count that would allocate
 // gigabytes if trusted.
 func TestBinaryCodecHostileLengths(t *testing.T) {
-	hostile := [][2]interface{}{
+	for _, h := range hostileDevicePayloads() {
+		if _, err := UnmarshalBinary(h[0].(byte), h[1].([]byte)); err == nil {
+			t.Errorf("hostile payload for code %d decoded cleanly", h[0])
+		}
+	}
+}
+
+func hostileDevicePayloads() [][2]interface{} {
+	return [][2]interface{}{
 		{CodeCheckinRequest, []byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}},
 		{CodeReportRequest, []byte{
 			0, 0, 0, 0, // DeviceID ""
@@ -121,9 +154,42 @@ func TestBinaryCodecHostileLengths(t *testing.T) {
 			0xFF, 0xFF, 0xFF, 0xFF, // metrics count 4 billion
 		}},
 	}
-	for _, h := range hostile {
-		if _, err := UnmarshalBinary(h[0].(byte), h[1].([]byte)); err == nil {
-			t.Errorf("hostile payload for code %d decoded cleanly", h[0])
-		}
+}
+
+// FuzzUnmarshalBinary drives the one parser with every type code: it never
+// panics, and whatever it accepts re-encodes under the same code to a
+// payload that decodes to the same message.
+func FuzzUnmarshalBinary(f *testing.F) {
+	for _, m := range append(deviceMessages(), shardMessages()...) {
+		code, payload, _ := MarshalBinary(m)
+		f.Add(code, payload)
+		f.Add(code, payload[:len(payload)/2])
 	}
+	for _, h := range hostileDevicePayloads() {
+		f.Add(h[0].(byte), h[1].([]byte))
+	}
+	for _, h := range hostileShardPayloads() {
+		f.Add(h[0].(byte), h[1].([]byte))
+	}
+	f.Fuzz(func(t *testing.T, code byte, payload []byte) {
+		msg, err := UnmarshalBinary(code, payload)
+		if err != nil {
+			return
+		}
+		if e, ok := msg.(ActorEnvelope); ok {
+			_, _ = e.Message()
+		}
+		code2, again, ok := MarshalBinary(msg)
+		if !ok || code2 != code {
+			t.Fatalf("decoded %T under code %d re-encodes as (%d, %v)", msg, code, code2, ok)
+		}
+		msg2, err := UnmarshalBinary(code2, again)
+		if err != nil {
+			t.Fatalf("re-encoded %T does not decode: %v", msg, err)
+		}
+		// Printed form, not DeepEqual: NaN metric values are legal.
+		if fmt.Sprintf("%#v", msg) != fmt.Sprintf("%#v", msg2) {
+			t.Fatalf("not a fixed point:\n first  %#v\n second %#v", msg, msg2)
+		}
+	})
 }

@@ -79,7 +79,7 @@ func TestMarshalBinaryPartsAliasesLargeFields(t *testing.T) {
 	}
 }
 
-// TestMarshalBinaryPartsUnknownType falls through to the gob path marker.
+// TestMarshalBinaryPartsUnknownType: a type without a codec is not claimed.
 func TestMarshalBinaryPartsUnknownType(t *testing.T) {
 	if _, _, ok := MarshalBinaryParts(struct{ X int }{1}); ok {
 		t.Fatal("unknown type must not be claimed by the binary codec")

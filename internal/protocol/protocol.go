@@ -5,10 +5,7 @@
 // and the TCP transport (cmd/flserver).
 package protocol
 
-import (
-	"encoding/gob"
-	"time"
-)
+import "time"
 
 // CheckinRequest announces a device's readiness to run an FL task for a
 // population (Sec. 2.2, Selection).
@@ -70,13 +67,4 @@ type Abort struct {
 	TaskID string
 	Round  int64
 	Reason string
-}
-
-func init() {
-	// Register every message for the gob-based TCP transport.
-	gob.Register(CheckinRequest{})
-	gob.Register(CheckinResponse{})
-	gob.Register(ReportRequest{})
-	gob.Register(ReportResponse{})
-	gob.Register(Abort{})
 }

@@ -1,17 +1,17 @@
 package protocol
 
 import (
-	"encoding/gob"
+	"fmt"
 	"time"
 )
 
 // Sharded-deployment wire messages (Sec. 4.2–4.3 scaled out across
 // processes): a fleet of flselector processes terminates device
 // connections and runs the edge decode-and-accumulate stripes; one
-// coordinator process owns round state, task sets, pacing, and the lock
-// service. The messages below flow on the selector↔coordinator peer links
-// managed by internal/remote. Like the device messages, they ride the
-// length-prefixed binary codec — see codec.go.
+// coordinator process owns round state, task sets and pacing. The messages
+// below flow on the selector↔coordinator peer links managed by
+// internal/remote. Like the device messages, they ride the length-prefixed
+// binary codec — see codec.go.
 
 // ShardHello is the first message on a fresh selector→coordinator
 // connection: it announces the shard's identity so the coordinator can
@@ -32,41 +32,31 @@ type Heartbeat struct {
 }
 
 // ActorEnvelope carries a message addressed to a named actor on the peer
-// process — the wire form behind remote actor refs. The payload is a
-// gob-encoded envelope (control-plane messages only; bulk payloads get
-// their own binary-codec message types).
+// process — the wire form behind remote actor refs. Payload is the type
+// code of any other protocol message followed by its binary body.
 type ActorEnvelope struct {
 	// Target names the destination actor in the peer's registry.
 	Target  string
 	Payload []byte
 }
 
-// Lock RPC opcodes.
-const (
-	// LockAcquire attempts to take the lease for Key on behalf of Owner.
-	LockAcquire uint8 = iota
-	// LockRelease frees the lease if Owner holds it.
-	LockRelease
-	// LockOwner queries the current live owner.
-	LockOwner
-)
-
-// LockRequest is one lock-service RPC (the Sec. 4.2 lock service served
-// over the wire). Seq correlates the response on a shared peer link.
-type LockRequest struct {
-	Seq   uint64
-	Op    uint8
-	Key   string
-	Owner string
+// NewActorEnvelope wraps msg, which must be a protocol message other than
+// an ActorEnvelope, for delivery to the named actor.
+func NewActorEnvelope(target string, msg interface{}) (ActorEnvelope, error) {
+	code, body, ok := MarshalBinary(msg)
+	if !ok || code == CodeActorEnvelope {
+		return ActorEnvelope{}, fmt.Errorf("protocol: %T cannot ride an actor envelope", msg)
+	}
+	payload := make([]byte, 0, 1+len(body))
+	return ActorEnvelope{Target: target, Payload: append(append(payload, code), body...)}, nil
 }
 
-// LockResponse answers a LockRequest. OK reports acquire success (or, for
-// LockOwner, whether a live owner exists); Owner echoes the current
-// holder's name.
-type LockResponse struct {
-	Seq   uint64
-	OK    bool
-	Owner string
+// Message decodes the enveloped message. Byte fields alias Payload.
+func (e ActorEnvelope) Message() (interface{}, error) {
+	if len(e.Payload) == 0 || e.Payload[0] == CodeActorEnvelope {
+		return nil, fmt.Errorf("protocol: actor envelope for %q is empty or nested", e.Target)
+	}
+	return UnmarshalBinary(e.Payload[0], e.Payload[1:])
 }
 
 // RoundConfig opens a round on a selector shard (coordinator→shard): the
@@ -195,20 +185,4 @@ type CheckinRate struct {
 	// Demand is the shard's current selection demand, used to invert the
 	// steering policy's mean wait.
 	Demand int64
-}
-
-func init() {
-	// Registered for the gob fallback path, though all of these normally
-	// ride the binary codec.
-	gob.Register(ShardHello{})
-	gob.Register(Heartbeat{})
-	gob.Register(ActorEnvelope{})
-	gob.Register(LockRequest{})
-	gob.Register(LockResponse{})
-	gob.Register(RoundConfig{})
-	gob.Register(RoundFinalize{})
-	gob.Register(RoundAbort{})
-	gob.Register(StripeSeal{})
-	gob.Register(CheckinRate{})
-	gob.Register(TelemetrySnapshot{})
 }

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/plan"
 )
 
 // shardMessages returns one populated and one zero-valued instance of every
@@ -35,12 +37,8 @@ func shardMessages() []interface{} {
 		CheckinRate{Population: "pop", Shard: 1, Source: "shard-1/selector-0",
 			Count: 42, Elapsed: time.Second, Demand: 7},
 		CheckinRate{},
-		ActorEnvelope{Target: "coordinator/gboard", Payload: []byte{1, 2, 3}},
+		ActorEnvelope{Target: "coordinator/gboard", Payload: []byte{CodeHeartbeat, 0, 0, 0, 0, 0, 0, 0, 99, 1}},
 		ActorEnvelope{},
-		LockRequest{Seq: 11, Op: 2, Key: "coordinator/pop", Owner: "shard-0"},
-		LockRequest{},
-		LockResponse{Seq: 11, OK: true, Owner: "shard-0"},
-		LockResponse{},
 		Heartbeat{Seq: 99, Ack: true},
 		Heartbeat{},
 		TelemetrySnapshot{Shard: 3, Name: "shard-3",
@@ -51,11 +49,32 @@ func shardMessages() []interface{} {
 	}
 }
 
-func TestShardCodecRoundTripsAllMessages(t *testing.T) {
-	for _, in := range shardMessages() {
-		out := binRoundTrip(t, in)
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("round trip changed %T:\n in  %+v\n out %+v", in, in, out)
+// TestActorEnvelopeCarriesAnyOtherMessage wraps every wire message: the
+// envelope's payload is the message's own code and body, decoded by the one
+// parser, and an envelope cannot ride inside an envelope.
+func TestActorEnvelopeCarriesAnyOtherMessage(t *testing.T) {
+	for _, in := range append(deviceMessages(), shardMessages()...) {
+		env, err := NewActorEnvelope("sink", in)
+		if _, nested := in.(ActorEnvelope); nested {
+			if err == nil {
+				t.Error("an envelope was wrapped in an envelope")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := binRoundTrip(t, env).(ActorEnvelope).Message()
+		if err != nil || !reflect.DeepEqual(in, out) {
+			t.Errorf("envelope changed %T: %v\n in  %+v\n out %+v", in, err, in, out)
+		}
+	}
+	if _, err := NewActorEnvelope("sink", struct{ X int }{1}); err == nil {
+		t.Error("a type without a codec was wrapped")
+	}
+	for _, payload := range [][]byte{nil, {0}, {CodeActorEnvelope, 0, 0, 0, 0, 0, 0, 0, 0}, {CodeHeartbeat, 1}} {
+		if _, err := (ActorEnvelope{Payload: payload}).Message(); err == nil {
+			t.Errorf("envelope payload %v decoded cleanly", payload)
 		}
 	}
 }
@@ -134,8 +153,6 @@ func hostileShardPayloads() map[string][2]interface{} {
 		"shard-hello name 4GiB":        {CodeShardHello, hU32(hU32(nil, 1), 0xFFFFFFFF)},
 		"checkin-rate source 4GiB":     {CodeCheckinRate, hU32(hU32(hStr(nil, "pop"), 0), 0xFFFFFFFF)},
 		"actor-envelope payload 2GiB":  {CodeActorEnvelope, hU32(hStr(nil, "t"), 0x7FFFFFFF)},
-		"lock-request key 4GiB":        {CodeLockRequest, hU32(append(hU64(nil, 1), 2), 0xFFFFFFFF)},
-		"lock-response owner 4GiB":     {CodeLockResponse, hU32(append(hU64(nil, 1), 1), 0xFFFFFFFF)},
 		"telemetry name 4GiB":          {CodeTelemetrySnapshot, hU32(hU32(nil, 1), 0xFFFFFFFF)},
 		"telemetry 1B counters":        {CodeTelemetrySnapshot, hU32(hStr(hU32(nil, 1), "s"), 0x40000000)},
 		"telemetry 1B gauges": {CodeTelemetrySnapshot,
@@ -153,20 +170,12 @@ func TestShardCodecHostileLengths(t *testing.T) {
 	}
 }
 
-// TestShardCodecUnknownTypeCodes walks every unassigned code: decode must
-// reject it without touching the payload.
+// TestShardCodecUnknownTypeCodes walks every unassigned code, the reserved
+// code 0 among them: decode must reject it without touching the payload.
 func TestShardCodecUnknownTypeCodes(t *testing.T) {
-	known := map[byte]bool{
-		CodeGob: true, CodeCheckinRequest: true, CodeCheckinResponse: true,
-		CodeReportRequest: true, CodeReportResponse: true, CodeAbort: true,
-		CodeStripeSeal: true, CodeRoundConfig: true, CodeRoundFinalize: true,
-		CodeRoundAbort: true, CodeShardHello: true, CodeCheckinRate: true,
-		CodeActorEnvelope: true, CodeLockRequest: true, CodeLockResponse: true,
-		CodeHeartbeat: true, CodeTelemetrySnapshot: true,
-	}
 	payload := make([]byte, 64)
 	for c := 0; c < 256; c++ {
-		if known[byte(c)] {
+		if KnownCode(byte(c)) {
 			continue
 		}
 		if _, err := UnmarshalBinary(byte(c), payload); err == nil {
@@ -176,10 +185,19 @@ func TestShardCodecUnknownTypeCodes(t *testing.T) {
 }
 
 // TestShardCodecHostileAllocationBounded decodes every hostile payload many
-// times and asserts the heap growth stays far below the multi-GiB claims:
-// rejection must happen before any claim-sized allocation.
+// times — bare, inside an actor envelope, and as a plan descriptor — and
+// asserts the heap growth stays far below the multi-GiB claims: rejection
+// must happen before any claim-sized allocation.
 func TestShardCodecHostileAllocationBounded(t *testing.T) {
 	hostile := hostileShardPayloads()
+	// A plan whose Ops field claims 2 GiB, after format, ID, Population,
+	// Type, model Kind, five model dimensions and Seed.
+	zeroPlan, _ := (&plan.Plan{}).Marshal()
+	const opsAt = 1 + 4 + 4 + 1 + 1 + 5*8 + 8
+	hostilePlan := append(zeroPlan[:opsAt:opsAt], 0x7F, 0xFF, 0xFF, 0xFF)
+	if _, err := plan.Unmarshal(hostilePlan); err == nil {
+		t.Fatal("plan with a 2 GiB op list decoded cleanly")
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -187,11 +205,13 @@ func TestShardCodecHostileAllocationBounded(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		for _, h := range hostile {
 			_, _ = UnmarshalBinary(h[0].(byte), h[1].([]byte))
+			_, _ = ActorEnvelope{Payload: append([]byte{h[0].(byte)}, h[1].([]byte)...)}.Message()
 		}
+		_, _ = plan.Unmarshal(hostilePlan)
 	}
 	runtime.ReadMemStats(&after)
 	grew := after.TotalAlloc - before.TotalAlloc
-	// ~1100 rejected decodes of payloads claiming GiBs must stay under a
+	// ~4000 rejected decodes of payloads claiming GiBs must stay under a
 	// few MiB of cumulative allocation (error values and small headers).
 	if grew > 8<<20 {
 		t.Fatalf("hostile decodes allocated %d bytes total over %d iterations", grew, iters*len(hostile))

@@ -1,20 +1,15 @@
-// Package remote makes actor references and the lock service
-// location-transparent across processes (Sec. 4.1: actor instances "may be
-// co-located on the same process or distributed across multiple data
-// centers"). A Peer manages one outbound connection to another process —
-// dial, reconnect with exponential backoff, heartbeat liveness — over
-// internal/transport's length-prefixed codec. On top of it, Ref implements
-// actor.Ref by marshaling messages into protocol.ActorEnvelope frames, and
-// LockClient speaks the lock-service RPCs. The serving side (session.go)
-// routes inbound envelopes to a local actor registry and serves the lock
-// service, with per-connection owner refs whose liveness IS the connection,
-// so a lease held by a dead peer is stealable exactly like one held by a
-// dead local actor.
+// Package remote makes actor references location-transparent across
+// processes (Sec. 4.1: actor instances "may be co-located on the same
+// process or distributed across multiple data centers"). A Peer manages one
+// outbound connection to another process — dial, reconnect with exponential
+// backoff, heartbeat liveness — over internal/transport's length-prefixed
+// codec. On top of it, Ref implements actor.Ref by marshaling messages into
+// protocol.ActorEnvelope frames. The serving side (session.go) answers
+// heartbeats and routes inbound envelopes to a local actor registry.
 package remote
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,15 +34,6 @@ type Options struct {
 	// BackoffMin/BackoffMax bound the reconnect backoff (defaults 50ms, 5s).
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// CallTimeout bounds a Call round-trip (default 5s).
-	CallTimeout time.Duration
-	// CallRetryBudget is the total time a lock RPC may spend retrying
-	// across link drops before failing (default 2s). Within the budget, a
-	// call issued while the link is down — or dropped mid-flight by a
-	// reconnect — is retried with jittered backoff instead of failing fast,
-	// so a sub-second redial no longer fails the caller's round. Zero or
-	// negative disables retries (legacy fail-fast behavior is Budget < 0).
-	CallRetryBudget time.Duration
 	// OnUp/OnDown are invoked from the peer's management goroutine when the
 	// connection (re)establishes or drops. They must not block.
 	OnUp   func()
@@ -66,12 +52,6 @@ func (o *Options) defaults() {
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 5 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 5 * time.Second
-	}
-	if o.CallRetryBudget == 0 {
-		o.CallRetryBudget = 2 * time.Second
 	}
 }
 
@@ -93,9 +73,6 @@ func (o Options) Validate() error {
 	}
 	if o.BackoffMin > 0 && o.BackoffMax > 0 && o.BackoffMin > o.BackoffMax {
 		return fmt.Errorf("remote: backoff min %v exceeds max %v", o.BackoffMin, o.BackoffMax)
-	}
-	if o.CallTimeout < 0 {
-		return fmt.Errorf("remote: call timeout %v must be >= 0", o.CallTimeout)
 	}
 	return nil
 }
@@ -121,17 +98,13 @@ type Peer struct {
 	sent  atomic.Uint64
 	acked atomic.Uint64
 
-	callMu  sync.Mutex
-	callSeq uint64
-	calls   map[uint64]chan protocol.LockResponse
-
 	done chan struct{}
 }
 
 // NewPeer starts managing a connection to the named peer. handler receives
-// every inbound message that is not connection infrastructure (heartbeats,
-// lock responses); it runs on the peer's reader goroutine and must not
-// block indefinitely. The first dial happens immediately in the background.
+// every inbound message that is not a heartbeat; it runs on the peer's
+// reader goroutine and must not block indefinitely. The first dial happens
+// immediately in the background.
 func NewPeer(name string, dial Dialer, handler func(msg interface{}), opts Options) *Peer {
 	opts.defaults()
 	if handler == nil {
@@ -142,7 +115,6 @@ func NewPeer(name string, dial Dialer, handler func(msg interface{}), opts Optio
 		dial:    dial,
 		opts:    opts,
 		handler: handler,
-		calls:   make(map[uint64]chan protocol.LockResponse),
 		done:    make(chan struct{}),
 	}
 	go p.run()
@@ -185,7 +157,6 @@ func (p *Peer) Close() {
 	if conn != nil {
 		conn.Close()
 	}
-	p.failCalls()
 }
 
 // run is the management loop: dial, pump, backoff, repeat.
@@ -198,6 +169,13 @@ func (p *Peer) run() {
 		default:
 		}
 		conn, err := p.dial()
+		if err == nil && p.opts.Hello != nil {
+			// A peer that accepts and then resets fails here, not at dial;
+			// it must back off the same way or this loop spins.
+			if err = conn.Send(p.opts.Hello); err != nil {
+				conn.Close()
+			}
+		}
 		if err != nil {
 			select {
 			case <-p.done:
@@ -209,12 +187,6 @@ func (p *Peer) run() {
 				backoff = p.opts.BackoffMax
 			}
 			continue
-		}
-		if p.opts.Hello != nil {
-			if err := conn.Send(p.opts.Hello); err != nil {
-				conn.Close()
-				continue
-			}
 		}
 		p.mu.Lock()
 		if p.closed {
@@ -240,7 +212,6 @@ func (p *Peer) run() {
 		closed := p.closed
 		p.mu.Unlock()
 		conn.Close()
-		p.failCalls()
 		if p.opts.OnDown != nil && !closed {
 			p.opts.OnDown(err)
 		}
@@ -295,8 +266,8 @@ func (p *Peer) pump(conn transport.Conn) error {
 	}
 }
 
-// dispatch routes one inbound message: heartbeat echoes and lock responses
-// are infrastructure, everything else goes to the handler.
+// dispatch routes one inbound message: heartbeats are infrastructure,
+// everything else goes to the handler.
 func (p *Peer) dispatch(conn transport.Conn, msg interface{}) {
 	switch m := msg.(type) {
 	case protocol.Heartbeat:
@@ -311,93 +282,7 @@ func (p *Peer) dispatch(conn transport.Conn, msg interface{}) {
 		} else {
 			_ = conn.Send(protocol.Heartbeat{Seq: m.Seq, Ack: true})
 		}
-	case protocol.LockResponse:
-		p.callMu.Lock()
-		ch, ok := p.calls[m.Seq]
-		if ok {
-			delete(p.calls, m.Seq)
-		}
-		p.callMu.Unlock()
-		if ok {
-			ch <- m
-		}
 	default:
 		p.handler(msg)
-	}
-}
-
-// call performs one seq-correlated lock RPC over the shared link, retrying
-// across link drops within the CallRetryBudget: a call issued during a
-// redial window — or torn mid-flight by a reconnect — re-sends with a fresh
-// sequence and jittered backoff instead of failing the caller. The lock RPCs
-// are idempotent (Acquire re-asserts the same owner, Release and Owner are
-// repeatable), so a retry after a torn-but-delivered request is safe. A
-// CallTimeout with the link up is NOT retried: the peer is reachable and
-// silent, and re-sending would only double the wait.
-func (p *Peer) call(req protocol.LockRequest) (protocol.LockResponse, error) {
-	deadline := time.Now().Add(p.opts.CallRetryBudget)
-	backoff := 10 * time.Millisecond
-	for {
-		resp, err, retryable := p.callOnce(req)
-		if err == nil || !retryable || p.opts.CallRetryBudget <= 0 {
-			return resp, err
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return resp, fmt.Errorf("%w (retry budget %v exhausted)", err, p.opts.CallRetryBudget)
-		}
-		// Jittered backoff, capped to what the budget has left.
-		wait := backoff + time.Duration(rand.Int63n(int64(backoff)))
-		if wait > remain {
-			wait = remain
-		}
-		select {
-		case <-p.done:
-			return protocol.LockResponse{}, fmt.Errorf("remote: peer %s closed", p.name)
-		case <-time.After(wait):
-		}
-		if backoff < 80*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-// callOnce performs a single RPC attempt. retryable marks failures caused
-// by link churn (down at send, dropped mid-flight) rather than by the peer.
-func (p *Peer) callOnce(req protocol.LockRequest) (resp protocol.LockResponse, err error, retryable bool) {
-	ch := make(chan protocol.LockResponse, 1)
-	p.callMu.Lock()
-	p.callSeq++
-	req.Seq = p.callSeq
-	p.calls[req.Seq] = ch
-	p.callMu.Unlock()
-	if err := p.Send(req); err != nil {
-		p.callMu.Lock()
-		delete(p.calls, req.Seq)
-		p.callMu.Unlock()
-		return protocol.LockResponse{}, err, true
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return protocol.LockResponse{}, fmt.Errorf("remote: peer %s dropped while call in flight", p.name), true
-		}
-		return resp, nil, false
-	case <-time.After(p.opts.CallTimeout):
-		p.callMu.Lock()
-		delete(p.calls, req.Seq)
-		p.callMu.Unlock()
-		return protocol.LockResponse{}, fmt.Errorf("remote: call to peer %s timed out", p.name), false
-	}
-}
-
-// failCalls aborts every in-flight call (connection dropped).
-func (p *Peer) failCalls() {
-	p.callMu.Lock()
-	calls := p.calls
-	p.calls = make(map[uint64]chan protocol.LockResponse)
-	p.callMu.Unlock()
-	for _, ch := range calls {
-		close(ch)
 	}
 }

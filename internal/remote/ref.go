@@ -1,27 +1,16 @@
 package remote
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
 	"repro/internal/actor"
 	"repro/internal/protocol"
 )
 
-// wrapped is the gob envelope inside a protocol.ActorEnvelope payload; it
-// exists so gob can carry interface-typed messages. Control-plane messages
-// crossing process boundaries must be gob-registered by their package.
-type wrapped struct {
-	Msg interface{}
-}
-
 // Ref is the remote actor.Ref implementation: a handle to an actor living
 // in the peer process, addressed by registry name. Send marshals the
 // message into an ActorEnvelope frame on the peer link; Stopped reflects
-// the link's heartbeat liveness, so supervision-style checks (and lock
-// leases) treat an unreachable peer's actors as dead. In-process refs never
-// pass through here — local sends stay a channel operation.
+// the link's heartbeat liveness, so supervision-style checks treat an
+// unreachable peer's actors as dead. In-process refs never pass through
+// here — local sends stay a channel operation.
 type Ref struct {
 	peer   *Peer
 	target string
@@ -36,14 +25,15 @@ func (p *Peer) Ref(target string) *Ref {
 // Name implements actor.Ref.
 func (r *Ref) Name() string { return r.target }
 
-// Send implements actor.Ref: the message crosses the wire as a
-// gob-in-envelope frame and is delivered to the peer's registered actor.
+// Send implements actor.Ref: msg, which must be a protocol message, crosses
+// the wire inside an ActorEnvelope and is delivered to the peer's
+// registered actor.
 func (r *Ref) Send(msg actor.Message) error {
-	payload, err := encodeEnvelopePayload(msg)
+	env, err := protocol.NewActorEnvelope(r.target, msg)
 	if err != nil {
 		return err
 	}
-	return r.peer.Send(protocol.ActorEnvelope{Target: r.target, Payload: payload})
+	return r.peer.Send(env)
 }
 
 // Stop implements actor.Ref. Stopping a remote actor is its owning
@@ -55,22 +45,3 @@ func (r *Ref) Stop() {}
 func (r *Ref) Stopped() bool { return !r.peer.Alive() }
 
 var _ actor.Ref = (*Ref)(nil)
-
-// encodeEnvelopePayload gob-encodes one actor message for the wire.
-func encodeEnvelopePayload(msg actor.Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wrapped{Msg: msg}); err != nil {
-		return nil, fmt.Errorf("remote: envelope encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeEnvelope unwraps an ActorEnvelope's payload back into the original
-// actor message.
-func DecodeEnvelope(e protocol.ActorEnvelope) (actor.Message, error) {
-	var w wrapped
-	if err := gob.NewDecoder(bytes.NewReader(e.Payload)).Decode(&w); err != nil {
-		return nil, fmt.Errorf("remote: envelope decode: %w", err)
-	}
-	return w.Msg, nil
-}

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,13 +12,6 @@ import (
 	"repro/internal/transport"
 )
 
-// testNote is the actor message the remote-ref tests ship across the wire.
-type testNote struct {
-	Text string
-}
-
-func init() { gob.Register(testNote{}) }
-
 // fastOpts returns peer options tuned for test speed.
 func fastOpts() Options {
 	return Options{
@@ -27,7 +19,6 @@ func fastOpts() Options {
 		HeartbeatMiss:     3,
 		BackoffMin:        5 * time.Millisecond,
 		BackoffMax:        50 * time.Millisecond,
-		CallTimeout:       2 * time.Second,
 	}
 }
 
@@ -109,9 +100,9 @@ func TestPeerHelloAndRemoteRef(t *testing.T) {
 	sys := actor.NewSystem()
 	defer sys.Shutdown()
 
-	got := make(chan testNote, 8)
+	got := make(chan protocol.RoundAbort, 8)
 	target := sys.Spawn("echo", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		if n, ok := msg.(testNote); ok {
+		if n, ok := msg.(protocol.RoundAbort); ok {
 			got <- n
 		}
 	}))
@@ -144,12 +135,13 @@ func TestPeerHelloAndRemoteRef(t *testing.T) {
 	if ref.Stopped() {
 		t.Fatal("remote ref reads stopped while the link is up")
 	}
-	if err := ref.Send(testNote{Text: "over the wire"}); err != nil {
+	note := protocol.RoundAbort{Population: "pop", TaskID: "t", Round: 7, Reason: "over the wire"}
+	if err := ref.Send(note); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case n := <-got:
-		if n.Text != "over the wire" {
+		if n != note {
 			t.Fatalf("note = %+v", n)
 		}
 	case <-time.After(5 * time.Second):
@@ -158,8 +150,13 @@ func TestPeerHelloAndRemoteRef(t *testing.T) {
 
 	// Unregistered targets are dropped server-side, not an error for the
 	// sender (liveness is the heartbeat, not per-message acks).
-	if err := peer.Ref("nobody").Send(testNote{Text: "void"}); err != nil {
+	if err := peer.Ref("nobody").Send(note); err != nil {
 		t.Fatalf("send to unknown target errored on the wire: %v", err)
+	}
+	// Only protocol messages have a wire form; anything else fails at the
+	// sender, naming the type.
+	if err := ref.Send(struct{ Text string }{"no codec"}); err == nil {
+		t.Fatal("a message without a wire codec was sent")
 	}
 }
 
@@ -233,153 +230,40 @@ func TestPeerHeartbeatDeclaresDeadPeer(t *testing.T) {
 	}
 }
 
-// TestLockServiceOverWire runs the Sec. 4.2 lock-service RPCs across two
-// peer links: mutual exclusion between remote owners, owner queries, release,
-// and — the failover contract — a dead peer's lease becoming stealable.
-func TestLockServiceOverWire(t *testing.T) {
+// resetConn is a connection whose peer accepted and then reset: it dialed
+// fine, and every Send fails.
+type resetConn struct{ transport.Conn }
+
+func (resetConn) Send(interface{}) error { return fmt.Errorf("connection reset by peer") }
+
+// TestPeerHelloFailureBacksOff dials a peer that accepts and resets: the
+// hello Send fails on the first four connections. Each failure must wait
+// out the same growing backoff as a failed dial (5+10+20+40 ms here) instead
+// of redialing in a busy loop, and while it does the link reads down.
+func TestPeerHelloFailureBacksOff(t *testing.T) {
+	const resets = 4
 	net := transport.NewMemNetwork()
-	locks := actor.NewLockService()
-	srv := newTestServer(t, net, "coord", SessionOptions{Locks: locks})
+	srv := newTestServer(t, net, "srv", SessionOptions{})
 	defer srv.close()
 
-	dial := func() (transport.Conn, error) { return net.Dial("coord") }
-	peerA := NewPeer("coord", dial, nil, fastOpts())
-	defer peerA.Close()
-	peerB := NewPeer("coord", dial, nil, fastOpts())
-	defer peerB.Close()
-	waitFor(t, "both links up", func() bool { return peerA.Alive() && peerB.Alive() })
-
-	la, lb := peerA.Locks(), peerB.Locks()
-	ok, err := la.Acquire("population/gboard", "owner-a")
-	if err != nil || !ok {
-		t.Fatalf("A acquire: ok=%v err=%v", ok, err)
-	}
-	ok, err = lb.Acquire("population/gboard", "owner-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("B stole a live lease")
-	}
-	owner, err := lb.Owner("population/gboard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owner != "owner-a" {
-		t.Fatalf("owner = %q, want owner-a", owner)
-	}
-
-	// Re-acquire by the same owner over the same link is idempotent.
-	ok, err = la.Acquire("population/gboard", "owner-a")
-	if err != nil || !ok {
-		t.Fatalf("A re-acquire: ok=%v err=%v", ok, err)
-	}
-
-	// Release frees the lease for other owners.
-	if err := la.Release("population/gboard", "owner-a"); err != nil {
-		t.Fatal(err)
-	}
-	ok, err = lb.Acquire("population/gboard", "owner-b")
-	if err != nil || !ok {
-		t.Fatalf("B acquire after release: ok=%v err=%v", ok, err)
-	}
-
-	// B's process dies: its connection-bound owner ref reads stopped, so the
-	// lease is stealable — the wire analogue of a crashed local actor.
-	peerB.Close()
-	waitFor(t, "lease stealable after owner death", func() bool {
-		ok, err := la.Acquire("population/gboard", "owner-a")
-		return err == nil && ok
-	})
-}
-
-// TestLockCallFailsFastWhileDown asserts lock RPCs with retries disabled
-// (CallRetryBudget < 0) error immediately when the link is down instead of
-// hanging until timeout — the legacy fail-fast contract callers can opt
-// back into.
-func TestLockCallFailsFastWhileDown(t *testing.T) {
+	var dials atomic.Int64
 	opts := fastOpts()
-	opts.CallRetryBudget = -1
-	peer := NewPeer("nowhere", func() (transport.Conn, error) {
-		return nil, fmt.Errorf("no route")
-	}, nil, opts)
-	defer peer.Close()
-
+	opts.Hello = protocol.ShardHello{Shard: 1, Name: "shard-1"}
 	start := time.Now()
-	if _, err := peer.Locks().Acquire("k", "o"); err == nil {
-		t.Fatal("acquire succeeded with no link")
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("down-link acquire took %v, want fail-fast", d)
-	}
-	if !peer.Ref("x").Stopped() {
-		t.Fatal("remote ref on a dead link must read stopped")
-	}
-}
-
-// TestLockCallRetryBudgetExhausts asserts the default retry budget bounds a
-// down-link call: it fails (not hangs) once the budget is spent.
-func TestLockCallRetryBudgetExhausts(t *testing.T) {
-	opts := fastOpts()
-	opts.CallRetryBudget = 150 * time.Millisecond
-	peer := NewPeer("nowhere", func() (transport.Conn, error) {
-		return nil, fmt.Errorf("no route")
-	}, nil, opts)
-	defer peer.Close()
-
-	start := time.Now()
-	_, err := peer.Locks().Acquire("k", "o")
-	if err == nil {
-		t.Fatal("acquire succeeded with no link")
-	}
-	d := time.Since(start)
-	if d < 100*time.Millisecond {
-		t.Fatalf("call failed after %v — did not retry within the budget", d)
-	}
-	if d > 2*time.Second {
-		t.Fatalf("call took %v, far beyond the 150ms budget", d)
-	}
-}
-
-// TestLockCallSurvivesRedialWithinBudget is the satellite fix's contract: a
-// lock RPC issued while the link is down succeeds when the peer reconnects
-// within the retry budget, instead of failing the caller's round.
-func TestLockCallSurvivesRedialWithinBudget(t *testing.T) {
-	net := transport.NewMemNetwork()
-	locks := actor.NewLockService()
-	srv := newTestServer(t, net, "coord", SessionOptions{Locks: locks})
-	defer srv.close()
-
-	// The gate makes dialing fail until opened — the link starts down.
-	var linkUp atomic.Bool
-	opts := fastOpts()
-	opts.CallRetryBudget = 3 * time.Second
-	peer := NewPeer("coord", func() (transport.Conn, error) {
-		if !linkUp.Load() {
-			return nil, fmt.Errorf("link down")
+	peer := NewPeer("srv", func() (transport.Conn, error) {
+		conn, err := net.Dial("srv")
+		if err == nil && dials.Add(1) <= resets {
+			conn = resetConn{conn}
 		}
-		return net.Dial("coord")
+		return conn, err
 	}, nil, opts)
 	defer peer.Close()
 
-	// Issue the call while the link is down; heal it shortly after.
-	time.AfterFunc(100*time.Millisecond, func() { linkUp.Store(true) })
-	ok, err := peer.Locks().Acquire("population/gboard", "owner-a")
-	if err != nil {
-		t.Fatalf("acquire across a sub-budget redial failed: %v", err)
+	if !peer.Ref("x").Stopped() || peer.Send(protocol.Heartbeat{}) == nil {
+		t.Fatal("a link that never got its hello through must read down and fail Sends fast")
 	}
-	if !ok {
-		t.Fatal("acquire across redial returned ok=false on a free lock")
-	}
-
-	// And a call issued right after a drop retries transparently too (the
-	// dropped session released the lease, so the re-acquire must win).
-	srv.dropConns()
-	ok, err = peer.Locks().Acquire("population/gboard", "owner-a")
-	if err != nil {
-		t.Fatalf("acquire across a drop failed: %v", err)
-	}
-	if !ok {
-		t.Fatal("re-acquire after the owning session died returned ok=false")
+	waitFor(t, "link up after the resets stop", peer.Alive)
+	if d, n := time.Since(start), dials.Load(); n != resets+1 || d < 75*time.Millisecond {
+		t.Fatalf("%d dials in %v, want %d dials spread over at least the 75ms backoff envelope", n, d, resets+1)
 	}
 }

@@ -29,13 +29,6 @@ func (g *Registry) Register(name string, ref actor.Ref) {
 	g.mu.Unlock()
 }
 
-// Deregister removes a name.
-func (g *Registry) Deregister(name string) {
-	g.mu.Lock()
-	delete(g.refs, name)
-	g.mu.Unlock()
-}
-
 // Lookup resolves a name.
 func (g *Registry) Lookup(name string) (actor.Ref, bool) {
 	g.mu.Lock()
@@ -49,20 +42,18 @@ func (g *Registry) Lookup(name string) (actor.Ref, bool) {
 type SessionOptions struct {
 	// Registry resolves ActorEnvelope targets; nil rejects all envelopes.
 	Registry *Registry
-	// Locks, if non-nil, serves the lock service over this connection: the
-	// Sec. 4.2 shared locking service, with remote owners represented by
-	// per-connection refs whose liveness is the connection itself.
-	Locks *actor.LockService
 	// Handle receives every message that is not connection infrastructure
-	// (heartbeats, envelopes, lock RPCs). It runs on the session goroutine.
+	// (heartbeats, envelopes). It runs on the session goroutine.
 	Handle func(msg interface{})
-	// SendQueue bounds the asynchronous Send queue (default 64). Session.Send
-	// enqueues and returns; a writer goroutine drains to the connection, so a
-	// slow or fault-injected link cannot wedge the coordinator actor behind
-	// one blocking write. A full queue fails the Send — the caller treats it
-	// exactly like a dead link.
-	SendQueue int
 }
+
+// sendQueue bounds the asynchronous Send queue. Session.Send enqueues and
+// returns; a writer goroutine drains to the connection, so a slow or
+// fault-injected link cannot wedge the coordinator actor behind one
+// blocking write. A full queue fails the Send — the caller treats it exactly
+// like a dead link. A round puts at most three control messages (config,
+// finalize, abort) on a link, so 64 fills only when the link is wedged.
+const sendQueue = 64
 
 // Session is one accepted peer connection being served.
 type Session struct {
@@ -70,44 +61,21 @@ type Session struct {
 	opts SessionOptions
 
 	mu     sync.Mutex
-	owners map[string]*connRef
 	closed bool
 	done   chan struct{}
 	sendQ  chan interface{}
 }
-
-// connRef is the serving side's stand-in for a remote lock owner: its
-// liveness is the connection's. When the peer's connection dies, every
-// lease its owners hold becomes stealable — the wire analogue of a local
-// actor being stopped.
-type connRef struct {
-	name string
-	s    *Session
-}
-
-func (r *connRef) Name() string { return r.name }
-func (r *connRef) Send(msg actor.Message) error {
-	return fmt.Errorf("remote: %s is a lock owner stub", r.name)
-}
-func (r *connRef) Stop()         {}
-func (r *connRef) Stopped() bool { return r.s.Closed() }
-
-var _ actor.Ref = (*connRef)(nil)
 
 // NewSession wraps an accepted connection. Run must be called to serve it.
 func NewSession(conn transport.Conn, opts SessionOptions) *Session {
 	if opts.Handle == nil {
 		opts.Handle = func(interface{}) {}
 	}
-	if opts.SendQueue <= 0 {
-		opts.SendQueue = 64
-	}
 	s := &Session{
-		conn:   conn,
-		opts:   opts,
-		owners: make(map[string]*connRef),
-		done:   make(chan struct{}),
-		sendQ:  make(chan interface{}, opts.SendQueue),
+		conn:  conn,
+		opts:  opts,
+		done:  make(chan struct{}),
+		sendQ: make(chan interface{}, sendQueue),
 	}
 	go s.writer()
 	return s
@@ -139,7 +107,7 @@ func (s *Session) Closed() bool {
 	}
 }
 
-// Close tears the session down; leases held through it become stealable.
+// Close tears the session down.
 func (s *Session) Close() {
 	s.mu.Lock()
 	if !s.closed {
@@ -162,13 +130,13 @@ func (s *Session) Send(msg interface{}) error {
 	case s.sendQ <- msg:
 		return nil
 	default:
-		return fmt.Errorf("remote: session send queue full (%d)", s.opts.SendQueue)
+		return fmt.Errorf("remote: session send queue full (%d)", sendQueue)
 	}
 }
 
-// Run serves the connection until it dies, answering heartbeats, routing
-// envelopes, and serving lock RPCs. It always returns the terminal receive
-// error and leaves the session Closed.
+// Run serves the connection until it dies, answering heartbeats and routing
+// envelopes. It always returns the terminal receive error and leaves the
+// session Closed.
 func (s *Session) Run() error {
 	defer s.Close()
 	for {
@@ -185,10 +153,6 @@ func (s *Session) Run() error {
 			}
 		case protocol.ActorEnvelope:
 			s.deliver(m)
-		case protocol.LockRequest:
-			if err := s.conn.Send(s.serveLock(m)); err != nil {
-				return err
-			}
 		default:
 			s.opts.Handle(msg)
 		}
@@ -206,44 +170,9 @@ func (s *Session) deliver(e protocol.ActorEnvelope) {
 	if !ok {
 		return
 	}
-	msg, err := DecodeEnvelope(e)
+	msg, err := e.Message()
 	if err != nil {
 		return
 	}
 	_ = ref.Send(msg)
-}
-
-// serveLock executes one lock RPC against the local LockService on behalf
-// of this connection's named owner.
-func (s *Session) serveLock(req protocol.LockRequest) protocol.LockResponse {
-	resp := protocol.LockResponse{Seq: req.Seq}
-	if s.opts.Locks == nil {
-		return resp
-	}
-	switch req.Op {
-	case protocol.LockAcquire:
-		resp.OK = s.opts.Locks.Acquire(req.Key, s.ownerRef(req.Owner))
-	case protocol.LockRelease:
-		s.opts.Locks.Release(req.Key, s.ownerRef(req.Owner))
-		resp.OK = true
-	case protocol.LockOwner:
-		if cur := s.opts.Locks.Owner(req.Key); cur != nil {
-			resp.OK = true
-			resp.Owner = cur.Name()
-		}
-	}
-	return resp
-}
-
-// ownerRef returns this session's stable ref for an owner name, so a
-// re-acquire by the same owner over the same connection compares equal.
-func (s *Session) ownerRef(name string) actor.Ref {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.owners[name]; ok {
-		return r
-	}
-	r := &connRef{name: name, s: s}
-	s.owners[name] = r
-	return r
 }

@@ -72,20 +72,18 @@ type ShardContribution struct {
 	Lost      int64
 }
 
-// CoordinatorProc is the coordinator process: it accepts shard links,
-// serves the lock service and actor registry over them, and runs the one
-// round engine — flserver.Coordinator — with one Edge per connected shard
-// link. What lives here is only what is about links rather than rounds: the
+// CoordinatorProc is the coordinator process: it accepts shard links and
+// runs the one round engine — flserver.Coordinator — with one Edge per
+// connected shard link. What lives here is only what is about links rather than rounds: the
 // session plumbing, the wire form of configs and seals, and the per-shard
 // traffic accounting.
 type CoordinatorProc struct {
-	cfg      CoordinatorConfig
-	sys      *actor.System
-	locks    *actor.LockService
-	tasks    *tasks.TaskSet
-	registry *remote.Registry
-	coord    actor.Ref
-	done     chan struct{}
+	cfg   CoordinatorConfig
+	sys   *actor.System
+	locks *actor.LockService
+	tasks *tasks.TaskSet
+	coord actor.Ref
+	done  chan struct{}
 
 	// framed/frame memoize the round's RoundConfig pre-framed once and
 	// fanned out to every shard (and re-sent to reconnecting shards).
@@ -182,14 +180,13 @@ func NewCoordinatorProc(cfg CoordinatorConfig) (*CoordinatorProc, error) {
 	ts.SetPopulationEstimate(cfg.PopulationEstimate)
 
 	cp := &CoordinatorProc{
-		cfg:      cfg,
-		sys:      actor.NewSystem(),
-		locks:    actor.NewLockService(),
-		tasks:    ts,
-		registry: remote.NewRegistry(),
-		done:     make(chan struct{}),
-		live:     make(map[*shardEdge]uint32),
-		contrib:  make(map[uint32]*ShardContribution),
+		cfg:     cfg,
+		sys:     actor.NewSystem(),
+		locks:   actor.NewLockService(),
+		tasks:   ts,
+		done:    make(chan struct{}),
+		live:    make(map[*shardEdge]uint32),
+		contrib: make(map[uint32]*ShardContribution),
 	}
 	cp.coord = cp.sys.Spawn("coordinator/"+cfg.Population, flserver.NewCoordinator(flserver.CoordinatorParams{
 		Population: cfg.Population, Lock: cp.locks, Store: cfg.Store, Tasks: ts,
@@ -197,9 +194,6 @@ func NewCoordinatorProc(cfg CoordinatorConfig) (*CoordinatorProc, error) {
 		MinEdges: cfg.MinShards, SealGrace: cfg.SealGrace, TickEvery: cfg.TickEvery,
 		MaxRounds: cfg.MaxRounds, Done: cp.done, Now: cfg.Now,
 	}))
-	// Location transparency: the coordinator actor is addressable from
-	// shard processes through ActorEnvelope frames as well.
-	cp.registry.Register("coordinator/"+cfg.Population, cp.coord)
 	_ = flserver.StartCoordinator(cp.coord)
 	return cp, nil
 }
@@ -217,8 +211,8 @@ func (cp *CoordinatorProc) TaskStats() []tasks.Stats { return cp.tasks.Stats() }
 func (cp *CoordinatorProc) ResumeTask(id string) error { return flserver.ResumeTask(cp.coord, id) }
 
 // Serve accepts shard connections from l until l closes. Each connection
-// becomes a remote.Session serving heartbeats, the lock service, and actor
-// envelopes; shard control messages route to the coordinator actor.
+// becomes a remote.Session answering heartbeats; shard control messages
+// route to the coordinator actor.
 func (cp *CoordinatorProc) Serve(l transport.Listener) {
 	for {
 		conn, err := l.Accept()
@@ -232,8 +226,6 @@ func (cp *CoordinatorProc) Serve(l transport.Listener) {
 func (cp *CoordinatorProc) serveConn(conn transport.Conn) {
 	edge := &shardEdge{cp: cp}
 	edge.sess = remote.NewSession(conn, remote.SessionOptions{
-		Registry: cp.registry,
-		Locks:    cp.locks,
 		Handle: func(msg interface{}) {
 			switch m := msg.(type) {
 			case protocol.ShardHello:

@@ -250,7 +250,9 @@ func (s *File) PutRoundTrace(t obs.RoundTrace) error {
 // mirror; dir/traces.jsonl is the durable artifact across restarts).
 func (s *File) RoundTraces() []obs.RoundTrace { return s.mem.RoundTraces() }
 
-// taskSetFile is where a File store keeps the task registry snapshot.
+// taskSetFile is where a File store keeps the task registry snapshot. The
+// name predates the snapshot's binary format and stays, so that a directory
+// written by a gob-era build is read and rejected, not silently skipped.
 const taskSetFile = "tasks.gob"
 
 // PutTaskSet implements Store: the snapshot is written atomically so a

@@ -22,7 +22,6 @@ package tasks
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -30,6 +29,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // State is a task's lifecycle state.
@@ -624,19 +624,75 @@ func (ts *TaskSet) Len() int {
 
 // --- persistence ---
 
-// savedTask is the gob-serialized form of one task record.
-type savedTask struct {
-	Plan      *plan.Plan
-	Policy    Policy
-	State     State
-	Stats     Stats
-	EvalClock int
+// snapshotFormat is the first byte of a persisted snapshot; it moves
+// whenever the field list below does. DESIGN.md tabulates the layout.
+const snapshotFormat = 1
+
+func appendPolicy(b []byte, p Policy) []byte {
+	b = wire.AppendI64(b, int64(p.Weight))
+	b = wire.AppendI64(b, int64(p.EvalEvery))
+	b = wire.AppendStr(b, p.EvalOf)
+	b = wire.AppendI64(b, int64(p.MinDevices))
+	return wire.AppendI64(b, int64(p.MinRuntimeVersion))
 }
 
-// savedSet is the gob-serialized registry snapshot.
-type savedSet struct {
-	Tasks          []savedTask // in submission order
-	TrainCommitted int
+func readPolicy(rd *wire.Reader) Policy {
+	return Policy{
+		Weight: int(rd.I64()), EvalEvery: int(rd.I64()), EvalOf: rd.Str(),
+		MinDevices: int(rd.I64()), MinRuntimeVersion: int(rd.I64()),
+	}
+}
+
+// Times ride as time.Time's own binary form, which keeps the zero time and
+// the zone offset.
+func appendTime(b []byte, t time.Time) ([]byte, error) {
+	tb, err := t.MarshalBinary()
+	return wire.AppendBytes(b, tb), err
+}
+
+func readTime(rd *wire.Reader) (t time.Time) {
+	if t.UnmarshalBinary(rd.Bytes()) != nil {
+		rd.Fail("time")
+	}
+	return t
+}
+
+// snapshotLocked encodes the registry: the format byte, trainCommitted, the
+// task count, then per task in submission order the plan (its own
+// plan.Marshal bytes), policy, state, every field of Stats in declaration
+// order, and the eval clock, under internal/wire's conventions. Callers
+// hold ts.mu.
+func (ts *TaskSet) snapshotLocked() ([]byte, error) {
+	b := append(make([]byte, 0, 1024), snapshotFormat)
+	b = wire.AppendI64(b, int64(ts.trainCommitted))
+	b = wire.AppendU32(b, uint32(len(ts.order)))
+	for _, id := range ts.order {
+		r := ts.tasks[id]
+		st := &r.stats
+		pb, err := r.plan.Marshal()
+		if err != nil {
+			return nil, err
+		}
+		b = wire.AppendBytes(b, pb)
+		b = appendPolicy(b, r.policy)
+		b = append(b, byte(r.state))
+		b = wire.AppendStr(b, st.ID)
+		b = append(b, byte(st.Type), byte(st.State))
+		b = appendPolicy(b, st.Policy)
+		b = wire.AppendI64(b, int64(st.RoundsCommitted))
+		b = wire.AppendI64(b, int64(st.RoundsFailed))
+		b = wire.AppendI64(b, int64(st.Devices))
+		b = wire.AppendI64(b, st.LastRound)
+		if b, err = appendTime(b, st.LastRoundAt); err != nil {
+			return nil, err
+		}
+		if b, err = appendTime(b, st.SubmittedAt); err != nil {
+			return nil, err
+		}
+		b = wire.AppendStr(b, st.Note)
+		b = wire.AppendI64(b, int64(r.evalClock))
+	}
+	return b, nil
 }
 
 // persistLocked snapshots the registry to storage. Callers hold ts.mu.
@@ -644,42 +700,49 @@ func (ts *TaskSet) persistLocked() error {
 	if ts.store == nil {
 		return nil
 	}
-	s := savedSet{TrainCommitted: ts.trainCommitted}
-	for _, id := range ts.order {
-		r := ts.tasks[id]
-		s.Tasks = append(s.Tasks, savedTask{
-			Plan: r.plan, Policy: r.policy, State: r.state,
-			Stats: r.stats, EvalClock: r.evalClock,
-		})
+	b, err := ts.snapshotLocked()
+	if err == nil {
+		err = ts.store.PutTaskSet(b)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-		return fmt.Errorf("tasks: persist: %w", err)
-	}
-	if err := ts.store.PutTaskSet(buf.Bytes()); err != nil {
+	if err != nil {
 		return fmt.Errorf("tasks: persist: %w", err)
 	}
 	return nil
 }
 
-// restore loads a persisted snapshot into an empty registry.
+// restore loads a snapshot produced by snapshotLocked into an empty
+// registry. It rejects an unknown format byte, truncation and trailing
+// bytes; it never panics, and every record it allocates was paid for with a
+// whole plan descriptor.
 func (ts *TaskSet) restore(b []byte) error {
-	var s savedSet
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
-		return fmt.Errorf("tasks: restore persisted set: %w", err)
+	if len(b) == 0 || b[0] != snapshotFormat {
+		return fmt.Errorf("tasks: the persisted task set was written by an incompatible build (not a format-%d snapshot) and there is no migration: restore it with the build that wrote it, or remove it to start an empty set", snapshotFormat)
 	}
+	rd := wire.NewReader(b[1:])
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.trainCommitted = s.TrainCommitted
-	for _, st := range s.Tasks {
-		if st.Plan == nil || st.Plan.ID == "" {
-			return fmt.Errorf("tasks: restore: snapshot contains task without plan")
+	ts.trainCommitted = int(rd.I64())
+	for i, n := 0, rd.Count("task", 4); i < n; i++ {
+		p, err := plan.Unmarshal(rd.Bytes())
+		if err != nil {
+			return fmt.Errorf("tasks: restore task %d: %w", i, err)
 		}
-		ts.tasks[st.Plan.ID] = &record{
-			plan: st.Plan, policy: st.Policy, state: st.State,
-			stats: st.Stats, evalClock: st.EvalClock,
+		if p.ID == "" {
+			return fmt.Errorf("tasks: restore task %d: plan without ID", i)
 		}
-		ts.order = append(ts.order, st.Plan.ID)
+		r := &record{plan: p, policy: readPolicy(rd), state: State(rd.U8("task state"))}
+		r.stats = Stats{
+			ID: rd.Str(), Type: plan.TaskType(rd.U8("stats type")), State: State(rd.U8("stats state")),
+			Policy: readPolicy(rd), RoundsCommitted: int(rd.I64()), RoundsFailed: int(rd.I64()),
+			Devices: int(rd.I64()), LastRound: rd.I64(),
+			LastRoundAt: readTime(rd), SubmittedAt: readTime(rd), Note: rd.Str(),
+		}
+		r.evalClock = int(rd.I64())
+		ts.tasks[p.ID] = r
+		ts.order = append(ts.order, p.ID)
+	}
+	if err := rd.Finish(); err != nil {
+		return fmt.Errorf("tasks: restore persisted set: %w", err)
 	}
 	ts.gaugeStatesLocked()
 	return nil

@@ -1,7 +1,10 @@
 package tasks
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/storage"
+	"repro/internal/wire/wiretest"
 )
 
 func trainPlan(t *testing.T, id string) *plan.Plan {
@@ -548,4 +552,123 @@ func TestSeedAcceptsPlansPersistedBeforeServerReportEncoding(t *testing.T) {
 	if err := ts2.Seed([]*plan.Plan{&changed}); err == nil {
 		t.Fatal("a changed uplink encoding must still read as a different plan")
 	}
+}
+
+func emptySet() *TaskSet { return &TaskSet{tasks: make(map[string]*record)} }
+
+// filledSet is a registry of two tasks whose every persisted field — every
+// Stats, Policy and (through plan.Plan) plan field — holds a distinct
+// non-zero value, so a field added to any of them but not to the snapshot
+// codec breaks the round trip below.
+func filledSet(t testing.TB) (*TaskSet, []byte) {
+	ts := emptySet()
+	ts.trainCommitted = 7
+	for i := 0; i < 2; i++ {
+		var v struct {
+			Plan   plan.Plan
+			Policy Policy
+			Stats  Stats
+		}
+		wiretest.Fill(&v) // one call, so values are distinct across the three
+		v.Plan.ID += fmt.Sprint(i)
+		r := &record{plan: &v.Plan, policy: v.Policy, stats: v.Stats, state: Paused, evalClock: 5 + i}
+		ts.tasks[r.plan.ID] = r
+		ts.order = append(ts.order, r.plan.ID)
+	}
+	b, err := ts.snapshotLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts, b
+}
+
+func TestSnapshotCodecCoversEveryField(t *testing.T) {
+	ts, b := filledSet(t)
+	got := emptySet()
+	if err := got.restore(b); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.tasks, ts.tasks) || !reflect.DeepEqual(got.order, ts.order) || got.trainCommitted != 7 {
+		t.Fatalf("round trip changed the snapshot:\n in  %+v\n out %+v", ts.Stats(), got.Stats())
+	}
+	for n := 0; n < len(b); n++ {
+		if emptySet().restore(b[:n]) == nil {
+			t.Fatalf("snapshot truncated to %d/%d bytes decoded cleanly", n, len(b))
+		}
+	}
+	if emptySet().restore(append(b[:len(b):len(b)], 0)) == nil {
+		t.Fatal("snapshot with a trailing byte decoded cleanly")
+	}
+}
+
+// hostileSnapshots: a task count the bytes cannot hold, and a first task
+// whose plan claims 4 GiB.
+var hostileSnapshots = [][]byte{
+	{snapshotFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0x40, 0, 0, 0},
+	{snapshotFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4},
+}
+
+// savedTask and savedSet are the shapes a gob-era build persisted.
+type savedTask struct {
+	Plan      *plan.Plan
+	Policy    Policy
+	State     State
+	Stats     Stats
+	EvalClock int
+}
+type savedSet struct {
+	Tasks          []savedTask
+	TrainCommitted int
+}
+
+// TestRestoreRejectsForeignSnapshots: a storage.File directory holding a
+// task set written by a gob-era build (gob is the oracle for those bytes)
+// fails New with an error that says so; there is no second decoder.
+func TestRestoreRejectsForeignSnapshots(t *testing.T) {
+	var gobEra bytes.Buffer
+	if err := gob.NewEncoder(&gobEra).Encode(&savedSet{Tasks: []savedTask{{Plan: trainPlan(t, "a"), State: Active}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range append(hostileSnapshots, gobEra.Bytes(), []byte{snapshotFormat + 1}) {
+		store, err := storage.NewFile(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.PutTaskSet(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New("pop", store, nil); err == nil {
+			t.Fatalf("New restored a foreign snapshot %x", b)
+		} else if b[0] != snapshotFormat && !strings.Contains(err.Error(), "incompatible build") {
+			t.Fatalf("foreign-format snapshot error does not name the cause: %v", err)
+		}
+	}
+}
+
+// FuzzTaskSetRestore: restore never panics, and a snapshot it accepts
+// re-encodes to bytes that are a fixed point of restore→snapshot.
+func FuzzTaskSetRestore(f *testing.F) {
+	_, filled := filledSet(f)
+	f.Add(filled)
+	f.Add(filled[:len(filled)/2])
+	for _, b := range hostileSnapshots {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		first := emptySet()
+		if first.restore(b) != nil {
+			return
+		}
+		again, err := first.snapshotLocked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := emptySet()
+		if err := second.restore(again); err != nil {
+			t.Fatalf("re-encoded snapshot does not restore: %v", err)
+		}
+		if twice, _ := second.snapshotLocked(); !bytes.Equal(again, twice) {
+			t.Fatalf("not a fixed point:\n first  %x\n second %x", again, twice)
+		}
+	})
 }

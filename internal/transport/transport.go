@@ -5,15 +5,12 @@
 //
 // Two implementations: an in-memory transport for simulation and tests, and
 // a TCP transport for the standalone server binaries. TCP frames carry the
-// compact binary codec of internal/protocol for the five wire messages
-// (length-prefixed, no reflection); anything else rides a gob-encoded
-// fallback frame.
+// binary codec of internal/protocol (length-prefixed, no reflection) and
+// nothing else: a message without a codec there is a Send error.
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -195,10 +192,11 @@ func (l *memListener) Addr() string { return l.addr }
 
 // Wire framing: u32 frame length | u8 wire version | u8 type code |
 // payload. The length covers the version and code bytes. Type codes are the
-// protocol package's; CodeGob marks a gob-encoded envelope for message
-// types outside the binary codec.
+// protocol package's. The version moves whenever a code is retired or a
+// payload layout changes, so a mixed-build link fails on its first frame
+// instead of misparsing.
 const (
-	wireVersion = 1
+	wireVersion = 2
 	// frameOverhead is the version + type-code bytes counted by the length.
 	frameOverhead = 2
 	// maxFrame bounds a single message so a corrupt or hostile length
@@ -210,12 +208,6 @@ type tcpConn struct {
 	c net.Conn
 	// sendMu serializes writers: frames must not interleave.
 	sendMu sync.Mutex
-}
-
-// envelope wraps messages so gob can carry interface values on the
-// fallback path.
-type envelope struct {
-	Msg interface{}
 }
 
 // Encoded is a message marshaled at most once for transmission to many
@@ -251,18 +243,13 @@ func (e *Encoded) marshaled() (byte, [][]byte, int, error) {
 	return e.code, e.parts, e.size, e.err
 }
 
-// marshalFrame produces the type code + payload segments for one frame: the
-// binary codec for protocol messages (exact-size metadata buffers with the
-// large update/plan/checkpoint fields aliased, never copied), gob for
-// everything else. size is the summed payload length.
+// marshalFrame produces the type code + payload segments for one frame
+// (exact-size metadata buffers with the large update/plan/checkpoint fields
+// aliased, never copied). size is the summed payload length.
 func marshalFrame(msg interface{}) (byte, [][]byte, int, error) {
 	code, parts, ok := protocol.MarshalBinaryParts(msg)
 	if !ok {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(envelope{Msg: msg}); err != nil {
-			return 0, nil, 0, fmt.Errorf("transport: gob fallback: %w", err)
-		}
-		code, parts = protocol.CodeGob, [][]byte{buf.Bytes()}
+		return 0, nil, 0, fmt.Errorf("transport: %T has no wire codec", msg)
 	}
 	size := 0
 	for _, p := range parts {
@@ -325,18 +312,14 @@ func (t *tcpConn) Recv() (interface{}, error) {
 		return nil, fmt.Errorf("transport: unsupported wire version %d", hdr[4])
 	}
 	code := hdr[5]
+	if !protocol.KnownCode(code) {
+		return nil, fmt.Errorf("transport: unknown type code %d", code)
+	}
 	payload, err := readPayload(t.c, int(n-frameOverhead))
 	if err != nil {
 		return nil, err
 	}
 	obsRxBytes.Add(int64(len(hdr) + len(payload)))
-	if code == protocol.CodeGob {
-		var e envelope
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
-			return nil, fmt.Errorf("transport: gob fallback: %w", err)
-		}
-		return e.Msg, nil
-	}
 	return protocol.UnmarshalBinary(code, payload)
 }
 

@@ -1,9 +1,10 @@
 package transport
 
 import (
-	"encoding/gob"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -290,38 +291,63 @@ func TestTCPMultiMegabytePayloads(t *testing.T) {
 	}
 }
 
-// benchExtra is a message type outside the binary codec, exercising the gob
-// fallback frame.
-type benchExtra struct {
-	Name  string
-	Vals  []float64
-	Round int64
-}
-
-func TestTCPGobFallbackInterop(t *testing.T) {
-	gob.Register(benchExtra{})
+// TestTCPSendWithoutCodecFails: a type outside the binary codec is a Send
+// error naming it, and the stream stays usable for real messages.
+func TestTCPSendWithoutCodecFails(t *testing.T) {
+	type debugStats struct{ Name string }
 	client, server := tcpPair(t)
-	// Fallback frames interleave with binary frames on one stream.
-	in := benchExtra{Name: "debug-stats", Vals: []float64{1, 2.5}, Round: 3}
-	if err := client.Send(in); err != nil {
-		t.Fatal(err)
+	err := client.Send(debugStats{Name: "x"})
+	if err == nil || !strings.Contains(err.Error(), "debugStats") {
+		t.Fatalf("Send of a codec-less type: %v", err)
+	}
+	if err := client.Send(Encode(debugStats{Name: "x"})); err == nil {
+		t.Fatal("pre-framing a codec-less type succeeded")
 	}
 	if err := client.Send(protocol.Abort{TaskID: "t", Round: 3, Reason: "r"}); err != nil {
 		t.Fatal(err)
 	}
-	first, err := server.Recv()
-	if err != nil {
-		t.Fatal(err)
+	if msg, err := server.Recv(); err != nil || msg.(protocol.Abort).Round != 3 {
+		t.Fatalf("frame after a rejected Send: %+v, %v", msg, err)
 	}
-	if !reflect.DeepEqual(first, in) {
-		t.Fatalf("gob fallback changed the message: %+v", first)
-	}
-	second, err := server.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ab, ok := second.(protocol.Abort); !ok || ab.Round != 3 {
-		t.Fatalf("binary frame after gob frame: %+v", second)
+}
+
+// TestTCPRejectsRetiredFramesByHeader: a frame from a wire-version-1 build
+// and a frame with the reserved code 0 — each claiming a 1 GiB payload —
+// are rejected by name from the 6 header bytes, before any payload memory
+// is committed or awaited.
+func TestTCPRejectsRetiredFramesByHeader(t *testing.T) {
+	for want, hdr := range map[string][]byte{
+		"unsupported wire version 1": {0x40, 0, 0, 0, 1, byte(protocol.CodeAbort)},
+		"unknown type code 0":        {0x40, 0, 0, 0, wireVersion, 0},
+	} {
+		l, err := ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := net.Dial("tcp", l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(hdr); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = c.Recv() // the peer stays connected and silent: only the header can decide
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Recv = %v, want %q", err, want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: rejecting the header allocated %d bytes", want, grew)
+		}
+		raw.Close()
+		c.Close()
+		l.Close()
 	}
 }
 
@@ -435,7 +461,7 @@ func TestTCPHostileLengthPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	// length 1 GiB, valid version byte, binary type code — then hang up.
-	_, _ = raw.Write([]byte{0x40, 0x00, 0x00, 0x00, 1, byte(protocol.CodeAbort)})
+	_, _ = raw.Write([]byte{0x40, 0x00, 0x00, 0x00, wireVersion, byte(protocol.CodeAbort)})
 	_ = raw.Close()
 	select {
 	case err := <-recvErr:
