@@ -245,6 +245,9 @@ func (c *faultConn) Recv() (interface{}, error) {
 	}
 }
 
+// Release implements transport.Conn: the lease is the inner link's.
+func (c *faultConn) Release() { c.inner.Release() }
+
 // Close implements transport.Conn.
 func (c *faultConn) Close() error {
 	var err error

@@ -59,6 +59,8 @@ type Aggregator struct {
 	secInputs map[int][]float64
 	secDevice map[int]string
 	secNext   int
+	// secBufs are the pool's pointers to the buffers behind secInputs.
+	secBufs []*tensor.Vector
 	// secBlamed carries the secagg run's attributed exclusions into the
 	// group result.
 	secBlamed []string
@@ -99,7 +101,7 @@ type msgAddUpdate struct {
 	// decoded at the edge; the Aggregator owns it from here and returns it
 	// to the pool once the secagg run has consumed it. Nil marks a
 	// metrics-only report (evaluation task).
-	Input   tensor.Vector
+	Input   *tensor.Vector
 	Metrics map[string]float64
 	// Conn, when set, is the device's connection awaiting the
 	// ReportResponse; the Aggregator answers it off the actor goroutine.
@@ -171,12 +173,13 @@ func (a *Aggregator) onAdd(m msgAddUpdate) {
 	} else {
 		// The appended weight element rides through the secure sum so the
 		// server learns Σn without individual n's.
-		if len(m.Input) != a.dim+1 {
+		if len(*m.Input) != a.dim+1 {
 			putParamBuf(m.Input)
-			resolve(false, fmt.Sprintf("update dim %d, want %d", len(m.Input)-1, a.dim))
+			resolve(false, fmt.Sprintf("update dim %d, want %d", len(*m.Input)-1, a.dim))
 			return
 		}
-		a.secInputs[a.secNext] = m.Input
+		a.secInputs[a.secNext] = *m.Input
+		a.secBufs = append(a.secBufs, m.Input)
 		a.secDevice[a.secNext] = m.DeviceID
 		a.secNext++
 	}
@@ -277,8 +280,8 @@ func (a *Aggregator) onFinalize(ctx *actor.Context, m msgFinalizeGroup) {
 			sched.DropShareKeys = append(sched.DropShareKeys, id)
 		}
 		cfg := secagg.Config{N: n, T: t, VectorLen: a.dim + 1}
-		secDevice := a.secDevice
-		a.secInputs = nil
+		secDevice, bufs := a.secDevice, a.secBufs
+		a.secInputs, a.secBufs = nil, nil
 		self := ctx.Self
 		if a.finalizeTimeout > 0 {
 			time.AfterFunc(a.finalizeTimeout, func() { _ = self.Send(msgSecAggTimeout{}) })
@@ -301,10 +304,8 @@ func (a *Aggregator) onFinalize(ctx *actor.Context, m msgFinalizeGroup) {
 			// The protocol consumed the inputs (Encode copies them into
 			// field elements); hand the buffers back so the next round's
 			// readers reuse them instead of allocating O(group × dim).
-			for _, in := range inputs {
-				if in != nil {
-					putParamBuf(in)
-				}
+			for _, b := range bufs {
+				putParamBuf(b)
 			}
 			done := msgSecAggDone{Err: err}
 			if res != nil {

@@ -21,8 +21,9 @@ import (
 
 // secInput builds a secure group input: the delta with the weight appended,
 // as the connection reader decodes it.
-func secInput(weight float64, delta ...float64) tensor.Vector {
-	return append(append(tensor.Vector{}, delta...), weight)
+func secInput(weight float64, delta ...float64) *tensor.Vector {
+	v := append(append(tensor.Vector{}, delta...), weight)
+	return &v
 }
 
 // collectMaster spawns an actor standing in for the EdgeRound, recording
@@ -77,16 +78,17 @@ func TestAggregatorSecureMatchesPlainSum(t *testing.T) {
 	agg := sys.Spawn("agg", NewAggregator(3, master))
 	defer sys.Shutdown(master, agg)
 	inputs := []tensor.Vector{
-		secInput(3, 1, -2, 0.5),
-		secInput(1, 0.25, 1, 1),
-		secInput(2, -1, -1, -1),
+		*secInput(3, 1, -2, 0.5),
+		*secInput(1, 0.25, 1, 1),
+		*secInput(2, -1, -1, -1),
 	}
 	want := make([]float64, 4)
 	for i, in := range inputs {
 		for j, v := range in {
 			want[j] += v
 		}
-		_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Input: in.Clone()})
+		owned := in.Clone()
+		_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Input: &owned})
 	}
 	waitSignals(t, sig, len(inputs))
 	_ = agg.Send(msgFinalizeGroup{})

@@ -144,6 +144,8 @@ func (d *DeviceClient) RunOnce(conn transport.Conn) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("device %s: checkpoint: %w", d.ID, err)
 	}
+	// Both decoders copy: resp's wire bytes are dead, not pinned by training.
+	conn.Release()
 
 	res, execErr := d.Runtime.Execute(p, global, now())
 	out := &Outcome{Accepted: true, Result: res}

@@ -151,7 +151,8 @@ func TestParamBufPoolConcurrentReuse(t *testing.T) {
 		go func(tag float64) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				buf := getParamBuf(size)
+				p := getParamBuf(size)
+				buf := *p
 				if len(buf) != size {
 					t.Errorf("got len %d, want %d", len(buf), size)
 					return
@@ -165,7 +166,7 @@ func TestParamBufPoolConcurrentReuse(t *testing.T) {
 						return
 					}
 				}
-				putParamBuf(buf)
+				putParamBuf(p)
 			}
 		}(float64(w + 1))
 	}

@@ -66,21 +66,21 @@ var updateBufPool sync.Pool
 
 // getParamBuf returns a length-n buffer, reusing a pooled one when its
 // capacity suffices (a pooled buffer of the wrong size is simply dropped).
-func getParamBuf(n int) tensor.Vector {
-	if v, ok := updateBufPool.Get().(tensor.Vector); ok && cap(v) >= n {
-		return v[:n]
+// Pooled as a pointer that travels with the buffer back to putParamBuf: a
+// slice value would cost a heap-allocated header on every Put.
+func getParamBuf(n int) *tensor.Vector {
+	if p, ok := updateBufPool.Get().(*tensor.Vector); ok && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
 	}
-	return make(tensor.Vector, n)
+	v := make(tensor.Vector, n)
+	return &v
 }
 
-// putParamBuf returns a buffer to the pool. The caller must not touch the
-// slice afterwards — the next getParamBuf may hand it to another device's
+// putParamBuf returns a buffer to the pool. The caller must not touch it
+// afterwards — the next getParamBuf may hand it to another device's
 // reader.
-func putParamBuf(v tensor.Vector) {
-	if cap(v) > 0 {
-		updateBufPool.Put(v[:cap(v)])
-	}
-}
+func putParamBuf(p *tensor.Vector) { updateBufPool.Put(p) }
 
 // respGate bounds concurrent off-goroutine response sends process-wide, so
 // a flood of rejections cannot hold unbounded frame buffers in flight.
@@ -158,6 +158,10 @@ type reportReader struct {
 // hop), and secure updates are decoded into a pooled buffer delivered
 // straight to the device's group Aggregator — the EdgeRound only ever sees
 // fixed-size accounting messages.
+//
+// req.Update aliases the connection's leased receive buffer: every branch
+// releases it once the bytes are dead — folded, decoded or refused — and
+// before the ack goes out, so it serves another device's frame meanwhile.
 func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref) {
 	msg, err := conn.Recv()
 	req, ok := msg.(protocol.ReportRequest)
@@ -171,6 +175,7 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 	// answers the device from this goroutine — a stalled peer stalls only
 	// its own reader, for at most abortGrace.
 	reject := func(reason string) {
+		conn.Release()
 		obsReportsRejected.Inc()
 		_ = r.self.Send(msgReportDone{DeviceID: deviceID})
 		sendWithGrace(conn, protocol.ReportResponse{Accepted: false, Reason: reason})
@@ -180,6 +185,7 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 	// of Table 1) is answered without accounting: the round already settled
 	// this device's fate.
 	settle := func(err error) {
+		conn.Release()
 		switch {
 		case errors.Is(err, fedavg.ErrPartialClosed), errors.Is(err, robust.ErrBufferClosed):
 			obsReportsLate.Inc()
@@ -203,6 +209,7 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 			reject("missing update")
 		case r.secure:
 			// Metrics-only report (evaluation task).
+			conn.Release()
 			_ = group.Send(msgAddUpdate{DeviceID: deviceID, Metrics: req.Metrics, Conn: conn})
 		default:
 			settle(r.ingest.stripe().AddEval(req.Metrics))
@@ -227,12 +234,13 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 		// (which must keep per-device vectors for the secagg run) owns it
 		// from here and recycles it after the protocol consumes it.
 		buf := getParamBuf(r.dim + 1)
-		if err := meta.DecodeParams(req.Update, buf[:r.dim]); err != nil {
+		if err := meta.DecodeParams(req.Update, (*buf)[:r.dim]); err != nil {
 			putParamBuf(buf)
 			reject("bad update: " + err.Error())
 			return
 		}
-		buf[r.dim] = meta.Weight
+		(*buf)[r.dim] = meta.Weight
+		conn.Release()
 		_ = group.Send(msgAddUpdate{DeviceID: deviceID, Input: buf, Metrics: req.Metrics, Conn: conn})
 		return
 	}

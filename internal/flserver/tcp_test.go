@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/device"
+	"repro/internal/obs"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -16,16 +17,27 @@ import (
 
 // TestEndToEndOverTCP runs the full protocol over real TCP sockets: the
 // same server and device code the cmd/flserver and cmd/fldevices binaries
-// use.
+// use. The model is wide enough (6147 parameters: a 6 KB quant8 report) that both
+// the plan+checkpoint download and the report ride leased receive buffers,
+// and released buffers are overwritten: a DeviceClient that trained from
+// wire bytes it had already released, or a server fold that outlived its
+// lease, would commit garbage instead of a model that classifies.
 func TestEndToEndOverTCP(t *testing.T) {
+	transport.PoisonReleasedForTest()
+	leases := func() int64 {
+		return obs.Default.Counter("fl_net_rx_buf_reused_total").Value() + obs.Default.Counter("fl_net_rx_buf_alloc_total").Value()
+	}
+	leasesBefore := leases()
+	const features = 2048
 	fed, err := data.Blobs(data.BlobsConfig{
-		Users: 12, ExamplesPer: 25, Features: 4, Classes: 3, TestSize: 200, Seed: 21,
+		Users: 12, ExamplesPer: 25, Features: features, Classes: 3, TestSize: 200, Seed: 21,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := storage.NewMem()
 	p := testPlan(t, 6, false)
+	p.Device.Model.Features = features
 	srv, err := New(Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 3, Seed: 22,
@@ -93,6 +105,11 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 	if ckpt.Round < 3 {
 		t.Fatalf("TCP rounds committed = %d", ckpt.Round)
+	}
+	// Per round: six leased downloads and at least the four reports
+	// (MinReportFraction 0.6) the commit waited for.
+	if got := leases() - leasesBefore; got < 3*(6+4) {
+		t.Fatalf("%d frames read into leased buffers over 3 rounds of 6 devices, want >= 30", got)
 	}
 	m, _ := p.Device.Model.Build()
 	m.WriteParams(ckpt.Params)

@@ -189,6 +189,14 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if _, err := Unmarshal(append(b[:len(b):len(b)], 0)); err == nil {
 			t.Errorf("%s with a trailing byte decoded cleanly", name)
 		}
+		// A device gives its receive buffer back right after Unmarshal, so
+		// the plan may keep nothing that aliases the wire bytes.
+		for i := range b {
+			b[i] = 0xDB
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("%s: the decoded plan aliases its wire bytes:\n in  %+v\n out %+v", name, p, got)
+		}
 	}
 }
 

@@ -44,17 +44,17 @@ func (b *Buffer) Add(device string, weight float64, metrics map[string]float64, 
 		return fmt.Errorf("robust: non-positive update weight %v", weight)
 	}
 	vec := getVec(b.dim)
-	if err := decode(vec); err != nil {
-		putVec(vec)
+	if err := decode(*vec); err != nil {
+		vecPool.Put(vec)
 		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		putVec(vec)
+		vecPool.Put(vec)
 		return ErrBufferClosed
 	}
-	b.updates = append(b.updates, Update{Device: device, Weight: weight, Delta: vec})
+	b.updates = append(b.updates, Update{Device: device, Weight: weight, Delta: *vec, pooled: vec})
 	b.addMetricsLocked(metrics)
 	return nil
 }
@@ -112,27 +112,25 @@ func (b *Buffer) Drain() (updates []Update, evalCount int, metrics map[string][]
 // never alias them, so this is safe immediately after the reduce.
 func Release(updates []Update) {
 	for i := range updates {
-		putVec(updates[i].Delta)
-		updates[i].Delta = nil
+		if p := updates[i].pooled; p != nil {
+			vecPool.Put(p)
+		}
+		updates[i].Delta, updates[i].pooled = nil, nil
 	}
 }
 
 // vecPool recycles decode buffers across rounds, mirroring the report
 // path's update buffer pool: steady-state retention rounds allocate no
-// O(dim) vectors per report.
+// O(dim) vectors per report. It holds pointers (Update.pooled carries
+// them back): pooling a slice value allocates a header per Put.
 var vecPool sync.Pool
 
-func getVec(dim int) tensor.Vector {
-	if v, ok := vecPool.Get().(tensor.Vector); ok && cap(v) >= dim {
-		v = v[:dim]
-		v.Zero()
-		return v
+func getVec(dim int) *tensor.Vector {
+	if p, ok := vecPool.Get().(*tensor.Vector); ok && cap(*p) >= dim {
+		*p = (*p)[:dim]
+		p.Zero()
+		return p
 	}
-	return make(tensor.Vector, dim)
-}
-
-func putVec(v tensor.Vector) {
-	if v != nil {
-		vecPool.Put(v[:cap(v)])
-	}
+	v := make(tensor.Vector, dim)
+	return &v
 }

@@ -40,6 +40,8 @@ type Update struct {
 	Device string
 	Weight float64
 	Delta  tensor.Vector
+	// pooled is Delta's vecPool pointer when a Buffer decoded it.
+	pooled *tensor.Vector
 }
 
 // Rejection attributes one defensive exclusion to a device, so operators

@@ -13,8 +13,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -27,6 +29,9 @@ import (
 var (
 	obsTxBytes = obs.Default.Counter("fl_net_tx_bytes_total")
 	obsRxBytes = obs.Default.Counter("fl_net_rx_bytes_total")
+	// Leased receive buffers, by origin: the pool, or a fresh allocation.
+	obsRxBufReused = obs.Default.Counter("fl_net_rx_buf_reused_total")
+	obsRxBufAlloc  = obs.Default.Counter("fl_net_rx_buf_alloc_total")
 )
 
 // Conn is a bidirectional message stream.
@@ -34,9 +39,17 @@ type Conn interface {
 	// Send transmits one message.
 	Send(msg interface{}) error
 	// Recv blocks for the next message; it returns an error when the peer
-	// closed the stream.
+	// closed the stream. One reader at a time. The byte fields of a
+	// CheckinResponse or ReportRequest may alias a receive buffer leased to
+	// the reader: they are valid until its next Recv on this Conn or its
+	// Release, whichever comes first. Every other message owns its bytes.
 	Recv() (interface{}, error)
-	// Close tears the stream down; pending Recv calls fail.
+	// Release ends that lease early, so the buffer serves another frame
+	// while this reader is busy. Only the goroutine that calls Recv calls
+	// it, after its last use of the bytes; with no lease it is a no-op.
+	Release()
+	// Close tears the stream down; pending Recv calls fail. Any goroutine
+	// may call it, so it never ends a lease: the reader may still be reading.
 	Close() error
 }
 
@@ -109,6 +122,9 @@ func (c *memConn) Recv() (interface{}, error) {
 		}
 	}
 }
+
+// Release implements Conn: messages cross as Go values, so nothing is leased.
+func (c *memConn) Release() {}
 
 // Close implements Conn.
 func (c *memConn) Close() error {
@@ -202,12 +218,59 @@ const (
 	// maxFrame bounds a single message so a corrupt or hostile length
 	// prefix cannot ask Recv to allocate unbounded memory.
 	maxFrame = 1 << 30
+	// exactAlloc, 4 MiB, is the most a bare header commits (see readPayload).
+	exactAllocBits = 22
+	exactAlloc     = 1 << exactAllocBits
+	// minLeaseBits sizes the smallest leased buffer, 8 KiB; payloads of up
+	// to half of it (control frames) stay on the plain allocation.
+	minLeaseBits = 13
 )
 
 type tcpConn struct {
 	c net.Conn
 	// sendMu serializes writers: frames must not interleave.
 	sendMu sync.Mutex
+	// lease is the pooled buffer behind the last received message, if any.
+	// Only the reading goroutine touches it.
+	lease *[]byte
+}
+
+// rxPools recycles the payload buffers of large device-link frames, one
+// pool per power-of-two capacity from 1<<minLeaseBits to exactAlloc. Pooled
+// memory is not zeroed: a buffer reaches the codec only once ReadFull has
+// filled it. Recv takes one after the header, so a parked Conn holds none.
+var rxPools [exactAllocBits - minLeaseBits + 1]sync.Pool
+
+// rxClass is the rxPools index of the smallest buffer holding n bytes.
+func rxClass(n int) int { return bits.Len(uint(n-1)) - minLeaseBits }
+
+// leased reports whether a frame's payload is read into a leased buffer:
+// the two O(dim) device-link messages, consumed before their reader's next
+// Recv. Peer-link frames go to actor mailboxes and outlive the read loop.
+func leased(code byte, n int) bool {
+	return (code == protocol.CodeCheckinResponse || code == protocol.CodeReportRequest) &&
+		n > 1<<(minLeaseBits-1) && n <= exactAlloc
+}
+
+// PoisonReleasedForTest makes every Release from now on fill the buffer
+// with 0xDB, so a read through an alias that outlived its lease cannot pass
+// for data. Test-only.
+func PoisonReleasedForTest() { poisonReleased.Store(true) }
+
+var poisonReleased atomic.Bool
+
+// Release implements Conn.
+func (t *tcpConn) Release() {
+	if t.lease == nil {
+		return
+	}
+	if buf := *t.lease; poisonReleased.Load() {
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+	rxPools[rxClass(cap(*t.lease))].Put(t.lease)
+	t.lease = nil
 }
 
 // Encoded is a message marshaled at most once for transmission to many
@@ -300,6 +363,7 @@ func (t *tcpConn) Send(msg interface{}) error {
 
 // Recv implements Conn.
 func (t *tcpConn) Recv() (interface{}, error) {
+	t.Release()
 	var hdr [4 + frameOverhead]byte
 	if _, err := io.ReadFull(t.c, hdr[:]); err != nil {
 		return nil, err
@@ -315,12 +379,37 @@ func (t *tcpConn) Recv() (interface{}, error) {
 	if !protocol.KnownCode(code) {
 		return nil, fmt.Errorf("transport: unknown type code %d", code)
 	}
-	payload, err := readPayload(t.c, int(n-frameOverhead))
+	size, read := int(n-frameOverhead), readPayload
+	if leased(code, size) {
+		read = t.readLeased
+	}
+	payload, err := read(t.c, size)
 	if err != nil {
+		t.Release()
 		return nil, err
 	}
 	obsRxBytes.Add(int64(len(hdr) + len(payload)))
-	return protocol.UnmarshalBinary(code, payload)
+	msg, err := protocol.UnmarshalBinary(code, payload)
+	if err != nil {
+		t.Release() // no message delivered, so nothing aliases the buffer
+	}
+	return msg, err
+}
+
+// readLeased reads an n-byte payload into a buffer leased from rxPools.
+func (t *tcpConn) readLeased(r io.Reader, n int) ([]byte, error) {
+	class := rxClass(n)
+	p, ok := rxPools[class].Get().(*[]byte)
+	if ok {
+		obsRxBufReused.Inc()
+	} else {
+		obsRxBufAlloc.Inc()
+		b := make([]byte, 1<<(minLeaseBits+class))
+		p = &b
+	}
+	t.lease = p
+	_, err := io.ReadFull(r, (*p)[:n])
+	return (*p)[:n], err
 }
 
 // readPayload reads an n-byte payload. Up to exactAlloc the buffer is
@@ -329,7 +418,6 @@ func (t *tcpConn) Recv() (interface{}, error) {
 // sending that much data — an 8-byte header promising a gigabyte costs the
 // receiver 4 MiB, not 1 GiB.
 func readPayload(r io.Reader, n int) ([]byte, error) {
-	const exactAlloc = 4 << 20
 	if n <= exactAlloc {
 		buf := make([]byte, n)
 		_, err := io.ReadFull(r, buf)

@@ -435,41 +435,43 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTCPHostileLengthPrefix sends a raw frame header promising a huge
-// payload, then nothing: the server's Recv must fail once the stream ends
-// without committing gigabytes of memory up front (readPayload grows the
-// buffer only as bytes arrive).
+// TestTCPHostileLengthPrefix: a bare header commits at most exactAlloc
+// (4 MiB) of receiver memory whatever length it promises — on the owned
+// path, on the two leased type codes above the lease cap (1 GiB), and on a
+// leased frame right at the cap, where the one pooled buffer taken goes back
+// to the pool when the read fails.
 func TestTCPHostileLengthPrefix(t *testing.T) {
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	recvErr := make(chan error, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			recvErr <- err
-			return
-		}
-		defer c.Close()
-		_, err = c.Recv()
-		recvErr <- err
-	}()
-	raw, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// length 1 GiB, valid version byte, binary type code — then hang up.
-	_, _ = raw.Write([]byte{0x40, 0x00, 0x00, 0x00, wireVersion, byte(protocol.CodeAbort)})
-	_ = raw.Close()
-	select {
-	case err := <-recvErr:
-		if err == nil {
-			t.Fatal("Recv accepted a truncated 1 GiB frame")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Recv did not fail on a hostile length prefix")
+	for _, c := range []struct {
+		name string
+		code byte
+		size int
+	}{
+		{"owned 1 GiB", protocol.CodeAbort, maxFrame - frameOverhead},
+		{"checkin response 1 GiB", protocol.CodeCheckinResponse, maxFrame - frameOverhead},
+		{"report request 1 GiB", protocol.CodeReportRequest, maxFrame - frameOverhead},
+		{"report request at the lease cap", protocol.CodeReportRequest, exactAlloc},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			raw, server := rawPair(t)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			// A valid header promising c.size bytes — then hang up.
+			if _, err := raw.Write(frameHeader(c.code, c.size)); err != nil {
+				t.Fatal(err)
+			}
+			raw.Close()
+			msg, err := server.Recv()
+			runtime.ReadMemStats(&after)
+			if err == nil || msg != nil {
+				t.Fatalf("Recv accepted a truncated %d-byte frame: %T", c.size, msg)
+			}
+			if spent := after.TotalAlloc - before.TotalAlloc; spent > exactAlloc+256<<10 {
+				t.Fatalf("a bare header committed %d bytes, want <= %d", spent, exactAlloc)
+			}
+			if server.lease != nil {
+				t.Fatal("the failed Recv kept a leased buffer")
+			}
+		})
 	}
 }
 
