@@ -83,22 +83,18 @@ func (c *Checkpoint) Marshal(enc Encoding) ([]byte, error) {
 
 	switch enc {
 	case EncodingFloat64:
-		for _, p := range c.Params {
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(p))
-		}
+		c.Params.PutBE(buf[header : header+body])
 	case EncodingQuant8:
-		lo, hi := paramRange(c.Params)
+		lo, hi := c.Params.Range()
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(lo))
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(hi))
 		scale := 0.0
 		if hi > lo {
 			scale = 255 / (hi - lo)
 		}
-		for _, p := range c.Params {
-			buf = append(buf, byte(math.Round((p-lo)*scale)))
-		}
+		c.Params.PutQuant8(buf[header+16:header+body], lo, scale)
 	}
-	return buf, nil
+	return buf[:header+body], nil
 }
 
 // Meta is a checkpoint's header, parsed without materializing the O(dim)
@@ -209,37 +205,42 @@ func (m Meta) AccumulateParams(b []byte, sum tensor.Vector) error {
 // apply decodes params into dst, either overwriting (add=false) or
 // accumulating (add=true). Bounds were established by ParseMeta.
 func (m Meta) apply(b []byte, dst tensor.Vector, add bool) {
-	off := m.paramsOff
-	n := m.NumParams
+	dst = dst[:m.NumParams]
 	switch m.Encoding {
 	case EncodingFloat64:
 		if add {
-			for i := 0; i < n; i++ {
-				dst[i] += math.Float64frombits(binary.BigEndian.Uint64(b[off+8*i:]))
-			}
+			dst.AddBE(b[m.paramsOff:])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = math.Float64frombits(binary.BigEndian.Uint64(b[off+8*i:]))
-			}
+			dst.SetBE(b[m.paramsOff:])
 		}
 	case EncodingQuant8:
-		lo := math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
-		hi := math.Float64frombits(binary.BigEndian.Uint64(b[off+8:]))
-		off += 16
-		step := 0.0
-		if hi > lo {
-			step = (hi - lo) / 255
-		}
+		var lut [256]float64
+		levels := m.quant8(b, 1, &lut)
 		if add {
-			for i := 0; i < n; i++ {
-				dst[i] += lo + float64(b[off+i])*step
-			}
+			dst.AddLUT(&lut, levels)
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = lo + float64(b[off+i])*step
-			}
+			dst.SetLUT(&lut, levels)
 		}
 	}
+}
+
+// quant8 fills lut[q] = scale·(lo + q·step), the value of level byte q in
+// the Quant8 section of the buffer m was parsed from, and returns the
+// NumParams level bytes. The table is the per-element dequantization
+// expression evaluated once per level instead of once per parameter, so
+// folding through it is bit-identical to computing in place (scale 1
+// multiplies exactly). Callers keep lut on their stack.
+func (m Meta) quant8(b []byte, scale float64, lut *[256]float64) []byte {
+	var r [2]float64 // lo, hi
+	tensor.Vector(r[:]).SetBE(b[m.paramsOff:])
+	lo, step := r[0], 0.0
+	if r[1] > lo {
+		step = (r[1] - lo) / 255
+	}
+	for q := range lut {
+		lut[q] = scale * (lo + float64(q)*step)
+	}
+	return b[m.paramsOff+16:][:m.NumParams]
 }
 
 // ParamNorm returns the L2 norm of the parameter section of the buffer m
@@ -248,27 +249,13 @@ func (m Meta) apply(b []byte, dst tensor.Vector, add bool) {
 // decide whether an update needs norm clipping — and by how much — before
 // touching an accumulator stripe.
 func (m Meta) ParamNorm(b []byte) float64 {
-	off := m.paramsOff
-	n := m.NumParams
 	var ss float64
 	switch m.Encoding {
 	case EncodingFloat64:
-		for i := 0; i < n; i++ {
-			v := math.Float64frombits(binary.BigEndian.Uint64(b[off+8*i:]))
-			ss += v * v
-		}
+		ss = tensor.SumSquaresBE(b[m.paramsOff:], m.NumParams)
 	case EncodingQuant8:
-		lo := math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
-		hi := math.Float64frombits(binary.BigEndian.Uint64(b[off+8:]))
-		off += 16
-		step := 0.0
-		if hi > lo {
-			step = (hi - lo) / 255
-		}
-		for i := 0; i < n; i++ {
-			v := lo + float64(b[off+i])*step
-			ss += v * v
-		}
+		var lut [256]float64
+		ss = tensor.SumSquaresLUT(&lut, m.quant8(b, 1, &lut))
 	}
 	return math.Sqrt(ss)
 }
@@ -282,24 +269,12 @@ func (m Meta) AccumulateParamsScaled(b []byte, sum tensor.Vector, scale float64)
 	if len(sum) != m.NumParams {
 		return fmt.Errorf("checkpoint: accumulate dim %d, update has %d", len(sum), m.NumParams)
 	}
-	off := m.paramsOff
-	n := m.NumParams
 	switch m.Encoding {
 	case EncodingFloat64:
-		for i := 0; i < n; i++ {
-			sum[i] += scale * math.Float64frombits(binary.BigEndian.Uint64(b[off+8*i:]))
-		}
+		sum.AxpyBE(scale, b[m.paramsOff:])
 	case EncodingQuant8:
-		lo := math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
-		hi := math.Float64frombits(binary.BigEndian.Uint64(b[off+8:]))
-		off += 16
-		step := 0.0
-		if hi > lo {
-			step = (hi - lo) / 255
-		}
-		for i := 0; i < n; i++ {
-			sum[i] += scale * (lo + float64(b[off+i])*step)
-		}
+		var lut [256]float64
+		sum.AddLUT(&lut, m.quant8(b, scale, &lut))
 	}
 	return nil
 }
@@ -326,20 +301,4 @@ func (c *Checkpoint) WireSize(enc Encoding) int {
 	default:
 		return header + 8*len(c.Params)
 	}
-}
-
-func paramRange(v tensor.Vector) (lo, hi float64) {
-	if len(v) == 0 {
-		return 0, 0
-	}
-	lo, hi = v[0], v[0]
-	for _, p := range v[1:] {
-		if p < lo {
-			lo = p
-		}
-		if p > hi {
-			hi = p
-		}
-	}
-	return lo, hi
 }

@@ -47,7 +47,7 @@ func TestQuant8RoundTripApproximate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := paramRange(c.Params)
+	lo, hi := c.Params.Range()
 	tol := (hi - lo) / 255 // one quantization step
 	for i := range c.Params {
 		if math.Abs(got.Params[i]-c.Params[i]) > tol {
@@ -216,7 +216,7 @@ func TestQuant8ErrorBoundProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, hi := paramRange(clean)
+		lo, hi := clean.Range()
 		tol := (hi-lo)/255 + 1e-12
 		for i := range clean {
 			if math.Abs(got.Params[i]-clean[i]) > tol {

@@ -163,7 +163,7 @@ func TestQuant8AccumulateErrorBoundProperty(t *testing.T) {
 		if err := m.AccumulateParams(b, sum); err != nil {
 			return false
 		}
-		lo, hi := paramRange(clean)
+		lo, hi := clean.Range()
 		tol := (hi-lo)/255 + 1e-12
 		for i := range clean {
 			if math.Abs(sum[i]-clean[i]) > tol {

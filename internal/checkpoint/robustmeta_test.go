@@ -107,7 +107,7 @@ func TestQuant8HalfStepErrorBoundProperty(t *testing.T) {
 		if err := m.DecodeParams(b, dst); err != nil {
 			return false
 		}
-		lo, hi := paramRange(clean)
+		lo, hi := clean.Range()
 		halfStep := (hi-lo)/510 + 1e-12 // step/2 plus float slack
 		for i := range clean {
 			if math.Abs(dst[i]-clean[i]) > halfStep {

@@ -6,6 +6,7 @@ package fedavg
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -108,13 +109,18 @@ func NewAccumulator(dim int) *Accumulator {
 	return &Accumulator{sum: make(tensor.Vector, dim)}
 }
 
+// ValidWeight reports whether w can enter a round's sums: positive and
+// finite. Written so that NaN fails — one accepted NaN or +Inf weight turns
+// n̄, 1/n̄ and every committed parameter after it into NaN.
+func ValidWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
 // Add folds one update in.
 func (a *Accumulator) Add(u *Update) error {
 	if len(u.Delta) != len(a.sum) {
 		return fmt.Errorf("fedavg: update dim %d, accumulator dim %d", len(u.Delta), len(a.sum))
 	}
-	if u.Weight <= 0 {
-		return fmt.Errorf("fedavg: non-positive update weight %v", u.Weight)
+	if !ValidWeight(u.Weight) {
+		return fmt.Errorf("fedavg: non-positive or non-finite update weight %v", u.Weight)
 	}
 	a.sum.Axpy(1, u.Delta)
 	a.weight += u.Weight
@@ -128,8 +134,8 @@ func (a *Accumulator) AddRaw(deltaSum tensor.Vector, weight float64, count int) 
 	if len(deltaSum) != len(a.sum) {
 		return fmt.Errorf("fedavg: raw dim %d, accumulator dim %d", len(deltaSum), len(a.sum))
 	}
-	if weight <= 0 || count <= 0 {
-		return fmt.Errorf("fedavg: non-positive raw weight %v / count %d", weight, count)
+	if !ValidWeight(weight) || count <= 0 {
+		return fmt.Errorf("fedavg: non-positive or non-finite raw weight %v / count %d", weight, count)
 	}
 	a.sum.Axpy(1, deltaSum)
 	a.weight += weight
@@ -163,6 +169,22 @@ func (a *Accumulator) Average() (tensor.Vector, error) {
 	avg := a.sum.Clone()
 	avg.Scale(1 / a.weight)
 	return avg, nil
+}
+
+// Step returns w_{t+1} = w_t + w̄/n̄ as a fresh vector, leaving global
+// untouched: Average then Apply in one pass and one allocation. The explicit
+// conversion rounds the product before the add (no fused multiply-add), so
+// the result equals the two-step form bit for bit on every GOARCH. A nil
+// accumulator is an empty one.
+func (a *Accumulator) Step(global tensor.Vector) (tensor.Vector, error) {
+	if a == nil || a.weight <= 0 || len(global) != len(a.sum) {
+		return nil, fmt.Errorf("fedavg: step over an empty accumulator or a %d-dim global", len(global))
+	}
+	next, sum, inv := make(tensor.Vector, len(global)), a.sum[:len(global)], 1/a.weight
+	for i, g := range global {
+		next[i] = g + float64(sum[i]*inv)
+	}
+	return next, nil
 }
 
 // Apply performs the server step w_{t+1} = w_t + Δ in place.

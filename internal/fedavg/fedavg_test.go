@@ -95,11 +95,20 @@ func TestAccumulatorErrors(t *testing.T) {
 	if err := acc.Add(&Update{Delta: tensor.Vector{1}, Weight: 1}); err == nil {
 		t.Fatal("dim mismatch must fail")
 	}
-	if err := acc.Add(&Update{Delta: tensor.Vector{1, 2}, Weight: 0}); err == nil {
-		t.Fatal("zero weight must fail")
+	// NaN fails every `w <= 0` comparison, so the guard is `!(w > 0)`-shaped.
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := acc.Add(&Update{Delta: tensor.Vector{1, 2}, Weight: w}); err == nil {
+			t.Fatalf("Add weight %v must fail", w)
+		}
+		if err := acc.AddRaw(tensor.Vector{1, 2}, w, 1); err == nil {
+			t.Fatalf("AddRaw weight %v must fail", w)
+		}
+		if _, err := AccumulatorFromSeal(2, SealedStripe{Sum: tensor.Vector{1, 2}, Weight: w, Count: 1}); err == nil {
+			t.Fatalf("AccumulatorFromSeal weight %v must fail", w)
+		}
 	}
-	if err := acc.AddRaw(tensor.Vector{1, 2}, 0, 1); err == nil {
-		t.Fatal("AddRaw zero weight must fail")
+	if acc.Count() != 0 || acc.Weight() != 0 {
+		t.Fatalf("refused folds counted: count=%d weight=%v", acc.Count(), acc.Weight())
 	}
 	if err := acc.AddRaw(tensor.Vector{1}, 1, 1); err == nil {
 		t.Fatal("AddRaw dim mismatch must fail")

@@ -47,8 +47,8 @@ func NewPartial(dim int) *PartialAccumulator {
 // fold must either apply fully or leave the sum untouched on error.
 // Returns ErrPartialClosed once the stripe has been closed.
 func (p *PartialAccumulator) Accumulate(weight float64, metrics map[string]float64, fold func(sum tensor.Vector) error) error {
-	if weight <= 0 {
-		return fmt.Errorf("fedavg: non-positive update weight %v", weight)
+	if !ValidWeight(weight) {
+		return fmt.Errorf("fedavg: non-positive or non-finite update weight %v", weight)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

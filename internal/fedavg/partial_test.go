@@ -103,12 +103,14 @@ func TestPartialClosedRefusesFolds(t *testing.T) {
 	}
 }
 
-// TestPartialRejectsBadFolds: non-positive weights are refused before the
+// TestPartialRejectsBadFolds: non-positive and non-finite weights are refused before the
 // fold runs, and a failing fold must not advance weight or count.
 func TestPartialRejectsBadFolds(t *testing.T) {
 	p := NewPartial(2)
-	if err := p.Accumulate(0, nil, func(tensor.Vector) error { t.Fatal("fold ran"); return nil }); err == nil {
-		t.Fatal("zero weight accepted")
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if err := p.Accumulate(w, nil, func(tensor.Vector) error { t.Fatal("fold ran"); return nil }); err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
 	}
 	if err := p.Accumulate(1, nil, func(tensor.Vector) error { return errors.New("boom") }); err == nil {
 		t.Fatal("failing fold accepted")

@@ -3,7 +3,6 @@ package fedavg
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -72,6 +71,17 @@ func (a *Accumulator) AddSealed(s SealedStripe) error {
 	return a.AddRaw(s.Sum, s.Weight, s.Count)
 }
 
+// AccumulatorFromSeal returns a dim-dimensional accumulator that starts as
+// the sealed stripe s. It adopts s.Sum — the caller hands the vector over —
+// instead of zeroing a fresh one and adding s.Sum into it, the way
+// SealStripes adopts its first stripe.
+func AccumulatorFromSeal(dim int, s SealedStripe) (*Accumulator, error) {
+	if len(s.Sum) != dim || !ValidWeight(s.Weight) || s.Count <= 0 {
+		return nil, fmt.Errorf("fedavg: sealed dim %d (want %d), weight %v, count %d", len(s.Sum), dim, s.Weight, s.Count)
+	}
+	return &Accumulator{sum: s.Sum, weight: s.Weight, count: s.Count}, nil
+}
+
 // Sealed-sum wire form: u32 element count followed by count big-endian
 // float64 bits. The length is fully determined by the count, so a decoder
 // can validate the buffer before allocating.
@@ -81,9 +91,7 @@ const sumHeader = 4
 func MarshalSum(v tensor.Vector) []byte {
 	buf := make([]byte, sumHeader+8*len(v))
 	binary.BigEndian.PutUint32(buf, uint32(len(v)))
-	for i, x := range v {
-		binary.BigEndian.PutUint64(buf[sumHeader+8*i:], math.Float64bits(x))
-	}
+	v.PutBE(buf[sumHeader:])
 	return buf
 }
 
@@ -99,8 +107,6 @@ func UnmarshalSum(b []byte) (tensor.Vector, error) {
 		return nil, fmt.Errorf("fedavg: sealed sum claims %d elements in %d bytes", n, len(b))
 	}
 	v := make(tensor.Vector, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.BigEndian.Uint64(b[sumHeader+8*i:]))
-	}
+	v.SetBE(b[sumHeader:])
 	return v, nil
 }

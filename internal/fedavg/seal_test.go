@@ -1,0 +1,141 @@
+package fedavg
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// kernelLens are the vector lengths every O(dim) kernel is checked at: the
+// 4-wide block loop and its scalar tail are both hit, alone and together.
+var kernelLens = []int{0, 1, 3, 4, 5, 7, 8, 9, 65535, 65537}
+
+// TestStepMatchesAverageApply: the Coordinator's one-pass commit step is the
+// two-step Average (Clone + Scale by 1/n̄) followed by Apply (Axpy 1), bit
+// for bit — including weights whose reciprocal is not exact, where a fused
+// multiply-add would round differently.
+func TestStepMatchesAverageApply(t *testing.T) {
+	rng := tensor.NewRNG(16)
+	for trial := 0; trial < 1000; trial++ {
+		dim := 1 + rng.Intn(40)
+		sum, global := make(tensor.Vector, dim), make(tensor.Vector, dim)
+		rng.FillNormal(sum, math.Exp(8*rng.Float64()-4))
+		rng.FillNormal(global, 1)
+		weight := math.Exp(10*rng.Float64() - 2) // non-dyadic
+		if trial%10 == 0 {
+			weight = float64(1 + rng.Intn(4096))
+		}
+		acc, err := AccumulatorFromSeal(dim, SealedStripe{Sum: sum, Weight: weight, Count: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg, err := acc.Average()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := global.Clone()
+		if err := Apply(want, avg); err != nil {
+			t.Fatal(err)
+		}
+		before := global.Clone()
+		got, err := acc.Step(global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (weight %v) param %d: step %x, average+apply %x",
+					trial, weight, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+			if global[i] != before[i] {
+				t.Fatalf("trial %d: Step wrote to the global it was given", trial)
+			}
+		}
+	}
+	if _, err := NewAccumulator(3).Step(make(tensor.Vector, 3)); err == nil {
+		t.Fatal("Step on an empty accumulator must fail")
+	}
+	if _, err := (*Accumulator)(nil).Step(nil); err == nil {
+		t.Fatal("Step on a round that adopted no seal must fail")
+	}
+	acc, _ := AccumulatorFromSeal(2, SealedStripe{Sum: tensor.Vector{1, 2}, Weight: 1, Count: 1})
+	if _, err := acc.Step(make(tensor.Vector, 3)); err == nil {
+		t.Fatal("Step dim mismatch must fail")
+	}
+}
+
+// TestAccumulatorFromSealAdopts: adopting the first seal and adding the rest
+// yields the sums NewAccumulator + AddSealed would, without a copy of the
+// first; a seal of the wrong dimension or with no updates is refused.
+func TestAccumulatorFromSealAdopts(t *testing.T) {
+	first := SealedStripe{Sum: tensor.Vector{1, -2, 3}, Weight: 3, Count: 2}
+	second := SealedStripe{Sum: tensor.Vector{0.5, 0.25, -1}, Weight: 2, Count: 1}
+	ref := NewAccumulator(3)
+	for _, s := range []SealedStripe{first, second} {
+		if err := ref.AddSealed(SealedStripe{Sum: s.Sum.Clone(), Weight: s.Weight, Count: s.Count}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acc, err := AccumulatorFromSeal(3, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &acc.sum[0] != &first.Sum[0] {
+		t.Fatal("the first seal's sum was copied, not adopted")
+	}
+	if err := acc.AddSealed(second); err != nil {
+		t.Fatal(err)
+	}
+	if acc.Count() != ref.Count() || acc.Weight() != ref.Weight() {
+		t.Fatalf("count %d weight %v, want %d %v", acc.Count(), acc.Weight(), ref.Count(), ref.Weight())
+	}
+	for i := range ref.sum {
+		if acc.sum[i] != ref.sum[i] {
+			t.Fatalf("sum[%d] = %v, want %v", i, acc.sum[i], ref.sum[i])
+		}
+	}
+	if second.Sum[0] != 0.5 {
+		t.Fatal("a later seal's sum was written to")
+	}
+	if _, err := AccumulatorFromSeal(4, first); err == nil {
+		t.Fatal("dimension mismatch must fail")
+	}
+	if _, err := AccumulatorFromSeal(3, SealedStripe{Sum: tensor.Vector{1, 2, 3}, Weight: 1}); err == nil {
+		t.Fatal("a seal with no updates must fail")
+	}
+}
+
+// TestMarshalSumRoundTrip: the sealed-sum wire form survives every block and
+// tail length bit for bit, special values included.
+func TestMarshalSumRoundTrip(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, math.MaxFloat64}
+	rng := tensor.NewRNG(7)
+	for _, n := range kernelLens {
+		v := make(tensor.Vector, n)
+		rng.FillNormal(v, 1e3)
+		copy(v, special)
+		b := MarshalSum(v)
+		if len(b) != sumHeader+8*n {
+			t.Fatalf("n=%d: %d bytes", n, len(b))
+		}
+		back, err := UnmarshalSum(b)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(back) != n {
+			t.Fatalf("n=%d: decoded %d elements", n, len(back))
+		}
+		for i := range v {
+			if math.Float64bits(back[i]) != math.Float64bits(v[i]) {
+				t.Fatalf("n=%d elem %d: %x != %x", n, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
+			}
+		}
+		if n > 0 {
+			if _, err := UnmarshalSum(b[:len(b)-1]); err == nil {
+				t.Fatalf("n=%d: truncated sum accepted", n)
+			}
+		}
+	}
+}

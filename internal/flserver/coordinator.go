@@ -566,10 +566,19 @@ func (c *Coordinator) onSeal(ctx *actor.Context, e Edge, seal EdgeSeal) {
 	for name, vs := range seal.Seal.Metrics {
 		cur.metrics[name] = append(cur.metrics[name], vs...)
 	}
-	if cur.acc == nil {
-		cur.acc = fedavg.NewAccumulator(cur.cfg.Dim)
+	// The first edge's sum becomes the round accumulator as it stands (the
+	// seal hands its vector over: a local edge's stripes are drained and
+	// closed, a remote edge's was decoded for this message); later seals are
+	// added into it.
+	var err error
+	switch {
+	case cur.evalOnly || seal.Seal.Count == 0: // no update sum to fold
+	case cur.acc == nil:
+		cur.acc, err = fedavg.AccumulatorFromSeal(cur.cfg.Dim, seal.Seal)
+	default:
+		err = cur.acc.AddSealed(seal.Seal)
 	}
-	if cur.evalOnly || cur.acc.AddSealed(seal.Seal) == nil {
+	if err == nil {
 		cur.reports += seal.Seal.Count + seal.Seal.EvalCount
 	} else {
 		out.Lost += seal.Seal.Count
@@ -630,16 +639,12 @@ func (c *Coordinator) commit(cur *round) (*checkpoint.Checkpoint, int64, error) 
 	start := c.Now()
 	newGlobal := cur.cfg.Global
 	if !cur.evalOnly {
-		avg, err := cur.acc.Average()
+		params, err := cur.acc.Step(cur.cfg.Global.Params)
 		if err != nil {
-			return nil, 0, fmt.Errorf("average: %w", err)
+			return nil, 0, fmt.Errorf("step: %w", err)
 		}
-		newGlobal = cur.cfg.Global.Clone()
-		newGlobal.Round++
-		newGlobal.Weight = cur.acc.Weight()
-		if err := fedavg.Apply(newGlobal.Params, avg); err != nil {
-			return nil, 0, fmt.Errorf("apply: %w", err)
-		}
+		newGlobal = &checkpoint.Checkpoint{TaskName: newGlobal.TaskName, Round: newGlobal.Round + 1,
+			Weight: cur.acc.Weight(), Params: params}
 		if err := c.Store.PutCheckpoint(newGlobal); err != nil {
 			return nil, 0, fmt.Errorf("commit: %w", err)
 		}

@@ -225,8 +225,8 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 		reject(fmt.Sprintf("update dim %d, want %d", meta.NumParams, r.dim))
 		return
 	}
-	if meta.Weight <= 0 {
-		reject("non-positive weight")
+	if !fedavg.ValidWeight(meta.Weight) {
+		reject("non-positive or non-finite weight")
 		return
 	}
 	if r.secure {
@@ -283,6 +283,7 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 	err = r.ingest.stripe().Accumulate(meta.Weight, req.Metrics, fold)
 	if err == nil {
 		obsEdgeFolds.Inc()
+		obsEdgeFoldBytes.Add(int64(len(req.Update)))
 	}
 	settle(err)
 }

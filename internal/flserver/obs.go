@@ -14,6 +14,7 @@ var (
 	obsReportsLate     = obs.Default.Counter("fl_reports_late_total")
 	obsDevicesLost     = obs.Default.Counter("fl_devices_lost_total")
 	obsEdgeFolds       = obs.Default.Counter("fl_edge_stripe_folds_total")
+	obsEdgeFoldBytes   = obs.Default.Counter("fl_edge_fold_bytes_total")
 	obsPlanMarshals    = obs.Default.Counter("fl_plan_marshals_total")
 
 	// Robust-aggregation defense activity, process-wide; the per-task

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/fedavg"
 	"repro/internal/tensor"
 )
 
@@ -40,8 +41,8 @@ func NewBuffer(dim int) *Buffer {
 // checkpoint.Meta.DecodeParams) and retains it for the finalize reduce.
 // Returns ErrBufferClosed once the reporting window has closed.
 func (b *Buffer) Add(device string, weight float64, metrics map[string]float64, decode func(dst tensor.Vector) error) error {
-	if weight <= 0 {
-		return fmt.Errorf("robust: non-positive update weight %v", weight)
+	if !fedavg.ValidWeight(weight) {
+		return fmt.Errorf("robust: non-positive or non-finite update weight %v", weight)
 	}
 	vec := getVec(b.dim)
 	if err := decode(*vec); err != nil {

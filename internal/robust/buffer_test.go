@@ -3,6 +3,7 @@ package robust
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -62,8 +63,10 @@ func TestBufferDecodeErrorDiscards(t *testing.T) {
 	if b.Reports() != 0 {
 		t.Fatal("failed decode must not be buffered")
 	}
-	if err := b.Add("w", 0, nil, func(tensor.Vector) error { return nil }); err == nil {
-		t.Fatal("non-positive weight must be refused")
+	for _, w := range []float64{0, math.NaN(), math.Inf(1)} {
+		if err := b.Add("w", w, nil, func(tensor.Vector) error { return nil }); err == nil {
+			t.Fatalf("weight %v must be refused", w)
+		}
 	}
 }
 

@@ -127,6 +127,13 @@ func (v Vector) Axpy(alpha float64, x Vector) {
 	if len(v) != len(x) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(v), len(x)))
 	}
+	for ; len(v) >= 4; v, x = v[4:], x[4:] {
+		d, s := v[:4:4], x[:4:4]
+		d[0] += alpha * s[0]
+		d[1] += alpha * s[1]
+		d[2] += alpha * s[2]
+		d[3] += alpha * s[3]
+	}
 	for i := range v {
 		v[i] += alpha * x[i]
 	}
