@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's tables and figures (one benchmark per
 // table/figure; see DESIGN.md §4 for the index) plus the ablations of
-// DESIGN.md §6. Run:
+// DESIGN.md §6. Round performance is measured by `bash benchmark/run.sh`,
+// not here. Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -10,7 +11,6 @@ package repro_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,12 +18,9 @@ import (
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fedavg"
-	"repro/internal/fleet"
-	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/secagg"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/tensor"
@@ -203,170 +200,6 @@ func BenchmarkSecAggQuadratic(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkRoundThroughput measures the round fan-out/ingest pipeline
-// (Configuration sends + wire codec + Reporting decode-and-accumulate at
-// the edge) for K devices reporting dim-sized updates, over both
-// transports and both uplink encodings (the plan.Server.ReportEncoding
-// knob: float64 ships 8 bytes/param, quant8 1 byte/param and is
-// dequantized straight into the accumulator stripes). Run with -benchmem:
-// B/op is dominated by the wire path. The plan-marshals/round metric
-// asserts Configuration marshals the plan O(versions), not O(devices).
-// The bare "<transport>/K-<k>/dim-<dim>" names (no encoding suffix) keep
-// the float64 cells comparable against the earlier baselines in
-// BENCH_roundtput.json.
-func BenchmarkRoundThroughput(b *testing.B) {
-	for _, tr := range []struct {
-		name string
-		tcp  bool
-	}{{"mem", false}, {"tcp", true}} {
-		for _, k := range []int{64, 256, 1024} {
-			for _, dim := range []int{4096, 65536} {
-				for _, enc := range []struct {
-					name string
-					e    checkpoint.Encoding
-				}{{"", checkpoint.EncodingFloat64}, {"/quant8", checkpoint.EncodingQuant8}} {
-					b.Run(fmt.Sprintf("%s/K-%d/dim-%d%s", tr.name, k, dim, enc.name), func(b *testing.B) {
-						b.ReportAllocs()
-						var st flserver.BenchRoundStats
-						for i := 0; i < b.N; i++ {
-							var err error
-							st, err = flserver.RunBenchRound(flserver.BenchRoundConfig{
-								Devices: k, Dim: dim, TCP: tr.tcp, Encoding: enc.e,
-							})
-							if err != nil {
-								b.Fatal(err)
-							}
-							if st.Completed < k {
-								b.Fatalf("completed %d/%d devices", st.Completed, k)
-							}
-						}
-						b.ReportMetric(float64(st.PlanMarshals), "plan-marshals/round")
-					})
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkMultiPopulation drives ONE fleet gateway serving three FL
-// populations concurrently — shared Selector layer, shared lock service,
-// shared multi-tenant device fleet — through the real round pipeline
-// (check-in, plan delivery, on-device training, report, aggregation,
-// commit) until every population reaches its committed-round target, over
-// both transports. The rounds/pop metric confirms every population made
-// full progress through the shared layer.
-func BenchmarkMultiPopulation(b *testing.B) {
-	for _, tr := range []struct {
-		name string
-		tcp  bool
-	}{{"mem", false}, {"tcp", true}} {
-		b.Run(fmt.Sprintf("%s/pops-3", tr.name), func(b *testing.B) {
-			b.ReportAllocs()
-			var st fleet.BenchStats
-			for i := 0; i < b.N; i++ {
-				var err error
-				st, err = fleet.RunBenchMultiPop(fleet.BenchConfig{
-					Populations: 3, Devices: 9, TargetDevices: 3, Rounds: 2,
-					TCP: tr.tcp, Seed: uint64(i + 1),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for pop, rounds := range st.Rounds {
-					if rounds < 2 {
-						b.Fatalf("population %s committed %d rounds", pop, rounds)
-					}
-				}
-			}
-			minRounds := 0
-			for _, rounds := range st.Rounds {
-				if minRounds == 0 || rounds < minRounds {
-					minRounds = rounds
-				}
-			}
-			b.ReportMetric(float64(minRounds), "rounds/pop")
-		})
-	}
-}
-
-// BenchmarkMultiTask drives ONE population whose TaskSet interleaves a
-// train task with an eval task submitted through the live SubmitTask API
-// (Sec. 7 model-engineer workflow): the train task reaches its round
-// target while the eval task keeps its cadence, over both transports. The
-// per-task rounds/sec metrics expose how much round throughput the eval
-// traffic costs training.
-func BenchmarkMultiTask(b *testing.B) {
-	for _, tr := range []struct {
-		name string
-		tcp  bool
-	}{{"mem", false}, {"tcp", true}} {
-		b.Run(tr.name+"/train+eval", func(b *testing.B) {
-			b.ReportAllocs()
-			var st flserver.BenchMultiTaskStats
-			for i := 0; i < b.N; i++ {
-				var err error
-				st, err = flserver.RunBenchMultiTask(flserver.BenchMultiTaskConfig{
-					Devices: 9, TargetDevices: 3, TrainRounds: 4, EvalEvery: 2,
-					TCP: tr.tcp, Seed: uint64(i + 1),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for id, rps := range st.RoundsPerSec {
-				name := "train-rounds/sec"
-				if strings.HasSuffix(id, "/eval") {
-					name = "eval-rounds/sec"
-				}
-				b.ReportMetric(rps, name)
-			}
-		})
-	}
-}
-
-// BenchmarkShardedRound drives the 3-selector × 1-coordinator sharded
-// deployment (DESIGN.md process-topology section) to two committed rounds:
-// every device terminates on a selector shard, each shard decodes and
-// accumulates its reports at the edge, and ONE sealed stripe per shard per
-// round crosses the selector→coordinator link. The K-4096 cell is the
-// paper-scale round; bytes-up/round measures the aggregation traffic that
-// actually crossed the process boundary (sealed partials, never raw
-// updates). TCP runs the same topology over real loopback sockets.
-func BenchmarkShardedRound(b *testing.B) {
-	for _, tr := range []struct {
-		name string
-		tcp  bool
-	}{{"mem", false}, {"tcp", true}} {
-		for _, k := range []int{64, 512, 4096} {
-			if tr.tcp && k > 64 {
-				// The TCP cell is a wire-path smoke; paper-scale K runs
-				// in-process where the swarm isn't fd-bound.
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/K-%d/shards-3", tr.name, k), func(b *testing.B) {
-				b.ReportAllocs()
-				var st shard.BenchShardedStats
-				for i := 0; i < b.N; i++ {
-					var err error
-					st, err = shard.RunBenchSharded(shard.BenchShardedConfig{
-						Shards: 3, TargetDevices: k, Devices: 2 * k, Rounds: 2,
-						TCP: tr.tcp, Seed: uint64(i + 1),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if st.Rounds < 2 {
-						b.Fatalf("committed %d rounds, want >= 2", st.Rounds)
-					}
-				}
-				b.ReportMetric(float64(st.Rounds)/st.Elapsed.Seconds(), "rounds/sec")
-				b.ReportMetric(float64(st.BytesUpstream)/float64(st.Rounds), "bytes-up/round")
-				b.ReportMetric(float64(st.SealsReceived)/float64(st.Rounds), "seals/round")
-			})
-		}
 	}
 }
 

@@ -418,12 +418,6 @@ func (f *Fleet) Stats() (map[string]PopulationStats, error) {
 	return out, nil
 }
 
-// SelectorTotals sums the selector layer's counters across every
-// population, including unknown-population rejections.
-func (f *Fleet) SelectorTotals() (flserver.SelectorStats, error) {
-	return flserver.SumSelectorStats(f.selectors, "")
-}
-
 // Serve accepts device connections from l until l closes, routing each
 // connection's first message through the shared CheckinRouter accept path
 // (Selectors route check-ins by population; malformed first messages get a

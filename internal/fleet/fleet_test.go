@@ -32,43 +32,83 @@ func makePlan(t *testing.T, pop string, target int) *plan.Plan {
 	return p
 }
 
-// TestFleetThreePopulationsMem is the tentpole end-to-end: ONE fleet
-// process, three populations, one shared multi-tenant device fleet over
-// the in-memory transport; every population reaches its committed-round
-// target concurrently, with per-population stats.
-func TestFleetThreePopulationsMem(t *testing.T) {
-	st, err := RunBenchMultiPop(BenchConfig{
-		Populations: 3, Devices: 9, TargetDevices: 3, Rounds: 2, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Rounds) != 3 {
-		t.Fatalf("per-population stats missing: %+v", st.Rounds)
-	}
-	for pop, rounds := range st.Rounds {
-		if rounds < 2 {
-			t.Fatalf("population %s committed %d rounds, want ≥ 2", pop, rounds)
-		}
-	}
-	if st.Accepted == 0 {
-		t.Fatal("shared selector layer accepted no devices")
-	}
-}
+// TestFleetThreePopulations is the tentpole end-to-end: ONE fleet process,
+// three populations behind one listener and one shared Selector layer, each
+// with its own device fleet, over the in-memory transport and over loopback
+// sockets; every population reaches its committed-round target
+// concurrently, with per-population stats.
+func TestFleetThreePopulations(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		tcp                     bool
+		devices, target, rounds int
+	}{{"mem", false, 9, 3, 2}, {"tcp", true, 6, 2, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New(Config{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			var l transport.Listener
+			var dial func() (transport.Conn, error)
+			if tc.tcp {
+				if l, err = transport.ListenTCP("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				dial = func() (transport.Conn, error) { return transport.DialTCP(l.Addr()) }
+			} else {
+				net := transport.NewMemNetwork()
+				if l, err = net.Listen("fleet"); err != nil {
+					t.Fatal(err)
+				}
+				dial = func() (transport.Conn, error) { return net.Dial("fleet") }
+			}
+			defer l.Close()
+			go f.Serve(l)
 
-// TestFleetThreePopulationsTCP drives the same three-population fleet over
-// real loopback sockets.
-func TestFleetThreePopulationsTCP(t *testing.T) {
-	st, err := RunBenchMultiPop(BenchConfig{
-		Populations: 3, Devices: 6, TargetDevices: 2, Rounds: 1, TCP: true, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pop, rounds := range st.Rounds {
-		if rounds < 1 {
-			t.Fatalf("population %s committed %d rounds over TCP, want ≥ 1", pop, rounds)
-		}
+			pops := []string{"pop-a", "pop-b", "pop-c"}
+			stores := make(map[string]storage.Store, len(pops))
+			for i, pop := range pops {
+				stores[pop] = storage.NewMem()
+				if err := f.Register(PopulationSpec{
+					Population: pop, Plans: []*plan.Plan{makePlan(t, pop, tc.target)}, Store: stores[pop],
+					Steering: pacing.New(time.Second), MaxRounds: tc.rounds,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				fed, err := data.Blobs(data.BlobsConfig{Users: tc.devices, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: uint64(31*i + 2)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer runPopDevices(t, pop, tc.devices, fed, dial)()
+			}
+			var accepted int64
+			for _, pop := range pops {
+				done, ok := f.Done(pop)
+				if !ok {
+					t.Fatalf("population %s not registered", pop)
+				}
+				select {
+				case <-done:
+				case <-time.After(60 * time.Second):
+					t.Fatalf("population %s never finished", pop)
+				}
+				st, err := f.PopulationStats(pop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Coordinator.RoundsCompleted < tc.rounds {
+					t.Fatalf("population %s committed %d rounds, want ≥ %d", pop, st.Coordinator.RoundsCompleted, tc.rounds)
+				}
+				if _, err := stores[pop].LatestCheckpoint(pop + "/train"); err != nil {
+					t.Fatalf("population %s committed no checkpoint: %v", pop, err)
+				}
+				accepted += st.Selector.Accepted
+			}
+			if accepted == 0 {
+				t.Fatal("shared selector layer accepted no devices")
+			}
+		})
 	}
 }
 

@@ -15,12 +15,31 @@ import (
 	"repro/internal/transport"
 )
 
-// BenchRoundConfig parametrizes one synthetic round for the
-// round-throughput benchmark (DESIGN.md §4): K devices check in, receive
-// the plan plus a dim-sized global checkpoint, and report a dim-sized
-// update, exercising the full Configuration fan-out → wire → Reporting
-// ingest pipeline without any on-device training.
-type BenchRoundConfig struct {
+// listen opens a listener — on loopback TCP, or on a fresh in-memory network
+// — and returns it with a matching dialer.
+func listen(tcp bool) (transport.Listener, func() (transport.Conn, error), error) {
+	if tcp {
+		l, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			return nil, nil, err
+		}
+		addr := l.Addr()
+		return l, func() (transport.Conn, error) { return transport.DialTCP(addr) }, nil
+	}
+	net := transport.NewMemNetwork()
+	l, err := net.Listen("bench")
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, func() (transport.Conn, error) { return net.Dial("bench") }, nil
+}
+
+// benchRoundConfig parametrizes one synthetic round for the round-pipeline
+// tests: K devices check in, receive the plan plus a dim-sized global
+// checkpoint, and report a dim-sized update, exercising the full
+// Configuration fan-out → wire → Reporting ingest pipeline without any
+// on-device training.
+type benchRoundConfig struct {
 	// Devices is K, the number of reports the round needs to commit.
 	Devices int
 	// Dim is the parameter count of the global checkpoint and of every
@@ -33,8 +52,7 @@ type BenchRoundConfig struct {
 	// server to derive and marshal a lowered plan alongside the current one.
 	MixedVersions bool
 	// Encoding is the uplink encoding devices report with (the
-	// plan.Server.ReportEncoding knob); 0 means full float64, the PR 2
-	// baseline. EncodingQuant8 ships 1 byte/param — the ~8× uplink lever.
+	// plan.Server.ReportEncoding knob); 0 means full float64.
 	Encoding checkpoint.Encoding
 	// Secure runs the round under Secure Aggregation (group size
 	// min(Devices, 8)), exercising the pooled per-device input path.
@@ -55,8 +73,8 @@ type BenchRoundConfig struct {
 	AttackScale float64
 }
 
-// BenchRoundStats describes one completed synthetic round.
-type BenchRoundStats struct {
+// benchRoundStats describes one completed synthetic round.
+type benchRoundStats struct {
 	Completed int
 	Lost      int
 	// PlanMarshals is how many times the round marshaled a plan during
@@ -74,13 +92,13 @@ type BenchRoundStats struct {
 	RobustRejected []string
 }
 
-// RunBenchRound drives one round through a real Server (Selectors,
+// runBenchRound drives one round through a real Server (Selectors,
 // Coordinator, local edge) and real transport connections: a goroutine per
 // device checks in and answers the CheckinResponse with a pre-marshaled
-// update. Used by BenchmarkRoundThroughput, `flbench -exp roundtput`, and
-// the -race fan-out/ingest tests.
-func RunBenchRound(cfg BenchRoundConfig) (BenchRoundStats, error) {
-	var stats BenchRoundStats
+// update. Used by the -race fan-out/ingest, edge-accumulation and robust
+// round tests.
+func runBenchRound(cfg benchRoundConfig) (benchRoundStats, error) {
+	var stats benchRoundStats
 	if cfg.Devices <= 0 || cfg.Dim <= 0 {
 		return stats, fmt.Errorf("benchround: Devices and Dim must be positive")
 	}
@@ -125,8 +143,7 @@ func RunBenchRound(cfg BenchRoundConfig) (BenchRoundStats, error) {
 	for i := range upd.Params {
 		upd.Params[i] = float64(i%7) * 0.25
 	}
-	// One shared payload by default (the throughput benchmark measures the
-	// pipeline, not K marshals); distinct per-device payloads on request.
+	// One shared payload by default; distinct per-device payloads on request.
 	updBytes := make([][]byte, cfg.Devices)
 	shared, err := upd.Marshal(enc)
 	if err != nil {
@@ -177,7 +194,7 @@ func RunBenchRound(cfg BenchRoundConfig) (BenchRoundStats, error) {
 			return stats, fmt.Errorf("benchround: %w", err)
 		}
 	}
-	l, dial, err := Listen(cfg.TCP, transport.NewMemNetwork(), "bench")
+	l, dial, err := listen(cfg.TCP)
 	if err != nil {
 		return stats, err
 	}
@@ -222,7 +239,7 @@ func RunBenchRound(cfg BenchRoundConfig) (BenchRoundStats, error) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	marshalsBefore := planMarshals.Load()
+	marshalsBefore := obsPlanMarshals.Value()
 	start := time.Now()
 	var devices sync.WaitGroup
 	devices.Add(cfg.Devices)
@@ -240,7 +257,7 @@ func RunBenchRound(cfg BenchRoundConfig) (BenchRoundStats, error) {
 	select {
 	case out := <-outcomes:
 		stats.Elapsed = time.Since(start)
-		stats.PlanMarshals = planMarshals.Load() - marshalsBefore
+		stats.PlanMarshals = obsPlanMarshals.Value() - marshalsBefore
 		if out.Committed == nil {
 			return stats, fmt.Errorf("benchround: round failed: %s", out.FailReason)
 		}

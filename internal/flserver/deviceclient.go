@@ -33,40 +33,6 @@ func NewLocalDataClient(id, population, storeName string, examples []nn.Example,
 	return &DeviceClient{ID: id, Population: population, Runtime: rt}, nil
 }
 
-// Loop checks the device in over and over — dial, one full RunOnce, a short
-// pause so rejected check-ins do not spin — until stop closes.
-func (d *DeviceClient) Loop(dial func() (transport.Conn, error), stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if conn, err := dial(); err == nil {
-			_, _ = d.RunOnce(conn)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// Listen opens a listener for a harness topology — on loopback TCP, or on
-// net under name — and returns it with a matching dialer.
-func Listen(tcp bool, net *transport.MemNetwork, name string) (transport.Listener, func() (transport.Conn, error), error) {
-	if tcp {
-		l, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		addr := l.Addr()
-		return l, func() (transport.Conn, error) { return transport.DialTCP(addr) }, nil
-	}
-	l, err := net.Listen(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, func() (transport.Conn, error) { return net.Dial(name) }, nil
-}
-
 // DeviceClient drives one device through the protocol: check in, and if
 // selected download the plan and checkpoint, execute, and report. It is the
 // client counterpart of Server, shared by the integration tests, the

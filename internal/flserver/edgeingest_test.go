@@ -59,7 +59,7 @@ func TestEdgeAccumulationMatchesSerial(t *testing.T) {
 		{"tcp/quant8", true, checkpoint.EncodingQuant8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := RunBenchRound(BenchRoundConfig{
+			st, err := runBenchRound(benchRoundConfig{
 				Devices: devices, Dim: dim, TCP: tc.tcp, Encoding: tc.enc, DistinctUpdates: true,
 			})
 			if err != nil {
@@ -103,7 +103,7 @@ func TestSecureRoundsReusePooledInputsWithoutAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(st BenchRoundStats, what string) {
+	check := func(st benchRoundStats, what string) {
 		t.Helper()
 		if st.Completed != devices || st.Committed == nil {
 			t.Fatalf("%s: completed %d/%d", what, st.Completed, devices)
@@ -117,7 +117,7 @@ func TestSecureRoundsReusePooledInputsWithoutAliasing(t *testing.T) {
 			}
 		}
 	}
-	first, err := RunBenchRound(BenchRoundConfig{
+	first, err := runBenchRound(benchRoundConfig{
 		Devices: devices, Dim: dim, Secure: true, DistinctUpdates: true,
 	})
 	if err != nil {
@@ -126,7 +126,7 @@ func TestSecureRoundsReusePooledInputsWithoutAliasing(t *testing.T) {
 	check(first, "first round")
 	snapshot := first.Committed.Params.Clone()
 
-	second, err := RunBenchRound(BenchRoundConfig{
+	second, err := runBenchRound(benchRoundConfig{
 		Devices: devices, Dim: dim, Secure: true, DistinctUpdates: true,
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package flserver
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -129,11 +130,6 @@ type versionResp struct {
 	err string
 }
 
-// planMarshals counts plan.Marshal calls made during Configuration,
-// process-wide. Tests and BenchmarkRoundThroughput read the delta across a
-// round to assert marshals stay O(distinct runtime versions), not O(devices).
-var planMarshals atomic.Int64
-
 // EdgeRound runs one round's device-facing half (Sec. 4.2's Master
 // Aggregator and Aggregators, at the edge): it requests devices from its
 // Selectors, streams each arrival its configuration (the plan lowered to
@@ -169,6 +165,9 @@ type EdgeRound struct {
 	sealed    bool
 	// topUpAt round-robins replacement-quota requests across Selectors.
 	topUpAt int
+	// out carries what the round sends from inside Receive: top-ups and the
+	// revocation to its Selectors, then the seal.
+	out roundOutbox
 	// timers are the armed selection and report windows, stopped at release
 	// so a settled round's mailbox is not pinned until they would have fired.
 	timers []*time.Timer
@@ -188,9 +187,51 @@ type EdgeRound struct {
 	clipped atomic.Int64
 }
 
+// roundOutbox runs a round's outbound control steps — quota top-ups, the
+// revocation, then shipping the seal — in the order they were posted, on a
+// goroutine that lives only while steps are queued. Selectors block sending
+// devices into the round's bounded mailbox, so a round that blocks inside
+// Receive on a Selector's mailbox (a check-in storm fills it) closes a
+// wait-for cycle in which neither actor ever returns: posting never blocks.
+// The seal ships behind the revocations so that everything this round told
+// its Selectors has landed before the Coordinator can open the next round on
+// them; a top-up overtaken by the next round's grant would point the
+// Selector's forward stream back at this sealed round. A step blocked on a
+// Selector's mailbox returns when the Selector stops.
+type roundOutbox struct {
+	mu       sync.Mutex
+	queue    []func()
+	draining bool
+}
+
+func (o *roundOutbox) post(step func()) {
+	o.mu.Lock()
+	o.queue = append(o.queue, step)
+	start := !o.draining
+	o.draining = true
+	o.mu.Unlock()
+	if start {
+		go o.drain()
+	}
+}
+
+func (o *roundOutbox) drain() {
+	for {
+		o.mu.Lock()
+		if len(o.queue) == 0 {
+			o.queue, o.draining = nil, false
+			o.mu.Unlock()
+			return
+		}
+		step := o.queue[0]
+		o.queue = o.queue[1:]
+		o.mu.Unlock()
+		step()
+	}
+}
+
 // NewEdgeRound returns the behavior for one edge round. ship runs on the
-// actor goroutine and must not block (hand the seal to a peer link or a
-// mailbox).
+// round's outbox goroutine, once the quota revocations have been delivered.
 func NewEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal)) *EdgeRound {
 	if cfg.Target < 1 {
 		cfg.Target = 1
@@ -346,7 +387,6 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 	var planBytes []byte
 	if err == nil {
 		planBytes, err = vp.Marshal()
-		planMarshals.Add(1)
 		obsPlanMarshals.Inc()
 	}
 	if err == nil && er.cfg.Checkpoint == nil {
@@ -468,6 +508,11 @@ func (er *EdgeRound) noteOutcome(ctx *actor.Context, deviceID string, ok bool) {
 	}
 }
 
+// send posts one control message for a Selector to the outbox.
+func (er *EdgeRound) send(sel actor.Ref, msg actor.Message) {
+	er.out.post(func() { _ = sel.Send(msg) })
+}
+
 // topUp asks a Selector (round-robin) for n replacement devices after
 // admitted ones dropped out of the round, keeping the number of devices
 // that can still complete at the admit target.
@@ -477,7 +522,7 @@ func (er *EdgeRound) topUp(ctx *actor.Context, n int) {
 	}
 	sel := er.selectors[er.topUpAt%len(er.selectors)]
 	er.topUpAt++
-	_ = sel.Send(msgQuotaTopUp{Population: er.cfg.Population, N: n, To: ctx.Self})
+	er.send(sel, msgQuotaTopUp{Population: er.cfg.Population, N: n, To: ctx.Self})
 }
 
 // closeWindow ends device intake: the ingest is sealed (a reader racing the
@@ -505,7 +550,7 @@ func (er *EdgeRound) closeWindow(self actor.Ref, reason string) {
 		}
 	}
 	for _, sel := range er.selectors {
-		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Owner: self})
+		er.send(sel, msgSetQuota{Population: er.cfg.Population, Owner: self})
 	}
 }
 
@@ -610,7 +655,7 @@ func (er *EdgeRound) shipSeal(ctx *actor.Context, seal EdgeSeal) {
 	seal.Population, seal.TaskID, seal.Round = er.cfg.Population, er.cfg.Plan.ID, er.cfg.Round
 	seal.Lost, seal.Aborted, seal.Clipped = er.lost, er.aborted, er.clipped.Load()
 	if er.ship != nil {
-		er.ship(seal)
+		er.out.post(func() { er.ship(seal) })
 	}
 	er.release(ctx)
 }

@@ -1,0 +1,135 @@
+package flserver
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/actor"
+	"repro/internal/checkpoint"
+	"repro/internal/protocol"
+	"repro/internal/tensor"
+)
+
+// TestRoundSurvivesSaturatedSelectorMailbox builds, by hand, the state a
+// check-in storm at K=4096 produced by chance: the round's mailbox is full,
+// its Selector is parked forwarding a device into it, the Selector's own
+// mailbox is full of check-ins with more forwarders parked behind them —
+// and the next message the round handles is the loss of a configured
+// device, whose replacement request goes to that Selector. Sent from inside
+// Receive the request parks behind the forwarders (channel senders queue in
+// order) while the Selector parks on the round: neither returns. The round
+// must instead drain, have its replacement configured, seal when told to,
+// hand its quota back, and the system must shut down.
+func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
+	const (
+		mailbox    = 1024 // actor.mailboxSize
+		forwarders = 8
+		// Every check-in below is admitted: d0, the one the Selector parks
+		// on, a mailbox of them, and the parked forwarders.
+		admit = 2 + mailbox + forwarders
+	)
+	sys := actor.NewSystem()
+	shutdown := make(chan struct{})
+	t.Cleanup(func() {
+		go func() { sys.Shutdown(); close(shutdown) }()
+		select {
+		case <-shutdown:
+		case <-time.After(10 * time.Second):
+			t.Error("actor system did not shut down")
+		}
+	})
+	sel := spawnSelector(sys, "sel", 0, 1, "pop")
+
+	p := testPlan(t, admit, false)
+	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
+	seals := make(chan EdgeSeal, 1)
+	er := NewEdgeRound(EdgeRoundConfig{
+		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: admit, Linger: 100 * time.Millisecond,
+		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
+	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })
+	// gate parks the round's actor inside Receive until released, so its
+	// mailbox can be filled behind it.
+	type gate struct{}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(open)
+	ref := sys.Spawn("edge-outbox-test", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		if _, ok := msg.(gate); ok {
+			close(entered)
+			<-release
+			return
+		}
+		er.Receive(ctx, msg)
+	}))
+	_ = ref.Send(msgEdgeStart{})
+	er.requestDevices(ref)
+
+	var configured atomic.Int64
+	onResp := func(r protocol.CheckinResponse) {
+		if r.Accepted && r.TaskID == p.ID {
+			configured.Add(1)
+		}
+	}
+	checkin(sel, "pop", "d0", onResp)
+	waitFor(t, func() bool { return configured.Load() == 1 })
+
+	_ = ref.Send(gate{})
+	<-entered
+	// First in the round's mailbox: d0 is lost. Then filler to the brim.
+	_ = ref.Send(msgReportDone{DeviceID: "d0"})
+	for i := 1; i < mailbox; i++ {
+		_ = ref.Send(msgReportDone{DeviceID: "never-configured"})
+	}
+	// The Selector admits d1 and parks forwarding it; the rest fill its
+	// mailbox, and the forwarders park behind that.
+	for i := 1; i <= 1+mailbox; i++ {
+		checkin(sel, "pop", fmt.Sprintf("d%d", i), onResp)
+	}
+	var parked sync.WaitGroup
+	for i := 0; i < forwarders; i++ {
+		parked.Add(1)
+		go func(i int) {
+			parked.Done()
+			checkin(sel, "pop", fmt.Sprintf("fwd%d", i), onResp)
+		}(i)
+	}
+	parked.Wait()
+	time.Sleep(50 * time.Millisecond) // let the forwarders reach their Send
+	open()
+
+	// Everything drains: every admitted device is configured, and the
+	// replacement request — queued behind all of them — reaches the Selector.
+	waitFor(t, func() bool { return configured.Load() == admit })
+	waitFor(t, func() bool { return popStats(t, sel, "pop").QuotaGranted == admit+1 })
+	checkin(sel, "pop", "replacement", onResp)
+	waitFor(t, func() bool { return configured.Load() == admit+1 })
+
+	// A second loss leaves one slot outstanding for the seal to revoke.
+	_ = ref.Send(msgReportDone{DeviceID: "d1"})
+	waitFor(t, func() bool { return popStats(t, sel, "pop").QuotaOutstanding == 1 })
+	FinalizeEdgeRound(ref)
+	select {
+	case seal := <-seals:
+		if seal.Lost != 2 || seal.Aborted != admit-1 {
+			t.Fatalf("seal lost %d aborted %d, want 2 and %d", seal.Lost, seal.Aborted, admit-1)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("round never sealed")
+	}
+	// The revocation still arrives: nothing is admitted to the sealed round.
+	waitFor(t, func() bool {
+		st := popStats(t, sel, "pop")
+		return st.QuotaOutstanding == 0 && st.QuotaRevoked == 1 && st.QuotaConserved()
+	})
+	var late atomic.Int64
+	checkin(sel, "pop", "late", func(r protocol.CheckinResponse) {
+		if !r.Accepted {
+			late.Add(1)
+		}
+	})
+	waitFor(t, func() bool { return late.Load() == 1 })
+}

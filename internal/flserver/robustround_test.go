@@ -68,7 +68,7 @@ func TestEdgeClippingMatchesSerial(t *testing.T) {
 		{"tcp/quant8", true, checkpoint.EncodingQuant8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := RunBenchRound(BenchRoundConfig{
+			st, err := runBenchRound(benchRoundConfig{
 				Devices: devices, Dim: dim, TCP: tc.tcp, Encoding: tc.enc,
 				Robust:    plan.RobustPolicy{Kind: plan.RobustNormBound, ClipNorm: clip, QuantSafe: true},
 				Attackers: attackers, AttackScale: attackScale,
@@ -107,14 +107,14 @@ func TestEdgeClippingMatchesSerial(t *testing.T) {
 // undefended round commits, with zero clips.
 func TestNormBoundLeavesHonestRoundUntouched(t *testing.T) {
 	const devices, dim = 16, 64
-	base, err := RunBenchRound(BenchRoundConfig{
+	base, err := runBenchRound(benchRoundConfig{
 		Devices: devices, Dim: dim, DistinctUpdates: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Honest per-example-average norms peak well below this bound.
-	bounded, err := RunBenchRound(BenchRoundConfig{
+	bounded, err := runBenchRound(benchRoundConfig{
 		Devices: devices, Dim: dim, DistinctUpdates: true,
 		Robust: plan.RobustPolicy{Kind: plan.RobustNormBound, ClipNorm: 1e6},
 	})
@@ -190,7 +190,7 @@ func TestRetentionRoundCommitsRobustMeanAndAttributes(t *testing.T) {
 			name = "tcp"
 		}
 		t.Run(name, func(t *testing.T) {
-			st, err := RunBenchRound(BenchRoundConfig{
+			st, err := runBenchRound(benchRoundConfig{
 				Devices: devices, Dim: dim, TCP: tcp,
 				Robust:    plan.RobustPolicy{Kind: plan.RobustTrimmedMean, TrimFraction: 0.25},
 				Attackers: attackers, AttackScale: 1e6,
@@ -229,7 +229,7 @@ func TestRetentionRoundCommitsRobustMeanAndAttributes(t *testing.T) {
 // per-example-average updates.
 func TestMedianRoundCommitsCoordinateMedian(t *testing.T) {
 	const devices, dim = 9, 16
-	st, err := RunBenchRound(BenchRoundConfig{
+	st, err := runBenchRound(benchRoundConfig{
 		Devices: devices, Dim: dim,
 		Robust:    plan.RobustPolicy{Kind: plan.RobustMedian},
 		Attackers: 1, AttackScale: -1e8,
@@ -254,7 +254,7 @@ func TestMedianRoundCommitsCoordinateMedian(t *testing.T) {
 // attributed with their cosine distance.
 func TestCosineRoundRejectsAndCommitsHonestMean(t *testing.T) {
 	const devices, dim, attackers = 10, 24, 2
-	st, err := RunBenchRound(BenchRoundConfig{
+	st, err := runBenchRound(benchRoundConfig{
 		Devices: devices, Dim: dim,
 		Robust:    plan.RobustPolicy{Kind: plan.RobustCosineOutlier, MaxCosineDistance: 0.5},
 		Attackers: attackers, AttackScale: -3,

@@ -9,7 +9,7 @@ import (
 // fleet runs runtime 1 (needing a lowered plan), half runs 3, so exactly
 // two marshals must happen for 64 devices.
 func TestPlanMarshaledOncePerVersion(t *testing.T) {
-	st, err := RunBenchRound(BenchRoundConfig{Devices: 64, Dim: 128, MixedVersions: true})
+	st, err := runBenchRound(benchRoundConfig{Devices: 64, Dim: 128, MixedVersions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestPlanMarshaledOncePerVersion(t *testing.T) {
 // per-device marshal bug lived in: a uniform fleet must marshal exactly
 // once however many devices configure.
 func TestSingleVersionRoundMarshalsOnce(t *testing.T) {
-	st, err := RunBenchRound(BenchRoundConfig{Devices: 96, Dim: 64})
+	st, err := runBenchRound(benchRoundConfig{Devices: 96, Dim: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestConcurrentFanoutAndDecode(t *testing.T) {
 		tcp  bool
 	}{{"mem", false}, {"tcp", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := RunBenchRound(BenchRoundConfig{Devices: 48, Dim: 512, TCP: tc.tcp})
+			st, err := runBenchRound(benchRoundConfig{Devices: 48, Dim: 512, TCP: tc.tcp})
 			if err != nil {
 				t.Fatal(err)
 			}

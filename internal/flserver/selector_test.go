@@ -38,7 +38,7 @@ func checkin(sel actor.Ref, pop, id string, responses func(protocol.CheckinRespo
 		}
 	}()
 	_ = sel.Send(msgCheckin{
-		Req:  protocol.CheckinRequest{DeviceID: id, Population: pop},
+		Req:  protocol.CheckinRequest{DeviceID: id, Population: pop, RuntimeVersion: 3},
 		Conn: server,
 	})
 }

@@ -9,7 +9,7 @@ import (
 // report hot loop and round tracer use. The contract for the hot loop is
 // counter/inc only — 0 allocs/op and single-digit nanoseconds — while
 // summary observation (mutex + three P² updates) is reserved for per-round
-// and per-seal events. Committed as BENCH_obs.json.
+// and per-seal events.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("counter-inc", func(b *testing.B) {
 		c := Default.Counter("bench_counter_total")

@@ -84,12 +84,6 @@ func (t *RateTracker) Fold(s RateSample, now time.Time) int {
 	return est
 }
 
-// Forget drops a source's sample (a shard that disconnected stops counting
-// toward the fleet-wide rate at the next fold).
-func (t *RateTracker) Forget(source string) {
-	delete(t.samples, source)
-}
-
 // Estimate returns the current live population estimate, clamped to ≥ 1.
 func (t *RateTracker) Estimate() int {
 	est := int(t.estimate)
@@ -98,6 +92,3 @@ func (t *RateTracker) Estimate() int {
 	}
 	return est
 }
-
-// Sources returns how many sample streams are currently folded in.
-func (t *RateTracker) Sources() int { return len(t.samples) }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
+	"repro/internal/remote"
 	"repro/internal/storage"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
@@ -45,9 +46,14 @@ const (
 type engineTopology struct {
 	name   string
 	shards int
+	// storm wires the rig for thousands of devices checking in at once:
+	// device links on the mem network (no descriptors), two rounds so that
+	// reported devices check in again into an open round, and the default
+	// peer heartbeat, which a saturated 2-core host does not miss.
+	storm bool
 }
 
-var engineTopologies = []engineTopology{{"in-process", 0}, {"1+1", 1}, {"1+3", 3}}
+var engineTopologies = []engineTopology{{name: "in-process"}, {name: "1+1", shards: 1}, {name: "1+3", shards: 3}}
 
 // stubUpdate is device i's fixed report: a weighted delta whose weighted
 // mean over any device set is easy to recompute.
@@ -65,6 +71,8 @@ type engineRig struct {
 	store *storage.Mem
 	dials []func() (transport.Conn, error)
 	done  <-chan struct{}
+	// coord is the coordinator process of a sharded topology.
+	coord *CoordinatorProc
 	// taskStats and clipped read the coordinator's operator surface.
 	taskStats func() []tasks.Stats
 	clipped   func() int64
@@ -81,12 +89,24 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 	}
 	net := transport.NewMemNetwork()
 	listen := func(name string, tcp bool) (transport.Listener, func() (transport.Conn, error)) {
-		l, dial, err := flserver.Listen(tcp, net, name)
+		var l transport.Listener
+		var err error
+		dial := func() (transport.Conn, error) { return net.Dial(name) }
+		if tcp {
+			l, err = transport.ListenTCP("127.0.0.1:0")
+			dial = func() (transport.Conn, error) { return transport.DialTCP(l.Addr()) }
+		} else {
+			l, err = net.Listen(name)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
 		return l, dial
+	}
+	rounds, peer := 1, fastPeerOpts()
+	if topo.storm {
+		rounds, peer = 2, remote.Options{}
 	}
 	if topo.shards == 0 {
 		srv, err := flserver.New(flserver.Config{
@@ -113,7 +133,7 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 	coord, err := NewCoordinatorProc(CoordinatorConfig{
 		Population: enginePop, Plans: []*plan.Plan{p}, Store: rig.store,
 		Steering: pacing.New(time.Second), PopulationEstimate: engineK,
-		MaxRounds: 1, MinShards: topo.shards, TickEvery: 20 * time.Millisecond,
+		MaxRounds: rounds, MinShards: topo.shards, TickEvery: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,14 +144,14 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 	for i := 0; i < topo.shards; i++ {
 		sp := NewSelectorProc(SelectorConfig{
 			Shard: uint32(i), Steering: pacing.New(time.Second), PopulationEstimate: engineK,
-			Seed: uint64(7 + i), Peer: fastPeerOpts(),
+			Seed: uint64(7 + i), Peer: peer,
 		}, coordDial)
 		t.Cleanup(sp.Close)
-		l, dial := listen(fmt.Sprintf("shard-%d", i), true)
+		l, dial := listen(fmt.Sprintf("shard-%d", i), !topo.storm)
 		go sp.Serve(l)
 		rig.dials = append(rig.dials, dial)
 	}
-	rig.done, rig.taskStats = coord.Done(), coord.TaskStats
+	rig.coord, rig.done, rig.taskStats = coord, coord.Done(), coord.TaskStats
 	rig.clipped = func() int64 {
 		st, _ := coord.Stats()
 		return st.Clipped

@@ -282,9 +282,8 @@ func (p *SelectorProc) clearRound(population string, round int64) {
 	p.mu.Unlock()
 }
 
-// ship sends one sealed stripe upstream. It is called on the EdgeRound's
-// actor goroutine, so the marshal and the (possibly blocking) peer write
-// run on their own goroutine. A transient link drop is retried with
+// ship sends one sealed stripe upstream. The marshal and the (possibly
+// blocking) peer write run on their own goroutine. A transient link drop is retried with
 // jittered backoff within SealRetryBudget — the peer redials in the
 // background, and the coordinator dedups a seal that arrives twice. Only
 // when the budget runs dry is the round counted dropped; the coordinator's

@@ -1,53 +1,100 @@
 package shard
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/checkpoint"
+	"repro/internal/nn"
+	"repro/internal/plan"
 )
 
-// TestShardedRoundMem drives 3 selector processes + 1 coordinator over the
-// in-memory transport to two committed rounds: sealed stripes — not raw
-// device updates — cross the selector→coordinator boundary.
-func TestShardedRoundMem(t *testing.T) {
-	st, err := RunBenchSharded(BenchShardedConfig{
-		Shards: 3, Devices: 12, TargetDevices: 6, Rounds: 2, Seed: 7,
-		Timeout: time.Minute,
+// runShardedRounds drives a 1+N rig to its round target with 2K stub
+// devices that report and check straight back in, then checks what crossed
+// the selector→coordinator boundary: one sealed stripe per shard per round
+// — never a raw update — accounted per shard.
+func runShardedRounds(t *testing.T, topo engineTopology, k int) {
+	p, err := plan.Generate(plan.Config{
+		TaskID: engineTask, Population: enginePop,
+		Model:     nn.Spec{Kind: nn.KindLogistic, Features: 4, Classes: 3, Seed: 1},
+		StoreName: "clicks", BatchSize: 5, Epochs: 1, LearningRate: 0.1,
+		TargetDevices: k, MinReportFraction: 0.5,
+		SelectionTimeout: 30 * time.Second, ReportTimeout: 20 * time.Second,
+		ReportEncoding: checkpoint.EncodingFloat64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Rounds < 2 {
-		t.Fatalf("committed %d rounds, want >= 2", st.Rounds)
+	update, err := stubUpdate(0, 1).Marshal(checkpoint.EncodingFloat64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.SealsReceived < 2 {
-		t.Fatalf("coordinator received %d seals, want >= 2", st.SealsReceived)
+	rig := startEngine(t, topo, p)
+	stop := make(chan struct{})
+	var stubs sync.WaitGroup
+	for i := 0; i < 2*k; i++ {
+		stubs.Add(1)
+		go func(i int) {
+			defer stubs.Done()
+			for {
+				s := stubCheckin(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
+				if s == nil {
+					return
+				}
+				s.report(update, nil)
+			}
+		}(i)
 	}
-	if st.BytesUpstream <= 0 {
-		t.Fatalf("no upstream bytes tracked")
+	waitEngineDone(t, rig)
+	close(stop)
+	// A stub that never returns holds a connection nobody answered.
+	idle := make(chan struct{})
+	go func() { stubs.Wait(); close(idle) }()
+	select {
+	case <-idle:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stub devices still waiting for an answer after the last round committed")
 	}
-	// Every shard that contributed must appear in the breakdown.
-	if len(st.PerShard) == 0 {
-		t.Fatalf("no per-shard breakdown")
+
+	st, err := rig.coord.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := st.RoundsCompleted + st.RoundsFailed
+	if st.RoundsCompleted == 0 || st.SealsReceived != int64(topo.shards*rounds) || st.BytesUpstream <= 0 {
+		t.Fatalf("want one seal per shard per round: %+v", st)
+	}
+	per := rig.coord.PerShardStats()
+	if len(per) != topo.shards {
+		t.Fatalf("per-shard breakdown has %d of %d shards: %+v", len(per), topo.shards, per)
+	}
+	for id, c := range per {
+		if c.Seals != int64(rounds) || c.Bytes <= 0 {
+			t.Fatalf("shard %d: %+v over %d rounds", id, c, rounds)
+		}
 	}
 }
 
-// TestShardedRoundTCP is the same topology over real loopback sockets: the
-// 3-binary deployment's wire path, in-process.
+// TestShardedRoundTCP: device links on loopback sockets.
 func TestShardedRoundTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP sharded round in -short mode")
-	}
-	st, err := RunBenchSharded(BenchShardedConfig{
-		Shards: 3, Devices: 12, TargetDevices: 6, Rounds: 2, TCP: true, Seed: 11,
-		Timeout: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rounds < 2 {
-		t.Fatalf("committed %d rounds, want >= 2", st.Rounds)
-	}
-	if st.BytesUpstream <= 0 {
-		t.Fatalf("no upstream bytes tracked")
+	runShardedRounds(t, engineTopologies[2], 6)
+}
+
+// TestShardedCheckinStorm runs K = 64, 512, 4096 back to back, five times,
+// over the mem network. Before the round's control sends left its Receive
+// (flserver.roundOutbox) this sequence hung on a 2-core host about every
+// other time: at K=4096 a Selector's mailbox filled with check-ins while the
+// round's filled with report outcomes, and each actor parked on the other's.
+func TestShardedCheckinStorm(t *testing.T) {
+	storm := engineTopology{name: "1+3", shards: 3, storm: true}
+	for pass := 0; pass < 5; pass++ {
+		for _, k := range []int{64, 512, 4096} {
+			if k == 4096 && (raceEnabled || testing.Short()) {
+				continue
+			}
+			t.Run(fmt.Sprintf("pass-%d/K-%d", pass, k), func(t *testing.T) { runShardedRounds(t, storm, k) })
+		}
 	}
 }
