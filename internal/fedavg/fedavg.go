@@ -85,15 +85,6 @@ func ClientUpdate(model nn.Model, global tensor.Vector, examples []nn.Example, c
 	return u, nil
 }
 
-// FedSGDUpdate is the FedSGD baseline: a single gradient step over the full
-// local dataset (one epoch, one batch), the large-batch SGD special case the
-// protocol equally supports (Sec. 1).
-func FedSGDUpdate(model nn.Model, global tensor.Vector, examples []nn.Example, lr float64) (*Update, error) {
-	return ClientUpdate(model, global, examples, ClientConfig{
-		BatchSize: len(examples), Epochs: 1, LR: lr,
-	}, nil)
-}
-
 // Accumulator is the server side of Algorithm 1: the running sums
 // w̄ = Σ Δᵏ and n̄ = Σ nᵏ. Updates are folded in online, as they arrive —
 // the paper's rebuttal of "you must store updates" (Sec. 10) — so memory is
@@ -171,18 +162,22 @@ func (a *Accumulator) Average() (tensor.Vector, error) {
 	return avg, nil
 }
 
-// Step returns w_{t+1} = w_t + w̄/n̄ as a fresh vector, leaving global
-// untouched: Average then Apply in one pass and one allocation. The explicit
-// conversion rounds the product before the add (no fused multiply-add), so
-// the result equals the two-step form bit for bit on every GOARCH. A nil
-// accumulator is an empty one.
+// Step returns w_{t+1} = w_t + w̄/n̄, leaving global untouched: Average then
+// Apply in one pass and no allocation. The result is written over the
+// accumulator's own sum — dead after the step either way — and handed to the
+// caller, which makes the vector a round folded into the vector it commits;
+// the spent accumulator refuses a second Step and any further fold. The
+// explicit conversion rounds the product before the add (no fused
+// multiply-add), so the result equals the two-step form bit for bit on every
+// GOARCH. A nil accumulator is an empty one.
 func (a *Accumulator) Step(global tensor.Vector) (tensor.Vector, error) {
-	if a == nil || a.weight <= 0 || len(global) != len(a.sum) {
-		return nil, fmt.Errorf("fedavg: step over an empty accumulator or a %d-dim global", len(global))
+	if a == nil || a.sum == nil || a.weight <= 0 || len(global) != len(a.sum) {
+		return nil, fmt.Errorf("fedavg: step over an empty or spent accumulator, or a %d-dim global", len(global))
 	}
-	next, sum, inv := make(tensor.Vector, len(global)), a.sum[:len(global)], 1/a.weight
+	next, inv := a.sum[:len(global)], 1/a.weight
+	a.sum = nil
 	for i, g := range global {
-		next[i] = g + float64(sum[i]*inv)
+		next[i] = g + float64(next[i]*inv)
 	}
 	return next, nil
 }

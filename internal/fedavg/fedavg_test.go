@@ -202,21 +202,6 @@ func TestTrainerEmptyRound(t *testing.T) {
 	}
 }
 
-func TestFedSGDMatchesSingleStep(t *testing.T) {
-	spec := logisticSpec()
-	m, _ := spec.Build()
-	global := make(tensor.Vector, m.NumParams())
-	m.ReadParams(global)
-	f := fedBlobs(t, 1, 0)
-	u, err := FedSGDUpdate(m, global, f.Users[0], 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Weight != float64(len(f.Users[0])) || u.Delta.Norm2() == 0 {
-		t.Fatalf("FedSGD update: weight=%v norm=%v", u.Weight, u.Delta.Norm2())
-	}
-}
-
 func TestFedAvgMatchesCentralizedOnIID(t *testing.T) {
 	// On IID data FedAvg should reach accuracy comparable to centralized
 	// SGD on the pooled data — the "matches the performance of a

@@ -3,6 +3,7 @@ package fedavg
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/tensor"
@@ -30,14 +31,64 @@ type PartialAccumulator struct {
 	mu     sync.Mutex
 	closed bool
 	acc    *Accumulator
+	// spares is where SealStripes returns the vector once merged away; nil
+	// for a bare NewPartial.
+	spares *Spares
 	// evalCount counts metrics-only folds (evaluation reports).
 	evalCount int
 	metrics   map[string][]float64
 }
 
 // NewPartial returns a stripe for dim-dimensional updates.
-func NewPartial(dim int) *PartialAccumulator {
-	return &PartialAccumulator{acc: NewAccumulator(dim)}
+func NewPartial(dim int) *PartialAccumulator { return (*Spares)(nil).NewPartial(dim) }
+
+// Spares is one edge's stock of spare stripe vectors. All of a round's
+// stripes die at its seal but the one whose vector is adopted — as the
+// edge's sealed sum, then the Coordinator's accumulator, finally the
+// committed checkpoint's Params (Accumulator.Step) — so the edge keeps the
+// others for its next round instead of allocating GOMAXPROCS model-sized
+// vectors a round to keep one. A field of the edge, not a sync.Pool, whose
+// GC-driven flushes would make a round's allocation depend on GC timing. A
+// nil *Spares keeps nothing.
+type Spares struct {
+	mu   sync.Mutex
+	free []tensor.Vector
+}
+
+// NewPartial returns a stripe for dim-dimensional updates over a spare
+// vector of that dimension (one of another is dropped: the model changed),
+// or over a fresh one.
+func (s *Spares) NewPartial(dim int) *PartialAccumulator {
+	var sum tensor.Vector
+	if s != nil {
+		s.mu.Lock()
+		if n := len(s.free); n > 0 {
+			sum, s.free[n-1] = s.free[n-1], nil
+			s.free = s.free[:n-1]
+		}
+		s.mu.Unlock()
+	}
+	if len(sum) != dim {
+		sum = make(tensor.Vector, dim)
+	}
+	return &PartialAccumulator{acc: &Accumulator{sum: sum}, spares: s}
+}
+
+// Put hands the stock a vector nothing references any more — a stripe merged
+// into another, a sealed sum already marshaled for the wire — and zeroes it
+// here, while its round settles, not on the next round's way to its first
+// device. The stock holds one round's stripes and drops the rest: rounds
+// that give without taking (a secure round's group sums) cannot grow it.
+func (s *Spares) Put(v tensor.Vector) {
+	if s == nil || len(v) == 0 {
+		return
+	}
+	v.Zero()
+	s.mu.Lock()
+	if len(s.free) < runtime.GOMAXPROCS(0) {
+		s.free = append(s.free, v)
+	}
+	s.mu.Unlock()
 }
 
 // Accumulate folds one device's weighted update in: fold is called with the
@@ -108,10 +159,12 @@ func (p *PartialAccumulator) Close() {
 // Drain closes the stripe (if not already closed) and returns its contents
 // for merging: the raw delta sum, the summed weight, the update count, the
 // metrics-only count, and the metric values. The stripe must not be used
-// again; the returned slices are handed off, not copied.
+// again; the returned slices are handed off, not copied — the stripe lets go
+// of the vector, so whoever recycles it next shares it with nobody.
 func (p *PartialAccumulator) Drain() (sum tensor.Vector, weight float64, count, evalCount int, metrics map[string][]float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true
-	return p.acc.sum, p.acc.weight, p.acc.count, p.evalCount, p.metrics
+	sum, p.acc.sum = p.acc.sum, nil
+	return sum, p.acc.weight, p.acc.count, p.evalCount, p.metrics
 }

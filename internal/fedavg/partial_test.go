@@ -3,7 +3,9 @@ package fedavg
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tensor"
@@ -132,5 +134,117 @@ func TestPartialEvalOnly(t *testing.T) {
 	_, weight, count, evalCount, metrics := p.Drain()
 	if weight != 0 || count != 0 || evalCount != 4 || len(metrics["acc"]) != 4 {
 		t.Fatalf("eval drain: weight=%v count=%d eval=%d metrics=%v", weight, count, evalCount, metrics)
+	}
+}
+
+// TestSparesCarryStripesAcrossRounds runs an edge's stock through three
+// rounds. Round one allocates every stripe and, at its seal, keeps all but
+// the one that became the sealed sum; round two is built over those very
+// vectors and finds them zero, with folders racing its seal — a fold either
+// lands before the seal (and is in the sealed sum) or gets ErrPartialClosed,
+// and none lands in a vector the seal has recycled; a round of another
+// dimension drops the spares instead of reusing them.
+func TestSparesCarryStripesAcrossRounds(t *testing.T) {
+	const dim = 512
+	// One stripe per processor, as an edge builds them (the stock holds one
+	// round's worth), and at least the two a merge needs.
+	stripes := max(2, runtime.GOMAXPROCS(0))
+	var stock Spares
+	fill := func(v tensor.Vector) error {
+		for i := range v {
+			v[i]++
+		}
+		return nil
+	}
+	// round builds the stripes, reports which vectors they sit on, and folds
+	// once into each.
+	round := func(dim int) ([]*PartialAccumulator, map[*float64]bool) {
+		sts, vecs := make([]*PartialAccumulator, stripes), make(map[*float64]bool)
+		for i := range sts {
+			sts[i] = stock.NewPartial(dim)
+			if err := sts[i].Accumulate(1, nil, func(sum tensor.Vector) error {
+				vecs[&sum[0]] = true
+				for _, x := range sum {
+					if x != 0 {
+						t.Errorf("stripe %d starts its round at %v, not zero", i, x)
+						break
+					}
+				}
+				return fill(sum)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sts, vecs
+	}
+
+	first, firstVecs := round(dim)
+	sealed, err := SealStripes(first)
+	if err != nil || sealed.Count != stripes || sealed.Sum[0] != float64(stripes) {
+		t.Fatalf("first seal: %+v, %v", sealed, err)
+	}
+	if len(stock.free) != stripes-1 {
+		t.Fatalf("the seal kept %d spares, want the %d stripes it merged away", len(stock.free), stripes-1)
+	}
+
+	second, secondVecs := round(dim)
+	reused := 0
+	for v := range secondVecs {
+		if v == &sealed.Sum[0] {
+			t.Fatal("the adopted vector — by now a checkpoint — came back as a stripe")
+		}
+		if firstVecs[v] {
+			reused++
+		}
+	}
+	if reused != stripes-1 || len(stock.free) != 0 {
+		t.Fatalf("round two reused %d vectors (%d left in stock), want %d and 0", reused, len(stock.free), stripes-1)
+	}
+	var landed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				switch err := second[g%stripes].Accumulate(1, nil, fill); {
+				case err == nil:
+					landed.Add(1)
+				case errors.Is(err, ErrPartialClosed):
+					return
+				default:
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	sealed2, err := SealStripes(second)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(stripes) + float64(landed.Load()); sealed2.Sum[0] != want || sealed2.Sum[dim-1] != want || sealed2.Count != int(want) {
+		t.Fatalf("sealed %v over %d reports; %v folds were acknowledged", sealed2.Sum[0], sealed2.Count, want)
+	}
+	for _, v := range stock.free {
+		for i, x := range v {
+			if x != 0 {
+				t.Fatalf("a fold racing the seal landed in a recycled stripe: [%d]=%v", i, x)
+			}
+		}
+	}
+
+	third, thirdVecs := round(dim / 2)
+	for v := range thirdVecs {
+		if secondVecs[v] {
+			t.Fatal("a round of another dimension was built over the old round's vector")
+		}
+	}
+	if len(stock.free) != 0 {
+		t.Fatalf("%d spares of the old dimension survive the round that could not use them", len(stock.free))
+	}
+	if sealed3, err := SealStripes(third); err != nil || len(sealed3.Sum) != dim/2 {
+		t.Fatalf("third seal: %+v, %v", sealed3, err)
 	}
 }

@@ -31,7 +31,9 @@ type SealedStripe struct {
 // SealStripes drains every stripe and merges them into one SealedStripe
 // (the shard-local reduction step of the aggregation tree). The stripes
 // must share the accumulator dimension; they are closed and must not be
-// used again.
+// used again. The first stripe holding updates gives the seal its vector;
+// every other stripe's vector is dead once merged (or never used) and goes
+// back to the Spares it came from.
 func SealStripes(stripes []*PartialAccumulator) (SealedStripe, error) {
 	var out SealedStripe
 	for _, st := range stripes {
@@ -44,6 +46,7 @@ func SealStripes(stripes []*PartialAccumulator) (SealedStripe, error) {
 			out.Metrics[name] = append(out.Metrics[name], vs...)
 		}
 		if count == 0 {
+			st.spares.Put(sum)
 			continue
 		}
 		if out.Sum == nil {
@@ -53,6 +56,7 @@ func SealStripes(stripes []*PartialAccumulator) (SealedStripe, error) {
 				return out, fmt.Errorf("fedavg: seal stripe dim %d vs %d", len(sum), len(out.Sum))
 			}
 			out.Sum.Axpy(1, sum)
+			st.spares.Put(sum)
 		}
 		out.Weight += weight
 		out.Count += count

@@ -11,10 +11,12 @@ import (
 // 4-wide block loop and its scalar tail are both hit, alone and together.
 var kernelLens = []int{0, 1, 3, 4, 5, 7, 8, 9, 65535, 65537}
 
-// TestStepMatchesAverageApply: the Coordinator's one-pass commit step is the
-// two-step Average (Clone + Scale by 1/n̄) followed by Apply (Axpy 1), bit
-// for bit — including weights whose reciprocal is not exact, where a fused
-// multiply-add would round differently.
+// TestStepMatchesAverageApply: the Coordinator's one-pass, in-place commit
+// step is the two-step Average (Clone + Scale by 1/n̄) followed by Apply
+// (Axpy 1), bit for bit — including weights whose reciprocal is not exact,
+// where a fused multiply-add would round differently, and the −0 an adopted
+// seal keeps. The result is the accumulator's own vector, and the spent
+// accumulator takes no second Step and no further seal.
 func TestStepMatchesAverageApply(t *testing.T) {
 	rng := tensor.NewRNG(16)
 	for trial := 0; trial < 1000; trial++ {
@@ -22,6 +24,9 @@ func TestStepMatchesAverageApply(t *testing.T) {
 		sum, global := make(tensor.Vector, dim), make(tensor.Vector, dim)
 		rng.FillNormal(sum, math.Exp(8*rng.Float64()-4))
 		rng.FillNormal(global, 1)
+		if trial%7 == 0 {
+			sum[0], global[0] = math.Copysign(0, -1), math.Copysign(0, -1)
+		}
 		weight := math.Exp(10*rng.Float64() - 2) // non-dyadic
 		if trial%10 == 0 {
 			weight = float64(1 + rng.Intn(4096))
@@ -48,9 +53,18 @@ func TestStepMatchesAverageApply(t *testing.T) {
 				t.Fatalf("trial %d (weight %v) param %d: step %x, average+apply %x",
 					trial, weight, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
-			if global[i] != before[i] {
+			if math.Float64bits(global[i]) != math.Float64bits(before[i]) {
 				t.Fatalf("trial %d: Step wrote to the global it was given", trial)
 			}
+		}
+		if &got[0] != &sum[0] {
+			t.Fatalf("trial %d: Step allocated instead of stepping in the accumulator's vector", trial)
+		}
+		if _, err := acc.Step(global); err == nil {
+			t.Fatalf("trial %d: a second Step must fail, the sum is gone", trial)
+		}
+		if err := acc.AddSealed(SealedStripe{Sum: make(tensor.Vector, dim), Weight: 1, Count: 1}); err == nil {
+			t.Fatalf("trial %d: AddSealed after Step must fail, it would fold into the committed checkpoint", trial)
 		}
 	}
 	if _, err := NewAccumulator(3).Step(make(tensor.Vector, 3)); err == nil {

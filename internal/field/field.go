@@ -86,10 +86,3 @@ func AddVec(dst, a, b []uint64) {
 		dst[i] = Add(a[i], b[i])
 	}
 }
-
-// SubVec computes dst[i] = a[i] − b[i] mod P.
-func SubVec(dst, a, b []uint64) {
-	for i := range dst {
-		dst[i] = Sub(a[i], b[i])
-	}
-}

@@ -108,10 +108,9 @@ func TestVecOps(t *testing.T) {
 	if dst[0] != 6 || dst[1] != 1 || dst[2] != 0 {
 		t.Fatalf("AddVec = %v", dst)
 	}
-	SubVec(dst, dst, b)
 	for i := range a {
-		if dst[i] != a[i] {
-			t.Fatalf("SubVec did not invert AddVec: %v vs %v", dst, a)
+		if Sub(dst[i], b[i]) != a[i] {
+			t.Fatalf("Sub did not invert AddVec: %v − %v vs %v", dst, b, a)
 		}
 	}
 }

@@ -27,12 +27,13 @@ func (e *stripeEdge) Abort(string, int64, string)                  {}
 func (e *stripeEdge) ProbeRates(actor.Ref)                         {}
 
 // TestAdoptedSealDoesNotAliasLiveState: the Coordinator adopts the first
-// seal's sum as the round accumulator and commits a fresh vector. After
-// each seal is merged, everything its sender still holds is poisoned — the
-// update wire bytes, the drained stripes (through their API, which must
-// refuse), the sum vectors of seals that were added rather than adopted —
-// and after the commit so are the adopted vector and the served global.
-// The committed checkpoint still equals the closed form bit for bit, in the
+// seal's sum as the round accumulator and steps it in place: the vector the
+// round folded into is the vector it commits, and nothing is allocated for
+// it. After each seal is merged, everything its sender still holds is
+// poisoned — the update wire bytes, the drained stripes (through their API,
+// which must refuse), the sum vectors of seals that were added rather than
+// adopted — and after the commit so is the served global. The committed
+// checkpoint still equals the closed form bit for bit, in the
 // one-local-edge shape and with three edges.
 func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 	const dim, stripesPerEdge, devicesPerStripe, weight = 37, 2, 3, 2.0
@@ -144,7 +145,7 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 					}
 				}
 				if e == 0 {
-					adopted = sealed.Sum // handed over: the sender must not touch it before the commit
+					adopted = sealed.Sum // handed over: it becomes the checkpoint, the sender must never touch it
 				} else {
 					poison(sealed.Sum)
 				}
@@ -160,7 +161,9 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 				t.Fatalf("round failed: %s", out.FailReason)
 			}
 			served := global.Params.Clone()
-			poison(adopted)
+			if &adopted[0] != &out.Committed.Params[0] {
+				t.Fatal("the adopted seal's vector is not the committed checkpoint's: the commit allocated")
+			}
 			poison(cfg.Global.Params)
 			if out.Committed.Round != 1 || out.Committed.Weight != totalWeight || out.Completed != int(totalWeight/weight) {
 				t.Fatalf("committed round %d weight %v completed %d", out.Committed.Round, out.Committed.Weight, out.Completed)

@@ -163,7 +163,7 @@ func (a *Aggregator) onAdd(m msgAddUpdate) {
 	}
 	if a.finalizing {
 		if m.Input != nil {
-			putParamBuf(m.Input)
+			updateBufPool.Put(m.Input)
 		}
 		resolve(false, "reporting window closed")
 		return
@@ -174,7 +174,7 @@ func (a *Aggregator) onAdd(m msgAddUpdate) {
 		// The appended weight element rides through the secure sum so the
 		// server learns Σn without individual n's.
 		if len(*m.Input) != a.dim+1 {
-			putParamBuf(m.Input)
+			updateBufPool.Put(m.Input)
 			resolve(false, fmt.Sprintf("update dim %d, want %d", len(*m.Input)-1, a.dim))
 			return
 		}
@@ -305,7 +305,7 @@ func (a *Aggregator) onFinalize(ctx *actor.Context, m msgFinalizeGroup) {
 			// field elements); hand the buffers back so the next round's
 			// readers reuse them instead of allocating O(group × dim).
 			for _, b := range bufs {
-				putParamBuf(b)
+				updateBufPool.Put(b)
 			}
 			done := msgSecAggDone{Err: err}
 			if res != nil {

@@ -137,7 +137,7 @@ type round struct {
 	pending map[Edge]bool
 	// finalizing is set once Finalize went out to stragglers. deadline is
 	// the armed straggler timer, stopped when the round settles: its
-	// closure pins the round — two model-sized vectors — and a server
+	// closure pins the round — its global and its accumulator — and a server
 	// settling tens of rounds a second must not hold each for a full
 	// ReportTimeout.
 	finalizing bool
@@ -567,9 +567,10 @@ func (c *Coordinator) onSeal(ctx *actor.Context, e Edge, seal EdgeSeal) {
 		cur.metrics[name] = append(cur.metrics[name], vs...)
 	}
 	// The first edge's sum becomes the round accumulator as it stands (the
-	// seal hands its vector over: a local edge's stripes are drained and
-	// closed, a remote edge's was decoded for this message); later seals are
-	// added into it.
+	// seal hands its vector over: a local edge's adopted stripe, drained and
+	// let go of, or the vector a remote edge's sum was decoded into); later
+	// seals are added into it, and commit steps it in place into the next
+	// checkpoint's Params.
 	var err error
 	switch {
 	case cur.evalOnly || seal.Seal.Count == 0: // no update sum to fold

@@ -2,7 +2,6 @@ package flserver
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -138,39 +137,6 @@ func TestSecureRoundsReusePooledInputsWithoutAliasing(t *testing.T) {
 			t.Fatalf("first round's committed checkpoint mutated by buffer reuse at %d", i)
 		}
 	}
-}
-
-// TestParamBufPoolConcurrentReuse: concurrent get/fill/verify/put cycles on
-// the shared pool — under -race this proves a released buffer is never
-// still referenced by its previous holder.
-func TestParamBufPoolConcurrentReuse(t *testing.T) {
-	const workers, rounds, size = 8, 200, 513
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tag float64) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				p := getParamBuf(size)
-				buf := *p
-				if len(buf) != size {
-					t.Errorf("got len %d, want %d", len(buf), size)
-					return
-				}
-				for i := range buf {
-					buf[i] = tag
-				}
-				for i := range buf {
-					if buf[i] != tag {
-						t.Errorf("buffer shared while held: [%d]=%v, want %v", i, buf[i], tag)
-						return
-					}
-				}
-				putParamBuf(p)
-			}
-		}(float64(w + 1))
-	}
-	wg.Wait()
 }
 
 // TestLiveEstimateOpensMinDevicesGate: a task gated by MinDevices far above

@@ -65,6 +65,9 @@ type EdgeRoundConfig struct {
 	// (default defaultEdgeRoundLinger). Set by the edge host, not the
 	// Coordinator.
 	Linger time.Duration
+	// Stripes is the edge host's stock of spare stripe vectors, kept across
+	// its rounds (fedavg.Spares); nil allocates every stripe.
+	Stripes *fedavg.Spares
 	// churn, when set (tests), perturbs every secure group's secagg
 	// schedule on top of the real losses.
 	churn func(n, t int) secagg.Schedule
@@ -165,6 +168,9 @@ type EdgeRound struct {
 	sealed    bool
 	// topUpAt round-robins replacement-quota requests across Selectors.
 	topUpAt int
+	// owed is how many slots granted to the Selectors (the admit count plus
+	// every top-up) have not come back as a forwarded device yet.
+	owed int
 	// out carries what the round sends from inside Receive: top-ups and the
 	// revocation to its Selectors, then the seal.
 	out roundOutbox
@@ -246,6 +252,7 @@ func NewEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal
 		cfg:       cfg,
 		selectors: selectors,
 		ship:      ship,
+		owed:      cfg.Admit,
 		resps:     make(map[int]*versionResp),
 		devices:   make(map[string]*edgeDev),
 	}
@@ -341,7 +348,7 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 		er.robustBuf = robust.NewBuffer(er.cfg.Dim)
 		er.aggs = []actor.Ref{spawnAgg(0)}
 	default:
-		er.ingest = newRoundIngest(er.cfg.Dim)
+		er.ingest = newRoundIngest(er.cfg.Dim, er.cfg.Stripes)
 	}
 
 	er.reader = reportReader{
@@ -426,6 +433,7 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 	if er.firstBatch.IsZero() {
 		er.firstBatch = time.Now()
 	}
+	er.owed -= len(m.Devices)
 	// refuse answers a device this round cannot use and hands its quota slot
 	// back, or refused devices would burn the admit budget below the seal
 	// target and stall the round to its timeout. The rejection rides the
@@ -482,6 +490,19 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 		}(d.ID, d.Conn)
 	}
 	er.topUp(ctx, replace)
+	if er.owed <= 0 {
+		// Staffed: this round's selection is over, so its Selectors may run
+		// the next round's (Sec. 4.3 pipelining) — the spent-quota revocation
+		// opens their pools. A later loss still tops up.
+		er.revokeQuota(ctx.Self)
+	}
+}
+
+// revokeQuota posts the round's quota revocation to every Selector.
+func (er *EdgeRound) revokeQuota(self actor.Ref) {
+	for _, sel := range er.selectors {
+		er.send(sel, msgSetQuota{Population: er.cfg.Population, Owner: self})
+	}
 }
 
 // noteOutcome settles one configured device: reported, or lost (rejected
@@ -522,6 +543,7 @@ func (er *EdgeRound) topUp(ctx *actor.Context, n int) {
 	}
 	sel := er.selectors[er.topUpAt%len(er.selectors)]
 	er.topUpAt++
+	er.owed += n
 	er.send(sel, msgQuotaTopUp{Population: er.cfg.Population, N: n, To: ctx.Self})
 }
 
@@ -549,9 +571,7 @@ func (er *EdgeRound) closeWindow(self actor.Ref, reason string) {
 			sendThenClose(d.conn, abort)
 		}
 	}
-	for _, sel := range er.selectors {
-		er.send(sel, msgSetQuota{Population: er.cfg.Population, Owner: self})
-	}
+	er.revokeQuota(self)
 }
 
 // seal closes the window and produces the round's one EdgeSeal: stripes

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,15 +28,12 @@ type roundIngest struct {
 	next    atomic.Uint64
 }
 
-// newRoundIngest builds one stripe per processor for dim-sized updates.
-func newRoundIngest(dim int) *roundIngest {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	ri := &roundIngest{stripes: make([]*fedavg.PartialAccumulator, n)}
+// newRoundIngest builds one stripe per processor for dim-sized updates, over
+// the edge's spare vectors where it has them (a nil stock allocates).
+func newRoundIngest(dim int, spares *fedavg.Spares) *roundIngest {
+	ri := &roundIngest{stripes: make([]*fedavg.PartialAccumulator, runtime.GOMAXPROCS(0))}
 	for i := range ri.stripes {
-		ri.stripes[i] = fedavg.NewPartial(dim)
+		ri.stripes[i] = spares.NewPartial(dim)
 	}
 	return ri
 }
@@ -57,30 +53,10 @@ func (ri *roundIngest) close() {
 	}
 }
 
-// updateBufPool recycles O(dim) parameter buffers across devices and across
-// rounds: the secure Reporting path decodes each device's delta‖weight into
-// a pooled buffer that the group Aggregator returns after the secagg run
-// consumes it, so steady-state rounds reuse the same K buffers instead of
-// generating O(K×dim) garbage per round.
-var updateBufPool sync.Pool
-
-// getParamBuf returns a length-n buffer, reusing a pooled one when its
-// capacity suffices (a pooled buffer of the wrong size is simply dropped).
-// Pooled as a pointer that travels with the buffer back to putParamBuf: a
-// slice value would cost a heap-allocated header on every Put.
-func getParamBuf(n int) *tensor.Vector {
-	if p, ok := updateBufPool.Get().(*tensor.Vector); ok && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	v := make(tensor.Vector, n)
-	return &v
-}
-
-// putParamBuf returns a buffer to the pool. The caller must not touch it
-// afterwards — the next getParamBuf may hand it to another device's
-// reader.
-func putParamBuf(p *tensor.Vector) { updateBufPool.Put(p) }
+// updateBufPool recycles the secure Reporting path's delta‖weight buffers:
+// a reader decodes into one, the device's group Aggregator returns it after
+// the secagg run consumes it.
+var updateBufPool tensor.VectorPool
 
 // respGate bounds concurrent off-goroutine response sends process-wide, so
 // a flood of rejections cannot hold unbounded frame buffers in flight.
@@ -233,9 +209,9 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 		// Decode delta‖weight into a pooled buffer; the group Aggregator
 		// (which must keep per-device vectors for the secagg run) owns it
 		// from here and recycles it after the protocol consumes it.
-		buf := getParamBuf(r.dim + 1)
+		buf := updateBufPool.Get(r.dim + 1)
 		if err := meta.DecodeParams(req.Update, (*buf)[:r.dim]); err != nil {
-			putParamBuf(buf)
+			updateBufPool.Put(buf)
 			reject("bad update: " + err.Error())
 			return
 		}

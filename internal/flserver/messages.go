@@ -41,7 +41,9 @@ type msgCheckin struct {
 
 // msgSetQuota tells a Selector how many devices to accept for a population
 // on behalf of a round (Sec. 4.2). A grant replaces whatever quota
-// remained; Accept 0 revokes it when the round seals or is abandoned.
+// remained; Accept 0 revokes it when the round is staffed (nothing is left
+// to revoke: it tells the Selector this round's selection is over), seals or
+// is abandoned.
 type msgSetQuota struct {
 	Population string
 	// Accept is the number of additional devices the Selector may hold.
@@ -131,7 +133,10 @@ type msgSelectorStats struct {
 // every fault scenario: a violation means a revoke/top-up cycle under churn
 // double-counted or leaked a slot.
 type SelectorStats struct {
-	Held     int
+	Held int
+	// Pooled counts devices in the standing pool of continuous selection:
+	// checked in, unanswered, outside the ledger until a grant admits them.
+	Pooled   int
 	Accepted int64
 	Rejected int64
 	// UnknownPopulation counts check-ins rejected because no registered
@@ -147,6 +152,7 @@ type SelectorStats struct {
 // Add folds another stats sample into s (summing across Selectors).
 func (s *SelectorStats) Add(o SelectorStats) {
 	s.Held += o.Held
+	s.Pooled += o.Pooled
 	s.Accepted += o.Accepted
 	s.Rejected += o.Rejected
 	s.UnknownPopulation += o.UnknownPopulation

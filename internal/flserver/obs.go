@@ -9,6 +9,7 @@ var (
 	obsCheckins        = obs.Default.Counter("fl_checkins_total")
 	obsCheckinAccepted = obs.Default.Counter("fl_checkin_accepted_total")
 	obsCheckinRejected = obs.Default.Counter("fl_checkin_rejected_total")
+	obsCheckinPooled   = obs.Default.Counter("fl_checkin_pooled_total")
 	obsReportsOK       = obs.Default.Counter("fl_reports_total")
 	obsReportsRejected = obs.Default.Counter("fl_reports_rejected_total")
 	obsReportsLate     = obs.Default.Counter("fl_reports_late_total")

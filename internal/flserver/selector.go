@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/attest"
+	"repro/internal/obs"
 	"repro/internal/pacing"
 	"repro/internal/protocol"
 	"repro/internal/tensor"
@@ -46,6 +47,20 @@ type selPop struct {
 	// window has the same selection probability as an early one.
 	seen int64
 
+	// pool is continuous selection (Sec. 4.3: "Selector actors running the
+	// selection process continuously"): devices that checked in after the
+	// round in flight was staffed, held unanswered — at most demand of them —
+	// until the next grant admits them ahead of any later check-in. A pooled
+	// device consumes no quota, so the ledger never sees it; capacity and
+	// fair share count it like a held one. The pool is open until poolUntil
+	// (onQuota, expirePools). poolSeen counts the check-ins offered to it
+	// since the last grant, for the reservoir over a full pool; pooled is
+	// the population's gauge.
+	pool      []heldDevice
+	poolSeen  int64
+	poolUntil time.Time
+	pooled    *obs.Gauge
+
 	// pendingTo/pendingN track an outstanding forward request from a
 	// round, so devices checking in after the request still
 	// flow to the round as they arrive.
@@ -70,15 +85,17 @@ const minRateWindow = 500 * time.Millisecond
 // routes each check-in by its CheckinRequest.Population. Per population it
 // receives quota from that population's Coordinator, makes local
 // accept/reject decisions, and parks accepted devices until told to
-// forward them to an Aggregator; rejected devices — including devices of
-// populations this Selector does not (or no longer) serve — get a
-// pace-steering reconnect hint rather than a dropped connection.
+// forward them to an Aggregator; between quotas it keeps a standing pool of
+// checked-in devices for the next round (selPop.pool); rejected devices —
+// including devices of populations this Selector does not (or no longer)
+// serve — get a pace-steering reconnect hint rather than a dropped
+// connection.
 //
-// When a capacity is set, the parked pool is shared across populations
-// under weighted fair sharing: each population's share of the capacity is
-// proportional to its Coordinator's current quota demand, and a population
-// below its share may displace a parked device of a population above its
-// share.
+// When a capacity is set, the parked devices (held and pooled) share it
+// across populations under weighted fair sharing: each population's share of
+// the capacity is proportional to its Coordinator's current quota demand,
+// and a population below its share may displace a parked device of a
+// population above its share.
 type Selector struct {
 	verifier *attest.Verifier
 	// defaultSteering answers check-ins for unregistered populations.
@@ -96,16 +113,10 @@ type Selector struct {
 	// unknownRejected counts check-ins for populations this Selector does
 	// not serve.
 	unknownRejected int64
-	// retiredAccepted/retiredRejected retain deregistered populations'
-	// counters so the all-population totals stay monotonic across
+	// retired keeps deregistered populations' counters and ledgers, so the
+	// all-population totals stay monotonic, and conserved, across
 	// deregistrations.
-	retiredAccepted int64
-	retiredRejected int64
-	// retired quota ledger (keeps the conservation invariant across
-	// deregistrations).
-	retiredGranted  int64
-	retiredConsumed int64
-	retiredRevoked  int64
+	retired SelectorStats
 }
 
 // NewSelector returns the behavior for a Selector actor serving the given
@@ -143,22 +154,7 @@ func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
 	case msgDeregisterPopulation:
 		s.deregister(m.Name)
 	case msgSetQuota:
-		if p, ok := s.pops[m.Population]; ok && (m.Accept > 0 || m.Owner == p.owner) {
-			// A grant replaces whatever quota remained: the old slots are
-			// revoked, the new ones granted.
-			p.revoked += int64(p.quota)
-			p.granted += int64(m.Accept)
-			p.quota = m.Accept
-			p.seen = 0
-			if m.Accept > 0 {
-				p.demand, p.owner = m.Accept, m.Owner
-			} else {
-				// Revocation (the round sealed or was abandoned): cancel the
-				// forward stream too, so a stale destination can never receive
-				// devices accepted under a later round's quota.
-				p.pendingTo, p.pendingN = nil, 0
-			}
-		}
+		s.onQuota(m)
 	case msgForwardDevices:
 		s.onForward(m)
 	case msgQuotaTopUp:
@@ -166,7 +162,7 @@ func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
 	case msgRateProbe:
 		s.onRateProbe(ctx, m)
 	case msgReleaseParked:
-		s.releaseParked(m.Population)
+		s.releaseParked(m.Population, "population idle")
 	case msgSelectorStats:
 		m.Reply <- s.stats(m.Population)
 	}
@@ -194,6 +190,85 @@ func (s *Selector) register(cfg SelectorPopulation) {
 		populationEstimate: cfg.PopulationEstimate,
 		demand:             1,
 		rateStart:          s.now(),
+		pooled:             obs.Default.Gauge(obs.Label("fl_selector_pooled", "population", cfg.Name)),
+	}
+}
+
+// onQuota applies a grant or a revocation. A grant replaces whatever quota
+// remained — the old slots are revoked, the new ones granted — and admits
+// the pool first, so the forward request behind it hands the new round its
+// devices in one batch; pooled devices beyond the grant are steered away
+// (the next pool is bounded by the new demand). While the round selects, the
+// pool stays shut: a device this Selector has no slot for may be the one
+// another Selector's unfilled share is waiting for. A revocation that finds
+// the quota spent — the round is staffed (EdgeRound.onDevices) or sealed
+// full — opens it for one pacing window: whoever checks in next is the next
+// round's. One that takes unfilled slots back leaves it shut: gathering
+// scarce devices for one attempt is pace steering's job (Sec. 2.3), not a
+// held connection's.
+func (s *Selector) onQuota(m msgSetQuota) {
+	p, ok := s.pops[m.Population]
+	if !ok || (m.Accept <= 0 && m.Owner != p.owner) {
+		return
+	}
+	now := s.now()
+	s.expirePools(now)
+	p.poolUntil = time.Time{}
+	if m.Accept <= 0 && p.quota <= 0 {
+		p.poolUntil = now.Add(p.steering.RoundPeriod)
+	}
+	p.revoked += int64(p.quota)
+	p.granted += int64(m.Accept)
+	p.quota = m.Accept
+	p.seen = 0
+	if m.Accept <= 0 {
+		// Revocation (the round sealed or was abandoned): cancel the forward
+		// stream too, so a stale destination can never receive devices
+		// accepted under a later round's quota.
+		p.pendingTo, p.pendingN = nil, 0
+		return
+	}
+	p.demand, p.owner = m.Accept, m.Owner
+	s.admitPooled(p)
+	s.steerPool(p, "round is full", now)
+	p.poolSeen = 0
+}
+
+// admitPooled moves pooled devices into held while quota lasts, oldest
+// first: here a pooled device enters the ledger.
+func (s *Selector) admitPooled(p *selPop) {
+	n := min(p.quota, len(p.pool))
+	p.held = append(p.held, s.takePool(p, n)...)
+	p.quota -= n
+	p.accepted += int64(n)
+	p.consumed += int64(n)
+	obsCheckinAccepted.Add(int64(n))
+}
+
+// takePool removes the n oldest devices from p's pool.
+func (s *Selector) takePool(p *selPop, n int) []heldDevice {
+	out := append([]heldDevice(nil), p.pool[:n]...)
+	p.pool = append(p.pool[:0], p.pool[n:]...)
+	p.pooled.Add(-float64(n))
+	return out
+}
+
+// steerPool empties p's pool, steering every device away.
+func (s *Selector) steerPool(p *selPop, reason string, now time.Time) {
+	for _, d := range s.takePool(p, len(p.pool)) {
+		s.reject(p, d.Conn, reason, now)
+	}
+}
+
+// expirePools steers away every pool whose window has passed, on the
+// messages the Selector receives anyway (check-ins, grants, rate probes): a
+// pooled device outlives its population's pacing window by no more than the
+// gap to the next one, without a timer.
+func (s *Selector) expirePools(now time.Time) {
+	for _, p := range s.pops {
+		if len(p.pool) > 0 && !now.Before(p.poolUntil) {
+			s.steerPool(p, "population idle", now)
+		}
 	}
 }
 
@@ -207,6 +282,7 @@ func (s *Selector) onRateProbe(ctx *actor.Context, m msgRateProbe) {
 		return
 	}
 	now := s.now()
+	s.expirePools(now)
 	elapsed := now.Sub(p.rateStart)
 	if elapsed < minRateWindow {
 		return
@@ -221,48 +297,42 @@ func (s *Selector) onRateProbe(ctx *actor.Context, m msgRateProbe) {
 	p.arrivals, p.rateStart = 0, now
 }
 
-// deregister removes a population: parked devices are steered away and the
-// population's state dropped. Later check-ins hit the unknown-population
-// rejection.
+// deregister removes a population: parked devices are steered away, the
+// remaining quota revoked, the counters retired and the population's state
+// dropped. Later check-ins hit the unknown-population rejection.
 func (s *Selector) deregister(name string) {
-	p, ok := s.pops[name]
-	if !ok {
-		return
+	if p, ok := s.pops[name]; ok {
+		s.releaseParked(name, "population deregistered")
+		s.retired.Add(p.stats())
+		delete(s.pops, name)
 	}
-	now := s.now()
-	for _, d := range p.held {
-		p.rejected++
-		s.rejectConn(d.Conn, "population deregistered", p.steering, p.populationEstimate, p.demand, now)
-	}
-	// Deregistration revokes the remaining quota and retires the ledger so
-	// the all-population ledger stays conserved.
-	p.revoked += int64(p.quota)
-	p.quota = 0
-	s.retiredAccepted += p.accepted
-	s.retiredRejected += p.rejected
-	s.retiredGranted += p.granted
-	s.retiredConsumed += p.consumed
-	s.retiredRevoked += p.revoked
-	delete(s.pops, name)
 }
 
-// releaseParked steers a population's parked devices away and zeroes its
-// quota, keeping the population registered: its Coordinator finished its
-// rounds, so holding devices (and their connections) would strand them.
-func (s *Selector) releaseParked(name string) {
+// releaseParked steers a population's parked devices away, held and pooled,
+// zeroes its quota and shuts its pool, keeping the population registered:
+// its Coordinator finished its rounds, so holding devices (and their
+// connections) would strand them.
+func (s *Selector) releaseParked(name, reason string) {
 	p, ok := s.pops[name]
 	if !ok {
 		return
 	}
 	now := s.now()
 	for _, d := range p.held {
-		p.rejected++
-		s.rejectConn(d.Conn, "population idle", p.steering, p.populationEstimate, p.demand, now)
+		s.reject(p, d.Conn, reason, now)
 	}
+	s.steerPool(p, reason, now)
 	p.held = p.held[:0]
 	p.revoked += int64(p.quota)
 	p.quota = 0
 	p.pendingTo, p.pendingN = nil, 0
+	p.poolUntil = time.Time{}
+}
+
+// reject steers one of p's devices away.
+func (s *Selector) reject(p *selPop, conn transport.Conn, reason string, now time.Time) {
+	p.rejected++
+	s.rejectConn(conn, reason, p.steering, p.populationEstimate, p.demand, now)
 }
 
 // rejectConn answers a check-in with a steering-backed rejection and closes
@@ -291,56 +361,41 @@ func (s *Selector) onCheckin(m msgCheckin) {
 		return
 	}
 	p.arrivals++
-	reject := func(reason string) {
-		p.rejected++
-		s.rejectConn(m.Conn, reason, p.steering, p.populationEstimate, p.demand, now)
-	}
-
+	s.expirePools(now)
 	if s.verifier != nil {
 		if err := s.verifier.Verify(m.Req.DeviceID, m.Req.Population, m.Req.AttestationToken, now); err != nil {
-			reject("attestation failed")
+			s.reject(p, m.Conn, "attestation failed", now)
 			return
 		}
 	}
+	d := heldDevice{ID: m.Req.DeviceID, RuntimeVersion: m.Req.RuntimeVersion, Conn: m.Conn}
 	p.seen++
 	if p.quota <= 0 {
-		// Reservoir sampling over the parked pool: a late check-in replaces
-		// a random held device with probability held/seen, so selection
-		// within the window is uniform rather than first-come-first-served.
-		// Devices already forwarded to an Aggregator are committed and not
-		// recalled.
+		// Reservoir sampling over the parked devices: a late check-in
+		// replaces a random held device with probability held/seen, so
+		// selection within the window is uniform rather than
+		// first-come-first-served. Devices already forwarded to an Aggregator
+		// are committed and not recalled.
 		if n := len(p.held); n > 0 && s.rng.Float64() < float64(n)/float64(p.seen) {
 			i := s.rng.Intn(n)
 			victim := p.held[i]
-			p.held[i] = heldDevice{
-				ID:             m.Req.DeviceID,
-				RuntimeVersion: m.Req.RuntimeVersion,
-				Conn:           m.Conn,
-			}
-			p.rejected++
-			s.rejectConn(victim.Conn, "displaced by reservoir sampling", p.steering, p.populationEstimate, p.demand, now)
+			p.held[i] = d
+			s.reject(p, victim.Conn, "displaced by reservoir sampling", now)
 			return
 		}
-		reject("come back later")
+		s.poolCheckin(p, d, now)
 		return
 	}
 	// Quota available; enforce the selector-wide parked-device capacity with
 	// demand-weighted fair sharing across populations.
-	if s.capacity > 0 && s.totalHeld() >= s.capacity {
-		if len(p.held) >= s.fairShare(p) || !s.displaceOverShare(now) {
-			reject("selector at capacity")
-			return
-		}
+	if !s.roomFor(p, now) {
+		s.reject(p, m.Conn, "selector at capacity", now)
+		return
 	}
 	p.quota--
 	p.accepted++
 	p.consumed++
 	obsCheckinAccepted.Inc()
-	d := heldDevice{
-		ID:             m.Req.DeviceID,
-		RuntimeVersion: m.Req.RuntimeVersion,
-		Conn:           m.Conn,
-	}
 	if p.pendingN > 0 && p.pendingTo != nil {
 		if err := p.pendingTo.Send(msgDevices{Devices: []heldDevice{d}}); err != nil {
 			p.pendingTo, p.pendingN = nil, 0
@@ -356,11 +411,50 @@ func (s *Selector) onCheckin(m msgCheckin) {
 	p.held = append(p.held, d)
 }
 
-// totalHeld is the parked-device count across all populations.
-func (s *Selector) totalHeld() int {
+// poolCheckin offers a device that found no quota outstanding to p's pool:
+// parked while there is room, reservoir-sampled (probability pool/poolSeen,
+// the victim steered away) once it holds demand devices.
+func (s *Selector) poolCheckin(p *selPop, d heldDevice, now time.Time) {
+	if !now.Before(p.poolUntil) {
+		s.reject(p, d.Conn, "come back later", now)
+		return
+	}
+	p.poolSeen++
+	switch n := len(p.pool); {
+	case n < p.demand && s.roomFor(p, now):
+		p.pool = append(p.pool, d)
+		p.pooled.Add(1)
+		obsCheckinPooled.Inc()
+	case n < p.demand:
+		s.reject(p, d.Conn, "selector at capacity", now)
+	case s.rng.Float64() < float64(n)/float64(p.poolSeen):
+		i := s.rng.Intn(n)
+		victim := p.pool[i]
+		p.pool[i] = d
+		obsCheckinPooled.Inc()
+		s.reject(p, victim.Conn, "displaced by reservoir sampling", now)
+	default:
+		s.reject(p, d.Conn, "come back later", now)
+	}
+}
+
+// roomFor reports whether p may park one more device under the capacity,
+// displacing one of a population above its fair share if p is below its own.
+func (s *Selector) roomFor(p *selPop, now time.Time) bool {
+	if s.capacity <= 0 || s.totalParked() < s.capacity {
+		return true
+	}
+	return p.parked() < s.fairShare(p) && s.displaceOverShare(now)
+}
+
+// parked is the number of connections p holds open: held plus pooled.
+func (p *selPop) parked() int { return len(p.held) + len(p.pool) }
+
+// totalParked is the parked-device count across all populations.
+func (s *Selector) totalParked() int {
 	n := 0
 	for _, p := range s.pops {
-		n += len(p.held)
+		n += p.parked()
 	}
 	return n
 }
@@ -390,27 +484,31 @@ func (s *Selector) fairShare(p *selPop) int {
 }
 
 // displaceOverShare evicts one parked device from the population furthest
-// above its fair share, steering it away. Reports whether a slot was freed.
+// above its fair share, steering it away: a pooled one if it has any (it has
+// no claim on a round), else the oldest held. Reports whether a slot was freed.
 func (s *Selector) displaceOverShare(now time.Time) bool {
 	var victim *selPop
 	excess := 0
 	for _, q := range s.pops {
-		if e := len(q.held) - s.fairShare(q); e > excess {
+		if e := q.parked() - s.fairShare(q); e > excess {
 			victim, excess = q, e
 		}
 	}
 	if victim == nil {
 		return false
 	}
+	if len(victim.pool) > 0 {
+		s.reject(victim, s.takePool(victim, 1)[0].Conn, "displaced by cross-population fair sharing", now)
+		return true
+	}
 	d := victim.held[0]
 	victim.held = append(victim.held[:0], victim.held[1:]...)
-	victim.rejected++
 	// The displaced device keeps its claim on the round: hand its quota
 	// back so a later check-in of its population can take the slot.
 	victim.quota++
 	victim.accepted--
 	victim.consumed--
-	s.rejectConn(d.Conn, "displaced by cross-population fair sharing", victim.steering, victim.populationEstimate, victim.demand, now)
+	s.reject(victim, d.Conn, "displaced by cross-population fair sharing", now)
 	return true
 }
 
@@ -447,7 +545,8 @@ func (s *Selector) onForward(m msgForwardDevices) {
 
 // onTopUp re-opens quota a round handed back (duplicate or lost device)
 // and extends — or re-establishes — the streaming forward toward the
-// round, so a replacement device flows to it as soon as one checks in.
+// round, so a replacement device flows to it at once from the pool, or as
+// soon as one checks in.
 func (s *Selector) onTopUp(m msgQuotaTopUp) {
 	p, ok := s.pops[m.Population]
 	if !ok || m.N <= 0 {
@@ -455,46 +554,38 @@ func (s *Selector) onTopUp(m msgQuotaTopUp) {
 	}
 	p.quota += m.N
 	p.granted += int64(m.N)
+	s.admitPooled(p)
+	// Extend the round's forward stream; if it has drained (or belonged to an
+	// earlier, finished round) this starts a fresh one to the requester.
 	if p.pendingTo == m.To {
-		p.pendingN += m.N
-		return
+		m.N += p.pendingN
 	}
-	// The round's original forward request has drained (or belonged to an
-	// earlier, finished round): start a fresh stream to the requester.
 	s.onForward(msgForwardDevices{Population: m.Population, N: m.N, To: m.To})
 }
 
 // stats reports one population's counters, or — for population "" — the
-// totals across every registered population plus unknown-population
-// rejections.
+// totals across every registered and deregistered population plus
+// unknown-population rejections.
 func (s *Selector) stats(population string) SelectorStats {
 	if population != "" {
-		p, ok := s.pops[population]
-		if !ok {
-			return SelectorStats{}
+		if p, ok := s.pops[population]; ok {
+			return p.stats()
 		}
-		return SelectorStats{
-			Held: len(p.held), Accepted: p.accepted, Rejected: p.rejected,
-			QuotaGranted: p.granted, QuotaConsumed: p.consumed,
-			QuotaRevoked: p.revoked, QuotaOutstanding: int64(p.quota),
-		}
+		return SelectorStats{}
 	}
-	total := SelectorStats{
-		UnknownPopulation: s.unknownRejected,
-		Accepted:          s.retiredAccepted,
-		Rejected:          s.unknownRejected + s.retiredRejected,
-		QuotaGranted:      s.retiredGranted,
-		QuotaConsumed:     s.retiredConsumed,
-		QuotaRevoked:      s.retiredRevoked,
-	}
+	total := s.retired
+	total.UnknownPopulation = s.unknownRejected
+	total.Rejected += s.unknownRejected
 	for _, p := range s.pops {
-		total.Held += len(p.held)
-		total.Accepted += p.accepted
-		total.Rejected += p.rejected
-		total.QuotaGranted += p.granted
-		total.QuotaConsumed += p.consumed
-		total.QuotaRevoked += p.revoked
-		total.QuotaOutstanding += int64(p.quota)
+		total.Add(p.stats())
 	}
 	return total
+}
+
+func (p *selPop) stats() SelectorStats {
+	return SelectorStats{
+		Held: len(p.held), Pooled: len(p.pool), Accepted: p.accepted, Rejected: p.rejected,
+		QuotaGranted: p.granted, QuotaConsumed: p.consumed,
+		QuotaRevoked: p.revoked, QuotaOutstanding: int64(p.quota),
+	}
 }

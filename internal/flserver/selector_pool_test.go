@@ -1,0 +1,430 @@
+package flserver
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/actor"
+	"repro/internal/checkpoint"
+	"repro/internal/pacing"
+	"repro/internal/protocol"
+	"repro/internal/tensor"
+	"repro/internal/transport"
+)
+
+// poolDevice is the device end of one check-in: what the Selector layer
+// answered, and whether it left the connection open.
+type poolDevice struct {
+	id     string
+	mu     sync.Mutex
+	resp   *protocol.CheckinResponse
+	closed bool
+}
+
+func (d *poolDevice) answer() (protocol.CheckinResponse, bool, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.resp == nil {
+		return protocol.CheckinResponse{}, false, d.closed
+	}
+	return *d.resp, true, d.closed
+}
+
+// poolRig is one Selector on an injected clock, a stand-in round actor that
+// records every msgDevices batch it is forwarded, and the check after every
+// step: the quota ledger of every population balances, pooled devices or not.
+type poolRig struct {
+	t       *testing.T
+	sys     *actor.System
+	sel     actor.Ref
+	round   actor.Ref
+	pops    []string
+	mu      sync.Mutex
+	now     time.Time
+	batches [][]string
+}
+
+func newPoolRig(t *testing.T, capacity int, seed uint64, pops ...string) *poolRig {
+	r := &poolRig{t: t, sys: actor.NewSystem(), pops: pops, now: time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC)}
+	t.Cleanup(func() { r.sys.Shutdown() })
+	clock := func() time.Time { r.mu.Lock(); defer r.mu.Unlock(); return r.now }
+	var sp []SelectorPopulation
+	for _, p := range pops {
+		sp = append(sp, SelectorPopulation{Name: p, Steering: pacing.New(time.Second), PopulationEstimate: 100})
+	}
+	r.sel = r.sys.Spawn("sel", NewSelector(nil, pacing.New(time.Second), capacity, seed, clock, sp...))
+	r.round = r.sys.Spawn("round", actor.BehaviorFunc(func(_ *actor.Context, msg actor.Message) {
+		if m, ok := msg.(msgDevices); ok {
+			ids := make([]string, len(m.Devices))
+			for i, d := range m.Devices {
+				ids[i] = d.ID
+			}
+			r.mu.Lock()
+			r.batches = append(r.batches, ids)
+			r.mu.Unlock()
+		}
+	}))
+	return r
+}
+
+func (r *poolRig) advance(d time.Duration) { r.mu.Lock(); r.now = r.now.Add(d); r.mu.Unlock() }
+
+// send delivers one message to the Selector and then checks every ledger:
+// the stats query queues behind the message, so it sees its effect.
+func (r *poolRig) send(msg actor.Message) {
+	r.t.Helper()
+	if err := r.sel.Send(msg); err != nil {
+		r.t.Fatal(err)
+	}
+	for _, pop := range append([]string{""}, r.pops...) {
+		if st := popStats(r.t, r.sel, pop); !st.QuotaConserved() {
+			r.t.Fatalf("after %T the ledger of %q leaks: %+v", msg, pop, st)
+		}
+	}
+}
+
+func (r *poolRig) checkin(pop, id string) *poolDevice {
+	r.t.Helper()
+	client, server := transport.Pipe()
+	d := &poolDevice{id: id}
+	go func() {
+		for {
+			msg, err := client.Recv()
+			d.mu.Lock()
+			if err != nil {
+				d.closed = true
+				d.mu.Unlock()
+				return
+			}
+			if resp, ok := msg.(protocol.CheckinResponse); ok {
+				d.resp = &resp
+			}
+			d.mu.Unlock()
+		}
+	}()
+	r.send(msgCheckin{Req: protocol.CheckinRequest{DeviceID: id, Population: pop, RuntimeVersion: 3}, Conn: server})
+	return d
+}
+
+// steered waits until every device was answered with a steering-backed
+// rejection and its connection closed: nothing is left open.
+func (r *poolRig) steered(devs ...*poolDevice) {
+	r.t.Helper()
+	for _, d := range devs {
+		waitFor(r.t, func() bool {
+			resp, answered, closed := d.answer()
+			return answered && closed && !resp.Accepted && resp.RetryAfter > 0
+		})
+	}
+}
+
+// untouched asserts the devices are still parked: unanswered, open.
+func (r *poolRig) untouched(devs ...*poolDevice) {
+	r.t.Helper()
+	for _, d := range devs {
+		if _, answered, closed := d.answer(); answered || closed {
+			r.t.Fatalf("%s was answered or closed while it should still be parked", d.id)
+		}
+	}
+}
+
+// forwarded waits for the round to have received exactly these batches.
+func (r *poolRig) forwarded(want ...[]string) {
+	r.t.Helper()
+	waitFor(r.t, func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return fmt.Sprint(r.batches) == fmt.Sprint(want)
+	})
+}
+
+// staffedRound runs one round of the population through the Selector the way
+// an EdgeRound does — grant and forward request together, n devices, then
+// the spent-quota revocation of a staffed round — which leaves the pool open
+// with demand n. The n devices are named <pop>/r0…; their batches are
+// dropped from the record.
+func (r *poolRig) staffedRound(pop string, n int) {
+	r.t.Helper()
+	r.send(msgSetQuota{Population: pop, Accept: n, Owner: r.round})
+	r.send(msgForwardDevices{Population: pop, N: n, To: r.round})
+	for i := 0; i < n; i++ {
+		r.checkin(pop, fmt.Sprintf("%s/r%d", pop, i))
+	}
+	r.send(msgSetQuota{Population: pop, Owner: r.round})
+	waitFor(r.t, func() bool { r.mu.Lock(); defer r.mu.Unlock(); return len(r.batches) == n })
+	r.mu.Lock()
+	r.batches = nil
+	r.mu.Unlock()
+	if st := popStats(r.t, r.sel, pop); st.QuotaOutstanding != 0 || st.Pooled != 0 || st.Held != 0 {
+		r.t.Fatalf("staffed round left %+v", st)
+	}
+}
+
+// TestSelectorPool drives the standing pool of continuous selection on the
+// Selector actor alone; poolRig.send asserts granted == consumed + revoked +
+// outstanding, per population and in total, after every single message.
+func TestSelectorPool(t *testing.T) {
+	t.Run("shut until a round was staffed", func(t *testing.T) {
+		r := newPoolRig(t, 0, 1, "pop")
+		r.steered(r.checkin("pop", "never-granted"))
+		// A round that sealed short of devices: its revocation takes a slot
+		// back, and the pool stays shut.
+		r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
+		r.send(msgForwardDevices{Population: "pop", N: 2, To: r.round})
+		r.checkin("pop", "only")
+		r.send(msgSetQuota{Population: "pop", Owner: r.round})
+		r.steered(r.checkin("pop", "after-starved-round"))
+		// While a round still selects, a Selector whose share is spent sends
+		// the surplus on: another Selector's share may be waiting for it.
+		r.send(msgSetQuota{Population: "pop", Accept: 1, Owner: r.round})
+		r.send(msgForwardDevices{Population: "pop", N: 1, To: r.round})
+		r.checkin("pop", "fills-the-share")
+		r.steered(r.checkin("pop", "surplus-while-selecting"))
+		if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.QuotaRevoked != 1 {
+			t.Fatalf("%+v", st)
+		}
+	})
+
+	t.Run("fills to demand and no further", func(t *testing.T) {
+		r := newPoolRig(t, 0, 1, "pop")
+		r.staffedRound("pop", 3)
+		var devs []*poolDevice
+		for i := 0; i < 8; i++ {
+			devs = append(devs, r.checkin("pop", fmt.Sprintf("p%d", i)))
+			if st := popStats(t, r.sel, "pop"); st.Pooled != min(i+1, 3) || st.Held != 0 || st.QuotaGranted != 3 {
+				t.Fatalf("after %d pooled check-ins: %+v", i+1, st)
+			}
+		}
+		// Every check-in either sits in the pool or was steered away (itself,
+		// or as the victim of a reservoir replacement): 3 parked, 5 answered.
+		waitFor(t, func() bool {
+			parked := 0
+			for _, d := range devs {
+				if _, answered, _ := d.answer(); !answered {
+					parked++
+				}
+			}
+			return parked == 3
+		})
+		if st := popStats(t, r.sel, "pop"); st.Rejected != 5 {
+			t.Fatalf("%+v", st)
+		}
+	})
+
+	t.Run("grant admits the pool first and in one batch", func(t *testing.T) {
+		r := newPoolRig(t, 0, 1, "pop")
+		r.staffedRound("pop", 3)
+		a, b, c := r.checkin("pop", "a"), r.checkin("pop", "b"), r.checkin("pop", "c")
+		// The next round wants 4: the three pooled devices are its first
+		// batch, before the check-in that arrives after the grant.
+		r.send(msgSetQuota{Population: "pop", Accept: 4, Owner: r.round})
+		if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.Held != 3 || st.QuotaOutstanding != 1 || st.QuotaConsumed != 6 {
+			t.Fatalf("grant did not admit the pool: %+v", st)
+		}
+		r.send(msgForwardDevices{Population: "pop", N: 4, To: r.round})
+		r.checkin("pop", "d")
+		r.forwarded([]string{"a", "b", "c"}, []string{"d"})
+		r.untouched(a, b, c) // theirs to answer is the round's Configuration, not the Selector
+	})
+
+	t.Run("grant smaller than the pool steers the surplus away", func(t *testing.T) {
+		r := newPoolRig(t, 0, 1, "pop")
+		r.staffedRound("pop", 3)
+		a, b, c := r.checkin("pop", "a"), r.checkin("pop", "b"), r.checkin("pop", "c")
+		r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
+		r.send(msgForwardDevices{Population: "pop", N: 2, To: r.round})
+		r.forwarded([]string{"a", "b"})
+		r.untouched(a, b)
+		r.steered(c)
+		if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.Held != 0 || st.QuotaOutstanding != 0 {
+			t.Fatalf("%+v", st)
+		}
+	})
+
+	t.Run("top-up is served from the pool", func(t *testing.T) {
+		r := newPoolRig(t, 0, 1, "pop")
+		r.staffedRound("pop", 2)
+		spare := r.checkin("pop", "spare")
+		r.send(msgQuotaTopUp{Population: "pop", N: 1, To: r.round})
+		r.forwarded([]string{"spare"})
+		r.untouched(spare)
+		if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.QuotaGranted != 3 || st.QuotaConsumed != 3 {
+			t.Fatalf("%+v", st)
+		}
+	})
+
+	for name, release := range map[string]func(r *poolRig){
+		"release":    func(r *poolRig) { r.send(msgReleaseParked{Population: "pop"}) },
+		"deregister": func(r *poolRig) { r.send(msgDeregisterPopulation{Name: "pop"}) },
+		"expiry on a rate probe": func(r *poolRig) {
+			r.advance(999 * time.Millisecond)
+			r.send(msgRateProbe{Population: "pop", To: r.round})
+			if st := popStats(r.t, r.sel, "pop"); st.Pooled != 2 {
+				r.t.Fatalf("pool expired inside its pacing window: %+v", st)
+			}
+			r.advance(time.Millisecond)
+			r.send(msgRateProbe{Population: "pop", To: r.round})
+		},
+		"expiry on a check-in": func(r *poolRig) {
+			r.advance(time.Second)
+			r.steered(r.checkin("pop", "past-the-window"))
+		},
+		"expiry on a grant": func(r *poolRig) {
+			r.advance(time.Second)
+			r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
+			if st := popStats(r.t, r.sel, "pop"); st.Held != 0 || st.QuotaOutstanding != 2 {
+				r.t.Fatalf("a grant admitted devices pooled longer than the pacing window: %+v", st)
+			}
+		},
+	} {
+		t.Run(name+" leaves no connection open", func(t *testing.T) {
+			r := newPoolRig(t, 0, 1, "pop")
+			r.staffedRound("pop", 2)
+			a, b := r.checkin("pop", "a"), r.checkin("pop", "b")
+			r.untouched(a, b)
+			release(r)
+			r.steered(a, b)
+			if st, _ := QuerySelectorStats(r.sel, ""); st.Pooled != 0 || st.Held != 0 {
+				t.Fatalf("%+v", st)
+			}
+		})
+	}
+
+	t.Run("capacity and fair share count pooled devices", func(t *testing.T) {
+		r := newPoolRig(t, 4, 1, "pop-a", "pop-b")
+		r.staffedRound("pop-a", 4)
+		var pooled []*poolDevice
+		for i := 0; i < 4; i++ {
+			pooled = append(pooled, r.checkin("pop-a", fmt.Sprintf("a%d", i)))
+		}
+		if st := popStats(t, r.sel, "pop-a"); st.Pooled != 4 {
+			t.Fatalf("pop-a alone should pool up to the capacity: %+v", st)
+		}
+		// pop-b asks for devices; pop-a, between rounds, asks for none, so
+		// its whole pool is over its share: a pop-b check-in displaces the
+		// oldest pooled pop-a device instead of being starved by it.
+		r.send(msgSetQuota{Population: "pop-b", Accept: 2, Owner: r.round})
+		r.checkin("pop-b", "b0")
+		r.steered(pooled[0])
+		r.untouched(pooled[1:]...)
+		a, b := popStats(t, r.sel, "pop-a"), popStats(t, r.sel, "pop-b")
+		if a.Pooled != 3 || b.Held != 1 || a.QuotaConsumed != 4 || b.QuotaConsumed != 1 {
+			t.Fatalf("pop-a %+v pop-b %+v", a, b)
+		}
+		// At capacity and over its share, pop-a pools nobody else.
+		r.steered(r.checkin("pop-a", "a4"))
+		if st, _ := QuerySelectorStats(r.sel, ""); st.Pooled+st.Held != 4 {
+			t.Fatalf("capacity must bound held + pooled: %+v", st)
+		}
+	})
+}
+
+// TestPoolReservoirIsNotFCFS: a full pool keeps sampling. With demand 1 and
+// five check-ins between rounds, first-come-first-served would always staff
+// the next round with p0; the reservoir (replace with probability
+// pool/poolSeen) gives each a fifth of the rounds.
+func TestPoolReservoirIsNotFCFS(t *testing.T) {
+	winners := map[string]int{}
+	for trial := 0; trial < 40; trial++ {
+		r := newPoolRig(t, 0, uint64(trial)+1, "pop")
+		r.staffedRound("pop", 1)
+		for i := 0; i < 5; i++ {
+			r.checkin("pop", fmt.Sprintf("p%d", i))
+		}
+		r.send(msgSetQuota{Population: "pop", Accept: 1, Owner: r.round})
+		r.send(msgForwardDevices{Population: "pop", N: 1, To: r.round})
+		waitFor(t, func() bool { r.mu.Lock(); defer r.mu.Unlock(); return len(r.batches) == 1 })
+		winners[r.batches[0][0]]++
+		r.sys.Shutdown()
+	}
+	if len(winners) < 3 || winners["p0"] > 25 {
+		t.Fatalf("the pool's reservoir should spread selection, got winners %v", winners)
+	}
+}
+
+// countingRef forwards to a Selector and counts the top-ups that pass.
+type countingRef struct {
+	actor.Ref
+	mu     sync.Mutex
+	topUps int
+}
+
+func (c *countingRef) Send(msg actor.Message) error {
+	if _, ok := msg.(msgQuotaTopUp); ok {
+		c.mu.Lock()
+		c.topUps++
+		c.mu.Unlock()
+	}
+	return c.Ref.Send(msg)
+}
+
+// TestPooledDeviceThatDiedIsToppedUp: a pooled device whose connection died
+// while it waited is admitted by the next grant like the others; the round
+// finds out at its Configuration send, counts it lost and asks for exactly
+// one replacement, which the next check-in provides — the round seals on its
+// reports in milliseconds, not at its SelectionTimeout.
+func TestPooledDeviceThatDiedIsToppedUp(t *testing.T) {
+	const admit = 3
+	r := newPoolRig(t, 0, 1, "pop")
+	r.staffedRound("pop", admit)
+	sel := &countingRef{Ref: r.sel}
+
+	p := testPlan(t, admit, false)
+	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
+	update, err := (&checkpoint.Checkpoint{TaskName: p.ID, Weight: 1, Params: tensor.Vector{1, 2, 3, 4}}).Marshal(checkpoint.EncodingFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// device checks in and, once configured, reports and reads its ack.
+	device := func(id string) transport.Conn {
+		client, server := transport.Pipe()
+		go func() {
+			msg, err := client.Recv()
+			if resp, ok := msg.(protocol.CheckinResponse); err == nil && ok && resp.Accepted {
+				_ = client.Send(protocol.ReportRequest{DeviceID: id, TaskID: resp.TaskID, Round: resp.Round, Update: update})
+				_, _ = client.Recv()
+			}
+			client.Close()
+		}()
+		r.send(msgCheckin{Req: protocol.CheckinRequest{DeviceID: id, Population: "pop", RuntimeVersion: 3}, Conn: server})
+		return client
+	}
+	device("alive-0")
+	client, server := transport.Pipe()
+	r.send(msgCheckin{Req: protocol.CheckinRequest{DeviceID: "dead", Population: "pop", RuntimeVersion: 3}, Conn: server})
+	client.Close() // gave up while pooled
+	device("alive-1")
+	if st := popStats(t, r.sel, "pop"); st.Pooled != admit {
+		t.Fatalf("%+v", st)
+	}
+
+	seals := make(chan EdgeSeal, 1)
+	start := time.Now()
+	StartEdgeRound(r.sys, "edge", EdgeRoundConfig{
+		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: admit, Linger: 100 * time.Millisecond,
+		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
+	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })
+	// The top-up reaches the Selector; only then does the replacement check in.
+	waitFor(t, func() bool { return popStats(t, r.sel, "pop").QuotaGranted == 2*admit+1 })
+	device("replacement")
+	select {
+	case seal := <-seals:
+		if seal.Seal.Count != admit || seal.Lost != 1 {
+			t.Fatalf("sealed %d reports, %d lost; want %d and 1", seal.Seal.Count, seal.Lost, admit)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("round stalled on the dead pooled device")
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("round took %v: it waited for a timeout, not for its replacement", took)
+	}
+	sel.mu.Lock()
+	topUps := sel.topUps
+	sel.mu.Unlock()
+	waitFor(t, func() bool { st := popStats(t, r.sel, "pop"); return st.QuotaOutstanding == 0 && st.QuotaConserved() })
+	if st := popStats(t, r.sel, "pop"); topUps != 1 || st.QuotaConsumed != 2*admit+1 || st.QuotaRevoked != 0 {
+		t.Fatalf("%d top-ups, ledger %+v", topUps, st)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/attest"
+	"repro/internal/fedavg"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/secagg"
@@ -53,6 +54,8 @@ type LocalEdge struct {
 	sys        *actor.System
 	selectors  []actor.Ref
 	population string
+	// stripes carries the spare stripe vectors from one round to the next.
+	stripes fedavg.Spares
 	// churn is injected into the secure groups of every round (tests).
 	churn func(n, t int) secagg.Schedule
 	cur   actor.Ref
@@ -70,7 +73,7 @@ func (e *LocalEdge) Open(cfg *EdgeRoundConfig, coord actor.Ref) error {
 		AbandonEdgeRound(e.cur, "superseded by a newer round")
 	}
 	local := *cfg
-	local.churn = e.churn
+	local.Stripes, local.churn = &e.stripes, e.churn
 	e.cur = StartEdgeRound(e.sys, fmt.Sprintf("edge/%s/r%d", cfg.Plan.ID, cfg.Round), local, e.selectors,
 		func(seal EdgeSeal) { _ = DeliverSeal(coord, e, seal) })
 	return nil

@@ -70,12 +70,18 @@ func (r *Registry) Handler(opts ...HandlerOption) http.Handler {
 
 // renderDashboard adapts live registry data onto the existing sim-era
 // analytics.Dashboard renderer: every counter series feeds the counter
-// block, fl_net_{tx,rx}_bytes_total feed the traffic line, and the
-// progress callback appends per-population round state.
+// block, fl_net_{tx,rx}_bytes_total feed the traffic line, the
+// fl_selector_pooled gauges of every population and shard sum into the
+// selection-pool line, and the progress callback appends per-population
+// round state.
 func (r *Registry) renderDashboard(st *httpState) string {
 	counters := analytics.NewCounters()
 	traffic := analytics.NewTraffic()
+	pooled := 0.0
 	for _, row := range r.collect() {
+		if row.kind == 'g' && baseName(row.name) == "fl_selector_pooled" {
+			pooled += row.val
+		}
 		if row.kind != 'c' {
 			continue
 		}
@@ -88,7 +94,7 @@ func (r *Registry) renderDashboard(st *httpState) string {
 		}
 	}
 	d := analytics.Dashboard{Title: st.title, Counters: counters, Traffic: traffic}
-	out := d.Render()
+	out := d.Render() + fmt.Sprintf("selection pool: %.0f device(s) checked in and waiting for the next round\n", pooled)
 	if st.progress != nil {
 		if pops := st.progress(); len(pops) > 0 {
 			out += FormatProgress(pops) + "\n"

@@ -28,6 +28,9 @@ func TestHTTPSurface(t *testing.T) {
 	r.Counter("fl_reports_total").Add(5)
 	r.Counter("fl_net_tx_bytes_total").Add(1 << 20)
 	r.Counter("fl_net_rx_bytes_total").Add(2 << 20)
+	r.Gauge(Label("fl_selector_pooled", "population", "gboard")).Add(40)
+	r.Gauge(Label("fl_selector_pooled", "population", "search")).Add(3)
+	r.Gauge(Label("fl_selector_pooled", "population", "search")).Add(-1)
 	progress := []PopulationProgress{{
 		Name: "gboard", Round: 4, Completed: 3, Failed: 1,
 		Sharded: true, Shards: 2, Seals: 6, BytesUpstream: 123,
@@ -64,6 +67,7 @@ func TestHTTPSurface(t *testing.T) {
 		"=== test fleet ===",
 		"fl_reports_total",
 		"traffic: 1.0 MB down / 2.1 MB up",
+		"selection pool: 42 device(s) checked in and waiting for the next round",
 		"gboard: round 4, 3 completed, 1 failed; 2 shard(s) connected, 6 seals / 123 bytes upstream",
 		"task gboard/train [train live]: 3 committed, 0 failed, 0 devices",
 	} {

@@ -46,6 +46,16 @@ type Gauge struct{ v atomic.Uint64 }
 // Set replaces the value.
 func (g *Gauge) Set(x float64) { g.v.Store(math.Float64bits(x)) }
 
+// Add moves the value by delta, so several writers can share one series.
+func (g *Gauge) Add(delta float64) {
+	for {
+		old := g.v.Load()
+		if g.v.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 

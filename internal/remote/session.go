@@ -43,7 +43,9 @@ type SessionOptions struct {
 	// Registry resolves ActorEnvelope targets; nil rejects all envelopes.
 	Registry *Registry
 	// Handle receives every message that is not connection infrastructure
-	// (heartbeats, envelopes). It runs on the session goroutine.
+	// (heartbeats, envelopes). It runs on the session goroutine, which ends
+	// the message's receive lease (transport.Conn.Recv) when Handle returns:
+	// a handler that keeps a StripeSeal's Sum must copy it first.
 	Handle func(msg interface{})
 }
 
@@ -155,6 +157,7 @@ func (s *Session) Run() error {
 			s.deliver(m)
 		default:
 			s.opts.Handle(msg)
+			s.conn.Release()
 		}
 	}
 }

@@ -44,7 +44,8 @@ func (b *Buffer) Add(device string, weight float64, metrics map[string]float64, 
 	if !fedavg.ValidWeight(weight) {
 		return fmt.Errorf("robust: non-positive or non-finite update weight %v", weight)
 	}
-	vec := getVec(b.dim)
+	vec := vecPool.Get(b.dim)
+	vec.Zero()
 	if err := decode(*vec); err != nil {
 		vecPool.Put(vec)
 		return err
@@ -120,18 +121,7 @@ func Release(updates []Update) {
 	}
 }
 
-// vecPool recycles decode buffers across rounds, mirroring the report
-// path's update buffer pool: steady-state retention rounds allocate no
-// O(dim) vectors per report. It holds pointers (Update.pooled carries
-// them back): pooling a slice value allocates a header per Put.
-var vecPool sync.Pool
-
-func getVec(dim int) *tensor.Vector {
-	if p, ok := vecPool.Get().(*tensor.Vector); ok && cap(*p) >= dim {
-		*p = (*p)[:dim]
-		p.Zero()
-		return p
-	}
-	v := make(tensor.Vector, dim)
-	return &v
-}
+// vecPool recycles decode buffers across rounds: steady-state retention
+// rounds allocate no O(dim) vectors per report. Update.pooled carries the
+// pointers back.
+var vecPool tensor.VectorPool

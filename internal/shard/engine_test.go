@@ -51,6 +51,9 @@ type engineTopology struct {
 	// reported devices check in again into an open round, and the default
 	// peer heartbeat, which a saturated 2-core host does not miss.
 	storm bool
+	// tcpPeers puts the shard links on loopback sockets too, so StripeSeal
+	// frames are read into leased buffers.
+	tcpPeers bool
 }
 
 var engineTopologies = []engineTopology{{name: "in-process"}, {name: "1+1", shards: 1}, {name: "1+3", shards: 3}}
@@ -66,7 +69,8 @@ func stubUpdate(i int, scale float64) *checkpoint.Checkpoint {
 }
 
 // engineRig is one running topology: device links on loopback TCP (framed,
-// leased receive buffers), the coordinator's shard links on a mem network.
+// leased receive buffers), the coordinator's shard links on a mem network
+// unless the topology asks for sockets.
 type engineRig struct {
 	store *storage.Mem
 	dials []func() (transport.Conn, error)
@@ -139,7 +143,7 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	coordL, coordDial := listen("coord", false)
+	coordL, coordDial := listen("coord", topo.tcpPeers)
 	go coord.Serve(coordL)
 	for i := 0; i < topo.shards; i++ {
 		sp := NewSelectorProc(SelectorConfig{

@@ -86,6 +86,8 @@ type SelectorProc struct {
 	router    *flserver.CheckinRouter
 	peer      *remote.Peer
 	rateFwd   actor.Ref
+	// stripes carries spare stripe vectors from one edge round to the next.
+	stripes fedavg.Spares
 
 	mu     sync.Mutex
 	pops   map[string]bool
@@ -237,6 +239,7 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig) {
 			MinReports: m.MinReports,
 			MinRuntime: m.MinRuntime,
 			Linger:     p.cfg.EdgeLinger,
+			Stripes:    &p.stripes,
 		}, p.selectors, p.ship)
 	p.rounds[m.Population] = &edgeHandle{taskID: m.TaskID, round: m.Round, ref: ref}
 	p.roundsOpened.Add(1)
@@ -312,6 +315,9 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 			GroupErrors:    seal.GroupErrors,
 			RobustRejected: seal.RobustRejected,
 		}
+		// The wire form is all that leaves this process: the sealed sum's
+		// vector serves the next round's stripes.
+		p.stripes.Put(seal.Seal.Sum)
 		deadline := time.Now().Add(p.cfg.SealRetryBudget)
 		backoff := 25 * time.Millisecond
 		for {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -9,13 +10,14 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/nn"
 	"repro/internal/plan"
+	"repro/internal/transport"
 )
 
 // runShardedRounds drives a 1+N rig to its round target with 2K stub
 // devices that report and check straight back in, then checks what crossed
 // the selector→coordinator boundary: one sealed stripe per shard per round
 // — never a raw update — accounted per shard.
-func runShardedRounds(t *testing.T, topo engineTopology, k int) {
+func runShardedRounds(t *testing.T, topo engineTopology, k int) *engineRig {
 	p, err := plan.Generate(plan.Config{
 		TaskID: engineTask, Population: enginePop,
 		Model:     nn.Spec{Kind: nn.KindLogistic, Features: 4, Classes: 3, Seed: 1},
@@ -75,11 +77,28 @@ func runShardedRounds(t *testing.T, topo engineTopology, k int) {
 			t.Fatalf("shard %d: %+v over %d rounds", id, c, rounds)
 		}
 	}
+	return rig
 }
 
-// TestShardedRoundTCP: device links on loopback sockets.
+// TestShardedRoundTCP: device links and shard links on loopback sockets.
+// Released receive buffers are poisoned, and a StripeSeal's Sum aliases one
+// that the coordinator's session reader releases as soon as its handler
+// returns: a sum read after that would commit ~1e132, not the stubs' update.
 func TestShardedRoundTCP(t *testing.T) {
-	runShardedRounds(t, engineTopologies[2], 6)
+	transport.PoisonReleasedForTest()
+	rig := runShardedRounds(t, engineTopology{name: "1+3", shards: 3, tcpPeers: true}, 6)
+	got, err := rig.store.LatestCheckpoint(engineTask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every stub reports the same update over a zero global: the committed
+	// parameters are that update's per-example mean.
+	want := stubUpdate(0, 1)
+	for j, w := range want.Params {
+		if math.Abs(got.Params[j]-w/want.Weight) > 1e-9 {
+			t.Fatalf("round %d param %d: committed %v, want %v", got.Round, j, got.Params[j], w/want.Weight)
+		}
+	}
 }
 
 // TestShardedCheckinStorm runs K = 64, 512, 4096 back to back, five times,

@@ -55,10 +55,3 @@ func SecAggChurn(n, t int, cfg ChurnConfig, rng *tensor.RNG) secagg.Schedule {
 	}
 	return sched
 }
-
-// Casualties returns how many devices the schedule removes from the final
-// unmask round.
-func Casualties(s secagg.Schedule) int {
-	return len(s.DropAdvertise) + len(s.DropShareKeys) + len(s.DropAfterShare) +
-		len(s.DropAfterMask) + len(s.PoisonShare) + len(s.ForgeUnmask)
-}

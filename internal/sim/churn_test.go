@@ -7,12 +7,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// casualties is how many devices the schedule removes from the final unmask
+// round.
+func casualties(s secagg.Schedule) int {
+	return len(s.DropAdvertise) + len(s.DropShareKeys) + len(s.DropAfterShare) +
+		len(s.DropAfterMask) + len(s.PoisonShare) + len(s.ForgeUnmask)
+}
+
 func TestSecAggChurnRespectsSurvivalBudget(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	for _, tc := range []struct{ n, t int }{{8, 5}, {16, 9}, {64, 33}} {
 		for _, rate := range []float64{0, 0.1, 0.5, 1.0} {
 			s := SecAggChurn(tc.n, tc.t, ChurnConfig{DropRate: rate, PoisonRate: rate / 4}, rng)
-			if c := Casualties(s); c > tc.n-tc.t {
+			if c := casualties(s); c > tc.n-tc.t {
 				t.Fatalf("n=%d t=%d rate=%v: %d casualties exceed budget %d", tc.n, tc.t, rate, c, tc.n-tc.t)
 			}
 		}
@@ -24,10 +31,10 @@ func TestSecAggChurnDeterministicPerSeed(t *testing.T) {
 		return SecAggChurn(32, 17, ChurnConfig{DropRate: 0.3, PoisonRate: 0.05, ForgeRate: 0.05}, tensor.NewRNG(42))
 	}
 	a, b := draw(), draw()
-	if Casualties(a) != Casualties(b) || len(a.PoisonShare) != len(b.PoisonShare) {
+	if casualties(a) != casualties(b) || len(a.PoisonShare) != len(b.PoisonShare) {
 		t.Fatalf("same seed must draw the same schedule: %+v vs %+v", a, b)
 	}
-	if Casualties(a) == 0 {
+	if casualties(a) == 0 {
 		t.Fatal("30% churn over 32 devices should hit someone")
 	}
 }

@@ -96,9 +96,6 @@ func (c *Clock) RunUntil(t time.Time) {
 	}
 }
 
-// RunFor executes events for the next duration d.
-func (c *Clock) RunFor(d time.Duration) { c.RunUntil(c.now.Add(d)) }
-
 // Run executes every scheduled event (including ones scheduled while
 // running), stopping when the queue is empty or after maxEvents events (a
 // guard against runaway self-rescheduling; pass 0 for no limit). It returns

@@ -79,16 +79,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestRunForRelative(t *testing.T) {
-	c := New(t0)
-	fired := false
-	c.Schedule(30*time.Minute, func() { fired = true })
-	c.RunFor(time.Hour)
-	if !fired {
-		t.Fatal("event within window did not fire")
-	}
-}
-
 func TestNegativeDelayClamped(t *testing.T) {
 	c := New(t0)
 	fired := false

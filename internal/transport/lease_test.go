@@ -105,7 +105,8 @@ func frameHeader(code byte, n int) []byte {
 func leasesTaken() int64 { return obsRxBufReused.Value() + obsRxBufAlloc.Value() }
 
 func TestLeaseSelectsByCodeAndLength(t *testing.T) {
-	for _, code := range []byte{protocol.CodeCheckinResponse, protocol.CodeReportRequest} {
+	leasedCodes := map[byte]bool{protocol.CodeCheckinResponse: true, protocol.CodeReportRequest: true, protocol.CodeStripeSeal: true}
+	for code := range leasedCodes {
 		for n, want := range map[int]bool{0: false, 2 << 10: false, 4 << 10: false, 4<<10 + 1: true,
 			leaseSize: true, exactAlloc: true, exactAlloc + 1: false, maxFrame - frameOverhead: false} {
 			if leased(code, n) != want {
@@ -114,7 +115,7 @@ func TestLeaseSelectsByCodeAndLength(t *testing.T) {
 		}
 	}
 	for code := byte(0); code < 32; code++ {
-		if code != protocol.CodeCheckinResponse && code != protocol.CodeReportRequest && leased(code, leaseSize) {
+		if !leasedCodes[code] && leased(code, leaseSize) {
 			t.Errorf("type code %d leases its receive buffer", code)
 		}
 	}

@@ -40,9 +40,10 @@ type Conn interface {
 	Send(msg interface{}) error
 	// Recv blocks for the next message; it returns an error when the peer
 	// closed the stream. One reader at a time. The byte fields of a
-	// CheckinResponse or ReportRequest may alias a receive buffer leased to
-	// the reader: they are valid until its next Recv on this Conn or its
-	// Release, whichever comes first. Every other message owns its bytes.
+	// CheckinResponse, ReportRequest or StripeSeal may alias a receive buffer
+	// leased to the reader: they are valid until its next Recv on this Conn
+	// or its Release, whichever comes first. Every other message owns its
+	// bytes.
 	Recv() (interface{}, error)
 	// Release ends that lease early, so the buffer serves another frame
 	// while this reader is busy. Only the goroutine that calls Recv calls
@@ -245,10 +246,12 @@ var rxPools [exactAllocBits - minLeaseBits + 1]sync.Pool
 func rxClass(n int) int { return bits.Len(uint(n-1)) - minLeaseBits }
 
 // leased reports whether a frame's payload is read into a leased buffer:
-// the two O(dim) device-link messages, consumed before their reader's next
-// Recv. Peer-link frames go to actor mailboxes and outlive the read loop.
+// the two O(dim) device-link messages and the shard's StripeSeal, each
+// consumed before its reader's next Recv (a StripeSeal aliases only its Sum,
+// which the coordinator process copies out on the session reader). The other
+// peer-link frames go to actor mailboxes and outlive the read loop.
 func leased(code byte, n int) bool {
-	return (code == protocol.CodeCheckinResponse || code == protocol.CodeReportRequest) &&
+	return (code == protocol.CodeCheckinResponse || code == protocol.CodeReportRequest || code == protocol.CodeStripeSeal) &&
 		n > 1<<(minLeaseBits-1) && n <= exactAlloc
 }
 
