@@ -36,10 +36,11 @@ func main() {
 	cfg := secagg.Config{N: n, T: thresh, VectorLen: dim}
 	// Devices 3 and 7 drop after sharing keys; device 5 drops after
 	// committing its masked input.
-	sum, survivors, err := secagg.Run(cfg, inputs, []int{3, 7}, []int{5})
+	res, err := secagg.RunSchedule(cfg, inputs, secagg.Schedule{DropAfterShare: []int{3, 7}, DropAfterMask: []int{5}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sum, survivors := res.Sum, res.Survivors
 
 	fmt.Printf("participants: %d, threshold: %d\n", n, thresh)
 	fmt.Printf("dropped after key sharing: devices 3, 7 (excluded from the sum)\n")

@@ -139,7 +139,7 @@ func Aggregate(vectors map[int][]float64, bins int, secure bool, groupSize int) 
 				inputs[i+1] = vectors[id]
 			}
 			cfg := secagg.Config{N: len(group), T: len(group)/2 + 1, VectorLen: bins}
-			sum, _, err := secagg.Run(cfg, inputs, nil, nil)
+			res, err := secagg.RunSchedule(cfg, inputs, secagg.Schedule{})
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -148,7 +148,7 @@ func Aggregate(vectors map[int][]float64, bins int, secure bool, groupSize int) 
 				}
 				return
 			}
-			for i, x := range sum {
+			for i, x := range res.Sum {
 				total[i] += x
 			}
 		}(g)

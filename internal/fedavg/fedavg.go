@@ -134,18 +134,6 @@ func (a *Accumulator) AddRaw(deltaSum tensor.Vector, weight float64, count int) 
 	return nil
 }
 
-// Merge folds another accumulator in (Master Aggregator combining the
-// intermediate sums of its Aggregators, Sec. 6).
-func (a *Accumulator) Merge(b *Accumulator) error {
-	if len(b.sum) != len(a.sum) {
-		return fmt.Errorf("fedavg: merge dim %d vs %d", len(b.sum), len(a.sum))
-	}
-	a.sum.Axpy(1, b.sum)
-	a.weight += b.weight
-	a.count += b.count
-	return nil
-}
-
 // Count returns the number of device updates folded in.
 func (a *Accumulator) Count() int { return a.count }
 

@@ -115,8 +115,8 @@ func TestAccumulatorErrors(t *testing.T) {
 	}
 }
 
-func TestMergeEqualsFlatAccumulation(t *testing.T) {
-	// Two-level aggregation (Aggregators → Master Aggregator) must produce
+func TestSealedMergeEqualsFlatAccumulation(t *testing.T) {
+	// Two-level aggregation (edges' sealed sums → Coordinator) must produce
 	// exactly the same result as flat accumulation.
 	updates := []*Update{
 		{Delta: tensor.Vector{1, 2}, Weight: 1},
@@ -128,16 +128,13 @@ func TestMergeEqualsFlatAccumulation(t *testing.T) {
 	for _, u := range updates {
 		_ = flat.Add(u)
 	}
-	g1, g2 := NewAccumulator(2), NewAccumulator(2)
-	_ = g1.Add(updates[0])
-	_ = g1.Add(updates[1])
-	_ = g2.Add(updates[2])
-	_ = g2.Add(updates[3])
+	g1 := SealedStripe{Sum: tensor.Vector{1 + 3, 2 + 4}, Weight: 1 + 2, Count: 2}
+	g2 := SealedStripe{Sum: tensor.Vector{5 + 7, 6 + 8}, Weight: 3 + 4, Count: 2}
 	master := NewAccumulator(2)
-	if err := master.Merge(g1); err != nil {
+	if err := master.AddSealed(g1); err != nil {
 		t.Fatal(err)
 	}
-	if err := master.Merge(g2); err != nil {
+	if err := master.AddSealed(g2); err != nil {
 		t.Fatal(err)
 	}
 	fa, _ := flat.Average()

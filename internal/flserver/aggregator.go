@@ -48,7 +48,12 @@ type Aggregator struct {
 	robustPolicy                    plan.RobustPolicy
 	obsRejectedTask, obsTrimmedTask *obs.Counter
 
-	acc     *fedavg.Accumulator
+	// sum, weight, count are the group's raw sums (addSum): the secagg run's
+	// decoded aggregate or the robust reduce's pre-scaled one, handed to the
+	// EdgeRound as they are.
+	sum     tensor.Vector
+	weight  float64
+	count   int
 	metrics map[string][]float64
 	// evalCount counts metrics-only reports (evaluation tasks).
 	evalCount int
@@ -84,7 +89,6 @@ func NewAggregator(dim int, master actor.Ref) *Aggregator {
 	return &Aggregator{
 		dim:       dim,
 		master:    master,
-		acc:       fedavg.NewAccumulator(dim),
 		metrics:   make(map[string][]float64),
 		secInputs: make(map[int][]float64),
 		secDevice: make(map[int]string),
@@ -218,7 +222,7 @@ func (a *Aggregator) onFinalize(ctx *actor.Context, m msgFinalizeGroup) {
 			a.obsTrimmedTask.Add(res.Trimmed)
 		}
 		if res.Count > 0 {
-			if err := a.acc.AddRaw(res.Sum, res.Weight, res.Count); err != nil {
+			if err := a.addSum(res.Sum, res.Weight, res.Count); err != nil {
 				a.finish(ctx, "robust reduce: "+err.Error())
 				return
 			}
@@ -338,7 +342,7 @@ func (a *Aggregator) onSecAggDone(ctx *actor.Context, m msgSecAggDone) {
 		a.finish(ctx, m.Err.Error())
 		return
 	}
-	if err := a.acc.AddRaw(tensor.Vector(m.Sum[:a.dim]), m.Sum[a.dim], m.Survivors); err != nil {
+	if err := a.addSum(m.Sum[:a.dim], m.Sum[a.dim], m.Survivors); err != nil {
 		a.finish(ctx, err.Error())
 		return
 	}
@@ -352,25 +356,31 @@ func (a *Aggregator) onSecAggTimeout(ctx *actor.Context) {
 	a.finish(ctx, fmt.Sprintf("secagg: finalization exceeded %v; group abandoned", a.finalizeTimeout))
 }
 
-// finish reports the group partial and stops the actor. On a finalization
+// addSum folds an already-summed (delta, weight, count) triple into the
+// group's raw sums. The first vector is adopted, not copied: both producers
+// hand over a vector nothing else holds.
+func (a *Aggregator) addSum(sum tensor.Vector, weight float64, count int) error {
+	if len(sum) != a.dim || !fedavg.ValidWeight(weight) || count <= 0 {
+		return fmt.Errorf("group sum of dim %d (want %d), weight %v, count %d", len(sum), a.dim, weight, count)
+	}
+	if a.sum == nil {
+		a.sum = sum
+	} else {
+		a.sum.Axpy(1, sum)
+	}
+	a.weight += weight
+	a.count += count
+	return nil
+}
+
+// finish reports the group partial — the raw sum exactly as accumulated,
+// never an average scaled back up — and stops the actor. On a finalization
 // error the model updates are gone, but eval-only counts and metrics never
 // went through the secure path — report them rather than swallowing, and
 // surface the error to the EdgeRound.
 func (a *Aggregator) finish(ctx *actor.Context, errStr string) {
 	defer ctx.Stop()
 	a.done = true
-	res := msgGroupResult{From: ctx.Self, Count: a.acc.Count() + a.evalCount, Metrics: a.metrics, Err: errStr,
-		Blamed: a.secBlamed, Phases: a.secPhases, RobustRejected: a.robustRejected}
-	if a.acc.Count() > 0 {
-		res.Weight = a.acc.Weight()
-		sum := make(tensor.Vector, a.dim)
-		avg, err := a.acc.Average()
-		if err == nil {
-			// Reconstruct the raw sum: avg × weight.
-			copy(sum, avg)
-			sum.Scale(a.acc.Weight())
-			res.Sum = sum
-		}
-	}
-	_ = a.master.Send(res)
+	_ = a.master.Send(msgGroupResult{From: ctx.Self, Sum: a.sum, Weight: a.weight, Count: a.count + a.evalCount,
+		Metrics: a.metrics, Err: errStr, Blamed: a.secBlamed, Phases: a.secPhases, RobustRejected: a.robustRejected})
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
+	"repro/internal/robust"
 	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tensor"
@@ -411,4 +412,83 @@ func TestMultiTaskRoundRobin(t *testing.T) {
 	if len(evalMetrics) == 0 {
 		t.Fatal("eval task never ran")
 	}
+}
+
+func TestGroupResultCarriesExactSum(t *testing.T) {
+	// Aim 3: a committed checkpoint is the exact weighted sum of the accepted
+	// reports. The group result used to be rebuilt as Average()×Weight, and
+	// (s·(1/w))·w is an ulp off s for most s once w is not a power of two —
+	// weights 3 and 7 give w = 10. The result must carry the bits the group
+	// summed.
+	const dim = 64
+	weights := []float64{3, 7}
+	deltas := make([]tensor.Vector, len(weights))
+	for i, w := range weights {
+		deltas[i] = make(tensor.Vector, dim)
+		for j := range deltas[i] {
+			// Multiples of 2^-10: exact under secagg's 2^-20 fixed point.
+			deltas[i][j] = w * float64((i+1)*(j+1)) / 1024
+		}
+	}
+	finalize := func(t *testing.T, agg *Aggregator, adds []msgAddUpdate, fin msgFinalizeGroup) msgGroupResult {
+		sys := actor.NewSystem()
+		master, got, sig := collectMaster(sys)
+		agg.master = master
+		ref := sys.Spawn("agg", agg)
+		defer sys.Shutdown(master, ref)
+		for _, m := range adds {
+			_ = ref.Send(m)
+		}
+		waitSignals(t, sig, len(adds))
+		_ = ref.Send(fin)
+		waitSignals(t, sig, 1)
+		msgs := got()
+		res := msgs[len(msgs)-1].(msgGroupResult)
+		if res.Err != "" || res.Count != len(weights) || res.Weight != 10 || len(res.Sum) != dim {
+			t.Fatalf("group result: err %q, count %d, weight %v, dim %d", res.Err, res.Count, res.Weight, len(res.Sum))
+		}
+		return res
+	}
+	exact := func(t *testing.T, got, want tensor.Vector) {
+		t.Helper()
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("sum[%d] = %x (%v), want %x (%v): the group result is not the sum the group computed",
+					j, math.Float64bits(got[j]), got[j], math.Float64bits(want[j]), want[j])
+			}
+		}
+	}
+
+	t.Run("secure", func(t *testing.T) {
+		var adds []msgAddUpdate
+		want := make(tensor.Vector, dim)
+		for i, w := range weights {
+			want.Axpy(1, deltas[i])
+			adds = append(adds, msgAddUpdate{DeviceID: string(rune('a' + i)), Input: secInput(w, deltas[i]...)})
+		}
+		exact(t, finalize(t, NewAggregator(dim, nil), adds, msgFinalizeGroup{}).Sum, want)
+	})
+
+	t.Run("robust", func(t *testing.T) {
+		policy := plan.RobustPolicy{Kind: plan.RobustMedian}
+		fill := func() *robust.Buffer {
+			buf := robust.NewBuffer(dim)
+			for i, w := range weights {
+				// No fixed point to respect here: irregular fractions.
+				d := make(tensor.Vector, dim)
+				for j := range d {
+					d[j] = w * float64(2*j+1+i) / 977
+				}
+				if err := buf.Add(string(rune('a'+i)), w, nil, func(dst tensor.Vector) error { copy(dst, d); return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return buf
+		}
+		updates, _, _ := fill().Drain()
+		want := robust.Reduce(policy, dim, updates).Sum
+		agg := NewAggregator(dim, nil)
+		agg.robustPolicy = policy
+		exact(t, finalize(t, agg, nil, msgFinalizeGroup{Robust: fill()}).Sum, want)
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // serialReference recomputes a bench round's committed checkpoint the old
@@ -44,8 +45,11 @@ func serialReference(t *testing.T, devices, dim int, enc checkpoint.Encoding) *f
 // TestEdgeAccumulationMatchesSerial: the striped decode-and-accumulate
 // ingest must commit the same checkpoint as the old serial per-device fold,
 // within floating-point summation-order tolerance, over both transports and
-// both uplink encodings.
+// both uplink encodings. At dim 256 the TCP frames are 2 KB — the smallest
+// that are leased — so released buffers are poisoned: a fold that outlived
+// its small lease would break the closed form.
 func TestEdgeAccumulationMatchesSerial(t *testing.T) {
+	transport.PoisonReleasedForTest()
 	const devices, dim = 48, 256
 	for _, tc := range []struct {
 		name string
@@ -58,11 +62,23 @@ func TestEdgeAccumulationMatchesSerial(t *testing.T) {
 		{"tcp/quant8", true, checkpoint.EncodingQuant8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			leasesBefore := leasedFrames()
 			st, err := runBenchRound(benchRoundConfig{
 				Devices: devices, Dim: dim, TCP: tc.tcp, Encoding: tc.enc, DistinctUpdates: true,
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Every 2 KB download is leased, and every 2 KB float64 report.
+			want := int64(0)
+			if tc.tcp {
+				want = devices
+				if tc.enc == checkpoint.EncodingFloat64 {
+					want = 2 * devices
+				}
+			}
+			if got := leasedFrames() - leasesBefore; got < want {
+				t.Fatalf("%d frames read into leased buffers, want >= %d", got, want)
 			}
 			if st.Completed != devices || st.Committed == nil {
 				t.Fatalf("completed %d/%d, committed %v", st.Completed, devices, st.Committed)

@@ -239,7 +239,11 @@ type CheckinRouter struct {
 	selectors []actor.Ref
 	hinter    *Hinter
 	nextSel   uint64
-	handlers  sync.WaitGroup
+	// mu orders every handlers.Add before Wait's handlers.Wait: a connection
+	// accepted while the owner tears down is closed, not counted.
+	mu       sync.Mutex
+	waited   bool
+	handlers sync.WaitGroup
 }
 
 // NewCheckinRouter builds the accept path over a Selector layer.
@@ -254,7 +258,14 @@ func (r *CheckinRouter) Serve(l transport.Listener) {
 		if err != nil {
 			return
 		}
+		r.mu.Lock()
+		if r.waited {
+			r.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
 		r.handlers.Add(1)
+		r.mu.Unlock()
 		go func() {
 			defer r.handlers.Done()
 			r.handleConn(conn)
@@ -282,4 +293,9 @@ func (r *CheckinRouter) handleConn(conn transport.Conn) {
 
 // Wait blocks until in-flight connection handlers finish (teardown, after
 // the listener closed).
-func (r *CheckinRouter) Wait() { r.handlers.Wait() }
+func (r *CheckinRouter) Wait() {
+	r.mu.Lock()
+	r.waited = true
+	r.mu.Unlock()
+	r.handlers.Wait()
+}

@@ -15,6 +15,12 @@ import (
 	"repro/internal/transport"
 )
 
+// leasedFrames is how many frames this process has read into leased
+// receive buffers so far.
+func leasedFrames() int64 {
+	return obs.Default.Counter("fl_net_rx_buf_reused_total").Value() + obs.Default.Counter("fl_net_rx_buf_alloc_total").Value()
+}
+
 // TestEndToEndOverTCP runs the full protocol over real TCP sockets: the
 // same server and device code the cmd/flserver and cmd/fldevices binaries
 // use. The model is wide enough (6147 parameters: a 6 KB quant8 report) that both
@@ -24,10 +30,7 @@ import (
 // lease, would commit garbage instead of a model that classifies.
 func TestEndToEndOverTCP(t *testing.T) {
 	transport.PoisonReleasedForTest()
-	leases := func() int64 {
-		return obs.Default.Counter("fl_net_rx_buf_reused_total").Value() + obs.Default.Counter("fl_net_rx_buf_alloc_total").Value()
-	}
-	leasesBefore := leases()
+	leasesBefore := leasedFrames()
 	const features = 2048
 	fed, err := data.Blobs(data.BlobsConfig{
 		Users: 12, ExamplesPer: 25, Features: features, Classes: 3, TestSize: 200, Seed: 21,
@@ -108,7 +111,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 	// Per round: six leased downloads and at least the four reports
 	// (MinReportFraction 0.6) the commit waited for.
-	if got := leases() - leasesBefore; got < 3*(6+4) {
+	if got := leasedFrames() - leasesBefore; got < 3*(6+4) {
 		t.Fatalf("%d frames read into leased buffers over 3 rounds of 6 devices, want >= 30", got)
 	}
 	m, _ := p.Device.Model.Build()

@@ -53,9 +53,9 @@ type Rejection struct {
 }
 
 // Result is the outcome of a robust reduce, shaped to drop into the
-// fedavg pipeline: Sum/Weight/Count feed Accumulator.AddRaw, and
-// downstream Average recovers the robust aggregate (Sum is pre-scaled so
-// Sum/Weight IS the policy's mean). Result vectors never alias the input
+// fedavg pipeline: Sum/Weight/Count travel as a group's raw sums to the
+// Coordinator's accumulator, whose step recovers the robust aggregate (Sum
+// is pre-scaled so Sum/Weight IS the policy's mean). Result vectors never alias the input
 // updates, so pooled buffers can be released immediately after Reduce.
 type Result struct {
 	Sum    tensor.Vector

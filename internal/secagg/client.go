@@ -1,6 +1,7 @@
 package secagg
 
 import (
+	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/rand"
 	"fmt"
@@ -80,11 +81,12 @@ type Client struct {
 	poison bool
 	forge  bool
 
-	// cShared caches the share-encryption ECDH secret per peer: the secret
-	// is symmetric, so the value derived to encrypt an outgoing bundle in
-	// Round 1 decrypts the incoming bundle from the same peer — computing
-	// it twice would double the client's dominant X25519 cost.
-	cShared map[int][]byte
+	// cShared caches the share-encryption AEAD per peer: the ECDH secret
+	// behind it is symmetric, so the instance built to seal an outgoing
+	// bundle in Round 1 opens the incoming bundle from the same peer —
+	// deriving it twice would double the client's dominant X25519 cost and
+	// build AES-GCM twice per pair.
+	cShared map[int]cipher.AEAD
 }
 
 // NewClient creates a device participant with fresh keys.
@@ -111,7 +113,7 @@ func NewClient(id int, cfg Config) (*Client, error) {
 	return &Client{
 		id: id, cfg: cfg, cKey: cKey, sKey: sKey, seed: seed,
 		held:    make(map[int]*shareBundle),
-		cShared: make(map[int][]byte),
+		cShared: make(map[int]cipher.AEAD),
 	}, nil
 }
 
@@ -165,10 +167,10 @@ func (c *Client) ShareKeys() ([]RoutedShare, error) {
 	}
 	own := &ShareCommitments{Owner: c.id, B: make([][]byte, n), SK: make([][]byte, n)}
 	out := make([]RoutedShare, n)
-	secrets := make([][]byte, n)
+	aeads := make([]cipher.AEAD, n)
 	// One ECDH + AES-GCM seal per roster member: independent work, fanned
 	// across the worker pool. Workers write only their own slots; the
-	// secret cache (a map) is filled serially afterwards.
+	// AEAD cache (a map) is filled serially afterwards.
 	err = parallelFor(n, func(i int) error {
 		holder := c.rosterIDs[i]
 		bundle := &shareBundle{Owner: c.id, Holder: holder, BShare: bShares[i], SKShare: skShares[i]}
@@ -195,12 +197,12 @@ func (c *Client) ShareKeys() ([]RoutedShare, error) {
 			bundle.BShare.Ys[0] = field.Add(bundle.BShare.Ys[0], 1)
 			bundle.SKShare.Ys[0] = field.Add(bundle.SKShare.Ys[0], 1)
 		}
-		shared, err := c.deriveC(holder)
+		gcm, err := c.deriveC(holder)
 		if err != nil {
 			return err
 		}
-		secrets[i] = shared
-		ct, err := encryptBundle(shared, bundle)
+		aeads[i] = gcm
+		ct, err := encryptBundle(gcm, bundle)
 		if err != nil {
 			return err
 		}
@@ -211,7 +213,7 @@ func (c *Client) ShareKeys() ([]RoutedShare, error) {
 		return nil, err
 	}
 	for i, holder := range c.rosterIDs {
-		c.cShared[holder] = secrets[i]
+		c.cShared[holder] = aeads[i]
 	}
 	c.own = own
 	return out, nil
@@ -275,16 +277,17 @@ func (c *Client) ReceiveShares(shares []RoutedShare) ([]Complaint, error) {
 	complain := func(owner int, reason string) {
 		complaints = append(complaints, Complaint{By: c.id, Against: owner, Reason: reason})
 	}
+	pt := make([]byte, 0, bundleWireLen) // every bundle opens into this
 	for _, rs := range shares {
 		if rs.Holder != c.id {
 			return nil, fmt.Errorf("secagg: share for holder %d routed to %d", rs.Holder, c.id)
 		}
-		shared, err := c.pairwiseC(rs.Owner)
+		gcm, err := c.pairwiseC(rs.Owner)
 		if err != nil {
 			complain(rs.Owner, "unknown owner: "+err.Error())
 			continue
 		}
-		bundle, err := decryptBundle(shared, rs.CT)
+		bundle, err := decryptBundle(gcm, rs.CT, pt)
 		if err != nil {
 			complain(rs.Owner, "undecryptable bundle: "+err.Error())
 			continue
@@ -353,34 +356,45 @@ func (c *Client) inMaskSet(id int) bool {
 // MaskedInput computes the Round-2 masked vector for input x:
 // Encode(x) + PRG(b_u) + Σ_{v>u} PRG(s_uv) − Σ_{v<u} PRG(s_uv).
 func (c *Client) MaskedInput(x []float64) ([]uint64, error) {
+	return c.maskInto(make([]uint64, c.cfg.VectorLen), x)
+}
+
+// maskInto is MaskedInput written over the caller's VectorLen-element y: x
+// is encoded into the vector the masks are then folded into. RunSchedule
+// hands every client of an instance the same y, which Server.AddMasked has
+// consumed by the time the next client masks.
+func (c *Client) maskInto(y []uint64, x []float64) ([]uint64, error) {
 	if c.roster == nil {
 		return nil, fmt.Errorf("secagg: MaskedInput before roster")
 	}
 	if len(x) != c.cfg.VectorLen {
 		return nil, fmt.Errorf("secagg: input length %d, want %d", len(x), c.cfg.VectorLen)
 	}
-	y := Encode(x)
-	// Personal mask, streamed straight into the output.
-	prgApply(seedKey(c.seed), y, false)
+	y = encodeInto(y, x)
 	// Pairwise masks over the mask set (the full roster U1 when none was
 	// broadcast): a device excluded before this round leaves no residual
 	// mask for the server to reconstruct. The ECDH + PRG expansions
-	// dominate device-side cost; fan them across the worker pool, each
-	// worker folding masks into a private accumulator. ECDH on the
-	// (immutable) s-key and roster reads are safe concurrently.
+	// dominate device-side cost; fan them across the worker pool — the
+	// personal mask is one more task after the peers' — each worker folding
+	// masks into the accumulator it is handed. ECDH on the (immutable) s-key
+	// and roster reads are safe concurrently.
 	peers := make([]int, 0, len(c.rosterIDs)-1)
 	for _, v := range c.rosterIDs {
 		if v != c.id && c.inMaskSet(v) {
 			peers = append(peers, v)
 		}
 	}
-	err := parallelMasks(y, len(peers), func(i int, acc []uint64) error {
+	err := parallelMasks(y, len(peers)+1, func(i int, acc []uint64, buf *prgChunk) error {
+		if i == len(peers) {
+			prgApply(seedKey(c.seed), acc, false, buf)
+			return nil
+		}
 		v := peers[i]
 		seedUV, err := c.pairwiseS(v)
 		if err != nil {
 			return err
 		}
-		prgApply(seedUV, acc, c.id > v)
+		prgApply(seedUV, acc, c.id > v, buf)
 		return nil
 	})
 	if err != nil {
@@ -440,9 +454,9 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 	return resp, nil
 }
 
-// deriveC computes the share-encryption secret with peer (cache-free; safe
-// to call from workers).
-func (c *Client) deriveC(peer int) ([]byte, error) {
+// deriveC builds the share-encryption AEAD with peer (cache-free; safe to
+// call from workers).
+func (c *Client) deriveC(peer int) (cipher.AEAD, error) {
 	a, ok := c.roster[peer]
 	if !ok {
 		return nil, fmt.Errorf("secagg: unknown peer %d", peer)
@@ -451,21 +465,25 @@ func (c *Client) deriveC(peer int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("secagg: peer %d cpub: %w", peer, err)
 	}
-	return c.cKey.ECDH(pub)
-}
-
-// pairwiseC returns the share-encryption secret with peer, deriving and
-// caching it on first use.
-func (c *Client) pairwiseC(peer int) ([]byte, error) {
-	if s, ok := c.cShared[peer]; ok {
-		return s, nil
-	}
-	s, err := c.deriveC(peer)
+	shared, err := c.cKey.ECDH(pub)
 	if err != nil {
 		return nil, err
 	}
-	c.cShared[peer] = s
-	return s, nil
+	return bundleAEAD(shared)
+}
+
+// pairwiseC returns the share-encryption AEAD with peer, deriving and
+// caching it on first use.
+func (c *Client) pairwiseC(peer int) (cipher.AEAD, error) {
+	if gcm, ok := c.cShared[peer]; ok {
+		return gcm, nil
+	}
+	gcm, err := c.deriveC(peer)
+	if err != nil {
+		return nil, err
+	}
+	c.cShared[peer] = gcm
+	return gcm, nil
 }
 
 // pairwiseS derives the masking PRG seed with peer from the s-keypair.

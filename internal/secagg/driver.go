@@ -67,20 +67,6 @@ const (
 	phaseUnmask    = "unmask"
 )
 
-// Run executes a complete honest-but-churning instance: the legacy
-// two-knob entry point kept for the benchmarks and older callers. See
-// RunSchedule for the full churn and adversary surface.
-func Run(cfg Config, inputs map[int][]float64, dropAfterShare, dropAfterMask []int) ([]float64, []int, error) {
-	res, err := RunSchedule(cfg, inputs, Schedule{
-		DropAfterShare: dropAfterShare,
-		DropAfterMask:  dropAfterMask,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Sum, res.Survivors, nil
-}
-
 // RunSchedule executes a complete Secure Aggregation instance in-process
 // under an injected churn schedule. It exists for the Aggregator actor,
 // the simulator, and the benchmarks: the caller hands it per-group inputs
@@ -206,7 +192,9 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 
 	// Round 2: masked inputs. DropAfterShare devices — and devices whose
 	// input is missing or malformed — vanish here rather than stalling or
-	// aborting the group.
+	// aborting the group. One masked vector serves the whole instance: the
+	// server folds it into its running sum before the next device masks.
+	masked := make([]uint64, cfg.VectorLen)
 	for _, id := range maskIDs {
 		if dropShare[id] {
 			continue
@@ -216,7 +204,7 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 			dropShare[id] = true
 			continue
 		}
-		y, err := clients[id].MaskedInput(in)
+		y, err := clients[id].maskInto(masked, in)
 		if err != nil {
 			return nil, err
 		}

@@ -21,11 +21,20 @@ func workers(tasks int) int {
 	return w
 }
 
-// runWorkers drains n tasks on w workers and returns the first error.
-// Tasks are pulled from a shared atomic counter so uneven task costs (an
+// runWorkers drains n tasks on w workers and returns the first error. With
+// one worker it runs inline, adding nothing to the serial path. Otherwise
+// tasks are pulled from a shared atomic counter so uneven task costs (an
 // ECDH here, a cache hit there) still balance; an error stops the other
 // workers at their next pull.
 func runWorkers(w, n int, body func(worker, task int) error) error {
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			if err := body(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var (
 		next int64
 		wg   sync.WaitGroup
@@ -58,50 +67,57 @@ func runWorkers(w, n int, body func(worker, task int) error) error {
 }
 
 // parallelFor runs fn(0..n-1) across the worker pool and returns the first
-// error. With one worker it runs inline, adding nothing to the serial path.
+// error.
 func parallelFor(n int, fn func(i int) error) error {
-	w := workers(n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return runWorkers(w, n, func(_, i int) error { return fn(i) })
+	return runWorkers(workers(n), n, func(_, i int) error { return fn(i) })
 }
 
-// parallelMasks applies n mask expansions into dst. Each worker accumulates
-// into a private partial vector in GF(2^61−1) — apply adds or subtracts its
-// masks into the accumulator it is handed — and the partials are merged
-// into dst once at the end, so workers never contend on dst and the
-// transient memory is O(workers × len), not O(n × len). With one worker,
-// apply writes straight into dst: the serial path allocates nothing extra.
-func parallelMasks(dst []uint64, n int, apply func(i int, acc []uint64) error) error {
+// maskScratch is what one mask worker owns while it expands: the keystream
+// chunk prgApply streams through and, for every worker but the first, a
+// private partial vector. Scratch is pooled package-wide, so clients and
+// servers of successive instances reuse it; nothing in it outlives a
+// parallelMasks call.
+type maskScratch struct {
+	chunk   prgChunk
+	partial []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(maskScratch) }}
+
+// parallelMasks applies n mask expansions into dst. The first worker folds
+// straight into dst; every other worker accumulates into a private partial
+// vector in GF(2^61−1) — apply adds or subtracts its masks into the
+// accumulator it is handed, through the chunk it is handed — and the
+// partials are merged into dst once at the end, so workers never contend on
+// dst and the transient memory is O((workers−1) × len), not O(n × len).
+// Field addition is exact, so the merge order changes no bit.
+func parallelMasks(dst []uint64, n int, apply func(i int, acc []uint64, buf *prgChunk) error) error {
 	w := workers(n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := apply(i, dst); err != nil {
-				return err
+	scratch := make([]*maskScratch, w)
+	for k := range scratch {
+		s := scratchPool.Get().(*maskScratch)
+		defer scratchPool.Put(s) // at return, when every worker is done
+		if k > 0 {
+			if cap(s.partial) < len(dst) {
+				s.partial = make([]uint64, len(dst))
 			}
+			s.partial = s.partial[:len(dst)]
+			clear(s.partial)
 		}
-		return nil
+		scratch[k] = s
 	}
-	partials := make([][]uint64, w)
 	err := runWorkers(w, n, func(k, i int) error {
-		if partials[k] == nil {
-			partials[k] = make([]uint64, len(dst))
+		acc := dst
+		if k > 0 {
+			acc = scratch[k].partial
 		}
-		return apply(i, partials[k])
+		return apply(i, acc, &scratch[k].chunk)
 	})
 	if err != nil {
 		return err
 	}
-	for _, acc := range partials {
-		if acc != nil {
-			field.AddVec(dst, dst, acc)
-		}
+	for _, s := range scratch[1:] {
+		field.AddVec(dst, dst, s.partial)
 	}
 	return nil
 }

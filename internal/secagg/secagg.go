@@ -94,7 +94,12 @@ const FixedPointScale = 1 << 20
 // complement style: negative values wrap mod P. The decoded sum is correct
 // as long as |Σ x_i|·scale < P/2, comfortably true for model updates.
 func Encode(x []float64) []uint64 {
-	out := make([]uint64, len(x))
+	return encodeInto(make([]uint64, len(x)), x)
+}
+
+// encodeInto is Encode over out[:len(x)], whatever it held.
+func encodeInto(out []uint64, x []float64) []uint64 {
+	out = out[:len(x)]
 	for i, v := range x {
 		q := int64(math.Round(v * FixedPointScale))
 		if q >= 0 {
@@ -125,18 +130,22 @@ func Decode(y []uint64) []float64 {
 // any length stream through one fixed 4 KiB chunk.
 const prgChunkElems = 512
 
+// prgChunk is that buffer. Whoever expands masks owns one for as long as it
+// does (maskScratch, parallel.go) and hands it to every prgApply call.
+type prgChunk [8 * prgChunkElems]byte
+
 // zeroChunk is a shared all-zero XOR source; XORKeyStream against it writes
 // raw keystream without first clearing the destination.
-var zeroChunk [8 * prgChunkElems]byte
+var zeroChunk prgChunk
 
 // prgApply expands a 32-byte seed with AES-256-CTR and adds (sub=false) or
-// subtracts (sub=true) the resulting field elements into dst, streaming in
-// fixed-size chunks. Both the device and the server (after reconstruction)
-// must produce identical streams, which CTR over a zero IV guarantees.
-// Unlike materializing the whole pad, this keeps the transient footprint at
-// one chunk regardless of VectorLen, so mask removal over large vectors
-// stays out of the allocator.
-func prgApply(seed []byte, dst []uint64, sub bool) {
+// subtracts (sub=true) the resulting field elements into dst, streaming
+// through the caller's chunk. Both the device and the server (after
+// reconstruction) must produce identical streams, which CTR over a zero IV
+// guarantees. Unlike materializing the whole pad, this keeps the transient
+// footprint at one chunk regardless of VectorLen, and because the chunk is
+// the caller's, an expansion allocates only its cipher state.
+func prgApply(seed []byte, dst []uint64, sub bool, buf *prgChunk) {
 	if len(seed) != 32 {
 		panic(fmt.Sprintf("secagg: prg seed must be 32 bytes, got %d", len(seed)))
 	}
@@ -146,11 +155,6 @@ func prgApply(seed []byte, dst []uint64, sub bool) {
 	}
 	var iv [aes.BlockSize]byte
 	stream := cipher.NewCTR(block, iv[:])
-	bufLen := len(dst)
-	if bufLen > prgChunkElems {
-		bufLen = prgChunkElems
-	}
-	buf := make([]byte, 8*bufLen)
 	for off := 0; off < len(dst); off += prgChunkElems {
 		n := len(dst) - off
 		if n > prgChunkElems {
@@ -167,13 +171,6 @@ func prgApply(seed []byte, dst []uint64, sub bool) {
 			}
 		}
 	}
-}
-
-// prg expands a seed into length fresh field elements (prgApply onto zero).
-func prg(seed []byte, length int) []uint64 {
-	out := make([]uint64, length)
-	prgApply(seed, out, false)
-	return out
 }
 
 // pairwiseSeed hashes an ECDH shared secret into a PRG seed with a domain

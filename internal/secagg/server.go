@@ -405,8 +405,7 @@ func (s *Server) Sum() ([]uint64, error) {
 	// building one task per mask expansion. The expansions — an ECDH plus a
 	// PRG stream each for dropped-device pairs, a PRG stream for survivor
 	// personal masks — are the O(dropped × survivors) hot path and run on
-	// the worker pool, each worker folding into a private partial vector
-	// merged once at the end.
+	// the worker pool through its pooled scratch (parallelMasks).
 	type maskTask struct {
 		owner int
 		peer  int              // pairwise tasks only
@@ -462,7 +461,7 @@ func (s *Server) Sum() ([]uint64, error) {
 		}
 	}
 
-	err = parallelMasks(out, len(tasks), func(i int, acc []uint64) error {
+	err = parallelMasks(out, len(tasks), func(i int, acc []uint64, buf *prgChunk) error {
 		t := tasks[i]
 		seed := t.seed
 		if seed == nil {
@@ -476,7 +475,7 @@ func (s *Server) Sum() ([]uint64, error) {
 			}
 			seed = pairwiseSeed(shared, 'p')
 		}
-		prgApply(seed, acc, t.sub)
+		prgApply(seed, acc, t.sub, buf)
 		return nil
 	})
 	if err != nil {

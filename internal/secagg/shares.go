@@ -93,8 +93,8 @@ type shareBundle struct {
 
 const bundleWireLen = 8 + 8 + 2*(8+secretChunks*8) + 2*field.BlinderLen
 
-func (b *shareBundle) marshal() []byte {
-	buf := make([]byte, 0, bundleWireLen)
+// marshal appends the bundle's bundleWireLen wire bytes to buf.
+func (b *shareBundle) marshal(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(b.Owner))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(b.Holder))
 	for _, cs := range []chunkedShare{b.BShare, b.SKShare} {
@@ -134,40 +134,39 @@ func unmarshalBundle(buf []byte) (*shareBundle, error) {
 	return b, nil
 }
 
-// encryptBundle seals a bundle with AES-GCM under the pairwise key derived
-// from an ECDH shared secret.
-func encryptBundle(shared []byte, b *shareBundle) ([]byte, error) {
+// bundleAEAD builds the AES-GCM instance a pair of devices seals and opens
+// each other's bundles with, keyed from their ECDH shared secret. A client
+// builds it once per peer (Client.cShared).
+func bundleAEAD(shared []byte) (cipher.AEAD, error) {
 	key := sha256.Sum256(append([]byte("saggenc"), shared...))
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, err
 	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, gcm.NonceSize())
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return nil, err
-	}
-	return append(nonce, gcm.Seal(nil, nonce, b.marshal(), nil)...), nil
+	return cipher.NewGCM(block)
 }
 
-// decryptBundle opens a sealed bundle.
-func decryptBundle(shared []byte, ct []byte) (*shareBundle, error) {
-	key := sha256.Sum256(append([]byte("saggenc"), shared...))
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
+// encryptBundle seals a bundle under the pair's AEAD with a fresh random
+// nonce: nonce ‖ ciphertext ‖ tag, marshaled and sealed in place in the one
+// buffer it returns.
+func encryptBundle(gcm cipher.AEAD, b *shareBundle) ([]byte, error) {
+	ns := gcm.NonceSize()
+	ct := make([]byte, ns, ns+bundleWireLen+gcm.Overhead())
+	if _, err := io.ReadFull(rand.Reader, ct); err != nil {
 		return nil, err
 	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	if len(ct) < gcm.NonceSize() {
+	pt := b.marshal(ct[ns:]) // behind the nonce, where its ciphertext goes
+	return append(ct, gcm.Seal(pt[:0], ct, pt, nil)...), nil
+}
+
+// decryptBundle opens a sealed bundle, using pt's storage for the plaintext
+// (nothing of pt survives in the returned bundle).
+func decryptBundle(gcm cipher.AEAD, ct, pt []byte) (*shareBundle, error) {
+	ns := gcm.NonceSize()
+	if len(ct) < ns {
 		return nil, fmt.Errorf("secagg: ciphertext too short")
 	}
-	pt, err := gcm.Open(nil, ct[:gcm.NonceSize()], ct[gcm.NonceSize():], nil)
+	pt, err := gcm.Open(pt[:0], ct[:ns], ct[ns:], nil)
 	if err != nil {
 		return nil, fmt.Errorf("secagg: decrypt: %w", err)
 	}

@@ -107,7 +107,7 @@ func leasesTaken() int64 { return obsRxBufReused.Value() + obsRxBufAlloc.Value()
 func TestLeaseSelectsByCodeAndLength(t *testing.T) {
 	leasedCodes := map[byte]bool{protocol.CodeCheckinResponse: true, protocol.CodeReportRequest: true, protocol.CodeStripeSeal: true}
 	for code := range leasedCodes {
-		for n, want := range map[int]bool{0: false, 2 << 10: false, 4 << 10: false, 4<<10 + 1: true,
+		for n, want := range map[int]bool{0: false, 1 << 10: false, 1<<10 + 1: true, 4 << 10: true, 4<<10 + 1: true,
 			leaseSize: true, exactAlloc: true, exactAlloc + 1: false, maxFrame - frameOverhead: false} {
 			if leased(code, n) != want {
 				t.Errorf("leased(%d, %d) = %v, want %v", code, n, !want, want)
@@ -119,7 +119,7 @@ func TestLeaseSelectsByCodeAndLength(t *testing.T) {
 			t.Errorf("type code %d leases its receive buffer", code)
 		}
 	}
-	for n, want := range map[int]int{4<<10 + 1: 0, 8 << 10: 0, 8<<10 + 1: 1, leaseSize + 64: 7, exactAlloc: len(rxPools) - 1} {
+	for n, want := range map[int]int{1<<10 + 1: 0, 4 << 10: 0, 4<<10 + 1: 0, 8 << 10: 0, 8<<10 + 1: 1, leaseSize + 64: 7, exactAlloc: len(rxPools) - 1} {
 		if got := rxClass(n); got != want {
 			t.Errorf("rxClass(%d) = %d, want %d", n, got, want)
 		}
@@ -310,7 +310,7 @@ func TestLeaseReadErrorReturnsBuffer(t *testing.T) {
 // bytes outlive the next Recv (peer links hand them to actor mailboxes).
 func TestLeaseOwnedFrames(t *testing.T) {
 	poison(t)
-	huge, small, seal := patterned(5<<20, 6), patterned(2<<10, 7), patterned(leaseSize, 8)
+	huge, small, seal := patterned(5<<20, 6), patterned(1<<9, 7), patterned(leaseSize, 8)
 	for name, msg := range map[string]interface{}{
 		"report above the cap": leaseReport(huge),
 		"control-sized report": leaseReport(small),

@@ -222,9 +222,12 @@ const (
 	// exactAlloc, 4 MiB, is the most a bare header commits (see readPayload).
 	exactAllocBits = 22
 	exactAlloc     = 1 << exactAllocBits
-	// minLeaseBits sizes the smallest leased buffer, 8 KiB; payloads of up
-	// to half of it (control frames) stay on the plain allocation.
+	// minLeaseBits sizes the smallest leased buffer, 8 KiB, and minLeased is
+	// the largest payload still read into a plain allocation: a 2 KB
+	// control-sized CheckinResponse or ReportRequest is leased like a 512 KB
+	// one, in an 8 KiB buffer.
 	minLeaseBits = 13
+	minLeased    = 1 << 10
 )
 
 type tcpConn struct {
@@ -242,8 +245,9 @@ type tcpConn struct {
 // filled it. Recv takes one after the header, so a parked Conn holds none.
 var rxPools [exactAllocBits - minLeaseBits + 1]sync.Pool
 
-// rxClass is the rxPools index of the smallest buffer holding n bytes.
-func rxClass(n int) int { return bits.Len(uint(n-1)) - minLeaseBits }
+// rxClass is the rxPools index of the smallest buffer holding n bytes
+// (n > 0); everything up to 8 KiB shares class 0.
+func rxClass(n int) int { return max(bits.Len(uint(n-1))-minLeaseBits, 0) }
 
 // leased reports whether a frame's payload is read into a leased buffer:
 // the two O(dim) device-link messages and the shard's StripeSeal, each
@@ -252,7 +256,7 @@ func rxClass(n int) int { return bits.Len(uint(n-1)) - minLeaseBits }
 // peer-link frames go to actor mailboxes and outlive the read loop.
 func leased(code byte, n int) bool {
 	return (code == protocol.CodeCheckinResponse || code == protocol.CodeReportRequest || code == protocol.CodeStripeSeal) &&
-		n > 1<<(minLeaseBits-1) && n <= exactAlloc
+		n > minLeased && n <= exactAlloc
 }
 
 // PoisonReleasedForTest makes every Release from now on fill the buffer
