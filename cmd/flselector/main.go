@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
@@ -38,34 +39,27 @@ func main() {
 	estimate := flag.Int("estimate", 1000, "population estimate seeding pace steering")
 	seed := flag.Uint64("seed", 1, "random seed")
 	obsListen := flag.String("obs-listen", "", "serve /metrics, /debug/vars, /debug/pprof and /dashboard on this address (empty = off)")
-	peerHeartbeat := flag.Duration("peer-heartbeat", 0, "coordinator-link heartbeat interval (0 = default 500ms)")
-	peerMiss := flag.Int("peer-miss", 0, "consecutive missed heartbeats declaring the coordinator dead (0 = default 4)")
-	peerBackoffMin := flag.Duration("peer-backoff-min", 0, "minimum reconnect backoff (0 = default 50ms)")
-	peerBackoffMax := flag.Duration("peer-backoff-max", 0, "maximum reconnect backoff (0 = default 5s)")
 	edgeLinger := flag.Duration("edge-linger", 0, "how long a sealed round answers late devices with explicit aborts (0 = default 2s)")
-	chaosSpec := flag.String("chaos", "", `fault-injection spec for the coordinator link, e.g. "shard:drop=0.05,jitter=200ms;shard:partition@6s+2s" (empty = off)`)
-	chaosSeed := flag.Uint64("chaos-seed", 1, "seed making the -chaos fault schedule reproducible")
+	chaosPlan := flag.String("chaos", "", `fault-injection plan for the coordinator link as "seed=N SPEC" — the form a run logs it in — e.g. "seed=1 shard:drop=0.05,jitter=200ms;shard:partition@6s+2s" (empty = off)`)
 	flag.Parse()
 
-	peer := remote.Options{
-		HeartbeatInterval: *peerHeartbeat,
-		HeartbeatMiss:     *peerMiss,
-		BackoffMin:        *peerBackoffMin,
-		BackoffMax:        *peerBackoffMax,
-	}
-	if err := peer.Validate(); err != nil {
-		log.Fatal(err)
-	}
-
 	dial := func() (transport.Conn, error) { return transport.DialTCP(*coordAddr) }
+	var peer remote.Options
 	var inj *chaos.Injector // nil wraps nothing: chaos off is the zero value
-	if *chaosSpec != "" {
-		spec, err := chaos.ParseSpec(*chaosSpec)
+	if *chaosPlan != "" {
+		seed, spec, err := parseChaosPlan(*chaosPlan)
 		if err != nil {
 			log.Fatal(err)
 		}
-		inj = chaos.New(*chaosSeed, spec)
+		inj = chaos.New(seed, spec)
 		dial = inj.WrapDialer(chaos.Role(fmt.Sprintf("shard:%d", *shardID)), dial)
+		// A fault schedule's windows are seconds long: notice a dead
+		// coordinator in half a second and redial within 200ms, or the
+		// default 2s detection and 5s backoff outlast the fault under test.
+		peer = remote.Options{
+			HeartbeatInterval: 100 * time.Millisecond, HeartbeatMiss: 5,
+			BackoffMin: 10 * time.Millisecond, BackoffMax: 200 * time.Millisecond,
+		}
 		log.Printf("shard %d: %s", *shardID, inj.Plan())
 	}
 
@@ -120,4 +114,17 @@ func main() {
 	// Serve blocks until the listener closes (process killed).
 	sp.Serve(l)
 	fmt.Printf("shard %d: device listener closed\n", *shardID)
+}
+
+// parseChaosPlan reads "seed=N SPEC", which is what Injector.Plan logs after
+// its "chaos: " prefix: pasting a run's logged plan back reproduces its
+// fault schedule.
+func parseChaosPlan(plan string) (uint64, chaos.Spec, error) {
+	seedText, specText, _ := strings.Cut(plan, " ")
+	var seed uint64
+	if _, err := fmt.Sscanf(seedText, "seed=%d", &seed); err != nil {
+		return 0, chaos.Spec{}, fmt.Errorf(`-chaos %q: want "seed=N SPEC"`, plan)
+	}
+	spec, err := chaos.ParseSpec(specText)
+	return seed, spec, err
 }

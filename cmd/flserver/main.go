@@ -78,6 +78,10 @@ func coordProgress(population string, coord *shard.CoordinatorProc) []obs.Popula
 	if err != nil {
 		return nil
 	}
+	var tasks []obs.TaskProgress
+	if ts, err := coord.TaskStats(); err == nil {
+		tasks = taskProgress(ts)
+	}
 	return []obs.PopulationProgress{{
 		Name:      population,
 		Round:     st.CurrentRound,
@@ -89,7 +93,7 @@ func coordProgress(population string, coord *shard.CoordinatorProc) []obs.Popula
 		Seals:         st.SealsReceived,
 		BytesUpstream: st.BytesUpstream,
 
-		Tasks: taskProgress(coord.TaskStats()),
+		Tasks: tasks,
 	}}
 }
 
@@ -306,10 +310,7 @@ func main() {
 		return
 	}
 
-	fleet, err := repro.NewFleet(repro.FleetConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	fleet := repro.NewFleet(repro.FleetConfig{})
 	defer fleet.Close()
 
 	type popState struct {

@@ -1,14 +1,11 @@
 // Package analytics is the observability layer of Sec. 5: device and server
-// event logs (free of PII), counters, time-series monitors with alerting,
-// session-shape visualizations of on-device training rounds (Table 1), and
+// event logs (free of PII), counters, session-shape visualizations of on-device training rounds (Table 1), and
 // the traffic accounting behind Fig. 9.
 package analytics
 
 import (
-	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
 // SessionState is one state in a device's training round, logged as an
@@ -194,83 +191,4 @@ func (t *Traffic) Totals() (download, upload int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.download, t.upload
-}
-
-// Point is one time-series observation.
-type Point struct {
-	T time.Time
-	V float64
-}
-
-// TimeSeries is an append-only series with a deviation monitor: "automatic
-// time-series monitors that trigger alerts on substantial deviations".
-type TimeSeries struct {
-	mu     sync.Mutex
-	name   string
-	points []Point
-	// window and threshold configure the monitor: alert when a new value
-	// deviates from the trailing-window mean by more than threshold×mean.
-	window    int
-	threshold float64
-	alerts    []Alert
-}
-
-// Alert records one triggered deviation.
-type Alert struct {
-	Series string
-	At     time.Time
-	Value  float64
-	Mean   float64
-}
-
-// NewTimeSeries creates a monitored series; window is the trailing sample
-// count for the baseline, threshold the allowed relative deviation.
-func NewTimeSeries(name string, window int, threshold float64) (*TimeSeries, error) {
-	if window < 1 || threshold <= 0 {
-		return nil, fmt.Errorf("analytics: bad monitor config window=%d threshold=%v", window, threshold)
-	}
-	return &TimeSeries{name: name, window: window, threshold: threshold}, nil
-}
-
-// Append records a point, returning a non-nil Alert if the monitor fired.
-func (ts *TimeSeries) Append(t time.Time, v float64) *Alert {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	var alert *Alert
-	n := len(ts.points)
-	if n >= ts.window {
-		var sum float64
-		for _, p := range ts.points[n-ts.window:] {
-			sum += p.V
-		}
-		mean := sum / float64(ts.window)
-		dev := v - mean
-		if dev < 0 {
-			dev = -dev
-		}
-		base := mean
-		if base < 0 {
-			base = -base
-		}
-		if base > 0 && dev > ts.threshold*base {
-			alert = &Alert{Series: ts.name, At: t, Value: v, Mean: mean}
-			ts.alerts = append(ts.alerts, *alert)
-		}
-	}
-	ts.points = append(ts.points, Point{T: t, V: v})
-	return alert
-}
-
-// Points returns a copy of the series.
-func (ts *TimeSeries) Points() []Point {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return append([]Point(nil), ts.points...)
-}
-
-// Alerts returns every alert fired so far.
-func (ts *TimeSeries) Alerts() []Alert {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return append([]Alert(nil), ts.alerts...)
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestSessionShapes(t *testing.T) {
@@ -129,58 +128,6 @@ func TestTraffic(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesMonitorFires(t *testing.T) {
-	ts, err := NewTimeSeries("dropout_rate", 5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 10; i++ {
-		if a := ts.Append(t0.Add(time.Duration(i)*time.Minute), 0.08); a != nil {
-			t.Fatalf("stable series alerted: %+v", a)
-		}
-	}
-	// 0.30 deviates from the 0.08 baseline by far more than 50%.
-	alert := ts.Append(t0.Add(time.Hour), 0.30)
-	if alert == nil {
-		t.Fatal("deviation did not alert")
-	}
-	if alert.Series != "dropout_rate" || alert.Value != 0.30 {
-		t.Fatalf("alert: %+v", alert)
-	}
-	if len(ts.Alerts()) != 1 {
-		t.Fatalf("alerts = %d", len(ts.Alerts()))
-	}
-}
-
-func TestTimeSeriesNoAlertBeforeWindow(t *testing.T) {
-	ts, _ := NewTimeSeries("x", 10, 0.1)
-	t0 := time.Now()
-	for i := 0; i < 9; i++ {
-		if a := ts.Append(t0, float64(i*100)); a != nil {
-			t.Fatal("must not alert before window fills")
-		}
-	}
-}
-
-func TestTimeSeriesBadConfig(t *testing.T) {
-	if _, err := NewTimeSeries("x", 0, 0.5); err == nil {
-		t.Fatal("window 0 must fail")
-	}
-	if _, err := NewTimeSeries("x", 5, 0); err == nil {
-		t.Fatal("threshold 0 must fail")
-	}
-}
-
-func TestTimeSeriesPointsCopied(t *testing.T) {
-	ts, _ := NewTimeSeries("x", 2, 1)
-	ts.Append(time.Now(), 1)
-	pts := ts.Points()
-	if len(pts) != 1 || pts[0].V != 1 {
-		t.Fatalf("points: %+v", pts)
-	}
-}
-
 func TestDashboardRender(t *testing.T) {
 	counters := NewCounters()
 	counters.Add("devices_accepted", 130)
@@ -198,19 +145,11 @@ func TestDashboardRender(t *testing.T) {
 	traffic.AddDownload(5_000_000)
 	traffic.AddUpload(1_000_000)
 
-	ts, _ := NewTimeSeries("dropout_rate", 3, 0.5)
-	base := time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 5; i++ {
-		ts.Append(base.Add(time.Duration(i)*time.Minute), 0.08)
-	}
-	ts.Append(base.Add(time.Hour), 0.4) // fires an alert
-
 	d := &Dashboard{
 		Title:    "gboard/next-word",
 		Counters: counters,
 		Shapes:   shapes,
 		Traffic:  traffic,
-		Series:   []*TimeSeries{ts},
 	}
 	out := d.Render()
 	for _, want := range []string{
@@ -220,8 +159,6 @@ func TestDashboardRender(t *testing.T) {
 		"-v[]+^",
 		"75.0%",
 		"5.0 MB down / 1.0 MB up",
-		"dropout_rate",
-		"ALERTS",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dashboard missing %q:\n%s", want, out)

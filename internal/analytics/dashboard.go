@@ -7,15 +7,13 @@ import (
 )
 
 // Dashboard assembles the Sec. 5 operator view: counters, session-shape
-// distribution, traffic totals, and monitored time series with their
-// alerts, rendered as text ("aggregated and presented in dashboards to be
-// analyzed").
+// distribution and traffic totals, rendered as text ("aggregated and
+// presented in dashboards to be analyzed").
 type Dashboard struct {
 	Title    string
 	Counters *Counters
 	Shapes   *ShapeCounter
 	Traffic  *Traffic
-	Series   []*TimeSeries
 }
 
 // Render returns the dashboard as a text block.
@@ -50,21 +48,6 @@ func (d *Dashboard) Render() string {
 			bar := strings.Repeat("#", int(row.Percent/2))
 			fmt.Fprintf(&b, "  %-10s %6.1f%% %s\n", row.Shape, row.Percent, bar)
 		}
-	}
-
-	for _, ts := range d.Series {
-		pts := ts.Points()
-		if len(pts) == 0 {
-			continue
-		}
-		last := pts[len(pts)-1]
-		fmt.Fprintf(&b, "series %s: %d points, last %.4g at %s",
-			ts.name, len(pts), last.V, last.T.Format("15:04:05"))
-		if alerts := ts.Alerts(); len(alerts) > 0 {
-			fmt.Fprintf(&b, "  [%d ALERTS, last: %.4g vs mean %.4g]",
-				len(alerts), alerts[len(alerts)-1].Value, alerts[len(alerts)-1].Mean)
-		}
-		fmt.Fprintf(&b, "\n")
 	}
 	return b.String()
 }

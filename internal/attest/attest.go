@@ -3,18 +3,16 @@
 // verifies that the *device* is genuine via a platform attestation
 // mechanism (Android's SafetyNet in the paper). Here, genuine devices hold
 // a per-device key derived from a platform master secret and mint HMAC
-// tokens over a server-issued context; compromised devices hold a random
-// key and fail verification, giving "some protection against data
+// tokens over a server-issued context; compromised devices hold a key the
+// platform did not derive and fail verification, giving "some protection against data
 // poisoning via compromised devices".
 package attest
 
 import (
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -39,16 +37,6 @@ type Device struct {
 // NewGenuineDevice returns a device holding the correctly derived key.
 func NewGenuineDevice(master []byte, deviceID string) *Device {
 	return &Device{id: deviceID, key: deriveDeviceKey(master, deviceID)}
-}
-
-// NewCompromisedDevice returns a device with a random key: it produces
-// well-formed tokens that fail verification.
-func NewCompromisedDevice(deviceID string) (*Device, error) {
-	key := make([]byte, 32)
-	if _, err := io.ReadFull(rand.Reader, key); err != nil {
-		return nil, fmt.Errorf("attest: %w", err)
-	}
-	return &Device{id: deviceID, key: key}, nil
 }
 
 // Mint produces a token binding the device id, population and timestamp.

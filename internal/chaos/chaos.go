@@ -162,7 +162,6 @@ type Injector struct {
 	windows    []*windowState
 	resets     []Reset
 	resetFired []bool
-	live       map[*faultConn]struct{}
 
 	round atomic.Int64
 
@@ -175,14 +174,13 @@ type Injector struct {
 // addressed windows and resets starts now.
 func New(seed uint64, spec Spec) *Injector {
 	in := &Injector{
-		seed:     seed,
-		spec:     spec,
-		start:    time.Now(),
-		trace:    newTrace(),
+		seed:       seed,
+		spec:       spec,
+		start:      time.Now(),
+		trace:      newTrace(),
 		ordinals:   make(map[Role]int),
 		resets:     spec.Resets,
 		resetFired: make([]bool, len(spec.Resets)),
-		live:       make(map[*faultConn]struct{}),
 	}
 	for i := range spec.Partitions {
 		ws := &windowState{w: spec.Partitions[i]}
@@ -250,44 +248,9 @@ func (in *Injector) AdvanceRound(round int64) {
 	}
 }
 
-// PartitionNow scripts an immediate partition of every matching link for
-// dur — the "sever this link mid-round" lever for scenario drivers.
-func (in *Injector) PartitionNow(role Role, dur time.Duration) {
-	if in == nil {
-		return
-	}
-	ws := &windowState{w: Window{Role: role, Dur: dur}}
-	ws.opened.Store(time.Now().UnixNano())
-	in.mu.Lock()
-	in.windows = append(in.windows, ws)
-	in.mu.Unlock()
-}
-
-// ResetNow tears down every live matching connection immediately.
-func (in *Injector) ResetNow(role Role) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	var victims []*faultConn
-	for c := range in.live {
-		if matchRole(role, c.role) {
-			victims = append(victims, c)
-		}
-	}
-	in.mu.Unlock()
-	for _, c := range victims {
-		c.recordNow(FaultReset, "scripted")
-		_ = c.Close()
-	}
-}
-
 // partitioned reports whether any window covering role is active at t.
 func (in *Injector) partitioned(role Role, t time.Time) bool {
-	in.mu.Lock()
-	windows := in.windows
-	in.mu.Unlock()
-	for _, ws := range windows {
+	for _, ws := range in.windows {
 		if !matchRole(ws.w.Role, role) {
 			continue
 		}
@@ -352,12 +315,8 @@ func (in *Injector) WrapConn(role Role, conn transport.Conn) transport.Conn {
 	ord := in.ordinals[role]
 	in.ordinals[role] = ord + 1
 	in.mu.Unlock()
-	c := newFaultConn(in, role, ord, conn, in.spec.effective(role))
 	in.opened.Add(1)
-	in.mu.Lock()
-	in.live[c] = struct{}{}
-	in.mu.Unlock()
-	return c
+	return newFaultConn(in, role, ord, conn, in.spec.effective(role))
 }
 
 // WrapListener wraps every accepted connection in the role's fault profile.
@@ -382,34 +341,15 @@ func (in *Injector) WrapDialer(role Role, dial func() (transport.Conn, error)) f
 	}
 }
 
-// Plan renders the deterministic fault plan — seed, rules, windows, resets
-// — the schedule two runs with the same seed share exactly. Drivers log it
-// so a failing scenario can be reproduced from its seed alone.
+// Plan renders the deterministic fault plan — the seed and the schedule, in
+// the grammar ParseSpec reads — that two runs with the same seed share
+// exactly. Drivers log it, so a failing scenario is reproduced by passing
+// the logged line's seed and spec back in.
 func (in *Injector) Plan() string {
 	if in == nil {
 		return "chaos: disabled"
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "chaos: seed=%d\n", in.seed)
-	for _, r := range in.spec.Rules {
-		fmt.Fprintf(&b, "  rule role=%q drop=%g dup=%g corrupt=%g delay=%v jitter=%v rate=%d\n",
-			r.Role, r.Drop, r.Dup, r.Corrupt, r.Delay, r.Jitter, r.Rate)
-	}
-	for _, w := range in.spec.Partitions {
-		if w.Round > 0 {
-			fmt.Fprintf(&b, "  partition role=%q round=%d dur=%v\n", w.Role, w.Round, w.Dur)
-		} else {
-			fmt.Fprintf(&b, "  partition role=%q at=%v dur=%v\n", w.Role, w.At, w.Dur)
-		}
-	}
-	for _, r := range in.spec.Resets {
-		if r.Round > 0 {
-			fmt.Fprintf(&b, "  reset role=%q round=%d\n", r.Role, r.Round)
-		} else {
-			fmt.Fprintf(&b, "  reset role=%q at=%v\n", r.Role, r.At)
-		}
-	}
-	return strings.TrimRight(b.String(), "\n")
+	return strings.TrimRight(fmt.Sprintf("chaos: seed=%d %s", in.seed, in.spec.render()), " ")
 }
 
 // FaultCounts returns the per-kind totals sorted by kind, for stable
@@ -429,14 +369,6 @@ func (in *Injector) FaultCounts() []string {
 		out = append(out, fmt.Sprintf("%s=%d", k, counts[k]))
 	}
 	return out
-}
-
-// forget drops a closed conn from the live set and counts the close.
-func (in *Injector) forget(c *faultConn) {
-	in.closed.Add(1)
-	in.mu.Lock()
-	delete(in.live, c)
-	in.mu.Unlock()
 }
 
 // faultListener wraps accepted connections.

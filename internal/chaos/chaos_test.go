@@ -35,7 +35,7 @@ func runScript(t *testing.T, seed uint64, n int) []string {
 	}
 	_ = conn.Close()
 	var keys []string
-	for _, e := range in.Trace().Events() {
+	for _, e := range in.Trace().events() {
 		keys = append(keys, e.Key())
 	}
 	return keys
@@ -142,20 +142,6 @@ func TestScheduledReset(t *testing.T) {
 	}
 }
 
-func TestResetNowTearsDownLiveConns(t *testing.T) {
-	in := New(1, Spec{})
-	a, b := transport.Pipe()
-	drainConn(b)
-	conn := in.WrapConn(Role("shard:1"), a)
-	in.ResetNow(Role("shard")) // class prefix matches shard:1
-	if err := conn.Send(protocol.CheckinRate{}); err == nil {
-		t.Fatal("send after ResetNow should fail")
-	}
-	if got := in.OpenConns(); got != 0 {
-		t.Fatalf("open conns after ResetNow: %d", got)
-	}
-}
-
 func TestRoundAddressedWindow(t *testing.T) {
 	in := New(1, Spec{Partitions: []Window{{Role: RoleShard, Round: 3, Dur: time.Hour}}})
 	if in.partitioned(RoleShard, time.Now()) {
@@ -248,8 +234,6 @@ func TestNilInjectorWrapsNothing(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 	in.AdvanceRound(5)
-	in.PartitionNow(RoleDevice, time.Second)
-	in.ResetNow(RoleDevice)
 	if in.Seed() != 0 || in.OpenConns() != 0 || in.SenderGoroutines() != 0 {
 		t.Fatal("nil injector accounting not zero")
 	}

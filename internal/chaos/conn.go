@@ -97,15 +97,6 @@ func (c *faultConn) record(seq int, msg interface{}, fault, detail string) {
 	})
 }
 
-// recordNow records a link-level (not message-indexed) event, e.g. a
-// scripted reset.
-func (c *faultConn) recordNow(fault, detail string) {
-	c.mu.Lock()
-	seq := c.seq
-	c.mu.Unlock()
-	c.record(seq, nil, fault, detail)
-}
-
 // Send implements transport.Conn with the link's fault profile applied.
 func (c *faultConn) Send(msg interface{}) error {
 	idx, d := c.draw()
@@ -257,7 +248,7 @@ func (c *faultConn) Close() error {
 		c.mu.Unlock()
 		close(c.quit)
 		err = c.inner.Close()
-		c.in.forget(c)
+		c.in.closed.Add(1)
 	})
 	return err
 }

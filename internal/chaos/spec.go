@@ -115,7 +115,7 @@ func parseRuleItem(r *Rule, item string) error {
 	switch key {
 	case "drop", "dup", "corrupt":
 		p, err := strconv.ParseFloat(val, 64)
-		if err != nil || p < 0 || p >= 1 {
+		if err != nil || !(p >= 0 && p < 1) { // NaN is no probability either
 			return fmt.Errorf("chaos spec %q: want probability in [0,1)", item)
 		}
 		switch key {
@@ -152,4 +152,47 @@ func parseRuleItem(r *Rule, item string) error {
 		return fmt.Errorf("chaos spec: unknown key %q", key)
 	}
 	return nil
+}
+
+// render is ParseSpec's inverse: one clause per rule, partition window and
+// reset, in that order, so that ParseSpec(s.render()) is s again.
+func (s Spec) render() string {
+	clause := func(role Role, items string) string {
+		if role == "" {
+			return items
+		}
+		return string(role) + ":" + items
+	}
+	at := func(offset time.Duration, round int64) string {
+		if round > 0 {
+			return "r" + strconv.FormatInt(round, 10)
+		}
+		return offset.String()
+	}
+	var clauses []string
+	for _, r := range s.Rules {
+		var items []string
+		add := func(set bool, key, val string) {
+			if set {
+				items = append(items, key+"="+val)
+			}
+		}
+		prob := func(p float64) string { return strconv.FormatFloat(p, 'g', -1, 64) }
+		add(r.Drop != 0, "drop", prob(r.Drop))
+		add(r.Dup != 0, "dup", prob(r.Dup))
+		add(r.Corrupt != 0, "corrupt", prob(r.Corrupt))
+		add(r.Delay != 0, "delay", r.Delay.String())
+		add(r.Jitter != 0, "jitter", r.Jitter.String())
+		add(r.Rate != 0, "rate", strconv.FormatInt(r.Rate, 10))
+		add(r.Queue != 0, "queue", strconv.Itoa(r.Queue))
+		add(len(items) == 0, "drop", "0") // a rule that sets nothing is still a rule
+		clauses = append(clauses, clause(r.Role, strings.Join(items, ",")))
+	}
+	for _, w := range s.Partitions {
+		clauses = append(clauses, clause(w.Role, "partition@"+at(w.At, w.Round)+"+"+w.Dur.String()))
+	}
+	for _, r := range s.Resets {
+		clauses = append(clauses, clause(r.Role, "reset@"+at(r.At, r.Round)))
+	}
+	return strings.Join(clauses, ";")
 }

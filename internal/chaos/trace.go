@@ -67,7 +67,7 @@ const traceCap = 16384
 // use (every link records into the shared trace).
 type Trace struct {
 	mu      sync.Mutex
-	events  []Event
+	evs     []Event
 	dropped int64
 	counts  map[string]int64
 }
@@ -79,21 +79,19 @@ func newTrace() *Trace {
 func (t *Trace) record(e Event) {
 	t.mu.Lock()
 	t.counts[e.Fault]++
-	if len(t.events) < traceCap {
-		t.events = append(t.events, e)
+	if len(t.evs) < traceCap {
+		t.evs = append(t.evs, e)
 	} else {
 		t.dropped++
 	}
 	t.mu.Unlock()
 }
 
-// Events snapshots the recorded events in record order.
-func (t *Trace) Events() []Event {
+// events snapshots the recorded events in record order.
+func (t *Trace) events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
+	return append([]Event(nil), t.evs...)
 }
 
 // Counts snapshots the per-fault totals (complete even past the event cap).

@@ -22,18 +22,6 @@ type Federated struct {
 	Test  []nn.Example
 }
 
-// NumUsers returns the number of users in the partition.
-func (f *Federated) NumUsers() int { return len(f.Users) }
-
-// TotalExamples returns the number of training examples across all users.
-func (f *Federated) TotalExamples() int {
-	n := 0
-	for _, u := range f.Users {
-		n += len(u)
-	}
-	return n
-}
-
 // LMConfig configures the synthetic next-word-prediction corpus.
 type LMConfig struct {
 	Users        int

@@ -6,16 +6,25 @@ import (
 	"repro/internal/nn"
 )
 
+// totalExamples counts the training examples across all users.
+func totalExamples(f *Federated) int {
+	n := 0
+	for _, u := range f.Users {
+		n += len(u)
+	}
+	return n
+}
+
 func TestMarkovLMShape(t *testing.T) {
 	f, err := MarkovLM(LMConfig{Users: 5, SentencesPer: 3, SentenceLen: 6, Vocab: 10, TestSize: 4, Skew: 0.3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumUsers() != 5 {
-		t.Fatalf("NumUsers = %d", f.NumUsers())
+	if len(f.Users) != 5 {
+		t.Fatalf("users = %d", len(f.Users))
 	}
-	if f.TotalExamples() != 15 {
-		t.Fatalf("TotalExamples = %d, want 15", f.TotalExamples())
+	if totalExamples(f) != 15 {
+		t.Fatalf("total examples = %d, want 15", totalExamples(f))
 	}
 	if len(f.Test) != 4 {
 		t.Fatalf("Test size = %d", len(f.Test))
@@ -110,8 +119,8 @@ func TestBlobsShapeAndLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumUsers() != 4 || f.TotalExamples() != 40 || len(f.Test) != 20 {
-		t.Fatalf("shape: users=%d total=%d test=%d", f.NumUsers(), f.TotalExamples(), len(f.Test))
+	if len(f.Users) != 4 || totalExamples(f) != 40 || len(f.Test) != 20 {
+		t.Fatalf("shape: users=%d total=%d test=%d", len(f.Users), totalExamples(f), len(f.Test))
 	}
 	for _, ex := range f.Test {
 		if len(ex.X) != 3 {
@@ -170,7 +179,7 @@ func TestRankingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumUsers() != 6 || f.TotalExamples() != 48 || len(f.Test) != 10 {
+	if len(f.Users) != 6 || totalExamples(f) != 48 || len(f.Test) != 10 {
 		t.Fatal("ranking shape mismatch")
 	}
 	for _, ex := range f.Test {

@@ -144,9 +144,6 @@ func TestSchedulerFIFOAndNoOverlap(t *testing.T) {
 	if strings.Join(order, "") != "abc" {
 		t.Fatalf("order = %v", order)
 	}
-	if h := s.History(); len(h) != 3 || h[0] != "a" {
-		t.Fatalf("history = %v", h)
-	}
 }
 
 func TestSchedulerRejectsReentrantRun(t *testing.T) {

@@ -13,7 +13,6 @@ type Scheduler struct {
 	mu      sync.Mutex
 	queue   []*Job
 	running bool
-	history []string // population names in execution order, for tests/analytics
 }
 
 // Job is one queued training session.
@@ -58,7 +57,6 @@ func (s *Scheduler) RunNext() (bool, error) {
 	j := s.queue[0]
 	s.queue = s.queue[1:]
 	s.running = true
-	s.history = append(s.history, j.Population)
 	s.mu.Unlock()
 
 	defer func() {
@@ -83,11 +81,4 @@ func (s *Scheduler) DrainAll() (int, error) {
 		}
 		n++
 	}
-}
-
-// History returns the populations executed, in order.
-func (s *Scheduler) History() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.history...)
 }

@@ -183,7 +183,11 @@ func TestTrainerRoundMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Round != 1 || res.Devices != 5 || res.Examples != float64(f.TotalExamples()) {
+	total := 0
+	for _, u := range f.Users {
+		total += len(u)
+	}
+	if res.Round != 1 || res.Devices != 5 || res.Examples != float64(total) {
 		t.Fatalf("round result: %+v", res)
 	}
 	res2, _ := tr.Round(f.Users)

@@ -68,8 +68,8 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 			params.onOutcome = func(out roundOutcome) { outcomes <- out }
 			sys := actor.NewSystem()
 			defer sys.Shutdown()
-			coord := sys.Spawn("coordinator/pop", NewCoordinator(params))
-			if err := StartCoordinator(coord); err != nil {
+			coord := sys.Spawn("coordinator/pop", newCoordinator(params))
+			if err := coord.Send(msgTick{}); err != nil {
 				t.Fatal(err)
 			}
 

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/obs"
 	"repro/internal/secagg"
 	"repro/internal/storage"
 )
@@ -236,7 +238,7 @@ func TestSecureFinalizeWatchdogUnstallsGroup(t *testing.T) {
 // of the group partials and the Coordinator's merge of the seals into the
 // round record and the round trace.
 func TestRoundCarriesBlamedDevices(t *testing.T) {
-	store := storage.NewMem()
+	store := newTraceMem()
 	// Participant 2 of every group deals poisoned shares: excluded before
 	// masking, blamed via holder complaints; each group commits on 3 of 4.
 	out := runHookedRound(t, twoGroupSecurePlan(t), store, 8, func(int, int) secagg.Schedule {
@@ -260,4 +262,29 @@ func TestRoundCarriesBlamedDevices(t *testing.T) {
 	if len(traces) == 0 || traces[len(traces)-1].Blamed != 2 {
 		t.Fatalf("round trace does not count the blamed devices: %+v", traces)
 	}
+}
+
+// traceMem is a storage.Mem that keeps the round traces it is handed (the
+// optional obs.TraceStore half of a store), for tests that assert on them.
+type traceMem struct {
+	*storage.Mem
+	mu     sync.Mutex
+	traces []obs.RoundTrace
+}
+
+func newTraceMem() *traceMem { return &traceMem{Mem: storage.NewMem()} }
+
+// PutRoundTrace implements obs.TraceStore.
+func (s *traceMem) PutRoundTrace(t obs.RoundTrace) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.traces = append(s.traces, t)
+	return nil
+}
+
+// RoundTraces returns every stored round trace in arrival order.
+func (s *traceMem) RoundTraces() []obs.RoundTrace {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]obs.RoundTrace(nil), s.traces...)
 }

@@ -86,7 +86,7 @@ func TestNonFiniteWeightReportsRefused(t *testing.T) {
 			session := func(id string, upd []byte) protocol.ReportResponse {
 				for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 					srvEnd, dev := transport.Pipe()
-					go srv.router.handleConn(srvEnd)
+					go srv.fleet.router.handleConn(srvEnd)
 					_ = dev.Send(protocol.CheckinRequest{DeviceID: id, Population: "pop", RuntimeVersion: 3})
 					msg, err := dev.Recv()
 					if resp, ok := msg.(protocol.CheckinResponse); err == nil && ok && resp.Accepted {

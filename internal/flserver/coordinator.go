@@ -78,15 +78,16 @@ type CoordinatorParams struct {
 	Population string
 	Lock       *actor.LockService
 	Store      storage.Store
-	// Tasks is the population's task registry. It is owned by whoever
-	// spawns the Coordinator and survives this actor's crash and respawn.
+	// Tasks is the population's task registry. It is owned by the popHost
+	// that spawns the Coordinator and survives this actor's crash and respawn.
 	Tasks *tasks.TaskSet
 	// Steering and PopulationEstimate enable live population estimation
 	// from observed check-in rates (nil Steering disables it).
 	Steering           *pacing.Steering
 	PopulationEstimate int
-	// Edges are attached from the start (the in-process server's local
-	// edge); remote edges attach and detach at runtime via EdgeUp/EdgeDown.
+	// Edges are attached from the start (the host's edge set when this
+	// incarnation was spawned); remote edges attach and detach at runtime via
+	// EdgeUp/EdgeDown.
 	Edges []Edge
 	// MinEdges is how many attached edges a round needs to start
 	// (default 1).
@@ -187,9 +188,9 @@ type Coordinator struct {
 // samples, edges that refused the round.
 const retryDelay = time.Second
 
-// NewCoordinator returns the behavior for a population coordinator driving
+// newCoordinator returns the behavior for a population coordinator driving
 // rounds for the tasks registered in p.Tasks.
-func NewCoordinator(p CoordinatorParams) *Coordinator {
+func newCoordinator(p CoordinatorParams) *Coordinator {
 	if p.Now == nil {
 		p.Now = time.Now
 	}
@@ -244,22 +245,6 @@ func (c *Coordinator) Receive(ctx *actor.Context, msg actor.Message) {
 		c.onTaskOp(ctx, m)
 	case msgTaskStats:
 		m.Reply <- c.Tasks.Stats()
-	case msgStopCoordinator:
-		// Clean shutdown (population deregistered): abandon the in-flight
-		// round, hand the population lock back so a future registration can
-		// acquire it immediately, and stop without a failure so watchers do
-		// not respawn us.
-		if cur := c.cur; cur != nil {
-			c.cur = nil
-			for e := range cur.pending {
-				e.Abort(cur.cfg.Plan.ID, cur.cfg.Round, "population deregistered")
-			}
-		}
-		if c.acquired {
-			c.Lock.Release(c.Population, ctx.Self)
-			c.acquired = false
-		}
-		ctx.Stop()
 	case msgCoordinatorStats:
 		round := int64(0)
 		if c.cur != nil {

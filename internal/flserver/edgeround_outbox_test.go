@@ -123,7 +123,7 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 	// The revocation still arrives: nothing is admitted to the sealed round.
 	waitFor(t, func() bool {
 		st := popStats(t, sel, "pop")
-		return st.QuotaOutstanding == 0 && st.QuotaRevoked == 1 && st.QuotaConserved()
+		return st.QuotaOutstanding == 0 && st.QuotaRevoked == 1 && st.quotaConserved()
 	})
 	var late atomic.Int64
 	checkin(sel, "pop", "late", func(r protocol.CheckinResponse) {

@@ -1,4 +1,4 @@
-package fleet
+package flserver
 
 import (
 	"sync"
@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -17,7 +16,7 @@ import (
 // their crashed Coordinators concurrently, and extra contenders race every
 // respawn — yet no population ever ends up with two live Coordinators,
 // because only the lock owner survives its first tick. Run under -race
-// (CI covers internal/fleet with -race).
+// (CI covers internal/flserver with -race).
 func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 	longPlan := func(pop string) *plan.Plan {
 		p, err := plan.Generate(plan.Config{
@@ -34,10 +33,7 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 		return p
 	}
 
-	f, err := New(Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewFleet(FleetConfig{Seed: 5})
 	defer f.Close()
 
 	pops := []string{"pop-a", "pop-b"}
@@ -54,12 +50,12 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 	waitOwned := func(pop string, not actor.Ref) actor.Ref {
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			coord, ok := f.Coordinator(pop)
-			if ok && coord != nil && coord != not && !coord.Stopped() && f.LockOwner(pop) == coord {
+			coord, ok := f.coordinator(pop)
+			if ok && coord != nil && coord != not && !coord.Stopped() && f.lockOwner(pop) == coord {
 				return coord
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("population %s never re-acquired its lock (owner=%v)", pop, f.LockOwner(pop))
+				t.Fatalf("population %s never re-acquired its lock (owner=%v)", pop, f.lockOwner(pop))
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -73,11 +69,11 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 		// race respawns against each other on the one shared lock service.
 		var wg sync.WaitGroup
 		for _, pop := range pops {
-			coord, _ := f.Coordinator(pop)
+			coord, _ := f.coordinator(pop)
 			wg.Add(1)
 			go func(pop string, old actor.Ref) {
 				defer wg.Done()
-				_ = flserver.InjectCoordinatorCrash(old)
+				_ = old.Send(msgCrash{})
 				waitOwned(pop, old)
 			}(pop, coord)
 		}
@@ -88,13 +84,16 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 		// its first tick and stop itself — never a second live Coordinator.
 		rivals := make(map[string]actor.Ref, len(pops))
 		for _, pop := range pops {
-			f.mu.Lock()
-			params := f.coordinatorParams(f.pops[pop])
-			f.mu.Unlock()
+			h, err := f.host(pop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			params := h.p
+			params.Edges = h.edges()
 			params.MaxRounds, params.Done = 0, nil
-			rival := f.sys.Spawn("rival-coordinator/"+pop, flserver.NewCoordinator(params))
+			rival := f.sys.Spawn("rival-coordinator/"+pop, newCoordinator(params))
 			rivals[pop] = rival
-			if err := flserver.StartCoordinator(rival); err != nil {
+			if err := rival.Send(msgTick{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -107,8 +106,8 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			coord, _ := f.Coordinator(pop)
-			if owner := f.LockOwner(pop); owner != coord {
+			coord, _ := f.coordinator(pop)
+			if owner := f.lockOwner(pop); owner != coord {
 				t.Fatalf("round %d: lock owner for %s is %v, want the registry coordinator", round, pop, owner)
 			}
 			if coord.Stopped() {

@@ -1,4 +1,4 @@
-package fleet
+package flserver
 
 import (
 	"testing"
@@ -46,10 +46,7 @@ func fleetTaskStats(t *testing.T, f *Fleet, pop string) map[string]tasks.Stats {
 // interleaves per its cadence, reports via TaskStats, and is retired
 // without disturbing training.
 func TestFleetTaskLifecycle(t *testing.T) {
-	f, err := New(Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewFleet(FleetConfig{Seed: 7})
 	defer f.Close()
 
 	net := transport.NewMemNetwork()
@@ -135,10 +132,7 @@ func TestFleetTaskLifecycle(t *testing.T) {
 // TestFleetRegisterRejectsDuplicatePlanIDs is the fleet-side regression
 // for silently colliding task IDs.
 func TestFleetRegisterRejectsDuplicatePlanIDs(t *testing.T) {
-	f, err := New(Config{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewFleet(FleetConfig{Seed: 8})
 	defer f.Close()
 	p := makePlan(t, "dup", 3)
 	q := makePlan(t, "dup", 5) // same ID, different config
@@ -148,7 +142,7 @@ func TestFleetRegisterRejectsDuplicatePlanIDs(t *testing.T) {
 		t.Fatal("duplicate plan IDs must be rejected at Register")
 	}
 	// The failed registration must not leave a ghost population behind.
-	if _, ok := f.Coordinator("dup"); ok {
+	if _, ok := f.coordinator("dup"); ok {
 		t.Fatal("failed Register left a coordinator behind")
 	}
 	if err := f.Register(PopulationSpec{

@@ -1,4 +1,4 @@
-package fleet
+package flserver
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
@@ -44,12 +43,10 @@ func TestFleetThreePopulations(t *testing.T) {
 		devices, target, rounds int
 	}{{"mem", false, 9, 3, 2}, {"tcp", true, 6, 2, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := New(Config{Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			f := NewFleet(FleetConfig{Seed: 1})
 			defer f.Close()
 			var l transport.Listener
+			var err error
 			var dial func() (transport.Conn, error)
 			if tc.tcp {
 				if l, err = transport.ListenTCP("127.0.0.1:0"); err != nil {
@@ -132,7 +129,7 @@ func runPopDevices(t *testing.T, pop string, n int, fed *data.Federated, dial fu
 		if err := rt.RegisterStore(st); err != nil {
 			t.Fatal(err)
 		}
-		client := &flserver.DeviceClient{ID: id, Population: pop, Runtime: rt}
+		client := &DeviceClient{ID: id, Population: pop, Runtime: rt}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -152,16 +149,12 @@ func runPopDevices(t *testing.T, pop string, n int, fed *data.Federated, dial fu
 	return func() { close(stop); wg.Wait() }
 }
 
-// TestFleetRegisterDeregisterAtRuntime covers the registry: an unknown
-// population's check-in gets a steering-backed "retry later" (not a
-// dropped connection); registering it mid-flight makes it train to
-// completion over the already-running listener; deregistering removes the
-// lock owner and returns its check-ins to the unknown rejection.
-func TestFleetRegisterDeregisterAtRuntime(t *testing.T) {
-	f, err := New(Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestFleetRegisterAtRuntime covers the registry: an unknown population's
+// check-in gets a steering-backed "retry later" (not a dropped connection);
+// registering it mid-flight makes it train to completion over the
+// already-running listener.
+func TestFleetRegisterAtRuntime(t *testing.T) {
+	f := NewFleet(FleetConfig{Seed: 3})
 	defer f.Close()
 
 	net := transport.NewMemNetwork()
@@ -256,90 +249,18 @@ func TestFleetRegisterDeregisterAtRuntime(t *testing.T) {
 		}
 	}
 
-	// Deregister pop-a: the lock is released, stats error, and its devices
-	// are steered away again.
-	if err := f.Deregister("pop-a"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for f.LockOwner("pop-a") != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("pop-a lock never released after deregistration")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if _, err := f.PopulationStats("pop-a"); err == nil {
-		t.Fatal("stats for a deregistered population must error")
-	}
-	if resp := checkin("pop-a"); resp.Accepted || resp.RetryAfter <= 0 {
-		t.Fatalf("deregistered population must get a steering-backed rejection: %+v", resp)
-	}
-	// pop-b is untouched.
-	if _, err := f.PopulationStats("pop-b"); err != nil {
-		t.Fatalf("pop-b must survive pop-a deregistration: %v", err)
-	}
-	if got := f.Populations(); len(got) != 1 || got[0] != "pop-b" {
-		t.Fatalf("registry after deregistration: %v", got)
-	}
-}
-
-// TestFleetDeregisterThenReregisterSameName is the plan-redeploy flow:
-// Deregister returns only after the outgoing Coordinator stopped, so an
-// immediate Register of the same population must acquire the lock and run
-// — never be stranded Coordinator-less by losing the lock race to the old
-// owner.
-func TestFleetDeregisterThenReregisterSameName(t *testing.T) {
-	f, err := New(Config{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	spec := PopulationSpec{
-		Population: "pop-r", Plans: []*plan.Plan{makePlan(t, "pop-r", 2)}, Store: storage.NewMem(),
-	}
-	for cycle := 0; cycle < 10; cycle++ {
-		if err := f.Register(spec); err != nil {
-			t.Fatalf("cycle %d: %v", cycle, err)
-		}
-		// The fresh Coordinator must own the lock (give its first tick a
-		// moment to land).
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			coord, ok := f.Coordinator("pop-r")
-			if ok && f.LockOwner("pop-r") == coord && !coord.Stopped() {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("cycle %d: re-registered population never acquired its lock (owner=%v)", cycle, f.LockOwner("pop-r"))
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if _, err := f.PopulationStats("pop-r"); err != nil {
-			t.Fatalf("cycle %d: %v", cycle, err)
-		}
-		if err := f.Deregister("pop-r"); err != nil {
-			t.Fatalf("cycle %d: %v", cycle, err)
-		}
-	}
 }
 
 // TestFleetCloseDuringRegistrationChurn must terminate: Close races actor
 // spawns (watchers, coordinators, per-round children) and the actor
 // system's shutdown must stop them all.
 func TestFleetCloseDuringRegistrationChurn(t *testing.T) {
-	f, err := New(Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewFleet(FleetConfig{Seed: 7})
 	for i := 0; i < 50; i++ {
 		pop := fmt.Sprintf("churn-%d", i%5)
 		_ = f.Register(PopulationSpec{
 			Population: pop, Plans: []*plan.Plan{makePlan(t, pop, 2)}, Store: storage.NewMem(),
 		})
-		if i%2 == 1 {
-			_ = f.Deregister(pop)
-		}
 	}
 	done := make(chan struct{})
 	go func() {
@@ -353,13 +274,10 @@ func TestFleetCloseDuringRegistrationChurn(t *testing.T) {
 	}
 }
 
-// TestFleetStatsPerPopulation asserts the fleet-level stats API keys every
+// TestFleetStatsPerPopulation asserts the stats API answers for every
 // registered population and errors once the fleet is closed.
 func TestFleetStatsPerPopulation(t *testing.T) {
-	f, err := New(Config{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewFleet(FleetConfig{Seed: 4})
 	for _, pop := range []string{"x", "y"} {
 		if err := f.Register(PopulationSpec{
 			Population: pop, Plans: []*plan.Plan{makePlan(t, pop, 2)}, Store: storage.NewMem(),
@@ -367,20 +285,13 @@ func TestFleetStatsPerPopulation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all, err := f.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 2 {
-		t.Fatalf("fleet stats = %v", all)
-	}
 	for _, pop := range []string{"x", "y"} {
-		if all[pop].Population != pop {
-			t.Fatalf("missing stats for %s: %+v", pop, all)
+		if st, err := f.PopulationStats(pop); err != nil || st.Population != pop {
+			t.Fatalf("stats for %s: %+v, %v", pop, st, err)
 		}
 	}
 	f.Close()
-	if _, err := f.Stats(); err == nil {
+	if _, err := f.PopulationStats("x"); err == nil {
 		t.Fatal("stats on a closed fleet must error, not read as zero progress")
 	}
 }

@@ -372,11 +372,8 @@ func TestAttestationRejectsCompromisedDevices(t *testing.T) {
 		if i < 6 {
 			c.Attestor = attest.NewGenuineDevice(master, c.ID)
 		} else {
-			bad, err := attest.NewCompromisedDevice(c.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Attestor = bad
+			// A key the platform did not derive.
+			c.Attestor = attest.NewGenuineDevice([]byte("rooted"), c.ID)
 		}
 	}
 	fl.run(net, addr)

@@ -1,0 +1,86 @@
+package flserver
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/plan"
+	"repro/internal/storage"
+)
+
+// TestHostRespawnsOverCurrentEdges: a host whose edges come and go (the
+// sharded coordinator's links) respawns a crashed Coordinator over the edges
+// it has at that moment — not the set it was first started with — under the
+// same lock, with exactly one live owner; and the Ref it hands out keeps
+// reaching whichever incarnation is current.
+func TestHostRespawnsOverCurrentEdges(t *testing.T) {
+	p := testPlan(t, 4, false)
+	var mu sync.Mutex
+	a, b := &stripeEdge{opened: make(chan *EdgeRoundConfig, 4)}, &stripeEdge{opened: make(chan *EdgeRoundConfig, 4)}
+	live := []Edge{a}
+	ref, err := SuperviseCoordinator(CoordinatorParams{
+		Population: "pop", Store: storage.NewMem(), MinEdges: 2, TickEvery: 10 * time.Millisecond,
+	}, []*plan.Plan{p}, func() []Edge {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]Edge(nil), live...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+	h := ref.(*popHost)
+
+	waitOwner := func(not interface{}) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if c := h.coordinator(); c != not && !c.Stopped() && h.p.Lock.Owner("pop") == c {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no live lock owner: incarnation %v, owner %v", h.coordinator(), h.p.Lock.Owner("pop"))
+			}
+		}
+	}
+	waitOwner(nil)
+	first := h.coordinator()
+
+	// A second link attaches after the first incarnation was spawned, then
+	// that incarnation dies with its round open on both.
+	mu.Lock()
+	live = append(live, b)
+	mu.Unlock()
+	if err := EdgeUp(ref, b); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*stripeEdge{a, b} {
+		select {
+		case <-e.opened:
+		case <-time.After(10 * time.Second):
+			t.Fatal("round never opened on both edges")
+		}
+	}
+	if err := ref.Send(msgCrash{}); err != nil {
+		t.Fatal(err)
+	}
+	waitOwner(first)
+	if !first.Stopped() {
+		t.Fatal("two live Coordinators: the crashed incarnation still runs")
+	}
+	// MinEdges is 2: the successor can only open a round if it was spawned
+	// over both current edges — nobody re-announces b.
+	for _, e := range []*stripeEdge{a, b} {
+		select {
+		case cfg := <-e.opened:
+			if cfg.Round != 0 {
+				t.Fatalf("respawned Coordinator opened round %d, want the uncommitted round 0", cfg.Round)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("respawned Coordinator did not start over the host's current edges")
+		}
+	}
+	if _, err := QueryCoordinatorStats(ref); err != nil {
+		t.Fatalf("host Ref does not reach the new incarnation: %v", err)
+	}
+}

@@ -162,11 +162,6 @@ func (s *SelectorStats) Add(o SelectorStats) {
 	s.QuotaOutstanding += o.QuotaOutstanding
 }
 
-// QuotaConserved reports whether the quota ledger balances.
-func (s SelectorStats) QuotaConserved() bool {
-	return s.QuotaGranted == s.QuotaConsumed+s.QuotaRevoked+s.QuotaOutstanding
-}
-
 // --- EdgeRound messages ---
 
 // msgDevices delivers forwarded devices to an EdgeRound.
@@ -242,14 +237,8 @@ type msgTick struct{ Periodic bool }
 // msgCrash makes a Coordinator panic (failure-injection tests).
 type msgCrash struct{}
 
-// msgStopCoordinator tells a Coordinator to shut down cleanly: abandon any
-// in-flight round, release the population lock, and stop without a failure
-// (so watchers do not respawn it). Sent on population deregistration.
-type msgStopCoordinator struct{}
-
 // msgAbandonRound tells an EdgeRound to fail its round immediately (the
-// population was deregistered, the round superseded, the coordinator link
-// lost): held devices are aborted and group Aggregators stopped.
+// round was superseded, the coordinator link lost): held devices are aborted and group Aggregators stopped.
 type msgAbandonRound struct {
 	Reason string
 }

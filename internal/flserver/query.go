@@ -8,51 +8,24 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/pacing"
-	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
-// Exported entry points for driving Selector and Coordinator actors from
-// outside the package. The fleet gateway (internal/fleet) composes these
-// same actors across many populations: it spawns Selectors and
-// Coordinators itself and talks to them through the functions here, so the
-// actor message types stay private to this package.
+// Exported entry points for driving Selector, EdgeRound and Coordinator
+// actors from outside the package: the sharded tier (internal/shard) composes
+// these same actors across processes and talks to them through the functions
+// here, so the actor message types stay private to this package.
 
 // statsTimeout bounds how long a stats query waits for an actor before
 // declaring it unresponsive.
 const statsTimeout = 5 * time.Second
 
-// StartCoordinator kicks a freshly spawned Coordinator's scheduling loop
-// (and, when it was built with a tick period, its periodic tick).
-func StartCoordinator(coord actor.Ref) error { return coord.Send(msgTick{Periodic: true}) }
-
-// StopCoordinator cleanly shuts a Coordinator down: the in-flight round is
-// abandoned, the population lock released, and watchers see a non-failure
-// termination (no respawn).
-func StopCoordinator(coord actor.Ref) error { return coord.Send(msgStopCoordinator{}) }
-
-// InjectCoordinatorCrash makes a Coordinator panic on its next message.
-// Failure-injection hook for supervision tests only.
-func InjectCoordinatorCrash(coord actor.Ref) error { return coord.Send(msgCrash{}) }
-
-// ForwardCheckin hands a device's first message to a Selector, which owns
-// the accept/reject decision for the request's population.
-func ForwardCheckin(sel actor.Ref, req protocol.CheckinRequest, conn transport.Conn) error {
-	return sel.Send(msgCheckin{Req: req, Conn: conn})
-}
-
 // RegisterSelectorPopulation adds a population to a running Selector.
 func RegisterSelectorPopulation(sel actor.Ref, pop SelectorPopulation) error {
 	return sel.Send(msgRegisterPopulation{Pop: pop})
-}
-
-// DeregisterSelectorPopulation removes a population from a running
-// Selector: parked devices are steered away, later check-ins rejected.
-func DeregisterSelectorPopulation(sel actor.Ref, name string) error {
-	return sel.Send(msgDeregisterPopulation{Name: name})
 }
 
 // ReleaseParked steers one population's parked devices away with a
@@ -91,30 +64,6 @@ func (rf *rateForwarder) Receive(ctx *actor.Context, msg actor.Message) {
 	if m, ok := msg.(msgCheckinRate); ok {
 		rf.fn(m.Source, m.Population, m.Count, m.Elapsed, m.Demand)
 	}
-}
-
-// SubmitTask deploys a new FL task (plan + scheduling policy) onto a live
-// Coordinator. The mutation is a mailbox message, so it serializes with
-// round scheduling; the round in flight is unaffected.
-func SubmitTask(coord actor.Ref, p *plan.Plan, pol tasks.Policy) error {
-	return taskOpRequest(coord, msgTaskOp{Op: taskOpSubmit, Plan: p, Policy: pol})
-}
-
-// PauseTask stops scheduling a task on a live Coordinator; an in-flight
-// round completes normally.
-func PauseTask(coord actor.Ref, id string) error {
-	return taskOpRequest(coord, msgTaskOp{Op: taskOpPause, ID: id})
-}
-
-// ResumeTask reactivates a paused task on a live Coordinator.
-func ResumeTask(coord actor.Ref, id string) error {
-	return taskOpRequest(coord, msgTaskOp{Op: taskOpResume, ID: id})
-}
-
-// RetireTask permanently stops scheduling a task on a live Coordinator. A
-// round already in flight completes rather than being aborted.
-func RetireTask(coord actor.Ref, id string) error {
-	return taskOpRequest(coord, msgTaskOp{Op: taskOpRetire, ID: id})
 }
 
 // ask sends an actor one request carrying a reply channel and waits for
@@ -229,9 +178,9 @@ func (h *Hinter) RejectConn(conn transport.Conn, reason string) {
 	_ = conn.Close()
 }
 
-// CheckinRouter is the device-facing accept path shared by Server and the
-// fleet gateway: each connection's first message must be a CheckinRequest,
-// dispatched to a Selector round-robin (Selectors are "globally
+// CheckinRouter is the device-facing accept path shared by the fleet gateway
+// and the selector shards: each connection's first message must be a
+// CheckinRequest, dispatched to a Selector round-robin (Selectors are "globally
 // distributed, close to devices" in the paper; round-robin stands in for
 // geographic affinity). Malformed first messages get a protocol-level
 // rejection with a pace-steering hint instead of a dropped connection.
@@ -286,7 +235,9 @@ func (r *CheckinRouter) handleConn(conn transport.Conn) {
 		return
 	}
 	idx := atomic.AddUint64(&r.nextSel, 1) % uint64(len(r.selectors))
-	if err := ForwardCheckin(r.selectors[idx], req, conn); err != nil {
+	// The Selector owns the accept/reject decision for the request's
+	// population.
+	if err := r.selectors[idx].Send(msgCheckin{Req: req, Conn: conn}); err != nil {
 		r.hinter.RejectConn(conn, "selector unavailable")
 	}
 }

@@ -120,8 +120,9 @@ type Selector struct {
 }
 
 // NewSelector returns the behavior for a Selector actor serving the given
-// initial populations; more can be registered and deregistered at runtime
-// via RegisterSelectorPopulation / DeregisterSelectorPopulation.
+// initial populations; more are registered at runtime via
+// RegisterSelectorPopulation (and taken back, should a registration fail
+// halfway across the layer, by msgDeregisterPopulation).
 func NewSelector(verifier *attest.Verifier, defaultSteering *pacing.Steering, capacity int, seed uint64, now func() time.Time, pops ...SelectorPopulation) *Selector {
 	if now == nil {
 		now = time.Now

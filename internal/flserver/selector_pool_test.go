@@ -79,7 +79,7 @@ func (r *poolRig) send(msg actor.Message) {
 		r.t.Fatal(err)
 	}
 	for _, pop := range append([]string{""}, r.pops...) {
-		if st := popStats(r.t, r.sel, pop); !st.QuotaConserved() {
+		if st := popStats(r.t, r.sel, pop); !st.quotaConserved() {
 			r.t.Fatalf("after %T the ledger of %q leaks: %+v", msg, pop, st)
 		}
 	}
@@ -423,7 +423,7 @@ func TestPooledDeviceThatDiedIsToppedUp(t *testing.T) {
 	sel.mu.Lock()
 	topUps := sel.topUps
 	sel.mu.Unlock()
-	waitFor(t, func() bool { st := popStats(t, r.sel, "pop"); return st.QuotaOutstanding == 0 && st.QuotaConserved() })
+	waitFor(t, func() bool { st := popStats(t, r.sel, "pop"); return st.QuotaOutstanding == 0 && st.quotaConserved() })
 	if st := popStats(t, r.sel, "pop"); topUps != 1 || st.QuotaConsumed != 2*admit+1 || st.QuotaRevoked != 0 {
 		t.Fatalf("%d top-ups, ledger %+v", topUps, st)
 	}

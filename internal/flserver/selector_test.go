@@ -369,11 +369,11 @@ func TestStaleRevocationKeepsSuccessorQuota(t *testing.T) {
 	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 3, Owner: old})
 	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 2, Owner: next})
 	_ = sel.Send(msgSetQuota{Population: "pop", Owner: old}) // the stale revocation
-	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 2 || !st.QuotaConserved() {
+	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 2 || !st.quotaConserved() {
 		t.Fatalf("stale revocation touched the successor's quota: %+v", st)
 	}
 	_ = sel.Send(msgSetQuota{Population: "pop", Owner: next})
-	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 0 || !st.QuotaConserved() {
+	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 0 || !st.quotaConserved() {
 		t.Fatalf("the owner's own revocation was ignored: %+v", st)
 	}
 }

@@ -242,7 +242,7 @@ func TestTaskSetSurvivesCoordinatorCrash(t *testing.T) {
 	// Crash the Coordinator: the respawned one must drive the SAME task
 	// set — the submitted eval task keeps running, stats keep accumulating.
 	first := srv.Coordinator()
-	_ = InjectCoordinatorCrash(first)
+	_ = first.Send(msgCrash{})
 	for i := 0; i < 200 && srv.Coordinator() == first; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}

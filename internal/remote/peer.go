@@ -55,28 +55,6 @@ func (o *Options) defaults() {
 	}
 }
 
-// Validate rejects option combinations that break liveness detection. It is
-// called by flag-driven binaries before handing user-supplied values to
-// NewPeer; zero fields are fine (defaults fill them).
-func (o Options) Validate() error {
-	if o.HeartbeatInterval < 0 {
-		return fmt.Errorf("remote: heartbeat interval %v must be >= 0", o.HeartbeatInterval)
-	}
-	if o.HeartbeatInterval > 0 && o.HeartbeatInterval < time.Millisecond {
-		return fmt.Errorf("remote: heartbeat interval %v is below 1ms", o.HeartbeatInterval)
-	}
-	if o.HeartbeatMiss < 0 {
-		return fmt.Errorf("remote: heartbeat miss budget %d must be >= 0", o.HeartbeatMiss)
-	}
-	if o.BackoffMin < 0 || o.BackoffMax < 0 {
-		return fmt.Errorf("remote: backoff bounds must be >= 0")
-	}
-	if o.BackoffMin > 0 && o.BackoffMax > 0 && o.BackoffMin > o.BackoffMax {
-		return fmt.Errorf("remote: backoff min %v exceeds max %v", o.BackoffMin, o.BackoffMax)
-	}
-	return nil
-}
-
 // Peer is one managed outbound connection to another process. It dials
 // lazily, reconnects with exponential backoff after any failure, and
 // declares the link dead when heartbeats go unacknowledged. Send fails fast

@@ -22,7 +22,7 @@ import (
 
 // CoordinatorConfig configures the coordinator process of a sharded
 // deployment: the single owner of one population's round state, task set,
-// pacing, and lock service.
+// pacing, and lock service (defaults as for flserver.PopulationSpec).
 type CoordinatorConfig struct {
 	Population string
 	// Plans seeds the task set (sugar, like flserver.Config.Plans).
@@ -61,9 +61,9 @@ type CoordStats struct {
 	Clipped int64
 }
 
-// ShardContribution is one shard's cumulative contribution as seen by the
+// shardContribution is one shard's cumulative contribution as seen by the
 // coordinator. It survives reconnects (keyed by shard index, not link).
-type ShardContribution struct {
+type shardContribution struct {
 	Name      string
 	Connected bool
 	Seals     int64
@@ -73,15 +73,15 @@ type ShardContribution struct {
 }
 
 // CoordinatorProc is the coordinator process: it accepts shard links and
-// runs the one round engine — flserver.Coordinator — with one Edge per
-// connected shard link. What lives here is only what is about links rather than rounds: the
+// hosts the population's supervised Coordinator — the one round engine, its
+// task set and its lock, all flserver's — with one Edge per connected shard
+// link. What lives here is only what is about links rather than rounds: the
 // session plumbing, the wire form of configs and seals, and the per-shard
 // traffic accounting.
 type CoordinatorProc struct {
-	cfg   CoordinatorConfig
-	sys   *actor.System
-	locks *actor.LockService
-	tasks *tasks.TaskSet
+	cfg CoordinatorConfig
+	// coord reaches the Coordinator's current incarnation: a crashed one is
+	// respawned over the links in live (Sec. 4.4), which stay connected.
 	coord actor.Ref
 	done  chan struct{}
 
@@ -93,7 +93,7 @@ type CoordinatorProc struct {
 
 	mu        sync.Mutex
 	live      map[*shardEdge]uint32 // announced links → shard index
-	contrib   map[uint32]*ShardContribution
+	contrib   map[uint32]*shardContribution
 	sealsRecv int64
 	bytesUp   int64
 }
@@ -158,44 +158,38 @@ func (e *shardEdge) ProbeRates(actor.Ref) {}
 // NewCoordinatorProc builds the coordinator process and starts its
 // scheduling loop (rounds begin once MinShards shards connect).
 func NewCoordinatorProc(cfg CoordinatorConfig) (*CoordinatorProc, error) {
-	if cfg.Population == "" || cfg.Store == nil {
-		return nil, fmt.Errorf("shard: Population and Store are required")
-	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 250 * time.Millisecond
 	}
-	if cfg.Steering == nil {
-		cfg.Steering = pacing.New(time.Minute)
-	}
-	if cfg.PopulationEstimate <= 0 {
-		cfg.PopulationEstimate = 1000
-	}
-	ts, err := tasks.New(cfg.Population, cfg.Store, cfg.Now)
-	if err != nil {
-		return nil, err
-	}
-	if err := ts.Seed(cfg.Plans); err != nil {
-		return nil, err
-	}
-	ts.SetPopulationEstimate(cfg.PopulationEstimate)
-
 	cp := &CoordinatorProc{
 		cfg:     cfg,
-		sys:     actor.NewSystem(),
-		locks:   actor.NewLockService(),
-		tasks:   ts,
 		done:    make(chan struct{}),
 		live:    make(map[*shardEdge]uint32),
-		contrib: make(map[uint32]*ShardContribution),
+		contrib: make(map[uint32]*shardContribution),
 	}
-	cp.coord = cp.sys.Spawn("coordinator/"+cfg.Population, flserver.NewCoordinator(flserver.CoordinatorParams{
-		Population: cfg.Population, Lock: cp.locks, Store: cfg.Store, Tasks: ts,
+	var err error
+	cp.coord, err = flserver.SuperviseCoordinator(flserver.CoordinatorParams{
+		Population: cfg.Population, Store: cfg.Store,
 		Steering: cfg.Steering, PopulationEstimate: cfg.PopulationEstimate,
 		MinEdges: cfg.MinShards, SealGrace: cfg.SealGrace, TickEvery: cfg.TickEvery,
 		MaxRounds: cfg.MaxRounds, Done: cp.done, Now: cfg.Now,
-	}))
-	_ = flserver.StartCoordinator(cp.coord)
+	}, cfg.Plans, cp.liveEdges)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
 	return cp, nil
+}
+
+// liveEdges lists the announced links: what a respawned Coordinator starts
+// over, so no shard has to reconnect to be seen again.
+func (cp *CoordinatorProc) liveEdges() []flserver.Edge {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	edges := make([]flserver.Edge, 0, len(cp.live))
+	for e := range cp.live {
+		edges = append(edges, e)
+	}
+	return edges
 }
 
 // Done is closed when MaxRounds rounds have committed.
@@ -205,10 +199,9 @@ func (cp *CoordinatorProc) Done() <-chan struct{} { return cp.done }
 // the operator surface that carries auto-pause notes (e.g. a
 // retention-policy task the scheduler refused to run across several
 // shards).
-func (cp *CoordinatorProc) TaskStats() []tasks.Stats { return cp.tasks.Stats() }
-
-// ResumeTask reactivates a paused task (clearing any auto-pause note).
-func (cp *CoordinatorProc) ResumeTask(id string) error { return flserver.ResumeTask(cp.coord, id) }
+func (cp *CoordinatorProc) TaskStats() ([]tasks.Stats, error) {
+	return flserver.QueryTaskStats(cp.coord)
+}
 
 // Serve accepts shard connections from l until l closes. Each connection
 // becomes a remote.Session answering heartbeats; shard control messages
@@ -234,7 +227,7 @@ func (cp *CoordinatorProc) serveConn(conn transport.Conn) {
 				if c, ok := cp.contrib[m.Shard]; ok {
 					c.Name = m.Name
 				} else {
-					cp.contrib[m.Shard] = &ShardContribution{Name: m.Name}
+					cp.contrib[m.Shard] = &shardContribution{Name: m.Name}
 				}
 				cp.mu.Unlock()
 				_ = flserver.EdgeUp(cp.coord, edge)
@@ -337,12 +330,12 @@ func (cp *CoordinatorProc) Stats() (CoordStats, error) {
 	}, nil
 }
 
-// PerShardStats breaks the upstream traffic down by shard index,
+// perShardStats breaks the upstream traffic down by shard index,
 // cumulative across reconnects.
-func (cp *CoordinatorProc) PerShardStats() map[uint32]ShardContribution {
+func (cp *CoordinatorProc) perShardStats() map[uint32]shardContribution {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	out := make(map[uint32]ShardContribution, len(cp.contrib))
+	out := make(map[uint32]shardContribution, len(cp.contrib))
 	for id, c := range cp.contrib {
 		out[id] = *c
 	}
@@ -355,20 +348,6 @@ func (cp *CoordinatorProc) PerShardStats() map[uint32]ShardContribution {
 	return out
 }
 
-// ShardStats reports one shard's contribution. A shard that is not
-// currently connected returns an explicit error — a dead peer must never
-// read as zeros (the PR 3 stats contract, extended across the wire).
-func (cp *CoordinatorProc) ShardStats(id uint32) (ShardContribution, error) {
-	c, ok := cp.PerShardStats()[id]
-	if !ok {
-		return ShardContribution{}, fmt.Errorf("shard: shard %d has never connected", id)
-	}
-	if !c.Connected {
-		return ShardContribution{}, fmt.Errorf("shard: shard %d (%s) is not connected", id, c.Name)
-	}
-	return c, nil
-}
-
 // Close stops the coordinator process (idempotent, like the Shutdown it
 // wraps).
-func (cp *CoordinatorProc) Close() { cp.sys.Shutdown(cp.coord) }
+func (cp *CoordinatorProc) Close() { cp.coord.Stop() }

@@ -72,7 +72,7 @@ func stubUpdate(i int, scale float64) *checkpoint.Checkpoint {
 // leased receive buffers), the coordinator's shard links on a mem network
 // unless the topology asks for sockets.
 type engineRig struct {
-	store *storage.Mem
+	store *traceMem
 	dials []func() (transport.Conn, error)
 	done  <-chan struct{}
 	// coord is the coordinator process of a sharded topology.
@@ -87,7 +87,7 @@ type engineRig struct {
 // parameters ARE the round's aggregate.
 func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 	t.Helper()
-	rig := &engineRig{store: storage.NewMem()}
+	rig := &engineRig{store: newTraceMem()}
 	if err := rig.store.PutCheckpoint(&checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, engineDim)}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,8 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 		l, dial := listen("server", true)
 		go srv.Serve(l)
 		rig.dials, rig.done = append(rig.dials, dial), srv.Done()
-		rig.taskStats = func() []tasks.Stats {
-			sts, _ := srv.TaskStats()
-			return sts
-		}
+		// Only the sharded cells read task stats (the edge-count row).
+		rig.taskStats = func() []tasks.Stats { return nil }
 		rig.clipped = func() int64 {
 			st, _ := srv.Stats()
 			return st.Clipped
@@ -155,7 +153,11 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 		go sp.Serve(l)
 		rig.dials = append(rig.dials, dial)
 	}
-	rig.coord, rig.done, rig.taskStats = coord, coord.Done(), coord.TaskStats
+	rig.coord, rig.done = coord, coord.Done()
+	rig.taskStats = func() []tasks.Stats {
+		sts, _ := coord.TaskStats()
+		return sts
+	}
 	rig.clipped = func() int64 {
 		st, _ := coord.Stats()
 		return st.Clipped
@@ -423,7 +425,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 }
 
 // lastTrace returns the newest round trace the store holds.
-func lastTrace(t *testing.T, store *storage.Mem) obs.RoundTrace {
+func lastTrace(t *testing.T, store *traceMem) obs.RoundTrace {
 	t.Helper()
 	traces := store.RoundTraces()
 	if len(traces) == 0 {
@@ -556,4 +558,29 @@ func TestFailedRoundReticksAtOnce(t *testing.T) {
 	if st, err := coord.Stats(); err != nil || st.RoundsFailed < 3 || st.RoundsCompleted != 0 {
 		t.Fatalf("stats after the failed rounds: %+v, %v", st, err)
 	}
+}
+
+// traceMem is a storage.Mem that keeps the round traces it is handed (the
+// optional obs.TraceStore half of a store), for tests that assert on them.
+type traceMem struct {
+	*storage.Mem
+	mu     sync.Mutex
+	traces []obs.RoundTrace
+}
+
+func newTraceMem() *traceMem { return &traceMem{Mem: storage.NewMem()} }
+
+// PutRoundTrace implements obs.TraceStore.
+func (s *traceMem) PutRoundTrace(t obs.RoundTrace) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.traces = append(s.traces, t)
+	return nil
+}
+
+// RoundTraces returns every stored round trace in arrival order.
+func (s *traceMem) RoundTraces() []obs.RoundTrace {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]obs.RoundTrace(nil), s.traces...)
 }

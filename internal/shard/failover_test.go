@@ -325,45 +325,33 @@ func TestCoordinatorLossFreesDevices(t *testing.T) {
 	}
 }
 
-// TestDeadShardStatsReadAsError pins the PR 3 stats contract across the
-// wire: a connected shard's contribution is readable; a disconnected one is
-// an explicit error, never zeros.
-func TestDeadShardStatsReadAsError(t *testing.T) {
+// TestDeadShardFlaggedDisconnected: a connected shard's contribution is
+// flagged live, a never-connected one is absent, and after its link dies
+// the cumulative breakdown survives flagged as disconnected — a dead peer
+// never reads as a live one.
+func TestDeadShardFlaggedDisconnected(t *testing.T) {
 	h := newFailoverHarness(t, 2, 1)
 	h.runDevices(6)
 
-	// While connected, the per-shard read works.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if _, err := h.coord.ShardStats(0); err == nil {
-			break
+	waitConnected := func(want bool) {
+		t.Helper()
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			if c, ok := h.coord.perShardStats()[0]; ok && c.Connected == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shard 0 never read as connected=%v: %+v", want, h.coord.perShardStats())
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("shard 0 never became readable")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := h.coord.ShardStats(7); err == nil {
-		t.Fatal("never-connected shard 7 read as data, want error")
+	waitConnected(true)
+	if c, ok := h.coord.perShardStats()[7]; ok {
+		t.Fatalf("never-connected shard 7 read as data: %+v", c)
 	}
-
 	h.partition()
-	deadline = time.Now().Add(15 * time.Second)
-	for {
-		_, err := h.coord.ShardStats(0)
-		if err != nil {
-			break // dead peer is an explicit error
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("dead shard 0 still reads as live data, want error")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// The cumulative breakdown survives the disconnect, flagged as such.
-	all := h.coord.PerShardStats()
-	if c, ok := all[0]; !ok || c.Connected {
-		t.Fatalf("per-shard map after disconnect: %+v", all)
-	}
+	waitConnected(false)
 }
 
 // TestReconnectThenResume is the regression test for the reconnect path: the

@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pacing"
 	"repro/internal/plan"
-	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -54,7 +53,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := storage.NewMem()
+	store := newTraceMem()
 	coord, err := NewCoordinatorProc(CoordinatorConfig{
 		Population: pop,
 		Plans:      []*plan.Plan{p},
@@ -92,7 +91,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			PopulationEstimate: devices,
 			Seed:               uint64(23 + i*131),
 			RateProbeInterval:  500 * time.Millisecond,
-			TelemetryInterval:  300 * time.Millisecond,
 		}, func() (transport.Conn, error) { return transport.DialTCP(coordAddr) })
 		defer sp.Close()
 		l, err := transport.ListenTCP("127.0.0.1:0")

@@ -51,21 +51,24 @@ type SelectorConfig struct {
 	// RateProbeInterval paces check-in rate sampling toward the coordinator
 	// (default 1s).
 	RateProbeInterval time.Duration
-	// TelemetryInterval paces TelemetrySnapshot shipping toward the
-	// coordinator, which folds this shard's counters into its aggregated
-	// /metrics under a shard="N" label (default 2s).
-	TelemetryInterval time.Duration
 	// EdgeLinger is how long a sealed edge round keeps answering late
 	// device arrivals with explicit aborts before stopping (default 2s —
 	// see flserver.EdgeRoundConfig.Linger).
 	EdgeLinger time.Duration
-	// SealRetryBudget is the total time ship() retries delivering a sealed
-	// stripe across coordinator-link drops before counting the round lost
-	// (default 3s). Re-shipping after a reconnect is safe: the coordinator
-	// dedups seals per (shard session, round).
-	SealRetryBudget time.Duration
-	Now             func() time.Time
+	Now        func() time.Time
 }
+
+const (
+	// telemetryInterval paces TelemetrySnapshot shipping toward the
+	// coordinator, which folds this shard's counters into its aggregated
+	// /metrics under a shard="N" label.
+	telemetryInterval = 2 * time.Second
+	// sealRetryBudget is the total time ship() retries delivering a sealed
+	// stripe across coordinator-link drops before counting the round lost.
+	// Re-shipping after a reconnect is safe: the coordinator dedups seals
+	// per (shard session, round).
+	sealRetryBudget = 3 * time.Second
+)
 
 // edgeHandle tracks one population's in-flight edge round.
 type edgeHandle struct {
@@ -117,12 +120,6 @@ func NewSelectorProc(cfg SelectorConfig, dial remote.Dialer) *SelectorProc {
 	}
 	if cfg.RateProbeInterval <= 0 {
 		cfg.RateProbeInterval = time.Second
-	}
-	if cfg.TelemetryInterval <= 0 {
-		cfg.TelemetryInterval = 2 * time.Second
-	}
-	if cfg.SealRetryBudget <= 0 {
-		cfg.SealRetryBudget = 3 * time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -287,7 +284,7 @@ func (p *SelectorProc) clearRound(population string, round int64) {
 
 // ship sends one sealed stripe upstream. The marshal and the (possibly
 // blocking) peer write run on their own goroutine. A transient link drop is retried with
-// jittered backoff within SealRetryBudget — the peer redials in the
+// jittered backoff within sealRetryBudget — the peer redials in the
 // background, and the coordinator dedups a seal that arrives twice. Only
 // when the budget runs dry is the round counted dropped; the coordinator's
 // straggler timeout then settles it without this shard, and its devices
@@ -318,7 +315,7 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 		// The wire form is all that leaves this process: the sealed sum's
 		// vector serves the next round's stripes.
 		p.stripes.Put(seal.Seal.Sum)
-		deadline := time.Now().Add(p.cfg.SealRetryBudget)
+		deadline := time.Now().Add(sealRetryBudget)
 		backoff := 25 * time.Millisecond
 		for {
 			err := p.peer.Send(msg)
@@ -418,7 +415,7 @@ func (p *SelectorProc) rateLoop() {
 // like rate samples: a send on a down link is simply dropped, and the
 // coordinator ages out shards that stop shipping.
 func (p *SelectorProc) telemetryLoop() {
-	tick := time.NewTicker(p.cfg.TelemetryInterval)
+	tick := time.NewTicker(telemetryInterval)
 	defer tick.Stop()
 	for {
 		select {

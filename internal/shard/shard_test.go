@@ -68,7 +68,7 @@ func runShardedRounds(t *testing.T, topo engineTopology, k int) *engineRig {
 	if st.RoundsCompleted == 0 || st.SealsReceived != int64(topo.shards*rounds) || st.BytesUpstream <= 0 {
 		t.Fatalf("want one seal per shard per round: %+v", st)
 	}
-	per := rig.coord.PerShardStats()
+	per := rig.coord.perShardStats()
 	if len(per) != topo.shards {
 		t.Fatalf("per-shard breakdown has %d of %d shards: %+v", len(per), topo.shards, per)
 	}

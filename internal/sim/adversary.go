@@ -90,10 +90,6 @@ func NewAdversary(cfg AdversaryConfig, population int) *Adversary {
 	return a
 }
 
-// Compromised reports whether device index i is under the adversary's
-// control.
-func (a *Adversary) Compromised(i int) bool { return a.compromised[i] }
-
 // Count is the number of compromised devices in the population.
 func (a *Adversary) Count() int { return len(a.compromised) }
 

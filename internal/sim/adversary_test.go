@@ -17,7 +17,7 @@ func TestAdversaryStableAssignment(t *testing.T) {
 		t.Fatalf("Count = %d, want 10 (25%% of 40)", a.Count())
 	}
 	for i := 0; i < 40; i++ {
-		if a.Compromised(i) != b.Compromised(i) {
+		if a.compromised[i] != b.compromised[i] {
 			t.Fatalf("assignment not stable at device %d", i)
 		}
 	}

@@ -70,9 +70,6 @@ func (c *Clock) ScheduleAt(t time.Time, fn func()) {
 	heap.Push(&c.pq, &event{at: t, seq: c.seq, fn: fn})
 }
 
-// Pending returns the number of scheduled events.
-func (c *Clock) Pending() int { return c.pq.Len() }
-
 // Step executes the next event, advancing time to it. It returns false when
 // no events remain.
 func (c *Clock) Step() bool {

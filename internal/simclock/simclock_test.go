@@ -66,8 +66,8 @@ func TestRunUntilPartial(t *testing.T) {
 	if c.Now() != t0.Add(3*time.Minute) {
 		t.Fatalf("time = %v", c.Now())
 	}
-	if c.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", c.Pending())
+	if c.pq.Len() != 2 {
+		t.Fatalf("pending = %d, want 2", c.pq.Len())
 	}
 }
 

@@ -38,10 +38,10 @@ type Store interface {
 	TaskSet() ([]byte, error)
 }
 
-// Both built-in stores also implement obs.TraceStore, persisting one
-// round-trace record per round alongside the checkpoints. Trace storage is
-// deliberately NOT part of the Store interface — callers type-assert — so
-// custom Store implementations (tests, adapters) keep compiling.
+// File also implements obs.TraceStore, persisting one round-trace record per
+// round alongside the checkpoints. Trace storage is deliberately NOT part of
+// the Store interface — callers type-assert — so custom Store
+// implementations (tests, adapters) keep compiling.
 
 // Mem is an in-memory Store for simulation and tests.
 type Mem struct {
@@ -49,7 +49,6 @@ type Mem struct {
 	checkpoints map[string][]*checkpoint.Checkpoint
 	metrics     map[string][]*metrics.Materialized
 	taskSet     []byte
-	traces      []obs.RoundTrace
 }
 
 // NewMem returns an empty in-memory store.
@@ -111,21 +110,6 @@ func (s *Mem) TaskSet() ([]byte, error) {
 	return append([]byte(nil), s.taskSet...), nil
 }
 
-// PutRoundTrace implements obs.TraceStore.
-func (s *Mem) PutRoundTrace(t obs.RoundTrace) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.traces = append(s.traces, t)
-	return nil
-}
-
-// RoundTraces returns every stored round trace in arrival order.
-func (s *Mem) RoundTraces() []obs.RoundTrace {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]obs.RoundTrace(nil), s.traces...)
-}
-
 // Metrics implements Store.
 func (s *Mem) Metrics(task string) ([]*metrics.Materialized, error) {
 	s.mu.Lock()
@@ -178,15 +162,41 @@ func (s *File) PutCheckpoint(c *checkpoint.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(taskDir, fmt.Sprintf("round-%010d.ckpt", c.Round))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeDurable(filepath.Join(taskDir, fmt.Sprintf("round-%010d.ckpt", c.Round)), b); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
 	return s.mem.PutCheckpoint(c)
+}
+
+// writeDurable replaces path with b so that a crash at any point leaves
+// either the previous file or the complete new one, and a return means the
+// new one survives power loss: temp file, fsync, rename, then fsync of the
+// directory — the rename is only in the page cache until that.
+func writeDurable(path string, b []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // LatestCheckpoint implements Store. It prefers the in-memory cache and
@@ -227,7 +237,7 @@ func (s *File) Metrics(task string) ([]*metrics.Materialized, error) { return s.
 const tracesFile = "traces.jsonl"
 
 // PutRoundTrace implements obs.TraceStore: the record is appended as one
-// JSONL line to dir/traces.jsonl (and mirrored in the memory cache).
+// JSONL line to dir/traces.jsonl.
 func (s *File) PutRoundTrace(t obs.RoundTrace) error {
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
@@ -243,12 +253,8 @@ func (s *File) PutRoundTrace(t obs.RoundTrace) error {
 	if werr != nil {
 		return fmt.Errorf("storage: %w", werr)
 	}
-	return s.mem.PutRoundTrace(t)
+	return nil
 }
-
-// RoundTraces returns the traces recorded by THIS process (the in-memory
-// mirror; dir/traces.jsonl is the durable artifact across restarts).
-func (s *File) RoundTraces() []obs.RoundTrace { return s.mem.RoundTraces() }
 
 // taskSetFile is where a File store keeps the task registry snapshot. The
 // name predates the snapshot's binary format and stays, so that a directory
@@ -258,12 +264,7 @@ const taskSetFile = "tasks.gob"
 // PutTaskSet implements Store: the snapshot is written atomically so a
 // crash mid-write leaves the previous registry intact.
 func (s *File) PutTaskSet(b []byte) error {
-	path := filepath.Join(s.dir, taskSetFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeDurable(filepath.Join(s.dir, taskSetFile), b); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
 	return nil

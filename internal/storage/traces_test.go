@@ -23,21 +23,6 @@ func traceFor(round int64) obs.RoundTrace {
 	}
 }
 
-func TestMemRoundTraces(t *testing.T) {
-	s := NewMem()
-	var store obs.TraceStore = s // Mem must satisfy the optional interface
-	if err := store.PutRoundTrace(traceFor(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.PutRoundTrace(traceFor(2)); err != nil {
-		t.Fatal(err)
-	}
-	got := s.RoundTraces()
-	if len(got) != 2 || got[0].Round != 1 || got[1].Round != 2 {
-		t.Fatalf("traces: %+v", got)
-	}
-}
-
 func TestFileRoundTracesJSONL(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewFile(dir)
@@ -66,8 +51,5 @@ func TestFileRoundTracesJSONL(t *testing.T) {
 		if tr.Round != int64(i+1) || !tr.Committed || tr.Phases[obs.PhaseCommit] == 0 {
 			t.Fatalf("line %d decoded wrong: %+v", i, tr)
 		}
-	}
-	if got := s.RoundTraces(); len(got) != 3 {
-		t.Fatalf("memory mirror has %d traces", len(got))
 	}
 }

@@ -8,9 +8,9 @@
 #
 #	./scripts/smoke_chaos.sh
 #
-# The fault schedule is deterministic: each shard logs "chaos: seed=N" plus
-# its full fault plan, so a failure is reproduced by rerunning with the same
-# -chaos / -chaos-seed flags.
+# The fault schedule is deterministic: each shard logs its plan as
+# "chaos: seed=N SPEC", so a failure is reproduced by rerunning with
+# -chaos "seed=N SPEC".
 set -eu
 
 ROUNDS=12
@@ -56,8 +56,7 @@ for i in 0 1 2; do
 	[ "$i" = 2 ] && SPEC="$BASE;shard:2:reset@2s"
 	"$BIN/flselector" -coordinator "$COORD" -addr 127.0.0.1:$((8851 + i)) \
 		-shard "$i" -estimate 16 \
-		-peer-heartbeat 100ms -peer-miss 5 -peer-backoff-min 10ms -peer-backoff-max 200ms \
-		-chaos "$SPEC" -chaos-seed "$SEED" >"$LOGS/shard$i.log" 2>&1 &
+		-chaos "seed=$SEED $SPEC" >"$LOGS/shard$i.log" 2>&1 &
 done
 sleep 1
 
