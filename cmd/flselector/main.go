@@ -39,7 +39,6 @@ func main() {
 	estimate := flag.Int("estimate", 1000, "population estimate seeding pace steering")
 	seed := flag.Uint64("seed", 1, "random seed")
 	obsListen := flag.String("obs-listen", "", "serve /metrics, /debug/vars, /debug/pprof and /dashboard on this address (empty = off)")
-	edgeLinger := flag.Duration("edge-linger", 0, "how long a sealed round answers late devices with explicit aborts (0 = default 2s)")
 	chaosPlan := flag.String("chaos", "", `fault-injection plan for the coordinator link as "seed=N SPEC" — the form a run logs it in — e.g. "seed=1 shard:drop=0.05,jitter=200ms;shard:partition@6s+2s" (empty = off)`)
 	flag.Parse()
 
@@ -51,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		inj = chaos.New(seed, spec)
+		inj = chaos.New(seed, spec, nil)
 		dial = inj.WrapDialer(chaos.Role(fmt.Sprintf("shard:%d", *shardID)), dial)
 		// A fault schedule's windows are seconds long: notice a dead
 		// coordinator in half a second and redial within 200ms, or the
@@ -71,7 +70,6 @@ func main() {
 		PopulationEstimate: *estimate,
 		Seed:               *seed + uint64(*shardID)*131,
 		Peer:               peer,
-		EdgeLinger:         *edgeLinger,
 	}, dial)
 	defer sp.Close()
 

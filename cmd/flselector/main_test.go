@@ -20,7 +20,7 @@ func TestChaosPlanRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		logged := chaos.New(42, want).Plan()
+		logged := chaos.New(42, want, nil).Plan()
 		seed, got, err := parseChaosPlan(strings.TrimPrefix(logged, "chaos: "))
 		if err != nil || seed != 42 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("logged plan %q parsed to seed %d, %+v, %v; want seed 42, %+v", logged, seed, got, err, want)

@@ -17,7 +17,29 @@ package actor
 import (
 	"fmt"
 	"sync"
+	"time"
+
+	"repro/internal/simclock"
 )
+
+// Clock is the one way time gets into a process: every wait and every
+// reading of the time in it goes through the Clock of its actor System —
+// the wall clock unless whoever built the process handed it another. The
+// rest of the tree names the clock through this package, which carries it.
+type (
+	Clock = simclock.Clock
+	Timer = simclock.Timer
+)
+
+// Wall is the default Clock.
+var Wall = simclock.Wall
+
+// After is c.AfterFunc for a goroutine that selects: the channel receives
+// once d has passed, unless the timer is stopped first.
+func After(c Clock, d time.Duration) (<-chan time.Time, Timer) {
+	ch := make(chan time.Time, 1)
+	return ch, c.AfterFunc(d, func() { ch <- c.Now() })
+}
 
 // Message is anything sent to an actor.
 type Message interface{}
@@ -76,6 +98,17 @@ func (c *Context) Watch(target Ref) { c.System.watch(target, c.Self) }
 
 // Stop stops this actor after the current message.
 func (c *Context) Stop() { c.Self.Stop() }
+
+// Now is the time on the system's clock.
+func (c *Context) Now() time.Time { return c.System.clock.Now() }
+
+// After sends msg to Self once d has passed on the system's clock, unless the
+// returned Timer is stopped first: a behavior waits — for a window, a
+// deadline, its next tick — by sending itself a message.
+func (c *Context) After(d time.Duration, msg Message) Timer {
+	self := c.Self
+	return c.System.clock.AfterFunc(d, func() { _ = self.Send(msg) })
+}
 
 const mailboxSize = 1024
 
@@ -139,6 +172,7 @@ func (r *localRef) Stopped() bool {
 // may be co-located or distributed; distribution happens at the transport
 // layer (internal/remote), not here.
 type System struct {
+	clock    Clock
 	mu       sync.Mutex
 	watchers map[Ref][]Ref
 	actors   []*localRef
@@ -149,10 +183,20 @@ type System struct {
 	down bool
 }
 
-// NewSystem returns an empty actor system.
-func NewSystem() *System {
-	return &System{watchers: make(map[Ref][]Ref)}
+// NewSystem returns an empty actor system on the given clock — the wall
+// clock when none (or nil) is given; variadic so that NewSystem() stays what
+// callers that never think about time write.
+func NewSystem(clock ...Clock) *System {
+	s := &System{clock: Wall, watchers: make(map[Ref][]Ref)}
+	if len(clock) > 0 && clock[0] != nil {
+		s.clock = clock[0]
+	}
+	return s
 }
+
+// Clock returns the system's clock, for the parts of a process that wait
+// outside any actor (a peer link's heartbeat, the accept path's steering).
+func (s *System) Clock() Clock { return s.clock }
 
 // Spawn starts an actor with the given behavior. The actor's goroutine
 // processes the mailbox until Stop; a panic in Receive terminates the actor

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/simclock"
 )
 
 // collect spawns an actor that appends every message to a slice guarded by
@@ -333,5 +335,62 @@ func TestWatchAfterTerminationPreservesFailure(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("late watcher never notified")
+	}
+}
+
+// TestContextClock: a behavior tells the time and waits on its system's
+// clock — ctx.After delivers a message to Self at its virtual instant, a
+// stopped timer delivers nothing — and a system built with no clock, or a
+// nil one, runs on the wall clock.
+func TestContextClock(t *testing.T) {
+	start := time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC)
+	clock := simclock.New(start)
+	sys := NewSystem(clock)
+	defer sys.Shutdown()
+	type arm struct{}
+	type seen struct {
+		msg string
+		at  time.Duration
+	}
+	got := make(chan seen, 4)
+	ref := sys.Spawn("waiter", BehaviorFunc(func(ctx *Context, msg Message) {
+		switch m := msg.(type) {
+		case arm:
+			ctx.After(3*time.Second, "kept")
+			ctx.After(time.Second, "cancelled").Stop()
+			got <- seen{"armed", ctx.Now().Sub(start)}
+		case string:
+			got <- seen{m, ctx.Now().Sub(start)}
+		}
+	}))
+	_ = ref.Send(arm{})
+	if s := <-got; s != (seen{"armed", 0}) {
+		t.Fatalf("first message: %+v", s)
+	}
+	if n := clock.Advance(3*time.Second - time.Nanosecond); n != 0 {
+		t.Fatalf("%d timers fired before the first deadline (the stopped one among them?)", n)
+	}
+	clock.Advance(time.Nanosecond)
+	if s := <-got; s != (seen{"kept", 3 * time.Second}) {
+		t.Fatalf("timer message: %+v", s)
+	}
+
+	ch, timer := After(clock, time.Minute)
+	stopped, cancel := After(clock, time.Minute)
+	cancel.Stop()
+	clock.Advance(time.Minute)
+	if at := <-ch; at != start.Add(3*time.Second+time.Minute) || timer.Stop() {
+		t.Fatalf("After delivered %v (and its spent timer still stops: %v)", at, timer.Stop())
+	}
+	select {
+	case <-stopped:
+		t.Fatal("a stopped After fired")
+	default:
+	}
+
+	for _, sys := range []*System{NewSystem(), NewSystem(nil)} {
+		if sys.Clock() != Wall {
+			t.Fatalf("default clock is %T, want the wall clock", sys.Clock())
+		}
 	}
 }

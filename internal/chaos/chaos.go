@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/transport"
 )
 
@@ -140,8 +141,8 @@ func (s Spec) effective(role Role) Rule {
 	return out
 }
 
-// windowState resolves a Window's activation: wall windows are anchored to
-// the injector start; round windows open when their round arrives.
+// windowState resolves a Window's activation: offset windows are anchored
+// to the injector start; round windows open when their round arrives.
 type windowState struct {
 	w      Window
 	opened atomic.Int64 // unix nanos; 0 = not yet open (round windows)
@@ -154,6 +155,7 @@ type windowState struct {
 type Injector struct {
 	seed  uint64
 	spec  Spec
+	clock actor.Clock
 	start time.Time
 	trace *Trace
 
@@ -170,13 +172,18 @@ type Injector struct {
 	senders atomic.Int64
 }
 
-// New builds an injector for one scenario. The wall clock for offset-
-// addressed windows and resets starts now.
-func New(seed uint64, spec Spec) *Injector {
+// New builds an injector for one scenario on the clock of the processes
+// whose links it wraps (nil: the wall clock). Offset-addressed windows and
+// resets count from now on that clock, and delayed deliveries wait on it.
+func New(seed uint64, spec Spec, clock actor.Clock) *Injector {
+	if clock == nil {
+		clock = actor.Wall
+	}
 	in := &Injector{
 		seed:       seed,
 		spec:       spec,
-		start:      time.Now(),
+		clock:      clock,
+		start:      clock.Now(),
 		trace:      newTrace(),
 		ordinals:   make(map[Role]int),
 		resets:     spec.Resets,
@@ -240,7 +247,7 @@ func (in *Injector) AdvanceRound(round int64) {
 			break
 		}
 	}
-	now := time.Now().UnixNano()
+	now := in.clock.Now().UnixNano()
 	for _, ws := range in.windows {
 		if ws.w.Round > 0 && ws.w.Round <= round {
 			ws.opened.CompareAndSwap(0, now)

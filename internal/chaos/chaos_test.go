@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/protocol"
+	"repro/internal/simclock"
 	"repro/internal/transport"
 )
 
@@ -26,7 +27,7 @@ func drainConn(c transport.Conn) {
 // returns the deterministic trace keys.
 func runScript(t *testing.T, seed uint64, n int) []string {
 	t.Helper()
-	in := New(seed, Spec{Rules: []Rule{{Role: RoleShard, Drop: 0.2, Dup: 0.1, Corrupt: 0.1}}})
+	in := New(seed, Spec{Rules: []Rule{{Role: RoleShard, Drop: 0.2, Dup: 0.1, Corrupt: 0.1}}}, nil)
 	a, b := transport.Pipe()
 	drainConn(b)
 	conn := in.WrapConn(RoleShard, a)
@@ -66,11 +67,11 @@ func TestDecisionStreamIgnoresOutcome(t *testing.T) {
 	// (seed, role, ordinal, i): the raw draw stream from two conns with the
 	// same link seed is identical regardless of wall time, partition state,
 	// or what Send did with earlier results.
-	inA := New(9, Spec{Rules: []Rule{{Role: RoleShard, Drop: 0.5, Jitter: time.Millisecond}}})
+	inA := New(9, Spec{Rules: []Rule{{Role: RoleShard, Drop: 0.5, Jitter: time.Millisecond}}}, nil)
 	inB := New(9, Spec{
 		Rules:      []Rule{{Role: RoleShard, Drop: 0.5, Jitter: time.Millisecond}},
 		Partitions: []Window{{Role: RoleShard, At: 0, Dur: time.Hour}},
-	})
+	}, nil)
 	pa1, pa2 := transport.Pipe()
 	pb1, pb2 := transport.Pipe()
 	drainConn(pa2)
@@ -88,43 +89,54 @@ func TestDecisionStreamIgnoresOutcome(t *testing.T) {
 	_ = cb.Close()
 }
 
+// arrives reports whether a message reaches done within wait of wall time.
+func arrives(done <-chan struct{}, wait time.Duration) bool {
+	select {
+	case <-done:
+		return true
+	case <-time.After(wait):
+		return false
+	}
+}
+
 func TestPartitionWindowBlackholes(t *testing.T) {
-	in := New(1, Spec{Partitions: []Window{{Role: RoleShard, At: 0, Dur: 200 * time.Millisecond}}})
+	// The window is anchored on the injector's clock: it holds to its last
+	// nanosecond and not a nanosecond longer.
+	clock := simclock.New(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
+	in := New(1, Spec{Partitions: []Window{{Role: RoleShard, At: 0, Dur: 200 * time.Millisecond}}}, clock)
 	a, b := transport.Pipe()
 	conn := in.WrapConn(RoleShard, a)
-	if err := conn.Send(protocol.CheckinRate{}); err != nil {
-		t.Fatalf("partitioned send should black-hole, got error: %v", err)
-	}
-	// Nothing must arrive at the far end.
 	done := make(chan struct{})
 	go func() {
 		_, _ = b.Recv()
 		close(done)
 	}()
-	select {
-	case <-done:
+	for _, step := range []time.Duration{0, 200*time.Millisecond - time.Nanosecond} {
+		clock.Advance(step)
+		if err := conn.Send(protocol.CheckinRate{}); err != nil {
+			t.Fatalf("partitioned send should black-hole, got error: %v", err)
+		}
+	}
+	if arrives(done, 20*time.Millisecond) {
 		t.Fatal("message crossed an active partition")
-	case <-time.After(50 * time.Millisecond):
 	}
 	// After the window closes, traffic flows again.
-	time.Sleep(200 * time.Millisecond)
+	clock.Advance(time.Nanosecond)
 	if err := conn.Send(protocol.CheckinRate{}); err != nil {
 		t.Fatalf("post-partition send: %v", err)
 	}
-	select {
-	case <-done:
-	case <-time.After(time.Second):
+	if !arrives(done, 5*time.Second) {
 		t.Fatal("message did not flow after the partition healed")
 	}
 	counts := in.Trace().Counts()
-	if counts[FaultPartition] != 1 {
-		t.Fatalf("want 1 partition fault, got %v", counts)
+	if counts[FaultPartition] != 2 {
+		t.Fatalf("want 2 partition faults, got %v", counts)
 	}
 	_ = conn.Close()
 }
 
 func TestScheduledReset(t *testing.T) {
-	in := New(1, Spec{Resets: []Reset{{Role: RoleShard, At: 0}}})
+	in := New(1, Spec{Resets: []Reset{{Role: RoleShard, At: 0}}}, nil)
 	a, b := transport.Pipe()
 	drainConn(b)
 	conn := in.WrapConn(RoleShard, a)
@@ -143,7 +155,7 @@ func TestScheduledReset(t *testing.T) {
 }
 
 func TestRoundAddressedWindow(t *testing.T) {
-	in := New(1, Spec{Partitions: []Window{{Role: RoleShard, Round: 3, Dur: time.Hour}}})
+	in := New(1, Spec{Partitions: []Window{{Role: RoleShard, Round: 3, Dur: time.Hour}}}, nil)
 	if in.partitioned(RoleShard, time.Now()) {
 		t.Fatal("round window open before its round")
 	}
@@ -158,18 +170,25 @@ func TestRoundAddressedWindow(t *testing.T) {
 }
 
 func TestDelayDefersDelivery(t *testing.T) {
-	in := New(1, Spec{Rules: []Rule{{Role: RoleDevice, Delay: 120 * time.Millisecond}}})
+	clock := simclock.New(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
+	in := New(1, Spec{Rules: []Rule{{Role: RoleDevice, Delay: 120 * time.Millisecond}}}, clock)
 	a, b := transport.Pipe()
 	conn := in.WrapConn(RoleDevice, a)
-	start := time.Now()
 	if err := conn.Send(protocol.CheckinRate{}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if _, err := b.Recv(); err != nil {
-		t.Fatalf("recv: %v", err)
+	done := make(chan struct{})
+	go func() {
+		_, _ = b.Recv()
+		close(done)
+	}()
+	clock.Advance(120*time.Millisecond - time.Nanosecond)
+	if arrives(done, 20*time.Millisecond) {
+		t.Fatal("delayed message arrived before its delivery time")
 	}
-	if d := time.Since(start); d < 100*time.Millisecond {
-		t.Fatalf("delayed message arrived after only %v", d)
+	clock.Advance(time.Nanosecond)
+	if !arrives(done, 5*time.Second) {
+		t.Fatal("delayed message never arrived at its delivery time")
 	}
 	_ = conn.Close()
 	// The sender goroutine must wind down.
@@ -183,7 +202,7 @@ func TestDelayDefersDelivery(t *testing.T) {
 }
 
 func TestQueueFullDrops(t *testing.T) {
-	in := New(1, Spec{Rules: []Rule{{Role: RoleDevice, Delay: time.Hour, Queue: 2}}})
+	in := New(1, Spec{Rules: []Rule{{Role: RoleDevice, Delay: time.Hour, Queue: 2}}}, nil)
 	a, b := transport.Pipe()
 	drainConn(b)
 	conn := in.WrapConn(RoleDevice, a)
@@ -199,7 +218,7 @@ func TestQueueFullDrops(t *testing.T) {
 }
 
 func TestCorruptStripeSealDetectable(t *testing.T) {
-	in := New(1, Spec{Rules: []Rule{{Role: RoleShard, Corrupt: 0.999999}}})
+	in := New(1, Spec{Rules: []Rule{{Role: RoleShard, Corrupt: 0.999999}}}, nil)
 	a, b := transport.Pipe()
 	conn := in.WrapConn(RoleShard, a)
 	orig := protocol.StripeSeal{Round: 1, Sum: []byte{9, 9, 9, 9, 9, 9, 9, 9}}

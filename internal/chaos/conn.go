@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
@@ -87,7 +88,7 @@ func (c *faultConn) draw() (int, decision) {
 
 func (c *faultConn) record(seq int, msg interface{}, fault, detail string) {
 	c.in.trace.record(Event{
-		Elapsed: time.Since(c.in.start),
+		Elapsed: c.in.clock.Now().Sub(c.in.start),
 		Role:    c.role,
 		Link:    c.ord,
 		Seq:     seq,
@@ -102,7 +103,7 @@ func (c *faultConn) Send(msg interface{}) error {
 	idx, d := c.draw()
 
 	// Scheduled resets fire on the first send at/after their trigger.
-	now := time.Now()
+	now := c.in.clock.Now()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -194,13 +195,13 @@ func (c *faultConn) sender() {
 		case <-c.quit:
 			return
 		case d := <-c.queue:
-			if wait := time.Until(d.at); wait > 0 {
-				t := time.NewTimer(wait)
+			if wait := d.at.Sub(c.in.clock.Now()); wait > 0 {
+				due, t := actor.After(c.in.clock, wait)
 				select {
 				case <-c.quit:
 					t.Stop()
 					return
-				case <-t.C:
+				case <-due:
 				}
 			}
 			if err := c.inner.Send(d.msg); err != nil {
@@ -221,7 +222,7 @@ func (c *faultConn) Recv() (interface{}, error) {
 		if err != nil {
 			return nil, err
 		}
-		if c.in.partitioned(c.role, time.Now()) {
+		if c.in.partitioned(c.role, c.in.clock.Now()) {
 			c.mu.Lock()
 			rseq := c.rseq
 			c.rseq++

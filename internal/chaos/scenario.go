@@ -144,7 +144,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 
 	// The goroutine baseline is captured before anything spawns.
 	goroutines := GoroutineProbe(24)
-	inj := New(cfg.Seed, cfg.Spec)
+	inj := New(cfg.Seed, cfg.Spec, nil)
 	res.Seed = cfg.Seed
 	res.Plan = inj.Plan()
 

@@ -27,7 +27,7 @@ func FuzzChaosSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		plan := New(7, spec).Plan()
+		plan := New(7, spec, nil).Plan()
 		text := strings.TrimPrefix(strings.TrimPrefix(plan, "chaos: seed=7"), " ")
 		if text != spec.render() {
 			t.Fatalf("Plan() = %q does not carry the spec %q", plan, spec.render())

@@ -95,7 +95,7 @@ func TestQuotaProbe(t *testing.T) {
 }
 
 func TestConnProbeDrains(t *testing.T) {
-	in := New(1, Spec{})
+	in := New(1, Spec{}, nil)
 	if rep := Verify(ConnProbe(in)); !rep.OK() {
 		t.Fatalf("fresh injector conn probe: %v", rep)
 	}

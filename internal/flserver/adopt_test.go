@@ -48,11 +48,11 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 			if err := store.PutCheckpoint(global); err != nil {
 				t.Fatal(err)
 			}
-			ts, err := tasks.New("pop", store, nil)
+			ts, err := tasks.New("pop", store)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ts.Seed([]*plan.Plan{p}); err != nil {
+			if err := ts.Seed([]*plan.Plan{p}, simStart); err != nil {
 				t.Fatal(err)
 			}
 			edges := make([]*stripeEdge, edgesN)

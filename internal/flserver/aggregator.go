@@ -81,6 +81,10 @@ type Aggregator struct {
 	// racing the finalization watchdog cannot double-report.
 	finalizing bool
 	done       bool
+	// watchdog is the armed finalization deadline, stopped in finish: left
+	// to expire it would keep every finished group's actor — and its
+	// mailbox — reachable for a full finalizeTimeout.
+	watchdog actor.Timer
 }
 
 // NewAggregator returns the behavior for a group aggregator reporting to
@@ -140,7 +144,7 @@ var secaggGate = make(chan struct{}, runtime.GOMAXPROCS(0))
 func (a *Aggregator) Receive(ctx *actor.Context, msg actor.Message) {
 	switch m := msg.(type) {
 	case msgAddUpdate:
-		a.onAdd(m)
+		a.onAdd(ctx, m)
 	case msgFinalizeGroup:
 		a.onFinalize(ctx, m)
 	case msgSecAggDone:
@@ -150,7 +154,7 @@ func (a *Aggregator) Receive(ctx *actor.Context, msg actor.Message) {
 	}
 }
 
-func (a *Aggregator) onAdd(m msgAddUpdate) {
+func (a *Aggregator) onAdd(ctx *actor.Context, m msgAddUpdate) {
 	// resolve reports the verdict: to the device (off the actor goroutine —
 	// a stalled socket must never block the group) and to the EdgeRound for
 	// round accounting.
@@ -161,7 +165,7 @@ func (a *Aggregator) onAdd(m msgAddUpdate) {
 			obsReportsRejected.Inc()
 		}
 		if m.Conn != nil {
-			sendThenClose(m.Conn, protocol.ReportResponse{Accepted: ok, Reason: reason})
+			sendThenClose(ctx.System.Clock(), m.Conn, protocol.ReportResponse{Accepted: ok, Reason: reason})
 		}
 		_ = a.master.Send(msgReportDone{DeviceID: m.DeviceID, OK: ok})
 	}
@@ -288,7 +292,7 @@ func (a *Aggregator) onFinalize(ctx *actor.Context, m msgFinalizeGroup) {
 		a.secInputs, a.secBufs = nil, nil
 		self := ctx.Self
 		if a.finalizeTimeout > 0 {
-			time.AfterFunc(a.finalizeTimeout, func() { _ = self.Send(msgSecAggTimeout{}) })
+			a.watchdog = ctx.After(a.finalizeTimeout, msgSecAggTimeout{})
 		}
 		// Run the protocol off the actor goroutine so multiple group
 		// Aggregators finalize concurrently; the result comes back as a
@@ -381,6 +385,9 @@ func (a *Aggregator) addSum(sum tensor.Vector, weight float64, count int) error 
 func (a *Aggregator) finish(ctx *actor.Context, errStr string) {
 	defer ctx.Stop()
 	a.done = true
+	if a.watchdog != nil {
+		a.watchdog.Stop()
+	}
 	_ = a.master.Send(msgGroupResult{From: ctx.Self, Sum: a.sum, Weight: a.weight, Count: a.count + a.evalCount,
 		Metrics: a.metrics, Err: errStr, Blamed: a.secBlamed, Phases: a.secPhases, RobustRejected: a.robustRejected})
 }

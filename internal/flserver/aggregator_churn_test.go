@@ -194,30 +194,12 @@ func TestSecureThresholdFractionOverride(t *testing.T) {
 // abandoned by the per-group watchdog with an attributed error — the
 // round gets its group result instead of hanging forever.
 func TestSecureFinalizeWatchdogUnstallsGroup(t *testing.T) {
-	slots := cap(secaggGate)
-	for i := 0; i < slots; i++ {
-		secaggGate <- struct{}{}
-	}
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			for i := 0; i < slots; i++ {
-				<-secaggGate
-			}
-		}
-	}
-	defer release()
-
-	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := NewAggregator(2, master)
-	agg.finalizeTimeout = 100 * time.Millisecond
-	ref := sys.Spawn("agg", agg)
-	defer sys.Shutdown(master, ref)
-
-	feedSecureGroup(t, ref, sig, "d", 3)
-	_ = ref.Send(msgFinalizeGroup{Assigned: assignedNames("d", 3)})
+	clock := newWatchedClock()
+	sys := actor.NewSystem(clock)
+	defer sys.Shutdown()
+	const finalizeTimeout = 100 * time.Millisecond
+	got, sig, release := stalledSecureGroup(t, sys, finalizeTimeout)
+	clock.expire(t, "finalize watchdog", clock.armed(t, finalizeTimeout, 1))
 	waitSignals(t, sig, 1)
 
 	res := lastGroupResults(t, got, 1)[0]

@@ -201,7 +201,7 @@ func runHookedRound(t *testing.T, p *plan.Plan, store storage.Store, devices int
 	srv, err := newServer(Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 42,
-	}, func(out roundOutcome) { outcomes <- out }, churn)
+	}, nil, func(out roundOutcome) { outcomes <- out }, churn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestNonFiniteWeightReportsRefused(t *testing.T) {
 			srv, err := newServer(Config{
 				Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 				Steering: pacing.New(time.Second), PopulationEstimate: honest + 2, MaxRounds: 1,
-			}, func(out roundOutcome) { outcomes <- out }, nil)
+			}, nil, func(out roundOutcome) { outcomes <- out }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

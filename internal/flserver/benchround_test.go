@@ -176,7 +176,7 @@ func runBenchRound(cfg benchRoundConfig) (benchRoundStats, error) {
 	srv, err := newServer(Config{
 		Population: "bench", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), PopulationEstimate: cfg.Devices, MaxRounds: 1,
-	}, func(out roundOutcome) {
+	}, nil, func(out roundOutcome) {
 		select {
 		case outcomes <- out:
 		default: // only the first round is measured

@@ -106,7 +106,6 @@ type CoordinatorParams struct {
 	// (0 = run forever); Done, if non-nil, is closed when it is reached.
 	MaxRounds int
 	Done      chan struct{}
-	Now       func() time.Time
 	// onOutcome, when set, observes every settled round (benchmarks and
 	// tests; same-package injection).
 	onOutcome func(roundOutcome)
@@ -142,10 +141,11 @@ type round struct {
 	// settling tens of rounds a second must not hold each for a full
 	// ReportTimeout.
 	finalizing bool
-	deadline   *time.Timer
-	// started anchors the round trace; phases max-merges the per-edge
-	// lifecycle spans carried by the seals (the fleet-wide cost of a phase
-	// is its slowest edge's).
+	deadline   actor.Timer
+	// started anchors the round trace, in wall time like every span: a trace
+	// says how long the round took, whatever clock drove it. phases
+	// max-merges the per-edge lifecycle spans carried by the seals (the
+	// fleet-wide cost of a phase is its slowest edge's).
 	started time.Time
 	phases  map[string]int64
 }
@@ -191,9 +191,6 @@ const retryDelay = time.Second
 // newCoordinator returns the behavior for a population coordinator driving
 // rounds for the tasks registered in p.Tasks.
 func newCoordinator(p CoordinatorParams) *Coordinator {
-	if p.Now == nil {
-		p.Now = time.Now
-	}
 	if p.MinEdges <= 0 {
 		p.MinEdges = 1
 	}
@@ -219,8 +216,7 @@ func (c *Coordinator) Receive(ctx *actor.Context, msg actor.Message) {
 	switch m := msg.(type) {
 	case msgTick:
 		if m.Periodic && c.TickEvery > 0 {
-			self := ctx.Self
-			time.AfterFunc(c.TickEvery, func() { _ = self.Send(msgTick{Periodic: true}) })
+			ctx.After(c.TickEvery, msgTick{Periodic: true})
 		}
 		c.onTick(ctx)
 	case msgEdgeUp:
@@ -239,7 +235,7 @@ func (c *Coordinator) Receive(ctx *actor.Context, msg actor.Message) {
 		if c.rates != nil {
 			c.Tasks.SetPopulationEstimate(c.rates.Fold(pacing.RateSample{
 				Source: m.Source, Count: m.Count, Elapsed: m.Elapsed, Demand: m.Demand,
-			}, c.Now()))
+			}, ctx.Now()))
 		}
 	case msgTaskOp:
 		c.onTaskOp(ctx, m)
@@ -272,7 +268,7 @@ func (c *Coordinator) onTaskOp(ctx *actor.Context, m msgTaskOp) {
 	var err error
 	switch m.Op {
 	case taskOpSubmit:
-		err = c.Tasks.Submit(m.Plan, m.Policy)
+		err = c.Tasks.Submit(m.Plan, m.Policy, ctx.Now())
 	case taskOpPause:
 		err = c.Tasks.Pause(m.ID)
 	case taskOpResume:
@@ -297,8 +293,7 @@ func (c *Coordinator) retryLater(ctx *actor.Context) {
 		return
 	}
 	c.gateRetry = true
-	self := ctx.Self
-	time.AfterFunc(retryDelay, func() { _ = self.Send(msgTick{}) })
+	ctx.After(retryDelay, msgTick{})
 }
 
 // noteFailed records a round that failed before or after it opened.
@@ -410,7 +405,7 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 		evalOnly: p.Type == plan.TaskEval,
 		metrics:  make(map[string][]float64),
 		pending:  make(map[Edge]bool, n),
-		started:  c.Now(),
+		started:  time.Now(),
 		phases:   make(map[string]int64),
 	}
 	for e := range c.edges {
@@ -424,8 +419,7 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 		return
 	}
 	c.cur = cur
-	self := ctx.Self
-	cur.deadline = time.AfterFunc(p.Server.ReportTimeout+c.SealGrace, func() { _ = self.Send(msgRoundDeadline{r: cur}) })
+	cur.deadline = ctx.After(p.Server.ReportTimeout+c.SealGrace, msgRoundDeadline{r: cur})
 }
 
 // loadGlobal fetches the checkpoint the task's next round serves. Train
@@ -519,8 +513,7 @@ func (c *Coordinator) onDeadline(ctx *actor.Context, r *round) {
 			}
 		}
 		if len(r.pending) > 0 {
-			self := ctx.Self
-			r.deadline = time.AfterFunc(c.SealGrace, func() { _ = self.Send(msgRoundDeadline{r: r}) })
+			r.deadline = ctx.After(c.SealGrace, msgRoundDeadline{r: r})
 			return
 		}
 	}
@@ -600,7 +593,7 @@ func (c *Coordinator) finish(ctx *actor.Context) {
 		if !cur.evalOnly {
 			c.global[p.ID] = newGlobal
 		}
-		c.Tasks.NoteCommitted(p.ID, newGlobal.Round, cur.reports, c.Now())
+		c.Tasks.NoteCommitted(p.ID, newGlobal.Round, cur.reports, ctx.Now())
 		c.completed++
 	}
 	c.recordTrace(cur, commitNanos)
@@ -622,7 +615,7 @@ func (c *Coordinator) commit(cur *round) (*checkpoint.Checkpoint, int64, error) 
 		}
 		return nil, 0, errors.New(reason)
 	}
-	start := c.Now()
+	start := time.Now()
 	newGlobal := cur.cfg.Global
 	if !cur.evalOnly {
 		params, err := cur.acc.Step(cur.cfg.Global.Params)
@@ -644,7 +637,7 @@ func (c *Coordinator) commit(cur *round) (*checkpoint.Checkpoint, int64, error) 
 		mat.Stats[name] = s.Snapshot()
 	}
 	_ = c.Store.PutMetrics(mat)
-	return newGlobal, c.Now().Sub(start).Nanoseconds(), nil
+	return newGlobal, time.Since(start).Nanoseconds(), nil
 }
 
 // recordTrace materializes the settled round's trace through the process
@@ -665,7 +658,7 @@ func (c *Coordinator) recordTrace(cur *round, commitNanos int64) {
 		TaskID:     cur.cfg.Plan.ID,
 		Round:      round,
 		Start:      cur.started,
-		TotalNanos: c.Now().Sub(cur.started).Nanoseconds(),
+		TotalNanos: time.Since(cur.started).Nanoseconds(),
 		Phases:     cur.phases,
 		Committed:  cur.out.Committed != nil,
 		Reports:    cur.reports,

@@ -1,0 +1,234 @@
+package flserver
+
+import (
+	"errors"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/actor"
+	"repro/internal/checkpoint"
+	"repro/internal/data"
+	"repro/internal/pacing"
+	"repro/internal/plan"
+	"repro/internal/protocol"
+	"repro/internal/remote"
+	"repro/internal/storage"
+	"repro/internal/tasks"
+	"repro/internal/tensor"
+	"repro/internal/transport"
+)
+
+// stuckConn is a peer that checked in and then never drains its socket: Send
+// blocks until somebody closes the connection.
+type stuckConn struct {
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *stuckConn) Send(interface{}) error     { <-c.closed; return errors.New("closed") }
+func (c *stuckConn) Recv() (interface{}, error) { <-c.closed; return nil, errors.New("closed") }
+func (c *stuckConn) Release()                   {}
+func (c *stuckConn) Close() error               { c.once.Do(func() { close(c.closed) }); return nil }
+
+// edgeRoundOn starts a device-less edge round for a target-1 plan on sys and
+// returns it with the channel its seal ships on.
+func edgeRoundOn(t *testing.T, sys *actor.System, minReports int) (actor.Ref, chan EdgeSeal) {
+	t.Helper()
+	p := testPlan(t, 1, false)
+	p.Server.SelectionTimeout, p.Server.ReportTimeout = 3*time.Second, 5*time.Second // apart from the 2s linger
+	seals := make(chan EdgeSeal, 1)
+	ref := StartEdgeRound(sys, "edge", EdgeRoundConfig{
+		Population: "pop", Plan: p, Dim: 4, Target: 1, MinReports: minReports,
+		Global: &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, 4)},
+	}, []actor.Ref{spawnSelector(sys, "sel", 0, 1, "pop")}, func(s EdgeSeal) { seals <- s })
+	return ref, seals
+}
+
+func shipped(seals chan EdgeSeal) func() bool {
+	return func() bool { return len(seals) == 1 }
+}
+
+// stalledSecureGroup spawns a secure group Aggregator whose secagg run is
+// wedged behind a saturated finalization gate, three updates in and told to
+// finalize; release frees the gate (idempotent).
+func stalledSecureGroup(t *testing.T, sys *actor.System, finalizeTimeout time.Duration) (got func() []actor.Message, sig chan struct{}, release func()) {
+	t.Helper()
+	slots := cap(secaggGate)
+	for i := 0; i < slots; i++ {
+		secaggGate <- struct{}{}
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			for i := 0; i < slots; i++ {
+				<-secaggGate
+			}
+		})
+	}
+	t.Cleanup(release)
+	master, got, sig := collectMaster(sys)
+	agg := NewAggregator(2, master)
+	agg.finalizeTimeout = finalizeTimeout
+	ref := sys.Spawn("agg", agg)
+	feedSecureGroup(t, ref, sig, "d", 3)
+	_ = ref.Send(msgFinalizeGroup{Assigned: assignedNames("d", 3)})
+	return got, sig, release
+}
+
+// TestDeadlinesFireAtTheirInstant: every deadline the server and its links
+// keep is a timer on the process's one clock, and each takes effect at its
+// virtual instant — not a nanosecond earlier, which also says nothing else
+// (a wall-clock wait left behind) stands in for it. Each row arranges one
+// wait, names the n-th timer of duration d as the one that must end it, and
+// reports whether its effect has happened.
+func TestDeadlinesFireAtTheirInstant(t *testing.T) {
+	rows := []struct {
+		name    string
+		arrange func(t *testing.T, clock *watchedClock, sys *actor.System) (d time.Duration, n int, effect func() bool)
+	}{
+		{"selection timeout below MinReports seals the edge round", func(t *testing.T, _ *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
+			_, seals := edgeRoundOn(t, sys, 1)
+			return 3 * time.Second, 1, shipped(seals)
+		}},
+		{"report timeout seals the edge round", func(t *testing.T, clock *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
+			// No MinReports share: the selection timeout passes without effect.
+			_, seals := edgeRoundOn(t, sys, 0)
+			clock.expire(t, "selection timeout", clock.armed(t, 3*time.Second, 1))
+			return 5 * time.Second, 1, shipped(seals)
+		}},
+		{"Linger stops the sealed edge round", func(t *testing.T, _ *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
+			ref, _ := edgeRoundOn(t, sys, 0)
+			FinalizeEdgeRound(ref)
+			return edgeRoundLinger, 1, ref.Stopped
+		}},
+		{"SealGrace settles a round whose stragglers never sealed", func(t *testing.T, clock *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
+			p := testPlan(t, 4, false)
+			ts, err := tasks.New("pop", storage.NewMem())
+			if err == nil {
+				err = ts.Seed([]*plan.Plan{p}, simStart)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			outcomes := make(chan roundOutcome, 1)
+			edge := &stripeEdge{opened: make(chan *EdgeRoundConfig, 16)} // the failed round is retried at once
+			coord := sys.Spawn("coordinator/pop", newCoordinator(CoordinatorParams{
+				Population: "pop", Lock: actor.NewLockService(), Store: storage.NewMem(), Tasks: ts,
+				Edges: []Edge{edge}, SealGrace: 3 * time.Second, MaxRounds: 1,
+				onOutcome: func(out roundOutcome) { outcomes <- out },
+			}))
+			_ = coord.Send(msgTick{})
+			// The report window plus the grace: the straggler is told to seal.
+			clock.expire(t, "round deadline", clock.armed(t, p.Server.ReportTimeout+3*time.Second, 1))
+			return 3 * time.Second, 1, func() bool { return len(outcomes) == 1 }
+		}},
+		{"secagg finalize timeout abandons a stalled group", func(t *testing.T, _ *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
+			got, _, _ := stalledSecureGroup(t, sys, 90*time.Second)
+			return 90 * time.Second, 1, func() bool {
+				for _, m := range got() {
+					if res, ok := m.(msgGroupResult); ok {
+						return strings.Contains(res.Err, "exceeded")
+					}
+				}
+				return false
+			}
+		}},
+		{"abortGrace closes a connection that never takes its abort", func(t *testing.T, clock *watchedClock, _ *actor.System) (time.Duration, int, func() bool) {
+			conn := &stuckConn{closed: make(chan struct{})}
+			sendThenClose(clock, conn, protocol.Abort{Reason: "round sealed"})
+			return abortGrace, 1, func() bool {
+				select {
+				case <-conn.closed:
+					return true
+				default:
+					return false
+				}
+			}
+		}},
+		{"Peer heartbeat miss declares the link down", func(t *testing.T, clock *watchedClock, _ *actor.System) (time.Duration, int, func() bool) {
+			near, far := transport.Pipe()
+			go func() { // a peer that reads and never acknowledges
+				for {
+					if _, err := far.Recv(); err != nil {
+						return
+					}
+				}
+			}()
+			var dials, downs atomic.Int32
+			peer := remote.NewPeer("silent", func() (transport.Conn, error) {
+				if dials.Add(1) > 1 {
+					return nil, errors.New("gone")
+				}
+				return near, nil
+			}, nil, remote.Options{HeartbeatInterval: time.Second, HeartbeatMiss: 2, Clock: clock,
+				OnDown: func(error) { downs.Add(1) }})
+			t.Cleanup(peer.Close)
+			// Probes 1 and 2 go unanswered; the third tick finds the miss.
+			return time.Second, 3, func() bool { return downs.Load() == 1 }
+		}},
+		{"Peer backoff redials", func(t *testing.T, clock *watchedClock, _ *actor.System) (time.Duration, int, func() bool) {
+			var dials atomic.Int32
+			peer := remote.NewPeer("absent", func() (transport.Conn, error) {
+				dials.Add(1)
+				return nil, errors.New("refused")
+			}, nil, remote.Options{BackoffMin: 7 * time.Second, BackoffMax: 10 * time.Second, Clock: clock})
+			t.Cleanup(peer.Close)
+			waitFor(t, func() bool { return dials.Load() == 1 })
+			// 7s, then min(14s, 10s).
+			clock.expire(t, "first backoff", clock.armed(t, 7*time.Second, 1))
+			return 10 * time.Second, 1, func() bool { return dials.Load() == 3 }
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			clock := newWatchedClock()
+			sys := actor.NewSystem(clock)
+			defer sys.Shutdown()
+			d, n, effect := row.arrange(t, clock, sys)
+			for i := 1; i < n; i++ {
+				clock.expire(t, row.name, clock.armed(t, d, i))
+			}
+			timer := clock.armed(t, d, n)
+			clock.Advance(timer.at.Sub(clock.Now()) - time.Nanosecond)
+			if timer.fired.Load() || effect() {
+				t.Fatalf("took effect a nanosecond before its %v deadline", d)
+			}
+			clock.expire(t, row.name, timer)
+			waitFor(t, effect)
+		})
+	}
+}
+
+// TestFinishedSecureGroupStopsItsWatchdog: every secure group arms a
+// finalization watchdog on the process's clock, and a group that finished
+// must stop it — a timer left to expire keeps the group's actor, and its
+// mailbox, reachable for the whole FinalizeTimeout (two minutes by default),
+// which at a few rounds a second is thousands of dead mailboxes.
+func TestFinishedSecureGroupStopsItsWatchdog(t *testing.T) {
+	const rounds = 3
+	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 8})
+	p := twoGroupSecurePlan(t)
+	clock := newWatchedClock()
+	fastForward(t, clock.Virtual)
+	srv, net, addr := runServerOn(t, clock, Config{
+		Population: "pop", Plans: []*plan.Plan{p}, Store: storage.NewMem(),
+		Steering: pacing.New(time.Second), MaxRounds: rounds, Seed: 4,
+	})
+	fl := newFleet(t, 12, fed, 3).on(clock)
+	fl.run(net, addr)
+	waitDone(t, srv, 60*time.Second)
+	fl.halt()
+
+	watchdogs := clock.of(p.Server.FinalizeTimeout())
+	if len(watchdogs) < 2*rounds {
+		t.Fatalf("%d watchdogs armed over %d committed rounds of two groups", len(watchdogs), rounds)
+	}
+	for i, w := range watchdogs {
+		if !w.stopped.Load() && !w.fired.Load() {
+			t.Fatalf("watchdog %d of %d is still armed after its group finished", i+1, len(watchdogs))
+		}
+	}
+}

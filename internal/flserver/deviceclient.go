@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/analytics"
 	"repro/internal/attest"
 	"repro/internal/checkpoint"
@@ -47,8 +48,9 @@ type DeviceClient struct {
 	// TrainDelay artificially slows this device down (straggler modelling
 	// in tests; real devices are slow because of hardware).
 	TrainDelay time.Duration
-	// Now overrides the wall clock (tests).
-	Now func() time.Time
+	// Clock is what the device tells the time and waits out TrainDelay on
+	// (nil: the wall clock) — the server's clock when both are in one test.
+	Clock actor.Clock
 }
 
 // Outcome describes one protocol interaction.
@@ -72,9 +74,9 @@ type Outcome struct {
 // The connection is closed before returning.
 func (d *DeviceClient) RunOnce(conn transport.Conn) (*Outcome, error) {
 	defer conn.Close()
-	now := time.Now
-	if d.Now != nil {
-		now = d.Now
+	clock := d.Clock
+	if clock == nil {
+		clock = actor.Wall
 	}
 
 	req := protocol.CheckinRequest{
@@ -83,7 +85,7 @@ func (d *DeviceClient) RunOnce(conn transport.Conn) (*Outcome, error) {
 		RuntimeVersion: d.Runtime.Version,
 	}
 	if d.Attestor != nil {
-		req.AttestationToken = d.Attestor.Mint(d.Population, now())
+		req.AttestationToken = d.Attestor.Mint(d.Population, clock.Now())
 	}
 	if err := conn.Send(req); err != nil {
 		return nil, fmt.Errorf("device %s: checkin send: %w", d.ID, err)
@@ -113,7 +115,7 @@ func (d *DeviceClient) RunOnce(conn transport.Conn) (*Outcome, error) {
 	// Both decoders copy: resp's wire bytes are dead, not pinned by training.
 	conn.Release()
 
-	res, execErr := d.Runtime.Execute(p, global, now())
+	res, execErr := d.Runtime.Execute(p, global, clock.Now())
 	out := &Outcome{Accepted: true, Result: res}
 	session := res.Session
 
@@ -132,7 +134,8 @@ func (d *DeviceClient) RunOnce(conn transport.Conn) (*Outcome, error) {
 
 	if res.Update != nil {
 		if d.TrainDelay > 0 {
-			time.Sleep(d.TrainDelay)
+			slept, _ := actor.After(clock, d.TrainDelay)
+			<-slept
 		}
 		updBytes, err := res.Update.Marshal(p.UplinkEncoding())
 		if err != nil {

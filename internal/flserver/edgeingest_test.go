@@ -172,7 +172,8 @@ func TestLiveEstimateOpensMinDevicesGate(t *testing.T) {
 	// task would never schedule. RoundPeriod 10 minutes makes MeanWait
 	// large, so even a modest observed check-in rate implies a population
 	// of thousands.
-	srv, net, addr := runServer(t, Config{
+	clock := fastClock(t)
+	srv, net, addr := runServerOn(t, clock, Config{
 		Population: "pop", Store: store,
 		Steering:           pacing.New(10 * time.Minute),
 		PopulationEstimate: 10,
@@ -181,7 +182,7 @@ func TestLiveEstimateOpensMinDevicesGate(t *testing.T) {
 	if err := srv.SubmitTask(p, tasks.Policy{MinDevices: 100}); err != nil {
 		t.Fatal(err)
 	}
-	fl := newFleet(t, 16, fed, 3)
+	fl := newFleet(t, 16, fed, 3).on(clock)
 	fl.run(net, addr)
 	waitDone(t, srv, 60*time.Second)
 	fl.halt()

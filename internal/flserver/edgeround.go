@@ -60,11 +60,6 @@ type EdgeRoundConfig struct {
 	// Estimate is the Coordinator's live population estimate, for the edge
 	// host's pace steering.
 	Estimate int
-	// Linger is how long the sealed (or abandoned) round stays alive to
-	// answer stragglers with explicit aborts before stopping itself
-	// (default defaultEdgeRoundLinger). Set by the edge host, not the
-	// Coordinator.
-	Linger time.Duration
 	// Stripes is the edge host's stock of spare stripe vectors, kept across
 	// its rounds (fedavg.Spares); nil allocates every stripe.
 	Stripes *fedavg.Spares
@@ -103,15 +98,16 @@ type EdgeSeal struct {
 // msgEdgeStart kicks off a spawned edge round.
 type msgEdgeStart struct{}
 
-// defaultEdgeRoundLinger is how long a sealed (or abandoned) edge round
-// stays alive to answer stragglers before stopping itself, when the config
-// leaves Linger zero. A Selector that accepted a device just before
+// edgeRoundLinger is how long a sealed (or abandoned) edge round stays alive
+// to answer stragglers before stopping itself. It is not a knob: it was one
+// for the tests that waited it out, and they advance a virtual clock now.
+// A Selector that accepted a device just before
 // processing the seal's quota revocation has already enqueued it here;
 // stopping immediately would drop that message — and with it the device's
 // connection, never answered and never closed. The linger only needs to
 // outlast the Selectors' mailbox backlog at seal time, so a couple of
 // seconds is far beyond safe.
-const defaultEdgeRoundLinger = 2 * time.Second
+const edgeRoundLinger = 2 * time.Second
 
 // msgEdgeFinalize closes the window — the plan's ReportTimeout expired, or
 // the coordinator's round deadline passed: seal and ship whatever this
@@ -172,17 +168,19 @@ type EdgeRound struct {
 	// every top-up) have not come back as a forwarded device yet.
 	owed int
 	// out carries what the round sends from inside Receive: top-ups and the
-	// revocation to its Selectors, then the seal.
+	// revocation to its Selectors, the finalize order to its groups, then the
+	// seal.
 	out roundOutbox
 	// timers are the armed selection and report windows, stopped at release
 	// so a settled round's mailbox is not pinned until they would have fired.
-	timers []*time.Timer
+	timers []actor.Timer
 
 	// startAt anchors the report-window span; the first device batch closes
 	// the check-in span (round start → the Selectors delivering) and opens
 	// the configure span, which runs to the last configuration send done
 	// (configEnd, unix nanos, written by the per-device goroutines);
-	// mergeStart opens the edge-accumulate span.
+	// mergeStart opens the edge-accumulate span. Spans say how long the
+	// round took, not what it does next: they are wall time on any clock.
 	startAt     time.Time
 	firstBatch  time.Time
 	configEnd   atomic.Int64
@@ -244,9 +242,6 @@ func NewEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal
 	}
 	if cfg.Admit < cfg.Target {
 		cfg.Admit = cfg.Target
-	}
-	if cfg.Linger <= 0 {
-		cfg.Linger = defaultEdgeRoundLinger
 	}
 	return &EdgeRound{
 		cfg:       cfg,
@@ -353,6 +348,7 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 
 	er.reader = reportReader{
 		self:     ctx.Self,
+		clock:    ctx.System.Clock(),
 		dim:      er.cfg.Dim,
 		secure:   er.secure,
 		evalOnly: er.cfg.Plan.Type == plan.TaskEval,
@@ -365,11 +361,10 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 		er.reader.obsClipped, _, _ = robustTaskCounters(er.cfg.Plan.ID)
 	}
 
-	self := ctx.Self
 	if srv.SelectionTimeout > 0 {
-		er.timers = append(er.timers, time.AfterFunc(srv.SelectionTimeout, func() { _ = self.Send(msgSelectionTimeout{}) }))
+		er.timers = append(er.timers, ctx.After(srv.SelectionTimeout, msgSelectionTimeout{}))
 	}
-	er.timers = append(er.timers, time.AfterFunc(srv.ReportTimeout, func() { FinalizeEdgeRound(self) }))
+	er.timers = append(er.timers, ctx.After(srv.ReportTimeout, msgEdgeFinalize{}))
 }
 
 // respFor returns the Configuration payload for a device runtime version,
@@ -426,7 +421,7 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 	if er.sealed {
 		for _, d := range m.Devices {
-			sendThenClose(d.Conn, protocol.Abort{TaskID: er.cfg.Plan.ID, Round: er.cfg.Round, Reason: "round sealed"})
+			sendThenClose(ctx.System.Clock(), d.Conn, protocol.Abort{TaskID: er.cfg.Plan.ID, Round: er.cfg.Round, Reason: "round sealed"})
 		}
 		return
 	}
@@ -441,7 +436,7 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 	replace := 0
 	refuse := func(conn transport.Conn, reason string) {
 		replace++
-		sendThenClose(conn, protocol.CheckinResponse{Accepted: false, Reason: reason})
+		sendThenClose(ctx.System.Clock(), conn, protocol.CheckinResponse{Accepted: false, Reason: reason})
 	}
 	self, reader := ctx.Self, er.reader
 	for _, d := range m.Devices {
@@ -529,9 +524,10 @@ func (er *EdgeRound) noteOutcome(ctx *actor.Context, deviceID string, ok bool) {
 	}
 }
 
-// send posts one control message for a Selector to the outbox.
-func (er *EdgeRound) send(sel actor.Ref, msg actor.Message) {
-	er.out.post(func() { _ = sel.Send(msg) })
+// send posts one control message, for a Selector or a group Aggregator, to
+// the outbox.
+func (er *EdgeRound) send(to actor.Ref, msg actor.Message) {
+	er.out.post(func() { _ = to.Send(msg) })
 }
 
 // topUp asks a Selector (round-robin) for n replacement devices after
@@ -556,7 +552,7 @@ func (er *EdgeRound) topUp(ctx *actor.Context, n int) {
 // actor forever. Close always happens — after the Abort is delivered, or
 // after the grace period — which also unblocks a configuration send wedged
 // on the same connection.
-func (er *EdgeRound) closeWindow(self actor.Ref, reason string) {
+func (er *EdgeRound) closeWindow(ctx *actor.Context, reason string) {
 	er.sealed = true
 	if er.ingest != nil {
 		er.ingest.close()
@@ -568,10 +564,10 @@ func (er *EdgeRound) closeWindow(self actor.Ref, reason string) {
 	for _, d := range er.devices {
 		if !d.reported && !d.lost {
 			er.aborted++
-			sendThenClose(d.conn, abort)
+			sendThenClose(ctx.System.Clock(), d.conn, abort)
 		}
 	}
-	er.revokeQuota(self)
+	er.revokeQuota(ctx.Self)
 }
 
 // seal closes the window and produces the round's one EdgeSeal: stripes
@@ -585,7 +581,7 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 	}
 	er.windowNanos = time.Since(er.startAt).Nanoseconds()
 	er.mergeStart = time.Now()
-	er.closeWindow(ctx.Self, "enough devices completed")
+	er.closeWindow(ctx, "enough devices completed")
 	if len(er.aggs) == 0 {
 		// A dimension mismatch across stripes cannot happen (one dim per
 		// round); an empty seal still tells the coordinator this edge is
@@ -599,7 +595,10 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 		if er.secure {
 			fin.Assigned = er.assigned[g]
 		}
-		_ = agg.Send(fin)
+		// Through the outbox like every send this round makes from inside
+		// Receive: a group's readers and its Aggregator block on the round's
+		// mailbox, so the round must not block on the Aggregator's.
+		er.send(agg, fin)
 	}
 }
 
@@ -689,7 +688,7 @@ func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
 		// Already sealed or abandoned; the round is finishing on its own.
 		return
 	}
-	er.closeWindow(ctx.Self, reason)
+	er.closeWindow(ctx, reason)
 	for _, agg := range er.aggs {
 		agg.Stop()
 	}
@@ -697,7 +696,7 @@ func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
 }
 
 // release drops the round's state and schedules the actor's actual stop
-// cfg.Linger later. In between, late msgDevices are answered with an abort
+// edgeRoundLinger later. In between, late msgDevices are answered with an abort
 // by onDevices' sealed branch — a device connection must never be dropped
 // unanswered with the mailbox.
 func (er *EdgeRound) release(ctx *actor.Context) {
@@ -707,7 +706,7 @@ func (er *EdgeRound) release(ctx *actor.Context) {
 	for _, t := range er.timers {
 		t.Stop()
 	}
-	time.AfterFunc(er.cfg.Linger, ctx.Self.Stop)
+	ctx.System.Clock().AfterFunc(edgeRoundLinger, ctx.Self.Stop)
 }
 
 // StartEdgeRound spawns an edge round on sys under the given actor name and

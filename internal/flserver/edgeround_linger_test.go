@@ -6,28 +6,25 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
-	"repro/internal/pacing"
 	"repro/internal/protocol"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
-// TestEdgeRoundLingerWindow is the regression test for the configurable
-// post-seal linger: a device arriving INSIDE the window gets an explicit
+// TestEdgeRoundLingerWindow is the regression test for the post-seal
+// linger: a device arriving INSIDE the window gets an explicit
 // protocol.Abort (its connection answered, then closed), while a device
 // checking in AFTER the window gets a clean steering rejection from the
 // Selector (the quota revocation has drained; the round actor is gone).
 func TestEdgeRoundLingerWindow(t *testing.T) {
-	sys := actor.NewSystem()
+	clock := newWatchedClock()
+	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
-
-	sel := sys.Spawn("sel", NewSelector(nil, pacing.New(time.Minute), 0, 1, nil,
-		SelectorPopulation{Name: "pop"}))
+	sel := spawnSelector(sys, "sel", 0, 1, "pop")
 
 	seals := make(chan EdgeSeal, 1)
-	const linger = 400 * time.Millisecond
 	p := testPlan(t, 1, false)
-	p.ID, p.Server.ReportTimeout = "task", 50*time.Millisecond
+	p.ID, p.Server.SelectionTimeout, p.Server.ReportTimeout = "task", time.Minute, 50*time.Millisecond
 	er := NewEdgeRound(EdgeRoundConfig{
 		Population: "pop",
 		Plan:       p,
@@ -35,19 +32,18 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 		Global:     &checkpoint.Checkpoint{TaskName: "task", Round: 7, Params: make(tensor.Vector, 4)},
 		Dim:        4,
 		Target:     1,
-		Linger:     linger,
 	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })
 	ref := sys.Spawn("edge-linger-test", er)
 	_ = ref.Send(msgEdgeStart{})
 	er.requestDevices(ref)
 
 	// No device reports; the window times out and the round seals empty.
+	clock.expire(t, "report window", clock.armed(t, p.Server.ReportTimeout, 1))
 	select {
 	case <-seals:
 	case <-time.After(5 * time.Second):
 		t.Fatal("round never sealed")
 	}
-	sealedAt := time.Now()
 
 	// INSIDE the linger window: a late forward reaches the still-lingering
 	// round actor and must be answered with an explicit abort.
@@ -73,7 +69,7 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 		if ab.Reason != "round sealed" || ab.TaskID != "task" || ab.Round != 7 {
 			t.Fatalf("abort = %+v", ab)
 		}
-	case <-time.After(linger):
+	case <-time.After(5 * time.Second):
 		t.Fatal("late device inside window never answered")
 	}
 	// The abort was sent after the seal on the actor's goroutine, so the
@@ -89,13 +85,11 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 		t.Fatal("late device connection left open after abort")
 	}
 
-	// OUTSIDE the window: the round actor has stopped itself.
-	deadline := sealedAt.Add(linger + 2*time.Second)
-	for !ref.Stopped() {
-		if time.Now().After(deadline) {
-			t.Fatal("round actor still alive well past its linger window")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// OUTSIDE the window: the round actor has stopped itself, at the
+	// window's last instant.
+	clock.expire(t, "linger window", clock.armed(t, edgeRoundLinger, 1))
+	if !ref.Stopped() {
+		t.Fatal("round actor still alive past its linger window")
 	}
 
 	// A fresh check-in now gets a clean steering rejection from the
@@ -121,18 +115,5 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 	}
 	if resp.RetryAfter <= 0 {
 		t.Fatalf("clean rejection carries no steering hint: %+v", resp)
-	}
-}
-
-// TestEdgeRoundLingerDefault pins the default window so the knob's zero
-// value stays backward compatible.
-func TestEdgeRoundLingerDefault(t *testing.T) {
-	er := NewEdgeRound(EdgeRoundConfig{Population: "p", Dim: 1}, nil, func(EdgeSeal) {})
-	if er.cfg.Linger != defaultEdgeRoundLinger {
-		t.Fatalf("default linger = %v, want %v", er.cfg.Linger, defaultEdgeRoundLinger)
-	}
-	er = NewEdgeRound(EdgeRoundConfig{Population: "p", Dim: 1, Linger: time.Second}, nil, func(EdgeSeal) {})
-	if er.cfg.Linger != time.Second {
-		t.Fatalf("explicit linger = %v, want 1s", er.cfg.Linger)
 	}
 }

@@ -47,7 +47,7 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
 	seals := make(chan EdgeSeal, 1)
 	er := NewEdgeRound(EdgeRoundConfig{
-		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: admit, Linger: 100 * time.Millisecond,
+		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: admit,
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
 	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })
 	// gate parks the round's actor inside Receive until released, so its
@@ -132,4 +132,90 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 		}
 	})
 	waitFor(t, func() bool { return late.Load() == 1 })
+}
+
+// TestSealSurvivesSaturatedGroupMailbox is the same wait-for cycle one level
+// down (ROADMAP 5(d)): a secure group's Aggregator is parked reporting a
+// verdict into the round's full mailbox, its own mailbox is full of its
+// devices' updates with more readers parked behind them, and the next message
+// the round handles tells it to seal — which orders every group to finalize.
+// Sent from inside Receive that order parks behind the readers while the
+// Aggregator parks on the round: neither returns. The round must instead
+// drain, hear the group's (empty) result and ship its seal.
+func TestSealSurvivesSaturatedGroupMailbox(t *testing.T) {
+	const (
+		mailbox = 1024 // actor.mailboxSize
+		readers = 8
+	)
+	sys := actor.NewSystem()
+	shutdown := make(chan struct{})
+	t.Cleanup(func() {
+		go func() { sys.Shutdown(); close(shutdown) }()
+		select {
+		case <-shutdown:
+		case <-time.After(10 * time.Second):
+			t.Error("actor system did not shut down")
+		}
+	})
+	p := twoGroupSecurePlan(t)
+	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
+	seals := make(chan EdgeSeal, 1)
+	er := NewEdgeRound(EdgeRoundConfig{
+		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: 4,
+		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
+	}, nil, func(s EdgeSeal) { seals <- s })
+	type gate struct{}
+	entered, release := make(chan struct{}), make(chan struct{})
+	ref := sys.Spawn("edge-group-outbox-test", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		if _, ok := msg.(gate); ok {
+			close(entered)
+			<-release
+			return
+		}
+		er.Receive(ctx, msg)
+	}))
+	_ = ref.Send(msgEdgeStart{})
+	_ = ref.Send(gate{})
+	<-entered
+	// The round is parked behind its start: its one group (4 admitted,
+	// groups of 4) is spawned. First in its mailbox: the order to seal. Then
+	// filler to the brim.
+	if len(er.aggs) != 1 {
+		t.Fatalf("%d groups, want 1", len(er.aggs))
+	}
+	agg := er.aggs[0]
+	_ = ref.Send(msgEdgeFinalize{})
+	for i := 1; i < mailbox; i++ {
+		_ = ref.Send(msgReportDone{DeviceID: "never-configured"})
+	}
+	// Every update is refused for its length, so nothing is buffered for a
+	// secagg run — and every refusal is reported to the round: the
+	// Aggregator parks on the first, the rest fill its mailbox, and the
+	// readers park behind that.
+	refused := func(i int) actor.Message {
+		return msgAddUpdate{DeviceID: fmt.Sprintf("d%d", i), Input: secInput(1, 1)}
+	}
+	for i := 0; i <= mailbox; i++ {
+		_ = agg.Send(refused(i))
+	}
+	var parked sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		parked.Add(1)
+		go func(i int) {
+			parked.Done()
+			_ = agg.Send(refused(mailbox + 1 + i))
+		}(i)
+	}
+	parked.Wait()
+	time.Sleep(50 * time.Millisecond) // let the readers reach their Send
+	close(release)
+
+	select {
+	case seal := <-seals:
+		if seal.Seal.Count != 0 || len(seal.GroupErrors) != 0 {
+			t.Fatalf("seal of a group that buffered nothing: %+v", seal)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("round never sealed: it is parked on its group's mailbox")
+	}
 }

@@ -27,8 +27,9 @@ type FleetConfig struct {
 	// population — attestation is a property of the device platform).
 	Verifier *attest.Verifier
 	Seed     uint64
-	// Now overrides the wall clock (tests).
-	Now func() time.Time
+	// Clock is the one clock the process runs on: its selection and report
+	// windows, pace-steering hints and retry backoffs (nil: the wall clock).
+	Clock actor.Clock
 }
 
 // PopulationSpec configures one FL population served by a Fleet.
@@ -71,7 +72,6 @@ const numSelectors = 2
 // Coordinators for the same population; and populations are registered at
 // runtime, so plans can be added to a running fleet without restarting it.
 type Fleet struct {
-	now       func() time.Time
 	sys       *actor.System
 	lock      *actor.LockService
 	selectors []actor.Ref
@@ -91,15 +91,15 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	case cfg.SelectorCapacity < 0:
 		cfg.SelectorCapacity = 0 // unbounded
 	}
-	f := &Fleet{now: cfg.Now, pops: make(map[string]*popHost)}
-	f.sys, f.lock = newProcess()
+	f := &Fleet{pops: make(map[string]*popHost)}
+	f.sys, f.lock = newProcess(cfg.Clock)
 	// Check-ins for unknown populations and malformed first messages are
-	// answered at the default one-minute cadence.
+	// answered at a one-minute cadence.
 	for i := 0; i < numSelectors; i++ {
 		f.selectors = append(f.selectors, f.sys.Spawn(fmt.Sprintf("selector-%d", i),
-			NewSelector(cfg.Verifier, nil, cfg.SelectorCapacity, cfg.Seed+uint64(i), cfg.Now)))
+			NewSelector(cfg.Verifier, pacing.New(time.Minute), cfg.SelectorCapacity, cfg.Seed+uint64(i))))
 	}
-	f.router = NewCheckinRouter(f.selectors, NewHinter(nil, 0, cfg.Seed+7919, cfg.Now))
+	f.router = NewCheckinRouter(f.selectors)
 	return f
 }
 
@@ -121,7 +121,7 @@ func (f *Fleet) register(spec PopulationSpec, onOutcome func(roundOutcome), chur
 	h, err := newPopHost(f.sys, CoordinatorParams{
 		Population: spec.Population, Lock: f.lock, Store: spec.Store,
 		Steering: spec.Steering, PopulationEstimate: spec.PopulationEstimate,
-		MaxRounds: spec.MaxRounds, Now: f.now, onOutcome: onOutcome,
+		MaxRounds: spec.MaxRounds, onOutcome: onOutcome,
 	}, spec.Plans, func() []Edge { return edges })
 	if err != nil {
 		return nil, err

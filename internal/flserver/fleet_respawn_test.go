@@ -1,6 +1,7 @@
 package flserver
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -48,17 +49,13 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 	// waitOwned blocks until pop's registry coordinator is live and owns
 	// the population lock.
 	waitOwned := func(pop string, not actor.Ref) actor.Ref {
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			coord, ok := f.coordinator(pop)
-			if ok && coord != nil && coord != not && !coord.Stopped() && f.lockOwner(pop) == coord {
-				return coord
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("population %s never re-acquired its lock (owner=%v)", pop, f.lockOwner(pop))
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		var coord actor.Ref
+		waitWithin(t, 15*time.Second, "population "+pop+" to re-acquire its lock", func() bool {
+			var ok bool
+			coord, ok = f.coordinator(pop)
+			return ok && coord != nil && coord != not && !coord.Stopped() && f.lockOwner(pop) == coord
+		})
+		return coord
 	}
 	for _, pop := range pops {
 		waitOwned(pop, nil)
@@ -99,13 +96,7 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 		}
 		for _, pop := range pops {
 			rival := rivals[pop]
-			deadline := time.Now().Add(15 * time.Second)
-			for !rival.Stopped() {
-				if time.Now().After(deadline) {
-					t.Fatalf("round %d: rival coordinator for %s is still alive — two live Coordinators for one population", round, pop)
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
+			waitWithin(t, 15*time.Second, fmt.Sprintf("round %d: the rival coordinator for %s to stop (two live Coordinators for one population)", round, pop), rival.Stopped)
 			coord, _ := f.coordinator(pop)
 			if owner := f.lockOwner(pop); owner != coord {
 				t.Fatalf("round %d: lock owner for %s is %v, want the registry coordinator", round, pop, owner)

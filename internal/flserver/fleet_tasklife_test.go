@@ -1,6 +1,7 @@
 package flserver
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -83,17 +84,12 @@ func TestFleetTaskLifecycle(t *testing.T) {
 
 	waitRounds := func(id string, n int) tasks.Stats {
 		t.Helper()
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			st, ok := fleetTaskStats(t, f, pop)[id]
-			if ok && st.RoundsCommitted >= n {
-				return st
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("task %s did not reach %d committed rounds: %+v", id, n, st)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+		var st tasks.Stats
+		waitWithin(t, 60*time.Second, fmt.Sprintf("task %s to commit %d rounds", id, n), func() bool {
+			st = fleetTaskStats(t, f, pop)[id]
+			return st.RoundsCommitted >= n
+		})
+		return st
 	}
 
 	waitRounds(train.ID, 1)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/attest"
 	"repro/internal/data"
 	"repro/internal/device"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -79,6 +81,15 @@ func newFleet(t *testing.T, n int, fed *data.Federated, version int) *fleet {
 	return f
 }
 
+// on puts every device on clock (its TrainDelay and its timestamps), and
+// returns f.
+func (f *fleet) on(clock actor.Clock) *fleet {
+	for _, c := range f.clients {
+		c.Clock = clock
+	}
+	return f
+}
+
 func (f *fleet) run(net *transport.MemNetwork, addr string) {
 	for _, c := range f.clients {
 		c := c
@@ -123,12 +134,34 @@ func (f *fleet) halt() {
 // a test needs.
 func runServer(t *testing.T, cfg Config) (*Server, *transport.MemNetwork, string) {
 	t.Helper()
-	srv, err := New(cfg)
+	return runServerOn(t, nil, cfg)
+}
+
+// runServerOn is runServer on the given clock (nil: the wall clock).
+func runServerOn(t *testing.T, clock actor.Clock, cfg Config) (*Server, *transport.MemNetwork, string) {
+	t.Helper()
+	srv, err := newServer(cfg, clock, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net, addr := serveMem(t, srv)
 	return srv, net, addr
+}
+
+// fastClock returns a virtual clock running twenty times as fast as the
+// wall clock until the test ends: the windows a test waits out (selection
+// and report timeouts, straggler delays, retry backoffs) cost a twentieth
+// of their length, and what it asserts about them is unchanged.
+func fastClock(t *testing.T) *simclock.Virtual {
+	clock := simclock.New(simStart)
+	fastForward(t, clock)
+	return clock
+}
+
+// waitOn blocks until d has passed on clock.
+func waitOn(clock actor.Clock, d time.Duration) {
+	passed, _ := actor.After(clock, d)
+	<-passed
 }
 
 // serveMem serves srv on a fresh mem network until the test ends.
@@ -233,11 +266,12 @@ func TestOverSelectionAborts(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 6})
 	store := storage.NewMem()
 	p := testPlan(t, 4, false)
-	srv, net, addr := runServer(t, Config{
+	clock := fastClock(t)
+	srv, net, addr := runServerOn(t, clock, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 3, Seed: 2,
 	})
-	fl := newFleet(t, 12, fed, 3)
+	fl := newFleet(t, 12, fed, 3).on(clock)
 	// Distinct, widely spaced delays: whichever 5 devices are selected,
 	// their reports arrive ≥150ms apart, so the round deterministically
 	// finalizes on the 4th report and the 5th upload is rejected.
@@ -338,9 +372,7 @@ func TestCoordinatorCrashRestartsRound(t *testing.T) {
 	// Coordinator must drive training to completion.
 	first := srv.Coordinator()
 	_ = first.Send(msgCrash{})
-	for i := 0; i < 100 && srv.Coordinator() == first; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitWithin(t, time.Second, "the coordinator to be respawned", func() bool { return srv.Coordinator() != first })
 
 	fl := newFleet(t, 10, fed, 3)
 	fl.run(net, addr)
@@ -441,14 +473,15 @@ func TestRoundFailsWithoutDevicesThenRecovers(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 8, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 12})
 	store := storage.NewMem()
 	p := testPlan(t, 4, false)
-	srv, net, addr := runServer(t, Config{
+	clock := fastClock(t)
+	srv, net, addr := runServerOn(t, clock, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 8,
 	})
 
-	time.Sleep(2500 * time.Millisecond) // let one selection window expire empty
+	waitOn(clock, 2500*time.Millisecond) // let one selection window expire empty
 
-	fl := newFleet(t, 8, fed, 3)
+	fl := newFleet(t, 8, fed, 3).on(clock)
 	fl.run(net, addr)
 	waitDone(t, srv, 60*time.Second)
 	fl.halt()

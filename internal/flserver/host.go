@@ -41,10 +41,11 @@ type popHost struct {
 }
 
 // newProcess returns what the population hosts of one OS process share
-// (Sec. 4.2): the actor system their actors run on and the locking service
-// every population's Coordinator registers in.
-func newProcess() (*actor.System, *actor.LockService) {
-	return actor.NewSystem(), actor.NewLockService()
+// (Sec. 4.2): the actor system their actors run on — and with it the
+// process's one clock — and the locking service every population's
+// Coordinator registers in.
+func newProcess(clock actor.Clock) (*actor.System, *actor.LockService) {
+	return actor.NewSystem(clock), actor.NewLockService()
 }
 
 // newPopHost validates p, fills its defaults and builds the population's
@@ -61,17 +62,14 @@ func newPopHost(sys *actor.System, p CoordinatorParams, plans []*plan.Plan, edge
 	if p.PopulationEstimate <= 0 {
 		p.PopulationEstimate = 1000
 	}
-	if p.Now == nil {
-		p.Now = time.Now
-	}
 	if p.Done == nil {
 		p.Done = make(chan struct{})
 	}
-	ts, err := tasks.New(p.Population, p.Store, p.Now)
+	ts, err := tasks.New(p.Population, p.Store)
 	if err != nil {
 		return nil, err
 	}
-	if err := ts.Seed(plans); err != nil {
+	if err := ts.Seed(plans, sys.Clock().Now()); err != nil {
 		return nil, err
 	}
 	ts.SetPopulationEstimate(p.PopulationEstimate)
@@ -79,13 +77,14 @@ func newPopHost(sys *actor.System, p CoordinatorParams, plans []*plan.Plan, edge
 	return &popHost{sys: sys, p: p, edges: edges}, nil
 }
 
-// SuperviseCoordinator hosts one population on an actor system of its own
-// and starts its supervised Coordinator over the edges that edges reports —
-// the sharded coordinator process, whose edges are links that come and go.
-// p's Lock, Tasks and Edges are the host's to fill. Stop on the returned Ref
-// ends supervision and shuts the system down.
-func SuperviseCoordinator(p CoordinatorParams, plans []*plan.Plan, edges func() []Edge) (actor.Ref, error) {
-	sys, lock := newProcess()
+// SuperviseCoordinator hosts one population on an actor system of its own,
+// on the given clock (nil: the wall clock), and starts its supervised
+// Coordinator over the edges that edges reports — the sharded coordinator
+// process, whose edges are links that come and go. p's Lock, Tasks and Edges
+// are the host's to fill. Stop on the returned Ref ends supervision and
+// shuts the system down.
+func SuperviseCoordinator(clock actor.Clock, p CoordinatorParams, plans []*plan.Plan, edges func() []Edge) (actor.Ref, error) {
+	sys, lock := newProcess(clock)
 	p.Lock = lock
 	h, err := newPopHost(sys, p, plans, edges)
 	if err != nil {

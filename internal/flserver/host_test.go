@@ -19,7 +19,7 @@ func TestHostRespawnsOverCurrentEdges(t *testing.T) {
 	var mu sync.Mutex
 	a, b := &stripeEdge{opened: make(chan *EdgeRoundConfig, 4)}, &stripeEdge{opened: make(chan *EdgeRoundConfig, 4)}
 	live := []Edge{a}
-	ref, err := SuperviseCoordinator(CoordinatorParams{
+	ref, err := SuperviseCoordinator(nil, CoordinatorParams{
 		Population: "pop", Store: storage.NewMem(), MinEdges: 2, TickEvery: 10 * time.Millisecond,
 	}, []*plan.Plan{p}, func() []Edge {
 		mu.Lock()
@@ -34,14 +34,10 @@ func TestHostRespawnsOverCurrentEdges(t *testing.T) {
 
 	waitOwner := func(not interface{}) {
 		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			if c := h.coordinator(); c != not && !c.Stopped() && h.p.Lock.Owner("pop") == c {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("no live lock owner: incarnation %v, owner %v", h.coordinator(), h.p.Lock.Owner("pop"))
-			}
-		}
+		waitWithin(t, 10*time.Second, "a live lock owner", func() bool {
+			c := h.coordinator()
+			return c != not && !c.Stopped() && h.p.Lock.Owner("pop") == c
+		})
 	}
 	waitOwner(nil)
 	first := h.coordinator()

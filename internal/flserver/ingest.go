@@ -67,33 +67,24 @@ var respGate = make(chan struct{}, 256)
 // (EdgeRound rejections and aborts, group Aggregator report responses)
 // routes through here: a stalled socket blocks one pooled
 // goroutine for at most abortGrace — never an actor, never the round.
-func sendThenClose(conn transport.Conn, msg interface{}) {
+func sendThenClose(clock actor.Clock, conn transport.Conn, msg interface{}) {
 	go func() {
 		respGate <- struct{}{}
 		defer func() { <-respGate }()
-		sendWithGrace(conn, msg)
+		sendWithGrace(clock, conn, msg)
 	}()
 }
 
 // sendWithGrace attempts one send, bounded by abortGrace, then closes the
-// conn regardless — the Close also unblocks the inner Send if the peer
+// conn regardless — the Close is also what unblocks the Send if the peer
 // checked in and then never drained its socket (Conn has no write
-// deadline).
-func sendWithGrace(conn transport.Conn, msg interface{}) {
-	sent := make(chan struct{})
-	go func() {
-		_ = conn.Send(msg)
-		close(sent)
-	}()
-	// This runs once per report on the hot path: stop the timer as soon as
-	// the (typical, microsecond) send completes, rather than leaving K live
-	// timers per round to expire on their own.
-	grace := time.NewTimer(abortGrace)
-	select {
-	case <-sent:
-		grace.Stop()
-	case <-grace.C:
-	}
+// deadline). This runs once per report on the hot path: the timer is
+// stopped as soon as the (typical, microsecond) send completes, rather than
+// leaving K live timers per round to expire on their own.
+func sendWithGrace(clock actor.Clock, conn transport.Conn, msg interface{}) {
+	grace := clock.AfterFunc(abortGrace, func() { _ = conn.Close() })
+	_ = conn.Send(msg)
+	grace.Stop()
 	_ = conn.Close()
 }
 
@@ -107,6 +98,7 @@ const abortGrace = 5 * time.Second
 // straight to the device's group Aggregator.
 type reportReader struct {
 	self     actor.Ref
+	clock    actor.Clock
 	dim      int
 	secure   bool
 	evalOnly bool
@@ -154,7 +146,7 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 		conn.Release()
 		obsReportsRejected.Inc()
 		_ = r.self.Send(msgReportDone{DeviceID: deviceID})
-		sendWithGrace(conn, protocol.ReportResponse{Accepted: false, Reason: reason})
+		sendWithGrace(r.clock, conn, protocol.ReportResponse{Accepted: false, Reason: reason})
 	}
 	// settle maps a fold's outcome to the device's verdict. A fold that lost
 	// the race against the closing of the reporting window (the '#' outcome
@@ -165,13 +157,13 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 		switch {
 		case errors.Is(err, fedavg.ErrPartialClosed), errors.Is(err, robust.ErrBufferClosed):
 			obsReportsLate.Inc()
-			sendWithGrace(conn, protocol.ReportResponse{Accepted: false, Reason: "reporting window closed"})
+			sendWithGrace(r.clock, conn, protocol.ReportResponse{Accepted: false, Reason: "reporting window closed"})
 		case err != nil:
 			reject(err.Error())
 		default:
 			obsReportsOK.Inc()
 			_ = r.self.Send(msgReportDone{DeviceID: deviceID, OK: true})
-			sendWithGrace(conn, protocol.ReportResponse{Accepted: true})
+			sendWithGrace(r.clock, conn, protocol.ReportResponse{Accepted: true})
 		}
 	}
 	if req.Aborted {

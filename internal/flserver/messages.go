@@ -39,6 +39,13 @@ type msgCheckin struct {
 	Conn transport.Conn
 }
 
+// msgRejectConn is posted by a connection handler whose peer's first message
+// was not a check-in: the Selector steers it away.
+type msgRejectConn struct {
+	Conn   transport.Conn
+	Reason string
+}
+
 // msgSetQuota tells a Selector how many devices to accept for a population
 // on behalf of a round (Sec. 4.2). A grant replaces whatever quota
 // remained; Accept 0 revokes it when the round is staffed (nothing is left

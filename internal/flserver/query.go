@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/pacing"
 	"repro/internal/protocol"
 	"repro/internal/tasks"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -20,7 +18,9 @@ import (
 // here, so the actor message types stay private to this package.
 
 // statsTimeout bounds how long a stats query waits for an actor before
-// declaring it unresponsive.
+// declaring it unresponsive. It is wall time on every clock: it guards the
+// caller — an operator, a test — against a dead actor, and no behaviour of
+// the system depends on it.
 const statsTimeout = 5 * time.Second
 
 // RegisterSelectorPopulation adds a population to a running Selector.
@@ -135,58 +135,16 @@ func SumSelectorStats(selectors []actor.Ref, population string) (SelectorStats, 
 	return total, nil
 }
 
-// Hinter produces pace-steering reconnect hints outside any actor — on the
-// connection accept path, where malformed or unroutable first messages are
-// answered with a protocol-level rejection rather than a bare close. It
-// guards its RNG so concurrent connection handlers can share one instance.
-type Hinter struct {
-	steering *pacing.Steering
-	estimate int
-	now      func() time.Time
-
-	mu  sync.Mutex
-	rng *tensor.RNG
-}
-
-// NewHinter builds a Hinter over the given steering (nil = one-minute
-// cadence defaults) and population estimate.
-func NewHinter(steering *pacing.Steering, populationEstimate int, seed uint64, now func() time.Time) *Hinter {
-	if steering == nil {
-		steering = pacing.New(time.Minute)
-	}
-	if populationEstimate <= 0 {
-		populationEstimate = 1000
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &Hinter{steering: steering, estimate: populationEstimate, now: now, rng: tensor.NewRNG(seed)}
-}
-
-// Hint suggests a reconnect delay for one rejected connection.
-func (h *Hinter) Hint(demand int) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.steering.Suggest(h.estimate, demand, h.now(), h.rng)
-}
-
-// RejectConn answers a misbehaving or unroutable connection with a
-// steering-backed protocol rejection, then closes it, so misconfigured
-// devices back off instead of hammering the accept loop.
-func (h *Hinter) RejectConn(conn transport.Conn, reason string) {
-	_ = conn.Send(protocol.CheckinResponse{Accepted: false, Reason: reason, RetryAfter: h.Hint(1)})
-	_ = conn.Close()
-}
-
 // CheckinRouter is the device-facing accept path shared by the fleet gateway
 // and the selector shards: each connection's first message must be a
 // CheckinRequest, dispatched to a Selector round-robin (Selectors are "globally
 // distributed, close to devices" in the paper; round-robin stands in for
-// geographic affinity). Malformed first messages get a protocol-level
-// rejection with a pace-steering hint instead of a dropped connection.
+// geographic affinity). A malformed first message goes to a Selector too,
+// which answers it as it answers a check-in it cannot serve: a
+// protocol-level rejection with a pace-steering hint, so misconfigured
+// devices back off instead of hammering the accept loop.
 type CheckinRouter struct {
 	selectors []actor.Ref
-	hinter    *Hinter
 	nextSel   uint64
 	// mu orders every handlers.Add before Wait's handlers.Wait: a connection
 	// accepted while the owner tears down is closed, not counted.
@@ -196,8 +154,8 @@ type CheckinRouter struct {
 }
 
 // NewCheckinRouter builds the accept path over a Selector layer.
-func NewCheckinRouter(selectors []actor.Ref, hinter *Hinter) *CheckinRouter {
-	return &CheckinRouter{selectors: selectors, hinter: hinter}
+func NewCheckinRouter(selectors []actor.Ref) *CheckinRouter {
+	return &CheckinRouter{selectors: selectors}
 }
 
 // Serve accepts device connections from l until l closes.
@@ -229,16 +187,17 @@ func (r *CheckinRouter) handleConn(conn transport.Conn) {
 		_ = conn.Close()
 		return
 	}
-	req, ok := msg.(protocol.CheckinRequest)
-	if !ok {
-		r.hinter.RejectConn(conn, fmt.Sprintf("protocol error: expected CheckinRequest, got %T", msg))
-		return
+	// The Selector owns the accept/reject decision for the request's
+	// population, and the clock and steering a rejection is made with.
+	var fwd actor.Message
+	if req, ok := msg.(protocol.CheckinRequest); ok {
+		fwd = msgCheckin{Req: req, Conn: conn}
+	} else {
+		fwd = msgRejectConn{Conn: conn, Reason: fmt.Sprintf("protocol error: expected CheckinRequest, got %T", msg)}
 	}
 	idx := atomic.AddUint64(&r.nextSel, 1) % uint64(len(r.selectors))
-	// The Selector owns the accept/reject decision for the request's
-	// population.
-	if err := r.selectors[idx].Send(msgCheckin{Req: req, Conn: conn}); err != nil {
-		r.hinter.RejectConn(conn, "selector unavailable")
+	if r.selectors[idx].Send(fwd) != nil {
+		_ = conn.Close() // the Selector layer is shutting down
 	}
 }
 

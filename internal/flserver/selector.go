@@ -108,7 +108,6 @@ type Selector struct {
 
 	pops map[string]*selPop
 	rng  *tensor.RNG
-	now  func() time.Time
 
 	// unknownRejected counts check-ins for populations this Selector does
 	// not serve.
@@ -119,58 +118,51 @@ type Selector struct {
 	retired SelectorStats
 }
 
-// NewSelector returns the behavior for a Selector actor serving the given
-// initial populations; more are registered at runtime via
-// RegisterSelectorPopulation (and taken back, should a registration fail
-// halfway across the layer, by msgDeregisterPopulation).
-func NewSelector(verifier *attest.Verifier, defaultSteering *pacing.Steering, capacity int, seed uint64, now func() time.Time, pops ...SelectorPopulation) *Selector {
-	if now == nil {
-		now = time.Now
-	}
-	if defaultSteering == nil {
-		defaultSteering = pacing.New(time.Minute)
-	}
-	s := &Selector{
+// NewSelector returns the behavior for a Selector actor. Populations are
+// registered at runtime via RegisterSelectorPopulation (and taken back,
+// should a registration fail halfway across the layer, by
+// msgDeregisterPopulation). It reads the time off its actor system's clock,
+// once per message.
+func NewSelector(verifier *attest.Verifier, defaultSteering *pacing.Steering, capacity int, seed uint64) *Selector {
+	return &Selector{
 		verifier:        verifier,
 		defaultSteering: defaultSteering,
 		defaultEstimate: 1000,
 		capacity:        capacity,
 		pops:            make(map[string]*selPop),
 		rng:             tensor.NewRNG(seed),
-		now:             now,
 	}
-	for _, p := range pops {
-		s.register(p)
-	}
-	return s
 }
 
 // Receive implements actor.Behavior.
 func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
+	now := ctx.Now()
 	switch m := msg.(type) {
 	case msgCheckin:
-		s.onCheckin(m)
+		s.onCheckin(m, now)
+	case msgRejectConn:
+		s.rejectConn(m.Conn, m.Reason, s.defaultSteering, s.defaultEstimate, 1, now)
 	case msgRegisterPopulation:
-		s.register(m.Pop)
+		s.register(m.Pop, now)
 	case msgDeregisterPopulation:
-		s.deregister(m.Name)
+		s.deregister(m.Name, now)
 	case msgSetQuota:
-		s.onQuota(m)
+		s.onQuota(m, now)
 	case msgForwardDevices:
 		s.onForward(m)
 	case msgQuotaTopUp:
 		s.onTopUp(m)
 	case msgRateProbe:
-		s.onRateProbe(ctx, m)
+		s.onRateProbe(ctx, m, now)
 	case msgReleaseParked:
-		s.releaseParked(m.Population, "population idle")
+		s.releaseParked(m.Population, "population idle", now)
 	case msgSelectorStats:
 		m.Reply <- s.stats(m.Population)
 	}
 }
 
 // register adds (or reconfigures) a population on this Selector.
-func (s *Selector) register(cfg SelectorPopulation) {
+func (s *Selector) register(cfg SelectorPopulation, now time.Time) {
 	if cfg.Name == "" {
 		return
 	}
@@ -190,7 +182,7 @@ func (s *Selector) register(cfg SelectorPopulation) {
 		steering:           cfg.Steering,
 		populationEstimate: cfg.PopulationEstimate,
 		demand:             1,
-		rateStart:          s.now(),
+		rateStart:          now,
 		pooled:             obs.Default.Gauge(obs.Label("fl_selector_pooled", "population", cfg.Name)),
 	}
 }
@@ -207,12 +199,11 @@ func (s *Selector) register(cfg SelectorPopulation) {
 // round's. One that takes unfilled slots back leaves it shut: gathering
 // scarce devices for one attempt is pace steering's job (Sec. 2.3), not a
 // held connection's.
-func (s *Selector) onQuota(m msgSetQuota) {
+func (s *Selector) onQuota(m msgSetQuota, now time.Time) {
 	p, ok := s.pops[m.Population]
 	if !ok || (m.Accept <= 0 && m.Owner != p.owner) {
 		return
 	}
-	now := s.now()
 	s.expirePools(now)
 	p.poolUntil = time.Time{}
 	if m.Accept <= 0 && p.quota <= 0 {
@@ -277,12 +268,11 @@ func (s *Selector) expirePools(now time.Time) {
 // population's arrivals since the previous sample, then resets the window.
 // Windows shorter than minRateWindow are left accumulating — a burst of
 // probes around a round boundary must not manufacture zero-rate samples.
-func (s *Selector) onRateProbe(ctx *actor.Context, m msgRateProbe) {
+func (s *Selector) onRateProbe(ctx *actor.Context, m msgRateProbe, now time.Time) {
 	p, ok := s.pops[m.Population]
 	if !ok || m.To == nil {
 		return
 	}
-	now := s.now()
 	s.expirePools(now)
 	elapsed := now.Sub(p.rateStart)
 	if elapsed < minRateWindow {
@@ -301,9 +291,9 @@ func (s *Selector) onRateProbe(ctx *actor.Context, m msgRateProbe) {
 // deregister removes a population: parked devices are steered away, the
 // remaining quota revoked, the counters retired and the population's state
 // dropped. Later check-ins hit the unknown-population rejection.
-func (s *Selector) deregister(name string) {
+func (s *Selector) deregister(name string, now time.Time) {
 	if p, ok := s.pops[name]; ok {
-		s.releaseParked(name, "population deregistered")
+		s.releaseParked(name, "population deregistered", now)
 		s.retired.Add(p.stats())
 		delete(s.pops, name)
 	}
@@ -313,12 +303,11 @@ func (s *Selector) deregister(name string) {
 // zeroes its quota and shuts its pool, keeping the population registered:
 // its Coordinator finished its rounds, so holding devices (and their
 // connections) would strand them.
-func (s *Selector) releaseParked(name, reason string) {
+func (s *Selector) releaseParked(name, reason string, now time.Time) {
 	p, ok := s.pops[name]
 	if !ok {
 		return
 	}
-	now := s.now()
 	for _, d := range p.held {
 		s.reject(p, d.Conn, reason, now)
 	}
@@ -348,9 +337,8 @@ func (s *Selector) rejectConn(conn transport.Conn, reason string, st *pacing.Ste
 	_ = conn.Close()
 }
 
-func (s *Selector) onCheckin(m msgCheckin) {
+func (s *Selector) onCheckin(m msgCheckin, now time.Time) {
 	obsCheckins.Inc()
-	now := s.now()
 	p, ok := s.pops[m.Req.Population]
 	if !ok {
 		// Unknown population: the device is misconfigured or the population

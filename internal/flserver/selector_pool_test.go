@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
-	"repro/internal/pacing"
 	"repro/internal/protocol"
+	"repro/internal/simclock"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -32,7 +32,7 @@ func (d *poolDevice) answer() (protocol.CheckinResponse, bool, bool) {
 	return *d.resp, true, d.closed
 }
 
-// poolRig is one Selector on an injected clock, a stand-in round actor that
+// poolRig is one Selector on a virtual clock, a stand-in round actor that
 // records every msgDevices batch it is forwarded, and the check after every
 // step: the quota ledger of every population balances, pooled devices or not.
 type poolRig struct {
@@ -41,20 +41,16 @@ type poolRig struct {
 	sel     actor.Ref
 	round   actor.Ref
 	pops    []string
+	clock   *simclock.Virtual
 	mu      sync.Mutex
-	now     time.Time
 	batches [][]string
 }
 
 func newPoolRig(t *testing.T, capacity int, seed uint64, pops ...string) *poolRig {
-	r := &poolRig{t: t, sys: actor.NewSystem(), pops: pops, now: time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC)}
+	r := &poolRig{t: t, pops: pops, clock: simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))}
+	r.sys = actor.NewSystem(r.clock)
 	t.Cleanup(func() { r.sys.Shutdown() })
-	clock := func() time.Time { r.mu.Lock(); defer r.mu.Unlock(); return r.now }
-	var sp []SelectorPopulation
-	for _, p := range pops {
-		sp = append(sp, SelectorPopulation{Name: p, Steering: pacing.New(time.Second), PopulationEstimate: 100})
-	}
-	r.sel = r.sys.Spawn("sel", NewSelector(nil, pacing.New(time.Second), capacity, seed, clock, sp...))
+	r.sel = spawnSelector(r.sys, "sel", capacity, seed, pops...)
 	r.round = r.sys.Spawn("round", actor.BehaviorFunc(func(_ *actor.Context, msg actor.Message) {
 		if m, ok := msg.(msgDevices); ok {
 			ids := make([]string, len(m.Devices))
@@ -68,8 +64,6 @@ func newPoolRig(t *testing.T, capacity int, seed uint64, pops ...string) *poolRi
 	}))
 	return r
 }
-
-func (r *poolRig) advance(d time.Duration) { r.mu.Lock(); r.now = r.now.Add(d); r.mu.Unlock() }
 
 // send delivers one message to the Selector and then checks every ledger:
 // the stats query queues behind the message, so it sees its effect.
@@ -259,20 +253,20 @@ func TestSelectorPool(t *testing.T) {
 		"release":    func(r *poolRig) { r.send(msgReleaseParked{Population: "pop"}) },
 		"deregister": func(r *poolRig) { r.send(msgDeregisterPopulation{Name: "pop"}) },
 		"expiry on a rate probe": func(r *poolRig) {
-			r.advance(999 * time.Millisecond)
+			r.clock.Advance(999 * time.Millisecond)
 			r.send(msgRateProbe{Population: "pop", To: r.round})
 			if st := popStats(r.t, r.sel, "pop"); st.Pooled != 2 {
 				r.t.Fatalf("pool expired inside its pacing window: %+v", st)
 			}
-			r.advance(time.Millisecond)
+			r.clock.Advance(time.Millisecond)
 			r.send(msgRateProbe{Population: "pop", To: r.round})
 		},
 		"expiry on a check-in": func(r *poolRig) {
-			r.advance(time.Second)
+			r.clock.Advance(time.Second)
 			r.steered(r.checkin("pop", "past-the-window"))
 		},
 		"expiry on a grant": func(r *poolRig) {
-			r.advance(time.Second)
+			r.clock.Advance(time.Second)
 			r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
 			if st := popStats(r.t, r.sel, "pop"); st.Held != 0 || st.QuotaOutstanding != 2 {
 				r.t.Fatalf("a grant admitted devices pooled longer than the pacing window: %+v", st)
@@ -403,7 +397,7 @@ func TestPooledDeviceThatDiedIsToppedUp(t *testing.T) {
 	seals := make(chan EdgeSeal, 1)
 	start := time.Now()
 	StartEdgeRound(r.sys, "edge", EdgeRoundConfig{
-		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: admit, Linger: 100 * time.Millisecond,
+		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: admit,
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
 	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })
 	// The top-up reaches the Selector; only then does the replacement check in.

@@ -9,17 +9,18 @@ import (
 	"repro/internal/actor"
 	"repro/internal/pacing"
 	"repro/internal/protocol"
+	"repro/internal/simclock"
 	"repro/internal/transport"
 )
 
 // spawnSelector spawns a Selector serving the named populations with the
 // given parked-pool capacity.
 func spawnSelector(sys *actor.System, name string, capacity int, seed uint64, pops ...string) actor.Ref {
-	var sp []SelectorPopulation
+	sel := sys.Spawn(name, NewSelector(nil, pacing.New(time.Second), capacity, seed))
 	for _, p := range pops {
-		sp = append(sp, SelectorPopulation{Name: p, Steering: pacing.New(time.Second), PopulationEstimate: 100})
+		_ = RegisterSelectorPopulation(sel, SelectorPopulation{Name: p, Steering: pacing.New(time.Second), PopulationEstimate: 100})
 	}
-	return sys.Spawn(name, NewSelector(nil, pacing.New(time.Second), capacity, seed, nil, sp...))
+	return sel
 }
 
 // checkin sends one device check-in; the device side is drained so
@@ -252,17 +253,21 @@ func TestSelectorDeregisterSteersParkedDevices(t *testing.T) {
 // TestSelectorRateProbeSamplesAndResets: a rate probe returns the arrivals
 // observed since the previous sample and resets the window; windows shorter
 // than minRateWindow stay accumulating (no zero-rate noise from tick
-// bursts). Time is injected, so the window arithmetic is deterministic.
+// bursts). The Selector runs on a virtual clock, advanced only once it has
+// processed everything sent so far, so the window arithmetic is
+// deterministic.
 func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
-	sys := actor.NewSystem()
+	clock := simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))
+	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
-	now := time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC)
+	sel := spawnSelector(sys, "sel-rate", 0, 1, "pop")
+	// A stats query queues behind every message sent before it: once it is
+	// answered, those were stamped with the time before the advance.
+	advance := func(d time.Duration) {
+		popStats(t, sel, "pop")
+		clock.Advance(d)
+	}
 	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	sel := sys.Spawn("sel-rate", NewSelector(nil, pacing.New(time.Second), 0, 1, clock,
-		SelectorPopulation{Name: "pop", Steering: pacing.New(time.Second), PopulationEstimate: 100}))
 
 	var got []msgCheckinRate
 	sig := make(chan struct{}, 16)
@@ -341,17 +346,21 @@ func TestSelectorReleaseParkedFreesConnections(t *testing.T) {
 	waitFor(t, func() bool { st := popStats(t, sel, "pop"); return st.Held == 0 && st.Rejected >= 5 })
 }
 
-// waitFor polls cond until true or the deadline passes.
+// waitFor polls cond until true or ten seconds pass.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+	waitWithin(t, 10*time.Second, "the condition to hold", cond)
+}
+
+// waitWithin polls cond until it holds: the one place a test of this package
+// sleeps while it waits on an event.
+func waitWithin(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("condition never held")
 }
 
 // TestStaleRevocationKeepsSuccessorQuota: a superseded round revokes its

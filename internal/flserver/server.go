@@ -2,7 +2,6 @@ package flserver
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/actor"
 	"repro/internal/attest"
@@ -30,8 +29,6 @@ type Config struct {
 	// MaxRounds stops after that many committed rounds (0 = forever).
 	MaxRounds int
 	Seed      uint64
-	// Now overrides the wall clock (tests).
-	Now func() time.Time
 }
 
 // LocalEdge is the in-process Edge: opening a round is a function call that
@@ -96,13 +93,13 @@ type Server struct {
 }
 
 // New builds the server and spawns its actors.
-func New(cfg Config) (*Server, error) { return newServer(cfg, nil, nil) }
+func New(cfg Config) (*Server, error) { return newServer(cfg, nil, nil, nil) }
 
-// newServer is New with the round hooks tests and benchmarks inject (see
-// Fleet.register).
-func newServer(cfg Config, onOutcome func(roundOutcome), churn func(n, t int) secagg.Schedule) (*Server, error) {
+// newServer is New with what tests and benchmarks inject: the fleet's clock
+// and the round hooks (see Fleet.register).
+func newServer(cfg Config, clock actor.Clock, onOutcome func(roundOutcome), churn func(n, t int) secagg.Schedule) (*Server, error) {
 	// A lone population has nobody to share the parked pool with.
-	f := NewFleet(FleetConfig{SelectorCapacity: -1, Verifier: cfg.Verifier, Seed: cfg.Seed, Now: cfg.Now})
+	f := NewFleet(FleetConfig{SelectorCapacity: -1, Verifier: cfg.Verifier, Seed: cfg.Seed, Clock: clock})
 	h, err := f.register(PopulationSpec{
 		Population: cfg.Population, Plans: cfg.Plans, Store: cfg.Store,
 		Steering: cfg.Steering, PopulationEstimate: cfg.PopulationEstimate, MaxRounds: cfg.MaxRounds,

@@ -1,6 +1,7 @@
 package flserver
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -46,17 +47,12 @@ func taskStatsByID(t *testing.T, srv *Server) map[string]tasks.Stats {
 // waitTaskRounds polls until the task has committed at least n rounds.
 func waitTaskRounds(t *testing.T, srv *Server, id string, n int, timeout time.Duration) tasks.Stats {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		st, ok := taskStatsByID(t, srv)[id]
-		if ok && st.RoundsCommitted >= n {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("task %s did not reach %d committed rounds: %+v", id, n, st)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	var st tasks.Stats
+	waitWithin(t, timeout, fmt.Sprintf("task %s to commit %d rounds", id, n), func() bool {
+		st = taskStatsByID(t, srv)[id]
+		return st.RoundsCommitted >= n
+	})
+	return st
 }
 
 // checkpointCountingStore records PutCheckpoint calls per task, so a test
@@ -187,11 +183,12 @@ func TestPauseAndResumeTaskOnLiveServer(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 52})
 	store := storage.NewMem()
 	train := testPlan(t, 4, false)
-	srv, net, addr := runServer(t, Config{
+	clock := fastClock(t)
+	srv, net, addr := runServerOn(t, clock, Config{
 		Population: "pop", Plans: []*plan.Plan{train}, Store: store,
 		Steering: pacing.New(500 * time.Millisecond), Seed: 62,
 	})
-	fl := newFleet(t, 12, fed, 3)
+	fl := newFleet(t, 12, fed, 3).on(clock)
 	fl.run(net, addr)
 	defer fl.halt()
 
@@ -201,12 +198,12 @@ func TestPauseAndResumeTaskOnLiveServer(t *testing.T) {
 	}
 	// The in-flight round may still commit; after it settles, no further
 	// rounds are scheduled.
-	time.Sleep(300 * time.Millisecond)
+	waitOn(clock, 300*time.Millisecond)
 	settled := taskStatsByID(t, srv)[train.ID]
 	if settled.State != tasks.Paused {
 		t.Fatalf("state after pause = %v", settled.State)
 	}
-	time.Sleep(700 * time.Millisecond)
+	waitOn(clock, 700*time.Millisecond)
 	after := taskStatsByID(t, srv)[train.ID]
 	if after.RoundsCommitted > settled.RoundsCommitted+1 {
 		t.Fatalf("paused task kept committing: %d -> %d", settled.RoundsCommitted, after.RoundsCommitted)
@@ -243,12 +240,7 @@ func TestTaskSetSurvivesCoordinatorCrash(t *testing.T) {
 	// set — the submitted eval task keeps running, stats keep accumulating.
 	first := srv.Coordinator()
 	_ = first.Send(msgCrash{})
-	for i := 0; i < 200 && srv.Coordinator() == first; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if srv.Coordinator() == first {
-		t.Fatal("coordinator was not respawned")
-	}
+	waitWithin(t, 2*time.Second, "the coordinator to be respawned", func() bool { return srv.Coordinator() != first })
 	waitTaskRounds(t, srv, eval.ID, 1, 60*time.Second)
 	after := taskStatsByID(t, srv)
 	if after[train.ID].RoundsCommitted < before.RoundsCommitted {
@@ -268,11 +260,12 @@ func TestEvalWithUncommittedBaseDoesNotStallPopulation(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 56})
 	store := storage.NewMem()
 	trainA := testPlan(t, 4, false)
-	srv, net, addr := runServer(t, Config{
+	clock := fastClock(t)
+	srv, net, addr := runServerOn(t, clock, Config{
 		Population: "pop", Plans: []*plan.Plan{trainA}, Store: store,
 		Steering: pacing.New(500 * time.Millisecond), Seed: 66,
 	})
-	fl := newFleet(t, 12, fed, 3)
+	fl := newFleet(t, 12, fed, 3).on(clock)
 	fl.run(net, addr)
 	defer fl.halt()
 
@@ -350,7 +343,8 @@ func TestTaskPolicyMinRuntimeVersionRejectsOldDevices(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 55})
 	store := storage.NewMem()
 	train := testPlan(t, 4, false)
-	srv, net, addr := runServer(t, Config{
+	clock := fastClock(t)
+	srv, net, addr := runServerOn(t, clock, Config{
 		Population: "pop", Store: store,
 		Steering: pacing.New(500 * time.Millisecond), Seed: 65,
 	})
@@ -359,16 +353,16 @@ func TestTaskPolicyMinRuntimeVersionRejectsOldDevices(t *testing.T) {
 	}
 	// Version-1 devices only: every configured device is rejected, no
 	// round can commit.
-	oldFleet := newFleet(t, 12, fed, 1)
+	oldFleet := newFleet(t, 12, fed, 1).on(clock)
 	oldFleet.run(net, addr)
-	time.Sleep(1500 * time.Millisecond)
+	waitOn(clock, 1500*time.Millisecond)
 	oldFleet.halt()
 	if st := taskStatsByID(t, srv)[train.ID]; st.RoundsCommitted != 0 {
 		t.Fatalf("old-runtime fleet committed %d rounds under a version floor", st.RoundsCommitted)
 	}
 
 	// A version-3 fleet clears the floor.
-	newRt := newFleet(t, 12, fed, 3)
+	newRt := newFleet(t, 12, fed, 3).on(clock)
 	newRt.run(net, addr)
 	defer newRt.halt()
 	waitTaskRounds(t, srv, train.ID, 1, 60*time.Second)

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
@@ -38,6 +39,9 @@ type Options struct {
 	// connection (re)establishes or drops. They must not block.
 	OnUp   func()
 	OnDown func(err error)
+	// Clock is what heartbeats, miss detection and the reconnect backoff wait
+	// on: the clock of the link's process (nil: the wall clock).
+	Clock actor.Clock
 }
 
 func (o *Options) defaults() {
@@ -52,6 +56,9 @@ func (o *Options) defaults() {
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 5 * time.Second
+	}
+	if o.Clock == nil {
+		o.Clock = actor.Wall
 	}
 }
 
@@ -155,10 +162,12 @@ func (p *Peer) run() {
 			}
 		}
 		if err != nil {
+			wait, timer := actor.After(p.opts.Clock, backoff)
 			select {
 			case <-p.done:
+				timer.Stop()
 				return
-			case <-time.After(backoff):
+			case <-wait:
 			}
 			backoff *= 2
 			if backoff > p.opts.BackoffMax {
@@ -215,15 +224,16 @@ func (p *Peer) pump(conn transport.Conn) error {
 		}
 	}()
 
-	tick := time.NewTicker(p.opts.HeartbeatInterval)
-	defer tick.Stop()
 	for {
+		tick, timer := actor.After(p.opts.Clock, p.opts.HeartbeatInterval)
 		select {
 		case <-p.done:
+			timer.Stop()
 			return fmt.Errorf("remote: peer %s closed", p.name)
 		case err := <-readErr:
+			timer.Stop()
 			return err
-		case <-tick.C:
+		case <-tick:
 			seq := p.sent.Add(1)
 			if seq-p.acked.Load() > uint64(p.opts.HeartbeatMiss) {
 				return fmt.Errorf("remote: peer %s missed %d heartbeats", p.name, p.opts.HeartbeatMiss)

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/protocol"
+	"repro/internal/simclock"
 	"repro/internal/transport"
 )
 
@@ -90,6 +92,18 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// advanceUntil moves clock forward a millisecond at a time, yielding to the
+// goroutines that wait on it, until cond holds.
+func advanceUntil(t *testing.T, clock *simclock.Virtual, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		clock.Advance(time.Millisecond)
+	}
 }
 
 // TestPeerHelloAndRemoteRef covers the location-transparency round trip: a
@@ -214,19 +228,21 @@ func TestPeerHeartbeatDeclaresDeadPeer(t *testing.T) {
 		}
 	}()
 
+	// Half a second between probes, four unanswered ones: the production
+	// defaults, which on a virtual clock cost nothing to wait out.
+	clock := simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))
+	start := clock.Now()
 	downErr := make(chan error, 4)
-	opts := fastOpts()
-	opts.OnDown = func(err error) { downErr <- err }
-	peer := NewPeer("blackhole", func() (transport.Conn, error) { return net.Dial("blackhole") }, nil, opts)
+	peer := NewPeer("blackhole", func() (transport.Conn, error) { return net.Dial("blackhole") }, nil,
+		Options{Clock: clock, OnDown: func(err error) { downErr <- err }})
 	defer peer.Close()
 
-	select {
-	case err := <-downErr:
-		if err == nil {
-			t.Fatal("down callback with nil error")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("silent peer was never declared dead")
+	advanceUntil(t, clock, "the silent peer to be declared dead", func() bool { return len(downErr) > 0 })
+	if err := <-downErr; err == nil {
+		t.Fatal("down callback with nil error")
+	}
+	if waited := clock.Now().Sub(start); waited < 5*500*time.Millisecond {
+		t.Fatalf("declared dead after %v: before four probes could go unanswered", waited)
 	}
 }
 
@@ -247,9 +263,11 @@ func TestPeerHelloFailureBacksOff(t *testing.T) {
 	defer srv.close()
 
 	var dials atomic.Int64
+	clock := simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))
 	opts := fastOpts()
+	opts.Clock = clock
 	opts.Hello = protocol.ShardHello{Shard: 1, Name: "shard-1"}
-	start := time.Now()
+	start := clock.Now()
 	peer := NewPeer("srv", func() (transport.Conn, error) {
 		conn, err := net.Dial("srv")
 		if err == nil && dials.Add(1) <= resets {
@@ -262,8 +280,8 @@ func TestPeerHelloFailureBacksOff(t *testing.T) {
 	if !peer.Ref("x").Stopped() || peer.Send(protocol.Heartbeat{}) == nil {
 		t.Fatal("a link that never got its hello through must read down and fail Sends fast")
 	}
-	waitFor(t, "link up after the resets stop", peer.Alive)
-	if d, n := time.Since(start), dials.Load(); n != resets+1 || d < 75*time.Millisecond {
+	advanceUntil(t, clock, "link up after the resets stop", peer.Alive)
+	if d, n := clock.Now().Sub(start), dials.Load(); n != resets+1 || d < 75*time.Millisecond {
 		t.Fatalf("%d dials in %v, want %d dials spread over at least the 75ms backoff envelope", n, d, resets+1)
 	}
 }

@@ -41,7 +41,9 @@ type CoordinatorConfig struct {
 	SealGrace time.Duration
 	// TickEvery paces the scheduling loop (default 250ms).
 	TickEvery time.Duration
-	Now       func() time.Time
+	// Clock is the one clock the coordinator process runs on (nil: the wall
+	// clock).
+	Clock actor.Clock
 }
 
 // CoordStats reports the sharded coordinator's progress.
@@ -168,11 +170,11 @@ func NewCoordinatorProc(cfg CoordinatorConfig) (*CoordinatorProc, error) {
 		contrib: make(map[uint32]*shardContribution),
 	}
 	var err error
-	cp.coord, err = flserver.SuperviseCoordinator(flserver.CoordinatorParams{
+	cp.coord, err = flserver.SuperviseCoordinator(cfg.Clock, flserver.CoordinatorParams{
 		Population: cfg.Population, Store: cfg.Store,
 		Steering: cfg.Steering, PopulationEstimate: cfg.PopulationEstimate,
 		MinEdges: cfg.MinShards, SealGrace: cfg.SealGrace, TickEvery: cfg.TickEvery,
-		MaxRounds: cfg.MaxRounds, Done: cp.done, Now: cfg.Now,
+		MaxRounds: cfg.MaxRounds, Done: cp.done,
 	}, cfg.Plans, cp.liveEdges)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)

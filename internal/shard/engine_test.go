@@ -206,14 +206,22 @@ func (s *stubSession) report(update []byte, metrics map[string]float64) interfac
 }
 
 // runStubs drives n devices, device i homed on dial i%len(dials), each
-// reporting payload(i), until stop closes; it returns when all are done.
+// reporting payload(i) in every round that configures it, until stop
+// closes; it returns when all are done. A device comes back after its
+// report like a real one: a round that fails — a shard link that flapped on
+// a loaded host aborts the devices it had configured — is retried by the
+// Coordinator, and can only commit if its devices check in again.
 func runStubs(rig *engineRig, n int, payload func(i int) ([]byte, map[string]float64), stop <-chan struct{}) *sync.WaitGroup {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if s := stubCheckin(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop); s != nil {
+			for {
+				s := stubCheckin(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
+				if s == nil {
+					return
+				}
 				s.report(payload(i))
 			}
 		}(i)
@@ -519,9 +527,10 @@ func TestFailedRoundReticksAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tickEvery = 30 * time.Second
+	clock := fastClock(t)
 	coord, err := NewCoordinatorProc(CoordinatorConfig{
 		Population: enginePop, Plans: []*plan.Plan{p}, Store: storage.NewMem(),
-		Steering: pacing.New(time.Second), MinShards: 1, TickEvery: tickEvery,
+		Steering: pacing.New(time.Second), MinShards: 1, TickEvery: tickEvery, Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -536,7 +545,7 @@ func TestFailedRoundReticksAtOnce(t *testing.T) {
 	go coord.Serve(l)
 
 	rec := newConfigRecorder()
-	sp := NewSelectorProc(SelectorConfig{Shard: 0, Steering: pacing.New(time.Second), Peer: fastPeerOpts()},
+	sp := NewSelectorProc(SelectorConfig{Shard: 0, Steering: pacing.New(time.Second), Peer: remote.Options{Clock: clock}},
 		func() (transport.Conn, error) {
 			c, err := net.Dial("coord")
 			if err != nil {
@@ -546,12 +555,12 @@ func TestFailedRoundReticksAtOnce(t *testing.T) {
 		})
 	defer sp.Close()
 
-	start := time.Now()
+	start := clock.Now()
 	for rec.snapshot()[[2]int64{0, 0}] < 4 {
-		if time.Since(start) > tickEvery/3 {
+		if clock.Now().Sub(start) > tickEvery/3 {
 			st, _ := coord.Stats()
 			t.Fatalf("%d RoundConfigs in %v (stats %+v): failed rounds wait for the %v tick",
-				rec.snapshot()[[2]int64{0, 0}], time.Since(start), st, tickEvery)
+				rec.snapshot()[[2]int64{0, 0}], clock.Now().Sub(start), st, tickEvery)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/remote"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -31,6 +32,9 @@ type failoverHarness struct {
 	plan  *plan.Plan
 	store storage.Store
 
+	// clock is the one clock of the rig's processes and devices, twenty
+	// times as fast as the wall clock.
+	clock  *simclock.Virtual
 	coord  *CoordinatorProc
 	coordL transport.Listener
 	shard  *SelectorProc
@@ -46,6 +50,7 @@ type failoverHarness struct {
 	devices     sync.WaitGroup
 }
 
+// fastPeerOpts declares a dead link in 60ms and redials within 50ms.
 func fastPeerOpts() remote.Options {
 	return remote.Options{
 		HeartbeatInterval: 20 * time.Millisecond,
@@ -71,6 +76,7 @@ func newFailoverHarness(t *testing.T, k, maxRounds int) *failoverHarness {
 		t: t, net: transport.NewMemNetwork(), plan: p,
 		store:       storage.NewMem(),
 		stopDevices: make(chan struct{}),
+		clock:       fastClock(t),
 	}
 	h.linkUp.Store(true)
 	h.startCoordinator(maxRounds)
@@ -80,7 +86,7 @@ func newFailoverHarness(t *testing.T, k, maxRounds int) *failoverHarness {
 		Steering:           pacing.New(time.Second),
 		PopulationEstimate: 32,
 		Seed:               17,
-		Peer:               fastPeerOpts(),
+		Peer:               h.peerOpts(),
 		RateProbeInterval:  100 * time.Millisecond,
 	}, h.dialCoordinator)
 	t.Cleanup(h.shard.Close)
@@ -92,6 +98,27 @@ func newFailoverHarness(t *testing.T, k, maxRounds int) *failoverHarness {
 	t.Cleanup(func() { l.Close() })
 	go h.shard.Serve(l)
 	return h
+}
+
+// peerOpts is fastPeerOpts in the rig's time: the same 60ms of wall time to
+// declare the link dead, on the rig's clock.
+func (h *failoverHarness) peerOpts() remote.Options {
+	return remote.Options{
+		HeartbeatInterval: 400 * time.Millisecond,
+		HeartbeatMiss:     3,
+		BackoffMin:        100 * time.Millisecond,
+		BackoffMax:        time.Second,
+		Clock:             h.clock,
+	}
+}
+
+// linkDown waits until the shard has declared its coordinator link dead.
+func (h *failoverHarness) linkDown() {
+	h.t.Helper()
+	waitUntil(h.t, "shard notices the lost coordinator", func() bool {
+		st, err := h.shard.Stats()
+		return err == nil && !st.CoordinatorUp
+	})
 }
 
 // startCoordinator (re)spawns the coordinator process on the same mem
@@ -106,6 +133,7 @@ func (h *failoverHarness) startCoordinator(maxRounds int) {
 		MinShards:  1,
 		SealGrace:  500 * time.Millisecond,
 		TickEvery:  50 * time.Millisecond,
+		Clock:      h.clock,
 	})
 	if err != nil {
 		h.t.Fatal(err)
@@ -181,7 +209,7 @@ func (h *failoverHarness) runDevices(n int) {
 		if err := rt.RegisterStore(st); err != nil {
 			h.t.Fatal(err)
 		}
-		client := &flserver.DeviceClient{ID: id, Population: failoverPop, Runtime: rt}
+		client := &flserver.DeviceClient{ID: id, Population: failoverPop, Runtime: rt, Clock: h.clock}
 		h.devices.Add(1)
 		go func() {
 			defer h.devices.Done()
@@ -214,18 +242,12 @@ func (h *failoverHarness) runDevices(n int) {
 	})
 }
 
-func (h *failoverHarness) waitRounds(want int, within time.Duration) {
+func (h *failoverHarness) waitRounds(want int) {
 	h.t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
+	waitUntil(h.t, fmt.Sprintf("the coordinator to commit %d rounds", want), func() bool {
 		st, err := h.coord.Stats()
-		if err == nil && st.RoundsCompleted >= want {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	st, _ := h.coord.Stats()
-	h.t.Fatalf("coordinator committed %d rounds, want >= %d within %v", st.RoundsCompleted, want, within)
+		return err == nil && st.RoundsCompleted >= want
+	})
 }
 
 // rawCheckin opens a bare device connection and checks in, returning the
@@ -335,16 +357,10 @@ func TestDeadShardFlaggedDisconnected(t *testing.T) {
 
 	waitConnected := func(want bool) {
 		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			if c, ok := h.coord.perShardStats()[0]; ok && c.Connected == want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("shard 0 never read as connected=%v: %+v", want, h.coord.perShardStats())
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		waitUntil(t, fmt.Sprintf("shard 0 to read as connected=%v", want), func() bool {
+			c, ok := h.coord.perShardStats()[0]
+			return ok && c.Connected == want
+		})
 	}
 	waitConnected(true)
 	if c, ok := h.coord.perShardStats()[7]; ok {
@@ -361,10 +377,10 @@ func TestReconnectThenResume(t *testing.T) {
 	h := newFailoverHarness(t, 2, 3)
 	h.runDevices(6)
 
-	h.waitRounds(1, 30*time.Second)
+	h.waitRounds(1)
 	h.partition()
-	// Let the heartbeat declare the link dead before healing.
-	time.Sleep(200 * time.Millisecond)
+	// Let the shard declare the link dead before healing.
+	h.linkDown()
 	h.heal()
 
 	// All 3 rounds commit: the shard redialed, re-announced itself, got the
@@ -410,7 +426,7 @@ func TestCoordinatorCrashRespawn(t *testing.T) {
 
 	// Devices keep checking in against the shard throughout the outage; the
 	// respawned coordinator picks the lineage up from the shared store.
-	time.Sleep(200 * time.Millisecond)
+	h.linkDown()
 	h.startCoordinator(1)
 	h.heal()
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pacing"
 	"repro/internal/plan"
+	"repro/internal/remote"
 	"repro/internal/transport"
 )
 
@@ -83,6 +84,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
+	// The shards run on a clock twenty times as fast as the coordinator's
+	// (each process has its own): the two-second telemetry interval and the
+	// rate probes this test waits for pass in a tenth of a second, and the
+	// spans the shards time still have a length.
+	shardClock := fastClock(t)
 	shardDials := make([]func() (transport.Conn, error), shards)
 	for i := 0; i < shards; i++ {
 		sp := NewSelectorProc(SelectorConfig{
@@ -91,6 +97,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			PopulationEstimate: devices,
 			Seed:               uint64(23 + i*131),
 			RateProbeInterval:  500 * time.Millisecond,
+			Peer:               remote.Options{Clock: shardClock},
 		}, func() (transport.Conn, error) { return transport.DialTCP(coordAddr) })
 		defer sp.Close()
 		l, err := transport.ListenTCP("127.0.0.1:0")
@@ -173,7 +180,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("/metrics never aggregated %q; got:\n%s", missing, body)
 		}
-		time.Sleep(200 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// (b) A committed round's trace has every applicable lifecycle phase

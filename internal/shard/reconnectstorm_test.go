@@ -234,7 +234,13 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 		c.Close()
 	}
 
-	time.Sleep(200 * time.Millisecond)
+	for _, proc := range shards {
+		proc := proc
+		waitUntil(t, "every shard notices the crash", func() bool {
+			st, err := proc.Stats()
+			return err == nil && !st.CoordinatorUp
+		})
+	}
 	coord, _ = startCoordinator(1)
 	linkUp.Store(true) // the storm: all shards redial simultaneously
 

@@ -148,17 +148,10 @@ func TestShardedCoordinatorRespawns(t *testing.T) {
 	}
 	waitRounds := func(want int) {
 		t.Helper()
-		deadline := time.Now().Add(30 * time.Second)
-		for {
+		waitUntil(t, fmt.Sprintf("round %d to commit", want), func() bool {
 			st, err := coord.Stats()
-			if err == nil && st.RoundsCompleted >= want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d never committed: %+v (stats err: %v)", want, st, err)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+			return err == nil && st.RoundsCompleted >= want
+		})
 	}
 
 	// Round 1 is staffed on both shards; then its Coordinator dies.
@@ -168,17 +161,10 @@ func TestShardedCoordinatorRespawns(t *testing.T) {
 	}
 	// The respawned Coordinator starts over both links at once: each shard is
 	// sent the crashed round's config a second time, and keeps running it.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
+	waitUntil(t, "the crashed round to be re-opened on both live links (or the Coordinator was not respawned)", func() bool {
 		seen := configs.snapshot()
-		if seen[[2]int64{0, 0}] == 2 && seen[[2]int64{1, 0}] == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the crashed round was never re-opened on the live links (configs per {shard, round}: %v): the Coordinator was not respawned", seen)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return seen[[2]int64{0, 0}] == 2 && seen[[2]int64{1, 0}] == 2
+	})
 	for _, s := range held {
 		s.report(update, nil)
 	}

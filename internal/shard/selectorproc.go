@@ -46,16 +46,12 @@ type SelectorConfig struct {
 	PopulationEstimate int
 	Seed               uint64
 	// Peer tunes the coordinator link (heartbeat cadence, backoff); its
-	// Hello is overwritten with this shard's ShardHello.
+	// Hello is overwritten with this shard's ShardHello, and its Clock is the
+	// one clock the whole shard process runs on.
 	Peer remote.Options
 	// RateProbeInterval paces check-in rate sampling toward the coordinator
 	// (default 1s).
 	RateProbeInterval time.Duration
-	// EdgeLinger is how long a sealed edge round keeps answering late
-	// device arrivals with explicit aborts before stopping (default 2s —
-	// see flserver.EdgeRoundConfig.Linger).
-	EdgeLinger time.Duration
-	Now        func() time.Time
 }
 
 const (
@@ -101,7 +97,8 @@ type SelectorProc struct {
 	bytesShipped  atomic.Int64
 	roundsDropped atomic.Int64
 	roundsOpened  atomic.Int64
-	stopRate      chan struct{}
+	// closing is closed by Close; a seal still retrying its delivery gives up.
+	closing chan struct{}
 }
 
 // NewSelectorProc builds the shard and starts dialing the coordinator.
@@ -121,23 +118,19 @@ func NewSelectorProc(cfg SelectorConfig, dial remote.Dialer) *SelectorProc {
 	if cfg.RateProbeInterval <= 0 {
 		cfg.RateProbeInterval = time.Second
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	p := &SelectorProc{
-		cfg:      cfg,
-		sys:      actor.NewSystem(),
-		pops:     make(map[string]bool),
-		rounds:   make(map[string]*edgeHandle),
-		stopRate: make(chan struct{}),
+		cfg:     cfg,
+		sys:     actor.NewSystem(cfg.Peer.Clock),
+		pops:    make(map[string]bool),
+		rounds:  make(map[string]*edgeHandle),
+		closing: make(chan struct{}),
 	}
 	for i := 0; i < cfg.NumSelectors; i++ {
 		sel := p.sys.Spawn(fmt.Sprintf("%s/selector-%d", cfg.Name, i),
-			flserver.NewSelector(nil, cfg.Steering, cfg.SelectorCapacity, cfg.Seed+uint64(i), cfg.Now))
+			flserver.NewSelector(nil, cfg.Steering, cfg.SelectorCapacity, cfg.Seed+uint64(i)))
 		p.selectors = append(p.selectors, sel)
 	}
-	p.router = flserver.NewCheckinRouter(p.selectors,
-		flserver.NewHinter(cfg.Steering, cfg.PopulationEstimate, cfg.Seed+7919, cfg.Now))
+	p.router = flserver.NewCheckinRouter(p.selectors)
 	p.rateFwd = p.sys.Spawn(cfg.Name+"/rate-fwd", flserver.NewRateForwarder(p.relayRate))
 
 	opts := cfg.Peer
@@ -150,9 +143,22 @@ func NewSelectorProc(cfg SelectorConfig, dial remote.Dialer) *SelectorProc {
 		}
 	}
 	p.peer = remote.NewPeer("coordinator", dial, p.onPeerMsg, opts)
-	go p.rateLoop()
-	go p.telemetryLoop()
+	p.every("rate-probe", cfg.RateProbeInterval, p.probeRates)
+	p.every("telemetry", telemetryInterval, p.shipTelemetry)
 	return p
+}
+
+// every runs fn each interval of the process's clock, on an actor of its
+// own that Close stops with the system.
+func (p *SelectorProc) every(name string, interval time.Duration, fn func()) {
+	type tick struct{}
+	ref := p.sys.Spawn(p.cfg.Name+"/"+name, actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		if _, due := msg.(tick); due {
+			fn()
+		}
+		ctx.After(interval, tick{})
+	}))
+	_ = ref.Send(nil)
 }
 
 // Serve accepts device connections from l until l closes.
@@ -235,7 +241,6 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig) {
 			Admit:      m.Admit,
 			MinReports: m.MinReports,
 			MinRuntime: m.MinRuntime,
-			Linger:     p.cfg.EdgeLinger,
 			Stripes:    &p.stripes,
 		}, p.selectors, p.ship)
 	p.rounds[m.Population] = &edgeHandle{taskID: m.TaskID, round: m.Round, ref: ref}
@@ -315,25 +320,27 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 		// The wire form is all that leaves this process: the sealed sum's
 		// vector serves the next round's stripes.
 		p.stripes.Put(seal.Seal.Sum)
-		deadline := time.Now().Add(sealRetryBudget)
+		clock := p.sys.Clock()
+		deadline := clock.Now().Add(sealRetryBudget)
 		backoff := 25 * time.Millisecond
 		for {
 			err := p.peer.Send(msg)
 			if err == nil {
 				break
 			}
-			if time.Now().After(deadline) {
+			if clock.Now().After(deadline) {
 				p.roundsDropped.Add(1)
 				obsSealsDropped.Inc()
 				return
 			}
-			wait := backoff + time.Duration(rand.Int63n(int64(backoff)))
+			wait, timer := actor.After(clock, backoff+time.Duration(rand.Int63n(int64(backoff))))
 			select {
-			case <-p.stopRate:
+			case <-p.closing:
+				timer.Stop()
 				p.roundsDropped.Add(1)
 				obsSealsDropped.Inc()
 				return
-			case <-time.After(wait):
+			case <-wait:
 			}
 			if backoff < 200*time.Millisecond {
 				backoff *= 2
@@ -384,61 +391,42 @@ func (p *SelectorProc) onCoordinatorDown() {
 	}
 }
 
-// rateLoop probes the local Selectors for observed check-in rates; samples
+// probeRates asks the local Selectors for observed check-in rates; samples
 // relay to the coordinator as protocol.CheckinRate for cross-shard live
 // population estimation.
-func (p *SelectorProc) rateLoop() {
-	tick := time.NewTicker(p.cfg.RateProbeInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.stopRate:
-			return
-		case <-tick.C:
-		}
-		p.mu.Lock()
-		pops := make([]string, 0, len(p.pops))
-		for pop := range p.pops {
-			pops = append(pops, pop)
-		}
-		p.mu.Unlock()
-		for _, pop := range pops {
-			for _, sel := range p.selectors {
-				_ = flserver.ProbeCheckinRate(sel, pop, p.rateFwd)
-			}
+func (p *SelectorProc) probeRates() {
+	p.mu.Lock()
+	pops := make([]string, 0, len(p.pops))
+	for pop := range p.pops {
+		pops = append(pops, pop)
+	}
+	p.mu.Unlock()
+	for _, pop := range pops {
+		for _, sel := range p.selectors {
+			_ = flserver.ProbeCheckinRate(sel, pop, p.rateFwd)
 		}
 	}
 }
 
-// telemetryLoop periodically ships this process's whole obs registry to
-// the coordinator as a protocol.TelemetrySnapshot. Snapshots are advisory
-// like rate samples: a send on a down link is simply dropped, and the
-// coordinator ages out shards that stop shipping.
-func (p *SelectorProc) telemetryLoop() {
-	tick := time.NewTicker(telemetryInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.stopRate:
-			return
-		case <-tick.C:
-		}
-		if p.peer.Alive() {
-			obsCoordinatorUp.Set(1)
-		} else {
-			obsCoordinatorUp.Set(0)
-			continue
-		}
-		ex := obs.Default.Export()
-		if err := p.peer.Send(protocol.TelemetrySnapshot{
-			Shard:     p.cfg.Shard,
-			Name:      p.cfg.Name,
-			Counters:  ex.Counters,
-			Gauges:    ex.Gauges,
-			Summaries: ex.Summaries,
-		}); err == nil {
-			obsSnapshotsSent.Inc()
-		}
+// shipTelemetry ships this process's whole obs registry to the coordinator
+// as a protocol.TelemetrySnapshot. Snapshots are advisory like rate samples:
+// a send on a down link is simply dropped, and the coordinator ages out
+// shards that stop shipping.
+func (p *SelectorProc) shipTelemetry() {
+	if !p.peer.Alive() {
+		obsCoordinatorUp.Set(0)
+		return
+	}
+	obsCoordinatorUp.Set(1)
+	ex := obs.Default.Export()
+	if err := p.peer.Send(protocol.TelemetrySnapshot{
+		Shard:     p.cfg.Shard,
+		Name:      p.cfg.Name,
+		Counters:  ex.Counters,
+		Gauges:    ex.Gauges,
+		Summaries: ex.Summaries,
+	}); err == nil {
+		obsSnapshotsSent.Inc()
 	}
 }
 
@@ -503,7 +491,7 @@ func (p *SelectorProc) Close() {
 		delete(p.rounds, pop)
 	}
 	p.mu.Unlock()
-	close(p.stopRate)
+	close(p.closing)
 	p.peer.Close()
 	refs := append([]actor.Ref{p.rateFwd}, p.selectors...)
 	p.sys.Shutdown(refs...)

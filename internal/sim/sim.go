@@ -115,7 +115,7 @@ func (r *Results) CompletedRounds() int {
 // sim is the running state.
 type sim struct {
 	cfg   Config
-	clock *simclock.Clock
+	clock *simclock.Virtual
 	pop   *population.Model
 	rng   *tensor.RNG
 
@@ -197,9 +197,9 @@ func Run(cfg Config) (*Results, error) {
 	}
 
 	end := cfg.Start.Add(cfg.Duration)
-	s.clock.Schedule(0, func() { s.startRound(end) })
-	s.clock.Schedule(cfg.SampleEvery, func() { s.sample(end) })
-	s.clock.RunUntil(end)
+	s.clock.AfterFunc(0, func() { s.startRound(end) })
+	s.clock.AfterFunc(cfg.SampleEvery, func() { s.sample(end) })
+	s.clock.Advance(cfg.Duration)
 
 	return &Results{
 		Rounds:               s.rounds,
@@ -233,7 +233,7 @@ func (s *sim) sample(end time.Time) {
 	})
 	s.completedThisSample, s.failedThisSample = 0, 0
 	if now.Add(s.cfg.SampleEvery).Before(end) {
-		s.clock.Schedule(s.cfg.SampleEvery, func() { s.sample(end) })
+		s.clock.AfterFunc(s.cfg.SampleEvery, func() { s.sample(end) })
 	}
 }
 
@@ -270,7 +270,7 @@ func (s *sim) startRound(end time.Time) {
 			Round: s.round, Start: now, End: now.Add(selDur),
 			Succeeded: false, Selected: len(selected),
 		})
-		s.clock.Schedule(selDur+s.retryPause(), func() { s.startRound(end) })
+		s.clock.AfterFunc(selDur+s.retryPause(), func() { s.startRound(end) })
 		return
 	}
 
@@ -395,7 +395,7 @@ func (s *sim) startRound(end time.Time) {
 
 	// Track participation for the sampler while the round is in flight.
 	s.participating += len(runs)
-	s.clock.Schedule(roundTime, func() { s.participating -= len(runs) })
+	s.clock.AfterFunc(roundTime, func() { s.participating -= len(runs) })
 
 	next := roundTime + s.retryPause()
 	if s.cfg.Pipelining {
@@ -408,7 +408,7 @@ func (s *sim) startRound(end time.Time) {
 		}
 		next += s.retryPause()
 	}
-	s.clock.Schedule(next, func() { s.startRound(end) })
+	s.clock.AfterFunc(next, func() { s.startRound(end) })
 }
 
 func (s *sim) retryPause() time.Duration {

@@ -1,109 +1,112 @@
-// Package simclock provides a deterministic discrete-event clock. The
-// paper's operational figures cover multi-day windows (Figs. 5–9); the
-// simulation harness advances this clock through simulated days in
-// milliseconds of wall time, with fully reproducible event ordering.
+// Package simclock is how time gets into the system: one small Clock, the
+// wall implementation every process runs on by default, and the virtual one
+// tests and the simulation harness advance by hand. The paper's protocol is
+// made of windows and timeouts (Sec. 2.2, 2.3, 4.4) and its operational
+// figures cover multi-day spans (Figs. 5–9); on a Virtual clock both run at
+// the speed of the CPU, with reproducible event ordering.
 package simclock
 
 import (
-	"container/heap"
+	"slices"
+	"sort"
+	"sync"
 	"time"
 )
 
-// Clock is a discrete-event simulated clock. It is not safe for concurrent
-// use: the simulation harness is single-threaded by design, which is what
-// makes multi-day experiments deterministic.
-type Clock struct {
+// Clock tells the time and arms timers. Implementations are safe for
+// concurrent use.
+type Clock interface {
+	Now() time.Time
+	// AfterFunc calls f, on a goroutine of the clock's choosing, once d has
+	// passed.
+	AfterFunc(d time.Duration, f func()) Timer
+}
+
+// Timer is an armed timer. Stop disarms it and reports whether it did so
+// before the timer fired.
+type Timer interface{ Stop() bool }
+
+// Wall is package time.
+var Wall Clock = wall{}
+
+type wall struct{}
+
+func (wall) Now() time.Time                            { return time.Now() }
+func (wall) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
+
+// Virtual is a discrete-event clock: time moves only in Advance, which fires
+// the timers that come due in (time, arming order) — what makes a multi-day
+// simulation on one goroutine deterministic. Callbacks run on the advancing
+// goroutine with the clock unlocked, so they may arm and stop timers.
+type Virtual struct {
+	mu  sync.Mutex
 	now time.Time
-	seq uint64
-	pq  eventHeap
+	// queue holds the armed timers in firing order. A timer armed later
+	// never fires before one due at the same instant, so arming inserts
+	// behind every timer due no later. Timers in flight are few (a handful
+	// in a simulation, hundreds under a test server): a sorted slice.
+	queue []*event
 }
 
 type event struct {
-	at  time.Time
-	seq uint64 // tie-breaker: schedule order
-	fn  func()
+	v  *Virtual
+	at time.Time
+	fn func()
 }
 
-type eventHeap []*event
+// New returns a virtual clock standing at start.
+func New(start time.Time) *Virtual { return &Virtual{now: start} }
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
+// Now implements Clock.
+func (v *Virtual) Now() time.Time {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.now
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+// AfterFunc implements Clock. A negative delay is treated as zero.
+func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	e := &event{v: v, at: v.now.Add(max(d, 0)), fn: f}
+	i := sort.Search(len(v.queue), func(i int) bool { return v.queue[i].at.After(e.at) })
+	v.queue = slices.Insert(v.queue, i, e)
 	return e
 }
 
-// New returns a clock starting at the given time.
-func New(start time.Time) *Clock {
-	return &Clock{now: start}
-}
-
-// Now returns the current simulated time.
-func (c *Clock) Now() time.Time { return c.now }
-
-// Schedule runs fn after delay d (events at equal times run in schedule
-// order). A negative delay is treated as zero.
-func (c *Clock) Schedule(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	c.ScheduleAt(c.now.Add(d), fn)
-}
-
-// ScheduleAt runs fn at time t; times before now are clamped to now.
-func (c *Clock) ScheduleAt(t time.Time, fn func()) {
-	if t.Before(c.now) {
-		t = c.now
-	}
-	c.seq++
-	heap.Push(&c.pq, &event{at: t, seq: c.seq, fn: fn})
-}
-
-// Step executes the next event, advancing time to it. It returns false when
-// no events remain.
-func (c *Clock) Step() bool {
-	if c.pq.Len() == 0 {
+// Stop implements Timer.
+func (e *event) Stop() bool {
+	e.v.mu.Lock()
+	defer e.v.mu.Unlock()
+	i := slices.Index(e.v.queue, e)
+	if i < 0 {
 		return false
 	}
-	e := heap.Pop(&c.pq).(*event)
-	c.now = e.at
-	e.fn()
+	e.v.queue = slices.Delete(e.v.queue, i, i+1)
 	return true
 }
 
-// RunUntil executes events up to and including time t, then advances the
-// clock to t even if no event landed exactly there.
-func (c *Clock) RunUntil(t time.Time) {
-	for c.pq.Len() > 0 && !c.pq[0].at.After(t) {
-		c.Step()
-	}
-	if c.now.Before(t) {
-		c.now = t
-	}
-}
-
-// Run executes every scheduled event (including ones scheduled while
-// running), stopping when the queue is empty or after maxEvents events (a
-// guard against runaway self-rescheduling; pass 0 for no limit). It returns
-// the number of events executed.
-func (c *Clock) Run(maxEvents int) int {
-	n := 0
-	for c.Step() {
-		n++
-		if maxEvents > 0 && n >= maxEvents {
-			break
+// Advance moves the clock forward by d, firing every timer that comes due
+// on the way (those armed by the callbacks included) at its own instant, and
+// returns how many fired.
+func (v *Virtual) Advance(d time.Duration) int {
+	v.mu.Lock()
+	end := v.now.Add(d)
+	fired := 0
+	for len(v.queue) > 0 && !v.queue[0].at.After(end) {
+		e := v.queue[0]
+		v.queue = slices.Delete(v.queue, 0, 1)
+		if e.at.After(v.now) {
+			v.now = e.at
 		}
+		v.mu.Unlock()
+		e.fn()
+		fired++
+		v.mu.Lock()
 	}
-	return n
+	if v.now.Before(end) {
+		v.now = end
+	}
+	v.mu.Unlock()
+	return fired
 }

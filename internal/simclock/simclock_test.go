@@ -1,123 +1,160 @@
 package simclock
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 var t0 = time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
 
-func TestScheduleOrdering(t *testing.T) {
+func TestFiringOrder(t *testing.T) {
 	c := New(t0)
 	var got []int
-	c.Schedule(2*time.Second, func() { got = append(got, 2) })
-	c.Schedule(1*time.Second, func() { got = append(got, 1) })
-	c.Schedule(3*time.Second, func() { got = append(got, 3) })
-	c.Run(0)
+	c.AfterFunc(2*time.Second, func() { got = append(got, 2) })
+	c.AfterFunc(1*time.Second, func() { got = append(got, 1) })
+	c.AfterFunc(3*time.Second, func() { got = append(got, 3) })
+	if n := c.Advance(time.Minute); n != 3 {
+		t.Fatalf("fired %d timers, want 3", n)
+	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
 	}
-	if c.Now() != t0.Add(3*time.Second) {
+	if c.Now() != t0.Add(time.Minute) {
 		t.Fatalf("final time = %v", c.Now())
 	}
 }
 
-func TestTieBreakByScheduleOrder(t *testing.T) {
+func TestEqualTimesFireInArmingOrder(t *testing.T) {
 	c := New(t0)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		c.Schedule(time.Second, func() { got = append(got, i) })
+		c.AfterFunc(time.Second, func() { got = append(got, i) })
 	}
-	c.Run(0)
+	c.Advance(time.Second)
 	for i, v := range got {
 		if v != i {
-			t.Fatalf("ties must run in schedule order, got %v", got)
+			t.Fatalf("ties must fire in arming order, got %v", got)
 		}
 	}
 }
 
-func TestNestedScheduling(t *testing.T) {
+func TestCallbackSeesItsOwnInstantAndMayArm(t *testing.T) {
 	c := New(t0)
-	var fired []string
-	c.Schedule(time.Second, func() {
-		fired = append(fired, "outer")
-		c.Schedule(time.Second, func() { fired = append(fired, "inner") })
+	var fired []time.Duration
+	c.AfterFunc(time.Second, func() {
+		fired = append(fired, c.Now().Sub(t0))
+		c.AfterFunc(time.Second, func() { fired = append(fired, c.Now().Sub(t0)) })
+		c.AfterFunc(time.Hour, func() { fired = append(fired, -1) })
 	})
-	c.Run(0)
-	if len(fired) != 2 || fired[1] != "inner" {
-		t.Fatalf("fired = %v", fired)
+	if n := c.Advance(10 * time.Second); n != 2 {
+		t.Fatalf("fired %d, want the outer timer and the inner one armed inside the window", n)
 	}
-	if c.Now() != t0.Add(2*time.Second) {
-		t.Fatalf("time = %v", c.Now())
+	if len(fired) != 2 || fired[0] != time.Second || fired[1] != 2*time.Second {
+		t.Fatalf("callbacks saw %v, want [1s 2s]", fired)
 	}
 }
 
-func TestRunUntilPartial(t *testing.T) {
+func TestAdvanceStopsShortOfLaterTimers(t *testing.T) {
 	c := New(t0)
 	var count int
 	for i := 1; i <= 5; i++ {
-		c.Schedule(time.Duration(i)*time.Minute, func() { count++ })
+		c.AfterFunc(time.Duration(i)*time.Minute, func() { count++ })
 	}
-	c.RunUntil(t0.Add(3 * time.Minute))
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
+	c.Advance(3*time.Minute - time.Nanosecond)
+	if count != 2 {
+		t.Fatalf("count = %d one nanosecond before the third timer, want 2", count)
 	}
-	if c.Now() != t0.Add(3*time.Minute) {
-		t.Fatalf("time = %v", c.Now())
+	c.Advance(time.Nanosecond)
+	if count != 3 || c.Now() != t0.Add(3*time.Minute) {
+		t.Fatalf("count = %d at %v, want 3 at +3m", count, c.Now().Sub(t0))
 	}
-	if c.pq.Len() != 2 {
-		t.Fatalf("pending = %d, want 2", c.pq.Len())
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	c := New(t0)
-	c.RunUntil(t0.Add(time.Hour))
-	if c.Now() != t0.Add(time.Hour) {
-		t.Fatal("RunUntil must advance time with no events")
+	if len(c.queue) != 2 {
+		t.Fatalf("pending = %d, want 2", len(c.queue))
 	}
 }
 
-func TestNegativeDelayClamped(t *testing.T) {
+func TestNegativeDelayFiresAtNow(t *testing.T) {
 	c := New(t0)
 	fired := false
-	c.Schedule(-5*time.Second, func() { fired = true })
-	c.Step()
+	c.AfterFunc(-5*time.Second, func() { fired = true })
+	c.Advance(0)
 	if !fired || c.Now() != t0 {
 		t.Fatalf("negative delay: fired=%v now=%v", fired, c.Now())
 	}
 }
 
-func TestScheduleAtPastClamped(t *testing.T) {
+func TestStop(t *testing.T) {
 	c := New(t0)
-	c.RunUntil(t0.Add(time.Hour))
-	fired := false
-	c.ScheduleAt(t0, func() { fired = true }) // in the past
-	c.Step()
-	if !fired || c.Now() != t0.Add(time.Hour) {
-		t.Fatal("past events must run immediately without rewinding time")
+	var fired int
+	a := c.AfterFunc(time.Second, func() { fired++ })
+	b := c.AfterFunc(2*time.Second, func() { fired++ })
+	if !a.Stop() {
+		t.Fatal("Stop before firing must report true")
+	}
+	if a.Stop() {
+		t.Fatal("a second Stop must report false")
+	}
+	if n := c.Advance(time.Minute); n != 1 || fired != 1 {
+		t.Fatalf("fired %d (%d counted), want only the timer left armed", fired, n)
+	}
+	if b.Stop() {
+		t.Fatal("Stop after firing must report false")
+	}
+	if len(c.queue) != 0 {
+		t.Fatalf("a stopped timer stayed queued: %d pending", len(c.queue))
 	}
 }
 
-func TestMaxEventsGuard(t *testing.T) {
+func TestConcurrentUse(t *testing.T) {
+	// Arming, stopping, reading and advancing from many goroutines: every
+	// timer left armed fires exactly once, and time never runs backwards.
 	c := New(t0)
-	var reschedule func()
-	n := 0
-	reschedule = func() {
-		n++
-		c.Schedule(time.Second, reschedule)
+	var fired, kept atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := c.Now()
+			for i := 0; i < 200; i++ {
+				tm := c.AfterFunc(time.Duration(i%7)*time.Millisecond, func() { fired.Add(1) })
+				switch {
+				case i%3 == 0 && tm.Stop():
+				default:
+					kept.Add(1)
+				}
+				if g%2 == 0 {
+					c.Advance(time.Millisecond)
+				}
+				if now := c.Now(); now.Before(last) {
+					t.Errorf("time ran backwards: %v after %v", now, last)
+				} else {
+					last = now
+				}
+			}
+		}()
 	}
-	c.Schedule(time.Second, reschedule)
-	ran := c.Run(100)
-	if ran != 100 || n != 100 {
-		t.Fatalf("ran %d events, n=%d, want 100", ran, n)
+	wg.Wait()
+	c.Advance(time.Second)
+	// A timer whose Stop lost the race to its firing counts as kept.
+	if f, k := fired.Load(), kept.Load(); f != k || len(c.queue) != 0 {
+		t.Fatalf("fired %d of %d kept timers, %d still pending", f, k, len(c.queue))
 	}
 }
 
-func TestStepEmpty(t *testing.T) {
-	c := New(t0)
-	if c.Step() {
-		t.Fatal("Step on empty queue should return false")
+func TestWall(t *testing.T) {
+	before := time.Now()
+	if now := Wall.Now(); now.Before(before) {
+		t.Fatalf("Wall.Now %v before %v", now, before)
+	}
+	done := make(chan struct{})
+	Wall.AfterFunc(time.Millisecond, func() { close(done) })
+	<-done
+	if tm := Wall.AfterFunc(time.Hour, func() { t.Error("stopped wall timer fired") }); !tm.Stop() {
+		t.Fatal("Stop on an armed wall timer must report true")
 	}
 }

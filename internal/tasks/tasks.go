@@ -155,20 +155,15 @@ type TaskSet struct {
 	trainCommitted int
 	// estimate is the population-size estimate MinDevices gates check.
 	estimate int
-	now      func() time.Time
 }
 
 // New builds the task registry for a population, restoring any snapshot
 // previously persisted to store (store may be nil for an unpersisted set).
-func New(population string, store storage.Store, now func() time.Time) (*TaskSet, error) {
-	if now == nil {
-		now = time.Now
-	}
+func New(population string, store storage.Store) (*TaskSet, error) {
 	ts := &TaskSet{
 		population: population,
 		store:      store,
 		tasks:      make(map[string]*record),
-		now:        now,
 	}
 	if store != nil {
 		b, err := store.TaskSet()
@@ -190,8 +185,9 @@ func New(population string, store storage.Store, now func() time.Time) (*TaskSet
 // persisted state, including a pause or retirement, rather than silently
 // resurrecting the task); a *different* plan body under a restored ID is
 // an error — dropping it silently would leave the operator believing the
-// new plan deployed. Duplicate IDs within plans are an error.
-func (ts *TaskSet) Seed(plans []*plan.Plan) error {
+// new plan deployed. Duplicate IDs within plans are an error. at is the
+// submission time of the tasks it adds.
+func (ts *TaskSet) Seed(plans []*plan.Plan, at time.Time) error {
 	seen := make(map[string]bool, len(plans))
 	for _, p := range plans {
 		if seen[p.ID] {
@@ -213,7 +209,7 @@ func (ts *TaskSet) Seed(plans []*plan.Plan) error {
 			}
 			continue
 		}
-		if err := ts.Submit(p, Policy{}); err != nil {
+		if err := ts.Submit(p, Policy{}, at); err != nil {
 			return err
 		}
 	}
@@ -246,8 +242,9 @@ func samePlan(a, b *plan.Plan) (bool, error) {
 // Submit adds a new Active task. The plan must validate, belong to this
 // population, and carry an ID no live or retired task has used: task IDs
 // name per-task checkpoint lineages in storage, so a colliding resubmit
-// would silently graft onto the old task's model state.
-func (ts *TaskSet) Submit(p *plan.Plan, pol Policy) error {
+// would silently graft onto the old task's model state. at is the
+// submission time its stats record.
+func (ts *TaskSet) Submit(p *plan.Plan, pol Policy, at time.Time) error {
 	if p == nil {
 		return fmt.Errorf("tasks: nil plan")
 	}
@@ -281,7 +278,7 @@ func (ts *TaskSet) Submit(p *plan.Plan, pol Policy) error {
 		state:  Active,
 		stats: Stats{
 			ID: p.ID, Type: p.Type, State: Active, Policy: pol,
-			SubmittedAt: ts.now(),
+			SubmittedAt: at,
 		},
 		evalClock: ts.trainCommitted,
 	}

@@ -17,6 +17,9 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
+// t0 is the submission time the tests stamp.
+var t0 = time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC)
+
 func trainPlan(t *testing.T, id string) *plan.Plan {
 	t.Helper()
 	p, err := plan.Generate(plan.Config{
@@ -46,7 +49,7 @@ func evalPlan(t *testing.T, id string) *plan.Plan {
 
 func newSet(t *testing.T) *TaskSet {
 	t.Helper()
-	ts, err := New("pop", nil, nil)
+	ts, err := New("pop", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func commitTrainRound(ts *TaskSet, tk Task, round int64) {
 func TestSeedRejectsDuplicateIDs(t *testing.T) {
 	ts := newSet(t)
 	p := trainPlan(t, "pop/train")
-	if err := ts.Seed([]*plan.Plan{p, trainPlan(t, "pop/train")}); err == nil {
+	if err := ts.Seed([]*plan.Plan{p, trainPlan(t, "pop/train")}, t0); err == nil {
 		t.Fatal("duplicate plan IDs must be rejected")
 	} else if !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("unhelpful duplicate error: %v", err)
@@ -72,32 +75,32 @@ func TestSeedRejectsDuplicateIDs(t *testing.T) {
 func TestSubmitRejectsDuplicateAndWrongPopulation(t *testing.T) {
 	ts := newSet(t)
 	p := trainPlan(t, "pop/train")
-	if err := ts.Submit(p, Policy{}); err != nil {
+	if err := ts.Submit(p, Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(trainPlan(t, "pop/train"), Policy{}); err == nil {
+	if err := ts.Submit(trainPlan(t, "pop/train"), Policy{}, t0); err == nil {
 		t.Fatal("resubmitting an existing task ID must fail")
 	}
 	// Retired IDs stay reserved: their checkpoint lineage exists in storage.
 	if err := ts.Retire("pop/train"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(trainPlan(t, "pop/train"), Policy{}); err == nil {
+	if err := ts.Submit(trainPlan(t, "pop/train"), Policy{}, t0); err == nil {
 		t.Fatal("a retired task's ID must stay reserved")
 	}
 	other := trainPlan(t, "other/train")
 	other.Population = "other"
-	if err := ts.Submit(other, Policy{}); err == nil {
+	if err := ts.Submit(other, Policy{}, t0); err == nil {
 		t.Fatal("population mismatch must fail")
 	}
 }
 
 func TestWeightedRoundRobinHonorsWeights(t *testing.T) {
 	ts := newSet(t)
-	if err := ts.Submit(trainPlan(t, "a"), Policy{Weight: 3}); err != nil {
+	if err := ts.Submit(trainPlan(t, "a"), Policy{Weight: 3}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(trainPlan(t, "b"), Policy{Weight: 1}); err != nil {
+	if err := ts.Submit(trainPlan(t, "b"), Policy{Weight: 1}, t0); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
@@ -116,10 +119,10 @@ func TestWeightedRoundRobinHonorsWeights(t *testing.T) {
 
 func TestEvalCadenceInterleavesWithTraining(t *testing.T) {
 	ts := newSet(t)
-	if err := ts.Submit(trainPlan(t, "train"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "train"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(evalPlan(t, "eval"), Policy{EvalEvery: 2}); err != nil {
+	if err := ts.Submit(evalPlan(t, "eval"), Policy{EvalEvery: 2}, t0); err != nil {
 		t.Fatal(err)
 	}
 	var seq []string
@@ -144,10 +147,10 @@ func TestEvalCadenceInterleavesWithTraining(t *testing.T) {
 
 func TestFailedEvalRoundRearmsAfterOneTrainCommit(t *testing.T) {
 	ts := newSet(t)
-	if err := ts.Submit(trainPlan(t, "train"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "train"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(evalPlan(t, "eval"), Policy{EvalEvery: 3}); err != nil {
+	if err := ts.Submit(evalPlan(t, "eval"), Policy{EvalEvery: 3}, t0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -192,15 +195,15 @@ func (s *failingTaskStore) PutTaskSet(b []byte) error {
 
 func TestFailedPersistRollsMutationBack(t *testing.T) {
 	store := &failingTaskStore{Store: storage.NewMem()}
-	ts, err := New("pop", store, nil)
+	ts, err := New("pop", store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(trainPlan(t, "a"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "a"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
 	store.fail = true
-	if err := ts.Submit(trainPlan(t, "b"), Policy{}); err == nil {
+	if err := ts.Submit(trainPlan(t, "b"), Policy{}, t0); err == nil {
 		t.Fatal("submit must surface the persist failure")
 	}
 	if ts.Len() != 1 {
@@ -214,7 +217,7 @@ func TestFailedPersistRollsMutationBack(t *testing.T) {
 	}
 	// Recovery: once storage heals, the same mutations succeed.
 	store.fail = false
-	if err := ts.Submit(trainPlan(t, "b"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "b"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.Pause("a"); err != nil {
@@ -224,40 +227,40 @@ func TestFailedPersistRollsMutationBack(t *testing.T) {
 
 func TestSeedRejectsChangedPlanUnderRestoredID(t *testing.T) {
 	store := storage.NewMem()
-	ts, err := New("pop", store, nil)
+	ts, err := New("pop", store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Seed([]*plan.Plan{trainPlan(t, "pop/train")}); err != nil {
+	if err := ts.Seed([]*plan.Plan{trainPlan(t, "pop/train")}, t0); err != nil {
 		t.Fatal(err)
 	}
 	// Restart with the identical plan: fine, persisted state kept.
-	ts2, err := New("pop", store, nil)
+	ts2, err := New("pop", store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts2.Seed([]*plan.Plan{trainPlan(t, "pop/train")}); err != nil {
+	if err := ts2.Seed([]*plan.Plan{trainPlan(t, "pop/train")}, t0); err != nil {
 		t.Fatal(err)
 	}
 	// Restart with a CHANGED plan under the same ID: silently keeping the
 	// old plan would mislead the operator — it must error.
 	changed := trainPlan(t, "pop/train")
 	changed.Device.LearningRate = 0.5
-	ts3, err := New("pop", store, nil)
+	ts3, err := New("pop", store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts3.Seed([]*plan.Plan{changed}); err == nil {
+	if err := ts3.Seed([]*plan.Plan{changed}, t0); err == nil {
 		t.Fatal("a changed plan body under a restored task ID must be rejected")
 	}
 }
 
 func TestPauseResumeRetire(t *testing.T) {
 	ts := newSet(t)
-	if err := ts.Submit(trainPlan(t, "a"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "a"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(trainPlan(t, "b"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "b"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.Pause("a"); err != nil {
@@ -306,7 +309,7 @@ func TestPauseResumeRetire(t *testing.T) {
 
 func TestAutoPauseRecordsReasonUntilResume(t *testing.T) {
 	ts := newSet(t)
-	if err := ts.Submit(trainPlan(t, "a"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "a"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
 	const reason = "secure aggregation is unavailable in sharded mode"
@@ -340,17 +343,17 @@ func TestAutoPauseRecordsReasonUntilResume(t *testing.T) {
 
 func TestAutoPauseNoteSurvivesRestart(t *testing.T) {
 	store := storage.NewMem()
-	ts, err := New("pop", store, nil)
+	ts, err := New("pop", store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(trainPlan(t, "a"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "a"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.AutoPause("a", "why it stopped"); err != nil {
 		t.Fatal(err)
 	}
-	ts2, err := New("pop", store, nil)
+	ts2, err := New("pop", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +365,7 @@ func TestAutoPauseNoteSurvivesRestart(t *testing.T) {
 
 func TestAllPausedMeansNothingSchedulable(t *testing.T) {
 	ts := newSet(t)
-	if err := ts.Submit(trainPlan(t, "a"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "a"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.Pause("a"); err != nil {
@@ -375,10 +378,10 @@ func TestAllPausedMeansNothingSchedulable(t *testing.T) {
 
 func TestMinDevicesGate(t *testing.T) {
 	ts := newSet(t)
-	if err := ts.Submit(trainPlan(t, "big"), Policy{MinDevices: 5000}); err != nil {
+	if err := ts.Submit(trainPlan(t, "big"), Policy{MinDevices: 5000}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(trainPlan(t, "small"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "small"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
 	ts.SetPopulationEstimate(1000)
@@ -403,10 +406,10 @@ func TestPureEvalSetSchedulesRoundRobin(t *testing.T) {
 	// A set with no train task has no cadence clock: eval tasks share
 	// rounds by weighted round-robin instead of never running.
 	ts := newSet(t)
-	if err := ts.Submit(evalPlan(t, "e1"), Policy{}); err != nil {
+	if err := ts.Submit(evalPlan(t, "e1"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(evalPlan(t, "e2"), Policy{}); err != nil {
+	if err := ts.Submit(evalPlan(t, "e2"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
@@ -424,27 +427,27 @@ func TestPureEvalSetSchedulesRoundRobin(t *testing.T) {
 
 func TestEvalOfMustNameATrainTask(t *testing.T) {
 	ts := newSet(t)
-	if err := ts.Submit(evalPlan(t, "e1"), Policy{EvalOf: "nope"}); err == nil {
+	if err := ts.Submit(evalPlan(t, "e1"), Policy{EvalOf: "nope"}, t0); err == nil {
 		t.Fatal("unknown EvalOf must be rejected")
 	}
-	if err := ts.Submit(evalPlan(t, "e1"), Policy{}); err != nil {
+	if err := ts.Submit(evalPlan(t, "e1"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(evalPlan(t, "e2"), Policy{EvalOf: "e1"}); err == nil {
+	if err := ts.Submit(evalPlan(t, "e2"), Policy{EvalOf: "e1"}, t0); err == nil {
 		t.Fatal("EvalOf naming an eval task must be rejected")
 	}
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {
 	store := storage.NewMem()
-	ts, err := New("pop", store, nil)
+	ts, err := New("pop", store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(trainPlan(t, "train"), Policy{Weight: 2}); err != nil {
+	if err := ts.Submit(trainPlan(t, "train"), Policy{Weight: 2}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Submit(evalPlan(t, "eval"), Policy{EvalEvery: 3}); err != nil {
+	if err := ts.Submit(evalPlan(t, "eval"), Policy{EvalEvery: 3}, t0); err != nil {
 		t.Fatal(err)
 	}
 	ts.NoteCommitted("train", 7, 12, time.Unix(100, 0))
@@ -453,7 +456,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 
 	// A "restarted process": a fresh TaskSet over the same store.
-	ts2, err := New("pop", store, nil)
+	ts2, err := New("pop", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +474,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	// Seeding the restored set with the same plan must keep the persisted
 	// state (no silent resurrection of the paused eval task).
-	if err := ts2.Seed([]*plan.Plan{trainPlan(t, "train"), evalPlan(t, "eval")}); err != nil {
+	if err := ts2.Seed([]*plan.Plan{trainPlan(t, "train"), evalPlan(t, "eval")}, t0); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := ts2.StatsFor("eval"); st.State != Paused {
@@ -493,7 +496,7 @@ func TestConcurrentUse(t *testing.T) {
 	// the server serializes mutations through the Coordinator, but the
 	// TaskSet outlives Coordinators and is queried from other goroutines.
 	ts := newSet(t)
-	if err := ts.Submit(trainPlan(t, "seed"), Policy{}); err != nil {
+	if err := ts.Submit(trainPlan(t, "seed"), Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -503,7 +506,7 @@ func TestConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			id := fmt.Sprintf("task-%d", w)
-			_ = ts.Submit(trainPlan(t, id), Policy{Weight: w + 1})
+			_ = ts.Submit(trainPlan(t, id), Policy{Weight: w + 1}, t0)
 			for i := 0; i < 100; i++ {
 				if tk, ok := ts.Next(); ok {
 					ts.NoteCommitted(tk.Plan.ID, int64(i), 1, time.Unix(int64(i), 0))
@@ -531,25 +534,25 @@ func TestSeedAcceptsPlansPersistedBeforeServerReportEncoding(t *testing.T) {
 	p := trainPlan(t, "upgrade")
 	old := *p
 	old.Server.ReportEncoding = 0 // pre-upgrade snapshot shape
-	ts1, err := New("pop", store, nil)
+	ts1, err := New("pop", store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts1.Submit(&old, Policy{}); err != nil {
+	if err := ts1.Submit(&old, Policy{}, t0); err != nil {
 		t.Fatal(err)
 	}
-	ts2, err := New("pop", store, nil) // restores the old-shape snapshot
+	ts2, err := New("pop", store) // restores the old-shape snapshot
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts2.Seed([]*plan.Plan{p}); err != nil {
+	if err := ts2.Seed([]*plan.Plan{p}, t0); err != nil {
 		t.Fatalf("restart refused its own pre-upgrade task set: %v", err)
 	}
 	// A genuinely different encoding is still a different plan.
 	changed := *p
 	changed.Server.ReportEncoding = checkpoint.EncodingFloat64
 	changed.Device.ReportEncoding = checkpoint.EncodingFloat64
-	if err := ts2.Seed([]*plan.Plan{&changed}); err == nil {
+	if err := ts2.Seed([]*plan.Plan{&changed}, t0); err == nil {
 		t.Fatal("a changed uplink encoding must still read as a different plan")
 	}
 }
@@ -637,7 +640,7 @@ func TestRestoreRejectsForeignSnapshots(t *testing.T) {
 		if err := store.PutTaskSet(b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := New("pop", store, nil); err == nil {
+		if _, err := New("pop", store); err == nil {
 			t.Fatalf("New restored a foreign snapshot %x", b)
 		} else if b[0] != snapshotFormat && !strings.Contains(err.Error(), "incompatible build") {
 			t.Fatalf("foreign-format snapshot error does not name the cause: %v", err)
