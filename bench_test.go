@@ -107,7 +107,7 @@ func BenchmarkTable1Sessions(b *testing.B) {
 }
 
 func BenchmarkNextWordConvergence(b *testing.B) {
-	var fed, central, bigram float64
+	var fed, fedQ8, central, bigram float64
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.NextWord(experiments.NextWordConfig{
 			Users: 60, SentencesPer: 20, SentenceLen: 6, Vocab: 16,
@@ -116,9 +116,10 @@ func BenchmarkNextWordConvergence(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fed, central, bigram = r.FederatedRNN, r.CentralizedRNN, r.Bigram
+		fed, fedQ8, central, bigram = r.FederatedRNN, r.FederatedRNNQuant8, r.CentralizedRNN, r.Bigram
 	}
 	b.ReportMetric(fed, "fed-recall")
+	b.ReportMetric(fedQ8, "fed-quant8-downlink-recall")
 	b.ReportMetric(central, "central-recall")
 	b.ReportMetric(bigram, "bigram-recall")
 }

@@ -3,10 +3,10 @@
 // state of a TensorFlow session", Sec. 2.1). The global model goes down as
 // a checkpoint; the device's weighted update comes back as one.
 //
-// Two wire encodings are provided: full float64 and 8-bit quantized. The
-// paper notes (Sec. 11, Bandwidth; Fig. 9) that updates are more
-// compressible than the global model — the quantized codec is what makes
-// the Fig. 9 traffic asymmetry reproducible.
+// Two wire encodings: full float64 and 8-bit quantized (Sec. 11, Bandwidth).
+// A training plan's report encoding governs its device link both ways —
+// updates up, the global model down (plan.DownlinkEncoding); eval downloads
+// and the stored master checkpoint are always float64.
 package checkpoint
 
 import (
@@ -61,17 +61,10 @@ func (c *Checkpoint) Marshal(enc Encoding) ([]byte, error) {
 	if uint64(len(c.Params)) > math.MaxUint32 {
 		return nil, fmt.Errorf("checkpoint: too many params (%d)", len(c.Params))
 	}
-	header := 4 + 1 + 1 + 2 + len(c.TaskName) + 8 + 8 + 4
-	var body int
-	switch enc {
-	case EncodingFloat64:
-		body = 8 * len(c.Params)
-	case EncodingQuant8:
-		body = 16 + len(c.Params)
-	default:
+	if enc != EncodingFloat64 && enc != EncodingQuant8 {
 		return nil, fmt.Errorf("checkpoint: unknown encoding %d", enc)
 	}
-	buf := make([]byte, 0, header+body)
+	buf := make([]byte, 0, c.WireSize(enc))
 
 	buf = binary.BigEndian.AppendUint32(buf, magic)
 	buf = append(buf, formatVersion, byte(enc))
@@ -83,18 +76,22 @@ func (c *Checkpoint) Marshal(enc Encoding) ([]byte, error) {
 
 	switch enc {
 	case EncodingFloat64:
-		c.Params.PutBE(buf[header : header+body])
+		c.Params.PutBE(buf[len(buf):cap(buf)])
 	case EncodingQuant8:
+		// A NaN, an infinity or a range wider than MaxFloat64 has no levels.
 		lo, hi := c.Params.Range()
+		if d := hi - lo; math.IsNaN(d) || math.IsInf(d, 0) {
+			return nil, fmt.Errorf("checkpoint: quant8 needs finite params and range, have [%v, %v]", lo, hi)
+		}
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(lo))
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(hi))
 		scale := 0.0
 		if hi > lo {
 			scale = 255 / (hi - lo)
 		}
-		c.Params.PutQuant8(buf[header+16:header+body], lo, scale)
+		c.Params.PutQuant8(buf[len(buf):cap(buf)], lo, scale)
 	}
-	return buf[:header+body], nil
+	return buf[:cap(buf)], nil
 }
 
 // Meta is a checkpoint's header, parsed without materializing the O(dim)
@@ -291,8 +288,8 @@ func Unmarshal(b []byte) (*Checkpoint, error) {
 	return c, nil
 }
 
-// WireSize returns the encoded size in bytes without allocating the buffer.
-// The analytics layer uses it for the Fig. 9 traffic accounting.
+// WireSize returns the encoded size in bytes without allocating the buffer:
+// Marshal's exact allocation, and the Fig. 9 traffic accounting's figure.
 func (c *Checkpoint) WireSize(enc Encoding) int {
 	header := 4 + 1 + 1 + 2 + len(c.TaskName) + 8 + 8 + 4
 	switch enc {

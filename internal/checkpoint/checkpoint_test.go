@@ -145,6 +145,38 @@ func TestUnmarshalHostileParamCount(t *testing.T) {
 	}
 }
 
+// TestQuant8RefusesNonFinite: a vector Quant8 cannot represent — a NaN or an
+// infinity anywhere, or finite values whose range overflows — is refused
+// with an error instead of decoding as all-NaN or, for a NaN after the first
+// element, as a finite wrong value. Float64 still round-trips it bit for bit.
+func TestQuant8RefusesNonFinite(t *testing.T) {
+	const max = math.MaxFloat64
+	cases := []tensor.Vector{{-max, 0, max}, {0, max, -max}, {max, -max, 0}}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases = append(cases, tensor.Vector{bad, 1, 2}, tensor.Vector{1, bad, 2}, tensor.Vector{1, 2, bad})
+	}
+	for _, v := range cases {
+		c := &Checkpoint{TaskName: "t", Weight: 1, Params: v}
+		if b, err := c.Marshal(EncodingQuant8); err == nil {
+			back, _ := Unmarshal(b)
+			t.Errorf("quant8 %v: marshaled without error, decodes as %v", v, back.Params)
+		}
+		b, err := c.Marshal(EncodingFloat64)
+		if err != nil {
+			t.Fatalf("float64 %v: %v", v, err)
+		}
+		back, err := Unmarshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range v {
+			if math.Float64bits(back.Params[i]) != math.Float64bits(v[i]) {
+				t.Fatalf("float64 %v decoded as %v", v, back.Params)
+			}
+		}
+	}
+}
+
 func TestMarshalBadEncoding(t *testing.T) {
 	if _, err := sample().Marshal(Encoding(0)); err == nil {
 		t.Fatal("expected error for unknown encoding")

@@ -122,6 +122,14 @@ func TestNextWordShape(t *testing.T) {
 	if len(r.RecallCurve) < 2 || r.RecallCurve[len(r.RecallCurve)-1] <= r.RecallCurve[0]*0.9 {
 		t.Fatalf("recall should improve over rounds: %v", r.RecallCurve)
 	}
+	// Devices served the Quant8 round trip of the float64 master learn as
+	// well: the quantized downlink costs at most a point of recall.
+	if gap := r.FederatedRNN - r.FederatedRNNQuant8; gap > 0.01 {
+		t.Fatalf("quant8 downlink recall %v trails float64 %v by %v > 0.01", r.FederatedRNNQuant8, r.FederatedRNN, gap)
+	}
+	if !strings.Contains(r.Format(), "quant8") {
+		t.Fatal("Format missing the quant8 downlink line")
+	}
 }
 
 func TestKSweepDiminishingReturns(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/fedavg"
 	"repro/internal/nn"
@@ -50,10 +51,11 @@ func (c *NextWordConfig) defaults() {
 // NextWordResult reproduces the Sec. 8 comparison: federated RNN vs. the
 // n-gram baseline vs. a centrally trained RNN of the same architecture.
 type NextWordResult struct {
-	Rounds         int
-	FederatedRNN   float64 // top-1 recall
-	CentralizedRNN float64
-	Bigram         float64
+	Rounds             int
+	FederatedRNN       float64 // top-1 recall
+	FederatedRNNQuant8 float64 // the same, devices served the Quant8 downlink
+	CentralizedRNN     float64
+	Bigram             float64
 	// RecallCurve is federated top-1 recall sampled every few rounds.
 	RecallCurve []float64
 }
@@ -91,10 +93,24 @@ func NextWord(cfg NextWordConfig) (*NextWordResult, error) {
 		return nil, err
 	}
 
-	// Federated training: DevicesPer users per round.
-	tr, err := fedavg.NewTrainer(spec, fedavg.ClientConfig{BatchSize: 8, Epochs: 1, LR: 0.5, Shuffle: true}, cfg.Seed+3)
-	if err != nil {
-		return nil, err
+	// Federated training: DevicesPer users per round, over the same draws for
+	// devices served the float64 master (trs[0]) and its Quant8 round trip.
+	var trs [2]*fedavg.Trainer
+	for i := range trs {
+		if trs[i], err = fedavg.NewTrainer(spec, fedavg.ClientConfig{BatchSize: 8, Epochs: 1, LR: 0.5, Shuffle: true}, cfg.Seed+3); err != nil {
+			return nil, err
+		}
+	}
+	trs[1].Downlink = func(v tensor.Vector) (tensor.Vector, error) {
+		b, err := (&checkpoint.Checkpoint{Params: v}).Marshal(checkpoint.EncodingQuant8)
+		if err != nil {
+			return nil, err
+		}
+		c, err := checkpoint.Unmarshal(b)
+		if err != nil {
+			return nil, err
+		}
+		return c.Params, nil
 	}
 	rng := tensor.NewRNG(cfg.Seed + 4)
 	res := &NextWordResult{Rounds: cfg.Rounds}
@@ -108,14 +124,17 @@ func NextWord(cfg NextWordConfig) (*NextWordResult, error) {
 		for i := 0; i < k; i++ {
 			sel[i] = corpus.Users[perm[i]]
 		}
-		if _, err := tr.Round(sel); err != nil {
-			return nil, err
+		for _, t := range trs {
+			if _, err := t.Round(sel); err != nil {
+				return nil, err
+			}
 		}
 		if (round+1)%(cfg.Rounds/10+1) == 0 || round == cfg.Rounds-1 {
-			res.RecallCurve = append(res.RecallCurve, tr.Evaluate(corpus.Test).Accuracy)
+			res.RecallCurve = append(res.RecallCurve, trs[0].Evaluate(corpus.Test).Accuracy)
 		}
 	}
-	res.FederatedRNN = tr.Evaluate(corpus.Test).Accuracy
+	res.FederatedRNN = trs[0].Evaluate(corpus.Test).Accuracy
+	res.FederatedRNNQuant8 = trs[1].Evaluate(corpus.Test).Accuracy
 	res.CentralizedRNN = central.Evaluate(corpus.Test).Accuracy
 	res.Bigram = bigram.Evaluate(corpus.Test).Accuracy
 	return res, nil
@@ -126,6 +145,7 @@ func (r *NextWordResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sec. 8 — Next-word prediction, top-1 recall after %d FL rounds\n", r.Rounds)
 	fmt.Fprintf(&b, "%-24s %8.3f\n", "federated RNN", r.FederatedRNN)
+	fmt.Fprintf(&b, "%-24s %8.3f   (devices served the Quant8 downlink)\n", "federated RNN, quant8", r.FederatedRNNQuant8)
 	fmt.Fprintf(&b, "%-24s %8.3f   (paper: FL matches server-trained RNN)\n", "centralized RNN", r.CentralizedRNN)
 	fmt.Fprintf(&b, "%-24s %8.3f   (paper: FL beats the n-gram baseline)\n", "bigram baseline", r.Bigram)
 	fmt.Fprintf(&b, "recall curve:")

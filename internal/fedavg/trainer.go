@@ -24,6 +24,9 @@ type Trainer struct {
 	// DP, when non-nil, enables differentially private aggregation
 	// (per-device clipping + Gaussian noise on the average; see dp.go).
 	DP *DPConfig
+	// Downlink, when set, maps Global to what devices are served (a lossy
+	// encoding's round trip); their deltas still land on Global.
+	Downlink func(tensor.Vector) (tensor.Vector, error)
 
 	velocity tensor.Vector
 	model    nn.Model // reused across client updates
@@ -57,10 +60,17 @@ func (t *Trainer) Round(devices [][]nn.Example) (*RoundResult, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("fedavg: round with no devices")
 	}
+	served := t.Global
+	if t.Downlink != nil {
+		var err error
+		if served, err = t.Downlink(t.Global); err != nil {
+			return nil, fmt.Errorf("fedavg: downlink: %w", err)
+		}
+	}
 	acc := NewAccumulator(len(t.Global))
 	var lossSum float64
 	for i, examples := range devices {
-		u, err := ClientUpdate(t.model, t.Global, examples, t.Client, t.rng.Derive(uint64(t.round)<<20|uint64(i)))
+		u, err := ClientUpdate(t.model, served, examples, t.Client, t.rng.Derive(uint64(t.round)<<20|uint64(i)))
 		if err != nil {
 			return nil, fmt.Errorf("fedavg: device %d: %w", i, err)
 		}

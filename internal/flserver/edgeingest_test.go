@@ -45,23 +45,26 @@ func serialReference(t *testing.T, devices, dim int, enc checkpoint.Encoding) *f
 // TestEdgeAccumulationMatchesSerial: the striped decode-and-accumulate
 // ingest must commit the same checkpoint as the old serial per-device fold,
 // within floating-point summation-order tolerance, over both transports and
-// both uplink encodings. At dim 256 the TCP frames are 2 KB — the smallest
-// that are leased — so released buffers are poisoned: a fold that outlived
-// its small lease would break the closed form.
+// both link encodings. Every TCP frame — the download and each report — is
+// just over the 1 KiB from which frames are leased (dim 256 in float64, dim
+// 2048 in Quant8, whose download is Quant8 too), so released buffers are
+// poisoned: a fold that outlived its small lease would break the closed form.
 func TestEdgeAccumulationMatchesSerial(t *testing.T) {
 	transport.PoisonReleasedForTest()
-	const devices, dim = 48, 256
+	const devices = 48
 	for _, tc := range []struct {
 		name string
 		tcp  bool
 		enc  checkpoint.Encoding
+		dim  int
 	}{
-		{"mem/float64", false, checkpoint.EncodingFloat64},
-		{"mem/quant8", false, checkpoint.EncodingQuant8},
-		{"tcp/float64", true, checkpoint.EncodingFloat64},
-		{"tcp/quant8", true, checkpoint.EncodingQuant8},
+		{"mem/float64", false, checkpoint.EncodingFloat64, 256},
+		{"mem/quant8", false, checkpoint.EncodingQuant8, 2048},
+		{"tcp/float64", true, checkpoint.EncodingFloat64, 256},
+		{"tcp/quant8", true, checkpoint.EncodingQuant8, 2048},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			dim := tc.dim
 			leasesBefore := leasedFrames()
 			st, err := runBenchRound(benchRoundConfig{
 				Devices: devices, Dim: dim, TCP: tc.tcp, Encoding: tc.enc, DistinctUpdates: true,
@@ -69,13 +72,10 @@ func TestEdgeAccumulationMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Every 2 KB download is leased, and every 2 KB float64 report.
+			// Every download is leased, and every report.
 			want := int64(0)
 			if tc.tcp {
-				want = devices
-				if tc.enc == checkpoint.EncodingFloat64 {
-					want = 2 * devices
-				}
+				want = 2 * devices
 			}
 			if got := leasedFrames() - leasesBefore; got < want {
 				t.Fatalf("%d frames read into leased buffers, want >= %d", got, want)

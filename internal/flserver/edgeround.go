@@ -32,12 +32,13 @@ type EdgeRoundConfig struct {
 	Plan  *plan.Plan
 	Round int64
 	// Global is the round's global model as the Coordinator holds it;
-	// Checkpoint is its marshaled form, served to devices verbatim. The
-	// Coordinator sets only Global and leaves the O(model) marshal to
-	// whoever needs the bytes first — a local EdgeRound configuring its
-	// first device, a remote edge's link framing the config — which keeps
-	// it off the path between a commit and the next round's quota grant.
-	// A remote edge host sets only Checkpoint, from the wire.
+	// Checkpoint is its marshaled form in the plan's DownlinkEncoding, served
+	// to every runtime version verbatim. The Coordinator sets only Global and
+	// leaves the O(model) marshal to whoever needs the bytes first — a local
+	// EdgeRound configuring its first device, a remote edge's link framing
+	// the config — which keeps it off the path between a commit and the next
+	// round's quota grant. A remote edge host sets only Checkpoint, from the
+	// wire.
 	Global     *checkpoint.Checkpoint
 	Checkpoint []byte
 	// Dim is the model parameter count (sizes the accumulator stripes).
@@ -392,7 +393,7 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 		obsPlanMarshals.Inc()
 	}
 	if err == nil && er.cfg.Checkpoint == nil {
-		er.cfg.Checkpoint, err = er.cfg.Global.Marshal(checkpoint.EncodingFloat64)
+		er.cfg.Checkpoint, err = er.cfg.Global.Marshal(p.DownlinkEncoding())
 	}
 	if err != nil {
 		// Devices of this version cannot be served any form of the plan;

@@ -96,8 +96,8 @@ type DevicePlan struct {
 	BatchSize    int
 	Epochs       int
 	LearningRate float64
-	// ReportEncoding is how the device encodes its update (updates are more
-	// compressible than the global model, Fig. 9).
+	// ReportEncoding is how the device encodes its update and, for a training
+	// task, how it is served the global model (Plan.DownlinkEncoding).
 	ReportEncoding checkpoint.Encoding
 	// MinRuntimeVersion is the oldest device runtime that can execute this
 	// op sequence.
@@ -162,13 +162,12 @@ type ServerPlan struct {
 	// ParticipationCap bounds a single device's participation time
 	// (the straggler cap visible in Fig. 8).
 	ParticipationCap time.Duration
-	// ReportEncoding is the uplink encoding the task requests for device
-	// updates — the server-side knob of the Sec. 11 bandwidth lever
-	// (EncodingQuant8 ships 1 byte/param instead of 8, an ~8× uplink
-	// reduction, and the Reporting path dequantizes it straight into the
-	// aggregation stripes). Generate mirrors it into the device plan; 0
-	// defers to Device.ReportEncoding (plans marshaled before this field
-	// existed).
+	// ReportEncoding is the encoding of a training task's device link, the
+	// Sec. 11 bandwidth lever: EncodingQuant8 ships 1 byte/param instead of 8
+	// both ways — updates up (dequantized straight into the aggregation
+	// stripes) and the global model down (Plan.DownlinkEncoding); eval tasks
+	// are served float64. Generate mirrors it into the device plan; 0 defers
+	// to Device.ReportEncoding (plans marshaled before this field existed).
 	ReportEncoding checkpoint.Encoding
 	// Robust selects the robust aggregation policy applied to this task's
 	// updates before they reach the committed checkpoint (see RobustKind).
@@ -301,6 +300,17 @@ func (p *Plan) UplinkEncoding() checkpoint.Encoding {
 	}
 	if p.Device.ReportEncoding != 0 {
 		return p.Device.ReportEncoding
+	}
+	return checkpoint.EncodingFloat64
+}
+
+// DownlinkEncoding resolves the encoding devices are served the global model
+// in: Quant8 exactly when a training task's uplink is Quant8 (eval tasks
+// score the exact model). The master stays float64 and is re-quantized every
+// round, so quantization error cannot accumulate across rounds.
+func (p *Plan) DownlinkEncoding() checkpoint.Encoding {
+	if p.Type == TaskTrain && p.UplinkEncoding() == checkpoint.EncodingQuant8 {
+		return checkpoint.EncodingQuant8
 	}
 	return checkpoint.EncodingFloat64
 }

@@ -438,3 +438,61 @@ func TestForVersionProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestDownlinkEncoding: the global model goes down in Quant8 exactly when a
+// training task reports in Quant8 — whether the plan says so in
+// Server.ReportEncoding, only in Device.ReportEncoding (a plan marshaled
+// before the server field existed) or by Generate's default — under simple
+// and secure aggregation and every robust policy that admits a Quant8
+// uplink. Eval tasks, float64 tasks and per-update robust tasks that are not
+// QuantSafe (Generate defaults those to float64 reports) are served float64.
+// Combinations Validate refuses must stay refused.
+func TestDownlinkEncoding(t *testing.T) {
+	q8, f64 := checkpoint.EncodingQuant8, checkpoint.EncodingFloat64
+	policies := []RobustPolicy{
+		{},
+		{Kind: RobustNormBound, ClipNorm: 1},
+		{Kind: RobustTrimmedMean, TrimFraction: 0.25, QuantSafe: true},
+		{Kind: RobustTrimmedMean, TrimFraction: 0.25},
+	}
+	for _, typ := range []TaskType{TaskTrain, TaskEval} {
+		for _, enc := range []string{"quant8", "float64", "legacy_quant8", "default"} {
+			for _, secure := range []bool{false, true} {
+				for _, pol := range policies {
+					name := fmt.Sprintf("%s/%s/secure=%v/%s/quant_safe=%v", typ, enc, secure, pol.Kind, pol.QuantSafe)
+					cfg := testConfig()
+					cfg.Type, cfg.SecureAggregation, cfg.Robust = typ, secure, pol
+					switch enc {
+					case "quant8", "legacy_quant8":
+						cfg.ReportEncoding = q8
+					case "float64":
+						cfg.ReportEncoding = f64
+					}
+					exact := pol.PerUpdate() && !pol.QuantSafe
+					refused := (typ == TaskEval && pol.Kind != RobustNone) ||
+						(secure && pol.PerUpdate()) || (exact && cfg.ReportEncoding == q8)
+					p, err := Generate(cfg)
+					if (err != nil) != refused {
+						t.Fatalf("%s: Generate error %v, want refused=%v", name, err, refused)
+					}
+					if refused {
+						continue
+					}
+					if enc == "legacy_quant8" {
+						p.Server.ReportEncoding = 0
+						if err := p.Validate(); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+					}
+					want := f64
+					if typ == TaskTrain && enc != "float64" && !exact {
+						want = q8
+					}
+					if got := p.DownlinkEncoding(); got != want {
+						t.Errorf("%s: DownlinkEncoding = %d, want %d", name, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
 	"repro/internal/flserver"
 	"repro/internal/obs"
@@ -119,7 +118,7 @@ func (e *shardEdge) Open(cfg *flserver.EdgeRoundConfig, _ actor.Ref) error {
 		if err != nil {
 			return err
 		}
-		ckptBytes, err := cfg.Global.Marshal(checkpoint.EncodingFloat64)
+		ckptBytes, err := cfg.Global.Marshal(cfg.Plan.DownlinkEncoding())
 		if err != nil {
 			return err
 		}

@@ -80,6 +80,29 @@ type engineRig struct {
 	// taskStats and clipped read the coordinator's operator surface.
 	taskStats func() []tasks.Stats
 	clipped   func() int64
+
+	// downlinks is the encoding of the global checkpoint in every
+	// RoundConfig a shard of a sharded topology received (0: unparseable).
+	mu        sync.Mutex
+	downlinks []checkpoint.Encoding
+}
+
+// downlinkConn is a shard's coordinator link that notes the encoding of each
+// RoundConfig's checkpoint on its rig.
+type downlinkConn struct {
+	transport.Conn
+	rig *engineRig
+}
+
+func (c *downlinkConn) Recv() (interface{}, error) {
+	msg, err := c.Conn.Recv()
+	if rc, ok := msg.(protocol.RoundConfig); ok {
+		meta, _ := checkpoint.ParseMeta(rc.Checkpoint)
+		c.rig.mu.Lock()
+		c.rig.downlinks = append(c.rig.downlinks, meta.Encoding)
+		c.rig.mu.Unlock()
+	}
+	return msg, err
 }
 
 // startEngine wires p onto the given topology. The store is seeded with a
@@ -147,7 +170,13 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 		sp := NewSelectorProc(SelectorConfig{
 			Shard: uint32(i), Steering: pacing.New(time.Second), PopulationEstimate: engineK,
 			Seed: uint64(7 + i), Peer: peer,
-		}, coordDial)
+		}, func() (transport.Conn, error) {
+			c, err := coordDial()
+			if err != nil {
+				return nil, err
+			}
+			return &downlinkConn{Conn: c, rig: rig}, nil
+		})
 		t.Cleanup(sp.Close)
 		l, dial := listen(fmt.Sprintf("shard-%d", i), !topo.storm)
 		go sp.Serve(l)
@@ -271,6 +300,9 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 		// updates, and how many of them the policy clips.
 		want func(updates []*fedavg.Update) (tensor.Vector, int)
 		tol  float64
+		// downlink is the encoding shards are sent the global in; 0 is
+		// float64.
+		downlink checkpoint.Encoding
 	}
 	honest := func(int) float64 { return 1 }
 	attacked := func(i int) float64 {
@@ -292,7 +324,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 	cells := []cell{
 		{name: "plain_f64", cfg: func(*plan.Config) {}, scale: honest, want: weightedMean, tol: 1e-9},
 		{name: "quant8", cfg: func(c *plan.Config) { c.ReportEncoding = checkpoint.EncodingQuant8 },
-			scale: honest, want: weightedMean, tol: 1e-9},
+			scale: honest, want: weightedMean, tol: 1e-9, downlink: checkpoint.EncodingQuant8},
 		{name: "norm_bound", cfg: func(c *plan.Config) {
 			c.Robust = plan.RobustPolicy{Kind: plan.RobustNormBound, ClipNorm: clip}
 		}, scale: attacked, want: func(updates []*fedavg.Update) (tensor.Vector, int) {
@@ -392,6 +424,25 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 				}
 
 				waitEngineDone(t, rig)
+				if topo.shards > 0 {
+					// The coordinator frames the global for the device link:
+					// a Quant8 training plan's RoundConfig is 8× smaller.
+					want := c.downlink
+					if want == 0 {
+						want = checkpoint.EncodingFloat64
+					}
+					rig.mu.Lock()
+					got := append([]checkpoint.Encoding(nil), rig.downlinks...)
+					rig.mu.Unlock()
+					if len(got) == 0 {
+						t.Fatal("no RoundConfig reached a shard")
+					}
+					for _, enc := range got {
+						if enc != want {
+							t.Fatalf("RoundConfig checkpoints arrived as %v, want encoding %d", got, want)
+						}
+					}
+				}
 				ck, err := rig.store.LatestCheckpoint(p.ID)
 				if err != nil {
 					t.Fatal(err)

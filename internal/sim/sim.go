@@ -168,8 +168,8 @@ func Run(cfg Config) (*Results, error) {
 		return nil, err
 	}
 
-	// Wire sizes for the Fig. 9 traffic asymmetry: plan + full checkpoint
-	// go down; a (compressible) update comes up.
+	// Wire sizes for the Fig. 9 traffic asymmetry: plan + checkpoint go
+	// down, an update comes up, each in the encoding the plan resolves.
 	m, err := cfg.Plan.Device.Model.Build()
 	if err != nil {
 		return nil, err
@@ -192,7 +192,7 @@ func Run(cfg Config) (*Results, error) {
 		partSum:   metrics.NewSummary(),
 		finishP90: p90,
 		planWire:  cfg.Plan.WireSize(),
-		ckptWire:  ck.WireSize(checkpoint.EncodingFloat64),
+		ckptWire:  ck.WireSize(cfg.Plan.DownlinkEncoding()),
 		updWire:   ck.WireSize(cfg.Plan.UplinkEncoding()),
 	}
 

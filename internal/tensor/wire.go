@@ -112,13 +112,16 @@ func SumSquaresLUT(lut *[256]float64, src []byte) (ss float64) {
 	return ss
 }
 
-// Range returns the smallest and largest element; 0, 0 for an empty vector.
+// Range returns the smallest and largest element: 0, 0 if empty, NaN, NaN if any is NaN.
 func (v Vector) Range() (lo, hi float64) {
 	if len(v) == 0 {
 		return 0, 0
 	}
 	lo, hi = v[0], v[0]
 	for _, p := range v[1:] {
+		if p != p {
+			return p, p
+		}
 		if p < lo {
 			lo = p
 		}

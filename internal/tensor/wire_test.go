@@ -160,6 +160,11 @@ func TestRangeAndPutQuant8(t *testing.T) {
 	if lo != -2 || hi != 3 {
 		t.Fatalf("range %v %v", lo, hi)
 	}
+	for _, w := range []Vector{{math.NaN(), 1, 2}, {1, math.NaN(), 2}, {1, 2, math.NaN()}} {
+		if lo, hi := w.Range(); !math.IsNaN(lo) || !math.IsNaN(hi) {
+			t.Fatalf("range of %v is [%v, %v], want NaN, NaN", w, lo, hi)
+		}
+	}
 	q := make([]byte, len(v))
 	v.PutQuant8(q, lo, 255/(hi-lo))
 	if want := []byte{128, 0, 255, 153}; string(q) != string(want) {
