@@ -3,6 +3,7 @@ package flserver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -168,7 +169,7 @@ type Coordinator struct {
 	rates *pacing.RateTracker
 
 	acquired  bool
-	edges     map[Edge]bool
+	edges     []Edge
 	global    map[string]*checkpoint.Checkpoint // per task lineage
 	cur       *round
 	completed int
@@ -199,14 +200,11 @@ func newCoordinator(p CoordinatorParams) *Coordinator {
 	}
 	c := &Coordinator{
 		CoordinatorParams: p,
-		edges:             make(map[Edge]bool, len(p.Edges)),
+		edges:             slices.Clone(p.Edges),
 		global:            make(map[string]*checkpoint.Checkpoint),
 	}
 	if p.Steering != nil {
 		c.rates = pacing.NewRateTracker(p.Steering, p.PopulationEstimate)
-	}
-	for _, e := range p.Edges {
-		c.edges[e] = true
 	}
 	return c
 }
@@ -222,7 +220,7 @@ func (c *Coordinator) Receive(ctx *actor.Context, msg actor.Message) {
 	case msgEdgeUp:
 		c.onEdgeUp(ctx, m.Edge)
 	case msgEdgeDown:
-		delete(c.edges, m.Edge)
+		c.edges = slices.DeleteFunc(c.edges, func(e Edge) bool { return e == m.Edge })
 		// The edge's devices (and its seal) are lost to this round —
 		// Sec. 4.4: "only the devices connected to that actor will be
 		// lost". The round settles with the remaining edges.
@@ -319,7 +317,7 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 	// cause still holds.
 	c.gateRetry = false
 	if c.rates != nil {
-		for e := range c.edges {
+		for _, e := range c.edges {
 			e.ProbeRates(ctx.Self)
 		}
 	}
@@ -332,7 +330,7 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 			// their half-open connections) the edges are holding for us,
 			// instead of stranding them until process teardown.
 			c.drained = true
-			for e := range c.edges {
+			for _, e := range c.edges {
 				e.Abort("", 0, "population drained")
 			}
 			if c.Done != nil {
@@ -385,12 +383,28 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 		return
 	}
 
-	// Every edge gets the same ceil share, so the whole config is built
-	// once and remote edges frame it once.
-	n := len(c.edges)
-	share := func(total int) int { return (total + n - 1) / n }
+	// The round's totals are split exactly over m = min(edges, K) edges: rank
+	// k takes (total + m − 1 − k) / m, which sums to total over the m ranks
+	// (Hermite's identity), the first total mod m taking one more. Ranks
+	// rotate over the edges' attach order with every round, so the +1 shares
+	// move instead of shorting the same edge's devices each round, and an
+	// edge ranked past m is not opened: NewEdgeRound would lift its zero
+	// share to a target of one.
+	n, m := len(c.edges), min(len(c.edges), p.Server.TargetDevices)
 	cur := &round{
-		cfg: &EdgeRoundConfig{
+		evalOnly: p.Type == plan.TaskEval,
+		metrics:  make(map[string][]float64),
+		pending:  make(map[Edge]bool, m),
+		started:  time.Now(),
+		phases:   make(map[string]int64),
+	}
+	for i, e := range c.edges {
+		k := (i + c.completed + c.failed) % n
+		if k >= m {
+			continue
+		}
+		share := func(total int) int { return (total + m - 1 - k) / m }
+		cfg := &EdgeRoundConfig{
 			Population: c.Population,
 			Plan:       p,
 			Round:      global.Round,
@@ -401,15 +415,11 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 			MinReports: share(p.Server.MinReports()),
 			MinRuntime: t.Policy.MinRuntimeVersion,
 			Estimate:   c.Tasks.PopulationEstimate(),
-		},
-		evalOnly: p.Type == plan.TaskEval,
-		metrics:  make(map[string][]float64),
-		pending:  make(map[Edge]bool, n),
-		started:  time.Now(),
-		phases:   make(map[string]int64),
-	}
-	for e := range c.edges {
-		if e.Open(cur.cfg, ctx.Self) == nil {
+		}
+		if k == 0 {
+			cur.cfg = cfg // the largest share: what an edge attaching mid-round gets
+		}
+		if e.Open(cfg, ctx.Self) == nil {
 			cur.pending[e] = true
 		}
 	}
@@ -461,12 +471,12 @@ func (c *Coordinator) loadGlobal(t tasks.Task) (*checkpoint.Checkpoint, error) {
 }
 
 func (c *Coordinator) onEdgeUp(ctx *actor.Context, e Edge) {
-	if c.edges[e] {
+	if slices.Contains(c.edges, e) {
 		// A re-announced hello on an attached edge (peers re-send hellos in
 		// case the first was lost): nothing to resume.
 		return
 	}
-	c.edges[e] = true
+	c.edges = append(c.edges, e)
 	switch cur := c.cur; {
 	case c.drained:
 		// The population already finished its rounds; tell the newcomer to
@@ -476,7 +486,7 @@ func (c *Coordinator) onEdgeUp(ctx *actor.Context, e Edge) {
 		c.onTick(ctx)
 	case !cur.cfg.Plan.Server.Robust.PerUpdate():
 		// Attached mid-round (typically a reconnect): hand it the round's
-		// config so it runs a fresh edge round for the same global round,
+		// largest share so it runs a fresh edge round for the same global round,
 		// and expect its seal (reconnect-then-resume). A retention round is
 		// still waiting on its one edge and must not gain a second.
 		if e.Open(cur.cfg, ctx.Self) == nil {

@@ -104,7 +104,7 @@ func (d *DeviceClient) RunOnce(conn transport.Conn) (*Outcome, error) {
 		return &Outcome{RetryAfter: resp.RetryAfter, RejectedBy: resp.Reason, SessionShape: session.Shape()}, nil
 	}
 
-	p, err := plan.Unmarshal(resp.Plan)
+	p, err := plan.UnmarshalDevice(resp.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("device %s: plan: %w", d.ID, err)
 	}

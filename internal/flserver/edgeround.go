@@ -369,10 +369,11 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 }
 
 // respFor returns the Configuration payload for a device runtime version,
-// marshaling the plan and building + pre-framing the CheckinResponse once
-// per distinct *effective* version: every runtime at or above the plan's
-// MinRuntimeVersion executes the plan unchanged and shares one marshaled
-// copy; each older version gets one lowered plan. Pre-framing
+// marshaling the device's part of the plan (plan.MarshalDevice: the server
+// part never goes down the device link) and building + pre-framing the
+// CheckinResponse once per distinct *effective* version: every runtime at or
+// above the plan's MinRuntimeVersion executes the plan unchanged and shares
+// one marshaled copy; each older version gets one lowered plan. Pre-framing
 // (transport.Encode) means the multi-MB plan+checkpoint wire frame is built
 // O(versions) per round and every send pushes the same immutable bytes.
 func (er *EdgeRound) respFor(version int) *versionResp {
@@ -389,7 +390,7 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 	vp, err := p.ForVersion(version)
 	var planBytes []byte
 	if err == nil {
-		planBytes, err = vp.Marshal()
+		planBytes, err = vp.MarshalDevice()
 		obsPlanMarshals.Inc()
 	}
 	if err == nil && er.cfg.Checkpoint == nil {

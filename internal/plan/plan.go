@@ -315,19 +315,40 @@ func (p *Plan) DownlinkEncoding() checkpoint.Encoding {
 	return checkpoint.EncodingFloat64
 }
 
-// wireFormat is the first byte of a marshaled plan; it moves whenever the
-// field list below does. DESIGN.md tabulates the layout.
-const wireFormat = 1
+// The first byte of a marshaled plan names its format; each moves whenever
+// its field list does. DESIGN.md tabulates both layouts. Format 1 is the
+// whole plan (the shard link, task snapshots); format 2 is the device's part
+// (the device link).
+const (
+	wireFormat   = 1
+	deviceFormat = 2
+)
 
-// Marshal encodes the plan for the wire: the format byte, then every field
-// of Plan, DevicePlan (nn.Spec, SelectionCriteria), ServerPlan and
+// Marshal encodes the plan under format 1: the format byte, then every
+// field of Plan, DevicePlan (nn.Spec, SelectionCriteria), ServerPlan and
 // RobustPolicy in declaration order under internal/wire's conventions —
 // ints and durations as i64, floats as f64, enums as u8, Ops as a byte
 // string.
-func (p *Plan) Marshal() ([]byte, error) {
-	d, m, s, r := &p.Device, &p.Device.Model, &p.Server, &p.Server.Robust
+func (p *Plan) Marshal() ([]byte, error) { return p.marshal(wireFormat, &p.Device), nil }
+
+// MarshalDevice encodes what Configuration sends a device (Sec. 2.2) under
+// format 2: format 1 up to the end of DevicePlan, with the resolved
+// UplinkEncoding in Device.ReportEncoding so a plan that sets only
+// Server.ReportEncoding still tells its devices how to report. The
+// ServerPlan — round parameters, the secagg threshold, the robust policy the
+// defense keeps from the clients it resists — stays on the server.
+func (p *Plan) MarshalDevice() ([]byte, error) {
+	d := p.Device
+	d.ReportEncoding = p.UplinkEncoding()
+	return p.marshal(deviceFormat, &d), nil
+}
+
+// marshal writes the section both formats carry — ID, Population, Type and
+// d — and, under format 1, the server's part after it.
+func (p *Plan) marshal(format byte, d *DevicePlan) []byte {
+	m, s, r := &d.Model, &p.Server, &p.Server.Robust
 	b := make([]byte, 0, 256+len(p.ID)+len(p.Population)+len(d.Selection.StoreName)+len(d.Ops))
-	b = append(b, wireFormat)
+	b = append(b, format)
 	b = wire.AppendStr(b, p.ID)
 	b = wire.AppendStr(b, p.Population)
 	b = append(b, byte(p.Type))
@@ -350,6 +371,9 @@ func (p *Plan) Marshal() ([]byte, error) {
 	b = append(b, byte(d.ReportEncoding))
 	b = wire.AppendI64(b, int64(d.MinRuntimeVersion))
 	b = wire.AppendF64(b, d.ClipNorm)
+	if format == deviceFormat {
+		return b
+	}
 
 	b = append(b, byte(s.Aggregation))
 	b = wire.AppendI64(b, int64(s.SecAggGroupSize))
@@ -367,15 +391,20 @@ func (p *Plan) Marshal() ([]byte, error) {
 	b = wire.AppendF64(b, r.ClipNorm)
 	b = wire.AppendF64(b, r.TrimFraction)
 	b = wire.AppendF64(b, r.MaxCosineDistance)
-	b = wire.AppendBool(b, r.QuantSafe)
-	return b, nil
+	return wire.AppendBool(b, r.QuantSafe)
 }
 
-// Unmarshal decodes a plan produced by Marshal. It rejects an unknown
-// format byte, a truncated body and trailing bytes; it never panics.
-func Unmarshal(b []byte) (*Plan, error) {
-	if len(b) == 0 || b[0] != wireFormat {
-		return nil, fmt.Errorf("plan: unmarshal: not a format-%d plan descriptor", wireFormat)
+// Unmarshal decodes a plan produced by Marshal. It rejects any other format
+// byte, a truncated body and trailing bytes; it never panics.
+func Unmarshal(b []byte) (*Plan, error) { return unmarshal(b, wireFormat) }
+
+// UnmarshalDevice decodes a descriptor produced by MarshalDevice into a plan
+// whose Server part is zero, under Unmarshal's rules.
+func UnmarshalDevice(b []byte) (*Plan, error) { return unmarshal(b, deviceFormat) }
+
+func unmarshal(b []byte, format byte) (*Plan, error) {
+	if len(b) == 0 || b[0] != format {
+		return nil, fmt.Errorf("plan: unmarshal: not a format-%d plan descriptor", format)
 	}
 	rd := wire.NewReader(b[1:])
 	p := &Plan{}
@@ -405,36 +434,38 @@ func Unmarshal(b []byte) (*Plan, error) {
 	d.MinRuntimeVersion = int(rd.I64())
 	d.ClipNorm = rd.F64()
 
-	s.Aggregation = AggregationKind(rd.U8("aggregation kind"))
-	s.SecAggGroupSize = int(rd.I64())
-	s.SecAggThresholdFraction = rd.F64()
-	s.SecAggFinalizeTimeout = time.Duration(rd.I64())
-	s.TargetDevices = int(rd.I64())
-	s.OverSelectFactor = rd.F64()
-	s.MinReportFraction = rd.F64()
-	s.SelectionTimeout = time.Duration(rd.I64())
-	s.ReportTimeout = time.Duration(rd.I64())
-	s.ParticipationCap = time.Duration(rd.I64())
-	s.ReportEncoding = checkpoint.Encoding(rd.U8("server report encoding"))
+	if format == wireFormat {
+		s.Aggregation = AggregationKind(rd.U8("aggregation kind"))
+		s.SecAggGroupSize = int(rd.I64())
+		s.SecAggThresholdFraction = rd.F64()
+		s.SecAggFinalizeTimeout = time.Duration(rd.I64())
+		s.TargetDevices = int(rd.I64())
+		s.OverSelectFactor = rd.F64()
+		s.MinReportFraction = rd.F64()
+		s.SelectionTimeout = time.Duration(rd.I64())
+		s.ReportTimeout = time.Duration(rd.I64())
+		s.ParticipationCap = time.Duration(rd.I64())
+		s.ReportEncoding = checkpoint.Encoding(rd.U8("server report encoding"))
 
-	r.Kind = RobustKind(rd.U8("robust kind"))
-	r.ClipNorm = rd.F64()
-	r.TrimFraction = rd.F64()
-	r.MaxCosineDistance = rd.F64()
-	r.QuantSafe = rd.Bool()
+		r.Kind = RobustKind(rd.U8("robust kind"))
+		r.ClipNorm = rd.F64()
+		r.TrimFraction = rd.F64()
+		r.MaxCosineDistance = rd.F64()
+		r.QuantSafe = rd.Bool()
+	}
 	if err := rd.Finish(); err != nil {
 		return nil, fmt.Errorf("plan: unmarshal: %w", err)
 	}
 	return p, nil
 }
 
-// WireSize returns the encoded plan size in bytes; the analytics layer uses
-// it for traffic accounting. Plans are "comparable with the global model"
-// in size (Fig. 9 discussion) because they embed the graph; our op list is
-// tiny, so we also account a synthetic graph payload proportional to the
-// model to preserve that property.
+// WireSize returns the size of the plan a device downloads; the analytics
+// layer uses it for traffic accounting. Plans are "comparable with the
+// global model" in size (Fig. 9 discussion) because they embed the graph;
+// our op list is tiny, so we also account a synthetic graph payload
+// proportional to the model to preserve that property.
 func (p *Plan) WireSize() int {
-	b, err := p.Marshal()
+	b, err := p.MarshalDevice()
 	if err != nil {
 		return 0
 	}

@@ -2,7 +2,10 @@ package plan
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -168,34 +171,117 @@ func marshalCases(t testing.TB) map[string]*Plan {
 	return cases
 }
 
+// devicePart is what format 2 carries of p.
+func devicePart(p *Plan) *Plan {
+	d := &Plan{ID: p.ID, Population: p.Population, Type: p.Type, Device: p.Device}
+	d.Device.ReportEncoding = p.UplinkEncoding()
+	return d
+}
+
+type codec struct {
+	marshal          func(*Plan) ([]byte, error)
+	unmarshal, other func([]byte) (*Plan, error)
+}
+
+var (
+	planCodec   = codec{(*Plan).Marshal, Unmarshal, UnmarshalDevice}
+	deviceCodec = codec{(*Plan).MarshalDevice, UnmarshalDevice, Unmarshal}
+)
+
+// TestMarshalRoundTrip: format 1 carries every field of the plan; format 2
+// carries the identity fields and every DevicePlan field, with the resolved
+// uplink encoding in ReportEncoding, and every ServerPlan and RobustPolicy
+// field reads back zero. Each decoder refuses the other's bytes.
 func TestMarshalRoundTrip(t *testing.T) {
 	for name, p := range marshalCases(t) {
-		b, err := p.Marshal()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := Unmarshal(b)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("%s: round trip changed the plan:\n in  %+v\n out %+v", name, p, got)
-		}
-		for n := 0; n < len(b); n++ {
-			if _, err := Unmarshal(b[:n]); err == nil {
-				t.Errorf("%s truncated to %d/%d bytes decoded cleanly", name, n, len(b))
+		for _, c := range []struct {
+			codec
+			want *Plan
+		}{{planCodec, p}, {deviceCodec, devicePart(p)}} {
+			b, err := c.marshal(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			name := fmt.Sprintf("%s/format %d", name, b[0])
+			got, err := c.unmarshal(b)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: round trip changed the plan:\n in  %+v\n out %+v", name, c.want, got)
+			}
+			if _, err := c.other(b); err == nil {
+				t.Errorf("%s: the other format's decoder accepted it", name)
+			}
+			for n := 0; n < len(b); n++ {
+				if _, err := c.unmarshal(b[:n]); err == nil {
+					t.Errorf("%s truncated to %d/%d bytes decoded cleanly", name, n, len(b))
+				}
+			}
+			if _, err := c.unmarshal(append(b[:len(b):len(b)], 0)); err == nil {
+				t.Errorf("%s with a trailing byte decoded cleanly", name)
+			}
+			// A device gives its receive buffer back right after Unmarshal, so
+			// the plan may keep nothing that aliases the wire bytes.
+			for i := range b {
+				b[i] = 0xDB
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: the decoded plan aliases its wire bytes:\n in  %+v\n out %+v", name, c.want, got)
 			}
 		}
-		if _, err := Unmarshal(append(b[:len(b):len(b)], 0)); err == nil {
-			t.Errorf("%s with a trailing byte decoded cleanly", name)
+	}
+}
+
+// goldenPlan sets every field of Plan to a fixed non-zero value.
+func goldenPlan() *Plan {
+	return &Plan{
+		ID: "pop/train-1", Population: "pop", Type: TaskTrain,
+		Device: DevicePlan{
+			Model:             nn.Spec{Kind: nn.KindMLP, Features: 4, Hidden: 8, Classes: 2, Vocab: 5, Embed: 6, Seed: 7},
+			Ops:               []Op{OpLoadCheckpoint, OpSelectExamples, OpFusedTrainMetrics, OpSaveUpdate},
+			Selection:         SelectionCriteria{StoreName: "clicks", MaxExamples: 100, MaxAge: time.Hour},
+			BatchSize:         10,
+			Epochs:            2,
+			LearningRate:      0.1,
+			ReportEncoding:    checkpoint.EncodingQuant8,
+			MinRuntimeVersion: 3,
+			ClipNorm:          2.5,
+		},
+		Server: ServerPlan{
+			Aggregation: AggregationSecure, SecAggGroupSize: 16, SecAggThresholdFraction: 0.75,
+			SecAggFinalizeTimeout: time.Minute, TargetDevices: 128, OverSelectFactor: 1.3, MinReportFraction: 0.8,
+			SelectionTimeout: 2 * time.Minute, ReportTimeout: 3 * time.Minute, ParticipationCap: 4 * time.Minute,
+			ReportEncoding: checkpoint.EncodingQuant8,
+			Robust:         RobustPolicy{Kind: RobustNormBound, ClipNorm: 2.5, TrimFraction: 0.25, MaxCosineDistance: 0.5, QuantSafe: true},
+		},
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current codecs")
+
+// TestWireGolden pins both descriptor formats to the bytes in testdata: a
+// change to any field's width, order or encoding fails it. Such a change
+// bumps wireFormat or deviceFormat and regenerates the files with -update.
+func TestWireGolden(t *testing.T) {
+	for file, c := range map[string]codec{"plan_v1.golden": planCodec, "device_v2.golden": deviceCodec} {
+		got, err := c.marshal(goldenPlan())
+		if err != nil {
+			t.Fatal(err)
 		}
-		// A device gives its receive buffer back right after Unmarshal, so
-		// the plan may keep nothing that aliases the wire bytes.
-		for i := range b {
-			b[i] = 0xDB
+		path := filepath.Join("testdata", file)
+		if *update {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("%s: the decoded plan aliases its wire bytes:\n in  %+v\n out %+v", name, p, got)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the codec's bytes moved:\n got  %x\n want %x", file, got, want)
 		}
 	}
 }
@@ -204,40 +290,75 @@ func TestMarshalRoundTrip(t *testing.T) {
 var hostilePlans = [][]byte{
 	{wireFormat, 0xFF, 0xFF, 0xFF, 0xFF, 'x'},        // 4 GiB ID
 	{wireFormat, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // 4 GiB Population
+	{deviceFormat, 0xFF, 0xFF, 0xFF, 0xFF, 'x'},      // 4 GiB ID
 }
 
 func TestUnmarshalGarbage(t *testing.T) {
 	zero, _ := (&Plan{}).Marshal()
-	zero[0] = wireFormat + 1
+	zero[0] = deviceFormat + 1
 	for _, b := range append(hostilePlans, nil, []byte("not a plan"), zero) {
-		if _, err := Unmarshal(b); err == nil {
-			t.Fatalf("Unmarshal(%q) succeeded", b)
+		for _, unmarshal := range []func([]byte) (*Plan, error){Unmarshal, UnmarshalDevice} {
+			if _, err := unmarshal(b); err == nil {
+				t.Fatalf("Unmarshal(%q) succeeded", b)
+			}
 		}
 	}
 }
 
-// FuzzPlanUnmarshal: Unmarshal never panics, and whatever it accepts
-// re-encodes to bytes that decode to the same plan.
+// The server section of format 1 is fixed-size (ServerPlan 74 bytes,
+// RobustPolicy 26), and DevicePlan ends with ReportEncoding (u8),
+// MinRuntimeVersion (i64) and ClipNorm (f64).
+const serverSection, reportEncodingFromEnd = 100, 17
+
+// FuzzPlanUnmarshal: both decoders run on every input and never panic, and
+// each accepts only its own format byte. An accepted format-1 plan re-encodes
+// to its own bytes; the device section of any accepted plan — format 1 or
+// 2 — re-encodes through MarshalDevice to exactly that section with the
+// resolved uplink encoding, and decodes again.
 func FuzzPlanUnmarshal(f *testing.F) {
 	for _, p := range marshalCases(f) {
-		b, _ := p.Marshal()
-		f.Add(b)
-		f.Add(b[:len(b)/2])
+		for _, c := range []codec{planCodec, deviceCodec} {
+			b, _ := c.marshal(p)
+			f.Add(b)
+			f.Add(b[:len(b)/2])
+		}
 	}
 	for _, b := range hostilePlans {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, err := Unmarshal(b)
-		if err != nil {
+		dp, derr := UnmarshalDevice(b)
+		if err == nil && b[0] != wireFormat || derr == nil && b[0] != deviceFormat {
+			t.Fatalf("a decoder accepted format byte %d", b[0])
+		}
+		var section []byte
+		switch {
+		case err == nil:
+			again, err := p.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, b) {
+				t.Fatalf("accepted bytes are not canonical:\n in  %x\n out %x", b, again)
+			}
+			section = b[1 : len(b)-serverSection]
+		case derr == nil:
+			p, section = dp, b[1:]
+		default:
 			return
 		}
-		again, err := p.Marshal()
+		want := append([]byte{deviceFormat}, section...)
+		want[len(want)-reportEncodingFromEnd] = byte(p.UplinkEncoding())
+		got, err := p.MarshalDevice()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again, b) {
-			t.Fatalf("accepted bytes are not canonical:\n in  %x\n out %x", b, again)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("device section does not round-trip:\n in  %x\n out %x", want, got)
+		}
+		if _, err := UnmarshalDevice(got); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
 	"repro/internal/flserver"
 	"repro/internal/obs"
@@ -86,11 +87,16 @@ type CoordinatorProc struct {
 	coord actor.Ref
 	done  chan struct{}
 
-	// framed/frame memoize the round's RoundConfig pre-framed once and
-	// fanned out to every shard (and re-sent to reconnecting shards).
-	// Touched only on the coordinator actor's goroutine (Edge.Open).
-	framed *flserver.EdgeRoundConfig
-	frame  *transport.Encoded
+	// memo holds the round's plan and checkpoint marshaled once, keyed by
+	// the plan and global they encode: every shard's RoundConfig — each
+	// carries its edge's share — aliases those bytes, and so does a re-send to
+	// a reconnecting shard. Touched only on the coordinator actor's goroutine
+	// (Edge.Open).
+	memo struct {
+		plan     *plan.Plan
+		global   *checkpoint.Checkpoint
+		pl, ckpt []byte
+	}
 
 	mu        sync.Mutex
 	live      map[*shardEdge]uint32 // announced links → shard index
@@ -100,8 +106,8 @@ type CoordinatorProc struct {
 }
 
 // shardEdge is one shard link as the coordinator's Edge: opening a round
-// sends the shared RoundConfig frame down the link; the seal comes back as
-// a protocol.StripeSeal handled in serveConn.
+// sends the edge's RoundConfig down the link; the seal comes back as a
+// protocol.StripeSeal handled in serveConn.
 type shardEdge struct {
 	cp   *CoordinatorProc
 	sess *remote.Session
@@ -112,30 +118,30 @@ type shardEdge struct {
 
 // Open implements flserver.Edge.
 func (e *shardEdge) Open(cfg *flserver.EdgeRoundConfig, _ actor.Ref) error {
-	cp := e.cp
-	if cp.framed != cfg {
-		planBytes, err := cfg.Plan.Marshal()
+	memo := &e.cp.memo
+	if memo.plan != cfg.Plan || memo.global != cfg.Global {
+		pl, err := cfg.Plan.Marshal()
 		if err != nil {
 			return err
 		}
-		ckptBytes, err := cfg.Global.Marshal(cfg.Plan.DownlinkEncoding())
+		ckpt, err := cfg.Global.Marshal(cfg.Plan.DownlinkEncoding())
 		if err != nil {
 			return err
 		}
-		cp.framed, cp.frame = cfg, transport.Encode(protocol.RoundConfig{
-			Population: cfg.Population,
-			TaskID:     cfg.Plan.ID,
-			Round:      cfg.Round,
-			Target:     cfg.Target,
-			Admit:      cfg.Admit,
-			MinReports: cfg.MinReports,
-			MinRuntime: cfg.MinRuntime,
-			Estimate:   cfg.Estimate,
-			Plan:       planBytes,
-			Checkpoint: ckptBytes,
-		})
+		memo.plan, memo.global, memo.pl, memo.ckpt = cfg.Plan, cfg.Global, pl, ckpt
 	}
-	if err := e.sess.Send(cp.frame); err != nil {
+	if err := e.sess.Send(protocol.RoundConfig{
+		Population: cfg.Population,
+		TaskID:     cfg.Plan.ID,
+		Round:      cfg.Round,
+		Target:     cfg.Target,
+		Admit:      cfg.Admit,
+		MinReports: cfg.MinReports,
+		MinRuntime: cfg.MinRuntime,
+		Estimate:   cfg.Estimate,
+		Plan:       memo.pl,
+		Checkpoint: memo.ckpt,
+	}); err != nil {
 		return err
 	}
 	e.openedAt.Store(time.Now().UnixNano())

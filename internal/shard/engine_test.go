@@ -54,6 +54,8 @@ type engineTopology struct {
 	// tcpPeers puts the shard links on loopback sockets too, so StripeSeal
 	// frames are read into leased buffers.
 	tcpPeers bool
+	// memDevices puts the device links on the mem network.
+	memDevices bool
 }
 
 var engineTopologies = []engineTopology{{name: "in-process"}, {name: "1+1", shards: 1}, {name: "1+3", shards: 3}}
@@ -82,9 +84,11 @@ type engineRig struct {
 	clipped   func() int64
 
 	// downlinks is the encoding of the global checkpoint in every
-	// RoundConfig a shard of a sharded topology received (0: unparseable).
+	// RoundConfig a shard of a sharded topology received (0: unparseable),
+	// targets each one's Target.
 	mu        sync.Mutex
 	downlinks []checkpoint.Encoding
+	targets   []int
 }
 
 // downlinkConn is a shard's coordinator link that notes the encoding of each
@@ -100,6 +104,7 @@ func (c *downlinkConn) Recv() (interface{}, error) {
 		meta, _ := checkpoint.ParseMeta(rc.Checkpoint)
 		c.rig.mu.Lock()
 		c.rig.downlinks = append(c.rig.downlinks, meta.Encoding)
+		c.rig.targets = append(c.rig.targets, rc.Target)
 		c.rig.mu.Unlock()
 	}
 	return msg, err
@@ -144,7 +149,7 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		l, dial := listen("server", true)
+		l, dial := listen("server", !topo.memDevices)
 		go srv.Serve(l)
 		rig.dials, rig.done = append(rig.dials, dial), srv.Done()
 		// Only the sharded cells read task stats (the edge-count row).
@@ -178,7 +183,7 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 			return &downlinkConn{Conn: c, rig: rig}, nil
 		})
 		t.Cleanup(sp.Close)
-		l, dial := listen(fmt.Sprintf("shard-%d", i), !topo.storm)
+		l, dial := listen(fmt.Sprintf("shard-%d", i), !topo.storm && !topo.memDevices)
 		go sp.Serve(l)
 		rig.dials = append(rig.dials, dial)
 	}
