@@ -23,7 +23,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/pacing"
 	"repro/internal/remote"
 	"repro/internal/shard"
@@ -80,7 +80,7 @@ func main() {
 	defer l.Close()
 	log.Printf("selector shard %d serving devices on %s, coordinator %s", *shardID, l.Addr(), *coordAddr)
 
-	if srv, err := obs.Default.Serve(*obsListen, obs.WithTitle(fmt.Sprintf("fl selector shard %d", *shardID))); err != nil {
+	if srv, err := metrics.Default.Serve(*obsListen, metrics.WithTitle(fmt.Sprintf("fl selector shard %d", *shardID))); err != nil {
 		log.Fatal(err)
 	} else if srv != nil {
 		defer srv.Close()

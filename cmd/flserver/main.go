@@ -48,7 +48,7 @@ import (
 	repro "repro"
 
 	"repro/internal/cliutil"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/shard"
@@ -58,10 +58,10 @@ import (
 )
 
 // taskProgress converts task lifecycle stats into the shared progress rows.
-func taskProgress(ts []tasks.Stats) []obs.TaskProgress {
-	out := make([]obs.TaskProgress, len(ts))
+func taskProgress(ts []tasks.Stats) []metrics.TaskProgress {
+	out := make([]metrics.TaskProgress, len(ts))
 	for i, t := range ts {
-		out[i] = obs.TaskProgress{
+		out[i] = metrics.TaskProgress{
 			ID: t.ID, Type: fmt.Sprint(t.Type), State: fmt.Sprint(t.State),
 			RoundsCommitted: t.RoundsCommitted, RoundsFailed: t.RoundsFailed,
 			Devices: t.Devices, Note: t.Note,
@@ -73,16 +73,16 @@ func taskProgress(ts []tasks.Stats) []obs.TaskProgress {
 // coordProgress snapshots coordinator-mode progress as the shared
 // per-population progress block — the one renderer behind the status
 // ticker, the finish line, and /dashboard.
-func coordProgress(population string, coord *shard.CoordinatorProc) []obs.PopulationProgress {
+func coordProgress(population string, coord *shard.CoordinatorProc) []metrics.PopulationProgress {
 	st, err := coord.Stats()
 	if err != nil {
 		return nil
 	}
-	var tasks []obs.TaskProgress
+	var tasks []metrics.TaskProgress
 	if ts, err := coord.TaskStats(); err == nil {
 		tasks = taskProgress(ts)
 	}
-	return []obs.PopulationProgress{{
+	return []metrics.PopulationProgress{{
 		Name:      population,
 		Round:     st.CurrentRound,
 		Completed: st.RoundsCompleted,
@@ -99,14 +99,14 @@ func coordProgress(population string, coord *shard.CoordinatorProc) []obs.Popula
 
 // fleetProgress snapshots every registered population of the in-process
 // fleet as the shared progress blocks.
-func fleetProgress(fleet *repro.Fleet, names []string) []obs.PopulationProgress {
-	out := make([]obs.PopulationProgress, 0, len(names))
+func fleetProgress(fleet *repro.Fleet, names []string) []metrics.PopulationProgress {
+	out := make([]metrics.PopulationProgress, 0, len(names))
 	for _, name := range names {
 		st, err := fleet.PopulationStats(name)
 		if err != nil {
 			continue
 		}
-		p := obs.PopulationProgress{
+		p := metrics.PopulationProgress{
 			Name:      name,
 			Round:     st.Coordinator.CurrentRound,
 			Completed: st.Coordinator.RoundsCompleted,
@@ -126,7 +126,7 @@ func fleetProgress(fleet *repro.Fleet, names []string) []obs.PopulationProgress 
 
 // logProgress prints progress blocks through the standard logger, one log
 // line per rendered line (so every line keeps its timestamp prefix).
-func logProgress(pops []obs.PopulationProgress) {
+func logProgress(pops []metrics.PopulationProgress) {
 	for _, p := range pops {
 		for _, line := range strings.Split(p.String(), "\n") {
 			log.Print(line)
@@ -136,8 +136,8 @@ func logProgress(pops []obs.PopulationProgress) {
 
 // serveObs starts the observability HTTP surface when -obs-listen is set
 // (empty addr = no-op) and logs where it landed.
-func serveObs(addr, title string, progress func() []obs.PopulationProgress) *obs.Server {
-	srv, err := obs.Default.Serve(addr, obs.WithTitle(title), obs.WithProgress(progress))
+func serveObs(addr, title string, progress func() []metrics.PopulationProgress) *metrics.Server {
+	srv, err := metrics.Default.Serve(addr, metrics.WithTitle(title), metrics.WithProgress(progress))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func runCoordinator(shardListen, obsListen, population string, p *repro.Plan, st
 	go coord.Serve(l)
 
 	if srv := serveObs(obsListen, "fl coordinator: "+population,
-		func() []obs.PopulationProgress { return coordProgress(population, coord) }); srv != nil {
+		func() []metrics.PopulationProgress { return coordProgress(population, coord) }); srv != nil {
 		defer srv.Close()
 	}
 
@@ -368,7 +368,7 @@ func main() {
 	go fleet.Serve(l)
 
 	if srv := serveObs(*obsListen, "fl fleet gateway",
-		func() []obs.PopulationProgress { return fleetProgress(fleet, populations) }); srv != nil {
+		func() []metrics.PopulationProgress { return fleetProgress(fleet, populations) }); srv != nil {
 		defer srv.Close()
 	}
 

@@ -8,8 +8,8 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/flserver"
+	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/remote"
@@ -299,7 +299,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 
 	// The round poller advances round-addressed windows/resets as commits
 	// land and samples counter monotonicity.
-	counters := NewCounterWatch(obs.Default)
+	counters := NewCounterWatch(metrics.Default)
 	stopPoll := make(chan struct{})
 	var pollWG sync.WaitGroup
 	pollWG.Add(1)

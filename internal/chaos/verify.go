@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
@@ -195,20 +195,20 @@ func GoroutineProbe(slack int) Probe {
 
 // --- /metrics counter monotonicity ---
 
-// CounterWatch samples an obs registry's counters and asserts none ever
+// CounterWatch samples a metrics registry's counters and asserts none ever
 // decreases — reconnects and re-registrations must not reset exported
 // counters. Call Sample during the scenario (each round is a natural point);
 // Probe checks the recorded sequence.
 type CounterWatch struct {
-	reg *obs.Registry
+	reg *metrics.Registry
 
 	mu   sync.Mutex
 	last map[string]int64
 	errs []error
 }
 
-// NewCounterWatch watches reg (obs.Default for the in-process registry).
-func NewCounterWatch(reg *obs.Registry) *CounterWatch {
+// NewCounterWatch watches reg (metrics.Default for the in-process registry).
+func NewCounterWatch(reg *metrics.Registry) *CounterWatch {
 	return &CounterWatch{reg: reg, last: make(map[string]int64)}
 }
 

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
@@ -61,7 +61,7 @@ func TestSumProbe(t *testing.T) {
 }
 
 func TestCounterWatch(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := metrics.NewRegistry()
 	c := reg.Counter("test_events_total")
 	w := NewCounterWatch(reg)
 	w.Sample()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
 	"repro/internal/nn"
@@ -55,7 +54,7 @@ type Result struct {
 	// Metrics are the plan-computed metric values.
 	Metrics map[string]float64
 	// Session is the state-transition log of this execution.
-	Session *analytics.Session
+	Session *Session
 	// Interrupted is true when the run aborted on an eligibility change.
 	Interrupted bool
 }
@@ -66,13 +65,13 @@ type Result struct {
 // returns a Result with Interrupted set rather than an error: interruption
 // is a normal outcome (2% of sessions in Table 1), not a bug.
 func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.Time) (*Result, error) {
-	session := &analytics.Session{}
-	session.Log(analytics.StateCheckin)
-	session.Log(analytics.StateDownloadedPlan)
+	session := &Session{}
+	session.Log(StateCheckin)
+	session.Log(StateDownloadedPlan)
 	res := &Result{Session: session, Metrics: make(map[string]float64)}
 
 	if p.Device.MinRuntimeVersion > r.Version {
-		session.Log(analytics.StateError)
+		session.Log(StateError)
 		return res, fmt.Errorf("device: plan %q needs runtime ≥ %d, have %d",
 			p.ID, p.Device.MinRuntimeVersion, r.Version)
 	}
@@ -84,7 +83,7 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 
 	for _, op := range p.Device.Ops {
 		if !r.Eligibility.OK() {
-			session.Log(analytics.StateInterrupted)
+			session.Log(StateInterrupted)
 			res.Interrupted = true
 			return res, nil
 		}
@@ -92,11 +91,11 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 		case plan.OpLoadCheckpoint:
 			m, err := p.Device.Model.Build()
 			if err != nil {
-				session.Log(analytics.StateError)
+				session.Log(StateError)
 				return res, fmt.Errorf("device: build model: %w", err)
 			}
 			if len(global.Params) != m.NumParams() {
-				session.Log(analytics.StateError)
+				session.Log(StateError)
 				return res, fmt.Errorf("device: checkpoint has %d params, model wants %d",
 					len(global.Params), m.NumParams())
 			}
@@ -107,21 +106,21 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 		case plan.OpSelectExamples:
 			store, ok := r.stores[p.Device.Selection.StoreName]
 			if !ok {
-				session.Log(analytics.StateError)
+				session.Log(StateError)
 				return res, fmt.Errorf("device: no example store %q", p.Device.Selection.StoreName)
 			}
 			examples = store.Select(p.Device.Selection, now)
 			if len(examples) == 0 {
-				session.Log(analytics.StateError)
+				session.Log(StateError)
 				return res, fmt.Errorf("device: store %q returned no examples", store.Name())
 			}
 
 		case plan.OpTrain, plan.OpFusedTrainMetrics:
 			if model == nil || examples == nil {
-				session.Log(analytics.StateError)
+				session.Log(StateError)
 				return res, fmt.Errorf("device: %v before load/select", op)
 			}
-			session.Log(analytics.StateTrainStarted)
+			session.Log(StateTrainStarted)
 			u, err := fedavg.ClientUpdate(model, globalParams, examples, fedavg.ClientConfig{
 				BatchSize: p.Device.BatchSize,
 				Epochs:    p.Device.Epochs,
@@ -129,11 +128,11 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 				Shuffle:   true,
 			}, r.rng)
 			if err != nil {
-				session.Log(analytics.StateError)
+				session.Log(StateError)
 				return res, fmt.Errorf("device: train: %w", err)
 			}
 			update = u
-			session.Log(analytics.StateTrainCompleted)
+			session.Log(StateTrainCompleted)
 			if op == plan.OpFusedTrainMetrics {
 				res.Metrics["train_loss"] = u.TrainLoss
 				res.Metrics["num_examples"] = u.Weight
@@ -141,7 +140,7 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 
 		case plan.OpEval:
 			if model == nil || examples == nil {
-				session.Log(analytics.StateError)
+				session.Log(StateError)
 				return res, fmt.Errorf("device: eval before load/select")
 			}
 			met := model.Evaluate(examples)
@@ -157,7 +156,7 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 
 		case plan.OpSaveUpdate:
 			if update == nil {
-				session.Log(analytics.StateError)
+				session.Log(StateError)
 				return res, fmt.Errorf("device: save_update before train")
 			}
 			if p.Device.ClipNorm > 0 {
@@ -175,7 +174,7 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 			}
 
 		default:
-			session.Log(analytics.StateError)
+			session.Log(StateError)
 			return res, fmt.Errorf("device: unknown op %v", op)
 		}
 	}

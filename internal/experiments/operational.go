@@ -9,9 +9,11 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/population"
@@ -268,7 +270,8 @@ func Fig9(seed uint64, days, popSize, target int) (*Fig9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	down, up := res.Traffic.Totals()
+	down := res.Metrics.Counter(metrics.NetTxBytes).Value()
+	up := res.Metrics.Counter(metrics.NetRxBytes).Value()
 	out := &Fig9Result{DownloadBytes: down, UploadBytes: up, Days: days}
 	if up > 0 {
 		out.Ratio = float64(down) / float64(up)
@@ -306,10 +309,21 @@ func Table1(seed uint64, days, popSize, target int) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Table1Result{Total: res.Shapes.Total()}
-	for _, row := range res.Shapes.Distribution() {
-		out.Rows = append(out.Rows, Table1Row{Shape: row.Shape, Count: row.Count, Percent: row.Percent})
+	out := &Table1Result{}
+	for shape, n := range res.Metrics.CounterFamily(metrics.SessionShapes, "shape") {
+		out.Rows = append(out.Rows, Table1Row{Shape: shape, Count: int(n)})
+		out.Total += int(n)
 	}
+	for i := range out.Rows {
+		out.Rows[i].Percent = 100 * float64(out.Rows[i].Count) / float64(out.Total)
+	}
+	// Most common first, ties by shape.
+	sort.Slice(out.Rows, func(i, j int) bool {
+		if out.Rows[i].Count != out.Rows[j].Count {
+			return out.Rows[i].Count > out.Rows[j].Count
+		}
+		return out.Rows[i].Shape < out.Rows[j].Shape
+	})
 	return out, nil
 }
 

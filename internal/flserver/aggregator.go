@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/fedavg"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/robust"
@@ -46,7 +46,7 @@ type Aggregator struct {
 	// its reduce at finalization. Injected by the EdgeRound before spawn,
 	// like threshold, along with the task-labeled defense counters.
 	robustPolicy                    plan.RobustPolicy
-	obsRejectedTask, obsTrimmedTask *obs.Counter
+	obsRejectedTask, obsTrimmedTask *metrics.Counter
 
 	// sum, weight, count are the group's raw sums (addSum): the secagg run's
 	// decoded aggregate or the robust reduce's pre-scaled one, handed to the

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/secagg"
 	"repro/internal/storage"
 )
@@ -247,17 +247,17 @@ func TestRoundCarriesBlamedDevices(t *testing.T) {
 }
 
 // traceMem is a storage.Mem that keeps the round traces it is handed (the
-// optional obs.TraceStore half of a store), for tests that assert on them.
+// optional metrics.TraceStore half of a store), for tests that assert on them.
 type traceMem struct {
 	*storage.Mem
 	mu     sync.Mutex
-	traces []obs.RoundTrace
+	traces []metrics.RoundTrace
 }
 
 func newTraceMem() *traceMem { return &traceMem{Mem: storage.NewMem()} }
 
-// PutRoundTrace implements obs.TraceStore.
-func (s *traceMem) PutRoundTrace(t obs.RoundTrace) error {
+// PutRoundTrace implements metrics.TraceStore.
+func (s *traceMem) PutRoundTrace(t metrics.RoundTrace) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.traces = append(s.traces, t)
@@ -265,8 +265,8 @@ func (s *traceMem) PutRoundTrace(t obs.RoundTrace) error {
 }
 
 // RoundTraces returns every stored round trace in arrival order.
-func (s *traceMem) RoundTraces() []obs.RoundTrace {
+func (s *traceMem) RoundTraces() []metrics.RoundTrace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]obs.RoundTrace(nil), s.traces...)
+	return append([]metrics.RoundTrace(nil), s.traces...)
 }

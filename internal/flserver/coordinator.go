@@ -11,7 +11,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -642,7 +641,7 @@ func (c *Coordinator) commit(cur *round) (*checkpoint.Checkpoint, int64, error) 
 	for name, vs := range cur.metrics {
 		s := metrics.NewSummary()
 		for _, v := range vs {
-			s.Add(v)
+			s.Observe(v)
 		}
 		mat.Stats[name] = s.Snapshot()
 	}
@@ -652,18 +651,18 @@ func (c *Coordinator) commit(cur *round) (*checkpoint.Checkpoint, int64, error) 
 
 // recordTrace materializes the settled round's trace through the process
 // registry (fl_round_phase_seconds series, committed/failed counters) and
-// persists one JSONL record when the store supports obs.TraceStore: the
+// persists one JSONL record when the store supports metrics.TraceStore: the
 // max-merged per-edge lifecycle spans plus the Coordinator's commit span.
 func (c *Coordinator) recordTrace(cur *round, commitNanos int64) {
 	if commitNanos > 0 {
-		cur.phases[obs.PhaseCommit] = commitNanos
+		cur.phases[metrics.PhaseCommit] = commitNanos
 	}
 	round := cur.cfg.Round
 	if cur.out.Committed != nil {
 		round = cur.out.Committed.Round
 	}
-	ts, _ := c.Store.(obs.TraceStore)
-	_ = obs.Default.RecordTrace(obs.RoundTrace{
+	ts, _ := c.Store.(metrics.TraceStore)
+	_ = metrics.Default.RecordTrace(metrics.RoundTrace{
 		Population: c.Population,
 		TaskID:     cur.cfg.Plan.ID,
 		Round:      round,

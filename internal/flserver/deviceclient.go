@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/analytics"
 	"repro/internal/attest"
 	"repro/internal/checkpoint"
 	"repro/internal/device"
@@ -99,8 +98,8 @@ func (d *DeviceClient) RunOnce(conn transport.Conn) (*Outcome, error) {
 		return nil, fmt.Errorf("device %s: unexpected %T", d.ID, msg)
 	}
 	if !resp.Accepted {
-		session := &analytics.Session{}
-		session.Log(analytics.StateCheckin)
+		session := &device.Session{}
+		session.Log(device.StateCheckin)
 		return &Outcome{RetryAfter: resp.RetryAfter, RejectedBy: resp.Reason, SessionShape: session.Shape()}, nil
 	}
 
@@ -141,7 +140,7 @@ func (d *DeviceClient) RunOnce(conn transport.Conn) (*Outcome, error) {
 		if err != nil {
 			return nil, fmt.Errorf("device %s: marshal update: %w", d.ID, err)
 		}
-		session.Log(analytics.StateUploadStarted)
+		session.Log(device.StateUploadStarted)
 		report := protocol.ReportRequest{
 			DeviceID: d.ID, TaskID: p.ID, Round: global.Round,
 			Update: updBytes, Metrics: res.Metrics,
@@ -151,56 +150,56 @@ func (d *DeviceClient) RunOnce(conn transport.Conn) (*Outcome, error) {
 			// the stream; a buffered Abort may still be readable.
 			if msg, rerr := conn.Recv(); rerr == nil {
 				if _, isAbort := msg.(protocol.Abort); isAbort {
-					session.Log(analytics.StateUploadRejected)
+					session.Log(device.StateUploadRejected)
 					out.Aborted = true
 					out.SessionShape = session.Shape()
 					return out, nil
 				}
 			}
-			session.Log(analytics.StateError)
+			session.Log(device.StateError)
 			out.SessionShape = session.Shape()
 			return out, nil
 		}
 		msg, err := conn.Recv()
 		if err != nil {
-			session.Log(analytics.StateError)
+			session.Log(device.StateError)
 			out.SessionShape = session.Shape()
 			return out, nil
 		}
 		switch r := msg.(type) {
 		case protocol.ReportResponse:
 			if r.Accepted {
-				session.Log(analytics.StateUploadDone)
+				session.Log(device.StateUploadDone)
 				out.ReportAccepted = true
 			} else {
-				session.Log(analytics.StateUploadRejected)
+				session.Log(device.StateUploadRejected)
 			}
 		case protocol.Abort:
-			session.Log(analytics.StateUploadRejected)
+			session.Log(device.StateUploadRejected)
 			out.Aborted = true
 		default:
-			session.Log(analytics.StateError)
+			session.Log(device.StateError)
 		}
 	} else {
 		// Eval plan: report metrics only (Sec. 3: plans "can also encode
 		// evaluation tasks").
-		session.Log(analytics.StateUploadStarted)
+		session.Log(device.StateUploadStarted)
 		if err := conn.Send(protocol.ReportRequest{
 			DeviceID: d.ID, TaskID: p.ID, Round: global.Round, Metrics: res.Metrics,
 		}); err != nil {
-			session.Log(analytics.StateError)
+			session.Log(device.StateError)
 			out.SessionShape = session.Shape()
 			return out, nil
 		}
 		if msg, err := conn.Recv(); err == nil {
 			if r, ok := msg.(protocol.ReportResponse); ok && r.Accepted {
-				session.Log(analytics.StateUploadDone)
+				session.Log(device.StateUploadDone)
 				out.ReportAccepted = true
 			} else {
-				session.Log(analytics.StateUploadRejected)
+				session.Log(device.StateUploadRejected)
 			}
 		} else {
-			session.Log(analytics.StateError)
+			session.Log(device.StateError)
 		}
 	}
 	out.SessionShape = session.Shape()

@@ -10,7 +10,7 @@ import (
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/robust"
@@ -84,7 +84,7 @@ type EdgeSeal struct {
 	Aborted int
 	// Clipped counts reports the norm-bound policy clipped at this edge.
 	Clipped int64
-	// Phases maps round-lifecycle phase name (obs.PhaseConfigure etc.) to
+	// Phases maps round-lifecycle phase name (metrics.PhaseConfigure etc.) to
 	// wall nanoseconds this edge spent in it. The Coordinator max-merges
 	// the per-edge maps into the round trace: the fleet-wide cost of a
 	// phase is its slowest edge.
@@ -665,12 +665,12 @@ func (er *EdgeRound) shipSeal(ctx *actor.Context, seal EdgeSeal) {
 	if seal.Phases == nil {
 		seal.Phases = make(map[string]int64, 4)
 	}
-	seal.Phases[obs.PhaseReportWindow] = er.windowNanos
-	seal.Phases[obs.PhaseEdgeAccumulate] = time.Since(er.mergeStart).Nanoseconds()
+	seal.Phases[metrics.PhaseReportWindow] = er.windowNanos
+	seal.Phases[metrics.PhaseEdgeAccumulate] = time.Since(er.mergeStart).Nanoseconds()
 	if !er.firstBatch.IsZero() {
-		seal.Phases[obs.PhaseCheckin] = er.firstBatch.Sub(er.startAt).Nanoseconds()
+		seal.Phases[metrics.PhaseCheckin] = er.firstBatch.Sub(er.startAt).Nanoseconds()
 		if end := er.configEnd.Load(); end > 0 {
-			seal.Phases[obs.PhaseConfigure] = end - er.firstBatch.UnixNano()
+			seal.Phases[metrics.PhaseConfigure] = end - er.firstBatch.UnixNano()
 		}
 	}
 	seal.Population, seal.TaskID, seal.Round = er.cfg.Population, er.cfg.Plan.ID, er.cfg.Round

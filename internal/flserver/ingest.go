@@ -10,7 +10,7 @@ import (
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/robust"
 	"repro/internal/tensor"
@@ -116,7 +116,7 @@ type reportReader struct {
 	// clipped counts edge clips for the round (the EdgeRound's counter);
 	// obsClipped is the task-labeled series, resolved once per round.
 	clipped    *atomic.Int64
-	obsClipped *obs.Counter
+	obsClipped *metrics.Counter
 }
 
 // read blocks for one device's ReportRequest and consumes it at the edge:

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/attest"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/pacing"
 	"repro/internal/protocol"
 	"repro/internal/tensor"
@@ -59,7 +59,7 @@ type selPop struct {
 	pool      []heldDevice
 	poolSeen  int64
 	poolUntil time.Time
-	pooled    *obs.Gauge
+	pooled    *metrics.Gauge
 
 	// pendingTo/pendingN track an outstanding forward request from a
 	// round, so devices checking in after the request still
@@ -183,7 +183,7 @@ func (s *Selector) register(cfg SelectorPopulation, now time.Time) {
 		populationEstimate: cfg.PopulationEstimate,
 		demand:             1,
 		rateStart:          now,
-		pooled:             obs.Default.Gauge(obs.Label("fl_selector_pooled", "population", cfg.Name)),
+		pooled:             metrics.Default.Gauge(metrics.Label("fl_selector_pooled", "population", cfg.Name)),
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -18,7 +18,7 @@ import (
 // leasedFrames is how many frames this process has read into leased
 // receive buffers so far.
 func leasedFrames() int64 {
-	return obs.Default.Counter("fl_net_rx_buf_reused_total").Value() + obs.Default.Counter("fl_net_rx_buf_alloc_total").Value()
+	return metrics.Default.Counter("fl_net_rx_buf_reused_total").Value() + metrics.Default.Counter("fl_net_rx_buf_alloc_total").Value()
 }
 
 // TestEndToEndOverTCP runs the full protocol over real TCP sockets: the

@@ -1,13 +1,12 @@
-package obs
+package metrics
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strings"
-
-	"repro/internal/analytics"
 )
 
 // HandlerOption configures the HTTP surface.
@@ -34,29 +33,24 @@ func WithProgress(fn func() []PopulationProgress) HandlerOption {
 //	/metrics      Prometheus text exposition (local + shipped externals)
 //	/debug/vars   the same series as a flat expvar-style JSON object
 //	/debug/pprof  the standard net/http/pprof handlers
-//	/dashboard    the analytics.Dashboard operator view from live data
+//	/dashboard    the Sec. 5 operator view of the same rows
 func (r *Registry) Handler(opts ...HandlerOption) http.Handler {
 	st := &httpState{title: "fl operator dashboard"}
 	for _, opt := range opts {
 		opt(st)
 	}
+	serve := func(contentType string, render func(*strings.Builder)) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			var b strings.Builder
+			render(&b)
+			w.Header().Set("Content-Type", contentType)
+			io.WriteString(w, b.String())
+		}
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		var b strings.Builder
-		r.WritePrometheus(&b)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, b.String())
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		var b strings.Builder
-		r.WriteJSON(&b)
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprint(w, b.String())
-	})
-	mux.HandleFunc("/dashboard", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, r.renderDashboard(st))
-	})
+	mux.Handle("/metrics", serve("text/plain; version=0.0.4; charset=utf-8", r.WritePrometheus))
+	mux.Handle("/debug/vars", serve("application/json; charset=utf-8", r.WriteJSON))
+	mux.Handle("/dashboard", serve("text/plain; charset=utf-8", func(b *strings.Builder) { r.writeDashboard(b, st) }))
 	// pprof is registered explicitly on this mux (not the global
 	// DefaultServeMux) so the profile surface exists only behind
 	// -obs-listen, never on device- or shard-facing listeners.
@@ -68,39 +62,35 @@ func (r *Registry) Handler(opts ...HandlerOption) http.Handler {
 	return mux
 }
 
-// renderDashboard adapts live registry data onto the existing sim-era
-// analytics.Dashboard renderer: every counter series feeds the counter
-// block, fl_net_{tx,rx}_bytes_total feed the traffic line, the
-// fl_selector_pooled gauges of every population and shard sum into the
-// selection-pool line, and the progress callback appends per-population
-// round state.
-func (r *Registry) renderDashboard(st *httpState) string {
-	counters := analytics.NewCounters()
-	traffic := analytics.NewTraffic()
-	pooled := 0.0
+// writeDashboard renders the Sec. 5 operator view ("aggregated and presented
+// in dashboards to be analyzed"), read off the same rows as /metrics: every
+// counter series, a traffic line summing NetTxBytes and NetRxBytes, a
+// selection-pool line summing the fl_selector_pooled gauges of every
+// population and shard, and the progress callback's per-population state.
+func (r *Registry) writeDashboard(b *strings.Builder, st *httpState) {
+	fmt.Fprintf(b, "=== %s ===\ncounters:\n", st.title)
+	var down, up, pooled float64
 	for _, row := range r.collect() {
-		if row.kind == 'g' && baseName(row.name) == "fl_selector_pooled" {
+		switch {
+		case row.kind == 'g' && baseName(row.name) == "fl_selector_pooled":
 			pooled += row.val
-		}
-		if row.kind != 'c' {
-			continue
-		}
-		counters.Add(row.name, int64(row.val))
-		switch baseName(row.name) {
-		case "fl_net_tx_bytes_total":
-			traffic.AddDownload(int(row.val))
-		case "fl_net_rx_bytes_total":
-			traffic.AddUpload(int(row.val))
+		case row.kind == 'c':
+			fmt.Fprintf(b, "  %-32s %12d\n", row.name, int64(row.val))
+			switch baseName(row.name) {
+			case NetTxBytes:
+				down += row.val
+			case NetRxBytes:
+				up += row.val
+			}
 		}
 	}
-	d := analytics.Dashboard{Title: st.title, Counters: counters, Traffic: traffic}
-	out := d.Render() + fmt.Sprintf("selection pool: %.0f device(s) checked in and waiting for the next round\n", pooled)
+	fmt.Fprintf(b, "traffic: %0.1f MB down / %0.1f MB up\n", down/1e6, up/1e6)
+	fmt.Fprintf(b, "selection pool: %.0f device(s) checked in and waiting for the next round\n", pooled)
 	if st.progress != nil {
 		if pops := st.progress(); len(pops) > 0 {
-			out += FormatProgress(pops) + "\n"
+			b.WriteString(FormatProgress(pops) + "\n")
 		}
 	}
-	return out
 }
 
 // Server is a running observability HTTP listener.
@@ -124,7 +114,7 @@ func (r *Registry) Serve(addr string, opts ...HandlerOption) (*Server, error) {
 	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: r.Handler(opts...)}
 	go srv.Serve(l)

@@ -1,8 +1,14 @@
-// Package metrics implements the metric summarization of Sec. 7.4: device
-// reports within a round are condensed into "approximate order statistics
-// and moments like mean". Order statistics use the P² streaming quantile
-// estimator (Jain & Chlamtac 1985), so the server never stores per-device
-// values — consistent with the system's no-per-device-logs stance.
+// Package metrics is the one metrics stack: the metric summarization of
+// Sec. 7.4 and the analytics of Sec. 5, for rounds and for the process.
+//
+// Device reports within a round are condensed into "approximate order
+// statistics and moments like mean". Order statistics use the P² streaming
+// quantile estimator (Jain & Chlamtac 1985), so the server never stores
+// per-device values — consistent with the system's no-per-device-logs
+// stance. The same Summary backs the latency series of the process-wide
+// Registry (registry.go): atomic counters and gauges that hot paths cache
+// and bump, rendered as Prometheus text, expvar-style JSON and the operator
+// /dashboard (http.go), plus the round tracer (trace.go).
 package metrics
 
 import (
@@ -10,6 +16,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 )
 
 // Quantile is a P² streaming estimator for one quantile.
@@ -150,8 +157,11 @@ func NewSummary() *Summary {
 	return &Summary{min: math.Inf(1), max: math.Inf(-1), p50: p50, p90: p90, p99: p99}
 }
 
-// Add feeds one observation.
-func (s *Summary) Add(x float64) {
+// ObserveDuration feeds a duration, converted to seconds.
+func (s *Summary) ObserveDuration(d time.Duration) { s.Observe(d.Seconds()) }
+
+// Observe feeds one observation.
+func (s *Summary) Observe(x float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.n++
@@ -178,8 +188,7 @@ type Snapshot struct {
 }
 
 // Reset returns the summary to its empty state so it can be pooled and
-// reused across rounds (the obs round tracer keeps per-phase summaries
-// alive for the process lifetime and resets them per materialization).
+// reused across rounds.
 func (s *Summary) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

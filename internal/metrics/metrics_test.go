@@ -76,7 +76,7 @@ func TestQuantileMonotoneSequence(t *testing.T) {
 func TestSummaryMoments(t *testing.T) {
 	s := NewSummary()
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
+		s.Observe(x)
 	}
 	snap := s.Snapshot()
 	if snap.Count != 8 || snap.Mean != 5 {
@@ -103,7 +103,7 @@ func TestSummaryEmpty(t *testing.T) {
 func TestSummaryReset(t *testing.T) {
 	s := NewSummary()
 	for i := 0; i < 100; i++ {
-		s.Add(float64(i))
+		s.Observe(float64(i))
 	}
 	s.Reset()
 	if snap := s.Snapshot(); snap != (Snapshot{}) {
@@ -111,7 +111,7 @@ func TestSummaryReset(t *testing.T) {
 	}
 	// A reset summary must behave exactly like a fresh one.
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
+		s.Observe(x)
 	}
 	snap := s.Snapshot()
 	if snap.Count != 8 || snap.Mean != 5 || snap.Min != 2 || snap.Max != 9 {
@@ -128,7 +128,7 @@ func TestSummaryConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := tensor.NewRNG(seed)
 			for i := 0; i < 1000; i++ {
-				s.Add(rng.Float64())
+				s.Observe(rng.Float64())
 			}
 		}(uint64(w))
 	}
@@ -146,7 +146,7 @@ func TestSummaryQuantilesOrdered(t *testing.T) {
 	s := NewSummary()
 	rng := tensor.NewRNG(5)
 	for i := 0; i < 5000; i++ {
-		s.Add(rng.ExpFloat64())
+		s.Observe(rng.ExpFloat64())
 	}
 	snap := s.Snapshot()
 	if !(snap.Min <= snap.P50 && snap.P50 <= snap.P90 && snap.P90 <= snap.P99 && snap.P99 <= snap.Max) {

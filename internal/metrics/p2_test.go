@@ -77,7 +77,7 @@ func TestSummaryAccuracyProperty(t *testing.T) {
 		sum := 0.0
 		for i := 0; i < n; i++ {
 			x := stream.gen(rng)
-			s.Add(x)
+			s.Observe(x)
 			all = append(all, x)
 			sum += x
 		}
@@ -106,24 +106,25 @@ func TestSummaryAccuracyProperty(t *testing.T) {
 	}
 }
 
-// TestSummaryConcurrentSnapshotReset exercises Add racing Snapshot and
-// Reset under -race: the obs registry snapshots live summaries while hot
+// TestSummaryConcurrentSnapshotReset exercises Observe racing Snapshot and
+// Reset under -race: the metrics registry snapshots live summaries while hot
 // paths keep observing into them.
 func TestSummaryConcurrentSnapshotReset(t *testing.T) {
 	s := NewSummary()
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	stop, resetDone := make(chan struct{}), make(chan struct{})
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
 			rng := tensor.NewRNG(seed)
 			for i := 0; i < 2000; i++ {
-				s.Add(rng.Float64())
+				s.Observe(rng.Float64())
 			}
 		}(uint64(w + 1))
 	}
 	go func() {
+		defer close(resetDone)
 		for {
 			select {
 			case <-stop:
@@ -140,8 +141,9 @@ func TestSummaryConcurrentSnapshotReset(t *testing.T) {
 	}()
 	wg.Wait()
 	close(stop)
+	<-resetDone // a Reset still in flight would empty the check below
 	s.Reset()
-	s.Add(1)
+	s.Observe(1)
 	if snap := s.Snapshot(); snap.Count != 1 || snap.Min != 1 || snap.Max != 1 {
 		t.Fatalf("summary unusable after concurrent reset: %+v", snap)
 	}

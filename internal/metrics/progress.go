@@ -1,4 +1,4 @@
-package obs
+package metrics
 
 import (
 	"fmt"
@@ -7,7 +7,7 @@ import (
 
 // TaskProgress is one task's lifecycle line in the operator progress view.
 // It is a plain value struct so cmd binaries can fill it from either the
-// fleet's tasks.Stats or the shard coordinator's view without obs
+// fleet's tasks.Stats or the shard coordinator's view without metrics
 // importing those packages.
 type TaskProgress struct {
 	ID, Type, State               string

@@ -1,30 +1,25 @@
-// Package obs is the process-wide telemetry layer: a registry of atomic
-// counters, gauges, and metrics.Summary-backed latency summaries, plus the
-// round tracer that materializes one structured trace record per round.
-//
-// Instruments are cached by the call sites that sit on hot paths (the
-// report loop holds *Counter pointers and does nothing but atomic adds);
-// the registry lock is only taken at registration and export time. Exports
-// feed three renderings of the same data: Prometheus text exposition,
-// expvar-style JSON, and the live /dashboard.
-//
-// A registry can also hold "external" snapshots — telemetry shipped from
-// other processes (shard selectors) over TelemetrySnapshot wire frames.
-// Externals are merged into rendered output with an injected label
-// (e.g. shard="1") but are excluded from Export, so a selector's own
-// export never echoes data back and forth.
-package obs
+package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+)
 
-	"repro/internal/metrics"
+// Series that one package writes and another reads by name: a server's
+// frame bytes out and in (Fig. 9's download and upload; the transport counts
+// them on /metrics, internal/sim in its figures) and device sessions by
+// Table 1 shape (label "shape").
+const (
+	NetTxBytes    = "fl_net_tx_bytes_total"
+	NetRxBytes    = "fl_net_rx_bytes_total"
+	SessionShapes = "fl_session_shapes_total"
 )
 
 // Counter is a monotonically increasing int64. All methods are lock-free.
@@ -59,25 +54,12 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
-// Summary records a stream of observations (typically latencies in
-// seconds) into moments plus P50/P90/P99 via the P² estimators.
-type Summary struct{ s *metrics.Summary }
-
-// Observe feeds one observation.
-func (s *Summary) Observe(x float64) { s.s.Add(x) }
-
-// ObserveDuration feeds a duration, converted to seconds.
-func (s *Summary) ObserveDuration(d time.Duration) { s.s.Add(d.Seconds()) }
-
-// Snapshot returns the current summary state.
-func (s *Summary) Snapshot() metrics.Snapshot { return s.s.Snapshot() }
-
 // summaryFields is the fixed order of Export's summary series:
 // [count, mean, std, min, max, p50, p90, p99]. TelemetrySnapshot frames
 // carry summaries in this order, so it is part of the wire contract.
 var summaryFields = []string{"count", "mean", "std", "min", "max", "p50", "p90", "p99"}
 
-func summaryValues(snap metrics.Snapshot) []float64 {
+func summaryValues(snap Snapshot) []float64 {
 	return []float64{
 		float64(snap.Count), snap.Mean, snap.Std,
 		snap.Min, snap.Max, snap.P50, snap.P90, snap.P99,
@@ -92,21 +74,26 @@ type Export struct {
 	Summaries map[string][]float64
 }
 
-// Registry holds named instruments. The zero value is unusable; use
-// NewRegistry or the package-level Default.
+// Registry holds named counters, gauges and Summaries. Instruments are
+// cached by the call sites that sit on hot paths (the report loop holds
+// *Counter pointers and does nothing but atomic adds); the registry lock is
+// only taken at registration and export time.
+//
+// A registry can also hold "external" snapshots — telemetry shipped from
+// other processes (shard selectors) over TelemetrySnapshot wire frames.
+// Externals are merged into rendered output with an injected label
+// (e.g. shard="1") but are excluded from Export, so a selector's own
+// export never echoes data back and forth.
+//
+// The zero value is unusable; use NewRegistry or the package-level Default.
 type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
 	summaries map[string]*Summary
 	// externals maps an injected label (`shard="1"`) to the most recent
-	// Export shipped by that peer, plus its arrival time for staleness.
-	externals map[string]external
-}
-
-type external struct {
-	export Export
-	at     time.Time
+	// Export shipped by that peer.
+	externals map[string]Export
 }
 
 // NewRegistry returns an empty registry.
@@ -115,7 +102,7 @@ func NewRegistry() *Registry {
 		counters:  make(map[string]*Counter),
 		gauges:    make(map[string]*Gauge),
 		summaries: make(map[string]*Summary),
-		externals: make(map[string]external),
+		externals: make(map[string]Export),
 	}
 }
 
@@ -146,40 +133,28 @@ func Label(name string, kv ...string) string {
 
 // Counter returns the counter registered under name, creating it on first
 // use. Hot paths should call this once and cache the pointer.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return instrument(r, r.counters, name, nil) }
 
 // Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return instrument(r, r.gauges, name, nil) }
 
 // Summary returns the summary registered under name, creating it on first
 // use.
-func (r *Registry) Summary(name string) *Summary {
+func (r *Registry) Summary(name string) *Summary { return instrument(r, r.summaries, name, NewSummary) }
+
+// instrument returns m[name], registering mk() (or a zero T) on first use.
+func instrument[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.summaries[name]
+	v, ok := m[name]
 	if !ok {
-		s = &Summary{s: metrics.NewSummary()}
-		r.summaries[name] = s
+		v = new(T)
+		if mk != nil {
+			v = mk()
+		}
+		m[name] = v
 	}
-	return s
+	return v
 }
 
 // Export snapshots the registry's LOCAL instruments (externals excluded —
@@ -214,7 +189,28 @@ func (r *Registry) Export() Export {
 func (r *Registry) SetExternal(label string, export Export) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.externals[label] = external{export: export, at: time.Now()}
+	r.externals[label] = export
+}
+
+// DropExternal forgets the peer shipped under label: its series leave the
+// rendered output (the peer is gone, not frozen at its last snapshot).
+func (r *Registry) DropExternal(label string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.externals, label)
+}
+
+// CounterFamily reads the local counters of one family by the value of one
+// label: CounterFamily(SessionShapes, "shape") → {"-v[]+^": 75, …}.
+func (r *Registry) CounterFamily(family, key string) map[string]int64 {
+	out := make(map[string]int64)
+	for name, v := range r.Export().Counters {
+		rest, ok := strings.CutPrefix(name, family+"{"+key+"=")
+		if val, err := strconv.Unquote(strings.TrimSuffix(rest, "}")); ok && err == nil {
+			out[val] = v
+		}
+	}
+	return out
 }
 
 // injectLabel appends label to a metric name, merging with any label set
@@ -242,10 +238,7 @@ type series struct {
 func (r *Registry) collect() []series {
 	local := r.Export()
 	r.mu.Lock()
-	ext := make(map[string]Export, len(r.externals))
-	for label, e := range r.externals {
-		ext[label] = e.export
-	}
+	ext := maps.Clone(r.externals)
 	r.mu.Unlock()
 
 	var rows []series
@@ -264,12 +257,7 @@ func (r *Registry) collect() []series {
 		}
 	}
 	add("", local)
-	labels := make([]string, 0, len(ext))
-	for label := range ext {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
+	for _, label := range slices.Sorted(maps.Keys(ext)) {
 		add(label, ext[label])
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })

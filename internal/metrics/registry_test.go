@@ -1,4 +1,4 @@
-package obs
+package metrics
 
 import (
 	"encoding/json"
@@ -167,5 +167,30 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("fl_hot_total").Value(); got != 4000 {
 		t.Fatalf("counter = %d, want 4000", got)
+	}
+}
+
+// TestSessionShapesConcurrent counts Table 1 shapes from many goroutines,
+// each resolving the labelled series itself, while CounterFamily reads.
+func TestSessionShapesConcurrent(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				r.Counter(Label(SessionShapes, "shape", "-v[]+^")).Inc()
+				if i%100 == 0 {
+					r.CounterFamily(SessionShapes, "shape")
+				}
+			}
+			r.Counter(Label(SessionShapes, "shape", "-v[!")).Inc()
+		}()
+	}
+	wg.Wait()
+	got := r.CounterFamily(SessionShapes, "shape")
+	if len(got) != 2 || got["-v[]+^"] != 4000 || got["-v[!"] != 8 {
+		t.Fatalf("shapes = %v, want 4000 -v[]+^ and 8 -v[!", got)
 	}
 }

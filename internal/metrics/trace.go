@@ -1,8 +1,7 @@
-package obs
+package metrics
 
 import (
 	"encoding/json"
-	"sort"
 	"time"
 )
 
@@ -62,7 +61,7 @@ func (t RoundTrace) MarshalJSONL() []byte {
 // TraceStore is implemented by storage backends that can persist round
 // traces. It is deliberately NOT part of storage.Store: trace persistence
 // is optional, and test doubles that embed the Store interface keep
-// compiling. Callers type-assert: `if ts, ok := store.(obs.TraceStore); ok`.
+// compiling. Callers type-assert: `if ts, ok := store.(metrics.TraceStore); ok`.
 type TraceStore interface {
 	PutRoundTrace(t RoundTrace) error
 }
@@ -73,16 +72,10 @@ type TraceStore interface {
 // single choke point all round completions go through, so /metrics phase
 // latencies and the JSONL trace stream can never disagree.
 func (r *Registry) RecordTrace(t RoundTrace, store TraceStore) error {
-	phases := make([]string, 0, len(t.Phases))
-	for phase := range t.Phases {
-		phases = append(phases, phase)
+	for phase, ns := range t.Phases {
+		r.Summary(Label("fl_round_phase_seconds", "phase", phase)).ObserveDuration(time.Duration(ns))
 	}
-	sort.Strings(phases)
-	for _, phase := range phases {
-		r.Summary(Label("fl_round_phase_seconds", "phase", phase)).
-			Observe(time.Duration(t.Phases[phase]).Seconds())
-	}
-	r.Summary("fl_round_total_seconds").Observe(time.Duration(t.TotalNanos).Seconds())
+	r.Summary("fl_round_total_seconds").ObserveDuration(time.Duration(t.TotalNanos))
 	if t.Committed {
 		r.Counter("fl_rounds_committed_total").Inc()
 	} else {

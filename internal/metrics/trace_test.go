@@ -1,4 +1,4 @@
-package obs
+package metrics
 
 import (
 	"encoding/json"

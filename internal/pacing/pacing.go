@@ -23,13 +23,13 @@ package pacing
 import (
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
 // obsSuggestions counts pace-steering reconnect hints handed to devices —
 // one per rejected or steered check-in across the whole process.
-var obsSuggestions = obs.Default.Counter("fl_pace_suggestions_total")
+var obsSuggestions = metrics.Default.Counter("fl_pace_suggestions_total")
 
 // Steering computes reconnect windows. The zero value is not usable; use
 // New for defaults.

@@ -3,11 +3,11 @@ package pacing
 import (
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/metrics"
 )
 
 // obsEstimate mirrors the live population estimate on /metrics.
-var obsEstimate = obs.Default.Gauge("fl_population_estimate")
+var obsEstimate = metrics.Default.Gauge("fl_population_estimate")
 
 // RateSample is one source's observed check-in arrivals since its previous
 // sample. A source is one Selector actor in the single-process deployment,

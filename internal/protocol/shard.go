@@ -143,7 +143,7 @@ type StripeSeal struct {
 	// shard's stripes.
 	Metrics map[string][]float64
 	// Phases carries the shard's per-phase durations (nanoseconds, keyed
-	// by obs phase name) for this round's edge work, so the coordinator's
+	// by metrics phase name) for this round's edge work, so the coordinator's
 	// round trace covers the whole deployment, not just its own process.
 	Phases map[string]int64
 	// Blamed lists devices Secure Aggregation excluded with attribution,
@@ -155,11 +155,11 @@ type StripeSeal struct {
 	RobustRejected []string
 }
 
-// TelemetrySnapshot ships one process's obs registry export upstream
+// TelemetrySnapshot ships one process's metrics registry export upstream
 // (shard→coordinator) on a periodic timer, so the coordinator's /metrics
 // surface aggregates the fleet: selector check-in counters, per-shard seal
 // latency summaries, secagg blame/dropout counts. Summaries are vectors in
-// obs summaryFields order [count, mean, std, min, max, p50, p90, p99].
+// metrics summaryFields order [count, mean, std, min, max, p50, p90, p99].
 type TelemetrySnapshot struct {
 	Shard uint32
 	// Name is the shard's human-readable label (mirrors ShardHello.Name).

@@ -59,7 +59,7 @@ type Result struct {
 }
 
 // Secure Aggregation phase names as recorded in Result.Phases. They match
-// the obs round-trace secagg span names minus the "secagg_" prefix.
+// the metrics round-trace secagg span names minus the "secagg_" prefix.
 const (
 	phaseAdvertise = "advertise"
 	phaseShare     = "share"

@@ -67,7 +67,7 @@ func (c Config) Validate() error {
 // aggregation groups of at least groupSize by folding the remainder into
 // the last group, so groups hold groupSize..2·groupSize−1 items and no
 // group falls below groupSize — the "no secure group below 2" invariant
-// shared by the FL server and federated analytics. Spans are half-open
+// every secure group of the FL server keeps. Spans are half-open
 // [start, end) pairs. When n < groupSize the single span is undersized;
 // callers must reject it or refuse it downstream.
 func GroupSpans(n, groupSize int) [][2]int {

@@ -6,15 +6,15 @@ import (
 	"sort"
 
 	"repro/internal/field"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 )
 
 // Process-wide secagg counters (cached pointers; the instruments live in
-// obs.Default and surface on /metrics as blame/dropout attribution).
+// metrics.Default and surface on /metrics as blame/dropout attribution).
 var (
-	obsComplaints = obs.Default.Counter("fl_secagg_complaints_total")
-	obsBlamed     = obs.Default.Counter("fl_secagg_blamed_total")
-	obsDropouts   = obs.Default.Counter("fl_secagg_dropouts_total")
+	obsComplaints = metrics.Default.Counter("fl_secagg_complaints_total")
+	obsBlamed     = metrics.Default.Counter("fl_secagg_blamed_total")
+	obsDropouts   = metrics.Default.Counter("fl_secagg_dropouts_total")
 )
 
 // Server is the aggregator side of one Secure Aggregation instance. It only

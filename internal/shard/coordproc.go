@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,7 +12,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
 	"repro/internal/flserver"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
@@ -242,8 +244,7 @@ func (cp *CoordinatorProc) serveConn(conn transport.Conn) {
 				cp.onSeal(edge, m)
 			case protocol.CheckinRate:
 				if m.Elapsed > 0 {
-					obs.Default.Gauge(obs.Label("fl_shard_checkin_rate", "shard", fmt.Sprint(m.Shard))).
-						Set(float64(m.Count) / m.Elapsed.Seconds())
+					checkinRate(m.Shard).Set(float64(m.Count) / m.Elapsed.Seconds())
 				}
 				_ = flserver.DeliverRate(cp.coord, fmt.Sprintf("shard-%d/%s", m.Shard, m.Source),
 					m.Population, m.Count, m.Elapsed, int(m.Demand))
@@ -252,7 +253,7 @@ func (cp *CoordinatorProc) serveConn(conn transport.Conn) {
 				// a shard label, so this process's /metrics aggregates the
 				// whole deployment. No actor hop: SetExternal is a bounded
 				// map store, safe on the session reader goroutine.
-				obs.Default.SetExternal(fmt.Sprintf("shard=%q", fmt.Sprint(m.Shard)), obs.Export{
+				metrics.Default.SetExternal(externalLabel(m.Shard), metrics.Export{
 					Counters:  m.Counters,
 					Gauges:    m.Gauges,
 					Summaries: m.Summaries,
@@ -266,9 +267,25 @@ func (cp *CoordinatorProc) serveConn(conn transport.Conn) {
 	})
 	_ = edge.sess.Run()
 	cp.mu.Lock()
+	shard, announced := cp.live[edge]
 	delete(cp.live, edge)
+	if announced && !slices.Contains(slices.Collect(maps.Values(cp.live)), shard) {
+		// The shard is gone, not frozen: its shipped series and its check-in
+		// rate leave /metrics (with Stats' shard count) until a link
+		// announces that index again.
+		metrics.Default.DropExternal(externalLabel(shard))
+		checkinRate(shard).Set(0)
+	}
 	cp.mu.Unlock()
 	_ = flserver.EdgeDown(cp.coord, edge)
+}
+
+// externalLabel is the label a shard's shipped telemetry is rendered under.
+func externalLabel(shard uint32) string { return fmt.Sprintf("shard=%q", fmt.Sprint(shard)) }
+
+// checkinRate is the coordinator-derived check-in rate gauge of one shard.
+func checkinRate(shard uint32) *metrics.Gauge {
+	return metrics.Default.Gauge(metrics.Label("fl_shard_checkin_rate", "shard", fmt.Sprint(shard)))
 }
 
 // onSeal accounts one received StripeSeal — every one, late and duplicate
@@ -279,16 +296,16 @@ func (cp *CoordinatorProc) onSeal(edge *shardEdge, m protocol.StripeSeal) {
 	shardLabel := fmt.Sprint(m.Shard)
 	obsSealsReceived.Inc()
 	obsBytesUpstream.Add(wire)
-	obs.Default.Counter(obs.Label("fl_shard_seals_total", "shard", shardLabel)).Inc()
+	metrics.Default.Counter(metrics.Label("fl_shard_seals_total", "shard", shardLabel)).Inc()
 	if opened := edge.openedAt.Load(); opened > 0 {
 		// Per-shard seal latency: round config sent → this shard's seal.
-		obs.Default.Summary(obs.Label("fl_shard_seal_seconds", "shard", shardLabel)).
+		metrics.Default.Summary(metrics.Label("fl_shard_seal_seconds", "shard", shardLabel)).
 			Observe(time.Since(time.Unix(0, opened)).Seconds())
 	}
 	if m.Clipped > 0 {
 		// Per-shard defense visibility on the coordinator's aggregated
 		// /metrics, mirroring the seal counters above.
-		obs.Default.Counter(obs.Label("fl_robust_clipped_total", "shard", shardLabel)).Add(m.Clipped)
+		metrics.Default.Counter(metrics.Label("fl_robust_clipped_total", "shard", shardLabel)).Add(m.Clipped)
 	}
 	cp.mu.Lock()
 	cp.sealsRecv++

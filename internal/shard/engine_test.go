@@ -12,8 +12,8 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
 	"repro/internal/flserver"
+	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
@@ -489,7 +489,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 }
 
 // lastTrace returns the newest round trace the store holds.
-func lastTrace(t *testing.T, store *traceMem) obs.RoundTrace {
+func lastTrace(t *testing.T, store *traceMem) metrics.RoundTrace {
 	t.Helper()
 	traces := store.RoundTraces()
 	if len(traces) == 0 {
@@ -626,17 +626,17 @@ func TestFailedRoundReticksAtOnce(t *testing.T) {
 }
 
 // traceMem is a storage.Mem that keeps the round traces it is handed (the
-// optional obs.TraceStore half of a store), for tests that assert on them.
+// optional metrics.TraceStore half of a store), for tests that assert on them.
 type traceMem struct {
 	*storage.Mem
 	mu     sync.Mutex
-	traces []obs.RoundTrace
+	traces []metrics.RoundTrace
 }
 
 func newTraceMem() *traceMem { return &traceMem{Mem: storage.NewMem()} }
 
-// PutRoundTrace implements obs.TraceStore.
-func (s *traceMem) PutRoundTrace(t obs.RoundTrace) error {
+// PutRoundTrace implements metrics.TraceStore.
+func (s *traceMem) PutRoundTrace(t metrics.RoundTrace) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.traces = append(s.traces, t)
@@ -644,8 +644,8 @@ func (s *traceMem) PutRoundTrace(t obs.RoundTrace) error {
 }
 
 // RoundTraces returns every stored round trace in arrival order.
-func (s *traceMem) RoundTraces() []obs.RoundTrace {
+func (s *traceMem) RoundTraces() []metrics.RoundTrace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]obs.RoundTrace(nil), s.traces...)
+	return append([]metrics.RoundTrace(nil), s.traces...)
 }

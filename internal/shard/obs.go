@@ -1,6 +1,6 @@
 package shard
 
-import "repro/internal/obs"
+import "repro/internal/metrics"
 
 // Process-wide shard instruments. The selector-side ones travel to the
 // coordinator inside TelemetrySnapshot frames, where they reappear on the
@@ -9,12 +9,12 @@ import "repro/internal/obs"
 // traffic.
 var (
 	// Selector side.
-	obsSealsShipped  = obs.Default.Counter("fl_seals_shipped_total")
-	obsSealsDropped  = obs.Default.Counter("fl_seals_dropped_total")
-	obsSealSeconds   = obs.Default.Summary("fl_seal_seconds")
-	obsSnapshotsSent = obs.Default.Counter("fl_telemetry_snapshots_total")
-	obsCoordinatorUp = obs.Default.Gauge("fl_coordinator_link_up")
+	obsSealsShipped  = metrics.Default.Counter("fl_seals_shipped_total")
+	obsSealsDropped  = metrics.Default.Counter("fl_seals_dropped_total")
+	obsSealSeconds   = metrics.Default.Summary("fl_seal_seconds")
+	obsSnapshotsSent = metrics.Default.Counter("fl_telemetry_snapshots_total")
+	obsCoordinatorUp = metrics.Default.Gauge("fl_coordinator_link_up")
 	// Coordinator side.
-	obsSealsReceived = obs.Default.Counter("fl_seals_received_total")
-	obsBytesUpstream = obs.Default.Counter("fl_seal_bytes_upstream_total")
+	obsSealsReceived = metrics.Default.Counter("fl_seals_received_total")
+	obsBytesUpstream = metrics.Default.Counter("fl_seal_bytes_upstream_total")
 )

@@ -20,7 +20,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
 	"repro/internal/flserver"
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
@@ -408,17 +408,17 @@ func (p *SelectorProc) probeRates() {
 	}
 }
 
-// shipTelemetry ships this process's whole obs registry to the coordinator
-// as a protocol.TelemetrySnapshot. Snapshots are advisory like rate samples:
-// a send on a down link is simply dropped, and the coordinator ages out
-// shards that stop shipping.
+// shipTelemetry ships this process's whole metrics registry to the
+// coordinator as a protocol.TelemetrySnapshot. Snapshots are advisory like
+// rate samples: a send on a down link is simply dropped, and the coordinator
+// drops a shard's last snapshot when its link goes.
 func (p *SelectorProc) shipTelemetry() {
 	if !p.peer.Alive() {
 		obsCoordinatorUp.Set(0)
 		return
 	}
 	obsCoordinatorUp.Set(1)
-	ex := obs.Default.Export()
+	ex := metrics.Default.Export()
 	if err := p.peer.Send(protocol.TelemetrySnapshot{
 		Shard:     p.cfg.Shard,
 		Name:      p.cfg.Name,

@@ -2,7 +2,7 @@
 // operational figures (Figs. 5–9, Table 1). It wires the population model
 // (diurnal availability, drop-out, device speed), the FL plan's round
 // parameters (goal counts, over-selection, timeouts, straggler cap), pace
-// steering, and the analytics layer, then runs simulated days in
+// steering, and the device session log, then runs simulated days in
 // milliseconds. Model training is optional: the operational figures depend
 // on protocol dynamics, not on gradient values, so by default rounds move
 // synthetic checkpoints; the convergence experiments use fedavg.Trainer
@@ -14,8 +14,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/checkpoint"
+	"repro/internal/device"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/population"
@@ -92,8 +92,10 @@ type Sample struct {
 type Results struct {
 	Rounds  []RoundStats
 	Samples []Sample
-	Shapes  *analytics.ShapeCounter
-	Traffic *analytics.Traffic
+	// Metrics counts what Table 1 and Fig. 9 read, under the names /metrics
+	// serves: metrics.SessionShapes by shape, and metrics.NetTxBytes and
+	// metrics.NetRxBytes for the server's download and upload traffic.
+	Metrics *metrics.Registry
 	// RunTimeSummary and ParticipationSummary are the Fig. 8 distributions.
 	RunTimeSummary       metrics.Snapshot
 	ParticipationSummary metrics.Snapshot
@@ -119,8 +121,9 @@ type sim struct {
 	pop   *population.Model
 	rng   *tensor.RNG
 
-	shapes  *analytics.ShapeCounter
-	traffic *analytics.Traffic
+	reg     *metrics.Registry
+	tx, rx  *metrics.Counter
+	shapes  map[string]*metrics.Counter // reg's session-shape counters, resolved once each
 	runSum  *metrics.Summary
 	partSum *metrics.Summary
 	rounds  []RoundStats
@@ -181,13 +184,16 @@ func Run(cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := metrics.NewRegistry()
 	s := &sim{
 		cfg:       cfg,
 		clock:     simclock.New(cfg.Start),
 		pop:       pop,
 		rng:       tensor.NewRNG(cfg.Seed),
-		shapes:    analytics.NewShapeCounter(),
-		traffic:   analytics.NewTraffic(),
+		reg:       reg,
+		tx:        reg.Counter(metrics.NetTxBytes),
+		rx:        reg.Counter(metrics.NetRxBytes),
+		shapes:    make(map[string]*metrics.Counter),
 		runSum:    metrics.NewSummary(),
 		partSum:   metrics.NewSummary(),
 		finishP90: p90,
@@ -204,8 +210,7 @@ func Run(cfg Config) (*Results, error) {
 	return &Results{
 		Rounds:               s.rounds,
 		Samples:              s.samples,
-		Shapes:               s.shapes,
-		Traffic:              s.traffic,
+		Metrics:              s.reg,
 		RunTimeSummary:       s.runSum.Snapshot(),
 		ParticipationSummary: s.partSum.Snapshot(),
 		FinalRound:           s.round,
@@ -337,47 +342,51 @@ func (s *sim) startRound(end time.Time) {
 	// Classify every selected device and log its session shape.
 	reported := 0
 	for _, r := range runs {
-		s.traffic.AddDownload(s.planWire + s.ckptWire)
-		session := &analytics.Session{}
-		session.Log(analytics.StateCheckin)
-		session.Log(analytics.StateDownloadedPlan)
-		session.Log(analytics.StateTrainStarted)
+		s.tx.Add(int64(s.planWire + s.ckptWire))
+		session := &device.Session{}
+		session.Log(device.StateCheckin)
+		session.Log(device.StateDownloadedPlan)
+		session.Log(device.StateTrainStarted)
 		part := r.finishAt
 		switch {
 		case r.dropped:
-			session.Log(analytics.StateInterrupted)
+			session.Log(device.StateInterrupted)
 			stats.Dropped++
 			part = r.dropAt
 		case r.finishAt <= commitAt && reported < completed:
-			session.Log(analytics.StateTrainCompleted)
-			session.Log(analytics.StateUploadStarted)
-			session.Log(analytics.StateUploadDone)
-			s.traffic.AddUpload(s.updWire)
+			session.Log(device.StateTrainCompleted)
+			session.Log(device.StateUploadStarted)
+			session.Log(device.StateUploadDone)
+			s.rx.Add(int64(s.updWire))
 			stats.Completed++
 			reported++
 		case r.finishAt <= window:
 			// Finished inside the window but after the round committed:
 			// over-selected, upload rejected.
-			session.Log(analytics.StateTrainCompleted)
-			session.Log(analytics.StateUploadStarted)
-			session.Log(analytics.StateUploadRejected)
-			s.traffic.AddUpload(s.updWire)
+			session.Log(device.StateTrainCompleted)
+			session.Log(device.StateUploadStarted)
+			session.Log(device.StateUploadRejected)
+			s.rx.Add(int64(s.updWire))
 			stats.Aborted++
 			part = commitAt
 		default:
 			// Straggler past the cap: server cut it off ('#' after the
 			// window; participation capped, Fig. 8).
-			session.Log(analytics.StateTrainCompleted)
-			session.Log(analytics.StateUploadStarted)
-			session.Log(analytics.StateUploadRejected)
+			session.Log(device.StateTrainCompleted)
+			session.Log(device.StateUploadStarted)
+			session.Log(device.StateUploadRejected)
 			stats.Late++
 			part = window
 		}
 		if part > sp.ParticipationCap {
 			part = sp.ParticipationCap
 		}
-		s.shapes.Observe(session.Shape())
-		s.partSum.Add(part.Seconds())
+		shape := session.Shape()
+		if s.shapes[shape] == nil {
+			s.shapes[shape] = s.reg.Counter(metrics.Label(metrics.SessionShapes, "shape", shape))
+		}
+		s.shapes[shape].Inc()
+		s.partSum.Observe(part.Seconds())
 		stats.ParticipationTimes = append(stats.ParticipationTimes, part)
 	}
 
@@ -387,7 +396,7 @@ func (s *sim) startRound(end time.Time) {
 	if succeeded {
 		s.round++
 		s.completedThisSample++
-		s.runSum.Add(roundTime.Seconds())
+		s.runSum.Observe(roundTime.Seconds())
 	} else {
 		s.failedThisSample++
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/population"
@@ -169,7 +170,7 @@ func TestParticipationCapped(t *testing.T) {
 func TestTrafficAsymmetry(t *testing.T) {
 	// Fig. 9: download from server dominates upload.
 	res := run3Days(t, 5000, 100)
-	down, up := res.Traffic.Totals()
+	down, up := traffic(res)
 	if down <= up {
 		t.Fatalf("download %d should exceed upload %d", down, up)
 	}
@@ -183,29 +184,30 @@ func TestSessionShapeDistribution(t *testing.T) {
 	// Table 1: successful sessions dominate, then rejected uploads, then
 	// interruptions.
 	res := run3Days(t, 5000, 100)
-	dist := res.Shapes.Distribution()
-	if len(dist) == 0 {
+	shapes := res.Metrics.CounterFamily(metrics.SessionShapes, "shape")
+	var total, rejected, interrupted int64
+	for shape, n := range shapes {
+		total += n
+		if n > shapes["-v[]+^"] {
+			t.Fatalf("shape %q (%d) is more common than -v[]+^ (%d)", shape, n, shapes["-v[]+^"])
+		}
+		if strings.HasSuffix(shape, "#") {
+			rejected += n
+		}
+		if strings.HasSuffix(shape, "!") {
+			interrupted += n
+		}
+	}
+	if total == 0 {
 		t.Fatal("no sessions observed")
 	}
-	if dist[0].Shape != "-v[]+^" {
-		t.Fatalf("most common shape = %q, want -v[]+^ (dist %+v)", dist[0].Shape, dist)
-	}
-	if dist[0].Percent < 60 {
-		t.Fatalf("success rate %v%%, want the large majority (paper: 75%%)", dist[0].Percent)
-	}
-	var rejected, interrupted float64
-	for _, d := range dist {
-		if strings.HasSuffix(d.Shape, "#") {
-			rejected += d.Percent
-		}
-		if strings.HasSuffix(d.Shape, "!") {
-			interrupted += d.Percent
-		}
+	if pct := 100 * float64(shapes["-v[]+^"]) / float64(total); pct < 60 {
+		t.Fatalf("success rate %v%%, want the large majority (paper: 75%%)", pct)
 	}
 	if rejected <= 0 || interrupted <= 0 {
-		t.Fatalf("expected both rejected and interrupted sessions: %+v", dist)
+		t.Fatalf("expected both rejected and interrupted sessions: %v", shapes)
 	}
-	if interrupted >= dist[0].Percent {
+	if interrupted >= shapes["-v[]+^"] {
 		t.Fatal("interruption should be a minority outcome")
 	}
 }
@@ -260,8 +262,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	if a.CompletedRounds() != b.CompletedRounds() || len(a.Rounds) != len(b.Rounds) {
 		t.Fatal("same seed must reproduce the simulation")
 	}
-	da, _ := a.Traffic.Totals()
-	db, _ := b.Traffic.Totals()
+	da, _ := traffic(a)
+	db, _ := traffic(b)
 	if da != db {
 		t.Fatal("traffic must be deterministic")
 	}
@@ -279,6 +281,11 @@ func TestCompletionRateTracksAvailability(t *testing.T) {
 	if corr := pearson(av, cr); corr < 0.3 {
 		t.Fatalf("completion rate should correlate with availability, r=%v", corr)
 	}
+}
+
+// traffic reads Fig. 9's totals off the run's registry.
+func traffic(res *Results) (down, up int64) {
+	return res.Metrics.Counter(metrics.NetTxBytes).Value(), res.Metrics.Counter(metrics.NetRxBytes).Value()
 }
 
 func pearson(a, b []float64) float64 {

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // Store persists committed round results.
@@ -38,7 +37,7 @@ type Store interface {
 	TaskSet() ([]byte, error)
 }
 
-// File also implements obs.TraceStore, persisting one round-trace record per
+// File also implements metrics.TraceStore, persisting one round-trace record per
 // round alongside the checkpoints. Trace storage is deliberately NOT part of
 // the Store interface — callers type-assert — so custom Store
 // implementations (tests, adapters) keep compiling.
@@ -236,9 +235,9 @@ func (s *File) Metrics(task string) ([]*metrics.Materialized, error) { return s.
 // tracesFile is the append-only JSONL round-trace log, one line per round.
 const tracesFile = "traces.jsonl"
 
-// PutRoundTrace implements obs.TraceStore: the record is appended as one
+// PutRoundTrace implements metrics.TraceStore: the record is appended as one
 // JSONL line to dir/traces.jsonl.
-func (s *File) PutRoundTrace(t obs.RoundTrace) error {
+func (s *File) PutRoundTrace(t metrics.RoundTrace) error {
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
 	f, err := os.OpenFile(filepath.Join(s.dir, tracesFile),

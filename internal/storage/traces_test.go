@@ -8,16 +8,16 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/metrics"
 )
 
-func traceFor(round int64) obs.RoundTrace {
-	return obs.RoundTrace{
+func traceFor(round int64) metrics.RoundTrace {
+	return metrics.RoundTrace{
 		TaskID:     "pop/train",
 		Round:      round,
 		Start:      time.Unix(1700000000, 0).UTC(),
 		TotalNanos: int64(time.Second),
-		Phases:     map[string]int64{obs.PhaseCommit: int64(5 * time.Millisecond)},
+		Phases:     map[string]int64{metrics.PhaseCommit: int64(5 * time.Millisecond)},
 		Committed:  true,
 		Reports:    12,
 	}
@@ -29,7 +29,7 @@ func TestFileRoundTracesJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var store obs.TraceStore = s
+	var store metrics.TraceStore = s
 	for round := int64(1); round <= 3; round++ {
 		if err := store.PutRoundTrace(traceFor(round)); err != nil {
 			t.Fatal(err)
@@ -44,11 +44,11 @@ func TestFileRoundTracesJSONL(t *testing.T) {
 		t.Fatalf("traces.jsonl has %d lines:\n%s", len(lines), b)
 	}
 	for i, line := range lines {
-		var tr obs.RoundTrace
+		var tr metrics.RoundTrace
 		if err := json.Unmarshal([]byte(line), &tr); err != nil {
 			t.Fatalf("line %d not JSON: %v", i, err)
 		}
-		if tr.Round != int64(i+1) || !tr.Committed || tr.Phases[obs.PhaseCommit] == 0 {
+		if tr.Round != int64(i+1) || !tr.Committed || tr.Phases[metrics.PhaseCommit] == 0 {
 			t.Fatalf("line %d decoded wrong: %+v", i, tr)
 		}
 	}

@@ -26,7 +26,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -395,9 +395,9 @@ func (ts *TaskSet) gaugeStatesLocked() {
 	// Labeled by population: a fleet gateway runs one TaskSet per
 	// population in the same process, and unlabeled gauges would have
 	// each set overwrite the others' counts.
-	obs.Default.Gauge(obs.Label("fl_tasks", "population", ts.population, "state", "active")).Set(float64(active))
-	obs.Default.Gauge(obs.Label("fl_tasks", "population", ts.population, "state", "paused")).Set(float64(paused))
-	obs.Default.Gauge(obs.Label("fl_tasks", "population", ts.population, "state", "retired")).Set(float64(retired))
+	metrics.Default.Gauge(metrics.Label("fl_tasks", "population", ts.population, "state", "active")).Set(float64(active))
+	metrics.Default.Gauge(metrics.Label("fl_tasks", "population", ts.population, "state", "paused")).Set(float64(paused))
+	metrics.Default.Gauge(metrics.Label("fl_tasks", "population", ts.population, "state", "retired")).Set(float64(retired))
 }
 
 // SetPopulationEstimate updates the estimate the MinDevices gates check.

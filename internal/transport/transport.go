@@ -18,7 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/obs"
+	"repro/internal/metrics"
 	"repro/internal/protocol"
 )
 
@@ -27,11 +27,11 @@ import (
 // the report hot loop. The in-memory transport never frames, so it counts
 // nothing; /dashboard traffic totals reflect real wire bytes only.
 var (
-	obsTxBytes = obs.Default.Counter("fl_net_tx_bytes_total")
-	obsRxBytes = obs.Default.Counter("fl_net_rx_bytes_total")
+	obsTxBytes = metrics.Default.Counter(metrics.NetTxBytes)
+	obsRxBytes = metrics.Default.Counter(metrics.NetRxBytes)
 	// Leased receive buffers, by origin: the pool, or a fresh allocation.
-	obsRxBufReused = obs.Default.Counter("fl_net_rx_buf_reused_total")
-	obsRxBufAlloc  = obs.Default.Counter("fl_net_rx_buf_alloc_total")
+	obsRxBufReused = metrics.Default.Counter("fl_net_rx_buf_reused_total")
+	obsRxBufAlloc  = metrics.Default.Counter("fl_net_rx_buf_alloc_total")
 )
 
 // Conn is a bidirectional message stream.
