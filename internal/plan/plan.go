@@ -343,55 +343,13 @@ func (p *Plan) MarshalDevice() ([]byte, error) {
 	return p.marshal(deviceFormat, &d), nil
 }
 
-// marshal writes the section both formats carry — ID, Population, Type and
-// d — and, under format 1, the server's part after it.
+// marshal sizes the descriptor, then encodes it into one exact-size buffer.
 func (p *Plan) marshal(format byte, d *DevicePlan) []byte {
-	m, s, r := &d.Model, &p.Server, &p.Server.Robust
-	b := make([]byte, 0, 256+len(p.ID)+len(p.Population)+len(d.Selection.StoreName)+len(d.Ops))
-	b = append(b, format)
-	b = wire.AppendStr(b, p.ID)
-	b = wire.AppendStr(b, p.Population)
-	b = append(b, byte(p.Type))
-
-	b = append(b, byte(m.Kind))
-	for _, v := range [...]int{m.Features, m.Hidden, m.Classes, m.Vocab, m.Embed} {
-		b = wire.AppendI64(b, int64(v))
-	}
-	b = wire.AppendI64(b, int64(m.Seed))
-	b = wire.AppendU32(b, uint32(len(d.Ops)))
-	for _, op := range d.Ops {
-		b = append(b, byte(op))
-	}
-	b = wire.AppendStr(b, d.Selection.StoreName)
-	b = wire.AppendI64(b, int64(d.Selection.MaxExamples))
-	b = wire.AppendI64(b, int64(d.Selection.MaxAge))
-	b = wire.AppendI64(b, int64(d.BatchSize))
-	b = wire.AppendI64(b, int64(d.Epochs))
-	b = wire.AppendF64(b, d.LearningRate)
-	b = append(b, byte(d.ReportEncoding))
-	b = wire.AppendI64(b, int64(d.MinRuntimeVersion))
-	b = wire.AppendF64(b, d.ClipNorm)
-	if format == deviceFormat {
-		return b
-	}
-
-	b = append(b, byte(s.Aggregation))
-	b = wire.AppendI64(b, int64(s.SecAggGroupSize))
-	b = wire.AppendF64(b, s.SecAggThresholdFraction)
-	b = wire.AppendI64(b, int64(s.SecAggFinalizeTimeout))
-	b = wire.AppendI64(b, int64(s.TargetDevices))
-	b = wire.AppendF64(b, s.OverSelectFactor)
-	b = wire.AppendF64(b, s.MinReportFraction)
-	b = wire.AppendI64(b, int64(s.SelectionTimeout))
-	b = wire.AppendI64(b, int64(s.ReportTimeout))
-	b = wire.AppendI64(b, int64(s.ParticipationCap))
-	b = append(b, byte(s.ReportEncoding))
-
-	b = append(b, byte(r.Kind))
-	b = wire.AppendF64(b, r.ClipNorm)
-	b = wire.AppendF64(b, r.TrimFraction)
-	b = wire.AppendF64(b, r.MaxCosineDistance)
-	return wire.AppendBool(b, r.QuantSafe)
+	var c wire.Codec
+	p.walk(&c, format, d)
+	c.Encode(false)
+	p.walk(&c, format, d)
+	return c.Encoded()
 }
 
 // Unmarshal decodes a plan produced by Marshal. It rejects any other format
@@ -406,57 +364,68 @@ func unmarshal(b []byte, format byte) (*Plan, error) {
 	if len(b) == 0 || b[0] != format {
 		return nil, fmt.Errorf("plan: unmarshal: not a format-%d plan descriptor", format)
 	}
-	rd := wire.NewReader(b[1:])
 	p := &Plan{}
-	d, m, s, r := &p.Device, &p.Device.Model, &p.Server, &p.Server.Robust
-	p.ID = rd.Str()
-	p.Population = rd.Str()
-	p.Type = TaskType(rd.U8("task type"))
-
-	m.Kind = nn.Kind(rd.U8("model kind"))
-	for _, v := range [...]*int{&m.Features, &m.Hidden, &m.Classes, &m.Vocab, &m.Embed} {
-		*v = int(rd.I64())
-	}
-	m.Seed = uint64(rd.I64())
-	if ops := rd.Bytes(); len(ops) > 0 {
-		d.Ops = make([]Op, len(ops))
-		for i, op := range ops {
-			d.Ops[i] = Op(op)
-		}
-	}
-	d.Selection.StoreName = rd.Str()
-	d.Selection.MaxExamples = int(rd.I64())
-	d.Selection.MaxAge = time.Duration(rd.I64())
-	d.BatchSize = int(rd.I64())
-	d.Epochs = int(rd.I64())
-	d.LearningRate = rd.F64()
-	d.ReportEncoding = checkpoint.Encoding(rd.U8("device report encoding"))
-	d.MinRuntimeVersion = int(rd.I64())
-	d.ClipNorm = rd.F64()
-
-	if format == wireFormat {
-		s.Aggregation = AggregationKind(rd.U8("aggregation kind"))
-		s.SecAggGroupSize = int(rd.I64())
-		s.SecAggThresholdFraction = rd.F64()
-		s.SecAggFinalizeTimeout = time.Duration(rd.I64())
-		s.TargetDevices = int(rd.I64())
-		s.OverSelectFactor = rd.F64()
-		s.MinReportFraction = rd.F64()
-		s.SelectionTimeout = time.Duration(rd.I64())
-		s.ReportTimeout = time.Duration(rd.I64())
-		s.ParticipationCap = time.Duration(rd.I64())
-		s.ReportEncoding = checkpoint.Encoding(rd.U8("server report encoding"))
-
-		r.Kind = RobustKind(rd.U8("robust kind"))
-		r.ClipNorm = rd.F64()
-		r.TrimFraction = rd.F64()
-		r.MaxCosineDistance = rd.F64()
-		r.QuantSafe = rd.Bool()
-	}
-	if err := rd.Finish(); err != nil {
+	c := wire.Decoder(b)
+	p.walk(&c, format, &p.Device)
+	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("plan: unmarshal: %w", err)
 	}
 	return p, nil
+}
+
+// walk is the descriptor layout: the format byte, then the section both
+// formats carry — ID, Population, Type and d — and, under format 1, the
+// server's part after it.
+func (p *Plan) walk(c *wire.Codec, format byte, d *DevicePlan) {
+	m, s, r := &d.Model, &p.Server, &p.Server.Robust
+	c.U8(&format)
+	c.Str(&p.ID)
+	c.Str(&p.Population)
+	c.U8((*uint8)(&p.Type))
+
+	c.U8((*uint8)(&m.Kind))
+	for _, v := range [...]*int{&m.Features, &m.Hidden, &m.Classes, &m.Vocab, &m.Embed} {
+		c.Int(v)
+	}
+	c.U64(&m.Seed)
+	ops := len(d.Ops)
+	c.Count(&ops, 1)
+	if c.Decoding() && ops > 0 {
+		d.Ops = make([]Op, ops)
+	}
+	for i := range ops {
+		c.U8((*uint8)(&d.Ops[i]))
+	}
+	c.Str(&d.Selection.StoreName)
+	c.Int(&d.Selection.MaxExamples)
+	c.Dur(&d.Selection.MaxAge)
+	c.Int(&d.BatchSize)
+	c.Int(&d.Epochs)
+	c.F64(&d.LearningRate)
+	c.U8((*uint8)(&d.ReportEncoding))
+	c.Int(&d.MinRuntimeVersion)
+	c.F64(&d.ClipNorm)
+	if format == deviceFormat {
+		return
+	}
+
+	c.U8((*uint8)(&s.Aggregation))
+	c.Int(&s.SecAggGroupSize)
+	c.F64(&s.SecAggThresholdFraction)
+	c.Dur(&s.SecAggFinalizeTimeout)
+	c.Int(&s.TargetDevices)
+	c.F64(&s.OverSelectFactor)
+	c.F64(&s.MinReportFraction)
+	c.Dur(&s.SelectionTimeout)
+	c.Dur(&s.ReportTimeout)
+	c.Dur(&s.ParticipationCap)
+	c.U8((*uint8)(&s.ReportEncoding))
+
+	c.U8((*uint8)(&r.Kind))
+	c.F64(&r.ClipNorm)
+	c.F64(&r.TrimFraction)
+	c.F64(&r.MaxCosineDistance)
+	c.Bool(&r.QuantSafe)
 }
 
 // WireSize returns the size of the plan a device downloads; the analytics

@@ -2,18 +2,13 @@ package protocol
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/wire"
 )
 
-// Binary wire codec for the protocol messages: the only serialisation a
-// message has. With multi-MB plan/checkpoint/update payloads flowing once
-// per device per round, each message is written into exact-size buffers
-// with no reflection, following internal/wire's layout conventions.
-//
-// The transport frames each payload with a wire-version byte and one of
-// these type codes. A type without a code here cannot cross the wire.
+// The wire table and the one binary codec of the protocol messages: each
+// type code's facts are a row of the table, each message's layout one walk
+// over a wire.Codec. A type without a code cannot cross the wire.
 
 // Type codes carried in the transport frame header.
 const (
@@ -25,7 +20,7 @@ const (
 	CodeReportRequest
 	CodeReportResponse
 	CodeAbort
-	// Sharded-deployment messages (shard.go, codec in shardcodec.go).
+	// Sharded-deployment messages (shard.go).
 	CodeStripeSeal
 	CodeRoundConfig
 	CodeRoundFinalize
@@ -38,145 +33,292 @@ const (
 	codeEnd
 )
 
-// KnownCode reports whether code names a message type, so a transport can
-// reject a frame by its header before committing memory to its payload.
-func KnownCode(code byte) bool { return code > 0 && code < codeEnd }
+// Frame ceilings, version and code bytes included.
+const (
+	// bulkFrame bounds the bulk messages, which carry a model, a plan or a
+	// registry export.
+	bulkFrame = 1 << 30
+	// smallFrame bounds the control messages, whose largest legitimate
+	// field is a device's 40-byte attestation token or a free-text reason.
+	smallFrame = 64 << 10
+)
 
-// MarshalBinaryParts encodes one protocol message as an
-// ordered list of byte segments whose concatenation is the MarshalBinary
-// payload. Large byte-slice fields — a ReportRequest's Update, a
-// CheckinResponse's Plan and Checkpoint — are returned as their own
-// segments, ALIASED from the message rather than copied, so a transport
-// with vectored writes ships a multi-MB update without ever building a
-// contiguous frame: the per-report O(dim) payload copy disappears from the
-// uplink hot path. Callers must not mutate the message's byte fields until
-// the parts have been written. ok is false for any other type.
-func MarshalBinaryParts(msg interface{}) (code byte, parts [][]byte, ok bool) {
-	switch m := msg.(type) {
-	case CheckinRequest:
-		buf := make([]byte, 0, wire.SizeStr(m.DeviceID)+wire.SizeStr(m.Population)+8+wire.SizeBytes(m.AttestationToken))
-		buf = wire.AppendStr(buf, m.DeviceID)
-		buf = wire.AppendStr(buf, m.Population)
-		buf = wire.AppendI64(buf, int64(m.RuntimeVersion))
-		buf = wire.AppendBytes(buf, m.AttestationToken)
-		return CodeCheckinRequest, [][]byte{buf}, true
-	case CheckinResponse:
-		head := make([]byte, 0, 1+8+wire.SizeStr(m.Reason)+wire.SizeStr(m.TaskID)+8+4)
-		head = wire.AppendBool(head, m.Accepted)
-		head = wire.AppendI64(head, int64(m.RetryAfter))
-		head = wire.AppendStr(head, m.Reason)
-		head = wire.AppendStr(head, m.TaskID)
-		head = wire.AppendI64(head, m.Round)
-		head = wire.AppendU32(head, uint32(len(m.Plan)))
-		mid := make([]byte, 0, 4)
-		mid = wire.AppendU32(mid, uint32(len(m.Checkpoint)))
-		tail := make([]byte, 0, 8)
-		tail = wire.AppendI64(tail, int64(m.ReportDeadline))
-		return CodeCheckinResponse, [][]byte{head, m.Plan, mid, m.Checkpoint, tail}, true
-	case ReportRequest:
-		head := make([]byte, 0, wire.SizeStr(m.DeviceID)+wire.SizeStr(m.TaskID)+8+4)
-		head = wire.AppendStr(head, m.DeviceID)
-		head = wire.AppendStr(head, m.TaskID)
-		head = wire.AppendI64(head, m.Round)
-		head = wire.AppendU32(head, uint32(len(m.Update)))
-		tail := make([]byte, 0, wire.SizeMetrics(m.Metrics)+1)
-		tail = wire.AppendMetrics(tail, m.Metrics)
-		tail = wire.AppendBool(tail, m.Aborted)
-		return CodeReportRequest, [][]byte{head, m.Update, tail}, true
-	case ReportResponse:
-		buf := make([]byte, 0, 1+wire.SizeStr(m.Reason)+8)
-		buf = wire.AppendBool(buf, m.Accepted)
-		buf = wire.AppendStr(buf, m.Reason)
-		buf = wire.AppendI64(buf, int64(m.RetryAfter))
-		return CodeReportResponse, [][]byte{buf}, true
-	case Abort:
-		buf := make([]byte, 0, wire.SizeStr(m.TaskID)+8+wire.SizeStr(m.Reason))
-		buf = wire.AppendStr(buf, m.TaskID)
-		buf = wire.AppendI64(buf, m.Round)
-		buf = wire.AppendStr(buf, m.Reason)
-		return CodeAbort, [][]byte{buf}, true
-	}
-	return marshalShardParts(msg)
+// Row is one type code's entry in the wire table.
+type Row struct {
+	Name string
+	// Ceiling is the longest frame a peer may send under the code; the
+	// transport refuses a longer one from its header, before reading it.
+	Ceiling int
+	// Leased marks the codes whose payload the TCP transport may read into
+	// a pooled buffer: each is consumed before its reader's next Recv.
+	Leased bool
 }
 
-// MarshalBinary encodes one protocol message into a single
-// contiguous buffer (the concatenation of MarshalBinaryParts). ok is false
-// for any other type.
+var table = [codeEnd]Row{
+	CodeCheckinRequest:    {"CheckinRequest", smallFrame, false},
+	CodeCheckinResponse:   {"CheckinResponse", bulkFrame, true},
+	CodeReportRequest:     {"ReportRequest", bulkFrame, true},
+	CodeReportResponse:    {"ReportResponse", smallFrame, false},
+	CodeAbort:             {"Abort", smallFrame, false},
+	CodeStripeSeal:        {"StripeSeal", bulkFrame, true},
+	CodeRoundConfig:       {"RoundConfig", bulkFrame, false},
+	CodeRoundFinalize:     {"RoundFinalize", smallFrame, false},
+	CodeRoundAbort:        {"RoundAbort", smallFrame, false},
+	CodeShardHello:        {"ShardHello", smallFrame, false},
+	CodeCheckinRate:       {"CheckinRate", smallFrame, false},
+	CodeActorEnvelope:     {"ActorEnvelope", bulkFrame, false},
+	CodeHeartbeat:         {"Heartbeat", smallFrame, false},
+	CodeTelemetrySnapshot: {"TelemetrySnapshot", bulkFrame, false},
+}
+
+// Lookup returns code's row, so a transport can judge a frame by its header
+// before committing memory to its payload; ok is false for an unknown code.
+func Lookup(code byte) (row Row, ok bool) {
+	if code == 0 || code >= codeEnd {
+		return Row{}, false
+	}
+	return table[code], true
+}
+
+// MarshalBinaryParts encodes one protocol message as byte segments whose
+// concatenation is the MarshalBinary payload. Every non-empty byte field —
+// an Update, a Plan, a Checkpoint, a Sum — is a segment of its own, ALIASED
+// from the message, so a vectored write ships a multi-MB update without
+// copying it into a frame. Callers must not mutate the message's byte
+// fields until the parts have been written. ok is false for any other type.
+func MarshalBinaryParts(msg interface{}) (code byte, parts [][]byte, ok bool) {
+	code, c := encode(msg, true)
+	return code, c.Parts(), code != 0
+}
+
+// MarshalBinary encodes one protocol message into a single contiguous buffer
+// (the concatenation of MarshalBinaryParts). ok is false for any other type.
 func MarshalBinary(msg interface{}) (code byte, payload []byte, ok bool) {
-	code, parts, ok := MarshalBinaryParts(msg)
-	if !ok {
-		return 0, nil, false
+	code, c := encode(msg, false)
+	return code, c.Encoded(), code != 0
+}
+
+// encode sizes msg, then encodes it into one exact-size buffer.
+func encode(msg interface{}, aliased bool) (byte, wire.Codec) {
+	var c wire.Codec
+	if walk(&c, msg) == 0 {
+		return 0, c
 	}
-	if len(parts) == 1 {
-		return code, parts[0], true
+	c.Encode(aliased)
+	return walk(&c, msg), c
+}
+
+// walk runs msg's layout over c and returns its type code, 0 for a type
+// without one.
+func walk(c *wire.Codec, msg interface{}) (code byte) {
+	switch m := msg.(type) {
+	case CheckinRequest:
+		_, code = m.walk(c)
+	case CheckinResponse:
+		_, code = m.walk(c)
+	case ReportRequest:
+		_, code = m.walk(c)
+	case ReportResponse:
+		_, code = m.walk(c)
+	case Abort:
+		_, code = m.walk(c)
+	case StripeSeal:
+		_, code = m.walk(c)
+	case RoundConfig:
+		_, code = m.walk(c)
+	case RoundFinalize:
+		_, code = m.walk(c)
+	case RoundAbort:
+		_, code = m.walk(c)
+	case ShardHello:
+		_, code = m.walk(c)
+	case CheckinRate:
+		_, code = m.walk(c)
+	case ActorEnvelope:
+		_, code = m.walk(c)
+	case Heartbeat:
+		_, code = m.walk(c)
+	case TelemetrySnapshot:
+		_, code = m.walk(c)
 	}
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	buf := make([]byte, 0, n)
-	for _, p := range parts {
-		buf = append(buf, p...)
-	}
-	return code, buf, true
+	return code
 }
 
 // UnmarshalBinary decodes a payload produced by MarshalBinary. Byte-slice
 // fields alias the payload buffer (each received frame owns its buffer, so
-// decode is copy-free). A truncated or inconsistent payload returns an
-// error, never panics.
+// decode is copy-free). A truncated, non-canonical or trailing-garbage
+// payload returns an error, never panics.
 func UnmarshalBinary(code byte, payload []byte) (interface{}, error) {
-	r := wire.NewReader(payload)
+	c := wire.Decoder(payload)
 	var msg interface{}
 	switch code {
 	case CodeCheckinRequest:
-		m := CheckinRequest{}
-		m.DeviceID = r.Str()
-		m.Population = r.Str()
-		m.RuntimeVersion = int(r.I64())
-		m.AttestationToken = r.Bytes()
-		msg = m
+		msg, _ = CheckinRequest{}.walk(&c)
 	case CodeCheckinResponse:
-		m := CheckinResponse{}
-		m.Accepted = r.Bool()
-		m.RetryAfter = time.Duration(r.I64())
-		m.Reason = r.Str()
-		m.TaskID = r.Str()
-		m.Round = r.I64()
-		m.Plan = r.Bytes()
-		m.Checkpoint = r.Bytes()
-		m.ReportDeadline = time.Duration(r.I64())
-		msg = m
+		msg, _ = CheckinResponse{}.walk(&c)
 	case CodeReportRequest:
-		m := ReportRequest{}
-		m.DeviceID = r.Str()
-		m.TaskID = r.Str()
-		m.Round = r.I64()
-		m.Update = r.Bytes()
-		m.Metrics = r.Metrics()
-		m.Aborted = r.Bool()
-		msg = m
+		msg, _ = ReportRequest{}.walk(&c)
 	case CodeReportResponse:
-		m := ReportResponse{}
-		m.Accepted = r.Bool()
-		m.Reason = r.Str()
-		m.RetryAfter = time.Duration(r.I64())
-		msg = m
+		msg, _ = ReportResponse{}.walk(&c)
 	case CodeAbort:
-		m := Abort{}
-		m.TaskID = r.Str()
-		m.Round = r.I64()
-		m.Reason = r.Str()
-		msg = m
+		msg, _ = Abort{}.walk(&c)
+	case CodeStripeSeal:
+		msg, _ = StripeSeal{}.walk(&c)
+	case CodeRoundConfig:
+		msg, _ = RoundConfig{}.walk(&c)
+	case CodeRoundFinalize:
+		msg, _ = RoundFinalize{}.walk(&c)
+	case CodeRoundAbort:
+		msg, _ = RoundAbort{}.walk(&c)
+	case CodeShardHello:
+		msg, _ = ShardHello{}.walk(&c)
+	case CodeCheckinRate:
+		msg, _ = CheckinRate{}.walk(&c)
+	case CodeActorEnvelope:
+		msg, _ = ActorEnvelope{}.walk(&c)
+	case CodeHeartbeat:
+		msg, _ = Heartbeat{}.walk(&c)
+	case CodeTelemetrySnapshot:
+		msg, _ = TelemetrySnapshot{}.walk(&c)
 	default:
-		m, handled := unmarshalShard(code, r)
-		if !handled {
-			return nil, fmt.Errorf("protocol: unknown type code %d", code)
-		}
-		msg = m
+		return nil, fmt.Errorf("protocol: unknown type code %d", code)
 	}
-	if err := r.Finish(); err != nil {
+	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("protocol: type code %d: %w", code, err)
 	}
 	return msg, nil
+}
+
+// The layouts. Each walk names the message's fields in wire order and
+// returns the message — holding what it read, on a decoding pass — and its
+// type code.
+
+func (m CheckinRequest) walk(c *wire.Codec) (CheckinRequest, byte) {
+	c.Str(&m.DeviceID)
+	c.Str(&m.Population)
+	c.Int(&m.RuntimeVersion)
+	c.Bytes(&m.AttestationToken)
+	return m, CodeCheckinRequest
+}
+
+func (m CheckinResponse) walk(c *wire.Codec) (CheckinResponse, byte) {
+	c.Bool(&m.Accepted)
+	c.Dur(&m.RetryAfter)
+	c.Str(&m.Reason)
+	c.Str(&m.TaskID)
+	c.I64(&m.Round)
+	c.Bytes(&m.Plan)
+	c.Bytes(&m.Checkpoint)
+	c.Dur(&m.ReportDeadline)
+	return m, CodeCheckinResponse
+}
+
+func (m ReportRequest) walk(c *wire.Codec) (ReportRequest, byte) {
+	c.Str(&m.DeviceID)
+	c.Str(&m.TaskID)
+	c.I64(&m.Round)
+	c.Bytes(&m.Update)
+	c.F64Map(&m.Metrics)
+	c.Bool(&m.Aborted)
+	return m, CodeReportRequest
+}
+
+func (m ReportResponse) walk(c *wire.Codec) (ReportResponse, byte) {
+	c.Bool(&m.Accepted)
+	c.Str(&m.Reason)
+	c.Dur(&m.RetryAfter)
+	return m, CodeReportResponse
+}
+
+func (m Abort) walk(c *wire.Codec) (Abort, byte) {
+	c.Str(&m.TaskID)
+	c.I64(&m.Round)
+	c.Str(&m.Reason)
+	return m, CodeAbort
+}
+
+func (m StripeSeal) walk(c *wire.Codec) (StripeSeal, byte) {
+	c.Str(&m.Population)
+	c.Str(&m.TaskID)
+	c.I64(&m.Round)
+	c.U32(&m.Shard)
+	c.I64(&m.Reports)
+	c.I64(&m.EvalReports)
+	c.I64(&m.Lost)
+	c.I64(&m.Aborted)
+	c.I64(&m.Clipped)
+	c.F64(&m.Weight)
+	c.Bytes(&m.Sum)
+	c.F64sMap(&m.Metrics)
+	c.I64Map(&m.Phases)
+	c.Strs(&m.Blamed)
+	c.Strs(&m.GroupErrors)
+	c.Strs(&m.RobustRejected)
+	return m, CodeStripeSeal
+}
+
+func (m RoundConfig) walk(c *wire.Codec) (RoundConfig, byte) {
+	c.Str(&m.Population)
+	c.Str(&m.TaskID)
+	c.I64(&m.Round)
+	c.Int(&m.Target)
+	c.Int(&m.Admit)
+	c.Int(&m.MinReports)
+	c.Int(&m.MinRuntime)
+	c.Int(&m.Estimate)
+	c.Bytes(&m.Plan)
+	c.Bytes(&m.Checkpoint)
+	return m, CodeRoundConfig
+}
+
+func (m RoundFinalize) walk(c *wire.Codec) (RoundFinalize, byte) {
+	c.Str(&m.Population)
+	c.Str(&m.TaskID)
+	c.I64(&m.Round)
+	return m, CodeRoundFinalize
+}
+
+func (m RoundAbort) walk(c *wire.Codec) (RoundAbort, byte) {
+	c.Str(&m.Population)
+	c.Str(&m.TaskID)
+	c.I64(&m.Round)
+	c.Str(&m.Reason)
+	return m, CodeRoundAbort
+}
+
+func (m ShardHello) walk(c *wire.Codec) (ShardHello, byte) {
+	c.U32(&m.Shard)
+	c.Str(&m.Name)
+	return m, CodeShardHello
+}
+
+func (m CheckinRate) walk(c *wire.Codec) (CheckinRate, byte) {
+	c.Str(&m.Population)
+	c.U32(&m.Shard)
+	c.Str(&m.Source)
+	c.I64(&m.Count)
+	c.Dur(&m.Elapsed)
+	c.I64(&m.Demand)
+	return m, CodeCheckinRate
+}
+
+func (m ActorEnvelope) walk(c *wire.Codec) (ActorEnvelope, byte) {
+	c.Str(&m.Target)
+	c.Bytes(&m.Payload)
+	return m, CodeActorEnvelope
+}
+
+func (m Heartbeat) walk(c *wire.Codec) (Heartbeat, byte) {
+	c.U64(&m.Seq)
+	c.Bool(&m.Ack)
+	return m, CodeHeartbeat
+}
+
+func (m TelemetrySnapshot) walk(c *wire.Codec) (TelemetrySnapshot, byte) {
+	c.U32(&m.Shard)
+	c.Str(&m.Name)
+	c.I64Map(&m.Counters)
+	c.F64Map(&m.Gauges)
+	c.F64sMap(&m.Summaries)
+	return m, CodeTelemetrySnapshot
 }

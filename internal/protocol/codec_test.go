@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -23,47 +25,46 @@ func binRoundTrip(t *testing.T, msg interface{}) interface{} {
 	return out
 }
 
-// deviceMessages returns populated and sparse instances of the five
-// device-facing wire messages.
-func deviceMessages() []interface{} {
-	return []interface{}{
-		CheckinRequest{DeviceID: "d1", Population: "pop", RuntimeVersion: 3,
-			AttestationToken: []byte{1, 2, 3}},
-		CheckinRequest{DeviceID: "", Population: "p"},
-		CheckinResponse{Accepted: true, TaskID: "t", Round: 9,
-			Plan: []byte{4, 5}, Checkpoint: []byte{6}, ReportDeadline: 2 * time.Minute},
-		CheckinResponse{Accepted: false, RetryAfter: time.Hour, Reason: "come back later"},
-		ReportRequest{DeviceID: "d1", TaskID: "t", Round: 3, Update: []byte{9, 9},
-			Metrics: map[string]float64{"train_loss": 0.5, "train_acc": 0.25}},
-		ReportRequest{DeviceID: "d2", TaskID: "t", Round: 4, Aborted: true},
-		ReportResponse{Accepted: true, RetryAfter: time.Minute},
-		ReportResponse{Accepted: false, Reason: "reporting window closed"},
-		Abort{TaskID: "t", Round: 2, Reason: "enough devices"},
+// codes lists every row of the wire table in code order.
+func codes() []byte {
+	var cs []byte
+	for c := byte(0); c < codeEnd; c++ {
+		if _, ok := Lookup(c); ok {
+			cs = append(cs, c)
+		}
 	}
+	return cs
+}
+
+// zeroOf and filledOf are msg's type with every field zero, and with every
+// field set to a distinct non-zero value by reflection.
+func zeroOf(msg interface{}) interface{} { return reflect.Zero(reflect.TypeOf(msg)).Interface() }
+
+func filledOf(msg interface{}) interface{} {
+	v := reflect.New(reflect.TypeOf(msg))
+	wiretest.Fill(v.Interface())
+	return v.Elem().Interface()
 }
 
 // TestBinaryCodecRoundTripsAllMessages is also the codec's field-coverage
-// guard: each message type additionally round-trips with every field set to
-// a distinct non-zero value, so a field added to a message but not to its
-// codec case fails here.
+// guard: each table row's message additionally round-trips with every field
+// set to a distinct non-zero value, so a field added to a message but not to
+// its walk fails here.
 func TestBinaryCodecRoundTripsAllMessages(t *testing.T) {
-	msgs := append(deviceMessages(), shardMessages()...)
-	seen := map[reflect.Type]bool{}
-	for _, m := range msgs[:len(msgs):len(msgs)] {
-		if typ := reflect.TypeOf(m); !seen[typ] {
-			seen[typ] = true
-			filled := reflect.New(typ)
-			wiretest.Fill(filled.Interface())
-			msgs = append(msgs, filled.Elem().Interface())
+	golden := goldenMessages()
+	if len(golden) != len(codes()) {
+		t.Fatalf("%d golden messages, %d table rows", len(golden), len(codes()))
+	}
+	for _, code := range codes() {
+		row, _ := Lookup(code)
+		msg := golden[code]
+		if name := reflect.TypeOf(msg).Name(); name != row.Name {
+			t.Fatalf("code %d: row names %s, golden message is a %s", code, row.Name, name)
 		}
-	}
-	if len(seen) != int(codeEnd)-1 {
-		t.Fatalf("%d message types exercised, %d codes assigned", len(seen), codeEnd-1)
-	}
-	for _, in := range msgs {
-		out := binRoundTrip(t, in)
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("round trip changed %T:\n in  %+v\n out %+v", in, in, out)
+		for _, in := range []interface{}{msg, zeroOf(msg), filledOf(msg)} {
+			if out := binRoundTrip(t, in); !reflect.DeepEqual(in, out) {
+				t.Errorf("round trip changed %T:\n in  %+v\n out %+v", in, in, out)
+			}
 		}
 	}
 }
@@ -108,26 +109,22 @@ func TestBinaryCodecRejectsUnknownTypes(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecTruncationSafe chops every prefix of every message's
-// encoding: decode must return an error (or an incomplete value), never
-// panic, and trailing garbage must be rejected.
+// TestBinaryCodecTruncationSafe chops every prefix of every table row's
+// encoding, for its golden and its zero message: decode must return an
+// error, never panic, and trailing garbage must be rejected.
 func TestBinaryCodecTruncationSafe(t *testing.T) {
-	msgs := []interface{}{
-		CheckinRequest{DeviceID: "d1", Population: "pop", RuntimeVersion: 3, AttestationToken: []byte{1}},
-		CheckinResponse{Accepted: true, TaskID: "t", Round: 9, Plan: []byte{4, 5}, Checkpoint: []byte{6}},
-		ReportRequest{DeviceID: "d1", TaskID: "t", Round: 3, Update: []byte{9}, Metrics: map[string]float64{"l": 1}},
-		ReportResponse{Accepted: true, Reason: "r"},
-		Abort{TaskID: "t", Round: 2, Reason: "r"},
-	}
-	for _, in := range msgs {
-		code, payload, _ := MarshalBinary(in)
-		for n := 0; n < len(payload); n++ {
-			if _, err := UnmarshalBinary(code, payload[:n]); err == nil {
-				t.Errorf("%T truncated to %d/%d bytes decoded cleanly", in, n, len(payload))
+	golden := goldenMessages()
+	for _, code := range codes() {
+		for _, in := range []interface{}{golden[code], zeroOf(golden[code])} {
+			_, payload, _ := MarshalBinary(in)
+			for n := 0; n < len(payload); n++ {
+				if _, err := UnmarshalBinary(code, payload[:n]); err == nil {
+					t.Errorf("%T truncated to %d/%d bytes decoded cleanly", in, n, len(payload))
+				}
 			}
-		}
-		if _, err := UnmarshalBinary(code, append(append([]byte{}, payload...), 0xFF)); err == nil {
-			t.Errorf("%T with trailing garbage decoded cleanly", in)
+			if _, err := UnmarshalBinary(code, append(payload[:len(payload):len(payload)], 0xFF)); err == nil {
+				t.Errorf("%T with trailing garbage decoded cleanly", in)
+			}
 		}
 	}
 }
@@ -156,14 +153,98 @@ func hostileDevicePayloads() [][2]interface{} {
 	}
 }
 
+// TestMapKeysDecodeInAnyOrderOnce: map entries in an order other than the
+// encoder's still decode (and re-encode in key order), but a repeated key is
+// refused, so no two payloads decode to one message.
+func TestMapKeysDecodeInAnyOrderOnce(t *testing.T) {
+	entry := func(k string, v byte) []byte { return append(hStr(nil, k), 0x3F, v, 0, 0, 0, 0, 0, 0) }
+	report := func(entries ...[]byte) []byte {
+		b := hU32(hU64(hStr(hStr(nil, "d"), "t"), 1), 0) // DeviceID, TaskID, Round, Update
+		b = hU32(b, uint32(len(entries)))
+		for _, e := range entries {
+			b = append(b, e...)
+		}
+		return append(b, 0) // Aborted
+	}
+	msg, err := UnmarshalBinary(CodeReportRequest, report(entry("loss", 0xE0), entry("acc", 0xF0)))
+	if err != nil {
+		t.Fatalf("entries out of key order: %v", err)
+	}
+	if m := msg.(ReportRequest).Metrics; len(m) != 2 || m["loss"] != 0.5 || m["acc"] != 1 {
+		t.Fatalf("decoded %v", m)
+	}
+	if _, again, _ := MarshalBinary(msg); !bytes.Equal(again, report(entry("acc", 0xF0), entry("loss", 0xE0))) {
+		t.Fatalf("re-encoded out of key order: %x", again)
+	}
+	if _, err := UnmarshalBinary(CodeReportRequest, report(entry("loss", 0xE0), entry("loss", 0xF0))); err == nil {
+		t.Fatal("a repeated map key decoded cleanly")
+	}
+}
+
+// allocMessages are the small instances TestCodecAllocs measures, one per
+// code.
+func allocMessages() map[byte]interface{} {
+	return map[byte]interface{}{
+		CodeCheckinRequest:  CheckinRequest{DeviceID: "stub-100", Population: "pop", RuntimeVersion: 3, AttestationToken: []byte{1, 2, 3}},
+		CodeCheckinResponse: CheckinResponse{Accepted: true, Plan: make([]byte, 100), Checkpoint: make([]byte, 1000), ReportDeadline: time.Minute},
+		CodeReportRequest: ReportRequest{DeviceID: "stub-100", TaskID: "t", Round: 1, Update: make([]byte, 1000),
+			Metrics: map[string]float64{"loss": 0.5}},
+		CodeReportResponse: ReportResponse{Accepted: true, RetryAfter: time.Second},
+		CodeAbort:          Abort{Round: 1},
+		CodeStripeSeal:     StripeSeal{Sum: make([]byte, 1000)},
+		CodeRoundConfig:    RoundConfig{Plan: make([]byte, 100), Checkpoint: make([]byte, 1000)},
+		CodeRoundFinalize:  RoundFinalize{Round: 1},
+		CodeRoundAbort:     RoundAbort{Round: 1},
+		CodeShardHello:     ShardHello{Shard: 1},
+		CodeCheckinRate:    CheckinRate{Shard: 1, Count: 2, Elapsed: time.Second, Demand: 3},
+		CodeActorEnvelope:  ActorEnvelope{Payload: []byte{CodeHeartbeat, 0, 0, 0, 0, 0, 0, 0, 1, 0}},
+		CodeHeartbeat:      Heartbeat{Seq: 1, Ack: true},
+		CodeTelemetrySnapshot: TelemetrySnapshot{Shard: 1, Counters: map[string]int64{"c": 1},
+			Gauges: map[string]float64{"g": 1}, Summaries: map[string][]float64{"s": {1, 2}}},
+	}
+}
+
+// TestCodecAllocs pins each code's allocations per MarshalBinaryParts and
+// per UnmarshalBinary call to at most what the per-message hand-written
+// codec this one replaced measured on the same instances, so the small
+// frames of a control-plane round cannot grow their garbage unnoticed.
+func TestCodecAllocs(t *testing.T) {
+	limits := map[byte][2]float64{ // {encode, decode}
+		CodeCheckinRequest: {2, 3}, CodeCheckinResponse: {4, 1}, CodeReportRequest: {3, 6},
+		CodeReportResponse: {2, 1}, CodeAbort: {2, 1}, CodeStripeSeal: {3, 6}, CodeRoundConfig: {3, 1},
+		CodeRoundFinalize: {2, 1}, CodeRoundAbort: {2, 1}, CodeShardHello: {2, 1}, CodeCheckinRate: {2, 1},
+		CodeActorEnvelope: {2, 1}, CodeHeartbeat: {2, 1}, CodeTelemetrySnapshot: {2, 12},
+	}
+	msgs := allocMessages()
+	for _, code := range codes() {
+		msg := msgs[code]
+		_, payload, _ := MarshalBinary(msg)
+		enc := testing.AllocsPerRun(100, func() { MarshalBinaryParts(msg) })
+		dec := testing.AllocsPerRun(100, func() { _, _ = UnmarshalBinary(code, payload) })
+		if lim := limits[code]; enc > lim[0] || dec > lim[1] {
+			t.Errorf("%T: %v allocs per encode, %v per decode; at most %v and %v", msg, enc, dec, lim[0], lim[1])
+		}
+	}
+}
+
 // FuzzUnmarshalBinary drives the one parser with every type code: it never
-// panics, and whatever it accepts re-encodes under the same code to a
-// payload that decodes to the same message.
+// panics, and whatever it accepts re-encodes under the same code to a payload
+// that decodes to the same message and is a byte-level fixed point from then
+// on.
 func FuzzUnmarshalBinary(f *testing.F) {
-	for _, m := range append(deviceMessages(), shardMessages()...) {
-		code, payload, _ := MarshalBinary(m)
+	golden := goldenMessages()
+	for _, code := range codes() {
+		frame, err := os.ReadFile(goldenPath(code))
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload := frame[6:]
 		f.Add(code, payload)
 		f.Add(code, payload[:len(payload)/2])
+		for _, m := range []interface{}{zeroOf(golden[code]), filledOf(golden[code])} {
+			_, payload, _ := MarshalBinary(m)
+			f.Add(code, payload)
+		}
 	}
 	for _, h := range hostileDevicePayloads() {
 		f.Add(h[0].(byte), h[1].([]byte))
@@ -190,6 +271,9 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		// Printed form, not DeepEqual: NaN metric values are legal.
 		if fmt.Sprintf("%#v", msg) != fmt.Sprintf("%#v", msg2) {
 			t.Fatalf("not a fixed point:\n first  %#v\n second %#v", msg, msg2)
+		}
+		if _, twice, _ := MarshalBinary(msg2); !bytes.Equal(again, twice) {
+			t.Fatalf("re-encoding is not a byte-level fixed point:\n first  %x\n second %x", again, twice)
 		}
 	})
 }

@@ -6,54 +6,19 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/plan"
 )
-
-// shardMessages returns one populated and one zero-valued instance of every
-// sharded-deployment wire message.
-func shardMessages() []interface{} {
-	return []interface{}{
-		StripeSeal{Population: "pop", TaskID: "task", Round: 7, Shard: 2,
-			Reports: 100, EvalReports: 3, Lost: 4, Aborted: 5, Clipped: 9, Weight: 41.5,
-			Sum:            []byte{1, 2, 3, 4, 5, 6, 7, 8},
-			Metrics:        map[string][]float64{"train_loss": {0.5, 0.25}, "train_acc": {1}},
-			Phases:         map[string]int64{"configure": 12_000_000, "edge_accumulate": 34_000_000},
-			Blamed:         []string{"dev-7: forged share", "dev-9: complaint from holder"},
-			GroupErrors:    []string{"secagg: only 1 of 4 group devices delivered"},
-			RobustRejected: []string{"dev-1: cosine distance 1.9"}},
-		StripeSeal{},
-		RoundConfig{Population: "pop", TaskID: "task", Round: 9, Target: 100,
-			Admit: 130, MinReports: 80, MinRuntime: 3, Estimate: 5000,
-			Plan: []byte{9, 9}, Checkpoint: []byte{7}},
-		RoundConfig{},
-		RoundFinalize{Population: "pop", TaskID: "task", Round: 3},
-		RoundFinalize{},
-		RoundAbort{Population: "pop", TaskID: "task", Round: 3, Reason: "drained"},
-		RoundAbort{},
-		ShardHello{Shard: 4, Name: "shard-4"},
-		ShardHello{},
-		CheckinRate{Population: "pop", Shard: 1, Source: "shard-1/selector-0",
-			Count: 42, Elapsed: time.Second, Demand: 7},
-		CheckinRate{},
-		ActorEnvelope{Target: "coordinator/gboard", Payload: []byte{CodeHeartbeat, 0, 0, 0, 0, 0, 0, 0, 99, 1}},
-		ActorEnvelope{},
-		Heartbeat{Seq: 99, Ack: true},
-		Heartbeat{},
-		TelemetrySnapshot{Shard: 3, Name: "shard-3",
-			Counters:  map[string]int64{"fl_checkins_total": 512, "fl_reports_total": 40},
-			Gauges:    map[string]float64{"fl_checkin_rate": 12.5},
-			Summaries: map[string][]float64{"fl_seal_seconds": {4, 0.5, 0.1, 0.2, 0.9, 0.5, 0.8, 0.9}}},
-		TelemetrySnapshot{},
-	}
-}
 
 // TestActorEnvelopeCarriesAnyOtherMessage wraps every wire message: the
 // envelope's payload is the message's own code and body, decoded by the one
 // parser, and an envelope cannot ride inside an envelope.
 func TestActorEnvelopeCarriesAnyOtherMessage(t *testing.T) {
-	for _, in := range append(deviceMessages(), shardMessages()...) {
+	var msgs []interface{}
+	for _, m := range goldenMessages() {
+		msgs = append(msgs, m, zeroOf(m))
+	}
+	for _, in := range msgs {
 		env, err := NewActorEnvelope("sink", in)
 		if _, nested := in.(ActorEnvelope); nested {
 			if err == nil {
@@ -75,26 +40,6 @@ func TestActorEnvelopeCarriesAnyOtherMessage(t *testing.T) {
 	for _, payload := range [][]byte{nil, {0}, {CodeActorEnvelope, 0, 0, 0, 0, 0, 0, 0, 0}, {CodeHeartbeat, 1}} {
 		if _, err := (ActorEnvelope{Payload: payload}).Message(); err == nil {
 			t.Errorf("envelope payload %v decoded cleanly", payload)
-		}
-	}
-}
-
-// TestShardCodecTruncationSafe chops every prefix of every shard message's
-// encoding: decode must error, never panic, and trailing garbage after a
-// complete message must be rejected.
-func TestShardCodecTruncationSafe(t *testing.T) {
-	for _, in := range shardMessages() {
-		code, payload, ok := MarshalBinary(in)
-		if !ok {
-			t.Fatalf("MarshalBinary rejected %T", in)
-		}
-		for n := 0; n < len(payload); n++ {
-			if _, err := UnmarshalBinary(code, payload[:n]); err == nil {
-				t.Errorf("%T truncated to %d/%d bytes decoded cleanly", in, n, len(payload))
-			}
-		}
-		if _, err := UnmarshalBinary(code, append(append([]byte{}, payload...), 0xFF)); err == nil {
-			t.Errorf("%T with trailing garbage decoded cleanly", in)
 		}
 	}
 }
@@ -162,6 +107,29 @@ func hostileShardPayloads() map[string][2]interface{} {
 	}
 }
 
+// TestShardCodecTruncationSafe chops every prefix of every shard message's
+// encoding, with every field set to a distinct non-zero value: decode must
+// error, never panic, and trailing garbage after a complete message must be
+// rejected.
+func TestShardCodecTruncationSafe(t *testing.T) {
+	golden := goldenMessages()
+	for code := CodeStripeSeal; code < codeEnd; code++ {
+		in := filledOf(golden[code])
+		_, payload, ok := MarshalBinary(in)
+		if !ok {
+			t.Fatalf("MarshalBinary rejected %T", in)
+		}
+		for n := 0; n < len(payload); n++ {
+			if _, err := UnmarshalBinary(code, payload[:n]); err == nil {
+				t.Errorf("%T truncated to %d/%d bytes decoded cleanly", in, n, len(payload))
+			}
+		}
+		if _, err := UnmarshalBinary(code, append(payload[:len(payload):len(payload)], 0xFF)); err == nil {
+			t.Errorf("%T with trailing garbage decoded cleanly", in)
+		}
+	}
+}
+
 func TestShardCodecHostileLengths(t *testing.T) {
 	for name, h := range hostileShardPayloads() {
 		if _, err := UnmarshalBinary(h[0].(byte), h[1].([]byte)); err == nil {
@@ -175,7 +143,7 @@ func TestShardCodecHostileLengths(t *testing.T) {
 func TestShardCodecUnknownTypeCodes(t *testing.T) {
 	payload := make([]byte, 64)
 	for c := 0; c < 256; c++ {
-		if KnownCode(byte(c)) {
+		if _, known := Lookup(byte(c)); known {
 			continue
 		}
 		if _, err := UnmarshalBinary(byte(c), payload); err == nil {

@@ -625,71 +625,76 @@ func (ts *TaskSet) Len() int {
 // whenever the field list below does. DESIGN.md tabulates the layout.
 const snapshotFormat = 1
 
-func appendPolicy(b []byte, p Policy) []byte {
-	b = wire.AppendI64(b, int64(p.Weight))
-	b = wire.AppendI64(b, int64(p.EvalEvery))
-	b = wire.AppendStr(b, p.EvalOf)
-	b = wire.AppendI64(b, int64(p.MinDevices))
-	return wire.AppendI64(b, int64(p.MinRuntimeVersion))
+func (p *Policy) walk(c *wire.Codec) {
+	c.Int(&p.Weight)
+	c.Int(&p.EvalEvery)
+	c.Str(&p.EvalOf)
+	c.Int(&p.MinDevices)
+	c.Int(&p.MinRuntimeVersion)
 }
 
-func readPolicy(rd *wire.Reader) Policy {
-	return Policy{
-		Weight: int(rd.I64()), EvalEvery: int(rd.I64()), EvalOf: rd.Str(),
-		MinDevices: int(rd.I64()), MinRuntimeVersion: int(rd.I64()),
-	}
+// walk is one task's layout after its plan: policy, state, every field of
+// Stats in declaration order, and the eval clock.
+func (r *record) walk(c *wire.Codec) {
+	st := &r.stats
+	r.policy.walk(c)
+	c.U8((*uint8)(&r.state))
+	c.Str(&st.ID)
+	c.U8((*uint8)(&st.Type))
+	c.U8((*uint8)(&st.State))
+	st.Policy.walk(c)
+	c.Int(&st.RoundsCommitted)
+	c.Int(&st.RoundsFailed)
+	c.Int(&st.Devices)
+	c.I64(&st.LastRound)
+	c.Time(&st.LastRoundAt)
+	c.Time(&st.SubmittedAt)
+	c.Str(&st.Note)
+	c.Int(&r.evalClock)
 }
 
-// Times ride as time.Time's own binary form, which keeps the zero time and
-// the zone offset.
-func appendTime(b []byte, t time.Time) ([]byte, error) {
-	tb, err := t.MarshalBinary()
-	return wire.AppendBytes(b, tb), err
-}
-
-func readTime(rd *wire.Reader) (t time.Time) {
-	if t.UnmarshalBinary(rd.Bytes()) != nil {
-		rd.Fail("time")
-	}
-	return t
-}
-
-// snapshotLocked encodes the registry: the format byte, trainCommitted, the
-// task count, then per task in submission order the plan (its own
-// plan.Marshal bytes), policy, state, every field of Stats in declaration
-// order, and the eval clock, under internal/wire's conventions. Callers
-// hold ts.mu.
-func (ts *TaskSet) snapshotLocked() ([]byte, error) {
-	b := append(make([]byte, 0, 1024), snapshotFormat)
-	b = wire.AppendI64(b, int64(ts.trainCommitted))
-	b = wire.AppendU32(b, uint32(len(ts.order)))
-	for _, id := range ts.order {
-		r := ts.tasks[id]
-		st := &r.stats
-		pb, err := r.plan.Marshal()
+// walk is the snapshot layout: the format byte, trainCommitted, the task
+// count, then per task in submission order its plan (its own plan.Marshal
+// bytes) and its record. Decoding, it fills the registry, which is empty,
+// and stops at the first plan that does not decode. Callers hold ts.mu.
+func (ts *TaskSet) walk(c *wire.Codec) {
+	format, n := byte(snapshotFormat), len(ts.order)
+	c.U8(&format)
+	c.Int(&ts.trainCommitted)
+	c.Count(&n, 4)
+	for i := range n {
+		var r *record
+		var pb []byte
+		if c.Decoding() {
+			r = &record{}
+		} else {
+			r = ts.tasks[ts.order[i]]
+			pb, _ = r.plan.Marshal() // its error is always nil
+		}
+		c.Bytes(&pb)
+		r.walk(c)
+		if !c.Decoding() {
+			continue
+		}
+		p, err := plan.Unmarshal(pb)
+		if err == nil && p.ID == "" {
+			err = fmt.Errorf("plan without ID")
+		}
 		if err != nil {
-			return nil, err
+			c.Fail(fmt.Errorf("task %d: %w", i, err))
+			return
 		}
-		b = wire.AppendBytes(b, pb)
-		b = appendPolicy(b, r.policy)
-		b = append(b, byte(r.state))
-		b = wire.AppendStr(b, st.ID)
-		b = append(b, byte(st.Type), byte(st.State))
-		b = appendPolicy(b, st.Policy)
-		b = wire.AppendI64(b, int64(st.RoundsCommitted))
-		b = wire.AppendI64(b, int64(st.RoundsFailed))
-		b = wire.AppendI64(b, int64(st.Devices))
-		b = wire.AppendI64(b, st.LastRound)
-		if b, err = appendTime(b, st.LastRoundAt); err != nil {
-			return nil, err
-		}
-		if b, err = appendTime(b, st.SubmittedAt); err != nil {
-			return nil, err
-		}
-		b = wire.AppendStr(b, st.Note)
-		b = wire.AppendI64(b, int64(r.evalClock))
+		r.plan = p
+		ts.tasks[p.ID] = r
+		ts.order = append(ts.order, p.ID)
 	}
-	return b, nil
+}
+
+// snapshotLocked encodes the registry. Callers hold ts.mu.
+func (ts *TaskSet) snapshotLocked() ([]byte, error) {
+	c := wire.Encoder()
+	ts.walk(&c)
+	return c.Encoded(), c.Finish()
 }
 
 // persistLocked snapshots the registry to storage. Callers hold ts.mu.
@@ -709,36 +714,17 @@ func (ts *TaskSet) persistLocked() error {
 
 // restore loads a snapshot produced by snapshotLocked into an empty
 // registry. It rejects an unknown format byte, truncation and trailing
-// bytes; it never panics, and every record it allocates was paid for with a
+// bytes; it never panics, and every record it keeps was paid for with a
 // whole plan descriptor.
 func (ts *TaskSet) restore(b []byte) error {
 	if len(b) == 0 || b[0] != snapshotFormat {
 		return fmt.Errorf("tasks: the persisted task set was written by an incompatible build (not a format-%d snapshot) and there is no migration: restore it with the build that wrote it, or remove it to start an empty set", snapshotFormat)
 	}
-	rd := wire.NewReader(b[1:])
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.trainCommitted = int(rd.I64())
-	for i, n := 0, rd.Count("task", 4); i < n; i++ {
-		p, err := plan.Unmarshal(rd.Bytes())
-		if err != nil {
-			return fmt.Errorf("tasks: restore task %d: %w", i, err)
-		}
-		if p.ID == "" {
-			return fmt.Errorf("tasks: restore task %d: plan without ID", i)
-		}
-		r := &record{plan: p, policy: readPolicy(rd), state: State(rd.U8("task state"))}
-		r.stats = Stats{
-			ID: rd.Str(), Type: plan.TaskType(rd.U8("stats type")), State: State(rd.U8("stats state")),
-			Policy: readPolicy(rd), RoundsCommitted: int(rd.I64()), RoundsFailed: int(rd.I64()),
-			Devices: int(rd.I64()), LastRound: rd.I64(),
-			LastRoundAt: readTime(rd), SubmittedAt: readTime(rd), Note: rd.Str(),
-		}
-		r.evalClock = int(rd.I64())
-		ts.tasks[p.ID] = r
-		ts.order = append(ts.order, p.ID)
-	}
-	if err := rd.Finish(); err != nil {
+	c := wire.Decoder(b)
+	ts.walk(&c)
+	if err := c.Finish(); err != nil {
 		return fmt.Errorf("tasks: restore persisted set: %w", err)
 	}
 	ts.gaugeStatesLocked()

@@ -3,7 +3,10 @@ package tasks
 import (
 	"bytes"
 	"encoding/gob"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -657,6 +660,9 @@ func FuzzTaskSetRestore(f *testing.F) {
 	for _, b := range hostileSnapshots {
 		f.Add(b)
 	}
+	if golden, err := os.ReadFile(goldenSnapshot); err == nil {
+		f.Add(golden)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		first := emptySet()
 		if first.restore(b) != nil {
@@ -674,4 +680,32 @@ func FuzzTaskSetRestore(f *testing.F) {
 			t.Fatalf("not a fixed point:\n first  %x\n second %x", again, twice)
 		}
 	})
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current codec")
+
+const goldenSnapshot = "testdata/snapshot_v1.golden"
+
+// TestWireGolden pins the format-1 snapshot of filledSet to the bytes in
+// testdata, and restores them: a change to any field's width, order or
+// encoding fails it. Such a change bumps snapshotFormat and regenerates the
+// file with -update.
+func TestWireGolden(t *testing.T) {
+	ts, got := filledSet(t)
+	if *update {
+		if err := os.WriteFile(filepath.FromSlash(goldenSnapshot), got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.FromSlash(goldenSnapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the snapshot's bytes moved:\n got  %x\n want %x", got, want)
+	}
+	back := emptySet()
+	if err := back.restore(want); err != nil || !reflect.DeepEqual(back.tasks, ts.tasks) {
+		t.Errorf("the golden snapshot restores to %+v, %v", back.Stats(), err)
+	}
 }

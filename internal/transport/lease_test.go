@@ -18,6 +18,9 @@ import (
 // float64 parameters.
 const leaseSize = 512 << 10
 
+// maxFrame is the bulk codes' frame ceiling in the protocol's wire table.
+const maxFrame = 1 << 30
+
 func patterned(n int, salt byte) []byte {
 	b := make([]byte, n)
 	for i := range b {

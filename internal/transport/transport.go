@@ -208,17 +208,15 @@ func (l *memListener) Addr() string { return l.addr }
 // --- TCP transport ---
 
 // Wire framing: u32 frame length | u8 wire version | u8 type code |
-// payload. The length covers the version and code bytes. Type codes are the
-// protocol package's. The version moves whenever a code is retired or a
-// payload layout changes, so a mixed-build link fails on its first frame
-// instead of misparsing.
+// payload. The length covers the version and code bytes. Type codes, their
+// frame ceilings and their lease classes are rows of the protocol package's
+// wire table. The version moves whenever a code is retired or a payload
+// layout changes, so a mixed-build link fails on its first frame instead of
+// misparsing.
 const (
 	wireVersion = 2
 	// frameOverhead is the version + type-code bytes counted by the length.
 	frameOverhead = 2
-	// maxFrame bounds a single message so a corrupt or hostile length
-	// prefix cannot ask Recv to allocate unbounded memory.
-	maxFrame = 1 << 30
 	// exactAlloc, 4 MiB, is the most a bare header commits (see readPayload).
 	exactAllocBits = 22
 	exactAlloc     = 1 << exactAllocBits
@@ -249,14 +247,13 @@ var rxPools [exactAllocBits - minLeaseBits + 1]sync.Pool
 // (n > 0); everything up to 8 KiB shares class 0.
 func rxClass(n int) int { return max(bits.Len(uint(n-1))-minLeaseBits, 0) }
 
-// leased reports whether a frame's payload is read into a leased buffer:
-// the two O(dim) device-link messages and the shard's StripeSeal, each
-// consumed before its reader's next Recv (a StripeSeal aliases only its Sum,
-// which the coordinator process copies out on the session reader). The other
-// peer-link frames go to actor mailboxes and outlive the read loop.
+// leased reports whether a frame's payload is read into a leased buffer: its
+// code's row is leased (the two O(dim) device-link messages and StripeSeal,
+// whose Sum the coordinator copies out on the session reader) and its size
+// is in the pools' range. Other peer-link frames outlive the read loop.
 func leased(code byte, n int) bool {
-	return (code == protocol.CodeCheckinResponse || code == protocol.CodeReportRequest || code == protocol.CodeStripeSeal) &&
-		n > minLeased && n <= exactAlloc
+	row, _ := protocol.Lookup(code)
+	return row.Leased && n > minLeased && n <= exactAlloc
 }
 
 // PoisonReleasedForTest makes every Release from now on fill the buffer
@@ -325,8 +322,8 @@ func marshalFrame(msg interface{}) (byte, [][]byte, int, error) {
 	for _, p := range parts {
 		size += len(p)
 	}
-	if size > maxFrame-frameOverhead {
-		return 0, nil, 0, fmt.Errorf("transport: message of %d bytes exceeds frame limit", size)
+	if row, _ := protocol.Lookup(code); frameOverhead+size > row.Ceiling {
+		return 0, nil, 0, fmt.Errorf("transport: %s of %d bytes exceeds its frame ceiling", row.Name, size)
 	}
 	return code, parts, size, nil
 }
@@ -375,18 +372,22 @@ func (t *tcpConn) Recv() (interface{}, error) {
 	if _, err := io.ReadFull(t.c, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < frameOverhead || n > maxFrame {
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
+	if n < frameOverhead {
 		return nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
 	if hdr[4] != wireVersion {
 		return nil, fmt.Errorf("transport: unsupported wire version %d", hdr[4])
 	}
 	code := hdr[5]
-	if !protocol.KnownCode(code) {
+	row, ok := protocol.Lookup(code)
+	if !ok {
 		return nil, fmt.Errorf("transport: unknown type code %d", code)
 	}
-	size, read := int(n-frameOverhead), readPayload
+	if n > row.Ceiling {
+		return nil, fmt.Errorf("transport: %s frame of %d bytes exceeds its ceiling of %d", row.Name, n, row.Ceiling)
+	}
+	size, read := n-frameOverhead, readPayload
 	if leased(code, size) {
 		read = t.readLeased
 	}

@@ -446,7 +446,7 @@ func TestTCPHostileLengthPrefix(t *testing.T) {
 		code byte
 		size int
 	}{
-		{"owned 1 GiB", protocol.CodeAbort, maxFrame - frameOverhead},
+		{"owned 1 GiB", protocol.CodeRoundConfig, maxFrame - frameOverhead},
 		{"checkin response 1 GiB", protocol.CodeCheckinResponse, maxFrame - frameOverhead},
 		{"report request 1 GiB", protocol.CodeReportRequest, maxFrame - frameOverhead},
 		{"report request at the lease cap", protocol.CodeReportRequest, exactAlloc},

@@ -1,293 +1,331 @@
-// Package wire holds the one set of encode helpers and the one
-// bounds-checked Reader behind every serialised form in the tree: protocol
-// messages, actor envelopes, plan descriptors and task snapshots. Layout
-// conventions: fixed-order big-endian fields; strings, byte slices and lists
-// are u32-length-prefixed; durations are i64 nanoseconds; maps are
-// u32-count-prefixed (name, value) pairs. The Reader validates every count
-// against the bytes actually remaining before any count-sized allocation, so
-// a hostile length cannot commit memory proportional to its claim.
+// Package wire holds the one codec behind every serialised form in the tree:
+// protocol messages, actor envelopes, plan descriptors and task snapshots. A
+// layout is written once, as a walk — a function that names each field in
+// order on a *Codec (c.Str(&m.DeviceID), c.I64(&m.Round), …) — and the same
+// walk sizes, encodes and decodes it.
+//
+// Layout conventions: fixed-order big-endian fields; strings, byte slices and
+// lists are u32-length-prefixed; ints and durations are i64; maps are
+// u32-count-prefixed (key, value) pairs in key order. Decoding validates
+// every count against the bytes remaining before any count-sized allocation,
+// so a hostile length cannot commit memory proportional to its claim, and it
+// accepts canonical bytes only: what decodes re-encodes to the same bytes.
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"time"
 )
 
-// --- encoding helpers ---
+type pass uint8
 
-func SizeStr(s string) int   { return 4 + len(s) }
-func SizeBytes(b []byte) int { return 4 + len(b) }
+const (
+	sizing     pass = iota
+	encoding        // byte fields are copied into the one buffer
+	segmenting      // byte fields are aliased as segments of their own
+	decoding
+)
 
-func SizeMetrics(m map[string]float64) int {
-	n := 4
-	for k := range m {
-		n += SizeStr(k) + 8
-	}
-	return n
+// Codec runs walks. The zero Codec sizes: a walk over it counts the bytes an
+// encoding needs, and Encode turns it into the encoding pass. Only the
+// decoding pass writes the walked fields.
+type Codec struct {
+	pass          pass
+	n, bulk, segs int // sizing: bytes outside and inside byte fields; byte fields
+	buf           []byte
+	cut           int // segmenting: where buf's pending segment starts
+	parts         [][]byte
+	in            []byte // decoding: the bytes not yet read
+	err           error
 }
 
-func SizeNamedI64s(m map[string]int64) int {
-	n := 4
-	for k := range m {
-		n += SizeStr(k) + 8
-	}
-	return n
-}
+// Decoder returns a Codec decoding b; decoded byte fields alias b.
+func Decoder(b []byte) Codec { return Codec{pass: decoding, in: b} }
 
-func SizeStrs(ss []string) int {
-	n := 4
-	for _, s := range ss {
-		n += SizeStr(s)
-	}
-	return n
-}
+// Encoder returns a Codec encoding into a growing buffer, for a walk too
+// costly to run twice.
+func Encoder() Codec { return Codec{pass: encoding} }
 
-func SizeMetricSamples(m map[string][]float64) int {
-	n := 4
-	for k, vs := range m {
-		n += SizeStr(k) + 4 + 8*len(vs)
-	}
-	return n
-}
-
-func AppendU32(buf []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(buf, v) }
-func AppendI64(buf []byte, v int64) []byte  { return binary.BigEndian.AppendUint64(buf, uint64(v)) }
-func AppendF64(buf []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
-func AppendStr(buf []byte, s string) []byte {
-	buf = AppendU32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func AppendBytes(buf, b []byte) []byte {
-	buf = AppendU32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-func AppendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func AppendMetrics(buf []byte, m map[string]float64) []byte {
-	buf = AppendU32(buf, uint32(len(m)))
-	for k, v := range m {
-		buf = AppendStr(buf, k)
-		buf = AppendF64(buf, v)
-	}
-	return buf
-}
-
-func AppendNamedI64s(buf []byte, m map[string]int64) []byte {
-	buf = AppendU32(buf, uint32(len(m)))
-	for k, v := range m {
-		buf = AppendStr(buf, k)
-		buf = AppendI64(buf, v)
-	}
-	return buf
-}
-
-func AppendStrs(buf []byte, ss []string) []byte {
-	buf = AppendU32(buf, uint32(len(ss)))
-	for _, s := range ss {
-		buf = AppendStr(buf, s)
-	}
-	return buf
-}
-
-func AppendMetricSamples(buf []byte, m map[string][]float64) []byte {
-	buf = AppendU32(buf, uint32(len(m)))
-	for k, vs := range m {
-		buf = AppendStr(buf, k)
-		buf = AppendU32(buf, uint32(len(vs)))
-		for _, v := range vs {
-			buf = AppendF64(buf, v)
-		}
-	}
-	return buf
-}
-
-// --- decoding ---
-
-// Reader consumes a payload front to back, latching the first error. After
-// an error every accessor returns a zero value, so a decoder reads all its
-// fields unconditionally and checks Finish once.
-type Reader struct {
-	b   []byte
-	err error
-}
-
-// NewReader reads b, which decoded byte-slice fields will alias.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
-
-// Finish returns the first decode error, or an error when bytes remain
-// unread.
-func (r *Reader) Finish() error {
-	if r.err == nil && len(r.b) != 0 {
-		r.err = fmt.Errorf("wire: %d trailing bytes", len(r.b))
-	}
-	return r.err
-}
-
-// Fail latches a decode error naming the field that could not be read.
-func (r *Reader) Fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wire: truncated %s (%d bytes left)", what, len(r.b))
+// Encode ends a sizing pass: the next walk encodes into one buffer of the
+// size measured — contiguous (Encoded), or with aliased set every byte field
+// a segment of its own that aliases the walked value's bytes (Parts).
+func (c *Codec) Encode(aliased bool) {
+	if aliased {
+		*c = Codec{pass: segmenting, buf: make([]byte, 0, c.n), parts: make([][]byte, 0, 2*c.segs+1)}
+	} else {
+		*c = Codec{pass: encoding, buf: make([]byte, 0, c.n+c.bulk)}
 	}
 }
 
-func (r *Reader) take(n int, what string) []byte {
-	if r.err != nil {
+// Encoded returns the bytes an encoding pass wrote.
+func (c *Codec) Encoded() []byte { return c.buf }
+
+// Parts returns a segmenting pass's segments; their concatenation is the
+// encoding. The walked value's byte fields must not change until the parts
+// have been written.
+func (c *Codec) Parts() [][]byte {
+	if c.cut < len(c.buf) {
+		c.parts = append(c.parts, c.buf[c.cut:])
+	}
+	return c.parts
+}
+
+// Decoding reports whether this is a decoding pass, for a walk that checks
+// or builds what it has read.
+func (c *Codec) Decoding() bool { return c.pass == decoding }
+
+// Fail latches err unless an error is latched already. After an error,
+// decoding reads zero values, so a walk reads every field unconditionally
+// and checks Finish once.
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// Finish returns the walk's first error; decoding, also an error when bytes
+// remain unread.
+func (c *Codec) Finish() error {
+	if c.pass == decoding && len(c.in) != 0 {
+		c.Fail(fmt.Errorf("wire: %d trailing bytes", len(c.in)))
+	}
+	return c.err
+}
+
+func (c *Codec) truncated(what string) {
+	c.Fail(fmt.Errorf("wire: truncated %s (%d bytes left)", what, len(c.in)))
+}
+
+func (c *Codec) take(n int, what string) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if n < 0 || len(r.b) < n {
-		r.Fail(what)
+	if n < 0 || len(c.in) < n {
+		c.truncated(what)
 		return nil
 	}
-	out := r.b[:n]
-	r.b = r.b[n:]
+	out := c.in[:n]
+	c.in = c.in[n:]
 	return out
 }
 
-func (r *Reader) U8(what string) uint8 {
-	b := r.take(1, what)
-	if b == nil {
-		return 0
+// fixed runs a w-byte big-endian field holding v; decoding, it returns the
+// value read and true.
+func (c *Codec) fixed(v uint64, w int, what string) (uint64, bool) {
+	switch c.pass {
+	case sizing:
+		c.n += w
+	case decoding:
+		v = 0
+		for _, b := range c.take(w, what) {
+			v = v<<8 | uint64(b)
+		}
+		return v, true
+	default:
+		for s := 8 * (w - 1); s >= 0; s -= 8 {
+			c.buf = append(c.buf, byte(v>>s))
+		}
 	}
-	return b[0]
+	return 0, false
 }
 
-func (r *Reader) U32(what string) uint32 {
-	b := r.take(4, what)
-	if b == nil {
-		return 0
+// num runs a fixed-width number. It must stay small enough to inline: a
+// pointer into a walked message that reaches a generic call the compiler
+// cannot see through moves every walked message to the heap (TestCodecAllocs
+// in internal/protocol catches that).
+func num[T ~uint8 | ~uint32 | ~uint64 | ~int64 | ~int](c *Codec, p *T, w int, what string) {
+	if v, ok := c.fixed(uint64(*p), w, what); ok {
+		*p = T(v)
 	}
-	return binary.BigEndian.Uint32(b)
 }
 
-func (r *Reader) I64() int64 {
-	b := r.take(8, "int64")
-	if b == nil {
-		return 0
+func (c *Codec) U8(p *uint8)          { num(c, p, 1, "u8") }
+func (c *Codec) U32(p *uint32)        { num(c, p, 4, "u32") }
+func (c *Codec) U64(p *uint64)        { num(c, p, 8, "u64") }
+func (c *Codec) I64(p *int64)         { num(c, p, 8, "i64") }
+func (c *Codec) Int(p *int)           { num(c, p, 8, "i64") }
+func (c *Codec) Dur(p *time.Duration) { c.I64((*int64)(p)) }
+
+func (c *Codec) F64(p *float64) {
+	if v, ok := c.fixed(math.Float64bits(*p), 8, "f64"); ok {
+		*p = math.Float64frombits(v)
 	}
-	return int64(binary.BigEndian.Uint64(b))
 }
 
-func (r *Reader) F64() float64 { return math.Float64frombits(uint64(r.I64())) }
-
-// Bool accepts only the two bytes AppendBool writes, keeping every encoding
-// canonical: what decodes re-encodes to the same bytes.
-func (r *Reader) Bool() bool {
-	v := r.U8("bool")
-	if v > 1 {
-		r.Fail("bool")
+// Bool is one byte, 0 or 1; decoding refuses any other.
+func (c *Codec) Bool(p *bool) {
+	var b uint64
+	if *p {
+		b = 1
 	}
-	return v == 1
+	if v, ok := c.fixed(b, 1, "bool"); ok {
+		if v > 1 {
+			c.Fail(fmt.Errorf("wire: bool byte %d", v))
+		}
+		*p = v == 1
+	}
 }
 
-func (r *Reader) Str() string {
-	n := int(r.U32("string length"))
-	return string(r.take(n, "string"))
-}
-
-// Bytes returns the field aliased into the payload; nil-length fields decode
-// as nil so round-trips preserve emptiness.
-func (r *Reader) Bytes() []byte {
-	n := int(r.U32("bytes length"))
-	if n == 0 {
-		return nil
+// count runs a u32 count of n entries; decoding, it returns the count read,
+// or 0 with an error latched when the bytes remaining cannot hold that many
+// entries of minEntry bytes.
+func (c *Codec) count(n int, minEntry int, what string) int {
+	v, ok := c.fixed(uint64(n), 4, what)
+	if !ok {
+		return n
 	}
-	return r.take(n, "bytes")
-}
-
-// Count reads a u32 entry count and rejects one the remaining bytes cannot
-// hold at minEntry bytes per entry, before the caller allocates for it.
-func (r *Reader) Count(what string, minEntry int) int {
-	n := int(r.U32(what + " count"))
-	if r.err != nil {
-		return 0
-	}
-	if n > len(r.b)/minEntry {
-		r.Fail(what + " entries")
+	if n = int(v); c.err != nil || n > len(c.in)/minEntry {
+		c.truncated(what)
 		return 0
 	}
 	return n
 }
 
-// Strs decodes a string list; each entry is ≥ 4 bytes (its length prefix).
-func (r *Reader) Strs(what string) []string {
-	n := r.Count(what, 4)
-	if n == 0 {
-		return nil
+// Count runs the length of a list whose entries the walk runs next, each at
+// least minEntry bytes.
+func (c *Codec) Count(p *int, minEntry int) {
+	if n := c.count(*p, minEntry, "list"); c.pass == decoding {
+		*p = n
 	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = r.Str()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return ss
 }
 
-// Metrics decodes a name→float64 map; each entry is ≥ 12 bytes.
-func (r *Reader) Metrics() map[string]float64 {
-	n := r.Count("metrics", 12)
-	if n == 0 {
-		return nil
+func (c *Codec) Str(p *string) {
+	n := c.count(len(*p), 1, "string")
+	switch c.pass {
+	case sizing:
+		c.n += n
+	case decoding:
+		*p = string(c.take(n, "string"))
+	default:
+		c.buf = append(c.buf, *p...)
 	}
-	m := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		k := r.Str()
-		m[k] = r.F64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return m
 }
 
-// NamedI64s decodes a name→int64 map (telemetry counters, seal phase
-// durations); each entry is ≥ 12 bytes.
-func (r *Reader) NamedI64s(what string) map[string]int64 {
-	n := r.Count(what, 12)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]int64, n)
-	for i := 0; i < n; i++ {
-		k := r.Str()
-		m[k] = r.I64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return m
-}
-
-// MetricSamples decodes a map of per-metric value slices; each entry is ≥ 8
-// bytes (name length prefix + value count) and each value 8.
-func (r *Reader) MetricSamples() map[string][]float64 {
-	n := r.Count("metric sample", 8)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string][]float64, n)
-	for i := 0; i < n; i++ {
-		k := r.Str()
-		vs := make([]float64, r.Count("metric value", 8))
-		for j := range vs {
-			vs[j] = r.F64()
+// Bytes runs a byte string: decoded, it aliases the input (empty is nil);
+// segmenting, unless empty, it is a segment of its own.
+func (c *Codec) Bytes(p *[]byte) {
+	n := c.count(len(*p), 1, "bytes")
+	switch {
+	case c.pass == sizing:
+		c.bulk += n
+		c.segs += min(n, 1)
+	case c.pass == decoding:
+		if *p = nil; n > 0 {
+			*p = c.take(n, "bytes")
 		}
-		if r.err != nil {
-			return nil
-		}
-		m[k] = vs
+	case c.pass == encoding || n == 0:
+		c.buf = append(c.buf, *p...)
+	default:
+		c.parts = append(c.parts, c.buf[c.cut:len(c.buf):len(c.buf)], *p)
+		c.cut = len(c.buf)
 	}
-	return m
+}
+
+// Time runs a time.Time as the byte string of its own binary form, which
+// keeps the zero time and the zone offset.
+func (c *Codec) Time(p *time.Time) {
+	var b []byte
+	if c.pass != decoding {
+		var err error
+		if b, err = p.MarshalBinary(); err != nil {
+			c.Fail(err)
+		}
+	}
+	c.Bytes(&b)
+	if c.pass == decoding && p.UnmarshalBinary(b) != nil {
+		c.truncated("time")
+	}
+}
+
+// Strs runs a string list (empty decodes as nil).
+func (c *Codec) Strs(p *[]string) {
+	n := c.count(len(*p), 4, "string list")
+	if c.pass == decoding && n > 0 {
+		*p = make([]string, n)
+	}
+	for i := range n {
+		c.Str(&(*p)[i])
+	}
+}
+
+// F64s runs a float64 list (empty decodes as non-nil).
+func (c *Codec) F64s(p *[]float64) {
+	n := c.count(len(*p), 8, "float list")
+	if c.pass == decoding {
+		*p = make([]float64, n)
+	}
+	for i := range n {
+		c.F64(&(*p)[i])
+	}
+}
+
+// The maps have string keys; each entry is at least 12 bytes (8 for a list
+// value's key and count).
+
+func (c *Codec) F64Map(p *map[string]float64) {
+	var buf [8]string
+	c.entries(keysOf(*p, buf[:0]), 12, func(k string) int {
+		v := (*p)[k]
+		c.F64(&v)
+		return put(c, p, k, v)
+	})
+}
+
+func (c *Codec) I64Map(p *map[string]int64) {
+	var buf [8]string
+	c.entries(keysOf(*p, buf[:0]), 12, func(k string) int {
+		v := (*p)[k]
+		c.I64(&v)
+		return put(c, p, k, v)
+	})
+}
+
+func (c *Codec) F64sMap(p *map[string][]float64) {
+	var buf [8]string
+	c.entries(keysOf(*p, buf[:0]), 8, func(k string) int {
+		v := (*p)[k]
+		c.F64s(&v)
+		return put(c, p, k, v)
+	})
+}
+
+// put stores a decoded entry and returns the map's size. Like keysOf it
+// must stay small enough to inline (see num).
+func put[V any](c *Codec, p *map[string]V, k string, v V) int {
+	if c.pass == decoding {
+		if *p == nil {
+			*p = map[string]V{}
+		}
+		(*p)[k] = v
+	}
+	return len(*p)
+}
+
+// keysOf appends m's keys to buf: a map of up to 8 entries lists them in its
+// caller's stack buffer.
+func keysOf[V any](m map[string]V, buf []string) []string {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	return buf
+}
+
+// entries runs a map's entry count, then each entry in key order: its key,
+// then value(key), which runs the value — decoding, stores it — and returns
+// the map's size, so a repeated key is refused and a map has one encoding.
+func (c *Codec) entries(keys []string, minEntry int, value func(k string) int) {
+	n := c.count(len(keys), minEntry, "map")
+	slices.Sort(keys)
+	for i := range n {
+		var k string
+		if i < len(keys) {
+			k = keys[i]
+		}
+		c.Str(&k)
+		if value(k) <= i {
+			c.Fail(fmt.Errorf("wire: repeated map key %q", k))
+		}
+	}
 }
