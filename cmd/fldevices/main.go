@@ -26,11 +26,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	repro "repro"
-
 	"repro/internal/cliutil"
+	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/flserver"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -49,7 +48,7 @@ func main() {
 		addrs = cliutil.ListFlag{"localhost:8750"}
 	}
 
-	fed, err := repro.Blobs(repro.BlobsConfig{
+	fed, err := data.Blobs(data.BlobsConfig{
 		Users: *devices, ExamplesPer: 40, Features: 8, Classes: 4,
 		TestSize: 1, Skew: 0.5, Seed: *seed,
 	})
@@ -76,7 +75,7 @@ func main() {
 			// One runtime and one example store serve every population (the
 			// plans all read the "examples" store); the per-device Scheduler
 			// guarantees sessions never overlap.
-			store, err := repro.NewExampleStore("examples", 1000, 0)
+			store, err := device.NewMemStore("examples", 1000, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -84,13 +83,13 @@ func main() {
 			for _, ex := range fed.Users[i] {
 				store.Add(ex, now)
 			}
-			rt := repro.NewDeviceRuntime(fmt.Sprintf("dev-%d", i), 3, *seed+uint64(i))
+			rt := device.NewRuntime(fmt.Sprintf("dev-%d", i), 3, nil, *seed+uint64(i))
 			if err := rt.RegisterStore(store); err != nil {
 				log.Fatal(err)
 			}
-			clients := make([]*flserver.DeviceClient, len(populations))
+			clients := make([]*device.Client, len(populations))
 			for pi, pop := range populations {
-				clients[pi] = &flserver.DeviceClient{
+				clients[pi] = &device.Client{
 					ID: fmt.Sprintf("dev-%d", i), Population: pop, Runtime: rt,
 				}
 			}
@@ -109,7 +108,7 @@ func main() {
 				for _, c := range clients {
 					c := c
 					_ = sched.Enqueue(&device.Job{Population: c.Population, Run: func() {
-						conn, err := repro.DialTCP(addr)
+						conn, err := transport.DialTCP(addr)
 						if err != nil {
 							// Server gone or not yet up.
 							dialErr = true

@@ -10,16 +10,14 @@
 //
 //   - Train: run Federated Averaging in-process over a per-user dataset
 //     (the algorithmic core, no servers) — examples/quickstart.
-//   - NewFleet / NewDeviceRuntime: run the real protocol — the actor server
-//     on one side (cmd/flserver), device runtimes on the other
-//     (cmd/fldevices) — over TCP.
+//   - NewFleet: run the real protocol's actor server (cmd/flserver) over
+//     TCP; cmd/fldevices drives internal/device's sessions against it.
 package repro
 
 import (
 	"time"
 
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/fedavg"
 	"repro/internal/flserver"
 	"repro/internal/nn"
@@ -98,22 +96,8 @@ func TrainWith(tr *Trainer, fed *Federated, rounds, devicesPerRound int, seed ui
 // shared locking service. Populations are added with Fleet.Register.
 func NewFleet(cfg FleetConfig) *Fleet { return flserver.NewFleet(cfg) }
 
-// ListenTCP / DialTCP expose the TCP transport for real deployments.
+// ListenTCP exposes the TCP transport for real deployments.
 func ListenTCP(addr string) (transport.Listener, error) { return transport.ListenTCP(addr) }
-
-// DialTCP connects a device to a TCP FL server.
-func DialTCP(addr string) (transport.Conn, error) { return transport.DialTCP(addr) }
-
-// NewDeviceRuntime builds an on-device FL runtime.
-func NewDeviceRuntime(deviceID string, version int, seed uint64) *device.Runtime {
-	return device.NewRuntime(deviceID, version, nil, seed)
-}
-
-// NewExampleStore returns the bounded, expiring example store applications
-// register with the runtime.
-func NewExampleStore(name string, maxEntries int, expiration time.Duration) (*device.MemStore, error) {
-	return device.NewMemStore(name, maxEntries, expiration)
-}
 
 // NewPaceSteering returns pace steering tuned for the given round cadence.
 func NewPaceSteering(roundPeriod time.Duration) *pacing.Steering { return pacing.New(roundPeriod) }

@@ -2,9 +2,9 @@ package repro
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/protocol"
+	"repro/internal/transport"
 )
 
 func TestTrainQuickstartPath(t *testing.T) {
@@ -29,17 +29,6 @@ func TestTrainQuickstartPath(t *testing.T) {
 	}
 }
 
-func TestDeviceRuntimeFacade(t *testing.T) {
-	rt := NewDeviceRuntime("d1", 3, 1)
-	store, err := NewExampleStore("s", 10, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.RegisterStore(store); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTCPFacade(t *testing.T) {
 	l, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -53,7 +42,7 @@ func TestTCPFacade(t *testing.T) {
 			c.Close()
 		}
 	}()
-	c, err := DialTCP(l.Addr())
+	c, err := transport.DialTCP(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

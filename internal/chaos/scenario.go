@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
+	"repro/internal/device"
 	"repro/internal/flserver"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -326,7 +327,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	// fresh RNG per participation makes every update the same pure function
 	// of the checkpoint. Then any surviving subset's weighted average is
 	// that one vector — the property that makes SumProbe decidable.
-	makeClient := func(i int) (*flserver.DeviceClient, error) {
+	makeClient := func(i int) (*device.Client, error) {
 		id := fmt.Sprintf("chaos-dev-%d", i)
 		seed := cfg.Seed + uint64(i) + 1000
 		user := i
@@ -334,7 +335,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 			seed = cfg.Seed + 1000
 			user = 0
 		}
-		return flserver.NewLocalDataClient(id, pop, pop+"-store", fed.Users[user], seed)
+		return device.NewLocalDataClient(id, pop, pop+"-store", fed.Users[user], seed)
 	}
 	stopDevices := make(chan struct{})
 	var devices sync.WaitGroup

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
+	"repro/internal/device"
 	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/pacing"
@@ -224,7 +225,7 @@ func TestDeviceLinkFaultsOverTCP(t *testing.T) {
 					}
 					// A fresh runtime per check-in: every update is the same
 					// pure function of the checkpoint (see RunScenario).
-					client, err := flserver.NewLocalDataClient(id, pop, pop+"-store", fed.Users[0], 1005)
+					client, err := device.NewLocalDataClient(id, pop, pop+"-store", fed.Users[0], 1005)
 					if err != nil {
 						t.Error(err)
 						return

@@ -178,7 +178,8 @@ func TestExecuteTrainingPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	global := globalCkpt(t, p)
-	res, err := r.Execute(p, global, t0)
+	var log Log
+	res, err := r.Execute(p, global, t0, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +192,8 @@ func TestExecuteTrainingPlan(t *testing.T) {
 	if res.Update.Round != 3 || res.Update.TaskName != p.ID {
 		t.Fatalf("update metadata: %+v", res.Update)
 	}
-	if res.Session.Shape() != "-v[]" {
-		t.Fatalf("session shape = %q, want -v[] (upload logged by caller)", res.Session.Shape())
+	if log.Shape() != "[]" {
+		t.Fatalf("logged %q, want [] (the session logs the rest)", log.Shape())
 	}
 	if res.Metrics["num_examples"] != 20 {
 		t.Fatalf("metrics: %+v", res.Metrics)
@@ -210,7 +211,7 @@ func TestExecuteFusedPlanEquivalent(t *testing.T) {
 	run := func(p *plan.Plan, version int) *checkpoint.Checkpoint {
 		r := NewRuntime("dev-1", version, nil, 7)
 		_ = r.RegisterStore(filledStore(t))
-		res, err := r.Execute(p, globalCkpt(t, p), t0)
+		res, err := r.Execute(p, globalCkpt(t, p), t0, new(Log))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,12 +233,12 @@ func TestExecuteRejectsNewPlanOnOldRuntime(t *testing.T) {
 	p := trainingPlan(t, true) // needs version 3
 	r := NewRuntime("dev-old", 1, nil, 7)
 	_ = r.RegisterStore(filledStore(t))
-	res, err := r.Execute(p, globalCkpt(t, p), t0)
-	if err == nil {
+	var log Log
+	if _, err := r.Execute(p, globalCkpt(t, p), t0, &log); err == nil {
 		t.Fatal("old runtime must reject fused plan")
 	}
-	if !strings.Contains(res.Session.Shape(), "*") {
-		t.Fatalf("session should log error: %q", res.Session.Shape())
+	if log.Shape() != "" {
+		t.Fatalf("training started on a plan the runtime refused: %q", log.Shape())
 	}
 }
 
@@ -249,22 +250,23 @@ func TestExecuteInterruptedOnEligibilityLoss(t *testing.T) {
 
 	// Lose eligibility before execution: every op checks first.
 	elig.Set(Conditions{})
-	res, err := r.Execute(p, globalCkpt(t, p), t0)
+	var log Log
+	res, err := r.Execute(p, globalCkpt(t, p), t0, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Interrupted {
 		t.Fatal("must be interrupted")
 	}
-	if res.Session.Shape() != "-v!" {
-		t.Fatalf("shape = %q", res.Session.Shape())
+	if log.Shape() != "" {
+		t.Fatalf("training started while ineligible: %q", log.Shape())
 	}
 }
 
 func TestExecuteMissingStore(t *testing.T) {
 	p := trainingPlan(t, false)
 	r := NewRuntime("dev-1", 3, nil, 7)
-	if _, err := r.Execute(p, globalCkpt(t, p), t0); err == nil {
+	if _, err := r.Execute(p, globalCkpt(t, p), t0, new(Log)); err == nil {
 		t.Fatal("missing store must fail")
 	}
 }
@@ -274,7 +276,7 @@ func TestExecuteEmptyStore(t *testing.T) {
 	r := NewRuntime("dev-1", 3, nil, 7)
 	empty, _ := NewMemStore("clicks", 10, 0)
 	_ = r.RegisterStore(empty)
-	if _, err := r.Execute(p, globalCkpt(t, p), t0); err == nil {
+	if _, err := r.Execute(p, globalCkpt(t, p), t0, new(Log)); err == nil {
 		t.Fatal("empty store must fail")
 	}
 }
@@ -284,7 +286,7 @@ func TestExecuteBadCheckpoint(t *testing.T) {
 	r := NewRuntime("dev-1", 3, nil, 7)
 	_ = r.RegisterStore(filledStore(t))
 	bad := &checkpoint.Checkpoint{TaskName: p.ID, Params: tensor.Vector{1, 2, 3}}
-	if _, err := r.Execute(p, bad, t0); err == nil {
+	if _, err := r.Execute(p, bad, t0, new(Log)); err == nil {
 		t.Fatal("dim-mismatched checkpoint must fail")
 	}
 }
@@ -304,7 +306,7 @@ func TestExecuteEvalPlan(t *testing.T) {
 	}
 	r := NewRuntime("dev-1", 3, nil, 7)
 	_ = r.RegisterStore(filledStore(t))
-	res, err := r.Execute(p, globalCkpt(t, p), t0)
+	res, err := r.Execute(p, globalCkpt(t, p), t0, new(Log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +341,7 @@ func TestExecuteClipsUpdateWhenPlanAsks(t *testing.T) {
 		if err := r.RegisterStore(filledStore(t)); err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Execute(p, globalCkpt(t, p), t0)
+		res, err := r.Execute(p, globalCkpt(t, p), t0, new(Log))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 
 // Runtime is the on-device FL runtime: it executes FL plans against the
 // registered example stores, checking eligibility between steps and logging
-// session state transitions (the event logs behind Table 1).
+// training to the session's log (the event logs behind Table 1).
 type Runtime struct {
 	DeviceID string
 	// Version is the FL runtime version; plans requiring a newer version
@@ -53,25 +53,17 @@ type Result struct {
 	Update *checkpoint.Checkpoint
 	// Metrics are the plan-computed metric values.
 	Metrics map[string]float64
-	// Session is the state-transition log of this execution.
-	Session *Session
 	// Interrupted is true when the run aborted on an eligibility change.
 	Interrupted bool
 }
 
-// Execute runs the device portion of a plan against the global checkpoint.
-// The session log always starts at StateDownloadedPlan (check-in was logged
-// by the caller when the connection opened). On eligibility lapse it
-// returns a Result with Interrupted set rather than an error: interruption
-// is a normal outcome (2% of sessions in Table 1), not a bug.
-func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.Time) (*Result, error) {
-	session := &Session{}
-	session.Log(StateCheckin)
-	session.Log(StateDownloadedPlan)
-	res := &Result{Session: session, Metrics: make(map[string]float64)}
-
+// Execute runs the device portion of a plan against the global checkpoint,
+// logging training's start and end; how the session ends is the Session's
+// to log. An eligibility lapse is a Result with Interrupted set, not an
+// error: interruption is a normal outcome (2% of sessions in Table 1).
+func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.Time, log *Log) (*Result, error) {
+	res := &Result{Metrics: make(map[string]float64)}
 	if p.Device.MinRuntimeVersion > r.Version {
-		session.Log(StateError)
 		return res, fmt.Errorf("device: plan %q needs runtime ≥ %d, have %d",
 			p.ID, p.Device.MinRuntimeVersion, r.Version)
 	}
@@ -83,7 +75,6 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 
 	for _, op := range p.Device.Ops {
 		if !r.Eligibility.OK() {
-			session.Log(StateInterrupted)
 			res.Interrupted = true
 			return res, nil
 		}
@@ -91,11 +82,9 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 		case plan.OpLoadCheckpoint:
 			m, err := p.Device.Model.Build()
 			if err != nil {
-				session.Log(StateError)
 				return res, fmt.Errorf("device: build model: %w", err)
 			}
 			if len(global.Params) != m.NumParams() {
-				session.Log(StateError)
 				return res, fmt.Errorf("device: checkpoint has %d params, model wants %d",
 					len(global.Params), m.NumParams())
 			}
@@ -106,21 +95,18 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 		case plan.OpSelectExamples:
 			store, ok := r.stores[p.Device.Selection.StoreName]
 			if !ok {
-				session.Log(StateError)
 				return res, fmt.Errorf("device: no example store %q", p.Device.Selection.StoreName)
 			}
 			examples = store.Select(p.Device.Selection, now)
 			if len(examples) == 0 {
-				session.Log(StateError)
 				return res, fmt.Errorf("device: store %q returned no examples", store.Name())
 			}
 
 		case plan.OpTrain, plan.OpFusedTrainMetrics:
 			if model == nil || examples == nil {
-				session.Log(StateError)
 				return res, fmt.Errorf("device: %v before load/select", op)
 			}
-			session.Log(StateTrainStarted)
+			log.Add(StateTrainStarted)
 			u, err := fedavg.ClientUpdate(model, globalParams, examples, fedavg.ClientConfig{
 				BatchSize: p.Device.BatchSize,
 				Epochs:    p.Device.Epochs,
@@ -128,11 +114,10 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 				Shuffle:   true,
 			}, r.rng)
 			if err != nil {
-				session.Log(StateError)
 				return res, fmt.Errorf("device: train: %w", err)
 			}
 			update = u
-			session.Log(StateTrainCompleted)
+			log.Add(StateTrainCompleted)
 			if op == plan.OpFusedTrainMetrics {
 				res.Metrics["train_loss"] = u.TrainLoss
 				res.Metrics["num_examples"] = u.Weight
@@ -140,7 +125,6 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 
 		case plan.OpEval:
 			if model == nil || examples == nil {
-				session.Log(StateError)
 				return res, fmt.Errorf("device: eval before load/select")
 			}
 			met := model.Evaluate(examples)
@@ -156,7 +140,6 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 
 		case plan.OpSaveUpdate:
 			if update == nil {
-				session.Log(StateError)
 				return res, fmt.Errorf("device: save_update before train")
 			}
 			if p.Device.ClipNorm > 0 {
@@ -174,7 +157,6 @@ func (r *Runtime) Execute(p *plan.Plan, global *checkpoint.Checkpoint, now time.
 			}
 
 		default:
-			session.Log(StateError)
 			return res, fmt.Errorf("device: unknown op %v", op)
 		}
 	}

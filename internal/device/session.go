@@ -21,18 +21,18 @@ const (
 // stateRunes is indexed by SessionState; '?' renders an unknown state.
 const stateRunes = "?-v[]+^#*!"
 
-// Session accumulates one device round's state transitions.
-type Session struct {
+// Log accumulates one device session's state transitions.
+type Log struct {
 	states []SessionState
 }
 
-// Log appends a state.
-func (s *Session) Log(state SessionState) { s.states = append(s.states, state) }
+// Add appends a state.
+func (l *Log) Add(state SessionState) { l.states = append(l.states, state) }
 
 // Shape renders the visualization string, e.g. "-v[]+^".
-func (s *Session) Shape() string {
-	out := make([]byte, len(s.states))
-	for i, st := range s.states {
+func (l *Log) Shape() string {
+	out := make([]byte, len(l.states))
+	for i, st := range l.states {
 		if int(st) >= len(stateRunes) {
 			st = 0
 		}

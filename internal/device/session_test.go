@@ -4,16 +4,16 @@ import "testing"
 
 func TestSessionShapes(t *testing.T) {
 	// The two examples from Sec. 5.
-	s1 := &Session{}
+	s1 := &Log{}
 	for _, st := range []SessionState{StateCheckin, StateDownloadedPlan, StateTrainStarted, StateTrainCompleted, StateUploadStarted, StateError} {
-		s1.Log(st)
+		s1.Add(st)
 	}
 	if s1.Shape() != "-v[]+*" {
 		t.Fatalf("shape = %q, want -v[]+*", s1.Shape())
 	}
-	s2 := &Session{}
+	s2 := &Log{}
 	for _, st := range []SessionState{StateCheckin, StateDownloadedPlan, StateTrainStarted, StateError} {
-		s2.Log(st)
+		s2.Add(st)
 	}
 	if s2.Shape() != "-v[*" {
 		t.Fatalf("shape = %q, want -v[*", s2.Shape())
@@ -22,23 +22,23 @@ func TestSessionShapes(t *testing.T) {
 
 func TestTable1Shapes(t *testing.T) {
 	// The three session shapes of Table 1.
-	success := &Session{}
+	success := &Log{}
 	for _, st := range []SessionState{StateCheckin, StateDownloadedPlan, StateTrainStarted, StateTrainCompleted, StateUploadStarted, StateUploadDone} {
-		success.Log(st)
+		success.Add(st)
 	}
 	if success.Shape() != "-v[]+^" {
 		t.Fatalf("success shape = %q", success.Shape())
 	}
-	rejected := &Session{}
+	rejected := &Log{}
 	for _, st := range []SessionState{StateCheckin, StateDownloadedPlan, StateTrainStarted, StateTrainCompleted, StateUploadStarted, StateUploadRejected} {
-		rejected.Log(st)
+		rejected.Add(st)
 	}
 	if rejected.Shape() != "-v[]+#" {
 		t.Fatalf("rejected shape = %q", rejected.Shape())
 	}
-	interrupted := &Session{}
+	interrupted := &Log{}
 	for _, st := range []SessionState{StateCheckin, StateDownloadedPlan, StateTrainStarted, StateInterrupted} {
-		interrupted.Log(st)
+		interrupted.Add(st)
 	}
 	if interrupted.Shape() != "-v[!" {
 		t.Fatalf("interrupted shape = %q", interrupted.Shape())
@@ -46,9 +46,9 @@ func TestTable1Shapes(t *testing.T) {
 }
 
 func TestUnknownStateRune(t *testing.T) {
-	s := &Session{}
-	s.Log(SessionState(99))
-	s.Log(SessionState(0))
+	s := &Log{}
+	s.Add(SessionState(99))
+	s.Add(SessionState(0))
 	if s.Shape() != "??" {
 		t.Fatalf("unknown states render %q, want ??", s.Shape())
 	}

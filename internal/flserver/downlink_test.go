@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
+	"repro/internal/device"
 	"repro/internal/fedavg"
 	"repro/internal/nn"
 	"repro/internal/pacing"
@@ -44,7 +45,7 @@ func (c *tapConn) Send(msg interface{}) error {
 	return c.Conn.Send(msg)
 }
 
-// TestQuantizedDownlink runs one round of real DeviceClients over MemNetwork
+// TestQuantizedDownlink runs one round of real device.Clients over MemNetwork
 // and over TCP (released buffers poisoned) for a Quant8 training plan, a
 // float64 one and an eval one whose reports would be Quant8:
 //   - the Quant8 training plan's devices are served a Quant8 checkpoint whose
@@ -127,7 +128,7 @@ func TestQuantizedDownlink(t *testing.T) {
 				deadline := time.Now().Add(30 * time.Second)
 				var wg sync.WaitGroup
 				for i := range taps {
-					client, err := NewLocalDataClient(fmt.Sprintf("dev-%d", i), "pop", "clicks", fed.Users[i], uint64(i))
+					client, err := device.NewLocalDataClient(fmt.Sprintf("dev-%d", i), "pop", "clicks", fed.Users[i], uint64(i))
 					if err != nil {
 						t.Fatal(err)
 					}

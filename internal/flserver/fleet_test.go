@@ -129,7 +129,7 @@ func runPopDevices(t *testing.T, pop string, n int, fed *data.Federated, dial fu
 		if err := rt.RegisterStore(st); err != nil {
 			t.Fatal(err)
 		}
-		client := &DeviceClient{ID: id, Population: pop, Runtime: rt}
+		client := &device.Client{ID: id, Population: pop, Runtime: rt}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -49,7 +49,7 @@ func testPlan(t *testing.T, target int, secure bool) *plan.Plan {
 // fleet spins numDevices device loops that repeatedly check in until stop
 // is closed. Each device holds one user's partition.
 type fleet struct {
-	clients []*DeviceClient
+	clients []*device.Client
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
@@ -74,7 +74,7 @@ func newFleet(t *testing.T, n int, fed *data.Federated, version int) *fleet {
 		if err := rt.RegisterStore(store); err != nil {
 			t.Fatal(err)
 		}
-		f.clients = append(f.clients, &DeviceClient{
+		f.clients = append(f.clients, &device.Client{
 			ID: fmt.Sprintf("dev-%d", i), Population: "pop", Runtime: rt,
 		})
 	}

@@ -79,8 +79,8 @@ func TestMultiTenantDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 		sched := device.NewScheduler()
-		clientA := &DeviceClient{ID: deviceName(i), Population: "pop-a", Runtime: rt}
-		clientB := &DeviceClient{ID: deviceName(i), Population: "pop-b", Runtime: rt}
+		clientA := &device.Client{ID: deviceName(i), Population: "pop-a", Runtime: rt}
+		clientB := &device.Client{ID: deviceName(i), Population: "pop-b", Runtime: rt}
 
 		go func() {
 			for {

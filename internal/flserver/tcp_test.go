@@ -25,7 +25,7 @@ func leasedFrames() int64 {
 // same server and device code the cmd/flserver and cmd/fldevices binaries
 // use. The model is wide enough (6147 parameters: a 6 KB quant8 report) that both
 // the plan+checkpoint download and the report ride leased receive buffers,
-// and released buffers are overwritten: a DeviceClient that trained from
+// and released buffers are overwritten: a device.Client that trained from
 // wire bytes it had already released, or a server fold that outlived its
 // lease, would commit garbage instead of a model that classifies.
 func TestEndToEndOverTCP(t *testing.T) {
@@ -79,7 +79,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			client := &DeviceClient{ID: fmt.Sprintf("tcp-dev-%d", i), Population: "pop", Runtime: rt}
+			client := &device.Client{ID: fmt.Sprintf("tcp-dev-%d", i), Population: "pop", Runtime: rt}
 			for {
 				select {
 				case <-stop:

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/wire"
 )
@@ -43,6 +44,41 @@ const (
 	smallFrame = 64 << 10
 )
 
+// Sender is the side of a link that may send a code.
+type Sender string
+
+const (
+	Device Sender = "device"
+	Server Sender = "server"
+	// ShardLink: either end of a coordinator's link to a selector shard.
+	ShardLink Sender = "shard link"
+)
+
+// Phase is a device session's place in the protocol of Sec. 2.2, one bit
+// each so that a row can name a set of them.
+type Phase uint8
+
+const (
+	PhaseCheckin    Phase = 1 << iota // the check-in is sent, its verdict awaited
+	PhaseConfigured                   // the plan and global are held, nothing reported
+	PhaseReported                     // the report is sent, its verdict awaited
+	PhaseDone                         // the session ended
+	PhaseAborted                      // the server aborted the session
+)
+
+var phaseNames = [...]string{"checkin", "configured", "reported", "done", "aborted"}
+
+// String names the phases in p.
+func (p Phase) String() string {
+	var names []string
+	for i, name := range phaseNames {
+		if p&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, " or ")
+}
+
 // Row is one type code's entry in the wire table.
 type Row struct {
 	Name string
@@ -52,23 +88,27 @@ type Row struct {
 	// Leased marks the codes whose payload the TCP transport may read into
 	// a pooled buffer: each is consumed before its reader's next Recv.
 	Leased bool
+	// Sender is who may send the code.
+	Sender Sender
+	// Phases are the session phases a device-link code is legal in.
+	Phases Phase
 }
 
 var table = [codeEnd]Row{
-	CodeCheckinRequest:    {"CheckinRequest", smallFrame, false},
-	CodeCheckinResponse:   {"CheckinResponse", bulkFrame, true},
-	CodeReportRequest:     {"ReportRequest", bulkFrame, true},
-	CodeReportResponse:    {"ReportResponse", smallFrame, false},
-	CodeAbort:             {"Abort", smallFrame, false},
-	CodeStripeSeal:        {"StripeSeal", bulkFrame, true},
-	CodeRoundConfig:       {"RoundConfig", bulkFrame, false},
-	CodeRoundFinalize:     {"RoundFinalize", smallFrame, false},
-	CodeRoundAbort:        {"RoundAbort", smallFrame, false},
-	CodeShardHello:        {"ShardHello", smallFrame, false},
-	CodeCheckinRate:       {"CheckinRate", smallFrame, false},
-	CodeActorEnvelope:     {"ActorEnvelope", bulkFrame, false},
-	CodeHeartbeat:         {"Heartbeat", smallFrame, false},
-	CodeTelemetrySnapshot: {"TelemetrySnapshot", bulkFrame, false},
+	CodeCheckinRequest:    {"CheckinRequest", smallFrame, false, Device, PhaseCheckin},
+	CodeCheckinResponse:   {"CheckinResponse", bulkFrame, true, Server, PhaseCheckin},
+	CodeReportRequest:     {"ReportRequest", bulkFrame, true, Device, PhaseConfigured},
+	CodeReportResponse:    {"ReportResponse", smallFrame, false, Server, PhaseReported},
+	CodeAbort:             {"Abort", smallFrame, false, Server, PhaseCheckin | PhaseReported},
+	CodeStripeSeal:        {"StripeSeal", bulkFrame, true, ShardLink, 0},
+	CodeRoundConfig:       {"RoundConfig", bulkFrame, false, ShardLink, 0},
+	CodeRoundFinalize:     {"RoundFinalize", smallFrame, false, ShardLink, 0},
+	CodeRoundAbort:        {"RoundAbort", smallFrame, false, ShardLink, 0},
+	CodeShardHello:        {"ShardHello", smallFrame, false, ShardLink, 0},
+	CodeCheckinRate:       {"CheckinRate", smallFrame, false, ShardLink, 0},
+	CodeActorEnvelope:     {"ActorEnvelope", bulkFrame, false, ShardLink, 0},
+	CodeHeartbeat:         {"Heartbeat", smallFrame, false, ShardLink, 0},
+	CodeTelemetrySnapshot: {"TelemetrySnapshot", bulkFrame, false, ShardLink, 0},
 }
 
 // Lookup returns code's row, so a transport can judge a frame by its header
@@ -78,6 +118,30 @@ func Lookup(code byte) (row Row, ok bool) {
 		return Row{}, false
 	}
 	return table[code], true
+}
+
+// Judge returns msg's type code when msg may arrive from a peer that is
+// from in a device session at phase, and otherwise an error naming what
+// arrived and when. A legal message costs a type switch and a table read,
+// no allocation.
+func Judge(msg interface{}, from Sender, phase Phase) (byte, error) {
+	var code byte // 0 for anything but the five device-link messages
+	switch msg.(type) {
+	case CheckinRequest:
+		code = CodeCheckinRequest
+	case CheckinResponse:
+		code = CodeCheckinResponse
+	case ReportRequest:
+		code = CodeReportRequest
+	case ReportResponse:
+		code = CodeReportResponse
+	case Abort:
+		code = CodeAbort
+	}
+	if row := table[code]; row.Sender != from || row.Phases&phase == 0 {
+		return 0, fmt.Errorf("protocol: %T from the %s is illegal in phase %s", msg, from, phase)
+	}
+	return code, nil
 }
 
 // MarshalBinaryParts encodes one protocol message as byte segments whose

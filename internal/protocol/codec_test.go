@@ -224,6 +224,13 @@ func TestCodecAllocs(t *testing.T) {
 		if lim := limits[code]; enc > lim[0] || dec > lim[1] {
 			t.Errorf("%T: %v allocs per encode, %v per decode; at most %v and %v", msg, enc, dec, lim[0], lim[1])
 		}
+		// Judging a legal arrival costs no allocation: a device session
+		// judges every message it receives.
+		if row, _ := Lookup(code); row.Phases != 0 {
+			if n := testing.AllocsPerRun(100, func() { _, _ = Judge(msg, row.Sender, row.Phases) }); n != 0 {
+				t.Errorf("%T: %v allocs per legal Judge", msg, n)
+			}
+		}
 	}
 }
 

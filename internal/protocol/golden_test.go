@@ -138,7 +138,7 @@ const (
 // the widths the layout column names, so its encoding equals byLayout's.
 func TestDesignWireTable(t *testing.T) {
 	var b strings.Builder
-	b.WriteString("| code | message | frame ceiling | receive buffer | layout, in walk order |\n|---|---|---|---|---|\n")
+	b.WriteString("| code | message | sender | legal in session phase | frame ceiling | receive buffer | layout, in walk order |\n|---|---|---|---|---|---|---|\n")
 	golden := goldenMessages()
 	for _, code := range codes() {
 		row, _ := Lookup(code)
@@ -155,7 +155,8 @@ func TestDesignWireTable(t *testing.T) {
 		if row.Leased {
 			buffer = "leased"
 		}
-		fmt.Fprintf(&b, "| %d | `%s` | %s | %s | %s |\n", code, row.Name, ceiling(row.Ceiling), buffer, strings.Join(fields, " · "))
+		fmt.Fprintf(&b, "| %d | `%s` | %s | %s | %s | %s | %s |\n", code, row.Name, row.Sender, row.Phases,
+			ceiling(row.Ceiling), buffer, strings.Join(fields, " · "))
 	}
 	doc, err := os.ReadFile(designPath)
 	if err != nil {

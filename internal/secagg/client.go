@@ -45,11 +45,14 @@ type UnmaskResponse struct {
 	SKShares []OwnerShare
 }
 
-// Client is one device's protocol state machine. IDs are 1-based and must
-// be unique within the instance.
+// Client is one device's protocol state machine: advertise → share (dealt,
+// received) → mask → unmask → done. IDs are 1-based and must be unique
+// within the instance.
 type Client struct {
 	id  int
 	cfg Config
+
+	phase phase
 
 	cKey *ecdh.PrivateKey // share-encryption keypair
 	sKey *ecdh.PrivateKey // masking keypair
@@ -60,17 +63,14 @@ type Client struct {
 
 	held map[int]*shareBundle // shares I hold, keyed by owner
 
-	// commits holds every owner's broadcast share commitments (installed
-	// by ReceiveCommitments); own is this client's outgoing set.
+	// commits holds every owner's broadcast share commitments, installed
+	// by ReceiveShares.
 	commits map[int]ShareCommitments
-	own     *ShareCommitments
 
 	// maskSet is the server's broadcast of the devices still in the
 	// protocol after the share round (shares delivered, not blamed).
 	// Pairwise masks cover exactly this set, so a device that vanished or
 	// was excluded before masking leaves no residual mask to reconstruct.
-	// Nil means the full roster (instances run without the complaint
-	// round, e.g. the legacy driver path).
 	maskSet map[int]bool
 
 	// poison and forge are adversary injection hooks for the churn driver
@@ -117,9 +117,6 @@ func NewClient(id int, cfg Config) (*Client, error) {
 	}, nil
 }
 
-// ID returns the participant id.
-func (c *Client) ID() int { return c.id }
-
 // Advertise returns the Round-0 key advertisement.
 func (c *Client) Advertise() KeyAdvert {
 	return KeyAdvert{ID: c.id, CPub: c.cKey.PublicKey().Bytes(), SPub: c.sKey.PublicKey().Bytes()}
@@ -128,6 +125,9 @@ func (c *Client) Advertise() KeyAdvert {
 // ReceiveRoster installs the server's broadcast of Round-0 adverts (the set
 // U1). The roster must contain this client and at least T participants.
 func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
+	if err := c.phase.expect(advertising, "ReceiveRoster"); err != nil {
+		return err
+	}
 	if len(roster) < c.cfg.T {
 		return fmt.Errorf("secagg: roster of %d below threshold %d", len(roster), c.cfg.T)
 	}
@@ -146,26 +146,27 @@ func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
 	sort.Ints(ids)
 	c.roster = m
 	c.rosterIDs = ids
+	c.phase = sharing
 	return nil
 }
 
 // ShareKeys produces the Round-1 encrypted share bundles, one per roster
 // member (including one to self, which the server routes back), and the
-// matching commitment broadcast (Commitments).
-func (c *Client) ShareKeys() ([]RoutedShare, error) {
-	if c.roster == nil {
-		return nil, fmt.Errorf("secagg: ShareKeys before roster")
+// matching commitment broadcast. It deals once.
+func (c *Client) ShareKeys() ([]RoutedShare, ShareCommitments, error) {
+	if err := c.phase.expect(sharing, "ShareKeys"); err != nil {
+		return nil, ShareCommitments{}, err
 	}
 	n := len(c.rosterIDs)
 	bShares, err := splitBytes(c.seed, n, c.cfg.T, rand.Reader)
 	if err != nil {
-		return nil, err
+		return nil, ShareCommitments{}, err
 	}
 	skShares, err := splitBytes(c.sKey.Bytes(), n, c.cfg.T, rand.Reader)
 	if err != nil {
-		return nil, err
+		return nil, ShareCommitments{}, err
 	}
-	own := &ShareCommitments{Owner: c.id, B: make([][]byte, n), SK: make([][]byte, n)}
+	own := ShareCommitments{Owner: c.id, B: make([][]byte, n), SK: make([][]byte, n)}
 	out := make([]RoutedShare, n)
 	aeads := make([]cipher.AEAD, n)
 	// One ECDH + AES-GCM seal per roster member: independent work, fanned
@@ -210,68 +211,41 @@ func (c *Client) ShareKeys() ([]RoutedShare, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, ShareCommitments{}, err
 	}
 	for i, holder := range c.rosterIDs {
 		c.cShared[holder] = aeads[i]
 	}
-	c.own = own
-	return out, nil
+	c.phase = dealt
+	return out, own, nil
 }
 
-// Commitments returns the commitment broadcast matching the last
-// ShareKeys call.
-func (c *Client) Commitments() (ShareCommitments, error) {
-	if c.own == nil {
-		return ShareCommitments{}, fmt.Errorf("secagg: Commitments before ShareKeys")
+// ReceiveShares installs the server's relay of every owner's share
+// commitments, then decrypts, verifies, and stores the Round-1 bundles
+// routed to this client; it follows ShareKeys, once. A bundle that fails
+// decryption, is mis-addressed, or does not open its owner's broadcast
+// commitments (a structurally invalid commitment set is dropped, so its
+// owner's bundle opens none) is NOT an error: it yields a Complaint
+// attributing the bad share to its owner, and the protocol continues
+// without that owner. Only a server-side routing bug (a bundle for a
+// different holder) is a hard error.
+func (c *Client) ReceiveShares(commits []ShareCommitments, shares []RoutedShare) ([]Complaint, error) {
+	if err := c.phase.expect(dealt, "ReceiveShares"); err != nil {
+		return nil, err
 	}
-	return *c.own, nil
-}
-
-// ReceiveCommitments installs the server's relay of every owner's share
-// commitments. Structurally invalid sets are dropped (their owners' later
-// bundles will draw complaints for missing commitments).
-func (c *Client) ReceiveCommitments(all []ShareCommitments) error {
-	if c.roster == nil {
-		return fmt.Errorf("secagg: ReceiveCommitments before roster")
-	}
-	if c.commits == nil {
-		c.commits = make(map[int]ShareCommitments, len(all))
-	}
-	for _, sc := range all {
-		if _, ok := c.roster[sc.Owner]; !ok {
-			continue
-		}
-		if err := sc.validate(len(c.rosterIDs)); err != nil {
-			continue
-		}
-		c.commits[sc.Owner] = sc
-	}
-	return nil
-}
-
-// rosterIndex returns this client's 0-based position in the sorted roster
-// (its shares' evaluation point is position+1).
-func (c *Client) rosterIndex() int {
-	for i, id := range c.rosterIDs {
-		if id == c.id {
-			return i
+	for _, rs := range shares {
+		if rs.Holder != c.id {
+			return nil, fmt.Errorf("secagg: share for holder %d routed to %d", rs.Holder, c.id)
 		}
 	}
-	return -1
-}
-
-// ReceiveShares decrypts, verifies, and stores the Round-1 bundles routed
-// to this client. A bundle that fails decryption, is mis-addressed, or
-// does not open its owner's broadcast commitments is NOT an error: it
-// yields a Complaint attributing the bad share to its owner, and the
-// protocol continues without that owner. Only a server-side routing bug
-// (a bundle for a different holder) is a hard error.
-func (c *Client) ReceiveShares(shares []RoutedShare) ([]Complaint, error) {
-	idx := c.rosterIndex()
-	if idx < 0 {
-		return nil, fmt.Errorf("secagg: ReceiveShares before roster")
+	c.phase = received
+	c.commits = make(map[int]ShareCommitments, len(commits))
+	for _, sc := range commits {
+		if _, ok := c.roster[sc.Owner]; ok && sc.validate(len(c.rosterIDs)) == nil {
+			c.commits[sc.Owner] = sc
+		}
 	}
+	idx := sort.SearchInts(c.rosterIDs, c.id) // its shares' evaluation point is idx+1
 	wantX := uint64(idx + 1)
 	var complaints []Complaint
 	complain := func(owner int, reason string) {
@@ -279,9 +253,6 @@ func (c *Client) ReceiveShares(shares []RoutedShare) ([]Complaint, error) {
 	}
 	pt := make([]byte, 0, bundleWireLen) // every bundle opens into this
 	for _, rs := range shares {
-		if rs.Holder != c.id {
-			return nil, fmt.Errorf("secagg: share for holder %d routed to %d", rs.Holder, c.id)
-		}
 		gcm, err := c.pairwiseC(rs.Owner)
 		if err != nil {
 			complain(rs.Owner, "unknown owner: "+err.Error())
@@ -302,17 +273,17 @@ func (c *Client) ReceiveShares(shares []RoutedShare) ([]Complaint, error) {
 				bundle.BShare.X, bundle.SKShare.X, wantX))
 			continue
 		}
-		if com, ok := c.commits[rs.Owner]; ok {
-			if !verifyChunked(rs.Owner, kindB, bundle.BShare, bundle.BBlind, com.B[idx]) ||
-				!verifyChunked(rs.Owner, kindSK, bundle.SKShare, bundle.SKBlind, com.SK[idx]) {
-				complain(rs.Owner, "share does not open broadcast commitment")
-				continue
-			}
-		} else if c.commits != nil {
-			// Commitments were broadcast but this owner's are missing or
-			// malformed: its shares are unverifiable, so it cannot be
-			// allowed to reach reconstruction.
+		com, ok := c.commits[rs.Owner]
+		if !ok {
+			// This owner's commitments are missing or malformed: its shares
+			// are unverifiable, so it cannot be allowed to reach
+			// reconstruction.
 			complain(rs.Owner, "no valid commitments broadcast")
+			continue
+		}
+		if !verifyChunked(rs.Owner, kindB, bundle.BShare, bundle.BBlind, com.B[idx]) ||
+			!verifyChunked(rs.Owner, kindSK, bundle.SKShare, bundle.SKBlind, com.SK[idx]) {
+			complain(rs.Owner, "share does not open broadcast commitment")
 			continue
 		}
 		c.held[bundle.Owner] = bundle
@@ -322,10 +293,10 @@ func (c *Client) ReceiveShares(shares []RoutedShare) ([]Complaint, error) {
 
 // ReceiveMaskSet installs the server's broadcast of the devices still in
 // the protocol after the share round (the set U1.5: shares delivered and
-// unblamed). Pairwise masks are computed over exactly this set.
+// unblamed), ending it. Pairwise masks are computed over exactly this set.
 func (c *Client) ReceiveMaskSet(ids []int) error {
-	if c.roster == nil {
-		return fmt.Errorf("secagg: ReceiveMaskSet before roster")
+	if err := c.phase.expect(received, "ReceiveMaskSet"); err != nil {
+		return err
 	}
 	if len(ids) < c.cfg.T {
 		return fmt.Errorf("secagg: mask set of %d below threshold %d", len(ids), c.cfg.T)
@@ -341,16 +312,8 @@ func (c *Client) ReceiveMaskSet(ids []int) error {
 		return fmt.Errorf("secagg: excluded from mask set (%d)", c.id)
 	}
 	c.maskSet = set
+	c.phase = masking
 	return nil
-}
-
-// inMaskSet reports whether id participates in masking (full roster when
-// no mask set was broadcast).
-func (c *Client) inMaskSet(id int) bool {
-	if c.maskSet == nil {
-		return true
-	}
-	return c.maskSet[id]
 }
 
 // MaskedInput computes the Round-2 masked vector for input x:
@@ -364,23 +327,22 @@ func (c *Client) MaskedInput(x []float64) ([]uint64, error) {
 // hands every client of an instance the same y, which Server.AddMasked has
 // consumed by the time the next client masks.
 func (c *Client) maskInto(y []uint64, x []float64) ([]uint64, error) {
-	if c.roster == nil {
-		return nil, fmt.Errorf("secagg: MaskedInput before roster")
+	if err := c.phase.expect(masking, "MaskedInput"); err != nil {
+		return nil, err
 	}
 	if len(x) != c.cfg.VectorLen {
 		return nil, fmt.Errorf("secagg: input length %d, want %d", len(x), c.cfg.VectorLen)
 	}
 	y = encodeInto(y, x)
-	// Pairwise masks over the mask set (the full roster U1 when none was
-	// broadcast): a device excluded before this round leaves no residual
-	// mask for the server to reconstruct. The ECDH + PRG expansions
-	// dominate device-side cost; fan them across the worker pool — the
-	// personal mask is one more task after the peers' — each worker folding
-	// masks into the accumulator it is handed. ECDH on the (immutable) s-key
-	// and roster reads are safe concurrently.
-	peers := make([]int, 0, len(c.rosterIDs)-1)
+	// Pairwise masks over the mask set: a device excluded before this round
+	// leaves no residual mask for the server to reconstruct. The ECDH + PRG
+	// expansions dominate device-side cost; fan them across the worker pool
+	// — the personal mask is one more task after the peers' — each worker
+	// folding masks into the accumulator it is handed. ECDH on the
+	// (immutable) s-key and roster reads are safe concurrently.
+	peers := make([]int, 0, len(c.maskSet)-1)
 	for _, v := range c.rosterIDs {
-		if v != c.id && c.inMaskSet(v) {
+		if v != c.id && c.maskSet[v] {
 			peers = append(peers, v)
 		}
 	}
@@ -400,6 +362,7 @@ func (c *Client) maskInto(y []uint64, x []float64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.phase = unmasking
 	return y, nil
 }
 
@@ -408,8 +371,8 @@ func (c *Client) maskInto(y []uint64, x []float64) ([]uint64, error) {
 // would let a malicious server unmask an individual) and never reveals both
 // share kinds for one owner.
 func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
-	if c.roster == nil {
-		return nil, fmt.Errorf("secagg: Unmask before roster")
+	if err := c.phase.expect(unmasking, "Unmask"); err != nil {
+		return nil, err
 	}
 	if len(survivors) < c.cfg.T {
 		return nil, fmt.Errorf("secagg: refusing to unmask with %d < T=%d survivors", len(survivors), c.cfg.T)
@@ -419,14 +382,14 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 		if _, ok := c.roster[id]; !ok {
 			return nil, fmt.Errorf("secagg: survivor %d not in roster", id)
 		}
-		if !c.inMaskSet(id) {
+		if !c.maskSet[id] {
 			return nil, fmt.Errorf("secagg: claimed survivor %d is not in the mask set", id)
 		}
 		surv[id] = true
 	}
 	resp := &UnmaskResponse{From: c.id}
 	for _, owner := range c.rosterIDs {
-		if !c.inMaskSet(owner) {
+		if !c.maskSet[owner] {
 			// Excluded before masking: it contributed no masks, so neither
 			// of its secrets is needed — and revealing its masking key
 			// gratuitously would erode the privacy margin.
@@ -451,6 +414,7 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 			resp.SKShares = append(resp.SKShares, os)
 		}
 	}
+	c.phase = done
 	return resp, nil
 }
 

@@ -68,9 +68,10 @@ const (
 )
 
 // RunSchedule executes a complete Secure Aggregation instance in-process
-// under an injected churn schedule. It exists for the Aggregator actor,
-// the simulator, and the benchmarks: the caller hands it per-group inputs
-// plus a Schedule, and receives the group sum with attribution.
+// under an injected churn schedule, stepping one Server and one Client per
+// device through their phases. It exists for the Aggregator actor, the
+// simulator, and the benchmarks: the caller hands it per-group inputs plus
+// a Schedule, and receives the group sum with attribution.
 //
 // On abort (below-threshold churn at any phase) the returned error is
 // attributed and the Result still carries Blamed and Responded so callers
@@ -138,34 +139,24 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 			continue
 		}
 		c.poison = poison[id]
-		rs, err := c.ShareKeys()
+		rs, sc, err := c.ShareKeys()
 		if err != nil {
 			return nil, err
 		}
 		allShares = append(allShares, rs...)
-		sc, err := c.Commitments()
-		if err != nil {
-			return nil, err
-		}
 		if err := srv.RegisterCommitments(sc); err != nil {
 			return nil, err
 		}
 	}
-	allCommits := srv.Commitments()
-	for id, c := range clients {
-		if dropShareKeys[id] {
-			continue
-		}
-		if err := c.ReceiveCommitments(allCommits); err != nil {
-			return nil, err
-		}
+	byHolder, allCommits, err := srv.RouteShares(allShares)
+	if err != nil {
+		return nil, err
 	}
-	byHolder := srv.RouteShares(allShares)
 	for holder, c := range clients {
 		if dropShareKeys[holder] {
 			continue
 		}
-		complaints, err := c.ReceiveShares(byHolder[holder])
+		complaints, err := c.ReceiveShares(allCommits, byHolder[holder])
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +173,6 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 	if err != nil {
 		return fail(fmt.Errorf("secagg: abort before masked-input round: %w", err))
 	}
-	maskSet := toSet(maskIDs)
 	for _, id := range maskIDs {
 		if err := clients[id].ReceiveMaskSet(maskIDs); err != nil {
 			return nil, err
@@ -222,7 +212,7 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 	// send forged shares, get blamed, and are skipped — the sum still
 	// reconstructs from the remaining honest responders.
 	for _, id := range maskIDs {
-		if dropShare[id] || dropMask[id] || !maskSet[id] {
+		if dropShare[id] || dropMask[id] {
 			continue
 		}
 		c := clients[id]
@@ -231,11 +221,8 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 		if err != nil {
 			return nil, err
 		}
-		if err := srv.AddUnmaskResponse(resp); err != nil {
-			// Attributed rejection (recorded in srv.Blamed): drop this
-			// responder's contribution and continue with the rest.
-			continue
-		}
+		// A rejection is attributed in srv.Blamed; the rest carry on.
+		_ = srv.AddUnmaskResponse(resp)
 	}
 
 	sum, err := srv.Sum()

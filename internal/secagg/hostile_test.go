@@ -12,7 +12,40 @@ import (
 // the test so it can tamper with responses.
 func hostileHarness(t *testing.T, cfg Config, n int, dropAfterShare []int) (*Server, map[int]*Client, []int) {
 	t.Helper()
+	srv, clients := maskedHarness(t, cfg, n, dropAfterShare)
+	survivors, err := srv.Survivors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, clients, survivors
+}
+
+// maskedHarness is hostileHarness stopped before the survivor set is
+// frozen: every client outside dropAfterShare has masked the input
+// id·(1, 1, …) into the server's sum.
+func maskedHarness(t *testing.T, cfg Config, n int, dropAfterShare []int) (*Server, map[int]*Client) {
+	t.Helper()
+	srv, clients, maskIDs := sharedHarness(t, cfg, n)
 	dropped := toSet(dropAfterShare)
+	for _, id := range maskIDs {
+		if dropped[id] {
+			continue
+		}
+		y, err := clients[id].MaskedInput(idInput(cfg, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.AddMasked(id, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, clients
+}
+
+// sharedHarness runs an honest instance of n devices through the share
+// round and returns it with the mask set every client has installed.
+func sharedHarness(t *testing.T, cfg Config, n int) (*Server, map[int]*Client, []int) {
+	t.Helper()
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,27 +72,21 @@ func hostileHarness(t *testing.T, cfg Config, n int, dropAfterShare []int) (*Ser
 		}
 	}
 	for _, c := range clients {
-		rs, err := c.ShareKeys()
+		rs, sc, err := c.ShareKeys()
 		if err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, rs...)
-		sc, err := c.Commitments()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := srv.RegisterCommitments(sc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	commits := srv.Commitments()
-	for _, c := range clients {
-		if err := c.ReceiveCommitments(commits); err != nil {
-			t.Fatal(err)
-		}
+	byHolder, commits, err := srv.RouteShares(all)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for holder, rs := range srv.RouteShares(all) {
-		complaints, err := clients[holder].ReceiveShares(rs)
+	for holder, rs := range byHolder {
+		complaints, err := clients[holder].ReceiveShares(commits, rs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,27 +103,35 @@ func hostileHarness(t *testing.T, cfg Config, n int, dropAfterShare []int) (*Ser
 			t.Fatal(err)
 		}
 	}
-	for _, id := range maskIDs {
-		if dropped[id] {
-			continue
-		}
-		in := make([]float64, cfg.VectorLen)
-		for i := range in {
-			in[i] = float64(id)
-		}
-		y, err := clients[id].MaskedInput(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.AddMasked(id, y); err != nil {
-			t.Fatal(err)
-		}
+	return srv, clients, maskIDs
+}
+
+// idInput is device id's input in the harnesses: id in every element.
+func idInput(cfg Config, id int) []float64 {
+	in := make([]float64, cfg.VectorLen)
+	for i := range in {
+		in[i] = float64(id)
 	}
-	survivors, err := srv.Survivors()
+	return in
+}
+
+// expectIDSum takes the server's sum and checks it is exactly the sum of
+// idInput over ids.
+func expectIDSum(t *testing.T, srv *Server, ids []int) {
+	t.Helper()
+	sum, err := srv.Sum()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, clients, survivors
+	want := 0
+	for _, id := range ids {
+		want += id
+	}
+	for i, v := range Decode(sum) {
+		if v != float64(want) {
+			t.Fatalf("sum[%d] = %v, want exactly %d (the sum of %v)", i, v, want, ids)
+		}
+	}
 }
 
 // TestServerRejectsHostileUnmaskResponses throws every forgery the Round-3
@@ -108,12 +143,20 @@ func TestServerRejectsHostileUnmaskResponses(t *testing.T) {
 	cfg := Config{N: 6, T: 3, VectorLen: 2}
 	srv, clients, survivors := hostileHarness(t, cfg, 6, []int{2})
 
-	honest := func(id int) *UnmaskResponse {
+	// A client unmasks once; each case tampers with a copy of its response.
+	responses := map[int]*UnmaskResponse{}
+	for _, id := range []int{1, 3, 4} {
 		r, err := clients[id].Unmask(survivors)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		responses[id] = r
+	}
+	honest := func(id int) *UnmaskResponse {
+		r := *responses[id]
+		r.BShares = append([]OwnerShare(nil), r.BShares...)
+		r.SKShares = append([]OwnerShare(nil), r.SKShares...)
+		return &r
 	}
 
 	cases := []struct {
@@ -156,7 +199,7 @@ func TestServerRejectsHostileUnmaskResponses(t *testing.T) {
 		{"masking-key share for a survivor", func() *UnmaskResponse {
 			r := honest(1)
 			os := r.SKShares[0] // dropped device 2's key share
-			os.Owner = 4       // relabeled as survivor 4
+			os.Owner = 4        // relabeled as survivor 4
 			r.SKShares[0] = os
 			r.BShares = nil // avoid tripping the duplicate-owner check first
 			return r
@@ -264,10 +307,7 @@ func TestServerRejectsHostileCommitmentsAndComplaints(t *testing.T) {
 	// Devices 2 and 3 register honestly; blamed device 1 is excluded and
 	// the mask set still freezes at T.
 	for _, c := range clients[1:] {
-		if _, err := c.ShareKeys(); err != nil {
-			t.Fatal(err)
-		}
-		sc, err := c.Commitments()
+		_, sc, err := c.ShareKeys()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,6 +49,34 @@ type Config struct {
 	VectorLen int
 }
 
+// phase is where one instance stands, on either side of it. Each protocol
+// step checks it first and moves it forward only on success, so a step
+// called early, late or twice is refused before it touches any state.
+type phase uint8
+
+const (
+	advertising phase = iota // keys advertised; the roster U1 not yet fixed
+	sharing                  // shares dealt and relayed; the mask set not yet fixed
+	// A client steps through the share round in three: sharing, then
+	// dealt once its shares are out, then received once the server's
+	// relay is in. The server stays in sharing throughout.
+	dealt
+	received
+	masking   // masked inputs sent; the survivor set U2 not yet fixed
+	unmasking // unmask responses gathered; the sum not yet taken
+	done
+)
+
+var phaseNames = [...]string{"advertise", "share", "share (dealt)", "share (received)", "mask", "unmask", "done"}
+
+// expect refuses step unless the instance is in phase want.
+func (p phase) expect(want phase, step string) error {
+	if p != want {
+		return fmt.Errorf("secagg: %s in phase %s, legal only in phase %s", step, phaseNames[p], phaseNames[want])
+	}
+	return nil
+}
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.N < 2 {

@@ -420,20 +420,12 @@ func TestTooManyDropoutsFails(t *testing.T) {
 
 func TestClientRefusesSubThresholdUnmask(t *testing.T) {
 	cfg := Config{N: 3, T: 3, VectorLen: 1}
-	c, err := NewClient(1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := []KeyAdvert{c.Advertise()}
-	for id := 2; id <= 3; id++ {
-		p, _ := NewClient(id, cfg)
-		peers = append(peers, p.Advertise())
-	}
-	if err := c.ReceiveRoster(peers); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Unmask([]int{1, 2}); err == nil {
+	_, clients, survivors := hostileHarness(t, cfg, 3, nil)
+	if _, err := clients[1].Unmask([]int{1, 2}); err == nil {
 		t.Fatal("client must refuse to unmask below threshold")
+	}
+	if _, err := clients[1].Unmask(survivors); err != nil {
+		t.Fatalf("the refusal must leave the client able to unmask: %v", err)
 	}
 }
 
@@ -457,16 +449,22 @@ func TestServerRejectsDuplicatesAndUnknowns(t *testing.T) {
 	if err := srv.RegisterAdvert(KeyAdvert{ID: 3}); err == nil {
 		t.Fatal("advert after roster freeze must be rejected")
 	}
-	if err := srv.AddMasked(99, make([]uint64, 2)); err == nil {
+
+	srv, clients, _ := sharedHarness(t, cfg, 3)
+	y, err := clients[1].MaskedInput([]float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddMasked(99, y); err == nil {
 		t.Fatal("masked input from unknown device must be rejected")
 	}
 	if err := srv.AddMasked(1, make([]uint64, 5)); err == nil {
 		t.Fatal("wrong-length masked input must be rejected")
 	}
-	if err := srv.AddMasked(1, make([]uint64, 2)); err != nil {
+	if err := srv.AddMasked(1, y); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddMasked(1, make([]uint64, 2)); err == nil {
+	if err := srv.AddMasked(1, y); err == nil {
 		t.Fatal("duplicate masked input must be rejected")
 	}
 }
@@ -476,19 +474,8 @@ func TestMaskedInputIsActuallyMasked(t *testing.T) {
 	// is a smoke check that masking is applied (true uniformity is a
 	// property of the PRG).
 	cfg := Config{N: 3, T: 2, VectorLen: 4}
-	inputs := map[int][]float64{1: vec(0, 0, 0, 0), 2: vec(0, 0, 0, 0), 3: vec(0, 0, 0, 0)}
-	srv, _ := NewServer(cfg)
-	clients := make(map[int]*Client)
-	for id := range inputs {
-		c, _ := NewClient(id, cfg)
-		clients[id] = c
-		_ = srv.RegisterAdvert(c.Advertise())
-	}
-	roster, _ := srv.Roster()
-	for _, c := range clients {
-		_ = c.ReceiveRoster(roster)
-	}
-	y, err := clients[1].MaskedInput(inputs[1])
+	_, clients, _ := sharedHarness(t, cfg, 3)
+	y, err := clients[1].MaskedInput(vec(0, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +570,7 @@ func TestClientStateMachineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ShareKeys(); err == nil {
+	if _, _, err := c.ShareKeys(); err == nil {
 		t.Fatal("ShareKeys before roster must fail")
 	}
 	if _, err := c.MaskedInput([]float64{1, 2}); err == nil {
@@ -607,18 +594,27 @@ func TestClientStateMachineErrors(t *testing.T) {
 		t.Fatal("duplicate roster ids must fail")
 	}
 
-	// Valid roster; then bad inputs.
+	// Valid roster; then a misrouted share bundle.
 	if err := c.ReceiveRoster([]KeyAdvert{c.Advertise(), c2.Advertise(), c3.Advertise()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.MaskedInput([]float64{1}); err == nil {
+	if _, _, err := c.ShareKeys(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReceiveShares(nil, []RoutedShare{{Owner: 2, Holder: 99}}); err == nil {
+		t.Fatal("misrouted share must fail")
+	}
+
+	// Bad inputs in the mask and unmask phases.
+	_, clients, _ := sharedHarness(t, cfg, 3)
+	if _, err := clients[1].MaskedInput([]float64{1}); err == nil {
 		t.Fatal("wrong-length input must fail")
 	}
-	if _, err := c.Unmask([]int{1, 99}); err == nil {
-		t.Fatal("survivor outside roster must fail")
+	if _, err := clients[1].MaskedInput([]float64{1, 2}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.ReceiveShares([]RoutedShare{{Owner: 2, Holder: 99}}); err == nil {
-		t.Fatal("misrouted share must fail")
+	if _, err := clients[1].Unmask([]int{1, 99}); err == nil {
+		t.Fatal("survivor outside roster must fail")
 	}
 }
 
@@ -627,40 +623,9 @@ func TestUnmaskResponderNeverRevealsBothShares(t *testing.T) {
 	// personal-seed share (survivor) XOR the masking-key share (dropped) —
 	// never both, which would unmask an individual's update.
 	cfg := Config{N: 4, T: 2, VectorLen: 1}
-	clients := make(map[int]*Client)
-	var roster []KeyAdvert
-	for id := 1; id <= 4; id++ {
-		c, err := NewClient(id, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[id] = c
-		roster = append(roster, c.Advertise())
-	}
-	var all []RoutedShare
-	for _, c := range clients {
-		if err := c.ReceiveRoster(roster); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range clients {
-		rs, err := c.ShareKeys()
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, rs...)
-	}
-	byHolder := make(map[int][]RoutedShare)
-	for _, rs := range all {
-		byHolder[rs.Holder] = append(byHolder[rs.Holder], rs)
-	}
-	for id, c := range clients {
-		if _, err := c.ReceiveShares(byHolder[id]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Survivors {1,2,3}; device 4 dropped.
-	resp, err := clients[1].Unmask([]int{1, 2, 3})
+	// Survivors {1,2,3}; device 4 dropped after sharing.
+	_, clients, survivors := hostileHarness(t, cfg, 4, []int{4})
+	resp, err := clients[1].Unmask(survivors)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,26 +32,32 @@ var (
 // never be steered into producing a wrong sum by a forged share — only
 // into a (clean, attributed) abort when fewer than T honest participants
 // remain.
+//
+// Its phases are the client's, the share round taken as one: advertise →
+// share → mask → unmask → done. Roster, MaskSet and Survivors each freeze one set and move to the next
+// phase; Sum ends the instance.
 type Server struct {
-	cfg Config
+	cfg   Config
+	phase phase
 
 	roster    map[int]KeyAdvert
-	rosterIDs []int // sorted; frozen once Roster() is served
+	rosterIDs []int // sorted; frozen by Roster
 
 	// commits is each owner's broadcast share commitments; registration
 	// doubles as the "shares delivered" signal for the mask set.
 	commits map[int]ShareCommitments
 	// blamed maps a device id to the reason it was excluded.
 	blamed map[int]string
-	// maskSet, once frozen by MaskSet, is the set of devices whose
-	// pairwise masks are in play: shares delivered and unblamed. Nil until
-	// frozen; instances driven without commitments (legacy path) never
-	// freeze it and fall back to the full roster.
+	// maskSet, frozen by MaskSet, is the set of devices whose pairwise
+	// masks are in play: shares delivered and unblamed.
 	maskSet map[int]bool
 	maskIDs []int
 
 	sum      []uint64 // running sum of masked inputs (online aggregation)
 	maskedBy map[int]bool
+	// survivors is U2, frozen by Survivors: no masked input joins the sum
+	// after it is announced, and no unmask response is taken before.
+	survivors []int
 
 	unmaskFrom map[int]bool
 	bShares    map[int][]chunkedShare // owner -> revealed personal-seed shares
@@ -77,10 +83,10 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // RegisterAdvert records a Round-0 key advertisement. Registration closes
-// when Roster is first called.
+// when Roster is called.
 func (s *Server) RegisterAdvert(a KeyAdvert) error {
-	if s.rosterIDs != nil {
-		return fmt.Errorf("secagg: roster already frozen")
+	if err := s.phase.expect(advertising, "RegisterAdvert"); err != nil {
+		return err
 	}
 	if a.ID < 1 {
 		return fmt.Errorf("secagg: invalid id %d", a.ID)
@@ -98,43 +104,31 @@ func (s *Server) RegisterAdvert(a KeyAdvert) error {
 // Roster freezes and returns the participant set U1 for broadcast. It fails
 // if fewer than T devices advertised.
 func (s *Server) Roster() ([]KeyAdvert, error) {
+	if err := s.phase.expect(advertising, "Roster"); err != nil {
+		return nil, err
+	}
 	if len(s.roster) < s.cfg.T {
 		return nil, fmt.Errorf("secagg: only %d adverts, need ≥ %d", len(s.roster), s.cfg.T)
 	}
-	if s.rosterIDs == nil {
-		ids := make([]int, 0, len(s.roster))
-		for id := range s.roster {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		s.rosterIDs = ids
+	s.rosterIDs = make([]int, 0, len(s.roster))
+	for id := range s.roster {
+		s.rosterIDs = append(s.rosterIDs, id)
 	}
+	sort.Ints(s.rosterIDs)
 	out := make([]KeyAdvert, 0, len(s.rosterIDs))
 	for _, id := range s.rosterIDs {
 		out = append(out, s.roster[id])
 	}
+	s.phase = sharing
 	return out, nil
-}
-
-// rosterIndex returns id's 0-based position in the sorted roster, or -1.
-func (s *Server) rosterIndex(id int) int {
-	for i, v := range s.rosterIDs {
-		if v == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // RegisterCommitments records an owner's Round-1 commitment broadcast.
 // Registration is the server's "shares delivered" signal: an owner with
 // no registered commitments never enters the mask set.
 func (s *Server) RegisterCommitments(sc ShareCommitments) error {
-	if s.rosterIDs == nil {
-		return fmt.Errorf("secagg: commitments before roster freeze")
-	}
-	if s.maskIDs != nil {
-		return fmt.Errorf("secagg: commitments after mask set freeze")
+	if err := s.phase.expect(sharing, "RegisterCommitments"); err != nil {
+		return err
 	}
 	if _, ok := s.roster[sc.Owner]; !ok {
 		return fmt.Errorf("secagg: commitments from unknown device %d", sc.Owner)
@@ -151,32 +145,28 @@ func (s *Server) RegisterCommitments(sc ShareCommitments) error {
 	return nil
 }
 
-// Commitments returns every registered commitment set for relay to the
-// participants.
-func (s *Server) Commitments() []ShareCommitments {
-	out := make([]ShareCommitments, 0, len(s.commits))
-	for _, id := range s.rosterIDs {
-		if sc, ok := s.commits[id]; ok {
-			out = append(out, sc)
-		}
+// RouteShares is the share round's relay: it groups the Round-1 bundles by
+// holder for delivery, dropping bundles between strangers, and returns
+// every registered commitment set for broadcast beside them.
+func (s *Server) RouteShares(all []RoutedShare) (map[int][]RoutedShare, []ShareCommitments, error) {
+	if err := s.phase.expect(sharing, "RouteShares"); err != nil {
+		return nil, nil, err
 	}
-	return out
-}
-
-// RouteShares groups the Round-1 bundles by holder for delivery. Bundles
-// from unknown owners are dropped.
-func (s *Server) RouteShares(all []RoutedShare) map[int][]RoutedShare {
 	byHolder := make(map[int][]RoutedShare)
 	for _, rs := range all {
-		if _, ok := s.roster[rs.Owner]; !ok {
-			continue
+		_, owner := s.roster[rs.Owner]
+		_, holder := s.roster[rs.Holder]
+		if owner && holder {
+			byHolder[rs.Holder] = append(byHolder[rs.Holder], rs)
 		}
-		if _, ok := s.roster[rs.Holder]; !ok {
-			continue
-		}
-		byHolder[rs.Holder] = append(byHolder[rs.Holder], rs)
 	}
-	return byHolder
+	commits := make([]ShareCommitments, 0, len(s.commits))
+	for _, id := range s.rosterIDs {
+		if sc, ok := s.commits[id]; ok {
+			commits = append(commits, sc)
+		}
+	}
+	return byHolder, commits, nil
 }
 
 // RegisterComplaint records a holder's report that an owner's share
@@ -184,8 +174,8 @@ func (s *Server) RouteShares(all []RoutedShare) map[int][]RoutedShare {
 // mask set freezes; complaints after the freeze are rejected — a device
 // whose masked input may already be in the online sum cannot be evicted.
 func (s *Server) RegisterComplaint(c Complaint) error {
-	if s.maskIDs != nil {
-		return fmt.Errorf("secagg: complaint from %d against %d after mask set freeze", c.By, c.Against)
+	if err := s.phase.expect(sharing, "RegisterComplaint"); err != nil {
+		return err
 	}
 	if _, ok := s.roster[c.By]; !ok {
 		return fmt.Errorf("secagg: complaint from unknown device %d", c.By)
@@ -194,7 +184,7 @@ func (s *Server) RegisterComplaint(c Complaint) error {
 		return fmt.Errorf("secagg: complaint against unknown device %d", c.Against)
 	}
 	obsComplaints.Inc()
-	if _, done := s.blamed[c.Against]; !done {
+	if _, already := s.blamed[c.Against]; !already {
 		s.blamed[c.Against] = fmt.Sprintf("complaint from %d: %s", c.By, c.Reason)
 		obsBlamed.Inc()
 	}
@@ -206,49 +196,28 @@ func (s *Server) RegisterComplaint(c Complaint) error {
 // the set contribute no masks — their loss costs nothing at unmask time —
 // and their masked inputs are refused. Fails if fewer than T remain.
 func (s *Server) MaskSet() ([]int, error) {
-	if s.rosterIDs == nil {
-		return nil, fmt.Errorf("secagg: mask set before roster freeze")
+	if err := s.phase.expect(sharing, "MaskSet"); err != nil {
+		return nil, err
 	}
-	if s.maskIDs == nil {
-		ids := make([]int, 0, len(s.commits))
-		set := make(map[int]bool, len(s.commits))
-		for _, id := range s.rosterIDs {
-			if _, ok := s.commits[id]; !ok {
-				continue
-			}
-			if _, bad := s.blamed[id]; bad {
-				continue
-			}
-			ids = append(ids, id)
-			set[id] = true
+	ids := make([]int, 0, len(s.commits))
+	set := make(map[int]bool, len(s.commits))
+	for _, id := range s.rosterIDs {
+		if _, ok := s.commits[id]; !ok {
+			continue
 		}
-		if len(ids) < s.cfg.T {
-			return nil, fmt.Errorf("secagg: only %d unblamed share-complete devices, need ≥ %d", len(ids), s.cfg.T)
+		if _, bad := s.blamed[id]; bad {
+			continue
 		}
-		obsDropouts.Add(int64(len(s.rosterIDs) - len(ids)))
-		s.maskIDs, s.maskSet = ids, set
+		ids = append(ids, id)
+		set[id] = true
 	}
-	return append([]int(nil), s.maskIDs...), nil
-}
-
-// inMaskSet reports whether id participates in masking; before the freeze
-// (legacy instances that never ran the commitment round) the whole roster
-// does.
-func (s *Server) inMaskSet(id int) bool {
-	if s.maskSet == nil {
-		_, ok := s.roster[id]
-		return ok
+	if len(ids) < s.cfg.T {
+		return nil, fmt.Errorf("secagg: only %d unblamed share-complete devices, need ≥ %d", len(ids), s.cfg.T)
 	}
-	return s.maskSet[id]
-}
-
-// maskMembers returns the mask-set ids (the full roster when no freeze
-// happened).
-func (s *Server) maskMembers() []int {
-	if s.maskIDs != nil {
-		return s.maskIDs
-	}
-	return s.rosterIDs
+	obsDropouts.Add(int64(len(s.rosterIDs) - len(ids)))
+	s.maskIDs, s.maskSet = ids, set
+	s.phase = masking
+	return append([]int(nil), ids...), nil
 }
 
 // Blamed returns the devices excluded or rejected so far, with reasons.
@@ -263,13 +232,13 @@ func (s *Server) Blamed() map[int]string {
 // AddMasked accumulates a Round-2 masked input into the running sum. The
 // server never stores the individual vector beyond this addition.
 func (s *Server) AddMasked(id int, y []uint64) error {
-	if s.rosterIDs == nil {
-		return fmt.Errorf("secagg: masked input before roster freeze")
+	if err := s.phase.expect(masking, "AddMasked"); err != nil {
+		return err
 	}
 	if _, ok := s.roster[id]; !ok {
 		return fmt.Errorf("secagg: masked input from unknown device %d", id)
 	}
-	if !s.inMaskSet(id) {
+	if !s.maskSet[id] {
 		return fmt.Errorf("secagg: masked input from %d, which is not in the mask set (%s)", id, s.blamed[id])
 	}
 	if s.maskedBy[id] {
@@ -283,18 +252,23 @@ func (s *Server) AddMasked(id int, y []uint64) error {
 	return nil
 }
 
-// Survivors returns the set U2 of devices whose masked input arrived,
-// sorted. The round can proceed only if |U2| ≥ T.
+// Survivors freezes and returns the set U2 of devices whose masked input
+// arrived, sorted, for broadcast: from here no masked input joins the sum,
+// and unmask responses are taken. The round can proceed only if |U2| ≥ T.
 func (s *Server) Survivors() ([]int, error) {
+	if err := s.phase.expect(masking, "Survivors"); err != nil {
+		return nil, err
+	}
 	if len(s.maskedBy) < s.cfg.T {
 		return nil, fmt.Errorf("secagg: only %d masked inputs, need ≥ %d", len(s.maskedBy), s.cfg.T)
 	}
-	out := make([]int, 0, len(s.maskedBy))
+	s.survivors = make([]int, 0, len(s.maskedBy))
 	for id := range s.maskedBy {
-		out = append(out, id)
+		s.survivors = append(s.survivors, id)
 	}
-	sort.Ints(out)
-	return out, nil
+	sort.Ints(s.survivors)
+	s.phase = unmasking
+	return append([]int(nil), s.survivors...), nil
 }
 
 // AddUnmaskResponse validates and records a Round-3 response. The whole
@@ -307,16 +281,19 @@ func (s *Server) Survivors() ([]int, error) {
 // other responders' shares, so a forger can force at most an attributed
 // abort — never a wrong sum.
 func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
+	if err := s.phase.expect(unmasking, "AddUnmaskResponse"); err != nil {
+		return err
+	}
 	if _, ok := s.roster[r.From]; !ok {
 		return fmt.Errorf("secagg: unmask response from unknown device %d", r.From)
 	}
 	if s.unmaskFrom[r.From] {
 		return fmt.Errorf("secagg: duplicate unmask response from %d", r.From)
 	}
-	if !s.inMaskSet(r.From) {
+	if !s.maskSet[r.From] {
 		return fmt.Errorf("secagg: unmask response from %d, which is not in the mask set", r.From)
 	}
-	idx := s.rosterIndex(r.From)
+	idx := sort.SearchInts(s.rosterIDs, r.From)
 	wantX := uint64(idx + 1)
 	blame := func(format string, args ...any) error {
 		err := fmt.Errorf("secagg: unmask response from %d: "+format, append([]any{r.From}, args...)...)
@@ -329,7 +306,7 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 		if _, ok := s.roster[os.Owner]; !ok {
 			return blame("share for non-roster device %d", os.Owner)
 		}
-		if !s.inMaskSet(os.Owner) {
+		if !s.maskSet[os.Owner] {
 			return blame("share for %d, which is outside the mask set", os.Owner)
 		}
 		if seen[os.Owner] {
@@ -345,18 +322,13 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 		if kind == kindSK && s.maskedBy[os.Owner] {
 			return blame("masking-key share for surviving device %d — refusing to unmask an individual", os.Owner)
 		}
-		if com, ok := s.commits[os.Owner]; ok {
-			var want []byte
-			if kind == kindB {
-				want = com.B[idx]
-			} else {
-				want = com.SK[idx]
-			}
-			if !verifyChunked(os.Owner, kind, os.Share, os.Blinder, want) {
-				return blame("forged share for owner %d (commitment mismatch)", os.Owner)
-			}
-		} else if len(s.commits) > 0 {
-			return blame("share for %d, whose commitments were never registered", os.Owner)
+		// Every mask-set member registered its commitments.
+		want := s.commits[os.Owner].B[idx]
+		if kind == kindSK {
+			want = s.commits[os.Owner].SK[idx]
+		}
+		if !verifyChunked(os.Owner, kind, os.Share, os.Blinder, want) {
+			return blame("forged share for owner %d (commitment mismatch)", os.Owner)
 		}
 		return nil
 	}
@@ -391,10 +363,10 @@ func (s *Server) Responses() int { return len(s.unmaskFrom) }
 // reconstruction can only fail for lack of shares — an attributed abort,
 // never a silently wrong sum.
 func (s *Server) Sum() ([]uint64, error) {
-	survivors, err := s.Survivors()
-	if err != nil {
+	if err := s.phase.expect(unmasking, "Sum"); err != nil {
 		return nil, err
 	}
+	survivors, members := s.survivors, s.maskIDs
 	if len(s.unmaskFrom) < s.cfg.T {
 		return nil, fmt.Errorf("secagg: only %d unmask responses, need ≥ %d", len(s.unmaskFrom), s.cfg.T)
 	}
@@ -414,7 +386,6 @@ func (s *Server) Sum() ([]uint64, error) {
 		pub   []byte
 		sub   bool
 	}
-	members := s.maskMembers()
 	dropped := len(members) - len(survivors)
 	tasks := make([]maskTask, 0, len(survivors)*(1+dropped))
 
@@ -461,7 +432,7 @@ func (s *Server) Sum() ([]uint64, error) {
 		}
 	}
 
-	err = parallelMasks(out, len(tasks), func(i int, acc []uint64, buf *prgChunk) error {
+	err := parallelMasks(out, len(tasks), func(i int, acc []uint64, buf *prgChunk) error {
 		t := tasks[i]
 		seed := t.seed
 		if seed == nil {
@@ -481,5 +452,6 @@ func (s *Server) Sum() ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.phase = done
 	return out, nil
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/protocol"
@@ -54,7 +53,7 @@ func (c tapConn) Send(msg interface{}) error {
 	return c.Conn.Send(msg)
 }
 
-// TestDevicesNeverSeeTheServerPlan runs real DeviceClients through one round
+// TestDevicesNeverSeeTheServerPlan runs real device.Clients through one round
 // in process and over 1+1, on mem and TCP device links, for plans that carry
 // sentinel values in the server's part: the robust policy's TrimFraction and
 // MaxCosineDistance and the secagg threshold. No CheckinResponse a device
@@ -134,7 +133,7 @@ func TestDevicesNeverSeeTheServerPlan(t *testing.T) {
 						if err := rt.RegisterStore(st); err != nil {
 							t.Fatal(err)
 						}
-						client := &flserver.DeviceClient{ID: id, Population: enginePop, Runtime: rt}
+						client := &device.Client{ID: id, Population: enginePop, Runtime: rt}
 						wg.Add(1)
 						go func() {
 							defer wg.Done()

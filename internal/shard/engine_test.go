@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/device"
 	"repro/internal/fedavg"
 	"repro/internal/flserver"
 	"repro/internal/metrics"
@@ -199,17 +200,12 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 	return rig
 }
 
-// stubSession is one device's progress through the protocol, driven step
-// by step so a test can hold devices between configuration and report.
-type stubSession struct {
-	id   string
-	conn transport.Conn
-	resp protocol.CheckinResponse
-}
-
-// stubCheckin checks device id in (retrying while no round admits it) until
-// a round configures it or stop closes.
-func stubCheckin(dial func() (transport.Conn, error), id string, stop <-chan struct{}) *stubSession {
+// configured checks device id in (retrying while no round admits it) until
+// a round configures it or stop closes, and returns the device's session,
+// held between configuration and report: the stubs report fixed payloads
+// instead of training.
+func configured(dial func() (transport.Conn, error), id string, stop <-chan struct{}) *device.Session {
+	c := &device.Client{ID: id, Population: enginePop, Runtime: device.NewRuntime(id, 3, nil, 1)}
 	for {
 		select {
 		case <-stop:
@@ -220,23 +216,11 @@ func stubCheckin(dial func() (transport.Conn, error), id string, stop <-chan str
 		if err != nil {
 			return nil
 		}
-		_ = conn.Send(protocol.CheckinRequest{DeviceID: id, Population: enginePop, RuntimeVersion: 3})
-		msg, err := conn.Recv()
-		if resp, ok := msg.(protocol.CheckinResponse); err == nil && ok && resp.Accepted {
-			return &stubSession{id: id, conn: conn, resp: resp}
+		if s, err := c.Checkin(conn); err == nil && s.Accepted {
+			return s
 		}
-		conn.Close()
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// report sends the device's report and returns the server's answer.
-func (s *stubSession) report(update []byte, metrics map[string]float64) interface{} {
-	defer s.conn.Close()
-	_ = s.conn.Send(protocol.ReportRequest{DeviceID: s.id, TaskID: s.resp.TaskID, Round: s.resp.Round,
-		Update: update, Metrics: metrics})
-	msg, _ := s.conn.Recv()
-	return msg
 }
 
 // runStubs drives n devices, device i homed on dial i%len(dials), each
@@ -252,11 +236,11 @@ func runStubs(rig *engineRig, n int, payload func(i int) ([]byte, map[string]flo
 		go func(i int) {
 			defer wg.Done()
 			for {
-				s := stubCheckin(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
+				s := configured(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
 				if s == nil {
 					return
 				}
-				s.report(payload(i))
+				_, _ = s.Report(payload(i))
 			}
 		}(i)
 	}
@@ -525,31 +509,38 @@ func TestOverSelectedRoundTraceCountsAborted(t *testing.T) {
 		defer close(stop)
 		// All six devices are configured before any reports, so the seal
 		// finds exactly three of them unreported.
-		sessions := make([]*stubSession, 6)
+		sessions := make([]*device.Session, 6)
+		conns := make([]transport.Conn, 6) // each session's connection
 		var wg sync.WaitGroup
 		for i := range sessions {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				sessions[i] = stubCheckin(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
+				dial := func() (conn transport.Conn, err error) {
+					conn, err = rig.dials[i%len(rig.dials)]()
+					conns[i] = conn
+					return conn, err
+				}
+				sessions[i] = configured(dial, fmt.Sprintf("stub-%d", i), stop)
 			}(i)
 		}
 		wg.Wait()
-		for i, s := range sessions {
-			if i < 3 {
-				if ack, ok := s.report(update, nil).(protocol.ReportResponse); !ok || !ack.Accepted {
-					t.Fatalf("%s: device %d's report not accepted: %+v", topo.name, i, ack)
-				}
+		for i, s := range sessions[:3] {
+			if out, err := s.Report(update, nil); err != nil || !out.ReportAccepted {
+				t.Fatalf("%s: device %d's report not accepted: %+v, %v", topo.name, i, out, err)
 			}
 		}
 		waitEngineDone(t, rig)
-		for _, s := range sessions[3:] {
-			if msg, err := s.conn.Recv(); err == nil {
+		// The seal aborted the other three: whatever reaches them is an
+		// Abort. They do not report — a late report races the Abort to
+		// the device and may be answered first.
+		for i, conn := range conns[3:] {
+			if msg, err := conn.Recv(); err == nil {
 				if _, ok := msg.(protocol.Abort); !ok {
-					t.Fatalf("%s: over-selected device got %T, want Abort", topo.name, msg)
+					t.Fatalf("%s: over-selected device %d got %T, want Abort", topo.name, 3+i, msg)
 				}
 			}
-			s.conn.Close()
+			conn.Close()
 		}
 		tr := lastTrace(t, rig.store)
 		if !tr.Committed {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
@@ -209,7 +208,7 @@ func (h *failoverHarness) runDevices(n int) {
 		if err := rt.RegisterStore(st); err != nil {
 			h.t.Fatal(err)
 		}
-		client := &flserver.DeviceClient{ID: id, Population: failoverPop, Runtime: rt, Clock: h.clock}
+		client := &device.Client{ID: id, Population: failoverPop, Runtime: rt, Clock: h.clock}
 		h.devices.Add(1)
 		go func() {
 			defer h.devices.Done()

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/flserver"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/pacing"
@@ -128,7 +127,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if err := rt.RegisterStore(st); err != nil {
 			t.Fatal(err)
 		}
-		client := &flserver.DeviceClient{ID: id, Population: pop, Runtime: rt}
+		client := &device.Client{ID: id, Population: pop, Runtime: rt}
 		dial := shardDials[i%shards]
 		wg.Add(1)
 		go func() {
@@ -313,7 +312,7 @@ func TestDeadShardTelemetryLeaves(t *testing.T) {
 		if err := rt.RegisterStore(st); err != nil {
 			t.Fatal(err)
 		}
-		client := &flserver.DeviceClient{ID: id, Population: pop, Runtime: rt}
+		client := &device.Client{ID: id, Population: pop, Runtime: rt}
 		addr := listeners[i%2].Addr()
 		wg.Add(1)
 		go func() {

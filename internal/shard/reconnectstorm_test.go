@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
@@ -180,7 +179,7 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 		if err := rt.RegisterStore(st); err != nil {
 			t.Fatal(err)
 		}
-		client := &flserver.DeviceClient{ID: id, Population: stormPop, Runtime: rt}
+		client := &device.Client{ID: id, Population: stormPop, Runtime: rt}
 		addr := fmt.Sprintf("storm-shard-%d", i%numShards)
 		devices.Add(1)
 		go func() {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
+	"repro/internal/device"
 	"repro/internal/flserver"
 	"repro/internal/nn"
 	"repro/internal/pacing"
@@ -133,14 +134,14 @@ func TestShardedCoordinatorRespawns(t *testing.T) {
 	defer close(stop)
 	// configure checks k devices in, k/shards per shard, and returns them
 	// configured and holding their reports.
-	configure := func(gen int) []*stubSession {
-		held := make([]*stubSession, k)
+	configure := func(gen int) []*device.Session {
+		held := make([]*device.Session, k)
 		var wg sync.WaitGroup
 		for i := range held {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				held[i] = stubCheckin(dials[i%shards], fmt.Sprintf("stub-%d-%d", gen, i), stop)
+				held[i] = configured(dials[i%shards], fmt.Sprintf("stub-%d-%d", gen, i), stop)
 			}(i)
 		}
 		wg.Wait()
@@ -166,11 +167,11 @@ func TestShardedCoordinatorRespawns(t *testing.T) {
 		return seen[[2]int64{0, 0}] == 2 && seen[[2]int64{1, 0}] == 2
 	})
 	for _, s := range held {
-		s.report(update, nil)
+		_, _ = s.Report(update, nil)
 	}
 	waitRounds(1)
 	for _, s := range configure(1) {
-		s.report(update, nil)
+		_, _ = s.Report(update, nil)
 	}
 	waitRounds(2)
 

@@ -41,11 +41,11 @@ func runShardedRounds(t *testing.T, topo engineTopology, k int) *engineRig {
 		go func(i int) {
 			defer stubs.Done()
 			for {
-				s := stubCheckin(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
+				s := configured(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
 				if s == nil {
 					return
 				}
-				s.report(update, nil)
+				_, _ = s.Report(update, nil)
 			}
 		}(i)
 	}

@@ -343,38 +343,38 @@ func (s *sim) startRound(end time.Time) {
 	reported := 0
 	for _, r := range runs {
 		s.tx.Add(int64(s.planWire + s.ckptWire))
-		session := &device.Session{}
-		session.Log(device.StateCheckin)
-		session.Log(device.StateDownloadedPlan)
-		session.Log(device.StateTrainStarted)
+		session := &device.Log{}
+		session.Add(device.StateCheckin)
+		session.Add(device.StateDownloadedPlan)
+		session.Add(device.StateTrainStarted)
 		part := r.finishAt
 		switch {
 		case r.dropped:
-			session.Log(device.StateInterrupted)
+			session.Add(device.StateInterrupted)
 			stats.Dropped++
 			part = r.dropAt
 		case r.finishAt <= commitAt && reported < completed:
-			session.Log(device.StateTrainCompleted)
-			session.Log(device.StateUploadStarted)
-			session.Log(device.StateUploadDone)
+			session.Add(device.StateTrainCompleted)
+			session.Add(device.StateUploadStarted)
+			session.Add(device.StateUploadDone)
 			s.rx.Add(int64(s.updWire))
 			stats.Completed++
 			reported++
 		case r.finishAt <= window:
 			// Finished inside the window but after the round committed:
 			// over-selected, upload rejected.
-			session.Log(device.StateTrainCompleted)
-			session.Log(device.StateUploadStarted)
-			session.Log(device.StateUploadRejected)
+			session.Add(device.StateTrainCompleted)
+			session.Add(device.StateUploadStarted)
+			session.Add(device.StateUploadRejected)
 			s.rx.Add(int64(s.updWire))
 			stats.Aborted++
 			part = commitAt
 		default:
 			// Straggler past the cap: server cut it off ('#' after the
 			// window; participation capped, Fig. 8).
-			session.Log(device.StateTrainCompleted)
-			session.Log(device.StateUploadStarted)
-			session.Log(device.StateUploadRejected)
+			session.Add(device.StateTrainCompleted)
+			session.Add(device.StateUploadStarted)
+			session.Add(device.StateUploadRejected)
 			stats.Late++
 			part = window
 		}
