@@ -25,7 +25,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/metrics"
 	"repro/internal/pacing"
-	"repro/internal/remote"
 	"repro/internal/shard"
 	"repro/internal/transport"
 )
@@ -43,7 +42,6 @@ func main() {
 	flag.Parse()
 
 	dial := func() (transport.Conn, error) { return transport.DialTCP(*coordAddr) }
-	var peer remote.Options
 	var inj *chaos.Injector // nil wraps nothing: chaos off is the zero value
 	if *chaosPlan != "" {
 		seed, spec, err := parseChaosPlan(*chaosPlan)
@@ -52,13 +50,6 @@ func main() {
 		}
 		inj = chaos.New(seed, spec, nil)
 		dial = inj.WrapDialer(chaos.Role(fmt.Sprintf("shard:%d", *shardID)), dial)
-		// A fault schedule's windows are seconds long: notice a dead
-		// coordinator in half a second and redial within 200ms, or the
-		// default 2s detection and 5s backoff outlast the fault under test.
-		peer = remote.Options{
-			HeartbeatInterval: 100 * time.Millisecond, HeartbeatMiss: 5,
-			BackoffMin: 10 * time.Millisecond, BackoffMax: 200 * time.Millisecond,
-		}
 		log.Printf("shard %d: %s", *shardID, inj.Plan())
 	}
 
@@ -69,7 +60,6 @@ func main() {
 		Steering:           pacing.New(time.Minute),
 		PopulationEstimate: *estimate,
 		Seed:               *seed + uint64(*shardID)*131,
-		Peer:               peer,
 	}, dial)
 	defer sp.Close()
 

@@ -10,13 +10,14 @@
 // across multiple data centers"): the local implementation below is a
 // mailbox in this process, and internal/remote provides an implementation
 // that marshals messages over a transport connection to a peer process.
-// In-process sends stay on the fast path — a local Send is a channel
+// In-process sends stay on the fast path — a local Send is a queue
 // operation, never a codec hop.
 package actor
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/simclock"
@@ -25,21 +26,26 @@ import (
 // Clock is the one way time gets into a process: every wait and every
 // reading of the time in it goes through the Clock of its actor System —
 // the wall clock unless whoever built the process handed it another. The
-// rest of the tree names the clock through this package, which carries it.
+// rest of the tree names the clock, and the Gates and Queues that park on it,
+// through this package, which carries them.
 type (
-	Clock = simclock.Clock
-	Timer = simclock.Timer
+	Clock        = simclock.Clock
+	Timer        = simclock.Timer
+	Gate         = simclock.Gate
+	Queue[T any] = simclock.Queue[T]
 )
 
-// Wall is the default Clock.
-var Wall = simclock.Wall
+var (
+	// Wall is the default Clock.
+	Wall = simclock.Wall
+	// OrWall is the first of the clocks given that is not nil, else Wall.
+	OrWall = simclock.OrWall
+	// Sleep waits on a clock until d has passed or a gate closes.
+	Sleep = simclock.Sleep
+)
 
-// After is c.AfterFunc for a goroutine that selects: the channel receives
-// once d has passed, unless the timer is stopped first.
-func After(c Clock, d time.Duration) (<-chan time.Time, Timer) {
-	ch := make(chan time.Time, 1)
-	return ch, c.AfterFunc(d, func() { ch <- c.Now() })
-}
+// NewQueue returns an empty Queue of the given capacity.
+func NewQueue[T any](capacity int) *Queue[T] { return simclock.NewQueue[T](capacity) }
 
 // Message is anything sent to an actor.
 type Message interface{}
@@ -116,13 +122,13 @@ const mailboxSize = 1024
 // goroutine.
 type localRef struct {
 	name    string
-	mailbox chan Message
-	done    chan struct{}
+	mailbox *Queue[Message]
+	stopped atomic.Bool
 	once    sync.Once
 	sys     *System
 	// failure/reason record how the actor terminated. Written inside
-	// once.Do before done closes, so any goroutine that observes Stopped()
-	// reads them safely.
+	// once.Do before stopped is set, so any goroutine that observes
+	// Stopped() reads them safely.
 	failure bool
 	reason  interface{}
 }
@@ -133,17 +139,10 @@ func (r *localRef) Name() string { return r.name }
 // Send implements Ref. It returns an error when the actor has stopped; it
 // blocks when the mailbox is full (backpressure).
 func (r *localRef) Send(msg Message) error {
-	select {
-	case <-r.done:
-		return fmt.Errorf("actor: %s is stopped", r.name)
-	default:
-	}
-	select {
-	case r.mailbox <- msg:
-		return nil
-	case <-r.done:
+	if !r.mailbox.Push(msg, r.sys.clock) {
 		return fmt.Errorf("actor: %s is stopped", r.name)
 	}
+	return nil
 }
 
 // Stop implements Ref. Messages already enqueued may be dropped.
@@ -152,20 +151,14 @@ func (r *localRef) Stop() { r.stop(false, nil) }
 func (r *localRef) stop(failure bool, reason interface{}) {
 	r.once.Do(func() {
 		r.failure, r.reason = failure, reason
-		close(r.done)
+		r.stopped.Store(true)
+		r.mailbox.Close()
 		r.sys.notifyTermination(r, failure, reason)
 	})
 }
 
 // Stopped implements Ref.
-func (r *localRef) Stopped() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
-}
+func (r *localRef) Stopped() bool { return r.stopped.Load() }
 
 // System owns the actor registry and supervision graph. Actors in one
 // system share an address space, mirroring the paper's note that instances
@@ -187,11 +180,7 @@ type System struct {
 // clock when none (or nil) is given; variadic so that NewSystem() stays what
 // callers that never think about time write.
 func NewSystem(clock ...Clock) *System {
-	s := &System{clock: Wall, watchers: make(map[Ref][]Ref)}
-	if len(clock) > 0 && clock[0] != nil {
-		s.clock = clock[0]
-	}
-	return s
+	return &System{clock: OrWall(clock...), watchers: make(map[Ref][]Ref)}
 }
 
 // Clock returns the system's clock, for the parts of a process that wait
@@ -205,18 +194,14 @@ func (s *System) Clock() Clock { return s.clock }
 func (s *System) Spawn(name string, b Behavior) Ref {
 	r := &localRef{
 		name:    name,
-		mailbox: make(chan Message, mailboxSize),
-		done:    make(chan struct{}),
+		mailbox: NewQueue[Message](mailboxSize),
 		sys:     s,
 	}
 	ctx := &Context{Self: r, System: s}
 	s.mu.Lock()
 	if s.down {
 		s.mu.Unlock()
-		r.once.Do(func() {
-			r.failure, r.reason = false, nil
-			close(r.done)
-		})
+		r.stop(false, nil)
 		return r
 	}
 	s.actors = append(s.actors, r)
@@ -237,20 +222,16 @@ func (s *System) Spawn(name string, b Behavior) Ref {
 	// snapshot + Wait, or an Add could race a blocked Wait.
 	s.wg.Add(1)
 	s.mu.Unlock()
-	go func() {
+	s.clock.Go(func() {
 		defer s.wg.Done()
 		for {
-			select {
-			case <-r.done:
+			msg, ok := r.mailbox.Pop(s.clock)
+			if !ok || r.Stopped() {
 				return
-			case msg := <-r.mailbox:
-				s.dispatch(ctx, r, b, msg)
-				if r.Stopped() {
-					return
-				}
 			}
+			s.dispatch(ctx, r, b, msg)
 		}
-	}()
+	})
 	return r
 }
 

@@ -1,12 +1,19 @@
 package actor
 
 import (
+	"errors"
+	"os"
+	"regexp"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/simclock"
+	"repro/internal/transport"
 )
 
 // collect spawns an actor that appends every message to a slice guarded by
@@ -68,7 +75,7 @@ func TestSequentialProcessing(t *testing.T) {
 		if n > atomic.LoadInt64(&maxInFlight) {
 			atomic.StoreInt64(&maxInFlight, n)
 		}
-		time.Sleep(100 * time.Microsecond)
+		runtime.Gosched()
 		atomic.AddInt64(&inFlight, -1)
 		done <- struct{}{}
 	}))
@@ -272,6 +279,7 @@ func TestShutdownRacesConcurrentSpawns(t *testing.T) {
 	sys := NewSystem()
 	stop := make(chan struct{})
 	var spawner sync.WaitGroup
+	var spawned atomic.Int64
 	spawner.Add(1)
 	go func() {
 		defer spawner.Done()
@@ -282,9 +290,12 @@ func TestShutdownRacesConcurrentSpawns(t *testing.T) {
 			default:
 			}
 			sys.Spawn("storm", BehaviorFunc(func(ctx *Context, msg Message) {}))
+			spawned.Add(1)
 		}
 	}()
-	time.Sleep(5 * time.Millisecond)
+	for spawned.Load() < 100 {
+		runtime.Gosched()
+	}
 
 	done := make(chan struct{})
 	go func() {
@@ -308,14 +319,15 @@ func TestWatchAfterTerminationPreservesFailure(t *testing.T) {
 	// A watcher registered after the target already died from a panic must
 	// still see Failure=true — supervision decisions (respawn or not) hang
 	// on that flag.
-	sys := NewSystem()
+	clock := simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))
+	sys := NewSystem(clock)
 	defer sys.Shutdown()
 	victim := sys.Spawn("victim", BehaviorFunc(func(ctx *Context, msg Message) {
 		panic("boom")
 	}))
 	_ = victim.Send("die")
-	for !victim.Stopped() {
-		time.Sleep(time.Millisecond)
+	if err := clock.Run(0, victim.Stopped); err != nil {
+		t.Fatal(err)
 	}
 
 	got := make(chan Terminated, 1)
@@ -375,17 +387,27 @@ func TestContextClock(t *testing.T) {
 		t.Fatalf("timer message: %+v", s)
 	}
 
-	ch, timer := After(clock, time.Minute)
-	stopped, cancel := After(clock, time.Minute)
-	cancel.Stop()
-	clock.Advance(time.Minute)
-	if at := <-ch; at != start.Add(3*time.Second+time.Minute) || timer.Stop() {
-		t.Fatalf("After delivered %v (and its spent timer still stops: %v)", at, timer.Stop())
+	// Sleep parks its caller until d has passed or its gate is closed; two
+	// sleepers share one gate.
+	var stop Gate
+	woke := make(chan time.Duration, 3)
+	for _, d := range []time.Duration{time.Minute, time.Hour} {
+		clock.Go(func() {
+			if Sleep(clock, d, &stop) {
+				woke <- clock.Now().Sub(start)
+			}
+		})
 	}
-	select {
-	case <-stopped:
-		t.Fatal("a stopped After fired")
-	default:
+	clock.Go(func() { Sleep(clock, time.Second, nil); woke <- clock.Now().Sub(start) })
+	if err := clock.Run(time.Minute, func() bool { return len(woke) == 2 }); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := <-woke, <-woke; a != 3*time.Second+time.Second || b != 3*time.Second+time.Minute {
+		t.Fatalf("sleeps of 1s and 1m ended at +%v and +%v", a, b)
+	}
+	stop.Close()
+	if err := clock.Run(0, func() bool { return true }); err != nil || len(woke) != 0 {
+		t.Fatalf("an interrupted sleep reported its hour passed (%v)", err)
 	}
 
 	for _, sys := range []*System{NewSystem(), NewSystem(nil)} {
@@ -393,4 +415,69 @@ func TestContextClock(t *testing.T) {
 			t.Fatalf("default clock is %T, want the wall clock", sys.Clock())
 		}
 	}
+}
+
+// TestRunNamesAWaitForCycle: two actors, each blocked in Receive waiting for
+// a reply from the other, are a wait-for cycle no timer can break. Run
+// returns at once with ErrDeadlock and names both wait sites by file and
+// line.
+func TestRunNamesAWaitForCycle(t *testing.T) {
+	clock := simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))
+	sys := NewSystem(clock)
+	defer sys.Shutdown()
+	net := transport.NewMemNetwork(clock)
+	l, err := net.Listen("pair")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := net.Dial("pair")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
+	ping := sys.Spawn("ping", BehaviorFunc(func(*Context, Message) {
+		_, _ = a.Recv() // awaits pong's reply
+	}))
+	pong := sys.Spawn("pong", BehaviorFunc(func(*Context, Message) {
+		_, _ = b.Recv() // awaits ping's reply
+	}))
+	_, _ = ping.Send("go"), pong.Send("go")
+
+	start := time.Now()
+	err = clock.Run(time.Hour, nil)
+	if !errors.Is(err, simclock.ErrDeadlock) {
+		t.Fatalf("Run = %v, want ErrDeadlock", err)
+	}
+	t.Log(err)
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Fatalf("the deadlock took %v of wall time to report", wall)
+	}
+	for _, site := range []string{`awaits pong`, `awaits ping`} {
+		line := lineOf(t, site)
+		if !regexp.MustCompile(`actor_test\.go:` + line + `\b`).MatchString(err.Error()) {
+			t.Fatalf("the report does not name the wait site actor_test.go:%s (%s):\n%v", line, site, err)
+		}
+	}
+}
+
+// lineOf is the line of this file holding marker.
+func lineOf(t *testing.T, marker string) string {
+	t.Helper()
+	_, file, _, _ := runtime.Caller(0)
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(src), "\n") {
+		if strings.Contains(line, "// "+marker) {
+			return strconv.Itoa(i + 1)
+		}
+	}
+	t.Fatalf("no line marked %q", marker)
+	return ""
 }

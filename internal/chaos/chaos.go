@@ -167,18 +167,15 @@ type Injector struct {
 
 	round atomic.Int64
 
-	opened  atomic.Int64
-	closed  atomic.Int64
-	senders atomic.Int64
+	opened atomic.Int64
+	closed atomic.Int64
 }
 
 // New builds an injector for one scenario on the clock of the processes
 // whose links it wraps (nil: the wall clock). Offset-addressed windows and
 // resets count from now on that clock, and delayed deliveries wait on it.
 func New(seed uint64, spec Spec, clock actor.Clock) *Injector {
-	if clock == nil {
-		clock = actor.Wall
-	}
+	clock = actor.OrWall(clock)
 	in := &Injector{
 		seed:       seed,
 		spec:       spec,
@@ -199,14 +196,6 @@ func New(seed uint64, spec Spec, clock actor.Clock) *Injector {
 	return in
 }
 
-// Seed returns the scenario seed (printed by drivers for reproduction).
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Trace exposes the recorded fault trace.
 func (in *Injector) Trace() *Trace {
 	if in == nil {
@@ -222,14 +211,6 @@ func (in *Injector) OpenConns() int64 {
 		return 0
 	}
 	return in.opened.Load() - in.closed.Load()
-}
-
-// SenderGoroutines is the number of live deferred-delivery goroutines.
-func (in *Injector) SenderGoroutines() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.senders.Load()
 }
 
 // AdvanceRound opens every round-addressed window and reset whose round has

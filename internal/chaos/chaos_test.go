@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,13 +91,23 @@ func TestDecisionStreamIgnoresOutcome(t *testing.T) {
 	_ = cb.Close()
 }
 
-// arrives reports whether a message reaches done within wait of wall time.
-func arrives(done <-chan struct{}, wait time.Duration) bool {
-	select {
-	case <-done:
-		return true
-	case <-time.After(wait):
-		return false
+// receiver reads one message from c on clock's rig and reports whether it
+// has; once the rig is idle, a false is final.
+func receiver(clock *simclock.Virtual, c transport.Conn) func() bool {
+	var got atomic.Bool
+	clock.Go(func() {
+		if _, err := c.Recv(); err == nil {
+			got.Store(true)
+		}
+	})
+	return got.Load
+}
+
+// idle runs clock's rig until nothing can run without time passing.
+func idle(t *testing.T, clock *simclock.Virtual) {
+	t.Helper()
+	if err := clock.Run(0, func() bool { return true }); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -104,20 +116,16 @@ func TestPartitionWindowBlackholes(t *testing.T) {
 	// nanosecond and not a nanosecond longer.
 	clock := simclock.New(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
 	in := New(1, Spec{Partitions: []Window{{Role: RoleShard, At: 0, Dur: 200 * time.Millisecond}}}, clock)
-	a, b := transport.Pipe()
+	a, b := transport.Pipe(clock)
 	conn := in.WrapConn(RoleShard, a)
-	done := make(chan struct{})
-	go func() {
-		_, _ = b.Recv()
-		close(done)
-	}()
+	arrived := receiver(clock, b)
 	for _, step := range []time.Duration{0, 200*time.Millisecond - time.Nanosecond} {
 		clock.Advance(step)
 		if err := conn.Send(protocol.CheckinRate{}); err != nil {
 			t.Fatalf("partitioned send should black-hole, got error: %v", err)
 		}
 	}
-	if arrives(done, 20*time.Millisecond) {
+	if idle(t, clock); arrived() {
 		t.Fatal("message crossed an active partition")
 	}
 	// After the window closes, traffic flows again.
@@ -125,7 +133,7 @@ func TestPartitionWindowBlackholes(t *testing.T) {
 	if err := conn.Send(protocol.CheckinRate{}); err != nil {
 		t.Fatalf("post-partition send: %v", err)
 	}
-	if !arrives(done, 5*time.Second) {
+	if idle(t, clock); !arrived() {
 		t.Fatal("message did not flow after the partition healed")
 	}
 	counts := in.Trace().Counts()
@@ -172,32 +180,22 @@ func TestRoundAddressedWindow(t *testing.T) {
 func TestDelayDefersDelivery(t *testing.T) {
 	clock := simclock.New(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
 	in := New(1, Spec{Rules: []Rule{{Role: RoleDevice, Delay: 120 * time.Millisecond}}}, clock)
-	a, b := transport.Pipe()
+	a, b := transport.Pipe(clock)
 	conn := in.WrapConn(RoleDevice, a)
 	if err := conn.Send(protocol.CheckinRate{}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	done := make(chan struct{})
-	go func() {
-		_, _ = b.Recv()
-		close(done)
-	}()
-	clock.Advance(120*time.Millisecond - time.Nanosecond)
-	if arrives(done, 20*time.Millisecond) {
-		t.Fatal("delayed message arrived before its delivery time")
+	arrived := receiver(clock, b)
+	if err := clock.Run(120*time.Millisecond-time.Nanosecond, arrived); !errors.Is(err, simclock.ErrHorizon) {
+		t.Fatalf("delayed message arrived before its delivery time (%v)", err)
 	}
-	clock.Advance(time.Nanosecond)
-	if !arrives(done, 5*time.Second) {
-		t.Fatal("delayed message never arrived at its delivery time")
+	if err := clock.Run(time.Nanosecond, arrived); err != nil {
+		t.Fatalf("delayed message never arrived at its delivery time: %v", err)
 	}
 	_ = conn.Close()
-	// The sender goroutine must wind down.
-	deadline := time.Now().Add(time.Second)
-	for in.SenderGoroutines() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sender goroutines leaked: %d", in.SenderGoroutines())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The sender goroutine must wind down; the receiver has returned.
+	if idle(t, clock); clock.Goroutines() != 0 {
+		t.Fatalf("%d goroutine(s) leaked", clock.Goroutines())
 	}
 }
 
@@ -253,7 +251,7 @@ func TestNilInjectorWrapsNothing(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 	in.AdvanceRound(5)
-	if in.Seed() != 0 || in.OpenConns() != 0 || in.SenderGoroutines() != 0 {
+	if in.OpenConns() != 0 {
 		t.Fatal("nil injector accounting not zero")
 	}
 	if in.Plan() != "chaos: disabled" {

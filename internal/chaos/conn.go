@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/actor"
@@ -36,10 +37,9 @@ type faultConn struct {
 	lastAt   time.Time
 	nextFree time.Time // bandwidth-cap cursor
 
-	queue     chan delivery
-	quit      chan struct{}
-	closeOnce sync.Once
-	closed    bool
+	queue  *actor.Queue[delivery]
+	quit   actor.Gate
+	closed atomic.Bool
 }
 
 func newFaultConn(in *Injector, role Role, ord int, inner transport.Conn, rule Rule) *faultConn {
@@ -50,12 +50,10 @@ func newFaultConn(in *Injector, role Role, ord int, inner transport.Conn, rule R
 		inner: inner,
 		rule:  rule,
 		rng:   rand.New(rand.NewSource(int64(linkSeed(in.seed, role, ord)))),
-		quit:  make(chan struct{}),
 	}
 	if rule.delayed() {
-		c.queue = make(chan delivery, rule.Queue)
-		in.senders.Add(1)
-		go c.sender()
+		c.queue = actor.NewQueue[delivery](rule.Queue)
+		in.clock.Go(c.sender)
 	}
 	return c
 }
@@ -104,12 +102,9 @@ func (c *faultConn) Send(msg interface{}) error {
 
 	// Scheduled resets fire on the first send at/after their trigger.
 	now := c.in.clock.Now()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return fmt.Errorf("chaos: connection closed")
 	}
-	c.mu.Unlock()
 	if ri := c.in.claimReset(c.role, now); ri >= 0 {
 		c.record(idx, msg, FaultReset, "scheduled")
 		_ = c.Close()
@@ -176,9 +171,7 @@ func (c *faultConn) Send(msg interface{}) error {
 		n = 2
 	}
 	for i := 0; i < n; i++ {
-		select {
-		case c.queue <- delivery{msg: msg, at: at}:
-		default:
+		if !c.queue.Push(delivery{msg: msg, at: at}, nil) {
 			c.record(idx, msg, FaultQueueFull, fmt.Sprintf("queue=%d", c.rule.Queue))
 			return nil
 		}
@@ -189,27 +182,19 @@ func (c *faultConn) Send(msg interface{}) error {
 // sender drains the deferred-delivery queue in order, sleeping each message
 // to its delivery time. It exits when the connection closes.
 func (c *faultConn) sender() {
-	defer c.in.senders.Add(-1)
 	for {
-		select {
-		case <-c.quit:
+		d, ok := c.queue.Pop(c.in.clock)
+		if !ok {
 			return
-		case d := <-c.queue:
-			if wait := d.at.Sub(c.in.clock.Now()); wait > 0 {
-				due, t := actor.After(c.in.clock, wait)
-				select {
-				case <-c.quit:
-					t.Stop()
-					return
-				case <-due:
-				}
-			}
-			if err := c.inner.Send(d.msg); err != nil {
-				// The underlying stream died; tear the wrapper down so
-				// accounting sees the close.
-				_ = c.Close()
-				return
-			}
+		}
+		if wait := d.at.Sub(c.in.clock.Now()); wait > 0 && !actor.Sleep(c.in.clock, wait, &c.quit) {
+			return
+		}
+		if err := c.inner.Send(d.msg); err != nil {
+			// The underlying stream died; tear the wrapper down so
+			// accounting sees the close.
+			_ = c.Close()
+			return
 		}
 	}
 }
@@ -242,16 +227,15 @@ func (c *faultConn) Release() { c.inner.Release() }
 
 // Close implements transport.Conn.
 func (c *faultConn) Close() error {
-	var err error
-	c.closeOnce.Do(func() {
-		c.mu.Lock()
-		c.closed = true
-		c.mu.Unlock()
-		close(c.quit)
-		err = c.inner.Close()
-		c.in.closed.Add(1)
-	})
-	return err
+	if c.closed.Swap(true) {
+		return nil
+	}
+	c.quit.Close()
+	if c.queue != nil {
+		c.queue.Close()
+	}
+	c.in.closed.Add(1)
+	return c.inner.Close()
 }
 
 // msgName is the short type name for trace events.

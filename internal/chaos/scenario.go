@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/device"
@@ -15,73 +17,51 @@ import (
 	"repro/internal/plan"
 	"repro/internal/remote"
 	"repro/internal/shard"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
 // ScenarioConfig drives one chaos scenario: a full deployment of the one
 // round engine — sharded (one coordinator, N selector processes) or
-// in-process (Shards == 0: one server, one local edge) — plus a device
-// swarm, with every shard↔coordinator link (and optionally the device
-// links) wrapped in the seeded fault schedule, run to Rounds committed
-// rounds and then verified.
+// in-process (Shards == 0: one fleet, one local edge) — plus a device
+// swarm, all on one virtual clock, with every shard↔coordinator and device
+// link wrapped in the seeded fault schedule, run to Rounds committed rounds
+// and then verified. The processes run their defaults: the plan's windows,
+// the coordinator's grace and tick, the links' heartbeat budget and backoff.
 type ScenarioConfig struct {
 	// Seed makes the whole fault schedule reproducible (see Injector).
 	Seed uint64
 	// Spec is the fault schedule. Link roles: "shard:<i>" for shard i's
 	// coordinator link, "coord" for the coordinator's accepted side of those
-	// links, "device" for device↔selector links (only when WrapDevices).
+	// links, "device" for device↔selector links.
 	Spec Spec
 
 	// Shards is the number of selector processes; 0 runs the in-process
-	// server, whose only links are the device links (set WrapDevices).
+	// fleet, whose only links are the device links.
 	Shards int
-	// Devices is the swarm size (default 3×K).
-	Devices int
-	// TargetDevices is K, the reports each round wants (default 8).
+	// TargetDevices is K, the reports each round wants (default 8); the
+	// swarm is 3K devices.
 	TargetDevices int
 	// Rounds is how many rounds must commit (default 5).
 	Rounds int
-	// Features sizes the model (default 4).
-	Features int
 	// SecAggGroup, when positive, runs the task under Secure Aggregation in
-	// groups of that size: with IdenticalDevices and a Reference, SumProbe
-	// then checks that every commit is the exact survivor sum — a group
-	// that cannot recover its masks must abort, never commit a wrong sum.
+	// groups of that size: with a Reference, SumProbe then checks that every
+	// commit is the exact survivor sum — a group that cannot recover its
+	// masks must abort, never commit a wrong sum.
 	SecAggGroup int
-
-	// IdenticalDevices gives every device the same local data and runtime
-	// seed, which makes the committed lineage independent of which subset of
-	// devices survives the faults — the property SumProbe needs. Scenario
-	// runs used as a fault-free reference should set it too.
-	IdenticalDevices bool
-	// WrapDevices also wraps the device-facing listeners (role "device").
-	WrapDevices bool
-
-	// ReportTimeout bounds each round's report window (default 3s);
-	// SealGrace and TickEvery tune the coordinator (defaults 500ms / 50ms).
-	ReportTimeout time.Duration
-	SealGrace     time.Duration
-	TickEvery     time.Duration
-	// Peer tunes the shard→coordinator links; the zero value uses fast
-	// failure detection (20ms heartbeat, 3 misses) so partitions are
-	// noticed within the scenario's timescale.
-	Peer remote.Options
 
 	// Reference, when set, is the fault-free lineage SumProbe compares the
 	// committed lineage against (run the same config with an empty Spec to
 	// produce one; see ScenarioResult.Lineage).
 	Reference []*checkpoint.Checkpoint
-
-	// Timeout bounds the whole run (default 2 minutes).
-	Timeout time.Duration
 }
 
 // ScenarioResult is one completed (or failed) scenario.
 type ScenarioResult struct {
-	Rounds  int
+	Rounds int
+	// Elapsed is the virtual time the rounds took.
 	Elapsed time.Duration
-	Seed    uint64
 	// Plan is the injector's rendered fault plan — log it; with the seed it
 	// reproduces the schedule exactly.
 	Plan string
@@ -93,110 +73,84 @@ type ScenarioResult struct {
 	// Report is the chaos.Verify verdict over every invariant probe.
 	Report        Report
 	SealsReceived int64
-	BytesUpstream int64
 	Accepted      int64
+	// LinkDowns and LinkUps count, per shard, how often its coordinator link
+	// was declared down and came up.
+	LinkDowns, LinkUps []int64
 }
 
-// fastPeer is the default link tuning for scenarios: fail fast enough that
-// a 2s partition is detected and redialed well inside the run.
-func fastPeer() remote.Options {
-	return remote.Options{
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMiss:     3,
-		BackoffMin:        5 * time.Millisecond,
-		BackoffMax:        50 * time.Millisecond,
-	}
-}
-
-// RunScenario builds the topology, injects the fault schedule,
-// drives it to cfg.Rounds committed rounds, tears everything down, and runs
+// RunScenario builds the topology on a virtual clock, injects the fault
+// schedule, runs it until cfg.Rounds rounds have committed or a horizon of
+// two report cycles per round has passed, tears everything down, and runs
 // the invariant probes. The returned error is an infrastructure failure
-// (rounds never committed, setup failed); invariant violations are in
-// Result.Report.
+// (rounds never committed, setup failed, the rig deadlocked); invariant
+// violations are in Result.Report, which is filled whenever the run got as
+// far as its teardown.
 func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	var res ScenarioResult
 	if cfg.TargetDevices <= 0 {
 		cfg.TargetDevices = 8
 	}
-	if cfg.Devices <= 0 {
-		cfg.Devices = 3 * cfg.TargetDevices
-	}
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 5
 	}
-	if cfg.Features <= 0 {
-		cfg.Features = 4
-	}
-	if cfg.ReportTimeout <= 0 {
-		cfg.ReportTimeout = 3 * time.Second
-	}
-	if cfg.SealGrace <= 0 {
-		cfg.SealGrace = 500 * time.Millisecond
-	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = 50 * time.Millisecond
-	}
-	if cfg.Peer.HeartbeatInterval == 0 && cfg.Peer.HeartbeatMiss == 0 {
-		cfg.Peer = fastPeer()
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Minute
-	}
+	const features = 4
+	devices := 3 * cfg.TargetDevices
 
-	// The goroutine baseline is captured before anything spawns.
-	goroutines := GoroutineProbe(24)
-	inj := New(cfg.Seed, cfg.Spec, nil)
-	res.Seed = cfg.Seed
+	clock := simclock.New(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
+	start := clock.Now()
+	inj := New(cfg.Seed, cfg.Spec, clock)
 	res.Plan = inj.Plan()
 
 	const pop = "pop-chaos"
 	p, err := plan.Generate(plan.Config{
 		TaskID: pop + "/train", Population: pop,
-		Model:     nn.Spec{Kind: nn.KindLogistic, Features: cfg.Features, Classes: 3, Seed: 1},
+		Model:     nn.Spec{Kind: nn.KindLogistic, Features: features, Classes: 3, Seed: 1},
 		StoreName: pop + "-store", BatchSize: 5, Epochs: 1, LearningRate: 0.1,
 		TargetDevices: cfg.TargetDevices,
 		// Partial rounds are the point: a partitioned shard's reports are
 		// allowed to be missing and the survivors still commit.
 		MinReportFraction: 0.25,
-		SelectionTimeout:  30 * time.Second, ReportTimeout: cfg.ReportTimeout,
 		SecureAggregation: cfg.SecAggGroup > 0, SecAggGroupSize: cfg.SecAggGroup,
 	})
 	if err != nil {
 		return res, err
 	}
+	horizon := time.Duration(2*cfg.Rounds) * (p.Server.SelectionTimeout + p.Server.ReportTimeout)
 
-	dataUsers := cfg.Devices
-	if cfg.IdenticalDevices {
-		dataUsers = 1
-	}
 	fed, err := data.Blobs(data.BlobsConfig{
-		Users: dataUsers, ExamplesPer: 20, Features: cfg.Features, Classes: 3,
+		Users: 1, ExamplesPer: 20, Features: features, Classes: 3,
 		TestSize: 10, Seed: 11,
 	})
 	if err != nil {
 		return res, err
 	}
 
+	// Commits open the injector's round-addressed windows and resets, and
+	// sample counter monotonicity.
 	store := NewWatchStore(storage.NewMem())
-	mem := transport.NewMemNetwork()
-	// deviceListener opens one device-facing listener, fault-wrapped when
-	// the scenario asks for it.
+	counters := NewCounterWatch(metrics.Default)
+	inj.AdvanceRound(1)
+	store.onCommit = func(c *checkpoint.Checkpoint) {
+		inj.AdvanceRound(c.Round + 1)
+		counters.Sample()
+	}
+	mem := transport.NewMemNetwork(clock)
+	// The product's default pace steering: a one-minute round cadence.
+	steering := pacing.New(time.Minute)
+	// deviceListener opens one fault-wrapped device-facing listener.
 	deviceListener := func(name string) (transport.Listener, func() (transport.Conn, error), error) {
 		l, err := mem.Listen(name)
 		if err != nil {
 			return nil, nil, err
 		}
-		if cfg.WrapDevices {
-			l = inj.WrapListener(RoleDevice, l)
-		}
-		return l, func() (transport.Conn, error) { return mem.Dial(name) }, nil
+		return inj.WrapListener(RoleDevice, l), func() (transport.Conn, error) { return mem.Dial(name) }, nil
 	}
 	// The topology under test, reduced to what the scenario drives and
-	// reads: where devices dial, when the rounds are done, the progress and
-	// selector-layer counters, and how to tear it all down.
+	// reads: where devices dial, the progress and selector-layer counters,
+	// and how to tear it all down.
 	var (
 		deviceDials []func() (transport.Conn, error)
-		done        <-chan struct{}
 		progress    func() (shard.CoordStats, error)
 		selectors   func() (flserver.SelectorStats, error)
 		teardown    []func()
@@ -209,38 +163,40 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 	defer closeAll()
 	if cfg.Shards == 0 {
-		srv, err := flserver.New(flserver.Config{
+		fleet := flserver.NewFleet(flserver.FleetConfig{SelectorCapacity: -1, Seed: cfg.Seed, Clock: clock})
+		teardown = append(teardown, fleet.Close)
+		if err := fleet.Register(flserver.PopulationSpec{
 			Population: pop, Plans: []*plan.Plan{p}, Store: store,
-			Steering: pacing.New(time.Second), PopulationEstimate: cfg.Devices,
-			MaxRounds: cfg.Rounds, Seed: cfg.Seed,
-		})
-		if err != nil {
+			Steering: steering, PopulationEstimate: devices, MaxRounds: cfg.Rounds,
+		}); err != nil {
 			return res, err
 		}
-		teardown = append(teardown, srv.Close)
 		l, dial, err := deviceListener("chaos-server")
 		if err != nil {
 			return res, err
 		}
 		teardown = append(teardown, func() { l.Close() })
-		go srv.Serve(l)
-		deviceDials, done, selectors = append(deviceDials, dial), srv.Done(), srv.SelectorStats
+		clock.Go(func() { fleet.Serve(l) })
+		deviceDials = append(deviceDials, dial)
 		progress = func() (shard.CoordStats, error) {
-			st, err := srv.Stats()
-			return shard.CoordStats{RoundsCompleted: st.RoundsCompleted, RoundsFailed: st.RoundsFailed}, err
+			st, err := fleet.PopulationStats(pop)
+			return shard.CoordStats{RoundsCompleted: st.Coordinator.RoundsCompleted, RoundsFailed: st.Coordinator.RoundsFailed}, err
+		}
+		selectors = func() (flserver.SelectorStats, error) {
+			st, err := fleet.PopulationStats(pop)
+			return st.Selector, err
 		}
 	} else {
 		coord, err := shard.NewCoordinatorProc(shard.CoordinatorConfig{
 			Population: pop,
 			Plans:      []*plan.Plan{p},
 			Store:      store,
-			Steering:   pacing.New(time.Second),
+			Steering:   steering,
 			MaxRounds:  cfg.Rounds,
 			// MinShards stays 1: rounds must keep settling partial results
 			// while a shard is partitioned away, not stall the fleet.
 			MinShards: 1,
-			SealGrace: cfg.SealGrace,
-			TickEvery: cfg.TickEvery,
+			Clock:     clock,
 		})
 		if err != nil {
 			return res, err
@@ -252,19 +208,20 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		}
 		coordL := inj.WrapListener("coord", rawCoordL)
 		teardown = append(teardown, func() { coordL.Close() })
-		go coord.Serve(coordL)
+		clock.Go(func() { coord.Serve(coordL) })
 
 		shards := make([]*shard.SelectorProc, cfg.Shards)
+		res.LinkUps, res.LinkDowns = make([]int64, cfg.Shards), make([]int64, cfg.Shards)
 		for i := range shards {
 			dial := inj.WrapDialer(Role(fmt.Sprintf("shard:%d", i)),
 				func() (transport.Conn, error) { return mem.Dial("chaos-coord") })
 			sp := shard.NewSelectorProc(shard.SelectorConfig{
 				Shard:              uint32(i),
-				Steering:           pacing.New(time.Second),
-				PopulationEstimate: cfg.Devices,
+				Steering:           steering,
+				PopulationEstimate: devices,
 				Seed:               cfg.Seed + uint64(i)*131,
-				Peer:               cfg.Peer,
-				RateProbeInterval:  100 * time.Millisecond,
+				Peer: remote.Options{Clock: clock,
+					OnUp: func() { atomic.AddInt64(&res.LinkUps[i], 1) }, OnDown: func(error) { atomic.AddInt64(&res.LinkDowns[i], 1) }},
 			}, dial)
 			shards[i] = sp
 			l, dial, err := deviceListener(fmt.Sprintf("chaos-shard-%d", i))
@@ -272,7 +229,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 				return res, err
 			}
 			teardown = append(teardown, func() { l.Close() })
-			go sp.Serve(l)
+			clock.Go(func() { sp.Serve(l) })
 			deviceDials = append(deviceDials, dial)
 		}
 		// Last in, first out: shards close before the coordinator's
@@ -284,7 +241,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 				}
 			}
 		})
-		done, progress = coord.Done(), coord.Stats
+		progress = coord.Stats
 		selectors = func() (flserver.SelectorStats, error) {
 			var total flserver.SelectorStats
 			for _, sp := range shards {
@@ -298,100 +255,55 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		}
 	}
 
-	// The round poller advances round-addressed windows/resets as commits
-	// land and samples counter monotonicity.
-	counters := NewCounterWatch(metrics.Default)
-	stopPoll := make(chan struct{})
-	var pollWG sync.WaitGroup
-	pollWG.Add(1)
-	go func() {
-		defer pollWG.Done()
-		inj.AdvanceRound(1)
-		for {
-			select {
-			case <-stopPoll:
-				return
-			case <-time.After(20 * time.Millisecond):
-			}
-			if ck, err := store.LatestCheckpoint(p.ID); err == nil {
-				inj.AdvanceRound(ck.Round + 1)
-			}
-			counters.Sample()
+	// The device swarm. Every device trains the same data with the same
+	// runtime seed AND rebuilds its runtime for every check-in — training
+	// shuffles examples from the runtime RNG, so only a fresh RNG per
+	// participation makes every update the same pure function of the
+	// checkpoint. Then any surviving subset's weighted average is that one
+	// vector — the property that makes SumProbe decidable. Between sessions
+	// a device rests for its pace-steering hint, and at least the steering's
+	// shortest wait.
+	newClient := func(id string) (*device.Client, error) {
+		c, err := device.NewLocalDataClient(id, pop, pop+"-store", fed.Users[0], cfg.Seed+1000)
+		if c != nil {
+			c.Clock = clock
 		}
-	}()
-	defer func() { close(stopPoll); pollWG.Wait() }()
-
-	// The device swarm. Under IdenticalDevices every device trains the same
-	// data with the same runtime seed AND rebuilds its runtime for every
-	// check-in — training shuffles examples from the runtime RNG, so only a
-	// fresh RNG per participation makes every update the same pure function
-	// of the checkpoint. Then any surviving subset's weighted average is
-	// that one vector — the property that makes SumProbe decidable.
-	makeClient := func(i int) (*device.Client, error) {
-		id := fmt.Sprintf("chaos-dev-%d", i)
-		seed := cfg.Seed + uint64(i) + 1000
-		user := i
-		if cfg.IdenticalDevices {
-			seed = cfg.Seed + 1000
-			user = 0
-		}
-		return device.NewLocalDataClient(id, pop, pop+"-store", fed.Users[user], seed)
+		return c, err
 	}
-	stopDevices := make(chan struct{})
-	var devices sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < cfg.Devices; i++ {
-		client, err := makeClient(i)
-		if err != nil {
-			return res, err
-		}
-		idx := i
-		dial := deviceDials[i%len(deviceDials)]
-		devices.Add(1)
-		go func() {
-			defer devices.Done()
+	if _, err := newClient("chaos-dev"); err != nil {
+		return res, err
+	}
+	var stop actor.Gate
+	var live atomic.Int64
+	for i := 0; i < devices; i++ {
+		id, dial := fmt.Sprintf("chaos-dev-%d", i), deviceDials[i%len(deviceDials)]
+		live.Add(1)
+		clock.Go(func() {
+			defer live.Add(-1)
 			for {
-				select {
-				case <-stopDevices:
-					return
-				default:
-				}
+				rest := steering.MinWait
+				client, _ := newClient(id)
 				if conn, err := dial(); err == nil {
-					_, _ = client.RunOnce(conn)
-					if cfg.IdenticalDevices {
-						// Fresh RNG next participation (see above).
-						if c, err := makeClient(idx); err == nil {
-							client = c
-						}
+					if out, _ := client.RunOnce(conn); out != nil {
+						rest = max(rest, out.RetryAfter)
 					}
 				}
-				time.Sleep(2 * time.Millisecond)
+				if !actor.Sleep(clock, rest, &stop) {
+					return
+				}
 			}
-		}()
+		})
 	}
 
-	stopSwarm := func() error {
-		close(stopDevices)
-		waited := make(chan struct{})
-		go func() { devices.Wait(); close(waited) }()
-		select {
-		case <-waited:
-			return nil
-		case <-time.After(30 * time.Second):
-			return fmt.Errorf("chaos scenario: device goroutines leaked")
-		}
+	runErr := clock.Run(horizon, func() bool { return len(store.Commits(p.ID)) >= cfg.Rounds })
+	if errors.Is(runErr, simclock.ErrDeadlock) {
+		return res, fmt.Errorf("chaos scenario (seed=%d): %w\n%s", cfg.Seed, runErr, res.Plan)
 	}
-
-	select {
-	case <-done:
-	case <-time.After(cfg.Timeout):
-		_ = stopSwarm()
-		return res, fmt.Errorf("chaos scenario: %d rounds did not commit within %v (seed=%d)\n%s",
-			cfg.Rounds, cfg.Timeout, cfg.Seed, res.Plan)
-	}
-	res.Elapsed = time.Since(start)
-	if err := stopSwarm(); err != nil {
-		return res, err
+	res.Elapsed = clock.Now().Sub(start)
+	stop.Close() // resting devices stop at once, the others after their session
+	if err := clock.Run(horizon, func() bool { return live.Load() == 0 }); err != nil {
+		// Not a horizon: a stranded session is a bug, whatever Run answered.
+		return res, fmt.Errorf("chaos scenario: device sessions never ended: %v", err)
 	}
 
 	// Stats and the quota ledger are read while the processes are alive.
@@ -401,39 +313,33 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 	res.Rounds = cs.RoundsCompleted
 	res.SealsReceived = cs.SealsReceived
-	res.BytesUpstream = cs.BytesUpstream
 	sel, err := selectors()
 	if err != nil {
 		return res, err
 	}
 	res.Accepted = sel.Accepted
-	quotaReport := Verify(QuotaProbe(func() (QuotaLedger, error) {
-		sel, err := selectors()
-		return QuotaLedger{Granted: sel.QuotaGranted, Consumed: sel.QuotaConsumed,
-			Revoked: sel.QuotaRevoked, Outstanding: sel.QuotaOutstanding}, err
-	}))
+	ledger := QuotaLedger{Granted: sel.QuotaGranted, Consumed: sel.QuotaConsumed,
+		Revoked: sel.QuotaRevoked, Outstanding: sel.QuotaOutstanding}
 
-	// Teardown, then the quiescence probes.
+	// Teardown, then the probes, once the rig is idle again.
 	closeAll()
-
+	clock.Run(0, func() bool { return true }) // settles, and cannot fail
+	res.Lineage = store.Commits(p.ID)
 	probes := []Probe{
 		store.LineageProbe(),
-		ConnProbe(inj),
-		goroutines,
+		TeardownProbe(clock, inj),
 		counters.Probe(),
+		QuotaProbe(ledger, runErr == nil),
 	}
-	if cfg.Reference != nil {
-		probes = append(probes, SumProbe(store.Commits(p.ID), cfg.Reference, 1e-6))
+	if cfg.Reference != nil && len(res.Lineage) > 0 {
+		probes = append(probes, SumProbe(res.Lineage, cfg.Reference, 1e-6))
 	}
 	res.Report = Verify(probes...)
-	res.Report.Passed = append(res.Report.Passed, quotaReport.Passed...)
-	res.Report.Failures = append(res.Report.Failures, quotaReport.Failures...)
 
-	res.Lineage = store.Commits(p.ID)
 	res.FaultCounts = inj.FaultCounts()
 	res.FaultTotal = inj.Trace().Total()
-	if res.Rounds < cfg.Rounds {
-		return res, fmt.Errorf("chaos scenario: committed %d/%d rounds (seed=%d)", res.Rounds, cfg.Rounds, cfg.Seed)
+	if runErr != nil {
+		return res, fmt.Errorf("chaos scenario: committed %d/%d rounds (seed=%d): %w", res.Rounds, cfg.Rounds, cfg.Seed, runErr)
 	}
 	return res, nil
 }

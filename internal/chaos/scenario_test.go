@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -14,37 +15,24 @@ import (
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
-	"repro/internal/remote"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
-// acceptancePeer tolerates the acceptance spec's 200ms jitter on the
-// heartbeat path (tolerance = interval × miss = 500ms) while still noticing
-// a 2s partition well inside the window.
-func acceptancePeer() remote.Options {
-	return remote.Options{
-		HeartbeatInterval: 100 * time.Millisecond,
-		HeartbeatMiss:     5,
-		BackoffMin:        5 * time.Millisecond,
-		BackoffMax:        50 * time.Millisecond,
-	}
-}
-
-// TestScenarioEndToEnd is the acceptance scenario from the issue: a 1
-// coordinator + 3 shard fleet under 5% drop and 200ms jitter on every shard
-// link, a 2s partition of shard 1 opening at round 3, and a scheduled
-// connection reset of shard 2 at round 4 — must still commit 5 rounds with
-// every invariant green, and the fault schedule must be reproducible from
-// the seed alone.
+// TestScenarioEndToEnd is the acceptance scenario: a 1 coordinator + 3
+// shard fleet under 5% drop and 200ms jitter on every shard link, a 10s
+// partition of shard 1 opening at round 3 — long enough for the default
+// heartbeat budget to declare the link down, and the link must come back —
+// and a scheduled connection reset of shard 2 at round 4. It must still
+// commit 5 rounds with every invariant green, and the fault schedule must be
+// reproducible from the seed alone.
 func TestScenarioEndToEnd(t *testing.T) {
 	base := ScenarioConfig{
-		Seed:             42,
-		Shards:           3,
-		TargetDevices:    8,
-		Rounds:           5,
-		IdenticalDevices: true,
-		Peer:             acceptancePeer(),
+		Seed:          42,
+		Shards:        3,
+		TargetDevices: 8,
+		Rounds:        5,
 	}
 
 	// Fault-free reference run: same swarm, empty schedule. Its lineage is
@@ -63,7 +51,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 	cfg := base
 	cfg.Spec = Spec{
 		Rules:      []Rule{{Role: RoleShard, Drop: 0.05, Jitter: 200 * time.Millisecond}},
-		Partitions: []Window{{Role: "shard:1", Round: 3, Dur: 2 * time.Second}},
+		Partitions: []Window{{Role: "shard:1", Round: 3, Dur: 10 * time.Second}},
 		Resets:     []Reset{{Role: "shard:2", Round: 4}},
 	}
 	cfg.Reference = ref.Lineage
@@ -76,10 +64,13 @@ func TestScenarioEndToEnd(t *testing.T) {
 		t.Fatalf("committed %d/%d rounds", res.Rounds, cfg.Rounds)
 	}
 	if !res.Report.OK() {
-		t.Fatalf("invariants violated (seed=%d):\n%s\nplan:\n%s", res.Seed, res.Report, res.Plan)
+		t.Fatalf("invariants violated:\n%s\n%s", res.Report, res.Plan)
 	}
 	if res.FaultTotal == 0 {
 		t.Fatal("chaos run recorded no faults — the schedule never engaged")
+	}
+	if res.LinkDowns[1] == 0 || res.LinkUps[1] <= res.LinkDowns[1] {
+		t.Fatalf("shard 1's link went down %d times and up %d: want down, then back up", res.LinkDowns[1], res.LinkUps[1])
 	}
 
 	// Reproducibility: the same seed and spec yield the identical plan and,
@@ -99,52 +90,64 @@ func TestScenarioEndToEnd(t *testing.T) {
 	}
 }
 
+// deviceFaults is the device-link schedule the in-process scenarios run.
+const deviceFaults = "device:drop=0.08,jitter=20ms"
+
+// references caches the fault-free lineage of each in-process base config.
+var references sync.Map
+
 // runDeviceFaultScenario runs base fault-free for a reference lineage, then
-// again under 8% drop and 20ms jitter on every device link, and requires
-// every round to commit with every invariant green — SumProbe included, so
-// no commit may deviate from the fault-free lineage.
-func runDeviceFaultScenario(t *testing.T, base ScenarioConfig) {
+// again under spec on the device links. Whether or not its rounds commit,
+// the rig must never deadlock and every invariant must hold — SumProbe
+// included, so no commit may deviate from the fault-free lineage.
+func runDeviceFaultScenario(t *testing.T, base ScenarioConfig, spec Spec) ScenarioResult {
 	t.Helper()
-	ref, err := RunScenario(base)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	if !ref.Report.OK() {
-		t.Fatalf("reference run invariants:\n%s", ref.Report)
+	key := fmt.Sprintf("%+v", base)
+	ref, ok := references.Load(key)
+	if !ok {
+		res, err := RunScenario(base)
+		if err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		if !res.Report.OK() {
+			t.Fatalf("reference run invariants:\n%s", res.Report)
+		}
+		ref, _ = references.LoadOrStore(key, res.Lineage)
 	}
 	cfg := base
-	cfg.Spec = Spec{Rules: []Rule{{Role: RoleDevice, Drop: 0.08, Jitter: 20 * time.Millisecond}}}
-	cfg.Reference = ref.Lineage
+	cfg.Spec = spec
+	cfg.Reference = ref.([]*checkpoint.Checkpoint)
 	res, err := RunScenario(cfg)
-	if err != nil {
+	if err != nil && !errors.Is(err, simclock.ErrHorizon) {
 		t.Fatalf("chaos run: %v\nfaults: %v", err, res.FaultCounts)
 	}
-	t.Logf("chaos run: %d rounds in %v, faults %v", res.Rounds, res.Elapsed, res.FaultCounts)
-	if !res.Report.OK() {
-		t.Fatalf("invariants violated (seed=%d):\n%s\nplan:\n%s", res.Seed, res.Report, res.Plan)
+	if !res.Report.OK() || len(res.Report.Passed) == 0 {
+		t.Fatalf("invariants violated or never probed:\n%s\n%s", res.Report, res.Plan)
 	}
-	if res.FaultTotal == 0 {
-		t.Fatal("chaos run recorded no faults — the schedule never engaged")
-	}
+	return res
 }
 
-// TestScenarioInProcess runs the in-process shape (zero shards: the one
-// engine over its local edge, device links the only links) through the
-// same harness and invariant probes as the sharded deployment — over a
-// sweep of seeds, each its own fault-decision stream and its own fault-free
-// reference. A round that loses too many reports to the faults waits out its
-// report window on the wall clock (RunScenario in virtual time is ROADMAP
-// 2(a)'s next step), so the window is a quarter second: still twelve times
-// the jitter.
-func TestScenarioInProcess(t *testing.T) {
-	const seeds = 32
-	for seed := uint64(1); seed <= seeds; seed++ {
-		runDeviceFaultScenario(t, ScenarioConfig{
-			Seed: seed, Shards: 0, TargetDevices: 8, Rounds: 4,
-			IdenticalDevices: true, WrapDevices: true, ReportTimeout: 250 * time.Millisecond,
-		})
+// FuzzScenario runs the in-process scenario (zero shards: the one engine
+// over its local edge, device links the only links) under a fuzzed seed and
+// fault schedule, against its own fault-free reference. The corpus is seeds
+// 1–32 of the device-link schedule, each of which must commit every round;
+// a failure is shrunk to a minimal (seed, spec) under testdata/fuzz/.
+func FuzzScenario(f *testing.F) {
+	for seed := uint64(1); seed <= 32; seed++ {
+		f.Add(seed, deviceFaults)
 	}
-	t.Logf("chaos: swept %d seeds", seeds)
+	f.Fuzz(func(t *testing.T, seed uint64, text string) {
+		spec, err := ParseSpec(text)
+		if err != nil {
+			return
+		}
+		res := runDeviceFaultScenario(t, ScenarioConfig{
+			Seed: seed, Shards: 0, TargetDevices: 8, Rounds: 4,
+		}, spec)
+		if text == deviceFaults && (res.Rounds < 4 || res.FaultTotal == 0) {
+			t.Fatalf("seed %d: %d/4 rounds under %d faults", seed, res.Rounds, res.FaultTotal)
+		}
+	})
 }
 
 // TestScenarioSecureRoundsUnderDeviceDrop: Secure Aggregation in groups of 4
@@ -154,10 +157,16 @@ func TestScenarioInProcess(t *testing.T) {
 // devices any wrong sum (an unremoved mask, a miscounted weight) would
 // break the lineage match SumProbe checks.
 func TestScenarioSecureRoundsUnderDeviceDrop(t *testing.T) {
-	runDeviceFaultScenario(t, ScenarioConfig{
+	spec, err := ParseSpec(deviceFaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runDeviceFaultScenario(t, ScenarioConfig{
 		Seed: 11, Shards: 0, TargetDevices: 8, Rounds: 6, SecAggGroup: 4,
-		IdenticalDevices: true, WrapDevices: true, ReportTimeout: time.Second,
-	})
+	}, spec)
+	if res.Rounds < 6 || res.FaultTotal == 0 {
+		t.Fatalf("%d/6 rounds under %d faults", res.Rounds, res.FaultTotal)
+	}
 }
 
 // TestDeviceLinkFaultsOverTCP is the device-link scenario on the framed

@@ -3,34 +3,21 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 )
 
-// Probe is one post-scenario invariant check.
-type Probe interface {
-	Name() string
-	// Check returns nil when the invariant held.
-	Check() error
+// Probe is one post-scenario invariant check: Check returns nil when the
+// invariant held.
+type Probe struct {
+	Name  string
+	Check func() error
 }
-
-// CheckFunc adapts a closure into a Probe.
-type CheckFunc struct {
-	Probe string
-	Fn    func() error
-}
-
-// Name implements Probe.
-func (c CheckFunc) Name() string { return c.Probe }
-
-// Check implements Probe.
-func (c CheckFunc) Check() error { return c.Fn() }
 
 // Report is the outcome of one Verify run.
 type Report struct {
@@ -73,9 +60,9 @@ func Verify(probes ...Probe) Report {
 	var r Report
 	for _, p := range probes {
 		if err := p.Check(); err != nil {
-			r.Failures = append(r.Failures, fmt.Errorf("%s: %w", p.Name(), err))
+			r.Failures = append(r.Failures, fmt.Errorf("%s: %w", p.Name, err))
 		} else {
-			r.Passed = append(r.Passed, p.Name())
+			r.Passed = append(r.Passed, p.Name)
 		}
 	}
 	return r
@@ -93,6 +80,8 @@ type WatchStore struct {
 	mu      sync.Mutex
 	commits map[string][]*checkpoint.Checkpoint // task -> commit order
 	errs    []error
+	// onCommit, when set, sees every commit before the store does.
+	onCommit func(*checkpoint.Checkpoint)
 }
 
 // NewWatchStore wraps inner.
@@ -115,6 +104,9 @@ func (w *WatchStore) PutCheckpoint(c *checkpoint.Checkpoint) error {
 	}
 	w.commits[c.TaskName] = append(prev, c.Clone())
 	w.mu.Unlock()
+	if w.onCommit != nil {
+		w.onCommit(c)
+	}
 	return w.Store.PutCheckpoint(c)
 }
 
@@ -129,7 +121,7 @@ func (w *WatchStore) Commits(task string) []*checkpoint.Checkpoint {
 
 // LineageProbe is the Probe over the recorded lineage.
 func (w *WatchStore) LineageProbe() Probe {
-	return CheckFunc{Probe: "checkpoint-lineage", Fn: func() error {
+	return Probe{"checkpoint-lineage", func() error {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		if len(w.errs) > 0 {
@@ -148,48 +140,19 @@ func (w *WatchStore) LineageProbe() Probe {
 
 // --- connection / goroutine accounting ---
 
-// settle polls cond until it returns nil or the deadline passes, returning
-// cond's last error. Teardown is asynchronous (conn close fan-out, actor
-// stops), so accounting probes give the system a moment to quiesce.
-func settle(d time.Duration, cond func() error) error {
-	deadline := time.Now().Add(d)
-	for {
-		err := cond()
-		if err == nil || time.Now().After(deadline) {
-			return err
+// TeardownProbe asserts that nothing of a torn-down rig outlived it: no
+// goroutine — device loop, actor, redial loop, delayed-delivery sender — by
+// the rig's own census, and no connection the injector wrapped. Run it once
+// the rig is idle.
+func TeardownProbe(rig *simclock.Virtual, in *Injector) Probe {
+	return Probe{"teardown", func() error {
+		if n := rig.Goroutines(); n != 0 {
+			return fmt.Errorf("%d goroutine(s) outlived the teardown", n)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// ConnProbe asserts the injector's conn accounting drained: every wrapped
-// connection was closed and every deferred-delivery sender goroutine exited.
-func ConnProbe(in *Injector) Probe {
-	return CheckFunc{Probe: "conn-accounting", Fn: func() error {
-		return settle(5*time.Second, func() error {
-			if n := in.OpenConns(); n != 0 {
-				return fmt.Errorf("%d wrapped connection(s) still open", n)
-			}
-			if n := in.SenderGoroutines(); n != 0 {
-				return fmt.Errorf("%d sender goroutine(s) still live", n)
-			}
-			return nil
-		})
-	}}
-}
-
-// GoroutineProbe captures the current goroutine count and asserts the count
-// returns near it (within slack) after the scenario — the leak check for
-// device pumps, actor loops, and redial loops.
-func GoroutineProbe(slack int) Probe {
-	before := runtime.NumGoroutine()
-	return CheckFunc{Probe: "goroutine-accounting", Fn: func() error {
-		return settle(5*time.Second, func() error {
-			if now := runtime.NumGoroutine(); now > before+slack {
-				return fmt.Errorf("goroutines grew %d -> %d (slack %d)", before, now, slack)
-			}
-			return nil
-		})
+		if n := in.OpenConns(); n != 0 {
+			return fmt.Errorf("%d wrapped connection(s) still open", n)
+		}
+		return nil
 	}}
 }
 
@@ -227,7 +190,7 @@ func (c *CounterWatch) Sample() {
 
 // Probe returns the monotonicity probe (takes one final sample first).
 func (c *CounterWatch) Probe() Probe {
-	return CheckFunc{Probe: "counters-monotonic", Fn: func() error {
+	return Probe{"counters-monotonic", func() error {
 		c.Sample()
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -248,7 +211,7 @@ func (c *CounterWatch) Probe() Probe {
 // any divergence means a corrupt or double-counted contribution reached a
 // commit.
 func SumProbe(got, want []*checkpoint.Checkpoint, tol float64) Probe {
-	return CheckFunc{Probe: "aggregate-sum", Fn: func() error {
+	return Probe{"aggregate-sum", func() error {
 		wantByRound := make(map[int64]*checkpoint.Checkpoint, len(want))
 		for _, c := range want {
 			wantByRound[c.Round] = c
@@ -274,38 +237,23 @@ func SumProbe(got, want []*checkpoint.Checkpoint, tol float64) Probe {
 	}}
 }
 
-// QuotaProbe asserts the selector quota ledger is conserved and fully
-// drained: granted == consumed + revoked (+ outstanding, which must be zero
-// once every round is sealed or abandoned and parked devices released).
-// stats is fetched at check time so the probe sees the post-teardown ledger.
+// QuotaLedger is the selector layer's quota ledger.
 type QuotaLedger struct {
 	Granted, Consumed, Revoked, Outstanding int64
 }
 
-// QuotaProbe builds the conservation probe from a ledger fetcher.
-func QuotaProbe(fetch func() (QuotaLedger, error)) Probe {
-	return CheckFunc{Probe: "quota-conservation", Fn: func() error {
-		l, err := fetch()
-		if err != nil {
-			return err
-		}
-		// Conservation holds at every mailbox-atomic snapshot, so a
-		// violation is immediate and permanent — no settling.
+// QuotaProbe asserts the ledger is conserved — granted == consumed + revoked
+// + outstanding — and, when it was read once every round had settled,
+// drained: nothing outstanding.
+func QuotaProbe(l QuotaLedger, settled bool) Probe {
+	return Probe{"quota-conservation", func() error {
 		if l.Granted != l.Consumed+l.Revoked+l.Outstanding {
 			return fmt.Errorf("ledger leak: granted %d != consumed %d + revoked %d + outstanding %d",
 				l.Granted, l.Consumed, l.Revoked, l.Outstanding)
 		}
-		// Outstanding quota may still be draining through seal/abandon
-		// revocations; give teardown a moment.
-		return settle(5*time.Second, func() error {
-			l, err := fetch()
-			if err != nil {
-				return err
-			}
-			if l.Outstanding != 0 {
-				return fmt.Errorf("%d quota slot(s) still outstanding after teardown", l.Outstanding)
-			}
-			return nil
-		})
+		if settled && l.Outstanding != 0 {
+			return fmt.Errorf("%d quota slot(s) still outstanding once the rounds were done", l.Outstanding)
+		}
+		return nil
 	}}
 }

@@ -1,14 +1,16 @@
 package chaos
 
 import (
-	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 func ckpt(task string, round int64, params ...float64) *checkpoint.Checkpoint {
@@ -73,16 +75,14 @@ func TestCounterWatch(t *testing.T) {
 }
 
 func TestQuotaProbe(t *testing.T) {
-	ok := func() (QuotaLedger, error) {
-		return QuotaLedger{Granted: 10, Consumed: 6, Revoked: 4}, nil
-	}
-	if rep := Verify(QuotaProbe(ok)); !rep.OK() {
+	if rep := Verify(QuotaProbe(QuotaLedger{Granted: 10, Consumed: 6, Revoked: 4}, true)); !rep.OK() {
 		t.Fatalf("balanced ledger failed: %v", rep)
 	}
-	leak := func() (QuotaLedger, error) {
-		return QuotaLedger{Granted: 10, Consumed: 6, Revoked: 3}, nil
+	if rep := Verify(QuotaProbe(QuotaLedger{Granted: 10, Consumed: 6, Outstanding: 4}, false)); !rep.OK() {
+		t.Fatalf("a ledger read mid-round failed for its outstanding slots: %v", rep)
 	}
-	rep := Verify(QuotaProbe(leak), CheckFunc{Probe: "always-green", Fn: func() error { return nil }})
+	leak := QuotaLedger{Granted: 10, Consumed: 6, Revoked: 3}
+	rep := Verify(QuotaProbe(leak, true), Probe{"always-green", func() error { return nil }})
 	if rep.OK() {
 		t.Fatal("leaked ledger not caught")
 	}
@@ -95,9 +95,18 @@ func TestQuotaProbe(t *testing.T) {
 }
 
 func TestConnProbeDrains(t *testing.T) {
-	in := New(1, Spec{}, nil)
-	if rep := Verify(ConnProbe(in)); !rep.OK() {
-		t.Fatalf("fresh injector conn probe: %v", rep)
+	clock := simclock.New(time.Time{})
+	in := New(1, Spec{Rules: []Rule{{Role: RoleDevice, Delay: time.Second}}}, clock)
+	a, _ := transport.Pipe(clock)
+	conn := in.WrapConn(RoleDevice, a) // a delayed link: its sender runs on the rig
+	if rep := Verify(TeardownProbe(clock, in)); rep.OK() {
+		t.Fatal("an open link and its sender passed the teardown probe")
 	}
-	_ = fmt.Sprint() // keep fmt imported alongside future edits
+	_ = conn.Close()
+	if err := clock.Run(0, func() bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if rep := Verify(TeardownProbe(clock, in)); !rep.OK() {
+		t.Fatalf("a closed link failed the teardown probe: %v", rep)
+	}
 }

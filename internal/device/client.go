@@ -41,11 +41,8 @@ type Client struct {
 	// Attestor mints attestation tokens; nil sends no token (fails when the
 	// server verifies).
 	Attestor *attest.Device
-	// TrainDelay artificially slows this device down (straggler modelling
-	// in tests; real devices are slow because of hardware).
-	TrainDelay time.Duration
-	// Clock is what the device tells the time and waits out TrainDelay on
-	// (nil: the wall clock) — the server's clock when both are in one test.
+	// Clock is what the device tells the time on (nil: the wall clock) —
+	// the server's clock when both are in one test.
 	Clock actor.Clock
 }
 
@@ -96,9 +93,7 @@ func (c *Client) RunOnce(conn transport.Conn) (*Outcome, error) {
 // model for its report, or it has ended and closed conn.
 func (c *Client) Checkin(conn transport.Conn) (*Session, error) {
 	s := &Session{c: c, conn: conn, clock: c.Clock, phase: protocol.PhaseCheckin}
-	if s.clock == nil {
-		s.clock = actor.Wall
-	}
+	s.clock = actor.OrWall(s.clock)
 	req := protocol.CheckinRequest{DeviceID: c.ID, Population: c.Population, RuntimeVersion: c.Runtime.Version}
 	if c.Attestor != nil {
 		req.AttestationToken = c.Attestor.Mint(c.Population, s.clock.Now())
@@ -200,10 +195,6 @@ func (s *Session) train() (*Outcome, error) {
 	}
 	var update []byte
 	if res.Update != nil {
-		if s.c.TrainDelay > 0 {
-			slept, _ := actor.After(s.clock, s.c.TrainDelay)
-			<-slept
-		}
 		if update, err = res.Update.Marshal(p.UplinkEncoding()); err != nil {
 			return s.end(protocol.PhaseDone, StateError), fmt.Errorf("device %s: marshal update: %w", s.c.ID, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/remote"
 )
 
 // ChaosRow is one scenario of the chaos grid: a fault schedule run against
@@ -16,7 +15,7 @@ type ChaosRow struct {
 	Scenario string
 	Seed     uint64
 	Rounds   int
-	// ElapsedMS is wall time to the last committed round.
+	// ElapsedMS is the virtual time to the last committed round.
 	ElapsedMS int64
 	// Faults is the total recorded fault count; FaultCounts breaks it down
 	// per kind ("drop=12", sorted).
@@ -54,17 +53,6 @@ func (r *ChaosResult) Format() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// chaosPeer tolerates the grid's 200ms jitter on the heartbeat path while
-// still detecting partitions inside a scenario's timescale.
-func chaosPeer() remote.Options {
-	return remote.Options{
-		HeartbeatInterval: 100 * time.Millisecond,
-		HeartbeatMiss:     5,
-		BackoffMin:        5 * time.Millisecond,
-		BackoffMax:        50 * time.Millisecond,
-	}
-}
-
 // ChaosGrid runs the deterministic chaos scenarios against the sharded
 // deployment: a fault-free baseline (which doubles as the aggregate-sum
 // reference), link-level noise, and the full partition + connection-reset
@@ -72,12 +60,10 @@ func chaosPeer() remote.Options {
 // reproducible from its seed.
 func ChaosGrid(seed uint64) (*ChaosResult, error) {
 	base := chaos.ScenarioConfig{
-		Seed:             seed,
-		Shards:           3,
-		TargetDevices:    8,
-		Rounds:           5,
-		IdenticalDevices: true,
-		Peer:             chaosPeer(),
+		Seed:          seed,
+		Shards:        3,
+		TargetDevices: 8,
+		Rounds:        5,
 	}
 	out := &ChaosResult{Shards: base.Shards, TargetDevices: base.TargetDevices}
 
@@ -90,8 +76,9 @@ func ChaosGrid(seed uint64) (*ChaosResult, error) {
 			Rules: []chaos.Rule{{Role: chaos.RoleShard, Drop: 0.05, Jitter: 200 * time.Millisecond}},
 		}},
 		{name: "partition+reset", spec: chaos.Spec{
-			Rules:      []chaos.Rule{{Role: chaos.RoleShard, Drop: 0.05, Jitter: 200 * time.Millisecond}},
-			Partitions: []chaos.Window{{Role: "shard:1", Round: 3, Dur: 2 * time.Second}},
+			Rules: []chaos.Rule{{Role: chaos.RoleShard, Drop: 0.05, Jitter: 200 * time.Millisecond}},
+			// Long enough for the links' heartbeat budget to declare it down.
+			Partitions: []chaos.Window{{Role: "shard:1", Round: 3, Dur: 10 * time.Second}},
 			Resets:     []chaos.Reset{{Role: "shard:2", Round: 4}},
 		}},
 	}
@@ -111,7 +98,7 @@ func ChaosGrid(seed uint64) (*ChaosResult, error) {
 		}
 		out.Rows = append(out.Rows, ChaosRow{
 			Scenario:      sc.name,
-			Seed:          res.Seed,
+			Seed:          cfg.Seed,
 			Rounds:        res.Rounds,
 			ElapsedMS:     res.Elapsed.Milliseconds(),
 			Faults:        res.FaultTotal,

@@ -134,11 +134,11 @@ type msgSecAggDone struct {
 // the round.
 type msgSecAggTimeout struct{}
 
-// secaggGate bounds concurrent secagg finalizations process-wide: each run
+// secaggSlots bounds concurrent secagg finalizations process-wide: each run
 // saturates the cores with its own worker pools, so admitting more than
 // GOMAXPROCS at once only multiplies transient partial-vector memory
 // (O(workers × dim) per run) without adding throughput.
-var secaggGate = make(chan struct{}, runtime.GOMAXPROCS(0))
+var secaggSlots = actor.NewQueue[struct{}](runtime.GOMAXPROCS(0))
 
 // Receive implements actor.Behavior.
 func (a *Aggregator) Receive(ctx *actor.Context, msg actor.Message) {
@@ -297,7 +297,8 @@ func (a *Aggregator) onFinalize(ctx *actor.Context, m msgFinalizeGroup) {
 		// Run the protocol off the actor goroutine so multiple group
 		// Aggregators finalize concurrently; the result comes back as a
 		// message and the actor stays alive until it lands.
-		go func() {
+		clock := ctx.System.Clock()
+		clock.Go(func() {
 			// Receive's panic isolation does not cover this goroutine;
 			// convert a protocol panic into a failed finalization so it
 			// costs the group, not the process.
@@ -306,8 +307,8 @@ func (a *Aggregator) onFinalize(ctx *actor.Context, m msgFinalizeGroup) {
 					_ = self.Send(msgSecAggDone{Err: fmt.Errorf("secagg panic: %v", r)})
 				}
 			}()
-			secaggGate <- struct{}{}
-			defer func() { <-secaggGate }()
+			secaggSlots.Push(struct{}{}, clock)
+			defer secaggSlots.Pop(clock)
 			res, err := secagg.RunSchedule(cfg, inputs, sched)
 			// The protocol consumed the inputs (Encode copies them into
 			// field elements); hand the buffers back so the next round's
@@ -330,7 +331,7 @@ func (a *Aggregator) onFinalize(ctx *actor.Context, m msgFinalizeGroup) {
 				sort.Strings(done.Blamed)
 			}
 			_ = self.Send(done)
-		}()
+		})
 		return
 	}
 	a.finish(ctx, "")

@@ -199,7 +199,7 @@ func TestSecureFinalizeWatchdogUnstallsGroup(t *testing.T) {
 	defer sys.Shutdown()
 	const finalizeTimeout = 100 * time.Millisecond
 	got, sig, release := stalledSecureGroup(t, sys, finalizeTimeout)
-	clock.expire(t, "finalize watchdog", clock.armed(t, finalizeTimeout, 1))
+	clock.expire(t, "finalize watchdog", clock.armed(t, finalizeTimeout, 1), nil)
 	waitSignals(t, sig, 1)
 
 	res := lastGroupResults(t, got, 1)[0]

@@ -198,24 +198,20 @@ func runHookedRound(t *testing.T, p *plan.Plan, store storage.Store, devices int
 	t.Helper()
 	fed, _ := data.Blobs(data.BlobsConfig{Users: devices, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 41})
 	outcomes := make(chan roundOutcome, 16)
+	clock := newWatchedClock()
 	srv, err := newServer(Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 42,
-	}, nil, func(out roundOutcome) { outcomes <- out }, churn)
+	}, clock, func(out roundOutcome) { outcomes <- out }, churn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, addr := serveMem(t, srv)
+	r := serveMem(t, clock, srv)
 	fl := newFleet(t, devices, fed, 3)
-	fl.run(net, addr)
+	fl.run(r, r.dial)
 	defer fl.halt()
-	select {
-	case out := <-outcomes:
-		return out
-	case <-time.After(60 * time.Second):
-		t.Fatal("round never settled")
-		return roundOutcome{}
-	}
+	r.until(t, "the round to settle", func() bool { return len(outcomes) > 0 })
+	return <-outcomes
 }
 
 func TestRoundSurfacesGroupErrors(t *testing.T) {
@@ -297,13 +293,13 @@ func TestSecureRemainderFoldedIntoLastGroup(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 5, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 21})
 	store := storage.NewMem()
 	p := testPlan(t, 5, true) // secure, group size 4
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 22,
 	})
 	fl := newFleet(t, 5, fed, 3)
-	fl.run(net, addr)
-	waitDone(t, srv, 90*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
 	ckpt, err := store.LatestCheckpoint(p.ID)
@@ -358,13 +354,13 @@ func TestEvalTaskThroughServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{evalPlan}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 2, Seed: 14,
 	})
 	fl := newFleet(t, 8, fed, 3)
-	fl.run(net, addr)
-	waitDone(t, srv, 60*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
 	// Eval rounds commit metrics, never checkpoints.
@@ -396,13 +392,13 @@ func TestMultiTaskRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{train, eval}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 4, Seed: 16,
 	})
 	fl := newFleet(t, 10, fed, 3)
-	fl.run(net, addr)
-	waitDone(t, srv, 90*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
 	if _, err := store.LatestCheckpoint(train.ID); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/nn"
 	"repro/internal/pacing"
@@ -72,79 +73,87 @@ func TestNonFiniteWeightReportsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			outcomes := make(chan roundOutcome, 1)
+			clock := newWatchedClock()
 			srv, err := newServer(Config{
 				Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 				Steering: pacing.New(time.Second), PopulationEstimate: honest + 2, MaxRounds: 1,
-			}, nil, func(out roundOutcome) { outcomes <- out }, nil)
+			}, clock, func(out roundOutcome) { outcomes <- out }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
 
 			// session runs one device over a Pipe until it is admitted, and
-			// returns the server's verdict on its report.
-			session := func(id string, upd []byte) protocol.ReportResponse {
-				for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-					srvEnd, dev := transport.Pipe()
-					go srv.fleet.router.handleConn(srvEnd)
-					_ = dev.Send(protocol.CheckinRequest{DeviceID: id, Population: "pop", RuntimeVersion: 3})
-					msg, err := dev.Recv()
-					if resp, ok := msg.(protocol.CheckinResponse); err == nil && ok && resp.Accepted {
-						_ = dev.Send(protocol.ReportRequest{DeviceID: id, TaskID: resp.TaskID, Round: resp.Round, Update: upd})
-						ack, err := dev.Recv()
-						dev.Close()
-						if err != nil {
-							t.Errorf("%s: no verdict: %v", id, err)
+			// records the server's verdict on its report.
+			var mu sync.Mutex
+			verdicts := map[string]protocol.ReportResponse{}
+			session := func(id string, upd []byte) {
+				clock.Go(func() {
+					for {
+						srvEnd, dev := transport.Pipe(clock)
+						clock.Go(func() { srv.fleet.router.handleConn(srvEnd) })
+						_ = dev.Send(protocol.CheckinRequest{DeviceID: id, Population: "pop", RuntimeVersion: 3})
+						msg, err := dev.Recv()
+						if resp, ok := msg.(protocol.CheckinResponse); err == nil && ok && resp.Accepted {
+							_ = dev.Send(protocol.ReportRequest{DeviceID: id, TaskID: resp.TaskID, Round: resp.Round, Update: upd})
+							ack, err := dev.Recv()
+							dev.Close()
+							if err != nil {
+								t.Errorf("%s: no verdict: %v", id, err)
+							}
+							mu.Lock()
+							verdicts[id], _ = ack.(protocol.ReportResponse)
+							mu.Unlock()
+							return
 						}
-						verdict, _ := ack.(protocol.ReportResponse)
-						return verdict
+						dev.Close()
+						actor.Sleep(clock, time.Millisecond, nil)
 					}
-					dev.Close()
-				}
-				t.Errorf("%s: never admitted", id)
-				return protocol.ReportResponse{}
+				})
+			}
+			heard := func(n int) func() bool {
+				return func() bool { mu.Lock(); defer mu.Unlock(); return len(verdicts) == n }
 			}
 
 			rejectedBefore := obsReportsRejected.Value()
-			for id, w := range map[string]float64{"nan": math.NaN(), "inf": math.Inf(1)} {
-				if v := session(id, update(w)); v.Accepted || v.Reason != "non-positive or non-finite weight" {
+			weights := map[string]float64{"nan": math.NaN(), "inf": math.Inf(1)}
+			for id, w := range weights {
+				session(id, update(w))
+			}
+			clock.until(t, "the non-finite reports' verdicts", heard(2))
+			for id, w := range weights {
+				if v := verdicts[id]; v.Accepted || v.Reason != "non-positive or non-finite weight" {
 					t.Fatalf("weight %v: verdict %+v, want a non-finite-weight refusal", w, v)
 				}
 			}
 			if got := obsReportsRejected.Value() - rejectedBefore; got != 2 {
 				t.Fatalf("fl_reports_rejected_total moved by %d, want 2", got)
 			}
-			var wg sync.WaitGroup
 			for i := 0; i < honest; i++ {
-				wg.Add(1)
-				go func(id string) {
-					defer wg.Done()
-					if v := session(id, update(weight)); !v.Accepted {
-						t.Errorf("%s: honest report refused: %+v", id, v)
-					}
-				}(fmt.Sprintf("honest-%d", i))
+				session(fmt.Sprintf("honest-%d", i), update(weight))
 			}
-			wg.Wait()
+			clock.until(t, "the honest reports' verdicts and the round", func() bool { return heard(2+honest)() && len(outcomes) == 1 })
+			for id, v := range verdicts {
+				if _, bad := weights[id]; !bad && !v.Accepted {
+					t.Errorf("%s: honest report refused: %+v", id, v)
+				}
+			}
 
-			select {
-			case out := <-outcomes:
-				if out.Committed == nil {
-					t.Fatalf("round failed: %s", out.FailReason)
+			out := <-outcomes
+			if out.Committed == nil {
+				t.Fatalf("round failed: %s", out.FailReason)
+			}
+			if out.Completed != honest {
+				t.Fatalf("completed %d, want %d", out.Completed, honest)
+			}
+			if w := out.Committed.Weight; math.Abs(w-honest*weight) > tc.tol {
+				t.Fatalf("committed weight %v, want %v", w, honest*weight)
+			}
+			for j, got := range out.Committed.Params {
+				want := global.Params[j] + delta[j]
+				if math.IsNaN(got) || math.IsInf(got, 0) || math.Abs(got-want) > tc.tol {
+					t.Fatalf("param %d: committed %v, closed form %v", j, got, want)
 				}
-				if out.Completed != honest {
-					t.Fatalf("completed %d, want %d", out.Completed, honest)
-				}
-				if w := out.Committed.Weight; math.Abs(w-honest*weight) > tc.tol {
-					t.Fatalf("committed weight %v, want %v", w, honest*weight)
-				}
-				for j, got := range out.Committed.Params {
-					want := global.Params[j] + delta[j]
-					if math.IsNaN(got) || math.IsInf(got, 0) || math.Abs(got-want) > tc.tol {
-						t.Fatalf("param %d: committed %v, closed form %v", j, got, want)
-					}
-				}
-			case <-time.After(time.Minute):
-				t.Fatal("round never settled")
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package flserver
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +16,10 @@ import (
 
 // watchedClock is a virtual clock that records every timer armed on it. An
 // actor arms its windows when it gets to the message, not when the test
-// sent it, so a test waits for the timer to be armed before it advances;
-// and since a timer fires on the advancing goroutine, "fired at its instant
-// and not a nanosecond earlier" is read off the record with no waiting.
+// sent it, so a test runs the rig until it is idle before it reads the
+// record; and since a timer fires on the driving goroutine, "fired at its
+// instant and not a nanosecond earlier" is read off the record with no
+// waiting.
 type watchedClock struct {
 	*simclock.Virtual
 	mu     sync.Mutex
@@ -63,49 +65,57 @@ func (c *watchedClock) of(d time.Duration) []*watchedTimer {
 	return out
 }
 
-// armed waits until n timers of duration d have been armed and returns the
-// n-th.
+// until runs the rig until cond holds, failing the test when it deadlocks
+// or an hour of virtual time passes first.
+func (c *watchedClock) until(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	if err := c.Run(time.Hour, cond); err != nil {
+		t.Fatalf("waiting for %s: %v", what, err)
+	}
+}
+
+// awaitDone waits for ch to close: a watched clock's rig runs until it has,
+// and a rig on the wall clock (its links are sockets) gets a minute.
+func awaitDone(t *testing.T, clock actor.Clock, what string, ch <-chan struct{}) {
+	t.Helper()
+	if c, ok := clock.(*watchedClock); ok {
+		c.until(t, what, closed(ch))
+		return
+	}
+	select {
+	case <-ch:
+	case <-time.After(time.Minute):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// armed runs the rig until it is idle, without letting time pass, and
+// returns the n-th timer of duration d armed on it.
 func (c *watchedClock) armed(t *testing.T, d time.Duration, n int) *watchedTimer {
 	t.Helper()
 	var got []*watchedTimer
-	waitFor(t, func() bool { got = c.of(d); return len(got) >= n })
+	if err := c.Run(0, func() bool { got = c.of(d); return len(got) >= n }); err != nil {
+		t.Fatalf("%d timer(s) of %v armed once the rig was idle, want %d: %v", len(got), d, n, err)
+	}
 	return got[n-1]
 }
 
-// expire advances the clock to timer's deadline in two steps and fails the
-// test unless it fires on the second: at its instant, not before.
-func (c *watchedClock) expire(t *testing.T, what string, timer *watchedTimer) {
+// expire runs the rig to timer's deadline and fails the test unless the
+// timer fires, and effect (when not nil) holds, at that instant and not a
+// nanosecond before.
+func (c *watchedClock) expire(t *testing.T, what string, timer *watchedTimer, effect func() bool) {
 	t.Helper()
-	c.Advance(timer.at.Sub(c.Now()) - time.Nanosecond)
-	if timer.fired.Load() {
-		t.Fatalf("%s fired a nanosecond before its %v deadline", what, timer.d)
+	early, done := timer.fired.Load, timer.fired.Load
+	if effect != nil {
+		early = func() bool { return timer.fired.Load() || effect() }
+		done = func() bool { return timer.fired.Load() && effect() }
 	}
-	c.Advance(time.Nanosecond)
-	if !timer.fired.Load() {
-		t.Fatalf("%s did not fire at its %v deadline (stopped: %v)", what, timer.d, timer.stopped.Load())
+	if err := c.Run(timer.at.Sub(c.Now())-time.Nanosecond, early); !errors.Is(err, simclock.ErrHorizon) {
+		t.Fatalf("%s took effect before its %v deadline (%v)", what, timer.d, err)
 	}
-}
-
-// fastForward runs clock at twenty times the wall clock's pace until the
-// test ends: for tests whose devices and windows wait on it while the test
-// waits on their progress.
-func fastForward(t *testing.T, clock *simclock.Virtual) {
-	stop, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(200 * time.Microsecond)
-		defer tick.Stop()
-		for last := time.Now(); ; {
-			select {
-			case <-stop:
-				return
-			case now := <-tick.C:
-				clock.Advance(20 * now.Sub(last))
-				last = now
-			}
-		}
-	}()
-	t.Cleanup(func() { close(stop); <-done })
+	if err := c.Run(time.Nanosecond, done); err != nil {
+		t.Fatalf("%s did not take effect at its %v deadline (stopped: %v): %v", what, timer.d, timer.stopped.Load(), err)
+	}
 }
 
 // TestFleetStampsTasksOnItsClock: the fleet's clock is the one its task sets

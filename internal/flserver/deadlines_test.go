@@ -21,17 +21,22 @@ import (
 	"repro/internal/transport"
 )
 
-// stuckConn is a peer that checked in and then never drains its socket: Send
-// blocks until somebody closes the connection.
+// stuckConn is a peer that checked in and then never drains its socket: a
+// pipe whose buffer is full, so Send waits until somebody closes it.
 type stuckConn struct {
-	closed chan struct{}
-	once   sync.Once
+	transport.Conn
+	closed atomic.Bool
 }
 
-func (c *stuckConn) Send(interface{}) error     { <-c.closed; return errors.New("closed") }
-func (c *stuckConn) Recv() (interface{}, error) { <-c.closed; return nil, errors.New("closed") }
-func (c *stuckConn) Release()                   {}
-func (c *stuckConn) Close() error               { c.once.Do(func() { close(c.closed) }); return nil }
+func newStuckConn(clock actor.Clock) *stuckConn {
+	near, _ := transport.Pipe(clock)
+	for i := 0; i < 64; i++ { // the pipe's buffer
+		_ = near.Send(i)
+	}
+	return &stuckConn{Conn: near}
+}
+
+func (c *stuckConn) Close() error { c.closed.Store(true); return c.Conn.Close() }
 
 // edgeRoundOn starts a device-less edge round for a target-1 plan on sys and
 // returns it with the channel its seal ships on.
@@ -56,15 +61,15 @@ func shipped(seals chan EdgeSeal) func() bool {
 // finalize; release frees the gate (idempotent).
 func stalledSecureGroup(t *testing.T, sys *actor.System, finalizeTimeout time.Duration) (got func() []actor.Message, sig chan struct{}, release func()) {
 	t.Helper()
-	slots := cap(secaggGate)
-	for i := 0; i < slots; i++ {
-		secaggGate <- struct{}{}
+	held := 0
+	for secaggSlots.Push(struct{}{}, nil) {
+		held++
 	}
 	var once sync.Once
 	release = func() {
 		once.Do(func() {
-			for i := 0; i < slots; i++ {
-				<-secaggGate
+			for ; held > 0; held-- {
+				secaggSlots.Pop(nil)
 			}
 		})
 	}
@@ -96,7 +101,7 @@ func TestDeadlinesFireAtTheirInstant(t *testing.T) {
 		{"report timeout seals the edge round", func(t *testing.T, clock *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
 			// No MinReports share: the selection timeout passes without effect.
 			_, seals := edgeRoundOn(t, sys, 0)
-			clock.expire(t, "selection timeout", clock.armed(t, 3*time.Second, 1))
+			clock.expire(t, "selection timeout", clock.armed(t, 3*time.Second, 1), nil)
 			return 5 * time.Second, 1, shipped(seals)
 		}},
 		{"Linger stops the sealed edge round", func(t *testing.T, _ *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
@@ -122,7 +127,7 @@ func TestDeadlinesFireAtTheirInstant(t *testing.T) {
 			}))
 			_ = coord.Send(msgTick{})
 			// The report window plus the grace: the straggler is told to seal.
-			clock.expire(t, "round deadline", clock.armed(t, p.Server.ReportTimeout+3*time.Second, 1))
+			clock.expire(t, "round deadline", clock.armed(t, p.Server.ReportTimeout+3*time.Second, 1), nil)
 			return 3 * time.Second, 1, func() bool { return len(outcomes) == 1 }
 		}},
 		{"secagg finalize timeout abandons a stalled group", func(t *testing.T, _ *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
@@ -137,49 +142,44 @@ func TestDeadlinesFireAtTheirInstant(t *testing.T) {
 			}
 		}},
 		{"abortGrace closes a connection that never takes its abort", func(t *testing.T, clock *watchedClock, _ *actor.System) (time.Duration, int, func() bool) {
-			conn := &stuckConn{closed: make(chan struct{})}
+			conn := newStuckConn(clock)
 			sendThenClose(clock, conn, protocol.Abort{Reason: "round sealed"})
-			return abortGrace, 1, func() bool {
-				select {
-				case <-conn.closed:
-					return true
-				default:
-					return false
-				}
-			}
+			return abortGrace, 1, conn.closed.Load
 		}},
 		{"Peer heartbeat miss declares the link down", func(t *testing.T, clock *watchedClock, _ *actor.System) (time.Duration, int, func() bool) {
-			near, far := transport.Pipe()
-			go func() { // a peer that reads and never acknowledges
+			near, far := transport.Pipe(clock)
+			clock.Go(func() { // a peer that reads and never acknowledges
 				for {
 					if _, err := far.Recv(); err != nil {
 						return
 					}
 				}
-			}()
+			})
 			var dials, downs atomic.Int32
 			peer := remote.NewPeer("silent", func() (transport.Conn, error) {
 				if dials.Add(1) > 1 {
 					return nil, errors.New("gone")
 				}
 				return near, nil
-			}, nil, remote.Options{HeartbeatInterval: time.Second, HeartbeatMiss: 2, Clock: clock,
-				OnDown: func(error) { downs.Add(1) }})
+			}, nil, remote.Options{Clock: clock, OnDown: func(error) { downs.Add(1) }})
 			t.Cleanup(peer.Close)
-			// Probes 1 and 2 go unanswered; the third tick finds the miss.
-			return time.Second, 3, func() bool { return downs.Load() == 1 }
+			// Probes 1 to 4 go unanswered; the fifth tick finds the miss.
+			return 500 * time.Millisecond, 5, func() bool { return downs.Load() == 1 }
 		}},
 		{"Peer backoff redials", func(t *testing.T, clock *watchedClock, _ *actor.System) (time.Duration, int, func() bool) {
 			var dials atomic.Int32
 			peer := remote.NewPeer("absent", func() (transport.Conn, error) {
 				dials.Add(1)
 				return nil, errors.New("refused")
-			}, nil, remote.Options{BackoffMin: 7 * time.Second, BackoffMax: 10 * time.Second, Clock: clock})
+			}, nil, remote.Options{Clock: clock})
 			t.Cleanup(peer.Close)
-			waitFor(t, func() bool { return dials.Load() == 1 })
-			// 7s, then min(14s, 10s).
-			clock.expire(t, "first backoff", clock.armed(t, 7*time.Second, 1))
-			return 10 * time.Second, 1, func() bool { return dials.Load() == 3 }
+			// 50ms, doubling each time, until 6.4s would pass the 5s cap.
+			n := int32(1)
+			for d := 50 * time.Millisecond; d < 5*time.Second; d *= 2 {
+				n++
+				clock.expire(t, "backoff", clock.armed(t, d, 1), func() bool { return dials.Load() == n })
+			}
+			return 5 * time.Second, 1, func() bool { return dials.Load() == n+1 }
 		}},
 	}
 	for _, row := range rows {
@@ -189,17 +189,37 @@ func TestDeadlinesFireAtTheirInstant(t *testing.T) {
 			defer sys.Shutdown()
 			d, n, effect := row.arrange(t, clock, sys)
 			for i := 1; i < n; i++ {
-				clock.expire(t, row.name, clock.armed(t, d, i))
+				clock.expire(t, row.name, clock.armed(t, d, i), nil)
 			}
-			timer := clock.armed(t, d, n)
-			clock.Advance(timer.at.Sub(clock.Now()) - time.Nanosecond)
-			if timer.fired.Load() || effect() {
-				t.Fatalf("took effect a nanosecond before its %v deadline", d)
-			}
-			clock.expire(t, row.name, timer)
-			waitFor(t, effect)
+			clock.expire(t, row.name, clock.armed(t, d, n), effect)
 		})
 	}
+}
+
+// TestStalledSendsParkForTheirSlot: a response send past respGate's 256 slots
+// parks on its clock until a slot frees, so when 257 peers never drain their
+// sockets the rig still goes idle: abortGrace closes the first 256 at its
+// instant, and the last one abortGrace after it took a freed slot.
+func TestStalledSendsParkForTheirSlot(t *testing.T) {
+	clock := newWatchedClock()
+	conns := make([]*stuckConn, 257)
+	for i := range conns {
+		conns[i] = newStuckConn(clock)
+		sendThenClose(clock, conns[i], protocol.Abort{Reason: "round sealed"})
+	}
+	closed := func(want int) func() bool {
+		return func() bool {
+			n := 0
+			for _, c := range conns {
+				if c.closed.Load() {
+					n++
+				}
+			}
+			return n == want
+		}
+	}
+	clock.expire(t, "abortGrace of the first 256 sends", clock.armed(t, abortGrace, 1), closed(256))
+	clock.expire(t, "abortGrace of the 257th send", clock.armed(t, abortGrace, 257), closed(257))
 }
 
 // TestFinishedSecureGroupStopsItsWatchdog: every secure group arms a
@@ -211,18 +231,16 @@ func TestFinishedSecureGroupStopsItsWatchdog(t *testing.T) {
 	const rounds = 3
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 8})
 	p := twoGroupSecurePlan(t)
-	clock := newWatchedClock()
-	fastForward(t, clock.Virtual)
-	srv, net, addr := runServerOn(t, clock, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: storage.NewMem(),
 		Steering: pacing.New(time.Second), MaxRounds: rounds, Seed: 4,
 	})
-	fl := newFleet(t, 12, fed, 3).on(clock)
-	fl.run(net, addr)
-	waitDone(t, srv, 60*time.Second)
+	fl := newFleet(t, 12, fed, 3)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
-	watchdogs := clock.of(p.Server.FinalizeTimeout())
+	watchdogs := r.of(p.Server.FinalizeTimeout())
 	if len(watchdogs) < 2*rounds {
 		t.Fatalf("%d watchdogs armed over %d committed rounds of two groups", len(watchdogs), rounds)
 	}

@@ -172,22 +172,21 @@ func TestLiveEstimateOpensMinDevicesGate(t *testing.T) {
 	// task would never schedule. RoundPeriod 10 minutes makes MeanWait
 	// large, so even a modest observed check-in rate implies a population
 	// of thousands.
-	clock := fastClock(t)
-	srv, net, addr := runServerOn(t, clock, Config{
+	r := runServer(t, Config{
 		Population: "pop", Store: store,
 		Steering:           pacing.New(10 * time.Minute),
 		PopulationEstimate: 10,
 		MaxRounds:          1, Seed: 31,
 	})
-	if err := srv.SubmitTask(p, tasks.Policy{MinDevices: 100}); err != nil {
+	if err := r.srv.SubmitTask(p, tasks.Policy{MinDevices: 100}); err != nil {
 		t.Fatal(err)
 	}
-	fl := newFleet(t, 16, fed, 3).on(clock)
-	fl.run(net, addr)
-	waitDone(t, srv, 60*time.Second)
+	fl := newFleet(t, 16, fed, 3)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
-	st := stats(t, srv)
+	st := stats(t, r.srv)
 	if st.RoundsCompleted < 1 {
 		t.Fatalf("gated task never ran: %+v", st)
 	}

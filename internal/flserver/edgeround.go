@@ -204,6 +204,7 @@ type EdgeRound struct {
 // Selector's forward stream back at this sealed round. A step blocked on a
 // Selector's mailbox returns when the Selector stops.
 type roundOutbox struct {
+	clock    actor.Clock
 	mu       sync.Mutex
 	queue    []func()
 	draining bool
@@ -216,7 +217,7 @@ func (o *roundOutbox) post(step func()) {
 	o.draining = true
 	o.mu.Unlock()
 	if start {
-		go o.drain()
+		o.clock.Go(o.drain)
 	}
 }
 
@@ -312,6 +313,7 @@ func (er *EdgeRound) requestDevices(self actor.Ref) {
 // and report windows.
 func (er *EdgeRound) start(ctx *actor.Context) {
 	er.startAt = time.Now()
+	er.out.clock = ctx.System.Clock()
 	srv := er.cfg.Plan.Server
 	spawnAgg := func(g int) actor.Ref {
 		agg := NewAggregator(er.cfg.Dim, ctx.Self)
@@ -473,18 +475,18 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 			group = er.aggs[g]
 		}
 		er.devices[d.ID] = &edgeDev{conn: d.Conn}
-		go func(id string, conn transport.Conn) {
-			err := conn.Send(vr.enc)
+		ctx.System.Clock().Go(func() {
+			err := d.Conn.Send(vr.enc)
 			er.configEnd.Store(time.Now().UnixNano())
 			if err != nil {
 				// A failed Configuration send means a dead peer: release
 				// the fd here, then account the loss on the actor.
-				_ = conn.Close()
-				_ = self.Send(msgReportDone{DeviceID: id})
+				_ = d.Conn.Close()
+				_ = self.Send(msgReportDone{DeviceID: d.ID})
 				return
 			}
-			reader.read(id, conn, group)
-		}(d.ID, d.Conn)
+			reader.read(d.ID, d.Conn, group)
+		})
 	}
 	er.topUp(ctx, replace)
 	if er.owed <= 0 {

@@ -38,39 +38,24 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 	er.requestDevices(ref)
 
 	// No device reports; the window times out and the round seals empty.
-	clock.expire(t, "report window", clock.armed(t, p.Server.ReportTimeout, 1))
-	select {
-	case <-seals:
-	case <-time.After(5 * time.Second):
-		t.Fatal("round never sealed")
-	}
+	clock.expire(t, "report window", clock.armed(t, p.Server.ReportTimeout, 1), func() bool { return len(seals) == 1 })
 
 	// INSIDE the linger window: a late forward reaches the still-lingering
 	// round actor and must be answered with an explicit abort.
-	srvEnd, devEnd := transport.Pipe()
+	srvEnd, devEnd := transport.Pipe(clock)
 	if err := ref.Send(msgDevices{Devices: []heldDevice{{ID: "late-inside", Conn: srvEnd}}}); err != nil {
 		t.Fatalf("send inside linger window: %v", err)
 	}
-	got := make(chan interface{}, 1)
-	go func() {
-		msg, err := devEnd.Recv()
-		if err != nil {
-			got <- err
-			return
-		}
-		got <- msg
-	}()
-	select {
-	case msg := <-got:
-		ab, ok := msg.(protocol.Abort)
-		if !ok {
-			t.Fatalf("late device inside window got %T (%v), want protocol.Abort", msg, msg)
-		}
-		if ab.Reason != "round sealed" || ab.TaskID != "task" || ab.Round != 7 {
-			t.Fatalf("abort = %+v", ab)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("late device inside window never answered")
+	msg, err := devEnd.Recv()
+	if err != nil {
+		t.Fatalf("late device inside window never answered: %v", err)
+	}
+	ab, ok := msg.(protocol.Abort)
+	if !ok {
+		t.Fatalf("late device inside window got %T (%v), want protocol.Abort", msg, msg)
+	}
+	if ab.Reason != "round sealed" || ab.TaskID != "task" || ab.Round != 7 {
+		t.Fatalf("abort = %+v", ab)
 	}
 	// The abort was sent after the seal on the actor's goroutine, so the
 	// round's state is safe to read: a lingering round must hold nothing
@@ -87,22 +72,19 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 
 	// OUTSIDE the window: the round actor has stopped itself, at the
 	// window's last instant.
-	clock.expire(t, "linger window", clock.armed(t, edgeRoundLinger, 1))
-	if !ref.Stopped() {
-		t.Fatal("round actor still alive past its linger window")
-	}
+	clock.expire(t, "linger window", clock.armed(t, edgeRoundLinger, 1), ref.Stopped)
 
 	// A fresh check-in now gets a clean steering rejection from the
 	// Selector — quota was revoked at seal, so there is no round to join
 	// and nothing to abort.
-	srvEnd2, devEnd2 := transport.Pipe()
+	srvEnd2, devEnd2 := transport.Pipe(clock)
 	if err := sel.Send(msgCheckin{
 		Req:  protocol.CheckinRequest{Population: "pop", DeviceID: "late-outside"},
 		Conn: srvEnd2,
 	}); err != nil {
 		t.Fatalf("post-linger checkin: %v", err)
 	}
-	msg, err := devEnd2.Recv()
+	msg, err = devEnd2.Recv()
 	if err != nil {
 		t.Fatalf("post-linger device recv: %v", err)
 	}

@@ -2,7 +2,6 @@ package flserver
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,8 +18,8 @@ import (
 // mailbox is full of check-ins with more forwarders parked behind them —
 // and the next message the round handles is the loss of a configured
 // device, whose replacement request goes to that Selector. Sent from inside
-// Receive the request parks behind the forwarders (channel senders queue in
-// order) while the Selector parks on the round: neither returns. The round
+// Receive the request parks behind the forwarders while the Selector parks
+// on the round: neither returns. The round
 // must instead drain, have its replacement configured, seal when told to,
 // hand its quota back, and the system must shut down.
 func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
@@ -31,16 +30,9 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 		// on, a mailbox of them, and the parked forwarders.
 		admit = 2 + mailbox + forwarders
 	)
-	sys := actor.NewSystem()
-	shutdown := make(chan struct{})
-	t.Cleanup(func() {
-		go func() { sys.Shutdown(); close(shutdown) }()
-		select {
-		case <-shutdown:
-		case <-time.After(10 * time.Second):
-			t.Error("actor system did not shut down")
-		}
-	})
+	clock := newWatchedClock()
+	sys := actor.NewSystem(clock)
+	t.Cleanup(func() { sys.Shutdown() })
 	sel := spawnSelector(sys, "sel", 0, 1, "pop")
 
 	p := testPlan(t, admit, false)
@@ -53,14 +45,13 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 	// gate parks the round's actor inside Receive until released, so its
 	// mailbox can be filled behind it.
 	type gate struct{}
-	entered, release := make(chan struct{}), make(chan struct{})
-	var releaseOnce sync.Once
-	open := func() { releaseOnce.Do(func() { close(release) }) }
-	t.Cleanup(open)
+	entered := make(chan struct{})
+	var release actor.Gate
+	t.Cleanup(release.Close)
 	ref := sys.Spawn("edge-outbox-test", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		if _, ok := msg.(gate); ok {
 			close(entered)
-			<-release
+			actor.Sleep(clock, time.Hour, &release)
 			return
 		}
 		er.Receive(ctx, msg)
@@ -74,8 +65,8 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 			configured.Add(1)
 		}
 	}
-	checkin(sel, "pop", "d0", onResp)
-	waitFor(t, func() bool { return configured.Load() == 1 })
+	checkin(sys, sel, "pop", "d0", onResp)
+	clock.until(t, "d0 configured", func() bool { return configured.Load() == 1 })
 
 	_ = ref.Send(gate{})
 	<-entered
@@ -87,51 +78,41 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 	// The Selector admits d1 and parks forwarding it; the rest fill its
 	// mailbox, and the forwarders park behind that.
 	for i := 1; i <= 1+mailbox; i++ {
-		checkin(sel, "pop", fmt.Sprintf("d%d", i), onResp)
+		checkin(sys, sel, "pop", fmt.Sprintf("d%d", i), onResp)
 	}
-	var parked sync.WaitGroup
 	for i := 0; i < forwarders; i++ {
-		parked.Add(1)
-		go func(i int) {
-			parked.Done()
-			checkin(sel, "pop", fmt.Sprintf("fwd%d", i), onResp)
-		}(i)
+		clock.Go(func() { checkin(sys, sel, "pop", fmt.Sprintf("fwd%d", i), onResp) })
 	}
-	parked.Wait()
-	time.Sleep(50 * time.Millisecond) // let the forwarders reach their Send
-	open()
+	clock.until(t, "the forwarders to park on their Send", func() bool { return true })
+	release.Close()
 
 	// Everything drains: every admitted device is configured, and the
 	// replacement request — queued behind all of them — reaches the Selector.
-	waitFor(t, func() bool { return configured.Load() == admit })
-	waitFor(t, func() bool { return popStats(t, sel, "pop").QuotaGranted == admit+1 })
-	checkin(sel, "pop", "replacement", onResp)
-	waitFor(t, func() bool { return configured.Load() == admit+1 })
+	clock.until(t, "every admitted device configured", func() bool { return configured.Load() == admit })
+	clock.until(t, "the replacement request", func() bool { return popStats(t, sel, "pop").QuotaGranted == admit+1 })
+	checkin(sys, sel, "pop", "replacement", onResp)
+	clock.until(t, "the replacement configured", func() bool { return configured.Load() == admit+1 })
 
 	// A second loss leaves one slot outstanding for the seal to revoke.
 	_ = ref.Send(msgReportDone{DeviceID: "d1"})
-	waitFor(t, func() bool { return popStats(t, sel, "pop").QuotaOutstanding == 1 })
+	clock.until(t, "one slot outstanding", func() bool { return popStats(t, sel, "pop").QuotaOutstanding == 1 })
 	FinalizeEdgeRound(ref)
-	select {
-	case seal := <-seals:
-		if seal.Lost != 2 || seal.Aborted != admit-1 {
-			t.Fatalf("seal lost %d aborted %d, want 2 and %d", seal.Lost, seal.Aborted, admit-1)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("round never sealed")
+	clock.until(t, "the seal", func() bool { return len(seals) == 1 })
+	if seal := <-seals; seal.Lost != 2 || seal.Aborted != admit-1 {
+		t.Fatalf("seal lost %d aborted %d, want 2 and %d", seal.Lost, seal.Aborted, admit-1)
 	}
 	// The revocation still arrives: nothing is admitted to the sealed round.
-	waitFor(t, func() bool {
+	clock.until(t, "the revocation", func() bool {
 		st := popStats(t, sel, "pop")
 		return st.QuotaOutstanding == 0 && st.QuotaRevoked == 1 && st.quotaConserved()
 	})
 	var late atomic.Int64
-	checkin(sel, "pop", "late", func(r protocol.CheckinResponse) {
+	checkin(sys, sel, "pop", "late", func(r protocol.CheckinResponse) {
 		if !r.Accepted {
 			late.Add(1)
 		}
 	})
-	waitFor(t, func() bool { return late.Load() == 1 })
+	clock.until(t, "the late device's rejection", func() bool { return late.Load() == 1 })
 }
 
 // TestSealSurvivesSaturatedGroupMailbox is the same wait-for cycle one level
@@ -147,16 +128,9 @@ func TestSealSurvivesSaturatedGroupMailbox(t *testing.T) {
 		mailbox = 1024 // actor.mailboxSize
 		readers = 8
 	)
-	sys := actor.NewSystem()
-	shutdown := make(chan struct{})
-	t.Cleanup(func() {
-		go func() { sys.Shutdown(); close(shutdown) }()
-		select {
-		case <-shutdown:
-		case <-time.After(10 * time.Second):
-			t.Error("actor system did not shut down")
-		}
-	})
+	clock := newWatchedClock()
+	sys := actor.NewSystem(clock)
+	t.Cleanup(func() { sys.Shutdown() })
 	p := twoGroupSecurePlan(t)
 	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
 	seals := make(chan EdgeSeal, 1)
@@ -165,11 +139,13 @@ func TestSealSurvivesSaturatedGroupMailbox(t *testing.T) {
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
 	}, nil, func(s EdgeSeal) { seals <- s })
 	type gate struct{}
-	entered, release := make(chan struct{}), make(chan struct{})
+	entered := make(chan struct{})
+	var release actor.Gate
+	t.Cleanup(release.Close)
 	ref := sys.Spawn("edge-group-outbox-test", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		if _, ok := msg.(gate); ok {
 			close(entered)
-			<-release
+			actor.Sleep(clock, time.Hour, &release)
 			return
 		}
 		er.Receive(ctx, msg)
@@ -198,24 +174,14 @@ func TestSealSurvivesSaturatedGroupMailbox(t *testing.T) {
 	for i := 0; i <= mailbox; i++ {
 		_ = agg.Send(refused(i))
 	}
-	var parked sync.WaitGroup
 	for i := 0; i < readers; i++ {
-		parked.Add(1)
-		go func(i int) {
-			parked.Done()
-			_ = agg.Send(refused(mailbox + 1 + i))
-		}(i)
+		clock.Go(func() { _ = agg.Send(refused(mailbox + 1 + i)) })
 	}
-	parked.Wait()
-	time.Sleep(50 * time.Millisecond) // let the readers reach their Send
-	close(release)
+	clock.until(t, "the readers to park on their Send", func() bool { return true })
+	release.Close()
 
-	select {
-	case seal := <-seals:
-		if seal.Seal.Count != 0 || len(seal.GroupErrors) != 0 {
-			t.Fatalf("seal of a group that buffered nothing: %+v", seal)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("round never sealed: it is parked on its group's mailbox")
+	clock.until(t, "the seal (the round must not park on its group's mailbox)", func() bool { return len(seals) == 1 })
+	if seal := <-seals; seal.Seal.Count != 0 || len(seal.GroupErrors) != 0 {
+		t.Fatalf("seal of a group that buffered nothing: %+v", seal)
 	}
 }

@@ -36,16 +36,16 @@ func TestCommitFailureAbandonsRoundThenRecovers(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 10, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 31})
 	store := &failingStore{Store: storage.NewMem(), failures: 2}
 	p := testPlan(t, 4, false)
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 2, Seed: 32,
 	})
 	fl := newFleet(t, 10, fed, 3)
-	fl.run(net, addr)
-	waitDone(t, srv, 90*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
-	st := stats(t, srv)
+	st := stats(t, r.srv)
 	if st.RoundsFailed < 2 {
 		t.Fatalf("expected ≥2 abandoned rounds from storage failures, got %d", st.RoundsFailed)
 	}
@@ -70,18 +70,18 @@ func TestSelectorForwardsToDeadMasterLosesOnlyThoseDevices(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 6, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 33})
 	store := storage.NewMem()
 	p := testPlan(t, 3, false)
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 2, Seed: 34,
 	})
 	fl := newFleet(t, 6, fed, 3)
-	fl.run(net, addr)
-	waitDone(t, srv, 60*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 	// The real assertion is end-to-end: rounds complete despite the
 	// forward-to-dead-ref path being exercised in Selector.onForward
 	// whenever an EdgeRound stops while devices stream in.
-	if stats(t, srv).RoundsCompleted < 2 {
+	if stats(t, r.srv).RoundsCompleted < 2 {
 		t.Fatal("training did not complete")
 	}
 }

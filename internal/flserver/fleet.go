@@ -99,7 +99,7 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		f.selectors = append(f.selectors, f.sys.Spawn(fmt.Sprintf("selector-%d", i),
 			NewSelector(cfg.Verifier, pacing.New(time.Minute), cfg.SelectorCapacity, cfg.Seed+uint64(i))))
 	}
-	f.router = NewCheckinRouter(f.selectors)
+	f.router = NewCheckinRouter(f.sys.Clock(), f.selectors)
 	return f
 }
 

@@ -2,7 +2,6 @@ package flserver
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -34,7 +33,8 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 		return p
 	}
 
-	f := NewFleet(FleetConfig{Seed: 5})
+	clock := newWatchedClock()
+	f := NewFleet(FleetConfig{Seed: 5, Clock: clock})
 	defer f.Close()
 
 	pops := []string{"pop-a", "pop-b"}
@@ -46,35 +46,25 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 		}
 	}
 
-	// waitOwned blocks until pop's registry coordinator is live and owns
-	// the population lock.
-	waitOwned := func(pop string, not actor.Ref) actor.Ref {
-		var coord actor.Ref
-		waitWithin(t, 15*time.Second, "population "+pop+" to re-acquire its lock", func() bool {
-			var ok bool
-			coord, ok = f.coordinator(pop)
-			return ok && coord != nil && coord != not && !coord.Stopped() && f.lockOwner(pop) == coord
-		})
-		return coord
+	// owned reports whether pop's registry coordinator is live, is not
+	// old, and owns the population lock.
+	owned := func(pop string, old actor.Ref) bool {
+		coord, ok := f.coordinator(pop)
+		return ok && coord != nil && coord != old && !coord.Stopped() && f.lockOwner(pop) == coord
 	}
-	for _, pop := range pops {
-		waitOwned(pop, nil)
-	}
+	clock.until(t, "every population to own its lock", func() bool { return owned("pop-a", nil) && owned("pop-b", nil) })
 
 	for round := 0; round < 5; round++ {
 		// Crash both populations' Coordinators concurrently: their watchers
 		// race respawns against each other on the one shared lock service.
-		var wg sync.WaitGroup
+		olds := make(map[string]actor.Ref, len(pops))
 		for _, pop := range pops {
-			coord, _ := f.coordinator(pop)
-			wg.Add(1)
-			go func(pop string, old actor.Ref) {
-				defer wg.Done()
-				_ = old.Send(msgCrash{})
-				waitOwned(pop, old)
-			}(pop, coord)
+			olds[pop], _ = f.coordinator(pop)
+			_ = olds[pop].Send(msgCrash{})
 		}
-		wg.Wait()
+		clock.until(t, "every population to re-acquire its lock", func() bool {
+			return owned("pop-a", olds["pop-a"]) && owned("pop-b", olds["pop-b"])
+		})
 
 		// Now race a rival "second respawn" per population against the live
 		// owner: a duplicated watcher decision must lose the lock Acquire on
@@ -96,7 +86,7 @@ func TestCoordinatorRespawnRaceSharedLock(t *testing.T) {
 		}
 		for _, pop := range pops {
 			rival := rivals[pop]
-			waitWithin(t, 15*time.Second, fmt.Sprintf("round %d: the rival coordinator for %s to stop (two live Coordinators for one population)", round, pop), rival.Stopped)
+			clock.until(t, fmt.Sprintf("round %d: the rival coordinator for %s to stop (two live Coordinators for one population)", round, pop), rival.Stopped)
 			coord, _ := f.coordinator(pop)
 			if owner := f.lockOwner(pop); owner != coord {
 				t.Fatalf("round %d: lock owner for %s is %v, want the registry coordinator", round, pop, owner)

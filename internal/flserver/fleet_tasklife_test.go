@@ -11,7 +11,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/tasks"
-	"repro/internal/transport"
 )
 
 func makeEvalPlan(t *testing.T, pop string, target int) *plan.Plan {
@@ -47,17 +46,10 @@ func fleetTaskStats(t *testing.T, f *Fleet, pop string) map[string]tasks.Stats {
 // interleaves per its cadence, reports via TaskStats, and is retired
 // without disturbing training.
 func TestFleetTaskLifecycle(t *testing.T) {
-	f := NewFleet(FleetConfig{Seed: 7})
+	clock := newWatchedClock()
+	f := NewFleet(FleetConfig{Seed: 7, Clock: clock})
 	defer f.Close()
-
-	net := transport.NewMemNetwork()
-	l, err := net.Listen("fleet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go f.Serve(l)
-	dial := func() (transport.Conn, error) { return net.Dial("fleet") }
+	dial := serveFleet(t, clock, f)
 
 	const pop = "gamma"
 	train := makePlan(t, pop, 3)
@@ -71,8 +63,7 @@ func TestFleetTaskLifecycle(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	stopDevices := runPopDevices(t, pop, 9, fed, dial)
-	defer stopDevices()
+	defer runPopDevices(t, clock, pop, 9, fed, dial).halt()
 
 	// Lifecycle calls against unknown populations fail loudly.
 	if err := f.SubmitTask("nope", makeEvalPlan(t, pop, 2), tasks.Policy{}); err == nil {
@@ -85,7 +76,7 @@ func TestFleetTaskLifecycle(t *testing.T) {
 	waitRounds := func(id string, n int) tasks.Stats {
 		t.Helper()
 		var st tasks.Stats
-		waitWithin(t, 60*time.Second, fmt.Sprintf("task %s to commit %d rounds", id, n), func() bool {
+		clock.until(t, fmt.Sprintf("task %s to commit %d rounds", id, n), func() bool {
 			st = fleetTaskStats(t, f, pop)[id]
 			return st.RoundsCommitted >= n
 		})

@@ -2,10 +2,10 @@ package flserver
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/data"
 	"repro/internal/device"
 	"repro/internal/nn"
@@ -43,25 +43,24 @@ func TestFleetThreePopulations(t *testing.T) {
 		devices, target, rounds int
 	}{{"mem", false, 9, 3, 2}, {"tcp", true, 6, 2, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := NewFleet(FleetConfig{Seed: 1})
+			var clock actor.Clock = actor.Wall
+			if !tc.tcp {
+				clock = newWatchedClock()
+			}
+			f := NewFleet(FleetConfig{Seed: 1, Clock: clock})
 			defer f.Close()
-			var l transport.Listener
-			var err error
 			var dial func() (transport.Conn, error)
 			if tc.tcp {
-				if l, err = transport.ListenTCP("127.0.0.1:0"); err != nil {
+				l, err := transport.ListenTCP("127.0.0.1:0")
+				if err != nil {
 					t.Fatal(err)
 				}
+				defer l.Close()
+				go f.Serve(l)
 				dial = func() (transport.Conn, error) { return transport.DialTCP(l.Addr()) }
 			} else {
-				net := transport.NewMemNetwork()
-				if l, err = net.Listen("fleet"); err != nil {
-					t.Fatal(err)
-				}
-				dial = func() (transport.Conn, error) { return net.Dial("fleet") }
+				dial = serveFleet(t, clock.(*watchedClock), f)
 			}
-			defer l.Close()
-			go f.Serve(l)
 
 			pops := []string{"pop-a", "pop-b", "pop-c"}
 			stores := make(map[string]storage.Store, len(pops))
@@ -77,7 +76,7 @@ func TestFleetThreePopulations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer runPopDevices(t, pop, tc.devices, fed, dial)()
+				defer runPopDevices(t, clock, pop, tc.devices, fed, dial).halt()
 			}
 			var accepted int64
 			for _, pop := range pops {
@@ -85,11 +84,7 @@ func TestFleetThreePopulations(t *testing.T) {
 				if !ok {
 					t.Fatalf("population %s not registered", pop)
 				}
-				select {
-				case <-done:
-				case <-time.After(60 * time.Second):
-					t.Fatalf("population %s never finished", pop)
-				}
+				awaitDone(t, clock, "population "+pop, done)
 				st, err := f.PopulationStats(pop)
 				if err != nil {
 					t.Fatal(err)
@@ -109,44 +104,40 @@ func TestFleetThreePopulations(t *testing.T) {
 	}
 }
 
-// runPopDevices starts a device loop fleet for one population and returns
-// a stop function.
-func runPopDevices(t *testing.T, pop string, n int, fed *data.Federated, dial func() (transport.Conn, error)) func() {
+// serveFleet serves f, which runs on clock, over a fresh mem network on
+// that clock, and returns how a device dials it.
+func serveFleet(t *testing.T, clock *watchedClock, f *Fleet) func() (transport.Conn, error) {
 	t.Helper()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	net := transport.NewMemNetwork(clock)
+	l, err := net.Listen("fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	clock.Go(func() { f.Serve(l) })
+	return func() (transport.Conn, error) { return net.Dial("fleet") }
+}
+
+// runPopDevices starts a device fleet of one population on clock.
+func runPopDevices(t *testing.T, clock actor.Clock, pop string, n int, fed *data.Federated, dial func() (transport.Conn, error)) *fleet {
+	t.Helper()
+	fl := &fleet{t: t, shapes: make(map[string]int)}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%s-dev-%d", pop, i)
 		st, err := device.NewMemStore(pop+"-store", 1000, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		now := time.Now()
 		for _, ex := range fed.Users[i] {
-			st.Add(ex, now)
+			st.Add(ex, clock.Now())
 		}
 		rt := device.NewRuntime(id, 3, nil, uint64(i)+500)
 		if err := rt.RegisterStore(st); err != nil {
 			t.Fatal(err)
 		}
-		client := &device.Client{ID: id, Population: pop, Runtime: rt}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if conn, err := dial(); err == nil {
-					_, _ = client.RunOnce(conn)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
+		fl.clients = append(fl.clients, &device.Client{ID: id, Population: pop, Runtime: rt})
 	}
-	return func() { close(stop); wg.Wait() }
+	return fl.run(clock, dial)
 }
 
 // TestFleetRegisterAtRuntime covers the registry: an unknown population's
@@ -154,17 +145,10 @@ func runPopDevices(t *testing.T, pop string, n int, fed *data.Federated, dial fu
 // registering it mid-flight makes it train to completion over the
 // already-running listener.
 func TestFleetRegisterAtRuntime(t *testing.T) {
-	f := NewFleet(FleetConfig{Seed: 3})
+	clock := newWatchedClock()
+	f := NewFleet(FleetConfig{Seed: 3, Clock: clock})
 	defer f.Close()
-
-	net := transport.NewMemNetwork()
-	l, err := net.Listen("fleet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go f.Serve(l)
-	dial := func() (transport.Conn, error) { return net.Dial("fleet") }
+	dial := serveFleet(t, clock, f)
 
 	checkin := func(pop string) protocol.CheckinResponse {
 		t.Helper()
@@ -216,21 +200,17 @@ func TestFleetRegisterAtRuntime(t *testing.T) {
 		t.Fatal("duplicate registration must fail")
 	}
 
-	stopA := runPopDevices(t, "pop-a", 8, fedA, dial)
-	stopB := runPopDevices(t, "pop-b", 8, fedB, dial)
+	devA := runPopDevices(t, clock, "pop-a", 8, fedA, dial)
+	devB := runPopDevices(t, clock, "pop-b", 8, fedB, dial)
 	for _, pop := range []string{"pop-a", "pop-b"} {
 		done, ok := f.Done(pop)
 		if !ok {
 			t.Fatalf("population %s not registered", pop)
 		}
-		select {
-		case <-done:
-		case <-time.After(60 * time.Second):
-			t.Fatalf("population %s never finished", pop)
-		}
+		clock.until(t, "population "+pop, closed(done))
 	}
-	stopA()
-	stopB()
+	devA.halt()
+	devB.halt()
 
 	for _, c := range []struct {
 		pop   string

@@ -1,9 +1,11 @@
 package flserver
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,12 +48,18 @@ func testPlan(t *testing.T, target int, secure bool) *plan.Plan {
 	return p
 }
 
-// fleet spins numDevices device loops that repeatedly check in until stop
-// is closed. Each device holds one user's partition.
+// fleet is numDevices device loops that check in, take part and rest for
+// their pace-steering hint, until halted. Each device holds one user's
+// partition.
 type fleet struct {
+	t       *testing.T
 	clients []*device.Client
-	stop    chan struct{}
+	clock   actor.Clock
+	stop    actor.Gate
+	live    atomic.Int64
 	wg      sync.WaitGroup
+	// slow, when set, holds device i's reports back for slow[i]: stragglers.
+	slow []time.Duration
 
 	mu       sync.Mutex
 	shapes   map[string]int
@@ -61,7 +69,7 @@ type fleet struct {
 
 func newFleet(t *testing.T, n int, fed *data.Federated, version int) *fleet {
 	t.Helper()
-	f := &fleet{stop: make(chan struct{}), shapes: make(map[string]int)}
+	f := &fleet{t: t, shapes: make(map[string]int)}
 	for i := 0; i < n; i++ {
 		store, err := device.NewMemStore("clicks", 1000, 0)
 		if err != nil {
@@ -81,112 +89,136 @@ func newFleet(t *testing.T, n int, fed *data.Federated, version int) *fleet {
 	return f
 }
 
-// on puts every device on clock (its TrainDelay and its timestamps), and
-// returns f.
-func (f *fleet) on(clock actor.Clock) *fleet {
-	for _, c := range f.clients {
+// run starts every device on clock, dialing with dial.
+func (f *fleet) run(clock actor.Clock, dial func() (transport.Conn, error)) *fleet {
+	f.clock = clock
+	for i, c := range f.clients {
 		c.Clock = clock
+		f.live.Add(1)
+		f.wg.Add(1)
+		clock.Go(func() {
+			defer f.wg.Done()
+			defer f.live.Add(-1)
+			for {
+				conn, err := dial()
+				if err != nil {
+					return
+				}
+				if f.slow != nil {
+					conn = stragglerConn{conn, clock, f.slow[i]}
+				}
+				rest := 100 * time.Millisecond
+				if out, err := c.RunOnce(conn); err == nil {
+					f.mu.Lock()
+					f.shapes[out.SessionShape]++
+					if out.Accepted {
+						f.accepted++
+					} else {
+						f.rejected++
+					}
+					f.mu.Unlock()
+					rest = max(rest, out.RetryAfter)
+				}
+				if !actor.Sleep(clock, rest, &f.stop) {
+					return
+				}
+			}
+		})
 	}
 	return f
 }
 
-func (f *fleet) run(net *transport.MemNetwork, addr string) {
-	for _, c := range f.clients {
-		c := c
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			for {
-				select {
-				case <-f.stop:
-					return
-				default:
-				}
-				conn, err := net.Dial(addr)
-				if err != nil {
-					return
-				}
-				out, err := c.RunOnce(conn)
-				if err != nil {
-					time.Sleep(10 * time.Millisecond)
-					continue
-				}
-				f.mu.Lock()
-				f.shapes[out.SessionShape]++
-				if out.Accepted {
-					f.accepted++
-				} else {
-					f.rejected++
-				}
-				f.mu.Unlock()
-				time.Sleep(5 * time.Millisecond)
-			}
-		}()
-	}
+// stragglerConn holds a device's report back for delay on clock.
+type stragglerConn struct {
+	transport.Conn
+	clock actor.Clock
+	delay time.Duration
 }
 
+func (c stragglerConn) Send(msg interface{}) error {
+	if _, ok := msg.(protocol.ReportRequest); ok {
+		actor.Sleep(c.clock, c.delay, nil)
+	}
+	return c.Conn.Send(msg)
+}
+
+// halt stops the devices and waits until each has left its session: on a
+// watched clock by running the rig.
 func (f *fleet) halt() {
-	close(f.stop)
+	f.stop.Close()
+	if c, ok := f.clock.(interface {
+		until(*testing.T, string, func() bool)
+	}); ok {
+		c.until(f.t, "the devices to leave", func() bool { return f.live.Load() == 0 })
+	}
 	f.wg.Wait()
 }
 
-// runServer starts a server over a fresh mem network and returns everything
-// a test needs.
-func runServer(t *testing.T, cfg Config) (*Server, *transport.MemNetwork, string) {
-	t.Helper()
-	return runServerOn(t, nil, cfg)
+// rig is a server under test on a virtual clock of its own, serving a mem
+// network on that clock: devices dial addr, and the test moves time with
+// Run.
+type rig struct {
+	*watchedClock
+	srv  *Server
+	net  *transport.MemNetwork
+	addr string
 }
 
-// runServerOn is runServer on the given clock (nil: the wall clock).
-func runServerOn(t *testing.T, clock actor.Clock, cfg Config) (*Server, *transport.MemNetwork, string) {
+// runServer starts a server on a fresh virtual clock and serves it until
+// the test ends.
+func runServer(t *testing.T, cfg Config) *rig {
 	t.Helper()
+	clock := newWatchedClock()
 	srv, err := newServer(cfg, clock, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, addr := serveMem(t, srv)
-	return srv, net, addr
+	return serveMem(t, clock, srv)
 }
 
-// fastClock returns a virtual clock running twenty times as fast as the
-// wall clock until the test ends: the windows a test waits out (selection
-// and report timeouts, straggler delays, retry backoffs) cost a twentieth
-// of their length, and what it asserts about them is unchanged.
-func fastClock(t *testing.T) *simclock.Virtual {
-	clock := simclock.New(simStart)
-	fastForward(t, clock)
-	return clock
-}
-
-// waitOn blocks until d has passed on clock.
-func waitOn(clock actor.Clock, d time.Duration) {
-	passed, _ := actor.After(clock, d)
-	<-passed
-}
-
-// serveMem serves srv on a fresh mem network until the test ends.
-func serveMem(t *testing.T, srv *Server) (*transport.MemNetwork, string) {
+// serveMem serves srv, which runs on clock, over a fresh mem network until
+// the test ends.
+func serveMem(t *testing.T, clock *watchedClock, srv *Server) *rig {
 	t.Helper()
-	net := transport.NewMemNetwork()
+	net := transport.NewMemNetwork(clock)
 	l, err := net.Listen("fl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
+	clock.Go(func() { srv.Serve(l) })
 	t.Cleanup(func() {
 		l.Close()
 		srv.Close()
 	})
-	return net, "fl"
+	return &rig{clock, srv, net, "fl"}
 }
 
-func waitDone(t *testing.T, srv *Server, timeout time.Duration) {
+// dial connects a device to the rig's server.
+func (r *rig) dial() (transport.Conn, error) { return r.net.Dial(r.addr) }
+
+// waitDone runs the rig until the server has committed its MaxRounds.
+func (r *rig) waitDone(t *testing.T) {
 	t.Helper()
-	select {
-	case <-srv.Done():
-	case <-time.After(timeout):
-		st, err := srv.Stats()
-		t.Fatalf("server did not finish: %+v (stats err: %v)", st, err)
+	r.until(t, "the server's rounds", closed(r.srv.Done()))
+}
+
+// pass runs the rig through d of virtual time.
+func (r *rig) pass(t *testing.T, d time.Duration) {
+	t.Helper()
+	if err := r.Run(d, nil); !errors.Is(err, simclock.ErrHorizon) {
+		t.Fatalf("running the rig for %v: %v", d, err)
+	}
+}
+
+// closed is a done function for Run: whether ch has closed.
+func closed(ch <-chan struct{}) func() bool {
+	return func() bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
 	}
 }
 
@@ -209,17 +241,20 @@ func TestEndToEndTraining(t *testing.T) {
 	}
 	store := storage.NewMem()
 	p := testPlan(t, 8, false)
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 5, Seed: 1,
 	})
 
 	fl := newFleet(t, 20, fed, 3)
-	fl.run(net, addr)
-	waitDone(t, srv, 60*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
+	// The fleet keeps checking in after the last round: the over-demand
+	// pace steering turns away.
+	r.pass(t, 10*time.Second)
 	fl.halt()
 
-	st := stats(t, srv)
+	st := stats(t, r.srv)
 	if st.RoundsCompleted < 5 {
 		t.Fatalf("rounds completed = %d, want ≥ 5", st.RoundsCompleted)
 	}
@@ -266,20 +301,19 @@ func TestOverSelectionAborts(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 6})
 	store := storage.NewMem()
 	p := testPlan(t, 4, false)
-	clock := fastClock(t)
-	srv, net, addr := runServerOn(t, clock, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 3, Seed: 2,
 	})
-	fl := newFleet(t, 12, fed, 3).on(clock)
+	fl := newFleet(t, 12, fed, 3)
 	// Distinct, widely spaced delays: whichever 5 devices are selected,
 	// their reports arrive ≥150ms apart, so the round deterministically
 	// finalizes on the 4th report and the 5th upload is rejected.
-	for i, c := range fl.clients {
-		c.TrainDelay = time.Duration(i) * 150 * time.Millisecond
+	for i := range fl.clients {
+		fl.slow = append(fl.slow, time.Duration(i)*150*time.Millisecond)
 	}
-	fl.run(net, addr)
-	waitDone(t, srv, 60*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
 	fl.mu.Lock()
@@ -295,7 +329,7 @@ func TestRoundCompletesDespiteDropouts(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 30, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 7})
 	store := storage.NewMem()
 	p := testPlan(t, 6, false)
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 2, Seed: 3,
 	})
@@ -309,11 +343,11 @@ func TestRoundCompletesDespiteDropouts(t *testing.T) {
 			c.Runtime.Eligibility.Set(device.Conditions{})
 		}
 	}
-	fl.run(net, addr)
-	waitDone(t, srv, 120*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
-	st := stats(t, srv)
+	st := stats(t, r.srv)
 	if st.RoundsCompleted < 2 {
 		t.Fatalf("rounds completed = %d despite over-selection", st.RoundsCompleted)
 	}
@@ -334,13 +368,13 @@ func TestSecureAggregationRound(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 100, Seed: 8})
 	store := storage.NewMem()
 	p := testPlan(t, 8, true) // secure, group size 4
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 2, Seed: 4,
 	})
 	fl := newFleet(t, 12, fed, 3)
-	fl.run(net, addr)
-	waitDone(t, srv, 90*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
 	ckpt, err := store.LatestCheckpoint(p.ID)
@@ -362,7 +396,7 @@ func TestCoordinatorCrashRestartsRound(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 10, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 9})
 	store := storage.NewMem()
 	p := testPlan(t, 4, false)
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 2, Seed: 5,
 	})
@@ -370,19 +404,19 @@ func TestCoordinatorCrashRestartsRound(t *testing.T) {
 	// Crash the Coordinator before any devices exist: the watcher must
 	// respawn it exactly once (via the lock service), and the respawned
 	// Coordinator must drive training to completion.
-	first := srv.Coordinator()
+	first := r.srv.Coordinator()
 	_ = first.Send(msgCrash{})
-	waitWithin(t, time.Second, "the coordinator to be respawned", func() bool { return srv.Coordinator() != first })
+	r.until(t, "the coordinator to be respawned", func() bool { return r.srv.Coordinator() != first })
 
 	fl := newFleet(t, 10, fed, 3)
-	fl.run(net, addr)
-	waitDone(t, srv, 90*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
-	if srv.Coordinator() == first {
+	if r.srv.Coordinator() == first {
 		t.Fatal("coordinator was not respawned")
 	}
-	st := stats(t, srv)
+	st := stats(t, r.srv)
 	if st.RoundsCompleted < 2 {
 		t.Fatalf("rounds completed after coordinator crash = %d", st.RoundsCompleted)
 	}
@@ -393,7 +427,7 @@ func TestAttestationRejectsCompromisedDevices(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 8, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 10})
 	store := storage.NewMem()
 	p := testPlan(t, 4, false)
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Verifier: attest.NewVerifier(master),
 		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 6,
@@ -408,8 +442,8 @@ func TestAttestationRejectsCompromisedDevices(t *testing.T) {
 			c.Attestor = attest.NewGenuineDevice([]byte("rooted"), c.ID)
 		}
 	}
-	fl.run(net, addr)
-	waitDone(t, srv, 60*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
 	// Compromised devices must never have been accepted.
@@ -423,7 +457,7 @@ func TestAttestationRejectsCompromisedDevices(t *testing.T) {
 	if fl.accepted == 0 {
 		t.Fatal("no genuine device was accepted")
 	}
-	sel, err := srv.SelectorStats()
+	sel, err := r.srv.SelectorStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,13 +482,13 @@ func TestVersionedPlanDeliveredToOldRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 7,
 	})
 	fl := newFleet(t, 8, fed, 1) // old runtime version
-	fl.run(net, addr)
-	waitDone(t, srv, 60*time.Second)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
 	if _, err := store.LatestCheckpoint(p.ID); err != nil {
@@ -473,20 +507,19 @@ func TestRoundFailsWithoutDevicesThenRecovers(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 8, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 12})
 	store := storage.NewMem()
 	p := testPlan(t, 4, false)
-	clock := fastClock(t)
-	srv, net, addr := runServerOn(t, clock, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 8,
 	})
 
-	waitOn(clock, 2500*time.Millisecond) // let one selection window expire empty
+	r.pass(t, 2500*time.Millisecond) // let one selection window expire empty
 
-	fl := newFleet(t, 8, fed, 3).on(clock)
-	fl.run(net, addr)
-	waitDone(t, srv, 60*time.Second)
+	fl := newFleet(t, 8, fed, 3)
+	fl.run(r, r.dial)
+	r.waitDone(t)
 	fl.halt()
 
-	st := stats(t, srv)
+	st := stats(t, r.srv)
 	if st.RoundsFailed == 0 {
 		t.Fatal("expected at least one abandoned round")
 	}
@@ -526,11 +559,11 @@ func TestHandleConnRejectsMalformedFirstMessage(t *testing.T) {
 	// protocol-level rejection with a pace-steering reconnect hint, not a
 	// silently dropped connection.
 	p := testPlan(t, 4, false)
-	_, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: storage.NewMem(),
 		Steering: pacing.New(time.Second), Seed: 10,
 	})
-	conn, err := net.Dial(addr)
+	conn, err := r.net.Dial(r.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,8 @@ func TestHostRespawnsOverCurrentEdges(t *testing.T) {
 	var mu sync.Mutex
 	a, b := &stripeEdge{opened: make(chan *EdgeRoundConfig, 4)}, &stripeEdge{opened: make(chan *EdgeRoundConfig, 4)}
 	live := []Edge{a}
-	ref, err := SuperviseCoordinator(nil, CoordinatorParams{
+	clock := newWatchedClock()
+	ref, err := SuperviseCoordinator(clock, CoordinatorParams{
 		Population: "pop", Store: storage.NewMem(), MinEdges: 2, TickEvery: 10 * time.Millisecond,
 	}, []*plan.Plan{p}, func() []Edge {
 		mu.Lock()
@@ -34,7 +35,7 @@ func TestHostRespawnsOverCurrentEdges(t *testing.T) {
 
 	waitOwner := func(not interface{}) {
 		t.Helper()
-		waitWithin(t, 10*time.Second, "a live lock owner", func() bool {
+		clock.until(t, "a live lock owner", func() bool {
 			c := h.coordinator()
 			return c != not && !c.Stopped() && h.p.Lock.Owner("pop") == c
 		})
@@ -50,13 +51,10 @@ func TestHostRespawnsOverCurrentEdges(t *testing.T) {
 	if err := EdgeUp(ref, b); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []*stripeEdge{a, b} {
-		select {
-		case <-e.opened:
-		case <-time.After(10 * time.Second):
-			t.Fatal("round never opened on both edges")
-		}
-	}
+	opened := func() bool { return len(a.opened) > 0 && len(b.opened) > 0 }
+	clock.until(t, "a round open on both edges", opened)
+	<-a.opened
+	<-b.opened
 	if err := ref.Send(msgCrash{}); err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +64,10 @@ func TestHostRespawnsOverCurrentEdges(t *testing.T) {
 	}
 	// MinEdges is 2: the successor can only open a round if it was spawned
 	// over both current edges — nobody re-announces b.
+	clock.until(t, "the respawned Coordinator to open a round over the host's current edges", opened)
 	for _, e := range []*stripeEdge{a, b} {
-		select {
-		case cfg := <-e.opened:
-			if cfg.Round != 0 {
-				t.Fatalf("respawned Coordinator opened round %d, want the uncommitted round 0", cfg.Round)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("respawned Coordinator did not start over the host's current edges")
+		if cfg := <-e.opened; cfg.Round != 0 {
+			t.Fatalf("respawned Coordinator opened round %d, want the uncommitted round 0", cfg.Round)
 		}
 	}
 	if _, err := QueryCoordinatorStats(ref); err != nil {

@@ -60,7 +60,7 @@ var updateBufPool tensor.VectorPool
 
 // respGate bounds concurrent off-goroutine response sends process-wide, so
 // a flood of rejections cannot hold unbounded frame buffers in flight.
-var respGate = make(chan struct{}, 256)
+var respGate = actor.NewQueue[struct{}](256)
 
 // sendThenClose delivers msg to conn on its own goroutine and then closes
 // the connection. Every path that answers a device from an actor goroutine
@@ -68,11 +68,11 @@ var respGate = make(chan struct{}, 256)
 // routes through here: a stalled socket blocks one pooled
 // goroutine for at most abortGrace — never an actor, never the round.
 func sendThenClose(clock actor.Clock, conn transport.Conn, msg interface{}) {
-	go func() {
-		respGate <- struct{}{}
-		defer func() { <-respGate }()
+	clock.Go(func() {
+		respGate.Push(struct{}{}, clock)
+		defer respGate.Pop(clock)
 		sendWithGrace(clock, conn, msg)
-	}()
+	})
 }
 
 // sendWithGrace attempts one send, bounded by abortGrace, then closes the

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/data"
 	"repro/internal/device"
 	"repro/internal/nn"
@@ -34,15 +35,16 @@ func TestMultiTenantDevice(t *testing.T) {
 	fedA, _ := data.Blobs(data.BlobsConfig{Users: 8, ExamplesPer: 20, Features: 3, Classes: 2, TestSize: 10, Seed: 41})
 	fedB, _ := data.Blobs(data.BlobsConfig{Users: 8, ExamplesPer: 20, Features: 5, Classes: 2, TestSize: 10, Seed: 42})
 
-	net := transport.NewMemNetwork()
+	clock := newWatchedClock()
+	net := transport.NewMemNetwork(clock)
 	storeA, storeB := storage.NewMem(), storage.NewMem()
 	planA, planB := makePlan("pop-a", 3), makePlan("pop-b", 5)
 
 	startServer := func(pop string, p *plan.Plan, st storage.Store) *Server {
-		srv, err := New(Config{
+		srv, err := newServer(Config{
 			Population: pop, Plans: []*plan.Plan{p}, Store: st,
 			Steering: pacing.New(time.Second), MaxRounds: 2, Seed: 43,
-		})
+		}, clock, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +52,7 @@ func TestMultiTenantDevice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go srv.Serve(l)
+		clock.Go(func() { srv.Serve(l) })
 		t.Cleanup(func() { l.Close(); srv.Close() })
 		return srv
 	}
@@ -59,13 +61,12 @@ func TestMultiTenantDevice(t *testing.T) {
 
 	// 8 devices, each registered with BOTH populations via one runtime and
 	// one scheduler.
-	stop := make(chan struct{})
+	var stop actor.Gate
 	for i := 0; i < 8; i++ {
-		i := i
 		rt := device.NewRuntime(deviceName(i), 3, nil, uint64(i)+7)
 		sa, _ := device.NewMemStore("pop-a-store", 100, 0)
 		sb, _ := device.NewMemStore("pop-b-store", 100, 0)
-		now := time.Now()
+		now := clock.Now()
 		for _, ex := range fedA.Users[i] {
 			sa.Add(ex, now)
 		}
@@ -79,16 +80,11 @@ func TestMultiTenantDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 		sched := device.NewScheduler()
-		clientA := &device.Client{ID: deviceName(i), Population: "pop-a", Runtime: rt}
-		clientB := &device.Client{ID: deviceName(i), Population: "pop-b", Runtime: rt}
+		clientA := &device.Client{ID: deviceName(i), Population: "pop-a", Runtime: rt, Clock: clock}
+		clientB := &device.Client{ID: deviceName(i), Population: "pop-b", Runtime: rt, Clock: clock}
 
-		go func() {
+		clock.Go(func() {
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
 				// The periodic job wakes up and enqueues one session per
 				// configured population; the scheduler runs them strictly
 				// sequentially.
@@ -106,14 +102,15 @@ func TestMultiTenantDevice(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				time.Sleep(5 * time.Millisecond)
+				if !actor.Sleep(clock, 5*time.Millisecond, &stop) {
+					return
+				}
 			}
-		}()
+		})
 	}
 
-	waitDone(t, srvA, 60*time.Second)
-	waitDone(t, srvB, 60*time.Second)
-	close(stop)
+	clock.until(t, "both populations to finish", func() bool { return closed(srvA.Done())() && closed(srvB.Done())() })
+	stop.Close()
 
 	if _, err := storeA.LatestCheckpoint(planA.ID); err != nil {
 		t.Fatalf("pop-a never committed: %v", err)

@@ -144,6 +144,7 @@ func SumSelectorStats(selectors []actor.Ref, population string) (SelectorStats, 
 // protocol-level rejection with a pace-steering hint, so misconfigured
 // devices back off instead of hammering the accept loop.
 type CheckinRouter struct {
+	clock     actor.Clock
 	selectors []actor.Ref
 	nextSel   uint64
 	// mu orders every handlers.Add before Wait's handlers.Wait: a connection
@@ -153,9 +154,10 @@ type CheckinRouter struct {
 	handlers sync.WaitGroup
 }
 
-// NewCheckinRouter builds the accept path over a Selector layer.
-func NewCheckinRouter(selectors []actor.Ref) *CheckinRouter {
-	return &CheckinRouter{selectors: selectors}
+// NewCheckinRouter builds the accept path over a Selector layer, its
+// per-connection handlers running on clock.
+func NewCheckinRouter(clock actor.Clock, selectors []actor.Ref) *CheckinRouter {
+	return &CheckinRouter{clock: clock, selectors: selectors}
 }
 
 // Serve accepts device connections from l until l closes.
@@ -173,10 +175,10 @@ func (r *CheckinRouter) Serve(l transport.Listener) {
 		}
 		r.handlers.Add(1)
 		r.mu.Unlock()
-		go func() {
+		r.clock.Go(func() {
 			defer r.handlers.Done()
 			r.handleConn(conn)
-		}()
+		})
 	}
 }
 

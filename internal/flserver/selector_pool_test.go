@@ -9,7 +9,6 @@ import (
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/protocol"
-	"repro/internal/simclock"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -41,13 +40,13 @@ type poolRig struct {
 	sel     actor.Ref
 	round   actor.Ref
 	pops    []string
-	clock   *simclock.Virtual
+	clock   *watchedClock
 	mu      sync.Mutex
 	batches [][]string
 }
 
 func newPoolRig(t *testing.T, capacity int, seed uint64, pops ...string) *poolRig {
-	r := &poolRig{t: t, pops: pops, clock: simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))}
+	r := &poolRig{t: t, pops: pops, clock: newWatchedClock()}
 	r.sys = actor.NewSystem(r.clock)
 	t.Cleanup(func() { r.sys.Shutdown() })
 	r.sel = spawnSelector(r.sys, "sel", capacity, seed, pops...)
@@ -81,9 +80,9 @@ func (r *poolRig) send(msg actor.Message) {
 
 func (r *poolRig) checkin(pop, id string) *poolDevice {
 	r.t.Helper()
-	client, server := transport.Pipe()
+	client, server := transport.Pipe(r.clock)
 	d := &poolDevice{id: id}
-	go func() {
+	r.clock.Go(func() {
 		for {
 			msg, err := client.Recv()
 			d.mu.Lock()
@@ -97,7 +96,7 @@ func (r *poolRig) checkin(pop, id string) *poolDevice {
 			}
 			d.mu.Unlock()
 		}
-	}()
+	})
 	r.send(msgCheckin{Req: protocol.CheckinRequest{DeviceID: id, Population: pop, RuntimeVersion: 3}, Conn: server})
 	return d
 }
@@ -107,7 +106,7 @@ func (r *poolRig) checkin(pop, id string) *poolDevice {
 func (r *poolRig) steered(devs ...*poolDevice) {
 	r.t.Helper()
 	for _, d := range devs {
-		waitFor(r.t, func() bool {
+		r.clock.until(r.t, d.id+" to be steered away", func() bool {
 			resp, answered, closed := d.answer()
 			return answered && closed && !resp.Accepted && resp.RetryAfter > 0
 		})
@@ -127,7 +126,7 @@ func (r *poolRig) untouched(devs ...*poolDevice) {
 // forwarded waits for the round to have received exactly these batches.
 func (r *poolRig) forwarded(want ...[]string) {
 	r.t.Helper()
-	waitFor(r.t, func() bool {
+	r.clock.until(r.t, fmt.Sprint("the batches ", want), func() bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		return fmt.Sprint(r.batches) == fmt.Sprint(want)
@@ -147,7 +146,7 @@ func (r *poolRig) staffedRound(pop string, n int) {
 		r.checkin(pop, fmt.Sprintf("%s/r%d", pop, i))
 	}
 	r.send(msgSetQuota{Population: pop, Owner: r.round})
-	waitFor(r.t, func() bool { r.mu.Lock(); defer r.mu.Unlock(); return len(r.batches) == n })
+	r.clock.until(r.t, "the round's devices", func() bool { r.mu.Lock(); defer r.mu.Unlock(); return len(r.batches) == n })
 	r.mu.Lock()
 	r.batches = nil
 	r.mu.Unlock()
@@ -193,7 +192,7 @@ func TestSelectorPool(t *testing.T) {
 		}
 		// Every check-in either sits in the pool or was steered away (itself,
 		// or as the victim of a reservoir replacement): 3 parked, 5 answered.
-		waitFor(t, func() bool {
+		r.clock.until(t, "three parked devices", func() bool {
 			parked := 0
 			for _, d := range devs {
 				if _, answered, _ := d.answer(); !answered {
@@ -329,7 +328,7 @@ func TestPoolReservoirIsNotFCFS(t *testing.T) {
 		}
 		r.send(msgSetQuota{Population: "pop", Accept: 1, Owner: r.round})
 		r.send(msgForwardDevices{Population: "pop", N: 1, To: r.round})
-		waitFor(t, func() bool { r.mu.Lock(); defer r.mu.Unlock(); return len(r.batches) == 1 })
+		r.clock.until(t, "one batch", func() bool { r.mu.Lock(); defer r.mu.Unlock(); return len(r.batches) == 1 })
 		winners[r.batches[0][0]]++
 		r.sys.Shutdown()
 	}
@@ -373,20 +372,20 @@ func TestPooledDeviceThatDiedIsToppedUp(t *testing.T) {
 	}
 	// device checks in and, once configured, reports and reads its ack.
 	device := func(id string) transport.Conn {
-		client, server := transport.Pipe()
-		go func() {
+		client, server := transport.Pipe(r.clock)
+		r.clock.Go(func() {
 			msg, err := client.Recv()
 			if resp, ok := msg.(protocol.CheckinResponse); err == nil && ok && resp.Accepted {
 				_ = client.Send(protocol.ReportRequest{DeviceID: id, TaskID: resp.TaskID, Round: resp.Round, Update: update})
 				_, _ = client.Recv()
 			}
 			client.Close()
-		}()
+		})
 		r.send(msgCheckin{Req: protocol.CheckinRequest{DeviceID: id, Population: "pop", RuntimeVersion: 3}, Conn: server})
 		return client
 	}
 	device("alive-0")
-	client, server := transport.Pipe()
+	client, server := transport.Pipe(r.clock)
 	r.send(msgCheckin{Req: protocol.CheckinRequest{DeviceID: "dead", Population: "pop", RuntimeVersion: 3}, Conn: server})
 	client.Close() // gave up while pooled
 	device("alive-1")
@@ -395,29 +394,25 @@ func TestPooledDeviceThatDiedIsToppedUp(t *testing.T) {
 	}
 
 	seals := make(chan EdgeSeal, 1)
-	start := time.Now()
+	start := r.clock.Now()
 	StartEdgeRound(r.sys, "edge", EdgeRoundConfig{
 		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: admit,
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
 	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })
 	// The top-up reaches the Selector; only then does the replacement check in.
-	waitFor(t, func() bool { return popStats(t, r.sel, "pop").QuotaGranted == 2*admit+1 })
+	r.clock.until(t, "the top-up", func() bool { return popStats(t, r.sel, "pop").QuotaGranted == 2*admit+1 })
 	device("replacement")
-	select {
-	case seal := <-seals:
-		if seal.Seal.Count != admit || seal.Lost != 1 {
-			t.Fatalf("sealed %d reports, %d lost; want %d and 1", seal.Seal.Count, seal.Lost, admit)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("round stalled on the dead pooled device")
+	r.clock.until(t, "the seal", func() bool { return len(seals) == 1 })
+	if seal := <-seals; seal.Seal.Count != admit || seal.Lost != 1 {
+		t.Fatalf("sealed %d reports, %d lost; want %d and 1", seal.Seal.Count, seal.Lost, admit)
 	}
-	if took := time.Since(start); took > 5*time.Second {
+	if took := r.clock.Now().Sub(start); took >= p.Server.SelectionTimeout {
 		t.Fatalf("round took %v: it waited for a timeout, not for its replacement", took)
 	}
 	sel.mu.Lock()
 	topUps := sel.topUps
 	sel.mu.Unlock()
-	waitFor(t, func() bool { st := popStats(t, r.sel, "pop"); return st.QuotaOutstanding == 0 && st.quotaConserved() })
+	r.clock.until(t, "the quota to drain", func() bool { st := popStats(t, r.sel, "pop"); return st.QuotaOutstanding == 0 && st.quotaConserved() })
 	if st := popStats(t, r.sel, "pop"); topUps != 1 || st.QuotaConsumed != 2*admit+1 || st.QuotaRevoked != 0 {
 		t.Fatalf("%d top-ups, ledger %+v", topUps, st)
 	}

@@ -25,9 +25,9 @@ func spawnSelector(sys *actor.System, name string, capacity int, seed uint64, po
 
 // checkin sends one device check-in; the device side is drained so
 // rejection responses never block, and the last response is recorded.
-func checkin(sel actor.Ref, pop, id string, responses func(protocol.CheckinResponse)) {
-	client, server := transport.Pipe()
-	go func() {
+func checkin(sys *actor.System, sel actor.Ref, pop, id string, responses func(protocol.CheckinResponse)) {
+	client, server := transport.Pipe(sys.Clock())
+	sys.Clock().Go(func() {
 		for {
 			msg, err := client.Recv()
 			if err != nil {
@@ -37,7 +37,7 @@ func checkin(sel actor.Ref, pop, id string, responses func(protocol.CheckinRespo
 				responses(r)
 			}
 		}
-	}()
+	})
 	_ = sel.Send(msgCheckin{
 		Req:  protocol.CheckinRequest{DeviceID: id, Population: pop, RuntimeVersion: 3},
 		Conn: server,
@@ -63,7 +63,7 @@ func driveSelector(t *testing.T, sys *actor.System, seed uint64, n int) string {
 
 	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 1})
 	for i := 0; i < n; i++ {
-		checkin(sel, "pop", fmt.Sprintf("dev-%d", i), nil)
+		checkin(sys, sel, "pop", fmt.Sprintf("dev-%d", i), nil)
 	}
 
 	// Collect the survivor.
@@ -177,13 +177,13 @@ func TestSelectorFairSharesCapacityAcrossPopulations(t *testing.T) {
 	_ = sel.Send(msgSetQuota{Population: "pop-b", Accept: 2})
 
 	for i := 0; i < 6; i++ {
-		checkin(sel, "pop-a", fmt.Sprintf("a-%d", i), nil)
+		checkin(sys, sel, "pop-a", fmt.Sprintf("a-%d", i), nil)
 	}
 	if st := popStats(t, sel, "pop-a"); st.Held != 4 {
 		t.Fatalf("pop-a alone should fill the pool: held=%d", st.Held)
 	}
 
-	checkin(sel, "pop-b", "b-0", nil)
+	checkin(sys, sel, "pop-b", "b-0", nil)
 	if st := popStats(t, sel, "pop-b"); st.Held != 1 {
 		t.Fatalf("pop-b below its share must displace into the pool: held=%d", st.Held)
 	}
@@ -191,7 +191,7 @@ func TestSelectorFairSharesCapacityAcrossPopulations(t *testing.T) {
 		t.Fatalf("pop-a must give back its over-share slot: held=%d", st.Held)
 	}
 
-	checkin(sel, "pop-b", "b-1", nil)
+	checkin(sys, sel, "pop-b", "b-1", nil)
 	if st := popStats(t, sel, "pop-b"); st.Held != 1 {
 		t.Fatalf("pop-b at its share must not grow: held=%d", st.Held)
 	}
@@ -213,8 +213,8 @@ func TestSelectorDeregisterSteersParkedDevices(t *testing.T) {
 
 	responses := make(chan protocol.CheckinResponse, 4)
 	record := func(r protocol.CheckinResponse) { responses <- r }
-	checkin(sel, "pop", "d-0", record)
-	checkin(sel, "pop", "d-1", record)
+	checkin(sys, sel, "pop", "d-0", record)
+	checkin(sys, sel, "pop", "d-1", record)
 	if st := popStats(t, sel, "pop"); st.Held != 2 {
 		t.Fatalf("held=%d, want 2", st.Held)
 	}
@@ -232,7 +232,7 @@ func TestSelectorDeregisterSteersParkedDevices(t *testing.T) {
 	}
 
 	// Later check-ins are unknown-population rejections.
-	checkin(sel, "pop", "d-2", nil)
+	checkin(sys, sel, "pop", "d-2", nil)
 	st, err := QuerySelectorStats(sel, "")
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
 	}))
 
 	for i := 0; i < 6; i++ {
-		checkin(sel, "pop", fmt.Sprintf("d-%d", i), nil)
+		checkin(sys, sel, "pop", fmt.Sprintf("d-%d", i), nil)
 	}
 	// Probe inside the minimum window: no sample may be produced.
 	_ = sel.Send(msgRateProbe{Population: "pop", To: sink})
@@ -299,8 +299,8 @@ func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
 		t.Fatalf("first sample: %+v, want 6 arrivals over 2s", first)
 	}
 	// The window reset: two more arrivals over one more second.
-	checkin(sel, "pop", "d-6", nil)
-	checkin(sel, "pop", "d-7", nil)
+	checkin(sys, sel, "pop", "d-6", nil)
+	checkin(sys, sel, "pop", "d-7", nil)
 	advance(time.Second)
 	_ = sel.Send(msgRateProbe{Population: "pop", To: sink})
 	select {
@@ -321,7 +321,8 @@ func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
 // and zero the quota so no device is parked for a round that will never
 // start.
 func TestSelectorReleaseParkedFreesConnections(t *testing.T) {
-	sys := actor.NewSystem()
+	clock := newWatchedClock()
+	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
 	sel := spawnSelector(sys, "sel-release", 0, 3, "pop")
 	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 4})
@@ -329,7 +330,7 @@ func TestSelectorReleaseParkedFreesConnections(t *testing.T) {
 	var mu sync.Mutex
 	released := 0
 	for i := 0; i < 4; i++ {
-		checkin(sel, "pop", fmt.Sprintf("d-%d", i), func(r protocol.CheckinResponse) {
+		checkin(sys, sel, "pop", fmt.Sprintf("d-%d", i), func(r protocol.CheckinResponse) {
 			if !r.Accepted && r.RetryAfter > 0 {
 				mu.Lock()
 				released++
@@ -337,30 +338,13 @@ func TestSelectorReleaseParkedFreesConnections(t *testing.T) {
 			}
 		})
 	}
-	waitFor(t, func() bool { return popStats(t, sel, "pop").Held == 4 })
+	clock.until(t, "four parked", func() bool { return popStats(t, sel, "pop").Held == 4 })
 	_ = sel.Send(msgReleaseParked{Population: "pop"})
-	waitFor(t, func() bool { return popStats(t, sel, "pop").Held == 0 })
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return released == 4 })
+	clock.until(t, "none parked", func() bool { return popStats(t, sel, "pop").Held == 0 })
+	clock.until(t, "four steered away", func() bool { mu.Lock(); defer mu.Unlock(); return released == 4 })
 	// Quota is gone: the next check-in is rejected, not parked.
-	checkin(sel, "pop", "late", nil)
-	waitFor(t, func() bool { st := popStats(t, sel, "pop"); return st.Held == 0 && st.Rejected >= 5 })
-}
-
-// waitFor polls cond until true or ten seconds pass.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	waitWithin(t, 10*time.Second, "the condition to hold", cond)
-}
-
-// waitWithin polls cond until it holds: the one place a test of this package
-// sleeps while it waits on an event.
-func waitWithin(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
+	checkin(sys, sel, "pop", "late", nil)
+	clock.until(t, "the late rejection", func() bool { st := popStats(t, sel, "pop"); return st.Held == 0 && st.Rejected >= 5 })
 }
 
 // TestStaleRevocationKeepsSuccessorQuota: a superseded round revokes its

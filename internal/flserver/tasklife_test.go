@@ -44,12 +44,13 @@ func taskStatsByID(t *testing.T, srv *Server) map[string]tasks.Stats {
 	return out
 }
 
-// waitTaskRounds polls until the task has committed at least n rounds.
-func waitTaskRounds(t *testing.T, srv *Server, id string, n int, timeout time.Duration) tasks.Stats {
+// waitTaskRounds runs the rig until the task has committed at least n
+// rounds.
+func waitTaskRounds(t *testing.T, r *rig, id string, n int) tasks.Stats {
 	t.Helper()
 	var st tasks.Stats
-	waitWithin(t, timeout, fmt.Sprintf("task %s to commit %d rounds", id, n), func() bool {
-		st = taskStatsByID(t, srv)[id]
+	r.until(t, fmt.Sprintf("task %s to commit %d rounds", id, n), func() bool {
+		st = taskStatsByID(t, r.srv)[id]
 		return st.RoundsCommitted >= n
 	})
 	return st
@@ -103,32 +104,32 @@ func TestSubmitEvalTaskOnLiveServer(t *testing.T) {
 	}
 	store := newCountingStore()
 	train := testPlan(t, 6, false)
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{train}, Store: store,
 		Steering: pacing.New(500 * time.Millisecond), Seed: 61,
 	})
 	fl := newFleet(t, 20, fed, 3)
-	fl.run(net, addr)
+	fl.run(r, r.dial)
 	defer fl.halt()
 
 	// Let training get in flight, then deploy the eval task onto the live
 	// population: evaluate the train task's checkpoint after every
 	// committed train round.
-	waitTaskRounds(t, srv, train.ID, 1, 30*time.Second)
+	waitTaskRounds(t, r, train.ID, 1)
 	eval := testEvalPlan(t, 4)
-	if err := srv.SubmitTask(eval, tasks.Policy{EvalEvery: 1, EvalOf: train.ID}); err != nil {
+	if err := r.srv.SubmitTask(eval, tasks.Policy{EvalEvery: 1, EvalOf: train.ID}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Resubmitting the same task ID onto the live server must fail.
-	if err := srv.SubmitTask(testEvalPlan(t, 4), tasks.Policy{}); err == nil {
+	if err := r.srv.SubmitTask(testEvalPlan(t, 4), tasks.Policy{}); err == nil {
 		t.Fatal("duplicate live SubmitTask must be rejected")
 	}
 
 	// The eval task must interleave within 2 committed rounds of submission
 	// and keep pace with the cadence thereafter.
-	evalSt := waitTaskRounds(t, srv, eval.ID, 2, 60*time.Second)
-	trainSt := taskStatsByID(t, srv)[train.ID]
+	evalSt := waitTaskRounds(t, r, eval.ID, 2)
+	trainSt := taskStatsByID(t, r.srv)[train.ID]
 	if trainSt.RoundsCommitted < 2 {
 		t.Fatalf("training stalled while eval ran: %+v", trainSt)
 	}
@@ -152,20 +153,20 @@ func TestSubmitEvalTaskOnLiveServer(t *testing.T) {
 	// Retire the eval task mid-flight: whatever round is in progress (train
 	// or eval) completes — total committed rounds keep growing — and the
 	// eval task never reschedules.
-	if err := srv.RetireTask(eval.ID); err != nil {
+	if err := r.srv.RetireTask(eval.ID); err != nil {
 		t.Fatal(err)
 	}
-	retiredAt := taskStatsByID(t, srv)[eval.ID]
+	retiredAt := taskStatsByID(t, r.srv)[eval.ID]
 	if retiredAt.State != tasks.Retired {
 		t.Fatalf("retired task state = %v", retiredAt.State)
 	}
-	waitTaskRounds(t, srv, train.ID, trainSt.RoundsCommitted+2, 60*time.Second)
-	finalEval := taskStatsByID(t, srv)[eval.ID]
+	waitTaskRounds(t, r, train.ID, trainSt.RoundsCommitted+2)
+	finalEval := taskStatsByID(t, r.srv)[eval.ID]
 	if finalEval.RoundsCommitted > retiredAt.RoundsCommitted+1 {
 		t.Fatalf("retired eval task kept scheduling: %d -> %d committed rounds",
 			retiredAt.RoundsCommitted, finalEval.RoundsCommitted)
 	}
-	if err := srv.ResumeTask(eval.ID); err == nil {
+	if err := r.srv.ResumeTask(eval.ID); err == nil {
 		t.Fatal("resume of a retired task must fail")
 	}
 
@@ -183,66 +184,65 @@ func TestPauseAndResumeTaskOnLiveServer(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 52})
 	store := storage.NewMem()
 	train := testPlan(t, 4, false)
-	clock := fastClock(t)
-	srv, net, addr := runServerOn(t, clock, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{train}, Store: store,
 		Steering: pacing.New(500 * time.Millisecond), Seed: 62,
 	})
-	fl := newFleet(t, 12, fed, 3).on(clock)
-	fl.run(net, addr)
+	fl := newFleet(t, 12, fed, 3)
+	fl.run(r, r.dial)
 	defer fl.halt()
 
-	waitTaskRounds(t, srv, train.ID, 1, 30*time.Second)
-	if err := srv.PauseTask(train.ID); err != nil {
+	waitTaskRounds(t, r, train.ID, 1)
+	if err := r.srv.PauseTask(train.ID); err != nil {
 		t.Fatal(err)
 	}
 	// The in-flight round may still commit; after it settles, no further
 	// rounds are scheduled.
-	waitOn(clock, 300*time.Millisecond)
-	settled := taskStatsByID(t, srv)[train.ID]
+	r.pass(t, 300*time.Millisecond)
+	settled := taskStatsByID(t, r.srv)[train.ID]
 	if settled.State != tasks.Paused {
 		t.Fatalf("state after pause = %v", settled.State)
 	}
-	waitOn(clock, 700*time.Millisecond)
-	after := taskStatsByID(t, srv)[train.ID]
+	r.pass(t, 700*time.Millisecond)
+	after := taskStatsByID(t, r.srv)[train.ID]
 	if after.RoundsCommitted > settled.RoundsCommitted+1 {
 		t.Fatalf("paused task kept committing: %d -> %d", settled.RoundsCommitted, after.RoundsCommitted)
 	}
 
 	// Resume schedules again without any external kick (the lifecycle op
 	// itself ticks the Coordinator).
-	if err := srv.ResumeTask(train.ID); err != nil {
+	if err := r.srv.ResumeTask(train.ID); err != nil {
 		t.Fatal(err)
 	}
-	waitTaskRounds(t, srv, train.ID, after.RoundsCommitted+2, 60*time.Second)
+	waitTaskRounds(t, r, train.ID, after.RoundsCommitted+2)
 }
 
 func TestTaskSetSurvivesCoordinatorCrash(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 53})
 	store := storage.NewMem()
 	train := testPlan(t, 4, false)
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{train}, Store: store,
 		Steering: pacing.New(500 * time.Millisecond), Seed: 63,
 	})
 	fl := newFleet(t, 12, fed, 3)
-	fl.run(net, addr)
+	fl.run(r, r.dial)
 	defer fl.halt()
 
-	waitTaskRounds(t, srv, train.ID, 1, 30*time.Second)
+	waitTaskRounds(t, r, train.ID, 1)
 	eval := testEvalPlan(t, 4)
-	if err := srv.SubmitTask(eval, tasks.Policy{EvalEvery: 1, EvalOf: train.ID}); err != nil {
+	if err := r.srv.SubmitTask(eval, tasks.Policy{EvalEvery: 1, EvalOf: train.ID}); err != nil {
 		t.Fatal(err)
 	}
-	before := taskStatsByID(t, srv)[train.ID]
+	before := taskStatsByID(t, r.srv)[train.ID]
 
 	// Crash the Coordinator: the respawned one must drive the SAME task
 	// set — the submitted eval task keeps running, stats keep accumulating.
-	first := srv.Coordinator()
+	first := r.srv.Coordinator()
 	_ = first.Send(msgCrash{})
-	waitWithin(t, 2*time.Second, "the coordinator to be respawned", func() bool { return srv.Coordinator() != first })
-	waitTaskRounds(t, srv, eval.ID, 1, 60*time.Second)
-	after := taskStatsByID(t, srv)
+	r.until(t, "the coordinator to be respawned", func() bool { return r.srv.Coordinator() != first })
+	waitTaskRounds(t, r, eval.ID, 1)
+	after := taskStatsByID(t, r.srv)
 	if after[train.ID].RoundsCommitted < before.RoundsCommitted {
 		t.Fatalf("train stats regressed across respawn: %+v -> %+v", before, after[train.ID])
 	}
@@ -260,13 +260,12 @@ func TestEvalWithUncommittedBaseDoesNotStallPopulation(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 56})
 	store := storage.NewMem()
 	trainA := testPlan(t, 4, false)
-	clock := fastClock(t)
-	srv, net, addr := runServerOn(t, clock, Config{
+	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{trainA}, Store: store,
 		Steering: pacing.New(500 * time.Millisecond), Seed: 66,
 	})
-	fl := newFleet(t, 12, fed, 3).on(clock)
-	fl.run(net, addr)
+	fl := newFleet(t, 12, fed, 3)
+	fl.run(r, r.dial)
 	defer fl.halt()
 
 	// A second train task gated off by MinDevices: it exists (so EvalOf
@@ -282,17 +281,17 @@ func TestEvalWithUncommittedBaseDoesNotStallPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.SubmitTask(gated, tasks.Policy{MinDevices: 1 << 30}); err != nil {
+	if err := r.srv.SubmitTask(gated, tasks.Policy{MinDevices: 1 << 30}); err != nil {
 		t.Fatal(err)
 	}
 	eval := testEvalPlan(t, 4)
-	if err := srv.SubmitTask(eval, tasks.Policy{EvalEvery: 1, EvalOf: gated.ID}); err != nil {
+	if err := r.srv.SubmitTask(eval, tasks.Policy{EvalEvery: 1, EvalOf: gated.ID}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Training must keep committing across repeated eval load failures.
-	waitTaskRounds(t, srv, trainA.ID, 4, 60*time.Second)
-	sts := taskStatsByID(t, srv)
+	waitTaskRounds(t, r, trainA.ID, 4)
+	sts := taskStatsByID(t, r.srv)
 	if sts[eval.ID].RoundsCommitted != 0 {
 		t.Fatalf("eval with uncommitted base committed a round: %+v", sts[eval.ID])
 	}
@@ -318,22 +317,22 @@ func TestServerWithNoPlansIdlesUntilSubmit(t *testing.T) {
 	// Plans is now sugar: a server may start empty and receive its first
 	// task at runtime.
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 54})
-	srv, net, addr := runServer(t, Config{
+	r := runServer(t, Config{
 		Population: "pop", Store: storage.NewMem(),
 		Steering: pacing.New(500 * time.Millisecond), Seed: 64,
 	})
-	if sts, err := srv.TaskStats(); err != nil || len(sts) != 0 {
+	if sts, err := r.srv.TaskStats(); err != nil || len(sts) != 0 {
 		t.Fatalf("empty server task stats = %v, %v", sts, err)
 	}
 	fl := newFleet(t, 12, fed, 3)
-	fl.run(net, addr)
+	fl.run(r, r.dial)
 	defer fl.halt()
 
 	train := testPlan(t, 4, false)
-	if err := srv.SubmitTask(train, tasks.Policy{}); err != nil {
+	if err := r.srv.SubmitTask(train, tasks.Policy{}); err != nil {
 		t.Fatal(err)
 	}
-	waitTaskRounds(t, srv, train.ID, 2, 60*time.Second)
+	waitTaskRounds(t, r, train.ID, 2)
 }
 
 func TestTaskPolicyMinRuntimeVersionRejectsOldDevices(t *testing.T) {
@@ -343,27 +342,26 @@ func TestTaskPolicyMinRuntimeVersionRejectsOldDevices(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 55})
 	store := storage.NewMem()
 	train := testPlan(t, 4, false)
-	clock := fastClock(t)
-	srv, net, addr := runServerOn(t, clock, Config{
+	r := runServer(t, Config{
 		Population: "pop", Store: store,
 		Steering: pacing.New(500 * time.Millisecond), Seed: 65,
 	})
-	if err := srv.SubmitTask(train, tasks.Policy{MinRuntimeVersion: 3}); err != nil {
+	if err := r.srv.SubmitTask(train, tasks.Policy{MinRuntimeVersion: 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Version-1 devices only: every configured device is rejected, no
 	// round can commit.
-	oldFleet := newFleet(t, 12, fed, 1).on(clock)
-	oldFleet.run(net, addr)
-	waitOn(clock, 1500*time.Millisecond)
+	oldFleet := newFleet(t, 12, fed, 1)
+	oldFleet.run(r, r.dial)
+	r.pass(t, 1500*time.Millisecond)
 	oldFleet.halt()
-	if st := taskStatsByID(t, srv)[train.ID]; st.RoundsCommitted != 0 {
+	if st := taskStatsByID(t, r.srv)[train.ID]; st.RoundsCommitted != 0 {
 		t.Fatalf("old-runtime fleet committed %d rounds under a version floor", st.RoundsCommitted)
 	}
 
 	// A version-3 fleet clears the floor.
-	newRt := newFleet(t, 12, fed, 3).on(clock)
-	newRt.run(net, addr)
+	newRt := newFleet(t, 12, fed, 3)
+	newRt.run(r, r.dial)
 	defer newRt.halt()
-	waitTaskRounds(t, srv, train.ID, 1, 60*time.Second)
+	waitTaskRounds(t, r, train.ID, 1)
 }

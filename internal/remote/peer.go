@@ -22,19 +22,20 @@ import (
 // Dialer opens one connection to the peer (TCP or in-memory).
 type Dialer func() (transport.Conn, error)
 
-// Options tunes a Peer's connection management.
+// A Peer probes its link every heartbeatInterval and declares it dead after
+// heartbeatMiss consecutive unacknowledged probes; it redials after a
+// backoff that doubles from backoffMin up to backoffMax.
+const (
+	heartbeatInterval      = 500 * time.Millisecond
+	heartbeatMiss          = 4
+	backoffMin, backoffMax = 50 * time.Millisecond, 5 * time.Second
+)
+
+// Options configures a Peer's connection management.
 type Options struct {
 	// Hello, if non-nil, is sent first on every (re)established connection
 	// (e.g. a protocol.ShardHello announcing the shard's identity).
 	Hello interface{}
-	// HeartbeatInterval paces liveness probes (default 500ms).
-	HeartbeatInterval time.Duration
-	// HeartbeatMiss is how many consecutive unacknowledged probes declare
-	// the peer dead (default 4).
-	HeartbeatMiss int
-	// BackoffMin/BackoffMax bound the reconnect backoff (defaults 50ms, 5s).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// OnUp/OnDown are invoked from the peer's management goroutine when the
 	// connection (re)establishes or drops. They must not block.
 	OnUp   func()
@@ -42,24 +43,6 @@ type Options struct {
 	// Clock is what heartbeats, miss detection and the reconnect backoff wait
 	// on: the clock of the link's process (nil: the wall clock).
 	Clock actor.Clock
-}
-
-func (o *Options) defaults() {
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if o.HeartbeatMiss <= 0 {
-		o.HeartbeatMiss = 4
-	}
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 5 * time.Second
-	}
-	if o.Clock == nil {
-		o.Clock = actor.Wall
-	}
 }
 
 // Peer is one managed outbound connection to another process. It dials
@@ -83,7 +66,8 @@ type Peer struct {
 	sent  atomic.Uint64
 	acked atomic.Uint64
 
-	done chan struct{}
+	// stop ends the reconnect backoff once the peer is closed.
+	stop actor.Gate
 }
 
 // NewPeer starts managing a connection to the named peer. handler receives
@@ -91,7 +75,7 @@ type Peer struct {
 // reader goroutine and must not block indefinitely. The first dial happens
 // immediately in the background.
 func NewPeer(name string, dial Dialer, handler func(msg interface{}), opts Options) *Peer {
-	opts.defaults()
+	opts.Clock = actor.OrWall(opts.Clock)
 	if handler == nil {
 		handler = func(interface{}) {}
 	}
@@ -100,9 +84,8 @@ func NewPeer(name string, dial Dialer, handler func(msg interface{}), opts Optio
 		dial:    dial,
 		opts:    opts,
 		handler: handler,
-		done:    make(chan struct{}),
 	}
-	go p.run()
+	opts.Clock.Go(p.run)
 	return p
 }
 
@@ -138,7 +121,7 @@ func (p *Peer) Close() {
 	p.closed = true
 	conn := p.conn
 	p.mu.Unlock()
-	close(p.done)
+	p.stop.Close()
 	if conn != nil {
 		conn.Close()
 	}
@@ -146,13 +129,8 @@ func (p *Peer) Close() {
 
 // run is the management loop: dial, pump, backoff, repeat.
 func (p *Peer) run() {
-	backoff := p.opts.BackoffMin
+	backoff := backoffMin
 	for {
-		select {
-		case <-p.done:
-			return
-		default:
-		}
 		conn, err := p.dial()
 		if err == nil && p.opts.Hello != nil {
 			// A peer that accepts and then resets fails here, not at dial;
@@ -162,17 +140,10 @@ func (p *Peer) run() {
 			}
 		}
 		if err != nil {
-			wait, timer := actor.After(p.opts.Clock, backoff)
-			select {
-			case <-p.done:
-				timer.Stop()
+			if !actor.Sleep(p.opts.Clock, backoff, &p.stop) {
 				return
-			case <-wait:
 			}
-			backoff *= 2
-			if backoff > p.opts.BackoffMax {
-				backoff = p.opts.BackoffMax
-			}
+			backoff = min(2*backoff, backoffMax)
 			continue
 		}
 		p.mu.Lock()
@@ -186,7 +157,7 @@ func (p *Peer) run() {
 		p.sent.Store(0)
 		p.acked.Store(0)
 		p.mu.Unlock()
-		backoff = p.opts.BackoffMin
+		backoff = backoffMin
 		if p.opts.OnUp != nil {
 			p.opts.OnUp()
 		}
@@ -210,48 +181,41 @@ func (p *Peer) run() {
 
 // pump services one live connection: a reader goroutine dispatches inbound
 // messages while this goroutine drives the heartbeat clock. Returns when
-// the connection dies or heartbeats lapse.
+// the connection dies (Close closes it) or heartbeats lapse.
 func (p *Peer) pump(conn transport.Conn) error {
-	readErr := make(chan error, 1)
-	go func() {
+	var readErr error
+	var dead actor.Gate
+	p.opts.Clock.Go(func() {
 		for {
 			msg, err := conn.Recv()
 			if err != nil {
-				readErr <- err
+				readErr = err
+				dead.Close()
 				return
 			}
 			p.dispatch(conn, msg)
 		}
-	}()
+	})
 
-	for {
-		tick, timer := actor.After(p.opts.Clock, p.opts.HeartbeatInterval)
-		select {
-		case <-p.done:
-			timer.Stop()
-			return fmt.Errorf("remote: peer %s closed", p.name)
-		case err := <-readErr:
-			timer.Stop()
+	for actor.Sleep(p.opts.Clock, heartbeatInterval, &dead) {
+		seq := p.sent.Add(1)
+		if seq-p.acked.Load() > heartbeatMiss {
+			return fmt.Errorf("remote: peer %s missed %d heartbeats", p.name, heartbeatMiss)
+		}
+		if err := conn.Send(protocol.Heartbeat{Seq: seq}); err != nil {
 			return err
-		case <-tick:
-			seq := p.sent.Add(1)
-			if seq-p.acked.Load() > uint64(p.opts.HeartbeatMiss) {
-				return fmt.Errorf("remote: peer %s missed %d heartbeats", p.name, p.opts.HeartbeatMiss)
-			}
-			if err := conn.Send(protocol.Heartbeat{Seq: seq}); err != nil {
+		}
+		// Re-announce the hello once per miss window: the connection-open
+		// hello rides an unacknowledged link, and a peer that loses it
+		// would otherwise stay connected-but-unregistered forever. The
+		// receiver treats duplicate hellos on one session as no-ops.
+		if p.opts.Hello != nil && seq%heartbeatMiss == 0 {
+			if err := conn.Send(p.opts.Hello); err != nil {
 				return err
-			}
-			// Re-announce the hello once per miss window: the connection-open
-			// hello rides an unacknowledged link, and a peer that loses it
-			// would otherwise stay connected-but-unregistered forever. The
-			// receiver treats duplicate hellos on one session as no-ops.
-			if p.opts.Hello != nil && seq%uint64(p.opts.HeartbeatMiss) == 0 {
-				if err := conn.Send(p.opts.Hello); err != nil {
-					return err
-				}
 			}
 		}
 	}
+	return readErr
 }
 
 // dispatch routes one inbound message: heartbeats are infrastructure,

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,13 +13,19 @@ import (
 	"repro/internal/transport"
 )
 
-// fastOpts returns peer options tuned for test speed.
-func fastOpts() Options {
-	return Options{
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMiss:     3,
-		BackoffMin:        5 * time.Millisecond,
-		BackoffMax:        50 * time.Millisecond,
+// newRig returns the virtual clock of one test's processes and the mem
+// network between them: links run the product's heartbeat and backoff, which
+// on a virtual clock cost nothing to wait out.
+func newRig() (*simclock.Virtual, *transport.MemNetwork) {
+	clock := simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))
+	return clock, transport.NewMemNetwork(clock)
+}
+
+// until runs clock's rig until cond holds.
+func until(t *testing.T, clock *simclock.Virtual, what string, cond func() bool) {
+	t.Helper()
+	if err := clock.Run(time.Hour, cond); err != nil {
+		t.Fatalf("waiting for %s: %v", what, err)
 	}
 }
 
@@ -35,7 +40,7 @@ type testServer struct {
 	conns []*Session
 }
 
-func newTestServer(t *testing.T, net *transport.MemNetwork, addr string, opts SessionOptions) *testServer {
+func newTestServer(t *testing.T, clock actor.Clock, net *transport.MemNetwork, addr string, opts SessionOptions) *testServer {
 	t.Helper()
 	l, err := net.Listen(addr)
 	if err != nil {
@@ -43,24 +48,24 @@ func newTestServer(t *testing.T, net *transport.MemNetwork, addr string, opts Se
 	}
 	s := &testServer{net: net, addr: addr, l: l, opts: opts}
 	s.wg.Add(1)
-	go func() {
+	clock.Go(func() {
 		defer s.wg.Done()
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
-			sess := NewSession(conn, opts)
+			sess := NewSession(conn, opts, clock)
 			s.mu.Lock()
 			s.conns = append(s.conns, sess)
 			s.mu.Unlock()
 			s.wg.Add(1)
-			go func() {
+			clock.Go(func() {
 				defer s.wg.Done()
 				_ = sess.Run()
-			}()
+			})
 		}
-	}()
+	})
 	return s
 }
 
@@ -82,36 +87,12 @@ func (s *testServer) close() {
 	s.wg.Wait()
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// advanceUntil moves clock forward a millisecond at a time, yielding to the
-// goroutines that wait on it, until cond holds.
-func advanceUntil(t *testing.T, clock *simclock.Virtual, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		clock.Advance(time.Millisecond)
-	}
-}
-
 // TestPeerHelloAndRemoteRef covers the location-transparency round trip: a
 // peer connects, its Hello reaches the serving side, and a remote Ref
 // delivers an actor message into the server's registry.
 func TestPeerHelloAndRemoteRef(t *testing.T) {
-	net := transport.NewMemNetwork()
-	sys := actor.NewSystem()
+	clock, net := newRig()
+	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
 
 	got := make(chan protocol.RoundAbort, 8)
@@ -124,7 +105,7 @@ func TestPeerHelloAndRemoteRef(t *testing.T) {
 	reg.Register("echo", target)
 
 	var hello atomic.Value
-	srv := newTestServer(t, net, "srv", SessionOptions{
+	srv := newTestServer(t, clock, net, "srv", SessionOptions{
 		Registry: reg,
 		Handle: func(msg interface{}) {
 			if h, ok := msg.(protocol.ShardHello); ok {
@@ -134,13 +115,11 @@ func TestPeerHelloAndRemoteRef(t *testing.T) {
 	})
 	defer srv.close()
 
-	opts := fastOpts()
-	opts.Hello = protocol.ShardHello{Shard: 3, Name: "shard-3"}
+	opts := Options{Clock: clock, Hello: protocol.ShardHello{Shard: 3, Name: "shard-3"}}
 	peer := NewPeer("srv", func() (transport.Conn, error) { return net.Dial("srv") }, nil, opts)
 	defer peer.Close()
 
-	waitFor(t, "link up", peer.Alive)
-	waitFor(t, "hello delivered", func() bool { return hello.Load() != nil })
+	until(t, clock, "link up and hello delivered", func() bool { return peer.Alive() && hello.Load() != nil })
 	if h := hello.Load().(protocol.ShardHello); h.Shard != 3 || h.Name != "shard-3" {
 		t.Fatalf("hello = %+v", h)
 	}
@@ -153,13 +132,9 @@ func TestPeerHelloAndRemoteRef(t *testing.T) {
 	if err := ref.Send(note); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case n := <-got:
-		if n != note {
-			t.Fatalf("note = %+v", n)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("envelope never delivered to the registered actor")
+	until(t, clock, "the envelope delivered to the registered actor", func() bool { return len(got) > 0 })
+	if n := <-got; n != note {
+		t.Fatalf("note = %+v", n)
 	}
 
 	// Unregistered targets are dropped server-side, not an error for the
@@ -177,67 +152,62 @@ func TestPeerHelloAndRemoteRef(t *testing.T) {
 // TestPeerReconnectWithBackoff drops the live connection server-side and
 // asserts the peer notices, reports down, redials, and comes back up.
 func TestPeerReconnectWithBackoff(t *testing.T) {
-	net := transport.NewMemNetwork()
-	srv := newTestServer(t, net, "srv", SessionOptions{})
+	clock, net := newRig()
+	srv := newTestServer(t, clock, net, "srv", SessionOptions{})
 	defer srv.close()
 
 	var ups, downs atomic.Int64
-	opts := fastOpts()
-	opts.OnUp = func() { ups.Add(1) }
-	opts.OnDown = func(error) { downs.Add(1) }
+	opts := Options{Clock: clock, OnUp: func() { ups.Add(1) }, OnDown: func(error) { downs.Add(1) }}
 	peer := NewPeer("srv", func() (transport.Conn, error) { return net.Dial("srv") }, nil, opts)
 	defer peer.Close()
 
-	waitFor(t, "first connect", func() bool { return ups.Load() == 1 })
+	until(t, clock, "first connect", func() bool { return ups.Load() == 1 })
 	srv.dropConns()
-	waitFor(t, "down callback", func() bool { return downs.Load() >= 1 })
-	waitFor(t, "reconnect", func() bool { return ups.Load() >= 2 && peer.Alive() })
+	until(t, clock, "down callback", func() bool { return downs.Load() >= 1 })
+	until(t, clock, "reconnect", func() bool { return ups.Load() >= 2 && peer.Alive() })
 
 	// A second drop is noticed and survived too; the link settles back up.
-	// (Alive() itself can flicker faster than a poll can observe — the
-	// monotonic down counter is the reliable signal.)
 	prevDowns := downs.Load()
 	srv.dropConns()
-	waitFor(t, "second drop", func() bool { return downs.Load() > prevDowns })
-	waitFor(t, "second reconnect", peer.Alive)
+	until(t, clock, "second drop", func() bool { return downs.Load() > prevDowns })
+	until(t, clock, "second reconnect", peer.Alive)
 }
 
 // TestPeerHeartbeatDeclaresDeadPeer connects to a server that swallows all
 // traffic: the peer must declare the link dead on missed heartbeats alone.
 func TestPeerHeartbeatDeclaresDeadPeer(t *testing.T) {
-	net := transport.NewMemNetwork()
+	clock, net := newRig()
 	l, err := net.Listen("blackhole")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go func() {
+	clock.Go(func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
 			// Read and ignore everything; never answer a heartbeat.
-			go func() {
+			clock.Go(func() {
 				for {
 					if _, err := conn.Recv(); err != nil {
 						return
 					}
 				}
-			}()
+			})
 		}
-	}()
+	})
 
 	// Half a second between probes, four unanswered ones: the production
-	// defaults, which on a virtual clock cost nothing to wait out.
-	clock := simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))
+	// defaults.
 	start := clock.Now()
 	downErr := make(chan error, 4)
 	peer := NewPeer("blackhole", func() (transport.Conn, error) { return net.Dial("blackhole") }, nil,
 		Options{Clock: clock, OnDown: func(err error) { downErr <- err }})
 	defer peer.Close()
 
-	advanceUntil(t, clock, "the silent peer to be declared dead", func() bool { return len(downErr) > 0 })
+	until(t, clock, "the silent peer to be declared dead", func() bool { return len(downErr) > 0 })
 	if err := <-downErr; err == nil {
 		t.Fatal("down callback with nil error")
 	}
@@ -254,19 +224,16 @@ func (resetConn) Send(interface{}) error { return fmt.Errorf("connection reset b
 
 // TestPeerHelloFailureBacksOff dials a peer that accepts and resets: the
 // hello Send fails on the first four connections. Each failure must wait
-// out the same growing backoff as a failed dial (5+10+20+40 ms here) instead
+// out the same growing backoff as a failed dial (50+100+200+400 ms) instead
 // of redialing in a busy loop, and while it does the link reads down.
 func TestPeerHelloFailureBacksOff(t *testing.T) {
 	const resets = 4
-	net := transport.NewMemNetwork()
-	srv := newTestServer(t, net, "srv", SessionOptions{})
+	clock, net := newRig()
+	srv := newTestServer(t, clock, net, "srv", SessionOptions{})
 	defer srv.close()
 
 	var dials atomic.Int64
-	clock := simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))
-	opts := fastOpts()
-	opts.Clock = clock
-	opts.Hello = protocol.ShardHello{Shard: 1, Name: "shard-1"}
+	opts := Options{Clock: clock, Hello: protocol.ShardHello{Shard: 1, Name: "shard-1"}}
 	start := clock.Now()
 	peer := NewPeer("srv", func() (transport.Conn, error) {
 		conn, err := net.Dial("srv")
@@ -280,8 +247,8 @@ func TestPeerHelloFailureBacksOff(t *testing.T) {
 	if !peer.Ref("x").Stopped() || peer.Send(protocol.Heartbeat{}) == nil {
 		t.Fatal("a link that never got its hello through must read down and fail Sends fast")
 	}
-	advanceUntil(t, clock, "link up after the resets stop", peer.Alive)
-	if d, n := clock.Now().Sub(start), dials.Load(); n != resets+1 || d < 75*time.Millisecond {
-		t.Fatalf("%d dials in %v, want %d dials spread over at least the 75ms backoff envelope", n, d, resets+1)
+	until(t, clock, "link up after the resets stop", peer.Alive)
+	if d, n := clock.Now().Sub(start), dials.Load(); n != resets+1 || d != 750*time.Millisecond {
+		t.Fatalf("%d dials in %v, want %d dials spread over exactly the 750ms backoff envelope", n, d, resets+1)
 	}
 }

@@ -3,6 +3,7 @@ package remote
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/actor"
 	"repro/internal/protocol"
@@ -59,64 +60,47 @@ const sendQueue = 64
 
 // Session is one accepted peer connection being served.
 type Session struct {
-	conn transport.Conn
-	opts SessionOptions
-
-	mu     sync.Mutex
-	closed bool
-	done   chan struct{}
-	sendQ  chan interface{}
+	conn   transport.Conn
+	opts   SessionOptions
+	sendQ  *actor.Queue[interface{}]
+	closed atomic.Bool
 }
 
-// NewSession wraps an accepted connection. Run must be called to serve it.
-func NewSession(conn transport.Conn, opts SessionOptions) *Session {
+// NewSession wraps an accepted connection, its writer running on clock (the
+// wall clock when none, or nil, is given). Run must be called to serve it.
+func NewSession(conn transport.Conn, opts SessionOptions, clock ...actor.Clock) *Session {
 	if opts.Handle == nil {
 		opts.Handle = func(interface{}) {}
 	}
-	s := &Session{
-		conn:  conn,
-		opts:  opts,
-		done:  make(chan struct{}),
-		sendQ: make(chan interface{}, sendQueue),
-	}
-	go s.writer()
+	c := actor.OrWall(clock...)
+	s := &Session{conn: conn, opts: opts, sendQ: actor.NewQueue[interface{}](sendQueue)}
+	c.Go(func() { s.writer(c) })
 	return s
 }
 
-// writer drains the bounded send queue to the connection. A write error
-// closes the session (the reader in Run sees the close and returns).
-func (s *Session) writer() {
+// writer drains the bounded send queue to the connection, waiting on c. A
+// write error closes the session (the reader in Run sees the close and
+// returns).
+func (s *Session) writer(c actor.Clock) {
 	for {
-		select {
-		case <-s.done:
+		msg, ok := s.sendQ.Pop(c)
+		if !ok || s.Closed() {
 			return
-		case msg := <-s.sendQ:
-			if err := s.conn.Send(msg); err != nil {
-				s.Close()
-				return
-			}
+		}
+		if err := s.conn.Send(msg); err != nil {
+			s.Close()
+			return
 		}
 	}
 }
 
 // Closed reports whether the session's connection has ended.
-func (s *Session) Closed() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
-}
+func (s *Session) Closed() bool { return s.closed.Load() }
 
 // Close tears the session down.
 func (s *Session) Close() {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.done)
-	}
-	s.mu.Unlock()
+	s.closed.Store(true)
+	s.sendQ.Close()
 	s.conn.Close()
 }
 
@@ -128,12 +112,10 @@ func (s *Session) Send(msg interface{}) error {
 	if s.Closed() {
 		return fmt.Errorf("remote: session closed")
 	}
-	select {
-	case s.sendQ <- msg:
-		return nil
-	default:
+	if !s.sendQ.Push(msg, nil) {
 		return fmt.Errorf("remote: session send queue full (%d)", sendQueue)
 	}
+	return nil
 }
 
 // Run serves the connection until it dies, answering heartbeats and routing

@@ -170,6 +170,7 @@ func NewCoordinatorProc(cfg CoordinatorConfig) (*CoordinatorProc, error) {
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 250 * time.Millisecond
 	}
+	cfg.Clock = actor.OrWall(cfg.Clock)
 	cp := &CoordinatorProc{
 		cfg:     cfg,
 		done:    make(chan struct{}),
@@ -221,7 +222,7 @@ func (cp *CoordinatorProc) Serve(l transport.Listener) {
 		if err != nil {
 			return
 		}
-		go cp.serveConn(conn)
+		cp.cfg.Clock.Go(func() { cp.serveConn(conn) })
 	}
 }
 
@@ -264,7 +265,7 @@ func (cp *CoordinatorProc) serveConn(conn transport.Conn) {
 				_ = flserver.DeliverSeal(cp.coord, edge, flserver.EdgeSeal{TaskID: m.TaskID, Round: m.Round})
 			}
 		},
-	})
+	}, cp.cfg.Clock)
 	_ = edge.sess.Run()
 	cp.mu.Lock()
 	shard, announced := cp.live[edge]

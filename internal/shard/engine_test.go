@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/device"
 	"repro/internal/fedavg"
@@ -137,9 +138,9 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 		t.Cleanup(func() { l.Close() })
 		return l, dial
 	}
-	rounds, peer := 1, fastPeerOpts()
+	rounds := 1
 	if topo.storm {
-		rounds, peer = 2, remote.Options{}
+		rounds = 2
 	}
 	if topo.shards == 0 {
 		srv, err := flserver.New(flserver.Config{
@@ -175,7 +176,7 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 	for i := 0; i < topo.shards; i++ {
 		sp := NewSelectorProc(SelectorConfig{
 			Shard: uint32(i), Steering: pacing.New(time.Second), PopulationEstimate: engineK,
-			Seed: uint64(7 + i), Peer: peer,
+			Seed: uint64(7 + i),
 		}, func() (transport.Conn, error) {
 			c, err := coordDial()
 			if err != nil {
@@ -200,12 +201,12 @@ func startEngine(t *testing.T, topo engineTopology, p *plan.Plan) *engineRig {
 	return rig
 }
 
-// configured checks device id in (retrying while no round admits it) until
-// a round configures it or stop closes, and returns the device's session,
-// held between configuration and report: the stubs report fixed payloads
-// instead of training.
-func configured(dial func() (transport.Conn, error), id string, stop <-chan struct{}) *device.Session {
-	c := &device.Client{ID: id, Population: enginePop, Runtime: device.NewRuntime(id, 3, nil, 1)}
+// configured checks device id in on clock (retrying while no round admits
+// it) until a round configures it or stop closes, and returns the device's
+// session, held between configuration and report: the stubs report fixed
+// payloads instead of training.
+func configured(clock actor.Clock, dial func() (transport.Conn, error), id string, stop <-chan struct{}) *device.Session {
+	c := &device.Client{ID: id, Population: enginePop, Runtime: device.NewRuntime(id, 3, nil, 1), Clock: clock}
 	for {
 		select {
 		case <-stop:
@@ -219,7 +220,7 @@ func configured(dial func() (transport.Conn, error), id string, stop <-chan stru
 		if s, err := c.Checkin(conn); err == nil && s.Accepted {
 			return s
 		}
-		time.Sleep(2 * time.Millisecond)
+		actor.Sleep(clock, 2*time.Millisecond, nil)
 	}
 }
 
@@ -236,7 +237,7 @@ func runStubs(rig *engineRig, n int, payload func(i int) ([]byte, map[string]flo
 		go func(i int) {
 			defer wg.Done()
 			for {
-				s := configured(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
+				s := configured(actor.Wall, rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
 				if s == nil {
 					return
 				}
@@ -521,7 +522,7 @@ func TestOverSelectedRoundTraceCountsAborted(t *testing.T) {
 					conns[i] = conn
 					return conn, err
 				}
-				sessions[i] = configured(dial, fmt.Sprintf("stub-%d", i), stop)
+				sessions[i] = configured(actor.Wall, dial, fmt.Sprintf("stub-%d", i), stop)
 			}(i)
 		}
 		wg.Wait()
@@ -574,7 +575,7 @@ func TestFailedRoundReticksAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tickEvery = 30 * time.Second
-	clock := fastClock(t)
+	clock := newClock()
 	coord, err := NewCoordinatorProc(CoordinatorConfig{
 		Population: enginePop, Plans: []*plan.Plan{p}, Store: storage.NewMem(),
 		Steering: pacing.New(time.Second), MinShards: 1, TickEvery: tickEvery, Clock: clock,
@@ -583,13 +584,13 @@ func TestFailedRoundReticksAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	net := transport.NewMemNetwork()
+	net := transport.NewMemNetwork(clock)
 	l, err := net.Listen("coord")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go coord.Serve(l)
+	clock.Go(func() { coord.Serve(l) })
 
 	rec := newConfigRecorder()
 	sp := NewSelectorProc(SelectorConfig{Shard: 0, Steering: pacing.New(time.Second), Peer: remote.Options{Clock: clock}},
@@ -602,14 +603,10 @@ func TestFailedRoundReticksAtOnce(t *testing.T) {
 		})
 	defer sp.Close()
 
-	start := clock.Now()
-	for rec.snapshot()[[2]int64{0, 0}] < 4 {
-		if clock.Now().Sub(start) > tickEvery/3 {
-			st, _ := coord.Stats()
-			t.Fatalf("%d RoundConfigs in %v (stats %+v): failed rounds wait for the %v tick",
-				rec.snapshot()[[2]int64{0, 0}], clock.Now().Sub(start), st, tickEvery)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := clock.Run(tickEvery/3, func() bool { return rec.snapshot()[[2]int64{0, 0}] >= 4 }); err != nil {
+		st, _ := coord.Stats()
+		t.Fatalf("%d RoundConfigs in %v (stats %+v): failed rounds wait for the %v tick: %v",
+			rec.snapshot()[[2]int64{0, 0}], tickEvery/3, st, tickEvery, err)
 	}
 	if st, err := coord.Stats(); err != nil || st.RoundsFailed < 3 || st.RoundsCompleted != 0 {
 		t.Fatalf("stats after the failed rounds: %+v, %v", st, err)

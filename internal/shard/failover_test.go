@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
@@ -31,8 +31,7 @@ type failoverHarness struct {
 	plan  *plan.Plan
 	store storage.Store
 
-	// clock is the one clock of the rig's processes and devices, twenty
-	// times as fast as the wall clock.
+	// clock is the one clock of the rig's processes, links and devices.
 	clock  *simclock.Virtual
 	coord  *CoordinatorProc
 	coordL transport.Listener
@@ -44,19 +43,6 @@ type failoverHarness struct {
 	linkUp atomic.Bool
 	mu     sync.Mutex
 	conns  []transport.Conn
-
-	stopDevices chan struct{}
-	devices     sync.WaitGroup
-}
-
-// fastPeerOpts declares a dead link in 60ms and redials within 50ms.
-func fastPeerOpts() remote.Options {
-	return remote.Options{
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMiss:     3,
-		BackoffMin:        5 * time.Millisecond,
-		BackoffMax:        50 * time.Millisecond,
-	}
 }
 
 func newFailoverHarness(t *testing.T, k, maxRounds int) *failoverHarness {
@@ -71,12 +57,8 @@ func newFailoverHarness(t *testing.T, k, maxRounds int) *failoverHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &failoverHarness{
-		t: t, net: transport.NewMemNetwork(), plan: p,
-		store:       storage.NewMem(),
-		stopDevices: make(chan struct{}),
-		clock:       fastClock(t),
-	}
+	clock := newClock()
+	h := &failoverHarness{t: t, net: transport.NewMemNetwork(clock), plan: p, store: storage.NewMem(), clock: clock}
 	h.linkUp.Store(true)
 	h.startCoordinator(maxRounds)
 
@@ -85,8 +67,7 @@ func newFailoverHarness(t *testing.T, k, maxRounds int) *failoverHarness {
 		Steering:           pacing.New(time.Second),
 		PopulationEstimate: 32,
 		Seed:               17,
-		Peer:               h.peerOpts(),
-		RateProbeInterval:  100 * time.Millisecond,
+		Peer:               remote.Options{Clock: clock},
 	}, h.dialCoordinator)
 	t.Cleanup(h.shard.Close)
 	l, err := h.net.Listen("shard-0")
@@ -95,26 +76,15 @@ func newFailoverHarness(t *testing.T, k, maxRounds int) *failoverHarness {
 	}
 	h.shardL = l
 	t.Cleanup(func() { l.Close() })
-	go h.shard.Serve(l)
+	clock.Go(func() { h.shard.Serve(l) })
 	return h
 }
 
-// peerOpts is fastPeerOpts in the rig's time: the same 60ms of wall time to
-// declare the link dead, on the rig's clock.
-func (h *failoverHarness) peerOpts() remote.Options {
-	return remote.Options{
-		HeartbeatInterval: 400 * time.Millisecond,
-		HeartbeatMiss:     3,
-		BackoffMin:        100 * time.Millisecond,
-		BackoffMax:        time.Second,
-		Clock:             h.clock,
-	}
-}
-
-// linkDown waits until the shard has declared its coordinator link dead.
+// linkDown runs the rig until the shard has declared its coordinator link
+// dead.
 func (h *failoverHarness) linkDown() {
 	h.t.Helper()
-	waitUntil(h.t, "shard notices the lost coordinator", func() bool {
+	until(h.t, h.clock, "shard notices the lost coordinator", func() bool {
 		st, err := h.shard.Stats()
 		return err == nil && !st.CoordinatorUp
 	})
@@ -145,7 +115,7 @@ func (h *failoverHarness) startCoordinator(maxRounds int) {
 	}
 	h.coordL = l
 	h.t.Cleanup(func() { l.Close() })
-	go coord.Serve(l)
+	h.clock.Go(func() { coord.Serve(l) })
 }
 
 func (h *failoverHarness) dialCoordinator() (transport.Conn, error) {
@@ -194,87 +164,57 @@ func (h *failoverHarness) runDevices(n int) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("failover-dev-%d", i)
-		rt := device.NewRuntime(id, 3, nil, uint64(i)+900)
-		st, err := device.NewMemStore(failoverPop+"-store", 1000, 0)
-		if err != nil {
-			h.t.Fatal(err)
-		}
-		now := time.Now()
-		for _, ex := range fed.Users[i] {
-			st.Add(ex, now)
-		}
-		if err := rt.RegisterStore(st); err != nil {
-			h.t.Fatal(err)
-		}
-		client := &device.Client{ID: id, Population: failoverPop, Runtime: rt, Clock: h.clock}
-		h.devices.Add(1)
-		go func() {
-			defer h.devices.Done()
-			for {
-				select {
-				case <-h.stopDevices:
-					return
-				default:
-				}
-				if conn, err := h.net.Dial("shard-0"); err == nil {
-					_, _ = client.RunOnce(conn)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
-	h.t.Cleanup(func() {
-		select {
-		case <-h.stopDevices:
-		default:
-			close(h.stopDevices)
-		}
-		done := make(chan struct{})
-		go func() { h.devices.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			h.t.Error("device goroutines leaked at harness teardown")
-		}
-	})
+	startSwarm(h.t, h.clock, failoverPop, fed, func(int) (transport.Conn, error) { return h.net.Dial("shard-0") })
 }
 
 func (h *failoverHarness) waitRounds(want int) {
 	h.t.Helper()
-	waitUntil(h.t, fmt.Sprintf("the coordinator to commit %d rounds", want), func() bool {
+	until(h.t, h.clock, fmt.Sprintf("the coordinator to commit %d rounds", want), func() bool {
 		st, err := h.coord.Stats()
 		return err == nil && st.RoundsCompleted >= want
 	})
 }
 
-// rawCheckin opens a bare device connection and checks in, returning the
-// conn and the response. retries until the shard accepts (a round must be
-// open) or the deadline passes.
-func (h *failoverHarness) rawAcceptedCheckin(id string, within time.Duration) transport.Conn {
-	h.t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		conn, err := h.net.Dial("shard-0")
-		if err != nil {
-			h.t.Fatal(err)
-		}
-		if err := conn.Send(protocol.CheckinRequest{DeviceID: id, Population: failoverPop, RuntimeVersion: 3}); err != nil {
-			conn.Close()
-			continue
-		}
-		msg, err := conn.Recv()
-		if err == nil {
-			if resp, ok := msg.(protocol.CheckinResponse); ok && resp.Accepted {
-				return conn
-			}
-		}
-		conn.Close()
-		time.Sleep(10 * time.Millisecond)
+// checkin opens a bare device connection and checks in, returning the conn
+// and the answer.
+func (h *failoverHarness) checkin(id string) (transport.Conn, protocol.CheckinResponse, error) {
+	conn, err := h.net.Dial("shard-0")
+	if err != nil {
+		return nil, protocol.CheckinResponse{}, err
 	}
-	h.t.Fatalf("device %s was never admitted to a round", id)
-	return nil
+	if err = conn.Send(protocol.CheckinRequest{DeviceID: id, Population: failoverPop, RuntimeVersion: 3}); err == nil {
+		var msg interface{}
+		if msg, err = conn.Recv(); err == nil {
+			resp, ok := msg.(protocol.CheckinResponse)
+			if !ok {
+				err = fmt.Errorf("check-in answered with %T", msg)
+			}
+			return conn, resp, err
+		}
+	}
+	conn.Close()
+	return nil, protocol.CheckinResponse{}, err
+}
+
+// rawAcceptedCheckin checks a bare device in until the shard accepts it (a
+// round must be open) and returns its connection.
+func (h *failoverHarness) rawAcceptedCheckin(id string) transport.Conn {
+	h.t.Helper()
+	var conn transport.Conn
+	await(h.t, h.clock, "device "+id+" admitted to a round", func() {
+		for {
+			c, resp, err := h.checkin(id)
+			if err == nil && resp.Accepted {
+				conn = c
+				return
+			}
+			if c != nil {
+				c.Close()
+			}
+			actor.Sleep(h.clock, 10*time.Millisecond, nil)
+		}
+	})
+	return conn
 }
 
 // TestCoordinatorLossFreesDevices severs the shard's coordinator link
@@ -288,61 +228,47 @@ func TestCoordinatorLossFreesDevices(t *testing.T) {
 
 	// A raw device gets admitted into the open round and then sits on its
 	// configuration without reporting.
-	conn := h.rawAcceptedCheckin("raw-straggler", 15*time.Second)
+	conn := h.rawAcceptedCheckin("raw-straggler")
 	defer conn.Close()
 
 	h.partition()
+	lostAt := h.clock.Now()
 
 	// The shard's heartbeat declares the coordinator dead; the edge round is
-	// abandoned and must answer the straggler instead of stranding it.
-	type recvResult struct {
-		msg interface{}
-		err error
-	}
-	got := make(chan recvResult, 1)
-	go func() {
-		msg, err := conn.Recv()
-		got <- recvResult{msg, err}
-	}()
-	select {
-	case r := <-got:
-		if r.err == nil {
-			if _, ok := r.msg.(protocol.Abort); !ok {
-				t.Fatalf("straggler got %T, want Abort or closed conn", r.msg)
-			}
+	// abandoned and must answer the straggler instead of stranding it, well
+	// inside the round's report window.
+	var msg interface{}
+	var err error
+	await(t, h.clock, "the straggler's answer", func() { msg, err = conn.Recv() })
+	if err == nil {
+		if _, ok := msg.(protocol.Abort); !ok {
+			t.Fatalf("straggler got %T, want Abort or closed conn", msg)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("device stranded: no abort after coordinator loss")
+	}
+	if lost := h.clock.Now().Sub(lostAt); lost >= h.plan.Server.ReportTimeout {
+		t.Fatalf("device stranded: answered %v after the coordinator loss", lost)
 	}
 
 	// Fresh check-ins are steered to retry later, not accepted into a round
 	// the shard cannot run and not left unanswered.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("check-in after coordinator loss was never steered away")
+	var resp protocol.CheckinResponse
+	await(t, h.clock, "a check-in steered away", func() {
+		for {
+			c, r, err := h.checkin("post-loss")
+			if c != nil {
+				c.Close()
+			}
+			// An error races the abandon, an acceptance the still-open
+			// round: try again.
+			if err == nil && !r.Accepted {
+				resp = r
+				return
+			}
+			actor.Sleep(h.clock, 10*time.Millisecond, nil)
 		}
-		c2, err := h.net.Dial("shard-0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = c2.Send(protocol.CheckinRequest{DeviceID: "post-loss", Population: failoverPop, RuntimeVersion: 3})
-		msg, err := c2.Recv()
-		c2.Close()
-		if err != nil {
-			continue // racing the abandon; try again
-		}
-		resp, ok := msg.(protocol.CheckinResponse)
-		if !ok {
-			t.Fatalf("check-in answered with %T", msg)
-		}
-		if resp.Accepted {
-			continue // the in-flight round was still open; retry until abandoned
-		}
-		if resp.RetryAfter <= 0 {
-			t.Fatalf("steered rejection carries no retry hint: %+v", resp)
-		}
-		return
+	})
+	if resp.RetryAfter <= 0 {
+		t.Fatalf("steered rejection carries no retry hint: %+v", resp)
 	}
 }
 
@@ -356,7 +282,7 @@ func TestDeadShardFlaggedDisconnected(t *testing.T) {
 
 	waitConnected := func(want bool) {
 		t.Helper()
-		waitUntil(t, fmt.Sprintf("shard 0 to read as connected=%v", want), func() bool {
+		until(t, h.clock, fmt.Sprintf("shard 0 to read as connected=%v", want), func() bool {
 			c, ok := h.coord.perShardStats()[0]
 			return ok && c.Connected == want
 		})
@@ -384,12 +310,7 @@ func TestReconnectThenResume(t *testing.T) {
 
 	// All 3 rounds commit: the shard redialed, re-announced itself, got the
 	// round config again, and resumed shipping seals.
-	select {
-	case <-h.coord.Done():
-	case <-time.After(60 * time.Second):
-		st, _ := h.coord.Stats()
-		t.Fatalf("rounds did not resume after reconnect: %+v", st)
-	}
+	until(t, h.clock, "the rounds to resume after the reconnect", closed(h.coord.Done()))
 	st, err := h.coord.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -412,11 +333,7 @@ func TestCoordinatorCrashRespawn(t *testing.T) {
 	h.runDevices(6)
 
 	// Round 1 commits, then the coordinator dies.
-	select {
-	case <-h.coord.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("first coordinator never committed its round")
-	}
+	until(t, h.clock, "the first coordinator's round", closed(h.coord.Done()))
 	first, err := h.store.LatestCheckpoint(h.plan.ID)
 	if err != nil {
 		t.Fatalf("no checkpoint after round 1: %v", err)
@@ -429,12 +346,7 @@ func TestCoordinatorCrashRespawn(t *testing.T) {
 	h.startCoordinator(1)
 	h.heal()
 
-	select {
-	case <-h.coord.Done():
-	case <-time.After(60 * time.Second):
-		st, _ := h.coord.Stats()
-		t.Fatalf("respawned coordinator never committed: %+v", st)
-	}
+	until(t, h.clock, "the respawned coordinator's round", closed(h.coord.Done()))
 	second, err := h.store.LatestCheckpoint(h.plan.ID)
 	if err != nil {
 		t.Fatal(err)

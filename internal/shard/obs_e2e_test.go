@@ -11,27 +11,25 @@ import (
 	"time"
 
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/remote"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
 // TestObservabilityEndToEnd is the telemetry acceptance run: a sharded
-// deployment (1 coordinator + 2 selector shards over real loopback TCP)
+// deployment (1 coordinator + 2 selector shards on one virtual clock over
+// the mem network; scripts/smoke_sharded.sh runs it as processes over TCP)
 // must (a) serve an aggregated /metrics on the coordinator that includes
 // per-shard seal-latency and check-in-rate series plus series shipped from
 // the shards in TelemetrySnapshot frames, and (b) persist a JSONL round
 // trace for a committed round whose lifecycle phases all have non-zero
 // durations.
 func TestObservabilityEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP observability e2e in -short mode")
-	}
 	const (
 		pop     = "pop-obs"
 		shards  = 2
@@ -56,105 +54,15 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	store := newTraceMem()
-	coord, err := NewCoordinatorProc(CoordinatorConfig{
-		Population: pop,
-		Plans:      []*plan.Plan{p},
-		Store:      store,
-		Steering:   pacing.New(time.Second),
-		MaxRounds:  2,
-		MinShards:  shards,
-		SealGrace:  2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	coordL, err := transport.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coordL.Close()
-	go coord.Serve(coordL)
-	coordAddr := coordL.Addr()
-
-	// The coordinator's operator surface, on an ephemeral port.
-	srv, err := metrics.Default.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// The shards run on a clock twenty times as fast as the coordinator's
-	// (each process has its own): the two-second telemetry interval and the
-	// rate probes this test waits for pass in a tenth of a second, and the
-	// spans the shards time still have a length.
-	shardClock := fastClock(t)
-	shardDials := make([]func() (transport.Conn, error), shards)
-	for i := 0; i < shards; i++ {
-		sp := NewSelectorProc(SelectorConfig{
-			Shard:              uint32(i),
-			Steering:           pacing.New(time.Second),
-			PopulationEstimate: devices,
-			Seed:               uint64(23 + i*131),
-			RateProbeInterval:  500 * time.Millisecond,
-			Peer:               remote.Options{Clock: shardClock},
-		}, func() (transport.Conn, error) { return transport.DialTCP(coordAddr) })
-		defer sp.Close()
-		l, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		go sp.Serve(l)
-		addr := l.Addr()
-		shardDials[i] = func() (transport.Conn, error) { return transport.DialTCP(addr) }
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < devices; i++ {
-		id := fmt.Sprintf("obs-dev-%d", i)
-		rt := device.NewRuntime(id, 3, nil, uint64(100+i))
-		st, err := device.NewMemStore(pop+"-store", 1000, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now := time.Now()
-		for _, ex := range fed.Users[i] {
-			st.Add(ex, now)
-		}
-		if err := rt.RegisterStore(st); err != nil {
-			t.Fatal(err)
-		}
-		client := &device.Client{ID: id, Population: pop, Runtime: rt}
-		dial := shardDials[i%shards]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if conn, err := dial(); err == nil {
-					_, _ = client.RunOnce(conn)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
-	defer func() { close(stop); wg.Wait() }()
-
-	select {
-	case <-coord.Done():
-	case <-time.After(90 * time.Second):
-		t.Fatal("rounds did not commit within 90s")
-	}
+	r := startObsRig(t, CoordinatorConfig{
+		Population: pop, Plans: []*plan.Plan{p}, Store: store, Steering: pacing.New(time.Second),
+		MaxRounds: 2, MinShards: shards, SealGrace: 2 * time.Second,
+	}, shards, devices)
+	startSwarm(t, r.clock, pop, fed, func(i int) (transport.Conn, error) { return r.net.Dial(fmt.Sprint("shard-", i%shards)) })
+	until(t, r.clock, "the rounds to commit", closed(r.coord.Done()))
 
 	// (a) Aggregated /metrics: per-shard derived series plus shipped ones.
-	metricsURL := fmt.Sprintf("http://%s/metrics", srv.Addr())
+	metricsURL := fmt.Sprintf("http://%s/metrics", r.srv.Addr())
 	want := []string{
 		`fl_shard_seal_seconds{shard="0",quantile=`, // coordinator-derived seal latency
 		`fl_shard_seal_seconds{shard="1",quantile=`,
@@ -164,24 +72,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		"fl_rounds_committed_total",             // coordinator's own round counter
 		`fl_round_phase_seconds{phase="commit"`, // tracer-fed phase summary
 	}
-	var body string
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		body = httpGet(t, metricsURL)
-		missing := ""
+	var body, missing string
+	if err := r.clock.Run(time.Minute, func() bool {
+		body, missing = httpGet(t, metricsURL), ""
 		for _, w := range want {
 			if !strings.Contains(body, w) {
 				missing = w
-				break
+				return false
 			}
 		}
-		if missing == "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("/metrics never aggregated %q; got:\n%s", missing, body)
-		}
-		time.Sleep(10 * time.Millisecond)
+		return true
+	}); err != nil {
+		t.Fatalf("/metrics never aggregated %q (%v); got:\n%s", missing, err, body)
 	}
 
 	// (b) A committed round's trace has every applicable lifecycle phase
@@ -237,9 +139,6 @@ func httpGet(t *testing.T, url string) string {
 // rightly stays), shard 1's check-in rate reads zero, and /dashboard's
 // selection-pool line sums only the pools still served.
 func TestDeadShardTelemetryLeaves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP observability e2e in -short mode")
-	}
 	const (
 		pop     = "pop-dead"
 		devices = 8
@@ -260,109 +159,39 @@ func TestDeadShardTelemetryLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinatorProc(CoordinatorConfig{
-		Population: pop, Plans: []*plan.Plan{p}, Store: storage.NewMem(),
-		Steering: pacing.New(time.Second), MinShards: 2, SealGrace: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	coordL, err := transport.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coordL.Close()
-	go coord.Serve(coordL)
-	srv, err := metrics.Default.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	shardClock := fastClock(t)
-	procs := make([]*SelectorProc, 2)
-	listeners := make([]transport.Listener, 2)
-	for i := range procs {
-		procs[i] = NewSelectorProc(SelectorConfig{
-			Shard: uint32(i), Steering: pacing.New(time.Second), PopulationEstimate: devices,
-			Seed: uint64(29 + i*131), RateProbeInterval: 500 * time.Millisecond,
-			Peer: remote.Options{Clock: shardClock},
-		}, func() (transport.Conn, error) { return transport.DialTCP(coordL.Addr()) })
-		if listeners[i], err = transport.ListenTCP("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		go procs[i].Serve(listeners[i])
-	}
+	r := startObsRig(t, CoordinatorConfig{
+		Population: pop, Plans: []*plan.Plan{p}, Store: storage.NewMem(), Steering: pacing.New(time.Second),
+		MinShards: 2, SealGrace: 2 * time.Second,
+	}, 2, devices)
 	// A device parked in a Selector's pool stays parked when its shard
 	// closes, so the test closes what its devices hold open.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
 	var open sync.Map
-	for i := 0; i < devices; i++ {
-		id := fmt.Sprintf("dead-dev-%d", i)
-		rt := device.NewRuntime(id, 3, nil, uint64(100+i))
-		st, err := device.NewMemStore(pop+"-store", 1000, 0)
-		if err != nil {
-			t.Fatal(err)
+	t.Cleanup(func() { open.Range(func(conn, _ any) bool { conn.(transport.Conn).Close(); return true }) })
+	startSwarm(t, r.clock, pop, fed, func(i int) (transport.Conn, error) {
+		conn, err := r.net.Dial(fmt.Sprint("shard-", i%2))
+		if err == nil {
+			open.Store(conn, nil)
 		}
-		for _, ex := range fed.Users[i] {
-			st.Add(ex, time.Now())
-		}
-		if err := rt.RegisterStore(st); err != nil {
-			t.Fatal(err)
-		}
-		client := &device.Client{ID: id, Population: pop, Runtime: rt}
-		addr := listeners[i%2].Addr()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if conn, err := transport.DialTCP(addr); err == nil {
-					open.Store(conn, nil)
-					select {
-					case <-stop:
-					default:
-						_, _ = client.RunOnce(conn)
-					}
-					open.Delete(conn)
-					conn.Close()
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
-	defer func() {
-		close(stop)
-		open.Range(func(conn, _ any) bool { conn.(transport.Conn).Close(); return true })
-		wg.Wait()
-		procs[0].Close()
-		listeners[0].Close()
-	}()
+		return conn, err
+	})
 
 	vars := func() map[string]any {
 		var doc map[string]any
-		if err := json.Unmarshal([]byte(httpGet(t, fmt.Sprintf("http://%s/debug/vars", srv.Addr()))), &doc); err != nil {
+		if err := json.Unmarshal([]byte(httpGet(t, fmt.Sprintf("http://%s/debug/vars", r.srv.Addr()))), &doc); err != nil {
 			t.Fatal(err)
 		}
 		return doc
 	}
 	const linkUp, rate = `fl_coordinator_link_up{shard="1"}`, `fl_shard_checkin_rate{shard="1"}`
-	waitUntil(t, "shard 1's snapshot and check-in rate on the coordinator", func() bool {
+	until(t, r.clock, "shard 1's snapshot and check-in rate on the coordinator", func() bool {
 		v := vars()
 		r, _ := v[rate].(float64)
 		return v[linkUp] == 1.0 && r > 0
 	})
 
-	procs[1].Close()
-	listeners[1].Close()
-	waitUntil(t, "the coordinator to count one shard", func() bool {
-		st, err := coord.Stats()
+	r.shards[1]()
+	until(t, r.clock, "the coordinator to count one shard", func() bool {
+		st, err := r.coord.Stats()
 		return err == nil && st.Shards == 1
 	})
 
@@ -387,14 +216,64 @@ func TestDeadShardTelemetryLeaves(t *testing.T) {
 	}
 	// Devices still check in on shard 0, so the pool may move between two
 	// reads; the line must settle on the sum of the series still served.
-	waitUntil(t, "/dashboard's pool line to sum the pools still served", func() bool {
+	until(t, r.clock, "/dashboard's pool line to sum the pools still served", func() bool {
 		pooled := 0.0
 		for name, v := range vars() {
 			if strings.HasPrefix(name, "fl_selector_pooled{") {
 				pooled += v.(float64)
 			}
 		}
-		return strings.Contains(httpGet(t, fmt.Sprintf("http://%s/dashboard", srv.Addr())),
+		return strings.Contains(httpGet(t, fmt.Sprintf("http://%s/dashboard", r.srv.Addr())),
 			fmt.Sprintf("selection pool: %.0f device(s)", pooled))
 	})
+}
+
+// obsRig is a sharded deployment on one virtual clock over the mem network
+// — the coordinator listening at "coord", shard i at "shard-i" — with the
+// coordinator's operator surface on an ephemeral port.
+type obsRig struct {
+	clock  *simclock.Virtual
+	coord  *CoordinatorProc
+	net    *transport.MemNetwork
+	srv    *metrics.Server
+	shards []func() // stops shard i: its process, then its listener
+}
+
+// startObsRig starts the coordinator of cfg and n selector shards.
+func startObsRig(t *testing.T, cfg CoordinatorConfig, n, devices int) *obsRig {
+	t.Helper()
+	clock := newClock()
+	cfg.Clock = clock
+	r := &obsRig{clock: clock, net: transport.NewMemNetwork(clock)}
+	coord, err := NewCoordinatorProc(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.coord = coord
+	t.Cleanup(coord.Close)
+	coordL, err := r.net.Listen("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coordL.Close() })
+	clock.Go(func() { coord.Serve(coordL) })
+	if r.srv, err = metrics.Default.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.srv.Close() })
+	for i := 0; i < n; i++ {
+		sp := NewSelectorProc(SelectorConfig{
+			Shard: uint32(i), Steering: pacing.New(time.Second), PopulationEstimate: devices,
+			Seed: uint64(23 + i*131), Peer: remote.Options{Clock: clock},
+		}, func() (transport.Conn, error) { return r.net.Dial("coord") })
+		l, err := r.net.Listen(fmt.Sprint("shard-", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := func() { sp.Close(); l.Close() }
+		r.shards = append(r.shards, stop)
+		t.Cleanup(stop)
+		clock.Go(func() { sp.Serve(l) })
+	}
+	return r
 }

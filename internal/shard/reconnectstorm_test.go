@@ -8,11 +8,11 @@ import (
 	"time"
 
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
+	"repro/internal/remote"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -85,7 +85,8 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := transport.NewMemNetwork()
+	clock := newClock()
+	net := transport.NewMemNetwork(clock)
 	store := storage.NewMem()
 	rec := newConfigRecorder()
 	var linkUp atomic.Bool
@@ -104,6 +105,7 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 			MinShards:  numShards,
 			SealGrace:  500 * time.Millisecond,
 			TickEvery:  50 * time.Millisecond,
+			Clock:      clock,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +116,7 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		go coord.Serve(l)
+		clock.Go(func() { coord.Serve(l) })
 		return coord, l
 	}
 
@@ -143,8 +145,7 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 			Steering:           pacing.New(time.Second),
 			PopulationEstimate: 32,
 			Seed:               17 + uint64(i),
-			Peer:               fastPeerOpts(),
-			RateProbeInterval:  100 * time.Millisecond,
+			Peer:               remote.Options{Clock: clock},
 		}, dial)
 		t.Cleanup(proc.Close)
 		shards[i] = proc
@@ -153,7 +154,7 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		go proc.Serve(l)
+		clock.Go(func() { proc.Serve(l) })
 	}
 
 	// A device swarm per shard keeps check-ins flowing across the crash.
@@ -163,58 +164,12 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopDevices := make(chan struct{})
-	var devices sync.WaitGroup
-	for i := 0; i < numShards*2; i++ {
-		id := fmt.Sprintf("storm-dev-%d", i)
-		rt := device.NewRuntime(id, 3, nil, uint64(i)+900)
-		st, err := device.NewMemStore(stormPop+"-store", 1000, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now := time.Now()
-		for _, ex := range fed.Users[i] {
-			st.Add(ex, now)
-		}
-		if err := rt.RegisterStore(st); err != nil {
-			t.Fatal(err)
-		}
-		client := &device.Client{ID: id, Population: stormPop, Runtime: rt}
-		addr := fmt.Sprintf("storm-shard-%d", i%numShards)
-		devices.Add(1)
-		go func() {
-			defer devices.Done()
-			for {
-				select {
-				case <-stopDevices:
-					return
-				default:
-				}
-				if conn, err := net.Dial(addr); err == nil {
-					_, _ = client.RunOnce(conn)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
-	t.Cleanup(func() {
-		close(stopDevices)
-		done := make(chan struct{})
-		go func() { devices.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			t.Error("device goroutines leaked at teardown")
-		}
+	startSwarm(t, clock, stormPop, fed, func(i int) (transport.Conn, error) {
+		return net.Dial(fmt.Sprintf("storm-shard-%d", i%numShards))
 	})
 
 	// Round 1 commits with all shards participating.
-	select {
-	case <-coord.Done():
-	case <-time.After(60 * time.Second):
-		st, _ := coord.Stats()
-		t.Fatalf("first coordinator never committed: %+v", st)
-	}
+	until(t, clock, "the first coordinator's round", closed(coord.Done()))
 	first, err := store.LatestCheckpoint(p.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +190,7 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 
 	for _, proc := range shards {
 		proc := proc
-		waitUntil(t, "every shard notices the crash", func() bool {
+		until(t, clock, "every shard notices the crash", func() bool {
 			st, err := proc.Stats()
 			return err == nil && !st.CoordinatorUp
 		})
@@ -243,12 +198,7 @@ func TestReconnectStormResumesExactlyOnce(t *testing.T) {
 	coord, _ = startCoordinator(1)
 	linkUp.Store(true) // the storm: all shards redial simultaneously
 
-	select {
-	case <-coord.Done():
-	case <-time.After(60 * time.Second):
-		st, _ := coord.Stats()
-		t.Fatalf("respawned coordinator never committed through the storm: %+v", st)
-	}
+	until(t, clock, "the respawned coordinator's round through the storm", closed(coord.Done()))
 	second, err := store.LatestCheckpoint(p.ID)
 	if err != nil {
 		t.Fatal(err)

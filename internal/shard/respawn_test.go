@@ -15,6 +15,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
+	"repro/internal/remote"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -81,23 +82,24 @@ func TestShardedCoordinatorRespawns(t *testing.T) {
 	if err := store.Mem.PutCheckpoint(&checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, engineDim)}); err != nil {
 		t.Fatal(err)
 	}
+	clock := newClock()
 	coord, err := NewCoordinatorProc(CoordinatorConfig{
 		Population: enginePop, Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), PopulationEstimate: k,
-		MaxRounds: rounds, MinShards: shards, TickEvery: 20 * time.Millisecond,
+		MaxRounds: rounds, MinShards: shards, TickEvery: 20 * time.Millisecond, Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	net := transport.NewMemNetwork()
+	net := transport.NewMemNetwork(clock)
 	rawL, err := net.Listen("coord")
 	if err != nil {
 		t.Fatal(err)
 	}
 	coordL := &countingListener{Listener: rawL}
 	t.Cleanup(func() { coordL.Close() })
-	go coord.Serve(coordL)
+	clock.Go(func() { coord.Serve(coordL) })
 
 	// configs tallies the RoundConfig frames each shard is sent, per round.
 	configs := newConfigRecorder()
@@ -107,7 +109,7 @@ func TestShardedCoordinatorRespawns(t *testing.T) {
 		shard := uint32(i)
 		procs[i] = NewSelectorProc(SelectorConfig{
 			Shard: shard, Steering: pacing.New(time.Second), PopulationEstimate: k,
-			Seed: uint64(7 + i), Peer: fastPeerOpts(),
+			Seed: uint64(7 + i), Peer: remote.Options{Clock: clock},
 		}, func() (transport.Conn, error) {
 			c, err := net.Dial("coord")
 			if err != nil {
@@ -122,7 +124,8 @@ func TestShardedCoordinatorRespawns(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		go procs[i].Serve(l)
+		sp := procs[i]
+		clock.Go(func() { sp.Serve(l) })
 		dials[i] = func() (transport.Conn, error) { return net.Dial(name) }
 	}
 
@@ -136,20 +139,25 @@ func TestShardedCoordinatorRespawns(t *testing.T) {
 	// configured and holding their reports.
 	configure := func(gen int) []*device.Session {
 		held := make([]*device.Session, k)
-		var wg sync.WaitGroup
+		var ready atomic.Int64
 		for i := range held {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				held[i] = configured(dials[i%shards], fmt.Sprintf("stub-%d-%d", gen, i), stop)
-			}(i)
+			clock.Go(func() {
+				held[i] = configured(clock, dials[i%shards], fmt.Sprintf("stub-%d-%d", gen, i), stop)
+				ready.Add(1)
+			})
 		}
-		wg.Wait()
+		until(t, clock, fmt.Sprintf("%d devices configured", k), func() bool { return ready.Load() == k })
 		return held
+	}
+	// report sends each held report from the rig.
+	report := func(held []*device.Session) {
+		for _, s := range held {
+			clock.Go(func() { _, _ = s.Report(update, nil) })
+		}
 	}
 	waitRounds := func(want int) {
 		t.Helper()
-		waitUntil(t, fmt.Sprintf("round %d to commit", want), func() bool {
+		until(t, clock, fmt.Sprintf("round %d to commit", want), func() bool {
 			st, err := coord.Stats()
 			return err == nil && st.RoundsCompleted >= want
 		})
@@ -162,17 +170,13 @@ func TestShardedCoordinatorRespawns(t *testing.T) {
 	}
 	// The respawned Coordinator starts over both links at once: each shard is
 	// sent the crashed round's config a second time, and keeps running it.
-	waitUntil(t, "the crashed round to be re-opened on both live links (or the Coordinator was not respawned)", func() bool {
+	until(t, clock, "the crashed round to be re-opened on both live links (or the Coordinator was not respawned)", func() bool {
 		seen := configs.snapshot()
 		return seen[[2]int64{0, 0}] == 2 && seen[[2]int64{1, 0}] == 2
 	})
-	for _, s := range held {
-		_, _ = s.Report(update, nil)
-	}
+	report(held)
 	waitRounds(1)
-	for _, s := range configure(1) {
-		_, _ = s.Report(update, nil)
-	}
+	report(configure(1))
 	waitRounds(2)
 
 	// Every stub reports the same update over a zero global: each round adds

@@ -45,16 +45,15 @@ type SelectorConfig struct {
 	// coordinator's live estimate.
 	PopulationEstimate int
 	Seed               uint64
-	// Peer tunes the coordinator link (heartbeat cadence, backoff); its
-	// Hello is overwritten with this shard's ShardHello, and its Clock is the
-	// one clock the whole shard process runs on.
+	// Peer configures the coordinator link: its Hello is overwritten with
+	// this shard's ShardHello, and its Clock is the one clock the whole shard
+	// process runs on.
 	Peer remote.Options
-	// RateProbeInterval paces check-in rate sampling toward the coordinator
-	// (default 1s).
-	RateProbeInterval time.Duration
 }
 
 const (
+	// rateProbeInterval paces check-in rate sampling toward the coordinator.
+	rateProbeInterval = time.Second
 	// telemetryInterval paces TelemetrySnapshot shipping toward the
 	// coordinator, which folds this shard's counters into its aggregated
 	// /metrics under a shard="N" label.
@@ -97,8 +96,8 @@ type SelectorProc struct {
 	bytesShipped  atomic.Int64
 	roundsDropped atomic.Int64
 	roundsOpened  atomic.Int64
-	// closing is closed by Close; a seal still retrying its delivery gives up.
-	closing chan struct{}
+	// closing is set by Close; a seal still retrying its delivery gives up.
+	closing actor.Gate
 }
 
 // NewSelectorProc builds the shard and starts dialing the coordinator.
@@ -115,22 +114,18 @@ func NewSelectorProc(cfg SelectorConfig, dial remote.Dialer) *SelectorProc {
 	if cfg.PopulationEstimate <= 0 {
 		cfg.PopulationEstimate = 1000
 	}
-	if cfg.RateProbeInterval <= 0 {
-		cfg.RateProbeInterval = time.Second
-	}
 	p := &SelectorProc{
-		cfg:     cfg,
-		sys:     actor.NewSystem(cfg.Peer.Clock),
-		pops:    make(map[string]bool),
-		rounds:  make(map[string]*edgeHandle),
-		closing: make(chan struct{}),
+		cfg:    cfg,
+		sys:    actor.NewSystem(cfg.Peer.Clock),
+		pops:   make(map[string]bool),
+		rounds: make(map[string]*edgeHandle),
 	}
 	for i := 0; i < cfg.NumSelectors; i++ {
 		sel := p.sys.Spawn(fmt.Sprintf("%s/selector-%d", cfg.Name, i),
 			flserver.NewSelector(nil, cfg.Steering, cfg.SelectorCapacity, cfg.Seed+uint64(i)))
 		p.selectors = append(p.selectors, sel)
 	}
-	p.router = flserver.NewCheckinRouter(p.selectors)
+	p.router = flserver.NewCheckinRouter(p.sys.Clock(), p.selectors)
 	p.rateFwd = p.sys.Spawn(cfg.Name+"/rate-fwd", flserver.NewRateForwarder(p.relayRate))
 
 	opts := cfg.Peer
@@ -143,7 +138,7 @@ func NewSelectorProc(cfg SelectorConfig, dial remote.Dialer) *SelectorProc {
 		}
 	}
 	p.peer = remote.NewPeer("coordinator", dial, p.onPeerMsg, opts)
-	p.every("rate-probe", cfg.RateProbeInterval, p.probeRates)
+	p.every("rate-probe", rateProbeInterval, p.probeRates)
 	p.every("telemetry", telemetryInterval, p.shipTelemetry)
 	return p
 }
@@ -296,7 +291,8 @@ func (p *SelectorProc) clearRound(population string, round int64) {
 // count as lost.
 func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 	p.clearRound(seal.Population, seal.Round)
-	go func() {
+	clock := p.sys.Clock()
+	clock.Go(func() {
 		start := time.Now()
 		msg := protocol.StripeSeal{
 			Population:  seal.Population,
@@ -320,7 +316,6 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 		// The wire form is all that leaves this process: the sealed sum's
 		// vector serves the next round's stripes.
 		p.stripes.Put(seal.Seal.Sum)
-		clock := p.sys.Clock()
 		deadline := clock.Now().Add(sealRetryBudget)
 		backoff := 25 * time.Millisecond
 		for {
@@ -333,14 +328,10 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 				obsSealsDropped.Inc()
 				return
 			}
-			wait, timer := actor.After(clock, backoff+time.Duration(rand.Int63n(int64(backoff))))
-			select {
-			case <-p.closing:
-				timer.Stop()
+			if !actor.Sleep(clock, backoff+time.Duration(rand.Int63n(int64(backoff))), &p.closing) {
 				p.roundsDropped.Add(1)
 				obsSealsDropped.Inc()
 				return
-			case <-wait:
 			}
 			if backoff < 200*time.Millisecond {
 				backoff *= 2
@@ -350,7 +341,7 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 		p.bytesShipped.Add(sealWireBytes(msg))
 		obsSealsShipped.Inc()
 		obsSealSeconds.ObserveDuration(time.Since(start))
-	}()
+	})
 }
 
 // sealWireBytes is the binary-codec frame size of one StripeSeal — the
@@ -491,7 +482,7 @@ func (p *SelectorProc) Close() {
 		delete(p.rounds, pop)
 	}
 	p.mu.Unlock()
-	close(p.closing)
+	p.closing.Close()
 	p.peer.Close()
 	refs := append([]actor.Ref{p.rateFwd}, p.selectors...)
 	p.sys.Shutdown(refs...)

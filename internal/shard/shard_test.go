@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/nn"
 	"repro/internal/plan"
@@ -41,7 +42,7 @@ func runShardedRounds(t *testing.T, topo engineTopology, k int) *engineRig {
 		go func(i int) {
 			defer stubs.Done()
 			for {
-				s := configured(rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
+				s := configured(actor.Wall, rig.dials[i%len(rig.dials)], fmt.Sprintf("stub-%d", i), stop)
 				if s == nil {
 					return
 				}

@@ -1,9 +1,13 @@
 // Package simclock is how time gets into the system: one small Clock, the
 // wall implementation every process runs on by default, and the virtual one
-// tests and the simulation harness advance by hand. The paper's protocol is
-// made of windows and timeouts (Sec. 2.2, 2.3, 4.4) and its operational
-// figures cover multi-day spans (Figs. 5–9); on a Virtual clock both run at
-// the speed of the CPU, with reproducible event ordering.
+// tests and the simulation harness drive. The paper's protocol is made of
+// windows and timeouts (Sec. 2.2, 2.3, 4.4) and its operational figures
+// cover multi-day spans (Figs. 5–9); on a Virtual clock both run at the
+// speed of the CPU, with reproducible event ordering.
+//
+// A Virtual clock is also the executor of a test rig (rig.go): every
+// goroutine of the rig starts through Go, and every idle wait parks it at a
+// Gate, so Run knows when nothing can run and jumps to the next timer.
 package simclock
 
 import (
@@ -13,31 +17,48 @@ import (
 	"time"
 )
 
-// Clock tells the time and arms timers. Implementations are safe for
-// concurrent use.
+// Clock tells the time, arms timers and starts the goroutines that wait on
+// them. Implementations are safe for concurrent use.
 type Clock interface {
 	Now() time.Time
 	// AfterFunc calls f, on a goroutine of the clock's choosing, once d has
 	// passed.
 	AfterFunc(d time.Duration, f func()) Timer
+	// Go runs fn on a new goroutine of the clock's rig.
+	Go(fn func())
+	// park counts n of the rig's goroutines parked (n < 0: handed back).
+	park(n int)
 }
 
 // Timer is an armed timer. Stop disarms it and reports whether it did so
 // before the timer fired.
 type Timer interface{ Stop() bool }
 
-// Wall is package time.
+// Wall is package time; it counts nothing.
 var Wall Clock = wall{}
+
+// OrWall is the first of clocks that is not nil, else the wall clock.
+func OrWall(clocks ...Clock) Clock {
+	for _, c := range clocks {
+		if c != nil {
+			return c
+		}
+	}
+	return Wall
+}
 
 type wall struct{}
 
 func (wall) Now() time.Time                            { return time.Now() }
 func (wall) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
+func (wall) Go(fn func())                              { go fn() }
+func (wall) park(int)                                  {}
 
-// Virtual is a discrete-event clock: time moves only in Advance, which fires
-// the timers that come due in (time, arming order) — what makes a multi-day
-// simulation on one goroutine deterministic. Callbacks run on the advancing
-// goroutine with the clock unlocked, so they may arm and stop timers.
+// Virtual is a discrete-event clock: time moves only in Advance and Run,
+// which fire the timers that come due in (time, arming order) — what makes a
+// multi-day simulation on one goroutine deterministic. Advance runs the
+// callbacks on the advancing goroutine with the clock unlocked, so they may
+// arm and stop timers.
 type Virtual struct {
 	mu  sync.Mutex
 	now time.Time
@@ -46,6 +67,10 @@ type Virtual struct {
 	// behind every timer due no later. Timers in flight are few (a handful
 	// in a simulation, hundreds under a test server): a sorted slice.
 	queue []*event
+	// live counts the goroutines Go started that have not returned, running
+	// those not parked; idle is signalled when running reaches zero.
+	live, running int
+	idle          sync.Cond
 }
 
 type event struct {
@@ -55,7 +80,11 @@ type event struct {
 }
 
 // New returns a virtual clock standing at start.
-func New(start time.Time) *Virtual { return &Virtual{now: start} }
+func New(start time.Time) *Virtual {
+	v := &Virtual{now: start}
+	v.idle.L = &v.mu
+	return v
+}
 
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
@@ -93,20 +122,29 @@ func (v *Virtual) Advance(d time.Duration) int {
 	v.mu.Lock()
 	end := v.now.Add(d)
 	fired := 0
-	for len(v.queue) > 0 && !v.queue[0].at.After(end) {
-		e := v.queue[0]
-		v.queue = slices.Delete(v.queue, 0, 1)
-		if e.at.After(v.now) {
-			v.now = e.at
-		}
+	for e := v.next(end); e != nil; e = v.next(end) {
 		v.mu.Unlock()
 		e.fn()
 		fired++
 		v.mu.Lock()
 	}
-	if v.now.Before(end) {
-		v.now = end
-	}
 	v.mu.Unlock()
 	return fired
+}
+
+// next takes the first timer due by end off the queue and moves the clock
+// to its instant — or, with none due, to end and returns nil. v.mu is held.
+func (v *Virtual) next(end time.Time) *event {
+	if len(v.queue) == 0 || v.queue[0].at.After(end) {
+		if v.now.Before(end) {
+			v.now = end
+		}
+		return nil
+	}
+	e := v.queue[0]
+	v.queue = slices.Delete(v.queue, 0, 1)
+	if e.at.After(v.now) {
+		v.now = e.at
+	}
+	return e
 }

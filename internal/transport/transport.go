@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/protocol"
+	"repro/internal/simclock"
 )
 
 // Process-wide TCP frame byte counters (headers included). Plain atomic
@@ -64,21 +65,17 @@ type Listener interface {
 // --- In-memory transport ---
 
 type memConn struct {
-	in     <-chan interface{}
-	out    chan<- interface{}
-	done   chan struct{}
-	peer   *memConn
-	closeO sync.Once
+	in, out *simclock.Queue[interface{}]
+	clock   simclock.Clock
+	closed  atomic.Bool
 }
 
-// Pipe returns a connected pair of in-memory streams.
-func Pipe() (Conn, Conn) {
-	ab := make(chan interface{}, 64)
-	ba := make(chan interface{}, 64)
-	a := &memConn{in: ba, out: ab, done: make(chan struct{})}
-	b := &memConn{in: ab, out: ba, done: make(chan struct{})}
-	a.peer, b.peer = b, a
-	return a, b
+// Pipe returns a connected pair of in-memory streams whose waits park on
+// clock — the wall clock when none (or nil) is given.
+func Pipe(clock ...simclock.Clock) (Conn, Conn) {
+	c := simclock.OrWall(clock...)
+	ab, ba := simclock.NewQueue[interface{}](64), simclock.NewQueue[interface{}](64)
+	return &memConn{in: ba, out: ab, clock: c}, &memConn{in: ab, out: ba, clock: c}
 }
 
 // Send implements Conn.
@@ -87,49 +84,36 @@ func (c *memConn) Send(msg interface{}) error {
 	if e, ok := msg.(*Encoded); ok {
 		msg = e.msg
 	}
-	// Check closure before attempting the buffered send; otherwise a ready
-	// buffer slot could win the select against a closed-peer signal.
-	select {
-	case <-c.done:
-		return fmt.Errorf("transport: connection closed")
-	case <-c.peer.done:
-		return fmt.Errorf("transport: peer closed")
-	default:
+	if !c.out.Push(msg, c.clock) {
+		return c.err()
 	}
-	select {
-	case <-c.done:
-		return fmt.Errorf("transport: connection closed")
-	case <-c.peer.done:
-		return fmt.Errorf("transport: peer closed")
-	case c.out <- msg:
-		return nil
-	}
+	return nil
 }
 
-// Recv implements Conn.
+// Recv implements Conn. Once the peer has closed, what it sent before is
+// still delivered.
 func (c *memConn) Recv() (interface{}, error) {
-	select {
-	case msg := <-c.in:
+	if msg, ok := c.in.Pop(c.clock); ok && !c.closed.Load() {
 		return msg, nil
-	case <-c.done:
-		return nil, fmt.Errorf("transport: connection closed")
-	case <-c.peer.done:
-		// Drain anything already buffered before reporting closure.
-		select {
-		case msg := <-c.in:
-			return msg, nil
-		default:
-			return nil, fmt.Errorf("transport: peer closed")
-		}
 	}
+	return nil, c.err()
+}
+
+func (c *memConn) err() error {
+	if c.closed.Load() {
+		return fmt.Errorf("transport: connection closed")
+	}
+	return fmt.Errorf("transport: peer closed")
 }
 
 // Release implements Conn: messages cross as Go values, so nothing is leased.
 func (c *memConn) Release() {}
 
-// Close implements Conn.
+// Close implements Conn: both directions close, waking both ends.
 func (c *memConn) Close() error {
-	c.closeO.Do(func() { close(c.done) })
+	c.closed.Store(true)
+	c.in.Close()
+	c.out.Close()
 	return nil
 }
 
@@ -137,18 +121,18 @@ func (c *memConn) Close() error {
 type MemNetwork struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
+	clock     simclock.Clock
 }
 
-// NewMemNetwork returns an empty network.
-func NewMemNetwork() *MemNetwork {
-	return &MemNetwork{listeners: make(map[string]*memListener)}
+// NewMemNetwork returns an empty network whose connections and listeners
+// park their waits on clock — the wall clock when none (or nil) is given.
+func NewMemNetwork(clock ...simclock.Clock) *MemNetwork {
+	return &MemNetwork{listeners: make(map[string]*memListener), clock: simclock.OrWall(clock...)}
 }
 
 type memListener struct {
 	addr    string
-	backlog chan Conn
-	done    chan struct{}
-	once    sync.Once
+	backlog *simclock.Queue[Conn]
 	net     *MemNetwork
 }
 
@@ -159,7 +143,7 @@ func (n *MemNetwork) Listen(addr string) (Listener, error) {
 	if _, exists := n.listeners[addr]; exists {
 		return nil, fmt.Errorf("transport: address %q in use", addr)
 	}
-	l := &memListener{addr: addr, backlog: make(chan Conn, 128), done: make(chan struct{}), net: n}
+	l := &memListener{addr: addr, backlog: simclock.NewQueue[Conn](128), net: n}
 	n.listeners[addr] = l
 	return l, nil
 }
@@ -172,33 +156,29 @@ func (n *MemNetwork) Dial(addr string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no listener at %q", addr)
 	}
-	client, server := Pipe()
-	select {
-	case l.backlog <- server:
-		return client, nil
-	case <-l.done:
+	client, server := Pipe(n.clock)
+	if !l.backlog.Push(server, n.clock) {
 		return nil, fmt.Errorf("transport: listener at %q closed", addr)
 	}
+	return client, nil
 }
 
 // Accept implements Listener.
 func (l *memListener) Accept() (Conn, error) {
-	select {
-	case c := <-l.backlog:
+	if c, ok := l.backlog.Pop(l.net.clock); ok {
 		return c, nil
-	case <-l.done:
-		return nil, fmt.Errorf("transport: listener closed")
 	}
+	return nil, fmt.Errorf("transport: listener closed")
 }
 
 // Close implements Listener.
 func (l *memListener) Close() error {
-	l.once.Do(func() {
-		close(l.done)
-		l.net.mu.Lock()
+	l.backlog.Close()
+	l.net.mu.Lock()
+	if l.net.listeners[l.addr] == l {
 		delete(l.net.listeners, l.addr)
-		l.net.mu.Unlock()
-	})
+	}
+	l.net.mu.Unlock()
 	return nil
 }
 

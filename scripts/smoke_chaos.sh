@@ -45,14 +45,14 @@ COORD_PID=$!
 sleep 1
 
 # Every shard link drops 5% of messages and jitters the rest by up to
-# 200ms; shard 1 additionally loses its coordinator link to a 2s partition
-# window, and shard 2 takes one scheduled connection reset. The peer tuning
-# (100ms heartbeats, 5-miss budget) tolerates the jitter while still
-# detecting the partition inside the window.
+# 200ms; shard 1 additionally loses its coordinator link to a 6s partition
+# window, and shard 2 takes one scheduled connection reset. The links'
+# heartbeat budget (500ms × 4) tolerates the jitter while still detecting
+# the partition inside the window.
 BASE="shard:drop=0.05,jitter=200ms"
 for i in 0 1 2; do
 	SPEC="$BASE"
-	[ "$i" = 1 ] && SPEC="$BASE;shard:1:partition@3s+2s"
+	[ "$i" = 1 ] && SPEC="$BASE;shard:1:partition@3s+6s"
 	[ "$i" = 2 ] && SPEC="$BASE;shard:2:reset@2s"
 	"$BIN/flselector" -coordinator "$COORD" -addr 127.0.0.1:$((8851 + i)) \
 		-shard "$i" -estimate 16 \
