@@ -1,5 +1,6 @@
-// Benchmarks regenerating the paper's tables and figures (one benchmark per
-// table/figure; see DESIGN.md §4 for the index) plus the ablations of
+// Benchmarks regenerating the paper's learning and Secure Aggregation
+// figures (see DESIGN.md §4 for the index; the operational figures are one
+// fleet run of the round engine, `flbench -exp fig6`) plus the ablations of
 // DESIGN.md §6. Round performance is measured by `bash benchmark/run.sh`,
 // not here. Run:
 //
@@ -26,85 +27,7 @@ import (
 	"repro/internal/tensor"
 )
 
-const (
-	benchDays   = 1
-	benchPop    = 8000
-	benchTarget = 100
-)
-
 // --- Figure/table benchmarks ---
-
-func BenchmarkFig6Diurnal(b *testing.B) {
-	// The fleet-1M case is feasible because population.Sample walks a
-	// partial Fisher–Yates: per-round selection cost is O(devices visited),
-	// so a million-device fleet simulates a full day without timing out.
-	for _, pop := range []int{benchPop, 1_000_000} {
-		b.Run(fmt.Sprintf("fleet-%d", pop), func(b *testing.B) {
-			var swing, corr float64
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.Fig6(uint64(i+1), benchDays, pop, benchTarget)
-				if err != nil {
-					b.Fatal(err)
-				}
-				swing, corr = r.SwingRatio, r.Correlation
-			}
-			b.ReportMetric(swing, "peak/trough")
-			b.ReportMetric(corr, "avail-corr")
-		})
-	}
-}
-
-func BenchmarkFig7Outcomes(b *testing.B) {
-	var day, night float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7(uint64(i+1), benchDays, benchPop, benchTarget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		day, night = r.DayDropRate, r.NightDropRate
-	}
-	b.ReportMetric(100*day, "day-drop-%")
-	b.ReportMetric(100*night, "night-drop-%")
-}
-
-func BenchmarkFig8Timing(b *testing.B) {
-	var runP50, partP50 float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(uint64(i+1), benchDays, benchPop, benchTarget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runP50, partP50 = r.RunTimeP50, r.ParticipationP50
-	}
-	b.ReportMetric(runP50, "round-P50-s")
-	b.ReportMetric(partP50, "part-P50-s")
-}
-
-func BenchmarkFig9Traffic(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(uint64(i+1), benchDays, benchPop, benchTarget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = r.Ratio
-	}
-	b.ReportMetric(ratio, "down/up")
-}
-
-func BenchmarkTable1Sessions(b *testing.B) {
-	var success float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table1(uint64(i+1), benchDays, benchPop, benchTarget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Rows) > 0 {
-			success = r.Rows[0].Percent
-		}
-	}
-	b.ReportMetric(success, "success-%")
-}
 
 func BenchmarkNextWordConvergence(b *testing.B) {
 	var fed, fedQ8, central, bigram float64
@@ -136,19 +59,6 @@ func BenchmarkKSweep(b *testing.B) {
 	b.ReportMetric(accLow, "acc-K1")
 	b.ReportMetric(accMid, "acc-K20")
 	b.ReportMetric(accHigh, "acc-K200")
-}
-
-func BenchmarkOverSelection(b *testing.B) {
-	var at100, at130 float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.OverSelect([]float64{1.0, 1.3}, []float64{0.10}, 100, 1000, uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		at100, at130 = r.Completion[0][0], r.Completion[0][1]
-	}
-	b.ReportMetric(at100, "complete@100%")
-	b.ReportMetric(at130, "complete@130%")
 }
 
 func BenchmarkSecAggQuadratic(b *testing.B) {

@@ -18,20 +18,27 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: "+experimentNames()+", or all")
-	days := flag.Int("days", 3, "simulated days for the operational figures")
-	pop := flag.Int("pop", 20000, "fleet size for the operational figures")
+	days := flag.Int("days", 3, "simulated days of the fleet run behind the operational figures")
+	pop := flag.Int("pop", 20000, "fleet size of that run")
 	target := flag.Int("target", 100, "devices per round (K)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON results instead of formatted tables")
 	flag.Parse()
 
-	if err := run(*exp, params{seed: *seed, days: *days, pop: *pop, target: *target}, *asJSON); err != nil {
+	p := params{seed: *seed, days: *days, pop: *pop, target: *target}
+	// One fleet run feeds every operational figure: `-exp all` simulates once.
+	p.fleet = sync.OnceValues(func() (*sim.FleetRun, error) {
+		return sim.RunFleet(sim.FleetConfig{Seed: p.seed, Days: p.days, Devices: p.pop, Target: p.target})
+	})
+	if err := run(*exp, p, *asJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "flbench:", err)
 		os.Exit(1)
 	}
@@ -43,26 +50,34 @@ type formatter interface{ Format() string }
 type params struct {
 	seed              uint64
 	days, pop, target int
+	// fleet is the fleet run the operational figures read.
+	fleet func() (*sim.FleetRun, error)
+}
+
+// figure adapts a figure of the fleet run to the experiment table.
+func figure[R formatter](fig func(*sim.FleetRun) R) func(params) (formatter, error) {
+	return func(p params) (formatter, error) {
+		run, err := p.fleet()
+		if err != nil {
+			return nil, err
+		}
+		return fig(run), nil
+	}
 }
 
 // experimentTable is the one list of experiments: the -exp help, the
 // unknown-experiment error and the dispatch all read it.
 var experimentTable = map[string]func(p params) (formatter, error){
-	"fig6":   func(p params) (formatter, error) { return experiments.Fig6(p.seed, p.days, p.pop, p.target) },
-	"fig7":   func(p params) (formatter, error) { return experiments.Fig7(p.seed, p.days, p.pop, p.target) },
-	"fig8":   func(p params) (formatter, error) { return experiments.Fig8(p.seed, p.days, p.pop, p.target) },
-	"fig9":   func(p params) (formatter, error) { return experiments.Fig9(p.seed, p.days, p.pop, p.target) },
-	"table1": func(p params) (formatter, error) { return experiments.Table1(p.seed, p.days, p.pop, p.target) },
+	"fig6":   figure(experiments.Fig6),
+	"fig7":   figure(experiments.Fig7),
+	"fig8":   figure(experiments.Fig8),
+	"fig9":   figure(experiments.Fig9),
+	"table1": figure(experiments.Table1),
 	"nextword": func(p params) (formatter, error) {
 		return experiments.NextWord(experiments.NextWordConfig{Seed: p.seed})
 	},
 	"ksweep": func(p params) (formatter, error) {
 		return experiments.KSweep([]int{1, 2, 5, 10, 20, 50, 100, 200}, 5, p.seed)
-	},
-	"overselect": func(p params) (formatter, error) {
-		return experiments.OverSelect(
-			[]float64{1.0, 1.05, 1.1, 1.2, 1.3, 1.4, 1.5},
-			[]float64{0.06, 0.08, 0.10}, p.target, 2000, p.seed)
 	},
 	"secagg": func(params) (formatter, error) {
 		return experiments.SecAggCost([]int{4, 8, 16, 32, 64}, 256, 256, []float64{0, 0.1, 0.25})
@@ -70,15 +85,20 @@ var experimentTable = map[string]func(p params) (formatter, error){
 	"robust": func(p params) (formatter, error) {
 		return experiments.RobustCost(experiments.RobustCostConfig{Seed: p.seed})
 	},
-	"pacing":    func(p params) (formatter, error) { return experiments.Pacing(10000, p.seed) },
-	"adaptive":  func(p params) (formatter, error) { return experiments.Adaptive(p.seed) },
-	"wallclock": func(p params) (formatter, error) { return experiments.WallClock(p.seed) },
-	"chaos":     func(p params) (formatter, error) { return experiments.ChaosGrid(p.seed) },
+	"pacing": func(p params) (formatter, error) { return experiments.Pacing(10000, p.seed) },
+	"wallclock": func(p params) (formatter, error) {
+		run, err := p.fleet()
+		if err != nil {
+			return nil, err
+		}
+		return experiments.WallClock(run, p.seed)
+	},
+	"chaos": func(p params) (formatter, error) { return experiments.ChaosGrid(p.seed) },
 }
 
 // allOrder is the order `-exp all` runs the table in, matching the paper's
 // presentation.
-var allOrder = []string{"pacing", "secagg", "robust", "chaos", "nextword", "wallclock", "fig6", "fig7", "fig8", "fig9", "table1", "ksweep", "overselect", "adaptive"}
+var allOrder = []string{"pacing", "secagg", "robust", "chaos", "nextword", "wallclock", "fig6", "fig7", "fig8", "fig9", "table1", "ksweep"}
 
 // experimentNames lists the table's keys, sorted.
 func experimentNames() string {

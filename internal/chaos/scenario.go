@@ -3,20 +3,14 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/flserver"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/pacing"
 	"repro/internal/plan"
-	"repro/internal/remote"
-	"repro/internal/shard"
 	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -97,11 +91,6 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	const features = 4
 	devices := 3 * cfg.TargetDevices
 
-	clock := simclock.New(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
-	start := clock.Now()
-	inj := New(cfg.Seed, cfg.Spec, clock)
-	res.Plan = inj.Plan()
-
 	const pop = "pop-chaos"
 	p, err := plan.Generate(plan.Config{
 		TaskID: pop + "/train", Population: pop,
@@ -130,130 +119,25 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	// sample counter monotonicity.
 	store := NewWatchStore(storage.NewMem())
 	counters := NewCounterWatch(metrics.Default)
+	rig, err := NewRig(RigConfig{
+		Faults: &cfg.Spec, Plan: p, Store: store,
+		PopulationEstimate: devices, MaxRounds: cfg.Rounds,
+		Shards: cfg.Shards, Seed: cfg.Seed,
+	})
+	if err != nil {
+		return res, err
+	}
+	defer rig.Close()
+	inj := rig.Faults
 	inj.AdvanceRound(1)
+	res.Plan = inj.Plan()
+	res.LinkUps, res.LinkDowns = rig.LinkUps, rig.LinkDowns
 	store.onCommit = func(c *checkpoint.Checkpoint) {
 		inj.AdvanceRound(c.Round + 1)
 		counters.Sample()
 	}
-	mem := transport.NewMemNetwork(clock)
-	// The product's default pace steering: a one-minute round cadence.
-	steering := pacing.New(time.Minute)
-	// deviceListener opens one fault-wrapped device-facing listener.
-	deviceListener := func(name string) (transport.Listener, func() (transport.Conn, error), error) {
-		l, err := mem.Listen(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		return inj.WrapListener(RoleDevice, l), func() (transport.Conn, error) { return mem.Dial(name) }, nil
-	}
-	// The topology under test, reduced to what the scenario drives and
-	// reads: where devices dial, the progress and selector-layer counters,
-	// and how to tear it all down.
-	var (
-		deviceDials []func() (transport.Conn, error)
-		progress    func() (shard.CoordStats, error)
-		selectors   func() (flserver.SelectorStats, error)
-		teardown    []func()
-	)
-	closeAll := func() {
-		for i := len(teardown) - 1; i >= 0; i-- {
-			teardown[i]()
-		}
-		teardown = nil
-	}
-	defer closeAll()
-	if cfg.Shards == 0 {
-		fleet := flserver.NewFleet(flserver.FleetConfig{SelectorCapacity: -1, Seed: cfg.Seed, Clock: clock})
-		teardown = append(teardown, fleet.Close)
-		if err := fleet.Register(flserver.PopulationSpec{
-			Population: pop, Plans: []*plan.Plan{p}, Store: store,
-			Steering: steering, PopulationEstimate: devices, MaxRounds: cfg.Rounds,
-		}); err != nil {
-			return res, err
-		}
-		l, dial, err := deviceListener("chaos-server")
-		if err != nil {
-			return res, err
-		}
-		teardown = append(teardown, func() { l.Close() })
-		clock.Go(func() { fleet.Serve(l) })
-		deviceDials = append(deviceDials, dial)
-		progress = func() (shard.CoordStats, error) {
-			st, err := fleet.PopulationStats(pop)
-			return shard.CoordStats{RoundsCompleted: st.Coordinator.RoundsCompleted, RoundsFailed: st.Coordinator.RoundsFailed}, err
-		}
-		selectors = func() (flserver.SelectorStats, error) {
-			st, err := fleet.PopulationStats(pop)
-			return st.Selector, err
-		}
-	} else {
-		coord, err := shard.NewCoordinatorProc(shard.CoordinatorConfig{
-			Population: pop,
-			Plans:      []*plan.Plan{p},
-			Store:      store,
-			Steering:   steering,
-			MaxRounds:  cfg.Rounds,
-			// MinShards stays 1: rounds must keep settling partial results
-			// while a shard is partitioned away, not stall the fleet.
-			MinShards: 1,
-			Clock:     clock,
-		})
-		if err != nil {
-			return res, err
-		}
-		teardown = append(teardown, coord.Close)
-		rawCoordL, err := mem.Listen("chaos-coord")
-		if err != nil {
-			return res, err
-		}
-		coordL := inj.WrapListener("coord", rawCoordL)
-		teardown = append(teardown, func() { coordL.Close() })
-		clock.Go(func() { coord.Serve(coordL) })
-
-		shards := make([]*shard.SelectorProc, cfg.Shards)
-		res.LinkUps, res.LinkDowns = make([]int64, cfg.Shards), make([]int64, cfg.Shards)
-		for i := range shards {
-			dial := inj.WrapDialer(Role(fmt.Sprintf("shard:%d", i)),
-				func() (transport.Conn, error) { return mem.Dial("chaos-coord") })
-			sp := shard.NewSelectorProc(shard.SelectorConfig{
-				Shard:              uint32(i),
-				Steering:           steering,
-				PopulationEstimate: devices,
-				Seed:               cfg.Seed + uint64(i)*131,
-				Peer: remote.Options{Clock: clock,
-					OnUp: func() { atomic.AddInt64(&res.LinkUps[i], 1) }, OnDown: func(error) { atomic.AddInt64(&res.LinkDowns[i], 1) }},
-			}, dial)
-			shards[i] = sp
-			l, dial, err := deviceListener(fmt.Sprintf("chaos-shard-%d", i))
-			if err != nil {
-				return res, err
-			}
-			teardown = append(teardown, func() { l.Close() })
-			clock.Go(func() { sp.Serve(l) })
-			deviceDials = append(deviceDials, dial)
-		}
-		// Last in, first out: shards close before the coordinator's
-		// listener and the coordinator itself.
-		teardown = append(teardown, func() {
-			for _, sp := range shards {
-				if sp != nil {
-					sp.Close()
-				}
-			}
-		})
-		progress = coord.Stats
-		selectors = func() (flserver.SelectorStats, error) {
-			var total flserver.SelectorStats
-			for _, sp := range shards {
-				ss, err := sp.Stats()
-				if err != nil {
-					return total, err
-				}
-				total.Add(ss.Selector)
-			}
-			return total, nil
-		}
-	}
+	clock := rig.Clock
+	start := clock.Now()
 
 	// The device swarm. Every device trains the same data with the same
 	// runtime seed AND rebuilds its runtime for every check-in — training
@@ -273,25 +157,17 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	if _, err := newClient("chaos-dev"); err != nil {
 		return res, err
 	}
-	var stop actor.Gate
-	var live atomic.Int64
 	for i := 0; i < devices; i++ {
-		id, dial := fmt.Sprintf("chaos-dev-%d", i), deviceDials[i%len(deviceDials)]
-		live.Add(1)
-		clock.Go(func() {
-			defer live.Add(-1)
-			for {
-				rest := steering.MinWait
-				client, _ := newClient(id)
-				if conn, err := dial(); err == nil {
-					if out, _ := client.RunOnce(conn); out != nil {
-						rest = max(rest, out.RetryAfter)
-					}
-				}
-				if !actor.Sleep(clock, rest, &stop) {
-					return
+		id := fmt.Sprintf("chaos-dev-%d", i)
+		rig.Device(i, 0, func(dial func() (transport.Conn, error)) time.Duration {
+			rest := rig.Steering.MinWait
+			client, _ := newClient(id)
+			if conn, err := dial(); err == nil {
+				if out, _ := client.RunOnce(conn); out != nil {
+					rest = max(rest, out.RetryAfter)
 				}
 			}
+			return rest
 		})
 	}
 
@@ -300,20 +176,18 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		return res, fmt.Errorf("chaos scenario (seed=%d): %w\n%s", cfg.Seed, runErr, res.Plan)
 	}
 	res.Elapsed = clock.Now().Sub(start)
-	stop.Close() // resting devices stop at once, the others after their session
-	if err := clock.Run(horizon, func() bool { return live.Load() == 0 }); err != nil {
-		// Not a horizon: a stranded session is a bug, whatever Run answered.
-		return res, fmt.Errorf("chaos scenario: device sessions never ended: %v", err)
+	if err := rig.StopDevices(horizon); err != nil {
+		return res, fmt.Errorf("chaos scenario: %v", err)
 	}
 
 	// Stats and the quota ledger are read while the processes are alive.
-	cs, err := progress()
+	cs, err := rig.Progress()
 	if err != nil {
 		return res, err
 	}
 	res.Rounds = cs.RoundsCompleted
 	res.SealsReceived = cs.SealsReceived
-	sel, err := selectors()
+	sel, err := rig.Selectors()
 	if err != nil {
 		return res, err
 	}
@@ -322,8 +196,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		Revoked: sel.QuotaRevoked, Outstanding: sel.QuotaOutstanding}
 
 	// Teardown, then the probes, once the rig is idle again.
-	closeAll()
-	clock.Run(0, func() bool { return true }) // settles, and cannot fail
+	rig.Close()
 	res.Lineage = store.Commits(p.ID)
 	probes := []Probe{
 		store.LineageProbe(),

@@ -281,3 +281,22 @@ func decisionStream(t *testing.T, in *Injector, role Role, n int) []decision {
 	}
 	return out
 }
+
+// BenchmarkScenarioSwarm is a fault-free in-process scenario per swarm size
+// (3K devices): the cost per accepted session must not grow with the number
+// of devices resting on the rig.
+func BenchmarkScenarioSwarm(b *testing.B) {
+	for _, k := range []int{50, 400} {
+		b.Run(fmt.Sprintf("devices-%d", 3*k), func(b *testing.B) {
+			var accepted int64
+			for i := 0; i < b.N; i++ {
+				res, err := RunScenario(ScenarioConfig{Seed: 1, TargetDevices: k, Rounds: 5})
+				if err != nil {
+					b.Fatal(err)
+				}
+				accepted += res.Accepted
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(accepted), "µs/session")
+		})
+	}
+}

@@ -2,18 +2,36 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-// The experiment tests assert the *shape* claims of each figure — the same
-// checks EXPERIMENTS.md documents — at reduced scale so the suite stays
-// fast.
+// The experiment tests assert the *shape* claims of each figure at reduced
+// scale so the suite stays fast. Figs. 6–9, Table 1 and the wall-clock
+// analysis all read one fleet run of the round engine: a day of a fleet
+// small enough that availability, not demand, limits the day's rounds.
+
+var (
+	fleetOnce sync.Once
+	fleetRun  *sim.FleetRun
+	fleetErr  error
+)
+
+func testFleet(t *testing.T) *sim.FleetRun {
+	t.Helper()
+	fleetOnce.Do(func() {
+		fleetRun, fleetErr = sim.RunFleet(sim.FleetConfig{Seed: 1, Days: 1, Devices: 15000, Target: testTarget})
+	})
+	if fleetErr != nil {
+		t.Fatal(fleetErr)
+	}
+	return fleetRun
+}
 
 func TestFig6Shape(t *testing.T) {
-	r, err := Fig6(1, 2, 2000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Fig6(testFleet(t))
 	if len(r.Hours) != 24 {
 		t.Fatalf("hours = %d", len(r.Hours))
 	}
@@ -23,27 +41,37 @@ func TestFig6Shape(t *testing.T) {
 	if r.Correlation < 0.3 {
 		t.Fatalf("completion/availability correlation %v, want positive sync", r.Correlation)
 	}
+	// A population this small cannot always assemble K devices by day.
+	if r.Failed == 0 {
+		t.Fatal("no round failed: the daytime trough should starve some")
+	}
 	if !strings.Contains(r.Format(), "swing") {
 		t.Fatal("Format missing swing line")
 	}
 }
 
 func TestFig7Shape(t *testing.T) {
-	r, err := Fig7(2, 2, 4000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Fig7(testFleet(t))
 	if r.DayDropRate <= r.NightDropRate {
 		t.Fatalf("day drop %v should exceed night %v", r.DayDropRate, r.NightDropRate)
 	}
 	if r.NightDropRate < 0.02 || r.DayDropRate > 0.2 {
 		t.Fatalf("drop rates outside plausible band: %v / %v", r.NightDropRate, r.DayDropRate)
 	}
-	// Completed should dominate aborted and dropped in every hour.
+	// With 130% over-selection and 6–10% drop-out, committed rounds
+	// overwhelmingly reach the full goal count (Sec. 9).
+	if r.FullRounds < 0.9 {
+		t.Fatalf("only %v of committed rounds reached K", r.FullRounds)
+	}
+	// Completed dominates aborted and dropped in every hour, and every hour
+	// turns over-selected devices away.
 	for _, h := range r.Hours {
 		if h.Completed < h.Dropped || h.Completed < h.Aborted {
 			t.Fatalf("hour %d: completed %v should dominate (aborted %v dropped %v)",
 				h.Hour, h.Completed, h.Aborted, h.Dropped)
+		}
+		if h.Aborted == 0 {
+			t.Fatalf("hour %d: no over-selected device was aborted", h.Hour)
 		}
 	}
 	if !strings.Contains(r.Format(), "drop-out rate") {
@@ -51,11 +79,38 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
-func TestFig8Shape(t *testing.T) {
-	r, err := Fig8(3, 2, 4000, 100)
+func TestOverSelectMatrix(t *testing.T) {
+	// The same fleet at over-selection factors 1.0 and 1.3. The engine
+	// replaces a device it loses, so committed rounds reach the goal count
+	// either way; what over-selection buys is the straggler tail: the seal
+	// aborts the slowest devices instead of waiting for them.
+	factors := []float64{1.0, 1.3}
+	exact, err := sim.RunFleet(sim.FleetConfig{Seed: 1, Days: 1, Devices: 15000, Target: testTarget, OverSelect: factors[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var aborted, p50 [2]float64
+	// The shared run over-selects at the plan default, 1.3.
+	for i, run := range []*sim.FleetRun{exact, testFleet(t)} {
+		r7 := Fig7(run)
+		if r7.FullRounds < 0.9 {
+			t.Fatalf("factor %v: only %v of committed rounds reached K", factors[i], r7.FullRounds)
+		}
+		for _, h := range r7.Hours {
+			aborted[i] += h.Aborted / float64(len(r7.Hours))
+		}
+		p50[i] = Fig8(run).RunTimeP50
+	}
+	if aborted[0] >= aborted[1] {
+		t.Fatalf("aborted devices per round %v should grow with the factor %v", aborted, factors)
+	}
+	if p50[1] >= p50[0] {
+		t.Fatalf("round time P50 %v should fall with the factor %v", p50, factors)
+	}
+}
+
+func TestFig8Shape(t *testing.T) {
+	r := Fig8(testFleet(t))
 	if r.ParticipationMax > r.CapSeconds+1e-9 {
 		t.Fatalf("participation max %v exceeds cap %v", r.ParticipationMax, r.CapSeconds)
 	}
@@ -70,10 +125,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	r, err := Fig9(4, 2, 4000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Fig9(testFleet(t))
 	if r.Ratio < 2 {
 		t.Fatalf("download/upload ratio %v, want ≥ 2", r.Ratio)
 	}
@@ -83,15 +135,24 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r, err := Table1(5, 2, 4000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Table1(testFleet(t))
 	if len(r.Rows) < 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	if r.Rows[0].Shape != "-v[]+^" || r.Rows[0].Percent < 60 {
 		t.Fatalf("top shape %q at %v%%, want -v[]+^ as large majority", r.Rows[0].Shape, r.Rows[0].Percent)
+	}
+	var rejected, interrupted int
+	for _, row := range r.Rows {
+		switch {
+		case strings.HasSuffix(row.Shape, "#"):
+			rejected += row.Count
+		case strings.HasSuffix(row.Shape, "!"):
+			interrupted += row.Count
+		}
+	}
+	if rejected == 0 || interrupted == 0 || interrupted >= r.Rows[0].Count {
+		t.Fatalf("want rejected and (a minority of) interrupted sessions: %+v", r.Rows)
 	}
 	if !strings.Contains(r.Format(), "legend") {
 		t.Fatal("Format missing legend")
@@ -151,32 +212,6 @@ func TestKSweepDiminishingReturns(t *testing.T) {
 	}
 }
 
-func TestOverSelectMatrix(t *testing.T) {
-	r, err := OverSelect([]float64{1.0, 1.1, 1.3, 1.5}, []float64{0.06, 0.10}, 100, 400, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At 130% over-selection both paper drop-out rates give near-certain
-	// completion; at 100% they give near-zero.
-	for di := range r.DropRates {
-		if r.Completion[di][2] < 0.99 {
-			t.Fatalf("130%% over-selection should complete reliably: %v", r.Completion[di])
-		}
-		if r.Completion[di][0] > 0.1 {
-			t.Fatalf("no over-selection should rarely complete: %v", r.Completion[di])
-		}
-		// Monotone in the factor.
-		for fi := 1; fi < len(r.Factors); fi++ {
-			if r.Completion[di][fi] < r.Completion[di][fi-1]-0.02 {
-				t.Fatalf("completion not monotone in factor: %v", r.Completion[di])
-			}
-		}
-	}
-	if _, err := OverSelect(nil, nil, 0, 0, 1); err == nil {
-		t.Fatal("bad params must fail")
-	}
-}
-
 func TestSecAggCostSuperlinear(t *testing.T) {
 	r, err := SecAggCost([]int{4, 8, 16, 32}, 64, 128, []float64{0, 0.25})
 	if err != nil {
@@ -222,7 +257,7 @@ func TestPacingRegimes(t *testing.T) {
 }
 
 func TestWallClockConvergence(t *testing.T) {
-	r, err := WallClock(3)
+	r, err := WallClock(testFleet(t), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,18 +275,5 @@ func TestWallClockConvergence(t *testing.T) {
 	// of minutes, not milliseconds or hours.
 	if r.MinutesPerRound < 0.1 || r.MinutesPerRound > 30 {
 		t.Fatalf("minutes/round = %v, want order-of-minutes", r.MinutesPerRound)
-	}
-}
-
-func TestAdaptiveExperiment(t *testing.T) {
-	r, err := Adaptive(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Speedup <= 1 {
-		t.Fatalf("adaptive windows should speed rounds up: %+v", r)
-	}
-	if r.AdaptiveSuccess < r.StaticSuccess*0.9 {
-		t.Fatalf("adaptive success collapsed: %+v", r)
 	}
 }

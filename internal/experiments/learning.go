@@ -225,67 +225,6 @@ func (r *KSweepResult) Format() string {
 	return b.String()
 }
 
-// OverSelectResult reproduces the Sec. 9 over-selection analysis: round
-// completion probability as a function of the over-selection factor at
-// various drop-out rates.
-type OverSelectResult struct {
-	Factors      []float64
-	DropRates    []float64
-	Completion   [][]float64 // [drop][factor] fraction of rounds reaching K
-	TargetK      int
-	RoundsPerTry int
-}
-
-// OverSelect Monte-Carlo simulates round completion.
-func OverSelect(factors, dropRates []float64, targetK, trials int, seed uint64) (*OverSelectResult, error) {
-	if targetK <= 0 || trials <= 0 {
-		return nil, fmt.Errorf("experiments: bad over-select params")
-	}
-	rng := tensor.NewRNG(seed)
-	out := &OverSelectResult{Factors: factors, DropRates: dropRates, TargetK: targetK, RoundsPerTry: trials}
-	for _, d := range dropRates {
-		row := make([]float64, len(factors))
-		for fi, f := range factors {
-			selected := int(float64(targetK)*f + 0.5)
-			succ := 0
-			for t := 0; t < trials; t++ {
-				completed := 0
-				for i := 0; i < selected; i++ {
-					if rng.Float64() >= d {
-						completed++
-					}
-				}
-				if completed >= targetK {
-					succ++
-				}
-			}
-			row[fi] = float64(succ) / float64(trials)
-		}
-		out.Completion = append(out.Completion, row)
-	}
-	return out, nil
-}
-
-// Format renders the completion matrix.
-func (r *OverSelectResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Sec. 9 — Round completion probability (target K=%d, %d trials)\n", r.TargetK, r.RoundsPerTry)
-	fmt.Fprintf(&b, "%10s", "dropout\\f")
-	for _, f := range r.Factors {
-		fmt.Fprintf(&b, " %7.0f%%", 100*(f-1))
-	}
-	fmt.Fprintf(&b, "\n")
-	for di, d := range r.DropRates {
-		fmt.Fprintf(&b, "%9.0f%%", 100*d)
-		for fi := range r.Factors {
-			fmt.Fprintf(&b, " %8.3f", r.Completion[di][fi])
-		}
-		fmt.Fprintf(&b, "\n")
-	}
-	fmt.Fprintf(&b, "(paper: 130%% over-selection compensates for 6–10%% drop-out)\n")
-	return b.String()
-}
-
 // SecAggCostResult reproduces the Sec. 6 cost analysis: the server-side
 // cost of Secure Aggregation grows quadratically with group size, which is
 // why updates are aggregated in groups of size ≥ k per Aggregator — plus

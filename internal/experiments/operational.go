@@ -1,9 +1,9 @@
 // Package experiments reproduces every table and figure in the paper's
 // evaluation. Each experiment returns a result struct with a Format method
-// printing rows in the spirit of the original figure; cmd/flbench and the
-// root benchmarks call these entry points. Absolute values differ from the
-// paper (simulated fleet vs. Google's production fleet); the shapes —
-// oscillations, ratios, who wins — are the reproduction target.
+// printing rows in the spirit of the original figure; cmd/flbench calls
+// these entry points. Absolute values differ from the paper (a simulated
+// fleet vs. Google's production fleet); the shapes — oscillations, ratios,
+// who wins — are the reproduction target.
 package experiments
 
 import (
@@ -11,49 +11,10 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/nn"
-	"repro/internal/plan"
-	"repro/internal/population"
 	"repro/internal/sim"
 )
-
-// stdPlan is the FL task used by the operational experiments: a
-// keyboard-sized MLP trained by a few hundred devices per round.
-func stdPlan(target int) (*plan.Plan, error) {
-	return plan.Generate(plan.Config{
-		TaskID:            "gboard/next-word",
-		Population:        "gboard",
-		Model:             nn.Spec{Kind: nn.KindMLP, Features: 64, Hidden: 128, Classes: 32, Seed: 1},
-		StoreName:         "typed",
-		BatchSize:         20,
-		Epochs:            1,
-		LearningRate:      0.1,
-		TargetDevices:     target,
-		SelectionTimeout:  time.Minute,
-		ReportTimeout:     2 * time.Minute,
-		MinReportFraction: 0.7,
-	})
-}
-
-// stdSim runs the canonical three-day simulation behind Figs. 5–9/Table 1.
-func stdSim(seed uint64, days int, popSize, target int) (*sim.Results, error) {
-	p, err := stdPlan(target)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(sim.Config{
-		Population:        population.Config{Size: popSize, Seed: seed},
-		Plan:              p,
-		Duration:          time.Duration(days) * 24 * time.Hour,
-		PerExampleCost:    200 * time.Millisecond,
-		ExamplesPerDevice: 100,
-		Pipelining:        true,
-		Seed:              seed + 1,
-	})
-}
 
 // HourPoint is one hour-of-day average for the diurnal figures.
 type HourPoint struct {
@@ -70,55 +31,55 @@ type Fig6Result struct {
 	SwingRatio float64
 	// Correlation of completion rate with availability.
 	Correlation float64
+	// Failed counts the rounds the run failed.
+	Failed int
 }
 
-// Fig6 runs the diurnal experiment.
-func Fig6(seed uint64, days, popSize, target int) (*Fig6Result, error) {
-	res, err := stdSim(seed, days, popSize, target)
-	if err != nil {
-		return nil, err
-	}
+// Fig6 reads a fleet run's samples by hour of day: the devices the
+// Selectors park (waiting) and the devices in a configured session
+// (participating), averaged over the hour, and the rounds committed and
+// failed per hour.
+func Fig6(run *sim.FleetRun) *Fig6Result {
+	out := &Fig6Result{}
 	var sums [24]HourPoint
 	var counts [24]int
-	var avail, compl []float64
-	for _, s := range res.Samples {
-		h := s.T.Hour()
+	var availability [24]float64
+	for _, s := range run.Samples {
+		h := s.T.Add(-sim.SampleEvery).Hour() // the hour the sample closes
+		availability[h] += s.Available
 		sums[h].Participating += float64(s.Participating)
 		sums[h].Waiting += float64(s.Waiting)
-		sums[h].Completions += float64(s.CompletionRate)
-		sums[h].Failures += float64(s.FailureRate)
 		counts[h]++
-		avail = append(avail, s.Available)
-		compl = append(compl, float64(s.CompletionRate))
 	}
-	out := &Fig6Result{}
-	minC, maxC := -1.0, 0.0
-	for h := 0; h < 24; h++ {
-		if counts[h] == 0 {
-			continue
+	for _, r := range run.Rounds {
+		if r.Committed {
+			sums[r.End.Hour()].Completions++
+		} else {
+			sums[r.End.Hour()].Failures++
+			out.Failed++
 		}
-		n := float64(counts[h])
+	}
+	var avail, compl []float64
+	minC, maxC := math.Inf(1), 0.0
+	for h := 0; h < 24; h++ {
+		n, days := float64(counts[h]), float64(run.Days)
 		hp := HourPoint{
 			Hour:          h,
 			Participating: sums[h].Participating / n,
 			Waiting:       sums[h].Waiting / n,
-			Completions:   sums[h].Completions / n,
-			Failures:      sums[h].Failures / n,
+			Completions:   sums[h].Completions / days,
+			Failures:      sums[h].Failures / days,
 		}
 		out.Hours = append(out.Hours, hp)
+		avail = append(avail, availability[h]/n)
+		compl = append(compl, hp.Completions)
 		conn := hp.Participating + hp.Waiting
-		if conn > maxC {
-			maxC = conn
-		}
-		if minC < 0 || conn < minC {
-			minC = conn
-		}
+		minC, maxC = min(minC, conn), max(maxC, conn)
 	}
-	if minC > 0 {
-		out.SwingRatio = maxC / minC
-	}
+	// A trough below one connected device is below the figure's resolution.
+	out.SwingRatio = maxC / max(minC, 1)
 	out.Correlation = pearson(avail, compl)
-	return out, nil
+	return out
 }
 
 // Format renders the figure as an hourly table with spark bars.
@@ -128,9 +89,7 @@ func (r *Fig6Result) Format() string {
 	fmt.Fprintf(&b, "%-5s %14s %10s %12s %9s  connected\n", "hour", "participating", "waiting", "rounds/hour", "failures")
 	maxConn := 0.0
 	for _, h := range r.Hours {
-		if c := h.Participating + h.Waiting; c > maxConn {
-			maxConn = c
-		}
+		maxConn = max(maxConn, h.Participating+h.Waiting)
 	}
 	for _, h := range r.Hours {
 		conn := h.Participating + h.Waiting
@@ -138,7 +97,7 @@ func (r *Fig6Result) Format() string {
 		if maxConn > 0 {
 			bar = strings.Repeat("#", int(30*conn/maxConn))
 		}
-		fmt.Fprintf(&b, "%02d:00 %14.0f %10.0f %12.1f %9.1f  %s\n",
+		fmt.Fprintf(&b, "%02d:00 %14.1f %10.1f %12.1f %9.1f  %s\n",
 			h.Hour, h.Participating, h.Waiting, h.Completions, h.Failures, bar)
 	}
 	fmt.Fprintf(&b, "peak/trough swing: %.1fx (paper: ~4x)\n", r.SwingRatio)
@@ -152,6 +111,9 @@ type Fig7Result struct {
 	Hours []Fig7Hour
 	// DayDropRate and NightDropRate bound the paper's 6–10% band.
 	DayDropRate, NightDropRate float64
+	// FullRounds is the fraction of committed rounds that reached the goal
+	// count K.
+	FullRounds float64
 }
 
 // Fig7Hour is one hour-of-day row.
@@ -160,30 +122,32 @@ type Fig7Hour struct {
 	Completed, Aborted, Dropped float64
 }
 
-// Fig7 runs the round-outcome experiment.
-func Fig7(seed uint64, days, popSize, target int) (*Fig7Result, error) {
-	res, err := stdSim(seed, days, popSize, target)
-	if err != nil {
-		return nil, err
-	}
+// Fig7 reads every committed round's trace: reports, devices aborted at the
+// seal (over-selected), devices lost (dropped out), by the hour it opened.
+func Fig7(run *sim.FleetRun) *Fig7Result {
 	var comp, abrt, drop, cnt [24]float64
-	var dayDrop, daySel, nightDrop, nightSel float64
-	for _, r := range res.Rounds {
-		if !r.Succeeded {
+	var dayDrop, daySel, nightDrop, nightSel, full, committed float64
+	for _, r := range run.Rounds {
+		if !r.Committed {
 			continue
 		}
+		committed++
+		if r.Reports >= run.Plan.Server.TargetDevices {
+			full++
+		}
 		h := r.Start.Hour()
-		comp[h] += float64(r.Completed)
-		abrt[h] += float64(r.Aborted + r.Late)
-		drop[h] += float64(r.Dropped)
+		comp[h] += float64(r.Reports)
+		abrt[h] += float64(r.Aborted)
+		drop[h] += float64(r.Lost)
 		cnt[h]++
+		selected := float64(r.Reports + r.Aborted + r.Lost)
 		switch {
 		case h >= 11 && h < 17:
-			dayDrop += float64(r.Dropped)
-			daySel += float64(r.Selected)
+			dayDrop += float64(r.Lost)
+			daySel += selected
 		case h < 5:
-			nightDrop += float64(r.Dropped)
-			nightSel += float64(r.Selected)
+			nightDrop += float64(r.Lost)
+			nightSel += selected
 		}
 	}
 	out := &Fig7Result{}
@@ -201,7 +165,10 @@ func Fig7(seed uint64, days, popSize, target int) (*Fig7Result, error) {
 	if nightSel > 0 {
 		out.NightDropRate = nightDrop / nightSel
 	}
-	return out, nil
+	if committed > 0 {
+		out.FullRounds = full / committed
+	}
+	return out
 }
 
 // Format renders the Fig. 7 rows.
@@ -214,6 +181,7 @@ func (r *Fig7Result) Format() string {
 	}
 	fmt.Fprintf(&b, "drop-out rate: night %.1f%%, day %.1f%% (paper: 6%%–10%%, higher by day)\n",
 		100*r.NightDropRate, 100*r.DayDropRate)
+	fmt.Fprintf(&b, "committed rounds reaching the goal count: %.0f%% (over-selection absorbs the drop-outs)\n", 100*r.FullRounds)
 	return b.String()
 }
 
@@ -225,25 +193,26 @@ type Fig8Result struct {
 	CapSeconds                                           float64
 }
 
-// Fig8 runs the timing experiment.
-func Fig8(seed uint64, days, popSize, target int) (*Fig8Result, error) {
-	res, err := stdSim(seed, days, popSize, target)
-	if err != nil {
-		return nil, err
+// Fig8 reads round times — the commit instant minus the trace's Start —
+// and device session spans, from configuration to the session's end, both
+// on the run's clock.
+func Fig8(run *sim.FleetRun) *Fig8Result {
+	rounds := metrics.NewSummary()
+	for _, r := range run.Rounds {
+		if r.Committed {
+			rounds.ObserveDuration(r.End.Sub(r.Start))
+		}
 	}
-	p, err := stdPlan(target)
-	if err != nil {
-		return nil, err
-	}
+	rt, spans := rounds.Snapshot(), run.Spans.Snapshot()
 	return &Fig8Result{
-		RunTimeP50:       res.RunTimeSummary.P50,
-		RunTimeP90:       res.RunTimeSummary.P90,
-		RunTimeP99:       res.RunTimeSummary.P99,
-		ParticipationP50: res.ParticipationSummary.P50,
-		ParticipationP90: res.ParticipationSummary.P90,
-		ParticipationMax: res.ParticipationSummary.Max,
-		CapSeconds:       p.Server.ParticipationCap.Seconds(),
-	}, nil
+		RunTimeP50:       rt.P50,
+		RunTimeP90:       rt.P90,
+		RunTimeP99:       rt.P99,
+		ParticipationP50: spans.P50,
+		ParticipationP90: spans.P90,
+		ParticipationMax: spans.Max,
+		CapSeconds:       run.Plan.Server.ParticipationCap.Seconds(),
+	}
 }
 
 // Format renders the Fig. 8 distribution summary.
@@ -264,27 +233,24 @@ type Fig9Result struct {
 	Days                       int
 }
 
-// Fig9 runs the traffic experiment.
-func Fig9(seed uint64, days, popSize, target int) (*Fig9Result, error) {
-	res, err := stdSim(seed, days, popSize, target)
-	if err != nil {
-		return nil, err
-	}
-	down := res.Metrics.Counter(metrics.NetTxBytes).Value()
-	up := res.Metrics.Counter(metrics.NetRxBytes).Value()
-	out := &Fig9Result{DownloadBytes: down, UploadBytes: up, Days: days}
+// Fig9 reads the plan, checkpoint and update bytes the run's device links
+// carried.
+func Fig9(run *sim.FleetRun) *Fig9Result {
+	down := run.Metrics.Counter(metrics.NetTxBytes).Value()
+	up := run.Metrics.Counter(metrics.NetRxBytes).Value()
+	out := &Fig9Result{DownloadBytes: down, UploadBytes: up, Days: run.Days}
 	if up > 0 {
 		out.Ratio = float64(down) / float64(up)
 	}
-	return out, nil
+	return out
 }
 
 // Format renders the Fig. 9 totals.
 func (r *Fig9Result) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 9 — Server network traffic over %d days\n", r.Days)
-	fmt.Fprintf(&b, "download (server→device): %8.1f MB   (plan + global model)\n", float64(r.DownloadBytes)/1e6)
-	fmt.Fprintf(&b, "upload   (device→server): %8.1f MB   (compressed updates)\n", float64(r.UploadBytes)/1e6)
+	fmt.Fprintf(&b, "download (server→device): %8.3f MB   (plan + global model)\n", float64(r.DownloadBytes)/1e6)
+	fmt.Fprintf(&b, "upload   (device→server): %8.3f MB   (updates)\n", float64(r.UploadBytes)/1e6)
 	fmt.Fprintf(&b, "download/upload ratio: %.1fx (paper: download dominates)\n", r.Ratio)
 	return b.String()
 }
@@ -303,14 +269,10 @@ type Table1Row struct {
 	Percent float64
 }
 
-// Table1 runs the session-shape experiment.
-func Table1(seed uint64, days, popSize, target int) (*Table1Result, error) {
-	res, err := stdSim(seed, days, popSize, target)
-	if err != nil {
-		return nil, err
-	}
+// Table1 counts the shapes of the run's configured sessions.
+func Table1(run *sim.FleetRun) *Table1Result {
 	out := &Table1Result{}
-	for shape, n := range res.Metrics.CounterFamily(metrics.SessionShapes, "shape") {
+	for shape, n := range run.Metrics.CounterFamily(metrics.SessionShapes, "shape") {
 		out.Rows = append(out.Rows, Table1Row{Shape: shape, Count: int(n)})
 		out.Total += int(n)
 	}
@@ -324,7 +286,7 @@ func Table1(seed uint64, days, popSize, target int) (*Table1Result, error) {
 		}
 		return out.Rows[i].Shape < out.Rows[j].Shape
 	})
-	return out, nil
+	return out
 }
 
 // Format renders the table with the paper's legend.
@@ -335,7 +297,7 @@ func (r *Table1Result) Format() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-12s %10d %7.0f%%\n", row.Shape, row.Count, row.Percent)
 	}
-	fmt.Fprintf(&b, "(paper: -v[]+^ 75%%, -v[]+# 22%%, -v[! 2%%)\n")
+	fmt.Fprintf(&b, "(paper: -v[]+^ 75%%, -v[]+# 22%%, -v[! 2%%; the runtime checks eligibility between plan ops, so an interrupted session reads -v!)\n")
 	fmt.Fprintf(&b, "legend: - checkin, v plan, [ train start, ] train done, + upload, ^ done, # rejected, ! interrupted\n")
 	return b.String()
 }

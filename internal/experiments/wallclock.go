@@ -8,17 +8,15 @@ import (
 	"repro/internal/data"
 	"repro/internal/fedavg"
 	"repro/internal/nn"
-	"repro/internal/plan"
-	"repro/internal/population"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
 // WallClockResult reproduces the Sec. 8 wall-clock analysis: the Gboard
 // model "converges in 3000 FL rounds … over 5 days of training (so each
-// round takes about 2–3 minutes)". We couple the protocol simulation's
-// round timeline with real federated training and report the analogous
-// numbers at laptop scale.
+// round takes about 2–3 minutes)". We couple a fleet run's round timeline
+// with real federated training and report the analogous numbers at laptop
+// scale.
 type WallClockResult struct {
 	TargetAccuracy  float64
 	RoundsToTarget  int
@@ -29,35 +27,10 @@ type WallClockResult struct {
 	SimDuration     time.Duration
 }
 
-// WallClock runs a one-day protocol simulation, then trains a real model
-// through the simulated round timeline: round i of training completes at
-// the simulated time round i committed.
-func WallClock(seed uint64) (*WallClockResult, error) {
-	const target = 20
-	p, err := plan.Generate(plan.Config{
-		TaskID: "pop/train", Population: "pop",
-		Model:     nn.Spec{Kind: nn.KindLogistic, Features: 16, Classes: 8, Seed: 1},
-		StoreName: "s", BatchSize: 10, Epochs: 2, LearningRate: 0.1,
-		TargetDevices: target, SelectionTimeout: time.Minute,
-		ReportTimeout: 2 * time.Minute, MinReportFraction: 0.7,
-	})
-	if err != nil {
-		return nil, err
-	}
-	duration := 24 * time.Hour
-	res, err := sim.Run(sim.Config{
-		Population:        population.Config{Size: 3000, Seed: seed},
-		Plan:              p,
-		Duration:          duration,
-		PerExampleCost:    200 * time.Millisecond,
-		ExamplesPerDevice: 60,
-		Pipelining:        true,
-		Seed:              seed + 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-
+// WallClock trains a real model through a fleet run's round timeline: round
+// i of training takes as many users as round i of the run committed
+// reports, and completes at the instant that round committed.
+func WallClock(run *sim.FleetRun, seed uint64) (*WallClockResult, error) {
 	fed, err := data.Blobs(data.BlobsConfig{
 		Users: 200, ExamplesPer: 20, Features: 16, Classes: 8,
 		TestSize: 600, Skew: 1.0, Seed: seed + 2,
@@ -65,7 +38,7 @@ func WallClock(seed uint64) (*WallClockResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := fedavg.NewTrainer(p.Device.Model, fedavg.ClientConfig{
+	tr, err := fedavg.NewTrainer(nn.Spec{Kind: nn.KindLogistic, Features: 16, Classes: 8, Seed: 1}, fedavg.ClientConfig{
 		BatchSize: 10, Epochs: 2, LR: 0.1, Shuffle: true,
 	}, seed+3)
 	if err != nil {
@@ -73,19 +46,13 @@ func WallClock(seed uint64) (*WallClockResult, error) {
 	}
 	rng := tensor.NewRNG(seed + 4)
 
-	out := &WallClockResult{TargetAccuracy: 0.9, SimDuration: duration}
-	start := time.Time{}
-	for _, round := range res.Rounds {
-		if !round.Succeeded {
+	out := &WallClockResult{TargetAccuracy: 0.9, SimDuration: time.Duration(run.Days) * 24 * time.Hour}
+	var last time.Time
+	for _, round := range run.Rounds {
+		if !round.Committed {
 			continue
 		}
-		if start.IsZero() {
-			start = round.Start
-		}
-		k := round.Completed
-		if k > len(fed.Users) {
-			k = len(fed.Users)
-		}
+		k := min(round.Reports, len(fed.Users))
 		perm := rng.Perm(len(fed.Users))
 		sel := make([][]nn.Example, k)
 		for i := 0; i < k; i++ {
@@ -95,18 +62,18 @@ func WallClock(seed uint64) (*WallClockResult, error) {
 			return nil, err
 		}
 		out.TotalRounds++
+		last = round.End
 		// Evaluate sparsely: accuracy checks are the expensive part.
 		if out.RoundsToTarget == 0 && out.TotalRounds%5 == 0 {
 			if tr.Evaluate(fed.Test).Accuracy >= out.TargetAccuracy {
 				out.RoundsToTarget = out.TotalRounds
-				out.SimTimeToTarget = round.End.Sub(start)
+				out.SimTimeToTarget = round.End.Sub(run.Start)
 			}
 		}
 	}
 	out.FinalAccuracy = tr.Evaluate(fed.Test).Accuracy
 	if out.TotalRounds > 0 {
-		last := res.Rounds[len(res.Rounds)-1]
-		out.MinutesPerRound = last.End.Sub(start).Minutes() / float64(out.TotalRounds)
+		out.MinutesPerRound = last.Sub(run.Start).Minutes() / float64(out.TotalRounds)
 	}
 	return out, nil
 }
@@ -114,7 +81,7 @@ func WallClock(seed uint64) (*WallClockResult, error) {
 // Format renders the wall-clock summary.
 func (r *WallClockResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Sec. 8 — Wall-clock convergence (protocol timeline × real training)\n")
+	fmt.Fprintf(&b, "Sec. 8 — Wall-clock convergence (fleet run timeline × real training)\n")
 	if r.RoundsToTarget > 0 {
 		fmt.Fprintf(&b, "reached %.0f%% accuracy after %d rounds = %.1f simulated hours\n",
 			100*r.TargetAccuracy, r.RoundsToTarget, r.SimTimeToTarget.Hours())

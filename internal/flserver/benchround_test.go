@@ -73,8 +73,8 @@ type benchRoundConfig struct {
 	AttackScale float64
 }
 
-// benchRoundStats describes one completed synthetic round.
-type benchRoundStats struct {
+// benchRoundResult describes one completed synthetic round.
+type benchRoundResult struct {
 	Completed int
 	Lost      int
 	// PlanMarshals is how many times the round marshaled a plan during
@@ -97,8 +97,8 @@ type benchRoundStats struct {
 // device checks in and answers the CheckinResponse with a pre-marshaled
 // update. Used by the -race fan-out/ingest, edge-accumulation and robust
 // round tests.
-func runBenchRound(cfg benchRoundConfig) (benchRoundStats, error) {
-	var stats benchRoundStats
+func runBenchRound(cfg benchRoundConfig) (benchRoundResult, error) {
+	var stats benchRoundResult
 	if cfg.Devices <= 0 || cfg.Dim <= 0 {
 		return stats, fmt.Errorf("benchround: Devices and Dim must be positive")
 	}

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/data"
+	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/simclock"
 	"repro/internal/storage"
@@ -138,5 +140,43 @@ func TestFleetStampsTasksOnItsClock(t *testing.T) {
 	}
 	if !sts[0].SubmittedAt.Equal(simStart) || !sts[1].SubmittedAt.Equal(simStart.Add(time.Hour)) {
 		t.Fatalf("submitted at %v and %v, want the fleet's clock: %v and an hour later", sts[0].SubmittedAt, sts[1].SubmittedAt, simStart)
+	}
+}
+
+// TestRoundTraceStartsOnTheClock: a round's trace is stamped with the
+// instant the round opened on the Coordinator's clock, not the wall's.
+func TestRoundTraceStartsOnTheClock(t *testing.T) {
+	fed, err := data.Blobs(data.BlobsConfig{Users: 8, ExamplesPer: 10, Features: 4, Classes: 3, TestSize: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := newWatchedClock()
+	clock.Advance(time.Hour)
+	opened := clock.Now()
+	store := newTraceMem()
+	srv, err := newServer(Config{Population: "pop", Plans: []*plan.Plan{testPlan(t, 4, false)}, Store: store,
+		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 1}, clock, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := serveMem(t, clock, srv)
+	fl := newFleet(t, 8, fed, 3)
+	fl.slow = make([]time.Duration, 8)
+	for i := range fl.slow {
+		fl.slow[i] = time.Second
+	}
+	fl.run(r, r.dial)
+	r.waitDone(t)
+	committed := clock.Now()
+	fl.halt()
+	traces := store.RoundTraces()
+	if len(traces) != 1 || !traces[0].Committed {
+		t.Fatalf("traces = %+v, want the one committed round", traces)
+	}
+	if got := traces[0].Start; !got.Equal(opened) {
+		t.Fatalf("trace Start = %v, want the instant the round opened: %v (committed at %v)", got, opened, committed)
+	}
+	if !committed.After(opened) {
+		t.Fatalf("the round committed at %v, not after it opened at %v", committed, opened)
 	}
 }

@@ -142,10 +142,12 @@ type round struct {
 	// ReportTimeout.
 	finalizing bool
 	deadline   actor.Timer
-	// started anchors the round trace, in wall time like every span: a trace
-	// says how long the round took, whatever clock drove it. phases
-	// max-merges the per-edge lifecycle spans carried by the seals (the
-	// fleet-wide cost of a phase is its slowest edge's).
+	// opened is the instant the round opened on the Coordinator's clock, the
+	// trace's Start. started anchors the trace's spans, in wall time like
+	// every span: a trace says how long the round took, whatever clock drove
+	// it. phases max-merges the per-edge lifecycle spans carried by the seals
+	// (the fleet-wide cost of a phase is its slowest edge's).
+	opened  time.Time
 	started time.Time
 	phases  map[string]int64
 }
@@ -394,6 +396,7 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 		evalOnly: p.Type == plan.TaskEval,
 		metrics:  make(map[string][]float64),
 		pending:  make(map[Edge]bool, m),
+		opened:   ctx.Now(),
 		started:  time.Now(),
 		phases:   make(map[string]int64),
 	}
@@ -666,7 +669,7 @@ func (c *Coordinator) recordTrace(cur *round, commitNanos int64) {
 		Population: c.Population,
 		TaskID:     cur.cfg.Plan.ID,
 		Round:      round,
-		Start:      cur.started,
+		Start:      cur.opened,
 		TotalNanos: time.Since(cur.started).Nanoseconds(),
 		Phases:     cur.phases,
 		Committed:  cur.out.Committed != nil,

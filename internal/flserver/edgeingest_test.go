@@ -118,7 +118,7 @@ func TestSecureRoundsReusePooledInputsWithoutAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(st benchRoundStats, what string) {
+	check := func(st benchRoundResult, what string) {
 		t.Helper()
 		if st.Completed != devices || st.Committed == nil {
 			t.Fatalf("%s: completed %d/%d", what, st.Completed, devices)

@@ -428,26 +428,6 @@ func (p *Plan) walk(c *wire.Codec, format byte, d *DevicePlan) {
 	c.Bool(&r.QuantSafe)
 }
 
-// WireSize returns the size of the plan a device downloads; the analytics
-// layer uses it for traffic accounting. Plans are "comparable with the
-// global model" in size (Fig. 9 discussion) because they embed the graph;
-// our op list is tiny, so we also account a synthetic graph payload
-// proportional to the model to preserve that property.
-func (p *Plan) WireSize() int {
-	b, err := p.MarshalDevice()
-	if err != nil {
-		return 0
-	}
-	spec := p.Device.Model
-	m, err := spec.Build()
-	if err != nil {
-		return len(b)
-	}
-	// The TensorFlow graph the real plan embeds is on the order of the
-	// model itself; emulate with 8 bytes per parameter of graph payload.
-	return len(b) + 8*m.NumParams()
-}
-
 // Config is what a model engineer supplies to Generate (Sec. 7.1: "the
 // configuration of tasks is also written in Python and includes runtime
 // parameters such as the optimal number of devices in a round as well as

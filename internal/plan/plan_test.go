@@ -363,16 +363,6 @@ func FuzzPlanUnmarshal(f *testing.F) {
 	})
 }
 
-func TestWireSizeScalesWithModel(t *testing.T) {
-	small, _ := Generate(testConfig())
-	bigCfg := testConfig()
-	bigCfg.Model = nn.Spec{Kind: nn.KindMLP, Features: 100, Hidden: 200, Classes: 10, Seed: 1}
-	big, _ := Generate(bigCfg)
-	if big.WireSize() <= small.WireSize() {
-		t.Fatalf("plan wire size should scale with model: %d vs %d", big.WireSize(), small.WireSize())
-	}
-}
-
 func TestFusedOpsRequireNewRuntime(t *testing.T) {
 	cfg := testConfig()
 	cfg.UseFusedOps = true

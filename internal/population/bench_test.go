@@ -1,43 +1,15 @@
 package population
 
 import (
-	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/tensor"
 )
 
-// BenchmarkPopulationSample measures per-round device selection across
-// fleet sizes. With the partial Fisher–Yates walk, cost tracks devices
-// visited (≈ k / availability), not fleet size: the 10⁶ row should be no
-// slower than the 10⁴ row, and B/op stays O(k) after the first call.
-func BenchmarkPopulationSample(b *testing.B) {
-	for _, size := range []int{10_000, 100_000, 1_000_000} {
-		b.Run(fmt.Sprintf("fleet-%d", size), func(b *testing.B) {
-			m, err := New(Config{Size: size, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := tensor.NewRNG(2)
-			at := time.Date(2019, 3, 1, 2, 0, 0, 0, time.UTC)
-			// Warm the persistent index so its one-time O(fleet)
-			// allocation stays out of the per-call numbers.
-			m.Sample(1, at, rng)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Sample(130, at, rng)
-			}
-		})
-	}
-}
-
-func BenchmarkAvailableProb(b *testing.B) {
+// BenchmarkAvailability is what a fleet device pays per wake-up.
+func BenchmarkAvailability(b *testing.B) {
 	m, _ := New(Config{Size: 10, Seed: 1})
-	d := &m.Devices[0]
 	at := time.Date(2019, 3, 1, 14, 0, 0, 0, time.UTC)
 	for i := 0; i < b.N; i++ {
-		m.AvailableProb(d, at)
+		m.Availability(at)
 	}
 }

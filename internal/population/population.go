@@ -22,15 +22,6 @@ type Device struct {
 	// Speed is a relative compute-speed multiplier (1 = median); training
 	// time divides by it. Lognormal across the fleet.
 	Speed float64
-	// TZOffset shifts the device's local diurnal phase, modelling
-	// populations that are not perfectly single-time-zone.
-	TZOffset time.Duration
-	// Genuine is false for the small fraction of devices that fail
-	// attestation (Sec. 3, Attestation).
-	Genuine bool
-	// RuntimeVersion is the device's FL runtime version; old versions need
-	// versioned plans (Sec. 7.3).
-	RuntimeVersion int
 }
 
 // Config parametrizes the fleet. Zero values take paper-calibrated
@@ -50,15 +41,7 @@ type Config struct {
 	NightDropout, DayDropout float64
 	// SpeedSigma is the sigma of the lognormal speed distribution.
 	SpeedSigma float64
-	// TZSpread is the standard deviation of device timezone offsets
-	// ("primarily comes from the same time zone", Appendix A).
-	TZSpread time.Duration
-	// NonGenuineFraction of devices fail attestation.
-	NonGenuineFraction float64
-	// OldRuntimeFraction of devices run runtime version 1 (needing
-	// versioned plans); the rest run version 3.
-	OldRuntimeFraction float64
-	Seed               uint64
+	Seed       uint64
 }
 
 // Model is an instantiated fleet.
@@ -67,10 +50,6 @@ type Model struct {
 	Devices []Device
 	// amplitude is derived from DiurnalRatio: ratio = (1+a)/(1−a).
 	amplitude float64
-	// sampleIdx is Sample's persistent index permutation, allocated once:
-	// per-call partial shuffles leave it a permutation, so no O(fleet)
-	// allocation or re-initialization happens per round.
-	sampleIdx []int
 }
 
 // New builds a fleet, applying paper defaults for zero config fields.
@@ -109,57 +88,35 @@ func New(cfg Config) (*Model, error) {
 	rng := tensor.NewRNG(cfg.Seed)
 	m.Devices = make([]Device, cfg.Size)
 	for i := range m.Devices {
-		drng := rng.Derive(uint64(i) + 17)
-		version := 3
-		if drng.Float64() < cfg.OldRuntimeFraction {
-			version = 1
-		}
-		m.Devices[i] = Device{
-			ID:             i,
-			Speed:          drng.LogNormal(0, cfg.SpeedSigma),
-			TZOffset:       time.Duration(drng.NormFloat64() * float64(cfg.TZSpread)),
-			Genuine:        drng.Float64() >= cfg.NonGenuineFraction,
-			RuntimeVersion: version,
-		}
+		m.Devices[i] = Device{ID: i, Speed: rng.Derive(uint64(i)+17).LogNormal(0, cfg.SpeedSigma)}
 	}
 	return m, nil
 }
 
-// Config returns the (defaulted) configuration.
-func (m *Model) Config() Config { return m.cfg }
-
-// hourOfDay returns the fractional local hour for a device at time t.
-func (m *Model) hourOfDay(d *Device, t time.Time) float64 {
-	local := t.Add(d.TZOffset)
-	return float64(local.Hour()) + float64(local.Minute())/60 + float64(local.Second())/3600
-}
-
-// phase returns cos distance from the availability peak in [−1, 1]:
-// 1 at the peak hour, −1 twelve hours away.
-func (m *Model) phase(hour float64) float64 {
+// phase returns cos distance from the availability peak in [−1, 1]: 1 at
+// the peak hour, −1 twelve hours away. The fleet shares one time zone
+// ("primarily comes from the same time zone", Appendix A).
+func (m *Model) phase(t time.Time) float64 {
+	hour := float64(t.Hour()) + float64(t.Minute())/60 + float64(t.Second())/3600
 	return math.Cos(2 * math.Pi * (hour - m.cfg.PeakHour) / 24)
 }
 
-// AvailableProb returns the probability that the device meets the
-// eligibility criteria (idle + charging + unmetered network) at time t.
-func (m *Model) AvailableProb(d *Device, t time.Time) float64 {
-	mean := m.cfg.PeakAvailability / (1 + m.amplitude)
-	return mean * (1 + m.amplitude*m.phase(m.hourOfDay(d, t)))
+// Availability returns the probability that a device meets the eligibility
+// criteria (idle + charging + unmetered network) at time t: the expected
+// fraction of the fleet available.
+func (m *Model) Availability(t time.Time) float64 {
+	return m.MeanAvailability() * (1 + m.amplitude*m.phase(t))
 }
 
-// Availability returns the expected fraction of the fleet available at t
-// (evaluated at zero timezone offset; per-device offsets average out).
-func (m *Model) Availability(t time.Time) float64 {
-	d := Device{}
-	return m.AvailableProb(&d, t)
-}
+// MeanAvailability is Availability averaged over the day.
+func (m *Model) MeanAvailability() float64 { return m.cfg.PeakAvailability / (1 + m.amplitude) }
 
 // DropoutProb returns the probability a participating device drops out of a
 // round starting at t: computation errors, network failures, or eligibility
 // changes. Daytime user interaction raises it (Fig. 7).
-func (m *Model) DropoutProb(d *Device, t time.Time) float64 {
+func (m *Model) DropoutProb(t time.Time) float64 {
 	// daytimeness: 0 at the availability peak (night), 1 at the trough.
-	daytimeness := (1 - m.phase(m.hourOfDay(d, t))) / 2
+	daytimeness := (1 - m.phase(t)) / 2
 	return m.cfg.NightDropout + (m.cfg.DayDropout-m.cfg.NightDropout)*daytimeness
 }
 
@@ -170,44 +127,4 @@ func (m *Model) TrainDuration(d *Device, n int, perExample time.Duration) time.D
 		return time.Duration(math.MaxInt64 / 2)
 	}
 	return time.Duration(float64(n) * float64(perExample) / d.Speed)
-}
-
-// Sample draws k distinct available devices at time t using per-device
-// availability probabilities; it returns fewer than k when not enough
-// devices are available. The rng drives both availability draws and
-// selection order.
-//
-// The walk is a lazy partial Fisher–Yates over a persistent index slice:
-// position i swaps with a uniform j ∈ [i, n), which visits devices in
-// exactly the order a full rng.Perm would, but stops as soon as k available
-// devices are drawn. Cost is O(devices visited), not O(fleet) — with a 10⁶
-// device fleet and k ≈ 100, a round touches a few thousand entries. The
-// partial shuffle leaves sampleIdx a permutation, so the next call is
-// equally uniform without re-initialization. Not safe for concurrent use
-// (the rng isn't either).
-func (m *Model) Sample(k int, t time.Time, rng *tensor.RNG) []*Device {
-	n := len(m.Devices)
-	if k <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	if m.sampleIdx == nil {
-		m.sampleIdx = make([]int, n)
-		for i := range m.sampleIdx {
-			m.sampleIdx[i] = i
-		}
-	}
-	idx := m.sampleIdx
-	out := make([]*Device, 0, k)
-	for i := 0; i < n && len(out) < k; i++ {
-		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		d := &m.Devices[idx[i]]
-		if rng.Float64() < m.AvailableProb(d, t) {
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/tensor"
 )
 
 var noon = time.Date(2019, 3, 1, 14, 0, 0, 0, time.UTC) // 2pm: trough
@@ -22,7 +20,7 @@ func fleet(t *testing.T, size int) *Model {
 
 func TestNewDefaults(t *testing.T) {
 	m := fleet(t, 100)
-	cfg := m.Config()
+	cfg := m.cfg
 	if cfg.DiurnalRatio != 4 || cfg.NightDropout != 0.06 || cfg.DayDropout != 0.10 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
@@ -70,10 +68,8 @@ func TestAvailabilityContinuous(t *testing.T) {
 
 func TestDropoutHigherByDay(t *testing.T) {
 	m := fleet(t, 10)
-	d := &m.Devices[0]
-	d.TZOffset = 0
-	day := m.DropoutProb(d, noon)
-	nite := m.DropoutProb(d, night)
+	day := m.DropoutProb(noon)
+	nite := m.DropoutProb(night)
 	if day <= nite {
 		t.Fatalf("day dropout %v should exceed night %v", day, nite)
 	}
@@ -114,131 +110,6 @@ func TestTrainDuration(t *testing.T) {
 	slow := &Device{Speed: 0}
 	if m.TrainDuration(slow, 1, time.Millisecond) < time.Hour {
 		t.Fatal("zero-speed device should effectively never finish")
-	}
-}
-
-func TestSampleRespectsAvailability(t *testing.T) {
-	m := fleet(t, 2000)
-	rng := tensor.NewRNG(42)
-	atNight := len(m.Sample(2000, night, rng))
-	atNoon := len(m.Sample(2000, noon, rng))
-	if atNight <= atNoon {
-		t.Fatalf("night sample %d should exceed noon sample %d", atNight, atNoon)
-	}
-	// Unlimited k: counts should be near Size × availability.
-	want := float64(2000) * m.Availability(night)
-	if math.Abs(float64(atNight)-want) > 0.25*want {
-		t.Fatalf("night sample %d, want ≈ %v", atNight, want)
-	}
-}
-
-func TestSampleBoundedByK(t *testing.T) {
-	m := fleet(t, 2000)
-	rng := tensor.NewRNG(7)
-	got := m.Sample(10, night, rng)
-	if len(got) > 10 {
-		t.Fatalf("sample returned %d > k", len(got))
-	}
-	seen := map[int]bool{}
-	for _, d := range got {
-		if seen[d.ID] {
-			t.Fatal("duplicate device in sample")
-		}
-		seen[d.ID] = true
-	}
-}
-
-func TestSampleScratchStaysPermutation(t *testing.T) {
-	// Sample's partial shuffle mutates a persistent index in place; it must
-	// remain a permutation across calls or later samples would repeat or
-	// skip devices.
-	m := fleet(t, 500)
-	rng := tensor.NewRNG(11)
-	for round := 0; round < 50; round++ {
-		got := m.Sample(20, night, rng)
-		seen := map[int]bool{}
-		for _, d := range got {
-			if seen[d.ID] {
-				t.Fatalf("round %d: duplicate device %d", round, d.ID)
-			}
-			seen[d.ID] = true
-		}
-	}
-	present := map[int]bool{}
-	for _, v := range m.sampleIdx {
-		if v < 0 || v >= 500 || present[v] {
-			t.Fatalf("sampleIdx corrupted: %v at len %d", v, len(m.sampleIdx))
-		}
-		present[v] = true
-	}
-	if len(present) != 500 {
-		t.Fatalf("sampleIdx lost entries: %d/500", len(present))
-	}
-}
-
-func TestSampleCoversWholeFleetOverTime(t *testing.T) {
-	// Selection must stay uniform call over call: across many rounds on a
-	// highly available fleet, (almost) every device should be picked.
-	m, err := New(Config{Size: 200, PeakAvailability: 0.9, DiurnalRatio: 1.001, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := tensor.NewRNG(13)
-	picked := map[int]bool{}
-	for round := 0; round < 200; round++ {
-		for _, d := range m.Sample(20, night, rng) {
-			picked[d.ID] = true
-		}
-	}
-	if len(picked) < 190 {
-		t.Fatalf("only %d/200 devices ever sampled; selection is not uniform", len(picked))
-	}
-}
-
-func TestNonGenuineFraction(t *testing.T) {
-	m, err := New(Config{Size: 5000, NonGenuineFraction: 0.1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := 0
-	for _, d := range m.Devices {
-		if !d.Genuine {
-			bad++
-		}
-	}
-	frac := float64(bad) / 5000
-	if math.Abs(frac-0.1) > 0.02 {
-		t.Fatalf("non-genuine fraction %v, want ≈ 0.1", frac)
-	}
-}
-
-func TestOldRuntimeFraction(t *testing.T) {
-	m, err := New(Config{Size: 5000, OldRuntimeFraction: 0.3, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := 0
-	for _, d := range m.Devices {
-		switch d.RuntimeVersion {
-		case 1:
-			old++
-		case 3:
-		default:
-			t.Fatalf("unexpected runtime version %d", d.RuntimeVersion)
-		}
-	}
-	frac := float64(old) / 5000
-	if math.Abs(frac-0.3) > 0.03 {
-		t.Fatalf("old-runtime fraction %v, want ≈ 0.3", frac)
-	}
-}
-
-func TestTZOffsetShiftsPhase(t *testing.T) {
-	m := fleet(t, 1)
-	d := &Device{TZOffset: 12 * time.Hour}
-	// With a 12h offset, the device's peak is at our trough.
-	if m.AvailableProb(d, noon) <= m.AvailableProb(d, night) {
-		t.Fatal("12h-offset device should peak at our noon")
 	}
 }
 

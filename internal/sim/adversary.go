@@ -1,3 +1,9 @@
+// Package sim is the fleet the experiments run: a population of phones
+// checking in to the round engine itself on a virtual clock (fleet.go, the
+// run behind the operational figures), and the adversaries the experiments
+// inject into a fleet — poisoning attackers for the robust-aggregation grid
+// (adversary.go) and per-group device churn for Secure Aggregation
+// (churn.go).
 package sim
 
 import (

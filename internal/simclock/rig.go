@@ -49,6 +49,8 @@ type Gate struct {
 	cond    sync.Cond
 	waiting []Clock // each waiter's
 	closed  bool
+	// sleepers are the own gates of the Sleeps on this one, closed with it.
+	sleepers map[*Gate]struct{}
 }
 
 // Wait parks the calling goroutine, which holds g's lock and runs on c,
@@ -69,12 +71,18 @@ func (g *Gate) Broadcast() {
 	g.cond.Broadcast()
 }
 
-// Close closes g and wakes every goroutine waiting at it.
+// Close closes g and wakes every goroutine waiting at it, every Sleep on it
+// included.
 func (g *Gate) Close() {
 	g.Lock()
 	g.closed = true
 	g.Broadcast()
+	sleepers := g.sleepers
+	g.sleepers = nil
 	g.Unlock()
+	for s := range sleepers {
+		s.Close()
+	}
 }
 
 // A Queue is a bounded FIFO whose readers and writers wait at one gate,
@@ -128,23 +136,39 @@ func (q *Queue[T]) Pop(c Clock) (v T, ok bool) {
 // Close fails every later Push and wakes every waiter.
 func (q *Queue[T]) Close() { q.gate.Close() }
 
-// Sleep parks the caller at g (nil: a gate of its own) until d has passed
-// on c or g is closed, and reports whether d passed.
+// Sleep parks the caller until d has passed on c or g (nil: none) is
+// closed, and reports whether d passed. The caller parks at a gate of its
+// own, so an expiry wakes only its own sleeper, however many rest on g.
 func Sleep(c Clock, d time.Duration, g *Gate) bool {
-	if g == nil {
-		g = new(Gate)
+	own := new(Gate)
+	if g != nil {
+		g.Lock()
+		if g.closed {
+			g.Unlock()
+			return false
+		}
+		if g.sleepers == nil {
+			g.sleepers = make(map[*Gate]struct{})
+		}
+		g.sleepers[own] = struct{}{}
+		g.Unlock()
+		defer func() {
+			g.Lock()
+			delete(g.sleepers, own)
+			g.Unlock()
+		}()
 	}
-	g.Lock()
-	defer g.Unlock()
+	own.Lock()
+	defer own.Unlock()
 	passed := false
 	t := c.AfterFunc(d, func() {
-		g.Lock()
+		own.Lock()
 		passed = true
-		g.Broadcast()
-		g.Unlock()
+		own.Broadcast()
+		own.Unlock()
 	})
-	for !passed && !g.closed {
-		g.Wait(c)
+	for !passed && !own.closed {
+		own.Wait(c)
 	}
 	t.Stop()
 	return passed

@@ -1,9 +1,9 @@
 // Package simclock is how time gets into the system: one small Clock, the
 // wall implementation every process runs on by default, and the virtual one
-// tests and the simulation harness drive. The paper's protocol is made of
-// windows and timeouts (Sec. 2.2, 2.3, 4.4) and its operational figures
-// cover multi-day spans (Figs. 5–9); on a Virtual clock both run at the
-// speed of the CPU, with reproducible event ordering.
+// tests and the fleet run behind the operational figures drive. The
+// paper's protocol is made of windows and timeouts (Sec. 2.2, 2.3, 4.4) and
+// its operational figures cover multi-day spans (Figs. 5–9); on a Virtual
+// clock both run at the speed of the CPU.
 //
 // A Virtual clock is also the executor of a test rig (rig.go): every
 // goroutine of the rig starts through Go, and every idle wait parks it at a
@@ -11,8 +11,7 @@
 package simclock
 
 import (
-	"slices"
-	"sort"
+	"container/heap"
 	"sync"
 	"time"
 )
@@ -55,18 +54,18 @@ func (wall) Go(fn func())                              { go fn() }
 func (wall) park(int)                                  {}
 
 // Virtual is a discrete-event clock: time moves only in Advance and Run,
-// which fire the timers that come due in (time, arming order) — what makes a
-// multi-day simulation on one goroutine deterministic. Advance runs the
-// callbacks on the advancing goroutine with the clock unlocked, so they may
-// arm and stop timers.
+// which fire the timers that come due in (time, arming order). Advance runs
+// the callbacks on the advancing goroutine with the clock unlocked, so they
+// may arm and stop timers.
 type Virtual struct {
 	mu  sync.Mutex
 	now time.Time
-	// queue holds the armed timers in firing order. A timer armed later
-	// never fires before one due at the same instant, so arming inserts
-	// behind every timer due no later. Timers in flight are few (a handful
-	// in a simulation, hundreds under a test server): a sorted slice.
-	queue []*event
+	// queue holds the armed timers, a heap keyed by (instant, arming order):
+	// a timer armed later never fires before one due at the same instant.
+	// A rig resting a device swarm arms one timer per device (tens of
+	// thousands), so arming and stopping are O(log n).
+	queue timerHeap
+	armed uint64 // timers armed so far: the next one's arming order
 	// live counts the goroutines Go started that have not returned, running
 	// those not parked; idle is signalled when running reaches zero.
 	live, running int
@@ -74,9 +73,36 @@ type Virtual struct {
 }
 
 type event struct {
-	v  *Virtual
-	at time.Time
-	fn func()
+	v   *Virtual
+	at  time.Time
+	seq uint64
+	i   int // index in v.queue; -1 once fired or stopped
+	fn  func()
+}
+
+// timerHeap implements heap.Interface over the armed timers.
+type timerHeap []*event
+
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
+	return h[i].at.Before(h[j].at) || h[i].at.Equal(h[j].at) && h[i].seq < h[j].seq
+}
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].i, h[j].i = i, j
+}
+func (h *timerHeap) Push(x any) {
+	e := x.(*event)
+	e.i = len(*h)
+	*h = append(*h, e)
+}
+func (h *timerHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	e.i = -1
+	return e
 }
 
 // New returns a virtual clock standing at start.
@@ -97,9 +123,9 @@ func (v *Virtual) Now() time.Time {
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	e := &event{v: v, at: v.now.Add(max(d, 0)), fn: f}
-	i := sort.Search(len(v.queue), func(i int) bool { return v.queue[i].at.After(e.at) })
-	v.queue = slices.Insert(v.queue, i, e)
+	v.armed++
+	e := &event{v: v, at: v.now.Add(max(d, 0)), seq: v.armed, fn: f}
+	heap.Push(&v.queue, e)
 	return e
 }
 
@@ -107,11 +133,10 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 func (e *event) Stop() bool {
 	e.v.mu.Lock()
 	defer e.v.mu.Unlock()
-	i := slices.Index(e.v.queue, e)
-	if i < 0 {
+	if e.i < 0 {
 		return false
 	}
-	e.v.queue = slices.Delete(e.v.queue, i, i+1)
+	heap.Remove(&e.v.queue, e.i)
 	return true
 }
 
@@ -141,8 +166,7 @@ func (v *Virtual) next(end time.Time) *event {
 		}
 		return nil
 	}
-	e := v.queue[0]
-	v.queue = slices.Delete(v.queue, 0, 1)
+	e := heap.Pop(&v.queue).(*event)
 	if e.at.After(v.now) {
 		v.now = e.at
 	}

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,5 +157,109 @@ func TestWall(t *testing.T) {
 	<-done
 	if tm := Wall.AfterFunc(time.Hour, func() { t.Error("stopped wall timer fired") }); !tm.Stop() {
 		t.Fatal("Stop on an armed wall timer must report true")
+	}
+}
+
+func TestStopFromTheMiddleKeepsOrder(t *testing.T) {
+	// Stop removes a timer from anywhere in the heap; the rest still fire in
+	// (instant, arming order).
+	c := New(t0)
+	var got []int
+	var timers []Timer
+	for i := 0; i < 50; i++ {
+		i := i
+		timers = append(timers, c.AfterFunc(time.Duration(i%5)*time.Second, func() { got = append(got, i) }))
+	}
+	for i := 0; i < 50; i += 3 {
+		if !timers[i].Stop() {
+			t.Fatalf("timer %d: Stop before firing reported false", i)
+		}
+	}
+	c.Advance(time.Minute)
+	var want []int
+	for at := 0; at < 5; at++ {
+		for i := at; i < 50; i += 5 {
+			if i%3 != 0 {
+				want = append(want, i)
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// parkCounter is a Virtual that counts every goroutine parked on it.
+type parkCounter struct {
+	*Virtual
+	parks atomic.Int64
+}
+
+func (c *parkCounter) park(n int) {
+	if n > 0 {
+		c.parks.Add(int64(n))
+	}
+	c.Virtual.park(n)
+}
+
+func TestExpiryWakesOnlyItsSleeper(t *testing.T) {
+	// N sleepers rest on one shared gate for different durations: each
+	// expiry hands exactly its own sleeper back, and no other re-parks.
+	const n = 64
+	c := &parkCounter{Virtual: New(t0)}
+	var stop Gate
+	var woke, passed atomic.Int64
+	for i := 0; i < n; i++ {
+		d := time.Duration(i+1) * time.Second
+		c.Go(func() {
+			if Sleep(c, d, &stop) {
+				passed.Add(1)
+			}
+			woke.Add(1)
+		})
+	}
+	if err := c.Run(time.Second-time.Nanosecond, nil); err != ErrHorizon {
+		t.Fatalf("Run = %v, want the horizon", err)
+	}
+	if p := c.parks.Load(); p != n {
+		t.Fatalf("%d parks before any expiry, want %d", p, n)
+	}
+	if err := c.Run(time.Nanosecond, nil); err != ErrHorizon {
+		t.Fatalf("Run = %v, want the horizon", err)
+	}
+	if w, p := woke.Load(), c.parks.Load(); w != 1 || p != n {
+		t.Fatalf("one expiry woke %d sleeper(s) with %d parks in all, want 1 and %d", w, p, n)
+	}
+	// Close still ends every Sleep left on the gate.
+	stop.Close()
+	if err := c.Run(0, func() bool { return woke.Load() == n }); err != nil {
+		t.Fatal(err)
+	}
+	if p := passed.Load(); p != 1 {
+		t.Fatalf("%d sleeps passed, want only the one that expired", p)
+	}
+	if Sleep(c, time.Second, &stop) {
+		t.Fatal("a Sleep on a closed gate must not pass")
+	}
+}
+
+// BenchmarkVirtualArmStop arms and stops one timer with many others armed.
+func BenchmarkVirtualArmStop(b *testing.B) {
+	for _, armed := range []int{100, 20000} {
+		b.Run(fmt.Sprintf("armed-%d", armed), func(b *testing.B) {
+			c := New(t0)
+			for i := 0; i < armed; i++ {
+				c.AfterFunc(time.Duration(i)*time.Millisecond, func() {})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.AfterFunc(time.Duration(i%armed)*time.Millisecond, func() {}).Stop()
+			}
+		})
 	}
 }
