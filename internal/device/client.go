@@ -176,6 +176,7 @@ func (s *Session) train() (*Outcome, error) {
 	p, err := plan.UnmarshalDevice(s.resp.Plan)
 	var global *checkpoint.Checkpoint
 	if err == nil {
+		p.ID = s.resp.TaskID // the device plan does not name its task
 		global, err = checkpoint.Unmarshal(s.resp.Checkpoint)
 	}
 	if err != nil {

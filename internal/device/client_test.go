@@ -1,6 +1,7 @@
 package device
 
 import (
+	"os"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -97,5 +98,62 @@ func TestTrainingThatDoesNotRunEndsTheSession(t *testing.T) {
 		if !tc.aborted && err == nil {
 			t.Fatalf("%s: the server got %+v; want nothing", tc.name, msg)
 		}
+	}
+}
+
+// TestReportsNameTheConfiguredTask: the device plan names no task, so a
+// session reports under the task and round of its configuration — in the
+// ReportRequest and, for a training plan, in the update's TaskName — for a
+// training and an evaluation task alike. A device plan in format 2, the
+// fixed-width layout format 4 replaced, is refused before training.
+func TestReportsNameTheConfiguredTask(t *testing.T) {
+	eval, err := plan.Generate(plan.Config{TaskID: "pop/eval", Population: "pop", Type: plan.TaskEval,
+		Model: nn.Spec{Kind: nn.KindLogistic, Features: 2, Classes: 2, Seed: 1}, StoreName: "clicks", TargetDevices: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := func() *Client {
+		rt := NewRuntime("d", 3, nil, 7)
+		if err := rt.RegisterStore(filledStore(t)); err != nil {
+			t.Fatal(err)
+		}
+		return &Client{ID: "d", Population: "pop", Runtime: rt}
+	}
+	for _, p := range []*plan.Plan{trainingPlan(t, false), eval} {
+		resp := configuration(t, p)
+		resp.TaskID = "pop/configured"
+		dev, srv := transport.Pipe()
+		_ = srv.Send(resp)
+		_ = srv.Send(protocol.ReportResponse{Accepted: true})
+		if out, err := client().RunOnce(dev); err != nil || !out.ReportAccepted {
+			t.Fatalf("%s: %+v, %v", p.Type, out, err)
+		}
+		_, _ = srv.Recv() // the check-in
+		msg, err := srv.Recv()
+		report, ok := msg.(protocol.ReportRequest)
+		if err != nil || !ok || report.TaskID != resp.TaskID || report.Round != resp.Round {
+			t.Fatalf("%s: the server got %+v, %v; want a report for %s round %d", p.Type, msg, err, resp.TaskID, resp.Round)
+		}
+		if p.Type == plan.TaskEval {
+			if report.Update != nil {
+				t.Fatalf("eval: the report carries %d update bytes", len(report.Update))
+			}
+			continue
+		}
+		if ck, err := checkpoint.Unmarshal(report.Update); err != nil || ck.TaskName != resp.TaskID {
+			t.Fatalf("train: the update is %+v, %v; want TaskName %s", ck, err, resp.TaskID)
+		}
+	}
+
+	old, err := os.ReadFile("../plan/testdata/device_v2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := configuration(t, trainingPlan(t, false))
+	resp.Plan = old
+	dev, srv := transport.Pipe()
+	_ = srv.Send(resp)
+	if out, err := client().RunOnce(dev); err == nil || out.SessionShape != "-v*" {
+		t.Fatalf("a format-2 plan: %+v, %v; want shape -v* and an error", out, err)
 	}
 }

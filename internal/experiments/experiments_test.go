@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -126,9 +127,29 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	r := Fig9(testFleet(t))
-	if r.Ratio < 2 {
-		t.Fatalf("download/upload ratio %v, want ≥ 2", r.Ratio)
+	// Download dominates upload, by the plan each configured session
+	// downloads with the model and by the configured sessions that never
+	// upload (over-selection, drop-out): an upload is one model-sized update.
+	run := testFleet(t)
+	r := Fig9(run)
+	dp, _ := run.Plan.MarshalDevice()
+	global, err := run.Lineage[0].Marshal(run.Plan.DownlinkEncoding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	update, err := run.Lineage[0].Marshal(run.Plan.UplinkEncoding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var configured int64
+	for _, n := range run.Metrics.CounterFamily(metrics.SessionShapes, "shape") {
+		configured += n
+	}
+	uploads := r.UploadBytes / int64(len(update))
+	perSession := float64(len(dp)+len(global)) / float64(len(update))
+	if min := perSession * float64(configured) / float64(uploads); r.Ratio <= 1 || r.Ratio < min {
+		t.Fatalf("download/upload ratio %v, want > 1 and ≥ %.3f (plan+model down, update up) × %d configured / %d uploads",
+			r.Ratio, perSession, configured, uploads)
 	}
 	if !strings.Contains(r.Format(), "download") {
 		t.Fatal("Format missing traffic lines")

@@ -352,6 +352,8 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 	er.reader = reportReader{
 		self:     ctx.Self,
 		clock:    ctx.System.Clock(),
+		taskID:   er.cfg.Plan.ID,
+		round:    er.cfg.Round,
 		dim:      er.cfg.Dim,
 		secure:   er.secure,
 		evalOnly: er.cfg.Plan.Type == plan.TaskEval,

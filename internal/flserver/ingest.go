@@ -99,6 +99,8 @@ const abortGrace = 5 * time.Second
 type reportReader struct {
 	self     actor.Ref
 	clock    actor.Clock
+	taskID   string // a report must name the task and round its session was configured for
+	round    int64
 	dim      int
 	secure   bool
 	evalOnly bool
@@ -165,6 +167,10 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 			_ = r.self.Send(msgReportDone{DeviceID: deviceID, OK: true})
 			sendWithGrace(r.clock, conn, protocol.ReportResponse{Accepted: true})
 		}
+	}
+	if req.TaskID != r.taskID || req.Round != r.round {
+		reject(fmt.Sprintf("report for %s round %d, configured for %s round %d", req.TaskID, req.Round, r.taskID, r.round))
+		return
 	}
 	if req.Aborted {
 		reject("device aborted")

@@ -316,27 +316,26 @@ func (p *Plan) DownlinkEncoding() checkpoint.Encoding {
 }
 
 // The first byte of a marshaled plan names its format; each moves whenever
-// its field list does. DESIGN.md tabulates both layouts. Format 1 is the
-// whole plan (the shard link, task snapshots); format 2 is the device's part
-// (the device link).
+// its field list does. DESIGN.md tabulates both layouts. Format 3 is the
+// whole plan (the shard link, task snapshots); format 4 is the device's part
+// (the device link); 1 and 2, their fixed-width layouts, are refused.
 const (
-	wireFormat   = 1
-	deviceFormat = 2
+	wireFormat   = 3
+	deviceFormat = 4
 )
 
-// Marshal encodes the plan under format 1: the format byte, then every
-// field of Plan, DevicePlan (nn.Spec, SelectionCriteria), ServerPlan and
-// RobustPolicy in declaration order under internal/wire's conventions —
-// ints and durations as i64, floats as f64, enums as u8, Ops as a byte
-// string.
+// Marshal encodes the plan under format 3: the format byte, the device's
+// section of format 4, then what only the server reads — ID, Population,
+// the model's seed, and every field of ServerPlan and RobustPolicy in
+// declaration order — under internal/wire's conventions: ints and durations
+// as varints, floats as f64, enums as u8, Ops as a byte string.
 func (p *Plan) Marshal() ([]byte, error) { return p.marshal(wireFormat, &p.Device), nil }
 
 // MarshalDevice encodes what Configuration sends a device (Sec. 2.2) under
-// format 2: format 1 up to the end of DevicePlan, with the resolved
-// UplinkEncoding in Device.ReportEncoding so a plan that sets only
-// Server.ReportEncoding still tells its devices how to report. The
-// ServerPlan — round parameters, the secagg threshold, the robust policy the
-// defense keeps from the clients it resists — stays on the server.
+// format 4: Type and DevicePlan, with the resolved UplinkEncoding in
+// Device.ReportEncoding so a plan that sets only Server.ReportEncoding still
+// tells its devices how to report. ID and Population (the session names
+// them), the seed the global model overwrites and ServerPlan stay behind.
 func (p *Plan) MarshalDevice() ([]byte, error) {
 	d := p.Device
 	d.ReportEncoding = p.UplinkEncoding()
@@ -357,7 +356,7 @@ func (p *Plan) marshal(format byte, d *DevicePlan) []byte {
 func Unmarshal(b []byte) (*Plan, error) { return unmarshal(b, wireFormat) }
 
 // UnmarshalDevice decodes a descriptor produced by MarshalDevice into a plan
-// whose Server part is zero, under Unmarshal's rules.
+// whose ID, Population, seed and Server part are zero, under Unmarshal's rules.
 func UnmarshalDevice(b []byte) (*Plan, error) { return unmarshal(b, deviceFormat) }
 
 func unmarshal(b []byte, format byte) (*Plan, error) {
@@ -374,20 +373,17 @@ func unmarshal(b []byte, format byte) (*Plan, error) {
 }
 
 // walk is the descriptor layout: the format byte, then the section both
-// formats carry — ID, Population, Type and d — and, under format 1, the
-// server's part after it.
+// formats carry — Type and d, ReportEncoding first and the model's seed
+// left out — and, under format 3, the server's part after it.
 func (p *Plan) walk(c *wire.Codec, format byte, d *DevicePlan) {
 	m, s, r := &d.Model, &p.Server, &p.Server.Robust
 	c.U8(&format)
-	c.Str(&p.ID)
-	c.Str(&p.Population)
 	c.U8((*uint8)(&p.Type))
-
+	c.U8((*uint8)(&d.ReportEncoding))
 	c.U8((*uint8)(&m.Kind))
 	for _, v := range [...]*int{&m.Features, &m.Hidden, &m.Classes, &m.Vocab, &m.Embed} {
 		c.Int(v)
 	}
-	c.U64(&m.Seed)
 	ops := len(d.Ops)
 	c.Count(&ops, 1)
 	if c.Decoding() && ops > 0 {
@@ -402,13 +398,15 @@ func (p *Plan) walk(c *wire.Codec, format byte, d *DevicePlan) {
 	c.Int(&d.BatchSize)
 	c.Int(&d.Epochs)
 	c.F64(&d.LearningRate)
-	c.U8((*uint8)(&d.ReportEncoding))
 	c.Int(&d.MinRuntimeVersion)
 	c.F64(&d.ClipNorm)
 	if format == deviceFormat {
 		return
 	}
 
+	c.Str(&p.ID)
+	c.Str(&p.Population)
+	c.U64(&m.Seed)
 	c.U8((*uint8)(&s.Aggregation))
 	c.Int(&s.SecAggGroupSize)
 	c.F64(&s.SecAggThresholdFraction)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -171,10 +172,11 @@ func marshalCases(t testing.TB) map[string]*Plan {
 	return cases
 }
 
-// devicePart is what format 2 carries of p.
+// devicePart is what format 4 carries of p.
 func devicePart(p *Plan) *Plan {
-	d := &Plan{ID: p.ID, Population: p.Population, Type: p.Type, Device: p.Device}
+	d := &Plan{Type: p.Type, Device: p.Device}
 	d.Device.ReportEncoding = p.UplinkEncoding()
+	d.Device.Model.Seed = 0
 	return d
 }
 
@@ -188,10 +190,11 @@ var (
 	deviceCodec = codec{(*Plan).MarshalDevice, UnmarshalDevice, Unmarshal}
 )
 
-// TestMarshalRoundTrip: format 1 carries every field of the plan; format 2
-// carries the identity fields and every DevicePlan field, with the resolved
-// uplink encoding in ReportEncoding, and every ServerPlan and RobustPolicy
-// field reads back zero. Each decoder refuses the other's bytes.
+// TestMarshalRoundTrip: format 3 carries every field of the plan; format 4
+// carries Type and every DevicePlan field but the model's seed, with the
+// resolved uplink encoding in ReportEncoding, and ID, Population, the seed
+// and every ServerPlan and RobustPolicy field read back zero. Each decoder
+// refuses the other's bytes.
 func TestMarshalRoundTrip(t *testing.T) {
 	for name, p := range marshalCases(t) {
 		for _, c := range []struct {
@@ -264,7 +267,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // change to any field's width, order or encoding fails it. Such a change
 // bumps wireFormat or deviceFormat and regenerates the files with -update.
 func TestWireGolden(t *testing.T) {
-	for file, c := range map[string]codec{"plan_v1.golden": planCodec, "device_v2.golden": deviceCodec} {
+	for file, c := range map[string]codec{"plan_v3.golden": planCodec, "device_v4.golden": deviceCodec} {
 		got, err := c.marshal(goldenPlan())
 		if err != nil {
 			t.Fatal(err)
@@ -286,11 +289,64 @@ func TestWireGolden(t *testing.T) {
 	}
 }
 
-// hostilePlans promise more bytes than they hold, behind a valid format byte.
+// TestOldFormatsRefused: the golden plan in the fixed-width layouts that
+// formats 3 and 4 replaced is refused by both decoders, not misread.
+func TestOldFormatsRefused(t *testing.T) {
+	for _, file := range []string{"plan_v1.golden", "device_v2.golden"} {
+		b, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, unmarshal := range []func([]byte) (*Plan, error){Unmarshal, UnmarshalDevice} {
+			if p, err := unmarshal(b); err == nil {
+				t.Errorf("%s decoded as %+v", file, p)
+			}
+		}
+	}
+}
+
+// TestDevicePlanBytes pins the descriptor sizes of the benchmark's plan
+// shape (benchmark/workload.go): every device downloads the device plan once
+// per session, so a byte here is a byte per device per round.
+func TestDevicePlanBytes(t *testing.T) {
+	p, err := Generate(Config{
+		TaskID: "bench/round", Population: "bench",
+		Model:     nn.Spec{Kind: nn.KindLogistic, Features: 4, Classes: 3, Seed: 1},
+		StoreName: "bench", BatchSize: 10, Epochs: 1, LearningRate: 0.1,
+		TargetDevices: 128, OverSelectFactor: 1.0, SelectionTimeout: time.Minute, ReportTimeout: time.Minute,
+		ReportEncoding: checkpoint.EncodingFloat64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, _ := p.MarshalDevice()
+	full, _ := p.Marshal()
+	if len(dev) != 42 || len(full) != 142 {
+		t.Fatalf("device plan %d B, full plan %d B; want 42 and 142", len(dev), len(full))
+	}
+}
+
+// spliced is the zero plan under format with the one-byte varint at index
+// at replaced by v. Format 4 is format 3's first 32 bytes.
+func spliced(format byte, at int, v ...byte) []byte {
+	b, _ := (&Plan{}).Marshal()
+	if b[0] = format; format == deviceFormat {
+		b = b[:32]
+	}
+	return slices.Concat(b[:at], v, b[at+1:])
+}
+
+// hostilePlans promise more bytes than they hold, or carry a varint that is
+// not canonical, behind a valid format byte.
 var hostilePlans = [][]byte{
-	{wireFormat, 0xFF, 0xFF, 0xFF, 0xFF, 'x'},        // 4 GiB ID
-	{wireFormat, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, // 4 GiB Population
-	{deviceFormat, 0xFF, 0xFF, 0xFF, 0xFF, 'x'},      // 4 GiB ID
+	spliced(wireFormat, 32, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),                                      // 4 GiB ID
+	spliced(wireFormat, 33, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),                                      // 4 GiB Population
+	spliced(deviceFormat, 9, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),                                     // 4 G ops
+	spliced(deviceFormat, 9, 0x80),                                                             // ops count cut off
+	spliced(deviceFormat, 4, 0x80, 0x00),                                                       // Features, zero in two bytes
+	spliced(wireFormat, 13, 0x80, 0x00),                                                        // BatchSize, zero in two bytes
+	spliced(deviceFormat, 4, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), // 11 bytes
+	spliced(deviceFormat, 4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02),       // past 64 bits
 }
 
 func TestUnmarshalGarbage(t *testing.T) {
@@ -299,22 +355,22 @@ func TestUnmarshalGarbage(t *testing.T) {
 	for _, b := range append(hostilePlans, nil, []byte("not a plan"), zero) {
 		for _, unmarshal := range []func([]byte) (*Plan, error){Unmarshal, UnmarshalDevice} {
 			if _, err := unmarshal(b); err == nil {
-				t.Fatalf("Unmarshal(%q) succeeded", b)
+				t.Fatalf("Unmarshal(%x) succeeded", b)
 			}
 		}
 	}
 }
 
-// The server section of format 1 is fixed-size (ServerPlan 74 bytes,
-// RobustPolicy 26), and DevicePlan ends with ReportEncoding (u8),
-// MinRuntimeVersion (i64) and ClipNorm (f64).
-const serverSection, reportEncodingFromEnd = 100, 17
+// reportEncodingAt is ReportEncoding's offset in both formats: after the
+// format byte and Type, ahead of any varint.
+const reportEncodingAt = 2
 
 // FuzzPlanUnmarshal: both decoders run on every input and never panic, and
-// each accepts only its own format byte. An accepted format-1 plan re-encodes
-// to its own bytes; the device section of any accepted plan — format 1 or
-// 2 — re-encodes through MarshalDevice to exactly that section with the
-// resolved uplink encoding, and decodes again.
+// each accepts only its own format byte. An accepted format-3 plan re-encodes
+// to its own bytes; the device section of any accepted plan — format 3 or
+// 4 — re-encodes through MarshalDevice to exactly that section with the
+// resolved uplink encoding, and decodes again. Format 3 begins with format
+// 4's section, so its length is the device walk's: MarshalDevice's output.
 func FuzzPlanUnmarshal(f *testing.F) {
 	for _, p := range marshalCases(f) {
 		for _, c := range []codec{planCodec, deviceCodec} {
@@ -332,9 +388,18 @@ func FuzzPlanUnmarshal(f *testing.F) {
 		if err == nil && b[0] != wireFormat || derr == nil && b[0] != deviceFormat {
 			t.Fatalf("a decoder accepted format byte %d", b[0])
 		}
-		var section []byte
-		switch {
-		case err == nil:
+		if err != nil {
+			p = dp
+		}
+		if err != nil && derr != nil {
+			return
+		}
+		got, merr := p.MarshalDevice()
+		if merr != nil || len(got) > len(b) {
+			t.Fatalf("device section of %x re-encodes as %x, %v", b, got, merr)
+		}
+		end := len(b)
+		if err == nil {
 			again, err := p.Marshal()
 			if err != nil {
 				t.Fatal(err)
@@ -342,18 +407,10 @@ func FuzzPlanUnmarshal(f *testing.F) {
 			if !bytes.Equal(again, b) {
 				t.Fatalf("accepted bytes are not canonical:\n in  %x\n out %x", b, again)
 			}
-			section = b[1 : len(b)-serverSection]
-		case derr == nil:
-			p, section = dp, b[1:]
-		default:
-			return
+			end = len(got)
 		}
-		want := append([]byte{deviceFormat}, section...)
-		want[len(want)-reportEncodingFromEnd] = byte(p.UplinkEncoding())
-		got, err := p.MarshalDevice()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := append([]byte{deviceFormat}, b[1:end]...)
+		want[reportEncodingAt] = byte(p.UplinkEncoding())
 		if !bytes.Equal(got, want) {
 			t.Fatalf("device section does not round-trip:\n in  %x\n out %x", want, got)
 		}

@@ -122,22 +122,11 @@ func Lookup(code byte) (row Row, ok bool) {
 
 // Judge returns msg's type code when msg may arrive from a peer that is
 // from in a device session at phase, and otherwise an error naming what
-// arrived and when. A legal message costs a type switch and a table read,
-// no allocation.
+// arrived and when. A legal message costs a sizing walk, which names its
+// code, and a table read: no allocation.
 func Judge(msg interface{}, from Sender, phase Phase) (byte, error) {
-	var code byte // 0 for anything but the five device-link messages
-	switch msg.(type) {
-	case CheckinRequest:
-		code = CodeCheckinRequest
-	case CheckinResponse:
-		code = CodeCheckinResponse
-	case ReportRequest:
-		code = CodeReportRequest
-	case ReportResponse:
-		code = CodeReportResponse
-	case Abort:
-		code = CodeAbort
-	}
+	var c wire.Codec
+	code := walk(&c, msg)
 	if row := table[code]; row.Sender != from || row.Phases&phase == 0 {
 		return 0, fmt.Errorf("protocol: %T from the %s is illegal in phase %s", msg, from, phase)
 	}

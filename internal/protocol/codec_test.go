@@ -141,15 +141,18 @@ func TestBinaryCodecHostileLengths(t *testing.T) {
 }
 
 func hostileDevicePayloads() [][2]interface{} {
+	report := func(round []byte) []byte {
+		b := append(hStr(hStr(nil, ""), ""), round...) // DeviceID, TaskID, Round
+		return append(b, 0, 0, 0)                      // no Update, no metrics, not aborted
+	}
 	return [][2]interface{}{
-		{CodeCheckinRequest, []byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}},
-		{CodeReportRequest, []byte{
-			0, 0, 0, 0, // DeviceID ""
-			0, 0, 0, 0, // TaskID ""
-			0, 0, 0, 0, 0, 0, 0, 0, // Round
-			0, 0, 0, 0, // Update empty
-			0xFF, 0xFF, 0xFF, 0xFF, // metrics count 4 billion
-		}},
+		{CodeCheckinRequest, hUv(nil, 0xFFFFFFFF)}, // DeviceID 4 GiB
+		{CodeCheckinRequest, append(overlongVarint, 0, 0, 0)},
+		{CodeReportRequest, append(hUv(hInt(hStr(hStr(nil, ""), ""), 0), 0), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)}, // metrics count 4 billion
+		{CodeReportRequest, append(hUv(hInt(hStr(hStr(nil, ""), ""), 0), 0), 0x80)},                         // metrics count cut off
+		{CodeReportRequest, report(overlongVarint)},
+		{CodeReportRequest, report(elevenByteVarint)},
+		{CodeReportRequest, report(overflowVarint)},
 	}
 }
 
@@ -159,8 +162,8 @@ func hostileDevicePayloads() [][2]interface{} {
 func TestMapKeysDecodeInAnyOrderOnce(t *testing.T) {
 	entry := func(k string, v byte) []byte { return append(hStr(nil, k), 0x3F, v, 0, 0, 0, 0, 0, 0) }
 	report := func(entries ...[]byte) []byte {
-		b := hU32(hU64(hStr(hStr(nil, "d"), "t"), 1), 0) // DeviceID, TaskID, Round, Update
-		b = hU32(b, uint32(len(entries)))
+		b := hUv(hInt(hStr(hStr(nil, "d"), "t"), 1), 0) // DeviceID, TaskID, Round, Update
+		b = hUv(b, uint64(len(entries)))
 		for _, e := range entries {
 			b = append(b, e...)
 		}

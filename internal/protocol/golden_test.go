@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden and DESIGN.md
 
 // frameVersion is the TCP transport's wire version byte (transport.wireVersion):
 // a golden frame is exactly what tcpConn.Send writes.
-const frameVersion = 2
+const frameVersion = 3
 
 // goldenMessages holds one instance per type code with every field set and
 // every map holding more than one entry.
@@ -195,7 +195,7 @@ func layoutKind(t reflect.Type) string {
 	case reflect.Uint64:
 		return "u64"
 	case reflect.Int, reflect.Int64:
-		return "i64"
+		return "varint"
 	case reflect.Float64:
 		return "f64"
 	case reflect.String:
@@ -230,16 +230,16 @@ func byLayout(b []byte, v reflect.Value) []byte {
 	case reflect.Uint64:
 		return hU64(b, v.Uint())
 	case reflect.Int, reflect.Int64:
-		return hU64(b, uint64(v.Int()))
+		return hInt(b, v.Int())
 	case reflect.Float64:
 		return hU64(b, math.Float64bits(v.Float()))
 	case reflect.String:
 		return hStr(b, v.String())
 	case reflect.Slice:
 		if v.Type().Elem().Kind() == reflect.Uint8 {
-			return append(hU32(b, uint32(v.Len())), v.Bytes()...)
+			return append(hUv(b, uint64(v.Len())), v.Bytes()...)
 		}
-		b = hU32(b, uint32(v.Len()))
+		b = hUv(b, uint64(v.Len()))
 		for i := range v.Len() {
 			b = byLayout(b, v.Index(i))
 		}
@@ -247,7 +247,7 @@ func byLayout(b []byte, v reflect.Value) []byte {
 	case reflect.Map:
 		keys := v.MapKeys()
 		slices.SortFunc(keys, func(x, y reflect.Value) int { return strings.Compare(x.String(), y.String()) })
-		b = hU32(b, uint32(len(keys)))
+		b = hUv(b, uint64(len(keys)))
 		for _, k := range keys {
 			b = byLayout(hStr(b, k.String()), v.MapIndex(k))
 		}

@@ -44,66 +44,85 @@ func TestActorEnvelopeCarriesAnyOtherMessage(t *testing.T) {
 	}
 }
 
-// u32 / u64 / str build hostile payloads field by field.
+// hU32 / hU64 / hUv / hInt / hStr build hostile payloads field by field:
+// fixed-width numbers, a uvarint length or count, a zigzag varint, a string.
 func hU32(buf []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(buf, v) }
 func hU64(buf []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(buf, v) }
-func hStr(buf []byte, s string) []byte { return append(hU32(buf, uint32(len(s))), s...) }
+func hUv(buf []byte, v uint64) []byte  { return binary.AppendUvarint(buf, v) }
+func hInt(buf []byte, v int64) []byte  { return binary.AppendVarint(buf, v) }
+func hStr(buf []byte, s string) []byte { return append(hUv(buf, uint64(len(s))), s...) }
+
+// Varints that are not canonical: a zero in two bytes, eleven bytes, and ten
+// bytes whose last carries bits past 64.
+var (
+	overlongVarint   = []byte{0x80, 0x00}
+	elevenByteVarint = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+	overflowVarint   = []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02}
+)
 
 // hostileShardPayloads are hand-built frames whose length fields promise far
 // more data than the payload holds — the claims range from 4 GiB strings to
-// billion-entry metric maps. Every one must be rejected.
+// billion-entry metric maps — or whose varints are not canonical. Every one
+// must be rejected.
 func hostileShardPayloads() map[string][2]interface{} {
-	sealHead := func(sumLen uint32) []byte {
+	sealHead := func(sumLen uint64) []byte {
 		b := hStr(nil, "")               // Population
 		b = hStr(b, "")                  // TaskID
-		b = hU64(b, 1)                   // Round
+		b = hInt(b, 1)                   // Round
 		b = hU32(b, 0)                   // Shard
-		b = hU64(b, 0)                   // Reports
-		b = hU64(b, 0)                   // EvalReports
-		b = hU64(b, 0)                   // Lost
-		b = hU64(b, 0)                   // Aborted
-		b = hU64(b, 0)                   // Clipped
+		b = hInt(b, 0)                   // Reports
+		b = hInt(b, 0)                   // EvalReports
+		b = hInt(b, 0)                   // Lost
+		b = hInt(b, 0)                   // Aborted
+		b = hInt(b, 0)                   // Clipped
 		b = hU64(b, math.Float64bits(1)) // Weight
-		return hU32(b, sumLen)           // Sum length
+		return hUv(b, sumLen)            // Sum length
 	}
 	rcHead := func() []byte {
 		b := hStr(nil, "")
 		b = hStr(b, "")
-		b = hU64(b, 1) // Round
-		b = hU64(b, 1) // Target
-		b = hU64(b, 1) // Admit
-		b = hU64(b, 1) // MinReports
-		b = hU64(b, 0) // MinRuntime
-		b = hU64(b, 1) // Estimate
+		b = hInt(b, 1) // Round
+		b = hInt(b, 1) // Target
+		b = hInt(b, 1) // Admit
+		b = hInt(b, 1) // MinReports
+		b = hInt(b, 0) // MinRuntime
+		b = hInt(b, 1) // Estimate
 		return b
 	}
+	finalize := func(round []byte) []byte { return append(hStr(hStr(nil, "p"), "t"), round...) }
 	return map[string][2]interface{}{
 		"stripe-seal sum 4GiB":          {CodeStripeSeal, sealHead(0xFFFFFFFF)},
-		"stripe-seal 1B metric entries": {CodeStripeSeal, hU32(append(sealHead(0), []byte{}...), 0x40000000)},
+		"stripe-seal 1B metric entries": {CodeStripeSeal, hUv(sealHead(0), 0x40000000)},
 		"stripe-seal 1B metric values": {CodeStripeSeal,
-			hU32(hStr(hU32(sealHead(0), 1), "k"), 0x40000000)},
+			hUv(hStr(hUv(sealHead(0), 1), "k"), 0x40000000)},
 		"stripe-seal 1B phase entries": {CodeStripeSeal,
-			hU32(hU32(sealHead(0), 0), 0x40000000)},
+			hUv(hUv(sealHead(0), 0), 0x40000000)},
 		"stripe-seal 1B blamed entries": {CodeStripeSeal,
-			hU32(hU32(hU32(sealHead(0), 0), 0), 0x40000000)},
+			hUv(hUv(hUv(sealHead(0), 0), 0), 0x40000000)},
 		"stripe-seal blamed entry 4GiB": {CodeStripeSeal,
-			hU32(hU32(hU32(hU32(sealHead(0), 0), 0), 1), 0xFFFFFFFF)},
+			hUv(hUv(hUv(hUv(sealHead(0), 0), 0), 1), 0xFFFFFFFF)},
 		"stripe-seal 1B group-error entries": {CodeStripeSeal,
-			hU32(hU32(hU32(hU32(sealHead(0), 0), 0), 0), 0x40000000)},
+			hUv(hUv(hUv(hUv(sealHead(0), 0), 0), 0), 0x40000000)},
 		"stripe-seal 1B robust-rejection entries": {CodeStripeSeal,
-			hU32(hU32(hU32(hU32(hU32(sealHead(0), 0), 0), 0), 0), 0x40000000)},
-		"round-config plan 4GiB":       {CodeRoundConfig, hU32(rcHead(), 0xFFFFFFFF)},
-		"round-config checkpoint 4GiB": {CodeRoundConfig, hU32(hU32(rcHead(), 0), 0xFFFFFFF0)},
-		"round-abort reason 4GiB":      {CodeRoundAbort, hU32(hU64(hStr(hStr(nil, ""), ""), 1), 0xFFFFFFFF)},
-		"shard-hello name 4GiB":        {CodeShardHello, hU32(hU32(nil, 1), 0xFFFFFFFF)},
-		"checkin-rate source 4GiB":     {CodeCheckinRate, hU32(hU32(hStr(nil, "pop"), 0), 0xFFFFFFFF)},
-		"actor-envelope payload 2GiB":  {CodeActorEnvelope, hU32(hStr(nil, "t"), 0x7FFFFFFF)},
-		"telemetry name 4GiB":          {CodeTelemetrySnapshot, hU32(hU32(nil, 1), 0xFFFFFFFF)},
-		"telemetry 1B counters":        {CodeTelemetrySnapshot, hU32(hStr(hU32(nil, 1), "s"), 0x40000000)},
+			hUv(hUv(hUv(hUv(hUv(sealHead(0), 0), 0), 0), 0), 0x40000000)},
+		"round-config plan 4GiB":           {CodeRoundConfig, hUv(rcHead(), 0xFFFFFFFF)},
+		"round-config checkpoint 4GiB":     {CodeRoundConfig, hUv(hUv(rcHead(), 0), 0xFFFFFFF0)},
+		"round-abort reason 4GiB":          {CodeRoundAbort, hUv(hInt(hStr(hStr(nil, ""), ""), 1), 0xFFFFFFFF)},
+		"round-finalize overlong round":    {CodeRoundFinalize, finalize(overlongVarint)},
+		"round-finalize 11-byte round":     {CodeRoundFinalize, finalize(elevenByteVarint)},
+		"round-finalize overflowing round": {CodeRoundFinalize, finalize(overflowVarint)},
+		"shard-hello name 4GiB":            {CodeShardHello, hUv(hU32(nil, 1), 0xFFFFFFFF)},
+		"shard-hello overlong name length": {CodeShardHello, append(hU32(nil, 1), overlongVarint...)},
+		"checkin-rate source 4GiB":         {CodeCheckinRate, hUv(hU32(hStr(nil, "pop"), 0), 0xFFFFFFFF)},
+		"actor-envelope payload 2GiB":      {CodeActorEnvelope, hUv(hStr(nil, "t"), 0x7FFFFFFF)},
+		"telemetry name 4GiB":              {CodeTelemetrySnapshot, hUv(hU32(nil, 1), 0xFFFFFFFF)},
+		"telemetry 1B counters":            {CodeTelemetrySnapshot, hUv(hStr(hU32(nil, 1), "s"), 0x40000000)},
 		"telemetry 1B gauges": {CodeTelemetrySnapshot,
-			hU32(hU32(hStr(hU32(nil, 1), "s"), 0), 0x40000000)},
+			hUv(hUv(hStr(hU32(nil, 1), "s"), 0), 0x40000000)},
 		"telemetry 1B summary values": {CodeTelemetrySnapshot,
-			hU32(hStr(hU32(hU32(hU32(hStr(hU32(nil, 1), "s"), 0), 0), 1), "k"), 0x40000000)},
+			hUv(hStr(hUv(hUv(hUv(hStr(hU32(nil, 1), "s"), 0), 0), 1), "k"), 0x40000000)},
+		"telemetry counter count past the buffer": {CodeTelemetrySnapshot,
+			append(hStr(hU32(nil, 1), "s"), 0x80)},
 	}
 }
 
@@ -158,11 +177,11 @@ func TestShardCodecUnknownTypeCodes(t *testing.T) {
 // must happen before any claim-sized allocation.
 func TestShardCodecHostileAllocationBounded(t *testing.T) {
 	hostile := hostileShardPayloads()
-	// A plan whose Ops field claims 2 GiB, after format, ID, Population,
-	// Type, model Kind, five model dimensions and Seed.
+	// A plan whose Ops field claims 2 GiB, after format, Type,
+	// ReportEncoding, model Kind and five model dimensions.
 	zeroPlan, _ := (&plan.Plan{}).Marshal()
-	const opsAt = 1 + 4 + 4 + 1 + 1 + 5*8 + 8
-	hostilePlan := append(zeroPlan[:opsAt:opsAt], 0x7F, 0xFF, 0xFF, 0xFF)
+	const opsAt = 1 + 1 + 1 + 1 + 5
+	hostilePlan := hUv(zeroPlan[:opsAt:opsAt], 0x7FFFFFFF)
 	if _, err := plan.Unmarshal(hostilePlan); err == nil {
 		t.Fatal("plan with a 2 GiB op list decoded cleanly")
 	}

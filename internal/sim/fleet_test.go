@@ -220,15 +220,39 @@ func TestParticipationCapped(t *testing.T) {
 }
 
 func TestTrafficAsymmetry(t *testing.T) {
-	// Fig. 9: download from the server dominates upload.
+	// Fig. 9: download from the server dominates upload. Every configured
+	// session downloads the device plan and the global model, uploading or
+	// not; an upload is one update of the model's size; and over-selection
+	// and drop-out leave sessions that download and never upload.
 	run := testFleet(t)
 	down := run.Metrics.Counter(metrics.NetTxBytes).Value()
 	up := run.Metrics.Counter(metrics.NetRxBytes).Value()
 	if down <= up {
 		t.Fatalf("download %d should exceed upload %d", down, up)
 	}
-	if ratio := float64(down) / float64(up); ratio < 2 {
-		t.Fatalf("download/upload ratio %v, want ≥ 2 (plan+model down, update up)", ratio)
+	dp, _ := run.Plan.MarshalDevice()
+	global, err := run.Lineage[0].Marshal(run.Plan.DownlinkEncoding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	update, err := run.Lineage[0].Marshal(run.Plan.UplinkEncoding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var configured int64
+	for _, n := range run.Metrics.CounterFamily(metrics.SessionShapes, "shape") {
+		configured += n
+	}
+	if want := configured * int64(len(dp)+len(global)); down < want {
+		t.Fatalf("download %d B, want ≥ %d configured sessions × (%d B plan + %d B model)", down, configured, len(dp), len(global))
+	}
+	if up%int64(len(update)) != 0 {
+		t.Fatalf("upload %d B is not a whole number of %d-byte updates", up, len(update))
+	}
+	// Each round admits SelectTarget devices for a goal of TargetDevices.
+	uploads, s := up/int64(len(update)), run.Plan.Server
+	if min := float64(s.SelectTarget()) / float64(s.TargetDevices); float64(configured) < min*float64(uploads) {
+		t.Fatalf("%d sessions configured for %d uploads, want ≥ %.2f× as many (over-selection)", configured, uploads, min)
 	}
 }
 

@@ -621,9 +621,9 @@ func (ts *TaskSet) Len() int {
 
 // --- persistence ---
 
-// snapshotFormat is the first byte of a persisted snapshot; it moves
-// whenever the field list below does. DESIGN.md tabulates the layout.
-const snapshotFormat = 1
+// snapshotFormat is the first byte of a persisted snapshot; it moves whenever
+// the field list below or a plan's format does. DESIGN.md tabulates the layout.
+const snapshotFormat = 2
 
 func (p *Policy) walk(c *wire.Codec) {
 	c.Int(&p.Weight)

@@ -607,11 +607,16 @@ func TestSnapshotCodecCoversEveryField(t *testing.T) {
 	}
 }
 
-// hostileSnapshots: a task count the bytes cannot hold, and a first task
-// whose plan claims 4 GiB.
+// hostileSnapshots: a task count the bytes cannot hold, a first task whose
+// plan claims 4 GiB, a task count cut off, and a trainCommitted varint that
+// is not canonical — zero in two bytes, eleven bytes, past 64 bits.
 var hostileSnapshots = [][]byte{
-	{snapshotFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0x40, 0, 0, 0},
-	{snapshotFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4},
+	{snapshotFormat, 0, 0x80, 0x80, 0x80, 0x80, 0x04},
+	{snapshotFormat, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2, 3, 4},
+	{snapshotFormat, 0, 0x80},
+	{snapshotFormat, 0x80, 0x00, 0},
+	{snapshotFormat, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0},
+	{snapshotFormat, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0},
 }
 
 // savedTask and savedSet are the shapes a gob-era build persisted.
@@ -628,14 +633,19 @@ type savedSet struct {
 }
 
 // TestRestoreRejectsForeignSnapshots: a storage.File directory holding a
-// task set written by a gob-era build (gob is the oracle for those bytes)
-// fails New with an error that says so; there is no second decoder.
+// task set written by a gob-era build (gob is the oracle for those bytes) or
+// in format 1, the fixed-width layout format 2 replaced, fails New with an
+// error that says so; there is no second decoder.
 func TestRestoreRejectsForeignSnapshots(t *testing.T) {
 	var gobEra bytes.Buffer
 	if err := gob.NewEncoder(&gobEra).Encode(&savedSet{Tasks: []savedTask{{Plan: trainPlan(t, "a"), State: Active}}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range append(hostileSnapshots, gobEra.Bytes(), []byte{snapshotFormat + 1}) {
+	format1, err := os.ReadFile(filepath.FromSlash("testdata/snapshot_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range append(hostileSnapshots, gobEra.Bytes(), format1, []byte{snapshotFormat + 1}) {
 		store, err := storage.NewFile(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -684,9 +694,9 @@ func FuzzTaskSetRestore(f *testing.F) {
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current codec")
 
-const goldenSnapshot = "testdata/snapshot_v1.golden"
+const goldenSnapshot = "testdata/snapshot_v2.golden"
 
-// TestWireGolden pins the format-1 snapshot of filledSet to the bytes in
+// TestWireGolden pins the format-2 snapshot of filledSet to the bytes in
 // testdata, and restores them: a change to any field's width, order or
 // encoding fails it. Such a change bumps snapshotFormat and regenerates the
 // file with -update.

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/protocol"
+	"repro/internal/tensor"
 )
 
 // The lease contract of tcpConn.Recv: the bytes of a large CheckinResponse
@@ -122,10 +124,39 @@ func TestLeaseSelectsByCodeAndLength(t *testing.T) {
 			t.Errorf("type code %d leases its receive buffer", code)
 		}
 	}
-	for n, want := range map[int]int{1<<10 + 1: 0, 4 << 10: 0, 4<<10 + 1: 0, 8 << 10: 0, 8<<10 + 1: 1, leaseSize + 64: 7, exactAlloc: len(rxPools) - 1} {
+	for n, want := range map[int]int{1<<10 + 1: 0, 4 << 10: 0, 4<<10 + 1: 0, 8 << 10: 0, 8<<10 + 1: 1, 10 << 10: 1,
+		10<<10 + 1: 2, 14<<10 + 1: 4, leaseSize: 24, leaseSize + 64: 25, 3 << 20: 34, exactAlloc: len(rxPools) - 1} {
 		if got := rxClass(n); got != want {
 			t.Errorf("rxClass(%d) = %d, want %d", n, got, want)
 		}
+	}
+	for j := range rxPools {
+		if size := rxClassSize(j); rxClass(size) != j || j > 0 && rxClass(rxClassSize(j-1)+1) != j {
+			t.Errorf("class %d of %d bytes is not the smallest class holding them", j, size)
+		}
+	}
+	if rxClassSize(len(rxPools)-1) != exactAlloc {
+		t.Errorf("the largest class holds %d bytes, want %d", rxClassSize(len(rxPools)-1), exactAlloc)
+	}
+}
+
+// TestLeaseFitsModelFrames: a 65 536-parameter float64 update, the canonical
+// round's, is a 512 KiB checkpoint plus headers and leases a 640 KiB
+// buffer, not the 1 MiB a power-of-two class would pin.
+func TestLeaseFitsModelFrames(t *testing.T) {
+	ck, err := (&checkpoint.Checkpoint{TaskName: "bench/round", Round: 1, Weight: 4, Params: make(tensor.Vector, 1<<16)}).
+		Marshal(checkpoint.EncodingFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := tcpPair(t)
+	sendAsync(t, client, protocol.ReportRequest{DeviceID: "stub-100", TaskID: "bench/round", Round: 1, Update: ck,
+		Metrics: map[string]float64{"train_loss": 0.5}})
+	if got := recvLarge(t, server); len(got) != len(ck) {
+		t.Fatalf("update of %d bytes, want %d", len(got), len(ck))
+	}
+	if size := cap(*server.(*tcpConn).lease); size > 640<<10 {
+		t.Fatalf("a %d-byte update leased %d bytes, want at most 640 KiB", len(ck), size)
 	}
 }
 
@@ -281,7 +312,7 @@ func TestLeaseCloseNeverRecycles(t *testing.T) {
 // TestLeaseReadErrorReturnsBuffer: a peer that hangs up mid-frame costs
 // nothing — no message is delivered and the buffer is back in the pool.
 func TestLeaseReadErrorReturnsBuffer(t *testing.T) {
-	// A 3 MiB frame has the 4 MiB class to itself in this package.
+	// A 3 MiB frame has the 3 MiB class to itself in this package.
 	const size = 3 << 20
 	pool := &rxPools[rxClass(size)]
 	returned := false

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -194,7 +193,7 @@ func (l *memListener) Addr() string { return l.addr }
 // layout changes, so a mixed-build link fails on its first frame instead of
 // misparsing.
 const (
-	wireVersion = 2
+	wireVersion = 3
 	// frameOverhead is the version + type-code bytes counted by the length.
 	frameOverhead = 2
 	// exactAlloc, 4 MiB, is the most a bare header commits (see readPayload).
@@ -218,14 +217,25 @@ type tcpConn struct {
 }
 
 // rxPools recycles the payload buffers of large device-link frames, one
-// pool per power-of-two capacity from 1<<minLeaseBits to exactAlloc. Pooled
-// memory is not zeroed: a buffer reaches the codec only once ReadFull has
-// filled it. Recv takes one after the header, so a parked Conn holds none.
-var rxPools [exactAllocBits - minLeaseBits + 1]sync.Pool
+// pool per quarter-octave class (2^k × 1, 1.25, 1.5, 1.75) from
+// 1<<minLeaseBits to exactAlloc, so a model-sized frame (2^k parameters and
+// a header) pins 1.25× its size, not 2×. Pooled memory is not zeroed: a
+// buffer reaches the codec only once ReadFull has filled it. Recv takes one
+// after the header, so a parked Conn holds none.
+var rxPools [4*(exactAllocBits-minLeaseBits) + 1]sync.Pool
 
-// rxClass is the rxPools index of the smallest buffer holding n bytes
-// (n > 0); everything up to 8 KiB shares class 0.
-func rxClass(n int) int { return max(bits.Len(uint(n-1))-minLeaseBits, 0) }
+// rxClassSize is the capacity of class j's buffers: 2^k × (4 + j%4)/4.
+func rxClassSize(j int) int { return (4 + j%4) << (minLeaseBits - 2 + j/4) }
+
+// rxClass is the rxPools index of the smallest class holding n bytes
+// (0 < n ≤ exactAlloc); everything up to 8 KiB shares class 0.
+func rxClass(n int) int {
+	j := 0
+	for rxClassSize(j) < n {
+		j++
+	}
+	return j
+}
 
 // leased reports whether a frame's payload is read into a leased buffer: its
 // code's row is leased (the two O(dim) device-link messages and StripeSeal,
@@ -392,7 +402,7 @@ func (t *tcpConn) readLeased(r io.Reader, n int) ([]byte, error) {
 		obsRxBufReused.Inc()
 	} else {
 		obsRxBufAlloc.Inc()
-		b := make([]byte, 1<<(minLeaseBits+class))
+		b := make([]byte, rxClassSize(class))
 		p = &b
 	}
 	t.lease = p

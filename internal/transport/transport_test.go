@@ -311,13 +311,14 @@ func TestTCPSendWithoutCodecFails(t *testing.T) {
 	}
 }
 
-// TestTCPRejectsRetiredFramesByHeader: a frame from a wire-version-1 build
-// and a frame with the reserved code 0 — each claiming a 1 GiB payload —
-// are rejected by name from the 6 header bytes, before any payload memory
-// is committed or awaited.
+// TestTCPRejectsRetiredFramesByHeader: a frame from a wire-version-1 or -2
+// build (version 2 wrote ints fixed-width) and a frame with the reserved
+// code 0 — each claiming a 1 GiB payload — are rejected by name from the 6
+// header bytes, before any payload memory is committed or awaited.
 func TestTCPRejectsRetiredFramesByHeader(t *testing.T) {
 	for want, hdr := range map[string][]byte{
 		"unsupported wire version 1": {0x40, 0, 0, 0, 1, byte(protocol.CodeAbort)},
+		"unsupported wire version 2": {0x40, 0, 0, 0, 2, byte(protocol.CodeAbort)},
 		"unknown type code 0":        {0x40, 0, 0, 0, wireVersion, 0},
 	} {
 		l, err := ListenTCP("127.0.0.1:0")

@@ -4,17 +4,20 @@
 // order on a *Codec (c.Str(&m.DeviceID), c.I64(&m.Round), …) — and the same
 // walk sizes, encodes and decodes it.
 //
-// Layout conventions: fixed-order big-endian fields; strings, byte slices and
-// lists are u32-length-prefixed; ints and durations are i64; maps are
-// u32-count-prefixed (key, value) pairs in key order. Decoding validates
-// every count against the bytes remaining before any count-sized allocation,
-// so a hostile length cannot commit memory proportional to its claim, and it
-// accepts canonical bytes only: what decodes re-encodes to the same bytes.
+// Layout conventions: fixed-order fields; ints and durations are zigzag
+// varints, u8/u32/u64/f64 big-endian; strings, byte slices and lists are
+// uvarint-length-prefixed; maps are uvarint-count-prefixed (key, value) pairs
+// in key order. Decoding validates every count against the bytes remaining
+// before any count-sized allocation, so a hostile length cannot commit memory
+// proportional to its claim, and accepts canonical bytes only (shortest
+// varints): what decodes re-encodes to the same bytes.
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 )
@@ -131,12 +134,44 @@ func (c *Codec) fixed(v uint64, w int, what string) (uint64, bool) {
 	return 0, false
 }
 
-// num runs a fixed-width number. It must stay small enough to inline: a
-// pointer into a walked message that reaches a generic call the compiler
-// cannot see through moves every walked message to the heap (TestCodecAllocs
-// in internal/protocol catches that).
-func num[T ~uint8 | ~uint32 | ~uint64 | ~int64 | ~int](c *Codec, p *T, w int, what string) {
+// uvarint runs an unsigned varint holding v, like fixed. Decoding refuses
+// one longer than its shortest form, past 10 bytes or past 64 bits.
+func (c *Codec) uvarint(v uint64, what string) (uint64, bool) {
+	switch c.pass {
+	case sizing:
+		c.n += (bits.Len64(v|1) + 6) / 7
+	case decoding:
+		if v, n := binary.Uvarint(c.in); n <= 0 || n > 1 && c.in[n-1] == 0 {
+			c.Fail(fmt.Errorf("wire: bad %s varint", what))
+		} else if c.take(n, what) != nil {
+			return v, true
+		}
+		return 0, true
+	default:
+		c.buf = binary.AppendUvarint(c.buf, v)
+	}
+	return 0, false
+}
+
+// zigzag runs a signed varint: x zigzag-mapped onto a uvarint, so small
+// magnitudes of either sign take few bytes.
+func (c *Codec) zigzag(x int64) (int64, bool) {
+	v, ok := c.uvarint(uint64(x<<1)^uint64(x>>63), "int")
+	return int64(v>>1) ^ -int64(v&1), ok
+}
+
+// num runs a fixed-width number and varint a signed varint. They must stay
+// small enough to inline: a pointer into a walked message that reaches a
+// generic call the compiler cannot see through moves every walked message
+// to the heap (TestCodecAllocs in internal/protocol catches that).
+func num[T ~uint8 | ~uint32 | ~uint64](c *Codec, p *T, w int, what string) {
 	if v, ok := c.fixed(uint64(*p), w, what); ok {
+		*p = T(v)
+	}
+}
+
+func varint[T ~int64 | ~int](c *Codec, p *T) {
+	if v, ok := c.zigzag(int64(*p)); ok {
 		*p = T(v)
 	}
 }
@@ -144,9 +179,9 @@ func num[T ~uint8 | ~uint32 | ~uint64 | ~int64 | ~int](c *Codec, p *T, w int, wh
 func (c *Codec) U8(p *uint8)          { num(c, p, 1, "u8") }
 func (c *Codec) U32(p *uint32)        { num(c, p, 4, "u32") }
 func (c *Codec) U64(p *uint64)        { num(c, p, 8, "u64") }
-func (c *Codec) I64(p *int64)         { num(c, p, 8, "i64") }
-func (c *Codec) Int(p *int)           { num(c, p, 8, "i64") }
-func (c *Codec) Dur(p *time.Duration) { c.I64((*int64)(p)) }
+func (c *Codec) I64(p *int64)         { varint(c, p) }
+func (c *Codec) Int(p *int)           { varint(c, p) }
+func (c *Codec) Dur(p *time.Duration) { varint(c, p) }
 
 func (c *Codec) F64(p *float64) {
 	if v, ok := c.fixed(math.Float64bits(*p), 8, "f64"); ok {
@@ -168,19 +203,19 @@ func (c *Codec) Bool(p *bool) {
 	}
 }
 
-// count runs a u32 count of n entries; decoding, it returns the count read,
-// or 0 with an error latched when the bytes remaining cannot hold that many
-// entries of minEntry bytes.
+// count runs a uvarint count of n entries; decoding, it returns the count
+// read, or 0 with an error latched when the bytes remaining cannot hold that
+// many entries of minEntry bytes.
 func (c *Codec) count(n int, minEntry int, what string) int {
-	v, ok := c.fixed(uint64(n), 4, what)
+	v, ok := c.uvarint(uint64(n), what)
 	if !ok {
 		return n
 	}
-	if n = int(v); c.err != nil || n > len(c.in)/minEntry {
+	if c.err != nil || v > uint64(len(c.in)/minEntry) {
 		c.truncated(what)
 		return 0
 	}
-	return n
+	return int(v)
 }
 
 // Count runs the length of a list whose entries the walk runs next, each at
@@ -241,7 +276,7 @@ func (c *Codec) Time(p *time.Time) {
 
 // Strs runs a string list (empty decodes as nil).
 func (c *Codec) Strs(p *[]string) {
-	n := c.count(len(*p), 4, "string list")
+	n := c.count(len(*p), 1, "string list")
 	if c.pass == decoding && n > 0 {
 		*p = make([]string, n)
 	}
@@ -261,12 +296,12 @@ func (c *Codec) F64s(p *[]float64) {
 	}
 }
 
-// The maps have string keys; each entry is at least 12 bytes (8 for a list
-// value's key and count).
+// The maps have string keys; an entry is at least its key's length byte and
+// its value: 8 bytes for a float, 1 for a varint or a list's count.
 
 func (c *Codec) F64Map(p *map[string]float64) {
 	var buf [8]string
-	c.entries(keysOf(*p, buf[:0]), 12, func(k string) int {
+	c.entries(keysOf(*p, buf[:0]), 9, func(k string) int {
 		v := (*p)[k]
 		c.F64(&v)
 		return put(c, p, k, v)
@@ -275,7 +310,7 @@ func (c *Codec) F64Map(p *map[string]float64) {
 
 func (c *Codec) I64Map(p *map[string]int64) {
 	var buf [8]string
-	c.entries(keysOf(*p, buf[:0]), 12, func(k string) int {
+	c.entries(keysOf(*p, buf[:0]), 2, func(k string) int {
 		v := (*p)[k]
 		c.I64(&v)
 		return put(c, p, k, v)
@@ -284,7 +319,7 @@ func (c *Codec) I64Map(p *map[string]int64) {
 
 func (c *Codec) F64sMap(p *map[string][]float64) {
 	var buf [8]string
-	c.entries(keysOf(*p, buf[:0]), 8, func(k string) int {
+	c.entries(keysOf(*p, buf[:0]), 2, func(k string) int {
 		v := (*p)[k]
 		c.F64s(&v)
 		return put(c, p, k, v)
