@@ -13,26 +13,27 @@ func benchCheckpoint(n int) *Checkpoint {
 	return &Checkpoint{TaskName: "bench/task", Round: 10, Weight: 100, Params: params}
 }
 
-func BenchmarkMarshalFloat64(b *testing.B) {
+func benchMarshal(b *testing.B, enc Encoding) {
 	c := benchCheckpoint(100_000)
-	b.SetBytes(int64(c.WireSize(EncodingFloat64)))
+	buf, err := c.Marshal(enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Marshal(EncodingFloat64); err != nil {
+		if _, err := c.Marshal(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+func BenchmarkMarshalFloat64(b *testing.B) {
+	benchMarshal(b, EncodingFloat64)
+}
+
 func BenchmarkMarshalQuant8(b *testing.B) {
-	c := benchCheckpoint(100_000)
-	b.SetBytes(int64(c.WireSize(EncodingQuant8)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Marshal(EncodingQuant8); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchMarshal(b, EncodingQuant8)
 }
 
 func BenchmarkUnmarshalFloat64(b *testing.B) {

@@ -3,18 +3,21 @@
 // state of a TensorFlow session", Sec. 2.1). The global model goes down as
 // a checkpoint; the device's weighted update comes back as one.
 //
-// Two wire encodings: full float64 and 8-bit quantized (Sec. 11, Bandwidth).
-// A training plan's report encoding governs its device link both ways —
-// updates up, the global model down (plan.DownlinkEncoding); eval downloads
-// and the stored master checkpoint are always float64.
+// A checkpoint is one walk over a wire.Codec — magic, version, encoding,
+// task name, round, weight, parameter count — and then the parameters in a
+// row of the encoding table: full float64, or 8-bit quantized (Sec. 11,
+// Bandwidth). DESIGN.md §2 tabulates both. A training plan's report
+// encoding governs its device link both ways — updates up, the global model
+// down (plan.DownlinkEncoding); eval downloads and the stored master
+// checkpoint are always float64.
 package checkpoint
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // Checkpoint carries model parameters plus protocol metadata.
@@ -27,7 +30,7 @@ type Checkpoint struct {
 	Params tensor.Vector
 }
 
-// Encoding selects the wire format for parameters.
+// Encoding selects the wire format for parameters: a row of the table.
 type Encoding uint8
 
 // Available encodings.
@@ -38,60 +41,77 @@ const (
 
 const (
 	magic         = 0x464C4350 // "FLCP"
-	formatVersion = 1
+	formatVersion = 2          // format 1, fixed-width, is refused (testdata/checkpoint_v1.golden)
 )
+
+// A row is one encoding, indexed by its byte: the bytes per element, whether
+// the elements' range [lo, hi] precedes them as two f64 (a ranged row's
+// elements are levels spanning it), and the kernels between element bytes
+// and a Vector. The kernels take the Meta by value: a pointer passed through
+// the table would move every Meta to the heap.
+type row struct {
+	name     string
+	width    int
+	ranged   bool
+	put      func(m Meta, dst []byte, v tensor.Vector)
+	set, add func(m Meta, dst tensor.Vector, src []byte)
+	axpy     func(m Meta, dst tensor.Vector, a float64, src []byte)
+	sumSq    func(m Meta, src []byte) float64
+}
+
+var rows = [256]row{
+	EncodingFloat64: {name: "float64", width: 8,
+		put:   func(_ Meta, dst []byte, v tensor.Vector) { v.PutBE(dst) },
+		set:   func(_ Meta, dst tensor.Vector, src []byte) { dst.SetBE(src) },
+		add:   func(_ Meta, dst tensor.Vector, src []byte) { dst.AddBE(src) },
+		axpy:  func(_ Meta, dst tensor.Vector, a float64, src []byte) { dst.AxpyBE(a, src) },
+		sumSq: func(m Meta, src []byte) float64 { return tensor.SumSquaresBE(src, m.NumParams) },
+	},
+	// Quant8 decodes through a table of its 256 levels on the kernel's stack.
+	EncodingQuant8: {name: "quant8", width: 1, ranged: true,
+		put: func(m Meta, dst []byte, v tensor.Vector) { v.PutQuant8(dst, m.lo, m.hi) },
+		set: func(m Meta, dst tensor.Vector, src []byte) { var lut [256]float64; dst.SetLUT(m.levels(1, &lut), src) },
+		add: func(m Meta, dst tensor.Vector, src []byte) { var lut [256]float64; dst.AddLUT(m.levels(1, &lut), src) },
+		axpy: func(m Meta, dst tensor.Vector, a float64, src []byte) {
+			var lut [256]float64
+			dst.AddLUT(m.levels(a, &lut), src)
+		},
+		sumSq: func(m Meta, src []byte) float64 {
+			var lut [256]float64
+			return tensor.SumSquaresLUT(m.levels(1, &lut), src)
+		},
+	},
+}
+
+// Valid reports whether e names a row of the encoding table.
+func (e Encoding) Valid() bool { return rows[e].width > 0 }
 
 // Clone returns a deep copy.
 func (c *Checkpoint) Clone() *Checkpoint {
 	return &Checkpoint{TaskName: c.TaskName, Round: c.Round, Weight: c.Weight, Params: c.Params.Clone()}
 }
 
-// Marshal serializes the checkpoint with the given encoding.
-//
-// Layout (big-endian):
-//
-//	u32 magic | u8 version | u8 encoding | u16 nameLen | name bytes
-//	i64 round | f64 weight | u32 paramLen | params…
-//
-// Quant8 params are prefixed by f64 min, f64 max.
+// Marshal serializes the checkpoint with the given encoding into one
+// exact-size buffer.
 func (c *Checkpoint) Marshal(enc Encoding) ([]byte, error) {
-	if len(c.TaskName) > math.MaxUint16 {
-		return nil, fmt.Errorf("checkpoint: task name too long (%d bytes)", len(c.TaskName))
-	}
-	if uint64(len(c.Params)) > math.MaxUint32 {
-		return nil, fmt.Errorf("checkpoint: too many params (%d)", len(c.Params))
-	}
-	if enc != EncodingFloat64 && enc != EncodingQuant8 {
+	if !enc.Valid() {
 		return nil, fmt.Errorf("checkpoint: unknown encoding %d", enc)
 	}
-	buf := make([]byte, 0, c.WireSize(enc))
-
-	buf = binary.BigEndian.AppendUint32(buf, magic)
-	buf = append(buf, formatVersion, byte(enc))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.TaskName)))
-	buf = append(buf, c.TaskName...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(c.Round))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c.Weight))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Params)))
-
-	switch enc {
-	case EncodingFloat64:
-		c.Params.PutBE(buf[len(buf):cap(buf)])
-	case EncodingQuant8:
+	m := Meta{Round: c.Round, Weight: c.Weight, NumParams: len(c.Params), Encoding: enc}
+	r := &rows[enc]
+	if r.ranged {
 		// A NaN, an infinity or a range wider than MaxFloat64 has no levels.
-		lo, hi := c.Params.Range()
-		if d := hi - lo; math.IsNaN(d) || math.IsInf(d, 0) {
-			return nil, fmt.Errorf("checkpoint: quant8 needs finite params and range, have [%v, %v]", lo, hi)
+		if m.lo, m.hi = c.Params.Range(); math.IsNaN(m.hi-m.lo) || math.IsInf(m.hi-m.lo, 0) {
+			return nil, fmt.Errorf("checkpoint: %s needs finite params and range, have [%v, %v]", r.name, m.lo, m.hi)
 		}
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(lo))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(hi))
-		scale := 0.0
-		if hi > lo {
-			scale = 255 / (hi - lo)
-		}
-		c.Params.PutQuant8(buf[len(buf):cap(buf)], lo, scale)
 	}
-	return buf[:cap(buf)], nil
+	var w wire.Codec
+	m.walk(&w, len(c.TaskName))
+	w.Encode(false)
+	name, elems := m.walk(&w, len(c.TaskName))
+	copy(name, c.TaskName)
+	r.put(m, elems, c.Params)
+	return w.Encoded(), nil
 }
 
 // Meta is a checkpoint's header, parsed without materializing the O(dim)
@@ -104,64 +124,83 @@ type Meta struct {
 	Weight    float64
 	NumParams int
 	Encoding  Encoding
-	// nameOff/nameLen locate the task name inside the buffer; paramsOff is
-	// where the parameter section (including the Quant8 min/max prefix)
-	// starts. Kept as offsets so ParseMeta allocates nothing.
-	nameOff, nameLen, paramsOff int
+	// lo and hi are a ranged row's range.
+	lo, hi float64
 }
 
-// TaskName extracts the task name from the buffer the Meta was parsed from.
-func (m Meta) TaskName(b []byte) string { return string(b[m.nameOff : m.nameOff+m.nameLen]) }
+// walk runs a checkpoint holding m and a task name of nameLen bytes: the
+// header, then the element section, which ends the checkpoint. It returns
+// the name and the elements: decoding, aliases of the input; encoding, the
+// windows of the buffer that Marshal fills.
+func (m *Meta) walk(c *wire.Codec, nameLen int) (name, elems []byte) {
+	mg, version := uint32(magic), uint8(formatVersion)
+	c.U32(&mg)
+	c.U8(&version)
+	c.U8((*uint8)(&m.Encoding))
+	if mg != magic || version != formatVersion || !m.Encoding.Valid() {
+		c.Fail(fmt.Errorf("not a format-%d checkpoint: magic %#x, version %d, encoding %d",
+			formatVersion, mg, version, m.Encoding))
+	}
+	c.Count(&nameLen, 1)
+	name = c.Raw(nameLen)
+	c.I64(&m.Round)
+	c.F64(&m.Weight)
+	// Decoding, the count is checked against the bytes left before anyone
+	// allocates O(count): a hostile few-byte header must not commit
+	// gigabytes. (An unknown encoding failed above, so its zero width is
+	// never divided by.)
+	r := &rows[m.Encoding]
+	c.Count(&m.NumParams, r.width)
+	if r.ranged {
+		c.F64(&m.lo)
+		c.F64(&m.hi)
+	}
+	return name, c.Raw(r.width * m.NumParams)
+}
+
+// parse decodes a whole checkpoint, refusing truncation and trailing bytes.
+func parse(b []byte) (m Meta, name, elems []byte, err error) {
+	d := wire.Decoder(b)
+	name, elems = m.walk(&d, 0)
+	if err = d.Finish(); err != nil {
+		return Meta{}, nil, nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return m, name, elems, nil
+}
 
 // ParseMeta validates and parses a checkpoint header. It performs every
-// bounds check Unmarshal would — a buffer that passes ParseMeta cannot make
+// check Unmarshal would — a buffer that passes ParseMeta cannot make
 // DecodeParams or AccumulateParams read out of range — while allocating
 // nothing, so the per-device Reporting path can inspect updates for free.
 func ParseMeta(b []byte) (Meta, error) {
-	var m Meta
-	if len(b) < 12 {
-		return m, fmt.Errorf("checkpoint: truncated header (%d bytes)", len(b))
+	m, _, _, err := parse(b)
+	return m, err
+}
+
+// TaskName extracts the task name from the buffer the Meta was parsed from.
+func (m Meta) TaskName(b []byte) string {
+	_, name, _, _ := parse(b)
+	return string(name)
+}
+
+// elems returns the element section of b, the buffer m was parsed from: its
+// tail, since ParseMeta refuses bytes after it.
+func (m Meta) elems(b []byte) []byte { return b[len(b)-rows[m.Encoding].width*m.NumParams:] }
+
+// levels fills lut[q] = scale·(lo + q·step), the value of level byte q, and
+// returns it. The table is the per-element dequantization expression
+// evaluated once per level instead of once per parameter, so folding through
+// it is bit-identical to computing in place (scale 1 multiplies exactly).
+// Callers keep lut on their stack: returned by value, it measured slower.
+func (m Meta) levels(scale float64, lut *[256]float64) *[256]float64 {
+	step := 0.0
+	if m.hi > m.lo {
+		step = (m.hi - m.lo) / 255
 	}
-	if binary.BigEndian.Uint32(b) != magic {
-		return m, fmt.Errorf("checkpoint: bad magic %#x", binary.BigEndian.Uint32(b))
+	for q := range lut {
+		lut[q] = scale * (m.lo + float64(q)*step)
 	}
-	if b[4] != formatVersion {
-		return m, fmt.Errorf("checkpoint: unsupported format version %d", b[4])
-	}
-	m.Encoding = Encoding(b[5])
-	m.nameLen = int(binary.BigEndian.Uint16(b[6:]))
-	m.nameOff = 8
-	off := 8
-	if len(b) < off+m.nameLen+20 {
-		return m, fmt.Errorf("checkpoint: truncated body")
-	}
-	off += m.nameLen
-	m.Round = int64(binary.BigEndian.Uint64(b[off:]))
-	off += 8
-	m.Weight = math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
-	off += 8
-	// Validate the claimed parameter count against the remaining bytes
-	// BEFORE anyone allocates O(n): updates arrive from devices, and a
-	// hostile few-byte header claiming 2³²−1 params must not commit
-	// gigabytes. Sizes are computed in int64 so the count cannot overflow
-	// int on 32-bit platforms and slip past the check into make.
-	count := int64(binary.BigEndian.Uint32(b[off:]))
-	off += 4
-	var need int64
-	switch m.Encoding {
-	case EncodingFloat64:
-		need = 8 * count
-	case EncodingQuant8:
-		need = 16 + count
-	default:
-		return m, fmt.Errorf("checkpoint: unknown encoding %d", m.Encoding)
-	}
-	if int64(len(b)-off) < need {
-		return m, fmt.Errorf("checkpoint: truncated params (have %d, need %d)", len(b)-off, need)
-	}
-	m.NumParams = int(count)
-	m.paramsOff = off
-	return m, nil
+	return lut
 }
 
 // DecodeParams decodes the parameter section of the buffer m was parsed
@@ -172,7 +211,7 @@ func (m Meta) DecodeParams(b []byte, dst tensor.Vector) error {
 	if len(dst) < m.NumParams {
 		return fmt.Errorf("checkpoint: decode buffer holds %d params, need %d", len(dst), m.NumParams)
 	}
-	m.apply(b, dst, false)
+	rows[m.Encoding].set(m, dst[:m.NumParams], m.elems(b))
 	return nil
 }
 
@@ -195,49 +234,8 @@ func (m Meta) AccumulateParams(b []byte, sum tensor.Vector) error {
 	if len(sum) != m.NumParams {
 		return fmt.Errorf("checkpoint: accumulate dim %d, update has %d", len(sum), m.NumParams)
 	}
-	m.apply(b, sum, true)
+	rows[m.Encoding].add(m, sum, m.elems(b))
 	return nil
-}
-
-// apply decodes params into dst, either overwriting (add=false) or
-// accumulating (add=true). Bounds were established by ParseMeta.
-func (m Meta) apply(b []byte, dst tensor.Vector, add bool) {
-	dst = dst[:m.NumParams]
-	switch m.Encoding {
-	case EncodingFloat64:
-		if add {
-			dst.AddBE(b[m.paramsOff:])
-		} else {
-			dst.SetBE(b[m.paramsOff:])
-		}
-	case EncodingQuant8:
-		var lut [256]float64
-		levels := m.quant8(b, 1, &lut)
-		if add {
-			dst.AddLUT(&lut, levels)
-		} else {
-			dst.SetLUT(&lut, levels)
-		}
-	}
-}
-
-// quant8 fills lut[q] = scale·(lo + q·step), the value of level byte q in
-// the Quant8 section of the buffer m was parsed from, and returns the
-// NumParams level bytes. The table is the per-element dequantization
-// expression evaluated once per level instead of once per parameter, so
-// folding through it is bit-identical to computing in place (scale 1
-// multiplies exactly). Callers keep lut on their stack.
-func (m Meta) quant8(b []byte, scale float64, lut *[256]float64) []byte {
-	var r [2]float64 // lo, hi
-	tensor.Vector(r[:]).SetBE(b[m.paramsOff:])
-	lo, step := r[0], 0.0
-	if r[1] > lo {
-		step = (r[1] - lo) / 255
-	}
-	for q := range lut {
-		lut[q] = scale * (lo + float64(q)*step)
-	}
-	return b[m.paramsOff+16:][:m.NumParams]
 }
 
 // ParamNorm returns the L2 norm of the parameter section of the buffer m
@@ -246,56 +244,30 @@ func (m Meta) quant8(b []byte, scale float64, lut *[256]float64) []byte {
 // decide whether an update needs norm clipping — and by how much — before
 // touching an accumulator stripe.
 func (m Meta) ParamNorm(b []byte) float64 {
-	var ss float64
-	switch m.Encoding {
-	case EncodingFloat64:
-		ss = tensor.SumSquaresBE(b[m.paramsOff:], m.NumParams)
-	case EncodingQuant8:
-		var lut [256]float64
-		ss = tensor.SumSquaresLUT(&lut, m.quant8(b, 1, &lut))
-	}
-	return math.Sqrt(ss)
+	return math.Sqrt(rows[m.Encoding].sumSq(m, m.elems(b)))
 }
 
 // AccumulateParamsScaled folds scale × params into sum:
 // sum[i] += scale·params[i], with the same guarantees as AccumulateParams.
 // Paired with ParamNorm it lets the Reporting edge clip an over-norm
 // update into a stripe in two streaming passes over the wire bytes,
-// allocating nothing.
+// allocating nothing. (Quant8 scales its level table, not the elements.)
 func (m Meta) AccumulateParamsScaled(b []byte, sum tensor.Vector, scale float64) error {
 	if len(sum) != m.NumParams {
 		return fmt.Errorf("checkpoint: accumulate dim %d, update has %d", len(sum), m.NumParams)
 	}
-	switch m.Encoding {
-	case EncodingFloat64:
-		sum.AxpyBE(scale, b[m.paramsOff:])
-	case EncodingQuant8:
-		var lut [256]float64
-		sum.AddLUT(&lut, m.quant8(b, scale, &lut))
-	}
+	rows[m.Encoding].axpy(m, sum, scale, m.elems(b))
 	return nil
 }
 
 // Unmarshal parses a checkpoint produced by Marshal.
 func Unmarshal(b []byte) (*Checkpoint, error) {
-	m, err := ParseMeta(b)
+	m, name, elems, err := parse(b)
 	if err != nil {
 		return nil, err
 	}
-	c := &Checkpoint{TaskName: m.TaskName(b), Round: m.Round, Weight: m.Weight,
+	c := &Checkpoint{TaskName: string(name), Round: m.Round, Weight: m.Weight,
 		Params: make(tensor.Vector, m.NumParams)}
-	m.apply(b, c.Params, false)
+	rows[m.Encoding].set(m, c.Params, elems)
 	return c, nil
-}
-
-// WireSize returns the encoded size in bytes without allocating the buffer:
-// Marshal's exact allocation, and the Fig. 9 traffic accounting's figure.
-func (c *Checkpoint) WireSize(enc Encoding) int {
-	header := 4 + 1 + 1 + 2 + len(c.TaskName) + 8 + 8 + 4
-	switch enc {
-	case EncodingQuant8:
-		return header + 16 + len(c.Params)
-	default:
-		return header + 8*len(c.Params)
-	}
 }

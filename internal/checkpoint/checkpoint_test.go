@@ -80,10 +80,6 @@ func TestQuant8IsSmaller(t *testing.T) {
 	if len(q) >= len(full)/6 {
 		t.Fatalf("quant8 size %d not ≪ float64 size %d", len(q), len(full))
 	}
-	if c.WireSize(EncodingFloat64) != len(full) || c.WireSize(EncodingQuant8) != len(q) {
-		t.Fatalf("WireSize mismatch: %d/%d vs %d/%d",
-			c.WireSize(EncodingFloat64), c.WireSize(EncodingQuant8), len(full), len(q))
-	}
 }
 
 func TestEmptyParams(t *testing.T) {
@@ -103,44 +99,44 @@ func TestEmptyParams(t *testing.T) {
 	}
 }
 
-func TestUnmarshalErrors(t *testing.T) {
-	c := sample()
-	good, _ := c.Marshal(EncodingFloat64)
-
-	cases := map[string][]byte{
+// hostileCheckpoints are buffers both decoders must refuse.
+func hostileCheckpoints() map[string][]byte {
+	good, _ := sample().Marshal(EncodingFloat64)
+	wide := &Checkpoint{TaskName: "t", Weight: 1, Params: make(tensor.Vector, 256)}
+	junk, _ := wide.Marshal(EncodingFloat64)
+	return map[string][]byte{
 		"empty":          {},
 		"short":          good[:8],
 		"bad magic":      append([]byte{0, 0, 0, 0}, good[4:]...),
 		"bad version":    func() []byte { b := append([]byte(nil), good...); b[4] = 99; return b }(),
 		"bad encoding":   func() []byte { b := append([]byte(nil), good...); b[5] = 99; return b }(),
 		"truncated body": good[:len(good)-3],
+		"trailing bytes": append(junk, make([]byte, 1000)...),
+		// Updates arrive from devices: a tiny buffer whose header claims 2⁴⁰
+		// params must error before allocating O(claimed) memory. (If the
+		// count were trusted, this test would OOM, not merely fail.)
+		"hostile count, float64": rawCheckpoint(EncodingFloat64, 3, 1, 1<<40, make([]byte, 64)),
+		"hostile count, quant8":  rawCheckpoint(EncodingQuant8, 3, 1, 1<<40, make([]byte, 64)),
 	}
-	for name, b := range cases {
+}
+
+func TestUnmarshalErrors(t *testing.T) {
+	for name, b := range hostileCheckpoints() {
 		if _, err := Unmarshal(b); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
 }
 
+// TestUnmarshalHostileParamCount: a count past the bytes left is refused
+// however far past, for both encodings and even when one element is missing.
 func TestUnmarshalHostileParamCount(t *testing.T) {
-	// Updates arrive from devices: a tiny buffer whose header claims 2³²−1
-	// params must error before allocating O(claimed) memory. (If the count
-	// were trusted, this test would OOM, not merely fail.)
-	c := sample()
 	for _, enc := range []Encoding{EncodingFloat64, EncodingQuant8} {
-		good, err := c.Marshal(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The param count sits 4 bytes before the params block; header is
-		// magic(4) version(1) encoding(1) nameLen(2) name round(8) weight(8).
-		countOff := 4 + 1 + 1 + 2 + len(c.TaskName) + 8 + 8
-		hostile := append([]byte(nil), good...)
-		for i := 0; i < 4; i++ {
-			hostile[countOff+i] = 0xFF
-		}
-		if _, err := Unmarshal(hostile); err == nil {
-			t.Errorf("encoding %d: hostile param count decoded cleanly", enc)
+		for _, n := range []int{6, 1 << 20, 1 << 62} {
+			b := rawCheckpoint(enc, 4, 1, n, foldSection(enc, 5, 1, false))
+			if _, err := Unmarshal(b); err == nil {
+				t.Errorf("encoding %d: count %d over 5 params decoded cleanly", enc, n)
+			}
 		}
 	}
 }

@@ -14,42 +14,87 @@ import (
 // together.
 var kernelLens = []int{0, 1, 3, 4, 5, 7, 8, 9, 65535, 65537}
 
+// v2Header is the checkpoint header in order, each field with its wire
+// kind. rawCheckpoint writes and naiveHeader reads bytes along it with
+// encoding/binary, sharing nothing with the walk, and DESIGN.md §2 prints it
+// (TestDesignCheckpointTable).
+var v2Header = [...]struct{ field, kind string }{
+	{"magic, `FLCP`", "u32"}, {"format version, 2", "u8"}, {"encoding, a row below", "u8"},
+	{"task name", "bytes"}, {"round", "varint"}, {"weight", "f64"}, {"parameter count", "uvarint"},
+}
+
 // rawCheckpoint lays out a checkpoint by hand around an arbitrary parameter
 // section, so float bit patterns (NaN payloads, denormals) and Quant8
 // headers Marshal would never emit (hi < lo, NaN) reach the decoders.
 func rawCheckpoint(enc Encoding, nameLen int, weight float64, n int, section []byte) []byte {
-	b := binary.BigEndian.AppendUint32(nil, magic)
-	b = append(b, formatVersion, byte(enc))
-	b = binary.BigEndian.AppendUint16(b, uint16(nameLen))
-	b = append(b, strings.Repeat("n", nameLen)...)
-	b = binary.BigEndian.AppendUint64(b, 7)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(weight))
-	b = binary.BigEndian.AppendUint32(b, uint32(n))
+	vals := [len(v2Header)]uint64{0x464C4350, 2, uint64(enc), uint64(nameLen), 7, math.Float64bits(weight), uint64(n)}
+	var b []byte
+	for i, f := range v2Header {
+		switch f.kind {
+		case "u32":
+			b = binary.BigEndian.AppendUint32(b, uint32(vals[i]))
+		case "u8":
+			b = append(b, byte(vals[i]))
+		case "f64":
+			b = binary.BigEndian.AppendUint64(b, vals[i])
+		case "varint":
+			b = binary.AppendVarint(b, int64(vals[i]))
+		case "uvarint":
+			b = binary.AppendUvarint(b, vals[i])
+		case "bytes":
+			b = append(binary.AppendUvarint(b, vals[i]), strings.Repeat("n", int(vals[i]))...)
+		}
+	}
 	return append(b, section...)
+}
+
+// naiveHeader reads a header along v2Header: each field's value (a varint
+// zigzag-decoded, an f64 as its bits, bytes as their length) and bytes, and
+// the parameter section after the header.
+func naiveHeader(b []byte) (vals [len(v2Header)]uint64, raw [len(v2Header)][]byte, section []byte) {
+	for i, f := range v2Header {
+		var n int
+		switch f.kind {
+		case "u32":
+			vals[i], n = uint64(binary.BigEndian.Uint32(b)), 4
+		case "u8":
+			vals[i], n = uint64(b[0]), 1
+		case "f64":
+			vals[i], n = binary.BigEndian.Uint64(b), 8
+		case "varint":
+			x, k := binary.Varint(b)
+			vals[i], n = uint64(x), k
+		case "uvarint", "bytes":
+			vals[i], n = binary.Uvarint(b)
+			if f.kind == "bytes" {
+				n += int(vals[i])
+			}
+		}
+		raw[i], b = b[:n], b[n:]
+	}
+	return vals, raw, b
 }
 
 // naiveParams is the reference decoder: one element at a time, the
 // per-element expressions the fused paths had before they were kernels,
 // sharing nothing with ParseMeta or internal/tensor.
 func naiveParams(b []byte) tensor.Vector {
-	off := 8 + int(binary.BigEndian.Uint16(b[6:])) + 16
-	n := int(binary.BigEndian.Uint32(b[off:]))
-	off += 4
-	out := make(tensor.Vector, n)
-	switch Encoding(b[5]) {
+	vals, _, sec := naiveHeader(b)
+	out := make(tensor.Vector, vals[len(vals)-1])
+	switch Encoding(vals[2]) {
 	case EncodingFloat64:
 		for i := range out {
-			out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[off+8*i:]))
+			out[i] = math.Float64frombits(binary.BigEndian.Uint64(sec[8*i:]))
 		}
 	case EncodingQuant8:
-		lo := math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
-		hi := math.Float64frombits(binary.BigEndian.Uint64(b[off+8:]))
+		lo := math.Float64frombits(binary.BigEndian.Uint64(sec))
+		hi := math.Float64frombits(binary.BigEndian.Uint64(sec[8:]))
 		step := 0.0
 		if hi > lo {
 			step = (hi - lo) / 255
 		}
 		for i := range out {
-			out[i] = lo + float64(b[off+16+i])*step
+			out[i] = lo + float64(sec[16+i])*step
 		}
 	}
 	return out
@@ -169,9 +214,11 @@ func FuzzFoldMatchesUnmarshal(f *testing.F) {
 	}
 	f.Add(byte(EncodingQuant8), uint16(300), foldSection(EncodingQuant8, 9, 1, true), math.Inf(1), math.SmallestNonzeroFloat64)
 	f.Fuzz(func(t *testing.T, encByte byte, nameLen uint16, section []byte, start, scale float64) {
-		enc := EncodingFloat64 + Encoding(encByte%2)
-		n := len(section) / 8
-		if enc == EncodingQuant8 {
+		// A section is whole elements: the walk refuses trailing bytes.
+		enc, n := Encoding(2-encByte%2), len(section)/8
+		if enc == EncodingFloat64 {
+			section = section[:8*n]
+		} else {
 			for len(section) < 16 {
 				section = append(section, 0)
 			}
@@ -193,9 +240,6 @@ func TestMarshalUnmarshalKernelLengths(t *testing.T) {
 			b, err := c.Marshal(enc)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if len(b) != c.WireSize(enc) {
-				t.Fatalf("n=%d enc %d: %d bytes, WireSize %d", n, enc, len(b), c.WireSize(enc))
 			}
 			checkFoldMatchesNaive(t, b, 1, 0.25)
 			back, err := Unmarshal(b)
@@ -232,16 +276,24 @@ var foldEncodings = []struct {
 }{{"f64", EncodingFloat64}, {"q8", EncodingQuant8}}
 
 // TestFoldAllocs: no fold variant allocates — in particular the 2 KB Quant8
-// table stays on the caller's stack — so alloc_mb_per_round cannot regress
+// table stays on the kernel's stack — and neither does ParseMeta, while
+// Marshal makes its one buffer, so alloc_mb_per_round cannot regress
 // silently through the per-device hot loop.
 func TestFoldAllocs(t *testing.T) {
 	const n = 4096
 	sum := make(tensor.Vector, n)
+	c := &Checkpoint{TaskName: "bench/round", Round: 300, Weight: 1, Params: make(tensor.Vector, n)}
 	for _, e := range foldEncodings {
 		b := rawCheckpoint(e.enc, 5, 1, n, foldSection(e.enc, n, 1, false))
 		m, err := ParseMeta(b)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(20, func() { _, _ = ParseMeta(b) }); a != 0 {
+			t.Errorf("%s/parse: %v allocs, want 0", e.name, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { _, _ = c.Marshal(e.enc) }); a != 1 {
+			t.Errorf("%s/marshal: %v allocs, want 1", e.name, a)
 		}
 		for _, v := range foldVariants {
 			if a := testing.AllocsPerRun(20, func() { v.run(m, b, sum) }); a != 0 {

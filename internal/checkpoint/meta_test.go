@@ -30,31 +30,14 @@ func TestParseMetaMatchesUnmarshal(t *testing.T) {
 
 // TestParseMetaRejectsWhatUnmarshalRejects: every hostile input the full
 // decoder refuses, the header parse must refuse too — the Reporting path
-// relies on ParseMeta alone for bounds safety.
+// relies on ParseMeta alone for bounds safety. (TestUnmarshalErrors runs
+// Unmarshal over the same cases.) Bytes after the parameters are refused,
+// as every other walk refuses them.
 func TestParseMetaRejectsWhatUnmarshalRejects(t *testing.T) {
-	c := sample()
-	good, _ := c.Marshal(EncodingFloat64)
-	cases := map[string][]byte{
-		"empty":          {},
-		"short":          good[:8],
-		"bad magic":      append([]byte{0, 0, 0, 0}, good[4:]...),
-		"bad version":    func() []byte { b := append([]byte(nil), good...); b[4] = 99; return b }(),
-		"bad encoding":   func() []byte { b := append([]byte(nil), good...); b[5] = 99; return b }(),
-		"truncated body": good[:len(good)-3],
-	}
-	for name, b := range cases {
+	for name, b := range hostileCheckpoints() {
 		if _, err := ParseMeta(b); err == nil {
 			t.Errorf("%s: ParseMeta accepted what Unmarshal rejects", name)
 		}
-	}
-	// Hostile param count: must error before anyone allocates O(claimed).
-	countOff := 4 + 1 + 1 + 2 + len(c.TaskName) + 8 + 8
-	hostile := append([]byte(nil), good...)
-	for i := 0; i < 4; i++ {
-		hostile[countOff+i] = 0xFF
-	}
-	if _, err := ParseMeta(hostile); err == nil {
-		t.Error("hostile param count parsed cleanly")
 	}
 }
 

@@ -1,10 +1,10 @@
 package fedavg
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // SealedStripe is the merge-ready form of a round's drained
@@ -86,31 +86,35 @@ func AccumulatorFromSeal(dim int, s SealedStripe) (*Accumulator, error) {
 	return &Accumulator{sum: s.Sum, weight: s.Weight, count: s.Count}, nil
 }
 
-// Sealed-sum wire form: u32 element count followed by count big-endian
-// float64 bits. The length is fully determined by the count, so a decoder
-// can validate the buffer before allocating.
-const sumHeader = 4
-
-// MarshalSum encodes a raw delta sum for the wire.
+// MarshalSum encodes a raw delta sum for the wire: a uvarint count, then
+// the big-endian float64 elements — the element section of a float64
+// checkpoint, so one vector layout crosses both the device and shard links.
 func MarshalSum(v tensor.Vector) []byte {
-	buf := make([]byte, sumHeader+8*len(v))
-	binary.BigEndian.PutUint32(buf, uint32(len(v)))
-	v.PutBE(buf[sumHeader:])
-	return buf
+	n := len(v)
+	var c wire.Codec
+	walkSum(&c, &n)
+	c.Encode(false)
+	v.PutBE(walkSum(&c, &n))
+	return c.Encoded()
 }
 
 // UnmarshalSum decodes a MarshalSum buffer. The element count is validated
 // against the buffer length before any allocation, so a hostile count
 // cannot commit memory beyond the bytes actually received.
 func UnmarshalSum(b []byte) (tensor.Vector, error) {
-	if len(b) < sumHeader {
-		return nil, fmt.Errorf("fedavg: sealed sum truncated (%d bytes)", len(b))
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	if len(b) != sumHeader+8*n {
-		return nil, fmt.Errorf("fedavg: sealed sum claims %d elements in %d bytes", n, len(b))
+	var n int
+	c := wire.Decoder(b)
+	elems := walkSum(&c, &n)
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("fedavg: sealed sum: %w", err)
 	}
 	v := make(tensor.Vector, n)
-	v.SetBE(b[sumHeader:])
+	v.SetBE(elems)
 	return v, nil
+}
+
+// walkSum runs a sealed sum of *n elements and returns their section.
+func walkSum(c *wire.Codec, n *int) []byte {
+	c.Count(n, 8)
+	return c.Raw(8 * *n)
 }

@@ -1,9 +1,12 @@
 package fedavg
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/tensor"
 )
 
@@ -120,8 +123,10 @@ func TestAccumulatorFromSealAdopts(t *testing.T) {
 	}
 }
 
-// TestMarshalSumRoundTrip: the sealed-sum wire form survives every block and
-// tail length bit for bit, special values included.
+// TestMarshalSumRoundTrip: the sealed-sum wire form — a uvarint count, then
+// big-endian float64s, the tail of a float64 checkpoint — survives every
+// block and tail length bit for bit, special values included, and refuses
+// truncation, a trailing byte and a count its bytes cannot hold.
 func TestMarshalSumRoundTrip(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.SmallestNonzeroFloat64, math.MaxFloat64}
@@ -131,8 +136,13 @@ func TestMarshalSumRoundTrip(t *testing.T) {
 		rng.FillNormal(v, 1e3)
 		copy(v, special)
 		b := MarshalSum(v)
-		if len(b) != sumHeader+8*n {
-			t.Fatalf("n=%d: %d bytes", n, len(b))
+		count := binary.AppendUvarint(nil, uint64(n))
+		if len(b) != len(count)+8*n || !bytes.HasPrefix(b, count) {
+			t.Fatalf("n=%d: %d bytes starting %x", n, len(b), b[:min(len(b), 4)])
+		}
+		ckpt, err := (&checkpoint.Checkpoint{TaskName: "t", Params: v}).Marshal(checkpoint.EncodingFloat64)
+		if err != nil || !bytes.HasSuffix(ckpt, b) {
+			t.Fatalf("n=%d: a sealed sum is not a float64 checkpoint's tail (%v)", n, err)
 		}
 		back, err := UnmarshalSum(b)
 		if err != nil {
@@ -146,9 +156,11 @@ func TestMarshalSumRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d elem %d: %x != %x", n, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
 			}
 		}
-		if n > 0 {
-			if _, err := UnmarshalSum(b[:len(b)-1]); err == nil {
-				t.Fatalf("n=%d: truncated sum accepted", n)
+		hostile := binary.AppendUvarint(nil, 1<<62)
+		for name, bad := range map[string][]byte{"truncated": b[:len(b)-1], "trailing byte": append(b[:len(b):len(b)], 0),
+			"count past the bytes": append(hostile, b[len(count):]...)} {
+			if got, err := UnmarshalSum(bad); err == nil {
+				t.Fatalf("n=%d: %s sum decoded as %d elements", n, name, len(got))
 			}
 		}
 	}

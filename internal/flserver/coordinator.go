@@ -435,12 +435,12 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 }
 
 // loadGlobal fetches the checkpoint the task's next round serves. Train
-// tasks (and standalone eval tasks) own a lineage keyed by their own ID:
-// the latest committed checkpoint, or a fresh round-0 initialization from
-// the model spec. An eval task with a base task (Policy.EvalOf) serves the
-// BASE task's latest committed checkpoint read-only — it is cached under
-// the base ID, never the eval ID, so eval rounds cannot perturb or fork
-// the training lineage.
+// tasks (and standalone eval tasks) own a lineage keyed by their own ID: the
+// latest committed checkpoint, or a fresh round-0 initialization from the
+// model spec when the store has none (one it cannot read fails the round). An
+// eval task with a base task (Policy.EvalOf) serves the BASE task's latest
+// committed checkpoint read-only — cached under the base ID, never the eval
+// ID, so eval rounds cannot perturb or fork the training lineage.
 func (c *Coordinator) loadGlobal(t tasks.Task) (*checkpoint.Checkpoint, error) {
 	p := t.Plan
 	if p.Type == plan.TaskEval && t.Policy.EvalOf != "" {
@@ -460,6 +460,8 @@ func (c *Coordinator) loadGlobal(t tasks.Task) (*checkpoint.Checkpoint, error) {
 	if g, err := c.Store.LatestCheckpoint(p.ID); err == nil {
 		c.global[p.ID] = g
 		return g, nil
+	} else if !errors.Is(err, storage.ErrNoCheckpoint) {
+		return nil, err
 	}
 	m, err := p.Device.Model.Build()
 	if err != nil {

@@ -237,8 +237,8 @@ func TestQuantizedDownlink(t *testing.T) {
 
 // TestDownlinkFrameSize pins the download of a dim-65 536 round (the size of
 // the benchmark's uplink workloads): the pre-framed configuration response
-// carries exactly WireSize of the plan's downlink encoding in checkpoint
-// bytes — 65 591 instead of 524 351 for Quant8.
+// carries the global model marshaled in the plan's downlink encoding —
+// 65 582 checkpoint bytes instead of 524 318 for Quant8.
 func TestDownlinkFrameSize(t *testing.T) {
 	for _, enc := range []checkpoint.Encoding{checkpoint.EncodingQuant8, checkpoint.EncodingFloat64} {
 		p, err := plan.Generate(plan.Config{
@@ -261,11 +261,11 @@ func TestDownlinkFrameSize(t *testing.T) {
 		if meta, err := checkpoint.ParseMeta(ckpt); err != nil || meta.Encoding != enc {
 			t.Fatalf("served %+v (%v), want encoding %d", meta, err, enc)
 		}
-		if len(ckpt) != global.WireSize(enc) {
-			t.Fatalf("encoding %d: %d checkpoint bytes, want WireSize %d", enc, len(ckpt), global.WireSize(enc))
+		if want, err := global.Marshal(enc); err != nil || !bytes.Equal(ckpt, want) {
+			t.Fatalf("encoding %d: served %d checkpoint bytes, not the global's %d (%v)", enc, len(ckpt), len(want), err)
 		}
-		if enc == checkpoint.EncodingQuant8 && len(ckpt) != 65591 {
-			t.Fatalf("quant8 download is %d bytes, want 65 591", len(ckpt))
+		if want := map[checkpoint.Encoding]int{checkpoint.EncodingQuant8: 65582, checkpoint.EncodingFloat64: 524318}[enc]; len(ckpt) != want {
+			t.Fatalf("encoding %d: download is %d bytes, want %d", enc, len(ckpt), want)
 		}
 	}
 }

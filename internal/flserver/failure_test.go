@@ -2,6 +2,8 @@ package flserver
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -10,6 +12,8 @@ import (
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/storage"
+	"repro/internal/tasks"
+	"repro/internal/tensor"
 )
 
 // failingStore rejects the first N checkpoint commits, then delegates.
@@ -83,5 +87,38 @@ func TestSelectorForwardsToDeadMasterLosesOnlyThoseDevices(t *testing.T) {
 	// whenever an EdgeRound stops while devices stream in.
 	if stats(t, r.srv).RoundsCompleted < 2 {
 		t.Fatal("training did not complete")
+	}
+}
+
+// TestUnreadableLineageIsNotRestarted: a task whose stored lineage cannot be
+// read (here, its latest file is in the retired checkpoint format 1) fails
+// to load; it is not served a fresh round-0 model that would write a second
+// lineage over the first. A task with no stored lineage starts at round 0.
+func TestUnreadableLineageIsNotRestarted(t *testing.T) {
+	p := testPlan(t, 4, false)
+	dir := t.TempDir()
+	fresh := func() *Coordinator {
+		store, err := storage.NewFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Coordinator{CoordinatorParams: CoordinatorParams{Store: store}, global: map[string]*checkpoint.Checkpoint{}}
+	}
+	if g, err := fresh().loadGlobal(tasks.Task{Plan: p}); err != nil || g.Round != 0 {
+		t.Fatalf("empty store: loadGlobal = %+v, %v; want round 0", g, err)
+	}
+	if err := fresh().Store.PutCheckpoint(&checkpoint.Checkpoint{TaskName: p.ID, Round: 7, Params: tensor.Vector{1}}); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*", "round-*.ckpt"))
+	v1, err := os.ReadFile("../checkpoint/testdata/checkpoint_v1.golden")
+	if err != nil || len(files) != 1 {
+		t.Fatalf("round files %v, golden: %v", files, err)
+	}
+	if err := os.WriteFile(files[0], v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := fresh().loadGlobal(tasks.Task{Plan: p}); err == nil {
+		t.Fatalf("format-1 lineage loaded as %+v", g)
 	}
 }

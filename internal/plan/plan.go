@@ -276,7 +276,7 @@ func (p *Plan) Validate() error {
 	if p.Server.SecAggFinalizeTimeout < 0 {
 		return fmt.Errorf("plan %q: SecAggFinalizeTimeout must be non-negative", p.ID)
 	}
-	if e := p.Server.ReportEncoding; e != 0 && e != checkpoint.EncodingFloat64 && e != checkpoint.EncodingQuant8 {
+	if e := p.Server.ReportEncoding; e != 0 && !e.Valid() {
 		return fmt.Errorf("plan %q: unknown report encoding %d", p.ID, e)
 	}
 	if p.Server.ReportEncoding != 0 && p.Device.ReportEncoding != 0 &&
@@ -284,10 +284,7 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("plan %q: server requests report encoding %d but device plan carries %d",
 			p.ID, p.Server.ReportEncoding, p.Device.ReportEncoding)
 	}
-	if err := p.validateRobust(); err != nil {
-		return err
-	}
-	return nil
+	return p.validateRobust()
 }
 
 // UplinkEncoding resolves the encoding devices use for their update

@@ -104,7 +104,11 @@ func TestRoundConfigsShareOneMarshal(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	size := global.WireSize(checkpoint.EncodingFloat64)
+	b, err := global.Marshal(checkpoint.EncodingFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := len(b)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(2*size) {
 		t.Fatalf("opening three shares allocated %d bytes: a second %d-byte checkpoint", grew, size)
 	}

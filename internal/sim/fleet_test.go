@@ -235,22 +235,48 @@ func TestTrafficAsymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	update, err := run.Lineage[0].Marshal(run.Plan.UplinkEncoding())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var configured int64
-	for _, n := range run.Metrics.CounterFamily(metrics.SessionShapes, "shape") {
+	// unfinished counts the sessions that started an upload the server did
+	// not accept: a report that reaches an edge as its window closes is
+	// refused, and no round counts it.
+	var configured, unfinished int64
+	for shape, n := range run.Metrics.CounterFamily(metrics.SessionShapes, "shape") {
 		configured += n
+		if strings.Contains(shape, "+") && !strings.HasSuffix(shape, "^") {
+			unfinished += n
+		}
 	}
 	if want := configured * int64(len(dp)+len(global)); down < want {
 		t.Fatalf("download %d B, want ≥ %d configured sessions × (%d B plan + %d B model)", down, configured, len(dp), len(global))
 	}
-	if up%int64(len(update)) != 0 {
-		t.Fatalf("upload %d B is not a whole number of %d-byte updates", up, len(update))
+	// Every report a round counted is one update, which carries the round of
+	// the global it trained on (the one before). The upload is those updates
+	// plus a whole number of refused ones, at most one per unfinished session:
+	// the links' bytes against the server's traces.
+	var counted, countedBytes, small, large int64
+	for _, r := range run.Rounds {
+		u := run.Lineage[0].Clone()
+		u.Round = r.Round - 1
+		update, err := u.Marshal(run.Plan.UplinkEncoding())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(len(update))
+		if small == 0 || n < small {
+			small = n
+		}
+		large = max(large, n)
+		counted += int64(r.Reports)
+		countedBytes += int64(r.Reports) * n
 	}
+	refused := up - countedBytes
+	k := (refused + large - 1) / large // the fewest updates that many bytes can be
+	if refused < 0 || k*small > refused || k > unfinished {
+		t.Fatalf("upload %d B: %d B in the %d updates the rounds counted, and %d B that is not a whole number of at most %d refused %d- to %d-byte updates",
+			up, countedBytes, counted, refused, unfinished, small, large)
+	}
+	uploads := counted + k
 	// Each round admits SelectTarget devices for a goal of TargetDevices.
-	uploads, s := up/int64(len(update)), run.Plan.Server
+	s := run.Plan.Server
 	if min := float64(s.SelectTarget()) / float64(s.TargetDevices); float64(configured) < min*float64(uploads) {
 		t.Fatalf("%d sessions configured for %d uploads, want ≥ %.2f× as many (over-selection)", configured, uploads, min)
 	}

@@ -7,7 +7,12 @@
 package storage
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,26 +26,24 @@ import (
 type Store interface {
 	// PutCheckpoint commits a global model checkpoint for a task.
 	PutCheckpoint(c *checkpoint.Checkpoint) error
-	// LatestCheckpoint returns the newest committed checkpoint for a task.
+	// LatestCheckpoint returns the newest committed checkpoint for a task,
+	// or an error wrapping ErrNoCheckpoint when the task has committed none.
 	LatestCheckpoint(task string) (*checkpoint.Checkpoint, error)
 	// PutMetrics materializes a round's metric summaries.
 	PutMetrics(m *metrics.Materialized) error
 	// Metrics returns all materialized metrics for a task in round order.
 	Metrics(task string) ([]*metrics.Materialized, error)
-	// PutTaskSet persists the serialized FL task registry of the population
-	// this store backs (stores are per-population). The registry in memory
-	// is the authority; storage keeps only the latest snapshot so a
-	// restarted process resumes its tasks — states, policies, stats.
+	// PutTaskSet persists the serialized task registry of the store's
+	// population (stores are per-population). The registry in memory is the
+	// authority; the latest snapshot lets a restarted process resume it.
 	PutTaskSet(b []byte) error
-	// TaskSet returns the latest persisted task registry, or nil when none
-	// has been saved.
+	// TaskSet returns the latest persisted task registry, or nil if none.
 	TaskSet() ([]byte, error)
 }
 
-// File also implements metrics.TraceStore, persisting one round-trace record per
-// round alongside the checkpoints. Trace storage is deliberately NOT part of
-// the Store interface — callers type-assert — so custom Store
-// implementations (tests, adapters) keep compiling.
+// ErrNoCheckpoint is the LatestCheckpoint error of a task with no lineage;
+// any other means one exists that cannot be read (unreadable, old, foreign).
+var ErrNoCheckpoint = errors.New("storage: no checkpoint")
 
 // Mem is an in-memory Store for simulation and tests.
 type Mem struct {
@@ -75,7 +78,7 @@ func (s *Mem) LatestCheckpoint(task string) (*checkpoint.Checkpoint, error) {
 	defer s.mu.Unlock()
 	cs := s.checkpoints[task]
 	if len(cs) == 0 {
-		return nil, fmt.Errorf("storage: no checkpoint for task %q", task)
+		return nil, fmt.Errorf("%w for task %q", ErrNoCheckpoint, task)
 	}
 	return cs[len(cs)-1].Clone(), nil
 }
@@ -103,10 +106,7 @@ func (s *Mem) PutTaskSet(b []byte) error {
 func (s *Mem) TaskSet() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.taskSet == nil {
-		return nil, nil
-	}
-	return append([]byte(nil), s.taskSet...), nil
+	return bytes.Clone(s.taskSet), nil
 }
 
 // Metrics implements Store.
@@ -120,7 +120,9 @@ func (s *Mem) Metrics(task string) ([]*metrics.Materialized, error) {
 
 // File is a file-backed Store: checkpoints are written as binary files
 // under dir/<task>/round-<n>.ckpt. Metrics stay in memory (they are cheap
-// and regenerable); checkpoints are the durable artifact.
+// and regenerable); checkpoints are the durable artifact. File also
+// implements metrics.TraceStore, which callers type-assert: Store leaves it
+// out so that other Stores need not implement it.
 type File struct {
 	dir     string
 	mem     *Mem // metrics + latest-lookup cache
@@ -135,17 +137,12 @@ func NewFile(dir string) (*File, error) {
 	return &File{dir: dir, mem: NewMem()}, nil
 }
 
+// sanitizeTask names a task's directory <task>: 16 bytes of the name's SHA-256
+// in lowercase hex, so 32 bytes on any filesystem, case-insensitive ones too.
+// A collision is refused: LatestCheckpoint checks the name stored inside.
 func sanitizeTask(task string) string {
-	out := make([]rune, 0, len(task))
-	for _, r := range task {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
+	h := sha256.Sum256([]byte(task))
+	return hex.EncodeToString(h[:16])
 }
 
 // PutCheckpoint implements Store.
@@ -204,26 +201,33 @@ func (s *File) LatestCheckpoint(task string) (*checkpoint.Checkpoint, error) {
 	if c, err := s.mem.LatestCheckpoint(task); err == nil {
 		return c, nil
 	}
+	// ReadDir sorts (rounds are zero-padded); only a missing dir is no lineage.
 	taskDir := filepath.Join(s.dir, sanitizeTask(task))
 	entries, err := os.ReadDir(taskDir)
-	if err != nil || len(entries) == 0 {
-		return nil, fmt.Errorf("storage: no checkpoint for task %q", task)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("storage: %w", err)
 	}
-	names := make([]string, 0, len(entries))
+	var last string
 	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".ckpt" {
-			names = append(names, e.Name())
+		if ok, _ := filepath.Match("round-*.ckpt", e.Name()); ok {
+			last = e.Name()
 		}
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("storage: no checkpoint for task %q", task)
+	if last == "" {
+		return nil, fmt.Errorf("%w for task %q", ErrNoCheckpoint, task)
 	}
-	sort.Strings(names)
-	b, err := os.ReadFile(filepath.Join(taskDir, names[len(names)-1]))
+	b, err := os.ReadFile(filepath.Join(taskDir, last))
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	return checkpoint.Unmarshal(b)
+	c, err := checkpoint.Unmarshal(b)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %s: %w", last, err)
+	}
+	if c.TaskName != task {
+		return nil, fmt.Errorf("storage: %s holds task %q, not %q", taskDir, c.TaskName, task)
+	}
+	return c, nil
 }
 
 // PutMetrics implements Store.

@@ -1,6 +1,10 @@
 package storage
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -17,8 +21,8 @@ func ckpt(task string, round int64) *checkpoint.Checkpoint {
 
 func testStore(t *testing.T, s Store) {
 	t.Helper()
-	if _, err := s.LatestCheckpoint("missing"); err == nil {
-		t.Fatal("missing task should error")
+	if _, err := s.LatestCheckpoint("missing"); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("missing task: %v, want ErrNoCheckpoint", err)
 	}
 	if err := s.PutCheckpoint(ckpt("", 1)); err == nil {
 		t.Fatal("empty task name should error")
@@ -132,8 +136,83 @@ func TestFileStoreRecovery(t *testing.T) {
 	}
 }
 
+// TestSanitizeTask: a task's directory name is 32 lowercase hex digits,
+// whatever the task name's length or bytes, and names that differ only in a
+// separator, a dot or letter case get different directories.
 func TestSanitizeTask(t *testing.T) {
-	if got := sanitizeTask("pop/task:v1"); got != "pop_task_v1" {
-		t.Fatalf("sanitize = %q", got)
+	seen := map[string]string{}
+	for _, task := range []string{"pop/task:v1", "pop/task", "pop_task", "Pop_Task", "..", "bench-1",
+		strings.Repeat("/", 300)} {
+		got := sanitizeTask(task)
+		if len(got) != 32 || strings.Trim(got, "0123456789abcdef") != "" {
+			t.Errorf("sanitize %q = %q, want 32 lowercase hex digits", task, got)
+		}
+		if other, ok := seen[got]; ok {
+			t.Errorf("%q and %q share directory %q", task, other, got)
+		}
+		seen[got] = task
 	}
+}
+
+// TestFileStoreTasksDoNotShareADirectory: tasks whose names differ only in a
+// separator or in letter case, and one whose name is longer than a directory
+// name may be, keep their own lineages across a restart, and a checkpoint
+// filed under another task's directory is refused, not served as that task's
+// model.
+func TestFileStoreTasksDoNotShareADirectory(t *testing.T) {
+	dir := t.TempDir()
+	// The last is longer than NAME_MAX (255 bytes).
+	lineages := map[string]int64{"pop/task": 1, "pop_task": 2, "Pop_Task": 3, strings.Repeat("/", 300): 4}
+	s1, _ := NewFile(dir)
+	for task, round := range lineages {
+		if err := s1.PutCheckpoint(ckpt(task, round)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, _ := NewFile(dir)
+	for task, round := range lineages {
+		got, err := s2.LatestCheckpoint(task)
+		if err != nil || got.TaskName != task || got.Round != round {
+			t.Fatalf("LatestCheckpoint(%q) after restart = %+v, %v", task, got, err)
+		}
+	}
+	b, err := ckpt("other", 3).Marshal(checkpoint.EncodingFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, sanitizeTask("pop/task"), "round-0000000009.ckpt"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reopen(t, dir).LatestCheckpoint("pop/task"); err == nil || errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("another task's checkpoint read as pop/task's: %+v, %v", got, err)
+	}
+}
+
+// TestFileStoreRefusesOldFormat: a checkpoint in the fixed-width format 1
+// found on disk after a restart is an error, never a wrong model.
+func TestFileStoreRefusesOldFormat(t *testing.T) {
+	b, err := os.ReadFile("../checkpoint/testdata/checkpoint_v1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	const task = "population/task-1" // the golden's task
+	if err := os.MkdirAll(filepath.Join(dir, sanitizeTask(task)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, sanitizeTask(task), "round-0000000042.ckpt"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reopen(t, dir).LatestCheckpoint(task); err == nil || errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("format 1 read as %+v, %v: want an error that is not ErrNoCheckpoint", got, err)
+	}
+}
+
+func reopen(t *testing.T, dir string) *File {
+	t.Helper()
+	s, err := NewFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

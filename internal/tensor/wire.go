@@ -132,8 +132,13 @@ func (v Vector) Range() (lo, hi float64) {
 	return lo, hi
 }
 
-// PutQuant8 encodes dst[i] = round((v[i] − lo)·scale), the Quant8 level.
-func (v Vector) PutQuant8(dst []byte, lo, scale float64) {
+// PutQuant8 encodes dst[i] = round((v[i] − lo)·255/(hi − lo)), the Quant8
+// level of v[i] in [lo, hi]; every level is 0 when hi ≤ lo.
+func (v Vector) PutQuant8(dst []byte, lo, hi float64) {
+	scale := 0.0
+	if hi > lo {
+		scale = 255 / (hi - lo)
+	}
 	dst = dst[:len(v)]
 	for i, p := range v {
 		dst[i] = byte(math.Round((p - lo) * scale))

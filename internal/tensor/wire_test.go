@@ -166,7 +166,7 @@ func TestRangeAndPutQuant8(t *testing.T) {
 		}
 	}
 	q := make([]byte, len(v))
-	v.PutQuant8(q, lo, 255/(hi-lo))
+	v.PutQuant8(q, lo, hi)
 	if want := []byte{128, 0, 255, 153}; string(q) != string(want) {
 		t.Fatalf("levels %v, want %v", q, want)
 	}

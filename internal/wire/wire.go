@@ -1,8 +1,8 @@
 // Package wire holds the one codec behind every serialised form in the tree:
-// protocol messages, actor envelopes, plan descriptors and task snapshots. A
-// layout is written once, as a walk — a function that names each field in
-// order on a *Codec (c.Str(&m.DeviceID), c.I64(&m.Round), …) — and the same
-// walk sizes, encodes and decodes it.
+// protocol messages, actor envelopes, plan descriptors, task snapshots,
+// checkpoints and sealed sums. A layout is written once, as a walk — a
+// function that names each field in order on a *Codec (c.Str(&m.DeviceID),
+// c.I64(&m.Round), …) — and the same walk sizes, encodes and decodes it.
 //
 // Layout conventions: fixed-order fields; ints and durations are zigzag
 // varints, u8/u32/u64/f64 big-endian; strings, byte slices and lists are
@@ -256,6 +256,22 @@ func (c *Codec) Bytes(p *[]byte) {
 		c.parts = append(c.parts, c.buf[c.cut:len(c.buf):len(c.buf)], *p)
 		c.cut = len(c.buf)
 	}
+}
+
+// Raw runs n bytes with no length prefix, a section the walk has sized (a
+// count of fixed-width elements): decoding, it returns the next n input bytes,
+// aliased; encoding, the window the caller fills after the walk; sizing, nil.
+func (c *Codec) Raw(n int) []byte {
+	switch c.pass {
+	case sizing:
+		c.n += n
+	case decoding:
+		return c.take(n, "section")
+	default:
+		c.buf = slices.Grow(c.buf, n)[:len(c.buf)+n]
+		return c.buf[len(c.buf)-n:]
+	}
+	return nil
 }
 
 // Time runs a time.Time as the byte string of its own binary form, which
