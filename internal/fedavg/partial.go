@@ -47,31 +47,40 @@ func NewPartial(dim int) *PartialAccumulator { return (*Spares)(nil).NewPartial(
 // edge's sealed sum, then the Coordinator's accumulator, finally the
 // committed checkpoint's Params (Accumulator.Step) — so the edge keeps the
 // others for its next round instead of allocating GOMAXPROCS model-sized
-// vectors a round to keep one. A field of the edge, not a sync.Pool, whose
-// GC-driven flushes would make a round's allocation depend on GC timing. A
-// nil *Spares keeps nothing.
+// vectors a round to keep one. The stock also takes seal sums: a sealed
+// sum that the Coordinator adds rather than adopts goes back to where it
+// came from in AddSealed — an edge's stock, or the one a coordinator
+// process decodes its shards' sums into (UnmarshalSum). A field of its
+// owner, not a sync.Pool, whose GC-driven flushes would make a round's
+// allocation depend on GC timing. A nil *Spares keeps nothing.
 type Spares struct {
 	mu   sync.Mutex
 	free []tensor.Vector
 }
 
 // NewPartial returns a stripe for dim-dimensional updates over a spare
-// vector of that dimension (one of another is dropped: the model changed),
-// or over a fresh one.
+// vector (take).
 func (s *Spares) NewPartial(dim int) *PartialAccumulator {
-	var sum tensor.Vector
-	if s != nil {
+	return &PartialAccumulator{acc: &Accumulator{sum: s.take(dim)}, spares: s}
+}
+
+// take returns a zero spare vector of dim elements (one of another
+// dimension is dropped: the model changed), or a fresh one. An empty
+// vector — an eval-only seal's sum — takes nothing from the stock.
+func (s *Spares) take(dim int) tensor.Vector {
+	var v tensor.Vector
+	if s != nil && dim > 0 {
 		s.mu.Lock()
 		if n := len(s.free); n > 0 {
-			sum, s.free[n-1] = s.free[n-1], nil
+			v, s.free[n-1] = s.free[n-1], nil
 			s.free = s.free[:n-1]
 		}
 		s.mu.Unlock()
 	}
-	if len(sum) != dim {
-		sum = make(tensor.Vector, dim)
+	if len(v) != dim {
+		v = make(tensor.Vector, dim)
 	}
-	return &PartialAccumulator{acc: &Accumulator{sum: sum}, spares: s}
+	return v
 }
 
 // Put hands the stock a vector nothing references any more — a stripe merged

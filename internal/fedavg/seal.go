@@ -18,7 +18,10 @@ import (
 // float association) as folding every device into one accumulator.
 type SealedStripe struct {
 	// Sum is the raw delta sum; nil when Count is zero.
-	Sum    tensor.Vector
+	Sum tensor.Vector
+	// Spares is the stock Sum came from, which AddSealed puts it back into;
+	// nil when no stock keeps it.
+	Spares *Spares
 	Weight float64
 	// Count is the number of device updates folded in; EvalCount the number
 	// of metrics-only (evaluation) reports.
@@ -31,9 +34,9 @@ type SealedStripe struct {
 // SealStripes drains every stripe and merges them into one SealedStripe
 // (the shard-local reduction step of the aggregation tree). The stripes
 // must share the accumulator dimension; they are closed and must not be
-// used again. The first stripe holding updates gives the seal its vector;
-// every other stripe's vector is dead once merged (or never used) and goes
-// back to the Spares it came from.
+// used again. The first stripe holding updates gives the seal its vector
+// and Spares; every other stripe's vector is dead once merged (or never
+// used) and goes back to the Spares it came from.
 func SealStripes(stripes []*PartialAccumulator) (SealedStripe, error) {
 	var out SealedStripe
 	for _, st := range stripes {
@@ -50,7 +53,7 @@ func SealStripes(stripes []*PartialAccumulator) (SealedStripe, error) {
 			continue
 		}
 		if out.Sum == nil {
-			out.Sum = sum
+			out.Sum, out.Spares = sum, st.spares
 		} else {
 			if len(sum) != len(out.Sum) {
 				return out, fmt.Errorf("fedavg: seal stripe dim %d vs %d", len(sum), len(out.Sum))
@@ -64,7 +67,9 @@ func SealStripes(stripes []*PartialAccumulator) (SealedStripe, error) {
 	return out, nil
 }
 
-// AddSealed folds a sealed stripe's update sum into the accumulator. A
+// AddSealed folds a sealed stripe's update sum into the accumulator and
+// then puts the sum's vector, zeroed, back into s.Spares: the caller hands
+// it over, as it hands AccumulatorFromSeal the vector that function keeps. A
 // stripe with no updates (eval-only or empty) is a no-op here — its eval
 // count and metrics are merged by the caller, which owns the round's metric
 // tally.
@@ -72,13 +77,18 @@ func (a *Accumulator) AddSealed(s SealedStripe) error {
 	if s.Count == 0 {
 		return nil
 	}
-	return a.AddRaw(s.Sum, s.Weight, s.Count)
+	if err := a.AddRaw(s.Sum, s.Weight, s.Count); err != nil {
+		return err
+	}
+	s.Spares.Put(s.Sum)
+	return nil
 }
 
 // AccumulatorFromSeal returns a dim-dimensional accumulator that starts as
 // the sealed stripe s. It adopts s.Sum — the caller hands the vector over —
 // instead of zeroing a fresh one and adding s.Sum into it, the way
-// SealStripes adopts its first stripe.
+// SealStripes adopts its first stripe. The vector becomes the committed
+// checkpoint (Step) and never goes back to s.Spares.
 func AccumulatorFromSeal(dim int, s SealedStripe) (*Accumulator, error) {
 	if len(s.Sum) != dim || !ValidWeight(s.Weight) || s.Count <= 0 {
 		return nil, fmt.Errorf("fedavg: sealed dim %d (want %d), weight %v, count %d", len(s.Sum), dim, s.Weight, s.Count)
@@ -98,17 +108,22 @@ func MarshalSum(v tensor.Vector) []byte {
 	return c.Encoded()
 }
 
-// UnmarshalSum decodes a MarshalSum buffer. The element count is validated
-// against the buffer length before any allocation, so a hostile count
-// cannot commit memory beyond the bytes actually received.
-func UnmarshalSum(b []byte) (tensor.Vector, error) {
+// UnmarshalSum decodes a MarshalSum buffer into a fresh vector.
+func UnmarshalSum(b []byte) (tensor.Vector, error) { return (*Spares)(nil).UnmarshalSum(b) }
+
+// UnmarshalSum decodes a MarshalSum buffer into a spare vector (take); a
+// SealedStripe carrying it names s as its Spares. The element count is
+// validated against the buffer length before the stock is touched or
+// anything allocated, so a hostile count cannot commit memory beyond the
+// bytes actually received.
+func (s *Spares) UnmarshalSum(b []byte) (tensor.Vector, error) {
 	var n int
 	c := wire.Decoder(b)
 	elems := walkSum(&c, &n)
 	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("fedavg: sealed sum: %w", err)
 	}
-	v := make(tensor.Vector, n)
+	v := s.take(n)
 	v.SetBE(elems)
 	return v, nil
 }

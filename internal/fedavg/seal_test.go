@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -120,6 +121,151 @@ func TestAccumulatorFromSealAdopts(t *testing.T) {
 	}
 	if _, err := AccumulatorFromSeal(3, SealedStripe{Sum: tensor.Vector{1, 2, 3}, Weight: 1}); err == nil {
 		t.Fatal("a seal with no updates must fail")
+	}
+}
+
+// TestSealSumsGoBackToTheirStock: a sealed sum the accumulator adds goes
+// back, zeroed, to the stock it came from — the one a coordinator decodes
+// shard sums into, or an edge's stripe stock — and to no other; the adopted
+// one, which becomes the checkpoint, goes back to none. With a warm stock,
+// decoding a sum and adding it allocate nothing, and neither a sum whose
+// bytes do not hold its count nor an empty one takes from the stock.
+func TestSealSumsGoBackToTheirStock(t *testing.T) {
+	const dim = 1024
+	v := make(tensor.Vector, dim)
+	for i := range v {
+		v[i] = float64(i) - 0.5
+	}
+	b := MarshalSum(v)
+	var sums, edge Spares
+	holds := func(s *Spares, x tensor.Vector) bool {
+		for _, f := range s.free {
+			if &f[0] == &x[0] {
+				return true
+			}
+		}
+		return false
+	}
+
+	adopted, err := sums.UnmarshalSum(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := AccumulatorFromSeal(dim, SealedStripe{Sum: adopted, Spares: &sums, Weight: 1, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, err := sums.UnmarshalSum(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.AddSealed(SealedStripe{Sum: added, Spares: &sums, Weight: 1, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !holds(&sums, added) || len(sums.free) != 1 {
+		t.Fatalf("the added sum is not the one vector back in its stock (%d held)", len(sums.free))
+	}
+	for i, x := range added {
+		if x != 0 {
+			t.Fatalf("the added sum went back unzeroed: [%d]=%v", i, x)
+		}
+	}
+
+	stripe := edge.NewPartial(dim)
+	if err := stripe.Accumulate(2, nil, func(sum tensor.Vector) error { copy(sum, v); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := SealStripes([]*PartialAccumulator{stripe})
+	if err != nil || sealed.Spares != &edge {
+		t.Fatalf("a seal does not name its adopted stripe's stock: %v", err)
+	}
+	if err := acc.AddSealed(sealed); err != nil {
+		t.Fatal(err)
+	}
+	if !holds(&edge, sealed.Sum) || len(sums.free) != 1 {
+		t.Fatal("an edge's added seal did not go back to the edge's stock alone")
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		sum, err := sums.UnmarshalSum(b)
+		if err == nil {
+			err = acc.AddSealed(SealedStripe{Sum: sum, Spares: &sums, Weight: 1, Count: 1})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per decode and add from a warm stock", allocs)
+	}
+	// 3 seals above and 101 runs (AllocsPerRun warms up once): a recycled
+	// vector that came back dirty would show in the dyadic sum.
+	for i, x := range acc.sum {
+		if x != 104*v[i] {
+			t.Fatalf("sum[%d] = %v, want %v", i, x, 104*v[i])
+		}
+	}
+	committed, err := acc.Step(make(tensor.Vector, dim))
+	if err != nil || &committed[0] != &adopted[0] {
+		t.Fatalf("the commit is not stepped in the adopted vector: %v", err)
+	}
+	if holds(&sums, committed) || holds(&edge, committed) {
+		t.Fatal("the adopted vector — the committed checkpoint — is in a stock")
+	}
+
+	count := binary.AppendUvarint(nil, dim)
+	for name, bad := range map[string][]byte{"count past the bytes": append(count, b[len(count):len(b)-1]...),
+		"trailing byte": append(b[:len(b):len(b)], 0)} {
+		if _, err := sums.UnmarshalSum(bad); err == nil {
+			t.Fatalf("%s: decoded", name)
+		}
+		if len(sums.free) != 1 {
+			t.Fatalf("%s: a refused sum took a vector from the stock", name)
+		}
+	}
+	if _, err := sums.UnmarshalSum(MarshalSum(nil)); err != nil || len(sums.free) != 1 {
+		t.Fatalf("an eval-only seal's empty sum took a vector from the stock (%v)", err)
+	}
+}
+
+// TestSealSumStockIsShared: a coordinator process's session readers decode
+// shard sums from one stock while its actor adds them and puts them back;
+// no vector is handed to two decodes at once, and every sum adds in whole.
+func TestSealSumStockIsShared(t *testing.T) {
+	const dim, readers, seals = 64, 4, 200
+	v := make(tensor.Vector, dim)
+	for i := range v {
+		v[i] = float64(i)
+	}
+	b := MarshalSum(v)
+	var stock Spares
+	sums := make(chan tensor.Vector)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < seals; i++ {
+				sum, err := stock.UnmarshalSum(b)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sums <- sum
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(sums) }()
+	acc := NewAccumulator(dim)
+	for sum := range sums {
+		if err := acc.AddSealed(SealedStripe{Sum: sum, Spares: &stock, Weight: 1, Count: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, x := range acc.sum {
+		if x != readers*seals*v[i] {
+			t.Fatalf("sum[%d] = %v, want %v", i, x, readers*seals*v[i])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,14 +30,19 @@ func (e *stripeEdge) ProbeRates(actor.Ref)                         {}
 // TestAdoptedSealDoesNotAliasLiveState: the Coordinator adopts the first
 // seal's sum as the round accumulator and steps it in place: the vector the
 // round folded into is the vector it commits, and nothing is allocated for
-// it. After each seal is merged, everything its sender still holds is
-// poisoned — the update wire bytes, the drained stripes (through their API,
-// which must refuse), the sum vectors of seals that were added rather than
-// adopted — and after the commit so is the served global. The committed
-// checkpoint still equals the closed form bit for bit, in the
-// one-local-edge shape and with three edges.
+// it. Every other seal's sum goes back to its stock once added, and the
+// stocks serve the next rounds, as in a deployment: each edge folds into
+// stripes from its own stock; edge 0 hands its seal over as a local edge
+// does, the others as shards do — marshaled, their vector put back by the
+// edge, the wire form decoded into a vector of the coordinator's stock.
+// Which edge seals first rotates, so the adopted vector comes from either
+// kind of stock. After each seal is merged, what its sender still holds is
+// poisoned — the update wire bytes, the marshaled sum, the drained stripes
+// (through their API, which must refuse) — and after each commit so is the
+// served global. Every committed checkpoint equals the closed form bit for
+// bit, and no stock holds a vector any committed checkpoint's Params sit on.
 func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
-	const dim, stripesPerEdge, devicesPerStripe, weight = 37, 2, 3, 2.0
+	const dim, stripesPerEdge, devicesPerStripe, weight, rounds = 37, 2, 3, 2.0, 4
 	for _, edgesN := range []int{1, 3} {
 		t.Run(fmt.Sprintf("edges-%d", edgesN), func(t *testing.T) {
 			p := testPlan(t, edgesN*stripesPerEdge*devicesPerStripe, false)
@@ -58,7 +64,7 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 			edges := make([]*stripeEdge, edgesN)
 			params := CoordinatorParams{
 				Population: "pop", Lock: actor.NewLockService(), Store: store, Tasks: ts,
-				MinEdges: edgesN, MaxRounds: 1,
+				MinEdges: edgesN, MaxRounds: rounds,
 			}
 			for i := range edges {
 				edges[i] = &stripeEdge{opened: make(chan *EdgeRoundConfig, 1)}
@@ -73,105 +79,150 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Dyadic values and weights: every partial sum is exact, so the
-			// closed form does not depend on which seal arrives first.
-			want := make(tensor.Vector, dim)
-			var totalWeight float64
+			edgeStocks := make([]fedavg.Spares, edgesN)
+			var sums fedavg.Spares // the coordinator process's, for shard sums
+			stocks := []*fedavg.Spares{&sums}
+			for e := range edgeStocks {
+				stocks = append(stocks, &edgeStocks[e])
+			}
 			nan := math.NaN()
-			poison := func(v tensor.Vector) {
+			poison := func(v []byte) {
 				for i := range v {
-					v[i] = nan
+					v[i] = 0xDB
 				}
 			}
-			var adopted tensor.Vector
-			var cfg *EdgeRoundConfig
-			for e, edge := range edges {
-				select {
-				case cfg = <-edge.opened:
-				case <-time.After(10 * time.Second):
-					t.Fatalf("edge %d never opened", e)
-				}
-				if cfg.Dim != dim {
-					t.Fatalf("round dim %d, want %d", cfg.Dim, dim)
-				}
-				stripes := make([]*fedavg.PartialAccumulator, stripesPerEdge)
-				var wires [][]byte
-				for s := range stripes {
-					stripes[s] = fedavg.NewPartial(dim)
-					for d := 0; d < devicesPerStripe; d++ {
-						u := &checkpoint.Checkpoint{TaskName: p.ID, Weight: weight, Params: make(tensor.Vector, dim)}
-						for j := range u.Params {
-							u.Params[j] = 0.25 * float64((e+1)*(s+2)*(d+3)*(j%11)-40)
-							want[j] += u.Params[j]
-						}
-						totalWeight += weight
-						b, err := u.Marshal(checkpoint.EncodingFloat64)
-						if err != nil {
-							t.Fatal(err)
-						}
-						m, err := checkpoint.ParseMeta(b)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := stripes[s].Accumulate(m.Weight, nil, func(sum tensor.Vector) error {
-							return m.AccumulateParams(b, sum)
-						}); err != nil {
-							t.Fatal(err)
-						}
-						wires = append(wires, b)
+			sameArray := func(a, b tensor.Vector) bool { return &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1] }
+			var committed []tensor.Vector
+			for r := 0; r < rounds; r++ {
+				cfgs := make([]*EdgeRoundConfig, edgesN)
+				for e, edge := range edges {
+					select {
+					case cfgs[e] = <-edge.opened:
+					case <-time.After(10 * time.Second):
+						t.Fatalf("round %d: edge %d never opened", r+1, e)
+					}
+					if cfgs[e].Dim != dim || cfgs[e].Round != int64(r) {
+						t.Fatalf("edge %d opened round %d of dim %d, want round %d of %d", e, cfgs[e].Round, cfgs[e].Dim, r, dim)
 					}
 				}
-				sealed, err := fedavg.SealStripes(stripes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := DeliverSeal(coord, edge, EdgeSeal{TaskID: p.ID, Round: cfg.Round, Seal: sealed}); err != nil {
-					t.Fatal(err)
-				}
-				// The mailbox is FIFO: once this query is answered, onSeal
-				// has run for the seal above.
-				if _, err := QueryCoordinatorStats(coord); err != nil {
-					t.Fatal(err)
-				}
-				for _, b := range wires {
-					for i := range b {
-						b[i] = 0xDB
-					}
-				}
-				for s, st := range stripes {
-					err := st.Accumulate(1, nil, func(sum tensor.Vector) error { poison(sum); return nil })
-					if !errors.Is(err, fedavg.ErrPartialClosed) {
-						t.Fatalf("edge %d stripe %d: fold into a sealed stripe: %v, want ErrPartialClosed", e, s, err)
-					}
-				}
-				if e == 0 {
-					adopted = sealed.Sum // handed over: it becomes the checkpoint, the sender must never touch it
-				} else {
-					poison(sealed.Sum)
-				}
-			}
+				served := cfgs[0].Global.Params.Clone()
 
-			var out roundOutcome
-			select {
-			case out = <-outcomes:
-			case <-time.After(10 * time.Second):
-				t.Fatal("round never settled")
-			}
-			if out.Committed == nil {
-				t.Fatalf("round failed: %s", out.FailReason)
-			}
-			served := global.Params.Clone()
-			if &adopted[0] != &out.Committed.Params[0] {
-				t.Fatal("the adopted seal's vector is not the committed checkpoint's: the commit allocated")
-			}
-			poison(cfg.Global.Params)
-			if out.Committed.Round != 1 || out.Committed.Weight != totalWeight || out.Completed != int(totalWeight/weight) {
-				t.Fatalf("committed round %d weight %v completed %d", out.Committed.Round, out.Committed.Weight, out.Completed)
-			}
-			inv := 1 / totalWeight
-			for j, got := range out.Committed.Params {
-				if w := served[j] + float64(want[j]*inv); math.Float64bits(got) != math.Float64bits(w) {
-					t.Fatalf("param %d: committed %v, closed form %v", j, got, w)
+				// Dyadic values and weights: every partial sum is exact, so
+				// the closed form does not depend on which seal arrives first.
+				want := make(tensor.Vector, dim)
+				var totalWeight float64
+				var adopted tensor.Vector
+				for i := range edges {
+					e := (r + i) % edgesN
+					stripes := make([]*fedavg.PartialAccumulator, stripesPerEdge)
+					var wires [][]byte
+					for s := range stripes {
+						stripes[s] = edgeStocks[e].NewPartial(dim)
+						for d := 0; d < devicesPerStripe; d++ {
+							u := &checkpoint.Checkpoint{TaskName: p.ID, Weight: weight, Params: make(tensor.Vector, dim)}
+							for j := range u.Params {
+								u.Params[j] = 0.25 * float64((e+1)*(s+2)*(d+3)*(j%11)-40+r)
+								want[j] += u.Params[j]
+							}
+							totalWeight += weight
+							b, err := u.Marshal(checkpoint.EncodingFloat64)
+							if err != nil {
+								t.Fatal(err)
+							}
+							m, err := checkpoint.ParseMeta(b)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := stripes[s].Accumulate(m.Weight, nil, func(sum tensor.Vector) error {
+								return m.AccumulateParams(b, sum)
+							}); err != nil {
+								t.Fatal(err)
+							}
+							wires = append(wires, b)
+						}
+					}
+					seal, err := fedavg.SealStripes(stripes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if e > 0 {
+						wire := fedavg.MarshalSum(seal.Sum)
+						edgeStocks[e].Put(seal.Sum)
+						if seal.Sum, err = sums.UnmarshalSum(wire); err != nil {
+							t.Fatal(err)
+						}
+						seal.Spares = &sums
+						wires = append(wires, wire)
+					}
+					if err := DeliverSeal(coord, edges[e], EdgeSeal{TaskID: p.ID, Round: cfgs[e].Round, Seal: seal}); err != nil {
+						t.Fatal(err)
+					}
+					// The mailbox is FIFO: once this query is answered, onSeal
+					// has run for the seal above.
+					if _, err := QueryCoordinatorStats(coord); err != nil {
+						t.Fatal(err)
+					}
+					for _, b := range wires {
+						poison(b)
+					}
+					for s, st := range stripes {
+						err := st.Accumulate(1, nil, func(sum tensor.Vector) error {
+							for i := range sum {
+								sum[i] = nan
+							}
+							return nil
+						})
+						if !errors.Is(err, fedavg.ErrPartialClosed) {
+							t.Fatalf("edge %d stripe %d: fold into a sealed stripe: %v, want ErrPartialClosed", e, s, err)
+						}
+					}
+					if i == 0 {
+						adopted = seal.Sum // handed over: it becomes the checkpoint
+					}
+				}
+
+				var out roundOutcome
+				select {
+				case out = <-outcomes:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("round %d never settled", r+1)
+				}
+				if out.Committed == nil {
+					t.Fatalf("round %d failed: %s", r+1, out.FailReason)
+				}
+				if &adopted[0] != &out.Committed.Params[0] {
+					t.Fatalf("round %d: the adopted seal's vector is not the committed checkpoint's: the commit allocated", r+1)
+				}
+				for _, c := range cfgs {
+					for j := range c.Global.Params {
+						c.Global.Params[j] = nan
+					}
+				}
+				if out.Committed.Round != int64(r+1) || out.Committed.Weight != totalWeight || out.Completed != int(totalWeight/weight) {
+					t.Fatalf("committed round %d weight %v completed %d", out.Committed.Round, out.Committed.Weight, out.Completed)
+				}
+				inv := 1 / totalWeight
+				for j, got := range out.Committed.Params {
+					if w := served[j] + float64(want[j]*inv); math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("round %d param %d: committed %v, closed form %v", r+1, j, got, w)
+					}
+				}
+				committed = append(committed, out.Committed.Params)
+
+				// Empty every stock, check what it held, and put it back.
+				for k, stock := range stocks {
+					held := make([]tensor.Vector, runtime.GOMAXPROCS(0))
+					for h := range held {
+						held[h], _, _, _, _ = stock.NewPartial(dim).Drain()
+						for c, params := range committed {
+							if sameArray(held[h], params) {
+								t.Fatalf("after round %d stock %d holds round %d's committed Params", r+1, k, c+1)
+							}
+						}
+					}
+					for _, v := range held {
+						stock.Put(v)
+					}
 				}
 			}
 		})

@@ -133,6 +133,14 @@ func Judge(msg interface{}, from Sender, phase Phase) (byte, error) {
 	return code, nil
 }
 
+// Size returns the length of msg's MarshalBinary payload from a sizing
+// walk, without encoding it; 0 for a type without a code.
+func Size(msg interface{}) int {
+	var c wire.Codec
+	walk(&c, msg)
+	return c.Size()
+}
+
 // MarshalBinaryParts encodes one protocol message as byte segments whose
 // concatenation is the MarshalBinary payload. Every non-empty byte field —
 // an Update, a Plan, a Checkpoint, a Sum — is a segment of its own, ALIASED

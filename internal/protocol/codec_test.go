@@ -65,6 +65,9 @@ func TestBinaryCodecRoundTripsAllMessages(t *testing.T) {
 			if out := binRoundTrip(t, in); !reflect.DeepEqual(in, out) {
 				t.Errorf("round trip changed %T:\n in  %+v\n out %+v", in, in, out)
 			}
+			if _, payload, _ := MarshalBinary(in); Size(in) != len(payload) {
+				t.Errorf("%T: Size %d, payload %d bytes", in, Size(in), len(payload))
+			}
 		}
 	}
 }
@@ -210,7 +213,8 @@ func allocMessages() map[byte]interface{} {
 // TestCodecAllocs pins each code's allocations per MarshalBinaryParts and
 // per UnmarshalBinary call to at most what the per-message hand-written
 // codec this one replaced measured on the same instances, so the small
-// frames of a control-plane round cannot grow their garbage unnoticed.
+// frames of a control-plane round cannot grow their garbage unnoticed. Size,
+// a sizing walk, allocates nothing.
 func TestCodecAllocs(t *testing.T) {
 	limits := map[byte][2]float64{ // {encode, decode}
 		CodeCheckinRequest: {2, 3}, CodeCheckinResponse: {4, 1}, CodeReportRequest: {3, 6},
@@ -226,6 +230,9 @@ func TestCodecAllocs(t *testing.T) {
 		dec := testing.AllocsPerRun(100, func() { _, _ = UnmarshalBinary(code, payload) })
 		if lim := limits[code]; enc > lim[0] || dec > lim[1] {
 			t.Errorf("%T: %v allocs per encode, %v per decode; at most %v and %v", msg, enc, dec, lim[0], lim[1])
+		}
+		if n := testing.AllocsPerRun(100, func() { Size(msg) }); n != 0 {
+			t.Errorf("%T: %v allocs per Size", msg, n)
 		}
 		// Judging a legal arrival costs no allocation: a device session
 		// judges every message it receives.

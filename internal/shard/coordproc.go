@@ -100,6 +100,10 @@ type CoordinatorProc struct {
 		pl, ckpt []byte
 	}
 
+	// sums stocks the vectors shard sums decode into: a sum the
+	// Coordinator adds rather than adopts comes back here (AddSealed).
+	sums fedavg.Spares
+
 	mu        sync.Mutex
 	live      map[*shardEdge]uint32 // announced links → shard index
 	contrib   map[uint32]*shardContribution
@@ -321,13 +325,13 @@ func (cp *CoordinatorProc) onSeal(edge *shardEdge, m protocol.StripeSeal) {
 
 	seal := flserver.EdgeSeal{
 		Population: m.Population, TaskID: m.TaskID, Round: m.Round,
-		Seal: fedavg.SealedStripe{Weight: m.Weight, Count: int(m.Reports),
+		Seal: fedavg.SealedStripe{Spares: &cp.sums, Weight: m.Weight, Count: int(m.Reports),
 			EvalCount: int(m.EvalReports), Metrics: m.Metrics},
 		Lost: int(m.Lost), Aborted: int(m.Aborted), Clipped: m.Clipped, Phases: m.Phases,
 		Blamed: m.Blamed, GroupErrors: m.GroupErrors, RobustRejected: m.RobustRejected,
 	}
 	var err error
-	if seal.Seal.Sum, err = fedavg.UnmarshalSum(m.Sum); err != nil {
+	if seal.Seal.Sum, err = cp.sums.UnmarshalSum(m.Sum); err != nil {
 		// An undecodable sum loses the shard's updates, not the round.
 		seal.Lost += int(m.Reports)
 		seal.Seal.Weight, seal.Seal.Count = 0, 0

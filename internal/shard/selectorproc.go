@@ -345,17 +345,9 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 }
 
 // sealWireBytes is the binary-codec frame size of one StripeSeal — the
-// bytes this shard shipped upstream for a round.
+// bytes this shard shipped upstream for a round — counted, not encoded.
 func sealWireBytes(m protocol.StripeSeal) int64 {
-	_, parts, ok := protocol.MarshalBinaryParts(m)
-	if !ok {
-		return 0
-	}
-	n := int64(6) // u32 length prefix + version + type code
-	for _, part := range parts {
-		n += int64(len(part))
-	}
-	return n
+	return 6 + int64(protocol.Size(m)) // u32 length prefix + version + type code
 }
 
 // onCoordinatorDown reacts to a lost coordinator link: every in-flight

@@ -58,9 +58,12 @@ func (c *Codec) Encode(aliased bool) {
 	if aliased {
 		*c = Codec{pass: segmenting, buf: make([]byte, 0, c.n), parts: make([][]byte, 0, 2*c.segs+1)}
 	} else {
-		*c = Codec{pass: encoding, buf: make([]byte, 0, c.n+c.bulk)}
+		*c = Codec{pass: encoding, buf: make([]byte, 0, c.Size())}
 	}
 }
+
+// Size returns the length of the encoding a sizing pass has measured.
+func (c *Codec) Size() int { return c.n + c.bulk }
 
 // Encoded returns the bytes an encoding pass wrote.
 func (c *Codec) Encoded() []byte { return c.buf }
