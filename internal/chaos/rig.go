@@ -13,6 +13,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/simclock"
 	"repro/internal/storage"
+	"repro/internal/tasks"
 	"repro/internal/transport"
 )
 
@@ -47,9 +48,11 @@ type Rig struct {
 	// LinkUps and LinkDowns count, per shard, how often its coordinator link
 	// came up and was declared down.
 	LinkUps, LinkDowns []int64
-	// Progress reads the coordinator's round counts, Selectors the sum of
-	// the selector layer's stats.
+	// Progress reads the coordinator's round counts, TaskStats its task
+	// records (auto-pause notes among them), Selectors the sum of the
+	// selector layer's stats.
 	Progress  func() (shard.CoordStats, error)
+	TaskStats func() ([]tasks.Stats, error)
 	Selectors func() (flserver.SelectorStats, error)
 
 	dials    []func() (transport.Conn, error)
@@ -106,8 +109,11 @@ func (r *Rig) serve(cfg RigConfig) error {
 		clock.Go(func() { fleet.Serve(l) })
 		r.Progress = func() (shard.CoordStats, error) {
 			st, err := fleet.PopulationStats(pop)
-			return shard.CoordStats{RoundsCompleted: st.Coordinator.RoundsCompleted, RoundsFailed: st.Coordinator.RoundsFailed}, err
+			c := st.Coordinator
+			return shard.CoordStats{RoundsCompleted: c.RoundsCompleted, RoundsFailed: c.RoundsFailed,
+				CurrentRound: c.CurrentRound, Clipped: c.Clipped}, err
 		}
+		r.TaskStats = func() ([]tasks.Stats, error) { return fleet.TaskStats(pop) }
 		r.Selectors = func() (flserver.SelectorStats, error) {
 			st, err := fleet.PopulationStats(pop)
 			return st.Selector, err
@@ -120,9 +126,9 @@ func (r *Rig) serve(cfg RigConfig) error {
 		Store:      cfg.Store,
 		Steering:   r.Steering,
 		MaxRounds:  cfg.MaxRounds,
-		// MinShards stays 1: rounds must keep settling partial results while
-		// a shard is partitioned away, not stall the fleet.
-		MinShards: 1,
+		// A round opens once every shard is up, so its shares are cut for the
+		// whole topology; one that loses a shard mid-round settles without it.
+		MinShards: cfg.Shards,
 		Clock:     clock,
 	})
 	if err != nil {
@@ -164,7 +170,7 @@ func (r *Rig) serve(cfg RigConfig) error {
 			sp.Close()
 		}
 	})
-	r.Progress = coord.Stats
+	r.Progress, r.TaskStats = coord.Stats, coord.TaskStats
 	r.Selectors = func() (flserver.SelectorStats, error) {
 		var total flserver.SelectorStats
 		for _, sp := range shards {

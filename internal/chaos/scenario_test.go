@@ -9,14 +9,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/data"
-	"repro/internal/device"
-	"repro/internal/flserver"
-	"repro/internal/nn"
-	"repro/internal/pacing"
-	"repro/internal/plan"
 	"repro/internal/simclock"
-	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -166,103 +159,6 @@ func TestScenarioSecureRoundsUnderDeviceDrop(t *testing.T) {
 	}, spec)
 	if res.Rounds < 6 || res.FaultTotal == 0 {
 		t.Fatalf("%d/6 rounds under %d faults", res.Rounds, res.FaultTotal)
-	}
-}
-
-// TestDeviceLinkFaultsOverTCP is the device-link scenario on the framed
-// transport: the in-process server behind a fault-wrapped TCP listener that
-// drops and corrupts frames, a model wide enough that downloads and reports
-// ride leased receive buffers (released through faultConn), and released
-// buffers overwritten with 0xDB. Scenario runs keep device links on the mem
-// network, where nothing is framed or leased; here a lost ack, a torn
-// download or a refused report that left an alias behind its lease would
-// fold 0xDB bytes into a commit and break the match with the fault-free
-// lineage. Identical devices make that match decidable, as in RunScenario.
-func TestDeviceLinkFaultsOverTCP(t *testing.T) {
-	transport.PoisonReleasedForTest()
-	const (
-		pop      = "pop-chaos-tcp"
-		features = 2048 // 6147 parameters: a 6 KB quant8 report, a 49 KB download
-		devices  = 10
-		rounds   = 4
-	)
-	p, err := plan.Generate(plan.Config{
-		TaskID: pop + "/train", Population: pop,
-		Model:     nn.Spec{Kind: nn.KindLogistic, Features: features, Classes: 3, Seed: 1},
-		StoreName: pop + "-store", BatchSize: 5, Epochs: 1, LearningRate: 0.1,
-		TargetDevices: 6, MinReportFraction: 0.25,
-		SelectionTimeout: 30 * time.Second, ReportTimeout: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed, err := data.Blobs(data.BlobsConfig{Users: 1, ExamplesPer: 20, Features: features, Classes: 3, TestSize: 10, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(spec Spec) ([]*checkpoint.Checkpoint, *Injector) {
-		inj := New(5, spec, nil)
-		store := NewWatchStore(storage.NewMem())
-		srv, err := flserver.New(flserver.Config{
-			Population: pop, Plans: []*plan.Plan{p}, Store: store,
-			Steering: pacing.New(time.Second), PopulationEstimate: devices, MaxRounds: rounds, Seed: 5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		l, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrapped := inj.WrapListener(RoleDevice, l)
-		defer wrapped.Close()
-		go srv.Serve(wrapped)
-
-		stop := make(chan struct{})
-		var swarm sync.WaitGroup
-		defer func() { close(stop); swarm.Wait() }()
-		for i := 0; i < devices; i++ {
-			swarm.Add(1)
-			go func(id string) {
-				defer swarm.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-time.After(10 * time.Millisecond):
-					}
-					// A fresh runtime per check-in: every update is the same
-					// pure function of the checkpoint (see RunScenario).
-					client, err := device.NewLocalDataClient(id, pop, pop+"-store", fed.Users[0], 1005)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if conn, err := transport.DialTCP(l.Addr()); err == nil {
-						_, _ = client.RunOnce(conn)
-					}
-				}
-			}(fmt.Sprintf("chaos-tcp-dev-%d", i))
-		}
-		select {
-		case <-srv.Done():
-		case <-time.After(time.Minute):
-			t.Fatalf("%d rounds did not commit; faults: %v", rounds, inj.FaultCounts())
-		}
-		return store.Commits(p.ID), inj
-	}
-	ref, _ := run(Spec{})
-	if len(ref) != rounds {
-		t.Fatalf("reference run committed %d/%d rounds", len(ref), rounds)
-	}
-	got, inj := run(Spec{Rules: []Rule{{Role: RoleDevice, Drop: 0.15, Corrupt: 0.15, Jitter: 5 * time.Millisecond}}})
-	t.Logf("faults: %v", inj.FaultCounts())
-	if inj.Trace().Total() == 0 {
-		t.Fatal("chaos run recorded no faults — the schedule never engaged")
-	}
-	if rep := Verify(SumProbe(got, ref, 1e-6)); !rep.OK() {
-		t.Fatalf("commits diverge from the fault-free lineage:\n%s", rep)
 	}
 }
 

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -79,6 +80,7 @@ type WatchStore struct {
 
 	mu      sync.Mutex
 	commits map[string][]*checkpoint.Checkpoint // task -> commit order
+	traces  []metrics.RoundTrace
 	errs    []error
 	// onCommit, when set, sees every commit before the store does.
 	onCommit func(*checkpoint.Checkpoint)
@@ -117,6 +119,21 @@ func (w *WatchStore) Commits(task string) []*checkpoint.Checkpoint {
 	out := make([]*checkpoint.Checkpoint, len(w.commits[task]))
 	copy(out, w.commits[task])
 	return out
+}
+
+// PutRoundTrace implements metrics.TraceStore, keeping every round trace.
+func (w *WatchStore) PutRoundTrace(t metrics.RoundTrace) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.traces = append(w.traces, t)
+	return nil
+}
+
+// Traces returns the round traces in the order the rounds settled.
+func (w *WatchStore) Traces() []metrics.RoundTrace {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return slices.Clone(w.traces)
 }
 
 // LineageProbe is the Probe over the recorded lineage.

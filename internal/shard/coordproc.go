@@ -65,23 +65,12 @@ type CoordStats struct {
 	Clipped int64
 }
 
-// shardContribution is one shard's cumulative contribution as seen by the
-// coordinator. It survives reconnects (keyed by shard index, not link).
-type shardContribution struct {
-	Name      string
-	Connected bool
-	Seals     int64
-	Bytes     int64
-	Reports   int64
-	Lost      int64
-}
-
 // CoordinatorProc is the coordinator process: it accepts shard links and
 // hosts the population's supervised Coordinator — the one round engine, its
 // task set and its lock, all flserver's — with one Edge per connected shard
 // link. What lives here is only what is about links rather than rounds: the
-// session plumbing, the wire form of configs and seals, and the per-shard
-// traffic accounting.
+// session plumbing, the wire form of configs and seals, and the traffic
+// counters (per shard on /metrics).
 type CoordinatorProc struct {
 	cfg CoordinatorConfig
 	// coord reaches the Coordinator's current incarnation: a crashed one is
@@ -106,7 +95,6 @@ type CoordinatorProc struct {
 
 	mu        sync.Mutex
 	live      map[*shardEdge]uint32 // announced links → shard index
-	contrib   map[uint32]*shardContribution
 	sealsRecv int64
 	bytesUp   int64
 }
@@ -175,12 +163,7 @@ func NewCoordinatorProc(cfg CoordinatorConfig) (*CoordinatorProc, error) {
 		cfg.TickEvery = 250 * time.Millisecond
 	}
 	cfg.Clock = actor.OrWall(cfg.Clock)
-	cp := &CoordinatorProc{
-		cfg:     cfg,
-		done:    make(chan struct{}),
-		live:    make(map[*shardEdge]uint32),
-		contrib: make(map[uint32]*shardContribution),
-	}
+	cp := &CoordinatorProc{cfg: cfg, done: make(chan struct{}), live: make(map[*shardEdge]uint32)}
 	var err error
 	cp.coord, err = flserver.SuperviseCoordinator(cfg.Clock, flserver.CoordinatorParams{
 		Population: cfg.Population, Store: cfg.Store,
@@ -238,11 +221,6 @@ func (cp *CoordinatorProc) serveConn(conn transport.Conn) {
 			case protocol.ShardHello:
 				cp.mu.Lock()
 				cp.live[edge] = m.Shard
-				if c, ok := cp.contrib[m.Shard]; ok {
-					c.Name = m.Name
-				} else {
-					cp.contrib[m.Shard] = &shardContribution{Name: m.Name}
-				}
 				cp.mu.Unlock()
 				_ = flserver.EdgeUp(cp.coord, edge)
 			case protocol.StripeSeal:
@@ -315,12 +293,6 @@ func (cp *CoordinatorProc) onSeal(edge *shardEdge, m protocol.StripeSeal) {
 	cp.mu.Lock()
 	cp.sealsRecv++
 	cp.bytesUp += wire
-	if c, ok := cp.contrib[m.Shard]; ok {
-		c.Seals++
-		c.Bytes += wire
-		c.Reports += m.Reports + m.EvalReports
-		c.Lost += m.Lost
-	}
 	cp.mu.Unlock()
 
 	seal := flserver.EdgeSeal{
@@ -357,24 +329,6 @@ func (cp *CoordinatorProc) Stats() (CoordStats, error) {
 		SealsReceived:   cp.sealsRecv,
 		BytesUpstream:   cp.bytesUp,
 	}, nil
-}
-
-// perShardStats breaks the upstream traffic down by shard index,
-// cumulative across reconnects.
-func (cp *CoordinatorProc) perShardStats() map[uint32]shardContribution {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	out := make(map[uint32]shardContribution, len(cp.contrib))
-	for id, c := range cp.contrib {
-		out[id] = *c
-	}
-	for _, id := range cp.live {
-		if c, ok := out[id]; ok {
-			c.Connected = true
-			out[id] = c
-		}
-	}
-	return out
 }
 
 // Close stops the coordinator process (idempotent, like the Shutdown it

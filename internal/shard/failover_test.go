@@ -272,29 +272,6 @@ func TestCoordinatorLossFreesDevices(t *testing.T) {
 	}
 }
 
-// TestDeadShardFlaggedDisconnected: a connected shard's contribution is
-// flagged live, a never-connected one is absent, and after its link dies
-// the cumulative breakdown survives flagged as disconnected — a dead peer
-// never reads as a live one.
-func TestDeadShardFlaggedDisconnected(t *testing.T) {
-	h := newFailoverHarness(t, 2, 1)
-	h.runDevices(6)
-
-	waitConnected := func(want bool) {
-		t.Helper()
-		until(t, h.clock, fmt.Sprintf("shard 0 to read as connected=%v", want), func() bool {
-			c, ok := h.coord.perShardStats()[0]
-			return ok && c.Connected == want
-		})
-	}
-	waitConnected(true)
-	if c, ok := h.coord.perShardStats()[7]; ok {
-		t.Fatalf("never-connected shard 7 read as data: %+v", c)
-	}
-	h.partition()
-	waitConnected(false)
-}
-
 // TestReconnectThenResume is the regression test for the reconnect path: the
 // link drops mid-task, comes back, and the next rounds must commit on the
 // resumed link (coordinator re-sends the live round's config on hello).

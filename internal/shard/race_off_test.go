@@ -1,5 +1,5 @@
 //go:build !race
 
-package shard
+package shard_test
 
 const raceEnabled = false

@@ -32,8 +32,8 @@ import (
 type SelectorConfig struct {
 	// Shard is this process's stable 0-based index.
 	Shard uint32
-	// Name labels the shard in stats and the coordinator's hello log
-	// (default "shard-<N>").
+	// Name prefixes the names of the shard's actors and is sent in its
+	// ShardHello (default "shard-<N>").
 	Name string
 	// NumSelectors is how many Selector actors terminate device connections
 	// in this process (default 1).
