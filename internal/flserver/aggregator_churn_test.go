@@ -2,26 +2,26 @@ package flserver
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/actor"
 	"repro/internal/metrics"
+	"repro/internal/robust"
 	"repro/internal/secagg"
 	"repro/internal/storage"
 )
 
-// feedSecureGroup sends count updates with distinct device names prefixed
-// by prefix, each Params {1,2} Weight 1.
-func feedSecureGroup(t *testing.T, agg actor.Ref, sig chan struct{}, prefix string, count int) {
+// feedSecureGroup returns a secure group's buffer holding count updates
+// with distinct device names prefixed by prefix, each Params {1,2} Weight 1.
+func feedSecureGroup(t *testing.T, prefix string, count int) *robust.Buffer {
 	t.Helper()
+	buf := robust.NewBuffer(3)
 	for i := 0; i < count; i++ {
-		_ = agg.Send(msgAddUpdate{DeviceID: fmt.Sprintf("%s%d", prefix, i), Input: secInput(1, 1, 2)})
+		secureAdd(t, buf, fmt.Sprintf("%s%d", prefix, i), nil, 1, 1, 2)
 	}
-	waitSignals(t, sig, count)
+	return buf
 }
 
 // assignedNames builds an Assigned list: the prefix-numbered devices that
@@ -52,9 +52,9 @@ func lastGroupResults(t *testing.T, got func() []actor.Message, want int) []msgG
 // concurrent-finalization test with live churn: both groups carry a
 // configured-but-lost device, one group's dealer poisons its shares, the
 // other's responder forges its unmask reveal — all while the two secagg
-// runs execute concurrently off the actor goroutines. Run under -race (CI
-// does). Both groups must still commit, with the misbehaving devices
-// blamed by name.
+// runs execute concurrently on the groups' actor goroutines. Run under
+// -race (CI does). Both groups must still commit, with the misbehaving
+// devices blamed by name.
 func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
@@ -71,12 +71,10 @@ func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 	refB := sys.Spawn("agg-b", aggB)
 	defer sys.Shutdown(master, refA, refB)
 
-	feedSecureGroup(t, refA, sig, "a", 5)
-	feedSecureGroup(t, refB, sig, "b", 5)
 	// Each group was configured with 6 devices; the 6th never delivered
 	// and enters the protocol as a real share-keys dropout.
-	_ = refA.Send(msgFinalizeGroup{Assigned: assignedNames("a", 5, "a-lost")})
-	_ = refB.Send(msgFinalizeGroup{Assigned: assignedNames("b", 5, "b-lost")})
+	_ = refA.Send(msgFinalizeGroup{Assigned: assignedNames("a", 5, "a-lost"), Buf: feedSecureGroup(t, "a", 5)})
+	_ = refB.Send(msgFinalizeGroup{Assigned: assignedNames("b", 5, "b-lost"), Buf: feedSecureGroup(t, "b", 5)})
 	waitSignals(t, sig, 2)
 
 	byBlame := map[string]msgGroupResult{}
@@ -117,8 +115,7 @@ func TestSecureGroupLostDevicesBecomeDropouts(t *testing.T) {
 	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
-	feedSecureGroup(t, agg, sig, "d", 4)
-	_ = agg.Send(msgFinalizeGroup{Assigned: assignedNames("d", 4, "d-lost")})
+	_ = agg.Send(msgFinalizeGroup{Assigned: assignedNames("d", 4, "d-lost"), Buf: feedSecureGroup(t, "d", 4)})
 	waitSignals(t, sig, 1)
 
 	res := lastGroupResults(t, got, 1)[0]
@@ -142,13 +139,12 @@ func TestSecureGroupBelowThresholdAbortsWithMetrics(t *testing.T) {
 	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
+	buf := robust.NewBuffer(3)
 	for i := 0; i < 3; i++ {
-		_ = agg.Send(msgAddUpdate{DeviceID: fmt.Sprintf("d%d", i), Input: secInput(1, 1, 2),
-			Metrics: map[string]float64{"train_loss": 0.5}})
+		secureAdd(t, buf, fmt.Sprintf("d%d", i), map[string]float64{"train_loss": 0.5}, 1, 1, 2)
 	}
-	waitSignals(t, sig, 3)
 	// 8 assigned, 3 delivered: below the majority threshold 5.
-	_ = agg.Send(msgFinalizeGroup{Assigned: assignedNames("d", 3, "l1", "l2", "l3", "l4", "l5")})
+	_ = agg.Send(msgFinalizeGroup{Assigned: assignedNames("d", 3, "l1", "l2", "l3", "l4", "l5"), Buf: buf})
 	waitSignals(t, sig, 1)
 
 	res := lastGroupResults(t, got, 1)[0]
@@ -174,10 +170,9 @@ func TestSecureThresholdFractionOverride(t *testing.T) {
 	ref := sys.Spawn("agg", agg)
 	defer sys.Shutdown(master, ref)
 
-	feedSecureGroup(t, ref, sig, "d", 4)
 	// 8 assigned, 4 delivered: the majority default (5) would abort, the
 	// relaxed threshold (4) commits through 4-of-8 reconstruction.
-	_ = ref.Send(msgFinalizeGroup{Assigned: assignedNames("d", 4, "l1", "l2", "l3", "l4")})
+	_ = ref.Send(msgFinalizeGroup{Assigned: assignedNames("d", 4, "l1", "l2", "l3", "l4"), Buf: feedSecureGroup(t, "d", 4)})
 	waitSignals(t, sig, 1)
 
 	res := lastGroupResults(t, got, 1)[0]
@@ -187,33 +182,6 @@ func TestSecureThresholdFractionOverride(t *testing.T) {
 	if res.Count != 4 || res.Sum[0] != 4 {
 		t.Fatalf("result: %+v", res)
 	}
-}
-
-// TestSecureFinalizeWatchdogUnstallsGroup: a secagg run that cannot make
-// progress (here: wedged behind a saturated finalization gate) is
-// abandoned by the per-group watchdog with an attributed error — the
-// round gets its group result instead of hanging forever.
-func TestSecureFinalizeWatchdogUnstallsGroup(t *testing.T) {
-	clock := newWatchedClock()
-	sys := actor.NewSystem(clock)
-	defer sys.Shutdown()
-	const finalizeTimeout = 100 * time.Millisecond
-	got, sig, release := stalledSecureGroup(t, sys, finalizeTimeout)
-	clock.expire(t, "finalize watchdog", clock.armed(t, finalizeTimeout, 1), nil)
-	waitSignals(t, sig, 1)
-
-	res := lastGroupResults(t, got, 1)[0]
-	if res.Err == "" || !strings.Contains(res.Err, "exceeded") {
-		t.Fatalf("stalled finalization must time out with attribution: %+v", res)
-	}
-	if res.Sum != nil {
-		t.Fatalf("timed-out group must not report a sum: %+v", res)
-	}
-	// Unblock the wedged run; its late result lands on a stopped actor and
-	// is dropped — the double-report guard is exercised every run under
-	// -race via the done flag.
-	release()
-	runtime.Gosched()
 }
 
 // TestRoundCarriesBlamedDevices: per-group blame survives the edge's merge

@@ -1,7 +1,7 @@
 package flserver
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -10,21 +10,34 @@ import (
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
+	"repro/internal/protocol"
 	"repro/internal/robust"
 	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
-// secInput builds a secure group input: the delta with the weight appended,
-// as the connection reader decodes it.
-func secInput(weight float64, delta ...float64) *tensor.Vector {
-	v := append(append(tensor.Vector{}, delta...), weight)
-	return &v
+// secureAdd retains one device's report in a secure group's buffer as the
+// connection reader decodes it: the delta with the weight in the last slot.
+func secureAdd(t *testing.T, buf *robust.Buffer, device string, metrics map[string]float64, weight float64, delta ...float64) {
+	t.Helper()
+	err := buf.Add(device, weight, metrics, func(dst tensor.Vector) error {
+		if len(dst) != len(delta)+1 {
+			return fmt.Errorf("secure input of length %d into a buffer of %d", len(delta)+1, len(dst))
+		}
+		copy(dst, delta)
+		dst[len(delta)] = weight
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // collectMaster spawns an actor standing in for the EdgeRound, recording
@@ -57,19 +70,31 @@ func waitSignals(t *testing.T, sig chan struct{}, n int) {
 	}
 }
 
+// TestAggregatorRejectsBadUpdates: a secure group's buffer holds only
+// delta‖weight vectors of the round's dimension — the reader refuses an
+// update of any other length before the group sees it.
 func TestAggregatorRejectsBadUpdates(t *testing.T) {
-	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, master))
-	defer sys.Shutdown(master, agg)
-
-	_ = agg.Send(msgAddUpdate{DeviceID: "a", Input: secInput(1, 1)})
-	_ = agg.Send(msgAddUpdate{DeviceID: "b", Input: secInput(1, 1, 2, 3)})
-	waitSignals(t, sig, 2)
-	for _, m := range got() {
-		if r, ok := m.(msgReportDone); ok && r.OK {
+	buf := robust.NewBuffer(3)
+	for _, params := range []tensor.Vector{{1}, {1, 2, 3}} {
+		dev, srv := transport.Pipe()
+		update, err := (&checkpoint.Checkpoint{TaskName: "pop/train", Round: 1, Weight: 1, Params: params}).Marshal(checkpoint.EncodingFloat64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = dev.Send(protocol.ReportRequest{DeviceID: "a", TaskID: "pop/train", Round: 1, Update: update})
+		self := inbox(make(chan actor.Message, 1))
+		reportReader{self: self, clock: actor.Wall, taskID: "pop/train", round: 1, dim: 2, secure: true}.read("a", srv, buf)
+		if r := (<-self).(msgReportDone); r.OK {
 			t.Fatalf("bad update accepted: %+v", r)
 		}
+		msg, err := dev.Recv()
+		if resp, ok := msg.(protocol.ReportResponse); err != nil || !ok || resp.Accepted || !strings.Contains(resp.Reason, "update dim") {
+			t.Fatalf("device answered %+v, %v; want an update dim refusal", msg, err)
+		}
+		_ = dev.Close()
+	}
+	if n := buf.Reports(); n != 0 {
+		t.Fatalf("%d bad updates retained", n)
 	}
 }
 
@@ -79,20 +104,19 @@ func TestAggregatorSecureMatchesPlainSum(t *testing.T) {
 	agg := sys.Spawn("agg", NewAggregator(3, master))
 	defer sys.Shutdown(master, agg)
 	inputs := []tensor.Vector{
-		*secInput(3, 1, -2, 0.5),
-		*secInput(1, 0.25, 1, 1),
-		*secInput(2, -1, -1, -1),
+		{1, -2, 0.5, 3},
+		{0.25, 1, 1, 1},
+		{-1, -1, -1, 2},
 	}
 	want := make([]float64, 4)
+	buf := robust.NewBuffer(4)
 	for i, in := range inputs {
 		for j, v := range in {
 			want[j] += v
 		}
-		owned := in.Clone()
-		_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Input: &owned})
+		secureAdd(t, buf, string(rune('a'+i)), nil, in[3], in[:3]...)
 	}
-	waitSignals(t, sig, len(inputs))
-	_ = agg.Send(msgFinalizeGroup{})
+	_ = agg.Send(msgFinalizeGroup{Buf: buf})
 	waitSignals(t, sig, 1)
 	msgs := got()
 	res := msgs[len(msgs)-1].(msgGroupResult)
@@ -116,10 +140,9 @@ func TestSecureSingletonRefusesDirectSum(t *testing.T) {
 	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
-	_ = agg.Send(msgAddUpdate{DeviceID: "solo", Input: secInput(1, 1, 2),
-		Metrics: map[string]float64{"train_loss": 0.5}})
-	waitSignals(t, sig, 1)
-	_ = agg.Send(msgFinalizeGroup{})
+	buf := robust.NewBuffer(3)
+	secureAdd(t, buf, "solo", map[string]float64{"train_loss": 0.5}, 1, 1, 2)
+	_ = agg.Send(msgFinalizeGroup{Buf: buf})
 	waitSignals(t, sig, 1)
 
 	msgs := got()
@@ -140,35 +163,48 @@ func TestSecureSingletonRefusesDirectSum(t *testing.T) {
 
 func TestSecAggFailureStillReportsMetrics(t *testing.T) {
 	// Regression: a secagg failure used to produce an empty msgGroupResult,
-	// silently dropping the group's metrics and hiding the error.
-	sys := actor.NewSystem()
-	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, master))
-	defer sys.Shutdown(master, agg)
+	// silently dropping the group's metrics and hiding the error. The
+	// failure is injected through the protocol's churn hook: a schedule
+	// whose second dealer never deals its shares, so the mask set falls
+	// below the threshold of 2 and the run aborts — or a hook that panics,
+	// which must cost the group, not the process.
+	for _, tc := range []struct {
+		name, want string
+		churn      func(n, t int) secagg.Schedule
+	}{
+		{"below threshold", "secagg: abort", func(int, int) secagg.Schedule { return secagg.Schedule{DropShareKeys: []int{2}} }},
+		{"panic", "group reduce panic: injected", func(int, int) secagg.Schedule { panic("injected") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := actor.NewSystem()
+			master, got, sig := collectMaster(sys)
+			group := NewAggregator(2, master)
+			group.churn = tc.churn
+			agg := sys.Spawn("agg", group)
+			defer sys.Shutdown(master, agg)
 
-	for i, loss := range []float64{0.5, 0.7} {
-		_ = agg.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Input: secInput(1, 1, 2),
-			Metrics: map[string]float64{"train_loss": loss}})
-	}
-	waitSignals(t, sig, 2)
-	// Inject the protocol outcome directly: the async finalization path
-	// delivers failures as msgSecAggDone.
-	_ = agg.Send(msgSecAggDone{Err: errors.New("secagg: injected failure")})
-	waitSignals(t, sig, 1)
+			buf := robust.NewBuffer(3)
+			for i, loss := range []float64{0.5, 0.7} {
+				secureAdd(t, buf, string(rune('a'+i)), map[string]float64{"train_loss": loss}, 1, 1, 2)
+			}
+			_ = agg.Send(msgFinalizeGroup{Buf: buf})
+			waitSignals(t, sig, 1)
 
-	msgs := got()
-	res, ok := msgs[len(msgs)-1].(msgGroupResult)
-	if !ok {
-		t.Fatalf("last message %T", msgs[len(msgs)-1])
-	}
-	if !strings.Contains(res.Err, "injected failure") {
-		t.Fatalf("error not surfaced: %+v", res)
-	}
-	if res.Sum != nil || res.Count != 0 {
-		t.Fatalf("failed group must not report a sum: %+v", res)
-	}
-	if len(res.Metrics["train_loss"]) != 2 {
-		t.Fatalf("metrics swallowed on secagg failure: %+v", res.Metrics)
+			msgs := got()
+			res, ok := msgs[len(msgs)-1].(msgGroupResult)
+			if !ok {
+				t.Fatalf("last message %T", msgs[len(msgs)-1])
+			}
+			if !strings.Contains(res.Err, tc.want) {
+				t.Fatalf("error not surfaced: %+v", res)
+			}
+			if res.Sum != nil || res.Count != 0 {
+				t.Fatalf("failed group must not report a sum: %+v", res)
+			}
+			if len(res.Metrics["train_loss"]) != 2 {
+				t.Fatalf("metrics swallowed on secagg failure: %+v", res.Metrics)
+			}
+		})
 	}
 }
 
@@ -251,22 +287,22 @@ func TestRoundSurfacesGroupErrors(t *testing.T) {
 }
 
 func TestTwoSecureGroupsFinalizeConcurrently(t *testing.T) {
-	// Two group Aggregators receive msgFinalizeGroup back to back; the
-	// secagg runs execute off the actor goroutines, concurrently. Run under
-	// -race (CI does) to check the parallel finalization pipeline.
+	// Two group Aggregators receive msgFinalizeGroup back to back; each
+	// secagg run executes on its own group's actor goroutine, concurrently.
+	// Run under -race (CI does) to check the parallel finalization pipeline.
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
 	aggA := sys.Spawn("agg-a", NewAggregator(2, master))
 	aggB := sys.Spawn("agg-b", NewAggregator(2, master))
 	defer sys.Shutdown(master, aggA, aggB)
 
+	bufA, bufB := robust.NewBuffer(3), robust.NewBuffer(3)
 	for i := 0; i < 3; i++ {
-		_ = aggA.Send(msgAddUpdate{DeviceID: string(rune('a' + i)), Input: secInput(1, 1, 2)})
-		_ = aggB.Send(msgAddUpdate{DeviceID: string(rune('x' + i)), Input: secInput(2, 3, 4)})
+		secureAdd(t, bufA, string(rune('a'+i)), nil, 1, 1, 2)
+		secureAdd(t, bufB, string(rune('x'+i)), nil, 2, 3, 4)
 	}
-	waitSignals(t, sig, 6)
-	_ = aggA.Send(msgFinalizeGroup{})
-	_ = aggB.Send(msgFinalizeGroup{})
+	_ = aggA.Send(msgFinalizeGroup{Buf: bufA})
+	_ = aggB.Send(msgFinalizeGroup{Buf: bufB})
 	waitSignals(t, sig, 2)
 
 	results := 0
@@ -327,10 +363,13 @@ func TestAggregatorEvalMetricsOnly(t *testing.T) {
 	agg := sys.Spawn("agg", NewAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
-	_ = agg.Send(msgAddUpdate{DeviceID: "a", Metrics: map[string]float64{"eval_accuracy": 0.8}})
-	_ = agg.Send(msgAddUpdate{DeviceID: "b", Metrics: map[string]float64{"eval_accuracy": 0.9}})
-	waitSignals(t, sig, 2)
-	_ = agg.Send(msgFinalizeGroup{})
+	buf := robust.NewBuffer(3)
+	for _, acc := range []float64{0.8, 0.9} {
+		if err := buf.AddEval(map[string]float64{"eval_accuracy": acc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = agg.Send(msgFinalizeGroup{Buf: buf})
 	waitSignals(t, sig, 1)
 	msgs := got()
 	res := msgs[len(msgs)-1].(msgGroupResult)
@@ -426,16 +465,12 @@ func TestGroupResultCarriesExactSum(t *testing.T) {
 			deltas[i][j] = w * float64((i+1)*(j+1)) / 1024
 		}
 	}
-	finalize := func(t *testing.T, agg *Aggregator, adds []msgAddUpdate, fin msgFinalizeGroup) msgGroupResult {
+	finalize := func(t *testing.T, agg *Aggregator, fin msgFinalizeGroup) msgGroupResult {
 		sys := actor.NewSystem()
 		master, got, sig := collectMaster(sys)
 		agg.master = master
 		ref := sys.Spawn("agg", agg)
 		defer sys.Shutdown(master, ref)
-		for _, m := range adds {
-			_ = ref.Send(m)
-		}
-		waitSignals(t, sig, len(adds))
 		_ = ref.Send(fin)
 		waitSignals(t, sig, 1)
 		msgs := got()
@@ -456,13 +491,13 @@ func TestGroupResultCarriesExactSum(t *testing.T) {
 	}
 
 	t.Run("secure", func(t *testing.T) {
-		var adds []msgAddUpdate
+		buf := robust.NewBuffer(dim + 1)
 		want := make(tensor.Vector, dim)
 		for i, w := range weights {
 			want.Axpy(1, deltas[i])
-			adds = append(adds, msgAddUpdate{DeviceID: string(rune('a' + i)), Input: secInput(w, deltas[i]...)})
+			secureAdd(t, buf, string(rune('a'+i)), nil, w, deltas[i]...)
 		}
-		exact(t, finalize(t, NewAggregator(dim, nil), adds, msgFinalizeGroup{}).Sum, want)
+		exact(t, finalize(t, NewAggregator(dim, nil), msgFinalizeGroup{Buf: buf}).Sum, want)
 	})
 
 	t.Run("robust", func(t *testing.T) {
@@ -485,6 +520,6 @@ func TestGroupResultCarriesExactSum(t *testing.T) {
 		want := robust.Reduce(policy, dim, updates).Sum
 		agg := NewAggregator(dim, nil)
 		agg.robustPolicy = policy
-		exact(t, finalize(t, agg, nil, msgFinalizeGroup{Robust: fill()}).Sum, want)
+		exact(t, finalize(t, agg, msgFinalizeGroup{Buf: fill()}).Sum, want)
 	})
 }

@@ -2,16 +2,12 @@ package flserver
 
 import (
 	"errors"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
-	"repro/internal/data"
-	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/remote"
@@ -54,33 +50,6 @@ func edgeRoundOn(t *testing.T, sys *actor.System, minReports int) (actor.Ref, ch
 
 func shipped(seals chan EdgeSeal) func() bool {
 	return func() bool { return len(seals) == 1 }
-}
-
-// stalledSecureGroup spawns a secure group Aggregator whose secagg run is
-// wedged behind a saturated finalization gate, three updates in and told to
-// finalize; release frees the gate (idempotent).
-func stalledSecureGroup(t *testing.T, sys *actor.System, finalizeTimeout time.Duration) (got func() []actor.Message, sig chan struct{}, release func()) {
-	t.Helper()
-	held := 0
-	for secaggSlots.Push(struct{}{}, nil) {
-		held++
-	}
-	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			for ; held > 0; held-- {
-				secaggSlots.Pop(nil)
-			}
-		})
-	}
-	t.Cleanup(release)
-	master, got, sig := collectMaster(sys)
-	agg := NewAggregator(2, master)
-	agg.finalizeTimeout = finalizeTimeout
-	ref := sys.Spawn("agg", agg)
-	feedSecureGroup(t, ref, sig, "d", 3)
-	_ = ref.Send(msgFinalizeGroup{Assigned: assignedNames("d", 3)})
-	return got, sig, release
 }
 
 // TestDeadlinesFireAtTheirInstant: every deadline the server and its links
@@ -129,17 +98,6 @@ func TestDeadlinesFireAtTheirInstant(t *testing.T) {
 			// The report window plus the grace: the straggler is told to seal.
 			clock.expire(t, "round deadline", clock.armed(t, p.Server.ReportTimeout+3*time.Second, 1), nil)
 			return 3 * time.Second, 1, func() bool { return len(outcomes) == 1 }
-		}},
-		{"secagg finalize timeout abandons a stalled group", func(t *testing.T, _ *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
-			got, _, _ := stalledSecureGroup(t, sys, 90*time.Second)
-			return 90 * time.Second, 1, func() bool {
-				for _, m := range got() {
-					if res, ok := m.(msgGroupResult); ok {
-						return strings.Contains(res.Err, "exceeded")
-					}
-				}
-				return false
-			}
 		}},
 		{"abortGrace closes a connection that never takes its abort", func(t *testing.T, clock *watchedClock, _ *actor.System) (time.Duration, int, func() bool) {
 			conn := newStuckConn(clock)
@@ -220,33 +178,4 @@ func TestStalledSendsParkForTheirSlot(t *testing.T) {
 	}
 	clock.expire(t, "abortGrace of the first 256 sends", clock.armed(t, abortGrace, 1), closed(256))
 	clock.expire(t, "abortGrace of the 257th send", clock.armed(t, abortGrace, 257), closed(257))
-}
-
-// TestFinishedSecureGroupStopsItsWatchdog: every secure group arms a
-// finalization watchdog on the process's clock, and a group that finished
-// must stop it — a timer left to expire keeps the group's actor, and its
-// mailbox, reachable for the whole FinalizeTimeout (two minutes by default),
-// which at a few rounds a second is thousands of dead mailboxes.
-func TestFinishedSecureGroupStopsItsWatchdog(t *testing.T) {
-	const rounds = 3
-	fed, _ := data.Blobs(data.BlobsConfig{Users: 12, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 8})
-	p := twoGroupSecurePlan(t)
-	r := runServer(t, Config{
-		Population: "pop", Plans: []*plan.Plan{p}, Store: storage.NewMem(),
-		Steering: pacing.New(time.Second), MaxRounds: rounds, Seed: 4,
-	})
-	fl := newFleet(t, 12, fed, 3)
-	fl.run(r, r.dial)
-	r.waitDone(t)
-	fl.halt()
-
-	watchdogs := r.of(p.Server.FinalizeTimeout())
-	if len(watchdogs) < 2*rounds {
-		t.Fatalf("%d watchdogs armed over %d committed rounds of two groups", len(watchdogs), rounds)
-	}
-	for i, w := range watchdogs {
-		if !w.stopped.Load() && !w.fired.Load() {
-			t.Fatalf("watchdog %d of %d is still armed after its group finished", i+1, len(watchdogs))
-		}
-	}
 }

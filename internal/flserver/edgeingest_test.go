@@ -1,14 +1,17 @@
 package flserver
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/fedavg"
 	"repro/internal/pacing"
+	"repro/internal/protocol"
 	"repro/internal/storage"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
@@ -151,6 +154,114 @@ func TestSecureRoundsReusePooledInputsWithoutAliasing(t *testing.T) {
 	for i := range snapshot {
 		if first.Committed.Params[i] != snapshot[i] {
 			t.Fatalf("first round's committed checkpoint mutated by buffer reuse at %d", i)
+		}
+	}
+}
+
+// heldConn is a configured device's connection: its reader receives the
+// device's one report once deliver is closed, and the server's verdict on
+// it lands on resp.
+type heldConn struct {
+	report  protocol.ReportRequest
+	deliver chan struct{}
+	resp    chan protocol.ReportResponse
+}
+
+func (c *heldConn) Send(msg interface{}) error {
+	if r, ok := msg.(protocol.ReportResponse); ok {
+		c.resp <- r
+	}
+	return nil
+}
+func (c *heldConn) Recv() (interface{}, error) { <-c.deliver; return c.report, nil }
+func (c *heldConn) Release()                   {}
+func (c *heldConn) Close() error               { return nil }
+
+// TestSecureReportAfterSealIsLate: a secure report a reader holds when the
+// round seals is refused like a late fold on the other two paths — answered
+// "reporting window closed", counted on fl_reports_late_total, and left out
+// of both the completed count and the group's sum — however the group's
+// finalize order and the report race each other.
+func TestSecureReportAfterSealIsLate(t *testing.T) {
+	sys := actor.NewSystem()
+	defer sys.Shutdown()
+	p := testPlan(t, 4, true) // one group of 4
+	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
+	seals := make(chan EdgeSeal, 1)
+	er := NewEdgeRound(EdgeRoundConfig{
+		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: 4,
+		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
+	}, nil, func(s EdgeSeal) { seals <- s })
+	// Device i reports weight i+1 and delta (i+1)·1: d0 and d1 before the
+	// seal, d2 after it.
+	conns := make([]*heldConn, 3)
+	devices := make([]heldDevice, len(conns))
+	for i := range conns {
+		w := float64(i + 1)
+		update, err := (&checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Weight: w, Params: tensor.Vector{w, w, w, w}}).Marshal(checkpoint.EncodingFloat64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := fmt.Sprintf("d%d", i)
+		conns[i] = &heldConn{
+			report:  protocol.ReportRequest{DeviceID: id, TaskID: p.ID, Round: 1, Update: update},
+			deliver: make(chan struct{}),
+			resp:    make(chan protocol.ReportResponse, 1),
+		}
+		devices[i] = heldDevice{ID: id, RuntimeVersion: 3, Conn: conns[i]}
+	}
+	close(conns[0].deliver)
+	close(conns[1].deliver)
+	late := obsReportsLate.Value()
+	lateResp := make(chan protocol.ReportResponse, 1)
+	ref := sys.Spawn("edge-late-report-test", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		er.Receive(ctx, msg)
+		if _, ok := msg.(msgEdgeFinalize); ok {
+			// The window is closed and the group's finalize order is posted
+			// but may not have landed: the held report arrives now.
+			close(conns[2].deliver)
+			lateResp <- <-conns[2].resp
+		}
+	}))
+	_ = ref.Send(msgEdgeStart{})
+	_ = ref.Send(msgDevices{Devices: devices})
+	await := func(what string, ch <-chan protocol.ReportResponse) protocol.ReportResponse {
+		t.Helper()
+		select {
+		case r := <-ch:
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+			return protocol.ReportResponse{}
+		}
+	}
+	for i, c := range conns[:2] {
+		if r := await("an on-time verdict", c.resp); !r.Accepted {
+			t.Fatalf("on-time report %d refused: %+v", i, r)
+		}
+	}
+	FinalizeEdgeRound(ref)
+
+	if r := await("the late verdict", lateResp); r.Accepted || r.Reason != "reporting window closed" {
+		t.Fatalf("late report answered %+v, want refused: reporting window closed", r)
+	}
+	if n := obsReportsLate.Value() - late; n != 1 {
+		t.Fatalf("fl_reports_late_total moved by %d, want 1", n)
+	}
+	var seal EdgeSeal
+	select {
+	case seal = <-seals:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the seal")
+	}
+	s := seal.Seal
+	if seal.Aborted != 1 || len(seal.GroupErrors) != 0 || s.Count != 2 || s.Weight != 3 {
+		t.Fatalf("seal: aborted %d, errors %v, count %d, weight %v; want 1, none, 2 and 3",
+			seal.Aborted, seal.GroupErrors, s.Count, s.Weight)
+	}
+	for j, v := range s.Sum {
+		if math.Abs(v-3) > 1e-6 {
+			t.Fatalf("sum[%d] = %v, want 3: the late update reached the group sum", j, v)
 		}
 	}
 }

@@ -135,8 +135,8 @@ type versionResp struct {
 // Selectors, streams each arrival its configuration (the plan lowered to
 // the device's runtime version plus the checkpoint, pre-framed once per
 // version), lets per-connection readers consume reports — folded into
-// stripes, retained for a robust reduce, or routed to Secure Aggregation
-// groups — and, on target, timeout, or coordinator order, merges
+// stripes, or retained in a group's buffer for its Secure Aggregation run or
+// robust reduce — and, on target, timeout, or coordinator order, merges
 // everything into a single EdgeSeal handed to ship. The same actor serves
 // an in-process Coordinator (ship is a mailbox send) and a selector shard
 // (ship crosses the peer link).
@@ -146,13 +146,14 @@ type EdgeRound struct {
 	ship      func(EdgeSeal)
 
 	// Exactly one ingest shape per round: stripes (plain and norm-bound),
-	// a retention buffer drained by aggs[0] (per-update robust policies),
-	// or secure groups aggs[g] sized by assigned[g].
+	// or groups aggs[g] each draining its retention buffer bufs[g] — one
+	// for a per-update robust policy, or secure groups sized by
+	// assigned[g].
 	ingest    *roundIngest
-	robustBuf *robust.Buffer
 	secure    bool
 	groupSize int
 	aggs      []actor.Ref
+	bufs      []*robust.Buffer
 	assigned  [][]string
 	partials  []msgGroupResult
 
@@ -315,16 +316,21 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 	er.startAt = time.Now()
 	er.out.clock = ctx.System.Clock()
 	srv := er.cfg.Plan.Server
-	spawnAgg := func(g int) actor.Ref {
-		agg := NewAggregator(er.cfg.Dim, ctx.Self)
-		agg.threshold = srv.SecAggThreshold
-		agg.finalizeTimeout = srv.FinalizeTimeout()
-		agg.churn = er.cfg.churn
-		agg.robustPolicy = srv.Robust
-		if srv.Robust.PerUpdate() {
-			_, agg.obsRejectedTask, agg.obsTrimmedTask = robustTaskCounters(er.cfg.Plan.ID)
+	// spawnGroups spawns n group Aggregators, each with a retention buffer
+	// for vectors of length vlen.
+	spawnGroups := func(n, vlen int) {
+		er.aggs, er.bufs, er.assigned = make([]actor.Ref, n), make([]*robust.Buffer, n), make([][]string, n)
+		for g := range er.aggs {
+			agg := NewAggregator(er.cfg.Dim, ctx.Self)
+			agg.threshold = srv.SecAggThreshold
+			agg.churn = er.cfg.churn
+			agg.robustPolicy = srv.Robust
+			if srv.Robust.PerUpdate() {
+				_, agg.obsRejectedTask, agg.obsTrimmedTask = robustTaskCounters(er.cfg.Plan.ID)
+			}
+			er.aggs[g] = ctx.Spawn(fmt.Sprintf("%s/agg-%d", ctx.Self.Name(), g), agg)
+			er.bufs[g] = robust.NewBuffer(vlen)
 		}
-		return ctx.Spawn(fmt.Sprintf("%s/agg-%d", ctx.Self.Name(), g), agg)
 	}
 	switch {
 	case srv.Aggregation == plan.AggregationSecure:
@@ -332,19 +338,15 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 		// admit count. secagg.GroupSpans folds the remainder into the last
 		// full group so no planned group falls below 2 (the Aggregator's
 		// singleton refusal backstops a starved round); groups never span
-		// edges (Sec. 6: the sums are merged above them in the clear).
+		// edges (Sec. 6: the sums are merged above them in the clear). A
+		// group retains delta‖weight: the weight takes the last slot.
 		er.secure = true
 		er.groupSize = srv.SecAggGroupSize // ≥ 2: plan.Validate
-		er.aggs = make([]actor.Ref, len(secagg.GroupSpans(er.cfg.Admit, er.groupSize)))
-		er.assigned = make([][]string, len(er.aggs))
-		for g := range er.aggs {
-			er.aggs[g] = spawnAgg(g)
-		}
+		spawnGroups(len(secagg.GroupSpans(er.cfg.Admit, er.groupSize)), er.cfg.Dim+1)
 	case srv.Robust.PerUpdate():
 		// The robust reduce is an order statistic over the whole cohort —
 		// it cannot be striped — so one reducer drains one buffer.
-		er.robustBuf = robust.NewBuffer(er.cfg.Dim)
-		er.aggs = []actor.Ref{spawnAgg(0)}
+		spawnGroups(1, er.cfg.Dim)
 	default:
 		er.ingest = newRoundIngest(er.cfg.Dim, er.cfg.Stripes)
 	}
@@ -358,7 +360,6 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 		secure:   er.secure,
 		evalOnly: er.cfg.Plan.Type == plan.TaskEval,
 		ingest:   er.ingest,
-		buf:      er.robustBuf,
 	}
 	if !er.secure && srv.Robust.Kind == plan.RobustNormBound {
 		er.reader.clip = srv.Robust.ClipNorm
@@ -465,16 +466,17 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 			refuse(d.Conn, vr.err)
 			continue
 		}
-		var group actor.Ref
-		if er.secure {
-			// From here the device counts toward its group's secagg instance
-			// size: not delivering makes it a protocol dropout, not a no-show.
-			g := len(er.devices) / er.groupSize
-			if g >= len(er.aggs) {
-				g = len(er.aggs) - 1
+		var buf *robust.Buffer
+		if len(er.bufs) > 0 {
+			g := 0
+			if er.secure {
+				// From here the device counts toward its group's secagg
+				// instance size: not delivering makes it a protocol
+				// dropout, not a no-show.
+				g = min(len(er.devices)/er.groupSize, len(er.bufs)-1)
+				er.assigned[g] = append(er.assigned[g], d.ID)
 			}
-			er.assigned[g] = append(er.assigned[g], d.ID)
-			group = er.aggs[g]
+			buf = er.bufs[g]
 		}
 		er.devices[d.ID] = &edgeDev{conn: d.Conn}
 		ctx.System.Clock().Go(func() {
@@ -487,7 +489,7 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 				_ = self.Send(msgReportDone{DeviceID: d.ID})
 				return
 			}
-			reader.read(d.ID, d.Conn, group)
+			reader.read(d.ID, d.Conn, buf)
 		})
 	}
 	er.topUp(ctx, replace)
@@ -549,22 +551,22 @@ func (er *EdgeRound) topUp(ctx *actor.Context, n int) {
 	er.send(sel, msgQuotaTopUp{Population: er.cfg.Population, N: n, To: ctx.Self})
 }
 
-// closeWindow ends device intake: the ingest is sealed (a reader racing the
-// close gets ErrPartialClosed / ErrBufferClosed and answers its device
-// "window closed" instead of slipping past the merge), unreported devices
-// are told to stop, and quota is revoked. The sends ride the bounded
-// response pool: an unreported device may still have a configuration send
-// in flight on a stuck socket, and its conn's send lock would block the
-// actor forever. Close always happens — after the Abort is delivered, or
-// after the grace period — which also unblocks a configuration send wedged
-// on the same connection.
+// closeWindow ends device intake: the stripes and every group buffer are
+// sealed (a reader racing the close gets ErrPartialClosed / ErrBufferClosed
+// and answers its device "window closed" instead of slipping past the merge
+// or the group's reduce), unreported devices are told to stop, and quota is
+// revoked. The sends ride the bounded response pool: an unreported device
+// may still have a configuration send in flight on a stuck socket, and its
+// conn's send lock would block the actor forever. Close always happens —
+// after the Abort is delivered, or after the grace period — which also
+// unblocks a configuration send wedged on the same connection.
 func (er *EdgeRound) closeWindow(ctx *actor.Context, reason string) {
 	er.sealed = true
 	if er.ingest != nil {
 		er.ingest.close()
 	}
-	if er.robustBuf != nil {
-		er.robustBuf.Close()
+	for _, b := range er.bufs {
+		b.Close()
 	}
 	abort := protocol.Abort{TaskID: er.cfg.Plan.ID, Round: er.cfg.Round, Reason: reason}
 	for _, d := range er.devices {
@@ -577,10 +579,10 @@ func (er *EdgeRound) closeWindow(ctx *actor.Context, reason string) {
 }
 
 // seal closes the window and produces the round's one EdgeSeal: stripes
-// merge here; secure groups and the retention reducer are told to finalize
-// (each secure group with its configured-device list, so devices that never
-// delivered enter the protocol as real dropouts instead of silently
-// shrinking the group) and the seal ships once every group has answered.
+// merge here; groups are handed their closed buffers to reduce (each secure
+// group with its configured-device list, so devices that never delivered
+// enter the protocol as real dropouts instead of silently shrinking the
+// group) and the seal ships once every group has answered.
 func (er *EdgeRound) seal(ctx *actor.Context) {
 	if er.sealed {
 		return
@@ -597,14 +599,9 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 		return
 	}
 	for g, agg := range er.aggs {
-		fin := msgFinalizeGroup{Robust: er.robustBuf}
-		if er.secure {
-			fin.Assigned = er.assigned[g]
-		}
 		// Through the outbox like every send this round makes from inside
-		// Receive: a group's readers and its Aggregator block on the round's
-		// mailbox, so the round must not block on the Aggregator's.
-		er.send(agg, fin)
+		// Receive: the round must not block on a group's mailbox.
+		er.send(agg, msgFinalizeGroup{Assigned: er.assigned[g], Buf: er.bufs[g]})
 	}
 }
 
@@ -706,8 +703,8 @@ func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
 // by onDevices' sealed branch — a device connection must never be dropped
 // unanswered with the mailbox.
 func (er *EdgeRound) release(ctx *actor.Context) {
-	er.ingest, er.robustBuf, er.reader, er.resps, er.devices = nil, nil, reportReader{}, nil, nil
-	er.aggs, er.assigned, er.partials = nil, nil, nil
+	er.ingest, er.reader, er.resps, er.devices = nil, reportReader{}, nil, nil
+	er.aggs, er.bufs, er.assigned, er.partials = nil, nil, nil, nil
 	er.cfg.Global, er.cfg.Checkpoint = nil, nil
 	for _, t := range er.timers {
 		t.Stop()

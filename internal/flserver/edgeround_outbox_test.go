@@ -116,13 +116,14 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 }
 
 // TestSealSurvivesSaturatedGroupMailbox is the same wait-for cycle one level
-// down (ROADMAP 5(d)): a secure group's Aggregator is parked reporting a
-// verdict into the round's full mailbox, its own mailbox is full of its
-// devices' updates with more readers parked behind them, and the next message
-// the round handles tells it to seal — which orders every group to finalize.
-// Sent from inside Receive that order parks behind the readers while the
-// Aggregator parks on the round: neither returns. The round must instead
-// drain, hear the group's (empty) result and ship its seal.
+// down (ROADMAP 5(d)): a secure group's Aggregator has a mailbox full of
+// messages with more senders parked behind them, and the next message the
+// round handles tells it to seal — which orders every group to finalize.
+// The order goes through the round's outbox like every send from inside
+// Receive; the round must drain, hear the group's (empty) result and ship
+// its seal. Only the round sends to a group, and a group sends the round
+// nothing before its result, so the cycle this test once caught — the
+// group parked on the round's full mailbox — can no longer form.
 func TestSealSurvivesSaturatedGroupMailbox(t *testing.T) {
 	const (
 		mailbox = 1024 // actor.mailboxSize
@@ -164,20 +165,16 @@ func TestSealSurvivesSaturatedGroupMailbox(t *testing.T) {
 	for i := 1; i < mailbox; i++ {
 		_ = ref.Send(msgReportDone{DeviceID: "never-configured"})
 	}
-	// Every update is refused for its length, so nothing is buffered for a
-	// secagg run — and every refusal is reported to the round: the
-	// Aggregator parks on the first, the rest fill its mailbox, and the
-	// readers park behind that.
-	refused := func(i int) actor.Message {
-		return msgAddUpdate{DeviceID: fmt.Sprintf("d%d", i), Input: secInput(1, 1)}
-	}
+	// Filler the Aggregator ignores: nothing is buffered for a secagg run.
+	// It fills the group's mailbox, and the senders park behind that.
+	filler := func(i int) actor.Message { return msgReportDone{DeviceID: fmt.Sprintf("d%d", i)} }
 	for i := 0; i <= mailbox; i++ {
-		_ = agg.Send(refused(i))
+		_ = agg.Send(filler(i))
 	}
 	for i := 0; i < readers; i++ {
-		clock.Go(func() { _ = agg.Send(refused(mailbox + 1 + i)) })
+		clock.Go(func() { _ = agg.Send(filler(mailbox + 1 + i)) })
 	}
-	clock.until(t, "the readers to park on their Send", func() bool { return true })
+	clock.until(t, "the senders to park on their Send", func() bool { return true })
 	release.Close()
 
 	clock.until(t, "the seal (the round must not park on its group's mailbox)", func() bool { return len(seals) == 1 })

@@ -53,20 +53,15 @@ func (ri *roundIngest) close() {
 	}
 }
 
-// updateBufPool recycles the secure Reporting path's delta‖weight buffers:
-// a reader decodes into one, the device's group Aggregator returns it after
-// the secagg run consumes it.
-var updateBufPool tensor.VectorPool
-
 // respGate bounds concurrent off-goroutine response sends process-wide, so
 // a flood of rejections cannot hold unbounded frame buffers in flight.
 var respGate = actor.NewQueue[struct{}](256)
 
 // sendThenClose delivers msg to conn on its own goroutine and then closes
 // the connection. Every path that answers a device from an actor goroutine
-// (EdgeRound rejections and aborts, group Aggregator report responses)
-// routes through here: a stalled socket blocks one pooled
-// goroutine for at most abortGrace — never an actor, never the round.
+// (EdgeRound rejections and aborts) routes through here: a stalled socket
+// blocks one pooled goroutine for at most abortGrace — never an actor, never
+// the round.
 func sendThenClose(clock actor.Clock, conn transport.Conn, msg interface{}) {
 	clock.Go(func() {
 		respGate.Push(struct{}{}, clock)
@@ -93,15 +88,16 @@ func sendWithGrace(clock actor.Clock, conn transport.Conn, msg interface{}) {
 const abortGrace = 5 * time.Second
 
 // reportReader is what a per-device connection reader needs to consume one
-// report at the edge: the non-secure path decodes-and-accumulates into the
-// round's stripes, the secure path decodes into a pooled buffer delivered
-// straight to the device's group Aggregator.
+// report at the edge: it decodes-and-accumulates into the round's stripes,
+// or decodes into a pooled vector its group's retention buffer keeps.
 type reportReader struct {
-	self     actor.Ref
-	clock    actor.Clock
-	taskID   string // a report must name the task and round its session was configured for
-	round    int64
-	dim      int
+	self   actor.Ref
+	clock  actor.Clock
+	taskID string // a report must name the task and round its session was configured for
+	round  int64
+	dim    int
+	// secure rounds retain delta‖weight: the weight rides in the vector's
+	// last slot, through the secure sum.
 	secure   bool
 	evalOnly bool
 	ingest   *roundIngest
@@ -111,10 +107,6 @@ type reportReader struct {
 	// still two streaming passes over the wire bytes, still zero O(dim)
 	// allocation.
 	clip float64
-	// buf, when set, is the round's per-update retention buffer: the
-	// policy needs individual updates at finalize, so readers decode into
-	// pooled vectors instead of folding into stripes.
-	buf *robust.Buffer
 	// clipped counts edge clips for the round (the EdgeRound's counter);
 	// obsClipped is the task-labeled series, resolved once per round.
 	clipped    *atomic.Int64
@@ -123,16 +115,17 @@ type reportReader struct {
 
 // read blocks for one device's ReportRequest and consumes it at the edge:
 // the O(devices × dim) decode work runs on the per-device reader goroutines
-// concurrently, non-secure updates are dequantized straight into one of the
-// round's accumulator stripes (zero O(dim) allocation, zero O(dim) mailbox
-// hop), and secure updates are decoded into a pooled buffer delivered
-// straight to the device's group Aggregator — the EdgeRound only ever sees
+// concurrently. With no retention buffer, updates are dequantized straight
+// into one of the round's accumulator stripes (zero O(dim) allocation, zero
+// O(dim) mailbox hop); buf, the device's group buffer (a secure group's, or
+// the round's one under a per-update robust policy), keeps a decoded
+// pooled vector for its group's reduce. The EdgeRound only ever sees
 // fixed-size accounting messages.
 //
 // req.Update aliases the connection's leased receive buffer: every branch
 // releases it once the bytes are dead — folded, decoded or refused — and
 // before the ack goes out, so it serves another device's frame meanwhile.
-func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref) {
+func (r reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buffer) {
 	msg, err := conn.Recv()
 	req, ok := msg.(protocol.ReportRequest)
 	if err != nil || !ok {
@@ -181,10 +174,8 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 		case !r.evalOnly:
 			// A training task must carry an update.
 			reject("missing update")
-		case r.secure:
-			// Metrics-only report (evaluation task).
-			conn.Release()
-			_ = group.Send(msgAddUpdate{DeviceID: deviceID, Metrics: req.Metrics, Conn: conn})
+		case buf != nil:
+			settle(buf.AddEval(req.Metrics))
 		default:
 			settle(r.ingest.stripe().AddEval(req.Metrics))
 		}
@@ -203,27 +194,17 @@ func (r reportReader) read(deviceID string, conn transport.Conn, group actor.Ref
 		reject("non-positive or non-finite weight")
 		return
 	}
-	if r.secure {
-		// Decode delta‖weight into a pooled buffer; the group Aggregator
-		// (which must keep per-device vectors for the secagg run) owns it
-		// from here and recycles it after the protocol consumes it.
-		buf := updateBufPool.Get(r.dim + 1)
-		if err := meta.DecodeParams(req.Update, (*buf)[:r.dim]); err != nil {
-			updateBufPool.Put(buf)
-			reject("bad update: " + err.Error())
-			return
-		}
-		(*buf)[r.dim] = meta.Weight
-		conn.Release()
-		_ = group.Send(msgAddUpdate{DeviceID: deviceID, Input: buf, Metrics: req.Metrics, Conn: conn})
-		return
-	}
-	if r.buf != nil {
-		// Per-update retention (trimmed mean / median / cosine): decode
-		// into a pooled vector the robust reduce consumes at the seal.
-		// Acceptance means "buffered" — a later defensive trim or rejection
-		// is the server's business, attributed in the EdgeSeal.
-		settle(r.buf.Add(deviceID, meta.Weight, req.Metrics, func(dst tensor.Vector) error {
+	if buf != nil {
+		// Retention: decode into a pooled vector the group's reduce (secagg
+		// run, or trimmed mean / median / cosine) consumes at the seal.
+		// Acceptance means "buffered" — a later secagg exclusion or
+		// defensive trim is the server's business, attributed in the
+		// EdgeSeal.
+		settle(buf.Add(deviceID, meta.Weight, req.Metrics, func(dst tensor.Vector) error {
+			if r.secure {
+				dst[r.dim] = meta.Weight
+				dst = dst[:r.dim]
+			}
 			return meta.DecodeParams(req.Update, dst)
 		}))
 		return

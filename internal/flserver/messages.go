@@ -182,9 +182,9 @@ type msgSelectionTimeout struct{}
 
 // msgReportDone is the fixed-size outcome of one device's report, posted by
 // its connection reader after the O(dim) work already happened at the edge
-// (decode-and-accumulate into a stripe for non-secure rounds, decode into a
-// pooled group-Aggregator input for secure ones). Only round accounting
-// crosses the EdgeRound's mailbox — never a parameter vector.
+// (decode-and-accumulate into a stripe, or decode into a pooled vector a
+// group's buffer retains). Only round accounting crosses the EdgeRound's
+// mailbox — never a parameter vector.
 type msgReportDone struct {
 	DeviceID string
 	// OK is true when the report was folded in; false records a device
@@ -193,7 +193,8 @@ type msgReportDone struct {
 	OK bool
 }
 
-// msgFinalizeGroup tells an Aggregator to deliver its partial aggregate.
+// msgFinalizeGroup tells an Aggregator to reduce its group and deliver the
+// partial aggregate.
 type msgFinalizeGroup struct {
 	// Assigned lists the device ids configured into this group, in
 	// assignment order. Secure groups derive their secagg instance size
@@ -202,11 +203,11 @@ type msgFinalizeGroup struct {
 	// protocol's churn schedule rather than silently shrinking the group.
 	// Empty means "size the instance by what was delivered" (tests).
 	Assigned []string
-	// Robust is the round's per-update retention buffer (trimmed mean /
-	// median / cosine policies); the receiving Aggregator drains it and
-	// runs the robust reduce in place of a stripe merge. Handed to exactly
-	// the round's one reducer, already closed by the EdgeRound.
-	Robust *robust.Buffer
+	// Buf is the group's retention buffer, already closed by the EdgeRound:
+	// a secure group's own (delta‖weight vectors), or the round's one
+	// buffer for a per-update robust policy (trimmed mean / median /
+	// cosine). The Aggregator drains it and runs its reduce.
+	Buf *robust.Buffer
 }
 
 // msgGroupResult is an Aggregator's partial aggregate for the round.

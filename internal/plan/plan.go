@@ -144,11 +144,6 @@ type ServerPlan struct {
 	// colluding participants could reconstruct a dropped device's masking
 	// key. 0 defaults to the majority threshold n/2 + 1.
 	SecAggThresholdFraction float64
-	// SecAggFinalizeTimeout bounds one group's Secure Aggregation
-	// finalization. A run that exceeds it is abandoned with an attributed,
-	// metric-carrying group error instead of stalling the round. 0 defaults
-	// to 2 minutes.
-	SecAggFinalizeTimeout time.Duration
 	// TargetDevices is K, the number of reports needed to commit a round.
 	TargetDevices int
 	// OverSelectFactor is how many devices to admit relative to K
@@ -202,14 +197,6 @@ func (s ServerPlan) SecAggThreshold(n int) int {
 		t = n
 	}
 	return t
-}
-
-// FinalizeTimeout resolves the per-group secagg finalization deadline.
-func (s ServerPlan) FinalizeTimeout() time.Duration {
-	if s.SecAggFinalizeTimeout > 0 {
-		return s.SecAggFinalizeTimeout
-	}
-	return 2 * time.Minute
 }
 
 // MinReports returns the minimum number of reports to commit a round.
@@ -273,9 +260,6 @@ func (p *Plan) Validate() error {
 	if f := p.Server.SecAggThresholdFraction; f < 0 || f > 1 {
 		return fmt.Errorf("plan %q: SecAggThresholdFraction must be in [0,1]", p.ID)
 	}
-	if p.Server.SecAggFinalizeTimeout < 0 {
-		return fmt.Errorf("plan %q: SecAggFinalizeTimeout must be non-negative", p.ID)
-	}
 	if e := p.Server.ReportEncoding; e != 0 && !e.Valid() {
 		return fmt.Errorf("plan %q: unknown report encoding %d", p.ID, e)
 	}
@@ -313,15 +297,16 @@ func (p *Plan) DownlinkEncoding() checkpoint.Encoding {
 }
 
 // The first byte of a marshaled plan names its format; each moves whenever
-// its field list does. DESIGN.md tabulates both layouts. Format 3 is the
+// its field list does. DESIGN.md tabulates both layouts. Format 5 is the
 // whole plan (the shard link, task snapshots); format 4 is the device's part
-// (the device link); 1 and 2, their fixed-width layouts, are refused.
+// (the device link); 1 and 2, their fixed-width layouts, and 3, the whole
+// plan before the server part lost a field, are refused.
 const (
-	wireFormat   = 3
+	wireFormat   = 5
 	deviceFormat = 4
 )
 
-// Marshal encodes the plan under format 3: the format byte, the device's
+// Marshal encodes the plan under format 5: the format byte, the device's
 // section of format 4, then what only the server reads — ID, Population,
 // the model's seed, and every field of ServerPlan and RobustPolicy in
 // declaration order — under internal/wire's conventions: ints and durations
@@ -371,7 +356,7 @@ func unmarshal(b []byte, format byte) (*Plan, error) {
 
 // walk is the descriptor layout: the format byte, then the section both
 // formats carry — Type and d, ReportEncoding first and the model's seed
-// left out — and, under format 3, the server's part after it.
+// left out — and, under format 5, the server's part after it.
 func (p *Plan) walk(c *wire.Codec, format byte, d *DevicePlan) {
 	m, s, r := &d.Model, &p.Server, &p.Server.Robust
 	c.U8(&format)
@@ -407,7 +392,6 @@ func (p *Plan) walk(c *wire.Codec, format byte, d *DevicePlan) {
 	c.U8((*uint8)(&s.Aggregation))
 	c.Int(&s.SecAggGroupSize)
 	c.F64(&s.SecAggThresholdFraction)
-	c.Dur(&s.SecAggFinalizeTimeout)
 	c.Int(&s.TargetDevices)
 	c.F64(&s.OverSelectFactor)
 	c.F64(&s.MinReportFraction)
@@ -445,10 +429,9 @@ type Config struct {
 	ParticipationCap  time.Duration
 	SecureAggregation bool
 	SecAggGroupSize   int // default 16 when secure aggregation is on
-	// SecAggThresholdFraction and SecAggFinalizeTimeout mirror the
-	// ServerPlan fields of the same names (0 = default).
+	// SecAggThresholdFraction mirrors the ServerPlan field of the same
+	// name (0 = default).
 	SecAggThresholdFraction float64
-	SecAggFinalizeTimeout   time.Duration
 	ReportEncoding          checkpoint.Encoding
 	// Robust selects the robust aggregation policy (see RobustKind); the
 	// zero value is the plain weighted mean. Per-update policies
@@ -541,7 +524,6 @@ func Generate(cfg Config) (*Plan, error) {
 			Aggregation:             agg,
 			SecAggGroupSize:         cfg.SecAggGroupSize,
 			SecAggThresholdFraction: cfg.SecAggThresholdFraction,
-			SecAggFinalizeTimeout:   cfg.SecAggFinalizeTimeout,
 			TargetDevices:           cfg.TargetDevices,
 			OverSelectFactor:        cfg.OverSelectFactor,
 			MinReportFraction:       cfg.MinReportFraction,

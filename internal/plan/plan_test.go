@@ -148,7 +148,7 @@ func marshalCases(t testing.TB) map[string]*Plan {
 		"fused": func(c *Config) { c.UseFusedOps = true },
 		"eval":  func(c *Config) { c.Type = TaskEval },
 		"secagg": func(c *Config) {
-			c.SecureAggregation, c.SecAggThresholdFraction, c.SecAggFinalizeTimeout = true, 0.75, time.Second
+			c.SecureAggregation, c.SecAggThresholdFraction = true, 0.75
 		},
 		"norm bound": func(c *Config) { c.Robust = RobustPolicy{Kind: RobustNormBound, ClipNorm: 2.5} },
 		"cosine quant-safe": func(c *Config) {
@@ -190,7 +190,7 @@ var (
 	deviceCodec = codec{(*Plan).MarshalDevice, UnmarshalDevice, Unmarshal}
 )
 
-// TestMarshalRoundTrip: format 3 carries every field of the plan; format 4
+// TestMarshalRoundTrip: format 5 carries every field of the plan; format 4
 // carries Type and every DevicePlan field but the model's seed, with the
 // resolved uplink encoding in ReportEncoding, and ID, Population, the seed
 // and every ServerPlan and RobustPolicy field read back zero. Each decoder
@@ -253,7 +253,7 @@ func goldenPlan() *Plan {
 		},
 		Server: ServerPlan{
 			Aggregation: AggregationSecure, SecAggGroupSize: 16, SecAggThresholdFraction: 0.75,
-			SecAggFinalizeTimeout: time.Minute, TargetDevices: 128, OverSelectFactor: 1.3, MinReportFraction: 0.8,
+			TargetDevices: 128, OverSelectFactor: 1.3, MinReportFraction: 0.8,
 			SelectionTimeout: 2 * time.Minute, ReportTimeout: 3 * time.Minute, ParticipationCap: 4 * time.Minute,
 			ReportEncoding: checkpoint.EncodingQuant8,
 			Robust:         RobustPolicy{Kind: RobustNormBound, ClipNorm: 2.5, TrimFraction: 0.25, MaxCosineDistance: 0.5, QuantSafe: true},
@@ -267,7 +267,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // change to any field's width, order or encoding fails it. Such a change
 // bumps wireFormat or deviceFormat and regenerates the files with -update.
 func TestWireGolden(t *testing.T) {
-	for file, c := range map[string]codec{"plan_v3.golden": planCodec, "device_v4.golden": deviceCodec} {
+	for file, c := range map[string]codec{"plan_v5.golden": planCodec, "device_v4.golden": deviceCodec} {
 		got, err := c.marshal(goldenPlan())
 		if err != nil {
 			t.Fatal(err)
@@ -290,9 +290,10 @@ func TestWireGolden(t *testing.T) {
 }
 
 // TestOldFormatsRefused: the golden plan in the fixed-width layouts that
-// formats 3 and 4 replaced is refused by both decoders, not misread.
+// formats 3 and 4 replaced, and in format 3 that format 5 replaced, is
+// refused by both decoders, not misread.
 func TestOldFormatsRefused(t *testing.T) {
-	for _, file := range []string{"plan_v1.golden", "device_v2.golden"} {
+	for _, file := range []string{"plan_v1.golden", "device_v2.golden", "plan_v3.golden"} {
 		b, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			t.Fatal(err)
@@ -321,13 +322,13 @@ func TestDevicePlanBytes(t *testing.T) {
 	}
 	dev, _ := p.MarshalDevice()
 	full, _ := p.Marshal()
-	if len(dev) != 42 || len(full) != 142 {
-		t.Fatalf("device plan %d B, full plan %d B; want 42 and 142", len(dev), len(full))
+	if len(dev) != 42 || len(full) != 141 {
+		t.Fatalf("device plan %d B, full plan %d B; want 42 and 141", len(dev), len(full))
 	}
 }
 
 // spliced is the zero plan under format with the one-byte varint at index
-// at replaced by v. Format 4 is format 3's first 32 bytes.
+// at replaced by v. Format 4 is format 5's first 32 bytes.
 func spliced(format byte, at int, v ...byte) []byte {
 	b, _ := (&Plan{}).Marshal()
 	if b[0] = format; format == deviceFormat {
@@ -351,7 +352,7 @@ var hostilePlans = [][]byte{
 
 func TestUnmarshalGarbage(t *testing.T) {
 	zero, _ := (&Plan{}).Marshal()
-	zero[0] = deviceFormat + 1
+	zero[0] = wireFormat + 1
 	for _, b := range append(hostilePlans, nil, []byte("not a plan"), zero) {
 		for _, unmarshal := range []func([]byte) (*Plan, error){Unmarshal, UnmarshalDevice} {
 			if _, err := unmarshal(b); err == nil {
@@ -366,10 +367,10 @@ func TestUnmarshalGarbage(t *testing.T) {
 const reportEncodingAt = 2
 
 // FuzzPlanUnmarshal: both decoders run on every input and never panic, and
-// each accepts only its own format byte. An accepted format-3 plan re-encodes
-// to its own bytes; the device section of any accepted plan — format 3 or
+// each accepts only its own format byte. An accepted format-5 plan re-encodes
+// to its own bytes; the device section of any accepted plan — format 5 or
 // 4 — re-encodes through MarshalDevice to exactly that section with the
-// resolved uplink encoding, and decodes again. Format 3 begins with format
+// resolved uplink encoding, and decodes again. Format 5 begins with format
 // 4's section, so its length is the device walk's: MarshalDevice's output.
 func FuzzPlanUnmarshal(f *testing.F) {
 	for _, p := range marshalCases(f) {

@@ -14,14 +14,16 @@ import (
 // retention path, so a late report is refused rather than silently lost.
 var ErrBufferClosed = errors.New("robust: buffer closed")
 
-// Buffer is the per-update retention counterpart of a
+// Buffer is the server's one per-device retention, the counterpart of a
 // fedavg.PartialAccumulator stripe: where a stripe folds each report into
-// a running sum at the edge, a per-update robust policy (trimmed mean,
-// median, cosine outlier) must see every individual update at finalize,
-// so the report readers decode into pooled vectors and park them here.
-// One Buffer serves the whole round (policies are order statistics over
-// the full cohort — striping it would change the answer); the decode
-// happens outside the lock, so the critical section is a pointer append.
+// a running sum at the edge, two reducers must see every individual update
+// at finalize, so the report readers decode into pooled vectors and park
+// them here. A per-update robust policy (trimmed mean, median, cosine
+// outlier) has one Buffer for the whole round (its order statistics run
+// over the full cohort — striping it would change the answer); each Secure
+// Aggregation group has its own, of delta‖weight vectors, for its secagg
+// run. The decode happens outside the lock, so the critical section is a
+// pointer append.
 type Buffer struct {
 	mu        sync.Mutex
 	closed    bool

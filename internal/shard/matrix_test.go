@@ -604,20 +604,6 @@ func parallel(t *testing.T) {
 	}
 }
 
-// secureSlot admits one secure cell at a time. A secure group waits for a
-// slot of the process-wide secagg limit on its rig's clock, and a rig whose
-// goroutines wait on another rig's is idle: its clock would jump past the
-// finalize timeout.
-var secureSlot = make(chan struct{}, 1)
-
-func serializeSecure(p *plan.Plan) func() {
-	if p.Server.Aggregation != plan.AggregationSecure {
-		return func() {}
-	}
-	secureSlot <- struct{}{}
-	return func() { <-secureSlot }
-}
-
 // TestEngineEquivalenceMatrix is the composition matrix: every shape ×
 // topology × fault cell on chaos.NewRig and a wall-clock row over loopback
 // TCP. It then checks DESIGN.md §3b's generated tables against the verdicts.
@@ -666,7 +652,6 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 							return
 						}
 						parallel(t)
-						defer serializeSecure(r.p)()
 						c := newCell(t, sh, topo, r.f, r.p, matrixK, virtualDim)
 						if v, want := c.runVirtual(t), c.expect(); v != want {
 							t.Fatalf("verdict %s, want %s", v, want)
@@ -904,7 +889,6 @@ func TestShardedRoundTCP(t *testing.T) {
 // its commit against the closed form and that every download and every
 // update was read into a leased buffer.
 func tcpCell(t *testing.T, sh shape, topo topology, p *plan.Plan) {
-	defer serializeSecure(p)()
 	c := newCell(t, sh, topo, faults[0], p, matrixK, tcpDim)
 	before := leasedFrames()
 	if v := c.verdict(t, c.runTCP(t, topo.shards, 1, matrixK, nil), nil); v != "commit" {

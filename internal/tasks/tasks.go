@@ -623,7 +623,7 @@ func (ts *TaskSet) Len() int {
 
 // snapshotFormat is the first byte of a persisted snapshot; it moves whenever
 // the field list below or a plan's format does. DESIGN.md tabulates the layout.
-const snapshotFormat = 2
+const snapshotFormat = 3
 
 func (p *Policy) walk(c *wire.Codec) {
 	c.Int(&p.Weight)

@@ -633,19 +633,24 @@ type savedSet struct {
 }
 
 // TestRestoreRejectsForeignSnapshots: a storage.File directory holding a
-// task set written by a gob-era build (gob is the oracle for those bytes) or
-// in format 1, the fixed-width layout format 2 replaced, fails New with an
-// error that says so; there is no second decoder.
+// task set written by a gob-era build (gob is the oracle for those bytes), in
+// format 1, the fixed-width layout format 2 replaced, or in format 2, whose
+// plans are format-3 descriptors, fails New with an error that says so;
+// there is no second decoder.
 func TestRestoreRejectsForeignSnapshots(t *testing.T) {
 	var gobEra bytes.Buffer
 	if err := gob.NewEncoder(&gobEra).Encode(&savedSet{Tasks: []savedTask{{Plan: trainPlan(t, "a"), State: Active}}}); err != nil {
 		t.Fatal(err)
 	}
-	format1, err := os.ReadFile(filepath.FromSlash("testdata/snapshot_v1.golden"))
-	if err != nil {
-		t.Fatal(err)
+	foreign := append(hostileSnapshots, gobEra.Bytes(), []byte{snapshotFormat + 1})
+	for _, file := range []string{"snapshot_v1.golden", "snapshot_v2.golden"} {
+		b, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		foreign = append(foreign, b)
 	}
-	for _, b := range append(hostileSnapshots, gobEra.Bytes(), format1, []byte{snapshotFormat + 1}) {
+	for _, b := range foreign {
 		store, err := storage.NewFile(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -694,9 +699,9 @@ func FuzzTaskSetRestore(f *testing.F) {
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current codec")
 
-const goldenSnapshot = "testdata/snapshot_v2.golden"
+const goldenSnapshot = "testdata/snapshot_v3.golden"
 
-// TestWireGolden pins the format-2 snapshot of filledSet to the bytes in
+// TestWireGolden pins the format-3 snapshot of filledSet to the bytes in
 // testdata, and restores them: a change to any field's width, order or
 // encoding fails it. Such a change bumps snapshotFormat and regenerates the
 // file with -update.
