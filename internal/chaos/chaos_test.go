@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -314,5 +315,56 @@ func TestMatchRole(t *testing.T) {
 		if got := matchRole(c.rule, c.link); got != c.want {
 			t.Errorf("matchRole(%q,%q) = %v, want %v", c.rule, c.link, got, c.want)
 		}
+	}
+}
+
+// TestDelayedSendHoldsItsLoan: a Delay rule queues a send past its caller's
+// Send, after which the caller drops its reference to the loan behind the
+// frame and the pool serves that size again; the queued send's own
+// reference keeps the buffer out of the pool until it is written, so the
+// TCP receiver reads the bytes intact (released buffers are poisoned).
+func TestDelayedSendHoldsItsLoan(t *testing.T) {
+	transport.PoisonReleasedForTest()
+	l, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	raw, err := transport.DialTCP(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	in := New(1, Spec{Rules: []Rule{{Role: RoleShard, Delay: 20 * time.Millisecond}}}, nil)
+	conn := in.WrapConn(RoleShard, raw)
+	defer conn.Close()
+	const n = 512 << 10
+	want := make([]byte, n)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	for round := int64(1); round <= 4; round++ {
+		loan := transport.NewLoan(n)
+		copy(loan.Bytes(), want)
+		if err := conn.Send(transport.Lend(protocol.StripeSeal{Round: round, Sum: loan.Bytes()}, loan)); err != nil {
+			t.Fatal(err)
+		}
+		loan.Release()
+		// What the pool hands out next must not be the queued frame's buffer.
+		other := transport.NewLoan(n)
+		copy(other.Bytes(), bytes.Repeat([]byte{0x55}, n))
+		other.Release()
+		msg, err := server.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seal := msg.(protocol.StripeSeal); seal.Round != round || !bytes.Equal(seal.Sum, want) {
+			t.Fatalf("round %d: the delayed frame arrived damaged", round)
+		}
+		server.Release()
 	}
 }

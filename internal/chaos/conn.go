@@ -170,8 +170,12 @@ func (c *faultConn) Send(msg interface{}) error {
 		c.record(idx, msg, FaultDuplicate, "")
 		n = 2
 	}
+	// A queued send holds its own reference to the loan behind msg.
+	loan := transport.LoanOf(msg)
 	for i := 0; i < n; i++ {
+		loan.Acquire()
 		if !c.queue.Push(delivery{msg: msg, at: at}, nil) {
+			loan.Release()
 			c.record(idx, msg, FaultQueueFull, fmt.Sprintf("queue=%d", c.rule.Queue))
 			return nil
 		}
@@ -180,22 +184,22 @@ func (c *faultConn) Send(msg interface{}) error {
 }
 
 // sender drains the deferred-delivery queue in order, sleeping each message
-// to its delivery time. It exits when the connection closes.
+// to its delivery time; once the connection closes, the rest drains unsent.
 func (c *faultConn) sender() {
 	for {
 		d, ok := c.queue.Pop(c.in.clock)
 		if !ok {
 			return
 		}
-		if wait := d.at.Sub(c.in.clock.Now()); wait > 0 && !actor.Sleep(c.in.clock, wait, &c.quit) {
-			return
+		wait := d.at.Sub(c.in.clock.Now())
+		if !c.closed.Load() && (wait <= 0 || actor.Sleep(c.in.clock, wait, &c.quit)) {
+			if err := c.inner.Send(d.msg); err != nil {
+				// The underlying stream died; tear the wrapper down so
+				// accounting sees the close.
+				_ = c.Close()
+			}
 		}
-		if err := c.inner.Send(d.msg); err != nil {
-			// The underlying stream died; tear the wrapper down so
-			// accounting sees the close.
-			_ = c.Close()
-			return
-		}
+		transport.LoanOf(d.msg).Release()
 	}
 }
 
@@ -222,8 +226,9 @@ func (c *faultConn) Recv() (interface{}, error) {
 	}
 }
 
-// Release implements transport.Conn: the lease is the inner link's.
-func (c *faultConn) Release() { c.inner.Release() }
+// Release and Hold implement transport.Conn: the lease is the inner link's.
+func (c *faultConn) Release()              { c.inner.Release() }
+func (c *faultConn) Hold() *transport.Loan { return c.inner.Hold() }
 
 // Close implements transport.Conn.
 func (c *faultConn) Close() error {

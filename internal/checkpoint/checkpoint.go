@@ -93,7 +93,10 @@ func (c *Checkpoint) Clone() *Checkpoint {
 
 // Marshal serializes the checkpoint with the given encoding into one
 // exact-size buffer.
-func (c *Checkpoint) Marshal(enc Encoding) ([]byte, error) {
+func (c *Checkpoint) Marshal(enc Encoding) ([]byte, error) { return c.MarshalInto(enc, nil) }
+
+// MarshalInto is Marshal into get(n), n bytes the caller owns (a loan).
+func (c *Checkpoint) MarshalInto(enc Encoding, get func(n int) []byte) ([]byte, error) {
 	if !enc.Valid() {
 		return nil, fmt.Errorf("checkpoint: unknown encoding %d", enc)
 	}
@@ -107,7 +110,7 @@ func (c *Checkpoint) Marshal(enc Encoding) ([]byte, error) {
 	}
 	var w wire.Codec
 	m.walk(&w, len(c.TaskName))
-	w.Encode(false)
+	w.EncodeInto(get)
 	name, elems := m.walk(&w, len(c.TaskName))
 	copy(name, c.TaskName)
 	r.put(m, elems, c.Params)

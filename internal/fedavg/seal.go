@@ -99,11 +99,14 @@ func AccumulatorFromSeal(dim int, s SealedStripe) (*Accumulator, error) {
 // MarshalSum encodes a raw delta sum for the wire: a uvarint count, then
 // the big-endian float64 elements — the element section of a float64
 // checkpoint, so one vector layout crosses both the device and shard links.
-func MarshalSum(v tensor.Vector) []byte {
+func MarshalSum(v tensor.Vector) []byte { return MarshalSumInto(v, nil) }
+
+// MarshalSumInto is MarshalSum into get(n), n bytes the caller owns.
+func MarshalSumInto(v tensor.Vector, get func(n int) []byte) []byte {
 	n := len(v)
 	var c wire.Codec
 	walkSum(&c, &n)
-	c.Encode(false)
+	c.EncodeInto(get)
 	v.PutBE(walkSum(&c, &n))
 	return c.Encoded()
 }

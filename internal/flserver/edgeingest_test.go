@@ -175,6 +175,7 @@ func (c *heldConn) Send(msg interface{}) error {
 }
 func (c *heldConn) Recv() (interface{}, error) { <-c.deliver; return c.report, nil }
 func (c *heldConn) Release()                   {}
+func (c *heldConn) Hold() *transport.Loan      { return nil }
 func (c *heldConn) Close() error               { return nil }
 
 // TestSecureReportAfterSealIsLate: a secure report a reader holds when the

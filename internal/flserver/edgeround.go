@@ -41,6 +41,9 @@ type EdgeRoundConfig struct {
 	// wire.
 	Global     *checkpoint.Checkpoint
 	Checkpoint []byte
+	// Loan backs Checkpoint (a shard's held frame, the local marshal): the
+	// round holds it until release, each device send one more reference.
+	Loan *transport.Loan
 	// Dim is the model parameter count (sizes the accumulator stripes).
 	Dim int
 	// Target is this edge's share of the round's device target; reaching
@@ -373,14 +376,11 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 	er.timers = append(er.timers, ctx.After(srv.ReportTimeout, msgEdgeFinalize{}))
 }
 
-// respFor returns the Configuration payload for a device runtime version,
-// marshaling the device's part of the plan (plan.MarshalDevice: the server
-// part never goes down the device link) and building + pre-framing the
-// CheckinResponse once per distinct *effective* version: every runtime at or
-// above the plan's MinRuntimeVersion executes the plan unchanged and shares
-// one marshaled copy; each older version gets one lowered plan. Pre-framing
-// (transport.Encode) means the multi-MB plan+checkpoint wire frame is built
-// O(versions) per round and every send pushes the same immutable bytes.
+// respFor returns the Configuration payload for a device runtime version:
+// the device's part of the plan (plan.MarshalDevice) and the checkpoint in
+// a CheckinResponse pre-framed once per *effective* version — every runtime
+// at or above the plan's MinRuntimeVersion shares one; each older version
+// gets one lowered plan — so every send pushes the same immutable bytes.
 func (er *EdgeRound) respFor(version int) *versionResp {
 	p := er.cfg.Plan
 	v := version
@@ -399,7 +399,7 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 		obsPlanMarshals.Inc()
 	}
 	if err == nil && er.cfg.Checkpoint == nil {
-		er.cfg.Checkpoint, err = er.cfg.Global.Marshal(p.DownlinkEncoding())
+		er.cfg.Checkpoint, err = er.cfg.Global.MarshalInto(p.DownlinkEncoding(), transport.Borrow(&er.cfg.Loan))
 	}
 	if err != nil {
 		// Devices of this version cannot be served any form of the plan;
@@ -407,14 +407,14 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 		vr.err = err.Error()
 		return vr
 	}
-	vr.enc = transport.Encode(protocol.CheckinResponse{
+	vr.enc = transport.Lend(protocol.CheckinResponse{
 		Accepted:       true,
 		TaskID:         p.ID,
 		Round:          er.cfg.Round,
 		Plan:           planBytes,
 		Checkpoint:     er.cfg.Checkpoint,
 		ReportDeadline: p.Server.ParticipationCap,
-	})
+	}, er.cfg.Loan)
 	return vr
 }
 
@@ -479,8 +479,11 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 			buf = er.bufs[g]
 		}
 		er.devices[d.ID] = &edgeDev{conn: d.Conn}
+		loan := transport.LoanOf(vr.enc)
+		loan.Acquire()
 		ctx.System.Clock().Go(func() {
 			err := d.Conn.Send(vr.enc)
+			loan.Release()
 			er.configEnd.Store(time.Now().UnixNano())
 			if err != nil {
 				// A failed Configuration send means a dead peer: release
@@ -705,7 +708,8 @@ func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
 func (er *EdgeRound) release(ctx *actor.Context) {
 	er.ingest, er.reader, er.resps, er.devices = nil, reportReader{}, nil, nil
 	er.aggs, er.bufs, er.assigned, er.partials = nil, nil, nil, nil
-	er.cfg.Global, er.cfg.Checkpoint = nil, nil
+	er.cfg.Loan.Release()
+	er.cfg.Global, er.cfg.Checkpoint, er.cfg.Loan = nil, nil, nil
 	for _, t := range er.timers {
 		t.Stop()
 	}

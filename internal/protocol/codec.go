@@ -86,7 +86,8 @@ type Row struct {
 	// transport refuses a longer one from its header, before reading it.
 	Ceiling int
 	// Leased marks the codes whose payload the TCP transport may read into
-	// a pooled buffer: each is consumed before its reader's next Recv.
+	// a pooled buffer: each is consumed before its reader's next Recv or
+	// held (a shard holds a RoundConfig's frame for its round).
 	Leased bool
 	// Sender is who may send the code.
 	Sender Sender
@@ -101,7 +102,7 @@ var table = [codeEnd]Row{
 	CodeReportResponse:    {"ReportResponse", smallFrame, false, Server, PhaseReported},
 	CodeAbort:             {"Abort", smallFrame, false, Server, PhaseCheckin | PhaseReported},
 	CodeStripeSeal:        {"StripeSeal", bulkFrame, true, ShardLink, 0},
-	CodeRoundConfig:       {"RoundConfig", bulkFrame, false, ShardLink, 0},
+	CodeRoundConfig:       {"RoundConfig", bulkFrame, true, ShardLink, 0},
 	CodeRoundFinalize:     {"RoundFinalize", smallFrame, false, ShardLink, 0},
 	CodeRoundAbort:        {"RoundAbort", smallFrame, false, ShardLink, 0},
 	CodeShardHello:        {"ShardHello", smallFrame, false, ShardLink, 0},

@@ -98,6 +98,8 @@ type SelectorProc struct {
 	roundsOpened  atomic.Int64
 	// closing is set by Close; a seal still retrying its delivery gives up.
 	closing actor.Gate
+	// jitter draws the seal retries' backoff jitter, under mu.
+	jitter *rand.Rand
 }
 
 // NewSelectorProc builds the shard and starts dialing the coordinator.
@@ -119,6 +121,7 @@ func NewSelectorProc(cfg SelectorConfig, dial remote.Dialer) *SelectorProc {
 		sys:    actor.NewSystem(cfg.Peer.Clock),
 		pops:   make(map[string]bool),
 		rounds: make(map[string]*edgeHandle),
+		jitter: rand.New(rand.NewSource(int64(cfg.Seed))),
 	}
 	for i := 0; i < cfg.NumSelectors; i++ {
 		sel := p.sys.Spawn(fmt.Sprintf("%s/selector-%d", cfg.Name, i),
@@ -137,7 +140,10 @@ func NewSelectorProc(cfg SelectorConfig, dial remote.Dialer) *SelectorProc {
 			userDown(err)
 		}
 	}
-	p.peer = remote.NewPeer("coordinator", dial, p.onPeerMsg, opts)
+	p.peer = remote.NewPeer("coordinator", func() (transport.Conn, error) {
+		conn, err := dial()
+		return holdConfigs{conn}, err
+	}, p.onPeerMsg, opts)
 	p.every("rate-probe", rateProbeInterval, p.probeRates)
 	p.every("telemetry", telemetryInterval, p.shipTelemetry)
 	return p
@@ -159,12 +165,31 @@ func (p *SelectorProc) every(name string, interval time.Duration, fn func()) {
 // Serve accepts device connections from l until l closes.
 func (p *SelectorProc) Serve(l transport.Listener) { p.router.Serve(l) }
 
+// holdConfigs holds each RoundConfig's frame for the round it opens: Recv
+// returns it as a heldConfig, its loan nil when the frame was not leased.
+type holdConfigs struct{ transport.Conn }
+
+type heldConfig struct {
+	protocol.RoundConfig
+	loan *transport.Loan
+}
+
+func (c holdConfigs) Recv() (interface{}, error) {
+	msg, err := c.Conn.Recv()
+	if m, ok := msg.(protocol.RoundConfig); ok {
+		return heldConfig{m, c.Conn.Hold()}, err
+	}
+	return msg, err
+}
+
 // onPeerMsg handles coordinator→shard control messages. It runs on the
 // peer's reader goroutine; all work it does is non-blocking actor sends.
 func (p *SelectorProc) onPeerMsg(msg interface{}) {
 	switch m := msg.(type) {
-	case protocol.RoundConfig:
-		p.onRoundConfig(m)
+	case heldConfig:
+		if !p.onRoundConfig(m.RoundConfig, m.loan) {
+			m.loan.Release()
+		}
 	case protocol.RoundFinalize:
 		if h := p.lookupRound(m.Population, m.TaskID, m.Round); h != nil {
 			flserver.FinalizeEdgeRound(h.ref)
@@ -176,32 +201,31 @@ func (p *SelectorProc) onPeerMsg(msg interface{}) {
 
 // onRoundConfig opens one edge round: register the population on the local
 // Selectors on first sight, then spawn the ephemeral EdgeRound actor that
-// runs the device-facing half of the round and ships the seal. A config
-// this shard cannot decode is refused, so the coordinator stops waiting for
-// its seal.
-func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig) {
-	refuse := func(why string, err error) {
+// runs the device-facing half of the round and ships the seal; it reports
+// whether the round kept loan. A config this shard cannot decode is refused,
+// so the coordinator stops waiting for its seal.
+func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig, loan *transport.Loan) bool {
+	refuse := func(why string, err error) bool {
 		_ = p.peer.Send(protocol.RoundAbort{Population: m.Population, TaskID: m.TaskID,
 			Round: m.Round, Reason: why + ": " + err.Error()})
+		return false
 	}
 	meta, err := checkpoint.ParseMeta(m.Checkpoint)
 	if err != nil {
-		refuse("bad checkpoint", err)
-		return
+		return refuse("bad checkpoint", err)
 	}
 	pl, err := plan.Unmarshal(m.Plan)
 	if err == nil {
 		err = pl.Validate()
 	}
 	if err != nil {
-		refuse("bad plan", err)
-		return
+		return refuse("bad plan", err)
 	}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return
+		return false
 	}
 	if !p.pops[m.Population] {
 		p.pops[m.Population] = true
@@ -219,7 +243,7 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig) {
 		if h.taskID == m.TaskID && h.round == m.Round {
 			// Duplicate (coordinator re-sent after a reconnect it noticed
 			// before we noticed the drop): the round is already running.
-			return
+			return false
 		}
 		// A different round supersedes the old one.
 		flserver.AbandonEdgeRound(h.ref, "superseded by a newer round")
@@ -231,6 +255,7 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig) {
 			Plan:       pl,
 			Round:      m.Round,
 			Checkpoint: m.Checkpoint,
+			Loan:       loan,
 			Dim:        meta.NumParams,
 			Target:     m.Target,
 			Admit:      m.Admit,
@@ -240,6 +265,7 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig) {
 		}, p.selectors, p.ship)
 	p.rounds[m.Population] = &edgeHandle{taskID: m.TaskID, round: m.Round, ref: ref}
 	p.roundsOpened.Add(1)
+	return true
 }
 
 // onRoundAbort abandons a matching in-flight round; an abort for no
@@ -282,13 +308,12 @@ func (p *SelectorProc) clearRound(population string, round int64) {
 	p.mu.Unlock()
 }
 
-// ship sends one sealed stripe upstream. The marshal and the (possibly
-// blocking) peer write run on their own goroutine. A transient link drop is retried with
-// jittered backoff within sealRetryBudget — the peer redials in the
-// background, and the coordinator dedups a seal that arrives twice. Only
-// when the budget runs dry is the round counted dropped; the coordinator's
-// straggler timeout then settles it without this shard, and its devices
-// count as lost.
+// ship sends one sealed stripe upstream, marshaled into a loan, on its own
+// goroutine. A transient link drop is retried with jittered backoff within
+// sealRetryBudget — the peer redials in the background, and the coordinator
+// dedups a seal that arrives twice. Only when the budget runs dry is the
+// round counted dropped; the coordinator's straggler timeout then settles it
+// without this shard, and its devices count as lost.
 func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 	p.clearRound(seal.Population, seal.Round)
 	clock := p.sys.Clock()
@@ -305,7 +330,6 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 			Aborted:     int64(seal.Aborted),
 			Clipped:     seal.Clipped,
 			Weight:      seal.Seal.Weight,
-			Sum:         fedavg.MarshalSum(seal.Seal.Sum),
 			Metrics:     seal.Seal.Metrics,
 			Phases:      seal.Phases,
 
@@ -313,22 +337,24 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 			GroupErrors:    seal.GroupErrors,
 			RobustRejected: seal.RobustRejected,
 		}
+		var loan *transport.Loan
+		msg.Sum = fedavg.MarshalSumInto(seal.Seal.Sum, transport.Borrow(&loan))
+		defer loan.Release()
 		// The wire form is all that leaves this process: the sealed sum's
 		// vector serves the next round's stripes.
 		p.stripes.Put(seal.Seal.Sum)
+		frame := transport.Lend(msg, loan)
 		deadline := clock.Now().Add(sealRetryBudget)
 		backoff := 25 * time.Millisecond
 		for {
-			err := p.peer.Send(msg)
+			err := p.peer.Send(frame)
 			if err == nil {
 				break
 			}
-			if clock.Now().After(deadline) {
-				p.roundsDropped.Add(1)
-				obsSealsDropped.Inc()
-				return
-			}
-			if !actor.Sleep(clock, backoff+time.Duration(rand.Int63n(int64(backoff))), &p.closing) {
+			p.mu.Lock()
+			jitter := time.Duration(p.jitter.Int63n(int64(backoff)))
+			p.mu.Unlock()
+			if clock.Now().After(deadline) || !actor.Sleep(clock, backoff+jitter, &p.closing) {
 				p.roundsDropped.Add(1)
 				obsSealsDropped.Inc()
 				return

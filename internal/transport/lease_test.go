@@ -67,6 +67,8 @@ func recvLarge(t *testing.T, c Conn) []byte {
 		return m.Checkpoint
 	case protocol.RoundConfig:
 		return m.Checkpoint
+	case protocol.ActorEnvelope:
+		return m.Payload
 	}
 	t.Fatalf("unexpected %T", msg)
 	return nil
@@ -110,7 +112,8 @@ func frameHeader(code byte, n int) []byte {
 func leasesTaken() int64 { return obsRxBufReused.Value() + obsRxBufAlloc.Value() }
 
 func TestLeaseSelectsByCodeAndLength(t *testing.T) {
-	leasedCodes := map[byte]bool{protocol.CodeCheckinResponse: true, protocol.CodeReportRequest: true, protocol.CodeStripeSeal: true}
+	leasedCodes := map[byte]bool{protocol.CodeCheckinResponse: true, protocol.CodeReportRequest: true, protocol.CodeStripeSeal: true,
+		protocol.CodeRoundConfig: true}
 	for code := range leasedCodes {
 		for n, want := range map[int]bool{0: false, 1 << 10: false, 1<<10 + 1: true, 4 << 10: true, 4<<10 + 1: true,
 			leaseSize: true, exactAlloc: true, exactAlloc + 1: false, maxFrame - frameOverhead: false} {
@@ -155,7 +158,7 @@ func TestLeaseFitsModelFrames(t *testing.T) {
 	if got := recvLarge(t, server); len(got) != len(ck) {
 		t.Fatalf("update of %d bytes, want %d", len(got), len(ck))
 	}
-	if size := cap(*server.(*tcpConn).lease); size > 640<<10 {
+	if size := cap(server.(*tcpConn).lease.Bytes()); size > 640<<10 {
 		t.Fatalf("a %d-byte update leased %d bytes, want at most 640 KiB", len(ck), size)
 	}
 }
@@ -340,15 +343,16 @@ func TestLeaseReadErrorReturnsBuffer(t *testing.T) {
 }
 
 // TestLeaseOwnedFrames: frames above the 4 MiB cap, small frames and every
-// peer-link message come back in buffers of their own — no lease, and the
-// bytes outlive the next Recv (peer links hand them to actor mailboxes).
+// peer-link message whose row is owned come back in buffers of their own —
+// no lease, and the bytes outlive the next Recv (peer links hand them to
+// actor mailboxes).
 func TestLeaseOwnedFrames(t *testing.T) {
 	poison(t)
-	huge, small, seal := patterned(5<<20, 6), patterned(1<<9, 7), patterned(leaseSize, 8)
+	huge, small, payload := patterned(5<<20, 6), patterned(1<<9, 7), patterned(leaseSize, 8)
 	for name, msg := range map[string]interface{}{
 		"report above the cap": leaseReport(huge),
 		"control-sized report": leaseReport(small),
-		"peer-link config":     protocol.RoundConfig{Population: "p", TaskID: "t", Round: 1, Checkpoint: seal},
+		"peer-link envelope":   protocol.ActorEnvelope{Target: "sink", Payload: payload},
 	} {
 		t.Run(name, func(t *testing.T) {
 			client, server := tcpPair(t)
@@ -367,6 +371,40 @@ func TestLeaseOwnedFrames(t *testing.T) {
 				t.Fatal("an owned buffer changed after Release and the next Recv")
 			}
 		})
+	}
+}
+
+// TestLeaseHeldFrameOutlivesRecv: a RoundConfig is leased like the device
+// link's frames, and a reader that Holds it keeps its bytes through the next
+// Recv and Release until the loan's last Release, which poisons them. Hold
+// takes the lease: a second Hold finds none.
+func TestLeaseHeldFrameOutlivesRecv(t *testing.T) {
+	poison(t)
+	client, server := tcpPair(t)
+	mine := patterned(leaseSize, 10)
+	sendAsync(t, client, protocol.RoundConfig{Population: "p", TaskID: "t", Round: 1, Checkpoint: mine}, leaseReport(patterned(leaseSize, 11)))
+	before := loansOut()
+	held := recvLarge(t, server)
+	loan := server.Hold()
+	if loan == nil || server.Hold() != nil {
+		t.Fatal("Hold did not take the config's lease, once")
+	}
+	loan.Acquire() // a device send's reference
+	server.Release()
+	if next := recvLarge(t, server); &next[0] == &held[0] {
+		t.Fatal("the next Recv reused a held buffer")
+	}
+	server.Release()
+	loan.Release()
+	if !bytes.Equal(held, mine) {
+		t.Fatal("held bytes changed before the loan's last Release")
+	}
+	loan.Release()
+	if held[0] != 0xDB || held[len(held)-1] != 0xDB {
+		t.Fatal("the loan's last Release did not return the buffer")
+	}
+	if got := loansOut() - before; got != 0 {
+		t.Fatalf("%v loans out after every Release, want 0", got)
 	}
 }
 

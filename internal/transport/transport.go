@@ -29,9 +29,10 @@ import (
 var (
 	obsTxBytes = metrics.Default.Counter(metrics.NetTxBytes)
 	obsRxBytes = metrics.Default.Counter(metrics.NetRxBytes)
-	// Leased receive buffers, by origin: the pool, or a fresh allocation.
+	// Buffers taken, by origin (the pool, or fresh), and loans not returned.
 	obsRxBufReused = metrics.Default.Counter("fl_net_rx_buf_reused_total")
 	obsRxBufAlloc  = metrics.Default.Counter("fl_net_rx_buf_alloc_total")
+	obsLoans       = metrics.Default.Gauge("fl_net_buf_loans")
 )
 
 // Conn is a bidirectional message stream.
@@ -39,16 +40,18 @@ type Conn interface {
 	// Send transmits one message.
 	Send(msg interface{}) error
 	// Recv blocks for the next message; it returns an error when the peer
-	// closed the stream. One reader at a time. The byte fields of a
-	// CheckinResponse, ReportRequest or StripeSeal may alias a receive buffer
-	// leased to the reader: they are valid until its next Recv on this Conn
-	// or its Release, whichever comes first. Every other message owns its
-	// bytes.
+	// closed the stream. One reader at a time. The byte fields of a message
+	// whose wire-table row is leased may alias a receive buffer leased to
+	// the reader: they are valid until its next Recv on this Conn or its
+	// Release, whichever comes first, unless it Holds them. Every other
+	// message owns its bytes.
 	Recv() (interface{}, error)
 	// Release ends that lease early, so the buffer serves another frame
 	// while this reader is busy. Only the goroutine that calls Recv calls
 	// it, after its last use of the bytes; with no lease it is a no-op.
 	Release()
+	// Hold keeps that lease past the next Recv as a Loan (nil: no lease).
+	Hold() *Loan
 	// Close tears the stream down; pending Recv calls fail. Any goroutine
 	// may call it, so it never ends a lease: the reader may still be reading.
 	Close() error
@@ -79,8 +82,11 @@ func Pipe(clock ...simclock.Clock) (Conn, Conn) {
 
 // Send implements Conn.
 func (c *memConn) Send(msg interface{}) error {
-	// Pre-framed messages exist for the TCP wire; deliver the original.
+	// Deliver a pre-framed message's original and forfeit its loan.
 	if e, ok := msg.(*Encoded); ok {
+		if e.loan != nil {
+			e.loan.pooled.Store(false)
+		}
 		msg = e.msg
 	}
 	if !c.out.Push(msg, c.clock) {
@@ -105,8 +111,10 @@ func (c *memConn) err() error {
 	return fmt.Errorf("transport: peer closed")
 }
 
-// Release implements Conn: messages cross as Go values, so nothing is leased.
-func (c *memConn) Release() {}
+// Release and Hold implement Conn: messages cross as Go values, so nothing
+// is leased.
+func (c *memConn) Release()    {}
+func (c *memConn) Hold() *Loan { return nil }
 
 // Close implements Conn: both directions close, waking both ends.
 func (c *memConn) Close() error {
@@ -213,7 +221,7 @@ type tcpConn struct {
 	sendMu sync.Mutex
 	// lease is the pooled buffer behind the last received message, if any.
 	// Only the reading goroutine touches it.
-	lease *[]byte
+	lease *Loan
 }
 
 // rxPools recycles the payload buffers of large device-link frames, one
@@ -238,45 +246,113 @@ func rxClass(n int) int {
 }
 
 // leased reports whether a frame's payload is read into a leased buffer: its
-// code's row is leased (the two O(dim) device-link messages and StripeSeal,
-// whose Sum the coordinator copies out on the session reader) and its size
-// is in the pools' range. Other peer-link frames outlive the read loop.
+// code's row is leased (the two O(dim) device-link messages, StripeSeal,
+// whose Sum the coordinator copies out, RoundConfig, which the shard holds)
+// and its size is in the pools' range. Other frames outlive the read loop.
 func leased(code byte, n int) bool {
 	row, _ := protocol.Lookup(code)
 	return row.Leased && n > minLeased && n <= exactAlloc
 }
 
-// PoisonReleasedForTest makes every Release from now on fill the buffer
-// with 0xDB, so a read through an alias that outlived its lease cannot pass
-// for data. Test-only.
+// PoisonReleasedForTest makes every buffer that goes back to a pool from now
+// on — a released lease, a loan's last Release — fill with 0xDB, so a read
+// through an alias that outlived it cannot pass for data. Test-only.
 func PoisonReleasedForTest() { poisonReleased.Store(true) }
 
 var poisonReleased atomic.Bool
 
 // Release implements Conn.
 func (t *tcpConn) Release() {
-	if t.lease == nil {
-		return
-	}
-	if buf := *t.lease; poisonReleased.Load() {
-		for i := range buf {
-			buf[i] = 0xDB
-		}
-	}
-	rxPools[rxClass(cap(*t.lease))].Put(t.lease)
+	t.lease.Release()
 	t.lease = nil
 }
 
-// Encoded is a message marshaled at most once for transmission to many
-// peers — e.g. one round's CheckinResponse fanned out to every device of a
-// runtime version, where re-marshaling the multi-MB plan+checkpoint
-// payload per device would copy it O(devices) times. TCP conns lazily
-// marshal on first send and then reuse the cached payload; the in-memory
-// transport delivers the original message and never marshals at all. The
-// cached payload is immutable once built (sync.Once publishes it), so one
-// Encoded value may be sent concurrently over any number of connections.
+// Hold implements Conn.
+func (t *tcpConn) Hold() (l *Loan) {
+	l, t.lease = t.lease, nil
+	return l
+}
+
+// Loan is a buffer from rxPools shared by reference count: its owner's
+// reference, one for each TCP Send that writes it and one for each send
+// queued for later; the last Release puts it back. A send over MemNetwork
+// forfeits it: the receiver keeps the Go value, so the buffer goes to the
+// GC. A nil *Loan is no loan; Acquire and Release do nothing on it.
+type Loan struct {
+	p      *[]byte
+	pooled atomic.Bool
+	refs   atomic.Int32
+}
+
+// NewLoan returns an n-byte loan from the smallest class holding n, with its
+// owner's reference; past the pools' 4 MiB, a plain allocation.
+func NewLoan(n int) *Loan {
+	l := &Loan{}
+	l.refs.Store(1)
+	obsLoans.Add(1)
+	if n > exactAlloc {
+		b := make([]byte, n)
+		l.p = &b
+		return l
+	}
+	class, ok := rxClass(n), false
+	if l.p, ok = rxPools[class].Get().(*[]byte); !ok {
+		obsRxBufAlloc.Inc()
+		b := make([]byte, rxClassSize(class))
+		l.p = &b
+	} else {
+		obsRxBufReused.Inc()
+	}
+	*l.p = (*l.p)[:n]
+	l.pooled.Store(true)
+	return l
+}
+
+// Borrow returns a wire.Codec.EncodeInto get that puts an n-byte loan in *dst.
+func Borrow(dst **Loan) func(n int) []byte {
+	return func(n int) []byte { *dst = NewLoan(n); return (*dst).Bytes() }
+}
+
+// Bytes returns the loan's buffer.
+func (l *Loan) Bytes() []byte { return *l.p }
+
+// Acquire adds a reference; its caller must hold one already. An Acquire
+// after the last Release panics: the buffer may serve another frame.
+func (l *Loan) Acquire() {
+	if l != nil && l.refs.Add(1) <= 1 {
+		panic("transport: Acquire of a loan already returned")
+	}
+}
+
+// Release drops a reference; the last one returns the buffer.
+func (l *Loan) Release() {
+	if l == nil {
+		return
+	}
+	switch refs := l.refs.Add(-1); {
+	case refs < 0:
+		panic("transport: Release of a loan already returned")
+	case refs == 0:
+		obsLoans.Add(-1)
+		if b := (*l.p)[:cap(*l.p)]; l.pooled.Load() {
+			if poisonReleased.Load() {
+				for i := range b {
+					b[i] = 0xDB
+				}
+			}
+			rxPools[rxClass(len(b))].Put(l.p)
+		}
+	}
+}
+
+// Encoded is a message marshaled at most once for sending to many peers
+// (one round's CheckinResponse to every device of a runtime version): a TCP
+// conn marshals it on first send, into immutable segments aliasing its byte
+// fields that every later send reuses; the in-memory transport delivers the
+// original. One Encoded may be sent concurrently over any number of conns.
 type Encoded struct {
-	msg interface{}
+	msg  interface{}
+	loan *Loan
 
 	once  sync.Once
 	code  byte
@@ -290,6 +366,17 @@ func (e *Encoded) Message() interface{} { return e.msg }
 
 // Encode wraps msg for repeated sending.
 func Encode(msg interface{}) *Encoded { return &Encoded{msg: msg} }
+
+// Lend is Encode for a msg whose byte fields alias loan's buffer.
+func Lend(msg interface{}, loan *Loan) *Encoded { return &Encoded{msg: msg, loan: loan} }
+
+// LoanOf returns the loan behind a message Lend wrapped, nil for any other.
+func LoanOf(msg interface{}) *Loan {
+	if e, ok := msg.(*Encoded); ok {
+		return e.loan
+	}
+	return nil
+}
 
 // marshaled returns the cached (code, parts, total size), building them on
 // first use.
@@ -329,6 +416,8 @@ func (t *tcpConn) Send(msg interface{}) error {
 	var size int
 	var err error
 	if e, ok := msg.(*Encoded); ok {
+		e.loan.Acquire()
+		defer e.loan.Release()
 		code, parts, size, err = e.marshaled()
 	} else {
 		code, parts, size, err = marshalFrame(msg)
@@ -396,18 +485,9 @@ func (t *tcpConn) Recv() (interface{}, error) {
 
 // readLeased reads an n-byte payload into a buffer leased from rxPools.
 func (t *tcpConn) readLeased(r io.Reader, n int) ([]byte, error) {
-	class := rxClass(n)
-	p, ok := rxPools[class].Get().(*[]byte)
-	if ok {
-		obsRxBufReused.Inc()
-	} else {
-		obsRxBufAlloc.Inc()
-		b := make([]byte, rxClassSize(class))
-		p = &b
-	}
-	t.lease = p
-	_, err := io.ReadFull(r, (*p)[:n])
-	return (*p)[:n], err
+	t.lease = NewLoan(n)
+	_, err := io.ReadFull(r, t.lease.Bytes())
+	return t.lease.Bytes(), err
 }
 
 // readPayload reads an n-byte payload. Up to exactAlloc the buffer is

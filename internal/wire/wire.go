@@ -58,8 +58,16 @@ func (c *Codec) Encode(aliased bool) {
 	if aliased {
 		*c = Codec{pass: segmenting, buf: make([]byte, 0, c.n), parts: make([][]byte, 0, 2*c.segs+1)}
 	} else {
-		*c = Codec{pass: encoding, buf: make([]byte, 0, c.Size())}
+		c.EncodeInto(nil)
 	}
+}
+
+// EncodeInto is Encode(false) into get(Size()), or a fresh buffer if nil.
+func (c *Codec) EncodeInto(get func(n int) []byte) {
+	if get == nil {
+		get = func(n int) []byte { return make([]byte, 0, n) }
+	}
+	*c = Codec{pass: encoding, buf: get(c.Size())[:0]}
 }
 
 // Size returns the length of the encoding a sizing pass has measured.
