@@ -90,8 +90,8 @@ func main() {
 			if !st.CoordinatorUp {
 				link = "DOWN"
 			}
-			log.Printf("shard %d: coordinator %s; accepted=%d rejected=%d held=%d; seals=%d up-bytes=%d dropped=%d",
-				*shardID, link, st.Selector.Accepted, st.Selector.Rejected, st.Selector.Held,
+			log.Printf("shard %d: coordinator %s; accepted=%d rejected=%d pooled=%d; seals=%d up-bytes=%d dropped=%d",
+				*shardID, link, st.Selector.Accepted, st.Selector.Rejected, st.Selector.Pooled,
 				st.SealsShipped, st.BytesShipped, st.RoundsDropped)
 			if counts := inj.FaultCounts(); len(counts) > 0 {
 				log.Printf("shard %d: chaos faults: %v", *shardID, counts)

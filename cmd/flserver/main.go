@@ -114,7 +114,7 @@ func fleetProgress(fleet *repro.Fleet, names []string) []metrics.PopulationProgr
 
 			Accepted: st.Selector.Accepted,
 			Rejected: st.Selector.Rejected,
-			Held:     int64(st.Selector.Held),
+			Pooled:   int64(st.Selector.Pooled),
 		}
 		if ts, err := fleet.TaskStats(name); err == nil {
 			p.Tasks = taskProgress(ts)

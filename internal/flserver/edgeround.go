@@ -170,7 +170,7 @@ type EdgeRound struct {
 	// topUpAt round-robins replacement-quota requests across Selectors.
 	topUpAt int
 	// owed is how many slots granted to the Selectors (the admit count plus
-	// every top-up) have not come back as a forwarded device yet.
+	// every top-up) have not come back as a streamed device yet.
 	owed int
 	// out carries what the round sends from inside Receive: top-ups and the
 	// revocation to its Selectors, the finalize order to its groups, then the
@@ -204,9 +204,11 @@ type EdgeRound struct {
 // wait-for cycle in which neither actor ever returns: posting never blocks.
 // The seal ships behind the revocations so that everything this round told
 // its Selectors has landed before the Coordinator can open the next round on
-// them; a top-up overtaken by the next round's grant would point the
-// Selector's forward stream back at this sealed round. A step blocked on a
-// Selector's mailbox returns when the Selector stops.
+// them. Ordering does not guard the successor: a superseded round is
+// abandoned by mailbox while its successor's grant goes out directly, so its
+// late top-up can land after that grant, and the Selector's owner check
+// (onTopUp) ignores it. A step blocked on a Selector's mailbox returns when
+// the Selector stops.
 type roundOutbox struct {
 	clock    actor.Clock
 	mu       sync.Mutex
@@ -288,9 +290,9 @@ func (er *EdgeRound) Receive(ctx *actor.Context, msg actor.Message) {
 }
 
 // requestDevices asks the local Selectors for the round's devices: the
-// admit count is split across them, remainder to the first, quota and
-// forward going out together so devices stream to the round (self) as they
-// check in. It runs on the spawner's goroutine, before the actor's first
+// admit count is split across them, remainder to the first, each grant
+// naming the round (self) as the owner its devices stream to as they check
+// in. It runs on the spawner's goroutine, before the actor's first
 // message: devices re-check-in the moment the previous round commits, so
 // every microsecond until the grant lands is a rejected check-in.
 func (er *EdgeRound) requestDevices(self actor.Ref) {
@@ -309,7 +311,6 @@ func (er *EdgeRound) requestDevices(self actor.Ref) {
 			continue
 		}
 		_ = sel.Send(msgSetQuota{Population: er.cfg.Population, Accept: want, Owner: self})
-		_ = sel.Send(msgForwardDevices{Population: er.cfg.Population, N: want, To: self})
 	}
 }
 
@@ -418,7 +419,7 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 	return vr
 }
 
-// onDevices configures a batch of forwarded devices. Each accepted device
+// onDevices configures a batch of streamed devices. Each accepted device
 // gets one goroutine for the rest of its round: it pushes the device's
 // version's shared pre-framed response (a dead socket stalls only that
 // goroutine, never the actor; the frame is immutable shared bytes written

@@ -83,7 +83,7 @@ func TestSelectorForwardsToDeadMasterLosesOnlyThoseDevices(t *testing.T) {
 	r.waitDone(t)
 	fl.halt()
 	// The real assertion is end-to-end: rounds complete despite the
-	// forward-to-dead-ref path being exercised in Selector.onForward
+	// stopped-round path being exercised in Selector.admit
 	// whenever an EdgeRound stops while devices stream in.
 	if stats(t, r.srv).RoundsCompleted < 2 {
 		t.Fatal("training did not complete")

@@ -18,7 +18,7 @@ import (
 // FleetConfig configures the shared, population-independent part of a
 // Fleet: the Selector layer and the connection edge.
 type FleetConfig struct {
-	// SelectorCapacity bounds the parked devices per Selector across ALL
+	// SelectorCapacity bounds the pooled devices per Selector across ALL
 	// populations; under load the pool is fair-shared, weighted by each
 	// Coordinator's quota demand. 0 picks the default of 1024; a negative
 	// value makes the pool unbounded.

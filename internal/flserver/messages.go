@@ -23,8 +23,8 @@ import (
 	"repro/internal/transport"
 )
 
-// heldDevice is an accepted device connection parked in a Selector, ready
-// to be forwarded to an Aggregator.
+// heldDevice is a device connection a Selector holds: pooled for the next
+// round, or accepted and on its way to the round that owns the quota.
 type heldDevice struct {
 	ID             string
 	RuntimeVersion int
@@ -47,26 +47,20 @@ type msgRejectConn struct {
 }
 
 // msgSetQuota tells a Selector how many devices to accept for a population
-// on behalf of a round (Sec. 4.2). A grant replaces whatever quota
-// remained; Accept 0 revokes it when the round is staffed (nothing is left
-// to revoke: it tells the Selector this round's selection is over), seals or
-// is abandoned.
+// on behalf of a round (Sec. 4.2), and so where to send them: every device
+// accepted under a grant goes to its Owner as msgDevices, the pooled ones at
+// once in one batch, later ones as they check in. A grant replaces whatever
+// quota remained; Accept 0 revokes it when the round is staffed (nothing is
+// left to revoke: it tells the Selector this round's selection is over),
+// seals or is abandoned.
 type msgSetQuota struct {
 	Population string
-	// Accept is the number of additional devices the Selector may hold.
+	// Accept is the number of devices the Selector may accept for the round.
 	Accept int
 	// Owner is the round the quota belongs to. A revocation from any other
 	// round is ignored: a superseded round's late revocation must not strip
 	// the quota its successor was just granted.
 	Owner actor.Ref
-}
-
-// msgForwardDevices instructs a Selector to send up to N of a population's
-// held devices to the given EdgeRound.
-type msgForwardDevices struct {
-	Population string
-	N          int
-	To         actor.Ref
 }
 
 // msgQuotaTopUp replenishes a Selector's quota after an admitted device
@@ -78,8 +72,8 @@ type msgForwardDevices struct {
 type msgQuotaTopUp struct {
 	Population string
 	N          int
-	// To streams the replacement devices (same contract as
-	// msgForwardDevices.To).
+	// To is the round asking. The Selector serves only its quota's owner
+	// (msgSetQuota.Owner): a superseded round's late top-up is ignored.
 	To actor.Ref
 }
 
@@ -140,9 +134,9 @@ type msgSelectorStats struct {
 // every fault scenario: a violation means a revoke/top-up cycle under churn
 // double-counted or leaked a slot.
 type SelectorStats struct {
-	Held int
 	// Pooled counts devices in the standing pool of continuous selection:
 	// checked in, unanswered, outside the ledger until a grant admits them.
+	// It is the only set of connections a Selector parks.
 	Pooled   int
 	Accepted int64
 	Rejected int64
@@ -158,7 +152,6 @@ type SelectorStats struct {
 
 // Add folds another stats sample into s (summing across Selectors).
 func (s *SelectorStats) Add(o SelectorStats) {
-	s.Held += o.Held
 	s.Pooled += o.Pooled
 	s.Accepted += o.Accepted
 	s.Rejected += o.Rejected
@@ -171,7 +164,7 @@ func (s *SelectorStats) Add(o SelectorStats) {
 
 // --- EdgeRound messages ---
 
-// msgDevices delivers forwarded devices to an EdgeRound.
+// msgDevices delivers devices a Selector accepted under the round's quota.
 type msgDevices struct {
 	Devices []heldDevice
 }

@@ -20,8 +20,8 @@ type SelectorPopulation struct {
 	PopulationEstimate int
 }
 
-// selPop is one population's slice of a Selector: its quota, parked
-// devices, reservoir state, pace steering, and streaming forward target.
+// selPop is one population's slice of a Selector: its quota and the round
+// that owns it, its pool, reservoir state and pace steering.
 type selPop struct {
 	name               string
 	steering           *pacing.Steering
@@ -29,9 +29,9 @@ type selPop struct {
 	demand             int
 
 	quota int
-	// owner is the round the current quota was granted to (see msgSetQuota).
+	// owner is the round the current quota was granted to (see msgSetQuota):
+	// every device accepted under the quota is handed straight to it.
 	owner    actor.Ref
-	held     []heldDevice
 	accepted int64
 	rejected int64
 	// Quota ledger: every slot granted is consumed by an accepted device,
@@ -41,31 +41,21 @@ type selPop struct {
 	granted  int64
 	consumed int64
 	revoked  int64
-	// seen counts eligible check-ins since the last quota grant; it drives
-	// reservoir sampling (footnote 1 of the paper: "selection is done by
-	// simple reservoir sampling"), so a device checking in late in the
-	// window has the same selection probability as an early one.
-	seen int64
 
 	// pool is continuous selection (Sec. 4.3: "Selector actors running the
 	// selection process continuously"): devices that checked in after the
 	// round in flight was staffed, held unanswered — at most demand of them —
-	// until the next grant admits them ahead of any later check-in. A pooled
-	// device consumes no quota, so the ledger never sees it; capacity and
-	// fair share count it like a held one. The pool is open until poolUntil
-	// (onQuota, expirePools). poolSeen counts the check-ins offered to it
-	// since the last grant, for the reservoir over a full pool; pooled is
-	// the population's gauge.
+	// until the next grant admits them ahead of any later check-in. It is the
+	// only set of connections a Selector parks: capacity and fair share count
+	// it. A pooled device consumes no quota, so the ledger never sees it. The
+	// pool is open until poolUntil (onQuota, expirePools). poolSeen counts the
+	// check-ins offered to it since the last grant, for the reservoir over a
+	// full pool (footnote 1 of the paper: "selection is done by simple
+	// reservoir sampling"); pooled is the population's gauge.
 	pool      []heldDevice
 	poolSeen  int64
 	poolUntil time.Time
 	pooled    *metrics.Gauge
-
-	// pendingTo/pendingN track an outstanding forward request from a
-	// round, so devices checking in after the request still
-	// flow to the round as they arrive.
-	pendingTo actor.Ref
-	pendingN  int
 
 	// arrivals counts this population's check-ins since rateStart; the
 	// Coordinator drains the window via msgRateProbe to maintain a live
@@ -83,26 +73,25 @@ const minRateWindow = 500 * time.Millisecond
 // population registered with it: the paper's Selectors are a shared,
 // device-facing layer that takes connections for many FL populations and
 // routes each check-in by its CheckinRequest.Population. Per population it
-// receives quota from that population's Coordinator, makes local
-// accept/reject decisions, and parks accepted devices until told to
-// forward them to an Aggregator; between quotas it keeps a standing pool of
-// checked-in devices for the next round (selPop.pool); rejected devices —
-// including devices of populations this Selector does not (or no longer)
-// serve — get a pace-steering reconnect hint rather than a dropped
-// connection.
+// receives quota from the round that asks for it, makes local accept/reject
+// decisions, and hands every device it accepts straight to that round;
+// between quotas it keeps a standing pool of checked-in devices for the next
+// round (selPop.pool); rejected devices — including devices of populations
+// this Selector does not (or no longer) serve — get a pace-steering
+// reconnect hint rather than a dropped connection.
 //
-// When a capacity is set, the parked devices (held and pooled) share it
-// across populations under weighted fair sharing: each population's share of
-// the capacity is proportional to its Coordinator's current quota demand,
-// and a population below its share may displace a parked device of a
-// population above its share.
+// When a capacity is set, the pooled devices share it across populations
+// under weighted fair sharing: each population's share of the capacity is
+// proportional to its Coordinator's current quota demand, and a population
+// below its share may displace a pooled device of a population above its
+// share.
 type Selector struct {
 	verifier *attest.Verifier
 	// defaultSteering answers check-ins for unregistered populations.
 	defaultSteering *pacing.Steering
 	// defaultEstimate sizes steering hints when no population state exists.
 	defaultEstimate int
-	// capacity bounds the total parked devices across all populations
+	// capacity bounds the total pooled devices across all populations
 	// (0 = unbounded).
 	capacity int
 
@@ -148,10 +137,8 @@ func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
 		s.deregister(m.Name, now)
 	case msgSetQuota:
 		s.onQuota(m, now)
-	case msgForwardDevices:
-		s.onForward(m)
 	case msgQuotaTopUp:
-		s.onTopUp(m)
+		s.onTopUp(m, now)
 	case msgRateProbe:
 		s.onRateProbe(ctx, m, now)
 	case msgReleaseParked:
@@ -189,8 +176,8 @@ func (s *Selector) register(cfg SelectorPopulation, now time.Time) {
 
 // onQuota applies a grant or a revocation. A grant replaces whatever quota
 // remained — the old slots are revoked, the new ones granted — and admits
-// the pool first, so the forward request behind it hands the new round its
-// devices in one batch; pooled devices beyond the grant are steered away
+// the pool first, so the new round gets its pooled devices in one batch
+// before any later check-in; pooled devices beyond the grant are steered away
 // (the next pool is bounded by the new demand). While the round selects, the
 // pool stays shut: a device this Selector has no slot for may be the one
 // another Selector's unfilled share is waiting for. A revocation that finds
@@ -212,25 +199,35 @@ func (s *Selector) onQuota(m msgSetQuota, now time.Time) {
 	p.revoked += int64(p.quota)
 	p.granted += int64(m.Accept)
 	p.quota = m.Accept
-	p.seen = 0
 	if m.Accept <= 0 {
-		// Revocation (the round sealed or was abandoned): cancel the forward
-		// stream too, so a stale destination can never receive devices
-		// accepted under a later round's quota.
-		p.pendingTo, p.pendingN = nil, 0
 		return
 	}
 	p.demand, p.owner = m.Accept, m.Owner
-	s.admitPooled(p)
+	s.admitPooled(p, now)
 	s.steerPool(p, "round is full", now)
 	p.poolSeen = 0
 }
 
-// admitPooled moves pooled devices into held while quota lasts, oldest
-// first: here a pooled device enters the ledger.
-func (s *Selector) admitPooled(p *selPop) {
-	n := min(p.quota, len(p.pool))
-	p.held = append(p.held, s.takePool(p, n)...)
+// admitPooled hands pooled devices to the quota's owner while quota lasts,
+// oldest first, in one batch.
+func (s *Selector) admitPooled(p *selPop, now time.Time) {
+	if n := min(p.quota, len(p.pool)); n > 0 {
+		s.admit(p, s.takePool(p, n), now)
+	}
+}
+
+// admit hands devices accepted under p's quota to the round that owns it:
+// here a device enters the ledger. A round that has stopped takes none, and
+// they are steered away; their slots stay outstanding until its revocation
+// or the next grant.
+func (s *Selector) admit(p *selPop, devs []heldDevice, now time.Time) {
+	if err := p.owner.Send(msgDevices{Devices: devs}); err != nil {
+		for _, d := range devs {
+			s.reject(p, d.Conn, "round is over", now)
+		}
+		return
+	}
+	n := len(devs)
 	p.quota -= n
 	p.accepted += int64(n)
 	p.consumed += int64(n)
@@ -288,7 +285,7 @@ func (s *Selector) onRateProbe(ctx *actor.Context, m msgRateProbe, now time.Time
 	p.arrivals, p.rateStart = 0, now
 }
 
-// deregister removes a population: parked devices are steered away, the
+// deregister removes a population: pooled devices are steered away, the
 // remaining quota revoked, the counters retired and the population's state
 // dropped. Later check-ins hit the unknown-population rejection.
 func (s *Selector) deregister(name string, now time.Time) {
@@ -299,23 +296,18 @@ func (s *Selector) deregister(name string, now time.Time) {
 	}
 }
 
-// releaseParked steers a population's parked devices away, held and pooled,
-// zeroes its quota and shuts its pool, keeping the population registered:
-// its Coordinator finished its rounds, so holding devices (and their
-// connections) would strand them.
+// releaseParked steers a population's pooled devices away, zeroes its quota
+// and shuts its pool, keeping the population registered: its Coordinator
+// finished its rounds, so holding devices (and their connections) would
+// strand them.
 func (s *Selector) releaseParked(name, reason string, now time.Time) {
 	p, ok := s.pops[name]
 	if !ok {
 		return
 	}
-	for _, d := range p.held {
-		s.reject(p, d.Conn, reason, now)
-	}
 	s.steerPool(p, reason, now)
-	p.held = p.held[:0]
 	p.revoked += int64(p.quota)
 	p.quota = 0
-	p.pendingTo, p.pendingN = nil, 0
 	p.poolUntil = time.Time{}
 }
 
@@ -358,46 +350,17 @@ func (s *Selector) onCheckin(m msgCheckin, now time.Time) {
 		}
 	}
 	d := heldDevice{ID: m.Req.DeviceID, RuntimeVersion: m.Req.RuntimeVersion, Conn: m.Conn}
-	p.seen++
 	if p.quota <= 0 {
-		// Reservoir sampling over the parked devices: a late check-in
-		// replaces a random held device with probability held/seen, so
-		// selection within the window is uniform rather than
-		// first-come-first-served. Devices already forwarded to an Aggregator
-		// are committed and not recalled.
-		if n := len(p.held); n > 0 && s.rng.Float64() < float64(n)/float64(p.seen) {
-			i := s.rng.Intn(n)
-			victim := p.held[i]
-			p.held[i] = d
-			s.reject(p, victim.Conn, "displaced by reservoir sampling", now)
-			return
-		}
 		s.poolCheckin(p, d, now)
 		return
 	}
-	// Quota available; enforce the selector-wide parked-device capacity with
+	// Quota available; enforce the selector-wide pool capacity with
 	// demand-weighted fair sharing across populations.
 	if !s.roomFor(p, now) {
 		s.reject(p, m.Conn, "selector at capacity", now)
 		return
 	}
-	p.quota--
-	p.accepted++
-	p.consumed++
-	obsCheckinAccepted.Inc()
-	if p.pendingN > 0 && p.pendingTo != nil {
-		if err := p.pendingTo.Send(msgDevices{Devices: []heldDevice{d}}); err != nil {
-			p.pendingTo, p.pendingN = nil, 0
-			_ = d.Conn.Close()
-			return
-		}
-		p.pendingN--
-		if p.pendingN == 0 {
-			p.pendingTo = nil
-		}
-		return
-	}
-	p.held = append(p.held, d)
+	s.admit(p, []heldDevice{d}, now)
 }
 
 // poolCheckin offers a device that found no quota outstanding to p's pool:
@@ -427,23 +390,21 @@ func (s *Selector) poolCheckin(p *selPop, d heldDevice, now time.Time) {
 	}
 }
 
-// roomFor reports whether p may park one more device under the capacity,
-// displacing one of a population above its fair share if p is below its own.
+// roomFor reports whether p may take one more device under the capacity,
+// displacing a pooled one of a population above its fair share if p is below
+// its own.
 func (s *Selector) roomFor(p *selPop, now time.Time) bool {
-	if s.capacity <= 0 || s.totalParked() < s.capacity {
+	if s.capacity <= 0 || s.totalPooled() < s.capacity {
 		return true
 	}
-	return p.parked() < s.fairShare(p) && s.displaceOverShare(now)
+	return len(p.pool) < s.fairShare(p) && s.displaceOverShare(now)
 }
 
-// parked is the number of connections p holds open: held plus pooled.
-func (p *selPop) parked() int { return len(p.held) + len(p.pool) }
-
-// totalParked is the parked-device count across all populations.
-func (s *Selector) totalParked() int {
+// totalPooled is the pooled-device count across all populations.
+func (s *Selector) totalPooled() int {
 	n := 0
 	for _, p := range s.pops {
-		n += p.parked()
+		n += len(p.pool)
 	}
 	return n
 }
@@ -472,84 +433,35 @@ func (s *Selector) fairShare(p *selPop) int {
 	return share
 }
 
-// displaceOverShare evicts one parked device from the population furthest
-// above its fair share, steering it away: a pooled one if it has any (it has
-// no claim on a round), else the oldest held. Reports whether a slot was freed.
+// displaceOverShare steers away the oldest pooled device of the population
+// furthest above its fair share. Reports whether a slot was freed.
 func (s *Selector) displaceOverShare(now time.Time) bool {
 	var victim *selPop
 	excess := 0
 	for _, q := range s.pops {
-		if e := q.parked() - s.fairShare(q); e > excess {
+		if e := len(q.pool) - s.fairShare(q); e > excess {
 			victim, excess = q, e
 		}
 	}
 	if victim == nil {
 		return false
 	}
-	if len(victim.pool) > 0 {
-		s.reject(victim, s.takePool(victim, 1)[0].Conn, "displaced by cross-population fair sharing", now)
-		return true
-	}
-	d := victim.held[0]
-	victim.held = append(victim.held[:0], victim.held[1:]...)
-	// The displaced device keeps its claim on the round: hand its quota
-	// back so a later check-in of its population can take the slot.
-	victim.quota++
-	victim.accepted--
-	victim.consumed--
-	s.reject(victim, d.Conn, "displaced by cross-population fair sharing", now)
+	s.reject(victim, s.takePool(victim, 1)[0].Conn, "displaced by cross-population fair sharing", now)
 	return true
 }
 
-func (s *Selector) onForward(m msgForwardDevices) {
+// onTopUp re-opens quota the owning round handed back (duplicate or lost
+// device), so a replacement device flows to it at once from the pool, or as
+// soon as one checks in. A top-up from any other round is ignored: a
+// superseded round's late top-up must not point the stream back at it.
+func (s *Selector) onTopUp(m msgQuotaTopUp, now time.Time) {
 	p, ok := s.pops[m.Population]
-	if !ok {
-		return
-	}
-	n := m.N
-	if n > len(p.held) {
-		n = len(p.held)
-	}
-	if n > 0 {
-		batch := make([]heldDevice, n)
-		copy(batch, p.held[:n])
-		p.held = append(p.held[:0], p.held[n:]...)
-		if err := m.To.Send(msgDevices{Devices: batch}); err != nil {
-			// The round is already gone; the devices are lost, mirroring
-			// "if an Aggregator or Selector crashes, only the devices
-			// connected to that actor will be lost".
-			for _, d := range batch {
-				_ = d.Conn.Close()
-			}
-			return
-		}
-	}
-	// Remember the remainder so later check-ins stream to the round.
-	p.pendingTo = m.To
-	p.pendingN = m.N - n
-	if p.pendingN <= 0 {
-		p.pendingTo, p.pendingN = nil, 0
-	}
-}
-
-// onTopUp re-opens quota a round handed back (duplicate or lost device)
-// and extends — or re-establishes — the streaming forward toward the
-// round, so a replacement device flows to it at once from the pool, or as
-// soon as one checks in.
-func (s *Selector) onTopUp(m msgQuotaTopUp) {
-	p, ok := s.pops[m.Population]
-	if !ok || m.N <= 0 {
+	if !ok || m.N <= 0 || m.To != p.owner {
 		return
 	}
 	p.quota += m.N
 	p.granted += int64(m.N)
-	s.admitPooled(p)
-	// Extend the round's forward stream; if it has drained (or belonged to an
-	// earlier, finished round) this starts a fresh one to the requester.
-	if p.pendingTo == m.To {
-		m.N += p.pendingN
-	}
-	s.onForward(msgForwardDevices{Population: m.Population, N: m.N, To: m.To})
+	s.admitPooled(p, now)
 }
 
 // stats reports one population's counters, or — for population "" — the
@@ -573,7 +485,7 @@ func (s *Selector) stats(population string) SelectorStats {
 
 func (p *selPop) stats() SelectorStats {
 	return SelectorStats{
-		Held: len(p.held), Pooled: len(p.pool), Accepted: p.accepted, Rejected: p.rejected,
+		Pooled: len(p.pool), Accepted: p.accepted, Rejected: p.rejected,
 		QuotaGranted: p.granted, QuotaConsumed: p.consumed,
 		QuotaRevoked: p.revoked, QuotaOutstanding: int64(p.quota),
 	}

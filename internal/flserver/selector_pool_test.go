@@ -134,14 +134,13 @@ func (r *poolRig) forwarded(want ...[]string) {
 }
 
 // staffedRound runs one round of the population through the Selector the way
-// an EdgeRound does — grant and forward request together, n devices, then
-// the spent-quota revocation of a staffed round — which leaves the pool open
+// an EdgeRound does — the grant, n devices streamed to its owner, then the
+// spent-quota revocation of a staffed round — which leaves the pool open
 // with demand n. The n devices are named <pop>/r0…; their batches are
 // dropped from the record.
 func (r *poolRig) staffedRound(pop string, n int) {
 	r.t.Helper()
 	r.send(msgSetQuota{Population: pop, Accept: n, Owner: r.round})
-	r.send(msgForwardDevices{Population: pop, N: n, To: r.round})
 	for i := 0; i < n; i++ {
 		r.checkin(pop, fmt.Sprintf("%s/r%d", pop, i))
 	}
@@ -150,7 +149,7 @@ func (r *poolRig) staffedRound(pop string, n int) {
 	r.mu.Lock()
 	r.batches = nil
 	r.mu.Unlock()
-	if st := popStats(r.t, r.sel, pop); st.QuotaOutstanding != 0 || st.Pooled != 0 || st.Held != 0 {
+	if st := popStats(r.t, r.sel, pop); st.QuotaOutstanding != 0 || st.Pooled != 0 {
 		r.t.Fatalf("staffed round left %+v", st)
 	}
 }
@@ -165,14 +164,12 @@ func TestSelectorPool(t *testing.T) {
 		// A round that sealed short of devices: its revocation takes a slot
 		// back, and the pool stays shut.
 		r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
-		r.send(msgForwardDevices{Population: "pop", N: 2, To: r.round})
 		r.checkin("pop", "only")
 		r.send(msgSetQuota{Population: "pop", Owner: r.round})
 		r.steered(r.checkin("pop", "after-starved-round"))
 		// While a round still selects, a Selector whose share is spent sends
 		// the surplus on: another Selector's share may be waiting for it.
 		r.send(msgSetQuota{Population: "pop", Accept: 1, Owner: r.round})
-		r.send(msgForwardDevices{Population: "pop", N: 1, To: r.round})
 		r.checkin("pop", "fills-the-share")
 		r.steered(r.checkin("pop", "surplus-while-selecting"))
 		if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.QuotaRevoked != 1 {
@@ -186,7 +183,7 @@ func TestSelectorPool(t *testing.T) {
 		var devs []*poolDevice
 		for i := 0; i < 8; i++ {
 			devs = append(devs, r.checkin("pop", fmt.Sprintf("p%d", i)))
-			if st := popStats(t, r.sel, "pop"); st.Pooled != min(i+1, 3) || st.Held != 0 || st.QuotaGranted != 3 {
+			if st := popStats(t, r.sel, "pop"); st.Pooled != min(i+1, 3) || st.QuotaGranted != 3 {
 				t.Fatalf("after %d pooled check-ins: %+v", i+1, st)
 			}
 		}
@@ -211,12 +208,13 @@ func TestSelectorPool(t *testing.T) {
 		r.staffedRound("pop", 3)
 		a, b, c := r.checkin("pop", "a"), r.checkin("pop", "b"), r.checkin("pop", "c")
 		// The next round wants 4: the three pooled devices are its first
-		// batch, before the check-in that arrives after the grant.
+		// batch, handed over with the grant, before the check-in that arrives
+		// after it.
 		r.send(msgSetQuota{Population: "pop", Accept: 4, Owner: r.round})
-		if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.Held != 3 || st.QuotaOutstanding != 1 || st.QuotaConsumed != 6 {
+		if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.QuotaOutstanding != 1 || st.QuotaConsumed != 6 {
 			t.Fatalf("grant did not admit the pool: %+v", st)
 		}
-		r.send(msgForwardDevices{Population: "pop", N: 4, To: r.round})
+		r.forwarded([]string{"a", "b", "c"})
 		r.checkin("pop", "d")
 		r.forwarded([]string{"a", "b", "c"}, []string{"d"})
 		r.untouched(a, b, c) // theirs to answer is the round's Configuration, not the Selector
@@ -227,11 +225,10 @@ func TestSelectorPool(t *testing.T) {
 		r.staffedRound("pop", 3)
 		a, b, c := r.checkin("pop", "a"), r.checkin("pop", "b"), r.checkin("pop", "c")
 		r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
-		r.send(msgForwardDevices{Population: "pop", N: 2, To: r.round})
 		r.forwarded([]string{"a", "b"})
 		r.untouched(a, b)
 		r.steered(c)
-		if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.Held != 0 || st.QuotaOutstanding != 0 {
+		if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.QuotaOutstanding != 0 {
 			t.Fatalf("%+v", st)
 		}
 	})
@@ -267,7 +264,7 @@ func TestSelectorPool(t *testing.T) {
 		"expiry on a grant": func(r *poolRig) {
 			r.clock.Advance(time.Second)
 			r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
-			if st := popStats(r.t, r.sel, "pop"); st.Held != 0 || st.QuotaOutstanding != 2 {
+			if st := popStats(r.t, r.sel, "pop"); st.QuotaConsumed != 2 || st.QuotaOutstanding != 2 {
 				r.t.Fatalf("a grant admitted devices pooled longer than the pacing window: %+v", st)
 			}
 		},
@@ -279,7 +276,7 @@ func TestSelectorPool(t *testing.T) {
 			r.untouched(a, b)
 			release(r)
 			r.steered(a, b)
-			if st, _ := QuerySelectorStats(r.sel, ""); st.Pooled != 0 || st.Held != 0 {
+			if st, _ := QuerySelectorStats(r.sel, ""); st.Pooled != 0 {
 				t.Fatalf("%+v", st)
 			}
 		})
@@ -287,7 +284,7 @@ func TestSelectorPool(t *testing.T) {
 
 	t.Run("capacity and fair share count pooled devices", func(t *testing.T) {
 		r := newPoolRig(t, 4, 1, "pop-a", "pop-b")
-		r.staffedRound("pop-a", 4)
+		r.staffedRound("pop-a", 5)
 		var pooled []*poolDevice
 		for i := 0; i < 4; i++ {
 			pooled = append(pooled, r.checkin("pop-a", fmt.Sprintf("a%d", i)))
@@ -295,21 +292,39 @@ func TestSelectorPool(t *testing.T) {
 		if st := popStats(t, r.sel, "pop-a"); st.Pooled != 4 {
 			t.Fatalf("pop-a alone should pool up to the capacity: %+v", st)
 		}
+		// At capacity, pop-a pools nobody else, though its demand is 5.
+		r.steered(r.checkin("pop-a", "a4"))
 		// pop-b asks for devices; pop-a, between rounds, asks for none, so
 		// its whole pool is over its share: a pop-b check-in displaces the
-		// oldest pooled pop-a device instead of being starved by it.
+		// oldest pooled pop-a device instead of being starved by it, and goes
+		// to pop-b's round.
 		r.send(msgSetQuota{Population: "pop-b", Accept: 2, Owner: r.round})
 		r.checkin("pop-b", "b0")
 		r.steered(pooled[0])
 		r.untouched(pooled[1:]...)
+		r.forwarded([]string{"b0"})
 		a, b := popStats(t, r.sel, "pop-a"), popStats(t, r.sel, "pop-b")
-		if a.Pooled != 3 || b.Held != 1 || a.QuotaConsumed != 4 || b.QuotaConsumed != 1 {
+		if a.Pooled != 3 || b.Pooled != 0 || a.QuotaConsumed != 5 || b.QuotaConsumed != 1 {
 			t.Fatalf("pop-a %+v pop-b %+v", a, b)
 		}
-		// At capacity and over its share, pop-a pools nobody else.
-		r.steered(r.checkin("pop-a", "a4"))
-		if st, _ := QuerySelectorStats(r.sel, ""); st.Pooled+st.Held != 4 {
-			t.Fatalf("capacity must bound held + pooled: %+v", st)
+		if st, _ := QuerySelectorStats(r.sel, ""); st.Pooled != 3 {
+			t.Fatalf("capacity must bound the pools: %+v", st)
+		}
+	})
+
+	t.Run("a stopped round's devices are steered away", func(t *testing.T) {
+		// The round the quota names stopped before its revocation landed:
+		// the pooled batch its grant admits and the device checking in
+		// after it are answered with a steering hint, not closed unanswered,
+		// and consume no quota.
+		r := newPoolRig(t, 0, 1, "pop")
+		r.staffedRound("pop", 2)
+		pooled := r.checkin("pop", "pooled")
+		r.round.Stop()
+		r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
+		r.steered(pooled, r.checkin("pop", "streamed"))
+		if st := popStats(t, r.sel, "pop"); st.QuotaConsumed != 2 || st.QuotaOutstanding != 2 || st.Accepted != 2 {
+			t.Fatalf("%+v", st)
 		}
 	})
 }
@@ -327,7 +342,6 @@ func TestPoolReservoirIsNotFCFS(t *testing.T) {
 			r.checkin("pop", fmt.Sprintf("p%d", i))
 		}
 		r.send(msgSetQuota{Population: "pop", Accept: 1, Owner: r.round})
-		r.send(msgForwardDevices{Population: "pop", N: 1, To: r.round})
 		r.clock.until(t, "one batch", func() bool { r.mu.Lock(); defer r.mu.Unlock(); return len(r.batches) == 1 })
 		winners[r.batches[0][0]]++
 		r.sys.Shutdown()

@@ -9,7 +9,6 @@ import (
 	"repro/internal/actor"
 	"repro/internal/pacing"
 	"repro/internal/protocol"
-	"repro/internal/simclock"
 	"repro/internal/transport"
 )
 
@@ -54,62 +53,38 @@ func popStats(t *testing.T, sel actor.Ref, pop string) SelectorStats {
 	return st
 }
 
-// driveSelector sends n device check-ins into a Selector with quota 1 and
-// returns the ID of the device that survives the reservoir.
-func driveSelector(t *testing.T, sys *actor.System, seed uint64, n int) string {
+// driveSelector pools n device check-ins behind a staffed round of two and
+// returns the two the next grant admits.
+func driveSelector(t *testing.T, seed uint64, n int) []string {
 	t.Helper()
-	sel := spawnSelector(sys, fmt.Sprintf("sel-%d", seed), 0, seed, "pop")
-	defer sel.Stop()
-
-	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 1})
+	r := newPoolRig(t, 0, seed, "pop")
+	r.staffedRound("pop", 2)
 	for i := 0; i < n; i++ {
-		checkin(sys, sel, "pop", fmt.Sprintf("dev-%d", i), nil)
+		r.checkin("pop", fmt.Sprintf("dev-%d", i))
 	}
-
-	// Collect the survivor.
-	var mu sync.Mutex
-	var survivor string
-	got := make(chan struct{}, 1)
-	collector := sys.Spawn(fmt.Sprintf("collector-%d", seed), actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		if m, ok := msg.(msgDevices); ok && len(m.Devices) > 0 {
-			mu.Lock()
-			survivor = m.Devices[0].ID
-			mu.Unlock()
-			got <- struct{}{}
-		}
-	}))
-	defer collector.Stop()
-	_ = sel.Send(msgForwardDevices{Population: "pop", N: 1, To: collector})
-	select {
-	case <-got:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no device forwarded")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return survivor
+	r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
+	r.clock.until(t, "one batch", func() bool { r.mu.Lock(); defer r.mu.Unlock(); return len(r.batches) == 1 })
+	r.sys.Shutdown()
+	return r.batches[0]
 }
 
 func TestReservoirSamplingIsNotFCFS(t *testing.T) {
-	// With quota 1 and 5 sequential check-ins, first-come-first-served
-	// would always keep dev-0. Reservoir sampling keeps each with
-	// probability 1/5; across 40 trials several distinct devices must win,
+	// With demand 2 and 6 check-ins between rounds, first-come-first-served
+	// would always admit dev-0 and dev-1. Reservoir sampling keeps each with
+	// probability 1/3; across 40 trials most devices must win sometimes,
 	// and dev-0 must not win them all.
-	sys := actor.NewSystem()
 	winners := map[string]int{}
 	for trial := 0; trial < 40; trial++ {
-		w := driveSelector(t, sys, uint64(trial)+1, 5)
-		winners[w]++
+		for _, w := range driveSelector(t, uint64(trial)+1, 6) {
+			winners[w]++
+		}
 	}
-	if len(winners) < 3 {
+	if len(winners) < 5 {
 		t.Fatalf("reservoir should spread selection, got winners %v", winners)
 	}
-	if winners["dev-0"] == 40 {
-		t.Fatal("selection is first-come-first-served")
-	}
-	// dev-0 should win roughly 1/5 of the time, certainly not never and
-	// not a majority.
-	if winners["dev-0"] > 25 {
+	// dev-0 should win roughly 1/3 of the time, certainly not never and
+	// not nearly always.
+	if winners["dev-0"] == 0 || winners["dev-0"] > 25 {
 		t.Fatalf("dev-0 won %d/40, reservoir not uniform-ish: %v", winners["dev-0"], winners)
 	}
 }
@@ -166,86 +141,67 @@ func TestSelectorQuotaForOtherPopulationIgnored(t *testing.T) {
 }
 
 func TestSelectorFairSharesCapacityAcrossPopulations(t *testing.T) {
-	// Capacity 4, pop-a demanding 6 vs pop-b demanding 2: shares are 3 and
-	// 1. pop-a may fill the whole pool while alone, but a pop-b check-in
-	// must displace a parked pop-a device rather than be starved; a second
-	// pop-b check-in is over pop-b's share and bounces.
-	sys := actor.NewSystem()
-	sel := spawnSelector(sys, "sel", 4, 1, "pop-a", "pop-b")
-	defer sel.Stop()
-	_ = sel.Send(msgSetQuota{Population: "pop-a", Accept: 6})
-	_ = sel.Send(msgSetQuota{Population: "pop-b", Accept: 2})
-
+	// Capacity 4 shared by the pools of pop-a and pop-b. Between rounds
+	// neither asks for devices, so each may pool up to the whole capacity
+	// and pop-a, first, fills it: a pop-b check-in bounces. Once pop-b's
+	// next round asks, pop-a (asking for none) is over its share, and a
+	// pop-b check-in displaces a pooled pop-a device rather than be starved.
+	r := newPoolRig(t, 4, 1, "pop-a", "pop-b")
+	r.staffedRound("pop-a", 6)
+	r.staffedRound("pop-b", 2)
+	var pooled []*poolDevice
 	for i := 0; i < 6; i++ {
-		checkin(sys, sel, "pop-a", fmt.Sprintf("a-%d", i), nil)
+		pooled = append(pooled, r.checkin("pop-a", fmt.Sprintf("a-%d", i)))
 	}
-	if st := popStats(t, sel, "pop-a"); st.Held != 4 {
-		t.Fatalf("pop-a alone should fill the pool: held=%d", st.Held)
+	if st := popStats(t, r.sel, "pop-a"); st.Pooled != 4 {
+		t.Fatalf("pop-a alone should fill the capacity: pooled=%d", st.Pooled)
 	}
+	r.steered(pooled[4:]...)
+	r.steered(r.checkin("pop-b", "b-0"))
 
-	checkin(sys, sel, "pop-b", "b-0", nil)
-	if st := popStats(t, sel, "pop-b"); st.Held != 1 {
-		t.Fatalf("pop-b below its share must displace into the pool: held=%d", st.Held)
+	r.send(msgSetQuota{Population: "pop-b", Accept: 2, Owner: r.round})
+	r.checkin("pop-b", "b-1")
+	r.steered(pooled[0])
+	r.forwarded([]string{"b-1"})
+	if st := popStats(t, r.sel, "pop-a"); st.Pooled != 3 {
+		t.Fatalf("pop-a must give back its over-share slot: pooled=%d", st.Pooled)
 	}
-	if st := popStats(t, sel, "pop-a"); st.Held != 3 {
-		t.Fatalf("pop-a must give back its over-share slot: held=%d", st.Held)
-	}
+	// A slot is free now: pop-b's next device takes it without displacing.
+	r.checkin("pop-b", "b-2")
+	r.forwarded([]string{"b-1"}, []string{"b-2"})
+	r.untouched(pooled[1:4]...)
 
-	checkin(sys, sel, "pop-b", "b-1", nil)
-	if st := popStats(t, sel, "pop-b"); st.Held != 1 {
-		t.Fatalf("pop-b at its share must not grow: held=%d", st.Held)
-	}
-
-	total, err := QuerySelectorStats(sel, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Held != 4 {
-		t.Fatalf("capacity must bound the pool: held=%d", total.Held)
+	if total, _ := QuerySelectorStats(r.sel, ""); total.Pooled != 3 || total.QuotaConsumed != 10 {
+		t.Fatalf("capacity must bound the pools: %+v", total)
 	}
 }
 
 func TestSelectorDeregisterSteersParkedDevices(t *testing.T) {
-	sys := actor.NewSystem()
-	sel := spawnSelector(sys, "sel", 0, 1, "pop")
-	defer sel.Stop()
-	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 2})
-
-	responses := make(chan protocol.CheckinResponse, 4)
-	record := func(r protocol.CheckinResponse) { responses <- r }
-	checkin(sys, sel, "pop", "d-0", record)
-	checkin(sys, sel, "pop", "d-1", record)
-	if st := popStats(t, sel, "pop"); st.Held != 2 {
-		t.Fatalf("held=%d, want 2", st.Held)
+	r := newPoolRig(t, 0, 1, "pop")
+	r.staffedRound("pop", 2)
+	d0, d1 := r.checkin("pop", "d-0"), r.checkin("pop", "d-1")
+	if st := popStats(t, r.sel, "pop"); st.Pooled != 2 {
+		t.Fatalf("pooled=%d, want 2", st.Pooled)
 	}
 
-	_ = sel.Send(msgDeregisterPopulation{Name: "pop"})
-	for i := 0; i < 2; i++ {
-		select {
-		case r := <-responses:
-			if r.Accepted || r.RetryAfter <= 0 {
-				t.Fatalf("parked device must get a steering-backed rejection: %+v", r)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("parked device never got a deregistration rejection")
-		}
-	}
+	r.send(msgDeregisterPopulation{Name: "pop"})
+	r.steered(d0, d1)
 
 	// Later check-ins are unknown-population rejections.
-	checkin(sys, sel, "pop", "d-2", nil)
-	st, err := QuerySelectorStats(sel, "")
+	r.steered(r.checkin("pop", "d-2"))
+	st, err := QuerySelectorStats(r.sel, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.UnknownPopulation == 0 {
+	if st.UnknownPopulation != 1 {
 		t.Fatal("check-in after deregistration must count as unknown population")
 	}
 	// The deregistered population's history stays in the totals: counters
 	// are monotonic across deregistrations.
-	if st.Accepted != 2 {
+	if st.Accepted != 2 || st.QuotaConsumed != 2 {
 		t.Fatalf("accepted history lost on deregistration: %+v", st)
 	}
-	if st.Rejected < 2 {
+	if st.Rejected != 3 {
 		t.Fatalf("deregistration rejections lost: %+v", st)
 	}
 }
@@ -257,7 +213,7 @@ func TestSelectorDeregisterSteersParkedDevices(t *testing.T) {
 // processed everything sent so far, so the window arithmetic is
 // deterministic.
 func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
-	clock := simclock.New(time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC))
+	clock := newWatchedClock()
 	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
 	sel := spawnSelector(sys, "sel-rate", 0, 1, "pop")
@@ -268,17 +224,22 @@ func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
 		clock.Advance(d)
 	}
 	var mu sync.Mutex
-
 	var got []msgCheckinRate
-	sig := make(chan struct{}, 16)
 	sink := sys.Spawn("rate-sink", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		if m, ok := msg.(msgCheckinRate); ok {
 			mu.Lock()
 			got = append(got, m)
 			mu.Unlock()
-			sig <- struct{}{}
 		}
 	}))
+	// sample waits for the n-th sample.
+	sample := func(n int) msgCheckinRate {
+		t.Helper()
+		clock.until(t, fmt.Sprint("rate sample ", n), func() bool { mu.Lock(); defer mu.Unlock(); return len(got) >= n })
+		mu.Lock()
+		defer mu.Unlock()
+		return got[n-1]
+	}
 
 	for i := 0; i < 6; i++ {
 		checkin(sys, sel, "pop", fmt.Sprintf("d-%d", i), nil)
@@ -287,15 +248,7 @@ func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
 	_ = sel.Send(msgRateProbe{Population: "pop", To: sink})
 	advance(2 * time.Second)
 	_ = sel.Send(msgRateProbe{Population: "pop", To: sink})
-	select {
-	case <-sig:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no rate sample after a full window")
-	}
-	mu.Lock()
-	first := got[0]
-	mu.Unlock()
-	if first.Count != 6 || first.Elapsed != 2*time.Second {
+	if first := sample(1); first.Count != 6 || first.Elapsed != 2*time.Second {
 		t.Fatalf("first sample: %+v, want 6 arrivals over 2s", first)
 	}
 	// The window reset: two more arrivals over one more second.
@@ -303,70 +256,81 @@ func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
 	checkin(sys, sel, "pop", "d-7", nil)
 	advance(time.Second)
 	_ = sel.Send(msgRateProbe{Population: "pop", To: sink})
-	select {
-	case <-sig:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no second sample")
-	}
-	mu.Lock()
-	second := got[1]
-	mu.Unlock()
-	if second.Count != 2 || second.Elapsed != time.Second {
+	if second := sample(2); second.Count != 2 || second.Elapsed != time.Second {
 		t.Fatalf("second sample: %+v, want 2 arrivals over 1s", second)
 	}
 }
 
 // TestSelectorReleaseParkedFreesConnections: a finished Coordinator's
-// release must steer every parked device away (closing its connection)
-// and zero the quota so no device is parked for a round that will never
-// start.
+// release must steer every pooled device away (closing its connection),
+// zero the quota and shut the pool, so no device is parked for a round that
+// will never start.
 func TestSelectorReleaseParkedFreesConnections(t *testing.T) {
-	clock := newWatchedClock()
-	sys := actor.NewSystem(clock)
-	defer sys.Shutdown()
-	sel := spawnSelector(sys, "sel-release", 0, 3, "pop")
-	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 4})
-
-	var mu sync.Mutex
-	released := 0
+	r := newPoolRig(t, 0, 3, "pop")
+	r.staffedRound("pop", 4)
+	var pooled []*poolDevice
 	for i := 0; i < 4; i++ {
-		checkin(sys, sel, "pop", fmt.Sprintf("d-%d", i), func(r protocol.CheckinResponse) {
-			if !r.Accepted && r.RetryAfter > 0 {
-				mu.Lock()
-				released++
-				mu.Unlock()
-			}
-		})
+		pooled = append(pooled, r.checkin("pop", fmt.Sprintf("d-%d", i)))
 	}
-	clock.until(t, "four parked", func() bool { return popStats(t, sel, "pop").Held == 4 })
-	_ = sel.Send(msgReleaseParked{Population: "pop"})
-	clock.until(t, "none parked", func() bool { return popStats(t, sel, "pop").Held == 0 })
-	clock.until(t, "four steered away", func() bool { mu.Lock(); defer mu.Unlock(); return released == 4 })
-	// Quota is gone: the next check-in is rejected, not parked.
-	checkin(sys, sel, "pop", "late", nil)
-	clock.until(t, "the late rejection", func() bool { st := popStats(t, sel, "pop"); return st.Held == 0 && st.Rejected >= 5 })
+	if st := popStats(t, r.sel, "pop"); st.Pooled != 4 {
+		t.Fatalf("pooled=%d, want 4", st.Pooled)
+	}
+	r.send(msgReleaseParked{Population: "pop"})
+	r.steered(pooled...)
+	// The pool is shut: the next check-in is steered away, not pooled.
+	r.steered(r.checkin("pop", "late"))
+	if st := popStats(t, r.sel, "pop"); st.Pooled != 0 || st.QuotaOutstanding != 0 || st.Rejected != 5 {
+		t.Fatalf("%+v", st)
+	}
 }
 
 // TestStaleRevocationKeepsSuccessorQuota: a superseded round revokes its
-// quota when it is abandoned — possibly after its successor's grant already
-// landed (the successor's grant is a function call, the abandon a mailbox
-// hop). The late revocation must not strip the successor's quota, or the
-// new round starves until its selection window expires.
+// quota, and may ask for a top-up, when it is abandoned — possibly after its
+// successor's grant already landed (the successor's grant is a function call,
+// the abandon a mailbox hop). The late revocation must not strip the
+// successor's quota, or the new round starves until its selection window
+// expires; the late top-up must not turn the stream back toward the old
+// round, or the successor's devices go to a round that is gone.
 func TestStaleRevocationKeepsSuccessorQuota(t *testing.T) {
-	sys := actor.NewSystem()
+	clock := newWatchedClock()
+	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
 	sel := spawnSelector(sys, "sel", 0, 1, "pop")
-	noop := actor.BehaviorFunc(func(*actor.Context, actor.Message) {})
-	old, next := sys.Spawn("round-old", noop), sys.Spawn("round-next", noop)
+	var mu sync.Mutex
+	reached := map[string]string{} // device → the round it was streamed to
+	round := func(name string) actor.Ref {
+		return sys.Spawn(name, actor.BehaviorFunc(func(_ *actor.Context, msg actor.Message) {
+			if m, ok := msg.(msgDevices); ok {
+				mu.Lock()
+				for _, d := range m.Devices {
+					reached[d.ID] = name
+				}
+				mu.Unlock()
+			}
+		}))
+	}
+	old, next := round("round-old"), round("round-next")
 
 	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 3, Owner: old})
-	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 2, Owner: next})
+	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 3, Owner: next})
 	_ = sel.Send(msgSetQuota{Population: "pop", Owner: old}) // the stale revocation
-	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 2 || !st.quotaConserved() {
+	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 3 || !st.quotaConserved() {
 		t.Fatalf("stale revocation touched the successor's quota: %+v", st)
 	}
+	_ = sel.Send(msgQuotaTopUp{Population: "pop", N: 1, To: old}) // the stale top-up
+	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 3 || st.QuotaGranted != 6 || !st.quotaConserved() {
+		t.Fatalf("stale top-up touched the successor's quota: %+v", st)
+	}
+	checkin(sys, sel, "pop", "d-0", nil)
+	checkin(sys, sel, "pop", "d-1", nil)
+	clock.until(t, "both devices to reach a round", func() bool { mu.Lock(); defer mu.Unlock(); return len(reached) == 2 })
+	mu.Lock()
+	if reached["d-0"] != "round-next" || reached["d-1"] != "round-next" {
+		t.Fatalf("devices reached %v; both belong to round-next", reached)
+	}
+	mu.Unlock()
 	_ = sel.Send(msgSetQuota{Population: "pop", Owner: next})
-	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 0 || !st.quotaConserved() {
+	if st := popStats(t, sel, "pop"); st.QuotaOutstanding != 0 || st.QuotaRevoked != 4 || !st.quotaConserved() {
 		t.Fatalf("the owner's own revocation was ignored: %+v", st)
 	}
 }

@@ -20,14 +20,14 @@ type TaskProgress struct {
 // flserver modes and the /dashboard route render. Exactly one of the two
 // tails is shown: Sharded selects the coordinator-mode tail (shard links,
 // seals, upstream bytes); otherwise the in-process selector tail
-// (accepted/rejected/held) is used.
+// (accepted/rejected/pooled) is used.
 type PopulationProgress struct {
 	Name              string
 	Round             int64
 	Completed, Failed int
 
 	// Selector tail (single-process fleet mode).
-	Accepted, Rejected, Held int64
+	Accepted, Rejected, Pooled int64
 
 	// Coordinator tail (sharded mode).
 	Sharded       bool
@@ -48,8 +48,8 @@ func (p PopulationProgress) String() string {
 		fmt.Fprintf(&b, "%d shard(s) connected, %d seals / %d bytes upstream",
 			p.Shards, p.Seals, p.BytesUpstream)
 	} else {
-		fmt.Fprintf(&b, "selector accepted=%d rejected=%d held=%d",
-			p.Accepted, p.Rejected, p.Held)
+		fmt.Fprintf(&b, "selector accepted=%d rejected=%d pooled=%d",
+			p.Accepted, p.Rejected, p.Pooled)
 	}
 	for _, t := range p.Tasks {
 		note := ""

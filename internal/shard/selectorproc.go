@@ -38,7 +38,7 @@ type SelectorConfig struct {
 	// NumSelectors is how many Selector actors terminate device connections
 	// in this process (default 1).
 	NumSelectors int
-	// SelectorCapacity bounds parked devices per Selector (0 = unbounded).
+	// SelectorCapacity bounds pooled devices per Selector (0 = unbounded).
 	SelectorCapacity int
 	Steering         *pacing.Steering
 	// PopulationEstimate seeds pace steering until RoundConfigs carry the

@@ -63,8 +63,8 @@ const SampleEvery = 10 * time.Minute
 // Sample is one observation of the run (Fig. 6).
 type Sample struct {
 	T time.Time
-	// Waiting is the devices the Selectors park (SelectorStats.Held +
-	// Pooled); Participating the devices in a configured session.
+	// Waiting is the devices the Selectors park (SelectorStats.Pooled);
+	// Participating the devices in a configured session.
 	Waiting, Participating int
 	// Available is the population model's eligible share of the fleet at T.
 	Available float64
@@ -135,7 +135,7 @@ func RunFleet(cfg FleetConfig) (*FleetRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		run.Samples = append(run.Samples, Sample{T: t, Waiting: sel.Held + sel.Pooled,
+		run.Samples = append(run.Samples, Sample{T: t, Waiting: sel.Pooled,
 			Participating: int(run.participating.Load()), Available: pop.Availability(t)})
 	}
 	// The rounds in flight settle once the devices stop checking in.
