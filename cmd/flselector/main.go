@@ -35,7 +35,6 @@ func main() {
 	shardID := flag.Uint("shard", 0, "stable 0-based shard index")
 	name := flag.String("name", "", "shard name in stats and logs (default shard-<N>)")
 	selectors := flag.Int("selectors", 1, "Selector actors terminating device connections")
-	estimate := flag.Int("estimate", 1000, "population estimate seeding pace steering")
 	seed := flag.Uint64("seed", 1, "random seed")
 	obsListen := flag.String("obs-listen", "", "serve /metrics, /debug/vars, /debug/pprof and /dashboard on this address (empty = off)")
 	chaosPlan := flag.String("chaos", "", `fault-injection plan for the coordinator link as "seed=N SPEC" — the form a run logs it in — e.g. "seed=1 shard:drop=0.05,jitter=200ms;shard:partition@6s+2s" (empty = off)`)
@@ -54,12 +53,11 @@ func main() {
 	}
 
 	sp := shard.NewSelectorProc(shard.SelectorConfig{
-		Shard:              uint32(*shardID),
-		Name:               *name,
-		NumSelectors:       *selectors,
-		Steering:           pacing.New(time.Minute),
-		PopulationEstimate: *estimate,
-		Seed:               *seed + uint64(*shardID)*131,
+		Shard:        uint32(*shardID),
+		Name:         *name,
+		NumSelectors: *selectors,
+		Steering:     pacing.New(time.Minute),
+		Seed:         *seed + uint64(*shardID)*131,
 	}, dial)
 	defer sp.Close()
 

@@ -45,7 +45,8 @@ type (
 	Plan = plan.Plan
 	// ClientConfig is the on-device training configuration.
 	ClientConfig = fedavg.ClientConfig
-	// FleetConfig configures the multi-population fleet gateway.
+	// FleetConfig configures the multi-population fleet gateway; a Selector
+	// pools at most each population's last grant, with no capacity knob.
 	FleetConfig = flserver.FleetConfig
 	// Fleet serves many FL populations over one shared Selector layer.
 	Fleet = flserver.Fleet

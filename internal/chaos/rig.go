@@ -94,7 +94,7 @@ func (r *Rig) serve(cfg RigConfig) error {
 		return inj.WrapListener(RoleDevice, l), nil
 	}
 	if cfg.Shards == 0 {
-		fleet := flserver.NewFleet(flserver.FleetConfig{SelectorCapacity: -1, Seed: cfg.Seed, Clock: clock})
+		fleet := flserver.NewFleet(flserver.FleetConfig{Seed: cfg.Seed, Clock: clock})
 		r.teardown = append(r.teardown, fleet.Close)
 		if err := fleet.Register(flserver.PopulationSpec{
 			Population: pop, Plans: []*plan.Plan{cfg.Plan}, Store: cfg.Store,

@@ -43,9 +43,9 @@ type Aggregator struct {
 	obsRejectedTask, obsTrimmedTask *metrics.Counter
 }
 
-// NewAggregator returns the behavior for a group aggregator reporting to
+// newAggregator returns the behavior for a group aggregator reporting to
 // master (its EdgeRound).
-func NewAggregator(dim int, master actor.Ref) *Aggregator {
+func newAggregator(dim int, master actor.Ref) *Aggregator {
 	return &Aggregator{dim: dim, master: master}
 }
 

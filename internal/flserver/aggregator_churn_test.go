@@ -59,11 +59,11 @@ func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
 
-	aggA := NewAggregator(2, master)
+	aggA := newAggregator(2, master)
 	// Participant 2 (device a1) deals poisoned shares: excluded before
 	// masking, blamed via holder complaints.
 	aggA.churn = func(n, tt int) secagg.Schedule { return secagg.Schedule{PoisonShare: []int{2}} }
-	aggB := NewAggregator(2, master)
+	aggB := newAggregator(2, master)
 	// Participant 1 (device b0) forges its unmask response: rejected at
 	// the commitment check, blamed, sum reconstructed from the rest.
 	aggB.churn = func(n, tt int) secagg.Schedule { return secagg.Schedule{ForgeUnmask: []int{1}} }
@@ -112,7 +112,7 @@ func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 func TestSecureGroupLostDevicesBecomeDropouts(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, master))
+	agg := sys.Spawn("agg", newAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
 	_ = agg.Send(msgFinalizeGroup{Assigned: assignedNames("d", 4, "d-lost"), Buf: feedSecureGroup(t, "d", 4)})
@@ -136,7 +136,7 @@ func TestSecureGroupLostDevicesBecomeDropouts(t *testing.T) {
 func TestSecureGroupBelowThresholdAbortsWithMetrics(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, master))
+	agg := sys.Spawn("agg", newAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
 	buf := robust.NewBuffer(3)
@@ -164,7 +164,7 @@ func TestSecureGroupBelowThresholdAbortsWithMetrics(t *testing.T) {
 func TestSecureThresholdFractionOverride(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := NewAggregator(2, master)
+	agg := newAggregator(2, master)
 	// Tolerate up to half the group: t = ⌈0.5 n⌉.
 	agg.threshold = func(n int) int { return (n + 1) / 2 }
 	ref := sys.Spawn("agg", agg)

@@ -101,7 +101,7 @@ func TestAggregatorRejectsBadUpdates(t *testing.T) {
 func TestAggregatorSecureMatchesPlainSum(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(3, master))
+	agg := sys.Spawn("agg", newAggregator(3, master))
 	defer sys.Shutdown(master, agg)
 	inputs := []tensor.Vector{
 		{1, -2, 0.5, 3},
@@ -137,7 +137,7 @@ func TestSecureSingletonRefusesDirectSum(t *testing.T) {
 	// path.
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, master))
+	agg := sys.Spawn("agg", newAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
 	buf := robust.NewBuffer(3)
@@ -178,7 +178,7 @@ func TestSecAggFailureStillReportsMetrics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := actor.NewSystem()
 			master, got, sig := collectMaster(sys)
-			group := NewAggregator(2, master)
+			group := newAggregator(2, master)
 			group.churn = tc.churn
 			agg := sys.Spawn("agg", group)
 			defer sys.Shutdown(master, agg)
@@ -292,8 +292,8 @@ func TestTwoSecureGroupsFinalizeConcurrently(t *testing.T) {
 	// Run under -race (CI does) to check the parallel finalization pipeline.
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	aggA := sys.Spawn("agg-a", NewAggregator(2, master))
-	aggB := sys.Spawn("agg-b", NewAggregator(2, master))
+	aggA := sys.Spawn("agg-a", newAggregator(2, master))
+	aggB := sys.Spawn("agg-b", newAggregator(2, master))
 	defer sys.Shutdown(master, aggA, aggB)
 
 	bufA, bufB := robust.NewBuffer(3), robust.NewBuffer(3)
@@ -360,7 +360,7 @@ func TestSecureRemainderFoldedIntoLastGroup(t *testing.T) {
 func TestAggregatorEvalMetricsOnly(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	agg := sys.Spawn("agg", NewAggregator(2, master))
+	agg := sys.Spawn("agg", newAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
 	buf := robust.NewBuffer(3)
@@ -497,7 +497,7 @@ func TestGroupResultCarriesExactSum(t *testing.T) {
 			want.Axpy(1, deltas[i])
 			secureAdd(t, buf, string(rune('a'+i)), nil, w, deltas[i]...)
 		}
-		exact(t, finalize(t, NewAggregator(dim, nil), msgFinalizeGroup{Buf: buf}).Sum, want)
+		exact(t, finalize(t, newAggregator(dim, nil), msgFinalizeGroup{Buf: buf}).Sum, want)
 	})
 
 	t.Run("robust", func(t *testing.T) {
@@ -518,7 +518,7 @@ func TestGroupResultCarriesExactSum(t *testing.T) {
 		}
 		updates, _, _ := fill().Drain()
 		want := robust.Reduce(policy, dim, updates).Sum
-		agg := NewAggregator(dim, nil)
+		agg := newAggregator(dim, nil)
 		agg.robustPolicy = policy
 		exact(t, finalize(t, agg, msgFinalizeGroup{Buf: fill()}).Sum, want)
 	})

@@ -126,7 +126,7 @@ func refuseThenCommit(t *testing.T, secure bool, robust plan.RobustPolicy, tol f
 		clock.Go(func() {
 			for {
 				srvEnd, dev := transport.Pipe(clock)
-				clock.Go(func() { srv.fleet.router.handleConn(srvEnd) })
+				clock.Go(func() { srv.fleet.tier.router.handleConn(srvEnd) })
 				_ = dev.Send(protocol.CheckinRequest{DeviceID: id, Population: "pop", RuntimeVersion: 3})
 				msg, err := dev.Recv()
 				if resp, ok := msg.(protocol.CheckinResponse); err == nil && ok && resp.Accepted {

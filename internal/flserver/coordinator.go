@@ -389,7 +389,7 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 	// (Hermite's identity), the first total mod m taking one more. Ranks
 	// rotate over the edges' attach order with every round, so the +1 shares
 	// move instead of shorting the same edge's devices each round, and an
-	// edge ranked past m is not opened: NewEdgeRound would lift its zero
+	// edge ranked past m is not opened: newEdgeRound would lift its zero
 	// share to a target of one.
 	n, m := len(c.edges), min(len(c.edges), p.Server.TargetDevices)
 	cur := &round{
@@ -416,7 +416,7 @@ func (c *Coordinator) onTick(ctx *actor.Context) {
 			Admit:      share(p.Server.SelectTarget()),
 			MinReports: share(p.Server.MinReports()),
 			MinRuntime: t.Policy.MinRuntimeVersion,
-			Estimate:   c.Tasks.PopulationEstimate(),
+			Estimate:   c.PopulationEstimate,
 		}
 		if k == 0 {
 			cur.cfg = cfg // the largest share: what an edge attaching mid-round gets

@@ -41,10 +41,10 @@ func edgeRoundOn(t *testing.T, sys *actor.System, minReports int) (actor.Ref, ch
 	p := testPlan(t, 1, false)
 	p.Server.SelectionTimeout, p.Server.ReportTimeout = 3*time.Second, 5*time.Second // apart from the 2s linger
 	seals := make(chan EdgeSeal, 1)
-	ref := StartEdgeRound(sys, "edge", EdgeRoundConfig{
+	ref := startEdgeRound(sys, "edge", EdgeRoundConfig{
 		Population: "pop", Plan: p, Dim: 4, Target: 1, MinReports: minReports,
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, 4)},
-	}, []actor.Ref{spawnSelector(sys, "sel", 0, 1, "pop")}, func(s EdgeSeal) { seals <- s })
+	}, []actor.Ref{spawnSelector(sys, "sel", 1, "pop")}, func(s EdgeSeal) { seals <- s })
 	return ref, seals
 }
 
@@ -75,7 +75,7 @@ func TestDeadlinesFireAtTheirInstant(t *testing.T) {
 		}},
 		{"Linger stops the sealed edge round", func(t *testing.T, _ *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
 			ref, _ := edgeRoundOn(t, sys, 0)
-			FinalizeEdgeRound(ref)
+			_ = ref.Send(msgEdgeFinalize{})
 			return edgeRoundLinger, 1, ref.Stopped
 		}},
 		{"SealGrace settles a round whose stragglers never sealed", func(t *testing.T, clock *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {

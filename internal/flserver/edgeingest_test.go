@@ -11,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/fedavg"
 	"repro/internal/pacing"
+	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/storage"
 	"repro/internal/tasks"
@@ -189,7 +190,7 @@ func TestSecureReportAfterSealIsLate(t *testing.T) {
 	p := testPlan(t, 4, true) // one group of 4
 	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
 	seals := make(chan EdgeSeal, 1)
-	er := NewEdgeRound(EdgeRoundConfig{
+	er := newEdgeRound(EdgeRoundConfig{
 		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: 4,
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
 	}, nil, func(s EdgeSeal) { seals <- s })
@@ -241,7 +242,7 @@ func TestSecureReportAfterSealIsLate(t *testing.T) {
 			t.Fatalf("on-time report %d refused: %+v", i, r)
 		}
 	}
-	FinalizeEdgeRound(ref)
+	_ = ref.Send(msgEdgeFinalize{})
 
 	if r := await("the late verdict", lateResp); r.Accepted || r.Reason != "reporting window closed" {
 		t.Fatalf("late report answered %+v, want refused: reporting window closed", r)
@@ -301,5 +302,49 @@ func TestLiveEstimateOpensMinDevicesGate(t *testing.T) {
 	st := stats(t, r.srv)
 	if st.RoundsCompleted < 1 {
 		t.Fatalf("gated task never ran: %+v", st)
+	}
+}
+
+// TestRoundCarriesStaticEstimate: every source steers its devices with the
+// static population estimate, and the Coordinator's rate tracker inverts
+// their arrivals with that same value. A round opened after rate samples
+// moved the live estimate must still hand its edges the static one: a shard
+// that registers its population from that round would otherwise steer with
+// a value its peers do not use.
+func TestRoundCarriesStaticEstimate(t *testing.T) {
+	const static = 50
+	p := testPlan(t, 2, false)
+	store := storage.NewMem()
+	ts, err := tasks.New("pop", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Seed([]*plan.Plan{p}, simStart); err != nil {
+		t.Fatal(err)
+	}
+	ts.SetPopulationEstimate(static)
+	edge := &stripeEdge{opened: make(chan *EdgeRoundConfig, 1)}
+	sys := actor.NewSystem()
+	defer sys.Shutdown()
+	coord := sys.Spawn("coordinator/pop", newCoordinator(CoordinatorParams{
+		Population: "pop", Lock: actor.NewLockService(), Store: store, Tasks: ts,
+		Steering: pacing.New(time.Minute), PopulationEstimate: static, Edges: []Edge{edge},
+	}))
+	if err := DeliverRate(coord, "selector-0", "pop", 1000, time.Second, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Send(msgTick{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case cfg := <-edge.opened:
+		if live := ts.PopulationEstimate(); live == static {
+			t.Fatalf("the rate sample did not move the live estimate off %d", static)
+		}
+		if cfg.Estimate != static {
+			t.Fatalf("round opened with estimate %d, want the static %d", cfg.Estimate, static)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the round never opened")
 	}
 }

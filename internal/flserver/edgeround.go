@@ -61,8 +61,9 @@ type EdgeRoundConfig struct {
 	// runtime versions: older devices are rejected outright instead of
 	// being served a version-lowered plan.
 	MinRuntime int
-	// Estimate is the Coordinator's live population estimate, for the edge
-	// host's pace steering.
+	// Estimate is the static CoordinatorParams.PopulationEstimate, for the
+	// edge host's pace steering: the rate tracker inverts every source's
+	// arrivals with it, so every source must steer with it, not the live one.
 	Estimate int
 	// Stripes is the edge host's stock of spare stripe vectors, kept across
 	// its rounds (fedavg.Spares); nil allocates every stripe.
@@ -242,9 +243,9 @@ func (o *roundOutbox) drain() {
 	}
 }
 
-// NewEdgeRound returns the behavior for one edge round. ship runs on the
+// newEdgeRound returns the behavior for one edge round. ship runs on the
 // round's outbox goroutine, once the quota revocations have been delivered.
-func NewEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal)) *EdgeRound {
+func newEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal)) *EdgeRound {
 	if cfg.Target < 1 {
 		cfg.Target = 1
 	}
@@ -325,7 +326,7 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 	spawnGroups := func(n, vlen int) {
 		er.aggs, er.bufs, er.assigned = make([]actor.Ref, n), make([]*robust.Buffer, n), make([][]string, n)
 		for g := range er.aggs {
-			agg := NewAggregator(er.cfg.Dim, ctx.Self)
+			agg := newAggregator(er.cfg.Dim, ctx.Self)
 			agg.threshold = srv.SecAggThreshold
 			agg.churn = er.cfg.churn
 			agg.robustPolicy = srv.Robust
@@ -717,21 +718,12 @@ func (er *EdgeRound) release(ctx *actor.Context) {
 	ctx.System.Clock().AfterFunc(edgeRoundLinger, ctx.Self.Stop)
 }
 
-// StartEdgeRound spawns an edge round on sys under the given actor name and
-// kicks it off. The returned ref accepts FinalizeEdgeRound /
-// AbandonEdgeRound; the actor stops itself once sealed or abandoned.
-func StartEdgeRound(sys *actor.System, name string, cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal)) actor.Ref {
-	er := NewEdgeRound(cfg, selectors, ship)
+// startEdgeRound spawns an edge round on sys under the given actor name and
+// kicks it off; the actor stops itself once sealed or abandoned.
+func startEdgeRound(sys *actor.System, name string, cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal)) actor.Ref {
+	er := newEdgeRound(cfg, selectors, ship)
 	ref := sys.Spawn(name, er)
 	_ = ref.Send(msgEdgeStart{})
 	er.requestDevices(ref)
 	return ref
 }
-
-// FinalizeEdgeRound forces an edge round to seal and ship now (coordinator
-// decision: the global round is closing).
-func FinalizeEdgeRound(ref actor.Ref) { _ = ref.Send(msgEdgeFinalize{}) }
-
-// AbandonEdgeRound fails an edge round without shipping (coordinator
-// aborted the round, or the shard lost its coordinator link mid-round).
-func AbandonEdgeRound(ref actor.Ref, reason string) { _ = ref.Send(msgAbandonRound{Reason: reason}) }

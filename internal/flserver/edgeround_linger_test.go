@@ -20,12 +20,12 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 	clock := newWatchedClock()
 	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
-	sel := spawnSelector(sys, "sel", 0, 1, "pop")
+	sel := spawnSelector(sys, "sel", 1, "pop")
 
 	seals := make(chan EdgeSeal, 1)
 	p := testPlan(t, 1, false)
 	p.ID, p.Server.SelectionTimeout, p.Server.ReportTimeout = "task", time.Minute, 50*time.Millisecond
-	er := NewEdgeRound(EdgeRoundConfig{
+	er := newEdgeRound(EdgeRoundConfig{
 		Population: "pop",
 		Plan:       p,
 		Round:      7,

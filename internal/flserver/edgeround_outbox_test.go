@@ -33,12 +33,12 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 	clock := newWatchedClock()
 	sys := actor.NewSystem(clock)
 	t.Cleanup(func() { sys.Shutdown() })
-	sel := spawnSelector(sys, "sel", 0, 1, "pop")
+	sel := spawnSelector(sys, "sel", 1, "pop")
 
 	p := testPlan(t, admit, false)
 	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
 	seals := make(chan EdgeSeal, 1)
-	er := NewEdgeRound(EdgeRoundConfig{
+	er := newEdgeRound(EdgeRoundConfig{
 		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: admit,
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
 	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })
@@ -96,7 +96,7 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 	// A second loss leaves one slot outstanding for the seal to revoke.
 	_ = ref.Send(msgReportDone{DeviceID: "d1"})
 	clock.until(t, "one slot outstanding", func() bool { return popStats(t, sel, "pop").QuotaOutstanding == 1 })
-	FinalizeEdgeRound(ref)
+	_ = ref.Send(msgEdgeFinalize{})
 	clock.until(t, "the seal", func() bool { return len(seals) == 1 })
 	if seal := <-seals; seal.Lost != 2 || seal.Aborted != admit-1 {
 		t.Fatalf("seal lost %d aborted %d, want 2 and %d", seal.Lost, seal.Aborted, admit-1)
@@ -135,7 +135,7 @@ func TestSealSurvivesSaturatedGroupMailbox(t *testing.T) {
 	p := twoGroupSecurePlan(t)
 	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
 	seals := make(chan EdgeSeal, 1)
-	er := NewEdgeRound(EdgeRoundConfig{
+	er := newEdgeRound(EdgeRoundConfig{
 		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: 4,
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
 	}, nil, func(s EdgeSeal) { seals <- s })

@@ -16,13 +16,9 @@ import (
 )
 
 // FleetConfig configures the shared, population-independent part of a
-// Fleet: the Selector layer and the connection edge.
+// Fleet: its device tier. Each population's pool on a Selector is bounded
+// by that population's last grant, not by a knob.
 type FleetConfig struct {
-	// SelectorCapacity bounds the pooled devices per Selector across ALL
-	// populations; under load the pool is fair-shared, weighted by each
-	// Coordinator's quota demand. 0 picks the default of 1024; a negative
-	// value makes the pool unbounded.
-	SelectorCapacity int
 	// Verifier enables attestation checks when non-nil (shared by every
 	// population — attestation is a property of the device platform).
 	Verifier *attest.Verifier
@@ -67,15 +63,15 @@ const numSelectors = 2
 // populations at once ("Selectors accept connections for many FL
 // populations, while Coordinators are one per population"). Check-ins are
 // routed by CheckinRequest.Population; each registered population is one
-// popHost over a LocalEdge, its Coordinator registered in the one shared
-// locking service so that respawns after a crash can never yield two live
-// Coordinators for the same population; and populations are registered at
-// runtime, so plans can be added to a running fleet without restarting it.
+// popHost over its LocalEdge on the DeviceTier, its Coordinator registered
+// in the one shared locking service so that respawns after a crash can
+// never yield two live Coordinators for the same population; and
+// populations are registered at runtime, so plans can be added to a running
+// fleet without restarting it.
 type Fleet struct {
-	sys       *actor.System
-	lock      *actor.LockService
-	selectors []actor.Ref
-	router    *CheckinRouter
+	sys  *actor.System
+	lock *actor.LockService
+	tier *DeviceTier
 
 	mu     sync.Mutex
 	pops   map[string]*popHost
@@ -85,21 +81,11 @@ type Fleet struct {
 // NewFleet builds a Fleet with an empty population registry and spawns its
 // shared Selector layer. Populations are added with Register.
 func NewFleet(cfg FleetConfig) *Fleet {
-	switch {
-	case cfg.SelectorCapacity == 0:
-		cfg.SelectorCapacity = 1024
-	case cfg.SelectorCapacity < 0:
-		cfg.SelectorCapacity = 0 // unbounded
-	}
 	f := &Fleet{pops: make(map[string]*popHost)}
 	f.sys, f.lock = newProcess(cfg.Clock)
 	// Check-ins for unknown populations and malformed first messages are
 	// answered at a one-minute cadence.
-	for i := 0; i < numSelectors; i++ {
-		f.selectors = append(f.selectors, f.sys.Spawn(fmt.Sprintf("selector-%d", i),
-			NewSelector(cfg.Verifier, pacing.New(time.Minute), cfg.SelectorCapacity, cfg.Seed+uint64(i))))
-	}
-	f.router = NewCheckinRouter(f.sys.Clock(), f.selectors)
+	f.tier = NewDeviceTier(f.sys, "", numSelectors, cfg.Verifier, pacing.New(time.Minute), cfg.Seed)
 	return f
 }
 
@@ -116,8 +102,7 @@ func (f *Fleet) Register(spec PopulationSpec) error {
 // round is reported to onOutcome, and churn perturbs the secagg schedule of
 // every secure group.
 func (f *Fleet) register(spec PopulationSpec, onOutcome func(roundOutcome), churn func(n, t int) secagg.Schedule) (*popHost, error) {
-	edge := &LocalEdge{sys: f.sys, selectors: f.selectors, population: spec.Population, churn: churn}
-	edges := []Edge{edge}
+	var edges []Edge
 	h, err := newPopHost(f.sys, CoordinatorParams{
 		Population: spec.Population, Lock: f.lock, Store: spec.Store,
 		Steering: spec.Steering, PopulationEstimate: spec.PopulationEstimate,
@@ -139,22 +124,17 @@ func (f *Fleet) register(spec PopulationSpec, onOutcome func(roundOutcome), chur
 	if err != nil {
 		return nil, err
 	}
-	for i, sel := range f.selectors {
-		if err := RegisterSelectorPopulation(sel, SelectorPopulation{
-			Name: spec.Population, Steering: h.p.Steering, PopulationEstimate: h.p.PopulationEstimate,
-		}); err != nil {
-			// Roll the registration back everywhere it already landed, so
-			// no Selector keeps ghost state for a population the registry
-			// does not know.
-			for _, prev := range f.selectors[:i] {
-				_ = prev.Send(msgDeregisterPopulation{Name: spec.Population})
-			}
-			f.mu.Lock()
-			delete(f.pops, spec.Population)
-			f.mu.Unlock()
-			return nil, fmt.Errorf("flserver: register %q on selector: %w", spec.Population, err)
-		}
+	edge, err := f.tier.Register(SelectorPopulation{
+		Name: spec.Population, Steering: h.p.Steering, PopulationEstimate: h.p.PopulationEstimate,
+	})
+	if err != nil {
+		f.mu.Lock()
+		delete(f.pops, spec.Population)
+		f.mu.Unlock()
+		return nil, fmt.Errorf("flserver: register %q on selector: %w", spec.Population, err)
 	}
+	edge.churn = churn
+	edges = []Edge{edge}
 	h.start()
 	return h, nil
 }
@@ -237,7 +217,7 @@ func (f *Fleet) PopulationStats(population string) (PopulationStats, error) {
 	if err != nil {
 		return PopulationStats{}, err
 	}
-	sel, err := SumSelectorStats(f.selectors, population)
+	sel, err := f.tier.Stats(population)
 	if err != nil {
 		return PopulationStats{}, err
 	}
@@ -248,7 +228,7 @@ func (f *Fleet) PopulationStats(population string) (PopulationStats, error) {
 // connection's first message through the shared CheckinRouter accept path
 // (Selectors route check-ins by population; malformed first messages get a
 // protocol-level rejection with a pace-steering hint).
-func (f *Fleet) Serve(l transport.Listener) { f.router.Serve(l) }
+func (f *Fleet) Serve(l transport.Listener) { f.tier.Serve(l) }
 
 // Close stops every population's Coordinator, the Selector layer, and the
 // actor system, then waits for in-flight connection handlers.
@@ -259,6 +239,5 @@ func (f *Fleet) Close() {
 		h.Stop()
 	}
 	f.mu.Unlock()
-	f.sys.Shutdown(f.selectors...)
-	f.router.Wait()
+	f.tier.Close()
 }

@@ -34,7 +34,7 @@ func TestMemDownloadsForfeitTheirLoan(t *testing.T) {
 			g.Params[i] = float64(r) + float64(i)
 		}
 		seals := make(chan EdgeSeal, 1)
-		ref := sys.Spawn(fmt.Sprintf("edge-forfeit-%d", r), NewEdgeRound(EdgeRoundConfig{
+		ref := sys.Spawn(fmt.Sprintf("edge-forfeit-%d", r), newEdgeRound(EdgeRoundConfig{
 			Population: "pop", Plan: p, Round: r, Global: g, Dim: dim, Target: 1,
 		}, nil, func(s EdgeSeal) { seals <- s }))
 		_ = ref.Send(msgEdgeStart{})
@@ -52,7 +52,7 @@ func TestMemDownloadsForfeitTheirLoan(t *testing.T) {
 	}
 	before := loans.Value()
 	ref, seals, g, resp := open(1)
-	FinalizeEdgeRound(ref)
+	_ = ref.Send(msgEdgeFinalize{})
 	select {
 	case <-seals:
 	case <-time.After(10 * time.Second):
@@ -64,7 +64,7 @@ func TestMemDownloadsForfeitTheirLoan(t *testing.T) {
 		}
 	}
 	next, _, _, _ := open(2)
-	defer AbandonEdgeRound(next, "test over")
+	defer next.Send(msgAbandonRound{Reason: "test over"})
 	want, err := g.Marshal(p.DownlinkEncoding())
 	if err != nil {
 		t.Fatal(err)

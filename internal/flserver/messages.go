@@ -89,9 +89,8 @@ type msgDeregisterPopulation struct {
 }
 
 // msgReleaseParked tells a Selector to steer one population's parked
-// devices away (with a reconnect hint) and stop accepting more. Sent by a
-// Coordinator that has reached its round target: a device parked for a
-// round that will never start must not sit on a half-open connection.
+// devices away and shut its pool (LocalEdge.Abort naming no round): no round
+// will start for them, and none may sit on a half-open connection.
 type msgReleaseParked struct {
 	Population string
 }

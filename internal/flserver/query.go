@@ -12,59 +12,11 @@ import (
 	"repro/internal/transport"
 )
 
-// Exported entry points for driving Selector, EdgeRound and Coordinator
-// actors from outside the package: the sharded tier (internal/shard) composes
-// these same actors across processes and talks to them through the functions
-// here, so the actor message types stay private to this package.
-
 // statsTimeout bounds how long a stats query waits for an actor before
 // declaring it unresponsive. It is wall time on every clock: it guards the
 // caller — an operator, a test — against a dead actor, and no behaviour of
 // the system depends on it.
 const statsTimeout = 5 * time.Second
-
-// RegisterSelectorPopulation adds a population to a running Selector.
-func RegisterSelectorPopulation(sel actor.Ref, pop SelectorPopulation) error {
-	return sel.Send(msgRegisterPopulation{Pop: pop})
-}
-
-// ReleaseParked steers one population's parked devices away with a
-// reconnect hint and zeroes its quota, keeping the population registered.
-// The sharded tier uses this when a selector process loses its coordinator
-// link: parked devices must be told "retry later", not stranded on open
-// connections waiting for a round that cannot start.
-func ReleaseParked(sel actor.Ref, population string) error {
-	return sel.Send(msgReleaseParked{Population: population})
-}
-
-// ProbeCheckinRate asks a Selector for one population's check-in arrivals
-// since the last probe; the sample is delivered to `to` (spawn one with
-// NewRateForwarder to receive it outside this package).
-func ProbeCheckinRate(sel actor.Ref, population string, to actor.Ref) error {
-	return sel.Send(msgRateProbe{Population: population, To: to})
-}
-
-// rateForwarder converts Selector rate samples into a callback, so code
-// outside this package (the sharded selector process, which relays samples
-// to its coordinator over the wire) can consume them without seeing the
-// private message types.
-type rateForwarder struct {
-	fn func(source, population string, count int64, elapsed time.Duration, demand int)
-}
-
-// NewRateForwarder returns a behavior that invokes fn (on the actor
-// goroutine) for every check-in rate sample sent to it; source names the
-// Selector that observed the sample.
-func NewRateForwarder(fn func(source, population string, count int64, elapsed time.Duration, demand int)) actor.Behavior {
-	return &rateForwarder{fn: fn}
-}
-
-// Receive implements actor.Behavior.
-func (rf *rateForwarder) Receive(ctx *actor.Context, msg actor.Message) {
-	if m, ok := msg.(msgCheckinRate); ok {
-		rf.fn(m.Source, m.Population, m.Count, m.Elapsed, m.Demand)
-	}
-}
 
 // ask sends an actor one request carrying a reply channel and waits for
 // the answer. The error is non-nil when the actor is stopped or does not
@@ -120,21 +72,6 @@ func QuerySelectorStats(sel actor.Ref, population string) (SelectorStats, error)
 	})
 }
 
-// SumSelectorStats sums one population's counts (or, for "", every
-// population's) across a Selector layer. The error is non-nil when any
-// Selector is dead or unresponsive.
-func SumSelectorStats(selectors []actor.Ref, population string) (SelectorStats, error) {
-	var total SelectorStats
-	for _, sel := range selectors {
-		st, err := QuerySelectorStats(sel, population)
-		if err != nil {
-			return SelectorStats{}, err
-		}
-		total.Add(st)
-	}
-	return total, nil
-}
-
 // CheckinRouter is the device-facing accept path shared by the fleet gateway
 // and the selector shards: each connection's first message must be a
 // CheckinRequest, dispatched to a Selector round-robin (Selectors are "globally
@@ -152,12 +89,6 @@ type CheckinRouter struct {
 	mu       sync.Mutex
 	waited   bool
 	handlers sync.WaitGroup
-}
-
-// NewCheckinRouter builds the accept path over a Selector layer, its
-// per-connection handlers running on clock.
-func NewCheckinRouter(clock actor.Clock, selectors []actor.Ref) *CheckinRouter {
-	return &CheckinRouter{clock: clock, selectors: selectors}
 }
 
 // Serve accepts device connections from l until l closes.

@@ -44,11 +44,12 @@ type selPop struct {
 
 	// pool is continuous selection (Sec. 4.3: "Selector actors running the
 	// selection process continuously"): devices that checked in after the
-	// round in flight was staffed, held unanswered — at most demand of them —
-	// until the next grant admits them ahead of any later check-in. It is the
-	// only set of connections a Selector parks: capacity and fair share count
-	// it. A pooled device consumes no quota, so the ledger never sees it. The
-	// pool is open until poolUntil (onQuota, expirePools). poolSeen counts the
+	// round in flight was staffed, held unanswered — at most demand of them,
+	// the population's last grant — until the next grant admits them ahead of
+	// any later check-in. It is the only set of connections a Selector parks,
+	// and demand is its only bound: no population's pool gives way to
+	// another's. A pooled device consumes no quota, so the ledger never sees
+	// it. The pool is open until poolUntil (onQuota, expirePools). poolSeen counts the
 	// check-ins offered to it since the last grant, for the reservoir over a
 	// full pool (footnote 1 of the paper: "selection is done by simple
 	// reservoir sampling"); pooled is the population's gauge.
@@ -79,21 +80,12 @@ const minRateWindow = 500 * time.Millisecond
 // round (selPop.pool); rejected devices — including devices of populations
 // this Selector does not (or no longer) serve — get a pace-steering
 // reconnect hint rather than a dropped connection.
-//
-// When a capacity is set, the pooled devices share it across populations
-// under weighted fair sharing: each population's share of the capacity is
-// proportional to its Coordinator's current quota demand, and a population
-// below its share may displace a pooled device of a population above its
-// share.
 type Selector struct {
 	verifier *attest.Verifier
 	// defaultSteering answers check-ins for unregistered populations.
 	defaultSteering *pacing.Steering
 	// defaultEstimate sizes steering hints when no population state exists.
 	defaultEstimate int
-	// capacity bounds the total pooled devices across all populations
-	// (0 = unbounded).
-	capacity int
 
 	pops map[string]*selPop
 	rng  *tensor.RNG
@@ -107,17 +99,15 @@ type Selector struct {
 	retired SelectorStats
 }
 
-// NewSelector returns the behavior for a Selector actor. Populations are
-// registered at runtime via RegisterSelectorPopulation (and taken back,
-// should a registration fail halfway across the layer, by
-// msgDeregisterPopulation). It reads the time off its actor system's clock,
-// once per message.
-func NewSelector(verifier *attest.Verifier, defaultSteering *pacing.Steering, capacity int, seed uint64) *Selector {
+// newSelector returns the behavior for a Selector actor. Populations are
+// registered at runtime by msgRegisterPopulation (and taken back, should a
+// registration fail halfway across the tier, by msgDeregisterPopulation). It
+// reads the time off its actor system's clock, once per message.
+func newSelector(verifier *attest.Verifier, defaultSteering *pacing.Steering, seed uint64) *Selector {
 	return &Selector{
 		verifier:        verifier,
 		defaultSteering: defaultSteering,
 		defaultEstimate: 1000,
-		capacity:        capacity,
 		pops:            make(map[string]*selPop),
 		rng:             tensor.NewRNG(seed),
 	}
@@ -148,9 +138,10 @@ func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
 	}
 }
 
-// register adds (or reconfigures) a population on this Selector.
+// register adds a population to this Selector; the first registration of
+// a name stands (DeviceTier.Register sends one).
 func (s *Selector) register(cfg SelectorPopulation, now time.Time) {
-	if cfg.Name == "" {
+	if cfg.Name == "" || s.pops[cfg.Name] != nil {
 		return
 	}
 	if cfg.Steering == nil {
@@ -158,11 +149,6 @@ func (s *Selector) register(cfg SelectorPopulation, now time.Time) {
 	}
 	if cfg.PopulationEstimate <= 0 {
 		cfg.PopulationEstimate = s.defaultEstimate
-	}
-	if p, ok := s.pops[cfg.Name]; ok {
-		p.steering = cfg.Steering
-		p.populationEstimate = cfg.PopulationEstimate
-		return
 	}
 	s.pops[cfg.Name] = &selPop{
 		name:               cfg.Name,
@@ -354,12 +340,6 @@ func (s *Selector) onCheckin(m msgCheckin, now time.Time) {
 		s.poolCheckin(p, d, now)
 		return
 	}
-	// Quota available; enforce the selector-wide pool capacity with
-	// demand-weighted fair sharing across populations.
-	if !s.roomFor(p, now) {
-		s.reject(p, m.Conn, "selector at capacity", now)
-		return
-	}
 	s.admit(p, []heldDevice{d}, now)
 }
 
@@ -373,12 +353,10 @@ func (s *Selector) poolCheckin(p *selPop, d heldDevice, now time.Time) {
 	}
 	p.poolSeen++
 	switch n := len(p.pool); {
-	case n < p.demand && s.roomFor(p, now):
+	case n < p.demand:
 		p.pool = append(p.pool, d)
 		p.pooled.Add(1)
 		obsCheckinPooled.Inc()
-	case n < p.demand:
-		s.reject(p, d.Conn, "selector at capacity", now)
 	case s.rng.Float64() < float64(n)/float64(p.poolSeen):
 		i := s.rng.Intn(n)
 		victim := p.pool[i]
@@ -388,66 +366,6 @@ func (s *Selector) poolCheckin(p *selPop, d heldDevice, now time.Time) {
 	default:
 		s.reject(p, d.Conn, "come back later", now)
 	}
-}
-
-// roomFor reports whether p may take one more device under the capacity,
-// displacing a pooled one of a population above its fair share if p is below
-// its own.
-func (s *Selector) roomFor(p *selPop, now time.Time) bool {
-	if s.capacity <= 0 || s.totalPooled() < s.capacity {
-		return true
-	}
-	return len(p.pool) < s.fairShare(p) && s.displaceOverShare(now)
-}
-
-// totalPooled is the pooled-device count across all populations.
-func (s *Selector) totalPooled() int {
-	n := 0
-	for _, p := range s.pops {
-		n += len(p.pool)
-	}
-	return n
-}
-
-// fairShare returns p's share of the selector capacity, weighted by each
-// population's current quota demand (only populations actively asking for
-// devices count toward the denominator).
-func (s *Selector) fairShare(p *selPop) int {
-	total := 0
-	for _, sp := range s.pops {
-		if sp.quota > 0 {
-			total += sp.demand
-		}
-	}
-	demand := p.demand
-	if p.quota <= 0 {
-		demand = 0
-	}
-	if total <= 0 {
-		return s.capacity
-	}
-	share := s.capacity * demand / total
-	if share < 1 && demand > 0 {
-		share = 1
-	}
-	return share
-}
-
-// displaceOverShare steers away the oldest pooled device of the population
-// furthest above its fair share. Reports whether a slot was freed.
-func (s *Selector) displaceOverShare(now time.Time) bool {
-	var victim *selPop
-	excess := 0
-	for _, q := range s.pops {
-		if e := len(q.pool) - s.fairShare(q); e > excess {
-			victim, excess = q, e
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	s.reject(victim, s.takePool(victim, 1)[0].Conn, "displaced by cross-population fair sharing", now)
-	return true
 }
 
 // onTopUp re-opens quota the owning round handed back (duplicate or lost

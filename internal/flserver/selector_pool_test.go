@@ -32,24 +32,26 @@ func (d *poolDevice) answer() (protocol.CheckinResponse, bool, bool) {
 }
 
 // poolRig is one Selector on a virtual clock, a stand-in round actor that
-// records every msgDevices batch it is forwarded, and the check after every
-// step: the quota ledger of every population balances, pooled devices or not.
+// records every msgDevices batch it is forwarded, and the checks after every
+// step: the quota ledger of every population balances, pooled devices or not,
+// and no population pools more devices than its last grant.
 type poolRig struct {
 	t       *testing.T
 	sys     *actor.System
 	sel     actor.Ref
 	round   actor.Ref
 	pops    []string
+	grants  map[string]int // population → its last grant
 	clock   *watchedClock
 	mu      sync.Mutex
 	batches [][]string
 }
 
-func newPoolRig(t *testing.T, capacity int, seed uint64, pops ...string) *poolRig {
-	r := &poolRig{t: t, pops: pops, clock: newWatchedClock()}
+func newPoolRig(t *testing.T, seed uint64, pops ...string) *poolRig {
+	r := &poolRig{t: t, pops: pops, grants: map[string]int{}, clock: newWatchedClock()}
 	r.sys = actor.NewSystem(r.clock)
 	t.Cleanup(func() { r.sys.Shutdown() })
-	r.sel = spawnSelector(r.sys, "sel", capacity, seed, pops...)
+	r.sel = spawnSelector(r.sys, "sel", seed, pops...)
 	r.round = r.sys.Spawn("round", actor.BehaviorFunc(func(_ *actor.Context, msg actor.Message) {
 		if m, ok := msg.(msgDevices); ok {
 			ids := make([]string, len(m.Devices))
@@ -64,16 +66,23 @@ func newPoolRig(t *testing.T, capacity int, seed uint64, pops ...string) *poolRi
 	return r
 }
 
-// send delivers one message to the Selector and then checks every ledger:
-// the stats query queues behind the message, so it sees its effect.
+// send delivers one message to the Selector and then checks every ledger
+// and pool: the stats query queues behind the message, so it sees its effect.
 func (r *poolRig) send(msg actor.Message) {
 	r.t.Helper()
+	if m, ok := msg.(msgSetQuota); ok && m.Accept > 0 {
+		r.grants[m.Population] = m.Accept
+	}
 	if err := r.sel.Send(msg); err != nil {
 		r.t.Fatal(err)
 	}
 	for _, pop := range append([]string{""}, r.pops...) {
-		if st := popStats(r.t, r.sel, pop); !st.quotaConserved() {
+		st := popStats(r.t, r.sel, pop)
+		if !st.quotaConserved() {
 			r.t.Fatalf("after %T the ledger of %q leaks: %+v", msg, pop, st)
+		}
+		if pop != "" && st.Pooled > r.grants[pop] {
+			r.t.Fatalf("after %T %q pools %d devices, more than its last grant of %d", msg, pop, st.Pooled, r.grants[pop])
 		}
 	}
 }
@@ -159,7 +168,7 @@ func (r *poolRig) staffedRound(pop string, n int) {
 // outstanding, per population and in total, after every single message.
 func TestSelectorPool(t *testing.T) {
 	t.Run("shut until a round was staffed", func(t *testing.T) {
-		r := newPoolRig(t, 0, 1, "pop")
+		r := newPoolRig(t, 1, "pop")
 		r.steered(r.checkin("pop", "never-granted"))
 		// A round that sealed short of devices: its revocation takes a slot
 		// back, and the pool stays shut.
@@ -178,7 +187,7 @@ func TestSelectorPool(t *testing.T) {
 	})
 
 	t.Run("fills to demand and no further", func(t *testing.T) {
-		r := newPoolRig(t, 0, 1, "pop")
+		r := newPoolRig(t, 1, "pop")
 		r.staffedRound("pop", 3)
 		var devs []*poolDevice
 		for i := 0; i < 8; i++ {
@@ -204,7 +213,7 @@ func TestSelectorPool(t *testing.T) {
 	})
 
 	t.Run("grant admits the pool first and in one batch", func(t *testing.T) {
-		r := newPoolRig(t, 0, 1, "pop")
+		r := newPoolRig(t, 1, "pop")
 		r.staffedRound("pop", 3)
 		a, b, c := r.checkin("pop", "a"), r.checkin("pop", "b"), r.checkin("pop", "c")
 		// The next round wants 4: the three pooled devices are its first
@@ -221,7 +230,7 @@ func TestSelectorPool(t *testing.T) {
 	})
 
 	t.Run("grant smaller than the pool steers the surplus away", func(t *testing.T) {
-		r := newPoolRig(t, 0, 1, "pop")
+		r := newPoolRig(t, 1, "pop")
 		r.staffedRound("pop", 3)
 		a, b, c := r.checkin("pop", "a"), r.checkin("pop", "b"), r.checkin("pop", "c")
 		r.send(msgSetQuota{Population: "pop", Accept: 2, Owner: r.round})
@@ -234,7 +243,7 @@ func TestSelectorPool(t *testing.T) {
 	})
 
 	t.Run("top-up is served from the pool", func(t *testing.T) {
-		r := newPoolRig(t, 0, 1, "pop")
+		r := newPoolRig(t, 1, "pop")
 		r.staffedRound("pop", 2)
 		spare := r.checkin("pop", "spare")
 		r.send(msgQuotaTopUp{Population: "pop", N: 1, To: r.round})
@@ -270,7 +279,7 @@ func TestSelectorPool(t *testing.T) {
 		},
 	} {
 		t.Run(name+" leaves no connection open", func(t *testing.T) {
-			r := newPoolRig(t, 0, 1, "pop")
+			r := newPoolRig(t, 1, "pop")
 			r.staffedRound("pop", 2)
 			a, b := r.checkin("pop", "a"), r.checkin("pop", "b")
 			r.untouched(a, b)
@@ -283,32 +292,25 @@ func TestSelectorPool(t *testing.T) {
 	}
 
 	t.Run("capacity and fair share count pooled devices", func(t *testing.T) {
-		r := newPoolRig(t, 4, 1, "pop-a", "pop-b")
+		// Nothing is shared across populations: pop-a pools up to its own
+		// demand of 5 whatever pop-b does, and pop-b's check-in under quota
+		// goes to its round without steering a pooled pop-a device away.
+		r := newPoolRig(t, 1, "pop-a", "pop-b")
 		r.staffedRound("pop-a", 5)
 		var pooled []*poolDevice
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 5; i++ {
 			pooled = append(pooled, r.checkin("pop-a", fmt.Sprintf("a%d", i)))
 		}
-		if st := popStats(t, r.sel, "pop-a"); st.Pooled != 4 {
-			t.Fatalf("pop-a alone should pool up to the capacity: %+v", st)
+		if st := popStats(t, r.sel, "pop-a"); st.Pooled != 5 {
+			t.Fatalf("pop-a should pool up to its demand: %+v", st)
 		}
-		// At capacity, pop-a pools nobody else, though its demand is 5.
-		r.steered(r.checkin("pop-a", "a4"))
-		// pop-b asks for devices; pop-a, between rounds, asks for none, so
-		// its whole pool is over its share: a pop-b check-in displaces the
-		// oldest pooled pop-a device instead of being starved by it, and goes
-		// to pop-b's round.
 		r.send(msgSetQuota{Population: "pop-b", Accept: 2, Owner: r.round})
 		r.checkin("pop-b", "b0")
-		r.steered(pooled[0])
-		r.untouched(pooled[1:]...)
 		r.forwarded([]string{"b0"})
+		r.untouched(pooled...)
 		a, b := popStats(t, r.sel, "pop-a"), popStats(t, r.sel, "pop-b")
-		if a.Pooled != 3 || b.Pooled != 0 || a.QuotaConsumed != 5 || b.QuotaConsumed != 1 {
+		if a.Pooled != 5 || b.Pooled != 0 || a.QuotaConsumed != 5 || b.QuotaConsumed != 1 || a.Rejected != 0 {
 			t.Fatalf("pop-a %+v pop-b %+v", a, b)
-		}
-		if st, _ := QuerySelectorStats(r.sel, ""); st.Pooled != 3 {
-			t.Fatalf("capacity must bound the pools: %+v", st)
 		}
 	})
 
@@ -317,7 +319,7 @@ func TestSelectorPool(t *testing.T) {
 		// the pooled batch its grant admits and the device checking in
 		// after it are answered with a steering hint, not closed unanswered,
 		// and consume no quota.
-		r := newPoolRig(t, 0, 1, "pop")
+		r := newPoolRig(t, 1, "pop")
 		r.staffedRound("pop", 2)
 		pooled := r.checkin("pop", "pooled")
 		r.round.Stop()
@@ -336,7 +338,7 @@ func TestSelectorPool(t *testing.T) {
 func TestPoolReservoirIsNotFCFS(t *testing.T) {
 	winners := map[string]int{}
 	for trial := 0; trial < 40; trial++ {
-		r := newPoolRig(t, 0, uint64(trial)+1, "pop")
+		r := newPoolRig(t, uint64(trial)+1, "pop")
 		r.staffedRound("pop", 1)
 		for i := 0; i < 5; i++ {
 			r.checkin("pop", fmt.Sprintf("p%d", i))
@@ -374,7 +376,7 @@ func (c *countingRef) Send(msg actor.Message) error {
 // reports in milliseconds, not at its SelectionTimeout.
 func TestPooledDeviceThatDiedIsToppedUp(t *testing.T) {
 	const admit = 3
-	r := newPoolRig(t, 0, 1, "pop")
+	r := newPoolRig(t, 1, "pop")
 	r.staffedRound("pop", admit)
 	sel := &countingRef{Ref: r.sel}
 
@@ -409,7 +411,7 @@ func TestPooledDeviceThatDiedIsToppedUp(t *testing.T) {
 
 	seals := make(chan EdgeSeal, 1)
 	start := r.clock.Now()
-	StartEdgeRound(r.sys, "edge", EdgeRoundConfig{
+	startEdgeRound(r.sys, "edge", EdgeRoundConfig{
 		Population: "pop", Plan: p, Round: 1, Dim: 4, Target: admit,
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
 	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })

@@ -12,12 +12,11 @@ import (
 	"repro/internal/transport"
 )
 
-// spawnSelector spawns a Selector serving the named populations with the
-// given parked-pool capacity.
-func spawnSelector(sys *actor.System, name string, capacity int, seed uint64, pops ...string) actor.Ref {
-	sel := sys.Spawn(name, NewSelector(nil, pacing.New(time.Second), capacity, seed))
+// spawnSelector spawns a Selector serving the named populations.
+func spawnSelector(sys *actor.System, name string, seed uint64, pops ...string) actor.Ref {
+	sel := sys.Spawn(name, newSelector(nil, pacing.New(time.Second), seed))
 	for _, p := range pops {
-		_ = RegisterSelectorPopulation(sel, SelectorPopulation{Name: p, Steering: pacing.New(time.Second), PopulationEstimate: 100})
+		_ = sel.Send(msgRegisterPopulation{Pop: SelectorPopulation{Name: p, Steering: pacing.New(time.Second), PopulationEstimate: 100}})
 	}
 	return sel
 }
@@ -57,7 +56,7 @@ func popStats(t *testing.T, sel actor.Ref, pop string) SelectorStats {
 // returns the two the next grant admits.
 func driveSelector(t *testing.T, seed uint64, n int) []string {
 	t.Helper()
-	r := newPoolRig(t, 0, seed, "pop")
+	r := newPoolRig(t, seed, "pop")
 	r.staffedRound("pop", 2)
 	for i := 0; i < n; i++ {
 		r.checkin("pop", fmt.Sprintf("dev-%d", i))
@@ -91,7 +90,7 @@ func TestReservoirSamplingIsNotFCFS(t *testing.T) {
 
 func TestSelectorRejectsUnknownPopulation(t *testing.T) {
 	sys := actor.NewSystem()
-	sel := spawnSelector(sys, "sel", 0, 1, "pop")
+	sel := spawnSelector(sys, "sel", 1, "pop")
 	defer sel.Stop()
 	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 5})
 
@@ -122,7 +121,7 @@ func TestSelectorRejectsUnknownPopulation(t *testing.T) {
 
 func TestSelectorQuotaForOtherPopulationIgnored(t *testing.T) {
 	sys := actor.NewSystem()
-	sel := spawnSelector(sys, "sel", 0, 1, "pop")
+	sel := spawnSelector(sys, "sel", 1, "pop")
 	defer sel.Stop()
 	_ = sel.Send(msgSetQuota{Population: "other", Accept: 5})
 
@@ -140,44 +139,49 @@ func TestSelectorQuotaForOtherPopulationIgnored(t *testing.T) {
 	}
 }
 
+// TestSelectorFairSharesCapacityAcrossPopulations: each pool is bounded by
+// its own population's last grant alone. pop-a and pop-b pool up to their
+// own demand independently, and a pop-b check-in under quota goes straight
+// to its round without steering away a pooled pop-a device.
 func TestSelectorFairSharesCapacityAcrossPopulations(t *testing.T) {
-	// Capacity 4 shared by the pools of pop-a and pop-b. Between rounds
-	// neither asks for devices, so each may pool up to the whole capacity
-	// and pop-a, first, fills it: a pop-b check-in bounces. Once pop-b's
-	// next round asks, pop-a (asking for none) is over its share, and a
-	// pop-b check-in displaces a pooled pop-a device rather than be starved.
-	r := newPoolRig(t, 4, 1, "pop-a", "pop-b")
+	r := newPoolRig(t, 1, "pop-a", "pop-b")
 	r.staffedRound("pop-a", 6)
 	r.staffedRound("pop-b", 2)
-	var pooled []*poolDevice
+	var pooledA []*poolDevice
 	for i := 0; i < 6; i++ {
-		pooled = append(pooled, r.checkin("pop-a", fmt.Sprintf("a-%d", i)))
+		pooledA = append(pooledA, r.checkin("pop-a", fmt.Sprintf("a-%d", i)))
 	}
-	if st := popStats(t, r.sel, "pop-a"); st.Pooled != 4 {
-		t.Fatalf("pop-a alone should fill the capacity: pooled=%d", st.Pooled)
-	}
-	r.steered(pooled[4:]...)
-	r.steered(r.checkin("pop-b", "b-0"))
-
-	r.send(msgSetQuota{Population: "pop-b", Accept: 2, Owner: r.round})
+	r.checkin("pop-b", "b-0")
 	r.checkin("pop-b", "b-1")
-	r.steered(pooled[0])
-	r.forwarded([]string{"b-1"})
-	if st := popStats(t, r.sel, "pop-a"); st.Pooled != 3 {
-		t.Fatalf("pop-a must give back its over-share slot: pooled=%d", st.Pooled)
+	a, b := popStats(t, r.sel, "pop-a"), popStats(t, r.sel, "pop-b")
+	if a.Pooled != 6 || b.Pooled != 2 {
+		t.Fatalf("each population pools up to its own demand: pop-a %+v pop-b %+v", a, b)
 	}
-	// A slot is free now: pop-b's next device takes it without displacing.
+	// pop-b is full; its next check-in is sampled against its own pool,
+	// never against pop-a's.
 	r.checkin("pop-b", "b-2")
-	r.forwarded([]string{"b-1"}, []string{"b-2"})
-	r.untouched(pooled[1:4]...)
+	r.untouched(pooledA...)
 
-	if total, _ := QuerySelectorStats(r.sel, ""); total.Pooled != 3 || total.QuotaConsumed != 10 {
-		t.Fatalf("capacity must bound the pools: %+v", total)
+	r.send(msgSetQuota{Population: "pop-b", Accept: 4, Owner: r.round})
+	r.checkin("pop-b", "b-3")
+	r.clock.until(t, "pop-b's batches", func() bool { r.mu.Lock(); defer r.mu.Unlock(); return len(r.batches) == 2 })
+	r.mu.Lock()
+	batches, last := fmt.Sprint(r.batches), fmt.Sprint(r.batches[1])
+	r.mu.Unlock()
+	if last != "[b-3]" {
+		t.Fatalf("the check-in under quota was not handed to its round: %s", batches)
+	}
+	r.untouched(pooledA...)
+	if st := popStats(t, r.sel, "pop-a"); st.Pooled != 6 || st.Rejected != 0 {
+		t.Fatalf("pop-b's round took pooled pop-a devices: %+v", st)
+	}
+	if total, _ := QuerySelectorStats(r.sel, ""); total.Pooled != 6 || total.QuotaConsumed != 8+3 {
+		t.Fatalf("%+v", total)
 	}
 }
 
 func TestSelectorDeregisterSteersParkedDevices(t *testing.T) {
-	r := newPoolRig(t, 0, 1, "pop")
+	r := newPoolRig(t, 1, "pop")
 	r.staffedRound("pop", 2)
 	d0, d1 := r.checkin("pop", "d-0"), r.checkin("pop", "d-1")
 	if st := popStats(t, r.sel, "pop"); st.Pooled != 2 {
@@ -216,7 +220,7 @@ func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
 	clock := newWatchedClock()
 	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
-	sel := spawnSelector(sys, "sel-rate", 0, 1, "pop")
+	sel := spawnSelector(sys, "sel-rate", 1, "pop")
 	// A stats query queues behind every message sent before it: once it is
 	// answered, those were stamped with the time before the advance.
 	advance := func(d time.Duration) {
@@ -266,7 +270,7 @@ func TestSelectorRateProbeSamplesAndResets(t *testing.T) {
 // zero the quota and shut the pool, so no device is parked for a round that
 // will never start.
 func TestSelectorReleaseParkedFreesConnections(t *testing.T) {
-	r := newPoolRig(t, 0, 3, "pop")
+	r := newPoolRig(t, 3, "pop")
 	r.staffedRound("pop", 4)
 	var pooled []*poolDevice
 	for i := 0; i < 4; i++ {
@@ -295,7 +299,7 @@ func TestStaleRevocationKeepsSuccessorQuota(t *testing.T) {
 	clock := newWatchedClock()
 	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
-	sel := spawnSelector(sys, "sel", 0, 1, "pop")
+	sel := spawnSelector(sys, "sel", 1, "pop")
 	var mu sync.Mutex
 	reached := map[string]string{} // device → the round it was streamed to
 	round := func(name string) actor.Ref {

@@ -97,7 +97,7 @@ func serverTakes(phase protocol.Phase, msg interface{}) bool {
 	self := inbox(make(chan actor.Message, 1)) // each site sends the round one message
 	_ = dev.Send(msg)
 	if phase == protocol.PhaseCheckin {
-		NewCheckinRouter(actor.Wall, []actor.Ref{self}).handleConn(srv)
+		(&CheckinRouter{clock: actor.Wall, selectors: []actor.Ref{self}}).handleConn(srv)
 		_, ok := (<-self).(msgCheckin)
 		return ok
 	}

@@ -86,8 +86,8 @@ type RoundConfig struct {
 	// MinRuntime is the task policy's device-runtime floor (0 = none):
 	// older devices are rejected rather than served a lowered plan.
 	MinRuntime int
-	// Estimate is the coordinator's live population estimate, used by the
-	// shard's pace steering.
+	// Estimate is the coordinator's static population estimate, used by the
+	// shard's pace steering: the value every source steers with.
 	Estimate   int
 	Plan       []byte
 	Checkpoint []byte

@@ -782,7 +782,7 @@ func (c *cell) runTCP(t *testing.T, shards, rounds, devices int, inj *chaos.Inje
 	var dials []func() (transport.Conn, error)
 	var progress func() (shard.CoordStats, error)
 	if shards == 0 {
-		fleet := flserver.NewFleet(flserver.FleetConfig{SelectorCapacity: -1, Seed: 1})
+		fleet := flserver.NewFleet(flserver.FleetConfig{Seed: 1})
 		t.Cleanup(fleet.Close)
 		if err := fleet.Register(flserver.PopulationSpec{Population: matrixPop, Plans: []*plan.Plan{c.p}, Store: c.store,
 			Steering: steering, PopulationEstimate: matrixK, MaxRounds: rounds}); err != nil {

@@ -38,11 +38,9 @@ type SelectorConfig struct {
 	// NumSelectors is how many Selector actors terminate device connections
 	// in this process (default 1).
 	NumSelectors int
-	// SelectorCapacity bounds pooled devices per Selector (0 = unbounded).
-	SelectorCapacity int
-	Steering         *pacing.Steering
-	// PopulationEstimate seeds pace steering until RoundConfigs carry the
-	// coordinator's live estimate.
+	Steering     *pacing.Steering
+	// PopulationEstimate seeds pace steering for a population whose first
+	// RoundConfig carries no estimate.
 	PopulationEstimate int
 	Seed               uint64
 	// Peer configures the coordinator link: its Hello is overwritten with
@@ -65,31 +63,23 @@ const (
 	sealRetryBudget = 3 * time.Second
 )
 
-// edgeHandle tracks one population's in-flight edge round.
-type edgeHandle struct {
-	taskID string
-	round  int64
-	ref    actor.Ref
-}
-
-// SelectorProc is one selector process: a device-facing listener feeding
-// Selector actors, a managed peer link to the coordinator, and one
-// ephemeral EdgeRound actor per (population, round) the coordinator opens.
-// Device connections live and die inside this process; what goes upstream
-// is a single protocol.StripeSeal per round.
+// SelectorProc is one selector process: the device tier flserver.Fleet runs
+// too — Selectors, router and one LocalEdge per population — with a relay
+// standing where the Coordinator stands, and a managed peer link to the
+// coordinator. Device connections live and die inside this process; what
+// goes upstream is a single protocol.StripeSeal per round. What is the
+// shard's own is the link: config decode and refusal, the duplicate-config
+// check, the seal's retry loop and telemetry.
 type SelectorProc struct {
-	cfg       SelectorConfig
-	sys       *actor.System
-	selectors []actor.Ref
-	router    *flserver.CheckinRouter
-	peer      *remote.Peer
-	rateFwd   actor.Ref
-	// stripes carries spare stripe vectors from one edge round to the next.
-	stripes fedavg.Spares
+	cfg  SelectorConfig
+	sys  *actor.System
+	tier *flserver.DeviceTier
+	// relay takes the seals and rate samples the tier would hand a
+	// Coordinator beside it and ships them upstream.
+	relay actor.Ref
+	peer  *remote.Peer
 
 	mu     sync.Mutex
-	pops   map[string]bool
-	rounds map[string]*edgeHandle // population → in-flight round
 	closed bool
 
 	sealsShipped  atomic.Int64
@@ -113,23 +103,13 @@ func NewSelectorProc(cfg SelectorConfig, dial remote.Dialer) *SelectorProc {
 	if cfg.Steering == nil {
 		cfg.Steering = pacing.New(time.Minute)
 	}
-	if cfg.PopulationEstimate <= 0 {
-		cfg.PopulationEstimate = 1000
-	}
 	p := &SelectorProc{
 		cfg:    cfg,
 		sys:    actor.NewSystem(cfg.Peer.Clock),
-		pops:   make(map[string]bool),
-		rounds: make(map[string]*edgeHandle),
 		jitter: rand.New(rand.NewSource(int64(cfg.Seed))),
 	}
-	for i := 0; i < cfg.NumSelectors; i++ {
-		sel := p.sys.Spawn(fmt.Sprintf("%s/selector-%d", cfg.Name, i),
-			flserver.NewSelector(nil, cfg.Steering, cfg.SelectorCapacity, cfg.Seed+uint64(i)))
-		p.selectors = append(p.selectors, sel)
-	}
-	p.router = flserver.NewCheckinRouter(p.sys.Clock(), p.selectors)
-	p.rateFwd = p.sys.Spawn(cfg.Name+"/rate-fwd", flserver.NewRateForwarder(p.relayRate))
+	p.tier = flserver.NewDeviceTier(p.sys, cfg.Name+"/", cfg.NumSelectors, nil, cfg.Steering, cfg.Seed)
+	p.relay = p.tier.Relay("relay", p.ship, p.relayRate)
 
 	opts := cfg.Peer
 	opts.Hello = protocol.ShardHello{Shard: cfg.Shard, Name: cfg.Name}
@@ -163,7 +143,7 @@ func (p *SelectorProc) every(name string, interval time.Duration, fn func()) {
 }
 
 // Serve accepts device connections from l until l closes.
-func (p *SelectorProc) Serve(l transport.Listener) { p.router.Serve(l) }
+func (p *SelectorProc) Serve(l transport.Listener) { p.tier.Serve(l) }
 
 // holdConfigs holds each RoundConfig's frame for the round it opens: Recv
 // returns it as a heldConfig, its loan nil when the frame was not leased.
@@ -191,19 +171,22 @@ func (p *SelectorProc) onPeerMsg(msg interface{}) {
 			m.loan.Release()
 		}
 	case protocol.RoundFinalize:
-		if h := p.lookupRound(m.Population, m.TaskID, m.Round); h != nil {
-			flserver.FinalizeEdgeRound(h.ref)
+		if e := p.tier.Edge(m.Population); e != nil {
+			_ = e.Finalize(m.TaskID, m.Round)
 		}
 	case protocol.RoundAbort:
-		p.onRoundAbort(m)
+		// One naming a round abandons it if it runs; one naming none (the
+		// coordinator drained the population) steers the pool away.
+		if e := p.tier.Edge(m.Population); e != nil {
+			e.Abort(m.TaskID, m.Round, m.Reason)
+		}
 	}
 }
 
-// onRoundConfig opens one edge round: register the population on the local
-// Selectors on first sight, then spawn the ephemeral EdgeRound actor that
-// runs the device-facing half of the round and ships the seal; it reports
-// whether the round kept loan. A config this shard cannot decode is refused,
-// so the coordinator stops waiting for its seal.
+// onRoundConfig opens one edge round on the population's LocalEdge,
+// registering the population on the tier on first sight; it reports whether
+// the round kept loan. A config this shard cannot decode is refused, so the
+// coordinator stops waiting for its seal.
 func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig, loan *transport.Loan) bool {
 	refuse := func(why string, err error) bool {
 		_ = p.peer.Send(protocol.RoundAbort{Population: m.Population, TaskID: m.TaskID,
@@ -227,95 +210,41 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig, loan *transport.Loa
 	if p.closed {
 		return false
 	}
-	if !p.pops[m.Population] {
-		p.pops[m.Population] = true
-		est := m.Estimate
-		if est <= 0 {
-			est = p.cfg.PopulationEstimate
-		}
-		for _, sel := range p.selectors {
-			_ = flserver.RegisterSelectorPopulation(sel, flserver.SelectorPopulation{
-				Name: m.Population, Steering: p.cfg.Steering, PopulationEstimate: est,
-			})
-		}
+	est := m.Estimate
+	if est <= 0 {
+		est = p.cfg.PopulationEstimate
 	}
-	if h := p.rounds[m.Population]; h != nil {
-		if h.taskID == m.TaskID && h.round == m.Round {
-			// Duplicate (coordinator re-sent after a reconnect it noticed
-			// before we noticed the drop): the round is already running.
-			return false
-		}
-		// A different round supersedes the old one.
-		flserver.AbandonEdgeRound(h.ref, "superseded by a newer round")
+	edge, err := p.tier.Register(flserver.SelectorPopulation{
+		Name: m.Population, Steering: p.cfg.Steering, PopulationEstimate: est,
+	})
+	if err != nil || edge.Runs(m.TaskID, m.Round) {
+		// A tier shutting down takes no round; a duplicate (re-sent after a
+		// reconnect the coordinator noticed first) names the one running.
+		return false
 	}
-	ref := flserver.StartEdgeRound(p.sys,
-		fmt.Sprintf("%s/edge/%s/r%d", p.cfg.Name, m.TaskID, m.Round),
-		flserver.EdgeRoundConfig{
-			Population: m.Population,
-			Plan:       pl,
-			Round:      m.Round,
-			Checkpoint: m.Checkpoint,
-			Loan:       loan,
-			Dim:        meta.NumParams,
-			Target:     m.Target,
-			Admit:      m.Admit,
-			MinReports: m.MinReports,
-			MinRuntime: m.MinRuntime,
-			Stripes:    &p.stripes,
-		}, p.selectors, p.ship)
-	p.rounds[m.Population] = &edgeHandle{taskID: m.TaskID, round: m.Round, ref: ref}
+	_ = edge.Open(&flserver.EdgeRoundConfig{
+		Population: m.Population,
+		Plan:       pl,
+		Round:      m.Round,
+		Checkpoint: m.Checkpoint,
+		Loan:       loan,
+		Dim:        meta.NumParams,
+		Target:     m.Target,
+		Admit:      m.Admit,
+		MinReports: m.MinReports,
+		MinRuntime: m.MinRuntime,
+	}, p.relay)
 	p.roundsOpened.Add(1)
 	return true
 }
 
-// onRoundAbort abandons a matching in-flight round; an abort for no
-// specific round (the coordinator drained the population) steers the
-// population's parked devices away instead.
-func (p *SelectorProc) onRoundAbort(m protocol.RoundAbort) {
-	if h := p.lookupRound(m.Population, m.TaskID, m.Round); h != nil {
-		flserver.AbandonEdgeRound(h.ref, m.Reason)
-		p.clearRound(m.Population, m.Round)
-		return
-	}
-	p.mu.Lock()
-	known := p.pops[m.Population]
-	p.mu.Unlock()
-	if known {
-		for _, sel := range p.selectors {
-			_ = flserver.ReleaseParked(sel, m.Population)
-		}
-	}
-}
-
-// lookupRound returns the in-flight handle matching (population, task,
-// round), or nil.
-func (p *SelectorProc) lookupRound(population, taskID string, round int64) *edgeHandle {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	h := p.rounds[population]
-	if h == nil || h.taskID != taskID || h.round != round {
-		return nil
-	}
-	return h
-}
-
-// clearRound forgets a finished round (only if it is still the current one).
-func (p *SelectorProc) clearRound(population string, round int64) {
-	p.mu.Lock()
-	if h := p.rounds[population]; h != nil && h.round == round {
-		delete(p.rounds, population)
-	}
-	p.mu.Unlock()
-}
-
-// ship sends one sealed stripe upstream, marshaled into a loan, on its own
-// goroutine. A transient link drop is retried with jittered backoff within
-// sealRetryBudget — the peer redials in the background, and the coordinator
-// dedups a seal that arrives twice. Only when the budget runs dry is the
-// round counted dropped; the coordinator's straggler timeout then settles it
-// without this shard, and its devices count as lost.
+// ship sends one sealed stripe upstream, marshaled into a loan on a goroutine
+// of its own, off the relay's. A link drop is retried with jittered backoff
+// within sealRetryBudget — the peer redials in the background, and the
+// coordinator dedups a seal that arrives twice. Only when the budget runs dry
+// is the round counted dropped; the coordinator's straggler timeout then
+// settles it without this shard, and its devices count as lost.
 func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
-	p.clearRound(seal.Population, seal.Round)
 	clock := p.sys.Clock()
 	clock.Go(func() {
 		start := time.Now()
@@ -341,8 +270,8 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 		msg.Sum = fedavg.MarshalSumInto(seal.Seal.Sum, transport.Borrow(&loan))
 		defer loan.Release()
 		// The wire form is all that leaves this process: the sealed sum's
-		// vector serves the next round's stripes.
-		p.stripes.Put(seal.Seal.Sum)
+		// vector serves the edge's next round's stripes.
+		seal.Seal.Spares.Put(seal.Seal.Sum)
 		frame := transport.Lend(msg, loan)
 		deadline := clock.Now().Add(sealRetryBudget)
 		backoff := 25 * time.Millisecond
@@ -382,21 +311,13 @@ func sealWireBytes(m protocol.StripeSeal) int64 {
 // hint — a device must never sit on a half-open connection waiting for a
 // round the shard cannot start (the coordinator owns round state).
 func (p *SelectorProc) onCoordinatorDown() {
-	p.mu.Lock()
-	for pop, h := range p.rounds {
-		flserver.AbandonEdgeRound(h.ref, "coordinator link lost")
-		delete(p.rounds, pop)
-		p.roundsDropped.Add(1)
-	}
-	pops := make([]string, 0, len(p.pops))
-	for pop := range p.pops {
-		pops = append(pops, pop)
-	}
-	p.mu.Unlock()
-	for _, pop := range pops {
-		for _, sel := range p.selectors {
-			_ = flserver.ReleaseParked(sel, pop)
+	p.mu.Lock() // a config the reader is still dispatching opens first
+	defer p.mu.Unlock()
+	for _, e := range p.tier.Edges() {
+		if e.Abandon("coordinator link lost") {
+			p.roundsDropped.Add(1)
 		}
+		e.Abort("", 0, "coordinator link lost")
 	}
 }
 
@@ -404,16 +325,8 @@ func (p *SelectorProc) onCoordinatorDown() {
 // relay to the coordinator as protocol.CheckinRate for cross-shard live
 // population estimation.
 func (p *SelectorProc) probeRates() {
-	p.mu.Lock()
-	pops := make([]string, 0, len(p.pops))
-	for pop := range p.pops {
-		pops = append(pops, pop)
-	}
-	p.mu.Unlock()
-	for _, pop := range pops {
-		for _, sel := range p.selectors {
-			_ = flserver.ProbeCheckinRate(sel, pop, p.rateFwd)
-		}
+	for _, e := range p.tier.Edges() {
+		e.ProbeRates(p.relay)
 	}
 }
 
@@ -472,7 +385,7 @@ type SelectorProcStats struct {
 // Stats snapshots the shard. The error is non-nil when a local Selector is
 // dead or unresponsive — an explicit failure, never zeros.
 func (p *SelectorProc) Stats() (SelectorProcStats, error) {
-	sel, err := flserver.SumSelectorStats(p.selectors, "")
+	sel, err := p.tier.Stats("")
 	if err != nil {
 		return SelectorProcStats{}, err
 	}
@@ -495,14 +408,11 @@ func (p *SelectorProc) Close() {
 		return
 	}
 	p.closed = true
-	for pop, h := range p.rounds {
-		flserver.AbandonEdgeRound(h.ref, "shard shutting down")
-		delete(p.rounds, pop)
-	}
 	p.mu.Unlock()
+	for _, e := range p.tier.Edges() {
+		e.Abandon("shard shutting down")
+	}
 	p.closing.Close()
 	p.peer.Close()
-	refs := append([]actor.Ref{p.rateFwd}, p.selectors...)
-	p.sys.Shutdown(refs...)
-	p.router.Wait()
+	p.tier.Close()
 }

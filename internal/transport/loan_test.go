@@ -84,9 +84,15 @@ func TestLoanSends(t *testing.T) {
 		l := NewLoan(leaseSize)
 		copy(l.Bytes(), patterned(leaseSize, 13))
 		frame := Lend(leaseReport(l.Bytes()), l)
-		sendAsync(t, client, frame)
+		sent := make(chan error, 1)
+		go func() { sent <- client.Send(frame) }()
 		if got := recvLarge(t, server); !bytes.Equal(got, patterned(leaseSize, 13)) {
 			t.Fatal("a loaned frame arrived damaged")
+		}
+		// The receiver can hold every byte before Send drops its reference:
+		// only after Send returns is this Release the last.
+		if err := <-sent; err != nil {
+			t.Fatal(err)
 		}
 		l.Release()
 		mustPanic(t, "Acquire of a loan already returned", func() { _ = client.Send(frame) })

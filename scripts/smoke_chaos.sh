@@ -55,7 +55,7 @@ for i in 0 1 2; do
 	[ "$i" = 1 ] && SPEC="$BASE;shard:1:partition@3s+6s"
 	[ "$i" = 2 ] && SPEC="$BASE;shard:2:reset@2s"
 	"$BIN/flselector" -coordinator "$COORD" -addr 127.0.0.1:$((8851 + i)) \
-		-shard "$i" -estimate 16 \
+		-shard "$i" \
 		-chaos "seed=$SEED $SPEC" >"$LOGS/shard$i.log" 2>&1 &
 done
 sleep 1

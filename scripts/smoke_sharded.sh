@@ -53,7 +53,7 @@ for i in 0 1 2; do
 	[ "$i" = 0 ] && OBS_FLAG="-obs-listen $OBS_SHARD0"
 	# shellcheck disable=SC2086
 	"$BIN/flselector" -coordinator "$COORD" -addr 127.0.0.1:$((8751 + i)) \
-		-shard "$i" -estimate 16 $OBS_FLAG >"$LOGS/shard$i.log" 2>&1 &
+		-shard "$i" $OBS_FLAG >"$LOGS/shard$i.log" 2>&1 &
 done
 sleep 1
 
