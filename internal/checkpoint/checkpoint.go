@@ -120,7 +120,7 @@ func (c *Checkpoint) MarshalInto(enc Encoding, get func(n int) []byte) ([]byte, 
 // Meta is a checkpoint's header, parsed without materializing the O(dim)
 // parameter vector. The Reporting hot path uses it to validate an incoming
 // update (dimension, weight) before deciding where — and whether — to
-// decode the parameters (DecodeParams into a pooled buffer, or
+// decode the parameters (DecodeParams into a spare vector, or
 // AccumulateParams straight into an accumulator stripe).
 type Meta struct {
 	Round     int64
@@ -208,7 +208,7 @@ func (m Meta) levels(scale float64, lut *[256]float64) *[256]float64 {
 
 // DecodeParams decodes the parameter section of the buffer m was parsed
 // from into dst[:m.NumParams], overwriting it. dst must hold at least
-// NumParams elements; it is typically a pooled buffer, so steady-state
+// NumParams elements; it is typically a spare vector, so steady-state
 // rounds decode without allocating.
 func (m Meta) DecodeParams(b []byte, dst tensor.Vector) error {
 	if len(dst) < m.NumParams {

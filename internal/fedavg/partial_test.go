@@ -248,3 +248,36 @@ func TestSparesCarryStripesAcrossRounds(t *testing.T) {
 		t.Fatalf("third seal: %+v, %v", sealed3, err)
 	}
 }
+
+// TestSparesFollowDemand: the stock keeps every vector it lent — a secure
+// round's 128 updates, far past one round's stripes — and nothing more: a
+// giver that never took from it cannot grow it, and a vector adopted for
+// good (the committed checkpoint) is written off, not left as room a
+// foreign vector could fill.
+func TestSparesFollowDemand(t *testing.T) {
+	const k, dim = 128, 16
+	var stock Spares
+	lent := make([]tensor.Vector, k)
+	for i := range lent {
+		lent[i] = stock.Take(dim)
+	}
+	for _, v := range lent {
+		stock.Put(v)
+	}
+	if len(stock.free) != k {
+		t.Fatalf("a stock that lent %d vectors kept %d of them", k, len(stock.free))
+	}
+	stock.Put(make(tensor.Vector, dim))
+	var idle Spares
+	idle.Put(make(tensor.Vector, dim))
+	if len(stock.free) != k || len(idle.free) != 0 {
+		t.Fatalf("givers that never took grew the stocks to %d and %d", len(stock.free), len(idle.free))
+	}
+	if _, err := AccumulatorFromSeal(dim, SealedStripe{Sum: stock.Take(dim), Spares: &stock, Weight: 1, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	stock.Put(make(tensor.Vector, dim))
+	if len(stock.free) != k-1 {
+		t.Fatalf("a foreign vector took the adopted one's place: %d held, want %d", len(stock.free), k-1)
+	}
+}

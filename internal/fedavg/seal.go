@@ -88,11 +88,12 @@ func (a *Accumulator) AddSealed(s SealedStripe) error {
 // the sealed stripe s. It adopts s.Sum — the caller hands the vector over —
 // instead of zeroing a fresh one and adding s.Sum into it, the way
 // SealStripes adopts its first stripe. The vector becomes the committed
-// checkpoint (Step) and never goes back to s.Spares.
+// checkpoint (Step) and never goes back to s.Spares, which writes it off.
 func AccumulatorFromSeal(dim int, s SealedStripe) (*Accumulator, error) {
 	if len(s.Sum) != dim || !ValidWeight(s.Weight) || s.Count <= 0 {
 		return nil, fmt.Errorf("fedavg: sealed dim %d (want %d), weight %v, count %d", len(s.Sum), dim, s.Weight, s.Count)
 	}
+	s.Spares.adopted()
 	return &Accumulator{sum: s.Sum, weight: s.Weight, count: s.Count}, nil
 }
 
@@ -114,7 +115,7 @@ func MarshalSumInto(v tensor.Vector, get func(n int) []byte) []byte {
 // UnmarshalSum decodes a MarshalSum buffer into a fresh vector.
 func UnmarshalSum(b []byte) (tensor.Vector, error) { return (*Spares)(nil).UnmarshalSum(b) }
 
-// UnmarshalSum decodes a MarshalSum buffer into a spare vector (take); a
+// UnmarshalSum decodes a MarshalSum buffer into a spare vector (Take); a
 // SealedStripe carrying it names s as its Spares. The element count is
 // validated against the buffer length before the stock is touched or
 // anything allocated, so a hostile count cannot commit memory beyond the
@@ -126,7 +127,7 @@ func (s *Spares) UnmarshalSum(b []byte) (tensor.Vector, error) {
 	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("fedavg: sealed sum: %w", err)
 	}
-	v := s.take(n)
+	v := s.Take(n)
 	v.SetBE(elems)
 	return v, nil
 }

@@ -65,9 +65,9 @@ func (a *Aggregator) Receive(ctx *actor.Context, msg actor.Message) {
 		updates, evalCount, metrics := m.Buf.Drain()
 		res.Count, res.Metrics = evalCount, metrics
 		res.Err = a.reduce(&res, updates, m.Assigned)
-		// Neither reducer's result aliases the pooled update vectors, so
-		// they go back for the next round's readers at once.
-		robust.Release(updates)
+		// Neither reducer's result aliases the update vectors, so they go
+		// back to the edge's stock for the next round's readers at once.
+		m.Buf.Release(updates)
 	}
 	_ = a.master.Send(res)
 }

@@ -17,7 +17,7 @@ import (
 // with distinct device names prefixed by prefix, each Params {1,2} Weight 1.
 func feedSecureGroup(t *testing.T, prefix string, count int) *robust.Buffer {
 	t.Helper()
-	buf := robust.NewBuffer(3)
+	buf := robust.NewBuffer(3, nil)
 	for i := 0; i < count; i++ {
 		secureAdd(t, buf, fmt.Sprintf("%s%d", prefix, i), nil, 1, 1, 2)
 	}
@@ -139,7 +139,7 @@ func TestSecureGroupBelowThresholdAbortsWithMetrics(t *testing.T) {
 	agg := sys.Spawn("agg", newAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
-	buf := robust.NewBuffer(3)
+	buf := robust.NewBuffer(3, nil)
 	for i := 0; i < 3; i++ {
 		secureAdd(t, buf, fmt.Sprintf("d%d", i), map[string]float64{"train_loss": 0.5}, 1, 1, 2)
 	}

@@ -74,7 +74,7 @@ func waitSignals(t *testing.T, sig chan struct{}, n int) {
 // delta‖weight vectors of the round's dimension — the reader refuses an
 // update of any other length before the group sees it.
 func TestAggregatorRejectsBadUpdates(t *testing.T) {
-	buf := robust.NewBuffer(3)
+	buf := robust.NewBuffer(3, nil)
 	for _, params := range []tensor.Vector{{1}, {1, 2, 3}} {
 		dev, srv := transport.Pipe()
 		update, err := (&checkpoint.Checkpoint{TaskName: "pop/train", Round: 1, Weight: 1, Params: params}).Marshal(checkpoint.EncodingFloat64)
@@ -109,7 +109,7 @@ func TestAggregatorSecureMatchesPlainSum(t *testing.T) {
 		{-1, -1, -1, 2},
 	}
 	want := make([]float64, 4)
-	buf := robust.NewBuffer(4)
+	buf := robust.NewBuffer(4, nil)
 	for i, in := range inputs {
 		for j, v := range in {
 			want[j] += v
@@ -140,7 +140,7 @@ func TestSecureSingletonRefusesDirectSum(t *testing.T) {
 	agg := sys.Spawn("agg", newAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
-	buf := robust.NewBuffer(3)
+	buf := robust.NewBuffer(3, nil)
 	secureAdd(t, buf, "solo", map[string]float64{"train_loss": 0.5}, 1, 1, 2)
 	_ = agg.Send(msgFinalizeGroup{Buf: buf})
 	waitSignals(t, sig, 1)
@@ -183,7 +183,7 @@ func TestSecAggFailureStillReportsMetrics(t *testing.T) {
 			agg := sys.Spawn("agg", group)
 			defer sys.Shutdown(master, agg)
 
-			buf := robust.NewBuffer(3)
+			buf := robust.NewBuffer(3, nil)
 			for i, loss := range []float64{0.5, 0.7} {
 				secureAdd(t, buf, string(rune('a'+i)), map[string]float64{"train_loss": loss}, 1, 1, 2)
 			}
@@ -296,7 +296,7 @@ func TestTwoSecureGroupsFinalizeConcurrently(t *testing.T) {
 	aggB := sys.Spawn("agg-b", newAggregator(2, master))
 	defer sys.Shutdown(master, aggA, aggB)
 
-	bufA, bufB := robust.NewBuffer(3), robust.NewBuffer(3)
+	bufA, bufB := robust.NewBuffer(3, nil), robust.NewBuffer(3, nil)
 	for i := 0; i < 3; i++ {
 		secureAdd(t, bufA, string(rune('a'+i)), nil, 1, 1, 2)
 		secureAdd(t, bufB, string(rune('x'+i)), nil, 2, 3, 4)
@@ -363,7 +363,7 @@ func TestAggregatorEvalMetricsOnly(t *testing.T) {
 	agg := sys.Spawn("agg", newAggregator(2, master))
 	defer sys.Shutdown(master, agg)
 
-	buf := robust.NewBuffer(3)
+	buf := robust.NewBuffer(3, nil)
 	for _, acc := range []float64{0.8, 0.9} {
 		if err := buf.AddEval(map[string]float64{"eval_accuracy": acc}); err != nil {
 			t.Fatal(err)
@@ -491,7 +491,7 @@ func TestGroupResultCarriesExactSum(t *testing.T) {
 	}
 
 	t.Run("secure", func(t *testing.T) {
-		buf := robust.NewBuffer(dim + 1)
+		buf := robust.NewBuffer(dim + 1, nil)
 		want := make(tensor.Vector, dim)
 		for i, w := range weights {
 			want.Axpy(1, deltas[i])
@@ -503,7 +503,7 @@ func TestGroupResultCarriesExactSum(t *testing.T) {
 	t.Run("robust", func(t *testing.T) {
 		policy := plan.RobustPolicy{Kind: plan.RobustMedian}
 		fill := func() *robust.Buffer {
-			buf := robust.NewBuffer(dim)
+			buf := robust.NewBuffer(dim, nil)
 			for i, w := range weights {
 				// No fixed point to respect here: irregular fractions.
 				d := make(tensor.Vector, dim)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/remote"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
@@ -178,4 +179,38 @@ func TestStalledSendsParkForTheirSlot(t *testing.T) {
 	}
 	clock.expire(t, "abortGrace of the first 256 sends", clock.armed(t, abortGrace, 1), closed(256))
 	clock.expire(t, "abortGrace of the 257th send", clock.armed(t, abortGrace, 257), closed(257))
+}
+
+// TestSilentCheckinsAreClosed: a peer that connects and never sends its
+// check-in holds a handler for abortGrace and not an instant longer — 1 000
+// silent connections are closed at that instant, and every handler returns.
+// The instant's timers fire in one Advance: Run would fire them one by one,
+// and under -race census the thousand parked handlers after each.
+func TestSilentCheckinsAreClosed(t *testing.T) {
+	const n = 1000
+	clock := newWatchedClock()
+	router := &CheckinRouter{clock: clock}
+	conns := make([]*stuckConn, n) // the wrapper records the Close
+	var returned atomic.Int32
+	for i := range conns {
+		_, srv := transport.Pipe(clock)
+		conns[i] = &stuckConn{Conn: srv}
+		clock.Go(func() { router.handleConn(conns[i]); returned.Add(1) })
+	}
+	closed := func() (k int) {
+		for _, c := range conns {
+			if c.closed.Load() {
+				k++
+			}
+		}
+		return k
+	}
+	clock.armed(t, abortGrace, n)
+	if err := clock.Run(abortGrace-time.Nanosecond, func() bool { return closed() > 0 || returned.Load() > 0 }); !errors.Is(err, simclock.ErrHorizon) {
+		t.Fatalf("a silent connection was closed before abortGrace (%v)", err)
+	}
+	clock.Advance(time.Nanosecond)
+	if err := clock.Run(0, func() bool { return closed() == n && returned.Load() == n }); err != nil {
+		t.Fatalf("at abortGrace %d of %d silent connections closed, %d handlers returned: %v", closed(), n, returned.Load(), err)
+	}
 }

@@ -65,9 +65,10 @@ type EdgeRoundConfig struct {
 	// edge host's pace steering: the rate tracker inverts every source's
 	// arrivals with it, so every source must steer with it, not the live one.
 	Estimate int
-	// Stripes is the edge host's stock of spare stripe vectors, kept across
-	// its rounds (fedavg.Spares); nil allocates every stripe.
-	Stripes *fedavg.Spares
+	// Spares is the edge host's stock of round vectors, kept across its
+	// rounds: the stripes, and the updates a retention buffer decodes into
+	// (fedavg.Spares); nil allocates every one.
+	Spares *fedavg.Spares
 	// churn, when set (tests), perturbs every secure group's secagg
 	// schedule on top of the real losses.
 	churn func(n, t int) secagg.Schedule
@@ -334,7 +335,7 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 				_, agg.obsRejectedTask, agg.obsTrimmedTask = robustTaskCounters(er.cfg.Plan.ID)
 			}
 			er.aggs[g] = ctx.Spawn(fmt.Sprintf("%s/agg-%d", ctx.Self.Name(), g), agg)
-			er.bufs[g] = robust.NewBuffer(vlen)
+			er.bufs[g] = robust.NewBuffer(vlen, er.cfg.Spares)
 		}
 	}
 	switch {
@@ -353,7 +354,7 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 		// it cannot be striped — so one reducer drains one buffer.
 		spawnGroups(1, er.cfg.Dim)
 	default:
-		er.ingest = newRoundIngest(er.cfg.Dim, er.cfg.Stripes)
+		er.ingest = newRoundIngest(er.cfg.Dim, er.cfg.Spares)
 	}
 
 	er.reader = reportReader{
@@ -557,8 +558,8 @@ func (er *EdgeRound) topUp(ctx *actor.Context, n int) {
 }
 
 // closeWindow ends device intake: the stripes and every group buffer are
-// sealed (a reader racing the close gets ErrPartialClosed / ErrBufferClosed
-// and answers its device "window closed" instead of slipping past the merge
+// sealed (a reader racing the close gets fedavg.ErrPartialClosed and
+// answers its device "window closed" instead of slipping past the merge
 // or the group's reduce), unreported devices are told to stop, and quota is
 // revoked. The sends ride the bounded response pool: an unreported device
 // may still have a configuration send in flight on a stuck socket, and its

@@ -83,13 +83,15 @@ func sendWithGrace(clock actor.Clock, conn transport.Conn, msg interface{}) {
 	_ = conn.Close()
 }
 
-// abortGrace bounds how long an over-selected device gets to take delivery
-// of its Abort message before its connection is torn down regardless.
+// abortGrace bounds one small frame either way: how long a device gets to
+// take delivery of a response (an over-selected device's Abort) and how long
+// a new connection gets to send its check-in, before the connection is torn
+// down regardless.
 const abortGrace = 5 * time.Second
 
 // reportReader is what a per-device connection reader needs to consume one
 // report at the edge: it decodes-and-accumulates into the round's stripes,
-// or decodes into a pooled vector its group's retention buffer keeps.
+// or decodes into a spare vector its group's retention buffer keeps.
 type reportReader struct {
 	self   actor.Ref
 	clock  actor.Clock
@@ -119,7 +121,7 @@ type reportReader struct {
 // into one of the round's accumulator stripes (zero O(dim) allocation, zero
 // O(dim) mailbox hop); buf, the device's group buffer (a secure group's, or
 // the round's one under a per-update robust policy), keeps a decoded
-// pooled vector for its group's reduce. The EdgeRound only ever sees
+// spare vector for its group's reduce. The EdgeRound only ever sees
 // fixed-size accounting messages.
 //
 // req.Update aliases the connection's leased receive buffer: every branch
@@ -150,7 +152,7 @@ func (r reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buf
 	settle := func(err error) {
 		conn.Release()
 		switch {
-		case errors.Is(err, fedavg.ErrPartialClosed), errors.Is(err, robust.ErrBufferClosed):
+		case errors.Is(err, fedavg.ErrPartialClosed):
 			obsReportsLate.Inc()
 			sendWithGrace(r.clock, conn, protocol.ReportResponse{Accepted: false, Reason: "reporting window closed"})
 		case err != nil:
@@ -195,7 +197,7 @@ func (r reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buf
 		return
 	}
 	if buf != nil {
-		// Retention: decode into a pooled vector the group's reduce (secagg
+		// Retention: decode into a spare vector the group's reduce (secagg
 		// run, or trimmed mean / median / cosine) consumes at the seal.
 		// Acceptance means "buffered" — a later secagg exclusion or
 		// defensive trim is the server's business, attributed in the

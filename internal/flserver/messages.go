@@ -174,7 +174,7 @@ type msgSelectionTimeout struct{}
 
 // msgReportDone is the fixed-size outcome of one device's report, posted by
 // its connection reader after the O(dim) work already happened at the edge
-// (decode-and-accumulate into a stripe, or decode into a pooled vector a
+// (decode-and-accumulate into a stripe, or decode into a spare vector a
 // group's buffer retains). Only round accounting crosses the EdgeRound's
 // mailbox — never a parameter vector.
 type msgReportDone struct {

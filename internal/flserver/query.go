@@ -113,10 +113,15 @@ func (r *CheckinRouter) Serve(l transport.Listener) {
 	}
 }
 
+// handleConn reads a connection's first message and hands it to a
+// Selector. A peer gets abortGrace to send it: a timer on the tier's clock
+// closes a connection that stays silent, so it holds no goroutine and no fd
+// past the bound.
 func (r *CheckinRouter) handleConn(conn transport.Conn) {
+	silent := r.clock.AfterFunc(abortGrace, func() { _ = conn.Close() })
 	msg, err := conn.Recv()
-	if err != nil {
-		// Nothing decodable arrived; there is no peer to steer.
+	if !silent.Stop() || err != nil {
+		// Nothing decodable arrived in time; there is no peer to steer.
 		_ = conn.Close()
 		return
 	}

@@ -134,8 +134,9 @@ func (t *DeviceTier) Close() {
 type LocalEdge struct {
 	tier       *DeviceTier
 	population string
-	// stripes carries the spare stripe vectors from one round to the next.
-	stripes fedavg.Spares
+	// spares carries the round vectors — stripes, retained updates — from
+	// one round to the next.
+	spares fedavg.Spares
 	// churn is injected into the secure groups of every round (tests).
 	churn func(n, t int) secagg.Schedule
 
@@ -150,7 +151,7 @@ type LocalEdge struct {
 // Open implements Edge.
 func (e *LocalEdge) Open(cfg *EdgeRoundConfig, coord actor.Ref) error {
 	local := *cfg
-	local.Stripes, local.churn = &e.stripes, e.churn
+	local.Spares, local.churn = &e.spares, e.churn
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.abandon("superseded by a newer round")

@@ -40,8 +40,6 @@ type Update struct {
 	Device string
 	Weight float64
 	Delta  tensor.Vector
-	// pooled is Delta's vecPool pointer when a Buffer decoded it.
-	pooled *tensor.Vector
 }
 
 // Rejection attributes one defensive exclusion to a device, so operators
@@ -56,7 +54,7 @@ type Rejection struct {
 // fedavg pipeline: Sum/Weight/Count travel as a group's raw sums to the
 // Coordinator's accumulator, whose step recovers the robust aggregate (Sum
 // is pre-scaled so Sum/Weight IS the policy's mean). Result vectors never alias the input
-// updates, so pooled buffers can be released immediately after Reduce.
+// updates, so a Buffer can release them immediately after Reduce.
 type Result struct {
 	Sum    tensor.Vector
 	Weight float64

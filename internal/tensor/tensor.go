@@ -10,7 +10,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Vector is a dense float64 vector.
@@ -122,27 +121,6 @@ func (v Vector) Zero() {
 		v[i] = 0
 	}
 }
-
-// VectorPool recycles O(dim) vectors across devices and rounds, so
-// steady-state rounds reuse the same K vectors instead of allocating one per
-// report. It pools pointers, which travel with the vector back to Put: a
-// slice value would cost a heap-allocated header on every Put.
-type VectorPool struct{ pool sync.Pool }
-
-// Get returns a length-n vector with unspecified contents, reusing a pooled
-// one when its capacity suffices (one too small is simply dropped).
-func (vp *VectorPool) Get(n int) *Vector {
-	if p, ok := vp.pool.Get().(*Vector); ok && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	v := make(Vector, n)
-	return &v
-}
-
-// Put returns a vector to the pool. The caller must not touch it afterwards:
-// the next Get may hand it to another goroutine.
-func (vp *VectorPool) Put(p *Vector) { vp.pool.Put(p) }
 
 // Axpy computes v += alpha · x.
 func (v Vector) Axpy(alpha float64, x Vector) {

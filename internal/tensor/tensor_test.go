@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -308,39 +307,4 @@ func TestVectorScaleZero(t *testing.T) {
 	if v[0] != 0 || v[1] != 0 {
 		t.Fatalf("Scale(0) = %v", v)
 	}
-}
-
-// TestVectorPoolConcurrentReuse: concurrent get/fill/verify/put cycles on
-// one pool — under -race this proves a released vector is never still
-// referenced by its previous holder — and Get honours the requested length
-// whatever the pooled capacity.
-func TestVectorPoolConcurrentReuse(t *testing.T) {
-	const workers, rounds, size = 8, 200, 513
-	var pool VectorPool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tag float64) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				p := pool.Get(size - r%2)
-				buf := *p
-				if len(buf) != size-r%2 {
-					t.Errorf("got len %d, want %d", len(buf), size-r%2)
-					return
-				}
-				for i := range buf {
-					buf[i] = tag
-				}
-				for i := range buf {
-					if buf[i] != tag {
-						t.Errorf("vector shared while held: [%d]=%v, want %v", i, buf[i], tag)
-						return
-					}
-				}
-				pool.Put(p)
-			}
-		}(float64(w + 1))
-	}
-	wg.Wait()
 }
