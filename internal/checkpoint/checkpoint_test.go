@@ -173,6 +173,29 @@ func TestQuant8RefusesNonFinite(t *testing.T) {
 	}
 }
 
+// TestQuant8TinyRange: below a range of about 1.4e−306, where 255/(hi − lo)
+// overflows, levels still decode within (hi − lo)/510 of each param (the
+// bound on Meta.AccumulateParams), give or take the subnormal grid's
+// rounding, instead of coming from NaN and Inf converted to bytes.
+func TestQuant8TinyRange(t *testing.T) {
+	for _, v := range []tensor.Vector{{0, 1e-310}, {1e-310, -1e-310, 0}} {
+		b, err := (&Checkpoint{TaskName: "t", Weight: 1, Params: v}).Marshal(EncodingQuant8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Unmarshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := v.Range()
+		for i := range v {
+			if d := math.Abs(back.Params[i] - v[i]); d > (hi-lo)/510+2*math.SmallestNonzeroFloat64 {
+				t.Errorf("%v decodes as %v: param %d off by %v, bound %v", v, back.Params, i, d, (hi-lo)/510)
+			}
+		}
+	}
+}
+
 func TestMarshalBadEncoding(t *testing.T) {
 	if _, err := sample().Marshal(Encoding(0)); err == nil {
 		t.Fatal("expected error for unknown encoding")

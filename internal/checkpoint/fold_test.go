@@ -6,9 +6,30 @@ import (
 	"math"
 	"strings"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/tensor"
 )
+
+// useAVX2 is internal/tensor's fold switch, which the differential tests
+// below flip to run once per fold path this host has.
+//
+//go:linkname useAVX2 repro/internal/tensor.useAVX2
+var useAVX2 bool
+
+// eachFoldPath runs f on the scalar loops ("generic") and, where
+// tensor.FoldKernel says the CPU has them, on the AVX2 kernels, then
+// restores the host's choice.
+func eachFoldPath(f func(path string)) {
+	host := useAVX2
+	defer func() { useAVX2 = host }()
+	for _, path := range []string{"generic", "avx2"} {
+		if path == "generic" || tensor.FoldKernel == path {
+			useAVX2 = path == "avx2"
+			f(path)
+		}
+	}
+}
 
 // kernelLens hit the kernels' 4-wide block loop and scalar tail alone and
 // together.
@@ -224,7 +245,17 @@ func FuzzFoldMatchesUnmarshal(f *testing.F) {
 			}
 			n = len(section) - 16
 		}
-		checkFoldMatchesNaive(t, rawCheckpoint(enc, int(nameLen%301), 1, n, section), start, scale)
+		b := rawCheckpoint(enc, int(nameLen%301), 1, n, section)
+		// No subtests here: a t.Run per input halves the fuzzer's
+		// executions.
+		eachFoldPath(func(path string) {
+			defer func() {
+				if t.Failed() {
+					t.Logf("on the %s fold path", path)
+				}
+			}()
+			checkFoldMatchesNaive(t, b, start, scale)
+		})
 	})
 }
 
@@ -233,6 +264,10 @@ func FuzzFoldMatchesUnmarshal(f *testing.F) {
 // Quant8 within half a step — and what Marshal emits folds like the naive
 // loops say, at every task-name alignment.
 func TestMarshalUnmarshalKernelLengths(t *testing.T) {
+	eachFoldPath(func(path string) { t.Run(path, testMarshalUnmarshalKernelLengths) })
+}
+
+func testMarshalUnmarshalKernelLengths(t *testing.T) {
 	for i, n := range kernelLens {
 		c := &Checkpoint{TaskName: strings.Repeat("t", i), Round: 3, Weight: 2, Params: make(tensor.Vector, n)}
 		tensor.NewRNG(uint64(n)).FillNormal(c.Params, 4)
@@ -280,6 +315,10 @@ var foldEncodings = []struct {
 // Marshal makes its one buffer, so alloc_mb_per_round cannot regress
 // silently through the per-device hot loop.
 func TestFoldAllocs(t *testing.T) {
+	eachFoldPath(func(path string) { t.Run(path, testFoldAllocs) })
+}
+
+func testFoldAllocs(t *testing.T) {
 	const n = 4096
 	sum := make(tensor.Vector, n)
 	c := &Checkpoint{TaskName: "bench/round", Round: 300, Weight: 1, Params: make(tensor.Vector, n)}
@@ -308,8 +347,13 @@ func TestFoldAllocs(t *testing.T) {
 
 // BenchmarkFold measures one device update of the benchmark's dimension
 // folding into a stripe: cache-hot (one source buffer) and cold (sources
-// rotating through 32 MB, as K distinct reports do in a round).
+// rotating through 32 MB, as K distinct reports do in a round), on each
+// fold path this host has.
 func BenchmarkFold(b *testing.B) {
+	eachFoldPath(func(path string) { b.Run(path, benchmarkFold) })
+}
+
+func benchmarkFold(b *testing.B) {
 	const n, coldBytes = 65536, 32 << 20
 	sum := make(tensor.Vector, n)
 	for _, e := range foldEncodings {

@@ -1,6 +1,9 @@
 package flserver
 
-import "repro/internal/metrics"
+import (
+	"repro/internal/metrics"
+	"repro/internal/tensor"
+)
 
 // Process-wide flserver instruments, registered once and cached as package
 // vars so the report hot loop and the check-in path pay exactly one atomic
@@ -24,6 +27,9 @@ var (
 	obsRobustRejected = metrics.Default.Counter("fl_robust_rejected_total")
 	obsRobustTrimmed  = metrics.Default.Counter("fl_robust_trimmed_total")
 )
+
+// fl_fold_kernel{impl=…} is 1 for the fold this host runs (tensor.FoldKernel).
+func init() { metrics.Default.Gauge(metrics.Label("fl_fold_kernel", "impl", tensor.FoldKernel)).Set(1) }
 
 // robustTaskCounters resolves the task-labeled defense counters for one
 // round (one registry lookup per round, not per report), so operators can

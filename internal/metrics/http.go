@@ -66,12 +66,15 @@ func (r *Registry) Handler(opts ...HandlerOption) http.Handler {
 // in dashboards to be analyzed"), read off the same rows as /metrics: every
 // counter series, a traffic line summing NetTxBytes and NetRxBytes, a
 // selection-pool line summing the fl_selector_pooled gauges of every
-// population and shard, and the progress callback's per-population state.
+// population and shard, each host's fold kernel, and the progress callback.
 func (r *Registry) writeDashboard(b *strings.Builder, st *httpState) {
 	fmt.Fprintf(b, "=== %s ===\ncounters:\n", st.title)
 	var down, up, pooled float64
+	var folds []string
 	for _, row := range r.collect() {
 		switch {
+		case row.kind == 'g' && baseName(row.name) == "fl_fold_kernel":
+			folds = append(folds, labelSet(row.name))
 		case row.kind == 'g' && baseName(row.name) == "fl_selector_pooled":
 			pooled += row.val
 		case row.kind == 'c':
@@ -86,6 +89,9 @@ func (r *Registry) writeDashboard(b *strings.Builder, st *httpState) {
 	}
 	fmt.Fprintf(b, "traffic: %0.1f MB down / %0.1f MB up\n", down/1e6, up/1e6)
 	fmt.Fprintf(b, "selection pool: %.0f device(s) checked in and waiting for the next round\n", pooled)
+	if len(folds) > 0 {
+		fmt.Fprintf(b, "fold kernel: %s\n", strings.Join(folds, "; "))
+	}
 	if st.progress != nil {
 		if pops := st.progress(); len(pops) > 0 {
 			b.WriteString(FormatProgress(pops) + "\n")

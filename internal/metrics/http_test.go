@@ -226,10 +226,12 @@ func TestRenderersAgree(t *testing.T) {
 	r.Counter(NetRxBytes).Add(1_500_000)
 	r.Counter("fl_reports_total").Add(7)
 	r.Gauge(Label("fl_selector_pooled", "population", "p")).Set(5)
+	r.Gauge(Label("fl_fold_kernel", "impl", "avx2")).Set(1)
 	r.Summary("fl_seal_seconds").Observe(0.25)
 	r.SetExternal(`shard="1"`, Export{
-		Counters:  map[string]int64{NetTxBytes: 2_000_000, "fl_reports_total": 4},
-		Gauges:    map[string]float64{Label("fl_selector_pooled", "population", "p"): 2},
+		Counters: map[string]int64{NetTxBytes: 2_000_000, "fl_reports_total": 4},
+		Gauges: map[string]float64{Label("fl_selector_pooled", "population", "p"): 2,
+			Label("fl_fold_kernel", "impl", "generic"): 1},
 		Summaries: map[string][]float64{"fl_seal_seconds": {2, 0.5, 0.1, 0.4, 0.6, 0.5, 0.6, 0.6}},
 	})
 	var prom, vars, dash strings.Builder
@@ -241,8 +243,8 @@ func TestRenderersAgree(t *testing.T) {
 	if err := json.Unmarshal([]byte(vars.String()), &doc); err != nil {
 		t.Fatalf("/debug/vars: %v", err)
 	}
-	if len(doc) != 9 {
-		t.Fatalf("/debug/vars has %d series, want 5 local + 4 shipped: %v", len(doc), doc)
+	if len(doc) != 11 {
+		t.Fatalf("/debug/vars has %d series, want 6 local + 5 shipped: %v", len(doc), doc)
 	}
 	has := func(surface, out, line string) {
 		t.Helper()
@@ -283,6 +285,7 @@ func TestRenderersAgree(t *testing.T) {
 	}
 	has("/dashboard", dash.String(), fmt.Sprintf("traffic: %0.1f MB down / %0.1f MB up\n", tx/1e6, rx/1e6))
 	has("/dashboard", dash.String(), fmt.Sprintf("selection pool: %.0f device(s)", pooled))
+	has("/dashboard", dash.String(), `fold kernel: impl="avx2"; impl="generic",shard="1"`+"\n")
 	if tx != 5e6 || rx != 1.5e6 || pooled != 7 {
 		t.Errorf("sums tx=%v rx=%v pooled=%v, want 5e6, 1.5e6, 7", tx, rx, pooled)
 	}

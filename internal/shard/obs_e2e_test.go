@@ -71,6 +71,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		`fl_checkins_total{shard=`,              // shard-local counter, shard-labeled
 		"fl_rounds_committed_total",             // coordinator's own round counter
 		`fl_round_phase_seconds{phase="commit"`, // tracer-fed phase summary
+		`fl_fold_kernel{impl=`,                  // the host's fold, set at start
 	}
 	var body, missing string
 	if err := r.clock.Run(time.Minute, func() bool {

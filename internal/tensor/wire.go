@@ -13,6 +13,11 @@ import (
 // fixed-length windows, which keeps several loads in flight, plus a scalar
 // tail. Element-wise results do not depend on the unrolling.
 
+// FoldKernel names the fold, chosen once from CPUID: "avx2" where AddBE and
+// AddLUT hand a multiple-of-8 prefix to fold_amd64.s (not under -race, which
+// cannot see its stores), else "generic". Tests clear useAVX2 for the loops.
+var FoldKernel, useAVX2 = "generic", false
+
 func f64be(b []byte) float64 { return math.Float64frombits(binary.BigEndian.Uint64(b)) }
 
 // SetBE decodes v[i] = src[8i:8i+8].
@@ -30,6 +35,10 @@ func (v Vector) SetBE(src []byte) {
 // AddBE folds v[i] += src[8i:8i+8].
 func (v Vector) AddBE(src []byte) {
 	src = src[:8*len(v)]
+	if n := len(v) &^ 7; useAVX2 {
+		addBEAVX2(v[:n], src)
+		v, src = v[n:], src[8*n:]
+	}
 	for ; len(v) >= 4; v, src = v[4:], src[32:] {
 		d, s := v[:4:4], src[:32:32]
 		d[0] += f64be(s[0:8])
@@ -99,6 +108,10 @@ func (v Vector) SetLUT(lut *[256]float64, src []byte) {
 // AddLUT folds v[i] += lut[src[i]].
 func (v Vector) AddLUT(lut *[256]float64, src []byte) {
 	src = src[:len(v)]
+	if n := len(v) &^ 7; useAVX2 {
+		addLUTAVX2(v[:n], lut, src)
+		v, src = v[n:], src[n:]
+	}
 	for i := range v {
 		v[i] += lut[src[i]]
 	}
@@ -140,6 +153,13 @@ func (v Vector) PutQuant8(dst []byte, lo, hi float64) {
 		scale = 255 / (hi - lo)
 	}
 	dst = dst[:len(v)]
+	if math.IsInf(scale, 1) {
+		// A range under about 1.4e−306 overflows the scale: divide by it.
+		for i, p := range v {
+			dst[i] = byte(math.Round((p - lo) / (hi - lo) * 255))
+		}
+		return
+	}
 	for i, p := range v {
 		dst[i] = byte(math.Round((p - lo) * scale))
 	}

@@ -151,6 +151,72 @@ func TestWireKernelsRefuseShortBuffers(t *testing.T) {
 	}
 }
 
+// TestFoldKernelsMatchScalar: AddBE and AddLUT on the fold this host runs
+// equal the scalar loops bit for bit, at lengths 0–70, 4097 and 65536 and
+// every src offset 0–7, on ±0, subnormals, ±Inf and NaNs with distinct
+// payloads in both operands and through all 256 table indices; neither
+// writes past len(v), and a short src panics with v unchanged.
+func TestFoldKernelsMatchScalar(t *testing.T) {
+	host := useAVX2
+	defer func() { useAVX2 = host }()
+	t.Logf("fold kernel %q against the scalar loops", FoldKernel)
+	pool := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1040, 0x1p-1022,
+		math.Inf(1), math.Inf(-1), 1, -2.5, 3.25e-7, math.MaxFloat64, -math.MaxFloat64,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff80000000abc00),
+		math.Float64frombits(0x7ff0000000000123), math.Float64frombits(0xfff4000000000456)}
+	var lut [256]float64
+	for q := range lut {
+		lut[q] = pool[(5*q+q/16)%len(pool)]
+	}
+	lens := []int{4097, 65536}
+	for n := 0; n <= 70; n++ {
+		lens = append(lens, n)
+	}
+	for _, n := range lens {
+		for off := 0; off < 8; off++ {
+			// Every (v, src) pair of pool values meets in 256 elements, and
+			// in every lane of a kernel iteration within 4096.
+			back := make(Vector, n+8)
+			for i := range back {
+				back[i] = pool[i/len(pool)%len(pool)]
+			}
+			wire, levels := make([]byte, off+8*n)[off:], make([]byte, off+n)[off:]
+			for i := 0; i < n; i++ {
+				binary.BigEndian.PutUint64(wire[8*i:], math.Float64bits(pool[(i+i>>8)%len(pool)]))
+				levels[i] = byte(37*i + i>>8)
+			}
+			for _, k := range []struct {
+				name      string
+				run, fail func(v Vector)
+			}{
+				{"AddBE", func(v Vector) { v.AddBE(wire) }, func(v Vector) { v.AddBE(wire[: 8*n-1 : 8*n-1]) }},
+				{"AddLUT", func(v Vector) { v.AddLUT(&lut, levels) }, func(v Vector) { v.AddLUT(&lut, levels[:n-1:n-1]) }},
+			} {
+				want, got := back.Clone(), back.Clone()
+				useAVX2 = false
+				k.run(want[:n])
+				useAVX2 = host
+				k.run(got[:n])
+				sameBits(t, k.name, n, got, want)
+				sameBits(t, k.name+" past len(v)", n, got[n:], back[n:])
+				if n == 0 {
+					continue
+				}
+				got = back.Clone()
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s n=%d: accepted a short src", k.name, n)
+						}
+					}()
+					k.fail(got[:n])
+				}()
+				sameBits(t, k.name+" after a short src", n, got, back)
+			}
+		}
+	}
+}
+
 func TestRangeAndPutQuant8(t *testing.T) {
 	if lo, hi := (Vector{}).Range(); lo != 0 || hi != 0 {
 		t.Fatalf("empty range %v %v", lo, hi)
