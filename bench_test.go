@@ -120,10 +120,10 @@ func BenchmarkInMemoryVsPersisted(b *testing.B) {
 			b.Fatal(err)
 		}
 		acc := fedavg.NewAccumulator(dim)
-		ck := &checkpoint.Checkpoint{TaskName: "t", Params: update.Delta, Weight: update.Weight}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ck.Round = int64(i)
+			// A committed checkpoint is the store's: each round commits its own.
+			ck := &checkpoint.Checkpoint{TaskName: "t", Round: int64(i), Params: update.Delta, Weight: update.Weight}
 			if err := store.PutCheckpoint(ck); err != nil {
 				b.Fatal(err)
 			}

@@ -73,13 +73,15 @@ func Verify(probes ...Probe) Report {
 
 // WatchStore wraps a storage.Store and records every committed checkpoint,
 // so lineage invariants — strictly advancing rounds, a single head, no
-// double-commit — can be checked after a scenario. It is the store handed to
-// the coordinator under test.
+// double-commit, no committed checkpoint changed after its commit — can be
+// checked after a scenario. It is the store handed to the coordinator under
+// test.
 type WatchStore struct {
 	storage.Store
 
 	mu      sync.Mutex
-	commits map[string][]*checkpoint.Checkpoint // task -> commit order
+	commits map[string][]*checkpoint.Checkpoint // task -> commit order, cloned
+	heads   map[string]*checkpoint.Checkpoint   // task -> the last commit, live
 	traces  []metrics.RoundTrace
 	errs    []error
 	// onCommit, when set, sees every commit before the store does.
@@ -88,16 +90,20 @@ type WatchStore struct {
 
 // NewWatchStore wraps inner.
 func NewWatchStore(inner storage.Store) *WatchStore {
-	return &WatchStore{Store: inner, commits: make(map[string][]*checkpoint.Checkpoint)}
+	return &WatchStore{Store: inner, commits: map[string][]*checkpoint.Checkpoint{}, heads: map[string]*checkpoint.Checkpoint{}}
 }
 
 // PutCheckpoint implements storage.Store, recording the commit and checking
-// lineage monotonicity at commit time (a violation is latched, not raced).
+// lineage monotonicity, and that the task's previous commit still holds what
+// it did when committed, at commit time (a violation is latched, not raced).
 func (w *WatchStore) PutCheckpoint(c *checkpoint.Checkpoint) error {
 	w.mu.Lock()
 	prev := w.commits[c.TaskName]
 	if len(prev) > 0 {
 		head := prev[len(prev)-1]
+		if err := w.changed(head); err != nil {
+			w.errs = append(w.errs, err)
+		}
 		if c.Round == head.Round {
 			w.errs = append(w.errs, fmt.Errorf("task %q: double commit of round %d", c.TaskName, c.Round))
 		} else if c.Round < head.Round {
@@ -105,11 +111,23 @@ func (w *WatchStore) PutCheckpoint(c *checkpoint.Checkpoint) error {
 		}
 	}
 	w.commits[c.TaskName] = append(prev, c.Clone())
+	w.heads[c.TaskName] = c
 	w.mu.Unlock()
 	if w.onCommit != nil {
 		w.onCommit(c)
 	}
 	return w.Store.PutCheckpoint(c)
+}
+
+// changed reports a task's last committed checkpoint that no longer matches,
+// bit for bit, the clone recorded at its commit. w.mu is held.
+func (w *WatchStore) changed(rec *checkpoint.Checkpoint) error {
+	live := w.heads[rec.TaskName]
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if live.Round != rec.Round || !sameBits(live.Weight, rec.Weight) || !slices.EqualFunc(live.Params, rec.Params, sameBits) {
+		return fmt.Errorf("task %q: committed round %d changed after its commit", rec.TaskName, rec.Round)
+	}
+	return nil
 }
 
 // Commits returns the commit-ordered lineage recorded for a task.
@@ -145,6 +163,9 @@ func (w *WatchStore) LineageProbe() Probe {
 			return w.errs[0]
 		}
 		for task, cs := range w.commits {
+			if err := w.changed(cs[len(cs)-1]); err != nil {
+				return err
+			}
 			for i := 1; i < len(cs); i++ {
 				if cs[i].Round <= cs[i-1].Round {
 					return fmt.Errorf("task %q: round %d committed after %d", task, cs[i].Round, cs[i-1].Round)

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -44,6 +45,30 @@ func TestWatchStoreLineage(t *testing.T) {
 	_ = w3.PutCheckpoint(ckpt("t", 3, 2))
 	if rep := Verify(w3.LineageProbe()); rep.OK() {
 		t.Fatal("lineage fork not caught")
+	}
+}
+
+func TestWatchStoreCatchesAChangedCommit(t *testing.T) {
+	// A commit changed after the next one is caught at that commit; the
+	// head changed after the last one is caught by the probe. -0 and +0
+	// compare equal but differ in their bits.
+	w := NewWatchStore(storage.NewMem())
+	c1 := ckpt("t", 1, 0, 1)
+	_ = w.PutCheckpoint(c1)
+	c1.Params[0] = math.Copysign(0, -1)
+	_ = w.PutCheckpoint(ckpt("t", 2, 1, 1))
+	if rep := Verify(w.LineageProbe()); rep.OK() || !strings.Contains(rep.Err().Error(), "committed round 1 changed after its commit") {
+		t.Fatalf("a commit written over after the next one: %v", rep)
+	}
+	w2 := NewWatchStore(storage.NewMem())
+	c2 := ckpt("t", 1, 0, 1)
+	_ = w2.PutCheckpoint(c2)
+	if rep := Verify(w2.LineageProbe()); !rep.OK() {
+		t.Fatalf("an untouched head failed: %v", rep)
+	}
+	c2.Params[1] = 2
+	if rep := Verify(w2.LineageProbe()); rep.OK() {
+		t.Fatal("a head written over after its commit passed")
 	}
 }
 

@@ -78,19 +78,20 @@ func NewSession(conn transport.Conn, opts SessionOptions, clock ...actor.Clock) 
 	return s
 }
 
-// writer drains the bounded send queue to the connection, waiting on c. A
-// write error closes the session (the reader in Run sees the close and
-// returns).
+// writer drains the bounded send queue to the connection, waiting on c, and
+// drops each queued message's loan reference once it is written; once the
+// session is closed, what is left drains unsent. A write error closes the
+// session (the reader in Run sees the close and returns).
 func (s *Session) writer(c actor.Clock) {
 	for {
 		msg, ok := s.sendQ.Pop(c)
-		if !ok || s.Closed() {
+		if !ok {
 			return
 		}
-		if err := s.conn.Send(msg); err != nil {
+		if !s.Closed() && s.conn.Send(msg) != nil {
 			s.Close()
-			return
 		}
+		transport.LoanOf(msg).Release()
 	}
 }
 
@@ -107,12 +108,16 @@ func (s *Session) Close() {
 // Send enqueues one message for the writer goroutine (round configs,
 // finalizes — the server side talks back on the same link). It never blocks:
 // a closed session or a full queue (a link wedged under injected latency)
-// fails immediately, and the caller handles it like a dead link.
+// fails immediately, and the caller handles it like a dead link. A queued
+// message holds its own reference to the loan behind it (transport.Lend).
 func (s *Session) Send(msg interface{}) error {
 	if s.Closed() {
 		return fmt.Errorf("remote: session closed")
 	}
+	loan := transport.LoanOf(msg)
+	loan.Acquire()
 	if !s.sendQ.Push(msg, nil) {
+		loan.Release()
 		return fmt.Errorf("remote: session send queue full (%d)", sendQueue)
 	}
 	return nil

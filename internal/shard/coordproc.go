@@ -81,12 +81,14 @@ type CoordinatorProc struct {
 	// memo holds the round's plan and checkpoint marshaled once, keyed by
 	// the plan and global they encode: every shard's RoundConfig — each
 	// carries its edge's share — aliases those bytes, and so does a re-send to
-	// a reconnecting shard. Touched only on the coordinator actor's goroutine
-	// (Edge.Open).
+	// a reconnecting shard. The checkpoint is marshaled into a loan, whose
+	// reference the memo holds until it is replaced. Touched only on the
+	// coordinator actor's goroutine (Edge.Open).
 	memo struct {
 		plan     *plan.Plan
 		global   *checkpoint.Checkpoint
 		pl, ckpt []byte
+		loan     *transport.Loan
 	}
 
 	// sums stocks the vectors shard sums decode into: a sum the
@@ -118,13 +120,15 @@ func (e *shardEdge) Open(cfg *flserver.EdgeRoundConfig, _ actor.Ref) error {
 		if err != nil {
 			return err
 		}
-		ckpt, err := cfg.Global.Marshal(cfg.Plan.DownlinkEncoding())
+		var loan *transport.Loan
+		ckpt, err := cfg.Global.MarshalInto(cfg.Plan.DownlinkEncoding(), transport.Borrow(&loan))
 		if err != nil {
 			return err
 		}
-		memo.plan, memo.global, memo.pl, memo.ckpt = cfg.Plan, cfg.Global, pl, ckpt
+		memo.loan.Release()
+		memo.plan, memo.global, memo.pl, memo.ckpt, memo.loan = cfg.Plan, cfg.Global, pl, ckpt, loan
 	}
-	if err := e.sess.Send(protocol.RoundConfig{
+	if err := e.sess.Send(transport.Lend(protocol.RoundConfig{
 		Population: cfg.Population,
 		TaskID:     cfg.Plan.ID,
 		Round:      cfg.Round,
@@ -135,7 +139,7 @@ func (e *shardEdge) Open(cfg *flserver.EdgeRoundConfig, _ actor.Ref) error {
 		Estimate:   cfg.Estimate,
 		Plan:       memo.pl,
 		Checkpoint: memo.ckpt,
-	}); err != nil {
+	}, memo.loan)); err != nil {
 		return err
 	}
 	e.openedAt.Store(time.Now().UnixNano())

@@ -487,6 +487,9 @@ func (c *cell) verdict(t *testing.T, progress func() (shard.CoordStats, error), 
 	if len(c.bad) > 0 {
 		t.Errorf("device link: %d bad configurations, first: %s", len(c.bad), c.bad[0])
 	}
+	if err := chaos.Verify(c.store.LineageProbe()).Err(); err != nil {
+		t.Fatal(err)
+	}
 	traces := c.store.Traces()
 	ck, err := c.store.LatestCheckpoint(c.p.ID)
 	if err != nil {
@@ -752,6 +755,9 @@ func runStorm(t *testing.T, k int, seed uint64) {
 // update: after r ≥ atLeast rounds the global is r times its per-example
 // mean.
 func checkRounds(t *testing.T, c *cell, atLeast int64) {
+	if err := chaos.Verify(c.store.LineageProbe()).Err(); err != nil {
+		t.Fatal(err)
+	}
 	ck, err := c.store.LatestCheckpoint(c.p.ID)
 	if err != nil {
 		t.Fatal(err)

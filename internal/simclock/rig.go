@@ -88,15 +88,16 @@ func (g *Gate) Close() {
 // A Queue is a bounded FIFO whose readers and writers wait at one gate,
 // each parked on its own clock: Push waits while it is full, Pop while it is
 // empty, and both give up once it is closed — Pop only after taking what was
-// left.
+// left. Its ring starts empty and doubles up to the capacity, so an idle
+// queue costs no slots.
 type Queue[T any] struct {
-	gate    Gate
-	items   []T // a ring
-	head, n int
+	gate         Gate
+	items        []T // a ring
+	head, n, cap int
 }
 
 // NewQueue returns an empty queue of the given capacity.
-func NewQueue[T any](capacity int) *Queue[T] { return &Queue[T]{items: make([]T, capacity)} }
+func NewQueue[T any](capacity int) *Queue[T] { return &Queue[T]{cap: capacity} }
 
 // Push appends v, waiting on c for room (a nil c never waits), and reports
 // whether v went in: never once the queue is closed, nor when it is full and
@@ -104,11 +105,15 @@ func NewQueue[T any](capacity int) *Queue[T] { return &Queue[T]{items: make([]T,
 func (q *Queue[T]) Push(v T, c Clock) bool {
 	q.gate.Lock()
 	defer q.gate.Unlock()
-	for c != nil && q.n == len(q.items) && !q.gate.closed {
+	for c != nil && q.n == q.cap && !q.gate.closed {
 		q.gate.Wait(c)
 	}
-	if q.gate.closed || q.n == len(q.items) {
+	if q.gate.closed || q.n == q.cap {
 		return false
+	}
+	if q.n == len(q.items) { // grow, unwrapping the ring
+		items := append(make([]T, 0, min(max(2*q.n, 4), q.cap)), q.items[q.head:]...)
+		q.items, q.head = append(items, q.items[:q.head]...)[:cap(items)], 0
 	}
 	q.items[(q.head+q.n)%len(q.items)] = v
 	q.n++

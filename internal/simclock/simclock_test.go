@@ -263,3 +263,72 @@ func BenchmarkVirtualArmStop(b *testing.B) {
 		})
 	}
 }
+
+func TestQueueGrowsInOrder(t *testing.T) {
+	// The ring starts empty and doubles on demand: FIFO order holds across
+	// wraparound and every growth, and a nil-clock Push is refused exactly
+	// at the capacity.
+	const capacity = 37
+	q := NewQueue[int](capacity)
+	next, want := 0, 0
+	pop := func(k int) {
+		for ; k > 0; k-- {
+			v, ok := q.Pop(nil)
+			if !ok || v != want {
+				t.Fatalf("Pop = %d, %v; want %d", v, ok, want)
+			}
+			want++
+		}
+	}
+	// Wrap the small ring before it has to grow: head sits mid-ring at each
+	// doubling.
+	for _, k := range []int{3, 1, 5, 2, 11, 7, 20, 9} {
+		for i := 0; i < k; i++ {
+			if !q.Push(next, nil) {
+				t.Fatalf("Push %d refused with %d queued", next, next-want)
+			}
+			next++
+		}
+		pop(k / 2)
+	}
+	for next-want < capacity {
+		if !q.Push(next, nil) {
+			t.Fatalf("Push %d refused with %d queued", next, next-want)
+		}
+		next++
+	}
+	if q.Push(next, nil) {
+		t.Fatalf("Push accepted at the capacity %d", capacity)
+	}
+	if len(q.items) != capacity {
+		t.Fatalf("full ring holds %d slots, want the capacity %d", len(q.items), capacity)
+	}
+	pop(capacity)
+	q.Close()
+	if _, ok := q.Pop(nil); ok {
+		t.Fatal("Pop on a closed, drained queue reported an item")
+	}
+}
+
+func TestBlockedPushWakesForRoom(t *testing.T) {
+	c := New(t0)
+	q := NewQueue[int](2)
+	q.Push(0, nil)
+	q.Push(1, nil)
+	var pushed atomic.Bool
+	c.Go(func() { pushed.Store(q.Push(2, c)) })
+	if err := c.Run(time.Hour, nil); err == nil || pushed.Load() {
+		t.Fatalf("Run = %v with a Push on a full queue, pushed %v; want it parked", err, pushed.Load())
+	}
+	if v, ok := q.Pop(nil); !ok || v != 0 {
+		t.Fatalf("Pop = %d, %v; want 0", v, ok)
+	}
+	if err := c.Run(0, pushed.Load); err != nil {
+		t.Fatal(err)
+	}
+	for want := 1; want <= 2; want++ {
+		if v, ok := q.Pop(nil); !ok || v != want {
+			t.Fatalf("Pop = %d, %v; want %d", v, ok, want)
+		}
+	}
+}

@@ -24,7 +24,9 @@ import (
 
 // Store persists committed round results.
 type Store interface {
-	// PutCheckpoint commits a global model checkpoint for a task.
+	// PutCheckpoint commits a global model checkpoint for a task. The store
+	// takes c over and may keep it as it is: nobody may change a committed
+	// checkpoint afterwards.
 	PutCheckpoint(c *checkpoint.Checkpoint) error
 	// LatestCheckpoint returns the newest committed checkpoint for a task,
 	// or an error wrapping ErrNoCheckpoint when the task has committed none.
@@ -45,10 +47,11 @@ type Store interface {
 // any other means one exists that cannot be read (unreadable, old, foreign).
 var ErrNoCheckpoint = errors.New("storage: no checkpoint")
 
-// Mem is an in-memory Store for simulation and tests.
+// Mem is an in-memory Store for simulation and tests. It keeps each task's
+// latest checkpoint only, shared with whoever committed it.
 type Mem struct {
 	mu          sync.Mutex
-	checkpoints map[string][]*checkpoint.Checkpoint
+	checkpoints map[string]*checkpoint.Checkpoint
 	metrics     map[string][]*metrics.Materialized
 	taskSet     []byte
 }
@@ -56,7 +59,7 @@ type Mem struct {
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
 	return &Mem{
-		checkpoints: make(map[string][]*checkpoint.Checkpoint),
+		checkpoints: make(map[string]*checkpoint.Checkpoint),
 		metrics:     make(map[string][]*metrics.Materialized),
 	}
 }
@@ -68,7 +71,7 @@ func (s *Mem) PutCheckpoint(c *checkpoint.Checkpoint) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.checkpoints[c.TaskName] = append(s.checkpoints[c.TaskName], c.Clone())
+	s.checkpoints[c.TaskName] = c
 	return nil
 }
 
@@ -76,11 +79,11 @@ func (s *Mem) PutCheckpoint(c *checkpoint.Checkpoint) error {
 func (s *Mem) LatestCheckpoint(task string) (*checkpoint.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs := s.checkpoints[task]
-	if len(cs) == 0 {
+	c := s.checkpoints[task]
+	if c == nil {
 		return nil, fmt.Errorf("%w for task %q", ErrNoCheckpoint, task)
 	}
-	return cs[len(cs)-1].Clone(), nil
+	return c.Clone(), nil
 }
 
 // PutMetrics implements Store.

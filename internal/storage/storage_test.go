@@ -4,8 +4,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
@@ -92,19 +94,55 @@ func TestFileStore(t *testing.T) {
 }
 
 func TestMemStoreIsolation(t *testing.T) {
+	// Put shares: the store keeps the committed checkpoint itself, which its
+	// committer no longer changes. LatestCheckpoint hands out copies.
 	s := NewMem()
 	c := ckpt("t", 1)
 	_ = s.PutCheckpoint(c)
-	c.Params[0] = 999 // mutate caller's copy
+	if s.checkpoints["t"] != c {
+		t.Fatal("store must keep the committed checkpoint, not a copy")
+	}
 	got, _ := s.LatestCheckpoint("t")
-	if got.Params[0] == 999 {
-		t.Fatal("store must deep-copy checkpoints")
+	if &got.Params[0] == &c.Params[0] {
+		t.Fatal("LatestCheckpoint must return a copy")
 	}
 	got.Params[1] = 888
 	again, _ := s.LatestCheckpoint("t")
-	if again.Params[1] == 888 {
-		t.Fatal("store must return copies")
+	if again.Params[1] == 888 || c.Params[1] == 888 {
+		t.Fatal("a change to a returned checkpoint reached the store")
 	}
+}
+
+func TestMemStoreKeepsOnlyTheLatest(t *testing.T) {
+	// Round r's checkpoint is collectable once round r+1 is put: the store
+	// does not grow by a model per round.
+	file := must(NewFile(t.TempDir()))
+	for name, m := range map[string]*Mem{"mem": NewMem(), "file": file.mem} {
+		var s Store = m
+		if name == "file" {
+			s = file
+		}
+		if err := s.PutCheckpoint(ckpt("t", 1)); err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		prev := weak.Make(m.checkpoints["t"])
+		m.mu.Unlock()
+		if err := s.PutCheckpoint(ckpt("t", 2)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		if prev.Value() != nil {
+			t.Errorf("%s: round 1's checkpoint is still reachable after round 2's commit", name)
+		}
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func TestFileStoreRecovery(t *testing.T) {
