@@ -82,8 +82,8 @@ func TestAccumulatorMatchesManualAverage(t *testing.T) {
 	if math.Abs(avg[0]-2.8) > 1e-12 || math.Abs(avg[1]-1.4) > 1e-12 {
 		t.Fatalf("avg = %v", avg)
 	}
-	if acc.Count() != 2 || acc.Weight() != 5 {
-		t.Fatalf("count=%d weight=%v", acc.Count(), acc.Weight())
+	if acc.count != 2 || acc.weight != 5 {
+		t.Fatalf("count=%d weight=%v", acc.count, acc.weight)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestAccumulatorErrors(t *testing.T) {
 			t.Fatalf("AccumulatorFromSeal weight %v must fail", w)
 		}
 	}
-	if acc.Count() != 0 || acc.Weight() != 0 {
-		t.Fatalf("refused folds counted: count=%d weight=%v", acc.Count(), acc.Weight())
+	if acc.count != 0 || acc.weight != 0 {
+		t.Fatalf("refused folds counted: count=%d weight=%v", acc.count, acc.weight)
 	}
 	if err := acc.AddRaw(tensor.Vector{1}, 1, 1); err == nil {
 		t.Fatal("AddRaw dim mismatch must fail")
@@ -144,8 +144,8 @@ func TestSealedMergeEqualsFlatAccumulation(t *testing.T) {
 			t.Fatalf("hierarchical average %v != flat %v", ma, fa)
 		}
 	}
-	if master.Count() != 4 {
-		t.Fatalf("master count = %d", master.Count())
+	if master.count != 4 {
+		t.Fatalf("master count = %d", master.count)
 	}
 }
 
@@ -283,7 +283,7 @@ func fedAvg(t *testing.T, f *data.Federated, rounds, k int, client ClientConfig,
 				t.Fatal(err)
 			}
 		}
-		next, err := acc.Step(global)
+		next, _, err := acc.Step(global)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,12 +97,9 @@ type PartialAccumulator struct {
 	sum    tensor.Vector
 	weight float64
 	// spares is where SealStripes returns the vector once merged away; nil
-	// for a bare NewPartial.
+	// keeps nothing.
 	spares *Spares
 }
-
-// NewPartial returns a stripe for dim-dimensional updates.
-func NewPartial(dim int) *PartialAccumulator { return (*Spares)(nil).NewPartial(dim) }
 
 // Spares is one edge's stock of spare round vectors: its stripes, the
 // updates its retention buffers (robust.Buffer) decode into, and seal sums.

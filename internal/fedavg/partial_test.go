@@ -68,8 +68,8 @@ func TestPartialConcurrentFoldsMatchSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if merged.Count() != ref.Count() || merged.Weight() != ref.Weight() {
-		t.Fatalf("count/weight: %d/%v vs %d/%v", merged.Count(), merged.Weight(), ref.Count(), ref.Weight())
+	if merged.count != ref.count || merged.weight != ref.weight {
+		t.Fatalf("count/weight: %d/%v vs %d/%v", merged.count, merged.weight, ref.count, ref.weight)
 	}
 	got, _ := merged.Average()
 	want, _ := ref.Average()

@@ -67,42 +67,77 @@ func SealStripes(stripes []*PartialAccumulator) (SealedStripe, error) {
 	return out, nil
 }
 
-// AddSealed folds a sealed stripe's update sum into the accumulator and
-// then puts the sum's vector, zeroed, back into s.Spares: the caller hands
-// it over, as it hands AccumulatorFromSeal the vector that function keeps. A
-// stripe with no updates (eval-only or empty) is a no-op here — its eval
-// count and metrics are merged by the caller, which owns the round's metric
-// tally.
-func (a *Accumulator) AddSealed(s SealedStripe) error {
-	if s.Count == 0 {
-		return nil
-	}
-	if err := a.AddRaw(s.Sum, s.Weight, s.Count); err != nil {
-		return err
-	}
-	s.Spares.Put(s.Sum)
-	return nil
+// Accumulator is the server side of Algorithm 1: the running sums
+// w̄ = Σ Δᵏ and n̄ = Σ nᵏ. Sealed sums are folded in online, as they arrive —
+// the paper's rebuttal of "you must store updates" (Sec. 10) — so memory is
+// O(model), not O(devices). A round starts one from its first seal
+// (AccumulatorFromSeal), adds the rest (AddSealed) and steps it into the
+// next global model (Step).
+type Accumulator struct {
+	sum    tensor.Vector
+	weight float64
+	count  int
 }
 
 // AccumulatorFromSeal returns a dim-dimensional accumulator that starts as
 // the sealed stripe s. It adopts s.Sum — the caller hands the vector over —
 // instead of zeroing a fresh one and adding s.Sum into it, the way
 // SealStripes adopts its first stripe. The vector becomes the committed
-// checkpoint (Step) and never goes back to s.Spares, which writes it off.
+// checkpoint (Step) and never goes back to s.Spares, which writes it off; a
+// refused seal's vector goes back there at once.
 func AccumulatorFromSeal(dim int, s SealedStripe) (*Accumulator, error) {
 	if len(s.Sum) != dim || !ValidWeight(s.Weight) || s.Count <= 0 {
+		s.Spares.Put(s.Sum)
 		return nil, fmt.Errorf("fedavg: sealed dim %d (want %d), weight %v, count %d", len(s.Sum), dim, s.Weight, s.Count)
 	}
 	s.Spares.adopted()
 	return &Accumulator{sum: s.Sum, weight: s.Weight, count: s.Count}, nil
 }
 
-// MarshalSum encodes a raw delta sum for the wire: a uvarint count, then
-// the big-endian float64 elements — the element section of a float64
-// checkpoint, so one vector layout crosses both the device and shard links.
-func MarshalSum(v tensor.Vector) []byte { return MarshalSumInto(v, nil) }
+// AddSealed folds a sealed stripe's update sum into the accumulator and
+// then puts the sum's vector, zeroed, back into s.Spares, folded or refused:
+// the caller hands it over, as it hands AccumulatorFromSeal the vector that
+// function keeps. A stripe with no updates (eval-only or empty) adds nothing
+// here — its eval count and metrics are merged by the caller, which owns the
+// round's metric tally.
+func (a *Accumulator) AddSealed(s SealedStripe) error {
+	defer s.Spares.Put(s.Sum)
+	if s.Count == 0 {
+		return nil
+	}
+	if len(s.Sum) != len(a.sum) || !ValidWeight(s.Weight) || s.Count < 0 {
+		return fmt.Errorf("fedavg: sealed dim %d (accumulator %d), weight %v, count %d", len(s.Sum), len(a.sum), s.Weight, s.Count)
+	}
+	a.sum.Axpy(1, s.Sum)
+	a.weight += s.Weight
+	a.count += s.Count
+	return nil
+}
 
-// MarshalSumInto is MarshalSum into get(n), n bytes the caller owns.
+// Step returns w_{t+1} = w_t + w̄/n̄ and n̄, leaving global untouched. The
+// result is written over the accumulator's own sum — dead after the step
+// either way — and handed to the caller, which makes the vector a round
+// folded into the vector it commits; the spent accumulator refuses a second
+// Step and any further fold. The explicit conversion rounds the product
+// before the add (no fused multiply-add), so the result equals averaging
+// and then adding bit for bit on every GOARCH. A nil accumulator is an empty
+// one.
+func (a *Accumulator) Step(global tensor.Vector) (tensor.Vector, float64, error) {
+	if a == nil || a.sum == nil || a.weight <= 0 || len(global) != len(a.sum) {
+		return nil, 0, fmt.Errorf("fedavg: step over an empty or spent accumulator, or a %d-dim global", len(global))
+	}
+	next, inv := a.sum[:len(global)], 1/a.weight
+	a.sum = nil
+	for i, g := range global {
+		next[i] = g + float64(next[i]*inv)
+	}
+	return next, a.weight, nil
+}
+
+// MarshalSumInto encodes a raw delta sum for the wire into get(n), n bytes
+// the caller owns (a fresh buffer for a nil get): a uvarint count, then the
+// big-endian float64 elements — the element section of a float64
+// checkpoint, so one vector layout crosses both the device and shard links.
 func MarshalSumInto(v tensor.Vector, get func(n int) []byte) []byte {
 	n := len(v)
 	var c wire.Codec
@@ -112,10 +147,7 @@ func MarshalSumInto(v tensor.Vector, get func(n int) []byte) []byte {
 	return c.Encoded()
 }
 
-// UnmarshalSum decodes a MarshalSum buffer into a fresh vector.
-func UnmarshalSum(b []byte) (tensor.Vector, error) { return (*Spares)(nil).UnmarshalSum(b) }
-
-// UnmarshalSum decodes a MarshalSum buffer into a spare vector (Take); a
+// UnmarshalSum decodes a MarshalSumInto buffer into a spare vector (Take); a
 // SealedStripe carrying it names s as its Spares. The element count is
 // validated against the buffer length before the stock is touched or
 // anything allocated, so a hostile count cannot commit memory beyond the

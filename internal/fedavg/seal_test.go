@@ -48,9 +48,9 @@ func TestStepMatchesAverageApply(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := global.Clone()
-		got, err := acc.Step(global)
-		if err != nil {
-			t.Fatal(err)
+		got, n, err := acc.Step(global)
+		if err != nil || n != weight {
+			t.Fatalf("trial %d: step weight %v, want %v: %v", trial, n, weight, err)
 		}
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -64,21 +64,21 @@ func TestStepMatchesAverageApply(t *testing.T) {
 		if &got[0] != &sum[0] {
 			t.Fatalf("trial %d: Step allocated instead of stepping in the accumulator's vector", trial)
 		}
-		if _, err := acc.Step(global); err == nil {
+		if _, _, err := acc.Step(global); err == nil {
 			t.Fatalf("trial %d: a second Step must fail, the sum is gone", trial)
 		}
 		if err := acc.AddSealed(SealedStripe{Sum: make(tensor.Vector, dim), Weight: 1, Count: 1}); err == nil {
 			t.Fatalf("trial %d: AddSealed after Step must fail, it would fold into the committed checkpoint", trial)
 		}
 	}
-	if _, err := NewAccumulator(3).Step(make(tensor.Vector, 3)); err == nil {
+	if _, _, err := NewAccumulator(3).Step(make(tensor.Vector, 3)); err == nil {
 		t.Fatal("Step on an empty accumulator must fail")
 	}
-	if _, err := (*Accumulator)(nil).Step(nil); err == nil {
+	if _, _, err := (*Accumulator)(nil).Step(nil); err == nil {
 		t.Fatal("Step on a round that adopted no seal must fail")
 	}
 	acc, _ := AccumulatorFromSeal(2, SealedStripe{Sum: tensor.Vector{1, 2}, Weight: 1, Count: 1})
-	if _, err := acc.Step(make(tensor.Vector, 3)); err == nil {
+	if _, _, err := acc.Step(make(tensor.Vector, 3)); err == nil {
 		t.Fatal("Step dim mismatch must fail")
 	}
 }
@@ -105,8 +105,8 @@ func TestAccumulatorFromSealAdopts(t *testing.T) {
 	if err := acc.AddSealed(second); err != nil {
 		t.Fatal(err)
 	}
-	if acc.Count() != ref.Count() || acc.Weight() != ref.Weight() {
-		t.Fatalf("count %d weight %v, want %d %v", acc.Count(), acc.Weight(), ref.Count(), ref.Weight())
+	if acc.count != ref.count || acc.weight != ref.weight {
+		t.Fatalf("count %d weight %v, want %d %v", acc.count, acc.weight, ref.count, ref.weight)
 	}
 	for i := range ref.sum {
 		if acc.sum[i] != ref.sum[i] {
@@ -205,7 +205,7 @@ func TestSealSumsGoBackToTheirStock(t *testing.T) {
 			t.Fatalf("sum[%d] = %v, want %v", i, x, 104*v[i])
 		}
 	}
-	committed, err := acc.Step(make(tensor.Vector, dim))
+	committed, _, err := acc.Step(make(tensor.Vector, dim))
 	if err != nil || &committed[0] != &adopted[0] {
 		t.Fatalf("the commit is not stepped in the adopted vector: %v", err)
 	}

@@ -491,7 +491,7 @@ func TestGroupResultCarriesExactSum(t *testing.T) {
 	}
 
 	t.Run("secure", func(t *testing.T) {
-		buf := robust.NewBuffer(dim + 1, nil)
+		buf := robust.NewBuffer(dim+1, nil)
 		want := make(tensor.Vector, dim)
 		for i, w := range weights {
 			want.Axpy(1, deltas[i])

@@ -539,6 +539,7 @@ func (c *Coordinator) onDeadline(ctx *actor.Context, r *round) {
 func (c *Coordinator) onSeal(ctx *actor.Context, e Edge, seal EdgeSeal) {
 	cur := c.cur
 	if cur == nil || seal.TaskID != cur.cfg.Plan.ID || seal.Round != cur.cfg.Round || !cur.pending[e] {
+		seal.Seal.Spares.Put(seal.Seal.Sum)
 		return // late or duplicate seal: the round already settled it
 	}
 	delete(cur.pending, e)
@@ -562,10 +563,12 @@ func (c *Coordinator) onSeal(ctx *actor.Context, e Edge, seal EdgeSeal) {
 	// seal hands its vector over: a local edge's adopted stripe, drained and
 	// let go of, or the vector a remote edge's sum was decoded into); later
 	// seals are added into it, and commit steps it in place into the next
-	// checkpoint's Params.
+	// checkpoint's Params. A sum that is neither adopted nor added — this
+	// case, or one the accumulator refuses — goes back to its stock.
 	var err error
 	switch {
 	case cur.evalOnly || seal.Seal.Count == 0: // no update sum to fold
+		seal.Seal.Spares.Put(seal.Seal.Sum)
 	case cur.acc == nil:
 		cur.acc, err = fedavg.AccumulatorFromSeal(cur.cfg.Dim, seal.Seal)
 	default:
@@ -632,12 +635,12 @@ func (c *Coordinator) commit(cur *round) (*checkpoint.Checkpoint, int64, error) 
 	start := time.Now()
 	newGlobal := cur.cfg.Global
 	if !cur.evalOnly {
-		params, err := cur.acc.Step(cur.cfg.Global.Params)
+		params, weight, err := cur.acc.Step(cur.cfg.Global.Params)
 		if err != nil {
 			return nil, 0, fmt.Errorf("step: %w", err)
 		}
 		newGlobal = &checkpoint.Checkpoint{TaskName: newGlobal.TaskName, Round: newGlobal.Round + 1,
-			Weight: cur.acc.Weight(), Params: params}
+			Weight: weight, Params: params}
 		if err := c.Store.PutCheckpoint(newGlobal); err != nil {
 			return nil, 0, fmt.Errorf("commit: %w", err)
 		}

@@ -221,7 +221,7 @@ func TestQuantizedDownlink(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				want, err := acc.Step(master.Params)
+				want, _, err := acc.Step(master.Params)
 				if err != nil {
 					t.Fatal(err)
 				}

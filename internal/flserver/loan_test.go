@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
+	"repro/internal/fedavg"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -72,4 +74,48 @@ func TestMemDownloadsForfeitTheirLoan(t *testing.T) {
 	if !bytes.Equal(resp.Checkpoint, want) {
 		t.Fatal("a device on an in-memory link lost its checkpoint: the send did not forfeit the loan")
 	}
+}
+
+// TestDroppedSealsGiveTheirSumBack: a seal whose sum the Coordinator neither
+// adopts nor adds — late, for an eval-only round, or refused by the
+// accumulator for its dimension — gives the vector back to the stock it was
+// lent from, so the next Take reuses that array instead of allocating a
+// model-sized one (and the stock's loan count falls back).
+func TestDroppedSealsGiveTheirSumBack(t *testing.T) {
+	const dim = 8
+	var stock fedavg.Spares
+	edges := []Edge{&LocalEdge{}, &LocalEdge{}, &LocalEdge{}, &LocalEdge{}}
+	c := &Coordinator{}
+	open := func(evalOnly bool) {
+		c.cur = &round{cfg: &EdgeRoundConfig{Plan: &plan.Plan{ID: "pop/train"}, Round: 1, Dim: dim}, evalOnly: evalOnly,
+			metrics: map[string][]float64{}, phases: map[string]int64{}, pending: map[Edge]bool{}}
+		for _, e := range edges {
+			c.cur.pending[e] = true
+		}
+	}
+	drop := func(what string, e Edge, round int64, n int) {
+		t.Helper()
+		sum := stock.Take(n)
+		c.onSeal(nil, e, EdgeSeal{TaskID: "pop/train", Round: round,
+			Seal: fedavg.SealedStripe{Sum: sum, Spares: &stock, Weight: 1, Count: 1}})
+		if again := stock.Take(n); &again[0] != &sum[0] {
+			t.Fatalf("%s: the seal's sum did not go back to its stock", what)
+		} else {
+			stock.Put(again)
+		}
+	}
+	drop("a seal with no round in flight", edges[0], 1, dim)
+	open(false)
+	drop("a seal for another round", edges[0], 2, dim)
+	drop("a first seal of the wrong dimension", edges[0], 1, dim+1)
+	drop("a duplicate seal", edges[0], 1, dim)
+	good := stock.Take(dim)
+	c.onSeal(nil, edges[1], EdgeSeal{TaskID: "pop/train", Round: 1,
+		Seal: fedavg.SealedStripe{Sum: good, Spares: &stock, Weight: 1, Count: 1}})
+	if c.cur.acc == nil {
+		t.Fatal("a good first seal was not adopted")
+	}
+	drop("a later seal of the wrong dimension", edges[2], 1, dim-1)
+	open(true)
+	drop("a seal in an eval-only round", edges[0], 1, dim)
 }

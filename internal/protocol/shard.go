@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Sharded-deployment wire messages (Sec. 4.2–4.3 scaled out across
 // processes): a fleet of flselector processes terminates device
@@ -32,31 +29,13 @@ type Heartbeat struct {
 }
 
 // ActorEnvelope carries a message addressed to a named actor on the peer
-// process — the wire form behind remote actor refs. Payload is the type
-// code of any other protocol message followed by its binary body.
+// process. Payload is the type code of any other protocol message followed
+// by its binary body. No product link sends one: it is the frame of
+// remote's frozen Ref (frozen.go), kept for benchmark/ until ROADMAP 14.
 type ActorEnvelope struct {
 	// Target names the destination actor in the peer's registry.
 	Target  string
 	Payload []byte
-}
-
-// NewActorEnvelope wraps msg, which must be a protocol message other than
-// an ActorEnvelope, for delivery to the named actor.
-func NewActorEnvelope(target string, msg interface{}) (ActorEnvelope, error) {
-	code, body, ok := MarshalBinary(msg)
-	if !ok || code == CodeActorEnvelope {
-		return ActorEnvelope{}, fmt.Errorf("protocol: %T cannot ride an actor envelope", msg)
-	}
-	payload := make([]byte, 0, 1+len(body))
-	return ActorEnvelope{Target: target, Payload: append(append(payload, code), body...)}, nil
-}
-
-// Message decodes the enveloped message. Byte fields alias Payload.
-func (e ActorEnvelope) Message() (interface{}, error) {
-	if len(e.Payload) == 0 || e.Payload[0] == CodeActorEnvelope {
-		return nil, fmt.Errorf("protocol: actor envelope for %q is empty or nested", e.Target)
-	}
-	return UnmarshalBinary(e.Payload[0], e.Payload[1:])
 }
 
 // RoundConfig opens a round on a selector shard (coordinator→shard): the
@@ -116,7 +95,7 @@ type RoundAbort struct {
 // folded at the edge, or merged from its Secure Aggregation group sums —
 // plus the weight/count bookkeeping, loss accounting and metric samples.
 // This is the aggregation tree crossing the process boundary — device
-// updates never do. Sum is the fedavg.MarshalSum wire form and is aliased
+// updates never do. Sum is the fedavg.MarshalSumInto wire form and is aliased
 // into the frame by the codec, so a multi-MB partial is written straight
 // from the seal buffer.
 type StripeSeal struct {
@@ -136,7 +115,7 @@ type StripeSeal struct {
 	// shard's edge before folding.
 	Clipped int64
 	Weight  float64
-	// Sum is the marshaled raw delta sum (fedavg.MarshalSum); empty when
+	// Sum is the marshaled raw delta sum (fedavg.MarshalSumInto); empty when
 	// Reports is zero.
 	Sum []byte
 	// Metrics are the device-reported metric samples collected by the

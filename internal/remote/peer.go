@@ -1,11 +1,12 @@
-// Package remote makes actor references location-transparent across
-// processes (Sec. 4.1: actor instances "may be co-located on the same
-// process or distributed across multiple data centers"). A Peer manages one
-// outbound connection to another process — dial, reconnect with exponential
-// backoff, heartbeat liveness — over internal/transport's length-prefixed
-// codec. On top of it, Ref implements actor.Ref by marshaling messages into
-// protocol.ActorEnvelope frames. The serving side (session.go) answers
-// heartbeats and routes inbound envelopes to a local actor registry.
+// Package remote is the shard link (Sec. 4.1: actor instances "may be
+// co-located on the same process or distributed across multiple data
+// centers"). A Peer manages one outbound connection to another process —
+// dial, reconnect with exponential backoff, heartbeat liveness — over
+// internal/transport's length-prefixed codec; the serving side (session.go)
+// answers heartbeats and hands each typed protocol message to its handler.
+// Selector shards and the coordinator send their round messages this way.
+// Remote actor refs over ActorEnvelope frames are frozen (frozen.go): only
+// benchmark/'s remote.envelope_rt sends one.
 package remote
 
 import (

@@ -87,7 +87,7 @@ func (s *testServer) close() {
 	s.wg.Wait()
 }
 
-// TestPeerHelloAndRemoteRef covers the location-transparency round trip: a
+// TestPeerHelloAndRemoteRef covers the frozen envelope round trip: a
 // peer connects, its Hello reaches the serving side, and a remote Ref
 // delivers an actor message into the server's registry.
 func TestPeerHelloAndRemoteRef(t *testing.T) {
@@ -125,9 +125,6 @@ func TestPeerHelloAndRemoteRef(t *testing.T) {
 	}
 
 	ref := peer.Ref("echo")
-	if ref.Stopped() {
-		t.Fatal("remote ref reads stopped while the link is up")
-	}
 	note := protocol.RoundAbort{Population: "pop", TaskID: "t", Round: 7, Reason: "over the wire"}
 	if err := ref.Send(note); err != nil {
 		t.Fatal(err)
@@ -244,7 +241,7 @@ func TestPeerHelloFailureBacksOff(t *testing.T) {
 	}, nil, opts)
 	defer peer.Close()
 
-	if !peer.Ref("x").Stopped() || peer.Send(protocol.Heartbeat{}) == nil {
+	if peer.Alive() || peer.Send(protocol.Heartbeat{}) == nil {
 		t.Fatal("a link that never got its hello through must read down and fail Sends fast")
 	}
 	until(t, clock, "link up after the resets stop", peer.Alive)

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/actor"
@@ -10,38 +9,11 @@ import (
 	"repro/internal/transport"
 )
 
-// Registry names the local actors a peer process may address through
-// ActorEnvelope frames. Only registered actors are reachable — a remote
-// peer cannot send to arbitrary mailboxes.
-type Registry struct {
-	mu   sync.Mutex
-	refs map[string]actor.Ref
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{refs: make(map[string]actor.Ref)}
-}
-
-// Register exposes ref to remote peers under name (latest wins).
-func (g *Registry) Register(name string, ref actor.Ref) {
-	g.mu.Lock()
-	g.refs[name] = ref
-	g.mu.Unlock()
-}
-
-// Lookup resolves a name.
-func (g *Registry) Lookup(name string) (actor.Ref, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	r, ok := g.refs[name]
-	return r, ok
-}
-
 // SessionOptions configures the serving side of one accepted peer
 // connection.
 type SessionOptions struct {
 	// Registry resolves ActorEnvelope targets; nil rejects all envelopes.
+	// Frozen: only benchmark/ sets it, kept until ROADMAP 14 (frozen.go).
 	Registry *Registry
 	// Handle receives every message that is not connection infrastructure
 	// (heartbeats, envelopes). It runs on the session goroutine, which ends
@@ -123,9 +95,9 @@ func (s *Session) Send(msg interface{}) error {
 	return nil
 }
 
-// Run serves the connection until it dies, answering heartbeats and routing
-// envelopes. It always returns the terminal receive error and leaves the
-// session Closed.
+// Run serves the connection until it dies, answering heartbeats and handing
+// every other message to Handle (an envelope to the frozen Registry). It
+// always returns the terminal receive error and leaves the session Closed.
 func (s *Session) Run() error {
 	defer s.Close()
 	for {
@@ -147,22 +119,4 @@ func (s *Session) Run() error {
 			s.conn.Release()
 		}
 	}
-}
-
-// deliver routes one envelope to the registered local actor; unknown
-// targets and dead actors are dropped (the sender's liveness signal is the
-// heartbeat, not per-message acks).
-func (s *Session) deliver(e protocol.ActorEnvelope) {
-	if s.opts.Registry == nil {
-		return
-	}
-	ref, ok := s.opts.Registry.Lookup(e.Target)
-	if !ok {
-		return
-	}
-	msg, err := e.Message()
-	if err != nil {
-		return
-	}
-	_ = ref.Send(msg)
 }

@@ -312,7 +312,9 @@ func (cp *CoordinatorProc) onSeal(edge *shardEdge, m protocol.StripeSeal) {
 		seal.Lost += int(m.Reports)
 		seal.Seal.Weight, seal.Seal.Count = 0, 0
 	}
-	_ = flserver.DeliverSeal(cp.coord, edge, seal)
+	if flserver.DeliverSeal(cp.coord, edge, seal) != nil {
+		seal.Seal.Spares.Put(seal.Seal.Sum)
+	}
 }
 
 // Stats snapshots coordinator progress. The error is non-nil when the

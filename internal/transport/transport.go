@@ -364,10 +364,8 @@ type Encoded struct {
 // Message returns the wrapped message.
 func (e *Encoded) Message() interface{} { return e.msg }
 
-// Encode wraps msg for repeated sending.
-func Encode(msg interface{}) *Encoded { return &Encoded{msg: msg} }
-
-// Lend is Encode for a msg whose byte fields alias loan's buffer.
+// Lend wraps msg, whose byte fields alias loan's buffer, for repeated
+// sending.
 func Lend(msg interface{}, loan *Loan) *Encoded { return &Encoded{msg: msg, loan: loan} }
 
 // LoanOf returns the loan behind a message Lend wrapped, nil for any other.
