@@ -1,13 +1,12 @@
 package field
 
 import (
+	"math/rand/v2"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 func BenchmarkMul(b *testing.B) {
-	rng := tensor.NewRNG(1)
+	rng := rand.New(rand.NewPCG(1, 0))
 	x, y := Reduce(rng.Uint64()), Reduce(rng.Uint64())
 	for i := 0; i < b.N; i++ {
 		x = Mul(x, y)
@@ -16,15 +15,19 @@ func BenchmarkMul(b *testing.B) {
 }
 
 func BenchmarkInv(b *testing.B) {
-	rng := tensor.NewRNG(2)
+	rng := rand.New(rand.NewPCG(2, 0))
 	x := Reduce(rng.Uint64()) | 1
 	for i := 0; i < b.N; i++ {
 		_ = Inv(x)
 	}
 }
 
+// BenchmarkAddVec and BenchmarkAddBE time the vector kernels on each path
+// this host has: AddVec at a 4 096-element merge, AddBE (the integer
+// convert-and-add, which the mask path runs per keystream chunk) at the
+// benchmark's model dimension, 65 536.
 func BenchmarkAddVec(b *testing.B) {
-	rng := tensor.NewRNG(3)
+	rng := rand.New(rand.NewPCG(3, 0))
 	n := 4096
 	x := make([]uint64, n)
 	y := make([]uint64, n)
@@ -32,11 +35,31 @@ func BenchmarkAddVec(b *testing.B) {
 		x[i] = Reduce(rng.Uint64())
 		y[i] = Reduce(rng.Uint64())
 	}
-	b.SetBytes(int64(8 * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddVec(x, x, y)
+	eachKernelPath(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			b.SetBytes(int64(8 * n))
+			for i := 0; i < b.N; i++ {
+				AddVec(x, x, y)
+			}
+		})
+	})
+}
+
+func BenchmarkAddBE(b *testing.B) {
+	rng := rand.New(rand.NewPCG(4, 0))
+	n := 65536
+	x, src := make([]uint64, n), make([]byte, 8*n)
+	for i := range src {
+		src[i] = byte(rng.Uint32())
 	}
+	eachKernelPath(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			b.SetBytes(int64(8 * n))
+			for i := 0; i < b.N; i++ {
+				AddBE(x, src)
+			}
+		})
+	})
 }
 
 func BenchmarkShamirSplit(b *testing.B) {

@@ -16,8 +16,11 @@ import (
 // stallProxy forwards one device connection to addr and holds back what the
 // server sends until release closes (or the test ends), like a device that
 // does not read. Its socket toward the server has a small receive buffer, so
-// a multi-MB frame stays in the middle of its write until then.
-func stallProxy(t *testing.T, addr string, release <-chan struct{}) string {
+// a multi-MB frame stays in the middle of its write until then. It takes
+// the server's first byte off the socket and closes sending, so a test can
+// wait for the server's first send to be under way rather than for time to
+// pass.
+func stallProxy(t *testing.T, addr string, sending chan<- struct{}, release <-chan struct{}) string {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -39,9 +42,16 @@ func stallProxy(t *testing.T, addr string, release <-chan struct{}) string {
 		}
 		defer up.Close()
 		go io.Copy(up, down)
+		var first [1]byte
+		if _, err := io.ReadFull(up, first[:]); err != nil {
+			return
+		}
+		close(sending)
 		select {
 		case <-release:
-			_, _ = io.Copy(down, up)
+			if _, err := down.Write(first[:]); err == nil {
+				_, _ = io.Copy(down, up)
+			}
 		case <-stop:
 		}
 	}()
@@ -63,12 +73,12 @@ func TestStalledDeviceKeepsItsRoundConfig(t *testing.T) {
 	const dim = 500_000
 	h := newHandCoordinator(t)
 	before := loansOut()
-	release := make(chan struct{})
+	sending, release := make(chan struct{}), make(chan struct{})
 	first := h.config(1, dim, 1)
 	h.send(first)
 	waitFor(t, "round 1 to open", func() bool { st, _ := h.sp.Stats(); return st.RoundsOpened == 1 })
 
-	dev, err := transport.DialTCP(stallProxy(t, h.devices.Addr(), release))
+	dev, err := transport.DialTCP(stallProxy(t, h.devices.Addr(), sending, release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +86,17 @@ func TestStalledDeviceKeepsItsRoundConfig(t *testing.T) {
 	if err := dev.Send(protocol.CheckinRequest{DeviceID: "stalled", Population: loanPop, RuntimeVersion: 3}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the device's admission", func() bool { st, _ := h.sp.Stats(); return st.Selector.Accepted == 1 })
+	// The round sends the configuration on its own goroutine after the
+	// admission; a finalize that overtook it would answer the device with an
+	// abort instead, so the round seals only once the send is under way.
+	waitFor(t, "the device's configuration send", func() bool {
+		select {
+		case <-sending:
+			return true
+		default:
+			return false
+		}
+	})
 	h.send(protocol.RoundFinalize{Population: loanPop, TaskID: first.TaskID, Round: 1})
 	if seal, ok := h.next().(protocol.StripeSeal); !ok || seal.Round != 1 || seal.Aborted != 1 {
 		t.Fatalf("round 1 sealed as %+v, want its one device aborted", seal)
