@@ -90,6 +90,7 @@ type CoordinatorProc struct {
 		pl, ckpt []byte
 		loan     *transport.Loan
 	}
+	closeMemo sync.Once
 
 	// sums stocks the vectors shard sums decode into: a sum the
 	// Coordinator adds rather than adopts comes back here (AddSealed).
@@ -338,5 +339,8 @@ func (cp *CoordinatorProc) Stats() (CoordStats, error) {
 }
 
 // Close stops the coordinator process (idempotent, like the Shutdown it
-// wraps).
-func (cp *CoordinatorProc) Close() { cp.coord.Stop() }
+// wraps) and then gives back the memo's loan: no round opens any more.
+func (cp *CoordinatorProc) Close() {
+	cp.coord.Stop()
+	cp.closeMemo.Do(cp.memo.loan.Release)
+}

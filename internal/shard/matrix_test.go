@@ -609,8 +609,10 @@ func parallel(t *testing.T) {
 
 // TestEngineEquivalenceMatrix is the composition matrix: every shape ×
 // topology × fault cell on chaos.NewRig and a wall-clock row over loopback
-// TCP. It then checks DESIGN.md §3b's generated tables against the verdicts.
+// TCP, with released buffers poisoned in every cell. It then checks
+// DESIGN.md §3b's generated tables against the verdicts.
 func TestEngineEquivalenceMatrix(t *testing.T) {
+	transport.PoisonReleasedForTest()
 	var mu sync.Mutex
 	verdicts := map[string]string{}
 	record := func(key, v string) {

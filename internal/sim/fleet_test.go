@@ -2,12 +2,14 @@ package sim
 
 import (
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/transport"
 )
 
 // These tests hold the fleet run to the behaviour Sec. 9 reports of
@@ -15,6 +17,14 @@ import (
 // counters (the experiments package reduces the same run to the figures).
 // One run serves them all: a day of a fleet small enough that availability,
 // not demand, limits the day's rounds.
+
+// TestMain runs every fleet and training run with released buffers
+// poisoned, so a reader that keeps leased bytes past its lease breaks a
+// figure's shape or a lineage instead of reading stale data.
+func TestMain(m *testing.M) {
+	transport.PoisonReleasedForTest()
+	os.Exit(m.Run())
+}
 
 var (
 	fleetOnce sync.Once

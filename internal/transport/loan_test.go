@@ -74,9 +74,11 @@ func TestLoanComesBackAtItsLastRelease(t *testing.T) {
 }
 
 // TestLoanSends: a TCP Send holds its own reference while it writes — a send
-// of a returned loan panics — and a send over MemNetwork forfeits the loan,
-// since the receiver keeps the very bytes: after the sender's last Release
-// they are still the sender's, not the pool's.
+// of a returned loan panics — and a send over MemNetwork takes one for its
+// reader, whose lease it becomes: the bytes outlive the sender's last Release
+// until the reader's Release or next Recv, or past that when it Holds them,
+// and a lent frame the reader never receives gives its reference back when
+// the link closes.
 func TestLoanSends(t *testing.T) {
 	poison(t)
 	t.Run("tcp", func(t *testing.T) {
@@ -98,19 +100,74 @@ func TestLoanSends(t *testing.T) {
 		mustPanic(t, "Acquire of a loan already returned", func() { _ = client.Send(frame) })
 	})
 	t.Run("mem", func(t *testing.T) {
+		before := loansOut()
 		a, b := Pipe()
+		send := func(salt byte) []byte {
+			t.Helper()
+			l := NewLoan(leaseSize)
+			copy(l.Bytes(), patterned(leaseSize, salt))
+			if err := a.Send(Lend(leaseReport(l.Bytes()), l)); err != nil {
+				t.Fatal(err)
+			}
+			l.Release()
+			return l.Bytes()
+		}
+		recv := func(salt byte) []byte {
+			t.Helper()
+			msg, err := b.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := msg.(protocol.ReportRequest).Update; bytes.Equal(got, patterned(leaseSize, salt)) {
+				return got
+			}
+			t.Fatalf("lent frame %d went back to the pool under its reader", salt)
+			return nil
+		}
+		returned := func(b []byte, what string) {
+			t.Helper()
+			if b[0] != 0xDB || b[len(b)-1] != 0xDB {
+				t.Fatalf("%s did not return the loan", what)
+			}
+		}
+		send(14)
+		got := recv(14)
+		b.Release()
+		returned(got, "the reader's Release")
+		send(15)
+		send(16)
+		got = recv(15)
+		held := recv(16)
+		returned(got, "the reader's next Recv")
+		lease := b.Hold()
+		send(17)
+		recv(17)
+		b.Release()
+		if !bytes.Equal(held, patterned(leaseSize, 16)) {
+			t.Fatal("a held lease went back to the pool at the next Recv")
+		}
+		lease.Release()
+		returned(held, "the held loan's Release")
+		// What the peer sent before it closed is still delivered; what this
+		// end never receives goes back when it closes, but its lease lasts.
+		send(18)
+		unread := send(19)
+		a.Close()
+		got = recv(18)
+		b.Close()
+		returned(unread, "closing before receipt")
+		if !bytes.Equal(got, patterned(leaseSize, 18)) {
+			t.Fatal("Close ended its reader's lease")
+		}
+		b.Release()
+		returned(got, "the reader's Release after Close")
 		l := NewLoan(leaseSize)
-		copy(l.Bytes(), patterned(leaseSize, 14))
-		if err := a.Send(Lend(leaseReport(l.Bytes()), l)); err != nil {
-			t.Fatal(err)
+		if err := a.Send(Lend(leaseReport(l.Bytes()), l)); err == nil {
+			t.Fatal("a send on a closed link succeeded")
 		}
 		l.Release()
-		msg, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(msg.(protocol.ReportRequest).Update, patterned(leaseSize, 14)) {
-			t.Fatal("a forfeit loan went back to the pool under its receiver")
+		if got := loansOut() - before; got != 0 {
+			t.Fatalf("%v loans out after the link closed, want 0", got)
 		}
 	})
 }

@@ -70,6 +70,7 @@ type memConn struct {
 	in, out *simclock.Queue[interface{}]
 	clock   simclock.Clock
 	closed  atomic.Bool
+	lessee
 }
 
 // Pipe returns a connected pair of in-memory streams whose waits park on
@@ -80,28 +81,30 @@ func Pipe(clock ...simclock.Clock) (Conn, Conn) {
 	return &memConn{in: ba, out: ab, clock: c}, &memConn{in: ab, out: ba, clock: c}
 }
 
-// Send implements Conn.
+// Send implements Conn. A pre-framed message crosses as itself, with one
+// reference to its loan for the reader.
 func (c *memConn) Send(msg interface{}) error {
-	// Deliver a pre-framed message's original and forfeit its loan.
-	if e, ok := msg.(*Encoded); ok {
-		if e.loan != nil {
-			e.loan.pooled.Store(false)
-		}
-		msg = e.msg
-	}
+	LoanOf(msg).Acquire()
 	if !c.out.Push(msg, c.clock) {
+		LoanOf(msg).Release()
 		return c.err()
 	}
 	return nil
 }
 
-// Recv implements Conn. Once the peer has closed, what it sent before is
-// still delivered.
+// Recv implements Conn: a pre-framed message's loan becomes the reader's
+// lease. Once the peer has closed, what it sent before is still delivered.
 func (c *memConn) Recv() (interface{}, error) {
-	if msg, ok := c.in.Pop(c.clock); ok && !c.closed.Load() {
-		return msg, nil
+	c.Release()
+	msg, ok := c.in.Pop(c.clock)
+	if !ok || c.closed.Load() {
+		LoanOf(msg).Release()
+		return nil, c.err()
 	}
-	return nil, c.err()
+	if e, ok := msg.(*Encoded); ok {
+		c.lease, msg = e.loan, e.msg
+	}
+	return msg, nil
 }
 
 func (c *memConn) err() error {
@@ -111,16 +114,15 @@ func (c *memConn) err() error {
 	return fmt.Errorf("transport: peer closed")
 }
 
-// Release and Hold implement Conn: messages cross as Go values, so nothing
-// is leased.
-func (c *memConn) Release()    {}
-func (c *memConn) Hold() *Loan { return nil }
-
 // Close implements Conn: both directions close, waking both ends.
+// What this end was sent and will not receive gives its loans back.
 func (c *memConn) Close() error {
 	c.closed.Store(true)
 	c.in.Close()
 	c.out.Close()
+	for msg, ok := c.in.Pop(nil); ok; msg, ok = c.in.Pop(nil) {
+		LoanOf(msg).Release()
+	}
 	return nil
 }
 
@@ -219,9 +221,7 @@ type tcpConn struct {
 	c net.Conn
 	// sendMu serializes writers: frames must not interleave.
 	sendMu sync.Mutex
-	// lease is the pooled buffer behind the last received message, if any.
-	// Only the reading goroutine touches it.
-	lease *Loan
+	lessee
 }
 
 // rxPools recycles the payload buffers of large device-link frames, one
@@ -261,26 +261,31 @@ func PoisonReleasedForTest() { poisonReleased.Store(true) }
 
 var poisonReleased atomic.Bool
 
+// lessee holds the lease behind the last message its conn received, if any,
+// and implements Conn's Release and Hold. Only the reading goroutine
+// touches it.
+type lessee struct{ lease *Loan }
+
 // Release implements Conn.
-func (t *tcpConn) Release() {
-	t.lease.Release()
-	t.lease = nil
+func (h *lessee) Release() {
+	h.lease.Release()
+	h.lease = nil
 }
 
 // Hold implements Conn.
-func (t *tcpConn) Hold() (l *Loan) {
-	l, t.lease = t.lease, nil
+func (h *lessee) Hold() (l *Loan) {
+	l, h.lease = h.lease, nil
 	return l
 }
 
 // Loan is a buffer from rxPools shared by reference count: its owner's
-// reference, one for each TCP Send that writes it and one for each send
-// queued for later; the last Release puts it back. A send over MemNetwork
-// forfeits it: the receiver keeps the Go value, so the buffer goes to the
-// GC. A nil *Loan is no loan; Acquire and Release do nothing on it.
+// reference, one for each TCP Send that writes it, one for each send queued
+// for later and one for each in-memory reader that has yet to end its
+// lease; the last Release puts it back. A nil *Loan is no loan; Acquire and
+// Release do nothing on it.
 type Loan struct {
 	p      *[]byte
-	pooled atomic.Bool
+	pooled bool
 	refs   atomic.Int32
 }
 
@@ -303,8 +308,7 @@ func NewLoan(n int) *Loan {
 	} else {
 		obsRxBufReused.Inc()
 	}
-	*l.p = (*l.p)[:n]
-	l.pooled.Store(true)
+	*l.p, l.pooled = (*l.p)[:n], true
 	return l
 }
 
@@ -334,7 +338,7 @@ func (l *Loan) Release() {
 		panic("transport: Release of a loan already returned")
 	case refs == 0:
 		obsLoans.Add(-1)
-		if b := (*l.p)[:cap(*l.p)]; l.pooled.Load() {
+		if b := (*l.p)[:cap(*l.p)]; l.pooled {
 			if poisonReleased.Load() {
 				for i := range b {
 					b[i] = 0xDB
@@ -349,7 +353,8 @@ func (l *Loan) Release() {
 // (one round's CheckinResponse to every device of a runtime version): a TCP
 // conn marshals it on first send, into immutable segments aliasing its byte
 // fields that every later send reuses; the in-memory transport delivers the
-// original. One Encoded may be sent concurrently over any number of conns.
+// original, lending its reader the loan behind it. One Encoded may be sent
+// concurrently over any number of conns.
 type Encoded struct {
 	msg  interface{}
 	loan *Loan
