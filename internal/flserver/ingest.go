@@ -131,6 +131,7 @@ func (r reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buf
 	msg, err := conn.Recv()
 	req, ok := msg.(protocol.ReportRequest)
 	if err != nil || !ok {
+		conn.Release() // Close never ends a lease: a refused leased frame would pin its buffer
 		_ = conn.Close()
 		obsDevicesLost.Inc()
 		_ = r.self.Send(msgReportDone{DeviceID: deviceID})

@@ -120,6 +120,7 @@ func (r *CheckinRouter) Serve(l transport.Listener) {
 func (r *CheckinRouter) handleConn(conn transport.Conn) {
 	silent := r.clock.AfterFunc(abortGrace, func() { _ = conn.Close() })
 	msg, err := conn.Recv()
+	conn.Release() // a CheckinRequest owns its bytes; a leased frame of another code is refused
 	if !silent.Stop() || err != nil {
 		// Nothing decodable arrived in time; there is no peer to steer.
 		_ = conn.Close()

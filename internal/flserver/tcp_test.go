@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pacing"
 	"repro/internal/plan"
+	"repro/internal/protocol"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -128,5 +129,70 @@ func waitDone(t *testing.T, srv *Server, timeout time.Duration) {
 	case <-time.After(timeout):
 		st, err := srv.Stats()
 		t.Fatalf("server did not finish: %+v (stats err: %v)", st, err)
+	}
+}
+
+// TestRefusedLeasedFramesEndTheirLease: a leased frame the server did not
+// expect is refused without pinning its receive buffer — a 4 KiB
+// ReportRequest as a connection's first frame, and a 2 KiB
+// CheckinResponse-coded frame where a configured device's report belongs.
+// Close never ends a lease, so only the refusing reader can: once the server
+// has closed the connection and shut down, the loans gauge is back where it
+// stood before the server started.
+func TestRefusedLeasedFramesEndTheirLease(t *testing.T) {
+	loans := metrics.Default.Gauge("fl_net_buf_loans")
+	for name, configured := range map[string]bool{"first frame": false, "report": true} {
+		t.Run(name, func(t *testing.T) {
+			before := loans.Value()
+			srv, err := New(Config{Population: "pop", Plans: []*plan.Plan{testPlan(t, 1, false)},
+				Store: storage.NewMem(), Steering: pacing.New(time.Second), Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := transport.ListenTCP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(l)
+			var conn transport.Conn
+			for deadline := time.Now().Add(10 * time.Second); conn == nil; {
+				if conn, err = transport.DialTCP(l.Addr()); err != nil {
+					t.Fatal(err)
+				}
+				if !configured {
+					break
+				}
+				_ = conn.Send(protocol.CheckinRequest{DeviceID: "d", Population: "pop", RuntimeVersion: 3})
+				msg, err := conn.Recv()
+				conn.Release()
+				if resp, ok := msg.(protocol.CheckinResponse); err != nil || !ok || !resp.Accepted {
+					conn.Close()
+					if conn = nil; time.Now().After(deadline) {
+						t.Fatalf("the device was never configured: %T %v", msg, err)
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			}
+			var refused interface{} = protocol.ReportRequest{DeviceID: "d", TaskID: "t", Round: 1, Update: make([]byte, 4<<10)}
+			if configured {
+				refused = protocol.CheckinResponse{Accepted: true, Plan: make([]byte, 2<<10)}
+			}
+			if err := conn.Send(refused); err != nil {
+				t.Fatal(err)
+			}
+			for err == nil { // the server's verdict, if any, then its close
+				_, err = conn.Recv()
+			}
+			conn.Close()
+			defer srv.Close()
+			defer l.Close()
+			// The round, left without a report, ends and returns its
+			// checkpoint's loan; the refused frame's is the reader's to end.
+			for deadline := time.Now().Add(10 * time.Second); loans.Value() != before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%v loans out after the server refused a leased frame, want %v", loans.Value(), before)
+				}
+			}
+		})
 	}
 }

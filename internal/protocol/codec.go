@@ -142,32 +142,31 @@ func Size(msg interface{}) int {
 	return c.Size()
 }
 
-// MarshalBinaryParts encodes one protocol message as byte segments whose
-// concatenation is the MarshalBinary payload. Every non-empty byte field —
-// an Update, a Plan, a Checkpoint, a Sum — is a segment of its own, ALIASED
-// from the message, so a vectored write ships a multi-MB update without
-// copying it into a frame. Callers must not mutate the message's byte
-// fields until the parts have been written. ok is false for any other type.
-func MarshalBinaryParts(msg interface{}) (code byte, parts [][]byte, ok bool) {
-	code, c := encode(msg, true)
-	return code, c.Parts(), code != 0
-}
-
-// MarshalBinary encodes one protocol message into a single contiguous buffer
-// (the concatenation of MarshalBinaryParts). ok is false for any other type.
+// MarshalBinary encodes one protocol message into a single contiguous buffer.
+// ok is false for any other type.
 func MarshalBinary(msg interface{}) (code byte, payload []byte, ok bool) {
-	code, c := encode(msg, false)
-	return code, c.Encoded(), code != 0
+	code, payload, _ = AppendBinary(nil, nil, msg, false)
+	return code, payload, code != 0
 }
 
-// encode sizes msg, then encodes it into one exact-size buffer.
-func encode(msg interface{}, aliased bool) (byte, wire.Codec) {
+// AppendBinary measures msg, then appends its MarshalBinary payload to buf,
+// which grows only when its capacity is short, so a caller that owns buf
+// encodes with no allocation. With aliased, every non-empty byte field — an
+// Update, a Plan, a Checkpoint, a Sum — stays out of buf: the segments of
+// buf's bytes and the payload are appended to parts and returned, each byte
+// field a segment of its own ALIASED from msg, so a vectored write ships a
+// multi-MB update without copying it. msg's byte fields must not change
+// until the segments have been written. code is 0 for a type without one.
+func AppendBinary(buf []byte, parts [][]byte, msg interface{}, aliased bool) (code byte, out []byte, segs [][]byte) {
 	var c wire.Codec
 	if walk(&c, msg) == 0 {
-		return 0, c
+		return 0, buf, parts
 	}
-	c.Encode(aliased)
-	return walk(&c, msg), c
+	c.EncodeAfter(buf, parts, aliased)
+	if code = walk(&c, msg); aliased {
+		parts = c.Parts()
+	}
+	return code, c.Encoded(), parts
 }
 
 // walk runs msg's layout over c and returns its type code, 0 for a type

@@ -215,14 +215,27 @@ const (
 	// one, in an 8 KiB buffer.
 	minLeaseBits = 13
 	minLeased    = 1 << 10
+	// maxWhole is the longest frame, header included, Send writes in one
+	// piece from a pooled scratch buffer: the smallest leased buffer's size.
+	// A longer one aliases its byte fields in a vectored write.
+	maxWhole = 1 << minLeaseBits
+	hdrLen   = 4 + frameOverhead
 )
 
 type tcpConn struct {
 	c net.Conn
-	// sendMu serializes writers: frames must not interleave.
+	// sendMu serializes writers: frames must not interleave. Under it,
+	// slots holds a vectored write's segments.
 	sendMu sync.Mutex
+	slots  net.Buffers
+	// rxHdr is the reader's frame header.
+	rxHdr [hdrLen]byte
 	lessee
 }
+
+// scratch holds the frames Send writes in one piece, and the header and
+// metadata of longer ones. It is not a lease: rxPools' counters do not see it.
+var scratch = sync.Pool{New: func() any { b := make([]byte, maxWhole); return &b }}
 
 // rxPools recycles the payload buffers of large device-link frames, one
 // pool per quarter-octave class (2^k × 1, 1.25, 1.5, 1.75) from
@@ -351,18 +364,18 @@ func (l *Loan) Release() {
 
 // Encoded is a message marshaled at most once for sending to many peers
 // (one round's CheckinResponse to every device of a runtime version): a TCP
-// conn marshals it on first send, into immutable segments aliasing its byte
-// fields that every later send reuses; the in-memory transport delivers the
-// original, lending its reader the loan behind it. One Encoded may be sent
-// concurrently over any number of conns.
+// conn frames it on first send — in one piece up to maxWhole bytes, else in
+// immutable segments aliasing its byte fields — and every later send writes
+// those bytes; the in-memory transport delivers the original, lending its
+// reader the loan behind it. One Encoded may be sent concurrently over any
+// number of conns.
 type Encoded struct {
 	msg  interface{}
 	loan *Loan
 
 	once  sync.Once
-	code  byte
+	whole []byte
 	parts [][]byte
-	size  int
 	err   error
 }
 
@@ -381,68 +394,66 @@ func LoanOf(msg interface{}) *Loan {
 	return nil
 }
 
-// marshaled returns the cached (code, parts, total size), building them on
-// first use.
-func (e *Encoded) marshaled() (byte, [][]byte, int, error) {
+// marshaled returns the cached frame, building it on first use.
+func (e *Encoded) marshaled() ([]byte, [][]byte, error) {
 	e.once.Do(func() {
-		e.code, e.parts, e.size, e.err = marshalFrame(e.msg)
+		e.whole, e.parts, e.err = frame(e.msg, nil, nil)
 	})
-	return e.code, e.parts, e.size, e.err
+	return e.whole, e.parts, e.err
 }
 
-// marshalFrame produces the type code + payload segments for one frame
-// (exact-size metadata buffers with the large update/plan/checkpoint fields
-// aliased, never copied). size is the summed payload length.
-func marshalFrame(msg interface{}) (byte, [][]byte, int, error) {
-	code, parts, ok := protocol.MarshalBinaryParts(msg)
-	if !ok {
-		return 0, nil, 0, fmt.Errorf("transport: %T has no wire codec", msg)
-	}
-	size := 0
-	for _, p := range parts {
-		size += len(p)
+// frame encodes msg as one frame, header included, after buf[:0]: whole in
+// buf when it is at most maxWhole bytes (parts empty), else as segments
+// appended to parts[:0] — the header and metadata in buf, every non-empty
+// byte field aliased, never copied.
+func frame(msg interface{}, buf []byte, parts [][]byte) ([]byte, [][]byte, error) {
+	size := protocol.Size(msg)
+	code, buf, parts := protocol.AppendBinary(append(buf[:0], make([]byte, hdrLen)...), parts[:0], msg, hdrLen+size > maxWhole)
+	if code == 0 {
+		return nil, parts, fmt.Errorf("transport: %T has no wire codec", msg)
 	}
 	if row, _ := protocol.Lookup(code); frameOverhead+size > row.Ceiling {
-		return 0, nil, 0, fmt.Errorf("transport: %s of %d bytes exceeds its frame ceiling", row.Name, size)
+		return nil, parts, fmt.Errorf("transport: %s of %d bytes exceeds its frame ceiling", row.Name, size)
 	}
-	return code, parts, size, nil
+	binary.BigEndian.PutUint32(buf, uint32(frameOverhead+size))
+	buf[4], buf[5] = wireVersion, code
+	return buf, parts, nil
 }
 
-// Send implements Conn. Every message goes out as a single vectored write
-// (header + payload segments, no intermediate buffer): a multi-MB device
-// update or plan+checkpoint payload is written straight from the caller's
-// buffer, never copied into a frame. An Encoded message reuses its cached
-// segments instead of re-marshaling.
+// Send implements Conn. A frame of at most maxWhole bytes goes out in one
+// write(2), from a pooled scratch buffer; a longer one — a multi-MB device
+// update or plan+checkpoint — in one vectored write straight from the
+// caller's buffers, never copied into a frame. An Encoded message writes its
+// cached frame instead of re-marshaling.
 func (t *tcpConn) Send(msg interface{}) error {
-	var code byte
-	var parts [][]byte
-	var size int
+	var whole []byte
 	var err error
+	t.sendMu.Lock()
+	defer t.sendMu.Unlock()
 	if e, ok := msg.(*Encoded); ok {
 		e.loan.Acquire()
 		defer e.loan.Release()
-		code, parts, size, err = e.marshaled()
+		var parts [][]byte
+		whole, parts, err = e.marshaled()
+		t.slots = append(t.slots[:0], parts...) // WriteTo clears what it consumes
 	} else {
-		code, parts, size, err = marshalFrame(msg)
+		b := scratch.Get().(*[]byte)
+		defer scratch.Put(b)
+		whole, t.slots, err = frame(msg, *b, t.slots)
 	}
-	if err != nil {
-		return err
+	var wrote int64
+	switch {
+	case err != nil:
+	case len(t.slots) == 0:
+		var n int
+		n, err = t.c.Write(whole)
+		wrote = int64(n)
+	default:
+		segs := t.slots // WriteTo consumes the slice it is called on
+		wrote, err = t.slots.WriteTo(t.c)
+		t.slots = segs
 	}
-	var hdr [4 + frameOverhead]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(frameOverhead+size))
-	hdr[4] = wireVersion
-	hdr[5] = code
-
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	bufs := make(net.Buffers, 0, 1+len(parts))
-	bufs = append(bufs, hdr[:])
-	for _, p := range parts {
-		if len(p) > 0 {
-			bufs = append(bufs, p)
-		}
-	}
-	wrote, err := bufs.WriteTo(t.c)
+	clear(t.slots) // segments a write did not consume would pin their buffers
 	obsTxBytes.Add(wrote)
 	return err
 }
@@ -450,8 +461,8 @@ func (t *tcpConn) Send(msg interface{}) error {
 // Recv implements Conn.
 func (t *tcpConn) Recv() (interface{}, error) {
 	t.Release()
-	var hdr [4 + frameOverhead]byte
-	if _, err := io.ReadFull(t.c, hdr[:]); err != nil {
+	hdr := t.rxHdr[:]
+	if _, err := io.ReadFull(t.c, hdr); err != nil {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:4]))

@@ -54,20 +54,26 @@ func Encoder() Codec { return Codec{pass: encoding} }
 // Encode ends a sizing pass: the next walk encodes into one buffer of the
 // size measured — contiguous (Encoded), or with aliased set every byte field
 // a segment of its own that aliases the walked value's bytes (Parts).
-func (c *Codec) Encode(aliased bool) {
-	if aliased {
-		*c = Codec{pass: segmenting, buf: make([]byte, 0, c.n), parts: make([][]byte, 0, 2*c.segs+1)}
-	} else {
-		c.EncodeInto(nil)
-	}
-}
+func (c *Codec) Encode(aliased bool) { c.EncodeAfter(nil, nil, aliased) }
 
 // EncodeInto is Encode(false) into get(Size()), or a fresh buffer if nil.
 func (c *Codec) EncodeInto(get func(n int) []byte) {
-	if get == nil {
-		get = func(n int) []byte { return make([]byte, 0, n) }
+	var buf []byte
+	if get != nil {
+		buf = get(c.Size())[:0]
 	}
-	*c = Codec{pass: encoding, buf: get(c.Size())[:0]}
+	c.EncodeAfter(buf, nil, false)
+}
+
+// EncodeAfter is Encode appending to buf and, segmenting, to parts, each
+// grown only when its capacity is short, so a caller that keeps them encodes
+// without allocating. buf's own bytes lead the encoding and its first part.
+func (c *Codec) EncodeAfter(buf []byte, parts [][]byte, aliased bool) {
+	if aliased {
+		*c = Codec{pass: segmenting, buf: slices.Grow(buf, c.n), parts: slices.Grow(parts, 2*c.segs+1)}
+	} else {
+		*c = Codec{pass: encoding, buf: slices.Grow(buf, c.Size())}
+	}
 }
 
 // Size returns the length of the encoding a sizing pass has measured.
