@@ -83,6 +83,10 @@ type Behavior interface {
 	Receive(ctx *Context, msg Message)
 }
 
+// Stopper is a Behavior whose OnStop runs on its goroutine after its last
+// Receive, however it stopped; Shutdown waits for it.
+type Stopper interface{ OnStop(ctx *Context) }
+
 // BehaviorFunc adapts a function to the Behavior interface.
 type BehaviorFunc func(ctx *Context, msg Message)
 
@@ -224,6 +228,9 @@ func (s *System) Spawn(name string, b Behavior) Ref {
 	s.mu.Unlock()
 	s.clock.Go(func() {
 		defer s.wg.Done()
+		if st, ok := b.(Stopper); ok {
+			defer st.OnStop(ctx)
+		}
 		for {
 			msg, ok := r.mailbox.Pop(s.clock)
 			if !ok || r.Stopped() {

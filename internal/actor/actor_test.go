@@ -171,6 +171,65 @@ func TestPanicIsolation(t *testing.T) {
 	s.Shutdown(healthy)
 }
 
+// lastStep is a Stopper that counts its Receives, stopping itself on "stop"
+// and panicking on "boom", and records how many it had seen when OnStop ran.
+type lastStep struct {
+	received, atStop atomic.Int32
+	stopped          chan struct{}
+}
+
+func (l *lastStep) Receive(ctx *Context, msg Message) {
+	l.received.Add(1)
+	switch msg {
+	case "stop":
+		ctx.Stop()
+	case "boom":
+		panic(msg)
+	}
+}
+
+func (l *lastStep) OnStop(*Context) { l.atStop.Store(l.received.Load()); close(l.stopped) }
+
+// TestStopperRunsLast: OnStop runs once, after the last Receive, whether the
+// actor was stopped, panicked or was shut down — and Shutdown returns only
+// after it ran.
+func TestStopperRunsLast(t *testing.T) {
+	s := NewSystem()
+	spawn := func(name string) (*lastStep, Ref) {
+		l := &lastStep{stopped: make(chan struct{})}
+		ref := s.Spawn(name, l)
+		_ = ref.Send(1)
+		return l, ref
+	}
+	await := func(what string, l *lastStep, want int32) {
+		t.Helper()
+		select {
+		case <-l.stopped:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: OnStop never ran", what)
+		}
+		if got := l.atStop.Load(); got != want {
+			t.Fatalf("%s: OnStop ran after %d Receives, want %d", what, got, want)
+		}
+	}
+	stopped, ref := spawn("stopped")
+	_ = ref.Send("stop")
+	await("Stop", stopped, 2)
+	panicked, ref := spawn("panicked")
+	_ = ref.Send("boom")
+	await("panic", panicked, 2)
+	shut, _ := spawn("shut")
+	for shut.received.Load() == 0 {
+		runtime.Gosched()
+	}
+	s.Shutdown()
+	select {
+	case <-shut.stopped:
+	default:
+		t.Fatal("Shutdown returned before the actor's OnStop ran")
+	}
+}
+
 func TestContextSpawnAndStop(t *testing.T) {
 	s := NewSystem()
 	childMsgs := make(chan Message, 1)

@@ -226,9 +226,11 @@ func (c *faultConn) Recv() (interface{}, error) {
 	}
 }
 
-// Release and Hold implement transport.Conn: the lease is the inner link's.
-func (c *faultConn) Release()              { c.inner.Release() }
-func (c *faultConn) Hold() *transport.Loan { return c.inner.Hold() }
+// Release, Hold and Expire implement transport.Conn: the lease and the
+// deadline are the inner link's.
+func (c *faultConn) Release()               { c.inner.Release() }
+func (c *faultConn) Hold() *transport.Loan  { return c.inner.Hold() }
+func (c *faultConn) Expire(d time.Duration) { c.inner.Expire(d) }
 
 // Close implements transport.Conn.
 func (c *faultConn) Close() error {

@@ -83,7 +83,7 @@ func TestAggregatorRejectsBadUpdates(t *testing.T) {
 		}
 		_ = dev.Send(protocol.ReportRequest{DeviceID: "a", TaskID: "pop/train", Round: 1, Update: update})
 		self := inbox(make(chan actor.Message, 1))
-		reportReader{self: self, clock: actor.Wall, taskID: "pop/train", round: 1, dim: 2, secure: true}.read("a", srv, buf)
+		(&reportReader{self: self, taskID: "pop/train", round: 1, dim: 2, secure: true}).read("a", srv, buf)
 		if r := (<-self).(msgReportDone); r.OK {
 			t.Fatalf("bad update accepted: %+v", r)
 		}

@@ -30,6 +30,7 @@ type watchedClock struct {
 
 type watchedTimer struct {
 	actor.Timer
+	resets         atomic.Int32
 	d              time.Duration
 	at             time.Time // deadline
 	fired, stopped atomic.Bool
@@ -52,6 +53,20 @@ func (c *watchedClock) AfterFunc(d time.Duration, f func()) actor.Timer {
 func (t *watchedTimer) Stop() bool {
 	t.stopped.Store(true)
 	return t.Timer.Stop()
+}
+
+// Reset re-arms the timer, counted: it is still one timer in the record,
+// whose d and deadline stay those of its first arming.
+func (t *watchedTimer) Reset(d time.Duration) bool {
+	t.resets.Add(1)
+	return t.Timer.Reset(d)
+}
+
+// count is how many timers have been armed so far; a Reset arms none.
+func (c *watchedClock) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.timers)
 }
 
 // of returns the timers armed so far with duration d, in arming order.

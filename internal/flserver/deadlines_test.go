@@ -2,12 +2,15 @@ package flserver
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
+	"repro/internal/metrics"
+	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/remote"
@@ -212,5 +215,149 @@ func TestSilentCheckinsAreClosed(t *testing.T) {
 	clock.Advance(time.Nanosecond)
 	if err := clock.Run(0, func() bool { return closed() == n && returned.Load() == n }); err != nil {
 		t.Fatalf("at abortGrace %d of %d silent connections closed, %d handlers returned: %v", closed(), n, returned.Load(), err)
+	}
+}
+
+// deviceSession runs one device over conn through check-in, configuration
+// and an accepted report of p's round 1, and then expects the server to
+// close the connection.
+func deviceSession(conn transport.Conn, p *plan.Plan, id string) error {
+	defer conn.Close()
+	if err := conn.Send(protocol.CheckinRequest{DeviceID: id, Population: "pop", RuntimeVersion: 3}); err != nil {
+		return err
+	}
+	msg, err := conn.Recv()
+	conn.Release()
+	if resp, ok := msg.(protocol.CheckinResponse); err != nil || !ok || !resp.Accepted {
+		return fmt.Errorf("check-in answered %T %+v (%v)", msg, msg, err)
+	}
+	update, err := (&checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Weight: 1, Params: make(tensor.Vector, 4)}).Marshal(checkpoint.EncodingFloat64)
+	if err == nil {
+		err = conn.Send(protocol.ReportRequest{DeviceID: id, TaskID: p.ID, Round: 1, Update: update})
+	}
+	if err != nil {
+		return err
+	}
+	if msg, err = conn.Recv(); err != nil || msg != (protocol.ReportResponse{Accepted: true}) {
+		return fmt.Errorf("report answered %T %+v (%v)", msg, msg, err)
+	}
+	if _, err := conn.Recv(); err == nil {
+		return errors.New("the server left the connection open")
+	}
+	return nil
+}
+
+// TestDeviceSessionArmsNoTimer is the exact count behind the one deadline
+// per connection: a device session that checks in, is configured and
+// reports — its every phase bounded — arms no timer on the tier's clock over
+// TCP, where each bound is the socket's deadline (the handshake's and the
+// verdict's were two timers), and exactly one over MemNetwork, the conn's
+// own, re-armed from phase to phase.
+func TestDeviceSessionArmsNoTimer(t *testing.T) {
+	for name, want := range map[string]int{"tcp": 0, "mem": 1} {
+		t.Run(name, func(t *testing.T) {
+			clock := newWatchedClock()
+			sys := actor.NewSystem(clock)
+			defer sys.Shutdown()
+			tier := NewDeviceTier(sys, "", 1, nil, pacing.New(time.Minute), 1)
+			edge, err := tier.Register(SelectorPopulation{Name: "pop"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var l transport.Listener
+			var dial func() (transport.Conn, error)
+			mem := transport.NewMemNetwork(clock)
+			if name == "tcp" {
+				l, err = transport.ListenTCP("127.0.0.1:0")
+				dial = func() (transport.Conn, error) { return transport.DialTCP(l.Addr()) }
+			} else {
+				l, err = mem.Listen("fl")
+				dial = func() (transport.Conn, error) { return mem.Dial("fl") }
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if name == "tcp" {
+				go tier.Serve(l) // blocked in accept(2), outside the rig
+			} else {
+				clock.Go(func() { tier.Serve(l) })
+			}
+			p := testPlan(t, 2, false) // one report does not seal it
+			if err := edge.Open(&EdgeRoundConfig{
+				Population: "pop", Plan: p, Round: 1, Dim: 4, Target: 2,
+				Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
+			}, inbox(make(chan actor.Message, 1))); err != nil {
+				t.Fatal(err)
+			}
+			clock.armed(t, p.Server.ReportTimeout, 1) // the round's windows
+			before := clock.count()
+			conn, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "tcp" {
+				err = deviceSession(conn, p, "d")
+			} else {
+				done := make(chan error, 1)
+				clock.Go(func() { done <- deviceSession(conn, p, "d") })
+				clock.until(t, "the session", func() bool { return len(done) == 1 })
+				err = <-done
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every server goroutine of the session has returned.
+			if err := clock.Run(0, func() bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			if got := clock.count() - before; got != want {
+				t.Fatalf("a device session armed %d timers on the tier's clock, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestCloseMidRoundReturnsTheLoan: a server closed while its round holds a
+// configured device stops the round's actor before the round seals, and the
+// actor's stop hook releases what the round holds: the device's connection
+// is closed and, once Close returns, the loans gauge reads what it read
+// before the server started — the round's checkpoint went back to its pool.
+func TestCloseMidRoundReturnsTheLoan(t *testing.T) {
+	loans := metrics.Default.Gauge("fl_net_buf_loans")
+	before := loans.Value()
+	p := testPlan(t, 1, false)
+	srv, err := New(Config{Population: "pop", Plans: []*plan.Plan{p}, Store: storage.NewMem(), Steering: pacing.New(time.Second), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go srv.Serve(l)
+	var conn transport.Conn
+	for deadline := time.Now().Add(10 * time.Second); conn == nil; time.Sleep(10 * time.Millisecond) {
+		if conn, err = transport.DialTCP(l.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.Send(protocol.CheckinRequest{DeviceID: "d", Population: "pop", RuntimeVersion: 3})
+		msg, err := conn.Recv()
+		conn.Release()
+		if resp, ok := msg.(protocol.CheckinResponse); err != nil || !ok || !resp.Accepted {
+			conn.Close()
+			if conn = nil; time.Now().After(deadline) {
+				t.Fatalf("the device was never configured: %T %v", msg, err)
+			}
+		}
+	}
+	defer conn.Close()
+	srv.Close()
+	if got := loans.Value(); got != before {
+		t.Fatalf("%v loans out once Close returned mid-round, want %v", got, before)
+	}
+	if _, err := conn.Recv(); err == nil {
+		t.Fatal("the stopped round left its device's connection open")
 	}
 }

@@ -162,7 +162,7 @@ type EdgeRound struct {
 	assigned  [][]string
 	partials  []msgGroupResult
 
-	reader    reportReader
+	reader    *reportReader // shared by the device goroutines, never written
 	resps     map[int]*versionResp
 	devices   map[string]*edgeDev
 	completed int
@@ -180,7 +180,8 @@ type EdgeRound struct {
 	out roundOutbox
 	// timers are the armed selection and report windows, stopped at release
 	// so a settled round's mailbox is not pinned until they would have fired.
-	timers []actor.Timer
+	timers  []actor.Timer
+	configs sync.WaitGroup // the configuration sends in flight
 
 	// startAt anchors the report-window span; the first device batch closes
 	// the check-in span (round start → the Selectors delivering) and opens
@@ -259,7 +260,7 @@ func newEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal
 		ship:      ship,
 		owed:      cfg.Admit,
 		resps:     make(map[int]*versionResp),
-		devices:   make(map[string]*edgeDev),
+		devices:   make(map[string]*edgeDev, cfg.Admit),
 	}
 }
 
@@ -357,9 +358,8 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 		er.ingest = newRoundIngest(er.cfg.Dim, er.cfg.Spares)
 	}
 
-	er.reader = reportReader{
+	er.reader = &reportReader{
 		self:     ctx.Self,
-		clock:    ctx.System.Clock(),
 		taskID:   er.cfg.Plan.ID,
 		round:    er.cfg.Round,
 		dim:      er.cfg.Dim,
@@ -448,7 +448,7 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 		replace++
 		sendThenClose(ctx.System.Clock(), conn, protocol.CheckinResponse{Accepted: false, Reason: reason})
 	}
-	self, reader := ctx.Self, er.reader
+	self, reader, configured := ctx.Self, er.reader, er.cfg.Plan.Server.ParticipationCap+abortGrace
 	for _, d := range m.Devices {
 		if _, dup := er.devices[d.ID]; dup {
 			// Already configured; it completed — or lost its connection —
@@ -484,9 +484,12 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 		er.devices[d.ID] = &edgeDev{conn: d.Conn}
 		loan := transport.LoanOf(vr.enc)
 		loan.Acquire()
+		er.configs.Add(1)
 		ctx.System.Clock().Go(func() {
+			d.Conn.Expire(configured) // the send and the report's read: the cap the device is told, plus grace
 			err := d.Conn.Send(vr.enc)
 			loan.Release()
+			er.configs.Done()
 			er.configEnd.Store(time.Now().UnixNano())
 			if err != nil {
 				// A failed Configuration send means a dead peer: release
@@ -709,14 +712,28 @@ func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
 // by onDevices' sealed branch — a device connection must never be dropped
 // unanswered with the mailbox.
 func (er *EdgeRound) release(ctx *actor.Context) {
-	er.ingest, er.reader, er.resps, er.devices = nil, reportReader{}, nil, nil
+	er.ingest, er.reader, er.resps, er.devices = nil, nil, nil, nil
 	er.aggs, er.bufs, er.assigned, er.partials = nil, nil, nil, nil
 	er.cfg.Loan.Release()
 	er.cfg.Global, er.cfg.Checkpoint, er.cfg.Loan = nil, nil, nil
 	for _, t := range er.timers {
 		t.Stop()
 	}
-	ctx.System.Clock().AfterFunc(edgeRoundLinger, ctx.Self.Stop)
+	if !ctx.Self.Stopped() {
+		ctx.System.Clock().AfterFunc(edgeRoundLinger, ctx.Self.Stop)
+	}
+}
+
+// OnStop implements actor.Stopper: a round stopped before it released closes
+// its devices' connections, waits out its configuration sends and releases.
+func (er *EdgeRound) OnStop(ctx *actor.Context) {
+	if er.devices != nil {
+		for _, d := range er.devices {
+			_ = d.conn.Close()
+		}
+		er.configs.Wait()
+		er.release(ctx)
+	}
 }
 
 // startEdgeRound spawns an edge round on sys under the given actor name and

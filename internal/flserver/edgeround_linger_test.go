@@ -61,7 +61,7 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 	// round's state is safe to read: a lingering round must hold nothing
 	// model-sized — at tens of rounds a second, 2s of linger is hundreds of
 	// live rounds.
-	if er.ingest != nil || er.resps != nil || er.devices != nil || er.reader.ingest != nil ||
+	if er.ingest != nil || er.resps != nil || er.devices != nil || er.reader != nil ||
 		er.cfg.Global != nil || er.cfg.Checkpoint != nil {
 		t.Fatalf("lingering round retains round state: %+v", er)
 	}

@@ -66,20 +66,15 @@ func sendThenClose(clock actor.Clock, conn transport.Conn, msg interface{}) {
 	clock.Go(func() {
 		respGate.Push(struct{}{}, clock)
 		defer respGate.Pop(clock)
-		sendWithGrace(clock, conn, msg)
+		sendWithGrace(conn, msg)
 	})
 }
 
-// sendWithGrace attempts one send, bounded by abortGrace, then closes the
-// conn regardless — the Close is also what unblocks the Send if the peer
-// checked in and then never drained its socket (Conn has no write
-// deadline). This runs once per report on the hot path: the timer is
-// stopped as soon as the (typical, microsecond) send completes, rather than
-// leaving K live timers per round to expire on their own.
-func sendWithGrace(clock actor.Clock, conn transport.Conn, msg interface{}) {
-	grace := clock.AfterFunc(abortGrace, func() { _ = conn.Close() })
+// sendWithGrace attempts one send, bounded by abortGrace on the conn's
+// deadline, then closes the conn regardless.
+func sendWithGrace(conn transport.Conn, msg interface{}) {
+	conn.Expire(abortGrace)
 	_ = conn.Send(msg)
-	grace.Stop()
 	_ = conn.Close()
 }
 
@@ -94,7 +89,6 @@ const abortGrace = 5 * time.Second
 // or decodes into a spare vector its group's retention buffer keeps.
 type reportReader struct {
 	self   actor.Ref
-	clock  actor.Clock
 	taskID string // a report must name the task and round its session was configured for
 	round  int64
 	dim    int
@@ -127,7 +121,7 @@ type reportReader struct {
 // req.Update aliases the connection's leased receive buffer: every branch
 // releases it once the bytes are dead — folded, decoded or refused — and
 // before the ack goes out, so it serves another device's frame meanwhile.
-func (r reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buffer) {
+func (r *reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buffer) {
 	msg, err := conn.Recv()
 	req, ok := msg.(protocol.ReportRequest)
 	if err != nil || !ok {
@@ -144,7 +138,7 @@ func (r reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buf
 		conn.Release()
 		obsReportsRejected.Inc()
 		_ = r.self.Send(msgReportDone{DeviceID: deviceID})
-		sendWithGrace(r.clock, conn, protocol.ReportResponse{Accepted: false, Reason: reason})
+		sendWithGrace(conn, protocol.ReportResponse{Accepted: false, Reason: reason})
 	}
 	// settle maps a fold's outcome to the device's verdict. A fold that lost
 	// the race against the closing of the reporting window (the '#' outcome
@@ -155,13 +149,13 @@ func (r reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buf
 		switch {
 		case errors.Is(err, fedavg.ErrPartialClosed):
 			obsReportsLate.Inc()
-			sendWithGrace(r.clock, conn, protocol.ReportResponse{Accepted: false, Reason: "reporting window closed"})
+			sendWithGrace(conn, protocol.ReportResponse{Accepted: false, Reason: "reporting window closed"})
 		case err != nil:
 			reject(err.Error())
 		default:
 			obsReportsOK.Inc()
 			_ = r.self.Send(msgReportDone{DeviceID: deviceID, OK: true})
-			sendWithGrace(r.clock, conn, protocol.ReportResponse{Accepted: true})
+			sendWithGrace(conn, protocol.ReportResponse{Accepted: true})
 		}
 	}
 	if req.TaskID != r.taskID || req.Round != r.round {

@@ -114,14 +114,14 @@ func (r *CheckinRouter) Serve(l transport.Listener) {
 }
 
 // handleConn reads a connection's first message and hands it to a
-// Selector. A peer gets abortGrace to send it: a timer on the tier's clock
-// closes a connection that stays silent, so it holds no goroutine and no fd
-// past the bound.
+// Selector. A peer gets abortGrace to send it, on the conn's deadline, which
+// stays armed until the Selector or the round re-arms or lifts it: a peer
+// silent or stalled mid-frame holds no goroutine and no fd past the bound.
 func (r *CheckinRouter) handleConn(conn transport.Conn) {
-	silent := r.clock.AfterFunc(abortGrace, func() { _ = conn.Close() })
+	conn.Expire(abortGrace)
 	msg, err := conn.Recv()
 	conn.Release() // a CheckinRequest owns its bytes; a leased frame of another code is refused
-	if !silent.Stop() || err != nil {
+	if err != nil {
 		// Nothing decodable arrived in time; there is no peer to steer.
 		_ = conn.Close()
 		return

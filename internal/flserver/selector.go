@@ -307,12 +307,11 @@ func (s *Selector) reject(p *selPop, conn transport.Conn, reason string, now tim
 // the connection.
 func (s *Selector) rejectConn(conn transport.Conn, reason string, st *pacing.Steering, estimate, demand int, now time.Time) {
 	obsCheckinRejected.Inc()
-	_ = conn.Send(protocol.CheckinResponse{
+	sendWithGrace(conn, protocol.CheckinResponse{
 		Accepted:   false,
 		Reason:     reason,
 		RetryAfter: st.Suggest(estimate, demand, now, s.rng),
 	})
-	_ = conn.Close()
 }
 
 func (s *Selector) onCheckin(m msgCheckin, now time.Time) {
@@ -352,6 +351,7 @@ func (s *Selector) poolCheckin(p *selPop, d heldDevice, now time.Time) {
 		return
 	}
 	p.poolSeen++
+	d.Conn.Expire(0) // expirePools, not a deadline, bounds a pooled connection
 	switch n := len(p.pool); {
 	case n < p.demand:
 		p.pool = append(p.pool, d)

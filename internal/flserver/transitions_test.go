@@ -101,7 +101,7 @@ func serverTakes(phase protocol.Phase, msg interface{}) bool {
 		_, ok := (<-self).(msgCheckin)
 		return ok
 	}
-	reportReader{self: self, clock: actor.Wall, dim: 4}.read("d", srv, nil)
+	(&reportReader{self: self, dim: 4}).read("d", srv, nil)
 	_, err := dev.Recv()
 	return err == nil
 }

@@ -29,9 +29,12 @@ type Clock interface {
 	park(n int)
 }
 
-// Timer is an armed timer. Stop disarms it and reports whether it did so
-// before the timer fired.
-type Timer interface{ Stop() bool }
+// Timer is an armed timer. Stop disarms it and Reset re-arms it for d from
+// now; each reports whether the timer was armed, not yet fired.
+type Timer interface {
+	Stop() bool
+	Reset(d time.Duration) bool
+}
 
 // Wall is package time; it counts nothing.
 var Wall Clock = wall{}
@@ -121,11 +124,8 @@ func (v *Virtual) Now() time.Time {
 
 // AfterFunc implements Clock. A negative delay is treated as zero.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.armed++
-	e := &event{v: v, at: v.now.Add(max(d, 0)), seq: v.armed, fn: f}
-	heap.Push(&v.queue, e)
+	e := &event{v: v, i: -1, fn: f}
+	e.Reset(d)
 	return e
 }
 
@@ -138,6 +138,17 @@ func (e *event) Stop() bool {
 	}
 	heap.Remove(&e.v.queue, e.i)
 	return true
+}
+
+// Reset implements Timer: armed anew, behind the timers due at its instant.
+func (e *event) Reset(d time.Duration) bool {
+	armed, v := e.Stop(), e.v
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.armed++
+	e.at, e.seq = v.now.Add(max(d, 0)), v.armed
+	heap.Push(&v.queue, e)
+	return armed
 }
 
 // Advance moves the clock forward by d, firing every timer that comes due

@@ -109,6 +109,31 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestReset: a reset timer fires once, at its new instant and behind the
+// timers already due then; a fired or stopped one is armed again.
+func TestReset(t *testing.T) {
+	c := New(t0)
+	var got []string
+	a := c.AfterFunc(time.Second, func() { got = append(got, fmt.Sprint("a@", c.Now().Sub(t0))) })
+	c.AfterFunc(3*time.Second, func() { got = append(got, "b@3s") })
+	if !a.Reset(3 * time.Second) {
+		t.Fatal("Reset of an armed timer must report true")
+	}
+	c.Advance(5 * time.Second)
+	if want := "[b@3s a@3s]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s: once, at its new instant, behind the timer already due", got, want)
+	}
+	if a.Reset(time.Second) {
+		t.Fatal("Reset of a fired timer must report false")
+	}
+	if a.Stop(); a.Reset(2*time.Second) || c.Advance(time.Second) != 0 || c.Advance(time.Second) != 1 {
+		t.Fatalf("a stopped timer reset for 2s must fire 2s on, once; fired %v", got)
+	}
+	if len(c.queue) != 0 {
+		t.Fatalf("%d timers still queued", len(c.queue))
+	}
+}
+
 func TestConcurrentUse(t *testing.T) {
 	// Arming, stopping, reading and advancing from many goroutines: every
 	// timer left armed fires exactly once, and time never runs backwards.
@@ -155,8 +180,9 @@ func TestWall(t *testing.T) {
 	done := make(chan struct{})
 	Wall.AfterFunc(time.Millisecond, func() { close(done) })
 	<-done
-	if tm := Wall.AfterFunc(time.Hour, func() { t.Error("stopped wall timer fired") }); !tm.Stop() {
-		t.Fatal("Stop on an armed wall timer must report true")
+	tm := Wall.AfterFunc(time.Hour, func() { t.Error("stopped wall timer fired") })
+	if !tm.Reset(2*time.Hour) || !tm.Stop() {
+		t.Fatal("Reset and Stop on an armed wall timer must report true")
 	}
 }
 

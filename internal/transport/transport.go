@@ -16,6 +16,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -52,6 +53,9 @@ type Conn interface {
 	Release()
 	// Hold keeps that lease past the next Recv as a Loan (nil: no lease).
 	Hold() *Loan
+	// Expire bounds the stream's phase: pending and later calls fail once d
+	// has passed. Any goroutine may re-arm the one deadline; d ≤ 0 lifts it.
+	Expire(d time.Duration)
 	// Close tears the stream down; pending Recv calls fail. Any goroutine
 	// may call it, so it never ends a lease: the reader may still be reading.
 	Close() error
@@ -70,6 +74,8 @@ type memConn struct {
 	in, out *simclock.Queue[interface{}]
 	clock   simclock.Clock
 	closed  atomic.Bool
+	mu      sync.Mutex     // guards timer against Close
+	timer   simclock.Timer // the deadline, made at the first Expire
 	lessee
 }
 
@@ -107,6 +113,20 @@ func (c *memConn) Recv() (interface{}, error) {
 	return msg, nil
 }
 
+// Expire implements Conn with one timer on the pipe's clock that closes it.
+func (c *memConn) Expire(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch live := d > 0 && !c.closed.Load(); {
+	case live && c.timer == nil:
+		c.timer = c.clock.AfterFunc(d, func() { _ = c.Close() })
+	case live:
+		c.timer.Reset(d)
+	case c.timer != nil:
+		c.timer.Stop()
+	}
+}
+
 func (c *memConn) err() error {
 	if c.closed.Load() {
 		return fmt.Errorf("transport: connection closed")
@@ -118,6 +138,7 @@ func (c *memConn) err() error {
 // What this end was sent and will not receive gives its loans back.
 func (c *memConn) Close() error {
 	c.closed.Store(true)
+	c.Expire(0)
 	c.in.Close()
 	c.out.Close()
 	for msg, ok := c.in.Pop(nil); ok; msg, ok = c.in.Pop(nil) {
@@ -532,6 +553,15 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 		buf = grown
 	}
 	return buf, nil
+}
+
+// Expire implements Conn with the socket's deadline: no timer of the process.
+func (t *tcpConn) Expire(d time.Duration) {
+	var at time.Time
+	if d > 0 {
+		at = time.Now().Add(d)
+	}
+	_ = t.c.SetDeadline(at)
 }
 
 // Close implements Conn.
