@@ -108,20 +108,22 @@ type PartialAccumulator struct {
 // finally the committed checkpoint's Params (Accumulator.Step) — and a
 // buffer's updates die at its group's reduce, so the edge keeps them for its
 // next round instead of allocating a model-sized vector per stripe or
-// retained report a round. The stock also takes seal sums: a sealed sum
-// that the Coordinator adds rather than adopts goes back to where it came
-// from in AddSealed — an edge's stock, or the one a coordinator process
-// decodes its shards' sums into (UnmarshalSum). A field of its owner, not a
-// sync.Pool, whose GC-driven flushes would make a round's allocation depend
-// on GC timing. It holds at most as many vectors as it has lent and not had
-// back (Put), so it follows demand — one round's stripes, a secure round's
-// K updates — and a giver that never took from it cannot grow it. A nil
+// retained report a round. The adopted vector's loan is repaid by the model
+// it supersedes, once the next commit supersedes that one (Accumulator.Repay),
+// so after two rounds a round's vectors are all recycled. The stock also
+// takes seal sums: a sealed sum that the Coordinator adds rather than adopts
+// goes back to where it came from in AddSealed — an edge's stock, or the one
+// a coordinator process decodes its shards' sums into (UnmarshalSum). A field
+// of its owner, not a sync.Pool, whose GC-driven flushes would make a round's
+// allocation depend on GC timing. Every Take is repaid by exactly one Put,
+// and the stock holds at most as many vectors as it has lent and not had
+// back, so it follows demand — one round's stripes, a secure round's K
+// updates — and a giver that never took from it cannot grow it. A nil
 // *Spares keeps nothing.
 type Spares struct {
 	mu   sync.Mutex
 	free []tensor.Vector
-	// lent counts the vectors Take handed out that neither came back (Put)
-	// nor were adopted for good (AccumulatorFromSeal).
+	// lent counts the vectors Take handed out that are not yet repaid (Put).
 	lent int
 }
 
@@ -167,16 +169,6 @@ func (s *Spares) Put(v tensor.Vector) {
 		s.free = append(s.free, v)
 	}
 	s.mu.Unlock()
-}
-
-// adopted writes off one loan: its vector stays with the accumulator that
-// adopted it and never comes back.
-func (s *Spares) adopted() {
-	if s != nil {
-		s.mu.Lock()
-		s.lent = max(0, s.lent-1)
-		s.mu.Unlock()
-	}
 }
 
 // Accumulate folds one device's weighted update in: fold is called with the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -251,9 +252,10 @@ func TestSparesCarryStripesAcrossRounds(t *testing.T) {
 
 // TestSparesFollowDemand: the stock keeps every vector it lent — a secure
 // round's 128 updates, far past one round's stripes — and nothing more: a
-// giver that never took from it cannot grow it, and a vector adopted for
-// good (the committed checkpoint) is written off, not left as room a
-// foreign vector could fill.
+// giver that never took from it cannot grow it. A vector adopted for good
+// (the committed checkpoint) stays out of the stock with its loan open; the
+// model it supersedes repays that loan, zeroed, whatever stock it came from,
+// and only once; a round that commits nothing repays with its own vector.
 func TestSparesFollowDemand(t *testing.T) {
 	const k, dim = 128, 16
 	var stock Spares
@@ -273,11 +275,56 @@ func TestSparesFollowDemand(t *testing.T) {
 	if len(stock.free) != k || len(idle.free) != 0 {
 		t.Fatalf("givers that never took grew the stocks to %d and %d", len(stock.free), len(idle.free))
 	}
-	if _, err := AccumulatorFromSeal(dim, SealedStripe{Sum: stock.Take(dim), Spares: &stock, Weight: 1, Count: 1}); err != nil {
+	holds := func(x tensor.Vector) bool {
+		return slices.ContainsFunc(stock.free, func(f tensor.Vector) bool { return &f[0] == &x[0] })
+	}
+
+	// A committed round: the adopted vector is the new head, in no stock.
+	superseded := make(tensor.Vector, dim) // the served model: from no stock
+	for i := range superseded {
+		superseded[i] = float64(i) + 0.5
+	}
+	adopted := stock.Take(dim)
+	adopted[3] = 2
+	acc, err := AccumulatorFromSeal(dim, SealedStripe{Sum: adopted, Spares: &stock, Weight: 1, Count: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
+	head, _, err := acc.Step(superseded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &head[0] != &adopted[0] || head[3] != 5.5 {
+		t.Fatalf("the commit is not stepped in the adopted vector: %v", head)
+	}
+	if len(stock.free) != k-1 || holds(head) {
+		t.Fatalf("the committed head went back to the stock (%d held, want %d)", len(stock.free), k-1)
+	}
+	acc.Repay(superseded)
+	if len(stock.free) != k || !holds(superseded) || holds(head) {
+		t.Fatalf("the superseded model did not take the head's place in the stock (%d held)", len(stock.free))
+	}
+	if slices.ContainsFunc(superseded, func(x float64) bool { return x != 0 }) {
+		t.Fatalf("the superseded model went back unzeroed: %v", superseded)
+	}
+	acc.Repay(make(tensor.Vector, dim))
 	stock.Put(make(tensor.Vector, dim))
-	if len(stock.free) != k-1 {
-		t.Fatalf("a foreign vector took the adopted one's place: %d held, want %d", len(stock.free), k-1)
+	if len(stock.free) != k {
+		t.Fatalf("a repaid loan was repaid again, or a giver grew the stock: %d held, want %d", len(stock.free), k)
+	}
+
+	// A round that commits nothing: its own vector goes back.
+	failed := stock.Take(dim)
+	acc, err = AccumulatorFromSeal(dim, SealedStripe{Sum: failed, Spares: &stock, Weight: 1, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc.Repay(nil)
+	if len(stock.free) != k || !holds(failed) {
+		t.Fatalf("a failed round's vector did not go back (%d held)", len(stock.free))
+	}
+	(*Accumulator)(nil).Repay(make(tensor.Vector, dim))
+	if len(stock.free) != k {
+		t.Fatal("a round that adopted nothing repaid a loan")
 	}
 }

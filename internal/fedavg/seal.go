@@ -77,21 +77,39 @@ type Accumulator struct {
 	sum    tensor.Vector
 	weight float64
 	count  int
+	// spares lent the adopted vector; Repay settles the loan.
+	spares *Spares
 }
 
 // AccumulatorFromSeal returns a dim-dimensional accumulator that starts as
 // the sealed stripe s. It adopts s.Sum — the caller hands the vector over —
 // instead of zeroing a fresh one and adding s.Sum into it, the way
 // SealStripes adopts its first stripe. The vector becomes the committed
-// checkpoint (Step) and never goes back to s.Spares, which writes it off; a
+// checkpoint (Step), and its loan from s.Spares stays open until Repay; a
 // refused seal's vector goes back there at once.
 func AccumulatorFromSeal(dim int, s SealedStripe) (*Accumulator, error) {
 	if len(s.Sum) != dim || !ValidWeight(s.Weight) || s.Count <= 0 {
 		s.Spares.Put(s.Sum)
 		return nil, fmt.Errorf("fedavg: sealed dim %d (want %d), weight %v, count %d", len(s.Sum), dim, s.Weight, s.Count)
 	}
-	s.Spares.adopted()
-	return &Accumulator{sum: s.Sum, weight: s.Weight, count: s.Count}, nil
+	return &Accumulator{sum: s.Sum, weight: s.Weight, count: s.Count, spares: s.Spares}, nil
+}
+
+// Repay settles the adopted vector's loan: v goes back to the stock that
+// lent it. A committed round repays with the model its step superseded, once
+// nothing reads that model any more; a round that commits nothing repays
+// with the vector it will not commit — nil for the accumulator's own, or
+// the step's result. Only the first call repays; a nil accumulator owes
+// nothing.
+func (a *Accumulator) Repay(v tensor.Vector) {
+	if a == nil {
+		return
+	}
+	if v == nil {
+		v = a.sum
+	}
+	a.spares.Put(v)
+	a.sum, a.spares = nil, nil
 }
 
 // AddSealed folds a sealed stripe's update sum into the accumulator and

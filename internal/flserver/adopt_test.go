@@ -3,8 +3,8 @@ package flserver
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"runtime"
 	"testing"
 	"time"
 
@@ -27,6 +27,18 @@ func (e *stripeEdge) Finalize(string, int64) error                 { return nil 
 func (e *stripeEdge) Abort(string, int64, string)                  {}
 func (e *stripeEdge) ProbeRates(actor.Ref)                         {}
 
+// heldStore is a storage.Mem that shows which checkpoint it holds as the
+// task's head: the one its last PutCheckpoint was handed.
+type heldStore struct {
+	*storage.Mem
+	head *checkpoint.Checkpoint
+}
+
+func (s *heldStore) PutCheckpoint(c *checkpoint.Checkpoint) error {
+	s.head = c
+	return s.Mem.PutCheckpoint(c)
+}
+
 // TestAdoptedSealDoesNotAliasLiveState: the Coordinator adopts the first
 // seal's sum as the round accumulator and steps it in place: the vector the
 // round folded into is the vector it commits, and nothing is allocated for
@@ -38,15 +50,19 @@ func (e *stripeEdge) ProbeRates(actor.Ref)                         {}
 // Which edge seals first rotates, so the adopted vector comes from either
 // kind of stock. After each seal is merged, what its sender still holds is
 // poisoned — the update wire bytes, the marshaled sum, the drained stripes
-// (through their API, which must refuse) — and after each commit so is the
-// served global. Every committed checkpoint equals the closed form bit for
-// bit, and no stock holds a vector any committed checkpoint's Params sit on.
+// (through their API, which must refuse). Every committed checkpoint equals
+// the closed form bit for bit. After each commit the model it superseded is
+// back, zeroed, in the stock that lent the adopted vector, and no stock holds
+// the live head — which the store and the next round hold. From round 2 on
+// the rounds take only those vectors: the set of vectors in the stocks and
+// the head is the same after every commit, and a giver that never took from
+// a stock cannot add to it.
 func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 	const dim, stripesPerEdge, devicesPerStripe, weight, rounds = 37, 2, 3, 2.0, 4
 	for _, edgesN := range []int{1, 3} {
 		t.Run(fmt.Sprintf("edges-%d", edgesN), func(t *testing.T) {
 			p := testPlan(t, edgesN*stripesPerEdge*devicesPerStripe, false)
-			store := storage.NewMem()
+			store := &heldStore{Mem: storage.NewMem()}
 			global := &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, dim)}
 			for j := range global.Params {
 				global.Params[j] = 0.125 * float64(j-9)
@@ -81,9 +97,11 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 
 			edgeStocks := make([]fedavg.Spares, edgesN)
 			var sums fedavg.Spares // the coordinator process's, for shard sums
-			stocks := []*fedavg.Spares{&sums}
+			// Each stock's steady contents: an edge's stripes, and a shard
+			// sum per edge but the first to seal.
+			stocks, holds := []*fedavg.Spares{&sums}, []int{edgesN - 1}
 			for e := range edgeStocks {
-				stocks = append(stocks, &edgeStocks[e])
+				stocks, holds = append(stocks, &edgeStocks[e]), append(holds, stripesPerEdge)
 			}
 			nan := math.NaN()
 			poison := func(v []byte) {
@@ -92,7 +110,7 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 				}
 			}
 			sameArray := func(a, b tensor.Vector) bool { return &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1] }
-			var committed []tensor.Vector
+			var pool map[*float64]bool // the stocks' vectors and the head, by array
 			for r := 0; r < rounds; r++ {
 				cfgs := make([]*EdgeRoundConfig, edgesN)
 				for e, edge := range edges {
@@ -112,6 +130,7 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 				want := make(tensor.Vector, dim)
 				var totalWeight float64
 				var adopted tensor.Vector
+				var lender *fedavg.Spares
 				for i := range edges {
 					e := (r + i) % edgesN
 					stripes := make([]*fedavg.PartialAccumulator, stripesPerEdge)
@@ -177,7 +196,7 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 						}
 					}
 					if i == 0 {
-						adopted = seal.Sum // handed over: it becomes the checkpoint
+						adopted, lender = seal.Sum, seal.Spares // handed over: it becomes the checkpoint
 					}
 				}
 
@@ -193,11 +212,6 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 				if &adopted[0] != &out.Committed.Params[0] {
 					t.Fatalf("round %d: the adopted seal's vector is not the committed checkpoint's: the commit allocated", r+1)
 				}
-				for _, c := range cfgs {
-					for j := range c.Global.Params {
-						c.Global.Params[j] = nan
-					}
-				}
 				if out.Committed.Round != int64(r+1) || out.Committed.Weight != totalWeight || out.Completed != int(totalWeight/weight) {
 					t.Fatalf("committed round %d weight %v completed %d", out.Committed.Round, out.Committed.Weight, out.Completed)
 				}
@@ -207,23 +221,41 @@ func TestAdoptedSealDoesNotAliasLiveState(t *testing.T) {
 						t.Fatalf("round %d param %d: committed %v, closed form %v", r+1, j, got, w)
 					}
 				}
-				committed = append(committed, out.Committed.Params)
+				head := out.Committed.Params
+				if store.head != out.Committed {
+					t.Fatalf("round %d: the store holds round %d, not the commit", r+1, store.head.Round)
+				}
 
-				// Empty every stock, check what it held, and put it back.
+				// Empty every stock, check what it held, put it back, and try
+				// to slip it a vector it never lent.
+				next := map[*float64]bool{&head[0]: true}
 				for k, stock := range stocks {
-					held := make([]tensor.Vector, runtime.GOMAXPROCS(0))
+					held := make([]tensor.Vector, holds[k])
 					for h := range held {
-						held[h], _, _, _, _ = stock.NewPartial(dim).Drain()
-						for c, params := range committed {
-							if sameArray(held[h], params) {
-								t.Fatalf("after round %d stock %d holds round %d's committed Params", r+1, k, c+1)
+						held[h] = stock.Take(dim)
+						if sameArray(held[h], head) {
+							t.Fatalf("after round %d stock %d holds the live head", r+1, k)
+						}
+						if sameArray(held[h], cfgs[0].Global.Params) != (h == 0 && stock == lender) {
+							t.Fatalf("after round %d stock %d vector %d: superseded model %v, want it on top of the adopted vector's stock only",
+								r+1, k, h, sameArray(held[h], cfgs[0].Global.Params))
+						}
+						for j, x := range held[h] {
+							if math.Float64bits(x) != 0 {
+								t.Fatalf("after round %d stock %d vector %d holds [%d]=%v", r+1, k, h, j, x)
 							}
 						}
+						next[&held[h][0]] = true
 					}
 					for _, v := range held {
 						stock.Put(v)
 					}
+					stock.Put(make(tensor.Vector, dim))
 				}
+				if r > 0 && !maps.Equal(next, pool) {
+					t.Fatalf("round %d took a vector from outside the stocks, or a stock kept one it never lent", r+1)
+				}
+				pool = next
 			}
 		})
 	}

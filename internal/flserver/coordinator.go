@@ -107,7 +107,8 @@ type CoordinatorParams struct {
 	MaxRounds int
 	Done      chan struct{}
 	// onOutcome, when set, observes every settled round (benchmarks and
-	// tests; same-package injection).
+	// tests; same-package injection). Committed's Params are recycled once
+	// the task's next commit supersedes it: a hook that keeps them clones.
 	onOutcome func(roundOutcome)
 }
 
@@ -601,6 +602,7 @@ func (c *Coordinator) finish(ctx *actor.Context) {
 	if err != nil {
 		out.FailReason = err.Error()
 		c.noteFailed(p.ID)
+		cur.acc.Repay(nil) // the round's vector goes back unless commit repaid it
 	} else {
 		out.Committed = newGlobal
 		// Only train rounds advance a checkpoint lineage. A committed eval
@@ -609,6 +611,12 @@ func (c *Coordinator) finish(ctx *actor.Context) {
 		// eval rounds on a stale model.
 		if !cur.evalOnly {
 			c.global[p.ID] = newGlobal
+			// The store has let go of the superseded model, and so has every
+			// edge that sealed (DESIGN.md §5 lever 13): it repays the loan of
+			// the vector that replaced it. A straggler edge may still serve it.
+			if len(cur.pending) == 0 {
+				cur.acc.Repay(cur.cfg.Global.Params)
+			}
 		}
 		c.Tasks.NoteCommitted(p.ID, newGlobal.Round, cur.reports, ctx.Now())
 		c.completed++
@@ -642,6 +650,7 @@ func (c *Coordinator) commit(cur *round) (*checkpoint.Checkpoint, int64, error) 
 		newGlobal = &checkpoint.Checkpoint{TaskName: newGlobal.TaskName, Round: newGlobal.Round + 1,
 			Weight: weight, Params: params}
 		if err := c.Store.PutCheckpoint(newGlobal); err != nil {
+			cur.acc.Repay(params) // a store whose put fails keeps nothing of it
 			return nil, 0, fmt.Errorf("commit: %w", err)
 		}
 	}

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
+	"repro/internal/fedavg"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -121,4 +123,118 @@ func TestUnreadableLineageIsNotRestarted(t *testing.T) {
 	if g, err := fresh().loadGlobal(tasks.Task{Plan: p}); err == nil {
 		t.Fatalf("format-1 lineage loaded as %+v", g)
 	}
+}
+
+// TestFailedCommitRepaysItsLoan: a round that fails after the Coordinator
+// adopted a seal's vector — too few reports survived, or the store refused
+// the checkpoint — hands that vector back, zeroed, to the stock that lent
+// it, and the head stays the model served; the good round after them takes
+// no fresh vector, and its commit repays with the model it supersedes.
+func TestFailedCommitRepaysItsLoan(t *testing.T) {
+	const dim = 8
+	p := testPlan(t, 4, false) // MinReports 2
+	held := &heldStore{Mem: storage.NewMem()}
+	if err := held.PutCheckpoint(&checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, dim)}); err != nil {
+		t.Fatal(err)
+	}
+	initial := held.head
+	store := &failingStore{Store: held, failures: 1}
+	ts, err := tasks.New("pop", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Seed([]*plan.Plan{p}, simStart); err != nil {
+		t.Fatal(err)
+	}
+	edge := &stripeEdge{opened: make(chan *EdgeRoundConfig, 1)}
+	outcomes := make(chan roundOutcome, 1)
+	sys := actor.NewSystem()
+	defer sys.Shutdown()
+	coord := sys.Spawn("coordinator/pop", newCoordinator(CoordinatorParams{
+		Population: "pop", Lock: actor.NewLockService(), Store: store, Tasks: ts,
+		Edges: []Edge{edge}, MaxRounds: 1, onOutcome: func(out roundOutcome) { outcomes <- out },
+	}))
+	if err := coord.Send(msgTick{}); err != nil {
+		t.Fatal(err)
+	}
+
+	var stock fedavg.Spares
+	// round runs one round whose one stripe folds reports unit updates and
+	// returns its outcome, the vector its seal handed over and the model
+	// it served.
+	round := func(reports int) (roundOutcome, tensor.Vector, tensor.Vector) {
+		var cfg *EdgeRoundConfig
+		select {
+		case cfg = <-edge.opened:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no round opened")
+		}
+		stripe := stock.NewPartial(dim)
+		for d := 0; d < reports; d++ {
+			if err := stripe.Accumulate(1, nil, func(sum tensor.Vector) error {
+				for j := range sum {
+					sum[j] += float64(j - d)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seal, err := fedavg.SealStripes([]*fedavg.PartialAccumulator{stripe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DeliverSeal(coord, edge, EdgeSeal{TaskID: p.ID, Round: cfg.Round, Seal: seal}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case out := <-outcomes:
+			return out, seal.Sum, cfg.Global.Params
+		case <-time.After(10 * time.Second):
+			t.Fatal("the round never settled")
+		}
+		return roundOutcome{}, nil, nil
+	}
+	// back checks that the stock's next vector is v, zeroed, and leaves it
+	// there.
+	back := func(what string, v tensor.Vector) {
+		t.Helper()
+		got := stock.Take(dim)
+		if &got[0] != &v[0] {
+			t.Fatalf("%s is not back in its stock", what)
+		}
+		for j, x := range got {
+			if x != 0 {
+				t.Fatalf("%s went back unzeroed: [%d]=%v", what, j, x)
+			}
+		}
+		stock.Put(got)
+	}
+
+	out, adopted, _ := round(1)
+	if out.Committed != nil || held.head != initial {
+		t.Fatalf("a round of 1 report (min 2) committed: %+v", out)
+	}
+	back("a short round's adopted vector", adopted)
+	out, sum, _ := round(3)
+	if &sum[0] != &adopted[0] {
+		t.Fatal("the round after a short one took a fresh vector")
+	}
+	if out.Committed != nil || held.head != initial || store.seen != 1 {
+		t.Fatalf("a round the store refused committed: %+v (%d puts)", out, store.seen)
+	}
+	back("a refused commit's stepped vector", adopted)
+	out, sum, served := round(3)
+	if &sum[0] != &adopted[0] {
+		t.Fatal("the round after a refused commit took a fresh vector")
+	}
+	if out.Committed == nil || held.head != out.Committed || &out.Committed.Params[0] != &adopted[0] {
+		t.Fatalf("the good round did not commit its adopted vector: %+v", out)
+	}
+	for j, x := range out.Committed.Params {
+		if want := float64(3*j-3) * (1.0 / 3); x != want {
+			t.Fatalf("committed [%d]=%v, want %v", j, x, want)
+		}
+	}
+	back("the superseded model", served)
 }

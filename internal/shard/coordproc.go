@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/checkpoint"
 	"repro/internal/fedavg"
 	"repro/internal/flserver"
 	"repro/internal/metrics"
@@ -79,14 +78,17 @@ type CoordinatorProc struct {
 	done  chan struct{}
 
 	// memo holds the round's plan and checkpoint marshaled once, keyed by
-	// the plan and global they encode: every shard's RoundConfig — each
-	// carries its edge's share — aliases those bytes, and so does a re-send to
-	// a reconnecting shard. The checkpoint is marshaled into a loan, whose
-	// reference the memo holds until it is replaced. Touched only on the
-	// coordinator actor's goroutine (Edge.Open).
+	// the plan and the lineage position (task, round) of the global they
+	// encode: every shard's RoundConfig — each carries its edge's share —
+	// aliases those bytes, and so does a re-send to a reconnecting shard. It
+	// keeps no pointer to the global, whose Params go back to the stock once
+	// the next commit supersedes it. The checkpoint is marshaled into a loan,
+	// whose reference the memo holds until it is replaced. Touched only on
+	// the coordinator actor's goroutine (Edge.Open).
 	memo struct {
 		plan     *plan.Plan
-		global   *checkpoint.Checkpoint
+		task     string
+		round    int64
 		pl, ckpt []byte
 		loan     *transport.Loan
 	}
@@ -116,7 +118,7 @@ type shardEdge struct {
 // Open implements flserver.Edge.
 func (e *shardEdge) Open(cfg *flserver.EdgeRoundConfig, _ actor.Ref) error {
 	memo := &e.cp.memo
-	if memo.plan != cfg.Plan || memo.global != cfg.Global {
+	if g := cfg.Global; memo.plan != cfg.Plan || memo.task != g.TaskName || memo.round != g.Round {
 		pl, err := cfg.Plan.Marshal()
 		if err != nil {
 			return err
@@ -127,7 +129,7 @@ func (e *shardEdge) Open(cfg *flserver.EdgeRoundConfig, _ actor.Ref) error {
 			return err
 		}
 		memo.loan.Release()
-		memo.plan, memo.global, memo.pl, memo.ckpt, memo.loan = cfg.Plan, cfg.Global, pl, ckpt, loan
+		memo.plan, memo.task, memo.round, memo.pl, memo.ckpt, memo.loan = cfg.Plan, g.TaskName, g.Round, pl, ckpt, loan
 	}
 	if err := e.sess.Send(transport.Lend(protocol.RoundConfig{
 		Population: cfg.Population,

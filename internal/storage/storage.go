@@ -25,8 +25,10 @@ import (
 // Store persists committed round results.
 type Store interface {
 	// PutCheckpoint commits a global model checkpoint for a task. The store
-	// takes c over and may keep it as it is: nobody may change a committed
-	// checkpoint afterwards.
+	// may keep c as it is until the task's next PutCheckpoint returns; then
+	// c's Params are recycled (DESIGN.md §5 lever 13). A store that keeps
+	// older checkpoints keeps copies, every read of c ends before that put
+	// returns, and a put that fails keeps nothing of c.
 	PutCheckpoint(c *checkpoint.Checkpoint) error
 	// LatestCheckpoint returns the newest committed checkpoint for a task,
 	// or an error wrapping ErrNoCheckpoint when the task has committed none.
