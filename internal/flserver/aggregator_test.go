@@ -383,7 +383,7 @@ func TestAggregatorEvalMetricsOnly(t *testing.T) {
 
 func TestEvalTaskThroughServer(t *testing.T) {
 	fed, _ := data.Blobs(data.BlobsConfig{Users: 8, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 13})
-	store := storage.NewMem()
+	store := newMetricLog()
 	evalPlan, err := plan.Generate(plan.Config{
 		TaskID: "pop/eval", Population: "pop", Type: plan.TaskEval,
 		Model:     testPlan(t, 4, false).Device.Model,
@@ -406,9 +406,13 @@ func TestEvalTaskThroughServer(t *testing.T) {
 	if _, err := store.LatestCheckpoint(evalPlan.ID); err == nil {
 		t.Fatal("eval task must not commit model checkpoints")
 	}
+	rounds := store.materialized(evalPlan.ID)
+	if len(rounds) < 2 {
+		t.Fatalf("eval metrics materialized for rounds %v, want >= 2", rounds)
+	}
 	ms, err := store.Metrics(evalPlan.ID)
-	if err != nil || len(ms) < 2 {
-		t.Fatalf("eval metrics: %d, %v", len(ms), err)
+	if err != nil || len(ms) != 1 || ms[0].Round != rounds[len(rounds)-1] {
+		t.Fatalf("eval metrics kept: %d, %v; want the newest round's only", len(ms), err)
 	}
 	if _, ok := ms[0].Stats["eval_accuracy"]; !ok {
 		t.Fatalf("missing eval_accuracy: %+v", ms[0].Stats)

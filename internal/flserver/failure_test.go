@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,12 +12,40 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/fedavg"
+	"repro/internal/metrics"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
 )
+
+// metricLog records the round of every PutMetrics: a store keeps each
+// task's newest metrics only, so a test that counts materialized rounds
+// counts them here.
+type metricLog struct {
+	storage.Store
+	mu     sync.Mutex
+	rounds map[string][]int64
+}
+
+func newMetricLog() *metricLog {
+	return &metricLog{Store: storage.NewMem(), rounds: map[string][]int64{}}
+}
+
+func (s *metricLog) PutMetrics(m *metrics.Materialized) error {
+	s.mu.Lock()
+	s.rounds[m.TaskName] = append(s.rounds[m.TaskName], m.Round)
+	s.mu.Unlock()
+	return s.Store.PutMetrics(m)
+}
+
+// materialized returns the rounds task's metrics were put for, in order.
+func (s *metricLog) materialized(task string) []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]int64(nil), s.rounds[task]...)
+}
 
 // failingStore rejects the first N checkpoint commits, then delegates.
 // It simulates a persistent-storage outage at commit time. The embedded

@@ -239,7 +239,7 @@ func TestEndToEndTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := storage.NewMem()
+	store := newMetricLog()
 	p := testPlan(t, 8, false)
 	r := runServer(t, Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
@@ -275,9 +275,12 @@ func TestEndToEndTraining(t *testing.T) {
 	}
 
 	// Metrics were materialized for each round.
+	if rounds := store.materialized(p.ID); len(rounds) < 5 {
+		t.Fatalf("metrics materialized for rounds %v, want >= 5", rounds)
+	}
 	ms, err := store.Metrics(p.ID)
-	if err != nil || len(ms) < 5 {
-		t.Fatalf("materialized metrics: %d, %v", len(ms), err)
+	if err != nil || len(ms) != 1 || ms[0].Round != ckpt.Round {
+		t.Fatalf("materialized metrics kept: %d, %v; want round %d's only", len(ms), err, ckpt.Round)
 	}
 	if _, ok := ms[0].Stats["train_loss"]; !ok {
 		t.Fatalf("round metrics missing train_loss: %+v", ms[0].Stats)

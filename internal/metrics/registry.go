@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"os"
 	"slices"
 	"sort"
 	"strconv"
@@ -257,11 +258,29 @@ func (r *Registry) collect() []series {
 		}
 	}
 	add("", local)
+	if r == Default { // the census counts the process
+		if read, write, ok := ProcSyscalls(); ok {
+			add("", Export{Counters: map[string]int64{ProcSyscallsTotal + `{op="read"}`: read, ProcSyscallsTotal + `{op="write"}`: write}})
+		}
+	}
 	for _, label := range slices.Sorted(maps.Keys(ext)) {
 		add(label, ext[label])
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	return rows
+}
+
+// ProcSyscallsTotal is Default's census of ProcSyscalls by op at each render.
+const ProcSyscallsTotal = "fl_proc_syscalls_total"
+
+// ProcSyscalls returns the read(2)- and write(2)-family system calls the
+// process has made, /proc/self/io's syscr and syscw: unlike seconds, counts
+// do not swing with load. ok is false where that file does not exist.
+func ProcSyscalls() (read, write int64, ok bool) {
+	b, err := os.ReadFile("/proc/self/io")
+	var chars int64
+	_, serr := fmt.Sscanf(string(b), "rchar: %d\nwchar: %d\nsyscr: %d\nsyscw: %d", &chars, &chars, &read, &write)
+	return read, write, err == nil && serr == nil
 }
 
 // baseName strips a label set: `a{shard="1"}` → `a`.

@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -192,5 +193,41 @@ func TestSessionShapesConcurrent(t *testing.T) {
 	got := r.CounterFamily(SessionShapes, "shape")
 	if len(got) != 2 || got["-v[]+^"] != 4000 || got["-v[!"] != 8 {
 		t.Fatalf("shapes = %v, want 4000 -v[]+^ and 8 -v[!", got)
+	}
+}
+
+// TestProcSyscallCensus: Default's /metrics carries the process's read and
+// write system calls from /proc/self/io, fresh at each scrape; another
+// registry carries none, and where the file does not exist the series is
+// absent.
+func TestProcSyscallCensus(t *testing.T) {
+	read, write, ok := ProcSyscalls()
+	var b strings.Builder
+	Default.WritePrometheus(&b)
+	if !ok {
+		if strings.Contains(b.String(), ProcSyscallsTotal) {
+			t.Fatal("the census rendered without /proc/self/io")
+		}
+		t.Skip("no /proc/self/io")
+	}
+	var got [2]float64
+	for _, line := range strings.Split(b.String(), "\n") {
+		for i, op := range []string{"read", "write"} {
+			if v, found := strings.CutPrefix(line, ProcSyscallsTotal+`{op="`+op+`"} `); found {
+				got[i], _ = strconv.ParseFloat(v, 64)
+			}
+		}
+	}
+	// The scrape read the file once more than the first census did.
+	if got[0] <= float64(read) || got[1] < float64(write) {
+		t.Fatalf("scraped census read=%v write=%v, want past %d and at least %d", got[0], got[1], read, write)
+	}
+	if !strings.Contains(b.String(), "# TYPE "+ProcSyscallsTotal+" counter") {
+		t.Fatal("the census is not typed as a counter")
+	}
+	var other strings.Builder
+	NewRegistry().WritePrometheus(&other)
+	if strings.Contains(other.String(), ProcSyscallsTotal) {
+		t.Fatal("a registry other than Default carries the process census")
 	}
 }

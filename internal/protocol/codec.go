@@ -210,45 +210,37 @@ func walk(c *wire.Codec, msg interface{}) (code byte) {
 // decode is copy-free). A truncated, non-canonical or trailing-garbage
 // payload returns an error, never panics.
 func UnmarshalBinary(code byte, payload []byte) (interface{}, error) {
-	c := wire.Decoder(payload)
-	var msg interface{}
-	switch code {
-	case CodeCheckinRequest:
-		msg, _ = CheckinRequest{}.walk(&c)
-	case CodeCheckinResponse:
-		msg, _ = CheckinResponse{}.walk(&c)
-	case CodeReportRequest:
-		msg, _ = ReportRequest{}.walk(&c)
-	case CodeReportResponse:
-		msg, _ = ReportResponse{}.walk(&c)
-	case CodeAbort:
-		msg, _ = Abort{}.walk(&c)
-	case CodeStripeSeal:
-		msg, _ = StripeSeal{}.walk(&c)
-	case CodeRoundConfig:
-		msg, _ = RoundConfig{}.walk(&c)
-	case CodeRoundFinalize:
-		msg, _ = RoundFinalize{}.walk(&c)
-	case CodeRoundAbort:
-		msg, _ = RoundAbort{}.walk(&c)
-	case CodeShardHello:
-		msg, _ = ShardHello{}.walk(&c)
-	case CodeCheckinRate:
-		msg, _ = CheckinRate{}.walk(&c)
-	case CodeActorEnvelope:
-		msg, _ = ActorEnvelope{}.walk(&c)
-	case CodeHeartbeat:
-		msg, _ = Heartbeat{}.walk(&c)
-	case CodeTelemetrySnapshot:
-		msg, _ = TelemetrySnapshot{}.walk(&c)
-	default:
+	if code == 0 || code >= codeEnd {
 		return nil, fmt.Errorf("protocol: unknown type code %d", code)
 	}
-	if err := c.Finish(); err != nil {
+	msg, err := decoders[code](wire.Decoder(payload))
+	if err != nil {
 		return nil, fmt.Errorf("protocol: type code %d: %w", code, err)
 	}
 	return msg, nil
 }
+
+// decoders walks each code in a function of its own, never inlined, so that
+// a reader's stack does not grow at its first decode for temporaries of all.
+var decoders = [codeEnd]func(c wire.Codec) (any, error){
+	CodeCheckinRequest:    func(c wire.Codec) (any, error) { return box(CheckinRequest{}.walk(&c)), c.Finish() },
+	CodeCheckinResponse:   func(c wire.Codec) (any, error) { return box(CheckinResponse{}.walk(&c)), c.Finish() },
+	CodeReportRequest:     func(c wire.Codec) (any, error) { return box(ReportRequest{}.walk(&c)), c.Finish() },
+	CodeReportResponse:    func(c wire.Codec) (any, error) { return box(ReportResponse{}.walk(&c)), c.Finish() },
+	CodeAbort:             func(c wire.Codec) (any, error) { return box(Abort{}.walk(&c)), c.Finish() },
+	CodeStripeSeal:        func(c wire.Codec) (any, error) { return box(StripeSeal{}.walk(&c)), c.Finish() },
+	CodeRoundConfig:       func(c wire.Codec) (any, error) { return box(RoundConfig{}.walk(&c)), c.Finish() },
+	CodeRoundFinalize:     func(c wire.Codec) (any, error) { return box(RoundFinalize{}.walk(&c)), c.Finish() },
+	CodeRoundAbort:        func(c wire.Codec) (any, error) { return box(RoundAbort{}.walk(&c)), c.Finish() },
+	CodeShardHello:        func(c wire.Codec) (any, error) { return box(ShardHello{}.walk(&c)), c.Finish() },
+	CodeCheckinRate:       func(c wire.Codec) (any, error) { return box(CheckinRate{}.walk(&c)), c.Finish() },
+	CodeActorEnvelope:     func(c wire.Codec) (any, error) { return box(ActorEnvelope{}.walk(&c)), c.Finish() },
+	CodeHeartbeat:         func(c wire.Codec) (any, error) { return box(Heartbeat{}.walk(&c)), c.Finish() },
+	CodeTelemetrySnapshot: func(c wire.Codec) (any, error) { return box(TelemetrySnapshot{}.walk(&c)), c.Finish() },
+}
+
+// box returns a walk's message.
+func box[M any](m M, _ byte) any { return m }
 
 // The layouts. Each walk names the message's fields in wire order and
 // returns the message — holding what it read, on a decoding pass — and its

@@ -15,7 +15,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/checkpoint"
@@ -35,7 +34,8 @@ type Store interface {
 	LatestCheckpoint(task string) (*checkpoint.Checkpoint, error)
 	// PutMetrics materializes a round's metric summaries.
 	PutMetrics(m *metrics.Materialized) error
-	// Metrics returns all materialized metrics for a task in round order.
+	// Metrics returns a task's last materialized metrics, the one entry a
+	// store keeps per task like its checkpoint (none before the first put).
 	Metrics(task string) ([]*metrics.Materialized, error)
 	// PutTaskSet persists the serialized task registry of the store's
 	// population (stores are per-population). The registry in memory is the
@@ -54,7 +54,7 @@ var ErrNoCheckpoint = errors.New("storage: no checkpoint")
 type Mem struct {
 	mu          sync.Mutex
 	checkpoints map[string]*checkpoint.Checkpoint
-	metrics     map[string][]*metrics.Materialized
+	metrics     map[string]*metrics.Materialized
 	taskSet     []byte
 }
 
@@ -62,7 +62,7 @@ type Mem struct {
 func NewMem() *Mem {
 	return &Mem{
 		checkpoints: make(map[string]*checkpoint.Checkpoint),
-		metrics:     make(map[string][]*metrics.Materialized),
+		metrics:     make(map[string]*metrics.Materialized),
 	}
 }
 
@@ -95,7 +95,7 @@ func (s *Mem) PutMetrics(m *metrics.Materialized) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.metrics[m.TaskName] = append(s.metrics[m.TaskName], m)
+	s.metrics[m.TaskName] = m
 	return nil
 }
 
@@ -118,9 +118,10 @@ func (s *Mem) TaskSet() ([]byte, error) {
 func (s *Mem) Metrics(task string) ([]*metrics.Materialized, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := append([]*metrics.Materialized(nil), s.metrics[task]...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Round < out[j].Round })
-	return out, nil
+	if m := s.metrics[task]; m != nil {
+		return []*metrics.Materialized{m}, nil
+	}
+	return nil, nil
 }
 
 // File is a file-backed Store: checkpoints are written as binary files

@@ -51,18 +51,21 @@ func testStore(t *testing.T, s Store) {
 	}
 
 	// Metrics.
-	if err := s.PutMetrics(&metrics.Materialized{TaskName: "task-a", Round: 2}); err != nil {
+	if err := s.PutMetrics(&metrics.Materialized{TaskName: "task-a", Round: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutMetrics(&metrics.Materialized{TaskName: "task-a", Round: 1}); err != nil {
+	if err := s.PutMetrics(&metrics.Materialized{TaskName: "task-a", Round: 2}); err != nil {
 		t.Fatal(err)
 	}
 	ms, err := s.Metrics("task-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 2 || ms[0].Round != 1 || ms[1].Round != 2 {
-		t.Fatalf("metrics order: %+v", ms)
+	if len(ms) != 1 || ms[0].Round != 2 {
+		t.Fatalf("metrics after rounds 1 and 2: %+v, want round 2's only", ms)
+	}
+	if ms, err := s.Metrics("task-b"); err != nil || len(ms) != 0 {
+		t.Fatalf("metrics of a task with none: %+v, %v", ms, err)
 	}
 	if err := s.PutMetrics(&metrics.Materialized{}); err == nil {
 		t.Fatal("metrics without task should error")
@@ -91,6 +94,36 @@ func TestFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	testStore(t, s)
+}
+
+// TestMetricsKeepNoHistory: a long-running server's store holds each task's
+// newest round of metrics, not one entry per committed round.
+func TestMetricsKeepNoHistory(t *testing.T) {
+	file, err := NewFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Store{"mem": NewMem(), "file": file} {
+		for round := int64(1); round <= 1000; round++ {
+			for _, task := range []string{"a", "b"} {
+				if err := s.PutMetrics(&metrics.Materialized{TaskName: task, Round: round}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, task := range []string{"a", "b"} {
+			if ms, _ := s.Metrics(task); len(ms) != 1 || ms[0].Round != 1000 {
+				t.Fatalf("%s: task %s after 1000 rounds holds %d entries (%+v), want round 1000's only", name, task, len(ms), ms)
+			}
+		}
+		mem, _ := s.(*Mem)
+		if f, ok := s.(*File); ok {
+			mem = f.mem
+		}
+		if len(mem.metrics) != 2 {
+			t.Fatalf("%s: %d tasks' metrics held, want 2", name, len(mem.metrics))
+		}
+	}
 }
 
 func TestMemStoreIsolation(t *testing.T) {

@@ -10,12 +10,15 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/metrics"
@@ -236,34 +239,33 @@ const (
 	// one, in an 8 KiB buffer.
 	minLeaseBits = 13
 	minLeased    = 1 << 10
-	// maxWhole is the longest frame, header included, Send writes in one
-	// piece from a pooled scratch buffer: the smallest leased buffer's size.
-	// A longer one aliases its byte fields in a vectored write.
+	// maxWhole is the longest frame, header included, Send writes and Recv
+	// reads in one piece, in a class-0 buffer. A longer one aliases its byte
+	// fields in a vectored write.
 	maxWhole = 1 << minLeaseBits
 	hdrLen   = 4 + frameOverhead
 )
 
 type tcpConn struct {
-	c net.Conn
+	c *net.TCPConn
 	// sendMu serializes writers: frames must not interleave. Under it,
 	// slots holds a vectored write's segments.
 	sendMu sync.Mutex
 	slots  net.Buffers
-	// rxHdr is the reader's frame header.
-	rxHdr [hdrLen]byte
+	// Recv reads through raw, which calls fill, into ahead: a class-0 loan of
+	// the bytes not yet delivered, or nil.
+	raw   syscall.RawConn
+	fill  func(fd uintptr) bool
+	ahead *Loan
 	lessee
 }
 
-// scratch holds the frames Send writes in one piece, and the header and
-// metadata of longer ones. It is not a lease: rxPools' counters do not see it.
-var scratch = sync.Pool{New: func() any { b := make([]byte, maxWhole); return &b }}
-
-// rxPools recycles the payload buffers of large device-link frames, one
-// pool per quarter-octave class (2^k × 1, 1.25, 1.5, 1.75) from
-// 1<<minLeaseBits to exactAlloc, so a model-sized frame (2^k parameters and
-// a header) pins 1.25× its size, not 2×. Pooled memory is not zeroed: a
-// buffer reaches the codec only once ReadFull has filled it. Recv takes one
-// after the header, so a parked Conn holds none.
+// rxPools recycles loans — leases, borrowed frames, and in class 0 the
+// read-ahead and Send's scratch — one pool per quarter-octave class (2^k × 1,
+// 1.25, 1.5, 1.75) from 1<<minLeaseBits to exactAlloc, so a model-sized frame
+// (2^k parameters and a header) pins 1.25× its size, not 2×. Pooled memory is
+// not zeroed: a buffer reaches the codec only once reads have filled it.
+// Recv takes one once the socket is readable, so a parked Conn holds none.
 var rxPools [4*(exactAllocBits-minLeaseBits) + 1]sync.Pool
 
 // rxClassSize is the capacity of class j's buffers: 2^k × (4 + j%4)/4.
@@ -315,47 +317,43 @@ func (h *lessee) Hold() (l *Loan) {
 // Loan is a buffer from rxPools shared by reference count: its owner's
 // reference, one for each TCP Send that writes it, one for each send queued
 // for later and one for each in-memory reader that has yet to end its
-// lease; the last Release puts it back. A nil *Loan is no loan; Acquire and
-// Release do nothing on it.
+// lease; the last Release puts it, Loan and all, back. A nil *Loan is no
+// loan; Acquire and Release do nothing on it.
 type Loan struct {
-	p      *[]byte
-	pooled bool
+	b      []byte
 	refs   atomic.Int32
+	rn     int32 // a read-ahead's last read(2): bytes, 0 at the end, or -errno; free in its size class
+	pooled bool
+	origin *metrics.Counter // counts a take for a frame: fresh until pooled
 }
 
 // NewLoan returns an n-byte loan from the smallest class holding n, with its
-// owner's reference; past the pools' 4 MiB, a plain allocation.
+// owner's reference (past the pools' 4 MiB, a plain allocation), uncounted.
 func NewLoan(n int) *Loan {
-	l := &Loan{}
+	var l *Loan
+	if n > exactAlloc {
+		l = &Loan{b: make([]byte, n), origin: obsRxBufAlloc}
+	} else if p, ok := rxPools[rxClass(n)].Get().(*Loan); ok {
+		l = p
+	} else {
+		l = &Loan{b: make([]byte, rxClassSize(rxClass(n))), pooled: true, origin: obsRxBufAlloc}
+	}
+	l.b = l.b[:n]
 	l.refs.Store(1)
 	obsLoans.Add(1)
-	if n > exactAlloc {
-		b := make([]byte, n)
-		l.p = &b
-		return l
-	}
-	class, ok := rxClass(n), false
-	if l.p, ok = rxPools[class].Get().(*[]byte); !ok {
-		obsRxBufAlloc.Inc()
-		b := make([]byte, rxClassSize(class))
-		l.p = &b
-	} else {
-		obsRxBufReused.Inc()
-	}
-	*l.p, l.pooled = (*l.p)[:n], true
 	return l
 }
 
 // Borrow returns a wire.Codec.EncodeInto get that puts an n-byte loan in *dst.
 func Borrow(dst **Loan) func(n int) []byte {
-	return func(n int) []byte { *dst = NewLoan(n); return (*dst).Bytes() }
+	return func(n int) []byte { *dst = NewLoan(n); (*dst).origin.Inc(); return (*dst).Bytes() }
 }
 
 // Bytes returns the loan's buffer.
-func (l *Loan) Bytes() []byte { return *l.p }
+func (l *Loan) Bytes() []byte { return l.b }
 
 // Acquire adds a reference; its caller must hold one already. An Acquire
-// after the last Release panics: the buffer may serve another frame.
+// after the last Release panics until the pool lends the Loan out again.
 func (l *Loan) Acquire() {
 	if l != nil && l.refs.Add(1) <= 1 {
 		panic("transport: Acquire of a loan already returned")
@@ -372,13 +370,14 @@ func (l *Loan) Release() {
 		panic("transport: Release of a loan already returned")
 	case refs == 0:
 		obsLoans.Add(-1)
-		if b := (*l.p)[:cap(*l.p)]; l.pooled {
+		if b := l.b[:cap(l.b)]; l.pooled {
 			if poisonReleased.Load() {
 				for i := range b {
 					b[i] = 0xDB
 				}
 			}
-			rxPools[rxClass(len(b))].Put(l.p)
+			l.origin = obsRxBufReused
+			rxPools[rxClass(len(b))].Put(l)
 		}
 	}
 }
@@ -442,7 +441,7 @@ func frame(msg interface{}, buf []byte, parts [][]byte) ([]byte, [][]byte, error
 }
 
 // Send implements Conn. A frame of at most maxWhole bytes goes out in one
-// write(2), from a pooled scratch buffer; a longer one — a multi-MB device
+// write(2), from a class-0 scratch buffer; a longer one — a multi-MB device
 // update or plan+checkpoint — in one vectored write straight from the
 // caller's buffers, never copied into a frame. An Encoded message writes its
 // cached frame instead of re-marshaling.
@@ -458,9 +457,9 @@ func (t *tcpConn) Send(msg interface{}) error {
 		whole, parts, err = e.marshaled()
 		t.slots = append(t.slots[:0], parts...) // WriteTo clears what it consumes
 	} else {
-		b := scratch.Get().(*[]byte)
-		defer scratch.Put(b)
-		whole, t.slots, err = frame(msg, *b, t.slots)
+		b := NewLoan(0) // scratch: rxPools' counters do not see it
+		defer b.Release()
+		whole, t.slots, err = frame(msg, b.b, t.slots)
 	}
 	var wrote int64
 	switch {
@@ -479,13 +478,25 @@ func (t *tcpConn) Send(msg interface{}) error {
 	return err
 }
 
-// Recv implements Conn.
-func (t *tcpConn) Recv() (interface{}, error) {
+// Recv implements Conn. A frame of at most maxWhole bytes arrives in one
+// read(2) into the read-ahead buffer, which a leased one keeps as its lease;
+// a longer frame's payload starts with the bytes already read.
+func (t *tcpConn) Recv() (msg interface{}, err error) {
 	t.Release()
-	hdr := t.rxHdr[:]
-	if _, err := io.ReadFull(t.c, hdr); err != nil {
+	consumed := false // the frame's bytes left the read-ahead buffer
+	defer func() {
+		if err != nil { // no message delivered, so nothing aliases the lease
+			t.Release()
+		}
+		if err != nil && !consumed { // a read or a header failed: drop its bytes
+			t.ahead.Release()
+			t.ahead = nil
+		}
+	}()
+	if err = t.fillTo(hdrLen); err != nil {
 		return nil, err
 	}
+	hdr := t.ahead.b
 	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	if n < frameOverhead {
 		return nil, fmt.Errorf("transport: bad frame length %d", n)
@@ -501,44 +512,98 @@ func (t *tcpConn) Recv() (interface{}, error) {
 	if n > row.Ceiling {
 		return nil, fmt.Errorf("transport: %s frame of %d bytes exceeds its ceiling of %d", row.Name, n, row.Ceiling)
 	}
-	size, read := n-frameOverhead, readPayload
-	if leased(code, size) {
-		read = t.readLeased
+	size, whole := n-frameOverhead, hdrLen+n-frameOverhead
+	if whole <= maxWhole {
+		err = t.fillTo(whole)
 	}
-	payload, err := read(t.c, size)
-	if err != nil {
-		t.Release()
+	var payload []byte
+	switch buf := t.ahead; {
+	case err != nil:
+		return nil, err
+	case whole > maxWhole:
+		read := readPayload
+		if leased(code, size) {
+			read = t.readLeased
+		}
+		payload, err = read(t.c, buf.b[hdrLen:], size)
+		whole = len(buf.b)
+	case leased(code, size):
+		payload, t.lease = buf.b[hdrLen:whole], buf
+		buf.origin.Inc()
+	default:
+		payload = append([]byte(nil), buf.b[hdrLen:whole]...)
+	}
+	// Bytes read past the frame move to a read-ahead buffer no lease shares.
+	if buf := t.ahead; len(buf.b) > whole {
+		if buf == t.lease {
+			t.ahead = NewLoan(0)
+		}
+		t.ahead.b = append(t.ahead.b[:0], buf.b[whole:]...)
+	} else if t.ahead = nil; buf != t.lease {
+		buf.Release()
+	}
+	if consumed = true; err != nil {
 		return nil, err
 	}
-	obsRxBytes.Add(int64(len(hdr) + len(payload)))
-	msg, err := protocol.UnmarshalBinary(code, payload)
-	if err != nil {
-		t.Release() // no message delivered, so nothing aliases the buffer
-	}
-	return msg, err
+	obsRxBytes.Add(int64(hdrLen + size))
+	return protocol.UnmarshalBinary(code, payload)
 }
 
-// readLeased reads an n-byte payload into a buffer leased from rxPools.
-func (t *tcpConn) readLeased(r io.Reader, n int) ([]byte, error) {
+// fillTo reads until the read-ahead buffer holds n ≤ maxWhole bytes.
+func (t *tcpConn) fillTo(n int) error {
+	for t.ahead == nil || len(t.ahead.b) < n {
+		if err := t.raw.Read(t.fill); err != nil {
+			return err
+		}
+		switch rn := t.ahead.rn; {
+		case rn == 0:
+			return io.EOF
+		case rn < 0:
+			return fmt.Errorf("transport: read: %w", syscall.Errno(-rn))
+		}
+	}
+	return nil
+}
+
+// readAhead is fill: one read(2) onto the read-ahead buffer, taken once the
+// socket may be readable and put back empty when the read would block.
+func (t *tcpConn) readAhead(fd uintptr) bool {
+	if t.ahead == nil {
+		t.ahead = NewLoan(0)
+	}
+	b := t.ahead.b
+	n, err := syscall.Read(int(fd), b[len(b):cap(b)])
+	switch e, _ := err.(syscall.Errno); {
+	case e == syscall.EAGAIN:
+		if len(b) == 0 {
+			t.ahead.Release()
+			t.ahead = nil
+		}
+		return false
+	case e != 0:
+		n = -int(e)
+	}
+	t.ahead.rn, t.ahead.b = int32(n), b[:len(b)+max(n, 0)]
+	return true
+}
+
+// readLeased reads an n-byte payload, which starts with got, into a lease.
+func (t *tcpConn) readLeased(r io.Reader, got []byte, n int) ([]byte, error) {
 	t.lease = NewLoan(n)
-	_, err := io.ReadFull(r, t.lease.Bytes())
-	return t.lease.Bytes(), err
+	t.lease.origin.Inc()
+	_, err := io.ReadFull(r, t.lease.b[copy(t.lease.b, got):])
+	return t.lease.b, err
 }
 
-// readPayload reads an n-byte payload. Up to exactAlloc the buffer is
-// allocated in one piece; beyond that it grows geometrically as bytes
-// actually arrive, so a hostile length prefix can only commit memory by
-// sending that much data — an 8-byte header promising a gigabyte costs the
-// receiver 4 MiB, not 1 GiB.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	if n <= exactAlloc {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(r, buf)
+// readPayload reads an n-byte payload, which starts with got. Up to
+// exactAlloc the buffer is allocated in one piece; beyond that it grows
+// geometrically as bytes actually arrive, so a hostile length prefix can only
+// commit memory by sending that much data — an 8-byte header promising a
+// gigabyte costs the receiver 4 MiB, not 1 GiB.
+func readPayload(r io.Reader, got []byte, n int) ([]byte, error) {
+	buf := make([]byte, min(n, exactAlloc))
+	if _, err := io.ReadFull(r, buf[copy(buf, got):]); err != nil || n <= exactAlloc {
 		return buf, err
-	}
-	buf := make([]byte, exactAlloc)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
 	}
 	for len(buf) < n {
 		next := 2 * len(buf)
@@ -567,28 +632,40 @@ func (t *tcpConn) Expire(d time.Duration) {
 // Close implements Conn.
 func (t *tcpConn) Close() error { return t.c.Close() }
 
-func wrapTCP(c net.Conn) Conn {
-	return &tcpConn{c: c}
+func wrapTCP(c *net.TCPConn) Conn {
+	t := &tcpConn{c: c}
+	t.raw, _ = c.SyscallConn()
+	t.fill = t.readAhead
+	return t
 }
 
 type tcpListener struct{ l net.Listener }
 
-// ListenTCP listens on a TCP address; ":0" picks a free port.
+// ListenTCP listens on a TCP address; ":0" picks a free port. Accepted
+// sockets have no kernel keepalive: every server phase has a protocol bound.
 func ListenTCP(addr string) (Listener, error) {
-	l, err := net.Listen("tcp", addr)
+	l, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	return &tcpListener{l: l}, nil
 }
 
-// DialTCP connects to a TCP FL server.
+// DialTCP connects to a TCP FL server, without the resolver for an IP
+// literal. Keepalive is how a device, whose waits have no bound, learns that
+// its server died.
 func DialTCP(addr string) (Conn, error) {
-	c, err := net.Dial("tcp", addr)
+	var c net.Conn
+	ap, err := netip.ParseAddrPort(addr)
+	if err == nil {
+		c, err = net.DialTCP("tcp", nil, net.TCPAddrFromAddrPort(ap))
+	} else {
+		c, err = net.Dial("tcp", addr)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return wrapTCP(c), nil
+	return wrapTCP(c.(*net.TCPConn)), nil
 }
 
 // Accept implements Listener.
@@ -597,7 +674,7 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrapTCP(c), nil
+	return wrapTCP(c.(*net.TCPConn)), nil
 }
 
 // Close implements Listener.
