@@ -67,18 +67,20 @@ var rows = [256]row{
 		axpy:  func(_ Meta, dst tensor.Vector, a float64, src []byte) { dst.AxpyBE(a, src) },
 		sumSq: func(m Meta, src []byte) float64 { return tensor.SumSquaresBE(src, m.NumParams) },
 	},
-	// Quant8 decodes through a table of its 256 levels on the kernel's stack.
+	// Quant8 decodes through a table of its 256 levels.
 	EncodingQuant8: {name: "quant8", width: 1, ranged: true,
 		put: func(m Meta, dst []byte, v tensor.Vector) { v.PutQuant8(dst, m.lo, m.hi) },
-		set: func(m Meta, dst tensor.Vector, src []byte) { var lut [256]float64; dst.SetLUT(m.levels(1, &lut), src) },
-		add: func(m Meta, dst tensor.Vector, src []byte) { var lut [256]float64; dst.AddLUT(m.levels(1, &lut), src) },
+		set: func(m Meta, dst tensor.Vector, src []byte) { lut := m.levels(1); dst.SetLUT(lut, src); free(lut) },
+		add: func(m Meta, dst tensor.Vector, src []byte) { lut := m.levels(1); dst.AddLUT(lut, src); free(lut) },
 		axpy: func(m Meta, dst tensor.Vector, a float64, src []byte) {
-			var lut [256]float64
-			dst.AddLUT(m.levels(a, &lut), src)
+			lut := m.levels(a)
+			dst.AddLUT(lut, src)
+			free(lut)
 		},
 		sumSq: func(m Meta, src []byte) float64 {
-			var lut [256]float64
-			return tensor.SumSquaresLUT(m.levels(1, &lut), src)
+			lut := m.levels(1)
+			defer free(lut)
+			return tensor.SumSquaresLUT(lut, src)
 		},
 	},
 }
@@ -190,20 +192,39 @@ func (m Meta) TaskName(b []byte) string {
 // tail, since ParseMeta refuses bytes after it.
 func (m Meta) elems(b []byte) []byte { return b[len(b)-rows[m.Encoding].width*m.NumParams:] }
 
-// levels fills lut[q] = scale·(lo + q·step), the value of level byte q, and
-// returns it. The table is the per-element dequantization expression
-// evaluated once per level instead of once per parameter, so folding through
-// it is bit-identical to computing in place (scale 1 multiplies exactly).
-// Callers keep lut on their stack: returned by value, it measured slower.
-func (m Meta) levels(scale float64, lut *[256]float64) *[256]float64 {
+// levels returns lut[q] = scale·(lo + q·step), the value of level byte q,
+// in a table from levelTables that its caller frees. The table is the
+// per-element dequantization expression evaluated once per level instead of
+// once per parameter, so folding through it is bit-identical to computing in
+// place (scale 1 multiplies exactly).
+func (m Meta) levels(scale float64) (lut *[256]float64) {
 	step := 0.0
 	if m.hi > m.lo {
 		step = (m.hi - m.lo) / 255
+	}
+	select {
+	case lut = <-levelTables:
+	default:
+		lut = new([256]float64)
 	}
 	for q := range lut {
 		lut[q] = scale * (m.lo + float64(q)*step)
 	}
 	return lut
+}
+
+// levelTables keeps level tables between folds, a leaky buffer (Effective
+// Go). On the stack, 2 KiB each, they made every report reader's goroutine
+// grow its stack at its first Quant8 fold. A table is out for one fold, so
+// 16 cover 16 folds at once; past that a table is left to the collector.
+var levelTables = make(chan *[256]float64, 16)
+
+// free returns lut to levelTables, unless it is full.
+func free(lut *[256]float64) {
+	select {
+	case levelTables <- lut:
+	default:
+	}
 }
 
 // DecodeParams decodes the parameter section of the buffer m was parsed

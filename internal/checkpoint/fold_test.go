@@ -331,8 +331,8 @@ func testFoldAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { _, _ = ParseMeta(b) }); a != 0 {
 			t.Errorf("%s/parse: %v allocs, want 0", e.name, a)
 		}
-		if a := testing.AllocsPerRun(20, func() { _, _ = c.Marshal(e.enc) }); a != 1 {
-			t.Errorf("%s/marshal: %v allocs, want 1", e.name, a)
+		if a := testing.AllocsPerRun(20, func() { _, _ = c.Marshal(e.enc) }); a != marshalAllocs {
+			t.Errorf("%s/marshal: %v allocs, want %d", e.name, a, marshalAllocs)
 		}
 		for _, v := range foldVariants {
 			if a := testing.AllocsPerRun(20, func() { v.run(m, b, sum) }); a != 0 {

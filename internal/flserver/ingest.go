@@ -118,9 +118,9 @@ type reportReader struct {
 // spare vector for its group's reduce. The EdgeRound only ever sees
 // fixed-size accounting messages.
 //
-// req.Update aliases the connection's leased receive buffer: every branch
-// releases it once the bytes are dead — folded, decoded or refused — and
-// before the ack goes out, so it serves another device's frame meanwhile.
+// req.Update aliases the connection's leased receive buffer: it is released
+// once the bytes are dead — folded, decoded or refused — and before the ack
+// goes out, so it serves another device's frame meanwhile.
 func (r *reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buffer) {
 	msg, err := conn.Recv()
 	req, ok := msg.(protocol.ReportRequest)
@@ -131,65 +131,67 @@ func (r *reportReader) read(deviceID string, conn transport.Conn, buf *robust.Bu
 		_ = r.self.Send(msgReportDone{DeviceID: deviceID})
 		return
 	}
-	// Each verdict accounts first (a fixed-size message to the actor), then
-	// answers the device from this goroutine — a stalled peer stalls only
-	// its own reader, for at most abortGrace.
-	reject := func(reason string) {
+	// The verdict's frame is gone before the ack's are pushed: a reader's
+	// stack holds the fold or the send, never both.
+	sendWithGrace(conn, r.consume(deviceID, conn, &req, buf))
+}
+
+// consume folds or retains req, releases its lease, accounts for it and
+// returns the device's verdict. Each verdict accounts with a fixed-size
+// message to the actor, which may block; the reader then answers the device
+// from its goroutine — a stalled peer stalls only its own reader, for at
+// most abortGrace.
+func (r *reportReader) consume(deviceID string, conn transport.Conn, req *protocol.ReportRequest, buf *robust.Buffer) protocol.ReportResponse {
+	reject := func(reason string) protocol.ReportResponse {
 		conn.Release()
 		obsReportsRejected.Inc()
 		_ = r.self.Send(msgReportDone{DeviceID: deviceID})
-		sendWithGrace(conn, protocol.ReportResponse{Accepted: false, Reason: reason})
+		return protocol.ReportResponse{Accepted: false, Reason: reason}
 	}
 	// settle maps a fold's outcome to the device's verdict. A fold that lost
 	// the race against the closing of the reporting window (the '#' outcome
 	// of Table 1) is answered without accounting: the round already settled
 	// this device's fate.
-	settle := func(err error) {
+	settle := func(err error) protocol.ReportResponse {
 		conn.Release()
 		switch {
 		case errors.Is(err, fedavg.ErrPartialClosed):
 			obsReportsLate.Inc()
-			sendWithGrace(conn, protocol.ReportResponse{Accepted: false, Reason: "reporting window closed"})
+			return protocol.ReportResponse{Accepted: false, Reason: "reporting window closed"}
 		case err != nil:
-			reject(err.Error())
+			return reject(err.Error())
 		default:
 			obsReportsOK.Inc()
 			_ = r.self.Send(msgReportDone{DeviceID: deviceID, OK: true})
-			sendWithGrace(conn, protocol.ReportResponse{Accepted: true})
+			return protocol.ReportResponse{Accepted: true}
 		}
 	}
 	if req.TaskID != r.taskID || req.Round != r.round {
-		reject(fmt.Sprintf("report for %s round %d, configured for %s round %d", req.TaskID, req.Round, r.taskID, r.round))
-		return
+		return reject(fmt.Sprintf("report for %s round %d, configured for %s round %d", req.TaskID, req.Round, r.taskID, r.round))
 	}
 	if req.Aborted {
-		reject("device aborted")
-		return
+		return reject("device aborted")
 	}
 	if len(req.Update) == 0 {
 		switch {
 		case !r.evalOnly:
 			// A training task must carry an update.
-			reject("missing update")
+			return reject("missing update")
 		case buf != nil:
-			settle(buf.AddEval(req.Metrics))
+			return settle(buf.AddEval(req.Metrics))
 		default:
-			settle(r.ingest.stripe().AddEval(req.Metrics))
+			return settle(r.ingest.stripe().AddEval(req.Metrics))
 		}
-		return
 	}
 	meta, err := checkpoint.ParseMeta(req.Update)
 	if err != nil {
-		reject("bad update: " + err.Error())
-		return
+		return reject("bad update: " + err.Error())
 	}
 	if meta.NumParams != r.dim {
-		reject(fmt.Sprintf("update dim %d, want %d", meta.NumParams, r.dim))
-		return
+		return reject(fmt.Sprintf("update dim %d, want %d", meta.NumParams, r.dim))
 	}
 	if !fedavg.ValidWeight(meta.Weight) {
-		reject("non-positive or non-finite weight")
-		return
+		return reject("non-positive or non-finite weight")
 	}
 	if buf != nil {
 		// Retention: decode into a spare vector the group's reduce (secagg
@@ -197,14 +199,13 @@ func (r *reportReader) read(deviceID string, conn transport.Conn, buf *robust.Bu
 		// Acceptance means "buffered" — a later secagg exclusion or
 		// defensive trim is the server's business, attributed in the
 		// EdgeSeal.
-		settle(buf.Add(deviceID, meta.Weight, req.Metrics, func(dst tensor.Vector) error {
+		return settle(buf.Add(deviceID, meta.Weight, req.Metrics, func(dst tensor.Vector) error {
 			if r.secure {
 				dst[r.dim] = meta.Weight
 				dst = dst[:r.dim]
 			}
 			return meta.DecodeParams(req.Update, dst)
 		}))
-		return
 	}
 	// Decode-and-accumulate at the edge: the wire bytes are folded
 	// (dequantized, for Quant8) straight into a stripe of the round
@@ -237,5 +238,5 @@ func (r *reportReader) read(deviceID string, conn transport.Conn, buf *robust.Bu
 		obsEdgeFolds.Inc()
 		obsEdgeFoldBytes.Add(int64(len(req.Update)))
 	}
-	settle(err)
+	return settle(err)
 }

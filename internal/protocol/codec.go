@@ -183,6 +183,18 @@ func walk(c *wire.Codec, msg interface{}) (code byte) {
 		_, code = m.walk(c)
 	case Abort:
 		_, code = m.walk(c)
+	default:
+		return walkPeer(c, msg)
+	}
+	return code
+}
+
+// walkPeer is walk for the shard and actor links' messages. Their copies
+// live in its frame, not walk's: in one switch with the device link's they
+// took 848 B, and a device session's reader grew its stack to send one
+// ReportResponse.
+func walkPeer(c *wire.Codec, msg interface{}) (code byte) {
+	switch m := msg.(type) {
 	case StripeSeal:
 		_, code = m.walk(c)
 	case RoundConfig:

@@ -40,10 +40,13 @@ func leaseCheckin(ckpt []byte) protocol.CheckinResponse {
 }
 
 // sendAsync sends from its own goroutine: a frame larger than the socket
-// buffers completes only while the peer is reading.
-func sendAsync(t *testing.T, c Conn, msgs ...interface{}) {
+// buffers completes only while the peer is reading. What it returns closes
+// once every Send has returned.
+func sendAsync(t *testing.T, c Conn, msgs ...interface{}) <-chan struct{} {
 	t.Helper()
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		for _, m := range msgs {
 			if err := c.Send(m); err != nil {
 				t.Errorf("send %T: %v", m, err)
@@ -51,6 +54,7 @@ func sendAsync(t *testing.T, c Conn, msgs ...interface{}) {
 			}
 		}
 	}()
+	return done
 }
 
 // recvLarge receives one message and returns its O(dim) byte field.
@@ -128,18 +132,18 @@ func TestLeaseSelectsByCodeAndLength(t *testing.T) {
 		}
 	}
 	for n, want := range map[int]int{1<<10 + 1: 0, 4 << 10: 0, 4<<10 + 1: 0, 8 << 10: 0, 8<<10 + 1: 1, 10 << 10: 1,
-		10<<10 + 1: 2, 14<<10 + 1: 4, leaseSize: 24, leaseSize + 64: 25, 3 << 20: 34, exactAlloc: len(rxPools) - 1} {
+		10<<10 + 1: 2, 14<<10 + 1: 4, leaseSize: 24, leaseSize + 64: 25, 3 << 20: 34, exactAlloc: len(rxStock) - 1} {
 		if got := rxClass(n); got != want {
 			t.Errorf("rxClass(%d) = %d, want %d", n, got, want)
 		}
 	}
-	for j := range rxPools {
+	for j := range rxStock {
 		if size := rxClassSize(j); rxClass(size) != j || j > 0 && rxClass(rxClassSize(j-1)+1) != j {
 			t.Errorf("class %d of %d bytes is not the smallest class holding them", j, size)
 		}
 	}
-	if rxClassSize(len(rxPools)-1) != exactAlloc {
-		t.Errorf("the largest class holds %d bytes, want %d", rxClassSize(len(rxPools)-1), exactAlloc)
+	if rxClassSize(len(rxStock)-1) != exactAlloc {
+		t.Errorf("the largest class holds %d bytes, want %d", rxClassSize(len(rxStock)-1), exactAlloc)
 	}
 }
 
@@ -313,32 +317,54 @@ func TestLeaseCloseNeverRecycles(t *testing.T) {
 }
 
 // TestLeaseReadErrorReturnsBuffer: a peer that hangs up mid-frame costs
-// nothing — no message is delivered and the buffer is back in the pool.
+// nothing — no message is delivered and the buffer is back in its class's
+// stock.
 func TestLeaseReadErrorReturnsBuffer(t *testing.T) {
 	// A 3 MiB frame has the 3 MiB class to itself in this package.
 	const size = 3 << 20
-	pool := &rxPools[rxClass(size)]
-	returned := false
-	for attempt := 0; attempt < 16 && !returned; attempt++ {
-		for pool.Get() != nil {
-		}
-		raw, server := rawPair(t)
-		if _, err := raw.Write(append(frameHeader(protocol.CodeCheckinResponse, size), make([]byte, 4096)...)); err != nil {
-			t.Fatal(err)
-		}
-		raw.Close()
-		if msg, err := server.Recv(); err == nil || msg != nil {
-			t.Fatalf("torn frame: Recv = %T, %v", msg, err)
-		}
-		if server.lease != nil {
-			t.Fatal("the failed Recv kept its buffer")
-		}
-		// Same goroutine, so the pool's per-processor slot normally hands
-		// the buffer straight back; retry for the cases where it cannot.
-		returned = pool.Get() != nil
+	j := rxClass(size)
+	for takeLoan(j) != nil { // empty the class's stock
 	}
-	if !returned {
-		t.Fatal("a read error never returned the buffer to the pool")
+	raw, server := rawPair(t)
+	if _, err := raw.Write(append(frameHeader(protocol.CodeCheckinResponse, size), make([]byte, 4096)...)); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+	if msg, err := server.Recv(); err == nil || msg != nil {
+		t.Fatalf("torn frame: Recv = %T, %v", msg, err)
+	}
+	if server.lease != nil {
+		t.Fatal("the failed Recv kept its buffer")
+	}
+	if takeLoan(j) == nil {
+		t.Fatal("a read error did not return the buffer to its stock")
+	}
+}
+
+// TestStockFollowsDemand: a class keeps the buffers of its largest burst of
+// loans out at once, and two windows of one loan at a time later only the
+// one its use needs.
+func TestStockFollowsDemand(t *testing.T) {
+	j := rxClass(15 << 10) // no other test's frames
+	s := &rxStock[j]
+	free := func() int { s.Lock(); defer s.Unlock(); return len(s.free) }
+	for takeLoan(j) != nil { // empty the class's stock
+	}
+	burst := make([]*Loan, 8)
+	for i := range burst {
+		burst[i] = NewLoan(rxClassSize(j))
+	}
+	for _, l := range burst {
+		l.Release()
+	}
+	if n := free(); n != len(burst) {
+		t.Fatalf("after a burst of %d loans the class keeps %d buffers", len(burst), n)
+	}
+	for i := 0; i < 2*stockWindow; i++ {
+		NewLoan(rxClassSize(j)).Release()
+	}
+	if n := free(); n != 1 {
+		t.Fatalf("two windows of one loan at a time later the class keeps %d buffers, want 1", n)
 	}
 }
 
@@ -382,8 +408,8 @@ func TestLeaseHeldFrameOutlivesRecv(t *testing.T) {
 	poison(t)
 	client, server := tcpPair(t)
 	mine := patterned(leaseSize, 10)
-	sendAsync(t, client, protocol.RoundConfig{Population: "p", TaskID: "t", Round: 1, Checkpoint: mine}, leaseReport(patterned(leaseSize, 11)))
-	before := loansOut()
+	before := loansOut() // the sender's scratch counts until its Send returns
+	sent := sendAsync(t, client, protocol.RoundConfig{Population: "p", TaskID: "t", Round: 1, Checkpoint: mine}, leaseReport(patterned(leaseSize, 11)))
 	held := recvLarge(t, server)
 	loan := server.Hold()
 	if loan == nil || server.Hold() != nil {
@@ -403,6 +429,7 @@ func TestLeaseHeldFrameOutlivesRecv(t *testing.T) {
 	if held[0] != 0xDB || held[len(held)-1] != 0xDB {
 		t.Fatal("the loan's last Release did not return the buffer")
 	}
+	<-sent
 	if got := loansOut() - before; got != 0 {
 		t.Fatalf("%v loans out after every Release, want 0", got)
 	}

@@ -89,12 +89,12 @@ func TestOneReadPerSmallFrame(t *testing.T) {
 	server.Release()
 }
 
-// keepalive reads SO_KEEPALIVE off c's socket.
-func keepalive(t *testing.T, c Conn) int {
+// sockopt reads an int socket option off c's socket.
+func sockopt(t *testing.T, c Conn, level, opt int) int {
 	t.Helper()
 	v, err := -1, error(nil)
 	if cerr := control(c.(*tcpConn), func(fd uintptr) {
-		v, err = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_KEEPALIVE)
+		v, err = syscall.GetsockoptInt(int(fd), level, opt)
 	}); cerr != nil || err != nil {
 		t.Fatal(cerr, err)
 	}
@@ -103,7 +103,9 @@ func keepalive(t *testing.T, c Conn) int {
 
 // TestKeepaliveOnlyWhereNothingElseBounds: accepted sockets run without
 // kernel keepalive — every server-side phase has a protocol bound — and
-// dialed ones, a device's, keep it, by IP literal and by host name.
+// dialed ones, a device's, keep it, by IP literal and by host name. Both
+// ends run without Nagle's delay: accepted sockets inherit TCP_NODELAY from
+// the listening socket, so an accept sets no option.
 func TestKeepaliveOnlyWhereNothingElseBounds(t *testing.T) {
 	l, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -120,11 +122,20 @@ func TestKeepaliveOnlyWhereNothingElseBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := keepalive(t, server); got != 0 {
-			t.Errorf("accepted socket: SO_KEEPALIVE = %d, want 0", got)
+		for _, c := range []struct {
+			end       string
+			conn      Conn
+			keepalive int
+		}{{"accepted", server, 0}, {"dialed at " + addr, client, 1}} {
+			if got := sockopt(t, c.conn, syscall.SOL_SOCKET, syscall.SO_KEEPALIVE); got != c.keepalive {
+				t.Errorf("%s socket: SO_KEEPALIVE = %d, want %d", c.end, got, c.keepalive)
+			}
+			if got := sockopt(t, c.conn, syscall.IPPROTO_TCP, syscall.TCP_NODELAY); got != 1 {
+				t.Errorf("%s socket: TCP_NODELAY = %d, want 1", c.end, got)
+			}
 		}
-		if got := keepalive(t, client); got != 1 {
-			t.Errorf("socket dialed at %s: SO_KEEPALIVE = %d, want 1", addr, got)
+		if got := sockopt(t, client, syscall.IPPROTO_TCP, syscall.TCP_KEEPIDLE); got != 15 {
+			t.Errorf("socket dialed at %s: TCP_KEEPIDLE = %d s, want 15", addr, got)
 		}
 		client.Close()
 		server.Close()

@@ -10,16 +10,20 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"net/netip"
+	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -247,11 +251,9 @@ const (
 )
 
 type tcpConn struct {
-	c *net.TCPConn
-	// sendMu serializes writers: frames must not interleave. Under it,
-	// slots holds a vectored write's segments.
-	sendMu sync.Mutex
-	slots  net.Buffers
+	// c is the socket. Each frame goes out in one call that holds c's write
+	// lock until every byte is written, so frames never interleave.
+	c *os.File
 	// Recv reads through raw, which calls fill, into ahead: a class-0 loan of
 	// the bytes not yet delivered, or nil.
 	raw   syscall.RawConn
@@ -260,18 +262,78 @@ type tcpConn struct {
 	lessee
 }
 
-// rxPools recycles loans — leases, borrowed frames, and in class 0 the
-// read-ahead and Send's scratch — one pool per quarter-octave class (2^k × 1,
-// 1.25, 1.5, 1.75) from 1<<minLeaseBits to exactAlloc, so a model-sized frame
-// (2^k parameters and a header) pins 1.25× its size, not 2×. Pooled memory is
+// Loans are recycled by size class — quarter octaves (2^k × 1, 1.25, 1.5,
+// 1.75) from 1<<minLeaseBits to exactAlloc, so a model-sized frame (2^k
+// parameters and a header) pins 1.25× its size, not 2×. Recycled memory is
 // not zeroed: a buffer reaches the codec only once reads have filled it.
 // Recv takes one once the socket is readable, so a parked Conn holds none.
-var rxPools [4*(exactAllocBits-minLeaseBits) + 1]sync.Pool
+//
+// rxPool recycles class 0: the read-ahead, Send's scratch and frames up to
+// 8 KiB, taken on every small frame.
+var rxPool sync.Pool
+
+// rxStock keeps the free buffers of every class above 0 (its [0] is unused),
+// last in first out: leases and borrowed frames. A sync.Pool would drop them
+// at collections, which come every few rounds when few large frames are in
+// flight. A returned buffer is kept only while its class holds fewer, out
+// and free, than it had out at once in its current or its last stockWindow
+// takes, so after a burst the class falls back to what its rounds use. A
+// loan left to the collector, never released, stays counted as out, in the
+// bound too: it keeps nothing more.
+var rxStock [4*(exactAllocBits-minLeaseBits) + 1]struct {
+	sync.Mutex
+	free                   []*Loan
+	out, peak, last, takes int
+}
+
+// stockWindow is how many takes of one class make a window: 256 rounds of
+// a 128-device round's leases, both ends counted. Most such rounds have a
+// few leases out at once, but now and then one has all 128; a class that
+// forgot that peak between two such rounds would allocate them again.
+const stockWindow = 1 << 16
+
+// takeLoan counts a loan of class j out and returns a buffer for it, or nil:
+// then its caller makes one.
+func takeLoan(j int) (l *Loan) {
+	if j == 0 {
+		l, _ = rxPool.Get().(*Loan)
+		return l
+	}
+	s := &rxStock[j]
+	s.Lock()
+	defer s.Unlock()
+	if s.takes++; s.takes == stockWindow {
+		s.takes, s.last, s.peak = 0, s.peak, s.out
+	}
+	s.out++
+	s.peak = max(s.peak, s.out)
+	if n := len(s.free); n > 0 {
+		l, s.free[n-1] = s.free[n-1], nil
+		s.free = s.free[:n-1]
+	}
+	return l
+}
+
+// putLoan counts l, a loan of class j, back in and keeps its buffer while
+// its class holds fewer than its bound; a take after a window drops one
+// kept over the new bound each time it comes back.
+func putLoan(j int, l *Loan) {
+	if j == 0 {
+		rxPool.Put(l)
+		return
+	}
+	s := &rxStock[j]
+	s.Lock()
+	defer s.Unlock()
+	if s.out--; s.out+len(s.free) < max(s.peak, s.last) {
+		s.free = append(s.free, l)
+	}
+}
 
 // rxClassSize is the capacity of class j's buffers: 2^k × (4 + j%4)/4.
 func rxClassSize(j int) int { return (4 + j%4) << (minLeaseBits - 2 + j/4) }
 
-// rxClass is the rxPools index of the smallest class holding n bytes
+// rxClass is the index of the smallest class holding n bytes
 // (0 < n ≤ exactAlloc); everything up to 8 KiB shares class 0.
 func rxClass(n int) int {
 	j := 0
@@ -314,7 +376,7 @@ func (h *lessee) Hold() (l *Loan) {
 	return l
 }
 
-// Loan is a buffer from rxPools shared by reference count: its owner's
+// Loan is a recycled buffer shared by reference count: its owner's
 // reference, one for each TCP Send that writes it, one for each send queued
 // for later and one for each in-memory reader that has yet to end its
 // lease; the last Release puts it, Loan and all, back. A nil *Loan is no
@@ -333,9 +395,7 @@ func NewLoan(n int) *Loan {
 	var l *Loan
 	if n > exactAlloc {
 		l = &Loan{b: make([]byte, n), origin: obsRxBufAlloc}
-	} else if p, ok := rxPools[rxClass(n)].Get().(*Loan); ok {
-		l = p
-	} else {
+	} else if l = takeLoan(rxClass(n)); l == nil {
 		l = &Loan{b: make([]byte, rxClassSize(rxClass(n))), pooled: true, origin: obsRxBufAlloc}
 	}
 	l.b = l.b[:n]
@@ -377,7 +437,7 @@ func (l *Loan) Release() {
 				}
 			}
 			l.origin = obsRxBufReused
-			rxPools[rxClass(len(b))].Put(l)
+			putLoan(rxClass(len(b)), l)
 		}
 	}
 }
@@ -442,40 +502,93 @@ func frame(msg interface{}, buf []byte, parts [][]byte) ([]byte, [][]byte, error
 
 // Send implements Conn. A frame of at most maxWhole bytes goes out in one
 // write(2), from a class-0 scratch buffer; a longer one — a multi-MB device
-// update or plan+checkpoint — in one vectored write straight from the
-// caller's buffers, never copied into a frame. An Encoded message writes its
-// cached frame instead of re-marshaling.
+// update or plan+checkpoint — in one writev(2) straight from the caller's
+// buffers, never copied into a frame. An Encoded message writes its cached
+// frame instead of re-marshaling.
 func (t *tcpConn) Send(msg interface{}) error {
 	var whole []byte
+	var parts [][]byte
 	var err error
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
+	w := vecWrites.Get().(*vecWrite)
+	defer vecWrites.Put(w)
 	if e, ok := msg.(*Encoded); ok {
 		e.loan.Acquire()
 		defer e.loan.Release()
-		var parts [][]byte
 		whole, parts, err = e.marshaled()
-		t.slots = append(t.slots[:0], parts...) // WriteTo clears what it consumes
 	} else {
-		b := NewLoan(0) // scratch: rxPools' counters do not see it
+		b := NewLoan(0) // scratch: the recycling counters do not see it
 		defer b.Release()
-		whole, t.slots, err = frame(msg, b.b, t.slots)
+		whole, w.parts, err = frame(msg, b.b, w.parts)
+		parts = w.parts
 	}
-	var wrote int64
+	var wrote int
 	switch {
 	case err != nil:
-	case len(t.slots) == 0:
-		var n int
-		n, err = t.c.Write(whole)
-		wrote = int64(n)
+	case len(parts) == 0:
+		wrote, err = t.c.Write(whole)
 	default:
-		segs := t.slots // WriteTo consumes the slice it is called on
-		wrote, err = t.slots.WriteTo(t.c)
-		t.slots = segs
+		wrote, err = w.write(t.raw, parts)
 	}
-	clear(t.slots) // segments a write did not consume would pin their buffers
-	obsTxBytes.Add(wrote)
+	clear(w.parts) // segments kept in the pool would pin their buffers
+	obsTxBytes.Add(int64(wrote))
 	return err
+}
+
+// vecWrite is one vectored write, pooled with writev bound once so no socket
+// keeps iovecs: a frame's segments, their iovecs and the ones left to write.
+type vecWrite struct {
+	parts     [][]byte
+	iov, left []iovec
+	n         int
+	err       error
+	writev    func(fd uintptr) bool
+}
+
+// iovec is C's struct iovec.
+type iovec struct {
+	base *byte
+	n    uint
+}
+
+var vecWrites = sync.Pool{New: func() any { w := &vecWrite{}; w.writev = w.more; return w }}
+
+// write writes parts, in one writev(2) when the socket takes them all.
+func (w *vecWrite) write(raw syscall.RawConn, parts [][]byte) (int, error) {
+	w.iov = w.iov[:0]
+	for _, p := range parts {
+		if len(p) > 0 {
+			w.iov = append(w.iov, iovec{unsafe.SliceData(p), uint(len(p))})
+		}
+	}
+	w.left, w.n, w.err = w.iov, 0, nil
+	err := raw.Write(w.writev)
+	clear(w.iov) // iovecs kept in the pool would pin their buffers
+	return w.n, cmp.Or(err, w.err)
+}
+
+// more is writev: writes of at most IOV_MAX (1 024) iovecs until none is
+// left, or false while the socket is full.
+func (w *vecWrite) more(fd uintptr) bool {
+	for len(w.left) > 0 {
+		n, e := writev(fd, w.left[:min(len(w.left), 1024)])
+		switch e {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		case 0:
+		default:
+			w.err = os.NewSyscallError("writev", e)
+			return true
+		}
+		for w.n += int(n); n >= uintptr(w.left[0].n); w.left = w.left[1:] {
+			if n -= uintptr(w.left[0].n); len(w.left) == 1 {
+				return true
+			}
+		}
+		w.left[0].base, w.left[0].n = (*byte)(unsafe.Add(unsafe.Pointer(w.left[0].base), n)), w.left[0].n-uint(n)
+	}
+	return true
 }
 
 // Recv implements Conn. A frame of at most maxWhole bytes arrives in one
@@ -632,53 +745,197 @@ func (t *tcpConn) Expire(d time.Duration) {
 // Close implements Conn.
 func (t *tcpConn) Close() error { return t.c.Close() }
 
-func wrapTCP(c *net.TCPConn) Conn {
+func wrapTCP(c *os.File) *tcpConn {
 	t := &tcpConn{c: c}
 	t.raw, _ = c.SyscallConn()
 	t.fill = t.readAhead
 	return t
 }
 
-type tcpListener struct{ l net.Listener }
+// tcpListener accepts on its own descriptor of the listening socket (a
+// listener's RawConn from net supports only Control: its Read fails EINVAL).
+// take is acceptOne, bound once; mu keeps nfd and err to one Accept.
+type tcpListener struct {
+	f    *os.File
+	raw  syscall.RawConn
+	addr string
+	take func(fd uintptr) bool
+	mu   sync.Mutex
+	nfd  int
+	err  error
+}
 
 // ListenTCP listens on a TCP address; ":0" picks a free port. Accepted
-// sockets have no kernel keepalive: every server phase has a protocol bound.
+// sockets inherit the listening socket's TCP_NODELAY and its lack of kernel
+// keepalive, so an accept sets no option: every server phase has a protocol
+// bound.
 func ListenTCP(addr string) (Listener, error) {
-	l, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", addr)
+	l, err := (&net.ListenConfig{Control: noDelay}).Listen(context.Background(), "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{l: l}, nil
-}
-
-// DialTCP connects to a TCP FL server, without the resolver for an IP
-// literal. Keepalive is how a device, whose waits have no bound, learns that
-// its server died.
-func DialTCP(addr string) (Conn, error) {
-	var c net.Conn
-	ap, err := netip.ParseAddrPort(addr)
-	if err == nil {
-		c, err = net.DialTCP("tcp", nil, net.TCPAddrFromAddrPort(ap))
-	} else {
-		c, err = net.Dial("tcp", addr)
-	}
+	defer l.Close()
+	f, err := l.(*net.TCPListener).File()
 	if err != nil {
 		return nil, err
 	}
-	return wrapTCP(c.(*net.TCPConn)), nil
+	t := &tcpListener{f: f, addr: l.Addr().String()}
+	t.raw, _ = f.SyscallConn()
+	t.take = t.acceptOne
+	return t, nil
 }
 
-// Accept implements Listener.
+// noDelay sets TCP_NODELAY on a socket net is about to bind.
+func noDelay(_, _ string, c syscall.RawConn) (err error) {
+	if cerr := c.Control(func(fd uintptr) { err = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1) }); cerr != nil {
+		return cerr
+	}
+	return err
+}
+
+// Accept implements Listener: one accept(2) once the socket is readable.
 func (t *tcpListener) Accept() (Conn, error) {
-	c, err := t.l.Accept()
-	if err != nil {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.raw.Read(t.take); err != nil {
 		return nil, err
 	}
-	return wrapTCP(c.(*net.TCPConn)), nil
+	if t.err != nil {
+		return nil, t.err
+	}
+	return wrapTCP(os.NewFile(uintptr(t.nfd), "tcp")), nil
 }
 
-// Close implements Listener.
-func (t *tcpListener) Close() error { return t.l.Close() }
+// acceptOne is take. It retries what net retries and waits on EAGAIN.
+func (t *tcpListener) acceptOne(fd uintptr) bool {
+	for {
+		switch t.nfd, t.err = accept(int(fd)); t.err {
+		case syscall.EINTR, syscall.ECONNABORTED:
+		case syscall.EAGAIN:
+			return false
+		case nil:
+			return true
+		default:
+			t.err = os.NewSyscallError("accept", t.err)
+			return true
+		}
+	}
+}
+
+// Close implements Listener; a parked Accept returns an error.
+func (t *tcpListener) Close() error { return t.f.Close() }
 
 // Addr implements Listener.
-func (t *tcpListener) Addr() string { return t.l.Addr().String() }
+func (t *tcpListener) Addr() string { return t.addr }
+
+// DialTCP connects to a TCP FL server: an IP literal without the resolver, a
+// host name at each of its addresses in turn until one connects.
+func DialTCP(addr string) (Conn, error) {
+	if ap, err := netip.ParseAddrPort(addr); err == nil {
+		return dial(ap)
+	}
+	host, service, err := net.SplitHostPort(addr)
+	if err != nil {
+		return nil, err
+	}
+	port, err := net.LookupPort("tcp", service)
+	if err != nil {
+		return nil, err
+	}
+	ips, err := net.DefaultResolver.LookupNetIP(context.Background(), "ip", host)
+	if err != nil {
+		return nil, err
+	}
+	return dialEach(ips, uint16(port))
+}
+
+// dialEach dials port at each of ips in turn until one connects.
+func dialEach(ips []netip.Addr, port uint16) (c Conn, err error) {
+	for _, ip := range ips {
+		if c, err = dial(netip.AddrPortFrom(ip, port)); err == nil {
+			return c, nil
+		}
+	}
+	return nil, err
+}
+
+// dialing is one connect, pooled with its wait, connected, bound once.
+type dialing struct {
+	sa4  syscall.SockaddrInet4
+	sa6  syscall.SockaddrInet6
+	sa   syscall.Sockaddr
+	err  error
+	wait func(fd uintptr) bool
+}
+
+var dials = sync.Pool{New: func() any { d := &dialing{}; d.wait = d.connected; return d }}
+
+// dial connects a socket to ap with dialOpts set. Keepalive is how a device,
+// whose waits have no bound, learns that its server died.
+func dial(ap netip.AddrPort) (Conn, error) {
+	d := dials.Get().(*dialing)
+	defer dials.Put(d)
+	ip, family := ap.Addr().Unmap(), syscall.AF_INET6
+	d.sa4.Port, d.sa6.Port, d.sa6.Addr, d.sa = int(ap.Port()), int(ap.Port()), ip.As16(), &d.sa6
+	if ip.Is4() {
+		family, d.sa4.Addr, d.sa = syscall.AF_INET, ip.As4(), &d.sa4
+	}
+	var err error
+	if d.sa6.ZoneId, err = zoneID(ip.Zone()); err != nil {
+		return nil, fmt.Errorf("transport: dial %s: %w", ap, err)
+	}
+	fd, err := socket(family)
+	if err != nil {
+		return nil, os.NewSyscallError("socket", err)
+	}
+	t := wrapTCP(os.NewFile(uintptr(fd), "tcp"))
+	for _, o := range dialOpts {
+		if err == nil {
+			err = os.NewSyscallError("setsockopt", syscall.SetsockoptInt(fd, o[0], o[1], o[2]))
+		}
+	}
+	if err == nil {
+		if err = syscall.Connect(fd, d.sa); err == syscall.EINPROGRESS || err == syscall.EINTR {
+			if err = t.raw.Write(d.wait); err == nil {
+				err = d.err
+			}
+		}
+	}
+	if err != nil {
+		t.Close()
+		return nil, fmt.Errorf("transport: dial %s: %w", ap, err)
+	}
+	return t, nil
+}
+
+// zoneID is the interface index an IPv6 zone names: "" none, a number
+// itself, or an interface's name.
+func zoneID(zone string) (uint32, error) {
+	if zone == "" {
+		return 0, nil
+	}
+	if n, err := strconv.ParseUint(zone, 10, 32); err == nil {
+		return uint32(n), nil
+	}
+	ifi, err := net.InterfaceByName(zone)
+	if err != nil {
+		return 0, err
+	}
+	return uint32(ifi.Index), nil
+}
+
+// connected is wait: a second connect(2) finds the first done (0 or
+// EISCONN), failed (its error) or in progress, once the socket is writable.
+func (d *dialing) connected(fd uintptr) bool {
+	switch d.err = syscall.Connect(int(fd), d.sa); d.err {
+	case syscall.EALREADY, syscall.EINTR:
+		return false
+	case nil, syscall.EISCONN:
+		d.err = nil
+	default: // where a failed attempt may restart, SO_ERROR keeps its error
+		if n, _ := syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_ERROR); n != 0 {
+			d.err = syscall.Errno(n)
+		}
+	}
+	return true
+}
