@@ -83,8 +83,8 @@ func TestAggregatorRejectsBadUpdates(t *testing.T) {
 		}
 		_ = dev.Send(protocol.ReportRequest{DeviceID: "a", TaskID: "pop/train", Round: 1, Update: update})
 		self := inbox(make(chan actor.Message, 1))
-		(&reportReader{self: self, taskID: "pop/train", round: 1, dim: 2, secure: true}).read("a", srv, buf)
-		if r := (<-self).(msgReportDone); r.OK {
+		(&reportReader{self: self, taskID: "pop/train", round: 1, dim: 2, secure: true}).read(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: "a"}, conn: srv, buf: buf})
+		if r := (<-self).(*reportDone); r.ok {
 			t.Fatalf("bad update accepted: %+v", r)
 		}
 		msg, err := dev.Recv()

@@ -200,7 +200,7 @@ func TestSecureReportAfterSealIsLate(t *testing.T) {
 	// Device i reports weight i+1 and delta (i+1)·1: d0 and d1 before the
 	// seal, d2 after it.
 	conns := make([]*heldConn, 3)
-	devices := make([]heldDevice, len(conns))
+	devices := make([]*session, len(conns))
 	for i := range conns {
 		w := float64(i + 1)
 		update, err := (&checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Weight: w, Params: tensor.Vector{w, w, w, w}}).Marshal(checkpoint.EncodingFloat64)
@@ -213,7 +213,7 @@ func TestSecureReportAfterSealIsLate(t *testing.T) {
 			deliver: make(chan struct{}),
 			resp:    make(chan protocol.ReportResponse, 1),
 		}
-		devices[i] = heldDevice{ID: id, RuntimeVersion: 3, Conn: conns[i]}
+		devices[i] = &session{CheckinRequest: protocol.CheckinRequest{DeviceID: id, RuntimeVersion: 3}, conn: conns[i]}
 	}
 	close(conns[0].deliver)
 	close(conns[1].deliver)

@@ -120,13 +120,6 @@ const edgeRoundLinger = 2 * time.Second
 // edge holds.
 type msgEdgeFinalize struct{}
 
-// edgeDev is one configured device's accounting on an edge round.
-type edgeDev struct {
-	conn     transport.Conn
-	reported bool
-	lost     bool
-}
-
 // versionResp is the memoized Configuration payload for one effective
 // runtime version: either a CheckinResponse pre-framed for the wire, or
 // the reason devices of that version cannot run the plan.
@@ -164,7 +157,7 @@ type EdgeRound struct {
 
 	reader    *reportReader // shared by the device goroutines, never written
 	resps     map[int]*versionResp
-	devices   map[string]*edgeDev
+	devices   map[string]*session // the configured devices, by ID
 	completed int
 	lost      int
 	aborted   int
@@ -260,7 +253,7 @@ func newEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal
 		ship:      ship,
 		owed:      cfg.Admit,
 		resps:     make(map[int]*versionResp),
-		devices:   make(map[string]*edgeDev, cfg.Admit),
+		devices:   make(map[string]*session, cfg.Admit),
 	}
 }
 
@@ -269,10 +262,12 @@ func (er *EdgeRound) Receive(ctx *actor.Context, msg actor.Message) {
 	switch m := msg.(type) {
 	case msgEdgeStart:
 		er.start(ctx)
+	case *session:
+		er.onDevices(ctx, []*session{m})
 	case msgDevices:
-		er.onDevices(ctx, m)
-	case msgReportDone:
-		er.noteOutcome(ctx, m.DeviceID, m.OK)
+		er.onDevices(ctx, m.Devices)
+	case *reportDone:
+		er.noteOutcome(ctx, (*session)(m))
 	case msgSelectionTimeout:
 		live := 0
 		for _, d := range er.devices {
@@ -359,13 +354,14 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 	}
 
 	er.reader = &reportReader{
-		self:     ctx.Self,
-		taskID:   er.cfg.Plan.ID,
-		round:    er.cfg.Round,
-		dim:      er.cfg.Dim,
-		secure:   er.secure,
-		evalOnly: er.cfg.Plan.Type == plan.TaskEval,
-		ingest:   er.ingest,
+		self:       ctx.Self,
+		configured: srv.ParticipationCap + abortGrace,
+		taskID:     er.cfg.Plan.ID,
+		round:      er.cfg.Round,
+		dim:        er.cfg.Dim,
+		secure:     er.secure,
+		evalOnly:   er.cfg.Plan.Type == plan.TaskEval,
+		ingest:     er.ingest,
 	}
 	if !er.secure && srv.Robust.Kind == plan.RobustNormBound {
 		er.reader.clip = srv.Robust.ClipNorm
@@ -421,24 +417,24 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 	return vr
 }
 
-// onDevices configures a batch of streamed devices. Each accepted device
-// gets one goroutine for the rest of its round: it pushes the device's
+// onDevices configures streamed devices. Each accepted device gets one
+// goroutine for the rest of its round: it pushes the device's
 // version's shared pre-framed response (a dead socket stalls only that
 // goroutine, never the actor; the frame is immutable shared bytes written
 // with one vectored write, so concurrent sends hold no per-device copy) and
 // then consumes the report at the edge — the O(dim) decode-and-accumulate
 // happens there, and only fixed-size accounting reaches the actor.
-func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
+func (er *EdgeRound) onDevices(ctx *actor.Context, devs []*session) {
 	if er.sealed {
-		for _, d := range m.Devices {
-			sendThenClose(ctx.System.Clock(), d.Conn, protocol.Abort{TaskID: er.cfg.Plan.ID, Round: er.cfg.Round, Reason: "round sealed"})
+		for _, d := range devs {
+			sendThenClose(ctx.System.Clock(), d.conn, protocol.Abort{TaskID: er.cfg.Plan.ID, Round: er.cfg.Round, Reason: "round sealed"})
 		}
 		return
 	}
 	if er.firstBatch.IsZero() {
 		er.firstBatch = time.Now()
 	}
-	er.owed -= len(m.Devices)
+	er.owed -= len(devs)
 	// refuse answers a device this round cannot use and hands its quota slot
 	// back, or refused devices would burn the admit budget below the seal
 	// target and stall the round to its timeout. The rejection rides the
@@ -448,28 +444,26 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 		replace++
 		sendThenClose(ctx.System.Clock(), conn, protocol.CheckinResponse{Accepted: false, Reason: reason})
 	}
-	self, reader, configured := ctx.Self, er.reader, er.cfg.Plan.Server.ParticipationCap+abortGrace
-	for _, d := range m.Devices {
-		if _, dup := er.devices[d.ID]; dup {
+	for _, d := range devs {
+		if _, dup := er.devices[d.DeviceID]; dup {
 			// Already configured; it completed — or lost its connection —
 			// and redialed while the window is still open.
-			refuse(d.Conn, "already participating in this round")
+			refuse(d.conn, "already participating in this round")
 			continue
 		}
 		if er.cfg.MinRuntime > 0 && d.RuntimeVersion < er.cfg.MinRuntime {
 			// The task's policy pins a runtime floor: reject instead of
 			// serving a lowered plan the engineer asked us not to serve.
 			er.lost++
-			refuse(d.Conn, fmt.Sprintf("task %s requires device runtime ≥ %d", er.cfg.Plan.ID, er.cfg.MinRuntime))
+			refuse(d.conn, fmt.Sprintf("task %s requires device runtime ≥ %d", er.cfg.Plan.ID, er.cfg.MinRuntime))
 			continue
 		}
-		vr := er.respFor(d.RuntimeVersion)
-		if vr.err != "" {
+		d.resp, d.reader = er.respFor(d.RuntimeVersion), er.reader
+		if d.resp.err != "" {
 			er.lost++
-			refuse(d.Conn, vr.err)
+			refuse(d.conn, d.resp.err)
 			continue
 		}
-		var buf *robust.Buffer
 		if len(er.bufs) > 0 {
 			g := 0
 			if er.secure {
@@ -477,28 +471,27 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, m msgDevices) {
 				// instance size: not delivering makes it a protocol
 				// dropout, not a no-show.
 				g = min(len(er.devices)/er.groupSize, len(er.bufs)-1)
-				er.assigned[g] = append(er.assigned[g], d.ID)
+				er.assigned[g] = append(er.assigned[g], d.DeviceID)
 			}
-			buf = er.bufs[g]
+			d.buf = er.bufs[g]
 		}
-		er.devices[d.ID] = &edgeDev{conn: d.Conn}
-		loan := transport.LoanOf(vr.enc)
-		loan.Acquire()
+		er.devices[d.DeviceID] = d
+		transport.LoanOf(d.resp.enc).Acquire()
 		er.configs.Add(1)
 		ctx.System.Clock().Go(func() {
-			d.Conn.Expire(configured) // the send and the report's read: the cap the device is told, plus grace
-			err := d.Conn.Send(vr.enc)
-			loan.Release()
+			d.conn.Expire(d.reader.configured)
+			err := d.conn.Send(d.resp.enc)
+			transport.LoanOf(d.resp.enc).Release()
 			er.configs.Done()
 			er.configEnd.Store(time.Now().UnixNano())
 			if err != nil {
 				// A failed Configuration send means a dead peer: release
 				// the fd here, then account the loss on the actor.
-				_ = d.Conn.Close()
-				_ = self.Send(msgReportDone{DeviceID: d.ID})
+				_ = d.conn.Close()
+				d.reader.done(d, false)
 				return
 			}
-			reader.read(d.ID, d.Conn, buf)
+			d.reader.read(d)
 		})
 	}
 	er.topUp(ctx, replace)
@@ -521,12 +514,11 @@ func (er *EdgeRound) revokeQuota(self actor.Ref) {
 // report, dead connection). A lost device of a plain round is replaced; a
 // secure round keeps it as a dropout of its group, absorbed — as the paper
 // has it — by over-selection.
-func (er *EdgeRound) noteOutcome(ctx *actor.Context, deviceID string, ok bool) {
-	d, exists := er.devices[deviceID]
-	if !exists || d.reported || d.lost {
-		return
+func (er *EdgeRound) noteOutcome(ctx *actor.Context, d *session) {
+	if er.devices[d.DeviceID] != d || d.reported || d.lost {
+		return // a late outcome, or another round's
 	}
-	if !ok {
+	if !d.ok {
 		d.lost = true
 		er.lost++
 		if !er.secure {

@@ -43,7 +43,7 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 	// INSIDE the linger window: a late forward reaches the still-lingering
 	// round actor and must be answered with an explicit abort.
 	srvEnd, devEnd := transport.Pipe(clock)
-	if err := ref.Send(msgDevices{Devices: []heldDevice{{ID: "late-inside", Conn: srvEnd}}}); err != nil {
+	if err := ref.Send(msgDevices{Devices: []*session{{CheckinRequest: protocol.CheckinRequest{DeviceID: "late-inside"}, conn: srvEnd}}}); err != nil {
 		t.Fatalf("send inside linger window: %v", err)
 	}
 	msg, err := devEnd.Recv()
@@ -78,9 +78,9 @@ func TestEdgeRoundLingerWindow(t *testing.T) {
 	// Selector — quota was revoked at seal, so there is no round to join
 	// and nothing to abort.
 	srvEnd2, devEnd2 := transport.Pipe(clock)
-	if err := sel.Send(msgCheckin{
-		Req:  protocol.CheckinRequest{Population: "pop", DeviceID: "late-outside"},
-		Conn: srvEnd2,
+	if err := sel.Send(&session{
+		CheckinRequest: protocol.CheckinRequest{Population: "pop", DeviceID: "late-outside"},
+		conn:           srvEnd2,
 	}); err != nil {
 		t.Fatalf("post-linger checkin: %v", err)
 	}

@@ -43,18 +43,24 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 		Global: &checkpoint.Checkpoint{TaskName: p.ID, Round: 1, Params: make(tensor.Vector, 4)},
 	}, []actor.Ref{sel}, func(s EdgeSeal) { seals <- s })
 	// gate parks the round's actor inside Receive until released, so its
-	// mailbox can be filled behind it.
+	// mailbox can be filled behind it; lose posts a configured device's own
+	// record back unreported, as its reader does when the device is lost,
+	// resolved on the round's goroutine.
 	type gate struct{}
+	type lose string
 	entered := make(chan struct{})
 	var release actor.Gate
 	t.Cleanup(release.Close)
 	ref := sys.Spawn("edge-outbox-test", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		if _, ok := msg.(gate); ok {
+		switch m := msg.(type) {
+		case gate:
 			close(entered)
 			actor.Sleep(clock, time.Hour, &release)
-			return
+		case lose:
+			er.Receive(ctx, (*reportDone)(er.devices[string(m)]))
+		default:
+			er.Receive(ctx, msg)
 		}
-		er.Receive(ctx, msg)
 	}))
 	_ = ref.Send(msgEdgeStart{})
 	er.requestDevices(ref)
@@ -71,9 +77,10 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 	_ = ref.Send(gate{})
 	<-entered
 	// First in the round's mailbox: d0 is lost. Then filler to the brim.
-	_ = ref.Send(msgReportDone{DeviceID: "d0"})
+	_ = ref.Send(lose("d0"))
+	stray := (*reportDone)(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: "never-configured"}})
 	for i := 1; i < mailbox; i++ {
-		_ = ref.Send(msgReportDone{DeviceID: "never-configured"})
+		_ = ref.Send(stray)
 	}
 	// The Selector admits d1 and parks forwarding it; the rest fill its
 	// mailbox, and the forwarders park behind that.
@@ -94,7 +101,7 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 	clock.until(t, "the replacement configured", func() bool { return configured.Load() == admit+1 })
 
 	// A second loss leaves one slot outstanding for the seal to revoke.
-	_ = ref.Send(msgReportDone{DeviceID: "d1"})
+	_ = ref.Send(lose("d1"))
 	clock.until(t, "one slot outstanding", func() bool { return popStats(t, sel, "pop").QuotaOutstanding == 1 })
 	_ = ref.Send(msgEdgeFinalize{})
 	clock.until(t, "the seal", func() bool { return len(seals) == 1 })
@@ -163,11 +170,13 @@ func TestSealSurvivesSaturatedGroupMailbox(t *testing.T) {
 	agg := er.aggs[0]
 	_ = ref.Send(msgEdgeFinalize{})
 	for i := 1; i < mailbox; i++ {
-		_ = ref.Send(msgReportDone{DeviceID: "never-configured"})
+		_ = ref.Send((*reportDone)(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: "never-configured"}}))
 	}
 	// Filler the Aggregator ignores: nothing is buffered for a secagg run.
 	// It fills the group's mailbox, and the senders park behind that.
-	filler := func(i int) actor.Message { return msgReportDone{DeviceID: fmt.Sprintf("d%d", i)} }
+	filler := func(i int) actor.Message {
+		return (*reportDone)(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: fmt.Sprintf("d%d", i)}})
+	}
 	for i := 0; i <= mailbox; i++ {
 		_ = agg.Send(filler(i))
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/robust"
 	"repro/internal/tensor"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // roundIngest is the striped edge-accumulation state of one non-secure
@@ -88,10 +89,11 @@ const abortGrace = 5 * time.Second
 // report at the edge: it decodes-and-accumulates into the round's stripes,
 // or decodes into a spare vector its group's retention buffer keeps.
 type reportReader struct {
-	self   actor.Ref
-	taskID string // a report must name the task and round its session was configured for
-	round  int64
-	dim    int
+	self       actor.Ref
+	configured time.Duration // bounds the configuration send and the report's read
+	taskID     string        // a report must name the task and round its session was configured for
+	round      int64
+	dim        int
 	// secure rounds retain delta‖weight: the weight rides in the vector's
 	// last slot, through the secure sum.
 	secure   bool
@@ -109,51 +111,64 @@ type reportReader struct {
 	obsClipped *metrics.Counter
 }
 
+var reportAccepted any = protocol.ReportResponse{Accepted: true} // every report the round takes
+
+// done posts d back to its round with its verdict.
+func (r *reportReader) done(d *session, ok bool) {
+	d.ok = ok
+	_ = r.self.Send((*reportDone)(d))
+}
+
 // read blocks for one device's ReportRequest and consumes it at the edge:
 // the O(devices × dim) decode work runs on the per-device reader goroutines
 // concurrently. With no retention buffer, updates are dequantized straight
 // into one of the round's accumulator stripes (zero O(dim) allocation, zero
-// O(dim) mailbox hop); buf, the device's group buffer (a secure group's, or
+// O(dim) mailbox hop); d.buf, the device's group buffer (a secure group's, or
 // the round's one under a per-update robust policy), keeps a decoded
 // spare vector for its group's reduce. The EdgeRound only ever sees
 // fixed-size accounting messages.
 //
 // req.Update aliases the connection's leased receive buffer: it is released
 // once the bytes are dead — folded, decoded or refused — and before the ack
-// goes out, so it serves another device's frame meanwhile.
-func (r *reportReader) read(deviceID string, conn transport.Conn, buf *robust.Buffer) {
-	msg, err := conn.Recv()
+// goes out, so it serves another device's frame meanwhile; a metrics map the
+// link decoded goes back to wire's stock, its values tallied.
+func (r *reportReader) read(d *session) {
+	msg, err := d.conn.Recv()
 	req, ok := msg.(protocol.ReportRequest)
 	if err != nil || !ok {
-		conn.Release() // Close never ends a lease: a refused leased frame would pin its buffer
-		_ = conn.Close()
+		d.conn.Release() // Close never ends a lease: a refused leased frame would pin its buffer
+		_ = d.conn.Close()
 		obsDevicesLost.Inc()
-		_ = r.self.Send(msgReportDone{DeviceID: deviceID})
+		r.done(d, false)
 		return
 	}
 	// The verdict's frame is gone before the ack's are pushed: a reader's
 	// stack holds the fold or the send, never both.
-	sendWithGrace(conn, r.consume(deviceID, conn, &req, buf))
+	verdict := r.consume(d, &req)
+	if req.Metrics != nil && transport.Decodes(d.conn) {
+		wire.PutF64Map(req.Metrics)
+	}
+	sendWithGrace(d.conn, verdict)
 }
 
 // consume folds or retains req, releases its lease, accounts for it and
-// returns the device's verdict. Each verdict accounts with a fixed-size
-// message to the actor, which may block; the reader then answers the device
-// from its goroutine — a stalled peer stalls only its own reader, for at
-// most abortGrace.
-func (r *reportReader) consume(deviceID string, conn transport.Conn, req *protocol.ReportRequest, buf *robust.Buffer) protocol.ReportResponse {
-	reject := func(reason string) protocol.ReportResponse {
-		conn.Release()
+// returns the device's verdict. Each verdict accounts by posting d to the
+// actor, which may block; the reader then answers the device from its
+// goroutine — a stalled peer stalls only its own reader, for at most
+// abortGrace.
+func (r *reportReader) consume(d *session, req *protocol.ReportRequest) any {
+	reject := func(reason string) any {
+		d.conn.Release()
 		obsReportsRejected.Inc()
-		_ = r.self.Send(msgReportDone{DeviceID: deviceID})
+		r.done(d, false)
 		return protocol.ReportResponse{Accepted: false, Reason: reason}
 	}
 	// settle maps a fold's outcome to the device's verdict. A fold that lost
 	// the race against the closing of the reporting window (the '#' outcome
 	// of Table 1) is answered without accounting: the round already settled
 	// this device's fate.
-	settle := func(err error) protocol.ReportResponse {
-		conn.Release()
+	settle := func(err error) any {
+		d.conn.Release()
 		switch {
 		case errors.Is(err, fedavg.ErrPartialClosed):
 			obsReportsLate.Inc()
@@ -162,8 +177,8 @@ func (r *reportReader) consume(deviceID string, conn transport.Conn, req *protoc
 			return reject(err.Error())
 		default:
 			obsReportsOK.Inc()
-			_ = r.self.Send(msgReportDone{DeviceID: deviceID, OK: true})
-			return protocol.ReportResponse{Accepted: true}
+			r.done(d, true)
+			return reportAccepted
 		}
 	}
 	if req.TaskID != r.taskID || req.Round != r.round {
@@ -177,8 +192,8 @@ func (r *reportReader) consume(deviceID string, conn transport.Conn, req *protoc
 		case !r.evalOnly:
 			// A training task must carry an update.
 			return reject("missing update")
-		case buf != nil:
-			return settle(buf.AddEval(req.Metrics))
+		case d.buf != nil:
+			return settle(d.buf.AddEval(req.Metrics))
 		default:
 			return settle(r.ingest.stripe().AddEval(req.Metrics))
 		}
@@ -193,13 +208,13 @@ func (r *reportReader) consume(deviceID string, conn transport.Conn, req *protoc
 	if !fedavg.ValidWeight(meta.Weight) {
 		return reject("non-positive or non-finite weight")
 	}
-	if buf != nil {
+	if d.buf != nil {
 		// Retention: decode into a spare vector the group's reduce (secagg
 		// run, or trimmed mean / median / cosine) consumes at the seal.
 		// Acceptance means "buffered" — a later secagg exclusion or
 		// defensive trim is the server's business, attributed in the
 		// EdgeSeal.
-		return settle(buf.Add(deviceID, meta.Weight, req.Metrics, func(dst tensor.Vector) error {
+		return settle(d.buf.Add(d.DeviceID, meta.Weight, req.Metrics, func(dst tensor.Vector) error {
 			if r.secure {
 				dst[r.dim] = meta.Weight
 				dst = dst[:r.dim]

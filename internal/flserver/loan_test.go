@@ -49,7 +49,7 @@ func TestMemDownloadsLendTheirLoan(t *testing.T) {
 		}, nil, func(s EdgeSeal) { seals <- s }))
 		_ = ref.Send(msgEdgeStart{})
 		srv, dev := transport.Pipe()
-		_ = ref.Send(msgDevices{Devices: []heldDevice{{ID: "d", RuntimeVersion: 3, Conn: srv}}})
+		_ = ref.Send(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: "d", RuntimeVersion: 3}, conn: srv})
 		msg, err := dev.Recv()
 		if err != nil {
 			t.Fatal(err)

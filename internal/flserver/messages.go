@@ -23,21 +23,22 @@ import (
 	"repro/internal/transport"
 )
 
-// heldDevice is a device connection a Selector holds: pooled for the next
-// round, or accepted and on its way to the round that owns the quota.
-type heldDevice struct {
-	ID             string
-	RuntimeVersion int
-	Conn           transport.Conn
+// session is one device's connection through the server, from its decoded
+// CheckinRequest to its verdict: the one record the CheckinRouter, a Selector
+// (which may pool it), the round and the device's own goroutine pass by
+// pointer. The round sets resp, buf and reader before that goroutine starts,
+// which writes ok before it posts the record back as a *reportDone; the round
+// writes reported and lost on its actor.
+type session struct {
+	protocol.CheckinRequest
+	conn               transport.Conn
+	resp               *versionResp   // the device's pre-framed configuration
+	buf                *robust.Buffer // its group's retention buffer, or nil: stripes
+	reader             *reportReader
+	ok, reported, lost bool
 }
 
-// --- Selector messages ---
-
-// msgCheckin is posted by a connection handler when a device checks in.
-type msgCheckin struct {
-	Req  protocol.CheckinRequest
-	Conn transport.Conn
-}
+// --- Selector messages (and a check-in's *session) ---
 
 // msgRejectConn is posted by a connection handler whose peer's first message
 // was not a check-in: the Selector steers it away.
@@ -163,27 +164,22 @@ func (s *SelectorStats) Add(o SelectorStats) {
 
 // --- EdgeRound messages ---
 
-// msgDevices delivers devices a Selector accepted under the round's quota.
+// msgDevices delivers a pooled batch a Selector accepted under the round's
+// quota; a device accepted at its check-in arrives as its own *session.
 type msgDevices struct {
-	Devices []heldDevice
+	Devices []*session
 }
 
 // msgSelectionTimeout fires when the plan's selection window closes: an
 // EdgeRound still short of its minimum seals what it holds.
 type msgSelectionTimeout struct{}
 
-// msgReportDone is the fixed-size outcome of one device's report, posted by
-// its connection reader after the O(dim) work already happened at the edge
-// (decode-and-accumulate into a stripe, or decode into a spare vector a
-// group's buffer retains). Only round accounting crosses the EdgeRound's
-// mailbox — never a parameter vector.
-type msgReportDone struct {
-	DeviceID string
-	// OK is true when the report was folded in; false records a device
-	// lost to the round: a rejected report (device abort, malformed or
-	// dimension-mismatched update) or a connection that died first.
-	OK bool
-}
+// reportDone is a configured session its goroutine posts back to the round
+// after the O(dim) work already happened at the edge (a fold into a stripe, or
+// a decode into a spare vector a group's buffer retains): only accounting
+// crosses the mailbox. ok false is a device lost to the round: a rejected
+// report (abort, malformed or mismatched update) or a connection that died.
+type reportDone session
 
 // msgFinalizeGroup tells an Aggregator to reduce its group and deliver the
 // partial aggregate.

@@ -107,8 +107,8 @@ func (r *CheckinRouter) Serve(l transport.Listener) {
 		r.handlers.Add(1)
 		r.mu.Unlock()
 		r.clock.Go(func() {
-			defer r.handlers.Done()
 			r.handleConn(conn)
+			r.handlers.Done()
 		})
 	}
 }
@@ -126,11 +126,18 @@ func (r *CheckinRouter) handleConn(conn transport.Conn) {
 		_ = conn.Close()
 		return
 	}
-	// The Selector owns the accept/reject decision for the request's
-	// population, and the clock and steering a rejection is made with.
+	r.forward(conn, msg)
+}
+
+// forward hands a check-in's session record, or any other first message to
+// be steered away, to a Selector: it owns the accept/reject decision and the
+// steering. Out of line, the request stays out of the frame under the Recv.
+//
+//go:noinline
+func (r *CheckinRouter) forward(conn transport.Conn, msg interface{}) {
 	var fwd actor.Message
 	if req, ok := msg.(protocol.CheckinRequest); ok {
-		fwd = msgCheckin{Req: req, Conn: conn}
+		fwd = &session{CheckinRequest: req, conn: conn}
 	} else {
 		fwd = msgRejectConn{Conn: conn, Reason: fmt.Sprintf("protocol error: expected CheckinRequest, got %T", msg)}
 	}

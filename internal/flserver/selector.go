@@ -53,7 +53,7 @@ type selPop struct {
 	// check-ins offered to it since the last grant, for the reservoir over a
 	// full pool (footnote 1 of the paper: "selection is done by simple
 	// reservoir sampling"); pooled is the population's gauge.
-	pool      []heldDevice
+	pool      []*session
 	poolSeen  int64
 	poolUntil time.Time
 	pooled    *metrics.Gauge
@@ -117,7 +117,7 @@ func newSelector(verifier *attest.Verifier, defaultSteering *pacing.Steering, se
 func (s *Selector) Receive(ctx *actor.Context, msg actor.Message) {
 	now := ctx.Now()
 	switch m := msg.(type) {
-	case msgCheckin:
+	case *session:
 		s.onCheckin(m, now)
 	case msgRejectConn:
 		s.rejectConn(m.Conn, m.Reason, s.defaultSteering, s.defaultEstimate, 1, now)
@@ -198,31 +198,34 @@ func (s *Selector) onQuota(m msgSetQuota, now time.Time) {
 // oldest first, in one batch.
 func (s *Selector) admitPooled(p *selPop, now time.Time) {
 	if n := min(p.quota, len(p.pool)); n > 0 {
-		s.admit(p, s.takePool(p, n), now)
+		devs := s.takePool(p, n)
+		if !s.admit(p, msgDevices{Devices: devs}, n) {
+			for _, d := range devs {
+				s.reject(p, d.conn, "round is over", now)
+			}
+		}
 	}
 }
 
-// admit hands devices accepted under p's quota to the round that owns it:
-// here a device enters the ledger. A round that has stopped takes none, and
-// they are steered away; their slots stay outstanding until its revocation
-// or the next grant.
-func (s *Selector) admit(p *selPop, devs []heldDevice, now time.Time) {
-	if err := p.owner.Send(msgDevices{Devices: devs}); err != nil {
-		for _, d := range devs {
-			s.reject(p, d.Conn, "round is over", now)
-		}
-		return
+// admit hands n devices accepted under p's quota, in msg (a check-in's own
+// *session or a pooled batch), to the round that owns it: here they enter the
+// ledger. A round that has stopped takes none: admit reports false, its
+// caller steers them away, and their slots stay outstanding until its
+// revocation or the next grant.
+func (s *Selector) admit(p *selPop, msg actor.Message, n int) bool {
+	if p.owner.Send(msg) != nil {
+		return false
 	}
-	n := len(devs)
 	p.quota -= n
 	p.accepted += int64(n)
 	p.consumed += int64(n)
 	obsCheckinAccepted.Add(int64(n))
+	return true
 }
 
 // takePool removes the n oldest devices from p's pool.
-func (s *Selector) takePool(p *selPop, n int) []heldDevice {
-	out := append([]heldDevice(nil), p.pool[:n]...)
+func (s *Selector) takePool(p *selPop, n int) []*session {
+	out := append([]*session(nil), p.pool[:n]...)
 	p.pool = append(p.pool[:0], p.pool[n:]...)
 	p.pooled.Add(-float64(n))
 	return out
@@ -231,7 +234,7 @@ func (s *Selector) takePool(p *selPop, n int) []heldDevice {
 // steerPool empties p's pool, steering every device away.
 func (s *Selector) steerPool(p *selPop, reason string, now time.Time) {
 	for _, d := range s.takePool(p, len(p.pool)) {
-		s.reject(p, d.Conn, reason, now)
+		s.reject(p, d.conn, reason, now)
 	}
 }
 
@@ -314,44 +317,44 @@ func (s *Selector) rejectConn(conn transport.Conn, reason string, st *pacing.Ste
 	})
 }
 
-func (s *Selector) onCheckin(m msgCheckin, now time.Time) {
+func (s *Selector) onCheckin(d *session, now time.Time) {
 	obsCheckins.Inc()
-	p, ok := s.pops[m.Req.Population]
+	p, ok := s.pops[d.Population]
 	if !ok {
 		// Unknown population: the device is misconfigured or the population
 		// is not (or no longer) registered. Steer it away with a reconnect
 		// hint instead of dropping the connection, so misrouted fleets back
 		// off rather than hammer the accept loop.
 		s.unknownRejected++
-		s.rejectConn(m.Conn, "unknown population "+m.Req.Population, s.defaultSteering, s.defaultEstimate, 1, now)
+		s.rejectConn(d.conn, "unknown population "+d.Population, s.defaultSteering, s.defaultEstimate, 1, now)
 		return
 	}
 	p.arrivals++
 	s.expirePools(now)
 	if s.verifier != nil {
-		if err := s.verifier.Verify(m.Req.DeviceID, m.Req.Population, m.Req.AttestationToken, now); err != nil {
-			s.reject(p, m.Conn, "attestation failed", now)
+		if err := s.verifier.Verify(d.DeviceID, d.Population, d.AttestationToken, now); err != nil {
+			s.reject(p, d.conn, "attestation failed", now)
 			return
 		}
 	}
-	d := heldDevice{ID: m.Req.DeviceID, RuntimeVersion: m.Req.RuntimeVersion, Conn: m.Conn}
-	if p.quota <= 0 {
+	switch {
+	case p.quota <= 0:
 		s.poolCheckin(p, d, now)
-		return
+	case !s.admit(p, d, 1):
+		s.reject(p, d.conn, "round is over", now)
 	}
-	s.admit(p, []heldDevice{d}, now)
 }
 
 // poolCheckin offers a device that found no quota outstanding to p's pool:
 // parked while there is room, reservoir-sampled (probability pool/poolSeen,
 // the victim steered away) once it holds demand devices.
-func (s *Selector) poolCheckin(p *selPop, d heldDevice, now time.Time) {
+func (s *Selector) poolCheckin(p *selPop, d *session, now time.Time) {
 	if !now.Before(p.poolUntil) {
-		s.reject(p, d.Conn, "come back later", now)
+		s.reject(p, d.conn, "come back later", now)
 		return
 	}
 	p.poolSeen++
-	d.Conn.Expire(0) // expirePools, not a deadline, bounds a pooled connection
+	d.conn.Expire(0) // expirePools, not a deadline, bounds a pooled connection
 	switch n := len(p.pool); {
 	case n < p.demand:
 		p.pool = append(p.pool, d)
@@ -362,9 +365,9 @@ func (s *Selector) poolCheckin(p *selPop, d heldDevice, now time.Time) {
 		victim := p.pool[i]
 		p.pool[i] = d
 		obsCheckinPooled.Inc()
-		s.reject(p, victim.Conn, "displaced by reservoir sampling", now)
+		s.reject(p, victim.conn, "displaced by reservoir sampling", now)
 	default:
-		s.reject(p, d.Conn, "come back later", now)
+		s.reject(p, d.conn, "come back later", now)
 	}
 }
 

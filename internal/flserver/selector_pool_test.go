@@ -32,7 +32,7 @@ func (d *poolDevice) answer() (protocol.CheckinResponse, bool, bool) {
 }
 
 // poolRig is one Selector on a virtual clock, a stand-in round actor that
-// records every msgDevices batch it is forwarded, and the checks after every
+// records every admission it is forwarded as a batch, and the checks after every
 // step: the quota ledger of every population balances, pooled devices or not,
 // and no population pools more devices than its last grant.
 type poolRig struct {
@@ -53,10 +53,10 @@ func newPoolRig(t *testing.T, seed uint64, pops ...string) *poolRig {
 	t.Cleanup(func() { r.sys.Shutdown() })
 	r.sel = spawnSelector(r.sys, "sel", seed, pops...)
 	r.round = r.sys.Spawn("round", actor.BehaviorFunc(func(_ *actor.Context, msg actor.Message) {
-		if m, ok := msg.(msgDevices); ok {
-			ids := make([]string, len(m.Devices))
-			for i, d := range m.Devices {
-				ids[i] = d.ID
+		if devs := admitted(msg); devs != nil {
+			ids := make([]string, len(devs))
+			for i, d := range devs {
+				ids[i] = d.DeviceID
 			}
 			r.mu.Lock()
 			r.batches = append(r.batches, ids)
@@ -106,7 +106,7 @@ func (r *poolRig) checkin(pop, id string) *poolDevice {
 			d.mu.Unlock()
 		}
 	})
-	r.send(msgCheckin{Req: protocol.CheckinRequest{DeviceID: id, Population: pop, RuntimeVersion: 3}, Conn: server})
+	r.send(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: id, Population: pop, RuntimeVersion: 3}, conn: server})
 	return d
 }
 
@@ -397,12 +397,12 @@ func TestPooledDeviceThatDiedIsToppedUp(t *testing.T) {
 			}
 			client.Close()
 		})
-		r.send(msgCheckin{Req: protocol.CheckinRequest{DeviceID: id, Population: "pop", RuntimeVersion: 3}, Conn: server})
+		r.send(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: id, Population: "pop", RuntimeVersion: 3}, conn: server})
 		return client
 	}
 	device("alive-0")
 	client, server := transport.Pipe(r.clock)
-	r.send(msgCheckin{Req: protocol.CheckinRequest{DeviceID: "dead", Population: "pop", RuntimeVersion: 3}, Conn: server})
+	r.send(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: "dead", Population: "pop", RuntimeVersion: 3}, conn: server})
 	client.Close() // gave up while pooled
 	device("alive-1")
 	if st := popStats(t, r.sel, "pop"); st.Pooled != admit {

@@ -36,10 +36,22 @@ func checkin(sys *actor.System, sel actor.Ref, pop, id string, responses func(pr
 			}
 		}
 	})
-	_ = sel.Send(msgCheckin{
-		Req:  protocol.CheckinRequest{DeviceID: id, Population: pop, RuntimeVersion: 3},
-		Conn: server,
+	_ = sel.Send(&session{
+		CheckinRequest: protocol.CheckinRequest{DeviceID: id, Population: pop, RuntimeVersion: 3},
+		conn:           server,
 	})
+}
+
+// admitted lists the devices one admission carries: a check-in's own
+// *session, or a pooled batch.
+func admitted(msg actor.Message) []*session {
+	switch m := msg.(type) {
+	case *session:
+		return []*session{m}
+	case msgDevices:
+		return m.Devices
+	}
+	return nil
 }
 
 // popStats queries one population's counters synchronously.
@@ -95,9 +107,9 @@ func TestSelectorRejectsUnknownPopulation(t *testing.T) {
 	_ = sel.Send(msgSetQuota{Population: "pop", Accept: 5})
 
 	client, server := transport.Pipe()
-	_ = sel.Send(msgCheckin{
-		Req:  protocol.CheckinRequest{DeviceID: "d", Population: "other"},
-		Conn: server,
+	_ = sel.Send(&session{
+		CheckinRequest: protocol.CheckinRequest{DeviceID: "d", Population: "other"},
+		conn:           server,
 	})
 	msg, err := client.Recv()
 	if err != nil {
@@ -126,9 +138,9 @@ func TestSelectorQuotaForOtherPopulationIgnored(t *testing.T) {
 	_ = sel.Send(msgSetQuota{Population: "other", Accept: 5})
 
 	client, server := transport.Pipe()
-	_ = sel.Send(msgCheckin{
-		Req:  protocol.CheckinRequest{DeviceID: "d", Population: "pop"},
-		Conn: server,
+	_ = sel.Send(&session{
+		CheckinRequest: protocol.CheckinRequest{DeviceID: "d", Population: "pop"},
+		conn:           server,
 	})
 	msg, err := client.Recv()
 	if err != nil {
@@ -304,10 +316,10 @@ func TestStaleRevocationKeepsSuccessorQuota(t *testing.T) {
 	reached := map[string]string{} // device → the round it was streamed to
 	round := func(name string) actor.Ref {
 		return sys.Spawn(name, actor.BehaviorFunc(func(_ *actor.Context, msg actor.Message) {
-			if m, ok := msg.(msgDevices); ok {
+			if devs := admitted(msg); devs != nil {
 				mu.Lock()
-				for _, d := range m.Devices {
-					reached[d.ID] = name
+				for _, d := range devs {
+					reached[d.DeviceID] = name
 				}
 				mu.Unlock()
 			}

@@ -98,10 +98,10 @@ func serverTakes(phase protocol.Phase, msg interface{}) bool {
 	_ = dev.Send(msg)
 	if phase == protocol.PhaseCheckin {
 		(&CheckinRouter{clock: actor.Wall, selectors: []actor.Ref{self}}).handleConn(srv)
-		_, ok := (<-self).(msgCheckin)
+		_, ok := (<-self).(*session)
 		return ok
 	}
-	(&reportReader{self: self, dim: 4}).read("d", srv, nil)
+	(&reportReader{self: self, dim: 4}).read(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: "d"}, conn: srv})
 	_, err := dev.Recv()
 	return err == nil
 }

@@ -223,36 +223,41 @@ func walkPeer(c *wire.Codec, msg interface{}) (code byte) {
 // payload returns an error, never panics.
 func UnmarshalBinary(code byte, payload []byte) (interface{}, error) {
 	if code == 0 || code >= codeEnd {
-		return nil, fmt.Errorf("protocol: unknown type code %d", code)
+		return nil, codeErr(code, nil)
 	}
 	msg, err := decoders[code](wire.Decoder(payload))
 	if err != nil {
-		return nil, fmt.Errorf("protocol: type code %d: %w", code, err)
+		return nil, codeErr(code, err)
 	}
 	return msg, nil
+}
+
+//go:noinline
+func codeErr(code byte, err error) error {
+	if err == nil {
+		return fmt.Errorf("protocol: unknown type code %d", code)
+	}
+	return fmt.Errorf("protocol: type code %d: %w", code, err)
 }
 
 // decoders walks each code in a function of its own, never inlined, so that
 // a reader's stack does not grow at its first decode for temporaries of all.
 var decoders = [codeEnd]func(c wire.Codec) (any, error){
-	CodeCheckinRequest:    func(c wire.Codec) (any, error) { return box(CheckinRequest{}.walk(&c)), c.Finish() },
-	CodeCheckinResponse:   func(c wire.Codec) (any, error) { return box(CheckinResponse{}.walk(&c)), c.Finish() },
-	CodeReportRequest:     func(c wire.Codec) (any, error) { return box(ReportRequest{}.walk(&c)), c.Finish() },
-	CodeReportResponse:    func(c wire.Codec) (any, error) { return box(ReportResponse{}.walk(&c)), c.Finish() },
-	CodeAbort:             func(c wire.Codec) (any, error) { return box(Abort{}.walk(&c)), c.Finish() },
-	CodeStripeSeal:        func(c wire.Codec) (any, error) { return box(StripeSeal{}.walk(&c)), c.Finish() },
-	CodeRoundConfig:       func(c wire.Codec) (any, error) { return box(RoundConfig{}.walk(&c)), c.Finish() },
-	CodeRoundFinalize:     func(c wire.Codec) (any, error) { return box(RoundFinalize{}.walk(&c)), c.Finish() },
-	CodeRoundAbort:        func(c wire.Codec) (any, error) { return box(RoundAbort{}.walk(&c)), c.Finish() },
-	CodeShardHello:        func(c wire.Codec) (any, error) { return box(ShardHello{}.walk(&c)), c.Finish() },
-	CodeCheckinRate:       func(c wire.Codec) (any, error) { return box(CheckinRate{}.walk(&c)), c.Finish() },
-	CodeActorEnvelope:     func(c wire.Codec) (any, error) { return box(ActorEnvelope{}.walk(&c)), c.Finish() },
-	CodeHeartbeat:         func(c wire.Codec) (any, error) { return box(Heartbeat{}.walk(&c)), c.Finish() },
-	CodeTelemetrySnapshot: func(c wire.Codec) (any, error) { return box(TelemetrySnapshot{}.walk(&c)), c.Finish() },
+	CodeCheckinRequest:    func(c wire.Codec) (any, error) { m, _ := CheckinRequest{}.walk(&c); return m, c.Finish() },
+	CodeCheckinResponse:   func(c wire.Codec) (any, error) { m, _ := CheckinResponse{}.walk(&c); return m, c.Finish() },
+	CodeReportRequest:     func(c wire.Codec) (any, error) { m, _ := ReportRequest{}.walk(&c); return m, c.Finish() },
+	CodeReportResponse:    func(c wire.Codec) (any, error) { m, _ := ReportResponse{}.walk(&c); return m, c.Finish() },
+	CodeAbort:             func(c wire.Codec) (any, error) { m, _ := Abort{}.walk(&c); return m, c.Finish() },
+	CodeStripeSeal:        func(c wire.Codec) (any, error) { m, _ := StripeSeal{}.walk(&c); return m, c.Finish() },
+	CodeRoundConfig:       func(c wire.Codec) (any, error) { m, _ := RoundConfig{}.walk(&c); return m, c.Finish() },
+	CodeRoundFinalize:     func(c wire.Codec) (any, error) { m, _ := RoundFinalize{}.walk(&c); return m, c.Finish() },
+	CodeRoundAbort:        func(c wire.Codec) (any, error) { m, _ := RoundAbort{}.walk(&c); return m, c.Finish() },
+	CodeShardHello:        func(c wire.Codec) (any, error) { m, _ := ShardHello{}.walk(&c); return m, c.Finish() },
+	CodeCheckinRate:       func(c wire.Codec) (any, error) { m, _ := CheckinRate{}.walk(&c); return m, c.Finish() },
+	CodeActorEnvelope:     func(c wire.Codec) (any, error) { m, _ := ActorEnvelope{}.walk(&c); return m, c.Finish() },
+	CodeHeartbeat:         func(c wire.Codec) (any, error) { m, _ := Heartbeat{}.walk(&c); return m, c.Finish() },
+	CodeTelemetrySnapshot: func(c wire.Codec) (any, error) { m, _ := TelemetrySnapshot{}.walk(&c); return m, c.Finish() },
 }
-
-// box returns a walk's message.
-func box[M any](m M, _ byte) any { return m }
 
 // The layouts. Each walk names the message's fields in wire order and
 // returns the message — holding what it read, on a decoding pass — and its

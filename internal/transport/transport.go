@@ -593,54 +593,33 @@ func (w *vecWrite) more(fd uintptr) bool {
 
 // Recv implements Conn. A frame of at most maxWhole bytes arrives in one
 // read(2) into the read-ahead buffer, which a leased one keeps as its lease;
-// a longer frame's payload starts with the bytes already read.
-func (t *tcpConn) Recv() (msg interface{}, err error) {
+// a longer frame's payload starts with the bytes already read. The header's
+// errors are out of line: a session's goroutine starts on a 2 KiB stack.
+func (t *tcpConn) Recv() (interface{}, error) {
 	t.Release()
-	consumed := false // the frame's bytes left the read-ahead buffer
-	defer func() {
-		if err != nil { // no message delivered, so nothing aliases the lease
-			t.Release()
-		}
-		if err != nil && !consumed { // a read or a header failed: drop its bytes
-			t.ahead.Release()
-			t.ahead = nil
-		}
-	}()
-	if err = t.fillTo(hdrLen); err != nil {
-		return nil, err
+	code, size, lease, err := byte(0), 0, false, t.fillTo(hdrLen)
+	if err == nil {
+		code, size, lease, err = t.header()
 	}
-	hdr := t.ahead.b
-	n := int(binary.BigEndian.Uint32(hdr[:4]))
-	if n < frameOverhead {
-		return nil, fmt.Errorf("transport: bad frame length %d", n)
-	}
-	if hdr[4] != wireVersion {
-		return nil, fmt.Errorf("transport: unsupported wire version %d", hdr[4])
-	}
-	code := hdr[5]
-	row, ok := protocol.Lookup(code)
-	if !ok {
-		return nil, fmt.Errorf("transport: unknown type code %d", code)
-	}
-	if n > row.Ceiling {
-		return nil, fmt.Errorf("transport: %s frame of %d bytes exceeds its ceiling of %d", row.Name, n, row.Ceiling)
-	}
-	size, whole := n-frameOverhead, hdrLen+n-frameOverhead
-	if whole <= maxWhole {
+	whole := hdrLen + size
+	if err == nil && whole <= maxWhole {
 		err = t.fillTo(whole)
+	}
+	if err != nil { // a read or a header failed: drop its bytes
+		t.ahead.Release()
+		t.ahead = nil
+		return nil, err
 	}
 	var payload []byte
 	switch buf := t.ahead; {
-	case err != nil:
-		return nil, err
 	case whole > maxWhole:
 		read := readPayload
-		if leased(code, size) {
+		if lease {
 			read = t.readLeased
 		}
 		payload, err = read(t.c, buf.b[hdrLen:], size)
 		whole = len(buf.b)
-	case leased(code, size):
+	case lease:
 		payload, t.lease = buf.b[hdrLen:whole], buf
 		buf.origin.Inc()
 	default:
@@ -655,11 +634,37 @@ func (t *tcpConn) Recv() (msg interface{}, err error) {
 	} else if t.ahead = nil; buf != t.lease {
 		buf.Release()
 	}
-	if consumed = true; err != nil {
-		return nil, err
+	if err == nil {
+		obsRxBytes.Add(int64(hdrLen + size))
+		var msg interface{}
+		if msg, err = protocol.UnmarshalBinary(code, payload); err == nil {
+			return msg, nil
+		}
 	}
-	obsRxBytes.Add(int64(hdrLen + size))
-	return protocol.UnmarshalBinary(code, payload)
+	t.Release() // no message delivered, so nothing aliases the lease
+	return nil, err
+}
+
+// header checks the frame header in the read-ahead buffer and returns its
+// code, its payload's size and whether that is leased.
+//
+//go:noinline
+func (t *tcpConn) header() (code byte, size int, lease bool, err error) {
+	hdr := t.ahead.b
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
+	code, size = hdr[5], n-frameOverhead
+	row, ok := protocol.Lookup(code)
+	switch {
+	case n < frameOverhead:
+		err = fmt.Errorf("transport: bad frame length %d", n)
+	case hdr[4] != wireVersion:
+		err = fmt.Errorf("transport: unsupported wire version %d", hdr[4])
+	case !ok:
+		err = fmt.Errorf("transport: unknown type code %d", code)
+	case n > row.Ceiling:
+		err = fmt.Errorf("transport: %s frame of %d bytes exceeds its ceiling of %d", row.Name, n, row.Ceiling)
+	}
+	return code, size, leased(code, size), err
 }
 
 // fillTo reads until the read-ahead buffer holds n ≤ maxWhole bytes.
@@ -745,6 +750,13 @@ func (t *tcpConn) Expire(d time.Duration) {
 // Close implements Conn.
 func (t *tcpConn) Close() error { return t.c.Close() }
 
+// Decodes reports whether c decodes what it receives, so its reader owns
+// every decoded map; an in-memory conn delivers the sender's own values.
+func Decodes(c Conn) bool {
+	_, ok := c.(*tcpConn)
+	return ok
+}
+
 func wrapTCP(c *os.File) *tcpConn {
 	t := &tcpConn{c: c}
 	t.raw, _ = c.SyscallConn()
@@ -763,6 +775,8 @@ type tcpListener struct {
 	mu   sync.Mutex
 	nfd  int
 	err  error
+	done chan struct{} // closed by Close: ends a backoff
+	once sync.Once
 }
 
 // ListenTCP listens on a TCP address; ":0" picks a free port. Accepted
@@ -779,7 +793,7 @@ func ListenTCP(addr string) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &tcpListener{f: f, addr: l.Addr().String()}
+	t := &tcpListener{f: f, addr: l.Addr().String(), done: make(chan struct{})}
 	t.raw, _ = f.SyscallConn()
 	t.take = t.acceptOne
 	return t, nil
@@ -794,16 +808,28 @@ func noDelay(_, _ string, c syscall.RawConn) (err error) {
 }
 
 // Accept implements Listener: one accept(2) once the socket is readable.
+// Out of descriptors or kernel memory, it tries again after a backoff, 5 ms
+// doubling to 1 s as net/http's Server does, so that a burst past the limit
+// does not end its caller's accept loop; Close ends the wait.
 func (t *tcpListener) Accept() (Conn, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.raw.Read(t.take); err != nil {
-		return nil, err
+	for wait := 5 * time.Millisecond; ; wait = min(2*wait, time.Second) {
+		if err := t.raw.Read(t.take); err != nil {
+			return nil, err
+		}
+		switch t.err {
+		case nil:
+			return wrapTCP(os.NewFile(uintptr(t.nfd), "tcp")), nil
+		case syscall.EMFILE, syscall.ENFILE, syscall.ENOBUFS, syscall.ENOMEM:
+			select {
+			case <-time.After(wait):
+			case <-t.done:
+			}
+		default:
+			return nil, os.NewSyscallError("accept", t.err)
+		}
 	}
-	if t.err != nil {
-		return nil, t.err
-	}
-	return wrapTCP(os.NewFile(uintptr(t.nfd), "tcp")), nil
 }
 
 // acceptOne is take. It retries what net retries and waits on EAGAIN.
@@ -813,17 +839,17 @@ func (t *tcpListener) acceptOne(fd uintptr) bool {
 		case syscall.EINTR, syscall.ECONNABORTED:
 		case syscall.EAGAIN:
 			return false
-		case nil:
-			return true
 		default:
-			t.err = os.NewSyscallError("accept", t.err)
 			return true
 		}
 	}
 }
 
 // Close implements Listener; a parked Accept returns an error.
-func (t *tcpListener) Close() error { return t.f.Close() }
+func (t *tcpListener) Close() error {
+	t.once.Do(func() { close(t.done) })
+	return t.f.Close()
+}
 
 // Addr implements Listener.
 func (t *tcpListener) Addr() string { return t.addr }

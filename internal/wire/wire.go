@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"time"
 )
 
@@ -114,9 +115,15 @@ func (c *Codec) Finish() error {
 	return c.err
 }
 
+// Out of line, like badVarint: a device session's walk runs on a 2 KiB stack.
+//
+//go:noinline
 func (c *Codec) truncated(what string) {
 	c.Fail(fmt.Errorf("wire: truncated %s (%d bytes left)", what, len(c.in)))
 }
+
+//go:noinline
+func (c *Codec) badVarint(what string) { c.Fail(fmt.Errorf("wire: bad %s varint", what)) }
 
 func (c *Codec) take(n int, what string) []byte {
 	if c.err != nil {
@@ -159,7 +166,7 @@ func (c *Codec) uvarint(v uint64, what string) (uint64, bool) {
 		c.n += (bits.Len64(v|1) + 6) / 7
 	case decoding:
 		if v, n := binary.Uvarint(c.in); n <= 0 || n > 1 && c.in[n-1] == 0 {
-			c.Fail(fmt.Errorf("wire: bad %s varint", what))
+			c.badVarint(what)
 		} else if c.take(n, what) != nil {
 			return v, true
 		}
@@ -337,9 +344,18 @@ func (c *Codec) F64Map(p *map[string]float64) {
 	c.entries(keysOf(*p, buf[:0]), 9, func(k string) int {
 		v := (*p)[k]
 		c.F64(&v)
+		if c.pass == decoding && *p == nil {
+			*p, _ = f64Maps.Get().(map[string]float64)
+		}
 		return put(c, p, k, v)
 	})
 }
+
+var f64Maps sync.Pool // the maps F64Map decodes into
+
+// PutF64Map hands back, cleared, a map F64Map decoded that nothing else
+// references: a report's metrics, read once.
+func PutF64Map(m map[string]float64) { clear(m); f64Maps.Put(m) }
 
 func (c *Codec) I64Map(p *map[string]int64) {
 	var buf [8]string
