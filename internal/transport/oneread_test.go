@@ -193,69 +193,6 @@ func FuzzTCPFraming(f *testing.F) {
 	})
 }
 
-// TestParkedConnsHoldNoBuffer: a thousand connections whose readers wait in
-// Recv hold no read-ahead buffer and no lease — fl_net_buf_loans reads its
-// baseline — after each has received a leased and an owned frame.
-func TestParkedConnsHoldNoBuffer(t *testing.T) {
-	const conns = 1000
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	before := loansOut()
-	received := make(chan error, 2*conns)
-	var clients []Conn
-	for i := 0; i < conns; i++ {
-		client, err := DialTCP(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		server, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { client.Close(); server.Close() })
-		clients = append(clients, client)
-		go func() {
-			for {
-				if _, err := server.Recv(); err != nil {
-					return
-				}
-				received <- nil
-			}
-		}()
-	}
-	report := Encode(leaseReport(patterned(2000, 5)))
-	for _, c := range clients {
-		if err := c.Send(report); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Send(protocol.Heartbeat{Seq: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2*conns; i++ {
-		select {
-		case <-received:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%d of %d frames received", i, 2*conns)
-		}
-	}
-	// A reader that received its last frame is on its way back into Recv,
-	// where a read that finds nothing puts the buffer back: wait for all.
-	deadline := time.Now().Add(10 * time.Second)
-	for loansOut() != before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		if got := loansOut() - before; got != 0 {
-			t.Fatalf("%v buffers held by %d parked connections, want 0", got, conns)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestRecvAllocs: a steady-state Recv of a control-sized leased
 // ReportRequest or CheckinResponse allocates what decoding its payload
 // allocates and nothing more — no Loan, no buffer, no header — and wrapping

@@ -112,36 +112,3 @@ func TestSendWritesOneFrame(t *testing.T) {
 		}
 	}
 }
-
-// TestSendAllocs is the send path's allocation tripwire: Send of a control
-// frame, of a pre-framed CheckinResponse and of a 512 KiB report allocates
-// nothing — header and scratch are the conn's or the pool's, a vectored
-// write's segments and iovecs the pool's — once warm, and as the first Send
-// on a fresh socket, which keeps no iovecs of its own.
-func TestSendAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's pool drops Puts: the bound cannot hold")
-	}
-	for name, msg := range map[string]interface{}{
-		"checkin request":      protocol.CheckinRequest{DeviceID: "d", Population: "pop", RuntimeVersion: 3, AttestationToken: []byte{1, 2}},
-		"report response":      protocol.ReportResponse{Accepted: true, RetryAfter: time.Second},
-		"control-sized report": leaseReport(patterned(1<<9, 1)),
-		"pre-framed response":  Encode(leaseCheckin(patterned(1<<10, 2))),
-		"512 KiB report":       leaseReport(patterned(leaseSize, 3)),
-	} {
-		t.Run(name, func(t *testing.T) {
-			conn := drained(t)
-			if n := testing.AllocsPerRun(50, func() { _ = conn.Send(msg) }); n != 0 {
-				t.Fatalf("Send allocates %v times per call, want 0", n)
-			}
-			fresh := make([]*tcpConn, 11) // AllocsPerRun's warm-up and ten runs
-			for i := range fresh {
-				fresh[i] = drained(t)
-			}
-			i := 0
-			if n := testing.AllocsPerRun(10, func() { _ = fresh[i].Send(msg); i++ }); n != 0 {
-				t.Fatalf("the first Send on a fresh socket allocates %v times, want 0", n)
-			}
-		})
-	}
-}

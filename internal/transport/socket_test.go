@@ -3,8 +3,6 @@ package transport
 import (
 	"bytes"
 	"net"
-	"net/netip"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,10 +12,10 @@ import (
 	"repro/internal/protocol"
 )
 
-// The TCP link's sockets are the transport's own descriptors: ListenTCP
-// accepts with accept(2) on a descriptor of the listening socket, DialTCP
-// connects a socket it opened, and a long frame is one vectored write from
-// pooled iovecs.
+// The TCP link's sockets, on either path: on linux but 386 the transport's own
+// descriptors (ListenTCP accepts with accept4(2) on a descriptor of the
+// listening socket, DialTCP of an IP literal connects a socket it opened, and
+// a long frame is one writev(2) from pooled iovecs), elsewhere net's.
 
 // listen is a loopback listener closed with the test.
 func listen(t *testing.T, addr string) Listener {
@@ -28,41 +26,6 @@ func listen(t *testing.T, addr string) Listener {
 	}
 	t.Cleanup(func() { l.Close() })
 	return l
-}
-
-// TestDialAcceptAllocs is the per-connection tripwire: one DialTCP of an IP
-// literal, its Accept and both Closes allocate at most 13 objects and 360 B,
-// both tcpConns included — no address of either end, no per-socket iovecs.
-func TestDialAcceptAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's pool drops Puts: the bound cannot hold")
-	}
-	l := listen(t, "127.0.0.1:0")
-	pair := func() {
-		c, err := DialTCP(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-		s.Close()
-	}
-	const n = 2000
-	objects := testing.AllocsPerRun(n, pair)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		pair()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("a dial, its accept and both closes: %v objects, %.0f B", objects, bytes)
-	if objects > 13 || bytes > 360 {
-		t.Fatalf("a dial+accept pair allocates %v objects and %.0f B, want at most 13 and 360", objects, bytes)
-	}
 }
 
 // TestListenerCloseUnblocksTCPAccept: Close wakes an Accept parked on an
@@ -89,25 +52,11 @@ func TestListenerCloseUnblocksTCPAccept(t *testing.T) {
 	}
 }
 
-// TestDialTriesEachAddress: a name's addresses are tried in order, so one
-// whose first address refuses connects on the next; when every address
-// refuses, the last refusal is the error.
+// TestDialTriesEachAddress: a literal that refuses fails the dial. (A host
+// name's addresses, and their order, are net.Dialer's.)
 func TestDialTriesEachAddress(t *testing.T) {
 	l := listen(t, "127.0.0.1:0")
-	port := netip.MustParseAddrPort(l.Addr()).Port()
-	refusing := netip.MustParseAddr("127.0.0.2") // the listener is bound to 127.0.0.1 only
-	c, err := dialEach([]netip.Addr{refusing, netip.MustParseAddr("127.0.0.1")}, port)
-	if err != nil {
-		t.Fatalf("the second address did not connect: %v", err)
-	}
-	s, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundTrip(t, c, s)
-	if _, err := dialEach([]netip.Addr{refusing}, port); err == nil || !strings.Contains(err.Error(), "refused") {
-		t.Fatalf("dialing a refusing address: %v, want connection refused", err)
-	}
+	// the listener is bound to 127.0.0.1 only
 	if _, err := DialTCP("127.0.0.2:" + l.Addr()[strings.LastIndex(l.Addr(), ":")+1:]); err == nil {
 		t.Fatal("a literal that refuses dialed")
 	}
@@ -134,9 +83,6 @@ func TestIPv6Loopback(t *testing.T) {
 	for _, ifi := range ifs {
 		if ifi.Flags&net.FlagLoopback == 0 {
 			continue
-		}
-		if id, err := zoneID(ifi.Name); err != nil || id != uint32(ifi.Index) {
-			t.Errorf("zone %s: interface %d, %v; want %d", ifi.Name, id, err, ifi.Index)
 		}
 		addrs = append(addrs, "[::1%"+ifi.Name+"]"+port, "[::1%"+strconv.Itoa(ifi.Index)+"]"+port)
 	}

@@ -10,20 +10,18 @@
 package transport
 
 import (
-	"cmp"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/netip"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
-	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -250,15 +248,12 @@ const (
 	hdrLen   = 4 + frameOverhead
 )
 
+// tcpConn is a TCP stream. Its socket, c, is its system's link
+// (sock_linux.go, sock_other.go); each frame goes out in one call that holds
+// c's write lock until every byte is written, so frames never interleave.
 type tcpConn struct {
-	// c is the socket. Each frame goes out in one call that holds c's write
-	// lock until every byte is written, so frames never interleave.
-	c *os.File
-	// Recv reads through raw, which calls fill, into ahead: a class-0 loan of
-	// the bytes not yet delivered, or nil.
-	raw   syscall.RawConn
-	fill  func(fd uintptr) bool
-	ahead *Loan
+	link
+	ahead *Loan // a class-0 loan of the bytes read and not yet delivered, or nil
 	lessee
 }
 
@@ -266,7 +261,7 @@ type tcpConn struct {
 // 1.75) from 1<<minLeaseBits to exactAlloc, so a model-sized frame (2^k
 // parameters and a header) pins 1.25× its size, not 2×. Recycled memory is
 // not zeroed: a buffer reaches the codec only once reads have filled it.
-// Recv takes one once the socket is readable, so a parked Conn holds none.
+// On linux Recv takes one once the socket is readable: a parked Conn holds none.
 //
 // rxPool recycles class 0: the read-ahead, Send's scratch and frames up to
 // 8 KiB, taken on every small frame.
@@ -384,7 +379,7 @@ func (h *lessee) Hold() (l *Loan) {
 type Loan struct {
 	b      []byte
 	refs   atomic.Int32
-	rn     int32 // a read-ahead's last read(2): bytes, 0 at the end, or -errno; free in its size class
+	rn     int32 // the raw path's last read(2) onto a read-ahead: bytes, 0 at the end, or -errno; free in its size class
 	pooled bool
 	origin *metrics.Counter // counts a take for a frame: fresh until pooled
 }
@@ -501,10 +496,8 @@ func frame(msg interface{}, buf []byte, parts [][]byte) ([]byte, [][]byte, error
 }
 
 // Send implements Conn. A frame of at most maxWhole bytes goes out in one
-// write(2), from a class-0 scratch buffer; a longer one — a multi-MB device
-// update or plan+checkpoint — in one writev(2) straight from the caller's
-// buffers, never copied into a frame. An Encoded message writes its cached
-// frame instead of re-marshaling.
+// write from a class-0 scratch buffer, a longer one in one vectored write
+// from the caller's buffers; an Encoded message writes its cached frame.
 func (t *tcpConn) Send(msg interface{}) error {
 	var whole []byte
 	var parts [][]byte
@@ -527,74 +520,17 @@ func (t *tcpConn) Send(msg interface{}) error {
 	case len(parts) == 0:
 		wrote, err = t.c.Write(whole)
 	default:
-		wrote, err = w.write(t.raw, parts)
+		wrote, err = w.write(t, parts)
 	}
 	clear(w.parts) // segments kept in the pool would pin their buffers
 	obsTxBytes.Add(int64(wrote))
 	return err
 }
 
-// vecWrite is one vectored write, pooled with writev bound once so no socket
-// keeps iovecs: a frame's segments, their iovecs and the ones left to write.
-type vecWrite struct {
-	parts     [][]byte
-	iov, left []iovec
-	n         int
-	err       error
-	writev    func(fd uintptr) bool
-}
-
-// iovec is C's struct iovec.
-type iovec struct {
-	base *byte
-	n    uint
-}
-
-var vecWrites = sync.Pool{New: func() any { w := &vecWrite{}; w.writev = w.more; return w }}
-
-// write writes parts, in one writev(2) when the socket takes them all.
-func (w *vecWrite) write(raw syscall.RawConn, parts [][]byte) (int, error) {
-	w.iov = w.iov[:0]
-	for _, p := range parts {
-		if len(p) > 0 {
-			w.iov = append(w.iov, iovec{unsafe.SliceData(p), uint(len(p))})
-		}
-	}
-	w.left, w.n, w.err = w.iov, 0, nil
-	err := raw.Write(w.writev)
-	clear(w.iov) // iovecs kept in the pool would pin their buffers
-	return w.n, cmp.Or(err, w.err)
-}
-
-// more is writev: writes of at most IOV_MAX (1 024) iovecs until none is
-// left, or false while the socket is full.
-func (w *vecWrite) more(fd uintptr) bool {
-	for len(w.left) > 0 {
-		n, e := writev(fd, w.left[:min(len(w.left), 1024)])
-		switch e {
-		case syscall.EINTR:
-			continue
-		case syscall.EAGAIN:
-			return false
-		case 0:
-		default:
-			w.err = os.NewSyscallError("writev", e)
-			return true
-		}
-		for w.n += int(n); n >= uintptr(w.left[0].n); w.left = w.left[1:] {
-			if n -= uintptr(w.left[0].n); len(w.left) == 1 {
-				return true
-			}
-		}
-		w.left[0].base, w.left[0].n = (*byte)(unsafe.Add(unsafe.Pointer(w.left[0].base), n)), w.left[0].n-uint(n)
-	}
-	return true
-}
-
-// Recv implements Conn. A frame of at most maxWhole bytes arrives in one
-// read(2) into the read-ahead buffer, which a leased one keeps as its lease;
-// a longer frame's payload starts with the bytes already read. The header's
-// errors are out of line: a session's goroutine starts on a 2 KiB stack.
+// Recv implements Conn. A frame of at most maxWhole bytes arrives in one read
+// into the read-ahead buffer, which a leased one keeps as its lease; a longer
+// frame's payload starts with the bytes already read. The header's errors
+// are out of line: a session's goroutine starts on a 2 KiB stack.
 func (t *tcpConn) Recv() (interface{}, error) {
 	t.Release()
 	code, size, lease, err := byte(0), 0, false, t.fillTo(hdrLen)
@@ -613,11 +549,13 @@ func (t *tcpConn) Recv() (interface{}, error) {
 	var payload []byte
 	switch buf := t.ahead; {
 	case whole > maxWhole:
-		read := readPayload
+		var into []byte
 		if lease {
-			read = t.readLeased
+			t.lease = NewLoan(size)
+			t.lease.origin.Inc()
+			into = t.lease.b
 		}
-		payload, err = read(t.c, buf.b[hdrLen:], size)
+		payload, err = readPayload(t.c, buf.b[hdrLen:], size, into)
 		whole = len(buf.b)
 	case lease:
 		payload, t.lease = buf.b[hdrLen:whole], buf
@@ -670,57 +608,24 @@ func (t *tcpConn) header() (code byte, size int, lease bool, err error) {
 // fillTo reads until the read-ahead buffer holds n ≤ maxWhole bytes.
 func (t *tcpConn) fillTo(n int) error {
 	for t.ahead == nil || len(t.ahead.b) < n {
-		if err := t.raw.Read(t.fill); err != nil {
+		if err := t.fillOnce(); err != nil {
 			return err
-		}
-		switch rn := t.ahead.rn; {
-		case rn == 0:
-			return io.EOF
-		case rn < 0:
-			return fmt.Errorf("transport: read: %w", syscall.Errno(-rn))
 		}
 	}
 	return nil
 }
 
-// readAhead is fill: one read(2) onto the read-ahead buffer, taken once the
-// socket may be readable and put back empty when the read would block.
-func (t *tcpConn) readAhead(fd uintptr) bool {
-	if t.ahead == nil {
-		t.ahead = NewLoan(0)
+// readPayload reads an n-byte payload, which starts with got, into buf: a
+// lease of n bytes, or nil. Without one, up to exactAlloc the buffer is
+// allocated in one piece; beyond that it grows geometrically as bytes
+// actually arrive, so a hostile length prefix can only commit memory by
+// sending that much data — an 8-byte header promising a gigabyte costs the
+// receiver 4 MiB, not 1 GiB.
+func readPayload(r io.Reader, got []byte, n int, buf []byte) ([]byte, error) {
+	if buf == nil {
+		buf = make([]byte, min(n, exactAlloc))
 	}
-	b := t.ahead.b
-	n, err := syscall.Read(int(fd), b[len(b):cap(b)])
-	switch e, _ := err.(syscall.Errno); {
-	case e == syscall.EAGAIN:
-		if len(b) == 0 {
-			t.ahead.Release()
-			t.ahead = nil
-		}
-		return false
-	case e != 0:
-		n = -int(e)
-	}
-	t.ahead.rn, t.ahead.b = int32(n), b[:len(b)+max(n, 0)]
-	return true
-}
-
-// readLeased reads an n-byte payload, which starts with got, into a lease.
-func (t *tcpConn) readLeased(r io.Reader, got []byte, n int) ([]byte, error) {
-	t.lease = NewLoan(n)
-	t.lease.origin.Inc()
-	_, err := io.ReadFull(r, t.lease.b[copy(t.lease.b, got):])
-	return t.lease.b, err
-}
-
-// readPayload reads an n-byte payload, which starts with got. Up to
-// exactAlloc the buffer is allocated in one piece; beyond that it grows
-// geometrically as bytes actually arrive, so a hostile length prefix can only
-// commit memory by sending that much data — an 8-byte header promising a
-// gigabyte costs the receiver 4 MiB, not 1 GiB.
-func readPayload(r io.Reader, got []byte, n int) ([]byte, error) {
-	buf := make([]byte, min(n, exactAlloc))
-	if _, err := io.ReadFull(r, buf[copy(buf, got):]); err != nil || n <= exactAlloc {
+	if _, err := io.ReadFull(r, buf[copy(buf, got):]); err != nil || len(buf) == n {
 		return buf, err
 	}
 	for len(buf) < n {
@@ -757,90 +662,46 @@ func Decodes(c Conn) bool {
 	return ok
 }
 
-func wrapTCP(c *os.File) *tcpConn {
-	t := &tcpConn{c: c}
-	t.raw, _ = c.SyscallConn()
-	t.fill = t.readAhead
-	return t
-}
-
-// tcpListener accepts on its own descriptor of the listening socket (a
-// listener's RawConn from net supports only Control: its Read fails EINVAL).
-// take is acceptOne, bound once; mu keeps nfd and err to one Accept.
+// tcpListener accepts through its system's acceptor (sock_linux.go,
+// sock_other.go).
 type tcpListener struct {
-	f    *os.File
-	raw  syscall.RawConn
+	acceptor
 	addr string
-	take func(fd uintptr) bool
-	mu   sync.Mutex
-	nfd  int
-	err  error
 	done chan struct{} // closed by Close: ends a backoff
 	once sync.Once
 }
 
 // ListenTCP listens on a TCP address; ":0" picks a free port. Accepted
-// sockets inherit the listening socket's TCP_NODELAY and its lack of kernel
-// keepalive, so an accept sets no option: every server phase has a protocol
-// bound.
+// sockets run with TCP_NODELAY and without kernel keepalive: every server
+// phase has a protocol bound.
 func ListenTCP(addr string) (Listener, error) {
-	l, err := (&net.ListenConfig{Control: noDelay}).Listen(context.Background(), "tcp", addr)
+	l, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	defer l.Close()
-	f, err := l.(*net.TCPListener).File()
-	if err != nil {
+	t := &tcpListener{addr: l.Addr().String(), done: make(chan struct{})}
+	if err = t.adopt(l.(*net.TCPListener)); err != nil {
 		return nil, err
 	}
-	t := &tcpListener{f: f, addr: l.Addr().String(), done: make(chan struct{})}
-	t.raw, _ = f.SyscallConn()
-	t.take = t.acceptOne
 	return t, nil
 }
 
-// noDelay sets TCP_NODELAY on a socket net is about to bind.
-func noDelay(_, _ string, c syscall.RawConn) (err error) {
-	if cerr := c.Control(func(fd uintptr) { err = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1) }); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// Accept implements Listener: one accept(2) once the socket is readable.
-// Out of descriptors or kernel memory, it tries again after a backoff, 5 ms
-// doubling to 1 s as net/http's Server does, so that a burst past the limit
-// does not end its caller's accept loop; Close ends the wait.
+// Accept implements Listener. Out of descriptors or kernel memory, it tries
+// again after a backoff, 5 ms doubling to 1 s as net/http's Server does, so
+// that a burst past the limit does not end its caller's accept loop; Close
+// ends the wait.
 func (t *tcpListener) Accept() (Conn, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for wait := 5 * time.Millisecond; ; wait = min(2*wait, time.Second) {
-		if err := t.raw.Read(t.take); err != nil {
-			return nil, err
-		}
-		switch t.err {
-		case nil:
-			return wrapTCP(os.NewFile(uintptr(t.nfd), "tcp")), nil
-		case syscall.EMFILE, syscall.ENFILE, syscall.ENOBUFS, syscall.ENOMEM:
+		switch c, err := t.acceptOnce(); {
+		case err == nil:
+			return c, nil
+		case errors.Is(err, syscall.EMFILE), errors.Is(err, syscall.ENFILE), errors.Is(err, syscall.ENOBUFS), errors.Is(err, syscall.ENOMEM):
 			select {
 			case <-time.After(wait):
 			case <-t.done:
 			}
 		default:
-			return nil, os.NewSyscallError("accept", t.err)
-		}
-	}
-}
-
-// acceptOne is take. It retries what net retries and waits on EAGAIN.
-func (t *tcpListener) acceptOne(fd uintptr) bool {
-	for {
-		switch t.nfd, t.err = accept(int(fd)); t.err {
-		case syscall.EINTR, syscall.ECONNABORTED:
-		case syscall.EAGAIN:
-			return false
-		default:
-			return true
+			return nil, err
 		}
 	}
 }
@@ -848,120 +709,26 @@ func (t *tcpListener) acceptOne(fd uintptr) bool {
 // Close implements Listener; a parked Accept returns an error.
 func (t *tcpListener) Close() error {
 	t.once.Do(func() { close(t.done) })
-	return t.f.Close()
+	return t.sock.Close()
 }
 
 // Addr implements Listener.
 func (t *tcpListener) Addr() string { return t.addr }
 
-// DialTCP connects to a TCP FL server: an IP literal without the resolver, a
-// host name at each of its addresses in turn until one connects.
+// DialTCP connects to a TCP FL server with TCP_NODELAY and keepalive, which
+// is how a device, whose waits have no bound, learns that its server died. An
+// IP literal without a zone takes dial; a host name or a zoned literal goes
+// through net.Dialer. A zone is an interface's index or name: one that no
+// interface has fails here, where net would dial it as zone 0.
 func DialTCP(addr string) (Conn, error) {
 	if ap, err := netip.ParseAddrPort(addr); err == nil {
-		return dial(ap)
-	}
-	host, service, err := net.SplitHostPort(addr)
-	if err != nil {
-		return nil, err
-	}
-	port, err := net.LookupPort("tcp", service)
-	if err != nil {
-		return nil, err
-	}
-	ips, err := net.DefaultResolver.LookupNetIP(context.Background(), "ip", host)
-	if err != nil {
-		return nil, err
-	}
-	return dialEach(ips, uint16(port))
-}
-
-// dialEach dials port at each of ips in turn until one connects.
-func dialEach(ips []netip.Addr, port uint16) (c Conn, err error) {
-	for _, ip := range ips {
-		if c, err = dial(netip.AddrPortFrom(ip, port)); err == nil {
-			return c, nil
-		}
-	}
-	return nil, err
-}
-
-// dialing is one connect, pooled with its wait, connected, bound once.
-type dialing struct {
-	sa4  syscall.SockaddrInet4
-	sa6  syscall.SockaddrInet6
-	sa   syscall.Sockaddr
-	err  error
-	wait func(fd uintptr) bool
-}
-
-var dials = sync.Pool{New: func() any { d := &dialing{}; d.wait = d.connected; return d }}
-
-// dial connects a socket to ap with dialOpts set. Keepalive is how a device,
-// whose waits have no bound, learns that its server died.
-func dial(ap netip.AddrPort) (Conn, error) {
-	d := dials.Get().(*dialing)
-	defer dials.Put(d)
-	ip, family := ap.Addr().Unmap(), syscall.AF_INET6
-	d.sa4.Port, d.sa6.Port, d.sa6.Addr, d.sa = int(ap.Port()), int(ap.Port()), ip.As16(), &d.sa6
-	if ip.Is4() {
-		family, d.sa4.Addr, d.sa = syscall.AF_INET, ip.As4(), &d.sa4
-	}
-	var err error
-	if d.sa6.ZoneId, err = zoneID(ip.Zone()); err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", ap, err)
-	}
-	fd, err := socket(family)
-	if err != nil {
-		return nil, os.NewSyscallError("socket", err)
-	}
-	t := wrapTCP(os.NewFile(uintptr(fd), "tcp"))
-	for _, o := range dialOpts {
-		if err == nil {
-			err = os.NewSyscallError("setsockopt", syscall.SetsockoptInt(fd, o[0], o[1], o[2]))
-		}
-	}
-	if err == nil {
-		if err = syscall.Connect(fd, d.sa); err == syscall.EINPROGRESS || err == syscall.EINTR {
-			if err = t.raw.Write(d.wait); err == nil {
-				err = d.err
+		if zone := ap.Addr().Zone(); zone == "" {
+			return dial(ap)
+		} else if _, err := strconv.ParseUint(zone, 10, 32); err != nil {
+			if _, err := net.InterfaceByName(zone); err != nil {
+				return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 			}
 		}
 	}
-	if err != nil {
-		t.Close()
-		return nil, fmt.Errorf("transport: dial %s: %w", ap, err)
-	}
-	return t, nil
-}
-
-// zoneID is the interface index an IPv6 zone names: "" none, a number
-// itself, or an interface's name.
-func zoneID(zone string) (uint32, error) {
-	if zone == "" {
-		return 0, nil
-	}
-	if n, err := strconv.ParseUint(zone, 10, 32); err == nil {
-		return uint32(n), nil
-	}
-	ifi, err := net.InterfaceByName(zone)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(ifi.Index), nil
-}
-
-// connected is wait: a second connect(2) finds the first done (0 or
-// EISCONN), failed (its error) or in progress, once the socket is writable.
-func (d *dialing) connected(fd uintptr) bool {
-	switch d.err = syscall.Connect(int(fd), d.sa); d.err {
-	case syscall.EALREADY, syscall.EINTR:
-		return false
-	case nil, syscall.EISCONN:
-		d.err = nil
-	default: // where a failed attempt may restart, SO_ERROR keeps its error
-		if n, _ := syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_ERROR); n != 0 {
-			d.err = syscall.Errno(n)
-		}
-	}
-	return true
+	return wrapNet(new(net.Dialer).Dial("tcp", addr))
 }
