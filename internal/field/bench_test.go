@@ -63,21 +63,24 @@ func BenchmarkAddBE(b *testing.B) {
 }
 
 func BenchmarkShamirSplit(b *testing.B) {
+	ys, coef := make([]uint64, 10), make([]byte, 8*5)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Split(123456, 10, 6, nil); err != nil {
+		if err := Split(ys, 123456, 6, coef, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkShamirReconstruct(b *testing.B) {
-	shares, err := Split(123456, 10, 6, nil)
+	xs, ys, err := shamir(123456, 10, 6, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Reconstruct(shares[:6], 6); err != nil {
+		if _, err := Reconstruct(xs[:6], ys[:6], 6); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,9 @@
 package field
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
-	"fmt"
-	"io"
 )
 
 // Share commitments give Shamir sharing the verifiability of Feldman VSS
@@ -48,25 +45,12 @@ const CommitmentLen = sha256.Size
 // use in the codebase.
 var commitTag = []byte("fieldvss1")
 
-// NewBlinder draws a fresh commitment blinder. rng may be nil to use
-// crypto/rand.
-func NewBlinder(rng io.Reader) ([]byte, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	b := make([]byte, BlinderLen)
-	if _, err := io.ReadFull(rng, b); err != nil {
-		return nil, fmt.Errorf("field: blinder: %w", err)
-	}
-	return b, nil
-}
-
 // CommitShare commits to one evaluation point of a (possibly chunked)
 // Shamir sharing: the x coordinate and the y values of every chunk shared
 // at that point. context carries the caller's domain separation (dealer
 // identity, share kind, protocol instance) so commitments cannot be
 // replayed across roles.
-func CommitShare(context []byte, x uint64, ys []uint64, blinder []byte) [CommitmentLen]byte {
+func CommitShare(context []byte, x uint64, ys []uint64, blinder [BlinderLen]byte) [CommitmentLen]byte {
 	h := sha256.New()
 	h.Write(commitTag)
 	var n [8]byte
@@ -81,14 +65,14 @@ func CommitShare(context []byte, x uint64, ys []uint64, blinder []byte) [Commitm
 		binary.BigEndian.PutUint64(n[:], y)
 		h.Write(n[:])
 	}
-	h.Write(blinder)
+	h.Write(blinder[:])
 	var out [CommitmentLen]byte
 	h.Sum(out[:0])
 	return out
 }
 
 // VerifyShare reports whether (x, ys, blinder) matches the commitment c.
-func VerifyShare(context []byte, x uint64, ys []uint64, blinder []byte, c []byte) bool {
+func VerifyShare(context []byte, x uint64, ys []uint64, blinder [BlinderLen]byte, c []byte) bool {
 	if len(c) != CommitmentLen {
 		return false
 	}

@@ -2,6 +2,7 @@ package field
 
 import (
 	"bytes"
+	"io"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -114,16 +115,23 @@ func TestVecOps(t *testing.T) {
 	}
 }
 
+// shamir shares secret among n holders with threshold t; xs are the
+// holders' evaluation points.
+func shamir(secret uint64, n, t int, rng io.Reader) (xs, ys []uint64, err error) {
+	xs, ys = make([]uint64, n), make([]uint64, n)
+	for i := range xs {
+		xs[i] = uint64(i + 1)
+	}
+	return xs, ys, Split(ys, secret, t, make([]byte, 8*max(t-1, 0)), rng)
+}
+
 func TestShamirRoundTrip(t *testing.T) {
 	secret := uint64(123456789)
-	shares, err := Split(secret, 5, 3, nil)
+	xs, ys, err := shamir(secret, 5, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shares) != 5 {
-		t.Fatalf("got %d shares", len(shares))
-	}
-	got, err := Reconstruct(shares[:3], 3)
+	got, err := Reconstruct(xs[:3], ys[:3], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +139,7 @@ func TestShamirRoundTrip(t *testing.T) {
 		t.Fatalf("reconstructed %d, want %d", got, secret)
 	}
 	// Any subset of size t works.
-	got2, err := Reconstruct([]Share{shares[4], shares[1], shares[3]}, 3)
+	got2, err := Reconstruct([]uint64{xs[4], xs[1], xs[3]}, []uint64{ys[4], ys[1], ys[3]}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,52 +149,83 @@ func TestShamirRoundTrip(t *testing.T) {
 }
 
 func TestShamirInsufficientShares(t *testing.T) {
-	shares, _ := Split(42, 5, 3, nil)
-	if _, err := Reconstruct(shares[:2], 3); err == nil {
+	xs, ys, _ := shamir(42, 5, 3, nil)
+	if _, err := Reconstruct(xs[:2], ys[:2], 3); err == nil {
 		t.Fatal("2 of 3 shares must not reconstruct")
 	}
 }
 
 func TestShamirDuplicateShares(t *testing.T) {
-	shares, _ := Split(42, 5, 3, nil)
-	if _, err := Reconstruct([]Share{shares[0], shares[0], shares[1]}, 3); err == nil {
+	xs, ys, _ := shamir(42, 5, 3, nil)
+	if _, err := Reconstruct([]uint64{xs[0], xs[0], xs[1]}, []uint64{ys[0], ys[0], ys[1]}, 3); err == nil {
 		t.Fatal("duplicate shares must be rejected")
+	}
+	if _, err := Reconstruct([]uint64{0, xs[0], xs[1]}, ys, 3); err == nil {
+		t.Fatal("a share at x = 0 must be rejected")
 	}
 }
 
 func TestShamirBadParams(t *testing.T) {
-	if _, err := Split(1, 2, 3, nil); err == nil {
+	if _, _, err := shamir(1, 2, 3, nil); err == nil {
 		t.Fatal("n < t must fail")
 	}
-	if _, err := Split(1, 3, 0, nil); err == nil {
+	if _, _, err := shamir(1, 3, 0, nil); err == nil {
 		t.Fatal("t < 1 must fail")
+	}
+	if err := Split(make([]uint64, 3), 1, 3, make([]byte, 15), nil); err == nil {
+		t.Fatal("a coefficient scratch under 8(t−1) bytes must fail")
 	}
 }
 
 func TestShamirTEquals1(t *testing.T) {
-	shares, err := Split(77, 3, 1, nil)
+	_, ys, err := shamir(77, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With t=1 every share IS the secret.
-	for _, s := range shares {
-		if s.Y != 77 {
-			t.Fatalf("t=1 share %v should equal secret", s)
+	for _, y := range ys {
+		if y != 77 {
+			t.Fatalf("t=1 share %v should equal secret", y)
 		}
 	}
 }
 
 func TestShamirDeterministicWithSeededRNG(t *testing.T) {
 	seed := bytes.Repeat([]byte{7}, 1024)
-	s1, err := Split(99, 4, 2, bytes.NewReader(seed))
+	_, s1, err := shamir(99, 4, 2, bytes.NewReader(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := Split(99, 4, 2, bytes.NewReader(seed))
+	_, s2, _ := shamir(99, 4, 2, bytes.NewReader(seed))
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Fatal("same randomness must give same shares")
 		}
+	}
+}
+
+// TestShamirRedrawsOutOfFieldCoefficients: a coefficient word whose top 61
+// bits are P or above is drawn again, so every coefficient is uniform on
+// GF(P); the redraw reads only that word, and the shares still reconstruct.
+func TestShamirRedrawsOutOfFieldCoefficients(t *testing.T) {
+	// Three coefficients: the second word is all ones (≥ P), its redraw ends
+	// the randomness.
+	stream := append(bytes.Repeat([]byte{1}, 8), bytes.Repeat([]byte{0xff}, 8)...)
+	stream = append(stream, bytes.Repeat([]byte{2}, 8)...)
+	stream = append(stream, bytes.Repeat([]byte{3}, 8)...)
+	xs, ys, err := shamir(5, 6, 4, bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, a2, a3 := uint64(0x0101010101010101>>3), uint64(0x0303030303030303>>3), uint64(0x0202020202020202>>3)
+	for i, x := range xs {
+		want := Add(Add(5, Mul(a1, x)), Add(Mul(a2, Mul(x, x)), Mul(a3, Mul(x, Mul(x, x)))))
+		if ys[i] != want {
+			t.Fatalf("share %d = %d, want %d", i, ys[i], want)
+		}
+	}
+	if got, err := Reconstruct(xs[2:], ys[2:], 4); err != nil || got != 5 {
+		t.Fatalf("reconstructed %d (%v), want 5", got, err)
 	}
 }
 
@@ -195,16 +234,16 @@ func TestShamirDeterministicWithSeededRNG(t *testing.T) {
 func TestShamirLinearity(t *testing.T) {
 	f := func(x, y uint64) bool {
 		x, y = Reduce(x), Reduce(y)
-		sx, err1 := Split(x, 4, 3, nil)
-		sy, err2 := Split(y, 4, 3, nil)
+		xs, sx, err1 := shamir(x, 4, 3, nil)
+		_, sy, err2 := shamir(y, 4, 3, nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		sum := make([]Share, 4)
+		sum := make([]uint64, 4)
 		for i := range sum {
-			sum[i] = Share{X: sx[i].X, Y: Add(sx[i].Y, sy[i].Y)}
+			sum[i] = Add(sx[i], sy[i])
 		}
-		got, err := Reconstruct(sum[:3], 3)
+		got, err := Reconstruct(xs[:3], sum[:3], 3)
 		return err == nil && got == Add(x, y)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -7,85 +7,59 @@ import (
 	"io"
 )
 
-// Share is one Shamir share: the polynomial evaluated at X.
-type Share struct {
-	X uint64 // evaluation point, 1-based participant index
-	Y uint64
-}
-
-// randFieldElem draws a uniform element of GF(P) via rejection sampling.
-func randFieldElem(rng io.Reader) (uint64, error) {
-	var buf [8]byte
-	for {
-		if _, err := io.ReadFull(rng, buf[:]); err != nil {
-			return 0, fmt.Errorf("field: rand: %w", err)
-		}
-		v := binary.BigEndian.Uint64(buf[:]) >> 3 // 61 bits
-		if v < P {
-			return v, nil
-		}
-	}
-}
-
-// Split shares secret into n shares such that any t of them reconstruct it
-// and fewer than t reveal nothing. rng may be nil to use crypto/rand.
-func Split(secret uint64, n, t int, rng io.Reader) ([]Share, error) {
-	if t < 1 || n < t {
-		return nil, fmt.Errorf("field: invalid sharing parameters n=%d t=%d", n, t)
+// Split shares secret among len(ys) holders so that any t of them
+// reconstruct it and fewer than t learn nothing: ys[i] = f(i+1) for a random
+// f of degree t−1 with f(0) = secret. f's other coefficients are drawn in one
+// read of rng (crypto/rand if nil) into coef, the caller's scratch of at
+// least 8(t−1) bytes, as big-endian words whose top 61 bits are uniform on
+// GF(P) by rejection sampling.
+func Split(ys []uint64, secret uint64, t int, coef []byte, rng io.Reader) error {
+	if t < 1 || len(ys) < t || len(coef) < 8*(t-1) {
+		return fmt.Errorf("field: invalid sharing parameters n=%d t=%d", len(ys), t)
 	}
 	if rng == nil {
 		rng = rand.Reader
 	}
+	coef = coef[:8*(t-1)]
+	for j, draw := 0, coef; j < len(coef); draw = coef[j:min(j+8, len(coef))] {
+		if _, err := io.ReadFull(rng, draw); err != nil {
+			return fmt.Errorf("field: rand: %w", err)
+		}
+		for j < len(coef) && binary.BigEndian.Uint64(coef[j:])>>3 < P {
+			j += 8 // a word ≥ P stops the scan and is drawn again
+		}
+	}
 	secret = Reduce(secret)
-	// Random degree-(t−1) polynomial with constant term = secret.
-	coeffs := make([]uint64, t)
-	coeffs[0] = secret
-	for i := 1; i < t; i++ {
-		c, err := randFieldElem(rng)
-		if err != nil {
-			return nil, err
+	for i := range ys {
+		x, y := uint64(i+1), uint64(0) // Horner, from the top coefficient
+		for j := len(coef) - 8; j >= 0; j -= 8 {
+			y = Add(Mul(y, x), binary.BigEndian.Uint64(coef[j:])>>3)
 		}
-		coeffs[i] = c
+		ys[i] = Add(Mul(y, x), secret)
 	}
-	shares := make([]Share, n)
-	for i := 1; i <= n; i++ {
-		x := uint64(i)
-		// Horner evaluation.
-		y := uint64(0)
-		for j := t - 1; j >= 0; j-- {
-			y = Add(Mul(y, x), coeffs[j])
-		}
-		shares[i-1] = Share{X: x, Y: y}
-	}
-	return shares, nil
+	return nil
 }
 
-// Reconstruct recovers the secret from at least t distinct shares via
-// Lagrange interpolation at zero.
-func Reconstruct(shares []Share, t int) (uint64, error) {
-	if len(shares) < t {
-		return 0, fmt.Errorf("field: need %d shares, have %d", t, len(shares))
-	}
-	use := shares[:t]
-	seen := make(map[uint64]bool, t)
-	for _, s := range use {
-		if s.X == 0 || seen[s.X] {
-			return 0, fmt.Errorf("field: invalid or duplicate share x=%d", s.X)
-		}
-		seen[s.X] = true
+// Reconstruct recovers the secret from the first t shares (xs[i], ys[i]),
+// which must sit at distinct nonzero points, by Lagrange interpolation at
+// zero.
+func Reconstruct(xs, ys []uint64, t int) (uint64, error) {
+	if len(xs) < t || len(ys) < t {
+		return 0, fmt.Errorf("field: need %d shares, have %d", t, min(len(xs), len(ys)))
 	}
 	var secret uint64
-	for i, si := range use {
+	for i, xi := range xs[:t] {
 		num, den := uint64(1), uint64(1)
-		for j, sj := range use {
-			if i == j {
-				continue
+		for j, xj := range xs[:t] {
+			if xi == 0 || (i != j && xi == xj) {
+				return 0, fmt.Errorf("field: invalid or duplicate share x=%d", xi)
 			}
-			num = Mul(num, Neg(sj.X))       // (0 − x_j)
-			den = Mul(den, Sub(si.X, sj.X)) // (x_i − x_j)
+			if i != j {
+				num = Mul(num, Neg(xj))     // (0 − x_j)
+				den = Mul(den, Sub(xi, xj)) // (x_i − x_j)
+			}
 		}
-		li := Mul(num, Inv(den))
-		secret = Add(secret, Mul(si.Y, li))
+		secret = Add(secret, Mul(ys[i], Mul(num, Inv(den))))
 	}
 	return secret, nil
 }

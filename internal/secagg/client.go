@@ -1,12 +1,13 @@
 package secagg
 
 import (
+	"cmp"
 	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/rand"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/field"
 )
@@ -33,7 +34,7 @@ type RoutedShare struct {
 type OwnerShare struct {
 	Owner   int
 	Share   chunkedShare
-	Blinder []byte
+	Blinder [field.BlinderLen]byte
 }
 
 // UnmaskResponse is a device's Round-3 message: shares of the personal mask
@@ -54,24 +55,17 @@ type Client struct {
 
 	phase phase
 
-	cKey *ecdh.PrivateKey // share-encryption keypair
-	sKey *ecdh.PrivateKey // masking keypair
-	seed []byte           // personal mask seed b_u
+	cKey *ecdh.PrivateKey    // share-encryption keypair
+	sKey *ecdh.PrivateKey    // masking keypair
+	seed [secretByteLen]byte // personal mask seed b_u
 
-	roster    map[int]KeyAdvert
-	rosterIDs []int
-
-	held map[int]*shareBundle // shares I hold, keyed by owner
-
-	// commits holds every owner's broadcast share commitments, installed
-	// by ReceiveShares.
-	commits map[int]ShareCommitments
-
-	// maskSet is the server's broadcast of the devices still in the
-	// protocol after the share round (shares delivered, not blamed).
-	// Pairwise masks cover exactly this set, so a device that vanished or
-	// was excluded before masking leaves no residual mask to reconstruct.
-	maskSet map[int]bool
+	// roster is the server's broadcast of U1 as given, ids ascending; pos
+	// is this client's place in it, so its shares sit at evaluation point
+	// pos+1. peers holds by the same positions all the client keeps per
+	// participant, itself included.
+	roster []KeyAdvert
+	pos    int
+	peers  []peer
 
 	// poison and forge are adversary injection hooks for the churn driver
 	// and tests: poison corrupts the Round-1 share bundles after the
@@ -80,13 +74,25 @@ type Client struct {
 	// (the server detects the mismatch and blames this responder).
 	poison bool
 	forge  bool
+}
 
-	// cShared caches the share-encryption AEAD per peer: the ECDH secret
-	// behind it is symmetric, so the instance built to seal an outgoing
-	// bundle in Round 1 opens the incoming bundle from the same peer —
-	// deriving it twice would double the client's dominant X25519 cost and
-	// build AES-GCM twice per pair.
-	cShared map[int]cipher.AEAD
+// peer is what a client keeps for one roster position.
+type peer struct {
+	// gcm is the pair's share-encryption AEAD: the ECDH secret behind it is
+	// symmetric, so the instance built to seal the outgoing bundle in
+	// Round 1 opens the incoming bundle from the same peer — deriving it
+	// twice would double the client's dominant X25519 cost and build
+	// AES-GCM twice per pair.
+	gcm cipher.AEAD
+	// shares is the peer's bundle for this client, verified when held; a
+	// client's own stays on the device, as CCS'17 Round 1 has it.
+	shares shareBundle
+	held   bool
+	// masked: the peer is in the server's broadcast of the devices still in
+	// the protocol after the share round (shares delivered, not blamed).
+	// Pairwise masks cover exactly this set, so a device that vanished or
+	// was excluded before masking leaves no residual mask to reconstruct.
+	masked bool
 }
 
 // NewClient creates a device participant with fresh keys.
@@ -106,15 +112,12 @@ func NewClient(id int, cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("secagg: keygen: %w", err)
 	}
-	seed := make([]byte, secretByteLen)
-	if _, err := io.ReadFull(rand.Reader, seed); err != nil {
+	clientKeygen.Add(2)
+	c := &Client{id: id, cfg: cfg, cKey: cKey, sKey: sKey}
+	if _, err := io.ReadFull(rand.Reader, c.seed[:]); err != nil {
 		return nil, fmt.Errorf("secagg: seed: %w", err)
 	}
-	return &Client{
-		id: id, cfg: cfg, cKey: cKey, sKey: sKey, seed: seed,
-		held:    make(map[int]*shareBundle),
-		cShared: make(map[int]cipher.AEAD),
-	}, nil
+	return c, nil
 }
 
 // Advertise returns the Round-0 key advertisement.
@@ -123,7 +126,8 @@ func (c *Client) Advertise() KeyAdvert {
 }
 
 // ReceiveRoster installs the server's broadcast of Round-0 adverts (the set
-// U1). The roster must contain this client and at least T participants.
+// U1), which it keeps and the caller must not modify. The roster must list
+// ids in ascending order, contain this client and at least T participants.
 func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
 	if err := c.phase.expect(advertising, "ReceiveRoster"); err != nil {
 		return err
@@ -131,93 +135,81 @@ func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
 	if len(roster) < c.cfg.T {
 		return fmt.Errorf("secagg: roster of %d below threshold %d", len(roster), c.cfg.T)
 	}
-	m := make(map[int]KeyAdvert, len(roster))
-	ids := make([]int, 0, len(roster))
-	for _, a := range roster {
-		if _, dup := m[a.ID]; dup {
-			return fmt.Errorf("secagg: duplicate id %d in roster", a.ID)
+	for i, a := range roster {
+		if i > 0 && a.ID <= roster[i-1].ID {
+			return fmt.Errorf("secagg: duplicate or unsorted id %d in roster", a.ID)
 		}
-		m[a.ID] = a
-		ids = append(ids, a.ID)
 	}
-	if _, ok := m[c.id]; !ok {
+	c.roster = roster
+	pos, ok := c.find(c.id)
+	if !ok {
 		return fmt.Errorf("secagg: roster does not include self (%d)", c.id)
 	}
-	sort.Ints(ids)
-	c.roster = m
-	c.rosterIDs = ids
+	c.pos, c.peers = pos, make([]peer, len(roster))
 	c.phase = sharing
 	return nil
 }
 
-// ShareKeys produces the Round-1 encrypted share bundles, one per roster
-// member (including one to self, which the server routes back), and the
-// matching commitment broadcast. It deals once.
+// find returns id's roster position.
+func (c *Client) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(c.roster, id, func(a KeyAdvert, id int) int { return cmp.Compare(a.ID, id) })
+}
+
+// ShareKeys produces the Round-1 encrypted share bundles, one per other
+// roster member, and the matching commitment broadcast, which covers this
+// client's own shares too; those stay on the device. It deals once.
 func (c *Client) ShareKeys() ([]RoutedShare, ShareCommitments, error) {
 	if err := c.phase.expect(sharing, "ShareKeys"); err != nil {
 		return nil, ShareCommitments{}, err
 	}
-	n := len(c.rosterIDs)
-	bShares, err := splitBytes(c.seed, n, c.cfg.T, rand.Reader)
-	if err != nil {
+	n, t := len(c.roster), c.cfg.T
+	// Per-instance tables by holder position: both secrets' shares, their
+	// blinders (drawn in one read), commitments and sealed bundles.
+	deal, ys, coef := make([]chunkedShare, 2*n), make([]uint64, n), make([]byte, 8*(t-1))
+	if err := splitBytes(deal[:n], c.seed[:], t, ys, coef); err != nil {
 		return nil, ShareCommitments{}, err
 	}
-	skShares, err := splitBytes(c.sKey.Bytes(), n, c.cfg.T, rand.Reader)
-	if err != nil {
+	if err := splitBytes(deal[n:], c.sKey.Bytes(), t, ys, coef); err != nil {
 		return nil, ShareCommitments{}, err
 	}
-	own := ShareCommitments{Owner: c.id, B: make([][]byte, n), SK: make([][]byte, n)}
-	out := make([]RoutedShare, n)
-	aeads := make([]cipher.AEAD, n)
-	// One ECDH + AES-GCM seal per roster member: independent work, fanned
-	// across the worker pool. Workers write only their own slots; the
-	// AEAD cache (a map) is filled serially afterwards.
-	err = parallelFor(n, func(i int) error {
-		holder := c.rosterIDs[i]
-		bundle := &shareBundle{Owner: c.id, Holder: holder, BShare: bShares[i], SKShare: skShares[i]}
-		// Re-key share X coordinates to the holder id so reconstruction uses
-		// consistent evaluation points across owners.
-		bundle.BShare.X = uint64(i + 1)
-		bundle.SKShare.X = uint64(i + 1)
-		bBlind, err := field.NewBlinder(rand.Reader)
-		if err != nil {
-			return err
+	blind := make([]byte, 2*n*field.BlinderLen)
+	if _, err := io.ReadFull(rand.Reader, blind); err != nil {
+		return nil, ShareCommitments{}, fmt.Errorf("secagg: blinders: %w", err)
+	}
+	coms := make([][field.CommitmentLen]byte, 2*n)
+	own := ShareCommitments{Owner: c.id, B: coms[:n:n], SK: coms[n:]}
+	out, sealed := make([]RoutedShare, n), make([]byte, n*sealedLen)
+	// One ECDH + AES-GCM seal per other roster member: independent work,
+	// fanned across the worker pool. Workers write only their own slots.
+	err := parallelFor(n, func(i int) error {
+		bl := blind[2*i*field.BlinderLen:]
+		b := shareBundle{Owner: c.id, Holder: c.roster[i].ID, BShare: deal[i], SKShare: deal[n+i],
+			BBlind: [field.BlinderLen]byte(bl), SKBlind: [field.BlinderLen]byte(bl[field.BlinderLen:])}
+		own.B[i] = commitChunked(c.id, kindB, b.BShare, b.BBlind)
+		own.SK[i] = commitChunked(c.id, kindSK, b.SKShare, b.SKBlind)
+		if i == c.pos {
+			c.peers[i].shares, c.peers[i].held = b, true
+			return nil
 		}
-		skBlind, err := field.NewBlinder(rand.Reader)
-		if err != nil {
-			return err
-		}
-		bundle.BBlind, bundle.SKBlind = bBlind, skBlind
-		bc := commitChunked(c.id, kindB, bundle.BShare, bundle.BBlind)
-		kc := commitChunked(c.id, kindSK, bundle.SKShare, bundle.SKBlind)
-		own.B[i] = bc[:]
-		own.SK[i] = kc[:]
 		if c.poison {
 			// Adversary hook: commit honestly, then ship a share that does
 			// not open the commitment — the holder must detect and complain.
-			bundle.BShare.Ys[0] = field.Add(bundle.BShare.Ys[0], 1)
-			bundle.SKShare.Ys[0] = field.Add(bundle.SKShare.Ys[0], 1)
+			b.BShare.Ys[0] = field.Add(b.BShare.Ys[0], 1)
+			b.SKShare.Ys[0] = field.Add(b.SKShare.Ys[0], 1)
 		}
-		gcm, err := c.deriveC(holder)
+		gcm, err := c.deriveC(i)
 		if err != nil {
 			return err
 		}
-		aeads[i] = gcm
-		ct, err := encryptBundle(gcm, bundle)
-		if err != nil {
-			return err
-		}
-		out[i] = RoutedShare{Owner: c.id, Holder: holder, CT: ct}
-		return nil
+		c.peers[i].gcm = gcm
+		out[i] = RoutedShare{Owner: c.id, Holder: b.Holder, CT: sealed[i*sealedLen : (i+1)*sealedLen : (i+1)*sealedLen]}
+		return sealBundle(out[i].CT, gcm, &b)
 	})
 	if err != nil {
 		return nil, ShareCommitments{}, err
 	}
-	for i, holder := range c.rosterIDs {
-		c.cShared[holder] = aeads[i]
-	}
 	c.phase = dealt
-	return out, own, nil
+	return slices.Delete(out, c.pos, c.pos+1), own, nil
 }
 
 // ReceiveShares installs the server's relay of every owner's share
@@ -228,65 +220,70 @@ func (c *Client) ShareKeys() ([]RoutedShare, ShareCommitments, error) {
 // owner's bundle opens none) is NOT an error: it yields a Complaint
 // attributing the bad share to its owner, and the protocol continues
 // without that owner. Only a server-side routing bug (a bundle for a
-// different holder) is a hard error.
+// different holder, or one from this client to itself) is a hard error.
 func (c *Client) ReceiveShares(commits []ShareCommitments, shares []RoutedShare) ([]Complaint, error) {
 	if err := c.phase.expect(dealt, "ReceiveShares"); err != nil {
 		return nil, err
 	}
 	for _, rs := range shares {
-		if rs.Holder != c.id {
-			return nil, fmt.Errorf("secagg: share for holder %d routed to %d", rs.Holder, c.id)
+		if rs.Holder != c.id || rs.Owner == c.id {
+			return nil, fmt.Errorf("secagg: share from %d for holder %d routed to %d", rs.Owner, rs.Holder, c.id)
 		}
 	}
 	c.phase = received
-	c.commits = make(map[int]ShareCommitments, len(commits))
-	for _, sc := range commits {
-		if _, ok := c.roster[sc.Owner]; ok && sc.validate(len(c.rosterIDs)) == nil {
-			c.commits[sc.Owner] = sc
+	n := len(c.roster)
+	coms := make([]*ShareCommitments, n) // by owner position, into the broadcast
+	for i := range commits {
+		if p, ok := c.find(commits[i].Owner); ok && commits[i].validate(n) == nil {
+			coms[p] = &commits[i]
 		}
 	}
-	idx := sort.SearchInts(c.rosterIDs, c.id) // its shares' evaluation point is idx+1
-	wantX := uint64(idx + 1)
+	wantX := uint64(c.pos + 1)
 	var complaints []Complaint
 	complain := func(owner int, reason string) {
 		complaints = append(complaints, Complaint{By: c.id, Against: owner, Reason: reason})
 	}
 	pt := make([]byte, 0, bundleWireLen) // every bundle opens into this
 	for _, rs := range shares {
-		gcm, err := c.pairwiseC(rs.Owner)
-		if err != nil {
-			complain(rs.Owner, "unknown owner: "+err.Error())
+		p, ok := c.find(rs.Owner)
+		if !ok {
+			complain(rs.Owner, "unknown owner")
 			continue
 		}
-		bundle, err := decryptBundle(gcm, rs.CT, pt)
+		gcm, err := c.pairwiseC(p)
 		if err != nil {
+			complain(rs.Owner, "no share key: "+err.Error())
+			continue
+		}
+		var b shareBundle
+		if err := openBundle(gcm, rs.CT, pt, &b); err != nil {
 			complain(rs.Owner, "undecryptable bundle: "+err.Error())
 			continue
 		}
-		if bundle.Owner != rs.Owner || bundle.Holder != c.id {
+		if b.Owner != rs.Owner || b.Holder != c.id {
 			complain(rs.Owner, fmt.Sprintf("bundle metadata mismatch (owner %d/%d, holder %d)",
-				bundle.Owner, rs.Owner, bundle.Holder))
+				b.Owner, rs.Owner, b.Holder))
 			continue
 		}
-		if bundle.BShare.X != wantX || bundle.SKShare.X != wantX {
+		if b.BShare.X != wantX || b.SKShare.X != wantX {
 			complain(rs.Owner, fmt.Sprintf("share evaluation point %d/%d, want %d",
-				bundle.BShare.X, bundle.SKShare.X, wantX))
+				b.BShare.X, b.SKShare.X, wantX))
 			continue
 		}
-		com, ok := c.commits[rs.Owner]
-		if !ok {
+		com := coms[p]
+		if com == nil {
 			// This owner's commitments are missing or malformed: its shares
 			// are unverifiable, so it cannot be allowed to reach
 			// reconstruction.
 			complain(rs.Owner, "no valid commitments broadcast")
 			continue
 		}
-		if !verifyChunked(rs.Owner, kindB, bundle.BShare, bundle.BBlind, com.B[idx]) ||
-			!verifyChunked(rs.Owner, kindSK, bundle.SKShare, bundle.SKBlind, com.SK[idx]) {
+		if !verifyChunked(rs.Owner, kindB, b.BShare, b.BBlind, com.B[c.pos]) ||
+			!verifyChunked(rs.Owner, kindSK, b.SKShare, b.SKBlind, com.SK[c.pos]) {
 			complain(rs.Owner, "share does not open broadcast commitment")
 			continue
 		}
-		c.held[bundle.Owner] = bundle
+		c.peers[p].shares, c.peers[p].held = b, true
 	}
 	return complaints, nil
 }
@@ -301,17 +298,18 @@ func (c *Client) ReceiveMaskSet(ids []int) error {
 	if len(ids) < c.cfg.T {
 		return fmt.Errorf("secagg: mask set of %d below threshold %d", len(ids), c.cfg.T)
 	}
-	set := make(map[int]bool, len(ids))
 	for _, id := range ids {
-		if _, ok := c.roster[id]; !ok {
+		if _, ok := c.find(id); !ok {
 			return fmt.Errorf("secagg: mask set member %d not in roster", id)
 		}
-		set[id] = true
 	}
-	if !set[c.id] {
+	if !slices.Contains(ids, c.id) {
 		return fmt.Errorf("secagg: excluded from mask set (%d)", c.id)
 	}
-	c.maskSet = set
+	for _, id := range ids {
+		p, _ := c.find(id)
+		c.peers[p].masked = true
+	}
 	c.phase = masking
 	return nil
 }
@@ -336,27 +334,20 @@ func (c *Client) maskInto(y []uint64, x []float64) ([]uint64, error) {
 	y = encodeInto(y, x)
 	// Pairwise masks over the mask set: a device excluded before this round
 	// leaves no residual mask for the server to reconstruct. The ECDH + PRG
-	// expansions dominate device-side cost; fan them across the worker pool
-	// — the personal mask is one more task after the peers' — each worker
-	// folding masks into the accumulator it is handed. ECDH on the
-	// (immutable) s-key and roster reads are safe concurrently.
-	peers := make([]int, 0, len(c.maskSet)-1)
-	for _, v := range c.rosterIDs {
-		if v != c.id && c.maskSet[v] {
-			peers = append(peers, v)
-		}
-	}
-	err := parallelMasks(y, len(peers)+1, func(i int, acc []uint64, buf *prgChunk) error {
-		if i == len(peers) {
-			prgApply(seedKey(c.seed), acc, false, buf)
+	// expansions dominate device-side cost; fan them across the worker pool,
+	// one task per roster position — the client's own expands its personal
+	// mask — each worker folding masks into the accumulator it is handed.
+	// ECDH on the (immutable) s-key and roster reads are safe concurrently.
+	err := parallelMasks(y, len(c.peers), func(p int, acc []uint64, buf *prgChunk) error {
+		if !c.peers[p].masked {
 			return nil
 		}
-		v := peers[i]
-		seedUV, err := c.pairwiseS(v)
+		seed, err := c.maskSeed(p)
 		if err != nil {
 			return err
 		}
-		prgApply(seedUV, acc, c.id > v, buf)
+		prgApply(seed[:], acc, p < c.pos, buf)
+		clientPRG.Inc()
 		return nil
 	})
 	if err != nil {
@@ -377,40 +368,36 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 	if len(survivors) < c.cfg.T {
 		return nil, fmt.Errorf("secagg: refusing to unmask with %d < T=%d survivors", len(survivors), c.cfg.T)
 	}
-	surv := make(map[int]bool, len(survivors))
+	surv := make([]bool, len(c.peers))
 	for _, id := range survivors {
-		if _, ok := c.roster[id]; !ok {
+		p, ok := c.find(id)
+		if !ok {
 			return nil, fmt.Errorf("secagg: survivor %d not in roster", id)
 		}
-		if !c.maskSet[id] {
+		if !c.peers[p].masked {
 			return nil, fmt.Errorf("secagg: claimed survivor %d is not in the mask set", id)
 		}
-		surv[id] = true
+		surv[p] = true
 	}
-	resp := &UnmaskResponse{From: c.id}
-	for _, owner := range c.rosterIDs {
-		if !c.maskSet[owner] {
-			// Excluded before masking: it contributed no masks, so neither
-			// of its secrets is needed — and revealing its masking key
-			// gratuitously would erode the privacy margin.
+	resp := &UnmaskResponse{From: c.id, BShares: make([]OwnerShare, 0, len(survivors))}
+	for p, pr := range c.peers {
+		// An owner excluded before masking contributed no masks, so neither
+		// of its secrets is needed — and revealing its masking key
+		// gratuitously would erode the privacy margin. Skip also an owner
+		// whose share never arrived.
+		if !pr.masked || !pr.held {
 			continue
 		}
-		bundle, ok := c.held[owner]
-		if !ok {
-			continue // never received a share from this owner
+		os := OwnerShare{Owner: c.roster[p].ID, Share: pr.shares.SKShare, Blinder: pr.shares.SKBlind}
+		if surv[p] {
+			os.Share, os.Blinder = pr.shares.BShare, pr.shares.BBlind
 		}
-		os := OwnerShare{Owner: owner}
-		if surv[owner] {
-			os.Share, os.Blinder = bundle.BShare, bundle.BBlind
-			if c.forge {
-				os.Share.Ys[0] = field.Add(os.Share.Ys[0], 1)
-			}
+		if c.forge {
+			os.Share.Ys[0] = field.Add(os.Share.Ys[0], 1)
+		}
+		if surv[p] {
 			resp.BShares = append(resp.BShares, os)
 		} else {
-			os.Share, os.Blinder = bundle.SKShare, bundle.SKBlind
-			if c.forge {
-				os.Share.Ys[0] = field.Add(os.Share.Ys[0], 1)
-			}
 			resp.SKShares = append(resp.SKShares, os)
 		}
 	}
@@ -418,56 +405,55 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 	return resp, nil
 }
 
-// deriveC builds the share-encryption AEAD with peer (cache-free; safe to
-// call from workers).
-func (c *Client) deriveC(peer int) (cipher.AEAD, error) {
-	a, ok := c.roster[peer]
-	if !ok {
-		return nil, fmt.Errorf("secagg: unknown peer %d", peer)
-	}
-	pub, err := ecdh.X25519().NewPublicKey(a.CPub)
+// deriveC builds the share-encryption AEAD with the peer at roster
+// position p (cache-free; safe to call from workers).
+func (c *Client) deriveC(p int) (cipher.AEAD, error) {
+	pub, err := ecdh.X25519().NewPublicKey(c.roster[p].CPub)
 	if err != nil {
-		return nil, fmt.Errorf("secagg: peer %d cpub: %w", peer, err)
+		return nil, fmt.Errorf("secagg: peer %d cpub: %w", c.roster[p].ID, err)
 	}
 	shared, err := c.cKey.ECDH(pub)
 	if err != nil {
 		return nil, err
 	}
+	clientAgree.Inc()
+	clientAEAD.Inc()
 	return bundleAEAD(shared)
 }
 
-// pairwiseC returns the share-encryption AEAD with peer, deriving and
-// caching it on first use.
-func (c *Client) pairwiseC(peer int) (cipher.AEAD, error) {
-	if gcm, ok := c.cShared[peer]; ok {
-		return gcm, nil
+// pairwiseC returns the share-encryption AEAD with the peer at position p,
+// deriving and caching it on first use.
+func (c *Client) pairwiseC(p int) (cipher.AEAD, error) {
+	if c.peers[p].gcm == nil {
+		gcm, err := c.deriveC(p)
+		if err != nil {
+			return nil, err
+		}
+		c.peers[p].gcm = gcm
 	}
-	gcm, err := c.deriveC(peer)
-	if err != nil {
-		return nil, err
-	}
-	c.cShared[peer] = gcm
-	return gcm, nil
+	return c.peers[p].gcm, nil
 }
 
-// pairwiseS derives the masking PRG seed with peer from the s-keypair.
-func (c *Client) pairwiseS(peer int) ([]byte, error) {
-	a, ok := c.roster[peer]
-	if !ok {
-		return nil, fmt.Errorf("secagg: unknown peer %d", peer)
+// maskSeed derives the PRG seed of the mask for roster position p: the
+// pairwise mask with that peer from the s-keypair or, at the client's own
+// position, its personal mask.
+func (c *Client) maskSeed(p int) ([32]byte, error) {
+	if p == c.pos {
+		return seedKey(c.seed[:]), nil
 	}
-	pub, err := ecdh.X25519().NewPublicKey(a.SPub)
+	pub, err := ecdh.X25519().NewPublicKey(c.roster[p].SPub)
 	if err != nil {
-		return nil, fmt.Errorf("secagg: peer %d spub: %w", peer, err)
+		return [32]byte{}, fmt.Errorf("secagg: peer %d spub: %w", c.roster[p].ID, err)
 	}
 	shared, err := c.sKey.ECDH(pub)
 	if err != nil {
-		return nil, err
+		return [32]byte{}, err
 	}
+	clientAgree.Inc()
 	return pairwiseSeed(shared, 'p'), nil
 }
 
 // seedKey domain-separates the personal seed before use as a PRG key.
-func seedKey(seed []byte) []byte {
+func seedKey(seed []byte) [32]byte {
 	return pairwiseSeed(seed, 'b')
 }

@@ -2,6 +2,7 @@ package secagg
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/field"
 )
@@ -24,25 +25,25 @@ const (
 	kindSK = byte('k') // masking secret key
 )
 
-// commitContext builds the domain-separation context for one owner's
-// shares of one secret kind. The holder's evaluation point x is bound
-// separately by field.CommitShare.
-func commitContext(owner int, kind byte) []byte {
-	return []byte(fmt.Sprintf("sagg/vss/%d/%c", owner, kind))
+// commitContext appends to b the domain-separation context for one owner's
+// shares of one secret kind, "sagg/vss/<owner>/<kind>". The holder's
+// evaluation point x is bound separately by field.CommitShare.
+func commitContext(b []byte, owner int, kind byte) []byte {
+	b = strconv.AppendInt(append(b, "sagg/vss/"...), int64(owner), 10)
+	return append(b, '/', kind)
 }
 
 // commitChunked commits to one chunked share.
-func commitChunked(owner int, kind byte, s chunkedShare, blinder []byte) [field.CommitmentLen]byte {
-	return field.CommitShare(commitContext(owner, kind), s.X, s.Ys[:], blinder)
+func commitChunked(owner int, kind byte, s chunkedShare, blinder [field.BlinderLen]byte) [field.CommitmentLen]byte {
+	var ctx [32]byte
+	return field.CommitShare(commitContext(ctx[:0], owner, kind), s.X, s.Ys[:], blinder)
 }
 
 // verifyChunked checks a chunked share and its blinder against a
 // broadcast commitment.
-func verifyChunked(owner int, kind byte, s chunkedShare, blinder, commitment []byte) bool {
-	if len(blinder) != field.BlinderLen {
-		return false
-	}
-	return field.VerifyShare(commitContext(owner, kind), s.X, s.Ys[:], blinder, commitment)
+func verifyChunked(owner int, kind byte, s chunkedShare, blinder [field.BlinderLen]byte, commitment [field.CommitmentLen]byte) bool {
+	var ctx [32]byte
+	return field.VerifyShare(commitContext(ctx[:0], owner, kind), s.X, s.Ys[:], blinder, commitment[:])
 }
 
 // ShareCommitments is one owner's Round-1 commitment broadcast: for every
@@ -52,10 +53,9 @@ func verifyChunked(owner int, kind byte, s chunkedShare, blinder, commitment []b
 // routed shares.
 type ShareCommitments struct {
 	Owner int
-	// B[i] and SK[i] are field.CommitmentLen-byte digests for holder
-	// index i.
-	B  [][]byte
-	SK [][]byte
+	// B[i] and SK[i] are the digests for holder index i.
+	B  [][field.CommitmentLen]byte
+	SK [][field.CommitmentLen]byte
 }
 
 // validate checks structural integrity for a roster of n holders.
@@ -63,11 +63,6 @@ func (sc *ShareCommitments) validate(n int) error {
 	if len(sc.B) != n || len(sc.SK) != n {
 		return fmt.Errorf("secagg: commitments from %d cover %d/%d holders, want %d",
 			sc.Owner, len(sc.B), len(sc.SK), n)
-	}
-	for i := 0; i < n; i++ {
-		if len(sc.B[i]) != field.CommitmentLen || len(sc.SK[i]) != field.CommitmentLen {
-			return fmt.Errorf("secagg: malformed commitment from %d for holder index %d", sc.Owner, i)
-		}
 	}
 	return nil
 }

@@ -133,7 +133,7 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 
 	// Round 1: share keys + broadcast commitments. DropShareKeys devices
 	// vanish here; PoisonShare devices deal corrupted bundles.
-	var allShares []RoutedShare
+	allShares := make([]RoutedShare, 0, len(clients)*(len(roster)-1))
 	for id, c := range clients {
 		if dropShareKeys[id] {
 			continue

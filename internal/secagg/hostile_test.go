@@ -3,6 +3,8 @@ package secagg
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/field"
 )
 
 // hostileHarness runs an honest instance — commitments, complaints, mask
@@ -86,6 +88,16 @@ func sharedHarness(t *testing.T, cfg Config, n int) (*Server, map[int]*Client, [
 		t.Fatal(err)
 	}
 	for holder, rs := range byHolder {
+		// Every other device's bundle, none from itself: a client keeps
+		// its own shares.
+		if len(rs) != n-1 {
+			t.Fatalf("holder %d was routed %d bundles, want n−1 = %d", holder, len(rs), n-1)
+		}
+		for _, b := range rs {
+			if b.Owner == holder {
+				t.Fatalf("holder %d was routed its own bundle", holder)
+			}
+		}
 		complaints, err := clients[holder].ReceiveShares(commits, rs)
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +205,7 @@ func TestServerRejectsHostileUnmaskResponses(t *testing.T) {
 		}, "forged share"},
 		{"forged blinder", func() *UnmaskResponse {
 			r := honest(1)
-			r.BShares[0].Blinder = make([]byte, len(r.BShares[0].Blinder))
+			r.BShares[0].Blinder = [field.BlinderLen]byte{}
 			return r
 		}, "forged share"},
 		{"masking-key share for a survivor", func() *UnmaskResponse {

@@ -75,14 +75,21 @@ func parallelFor(n int, fn func(i int) error) error {
 // maskScratch is what one mask worker owns while it expands: the keystream
 // chunk prgApply streams through and, for every worker but the first, a
 // private partial vector. Scratch is pooled package-wide, so clients and
-// servers of successive instances reuse it; nothing in it outlives a
-// parallelMasks call.
+// servers of successive instances reuse it; it goes back wiped, so no
+// keystream or partial mask sum outlives a parallelMasks call.
 type maskScratch struct {
 	chunk   prgChunk
 	partial []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(maskScratch) }}
+
+// release wipes s, all of its partial's capacity too, and pools it.
+func (s *maskScratch) release() {
+	clear(s.chunk[:])
+	clear(s.partial[:cap(s.partial)])
+	scratchPool.Put(s)
+}
 
 // parallelMasks applies n mask expansions into dst. The first worker folds
 // straight into dst; every other worker accumulates into a private partial
@@ -96,13 +103,12 @@ func parallelMasks(dst []uint64, n int, apply func(i int, acc []uint64, buf *prg
 	scratch := make([]*maskScratch, w)
 	for k := range scratch {
 		s := scratchPool.Get().(*maskScratch)
-		defer scratchPool.Put(s) // at return, when every worker is done
+		defer s.release() // at return, when every worker is done
 		if k > 0 {
 			if cap(s.partial) < len(dst) {
 				s.partial = make([]uint64, len(dst))
 			}
-			s.partial = s.partial[:len(dst)]
-			clear(s.partial)
+			s.partial = s.partial[:len(dst)] // zero: pooled wiped
 		}
 		scratch[k] = s
 	}

@@ -9,7 +9,8 @@
 //	                           cPK (share encryption) and sPK (masking).
 //	Round 1  ShareKeys       — each device Shamir-shares its masking secret
 //	                           key and a personal mask seed b_u, encrypting
-//	                           the shares pairwise (AES-GCM under ECDH keys).
+//	                           the shares pairwise (AES-GCM under ECDH keys);
+//	                           its own shares stay on the device.
 //	                           (Rounds 0–1 are the paper's "Prepare" phase.)
 //	Round 2  MaskedInput     — devices upload x_u + PRG(b_u)
 //	                           + Σ_{v>u} PRG(s_uv) − Σ_{v<u} PRG(s_uv),
@@ -162,7 +163,8 @@ const prgChunkElems = 512
 type prgChunk [8 * prgChunkElems]byte
 
 // zeroChunk is a shared all-zero XOR source; XORKeyStream against it writes
-// raw keystream without first clearing the destination.
+// raw keystream without first clearing the destination. Its head is also
+// the CTR stream's zero IV.
 var zeroChunk prgChunk
 
 // prgApply expands a 32-byte seed with AES-256-CTR and adds (sub=false) or
@@ -180,8 +182,7 @@ func prgApply(seed []byte, dst []uint64, sub bool, buf *prgChunk) {
 	if err != nil {
 		panic("secagg: aes: " + err.Error()) // impossible for 32-byte key
 	}
-	var iv [aes.BlockSize]byte
-	stream := cipher.NewCTR(block, iv[:])
+	stream := cipher.NewCTR(block, zeroChunk[:aes.BlockSize])
 	for off := 0; off < len(dst); off += prgChunkElems {
 		n := min(len(dst)-off, prgChunkElems)
 		stream.XORKeyStream(buf[:8*n], zeroChunk[:8*n])
@@ -193,11 +194,9 @@ func prgApply(seed []byte, dst []uint64, sub bool, buf *prgChunk) {
 	}
 }
 
-// pairwiseSeed hashes an ECDH shared secret into a PRG seed with a domain
-// separation tag.
-func pairwiseSeed(shared []byte, tag byte) []byte {
-	h := sha256.New()
-	h.Write([]byte{'s', 'a', 'g', 'g', tag})
-	h.Write(shared)
-	return h.Sum(nil)
+// pairwiseSeed hashes an ECDH shared secret (or a personal seed) into a PRG
+// seed with a domain separation tag.
+func pairwiseSeed(shared []byte, tag byte) [32]byte {
+	var pre [5 + secretByteLen]byte
+	return sha256.Sum256(append(append(pre[:0], 's', 'a', 'g', 'g', tag), shared...))
 }

@@ -14,6 +14,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/field"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -242,26 +243,56 @@ func TestParallelMasksMergesPartials(t *testing.T) {
 	}
 }
 
+// TestMaskScratchGoesBackWiped: a worker's scratch held keystream and
+// partial mask sums; the pool gets it back all zero, the partial's spare
+// capacity included, so no secret-derived byte waits in the pool for the
+// next instance.
+func TestMaskScratchGoesBackWiped(t *testing.T) {
+	s := &maskScratch{partial: make([]uint64, 3, 8)}
+	for i := range s.chunk {
+		s.chunk[i] = 0xA5
+	}
+	for i := range s.partial[:8] {
+		s.partial[:8][i] = uint64(i + 1)
+	}
+	s.release()
+	for i, b := range s.chunk {
+		if b != 0 {
+			t.Fatalf("chunk[%d] = %#x after release", i, b)
+		}
+	}
+	for i, v := range s.partial[:8] {
+		if v != 0 {
+			t.Fatalf("partial[%d] = %d after release", i, v)
+		}
+	}
+}
+
 func TestSplitBytesRoundTrip(t *testing.T) {
 	secret := make([]byte, 32)
 	if _, err := rand.Read(secret); err != nil {
 		t.Fatal(err)
 	}
-	shares, err := splitBytes(secret, 5, 3, rand.Reader)
+	shares := make([]chunkedShare, 5)
+	if err := splitBytes(shares, secret, 3, make([]uint64, 5), make([]byte, 16)); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range shares {
+		if s.X != uint64(i+1) {
+			t.Fatalf("share %d at evaluation point %d", i, s.X)
+		}
+	}
+	got, err := reconstructBytes(shares[1:4], make([]uint64, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := reconstructBytes(shares[1:4], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
+	if !bytes.Equal(got[:], secret) {
 		t.Fatal("reconstructed secret differs")
 	}
 }
 
 func TestSplitBytesWrongLength(t *testing.T) {
-	if _, err := splitBytes([]byte{1, 2, 3}, 3, 2, rand.Reader); err == nil {
+	if err := splitBytes(make([]chunkedShare, 3), []byte{1, 2, 3}, 2, make([]uint64, 3), make([]byte, 8)); err == nil {
 		t.Fatal("expected error for short secret")
 	}
 }
@@ -275,22 +306,29 @@ func TestBundleEncryptDecrypt(t *testing.T) {
 		return gcm
 	}
 	shared := aead(9)
-	b := &shareBundle{Owner: 3, Holder: 7}
+	if sealedLen != shared.NonceSize()+bundleWireLen+shared.Overhead() {
+		t.Fatalf("a sealed bundle is %d bytes, want nonce ‖ %d ‖ tag = %d", sealedLen, bundleWireLen,
+			shared.NonceSize()+bundleWireLen+shared.Overhead())
+	}
+	b := &shareBundle{Owner: 3, Holder: 7, BBlind: [field.BlinderLen]byte{1}, SKBlind: [field.BlinderLen]byte{15: 2}}
 	b.BShare.X = 7
 	b.BShare.Ys[0] = 123
 	b.SKShare.X = 7
 	b.SKShare.Ys[5] = 456
-	ct, err := encryptBundle(shared, b)
-	if err != nil {
+	// Two bundles sealed side by side into one buffer, as ShareKeys seals a
+	// client's: each stays in its own sealedLen bytes.
+	buf := make([]byte, 2*sealedLen)
+	ct, ct2 := buf[:sealedLen:sealedLen], buf[sealedLen:]
+	if err := sealBundle(ct, shared, b); err != nil {
 		t.Fatal(err)
 	}
-	if want := shared.NonceSize() + bundleWireLen + shared.Overhead(); len(ct) != want || cap(ct) != want {
-		t.Fatalf("sealed bundle is %d bytes in a %d-byte buffer, want exactly %d", len(ct), cap(ct), want)
-	}
+	sealed := append([]byte(nil), ct...)
 	// One AEAD seals twice under fresh nonces.
-	ct2, err := encryptBundle(shared, b)
-	if err != nil {
+	if err := sealBundle(ct2, shared, b); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(sealed, ct) {
+		t.Fatal("sealing the second bundle wrote into the first")
 	}
 	if bytes.Equal(ct[:shared.NonceSize()], ct2[:shared.NonceSize()]) || bytes.Equal(ct, ct2) {
 		t.Fatal("two seals of one bundle share a nonce")
@@ -298,24 +336,25 @@ func TestBundleEncryptDecrypt(t *testing.T) {
 	pt := make([]byte, 0, bundleWireLen)
 	for _, c := range [][]byte{ct, ct2} {
 		sealed := append([]byte(nil), c...)
-		got, err := decryptBundle(shared, c, pt)
-		if err != nil {
+		var got shareBundle
+		if err := openBundle(shared, c, pt, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.Owner != 3 || got.Holder != 7 || got.BShare.Ys[0] != 123 || got.SKShare.Ys[5] != 456 {
-			t.Fatalf("bundle round-trip: %+v", got)
+		if got != *b {
+			t.Fatalf("bundle round-trip: %+v, want %+v", got, *b)
 		}
 		if !bytes.Equal(sealed, c) {
 			t.Fatal("opening a bundle wrote to its ciphertext")
 		}
 	}
+	var got shareBundle
 	// Wrong key must fail authentication.
-	if _, err := decryptBundle(aead(8), ct, pt); err == nil {
+	if err := openBundle(aead(8), ct, pt, &got); err == nil {
 		t.Fatal("decryption with wrong key must fail")
 	}
 	// Tampered ciphertext must fail.
 	ct[len(ct)-1] ^= 1
-	if _, err := decryptBundle(shared, ct, pt); err == nil {
+	if err := openBundle(shared, ct, pt, &got); err == nil {
 		t.Fatal("tampered ciphertext must fail")
 	}
 }
@@ -604,6 +643,9 @@ func TestClientStateMachineErrors(t *testing.T) {
 	if _, err := c.ReceiveShares(nil, []RoutedShare{{Owner: 2, Holder: 99}}); err == nil {
 		t.Fatal("misrouted share must fail")
 	}
+	if _, err := c.ReceiveShares(nil, []RoutedShare{{Owner: 1, Holder: 1}}); err == nil {
+		t.Fatal("a share routed back to its owner must fail: a client keeps its own")
+	}
 
 	// Bad inputs in the mask and unmask phases.
 	_, clients, _ := sharedHarness(t, cfg, 3)
@@ -650,13 +692,16 @@ func TestUnmaskResponderNeverRevealsBothShares(t *testing.T) {
 
 // TestMaskPathAllocs pins what one instance of the benchmark's secure group
 // (16 devices, a 4 096-parameter update plus its weight) allocates, so that
-// a per-mask allocation shows up in `go test` and not only in the round
-// benchmark. Measured on go1.24 at two workers: ≈1.5 MB per instance (5.0 MB
-// before the mask path stopped allocating per mask), of which 0.6 MB is the
-// 256 pair AEADs' and 272 expansions' AES state and the rest per-client and
-// per-pair keys, shares and bundles plus four VectorLen vectors per instance.
-// A 4 KiB keystream chunk per expansion would add 1.1 MB, a 32 KiB partial
-// or a masked vector per client 0.5 MB each.
+// a per-mask or per-share allocation shows up in `go test` and not only in
+// the round benchmark. Measured on go1.24 at two workers: ≈1.06 MB and ≈3 400
+// objects per instance (1.52 MB and ≈10 000 while the share round kept
+// per-share objects and four maps per client; 5.0 MB before the mask path
+// stopped allocating per mask), of which 0.55 MB is the 240 pair AEADs' and
+// 272 expansions' AES state, which crypto/aes cannot re-key, and the rest
+// per-client tables, per-pair keys and bundles plus three VectorLen vectors
+// per instance. A 4 KiB keystream chunk per expansion would add 1.1 MB, a
+// 32 KiB partial or a masked vector per client 0.5 MB each, an object per
+// share or commitment some 500 objects.
 func TestMaskPathAllocs(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
@@ -676,14 +721,72 @@ func TestMaskPathAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perInstance := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d bytes per instance", perInstance)
-	const budget = 1792 << 10
+	objects := testing.AllocsPerRun(runs, instance) // at one proc
+	t.Logf("%d bytes, %.0f objects per instance", perInstance, objects)
+	const budget, objectBudget = 1200 << 10, 6500
 	if raceEnabled {
 		return // the race detector's pool drops Puts: the bound cannot hold
 	}
 	if perInstance > budget {
 		t.Fatalf("one N=16, VectorLen=4097 instance allocates %d bytes, budget %d", perInstance, budget)
 	}
+	if objects > objectBudget {
+		t.Fatalf("one N=16, VectorLen=4097 instance allocates %.0f objects, budget %d", objects, objectBudget)
+	}
+}
+
+// TestCryptoOpsCounted pins fl_secagg_ops_total for one N = 16 instance,
+// run twice at once: each client generates its two keys, agrees a
+// share-encryption and a masking secret with each of its n−1 peers —
+// 2(n−1), no agreement with itself, since its own shares never leave it —
+// builds one AES-GCM per peer and expands n masks; the server expands the
+// 16 survivors' personal masks. A device lost after the share round costs
+// the server one agreement and one expansion per survivor. Under -race
+// (CI, -count=10) the concurrent instances race their tables.
+func TestCryptoOpsCounted(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	const n = 16
+	cfg := Config{N: n, T: 9, VectorLen: 33}
+	inputs := seqInputs(n, cfg.VectorLen)
+	ops := func() map[string]int64 {
+		counters := metrics.Default.Export().Counters
+		out := map[string]int64{}
+		for _, role := range []string{"client", "server"} {
+			for _, op := range []string{"keygen", "agree", "aead", "prg"} {
+				out[role+" "+op] = counters[metrics.Label("fl_secagg_ops_total", "role", role, "op", op)]
+			}
+		}
+		return out
+	}
+	check := func(name string, sched Schedule, instances int, want map[string]int64) {
+		t.Helper()
+		before := ops()
+		var wg sync.WaitGroup
+		for range instances {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := RunSchedule(cfg, inputs, sched); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for op, v := range ops() {
+			if got := v - before[op]; got != int64(instances)*want[op] {
+				t.Errorf("%s: %s ops %d over %d instances, want %d each", name, op, got, instances, want[op])
+			}
+		}
+	}
+	check("no drop", Schedule{}, 2, map[string]int64{
+		"client keygen": 2 * n, "client agree": n * 2 * (n - 1), "client aead": n * (n - 1), "client prg": n * n,
+		"server prg": n,
+	})
+	check("one dropped after sharing", Schedule{DropAfterShare: []int{5}}, 1, map[string]int64{
+		"client keygen": 2 * n, "client agree": n*2*(n-1) - (n - 1), "client aead": n * (n - 1), "client prg": (n - 1) * n,
+		"server agree": n - 1, "server prg": 2 * (n - 1),
+	})
 }
 
 // TestConcurrentInstancesShareScratch: the mask scratch is pooled

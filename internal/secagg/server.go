@@ -15,7 +15,19 @@ var (
 	obsComplaints = metrics.Default.Counter("fl_secagg_complaints_total")
 	obsBlamed     = metrics.Default.Counter("fl_secagg_blamed_total")
 	obsDropouts   = metrics.Default.Counter("fl_secagg_dropouts_total")
+
+	// fl_secagg_ops_total{role,op}: the crypto an instance costs each side —
+	// X25519 key generations and agreements, AES-GCM builds, PRG expansions.
+	clientKeygen, clientAgree, clientAEAD, clientPRG = secaggOps("client")
+	_, serverAgree, _, serverPRG                     = secaggOps("server")
 )
+
+func secaggOps(role string) (keygen, agree, aead, prg *metrics.Counter) {
+	op := func(name string) *metrics.Counter {
+		return metrics.Default.Counter(metrics.Label("fl_secagg_ops_total", "role", role, "op", name))
+	}
+	return op("keygen"), op("agree"), op("aead"), op("prg")
+}
 
 // Server is the aggregator side of one Secure Aggregation instance. It only
 // ever holds masked vectors and aggregate state — never an individual
@@ -60,8 +72,10 @@ type Server struct {
 	survivors []int
 
 	unmaskFrom map[int]bool
-	bShares    map[int][]chunkedShare // owner -> revealed personal-seed shares
-	skShares   map[int][]chunkedShare // owner -> revealed masking-key shares
+	// revealed holds by owner position the first T verified shares the
+	// unmask responses reveal: of a survivor's personal seed, or of a
+	// dropped member's masking key, never both kinds for one owner.
+	revealed [][]chunkedShare
 }
 
 // NewServer creates the server side of an instance.
@@ -77,8 +91,6 @@ func NewServer(cfg Config) (*Server, error) {
 		sum:        make([]uint64, cfg.VectorLen),
 		maskedBy:   make(map[int]bool),
 		unmaskFrom: make(map[int]bool),
-		bShares:    make(map[int][]chunkedShare),
-		skShares:   make(map[int][]chunkedShare),
 	}, nil
 }
 
@@ -146,8 +158,9 @@ func (s *Server) RegisterCommitments(sc ShareCommitments) error {
 }
 
 // RouteShares is the share round's relay: it groups the Round-1 bundles by
-// holder for delivery, dropping bundles between strangers, and returns
-// every registered commitment set for broadcast beside them.
+// holder for delivery, dropping bundles between strangers or from a device
+// to itself, and returns every registered commitment set for broadcast
+// beside them.
 func (s *Server) RouteShares(all []RoutedShare) (map[int][]RoutedShare, []ShareCommitments, error) {
 	if err := s.phase.expect(sharing, "RouteShares"); err != nil {
 		return nil, nil, err
@@ -156,7 +169,7 @@ func (s *Server) RouteShares(all []RoutedShare) (map[int][]RoutedShare, []ShareC
 	for _, rs := range all {
 		_, owner := s.roster[rs.Owner]
 		_, holder := s.roster[rs.Holder]
-		if owner && holder {
+		if owner && holder && rs.Owner != rs.Holder {
 			byHolder[rs.Holder] = append(byHolder[rs.Holder], rs)
 		}
 	}
@@ -267,6 +280,12 @@ func (s *Server) Survivors() ([]int, error) {
 		s.survivors = append(s.survivors, id)
 	}
 	sort.Ints(s.survivors)
+	n, t := len(s.rosterIDs), s.cfg.T
+	block := make([]chunkedShare, n*t)
+	s.revealed = make([][]chunkedShare, n)
+	for p := range s.revealed {
+		s.revealed[p] = block[p*t : p*t : (p+1)*t]
+	}
 	s.phase = unmasking
 	return append([]int(nil), s.survivors...), nil
 }
@@ -293,7 +312,7 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 	if !s.maskSet[r.From] {
 		return fmt.Errorf("secagg: unmask response from %d, which is not in the mask set", r.From)
 	}
-	idx := sort.SearchInts(s.rosterIDs, r.From)
+	idx := s.pos(r.From)
 	wantX := uint64(idx + 1)
 	blame := func(format string, args ...any) error {
 		err := fmt.Errorf("secagg: unmask response from %d: "+format, append([]any{r.From}, args...)...)
@@ -301,7 +320,7 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 		obsBlamed.Inc()
 		return err
 	}
-	seen := make(map[int]bool, len(r.BShares)+len(r.SKShares))
+	seen := make([]bool, len(s.rosterIDs)) // by owner position
 	check := func(os OwnerShare, kind byte) error {
 		if _, ok := s.roster[os.Owner]; !ok {
 			return blame("share for non-roster device %d", os.Owner)
@@ -309,10 +328,11 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 		if !s.maskSet[os.Owner] {
 			return blame("share for %d, which is outside the mask set", os.Owner)
 		}
-		if seen[os.Owner] {
+		p := s.pos(os.Owner)
+		if seen[p] {
 			return blame("duplicate share for owner %d", os.Owner)
 		}
-		seen[os.Owner] = true
+		seen[p] = true
 		if os.Share.X != wantX {
 			return blame("share for %d at evaluation point %d, want own point %d", os.Owner, os.Share.X, wantX)
 		}
@@ -344,24 +364,30 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 	}
 	// Every share verified: admit the response atomically.
 	s.unmaskFrom[r.From] = true
-	for _, os := range r.BShares {
-		s.bShares[os.Owner] = append(s.bShares[os.Owner], os.Share)
-	}
-	for _, os := range r.SKShares {
-		s.skShares[os.Owner] = append(s.skShares[os.Owner], os.Share)
+	for _, list := range [...][]OwnerShare{r.BShares, r.SKShares} {
+		for _, os := range list {
+			if p := s.pos(os.Owner); len(s.revealed[p]) < s.cfg.T {
+				s.revealed[p] = append(s.revealed[p], os.Share)
+			}
+		}
 	}
 	return nil
 }
+
+// pos returns the roster position of id, a roster member.
+func (s *Server) pos(id int) int { return sort.SearchInts(s.rosterIDs, id) }
 
 // Responses returns how many unmask responses were admitted.
 func (s *Server) Responses() int { return len(s.unmaskFrom) }
 
 // Sum finalizes the protocol: reconstructs personal seeds of survivors and
-// masking keys of dropped mask-set devices, strips all masks, and returns
-// the aggregate Σ_{u∈U2} x_u in field encoding (Decode converts to reals).
-// Every share entering a reconstruction was verified on receipt, so a
-// reconstruction can only fail for lack of shares — an attributed abort,
-// never a silently wrong sum.
+// masking keys of dropped mask-set devices, strips all masks from the
+// running sum in place, and returns it: the aggregate Σ_{u∈U2} x_u in field
+// encoding (Decode converts to reals). Every share entering a
+// reconstruction was verified on receipt, so a reconstruction can only fail
+// for lack of shares — an attributed abort, never a silently wrong sum. That
+// failure leaves the instance as it was, to take more responses; once the
+// secrets are rebuilt, Sum ends the instance, whatever the unmasking meets.
 func (s *Server) Sum() ([]uint64, error) {
 	if err := s.phase.expect(unmasking, "Sum"); err != nil {
 		return nil, err
@@ -370,8 +396,6 @@ func (s *Server) Sum() ([]uint64, error) {
 	if len(s.unmaskFrom) < s.cfg.T {
 		return nil, fmt.Errorf("secagg: only %d unmask responses, need ≥ %d", len(s.unmaskFrom), s.cfg.T)
 	}
-	out := make([]uint64, s.cfg.VectorLen)
-	copy(out, s.sum)
 
 	// Reconstruct all secrets first (cheap Shamir interpolation, serial),
 	// building one task per mask expansion. The expansions — an ECDH plus a
@@ -381,47 +405,44 @@ func (s *Server) Sum() ([]uint64, error) {
 	type maskTask struct {
 		owner int
 		peer  int              // pairwise tasks only
-		seed  []byte           // PRG seed, when already known
+		seed  [32]byte         // PRG seed, when already known
 		sk    *ecdh.PrivateKey // else derive the seed from sk × pub
 		pub   []byte
 		sub   bool
 	}
 	dropped := len(members) - len(survivors)
 	tasks := make([]maskTask, 0, len(survivors)*(1+dropped))
+	scratch := make([]uint64, 2*s.cfg.T)
 
 	// Survivors' personal masks PRG(b_u) are subtracted.
 	for _, u := range survivors {
-		shares := s.bShares[u]
+		shares := s.revealed[s.pos(u)]
 		if len(shares) < s.cfg.T {
 			return nil, fmt.Errorf("secagg: %d verified personal-seed shares for %d, need %d", len(shares), u, s.cfg.T)
 		}
-		seed, err := reconstructBytes(shares[:s.cfg.T], s.cfg.T)
+		seed, err := reconstructBytes(shares, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("secagg: reconstruct seed of %d: %w", u, err)
 		}
-		tasks = append(tasks, maskTask{owner: u, seed: seedKey(seed), sub: true})
+		tasks = append(tasks, maskTask{owner: u, seed: seedKey(seed[:]), sub: true})
 	}
 
 	// Residual pairwise masks of mask-set devices that dropped after the
 	// share round. Devices excluded before masking (outside the mask set)
 	// left no residuals, so their loss costs nothing here.
-	survSet := make(map[int]bool, len(survivors))
-	for _, v := range survivors {
-		survSet[v] = true
-	}
 	for _, u := range members {
-		if survSet[u] {
+		if s.maskedBy[u] {
 			continue
 		}
-		shares := s.skShares[u]
+		shares := s.revealed[s.pos(u)]
 		if len(shares) < s.cfg.T {
 			return nil, fmt.Errorf("secagg: %d verified masking-key shares for dropped %d, need %d", len(shares), u, s.cfg.T)
 		}
-		skBytes, err := reconstructBytes(shares[:s.cfg.T], s.cfg.T)
+		skBytes, err := reconstructBytes(shares, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("secagg: reconstruct key of %d: %w", u, err)
 		}
-		sk, err := ecdh.X25519().NewPrivateKey(skBytes)
+		sk, err := ecdh.X25519().NewPrivateKey(skBytes[:])
 		if err != nil {
 			return nil, fmt.Errorf("secagg: rebuild key of %d: %w", u, err)
 		}
@@ -432,10 +453,10 @@ func (s *Server) Sum() ([]uint64, error) {
 		}
 	}
 
-	err := parallelMasks(out, len(tasks), func(i int, acc []uint64, buf *prgChunk) error {
-		t := tasks[i]
-		seed := t.seed
-		if seed == nil {
+	s.phase = done
+	err := parallelMasks(s.sum, len(tasks), func(i int, acc []uint64, buf *prgChunk) error {
+		t := &tasks[i]
+		if t.sk != nil {
 			pub, err := ecdh.X25519().NewPublicKey(t.pub)
 			if err != nil {
 				return fmt.Errorf("secagg: spub of %d: %w", t.peer, err)
@@ -444,14 +465,15 @@ func (s *Server) Sum() ([]uint64, error) {
 			if err != nil {
 				return fmt.Errorf("secagg: ecdh %d×%d: %w", t.owner, t.peer, err)
 			}
-			seed = pairwiseSeed(shared, 'p')
+			serverAgree.Inc()
+			t.seed = pairwiseSeed(shared, 'p')
 		}
-		prgApply(seed, acc, t.sub, buf)
+		prgApply(t.seed[:], acc, t.sub, buf)
+		serverPRG.Inc()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.phase = done
-	return out, nil
+	return s.sum, nil
 }

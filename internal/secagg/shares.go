@@ -27,53 +27,53 @@ type chunkedShare struct {
 	Ys [secretChunks]uint64
 }
 
-// splitBytes Shamir-shares a 32-byte secret into n chunked shares with
-// threshold t.
-func splitBytes(secret []byte, n, t int, rng io.Reader) ([]chunkedShare, error) {
+// splitBytes Shamir-shares a 32-byte secret among len(dst) holders, dst[i]
+// at evaluation point i+1, any t of them reconstructing it. ys (len(dst)
+// elements) and coef (8(t−1) bytes) are the caller's scratch.
+func splitBytes(dst []chunkedShare, secret []byte, t int, ys []uint64, coef []byte) error {
 	if len(secret) != secretByteLen {
-		return nil, fmt.Errorf("secagg: secret must be %d bytes, got %d", secretByteLen, len(secret))
+		return fmt.Errorf("secagg: secret must be %d bytes, got %d", secretByteLen, len(secret))
 	}
-	padded := make([]byte, secretChunks*chunkBytes)
-	copy(padded, secret)
-	out := make([]chunkedShare, n)
-	for c := 0; c < secretChunks; c++ {
+	var padded [secretChunks * chunkBytes]byte
+	copy(padded[:], secret)
+	for c := range secretChunks {
 		chunk := uint64(0)
-		for b := 0; b < chunkBytes; b++ {
-			chunk = chunk<<8 | uint64(padded[c*chunkBytes+b])
+		for _, b := range padded[c*chunkBytes : (c+1)*chunkBytes] {
+			chunk = chunk<<8 | uint64(b)
 		}
-		shares, err := field.Split(chunk, n, t, rng)
-		if err != nil {
-			return nil, err
+		if err := field.Split(ys, chunk, t, coef, nil); err != nil {
+			return err
 		}
-		for i := range out {
-			out[i].X = shares[i].X
-			out[i].Ys[c] = shares[i].Y
+		for i, y := range ys {
+			dst[i].X, dst[i].Ys[c] = uint64(i+1), y
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// reconstructBytes inverts splitBytes given at least t shares.
-func reconstructBytes(shares []chunkedShare, t int) ([]byte, error) {
-	if len(shares) < t {
-		return nil, fmt.Errorf("secagg: need %d shares, have %d", t, len(shares))
+// reconstructBytes inverts splitBytes from the t shares given, through the
+// caller's scratch of 2t elements.
+func reconstructBytes(shares []chunkedShare, scratch []uint64) (secret [secretByteLen]byte, err error) {
+	t := len(shares)
+	xs, ys := scratch[:t], scratch[t:2*t]
+	for i, s := range shares {
+		xs[i] = s.X
 	}
-	padded := make([]byte, secretChunks*chunkBytes)
-	fs := make([]field.Share, len(shares))
-	for c := 0; c < secretChunks; c++ {
+	var padded [secretChunks * chunkBytes]byte
+	for c := range secretChunks {
 		for i, s := range shares {
-			fs[i] = field.Share{X: s.X, Y: s.Ys[c]}
+			ys[i] = s.Ys[c]
 		}
-		chunk, err := field.Reconstruct(fs, t)
+		chunk, err := field.Reconstruct(xs, ys, t)
 		if err != nil {
-			return nil, err
+			return secret, err
 		}
 		for b := chunkBytes - 1; b >= 0; b-- {
 			padded[c*chunkBytes+b] = byte(chunk)
 			chunk >>= 8
 		}
 	}
-	return padded[:secretByteLen], nil
+	return [secretByteLen]byte(padded[:]), nil
 }
 
 // shareBundle is what device owner sends to device holder in Round 1: the
@@ -87,40 +87,40 @@ type shareBundle struct {
 	Holder  int
 	BShare  chunkedShare
 	SKShare chunkedShare
-	BBlind  []byte
-	SKBlind []byte
+	BBlind  [field.BlinderLen]byte
+	SKBlind [field.BlinderLen]byte
 }
 
-const bundleWireLen = 8 + 8 + 2*(8+secretChunks*8) + 2*field.BlinderLen
+// bundleWireLen is a bundle's plaintext; sealedLen is the bundle sealed
+// under AES-GCM, its standard 12-byte nonce ahead and 16-byte tag behind.
+const (
+	bundleWireLen = 8 + 8 + 2*(8+secretChunks*8) + 2*field.BlinderLen
+	sealedLen     = 12 + bundleWireLen + 16
+)
 
 // marshal appends the bundle's bundleWireLen wire bytes to buf.
 func (b *shareBundle) marshal(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(b.Owner))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(b.Holder))
-	for _, cs := range []chunkedShare{b.BShare, b.SKShare} {
+	for _, cs := range [...]*chunkedShare{&b.BShare, &b.SKShare} {
 		buf = binary.BigEndian.AppendUint64(buf, cs.X)
 		for _, y := range cs.Ys {
 			buf = binary.BigEndian.AppendUint64(buf, y)
 		}
 	}
-	for _, bl := range [][]byte{b.BBlind, b.SKBlind} {
-		var fixed [field.BlinderLen]byte
-		copy(fixed[:], bl)
-		buf = append(buf, fixed[:]...)
-	}
-	return buf
+	buf = append(buf, b.BBlind[:]...)
+	return append(buf, b.SKBlind[:]...)
 }
 
-func unmarshalBundle(buf []byte) (*shareBundle, error) {
+// unmarshalBundle decodes buf into b.
+func unmarshalBundle(buf []byte, b *shareBundle) error {
 	if len(buf) != bundleWireLen {
-		return nil, fmt.Errorf("secagg: bundle length %d, want %d", len(buf), bundleWireLen)
+		return fmt.Errorf("secagg: bundle length %d, want %d", len(buf), bundleWireLen)
 	}
-	b := &shareBundle{
-		Owner:  int(binary.BigEndian.Uint64(buf)),
-		Holder: int(binary.BigEndian.Uint64(buf[8:])),
-	}
+	b.Owner = int(binary.BigEndian.Uint64(buf))
+	b.Holder = int(binary.BigEndian.Uint64(buf[8:]))
 	off := 16
-	for _, cs := range []*chunkedShare{&b.BShare, &b.SKShare} {
+	for _, cs := range [...]*chunkedShare{&b.BShare, &b.SKShare} {
 		cs.X = binary.BigEndian.Uint64(buf[off:])
 		off += 8
 		for i := range cs.Ys {
@@ -128,17 +128,17 @@ func unmarshalBundle(buf []byte) (*shareBundle, error) {
 			off += 8
 		}
 	}
-	b.BBlind = append([]byte(nil), buf[off:off+field.BlinderLen]...)
-	off += field.BlinderLen
-	b.SKBlind = append([]byte(nil), buf[off:off+field.BlinderLen]...)
-	return b, nil
+	b.BBlind = [field.BlinderLen]byte(buf[off:])
+	b.SKBlind = [field.BlinderLen]byte(buf[off+field.BlinderLen:])
+	return nil
 }
 
 // bundleAEAD builds the AES-GCM instance a pair of devices seals and opens
 // each other's bundles with, keyed from their ECDH shared secret. A client
-// builds it once per peer (Client.cShared).
+// builds it once per peer (peer.gcm).
 func bundleAEAD(shared []byte) (cipher.AEAD, error) {
-	key := sha256.Sum256(append([]byte("saggenc"), shared...))
+	var pre [7 + secretByteLen]byte
+	key := sha256.Sum256(append(append(pre[:0], "saggenc"...), shared...))
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, err
@@ -146,29 +146,29 @@ func bundleAEAD(shared []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// encryptBundle seals a bundle under the pair's AEAD with a fresh random
-// nonce: nonce ‖ ciphertext ‖ tag, marshaled and sealed in place in the one
-// buffer it returns.
-func encryptBundle(gcm cipher.AEAD, b *shareBundle) ([]byte, error) {
-	ns := gcm.NonceSize()
-	ct := make([]byte, ns, ns+bundleWireLen+gcm.Overhead())
-	if _, err := io.ReadFull(rand.Reader, ct); err != nil {
-		return nil, err
+// sealBundle seals a bundle into ct, sealedLen bytes, under the pair's AEAD
+// with a fresh random nonce: nonce ‖ ciphertext ‖ tag, marshaled and sealed
+// in place.
+func sealBundle(ct []byte, gcm cipher.AEAD, b *shareBundle) error {
+	nonce := ct[:gcm.NonceSize()]
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		return err
 	}
-	pt := b.marshal(ct[ns:]) // behind the nonce, where its ciphertext goes
-	return append(ct, gcm.Seal(pt[:0], ct, pt, nil)...), nil
+	pt := b.marshal(ct[len(nonce):len(nonce)]) // where its ciphertext goes
+	gcm.Seal(pt[:0], nonce, pt, nil)
+	return nil
 }
 
-// decryptBundle opens a sealed bundle, using pt's storage for the plaintext
-// (nothing of pt survives in the returned bundle).
-func decryptBundle(gcm cipher.AEAD, ct, pt []byte) (*shareBundle, error) {
+// openBundle opens a sealed bundle into b, using pt's storage for the
+// plaintext.
+func openBundle(gcm cipher.AEAD, ct, pt []byte, b *shareBundle) error {
 	ns := gcm.NonceSize()
 	if len(ct) < ns {
-		return nil, fmt.Errorf("secagg: ciphertext too short")
+		return fmt.Errorf("secagg: ciphertext too short")
 	}
 	pt, err := gcm.Open(pt[:0], ct[:ns], ct[ns:], nil)
 	if err != nil {
-		return nil, fmt.Errorf("secagg: decrypt: %w", err)
+		return fmt.Errorf("secagg: decrypt: %w", err)
 	}
-	return unmarshalBundle(pt)
+	return unmarshalBundle(pt, b)
 }

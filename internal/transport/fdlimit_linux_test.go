@@ -1,10 +1,35 @@
 package transport
 
 import (
+	"net"
+	"os"
 	"syscall"
 	"testing"
 	"time"
 )
+
+// TestAcceptBackoffErrnos: Accept waits out every errno that means out of
+// descriptors or kernel memory, wrapped as net wraps an accept's error —
+// winsock's WSAEMFILE (10024) and WSAENOBUFS (10055) included, which a
+// windows accept returns and syscall does not name — and returns any other.
+func TestAcceptBackoffErrnos(t *testing.T) {
+	for _, c := range []struct {
+		errno syscall.Errno
+		wait  bool
+	}{
+		{syscall.EMFILE, true}, {syscall.ENFILE, true}, {syscall.ENOBUFS, true}, {syscall.ENOMEM, true},
+		{10024, true}, {10055, true},
+		{syscall.EBADF, false}, {syscall.EINVAL, false}, {syscall.ECONNABORTED, false}, {10038, false}, // WSAENOTSOCK
+	} {
+		err := &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", c.errno)}
+		if got := outOfResources(err); got != c.wait {
+			t.Errorf("errno %d (%v): backoff %v, want %v", int(c.errno), c.errno, got, c.wait)
+		}
+	}
+	if outOfResources(net.ErrClosed) {
+		t.Error("a closed listener backs off")
+	}
+}
 
 // TestAcceptWaitsOutDescriptorExhaustion: with the process out of
 // descriptors, a pending connection makes accept(2) fail EMFILE; Accept

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -695,7 +696,7 @@ func (t *tcpListener) Accept() (Conn, error) {
 		switch c, err := t.acceptOnce(); {
 		case err == nil:
 			return c, nil
-		case errors.Is(err, syscall.EMFILE), errors.Is(err, syscall.ENFILE), errors.Is(err, syscall.ENOBUFS), errors.Is(err, syscall.ENOMEM):
+		case outOfResources(err):
 			select {
 			case <-time.After(wait):
 			case <-t.done:
@@ -704,6 +705,15 @@ func (t *tcpListener) Accept() (Conn, error) {
 			return nil, err
 		}
 	}
+}
+
+// outOfResources reports whether an accept failed for want of descriptors or
+// kernel memory. Winsock fails with WSAEMFILE (10024) or WSAENOBUFS (10055),
+// which syscall does not name: its windows EMFILE and ENOBUFS are invented.
+func outOfResources(err error) bool {
+	var errno syscall.Errno
+	return errors.As(err, &errno) && slices.Contains([]syscall.Errno{
+		syscall.EMFILE, syscall.ENFILE, syscall.ENOBUFS, syscall.ENOMEM, 10024, 10055}, errno)
 }
 
 // Close implements Listener; a parked Accept returns an error.
