@@ -229,8 +229,9 @@ func SecAggCost(groupSizes []int, vectorLen, totalDevices int, dropRates []float
 			}
 			inputs[id] = v
 		}
+		sum := make([]float64, vectorLen)
 		start := time.Now()
-		if _, err := secagg.RunSchedule(cfg, inputs, secagg.Schedule{}); err != nil {
+		if _, err := secagg.Run(cfg, inputs, secagg.Schedule{}, sum); err != nil {
 			return nil, err
 		}
 		out.ServerTime = append(out.ServerTime, time.Since(start))
@@ -246,7 +247,7 @@ func SecAggCost(groupSizes []int, vectorLen, totalDevices int, dropRates []float
 			rng := tensor.NewRNG(uint64(1000*si + ri + 1))
 			sched := sim.SecAggChurn(n, cfg.T, sim.ChurnConfig{DropRate: rate}, rng)
 			start := time.Now()
-			if _, err := secagg.RunSchedule(cfg, inputs, sched); err != nil {
+			if _, err := secagg.Run(cfg, inputs, sched, sum); err != nil {
 				return nil, err
 			}
 			out.RecoveryTime[si][ri] = time.Since(start)

@@ -156,12 +156,16 @@ func (s *Spares) Take(dim int) tensor.Vector {
 // Put hands the stock a vector nothing references any more — a stripe merged
 // into another, a sealed sum already marshaled for the wire, an update its
 // group has reduced — and zeroes it here, while its round settles, not on
-// the next round's way to its first device. The stock keeps it only against
-// a loan not yet repaid and drops the rest.
+// the next round's way to its first device. It keeps the vector at its full
+// capacity: a secure group's sum is a delta-plus-weight vector of dim+1
+// whose first dim elements are committed, so the committed model repays the
+// loan as the vector that was lent. The stock keeps it only against a loan
+// not yet repaid and drops the rest.
 func (s *Spares) Put(v tensor.Vector) {
 	if s == nil || len(v) == 0 {
 		return
 	}
+	v = v[:cap(v)]
 	v.Zero()
 	s.mu.Lock()
 	if s.lent > 0 {

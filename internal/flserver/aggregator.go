@@ -41,6 +41,7 @@ type Aggregator struct {
 	// task-labeled defense counters.
 	robustPolicy                    plan.RobustPolicy
 	obsRejectedTask, obsTrimmedTask *metrics.Counter
+	spares                          *fedavg.Spares // lends a secure group its sum (EdgeRoundConfig.Spares)
 }
 
 // newAggregator returns the behavior for a group aggregator reporting to
@@ -178,7 +179,8 @@ func (a *Aggregator) secureReduce(res *msgGroupResult, updates []robust.Update, 
 		inputs[id] = nil
 		sched.DropShareKeys = append(sched.DropShareKeys, id)
 	}
-	out, err := secagg.RunSchedule(secagg.Config{N: n, T: t, VectorLen: a.dim + 1}, inputs, sched)
+	sum := a.spares.Take(a.dim + 1)
+	out, err := secagg.Run(secagg.Config{N: n, T: t, VectorLen: a.dim + 1}, inputs, sched, sum)
 	if out != nil {
 		res.Phases = out.Phases
 		for id, why := range out.Blamed {
@@ -191,14 +193,20 @@ func (a *Aggregator) secureReduce(res *msgGroupResult, updates []robust.Update, 
 		sort.Strings(res.Blamed)
 	}
 	if err != nil {
+		a.spares.Put(sum)
 		return err.Error()
 	}
-	return a.setSum(res, out.Sum[:a.dim], out.Sum[a.dim], len(out.Survivors))
+	if err := a.setSum(res, sum[:a.dim], sum[a.dim], len(out.Survivors)); err != "" {
+		a.spares.Put(sum)
+		return err
+	}
+	res.Spares = a.spares
+	return ""
 }
 
 // setSum records a reducer's (delta, weight, count) triple as the group's
 // raw sum, adopting the vector: both reducers hand over one nothing else
-// holds.
+// holds — a secure group's is on loan from the edge's stock (res.Spares).
 func (a *Aggregator) setSum(res *msgGroupResult, sum tensor.Vector, weight float64, count int) string {
 	if len(sum) != a.dim || !fedavg.ValidWeight(weight) || count <= 0 {
 		return fmt.Sprintf("group sum of dim %d (want %d), weight %v, count %d", len(sum), a.dim, weight, count)

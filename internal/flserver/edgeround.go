@@ -326,7 +326,7 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 			agg := newAggregator(er.cfg.Dim, ctx.Self)
 			agg.threshold = srv.SecAggThreshold
 			agg.churn = er.cfg.churn
-			agg.robustPolicy = srv.Robust
+			agg.robustPolicy, agg.spares = srv.Robust, er.cfg.Spares
 			if srv.Robust.PerUpdate() {
 				_, agg.obsRejectedTask, agg.obsTrimmedTask = robustTaskCounters(er.cfg.Plan.ID)
 			}
@@ -612,7 +612,8 @@ func (er *EdgeRound) seal(ctx *actor.Context) {
 // secure path and describe reports that did complete.
 func (er *EdgeRound) onGroupResult(ctx *actor.Context, m msgGroupResult) {
 	if len(er.aggs) == 0 {
-		return // abandoned while the groups were finalizing
+		m.Spares.Put(m.Sum) // abandoned while the groups were finalizing
+		return
 	}
 	er.partials = append(er.partials, m)
 	if len(er.partials) < len(er.aggs) {
@@ -646,11 +647,15 @@ func (er *EdgeRound) onGroupResult(ctx *actor.Context, m msgGroupResult) {
 		switch {
 		case evalOnly:
 			s.EvalCount += p.Count
+			p.Spares.Put(p.Sum)
 		case p.Count > 0 && len(p.Sum) > 0:
+			// A sum on loan (a secure group's) is adopted as the seal's, which
+			// the lineage repays (DESIGN.md §5 lever 13), or goes back folded.
 			if s.Sum == nil {
-				s.Sum = p.Sum
+				s.Sum, s.Spares = p.Sum, p.Spares
 			} else {
 				s.Sum.Axpy(1, p.Sum)
+				p.Spares.Put(p.Sum)
 			}
 			s.Weight += p.Weight
 			s.Count += p.Count

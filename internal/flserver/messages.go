@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/fedavg"
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/robust"
@@ -202,6 +203,7 @@ type msgFinalizeGroup struct {
 type msgGroupResult struct {
 	From    actor.Ref
 	Sum     []float64
+	Spares  *fedavg.Spares // the stock Sum is on loan from; nil for none
 	Weight  float64
 	Count   int
 	Metrics map[string][]float64 // metric name -> per-device values

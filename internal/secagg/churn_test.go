@@ -1,6 +1,7 @@
 package secagg
 
 import (
+	"maps"
 	"strings"
 	"testing"
 )
@@ -99,6 +100,27 @@ func TestPoisonedDealerBlamedAndExcluded(t *testing.T) {
 	expectSum(t, inputs, res.Survivors, res.Sum)
 	if _, ok := res.Blamed[3]; !ok {
 		t.Fatalf("dealer 3 must be blamed, got %v", res.Blamed)
+	}
+}
+
+// TestBlameIsDeterministic: the first complaint against a dealer sets the
+// reason it is blamed with, so the share round must take the holders'
+// complaints in one order — roster order — not a map's. Twenty runs of one
+// poisoned dealer give one Blamed map: every holder complains, holder 1
+// first. CI runs this under -race -count=10.
+func TestBlameIsDeterministic(t *testing.T) {
+	cfg := Config{N: 8, T: 5, VectorLen: 2}
+	inputs := seqInputs(8, cfg.VectorLen)
+	sum := make([]float64, cfg.VectorLen)
+	want := map[int]string{3: "complaint from 1: share does not open broadcast commitment"}
+	for run := range 20 {
+		res, err := Run(cfg, inputs, Schedule{PoisonShare: []int{3}}, sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(res.Blamed, want) {
+			t.Fatalf("run %d blamed %v, want %v", run, res.Blamed, want)
+		}
 	}
 }
 

@@ -14,10 +14,13 @@ import (
 
 // KeyAdvert is a device's Round-0 message: its identity and two X25519
 // public keys (CPub for share encryption, SPub for pairwise masking).
+// cPK and sPK are those keys parsed, once an instance: by
+// Server.RegisterAdvert, whose roster broadcast carries them to every client.
 type KeyAdvert struct {
-	ID   int
-	CPub []byte
-	SPub []byte
+	ID       int
+	CPub     []byte
+	SPub     []byte
+	cPK, sPK *ecdh.PublicKey
 }
 
 // RoutedShare is an encrypted Round-1 share bundle in transit: the server
@@ -63,7 +66,7 @@ type Client struct {
 	// is this client's place in it, so its shares sit at evaluation point
 	// pos+1. peers holds by the same positions all the client keeps per
 	// participant, itself included.
-	roster []KeyAdvert
+	roster roster
 	pos    int
 	peers  []peer
 
@@ -74,6 +77,8 @@ type Client struct {
 	// (the server detects the mismatch and blames this responder).
 	poison bool
 	forge  bool
+
+	bundles *sealScratch // what ShareKeys sealed into, until release
 }
 
 // peer is what a client keeps for one roster position.
@@ -122,12 +127,14 @@ func NewClient(id int, cfg Config) (*Client, error) {
 
 // Advertise returns the Round-0 key advertisement.
 func (c *Client) Advertise() KeyAdvert {
-	return KeyAdvert{ID: c.id, CPub: c.cKey.PublicKey().Bytes(), SPub: c.sKey.PublicKey().Bytes()}
+	cPK, sPK := c.cKey.PublicKey(), c.sKey.PublicKey()
+	return KeyAdvert{ID: c.id, CPub: cPK.Bytes(), SPub: sPK.Bytes(), cPK: cPK, sPK: sPK}
 }
 
 // ReceiveRoster installs the server's broadcast of Round-0 adverts (the set
 // U1), which it keeps and the caller must not modify. The roster must list
-// ids in ascending order, contain this client and at least T participants.
+// ids in ascending order, each with its keys parsed, and contain this
+// client and at least T participants.
 func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
 	if err := c.phase.expect(advertising, "ReceiveRoster"); err != nil {
 		return err
@@ -139,9 +146,12 @@ func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
 		if i > 0 && a.ID <= roster[i-1].ID {
 			return fmt.Errorf("secagg: duplicate or unsorted id %d in roster", a.ID)
 		}
+		if a.cPK == nil || a.sPK == nil {
+			return fmt.Errorf("secagg: roster entry %d carries no parsed keys", a.ID)
+		}
 	}
 	c.roster = roster
-	pos, ok := c.find(c.id)
+	pos, ok := c.roster.find(c.id)
 	if !ok {
 		return fmt.Errorf("secagg: roster does not include self (%d)", c.id)
 	}
@@ -150,9 +160,12 @@ func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
 	return nil
 }
 
-// find returns id's roster position.
-func (c *Client) find(id int) (int, bool) {
-	return slices.BinarySearchFunc(c.roster, id, func(a KeyAdvert, id int) int { return cmp.Compare(a.ID, id) })
+// roster is a broadcast of U1, ids ascending.
+type roster []KeyAdvert
+
+// find returns id's position.
+func (r roster) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(r, id, func(a KeyAdvert, id int) int { return cmp.Compare(a.ID, id) })
 }
 
 // ShareKeys produces the Round-1 encrypted share bundles, one per other
@@ -164,7 +177,8 @@ func (c *Client) ShareKeys() ([]RoutedShare, ShareCommitments, error) {
 	}
 	n, t := len(c.roster), c.cfg.T
 	// Per-instance tables by holder position: both secrets' shares, their
-	// blinders (drawn in one read), commitments and sealed bundles.
+	// blinders (drawn in one read) and commitments; the sealed bundles go
+	// into pooled scratch, which release gives back.
 	deal, ys, coef := make([]chunkedShare, 2*n), make([]uint64, n), make([]byte, 8*(t-1))
 	if err := splitBytes(deal[:n], c.seed[:], t, ys, coef); err != nil {
 		return nil, ShareCommitments{}, err
@@ -178,7 +192,10 @@ func (c *Client) ShareKeys() ([]RoutedShare, ShareCommitments, error) {
 	}
 	coms := make([][field.CommitmentLen]byte, 2*n)
 	own := ShareCommitments{Owner: c.id, B: coms[:n:n], SK: coms[n:]}
-	out, sealed := make([]RoutedShare, n), make([]byte, n*sealedLen)
+	c.bundles = sealPool.Get().(*sealScratch)
+	out := slices.Grow(c.bundles.out[:0], n)[:n] // zero: pooled wiped
+	sealed := slices.Grow(c.bundles.sealed[:0], n*sealedLen)[:n*sealedLen]
+	c.bundles.out, c.bundles.sealed = out, sealed
 	// One ECDH + AES-GCM seal per other roster member: independent work,
 	// fanned across the worker pool. Workers write only their own slots.
 	err := parallelFor(n, func(i int) error {
@@ -234,7 +251,7 @@ func (c *Client) ReceiveShares(commits []ShareCommitments, shares []RoutedShare)
 	n := len(c.roster)
 	coms := make([]*ShareCommitments, n) // by owner position, into the broadcast
 	for i := range commits {
-		if p, ok := c.find(commits[i].Owner); ok && commits[i].validate(n) == nil {
+		if p, ok := c.roster.find(commits[i].Owner); ok && commits[i].validate(n) == nil {
 			coms[p] = &commits[i]
 		}
 	}
@@ -245,7 +262,7 @@ func (c *Client) ReceiveShares(commits []ShareCommitments, shares []RoutedShare)
 	}
 	pt := make([]byte, 0, bundleWireLen) // every bundle opens into this
 	for _, rs := range shares {
-		p, ok := c.find(rs.Owner)
+		p, ok := c.roster.find(rs.Owner)
 		if !ok {
 			complain(rs.Owner, "unknown owner")
 			continue
@@ -299,7 +316,7 @@ func (c *Client) ReceiveMaskSet(ids []int) error {
 		return fmt.Errorf("secagg: mask set of %d below threshold %d", len(ids), c.cfg.T)
 	}
 	for _, id := range ids {
-		if _, ok := c.find(id); !ok {
+		if _, ok := c.roster.find(id); !ok {
 			return fmt.Errorf("secagg: mask set member %d not in roster", id)
 		}
 	}
@@ -307,7 +324,7 @@ func (c *Client) ReceiveMaskSet(ids []int) error {
 		return fmt.Errorf("secagg: excluded from mask set (%d)", c.id)
 	}
 	for _, id := range ids {
-		p, _ := c.find(id)
+		p, _ := c.roster.find(id)
 		c.peers[p].masked = true
 	}
 	c.phase = masking
@@ -315,7 +332,7 @@ func (c *Client) ReceiveMaskSet(ids []int) error {
 }
 
 // MaskedInput computes the Round-2 masked vector for input x:
-// Encode(x) + PRG(b_u) + Σ_{v>u} PRG(s_uv) − Σ_{v<u} PRG(s_uv).
+// encode(x) + PRG(b_u) + Σ_{v>u} PRG(s_uv) − Σ_{v<u} PRG(s_uv).
 func (c *Client) MaskedInput(x []float64) ([]uint64, error) {
 	return c.maskInto(make([]uint64, c.cfg.VectorLen), x)
 }
@@ -370,7 +387,7 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 	}
 	surv := make([]bool, len(c.peers))
 	for _, id := range survivors {
-		p, ok := c.find(id)
+		p, ok := c.roster.find(id)
 		if !ok {
 			return nil, fmt.Errorf("secagg: survivor %d not in roster", id)
 		}
@@ -408,11 +425,7 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 // deriveC builds the share-encryption AEAD with the peer at roster
 // position p (cache-free; safe to call from workers).
 func (c *Client) deriveC(p int) (cipher.AEAD, error) {
-	pub, err := ecdh.X25519().NewPublicKey(c.roster[p].CPub)
-	if err != nil {
-		return nil, fmt.Errorf("secagg: peer %d cpub: %w", c.roster[p].ID, err)
-	}
-	shared, err := c.cKey.ECDH(pub)
+	shared, err := c.cKey.ECDH(c.roster[p].cPK)
 	if err != nil {
 		return nil, err
 	}
@@ -441,11 +454,7 @@ func (c *Client) maskSeed(p int) ([32]byte, error) {
 	if p == c.pos {
 		return seedKey(c.seed[:]), nil
 	}
-	pub, err := ecdh.X25519().NewPublicKey(c.roster[p].SPub)
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("secagg: peer %d spub: %w", c.roster[p].ID, err)
-	}
-	shared, err := c.sKey.ECDH(pub)
+	shared, err := c.sKey.ECDH(c.roster[p].sPK)
 	if err != nil {
 		return [32]byte{}, err
 	}

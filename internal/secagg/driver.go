@@ -2,6 +2,8 @@ package secagg
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 )
 
@@ -33,17 +35,10 @@ type Schedule struct {
 	ForgeUnmask []int
 }
 
-func toSet(ids []int) map[int]bool {
-	m := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
 // Result is the outcome of one Secure Aggregation instance.
 type Result struct {
-	// Sum is the decoded aggregate over Survivors (nil on abort).
+	// Sum is the decoded aggregate over Survivors, in the caller's vector
+	// (nil on abort).
 	Sum []float64
 	// Survivors are the devices whose inputs are included in Sum.
 	Survivors []int
@@ -67,31 +62,31 @@ const (
 	phaseUnmask    = "unmask"
 )
 
-// RunSchedule executes a complete Secure Aggregation instance in-process
-// under an injected churn schedule, stepping one Server and one Client per
-// device through their phases. It exists for the Aggregator actor, the
-// simulator, and the benchmarks: the caller hands it per-group inputs plus
-// a Schedule, and receives the group sum with attribution.
+// Run executes a complete Secure Aggregation instance in-process under an
+// injected churn schedule, stepping one Server and one Client per device
+// through their phases, each phase in roster order. It exists for the
+// Aggregator actor, the simulator and the experiments: the caller hands it
+// per-group inputs, a Schedule and sum, cfg.VectorLen elements it owns, and
+// receives the group sum decoded into sum, with attribution. Run allocates
+// no vector of its own: the masked input and the server's running sum are
+// pooled scratch that goes back wiped.
 //
 // On abort (below-threshold churn at any phase) the returned error is
 // attributed and the Result still carries Blamed and Responded so callers
 // can propagate who and what sank the group. The instance never stalls: a
 // device is either on a drop list or participates to completion.
-func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result, error) {
+func Run(cfg Config, inputs map[int][]float64, sched Schedule, sum []float64) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dropAdv := toSet(sched.DropAdvertise)
-	dropShareKeys := toSet(sched.DropShareKeys)
-	dropShare := toSet(sched.DropAfterShare)
-	dropMask := toSet(sched.DropAfterMask)
-	poison := toSet(sched.PoisonShare)
-	forge := toSet(sched.ForgeUnmask)
-
+	if len(sum) != cfg.VectorLen {
+		return nil, fmt.Errorf("secagg: sum of %d elements, want %d", len(sum), cfg.VectorLen)
+	}
 	srv, err := NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer srv.release()
 	res := &Result{Blamed: map[int]string{}, Phases: map[string]time.Duration{}}
 	last := time.Now()
 	mark := func(phase string) {
@@ -105,17 +100,18 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 		return res, err
 	}
 
-	// Round 0: advertise keys. DropAdvertise devices never show up.
-	clients := make(map[int]*Client, len(inputs))
-	for id := range inputs {
-		if dropAdv[id] {
+	// Round 0: advertise keys, in id order, so clients[p] is the client at
+	// roster position p. DropAdvertise devices never show up.
+	clients := make([]*Client, 0, len(inputs))
+	for _, id := range slices.Sorted(maps.Keys(inputs)) {
+		if slices.Contains(sched.DropAdvertise, id) {
 			continue
 		}
 		c, err := NewClient(id, cfg)
 		if err != nil {
 			return nil, err
 		}
-		clients[id] = c
+		clients = append(clients, c)
 		if err := srv.RegisterAdvert(c.Advertise()); err != nil {
 			return nil, err
 		}
@@ -134,12 +130,13 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 	// Round 1: share keys + broadcast commitments. DropShareKeys devices
 	// vanish here; PoisonShare devices deal corrupted bundles.
 	allShares := make([]RoutedShare, 0, len(clients)*(len(roster)-1))
-	for id, c := range clients {
-		if dropShareKeys[id] {
+	for _, c := range clients {
+		if slices.Contains(sched.DropShareKeys, c.id) {
 			continue
 		}
-		c.poison = poison[id]
+		c.poison = slices.Contains(sched.PoisonShare, c.id)
 		rs, sc, err := c.ShareKeys()
+		defer c.release()
 		if err != nil {
 			return nil, err
 		}
@@ -152,11 +149,11 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	for holder, c := range clients {
-		if dropShareKeys[holder] {
+	for p, c := range clients {
+		if slices.Contains(sched.DropShareKeys, c.id) {
 			continue
 		}
-		complaints, err := c.ReceiveShares(allCommits, byHolder[holder])
+		complaints, err := c.ReceiveShares(allCommits, byHolder[p])
 		if err != nil {
 			return nil, err
 		}
@@ -173,8 +170,9 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 	if err != nil {
 		return fail(fmt.Errorf("secagg: abort before masked-input round: %w", err))
 	}
+	client := func(id int) *Client { p, _ := srv.roster.find(id); return clients[p] }
 	for _, id := range maskIDs {
-		if err := clients[id].ReceiveMaskSet(maskIDs); err != nil {
+		if err := client(id).ReceiveMaskSet(maskIDs); err != nil {
 			return nil, err
 		}
 	}
@@ -184,17 +182,14 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 	// input is missing or malformed — vanish here rather than stalling or
 	// aborting the group. One masked vector serves the whole instance: the
 	// server folds it into its running sum before the next device masks.
-	masked := make([]uint64, cfg.VectorLen)
+	masked := lend(cfg.VectorLen)
+	defer masked.release()
 	for _, id := range maskIDs {
-		if dropShare[id] {
-			continue
-		}
 		in := inputs[id]
-		if len(in) != cfg.VectorLen {
-			dropShare[id] = true
+		if slices.Contains(sched.DropAfterShare, id) || len(in) != cfg.VectorLen {
 			continue
 		}
-		y, err := clients[id].maskInto(masked, in)
+		y, err := client(id).maskInto(masked.vec, in)
 		if err != nil {
 			return nil, err
 		}
@@ -211,12 +206,12 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 	// Round 3: unmask. DropAfterMask devices vanish; ForgeUnmask devices
 	// send forged shares, get blamed, and are skipped — the sum still
 	// reconstructs from the remaining honest responders.
-	for _, id := range maskIDs {
-		if dropShare[id] || dropMask[id] {
+	for _, id := range survivors {
+		if slices.Contains(sched.DropAfterMask, id) {
 			continue
 		}
-		c := clients[id]
-		c.forge = forge[id]
+		c := client(id)
+		c.forge = slices.Contains(sched.ForgeUnmask, id)
 		resp, err := c.Unmask(survivors)
 		if err != nil {
 			return nil, err
@@ -225,11 +220,11 @@ func RunSchedule(cfg Config, inputs map[int][]float64, sched Schedule) (*Result,
 		_ = srv.AddUnmaskResponse(resp)
 	}
 
-	sum, err := srv.Sum()
+	y, err := srv.Sum()
 	if err != nil {
 		return fail(fmt.Errorf("secagg: abort at reconstruction: %w", err))
 	}
-	res.Sum = Decode(sum)
+	res.Sum = decodeInto(sum, y)
 	res.Survivors = survivors
 	res.Blamed = srv.Blamed()
 	res.Responded = srv.Responses()

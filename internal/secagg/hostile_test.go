@@ -1,6 +1,7 @@
 package secagg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,9 +29,8 @@ func hostileHarness(t *testing.T, cfg Config, n int, dropAfterShare []int) (*Ser
 func maskedHarness(t *testing.T, cfg Config, n int, dropAfterShare []int) (*Server, map[int]*Client) {
 	t.Helper()
 	srv, clients, maskIDs := sharedHarness(t, cfg, n)
-	dropped := toSet(dropAfterShare)
 	for _, id := range maskIDs {
-		if dropped[id] {
+		if slices.Contains(dropAfterShare, id) {
 			continue
 		}
 		y, err := clients[id].MaskedInput(idInput(cfg, id))
@@ -87,7 +87,8 @@ func sharedHarness(t *testing.T, cfg Config, n int) (*Server, map[int]*Client, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	for holder, rs := range byHolder {
+	for p, rs := range byHolder {
+		holder := roster[p].ID
 		// Every other device's bundle, none from itself: a client keeps
 		// its own shares.
 		if len(rs) != n-1 {
@@ -139,7 +140,7 @@ func expectIDSum(t *testing.T, srv *Server, ids []int) {
 	for _, id := range ids {
 		want += id
 	}
-	for i, v := range Decode(sum) {
+	for i, v := range decode(sum) {
 		if v != float64(want) {
 			t.Fatalf("sum[%d] = %v, want exactly %d (the sum of %v)", i, v, want, ids)
 		}
@@ -262,7 +263,7 @@ func TestServerRejectsHostileUnmaskResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Decode(sum)
+	got := decode(sum)
 	want := 0.0
 	for _, id := range survivors {
 		want += float64(id)

@@ -74,20 +74,32 @@ func parallelFor(n int, fn func(i int) error) error {
 
 // maskScratch is what one mask worker owns while it expands: the keystream
 // chunk prgApply streams through and, for every worker but the first, a
-// private partial vector. Scratch is pooled package-wide, so clients and
-// servers of successive instances reuse it; it goes back wiped, so no
-// keystream or partial mask sum outlives a parallelMasks call.
+// private partial vector; an instance also takes one for each of its two
+// vectors, the masked input and the server's running sum (lend). Scratch
+// is pooled package-wide, so clients and servers of successive instances
+// reuse it; it goes back wiped, so no keystream, partial mask sum or masked
+// vector outlives its user.
 type maskScratch struct {
-	chunk   prgChunk
-	partial []uint64
+	chunk prgChunk
+	vec   []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(maskScratch) }}
 
-// release wipes s, all of its partial's capacity too, and pools it.
+// lend takes a pooled scratch whose vec is n zero elements.
+func lend(n int) *maskScratch {
+	s := scratchPool.Get().(*maskScratch)
+	if cap(s.vec) < n {
+		s.vec = make([]uint64, n)
+	}
+	s.vec = s.vec[:n] // zero: pooled wiped
+	return s
+}
+
+// release wipes s, all of its vec's capacity too, and pools it.
 func (s *maskScratch) release() {
 	clear(s.chunk[:])
-	clear(s.partial[:cap(s.partial)])
+	clear(s.vec[:cap(s.vec)])
 	scratchPool.Put(s)
 }
 
@@ -102,20 +114,13 @@ func parallelMasks(dst []uint64, n int, apply func(i int, acc []uint64, buf *prg
 	w := workers(n)
 	scratch := make([]*maskScratch, w)
 	for k := range scratch {
-		s := scratchPool.Get().(*maskScratch)
-		defer s.release() // at return, when every worker is done
-		if k > 0 {
-			if cap(s.partial) < len(dst) {
-				s.partial = make([]uint64, len(dst))
-			}
-			s.partial = s.partial[:len(dst)] // zero: pooled wiped
-		}
-		scratch[k] = s
+		scratch[k] = lend(len(dst) * min(k, 1)) // worker 0 folds into dst
+		defer scratch[k].release()              // at return, when every worker is done
 	}
 	err := runWorkers(w, n, func(k, i int) error {
 		acc := dst
 		if k > 0 {
-			acc = scratch[k].partial
+			acc = scratch[k].vec
 		}
 		return apply(i, acc, &scratch[k].chunk)
 	})
@@ -123,7 +128,7 @@ func parallelMasks(dst []uint64, n int, apply func(i int, acc []uint64, buf *prg
 		return err
 	}
 	for _, s := range scratch[1:] {
-		field.AddVec(dst, dst, s.partial)
+		field.AddVec(dst, dst, s.vec)
 	}
 	return nil
 }

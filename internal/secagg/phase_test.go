@@ -1,6 +1,7 @@
 package secagg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -81,7 +82,7 @@ func TestStepsRefusedOutOfPhase(t *testing.T) {
 	var (
 		roster    []KeyAdvert
 		shares    []RoutedShare
-		byHolder  map[int][]RoutedShare
+		byHolder  [][]RoutedShare // by holder position: device 1 at 0
 		commits   []ShareCommitments
 		own       ShareCommitments
 		maskIDs   []int
@@ -96,7 +97,7 @@ func TestStepsRefusedOutOfPhase(t *testing.T) {
 	}{
 		{"Client.ReceiveRoster", advertising, func() error { return c.ReceiveRoster(roster) }},
 		{"Client.ShareKeys", sharing, func() error { _, _, err := c.ShareKeys(); return err }},
-		{"Client.ReceiveShares", dealt, func() error { _, err := c.ReceiveShares(commits, byHolder[1]); return err }},
+		{"Client.ReceiveShares", dealt, func() error { _, err := c.ReceiveShares(commits, slices.Concat(byHolder...)); return err }},
 		{"Client.ReceiveMaskSet", received, func() error { return c.ReceiveMaskSet(maskIDs) }},
 		{"Client.MaskedInput", masking, func() error { _, err := c.MaskedInput(idInput(cfg, 1)); return err }},
 		{"Client.Unmask", unmasking, func() error { _, err := c.Unmask(survivors); return err }},
@@ -157,7 +158,7 @@ func TestStepsRefusedOutOfPhase(t *testing.T) {
 	byHolder, commits, err = srv.RouteShares(shares)
 	must(err)
 	for id := 1; id <= n; id++ {
-		complaints, err := clients[id].ReceiveShares(commits, byHolder[id])
+		complaints, err := clients[id].ReceiveShares(commits, byHolder[id-1])
 		must(err)
 		if len(complaints) != 0 {
 			t.Fatalf("honest shares drew complaints: %v", complaints)

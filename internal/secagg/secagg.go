@@ -118,14 +118,10 @@ func GroupSpans(n, groupSize int) [][2]int {
 // quantized to 1/FixedPointScale resolution.
 const FixedPointScale = 1 << 20
 
-// Encode maps a real vector into field elements using fixed-point, two's
-// complement style: negative values wrap mod P. The decoded sum is correct
-// as long as |Σ x_i|·scale < P/2, comfortably true for model updates.
-func Encode(x []float64) []uint64 {
-	return encodeInto(make([]uint64, len(x)), x)
-}
-
-// encodeInto is Encode over out[:len(x)], whatever it held.
+// encodeInto maps a real vector into field elements over out[:len(x)],
+// whatever it held, using fixed-point, two's complement style: negative
+// values wrap mod P. The decoded sum is correct as long as |Σ x_i|·scale <
+// P/2, comfortably true for model updates.
 func encodeInto(out []uint64, x []float64) []uint64 {
 	out = out[:len(x)]
 	for i, v := range x {
@@ -139,10 +135,9 @@ func encodeInto(out []uint64, x []float64) []uint64 {
 	return out
 }
 
-// Decode inverts Encode on an aggregate, mapping field elements in the top
-// half of the field back to negative reals.
-func Decode(y []uint64) []float64 {
-	out := make([]float64, len(y))
+// decodeInto inverts encodeInto on an aggregate into out, len(y) elements,
+// mapping field elements in the top half of the field back to negative reals.
+func decodeInto(out []float64, y []uint64) []float64 {
 	half := field.P / 2
 	for i, v := range y {
 		if v > half {

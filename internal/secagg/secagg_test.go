@@ -9,9 +9,11 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"repro/internal/field"
 	"repro/internal/metrics"
@@ -19,6 +21,10 @@ import (
 )
 
 func vec(vals ...float64) []float64 { return vals }
+
+func encode(x []float64) []uint64 { return encodeInto(make([]uint64, len(x)), x) }
+
+func decode(y []uint64) []float64 { return decodeInto(make([]float64, len(y)), y) }
 
 // run drives an honest-but-churning instance with the two dropout kinds.
 func run(cfg Config, inputs map[int][]float64, dropAfterShare, dropAfterMask []int) ([]float64, []int, error) {
@@ -53,7 +59,7 @@ func expectSum(t *testing.T, inputs map[int][]float64, include []int, got []floa
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	x := []float64{0, 1.5, -2.25, 1e-6, -1e-6, 1000.125}
-	got := Decode(Encode(x))
+	got := decode(encode(x))
 	for i := range x {
 		if math.Abs(got[i]-x[i]) > 1.0/FixedPointScale {
 			t.Fatalf("decode(encode(%v)) = %v", x[i], got[i])
@@ -62,7 +68,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeNegativeWraps(t *testing.T) {
-	e := Encode([]float64{-1})
+	e := encode([]float64{-1})
 	if e[0] <= field.P/2 {
 		t.Fatalf("negative value should land in top half of field: %d", e[0])
 	}
@@ -244,16 +250,16 @@ func TestParallelMasksMergesPartials(t *testing.T) {
 }
 
 // TestMaskScratchGoesBackWiped: a worker's scratch held keystream and
-// partial mask sums; the pool gets it back all zero, the partial's spare
+// partial mask sums; the pool gets it back all zero, the vector's spare
 // capacity included, so no secret-derived byte waits in the pool for the
 // next instance.
 func TestMaskScratchGoesBackWiped(t *testing.T) {
-	s := &maskScratch{partial: make([]uint64, 3, 8)}
+	s := &maskScratch{vec: make([]uint64, 3, 8)}
 	for i := range s.chunk {
 		s.chunk[i] = 0xA5
 	}
-	for i := range s.partial[:8] {
-		s.partial[:8][i] = uint64(i + 1)
+	for i := range s.vec[:8] {
+		s.vec[:8][i] = uint64(i + 1)
 	}
 	s.release()
 	for i, b := range s.chunk {
@@ -261,10 +267,83 @@ func TestMaskScratchGoesBackWiped(t *testing.T) {
 			t.Fatalf("chunk[%d] = %#x after release", i, b)
 		}
 	}
-	for i, v := range s.partial[:8] {
+	for i, v := range s.vec[:8] {
 		if v != 0 {
-			t.Fatalf("partial[%d] = %d after release", i, v)
+			t.Fatalf("vec[%d] = %d after release", i, v)
 		}
+	}
+}
+
+// TestInstanceLeavesPoolsClean: an instance takes its masked input, the
+// server's running sum, every mask worker's chunk and partial and every
+// client's sealed bundles from the package's pools. All of it goes back
+// all zero, with no pointer into the instance, so the tables that hold
+// secrets — each client's peer table (the shares and blinders it dealt
+// itself and was dealt) and the server's member table (commitments and
+// revealed shares) — are collected with their instance, not kept by a
+// pool for the next one. CI runs this under -race -count=10.
+func TestInstanceLeavesPoolsClean(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	cfg := Config{N: 6, T: 4, VectorLen: 700}
+	// A device lost after sharing sends Server.Sum down its ECDH branch.
+	if _, err := Run(cfg, seqInputs(cfg.N, cfg.VectorLen), Schedule{DropAfterShare: []int{2}}, make([]float64, cfg.VectorLen)); err != nil {
+		t.Fatal(err)
+	}
+	newScratch, newSeal := scratchPool.New, sealPool.New
+	restore := func() { scratchPool.New, sealPool.New = newScratch, newSeal }
+	defer restore()
+	scratchPool.New, sealPool.New = nil, nil // Get returns nil once a pool is drained
+	pooled := 0
+	for s, _ := scratchPool.Get().(*maskScratch); s != nil; s, _ = scratchPool.Get().(*maskScratch) {
+		pooled++
+		if slices.ContainsFunc(s.chunk[:], func(b byte) bool { return b != 0 }) ||
+			slices.ContainsFunc(s.vec[:cap(s.vec)], func(v uint64) bool { return v != 0 }) {
+			t.Fatal("a mask scratch went back to the pool holding keystream or a masked vector")
+		}
+	}
+	for b, _ := sealPool.Get().(*sealScratch); b != nil; b, _ = sealPool.Get().(*sealScratch) {
+		pooled++
+		if slices.ContainsFunc(b.out[:cap(b.out)], func(rs RoutedShare) bool { return rs.CT != nil || rs.Owner != 0 }) ||
+			slices.ContainsFunc(b.sealed[:cap(b.sealed)], func(x byte) bool { return x != 0 }) {
+			t.Fatal("a bundle scratch went back to the pool holding a routed share or ciphertext")
+		}
+	}
+	if pooled == 0 && !raceEnabled {
+		t.Fatal("the instance gave nothing back to the pools")
+	}
+	restore()
+
+	// The same steps by hand, to hold weak pointers to the tables.
+	srv, clients, survivors := hostileHarness(t, cfg, cfg.N, []int{2})
+	for _, id := range survivors {
+		resp, err := clients[id].Unmask(survivors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.AddUnmaskResponse(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := srv.Sum(); err != nil {
+		t.Fatal(err)
+	}
+	tables := []weak.Pointer[peer]{}
+	for _, c := range clients {
+		tables = append(tables, weak.Make(&c.peers[0]))
+		c.release()
+	}
+	members := weak.Make(&srv.members[0])
+	srv.release()
+	srv, clients = nil, nil
+	runtime.GC() // one cycle: a pool keeps what it holds through it (its victim cache)
+	for i, p := range tables {
+		if p.Value() != nil {
+			t.Fatalf("client %d's peer table outlived its instance", i)
+		}
+	}
+	if members.Value() != nil {
+		t.Fatal("the server's member table outlived its instance")
 	}
 }
 
@@ -544,16 +623,16 @@ func TestRunVariousSizes(t *testing.T) {
 	}
 }
 
-// Property: Encode is additively homomorphic under field addition for sums
+// Property: encoding is additively homomorphic under field addition for sums
 // small enough to avoid wraparound.
 func TestEncodeHomomorphism(t *testing.T) {
 	f := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.Abs(a) > 1e6 || math.Abs(b) > 1e6 {
 			return true
 		}
-		ea, eb := Encode([]float64{a}), Encode([]float64{b})
+		ea, eb := encode([]float64{a}), encode([]float64{b})
 		sum := []uint64{field.Add(ea[0], eb[0])}
-		got := Decode(sum)[0]
+		got := decode(sum)[0]
 		return math.Abs(got-(a+b)) <= 2.0/FixedPointScale
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -693,22 +772,25 @@ func TestUnmaskResponderNeverRevealsBothShares(t *testing.T) {
 // TestMaskPathAllocs pins what one instance of the benchmark's secure group
 // (16 devices, a 4 096-parameter update plus its weight) allocates, so that
 // a per-mask or per-share allocation shows up in `go test` and not only in
-// the round benchmark. Measured on go1.24 at two workers: ≈1.06 MB and ≈3 400
-// objects per instance (1.52 MB and ≈10 000 while the share round kept
-// per-share objects and four maps per client; 5.0 MB before the mask path
-// stopped allocating per mask), of which 0.55 MB is the 240 pair AEADs' and
-// 272 expansions' AES state, which crypto/aes cannot re-key, and the rest
-// per-client tables, per-pair keys and bundles plus three VectorLen vectors
-// per instance. A 4 KiB keystream chunk per expansion would add 1.1 MB, a
-// 32 KiB partial or a masked vector per client 0.5 MB each, an object per
-// share or commitment some 500 objects.
+// the round benchmark. The instance decodes into the caller's vector, as the
+// Aggregator's does. Measured on go1.24 at two workers: ≈790 KB per instance
+// and ≈2 130 objects at one proc (1.06 MB and ≈3 160 while the server kept
+// maps, the vectors were fresh and every client parsed every key; 1.52 MB
+// and ≈10 000 while the share round kept per-share objects; 5.0 MB before
+// the mask path stopped allocating per mask), of which 0.56 MB is the 240
+// pair AEADs' and 272 expansions' AES state, which crypto/aes cannot re-key,
+// and the rest per-instance tables, the clients' ECDH outputs and the
+// messages. The bounds sit under 10 % above that: a masked vector per
+// client would add 0.5 MB, a fresh running sum or decoded result 32 KB each
+// (not caught alone), an object per share or commitment some 500 objects.
 func TestMaskPathAllocs(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
 	cfg := Config{N: 16, T: 9, VectorLen: 4097}
 	inputs := seqInputs(cfg.N, cfg.VectorLen)
+	sum := make([]float64, cfg.VectorLen)
 	instance := func() {
-		if _, err := RunSchedule(cfg, inputs, Schedule{}); err != nil {
+		if _, err := Run(cfg, inputs, Schedule{}, sum); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -723,7 +805,7 @@ func TestMaskPathAllocs(t *testing.T) {
 	perInstance := (after.TotalAlloc - before.TotalAlloc) / runs
 	objects := testing.AllocsPerRun(runs, instance) // at one proc
 	t.Logf("%d bytes, %.0f objects per instance", perInstance, objects)
-	const budget, objectBudget = 1200 << 10, 6500
+	const budget, objectBudget = 845 << 10, 2300
 	if raceEnabled {
 		return // the race detector's pool drops Puts: the bound cannot hold
 	}

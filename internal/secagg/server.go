@@ -1,9 +1,10 @@
 package secagg
 
 import (
+	"cmp"
 	"crypto/ecdh"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/metrics"
@@ -47,55 +48,55 @@ func secaggOps(role string) (keygen, agree, aead, prg *metrics.Counter) {
 //
 // Its phases are the client's, the share round taken as one: advertise →
 // share → mask → unmask → done. Roster, MaskSet and Survivors each freeze one set and move to the next
-// phase; Sum ends the instance.
+// phase; Sum ends the instance. Once Roster has frozen U1, all the server
+// keeps per device is one table by roster position (members).
 type Server struct {
 	cfg   Config
 	phase phase
 
-	roster    map[int]KeyAdvert
-	rosterIDs []int // sorted; frozen by Roster
-
-	// commits is each owner's broadcast share commitments; registration
-	// doubles as the "shares delivered" signal for the mask set.
-	commits map[int]ShareCommitments
-	// blamed maps a device id to the reason it was excluded.
-	blamed map[int]string
-	// maskSet, frozen by MaskSet, is the set of devices whose pairwise
-	// masks are in play: shares delivered and unblamed.
-	maskSet map[int]bool
-	maskIDs []int
-
-	sum      []uint64 // running sum of masked inputs (online aggregation)
-	maskedBy map[int]bool
+	// roster is U1: the adverts, their keys parsed, ids ascending once
+	// Roster freezes it. members holds by the same positions the rest.
+	roster  roster
+	members []member
+	sum     *maskScratch // running sum of masked inputs (online aggregation)
 	// survivors is U2, frozen by Survivors: no masked input joins the sum
 	// after it is announced, and no unmask response is taken before.
 	survivors []int
-
-	unmaskFrom map[int]bool
-	// revealed holds by owner position the first T verified shares the
-	// unmask responses reveal: of a survivor's personal seed, or of a
-	// dropped member's masking key, never both kinds for one owner.
-	revealed [][]chunkedShare
+	responded int // admitted unmask responses
 }
 
-// NewServer creates the server side of an instance.
+// member is what the server keeps for one roster position.
+type member struct {
+	// commits is the device's broadcast share commitments; registration
+	// (a non-nil B) doubles as the "shares delivered" signal for the mask set.
+	commits ShareCommitments
+	// blamed is why the device was excluded or rejected; "" if it was not.
+	blamed string
+	// maskSet: in the mask set, frozen by MaskSet — shares delivered and
+	// unblamed. masked: its masked input is in the sum. unmasked: its
+	// unmask response was admitted.
+	maskSet, masked, unmasked bool
+	// revealed holds the first T verified shares the unmask responses
+	// reveal: of a survivor's personal seed, or of a dropped member's
+	// masking key, never both kinds for one owner.
+	revealed []chunkedShare
+}
+
+// NewServer creates the server side of an instance. Its running sum is
+// pooled scratch, which Run gives back wiped (release).
 func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Server{
-		cfg:        cfg,
-		roster:     make(map[int]KeyAdvert),
-		commits:    make(map[int]ShareCommitments),
-		blamed:     make(map[int]string),
-		sum:        make([]uint64, cfg.VectorLen),
-		maskedBy:   make(map[int]bool),
-		unmaskFrom: make(map[int]bool),
-	}, nil
+	return &Server{cfg: cfg, roster: make([]KeyAdvert, 0, cfg.N), sum: lend(cfg.VectorLen)}, nil
 }
 
-// RegisterAdvert records a Round-0 key advertisement. Registration closes
-// when Roster is called.
+// release pools the running sum, wiped: Sum's result must be read first.
+func (s *Server) release() { s.sum.release() }
+
+// RegisterAdvert records a Round-0 key advertisement, parsing its two
+// public keys once for the whole instance: the roster broadcast carries
+// them parsed to every client. Registration closes when Roster is called.
 func (s *Server) RegisterAdvert(a KeyAdvert) error {
 	if err := s.phase.expect(advertising, "RegisterAdvert"); err != nil {
 		return err
@@ -103,18 +104,26 @@ func (s *Server) RegisterAdvert(a KeyAdvert) error {
 	if a.ID < 1 {
 		return fmt.Errorf("secagg: invalid id %d", a.ID)
 	}
-	if _, dup := s.roster[a.ID]; dup {
+	if slices.ContainsFunc(s.roster, func(b KeyAdvert) bool { return b.ID == a.ID }) {
 		return fmt.Errorf("secagg: duplicate advert from %d", a.ID)
 	}
 	if len(s.roster) >= s.cfg.N {
 		return fmt.Errorf("secagg: instance full (%d participants)", s.cfg.N)
 	}
-	s.roster[a.ID] = a
+	var err error
+	if a.cPK, err = ecdh.X25519().NewPublicKey(a.CPub); err == nil {
+		a.sPK, err = ecdh.X25519().NewPublicKey(a.SPub)
+	}
+	if err != nil {
+		return fmt.Errorf("secagg: advert from %d: %w", a.ID, err)
+	}
+	s.roster = append(s.roster, a)
 	return nil
 }
 
-// Roster freezes and returns the participant set U1 for broadcast. It fails
-// if fewer than T devices advertised.
+// Roster freezes and returns the participant set U1 for broadcast: the
+// server's own table, which every client keeps as given and no one may
+// modify. It fails if fewer than T devices advertised.
 func (s *Server) Roster() ([]KeyAdvert, error) {
 	if err := s.phase.expect(advertising, "Roster"); err != nil {
 		return nil, err
@@ -122,17 +131,10 @@ func (s *Server) Roster() ([]KeyAdvert, error) {
 	if len(s.roster) < s.cfg.T {
 		return nil, fmt.Errorf("secagg: only %d adverts, need ≥ %d", len(s.roster), s.cfg.T)
 	}
-	s.rosterIDs = make([]int, 0, len(s.roster))
-	for id := range s.roster {
-		s.rosterIDs = append(s.rosterIDs, id)
-	}
-	sort.Ints(s.rosterIDs)
-	out := make([]KeyAdvert, 0, len(s.rosterIDs))
-	for _, id := range s.rosterIDs {
-		out = append(out, s.roster[id])
-	}
+	slices.SortFunc(s.roster, func(a, b KeyAdvert) int { return cmp.Compare(a.ID, b.ID) })
+	s.members = make([]member, len(s.roster))
 	s.phase = sharing
-	return out, nil
+	return s.roster, nil
 }
 
 // RegisterCommitments records an owner's Round-1 commitment broadcast.
@@ -142,41 +144,53 @@ func (s *Server) RegisterCommitments(sc ShareCommitments) error {
 	if err := s.phase.expect(sharing, "RegisterCommitments"); err != nil {
 		return err
 	}
-	if _, ok := s.roster[sc.Owner]; !ok {
+	p, ok := s.roster.find(sc.Owner)
+	if !ok {
 		return fmt.Errorf("secagg: commitments from unknown device %d", sc.Owner)
 	}
-	if _, dup := s.commits[sc.Owner]; dup {
+	m := &s.members[p]
+	if m.commits.B != nil {
 		return fmt.Errorf("secagg: duplicate commitments from %d", sc.Owner)
 	}
-	if err := sc.validate(len(s.rosterIDs)); err != nil {
-		s.blamed[sc.Owner] = err.Error()
+	if err := sc.validate(len(s.roster)); err != nil {
+		m.blamed = err.Error()
 		obsBlamed.Inc()
 		return err
 	}
-	s.commits[sc.Owner] = sc
+	m.commits = sc
 	return nil
 }
 
 // RouteShares is the share round's relay: it groups the Round-1 bundles by
 // holder for delivery, dropping bundles between strangers or from a device
 // to itself, and returns every registered commitment set for broadcast
-// beside them.
-func (s *Server) RouteShares(all []RoutedShare) (map[int][]RoutedShare, []ShareCommitments, error) {
+// beside them. It works in all's storage: the bundles are sorted in place
+// by holder, then owner, and the result holds by holder position a window
+// of it.
+func (s *Server) RouteShares(all []RoutedShare) ([][]RoutedShare, []ShareCommitments, error) {
 	if err := s.phase.expect(sharing, "RouteShares"); err != nil {
 		return nil, nil, err
 	}
-	byHolder := make(map[int][]RoutedShare)
-	for _, rs := range all {
-		_, owner := s.roster[rs.Owner]
-		_, holder := s.roster[rs.Holder]
-		if owner && holder && rs.Owner != rs.Holder {
-			byHolder[rs.Holder] = append(byHolder[rs.Holder], rs)
+	all = slices.DeleteFunc(all, func(rs RoutedShare) bool {
+		_, owner := s.roster.find(rs.Owner)
+		_, holder := s.roster.find(rs.Holder)
+		return !owner || !holder || rs.Owner == rs.Holder
+	})
+	slices.SortFunc(all, func(a, b RoutedShare) int {
+		return cmp.Or(cmp.Compare(a.Holder, b.Holder), cmp.Compare(a.Owner, b.Owner))
+	})
+	byHolder := make([][]RoutedShare, len(s.roster))
+	for p, a := range s.roster {
+		n := 0
+		for n < len(all) && all[n].Holder == a.ID {
+			n++
 		}
+		byHolder[p], all = all[:n:n], all[n:]
 	}
-	commits := make([]ShareCommitments, 0, len(s.commits))
-	for _, id := range s.rosterIDs {
-		if sc, ok := s.commits[id]; ok {
-			commits = append(commits, sc)
+	commits := make([]ShareCommitments, 0, len(s.members))
+	for _, m := range s.members {
+		if m.commits.B != nil {
+			commits = append(commits, m.commits)
 		}
 	}
 	return byHolder, commits, nil
@@ -190,15 +204,16 @@ func (s *Server) RegisterComplaint(c Complaint) error {
 	if err := s.phase.expect(sharing, "RegisterComplaint"); err != nil {
 		return err
 	}
-	if _, ok := s.roster[c.By]; !ok {
+	if _, ok := s.roster.find(c.By); !ok {
 		return fmt.Errorf("secagg: complaint from unknown device %d", c.By)
 	}
-	if _, ok := s.roster[c.Against]; !ok {
+	p, ok := s.roster.find(c.Against)
+	if !ok {
 		return fmt.Errorf("secagg: complaint against unknown device %d", c.Against)
 	}
 	obsComplaints.Inc()
-	if _, already := s.blamed[c.Against]; !already {
-		s.blamed[c.Against] = fmt.Sprintf("complaint from %d: %s", c.By, c.Reason)
+	if m := &s.members[p]; m.blamed == "" {
+		m.blamed = fmt.Sprintf("complaint from %d: %s", c.By, c.Reason)
 		obsBlamed.Inc()
 	}
 	return nil
@@ -212,32 +227,28 @@ func (s *Server) MaskSet() ([]int, error) {
 	if err := s.phase.expect(sharing, "MaskSet"); err != nil {
 		return nil, err
 	}
-	ids := make([]int, 0, len(s.commits))
-	set := make(map[int]bool, len(s.commits))
-	for _, id := range s.rosterIDs {
-		if _, ok := s.commits[id]; !ok {
-			continue
+	ids := make([]int, 0, len(s.members))
+	for p := range s.members {
+		m := &s.members[p]
+		if m.maskSet = m.commits.B != nil && m.blamed == ""; m.maskSet {
+			ids = append(ids, s.roster[p].ID)
 		}
-		if _, bad := s.blamed[id]; bad {
-			continue
-		}
-		ids = append(ids, id)
-		set[id] = true
 	}
 	if len(ids) < s.cfg.T {
 		return nil, fmt.Errorf("secagg: only %d unblamed share-complete devices, need ≥ %d", len(ids), s.cfg.T)
 	}
-	obsDropouts.Add(int64(len(s.rosterIDs) - len(ids)))
-	s.maskIDs, s.maskSet = ids, set
+	obsDropouts.Add(int64(len(s.roster) - len(ids)))
 	s.phase = masking
 	return append([]int(nil), ids...), nil
 }
 
 // Blamed returns the devices excluded or rejected so far, with reasons.
 func (s *Server) Blamed() map[int]string {
-	out := make(map[int]string, len(s.blamed))
-	for id, why := range s.blamed {
-		out[id] = why
+	out := make(map[int]string)
+	for p, m := range s.members {
+		if m.blamed != "" {
+			out[s.roster[p].ID] = m.blamed
+		}
 	}
 	return out
 }
@@ -248,20 +259,22 @@ func (s *Server) AddMasked(id int, y []uint64) error {
 	if err := s.phase.expect(masking, "AddMasked"); err != nil {
 		return err
 	}
-	if _, ok := s.roster[id]; !ok {
+	p, ok := s.roster.find(id)
+	if !ok {
 		return fmt.Errorf("secagg: masked input from unknown device %d", id)
 	}
-	if !s.maskSet[id] {
-		return fmt.Errorf("secagg: masked input from %d, which is not in the mask set (%s)", id, s.blamed[id])
+	m := &s.members[p]
+	if !m.maskSet {
+		return fmt.Errorf("secagg: masked input from %d, which is not in the mask set (%s)", id, m.blamed)
 	}
-	if s.maskedBy[id] {
+	if m.masked {
 		return fmt.Errorf("secagg: duplicate masked input from %d", id)
 	}
 	if len(y) != s.cfg.VectorLen {
 		return fmt.Errorf("secagg: masked input length %d from %d, want %d", len(y), id, s.cfg.VectorLen)
 	}
-	field.AddVec(s.sum, s.sum, y)
-	s.maskedBy[id] = true
+	field.AddVec(s.sum.vec, s.sum.vec, y)
+	m.masked = true
 	return nil
 }
 
@@ -272,22 +285,23 @@ func (s *Server) Survivors() ([]int, error) {
 	if err := s.phase.expect(masking, "Survivors"); err != nil {
 		return nil, err
 	}
-	if len(s.maskedBy) < s.cfg.T {
-		return nil, fmt.Errorf("secagg: only %d masked inputs, need ≥ %d", len(s.maskedBy), s.cfg.T)
+	survivors := make([]int, 0, len(s.members))
+	for p, m := range s.members {
+		if m.masked {
+			survivors = append(survivors, s.roster[p].ID)
+		}
 	}
-	s.survivors = make([]int, 0, len(s.maskedBy))
-	for id := range s.maskedBy {
-		s.survivors = append(s.survivors, id)
+	if len(survivors) < s.cfg.T {
+		return nil, fmt.Errorf("secagg: only %d masked inputs, need ≥ %d", len(survivors), s.cfg.T)
 	}
-	sort.Ints(s.survivors)
-	n, t := len(s.rosterIDs), s.cfg.T
+	s.survivors = survivors
+	n, t := len(s.roster), s.cfg.T
 	block := make([]chunkedShare, n*t)
-	s.revealed = make([][]chunkedShare, n)
-	for p := range s.revealed {
-		s.revealed[p] = block[p*t : p*t : (p+1)*t]
+	for p := range s.members {
+		s.members[p].revealed = block[p*t : p*t : (p+1)*t]
 	}
 	s.phase = unmasking
-	return append([]int(nil), s.survivors...), nil
+	return append([]int(nil), survivors...), nil
 }
 
 // AddUnmaskResponse validates and records a Round-3 response. The whole
@@ -303,32 +317,34 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 	if err := s.phase.expect(unmasking, "AddUnmaskResponse"); err != nil {
 		return err
 	}
-	if _, ok := s.roster[r.From]; !ok {
+	idx, ok := s.roster.find(r.From)
+	if !ok {
 		return fmt.Errorf("secagg: unmask response from unknown device %d", r.From)
 	}
-	if s.unmaskFrom[r.From] {
+	from := &s.members[idx]
+	if from.unmasked {
 		return fmt.Errorf("secagg: duplicate unmask response from %d", r.From)
 	}
-	if !s.maskSet[r.From] {
+	if !from.maskSet {
 		return fmt.Errorf("secagg: unmask response from %d, which is not in the mask set", r.From)
 	}
-	idx := s.pos(r.From)
 	wantX := uint64(idx + 1)
 	blame := func(format string, args ...any) error {
 		err := fmt.Errorf("secagg: unmask response from %d: "+format, append([]any{r.From}, args...)...)
-		s.blamed[r.From] = err.Error()
+		from.blamed = err.Error()
 		obsBlamed.Inc()
 		return err
 	}
-	seen := make([]bool, len(s.rosterIDs)) // by owner position
+	seen := make([]bool, len(s.roster)) // by owner position
 	check := func(os OwnerShare, kind byte) error {
-		if _, ok := s.roster[os.Owner]; !ok {
+		p, ok := s.roster.find(os.Owner)
+		if !ok {
 			return blame("share for non-roster device %d", os.Owner)
 		}
-		if !s.maskSet[os.Owner] {
+		owner := &s.members[p]
+		if !owner.maskSet {
 			return blame("share for %d, which is outside the mask set", os.Owner)
 		}
-		p := s.pos(os.Owner)
 		if seen[p] {
 			return blame("duplicate share for owner %d", os.Owner)
 		}
@@ -336,16 +352,16 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 		if os.Share.X != wantX {
 			return blame("share for %d at evaluation point %d, want own point %d", os.Owner, os.Share.X, wantX)
 		}
-		if kind == kindB && !s.maskedBy[os.Owner] {
+		if kind == kindB && !owner.masked {
 			return blame("personal-seed share for dropped device %d", os.Owner)
 		}
-		if kind == kindSK && s.maskedBy[os.Owner] {
+		if kind == kindSK && owner.masked {
 			return blame("masking-key share for surviving device %d — refusing to unmask an individual", os.Owner)
 		}
 		// Every mask-set member registered its commitments.
-		want := s.commits[os.Owner].B[idx]
+		want := owner.commits.B[idx]
 		if kind == kindSK {
-			want = s.commits[os.Owner].SK[idx]
+			want = owner.commits.SK[idx]
 		}
 		if !verifyChunked(os.Owner, kind, os.Share, os.Blinder, want) {
 			return blame("forged share for owner %d (commitment mismatch)", os.Owner)
@@ -363,27 +379,26 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 		}
 	}
 	// Every share verified: admit the response atomically.
-	s.unmaskFrom[r.From] = true
+	from.unmasked = true
+	s.responded++
 	for _, list := range [...][]OwnerShare{r.BShares, r.SKShares} {
 		for _, os := range list {
-			if p := s.pos(os.Owner); len(s.revealed[p]) < s.cfg.T {
-				s.revealed[p] = append(s.revealed[p], os.Share)
+			p, _ := s.roster.find(os.Owner)
+			if m := &s.members[p]; len(m.revealed) < s.cfg.T {
+				m.revealed = append(m.revealed, os.Share)
 			}
 		}
 	}
 	return nil
 }
 
-// pos returns the roster position of id, a roster member.
-func (s *Server) pos(id int) int { return sort.SearchInts(s.rosterIDs, id) }
-
 // Responses returns how many unmask responses were admitted.
-func (s *Server) Responses() int { return len(s.unmaskFrom) }
+func (s *Server) Responses() int { return s.responded }
 
 // Sum finalizes the protocol: reconstructs personal seeds of survivors and
 // masking keys of dropped mask-set devices, strips all masks from the
 // running sum in place, and returns it: the aggregate Σ_{u∈U2} x_u in field
-// encoding (Decode converts to reals). Every share entering a
+// encoding (decodeInto converts to reals). Every share entering a
 // reconstruction was verified on receipt, so a reconstruction can only fail
 // for lack of shares — an attributed abort, never a silently wrong sum. That
 // failure leaves the instance as it was, to take more responses; once the
@@ -392,9 +407,9 @@ func (s *Server) Sum() ([]uint64, error) {
 	if err := s.phase.expect(unmasking, "Sum"); err != nil {
 		return nil, err
 	}
-	survivors, members := s.survivors, s.maskIDs
-	if len(s.unmaskFrom) < s.cfg.T {
-		return nil, fmt.Errorf("secagg: only %d unmask responses, need ≥ %d", len(s.unmaskFrom), s.cfg.T)
+	survivors := s.survivors
+	if s.responded < s.cfg.T {
+		return nil, fmt.Errorf("secagg: only %d unmask responses, need ≥ %d", s.responded, s.cfg.T)
 	}
 
 	// Reconstruct all secrets first (cheap Shamir interpolation, serial),
@@ -407,61 +422,49 @@ func (s *Server) Sum() ([]uint64, error) {
 		peer  int              // pairwise tasks only
 		seed  [32]byte         // PRG seed, when already known
 		sk    *ecdh.PrivateKey // else derive the seed from sk × pub
-		pub   []byte
+		pub   *ecdh.PublicKey
 		sub   bool
 	}
-	dropped := len(members) - len(survivors)
-	tasks := make([]maskTask, 0, len(survivors)*(1+dropped))
+	tasks := make([]maskTask, 0, len(survivors)) // more when a member dropped
 	scratch := make([]uint64, 2*s.cfg.T)
 
-	// Survivors' personal masks PRG(b_u) are subtracted.
-	for _, u := range survivors {
-		shares := s.revealed[s.pos(u)]
-		if len(shares) < s.cfg.T {
-			return nil, fmt.Errorf("secagg: %d verified personal-seed shares for %d, need %d", len(shares), u, s.cfg.T)
-		}
-		seed, err := reconstructBytes(shares, scratch)
-		if err != nil {
-			return nil, fmt.Errorf("secagg: reconstruct seed of %d: %w", u, err)
-		}
-		tasks = append(tasks, maskTask{owner: u, seed: seedKey(seed[:]), sub: true})
-	}
-
-	// Residual pairwise masks of mask-set devices that dropped after the
-	// share round. Devices excluded before masking (outside the mask set)
+	// Survivors' personal masks PRG(b_u) are subtracted; the residual
+	// pairwise masks of mask-set devices that dropped after the share round
+	// are cancelled. Devices excluded before masking (outside the mask set)
 	// left no residuals, so their loss costs nothing here.
-	for _, u := range members {
-		if s.maskedBy[u] {
+	for p, m := range s.members {
+		u := s.roster[p].ID
+		if !m.maskSet {
 			continue
 		}
-		shares := s.revealed[s.pos(u)]
-		if len(shares) < s.cfg.T {
-			return nil, fmt.Errorf("secagg: %d verified masking-key shares for dropped %d, need %d", len(shares), u, s.cfg.T)
+		if len(m.revealed) < s.cfg.T {
+			return nil, fmt.Errorf("secagg: %d verified shares of %d's secret, need %d", len(m.revealed), u, s.cfg.T)
 		}
-		skBytes, err := reconstructBytes(shares, scratch)
+		secret, err := reconstructBytes(m.revealed, scratch)
 		if err != nil {
-			return nil, fmt.Errorf("secagg: reconstruct key of %d: %w", u, err)
+			return nil, fmt.Errorf("secagg: reconstruct secret of %d: %w", u, err)
 		}
-		sk, err := ecdh.X25519().NewPrivateKey(skBytes[:])
+		if m.masked {
+			tasks = append(tasks, maskTask{owner: u, seed: seedKey(secret[:]), sub: true})
+			continue
+		}
+		sk, err := ecdh.X25519().NewPrivateKey(secret[:])
 		if err != nil {
 			return nil, fmt.Errorf("secagg: rebuild key of %d: %w", u, err)
 		}
 		for _, v := range survivors {
 			// Survivor v's masked input contains +PRG(s_vu) when v<u and
 			// −PRG(s_vu) when v>u; cancel that residual.
-			tasks = append(tasks, maskTask{owner: u, peer: v, sk: sk, pub: s.roster[v].SPub, sub: v < u})
+			pv, _ := s.roster.find(v)
+			tasks = append(tasks, maskTask{owner: u, peer: v, sk: sk, pub: s.roster[pv].sPK, sub: v < u})
 		}
 	}
 
 	s.phase = done
-	err := parallelMasks(s.sum, len(tasks), func(i int, acc []uint64, buf *prgChunk) error {
+	err := parallelMasks(s.sum.vec, len(tasks), func(i int, acc []uint64, buf *prgChunk) error {
 		t := &tasks[i]
 		if t.sk != nil {
-			pub, err := ecdh.X25519().NewPublicKey(t.pub)
-			if err != nil {
-				return fmt.Errorf("secagg: spub of %d: %w", t.peer, err)
-			}
-			shared, err := t.sk.ECDH(pub)
+			shared, err := t.sk.ECDH(t.pub)
 			if err != nil {
 				return fmt.Errorf("secagg: ecdh %d×%d: %w", t.owner, t.peer, err)
 			}
@@ -475,5 +478,5 @@ func (s *Server) Sum() ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.sum, nil
+	return s.sum.vec, nil
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/field"
 )
@@ -131,6 +132,27 @@ func unmarshalBundle(buf []byte, b *shareBundle) error {
 	b.BBlind = [field.BlinderLen]byte(buf[off:])
 	b.SKBlind = [field.BlinderLen]byte(buf[off+field.BlinderLen:])
 	return nil
+}
+
+// sealScratch is where a client's Round-1 bundles are sealed: the routed
+// shares and the ciphertexts they point into. It is pooled and goes back
+// wiped, like maskScratch, and only ever holds ciphertext.
+type sealScratch struct {
+	out    []RoutedShare
+	sealed []byte
+}
+
+var sealPool = sync.Pool{New: func() any { return new(sealScratch) }}
+
+// release gives the bundles ShareKeys sealed back to the pool, wiped: the
+// server has routed them and their holders have opened them.
+func (c *Client) release() {
+	if b := c.bundles; b != nil {
+		clear(b.out[:cap(b.out)])
+		clear(b.sealed[:cap(b.sealed)])
+		sealPool.Put(b)
+		c.bundles = nil
+	}
 }
 
 // bundleAEAD builds the AES-GCM instance a pair of devices seals and opens
