@@ -178,13 +178,18 @@ type System struct {
 	// so a concurrent spawn (an actor mid-dispatch creating a child) can
 	// never outlive Shutdown's wait.
 	down bool
+	// rings holds stopped actors' mailbox rings for later Spawns, so an
+	// ephemeral actor (a round's) takes the slots a predecessor grew. 32
+	// outlast the rounds lingering at once on a busy edge and bound what is
+	// kept to 32 rings.
+	rings chan []Message
 }
 
 // NewSystem returns an empty actor system on the given clock — the wall
 // clock when none (or nil) is given; variadic so that NewSystem() stays what
 // callers that never think about time write.
 func NewSystem(clock ...Clock) *System {
-	return &System{clock: OrWall(clock...), watchers: make(map[Ref][]Ref)}
+	return &System{clock: OrWall(clock...), watchers: make(map[Ref][]Ref), rings: make(chan []Message, 32)}
 }
 
 // Clock returns the system's clock, for the parts of a process that wait
@@ -209,6 +214,11 @@ func (s *System) Spawn(name string, b Behavior) Ref {
 		return r
 	}
 	s.actors = append(s.actors, r)
+	select {
+	case ring := <-s.rings:
+		r.mailbox.Reuse(ring)
+	default:
+	}
 	// Ephemeral actors (one EdgeRound and a handful of Aggregators
 	// per round) would grow the registry forever on a long-running server;
 	// compact stopped refs periodically.
@@ -228,6 +238,14 @@ func (s *System) Spawn(name string, b Behavior) Ref {
 	s.mu.Unlock()
 	s.clock.Go(func() {
 		defer s.wg.Done()
+		defer func() {
+			if ring := r.mailbox.Retire(); ring != nil {
+				select {
+				case s.rings <- ring:
+				default:
+				}
+			}
+		}()
 		if st, ok := b.(Stopper); ok {
 			defer st.OnStop(ctx)
 		}

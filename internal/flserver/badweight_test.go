@@ -53,6 +53,21 @@ func TestReportForAnotherRoundRefused(t *testing.T) {
 	}
 }
 
+// TestReportFromAnotherDeviceRefused: a report must name the device whose
+// session carries it. One naming another device of the round, or none, is
+// refused on every ingest branch, not folded under the session's device.
+func TestReportFromAnotherDeviceRefused(t *testing.T) {
+	for _, tc := range refusalCases {
+		t.Run(tc.name, func(t *testing.T) {
+			refuseThenCommit(t, tc.secure, tc.robust, tc.tol, "report from ",
+				map[string]func(*protocol.ReportRequest, func(float64) []byte){
+					"another device": func(r *protocol.ReportRequest, _ func(float64) []byte) { r.DeviceID = "honest-0" },
+					"no device":      func(r *protocol.ReportRequest, _ func(float64) []byte) { r.DeviceID = "" },
+				})
+		})
+	}
+}
+
 // refusalCases are the three ingest branches a report can take.
 var refusalCases = []struct {
 	name   string

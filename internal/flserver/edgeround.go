@@ -72,6 +72,9 @@ type EdgeRoundConfig struct {
 	// churn, when set (tests), perturbs every secure group's secagg
 	// schedule on top of the real losses.
 	churn func(n, t int) secagg.Schedule
+	// devices hands a released round's devices map on, cleared, to the
+	// edge's next round (nil: each round makes its own).
+	devices chan map[string]*session
 }
 
 // EdgeSeal is an edge round's result: the edge's merged partial sum plus
@@ -247,14 +250,19 @@ func newEdgeRound(cfg EdgeRoundConfig, selectors []actor.Ref, ship func(EdgeSeal
 	if cfg.Admit < cfg.Target {
 		cfg.Admit = cfg.Target
 	}
-	return &EdgeRound{
+	er := &EdgeRound{
 		cfg:       cfg,
 		selectors: selectors,
 		ship:      ship,
 		owed:      cfg.Admit,
 		resps:     make(map[int]*versionResp),
-		devices:   make(map[string]*session, cfg.Admit),
 	}
+	select {
+	case er.devices = <-cfg.devices:
+	default:
+		er.devices = make(map[string]*session, cfg.Admit)
+	}
+	return er
 }
 
 // Receive implements actor.Behavior.
@@ -709,6 +717,11 @@ func (er *EdgeRound) abandon(ctx *actor.Context, reason string) {
 // by onDevices' sealed branch — a device connection must never be dropped
 // unanswered with the mailbox.
 func (er *EdgeRound) release(ctx *actor.Context) {
+	clear(er.devices)
+	select {
+	case er.cfg.devices <- er.devices:
+	default:
+	}
 	er.ingest, er.reader, er.resps, er.devices = nil, nil, nil, nil
 	er.aggs, er.bufs, er.assigned, er.partials = nil, nil, nil, nil
 	er.cfg.Loan.Release()

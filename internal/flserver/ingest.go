@@ -128,14 +128,16 @@ func (r *reportReader) done(d *session, ok bool) {
 // spare vector for its group's reduce. The EdgeRound only ever sees
 // fixed-size accounting messages.
 //
-// req.Update aliases the connection's leased receive buffer: it is released
-// once the bytes are dead — folded, decoded or refused — and before the ack
-// goes out, so it serves another device's frame meanwhile; a metrics map the
-// link decoded goes back to wire's stock, its values tallied.
+// The report decodes into req, on the reader's stack, which holds the
+// session's device ID and the round's task ID: a report that names them
+// allocates neither string. req.Update aliases the connection's leased
+// receive buffer: it is released once the bytes are dead — folded, decoded
+// or refused — and before the ack goes out, so it serves another device's
+// frame meanwhile; a metrics map the link decoded goes back to wire's stock,
+// its values tallied.
 func (r *reportReader) read(d *session) {
-	msg, err := d.conn.Recv()
-	req, ok := msg.(protocol.ReportRequest)
-	if err != nil || !ok {
+	req := protocol.ReportRequest{DeviceID: d.DeviceID, TaskID: r.taskID}
+	if msg, err := transport.RecvInto(d.conn, &req); err != nil || msg != &req {
 		d.conn.Release() // Close never ends a lease: a refused leased frame would pin its buffer
 		_ = d.conn.Close()
 		obsDevicesLost.Inc()
@@ -183,6 +185,9 @@ func (r *reportReader) consume(d *session, req *protocol.ReportRequest) any {
 	}
 	if req.TaskID != r.taskID || req.Round != r.round {
 		return reject(fmt.Sprintf("report for %s round %d, configured for %s round %d", req.TaskID, req.Round, r.taskID, r.round))
+	}
+	if req.DeviceID != d.DeviceID {
+		return reject(fmt.Sprintf("report from %q on the session of %q", req.DeviceID, d.DeviceID))
 	}
 	if req.Aborted {
 		return reject("device aborted")

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/protocol"
 	"repro/internal/tasks"
 	"repro/internal/transport"
 )
@@ -113,32 +112,24 @@ func (r *CheckinRouter) Serve(l transport.Listener) {
 	}
 }
 
-// handleConn reads a connection's first message and hands it to a
-// Selector. A peer gets abortGrace to send it, on the conn's deadline, which
-// stays armed until the Selector or the round re-arms or lifts it: a peer
-// silent or stalled mid-frame holds no goroutine and no fd past the bound.
+// handleConn reads a connection's first message into its session record and
+// hands the record, or any other first message to be steered away, to a
+// Selector: it owns the accept/reject decision and the steering. A peer gets
+// abortGrace to send it, on the conn's deadline, which stays armed until the
+// Selector or the round re-arms or lifts it: a peer silent or stalled
+// mid-frame holds no goroutine and no fd past the bound.
 func (r *CheckinRouter) handleConn(conn transport.Conn) {
 	conn.Expire(abortGrace)
-	msg, err := conn.Recv()
+	d := &session{conn: conn}
+	msg, err := transport.RecvInto(conn, &d.CheckinRequest)
 	conn.Release() // a CheckinRequest owns its bytes; a leased frame of another code is refused
 	if err != nil {
 		// Nothing decodable arrived in time; there is no peer to steer.
 		_ = conn.Close()
 		return
 	}
-	r.forward(conn, msg)
-}
-
-// forward hands a check-in's session record, or any other first message to
-// be steered away, to a Selector: it owns the accept/reject decision and the
-// steering. Out of line, the request stays out of the frame under the Recv.
-//
-//go:noinline
-func (r *CheckinRouter) forward(conn transport.Conn, msg interface{}) {
-	var fwd actor.Message
-	if req, ok := msg.(protocol.CheckinRequest); ok {
-		fwd = &session{CheckinRequest: req, conn: conn}
-	} else {
+	var fwd actor.Message = d
+	if msg != &d.CheckinRequest {
 		fwd = msgRejectConn{Conn: conn, Reason: fmt.Sprintf("protocol error: expected CheckinRequest, got %T", msg)}
 	}
 	idx := atomic.AddUint64(&r.nextSel, 1) % uint64(len(r.selectors))

@@ -60,7 +60,7 @@ func (t *DeviceTier) Register(pop SelectorPopulation) (*LocalEdge, error) {
 			return nil, err
 		}
 	}
-	e := &LocalEdge{tier: t, population: pop.Name}
+	e := &LocalEdge{tier: t, population: pop.Name, devices: make(chan map[string]*session, 1)}
 	t.edges[pop.Name] = e
 	return e, nil
 }
@@ -139,6 +139,8 @@ type LocalEdge struct {
 	spares fedavg.Spares
 	// churn is injected into the secure groups of every round (tests).
 	churn func(n, t int) secagg.Schedule
+	// devices carries a released round's devices map to a later round.
+	devices chan map[string]*session
 
 	mu sync.Mutex
 	// cur is the round running — task taskID, round round — until it seals
@@ -151,7 +153,7 @@ type LocalEdge struct {
 // Open implements Edge.
 func (e *LocalEdge) Open(cfg *EdgeRoundConfig, coord actor.Ref) error {
 	local := *cfg
-	local.Spares, local.churn = &e.spares, e.churn
+	local.Spares, local.churn, local.devices = &e.spares, e.churn, e.devices
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.abandon("superseded by a newer round")

@@ -174,15 +174,15 @@ func AppendBinary(buf []byte, parts [][]byte, msg interface{}, aliased bool) (co
 func walk(c *wire.Codec, msg interface{}) (code byte) {
 	switch m := msg.(type) {
 	case CheckinRequest:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case CheckinResponse:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case ReportRequest:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case ReportResponse:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case Abort:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	default:
 		return walkPeer(c, msg)
 	}
@@ -196,23 +196,23 @@ func walk(c *wire.Codec, msg interface{}) (code byte) {
 func walkPeer(c *wire.Codec, msg interface{}) (code byte) {
 	switch m := msg.(type) {
 	case StripeSeal:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case RoundConfig:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case RoundFinalize:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case RoundAbort:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case ShardHello:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case CheckinRate:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case ActorEnvelope:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case Heartbeat:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	case TelemetrySnapshot:
-		_, code = m.walk(c)
+		code = m.walk(c)
 	}
 	return code
 }
@@ -232,6 +232,36 @@ func UnmarshalBinary(code byte, payload []byte) (interface{}, error) {
 	return msg, nil
 }
 
+// UnmarshalInto is UnmarshalBinary for a reader that holds the message it
+// expects: a payload of the type dst points to, a CheckinRequest or a
+// ReportRequest, is decoded into *dst, with no box, and dst returned. Every
+// field is overwritten, but a string equal to the one dst holds is kept.
+func UnmarshalInto(dst any, code byte, payload []byte) (any, error) {
+	var c wire.Codec
+	if code == 0 || into(&c, dst) != code {
+		return UnmarshalBinary(code, payload)
+	}
+	c = wire.Decoder(payload)
+	into(&c, dst)
+	if err := c.Finish(); err != nil {
+		return nil, codeErr(code, err)
+	}
+	return dst, nil
+}
+
+// into runs the walk of the message dst points to over c and returns its
+// type code, 0 for any other dst. Only decoding takes a pointer: walk, which
+// sizes and encodes, refuses one.
+func into(c *wire.Codec, dst any) byte {
+	switch m := dst.(type) {
+	case *CheckinRequest:
+		return m.walk(c)
+	case *ReportRequest:
+		return m.walk(c)
+	}
+	return 0
+}
+
 //go:noinline
 func codeErr(code byte, err error) error {
 	if err == nil {
@@ -243,35 +273,34 @@ func codeErr(code byte, err error) error {
 // decoders walks each code in a function of its own, never inlined, so that
 // a reader's stack does not grow at its first decode for temporaries of all.
 var decoders = [codeEnd]func(c wire.Codec) (any, error){
-	CodeCheckinRequest:    func(c wire.Codec) (any, error) { m, _ := CheckinRequest{}.walk(&c); return m, c.Finish() },
-	CodeCheckinResponse:   func(c wire.Codec) (any, error) { m, _ := CheckinResponse{}.walk(&c); return m, c.Finish() },
-	CodeReportRequest:     func(c wire.Codec) (any, error) { m, _ := ReportRequest{}.walk(&c); return m, c.Finish() },
-	CodeReportResponse:    func(c wire.Codec) (any, error) { m, _ := ReportResponse{}.walk(&c); return m, c.Finish() },
-	CodeAbort:             func(c wire.Codec) (any, error) { m, _ := Abort{}.walk(&c); return m, c.Finish() },
-	CodeStripeSeal:        func(c wire.Codec) (any, error) { m, _ := StripeSeal{}.walk(&c); return m, c.Finish() },
-	CodeRoundConfig:       func(c wire.Codec) (any, error) { m, _ := RoundConfig{}.walk(&c); return m, c.Finish() },
-	CodeRoundFinalize:     func(c wire.Codec) (any, error) { m, _ := RoundFinalize{}.walk(&c); return m, c.Finish() },
-	CodeRoundAbort:        func(c wire.Codec) (any, error) { m, _ := RoundAbort{}.walk(&c); return m, c.Finish() },
-	CodeShardHello:        func(c wire.Codec) (any, error) { m, _ := ShardHello{}.walk(&c); return m, c.Finish() },
-	CodeCheckinRate:       func(c wire.Codec) (any, error) { m, _ := CheckinRate{}.walk(&c); return m, c.Finish() },
-	CodeActorEnvelope:     func(c wire.Codec) (any, error) { m, _ := ActorEnvelope{}.walk(&c); return m, c.Finish() },
-	CodeHeartbeat:         func(c wire.Codec) (any, error) { m, _ := Heartbeat{}.walk(&c); return m, c.Finish() },
-	CodeTelemetrySnapshot: func(c wire.Codec) (any, error) { m, _ := TelemetrySnapshot{}.walk(&c); return m, c.Finish() },
+	CodeCheckinRequest:    func(c wire.Codec) (any, error) { var m CheckinRequest; m.walk(&c); return m, c.Finish() },
+	CodeCheckinResponse:   func(c wire.Codec) (any, error) { var m CheckinResponse; m.walk(&c); return m, c.Finish() },
+	CodeReportRequest:     func(c wire.Codec) (any, error) { var m ReportRequest; m.walk(&c); return m, c.Finish() },
+	CodeReportResponse:    func(c wire.Codec) (any, error) { var m ReportResponse; m.walk(&c); return m, c.Finish() },
+	CodeAbort:             func(c wire.Codec) (any, error) { var m Abort; m.walk(&c); return m, c.Finish() },
+	CodeStripeSeal:        func(c wire.Codec) (any, error) { var m StripeSeal; m.walk(&c); return m, c.Finish() },
+	CodeRoundConfig:       func(c wire.Codec) (any, error) { var m RoundConfig; m.walk(&c); return m, c.Finish() },
+	CodeRoundFinalize:     func(c wire.Codec) (any, error) { var m RoundFinalize; m.walk(&c); return m, c.Finish() },
+	CodeRoundAbort:        func(c wire.Codec) (any, error) { var m RoundAbort; m.walk(&c); return m, c.Finish() },
+	CodeShardHello:        func(c wire.Codec) (any, error) { var m ShardHello; m.walk(&c); return m, c.Finish() },
+	CodeCheckinRate:       func(c wire.Codec) (any, error) { var m CheckinRate; m.walk(&c); return m, c.Finish() },
+	CodeActorEnvelope:     func(c wire.Codec) (any, error) { var m ActorEnvelope; m.walk(&c); return m, c.Finish() },
+	CodeHeartbeat:         func(c wire.Codec) (any, error) { var m Heartbeat; m.walk(&c); return m, c.Finish() },
+	CodeTelemetrySnapshot: func(c wire.Codec) (any, error) { var m TelemetrySnapshot; m.walk(&c); return m, c.Finish() },
 }
 
-// The layouts. Each walk names the message's fields in wire order and
-// returns the message — holding what it read, on a decoding pass — and its
-// type code.
+// The layouts. Each walk names the message's fields in wire order — a
+// decoding pass writes them — and returns its type code.
 
-func (m CheckinRequest) walk(c *wire.Codec) (CheckinRequest, byte) {
+func (m *CheckinRequest) walk(c *wire.Codec) byte {
 	c.Str(&m.DeviceID)
 	c.Str(&m.Population)
 	c.Int(&m.RuntimeVersion)
 	c.Bytes(&m.AttestationToken)
-	return m, CodeCheckinRequest
+	return CodeCheckinRequest
 }
 
-func (m CheckinResponse) walk(c *wire.Codec) (CheckinResponse, byte) {
+func (m *CheckinResponse) walk(c *wire.Codec) byte {
 	c.Bool(&m.Accepted)
 	c.Dur(&m.RetryAfter)
 	c.Str(&m.Reason)
@@ -280,34 +309,34 @@ func (m CheckinResponse) walk(c *wire.Codec) (CheckinResponse, byte) {
 	c.Bytes(&m.Plan)
 	c.Bytes(&m.Checkpoint)
 	c.Dur(&m.ReportDeadline)
-	return m, CodeCheckinResponse
+	return CodeCheckinResponse
 }
 
-func (m ReportRequest) walk(c *wire.Codec) (ReportRequest, byte) {
+func (m *ReportRequest) walk(c *wire.Codec) byte {
 	c.Str(&m.DeviceID)
 	c.Str(&m.TaskID)
 	c.I64(&m.Round)
 	c.Bytes(&m.Update)
 	c.F64Map(&m.Metrics)
 	c.Bool(&m.Aborted)
-	return m, CodeReportRequest
+	return CodeReportRequest
 }
 
-func (m ReportResponse) walk(c *wire.Codec) (ReportResponse, byte) {
+func (m *ReportResponse) walk(c *wire.Codec) byte {
 	c.Bool(&m.Accepted)
 	c.Str(&m.Reason)
 	c.Dur(&m.RetryAfter)
-	return m, CodeReportResponse
+	return CodeReportResponse
 }
 
-func (m Abort) walk(c *wire.Codec) (Abort, byte) {
+func (m *Abort) walk(c *wire.Codec) byte {
 	c.Str(&m.TaskID)
 	c.I64(&m.Round)
 	c.Str(&m.Reason)
-	return m, CodeAbort
+	return CodeAbort
 }
 
-func (m StripeSeal) walk(c *wire.Codec) (StripeSeal, byte) {
+func (m *StripeSeal) walk(c *wire.Codec) byte {
 	c.Str(&m.Population)
 	c.Str(&m.TaskID)
 	c.I64(&m.Round)
@@ -324,10 +353,10 @@ func (m StripeSeal) walk(c *wire.Codec) (StripeSeal, byte) {
 	c.Strs(&m.Blamed)
 	c.Strs(&m.GroupErrors)
 	c.Strs(&m.RobustRejected)
-	return m, CodeStripeSeal
+	return CodeStripeSeal
 }
 
-func (m RoundConfig) walk(c *wire.Codec) (RoundConfig, byte) {
+func (m *RoundConfig) walk(c *wire.Codec) byte {
 	c.Str(&m.Population)
 	c.Str(&m.TaskID)
 	c.I64(&m.Round)
@@ -338,57 +367,57 @@ func (m RoundConfig) walk(c *wire.Codec) (RoundConfig, byte) {
 	c.Int(&m.Estimate)
 	c.Bytes(&m.Plan)
 	c.Bytes(&m.Checkpoint)
-	return m, CodeRoundConfig
+	return CodeRoundConfig
 }
 
-func (m RoundFinalize) walk(c *wire.Codec) (RoundFinalize, byte) {
+func (m *RoundFinalize) walk(c *wire.Codec) byte {
 	c.Str(&m.Population)
 	c.Str(&m.TaskID)
 	c.I64(&m.Round)
-	return m, CodeRoundFinalize
+	return CodeRoundFinalize
 }
 
-func (m RoundAbort) walk(c *wire.Codec) (RoundAbort, byte) {
+func (m *RoundAbort) walk(c *wire.Codec) byte {
 	c.Str(&m.Population)
 	c.Str(&m.TaskID)
 	c.I64(&m.Round)
 	c.Str(&m.Reason)
-	return m, CodeRoundAbort
+	return CodeRoundAbort
 }
 
-func (m ShardHello) walk(c *wire.Codec) (ShardHello, byte) {
+func (m *ShardHello) walk(c *wire.Codec) byte {
 	c.U32(&m.Shard)
 	c.Str(&m.Name)
-	return m, CodeShardHello
+	return CodeShardHello
 }
 
-func (m CheckinRate) walk(c *wire.Codec) (CheckinRate, byte) {
+func (m *CheckinRate) walk(c *wire.Codec) byte {
 	c.Str(&m.Population)
 	c.U32(&m.Shard)
 	c.Str(&m.Source)
 	c.I64(&m.Count)
 	c.Dur(&m.Elapsed)
 	c.I64(&m.Demand)
-	return m, CodeCheckinRate
+	return CodeCheckinRate
 }
 
-func (m ActorEnvelope) walk(c *wire.Codec) (ActorEnvelope, byte) {
+func (m *ActorEnvelope) walk(c *wire.Codec) byte {
 	c.Str(&m.Target)
 	c.Bytes(&m.Payload)
-	return m, CodeActorEnvelope
+	return CodeActorEnvelope
 }
 
-func (m Heartbeat) walk(c *wire.Codec) (Heartbeat, byte) {
+func (m *Heartbeat) walk(c *wire.Codec) byte {
 	c.U64(&m.Seq)
 	c.Bool(&m.Ack)
-	return m, CodeHeartbeat
+	return CodeHeartbeat
 }
 
-func (m TelemetrySnapshot) walk(c *wire.Codec) (TelemetrySnapshot, byte) {
+func (m *TelemetrySnapshot) walk(c *wire.Codec) byte {
 	c.U32(&m.Shard)
 	c.Str(&m.Name)
 	c.I64Map(&m.Counters)
 	c.F64Map(&m.Gauges)
 	c.F64sMap(&m.Summaries)
-	return m, CodeTelemetrySnapshot
+	return CodeTelemetrySnapshot
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -242,6 +243,41 @@ func TestCodecAllocs(t *testing.T) {
 				t.Errorf("%T: %v allocs per legal Judge", msg, n)
 			}
 		}
+	}
+}
+
+// TestUnmarshalIntoAllocs: a server reads a report into a ReportRequest it
+// holds, seeded with its session's device ID and its round's task ID. A
+// conforming report then decodes with no allocation — no box, no string,
+// its metrics map from wire's stock and handed back — into the message
+// UnmarshalBinary returns. A check-in decodes into a held record the same
+// way; a payload of another code leaves the held message alone and decodes
+// as UnmarshalBinary's does.
+func TestUnmarshalIntoAllocs(t *testing.T) {
+	want := allocMessages()[CodeReportRequest].(ReportRequest)
+	_, payload, _ := MarshalBinary(want)
+	var held ReportRequest
+	var got any
+	var err error
+	decode := func() {
+		held = ReportRequest{DeviceID: want.DeviceID, TaskID: want.TaskID}
+		got, err = UnmarshalInto(&held, CodeReportRequest, payload)
+	}
+	n := testing.AllocsPerRun(100, func() { decode(); wire.PutF64Map(held.Metrics) })
+	if decode(); err != nil || got != &held || !reflect.DeepEqual(held, want) {
+		t.Fatalf("UnmarshalInto = %v, %v, holding %+v; want the held message %+v", got, err, held, want)
+	}
+	if n != 0 && !raceEnabled { // the race detector's pool drops Puts
+		t.Fatalf("decoding a conforming report into a held message allocates %v objects, want 0", n)
+	}
+	checkin := allocMessages()[CodeCheckinRequest].(CheckinRequest)
+	code, cpayload, _ := MarshalBinary(checkin)
+	var rec CheckinRequest
+	if got, err := UnmarshalInto(&rec, code, cpayload); err != nil || got != &rec || !reflect.DeepEqual(rec, checkin) {
+		t.Fatalf("a check-in decoded into a held record: %v, %v, holding %+v", got, err, rec)
+	}
+	if got, err := UnmarshalInto(&held, code, cpayload); err != nil || !reflect.DeepEqual(got, checkin) || !reflect.DeepEqual(held, want) {
+		t.Fatalf("a check-in read by a report's reader: %v, %v, the report now %+v", got, err, held)
 	}
 }
 

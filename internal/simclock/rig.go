@@ -141,6 +141,21 @@ func (q *Queue[T]) Pop(c Clock) (v T, ok bool) {
 // Close fails every later Push and wakes every waiter.
 func (q *Queue[T]) Close() { q.gate.Close() }
 
+// Retire closes q, drops what it holds and returns its ring, for Reuse by a
+// queue that would otherwise grow one of its own.
+func (q *Queue[T]) Retire() []T {
+	q.Close()
+	q.gate.Lock()
+	defer q.gate.Unlock()
+	ring := q.items
+	clear(ring)
+	q.items, q.head, q.n = nil, 0, 0
+	return ring
+}
+
+// Reuse gives q, new and of a retired queue's capacity, that queue's ring.
+func (q *Queue[T]) Reuse(ring []T) { q.items = ring }
+
 // Sleep parks the caller until d has passed on c or g (nil: none) is
 // closed, and reports whether d passed. The caller parks at a gate of its
 // own, so an expiry wakes only its own sleeper, however many rest on g.

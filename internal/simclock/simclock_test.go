@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -333,6 +334,34 @@ func TestQueueGrowsInOrder(t *testing.T) {
 	q.Close()
 	if _, ok := q.Pop(nil); ok {
 		t.Fatal("Pop on a closed, drained queue reported an item")
+	}
+}
+
+func TestRetiredRingIsReused(t *testing.T) {
+	// A retired queue is closed and empty, and its ring, cleared, serves a
+	// new queue up to its size without growing.
+	q := NewQueue[*int](64)
+	for i := 0; i < 13; i++ {
+		q.Push(new(int), nil)
+	}
+	q.Pop(nil)
+	ring := q.Retire()
+	if len(ring) != 16 || slices.ContainsFunc(ring, func(p *int) bool { return p != nil }) {
+		t.Fatalf("retired a ring of %d slots holding %v; want 16 cleared", len(ring), ring)
+	}
+	if q.Push(new(int), nil) {
+		t.Fatal("a retired queue took a Push")
+	}
+	if _, ok := q.Pop(nil); ok {
+		t.Fatal("a retired queue delivered an item")
+	}
+	next := NewQueue[*int](64)
+	next.Reuse(ring)
+	for i := 0; i < 16; i++ {
+		next.Push(new(int), nil)
+	}
+	if &next.items[0] != &ring[0] || len(next.items) != 16 {
+		t.Fatal("a queue given a retired ring grew one of its own")
 	}
 }
 

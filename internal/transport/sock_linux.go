@@ -17,17 +17,15 @@ import (
 // link is the raw path's socket, the transport's own descriptor: accept4(2),
 // connect(2), read(2) and writev(2) run in its os.File's RawConn callbacks,
 // so the poller waits (linux/386, with accept4 only through socketcall, takes
-// sock_other.go). Recv reads through raw, which calls fill (readAhead).
+// sock_other.go).
 type link struct {
-	c    *os.File
-	raw  syscall.RawConn
-	fill func(fd uintptr) bool
+	c   *os.File
+	raw syscall.RawConn
 }
 
 func wrapTCP(c *os.File) *tcpConn {
 	t := &tcpConn{link: link{c: c}}
 	t.raw, _ = c.SyscallConn()
-	t.fill = t.readAhead
 	return t
 }
 
@@ -44,10 +42,24 @@ func wrapNet(c net.Conn, err error) (Conn, error) {
 	return wrapTCP(f), nil
 }
 
+// reading is one Recv's wait for its socket, pooled with fill bound once so
+// no socket keeps a closure.
+type reading struct {
+	t    *tcpConn
+	fill func(fd uintptr) bool
+}
+
+var readings = sync.Pool{New: func() any { r := &reading{}; r.fill = r.readAhead; return r }}
+
 // fillOnce is one read(2) onto the read-ahead buffer, which readAhead takes
 // only once the socket may be readable: a parked conn holds no buffer.
 func (t *tcpConn) fillOnce() error {
-	if err := t.raw.Read(t.fill); err != nil || t.ahead.rn > 0 {
+	r := readings.Get().(*reading)
+	r.t = t
+	err := t.raw.Read(r.fill)
+	r.t = nil
+	readings.Put(r)
+	if err != nil || t.ahead.rn > 0 {
 		return err
 	} else if t.ahead.rn == 0 {
 		return io.EOF
@@ -57,7 +69,8 @@ func (t *tcpConn) fillOnce() error {
 
 // readAhead is fill: one read(2) onto the read-ahead buffer, taken once the
 // socket may be readable and put back empty when the read would block.
-func (t *tcpConn) readAhead(fd uintptr) bool {
+func (r *reading) readAhead(fd uintptr) bool {
+	t := r.t
 	if t.ahead == nil {
 		t.ahead = NewLoan(0)
 	}

@@ -17,8 +17,10 @@ import (
 // buffer before it parks.
 
 // TestDialAcceptAllocs is the per-connection tripwire: one DialTCP of an IP
-// literal, its Accept and both Closes allocate at most 13 objects and 360 B,
-// both tcpConns included — no address of either end, no per-socket iovecs.
+// literal, its Accept and both Closes allocate at most 10 objects and 328 B,
+// both tcpConns included — no address of either end, no per-socket iovecs,
+// no read closure (8 objects and 320 B measured; 10 and 352 with a closure
+// per socket).
 func TestDialAcceptAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's pool drops Puts: the bound cannot hold")
@@ -46,8 +48,8 @@ func TestDialAcceptAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("a dial, its accept and both closes: %v objects, %.0f B", objects, bytes)
-	if objects > 13 || bytes > 360 {
-		t.Fatalf("a dial+accept pair allocates %v objects and %.0f B, want at most 13 and 360", objects, bytes)
+	if objects > 10 || bytes > 328 {
+		t.Fatalf("a dial+accept pair allocates %v objects and %.0f B, want at most 10 and 328", objects, bytes)
 	}
 }
 

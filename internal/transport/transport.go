@@ -528,11 +528,30 @@ func (t *tcpConn) Send(msg interface{}) error {
 	return err
 }
 
-// Recv implements Conn. A frame of at most maxWhole bytes arrives in one read
-// into the read-ahead buffer, which a leased one keeps as its lease; a longer
-// frame's payload starts with the bytes already read. The header's errors
-// are out of line: a session's goroutine starts on a 2 KiB stack.
-func (t *tcpConn) Recv() (interface{}, error) {
+// RecvInto is c.Recv for a reader that holds the message it expects: one of
+// type T lands in *dst, and RecvInto returns dst; any other arrives as Recv
+// delivers it. A TCP conn decodes it there (protocol.UnmarshalInto), with no
+// box; any other conn's is copied.
+func RecvInto[T any](c Conn, dst *T) (interface{}, error) {
+	if t, ok := c.(*tcpConn); ok {
+		return t.recv(dst)
+	}
+	msg, err := c.Recv()
+	if m, ok := msg.(T); ok {
+		*dst, msg = m, dst
+	}
+	return msg, err
+}
+
+// Recv implements Conn.
+func (t *tcpConn) Recv() (interface{}, error) { return t.recv(nil) }
+
+// recv is Recv into dst (RecvInto). A frame of at most maxWhole bytes arrives
+// in one read into the read-ahead buffer, which a leased one keeps as its
+// lease; a longer frame's payload starts with the bytes already read. The
+// header's errors are out of line: a session's goroutine starts on a 2 KiB
+// stack.
+func (t *tcpConn) recv(dst any) (interface{}, error) {
 	t.Release()
 	code, size, lease, err := byte(0), 0, false, t.fillTo(hdrLen)
 	if err == nil {
@@ -576,7 +595,7 @@ func (t *tcpConn) Recv() (interface{}, error) {
 	if err == nil {
 		obsRxBytes.Add(int64(hdrLen + size))
 		var msg interface{}
-		if msg, err = protocol.UnmarshalBinary(code, payload); err == nil {
+		if msg, err = protocol.UnmarshalInto(dst, code, payload); err == nil {
 			return msg, nil
 		}
 	}

@@ -250,13 +250,17 @@ func (c *Codec) Count(p *int, minEntry int) {
 	}
 }
 
+// Str runs a string. Decoding, a *p equal to the bytes read stays as it is,
+// so a walk into a message that already holds its string allocates none.
 func (c *Codec) Str(p *string) {
 	n := c.count(len(*p), 1, "string")
 	switch c.pass {
 	case sizing:
 		c.n += n
 	case decoding:
-		*p = string(c.take(n, "string"))
+		if b := c.take(n, "string"); string(b) != *p {
+			*p = string(b)
+		}
 	default:
 		c.buf = append(c.buf, *p...)
 	}
@@ -339,23 +343,35 @@ func (c *Codec) F64s(p *[]float64) {
 // The maps have string keys; an entry is at least its key's length byte and
 // its value: 8 bytes for a float, 1 for a varint or a list's count.
 
+// F64Map decodes a map into one from wire's stock, whose last keys are kept
+// for the keys read (see Str): a report's metric names allocate nothing.
 func (c *Codec) F64Map(p *map[string]float64) {
 	var buf [8]string
-	c.entries(keysOf(*p, buf[:0]), 9, func(k string) int {
+	var stock map[string]float64
+	held := *p
+	if c.pass == decoding && held == nil {
+		stock, _ = f64Maps.Get().(map[string]float64)
+		held = stock
+	}
+	c.entries(keysOf(held, buf[:0]), 9, func(k string) int {
 		v := (*p)[k]
 		c.F64(&v)
-		if c.pass == decoding && *p == nil {
-			*p, _ = f64Maps.Get().(map[string]float64)
+		if *p == nil && stock != nil {
+			*p, stock = stock, nil
+			clear(*p)
 		}
 		return put(c, p, k, v)
 	})
+	if stock != nil { // nothing was decoded into it
+		f64Maps.Put(stock)
+	}
 }
 
 var f64Maps sync.Pool // the maps F64Map decodes into
 
-// PutF64Map hands back, cleared, a map F64Map decoded that nothing else
-// references: a report's metrics, read once.
-func PutF64Map(m map[string]float64) { clear(m); f64Maps.Put(m) }
+// PutF64Map hands back a map F64Map decoded that nothing else references: a
+// report's metrics, read once.
+func PutF64Map(m map[string]float64) { f64Maps.Put(m) }
 
 func (c *Codec) I64Map(p *map[string]int64) {
 	var buf [8]string
