@@ -532,7 +532,7 @@ func (t *tcpConn) Send(msg interface{}) error {
 // type T lands in *dst, and RecvInto returns dst; any other arrives as Recv
 // delivers it. A TCP conn decodes it there (protocol.UnmarshalInto), with no
 // box; any other conn's is copied.
-func RecvInto[T any](c Conn, dst *T) (interface{}, error) {
+func RecvInto[T protocol.CheckinRequest | protocol.ReportRequest](c Conn, dst *T) (interface{}, error) {
 	if t, ok := c.(*tcpConn); ok {
 		return t.recv(dst)
 	}
