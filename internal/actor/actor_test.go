@@ -540,3 +540,30 @@ func lineOf(t *testing.T, marker string) string {
 	t.Fatalf("no line marked %q", marker)
 	return ""
 }
+
+// TestSpawnTakesAStoppedActorsRing: the mailbox ring an actor grew goes, at
+// its stop, to the system's stock, and the next Spawn takes it instead of
+// growing one of its own.
+func TestSpawnTakesAStoppedActorsRing(t *testing.T) {
+	sys := NewSystem()
+	defer sys.Shutdown()
+	block := make(chan struct{})
+	a := sys.Spawn("a", BehaviorFunc(func(*Context, Message) { <-block }))
+	for i := 0; i < 40; i++ {
+		_ = a.Send(i) // the first blocks the actor; the rest grow its ring to 64 slots
+	}
+	close(block)
+	a.Stop()
+	for deadline := time.Now().Add(10 * time.Second); len(sys.rings) == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("a stopped actor's ring never reached the stock")
+		}
+	}
+	b := sys.Spawn("b", BehaviorFunc(func(*Context, Message) {}))
+	if n := len(sys.rings); n != 0 {
+		t.Fatalf("a Spawn left %d rings in the stock, want it to take the one", n)
+	}
+	if ring := b.(*localRef).mailbox.Retire(); len(ring) != 64 {
+		t.Fatalf("the next actor's ring has %d slots, want the stopped actor's 64", len(ring))
+	}
+}
