@@ -260,6 +260,23 @@ func (s *System) Spawn(name string, b Behavior) Ref {
 	return r
 }
 
+// Go runs fn on a goroutine of s's clock that Shutdown waits for, and
+// reports whether it started: none does once Shutdown has begun. fn calls
+// Done as it returns (defer s.Done()), so that its closure is the
+// goroutine's one object.
+func (s *System) Go(fn func()) bool {
+	s.mu.Lock() // as in Spawn, the down check and wg.Add are one step
+	defer s.mu.Unlock()
+	if !s.down {
+		s.wg.Add(1)
+		s.clock.Go(fn)
+	}
+	return !s.down
+}
+
+// Done ends a goroutine Go started.
+func (s *System) Done() { s.wg.Done() }
+
 // dispatch runs one Receive with panic isolation.
 func (s *System) dispatch(ctx *Context, r *localRef, b Behavior, msg Message) {
 	defer func() {
@@ -311,11 +328,11 @@ func (s *System) notifyTermination(r *localRef, failure bool, reason interface{}
 
 // Shutdown stops the given actors, then every remaining actor ever spawned
 // in the system (ephemeral children included), and waits for all their
-// goroutines. Spawns racing the shutdown (an actor mid-dispatch creating a
-// child, a watcher respawning a Coordinator) return already-stopped refs
-// once the down flag is set, so the registry snapshot below is complete
-// and the wait cannot hang on an actor nobody stops. Used at process
-// teardown.
+// goroutines and every one Go started. Spawns racing the shutdown (an actor
+// mid-dispatch creating a child, a watcher respawning a Coordinator) return
+// already-stopped refs once the down flag is set, and Go starts nothing, so
+// the registry snapshot below is complete and the wait cannot hang on an
+// actor nobody stops. Used at process teardown.
 func (s *System) Shutdown(refs ...Ref) {
 	for _, r := range refs {
 		r.Stop()

@@ -332,9 +332,10 @@ func TestLockServiceExactlyOnceRespawn(t *testing.T) {
 }
 
 func TestShutdownRacesConcurrentSpawns(t *testing.T) {
-	// Actors spawned concurrently with Shutdown (an actor mid-dispatch
-	// creating a child, or plain racing callers) must not leave goroutines
-	// the shutdown never stops — Shutdown would hang in wg.Wait forever.
+	// Actors spawned, and goroutines started, concurrently with Shutdown (an
+	// actor mid-dispatch creating a child, or plain racing callers) must not
+	// leave goroutines the shutdown never stops — Shutdown would hang in
+	// wg.Wait forever.
 	sys := NewSystem()
 	stop := make(chan struct{})
 	var spawner sync.WaitGroup
@@ -349,6 +350,7 @@ func TestShutdownRacesConcurrentSpawns(t *testing.T) {
 			default:
 			}
 			sys.Spawn("storm", BehaviorFunc(func(ctx *Context, msg Message) {}))
+			sys.Go(func() { defer sys.Done(); runtime.Gosched() })
 			spawned.Add(1)
 		}
 	}()
@@ -369,6 +371,9 @@ func TestShutdownRacesConcurrentSpawns(t *testing.T) {
 	// Post-shutdown spawns return already-stopped refs.
 	if r := sys.Spawn("late", BehaviorFunc(func(ctx *Context, msg Message) {})); !r.Stopped() {
 		t.Fatal("spawn after Shutdown must return a stopped ref")
+	}
+	if sys.Go(func() { defer sys.Done(); t.Error("a goroutine ran after Shutdown") }) {
+		t.Fatal("Go after Shutdown must start nothing")
 	}
 	close(stop)
 	spawner.Wait()

@@ -178,14 +178,18 @@ func (w *WatchStore) LineageProbe() Probe {
 
 // --- connection / goroutine accounting ---
 
-// TeardownProbe asserts that nothing of a torn-down rig outlived it: no
-// goroutine — device loop, actor, redial loop, delayed-delivery sender — by
-// the rig's own census, and no connection the injector wrapped. Run it once
-// the rig is idle.
+// TeardownProbe asserts that nothing of a torn-down rig outlived it: by the
+// rig's own census no goroutine — device loop, actor, redial loop,
+// delayed-delivery sender — and no loan lent on its clock, and no connection
+// the injector wrapped. Armed timers are not counted: those of stopped
+// actors fire as no-ops. Run it once the rig is idle.
 func TeardownProbe(rig *simclock.Virtual, in *Injector) Probe {
 	return Probe{"teardown", func() error {
 		if n := rig.Goroutines(); n != 0 {
 			return fmt.Errorf("%d goroutine(s) outlived the teardown", n)
+		}
+		if n := rig.Loans(); n != 0 {
+			return fmt.Errorf("%d loan(s) still out", n)
 		}
 		if n := in.OpenConns(); n != 0 {
 			return fmt.Errorf("%d wrapped connection(s) still open", n)

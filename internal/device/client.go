@@ -204,13 +204,15 @@ func (s *Session) train() (*Outcome, error) {
 }
 
 // end moves the session to its last phase, logs the state it ends in (0:
-// none) and closes the connection.
+// none), ends the lease on what it last received — Close never does — and
+// closes the connection.
 func (s *Session) end(phase protocol.Phase, state SessionState) *Outcome {
 	s.phase, s.Aborted = phase, phase == protocol.PhaseAborted
 	if state != 0 {
 		s.log.Add(state)
 	}
 	s.SessionShape = s.log.Shape()
+	s.conn.Release()
 	_ = s.conn.Close()
 	return &s.Outcome
 }

@@ -103,9 +103,9 @@ func TestDeadlinesFireAtTheirInstant(t *testing.T) {
 			clock.expire(t, "round deadline", clock.armed(t, p.Server.ReportTimeout+3*time.Second, 1), nil)
 			return 3 * time.Second, 1, func() bool { return len(outcomes) == 1 }
 		}},
-		{"abortGrace closes a connection that never takes its abort", func(t *testing.T, clock *watchedClock, _ *actor.System) (time.Duration, int, func() bool) {
+		{"abortGrace closes a connection that never takes its abort", func(t *testing.T, clock *watchedClock, sys *actor.System) (time.Duration, int, func() bool) {
 			conn := newStuckConn(clock)
-			sendThenClose(clock, conn, protocol.Abort{Reason: "round sealed"})
+			sendThenClose(sys, conn, protocol.Abort{Reason: "round sealed"})
 			return abortGrace, 1, conn.closed.Load
 		}},
 		{"Peer heartbeat miss declares the link down", func(t *testing.T, clock *watchedClock, _ *actor.System) (time.Duration, int, func() bool) {
@@ -164,10 +164,11 @@ func TestDeadlinesFireAtTheirInstant(t *testing.T) {
 // instant, and the last one abortGrace after it took a freed slot.
 func TestStalledSendsParkForTheirSlot(t *testing.T) {
 	clock := newWatchedClock()
+	sys := actor.NewSystem(clock)
 	conns := make([]*stuckConn, 257)
 	for i := range conns {
 		conns[i] = newStuckConn(clock)
-		sendThenClose(clock, conns[i], protocol.Abort{Reason: "round sealed"})
+		sendThenClose(sys, conns[i], protocol.Abort{Reason: "round sealed"})
 	}
 	closed := func(want int) func() bool {
 		return func() bool {
@@ -192,7 +193,7 @@ func TestStalledSendsParkForTheirSlot(t *testing.T) {
 func TestSilentCheckinsAreClosed(t *testing.T) {
 	const n = 1000
 	clock := newWatchedClock()
-	router := &CheckinRouter{clock: clock}
+	router := &CheckinRouter{}
 	conns := make([]*stuckConn, n) // the wrapper records the Close
 	var returned atomic.Int32
 	for i := range conns {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/device"
@@ -253,7 +254,7 @@ func TestDownlinkFrameSize(t *testing.T) {
 		global := &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, 65536)}
 		tensor.NewRNG(3).FillNormal(global.Params, 1)
 		er := &EdgeRound{cfg: EdgeRoundConfig{Plan: p, Round: 1, Global: global}, resps: map[int]*versionResp{}}
-		vr := er.respFor(3)
+		vr := er.respFor(actor.Wall, 3)
 		if vr.err != "" {
 			t.Fatal(vr.err)
 		}

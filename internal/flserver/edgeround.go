@@ -176,8 +176,7 @@ type EdgeRound struct {
 	out roundOutbox
 	// timers are the armed selection and report windows, stopped at release
 	// so a settled round's mailbox is not pinned until they would have fired.
-	timers  []actor.Timer
-	configs sync.WaitGroup // the configuration sends in flight
+	timers []actor.Timer
 
 	// startAt anchors the report-window span; the first device batch closes
 	// the check-in span (round start → the Selectors delivering) and opens
@@ -387,8 +386,9 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 // the device's part of the plan (plan.MarshalDevice) and the checkpoint in
 // a CheckinResponse pre-framed once per *effective* version — every runtime
 // at or above the plan's MinRuntimeVersion shares one; each older version
-// gets one lowered plan — so every send pushes the same immutable bytes.
-func (er *EdgeRound) respFor(version int) *versionResp {
+// gets one lowered plan — so every send pushes the same immutable bytes. A
+// checkpoint the round marshals itself is a loan counted on clock.
+func (er *EdgeRound) respFor(clock actor.Clock, version int) *versionResp {
 	p := er.cfg.Plan
 	v := version
 	if v > p.Device.MinRuntimeVersion {
@@ -406,7 +406,7 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 		obsPlanMarshals.Inc()
 	}
 	if err == nil && er.cfg.Checkpoint == nil {
-		er.cfg.Checkpoint, err = er.cfg.Global.MarshalInto(p.DownlinkEncoding(), transport.Borrow(&er.cfg.Loan))
+		er.cfg.Checkpoint, err = er.cfg.Global.MarshalInto(p.DownlinkEncoding(), transport.Borrow(&er.cfg.Loan, clock))
 	}
 	if err != nil {
 		// Devices of this version cannot be served any form of the plan;
@@ -435,7 +435,7 @@ func (er *EdgeRound) respFor(version int) *versionResp {
 func (er *EdgeRound) onDevices(ctx *actor.Context, devs []*session) {
 	if er.sealed {
 		for _, d := range devs {
-			sendThenClose(ctx.System.Clock(), d.conn, protocol.Abort{TaskID: er.cfg.Plan.ID, Round: er.cfg.Round, Reason: "round sealed"})
+			sendThenClose(ctx.System, d.conn, protocol.Abort{TaskID: er.cfg.Plan.ID, Round: er.cfg.Round, Reason: "round sealed"})
 		}
 		return
 	}
@@ -450,7 +450,7 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, devs []*session) {
 	replace := 0
 	refuse := func(conn transport.Conn, reason string) {
 		replace++
-		sendThenClose(ctx.System.Clock(), conn, protocol.CheckinResponse{Accepted: false, Reason: reason})
+		sendThenClose(ctx.System, conn, protocol.CheckinResponse{Accepted: false, Reason: reason})
 	}
 	for _, d := range devs {
 		if _, dup := er.devices[d.DeviceID]; dup {
@@ -466,7 +466,7 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, devs []*session) {
 			refuse(d.conn, fmt.Sprintf("task %s requires device runtime ≥ %d", er.cfg.Plan.ID, er.cfg.MinRuntime))
 			continue
 		}
-		d.resp, d.reader = er.respFor(d.RuntimeVersion), er.reader
+		d.resp, d.reader = er.respFor(ctx.System.Clock(), d.RuntimeVersion), er.reader
 		if d.resp.err != "" {
 			er.lost++
 			refuse(d.conn, d.resp.err)
@@ -485,12 +485,11 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, devs []*session) {
 		}
 		er.devices[d.DeviceID] = d
 		transport.LoanOf(d.resp.enc).Acquire()
-		er.configs.Add(1)
-		ctx.System.Clock().Go(func() {
+		if sys := ctx.System; !sys.Go(func() {
+			defer sys.Done()
 			d.conn.Expire(d.reader.configured)
 			err := d.conn.Send(d.resp.enc)
 			transport.LoanOf(d.resp.enc).Release()
-			er.configs.Done()
 			er.configEnd.Store(time.Now().UnixNano())
 			if err != nil {
 				// A failed Configuration send means a dead peer: release
@@ -500,7 +499,9 @@ func (er *EdgeRound) onDevices(ctx *actor.Context, devs []*session) {
 				return
 			}
 			d.reader.read(d)
-		})
+		}) {
+			transport.LoanOf(d.resp.enc).Release() // stopping: OnStop closes d
+		}
 	}
 	er.topUp(ctx, replace)
 	if er.owed <= 0 {
@@ -581,7 +582,7 @@ func (er *EdgeRound) closeWindow(ctx *actor.Context, reason string) {
 	for _, d := range er.devices {
 		if !d.reported && !d.lost {
 			er.aborted++
-			sendThenClose(ctx.System.Clock(), d.conn, abort)
+			sendThenClose(ctx.System, d.conn, abort)
 		}
 	}
 	er.revokeQuota(ctx.Self)
@@ -735,13 +736,12 @@ func (er *EdgeRound) release(ctx *actor.Context) {
 }
 
 // OnStop implements actor.Stopper: a round stopped before it released closes
-// its devices' connections, waits out its configuration sends and releases.
+// its devices' connections, which ends their goroutines, and releases.
 func (er *EdgeRound) OnStop(ctx *actor.Context) {
 	if er.devices != nil {
 		for _, d := range er.devices {
 			_ = d.conn.Close()
 		}
-		er.configs.Wait()
 		er.release(ctx)
 	}
 }

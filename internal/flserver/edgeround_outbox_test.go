@@ -57,7 +57,9 @@ func TestRoundSurvivesSaturatedSelectorMailbox(t *testing.T) {
 			close(entered)
 			actor.Sleep(clock, time.Hour, &release)
 		case lose:
-			er.Receive(ctx, (*reportDone)(er.devices[string(m)]))
+			d := er.devices[string(m)]
+			er.Receive(ctx, (*reportDone)(d))
+			_ = d.conn.Close() // its reader, still waiting for the report, ends
 		default:
 			er.Receive(ctx, msg)
 		}

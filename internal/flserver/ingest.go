@@ -58,17 +58,20 @@ func (ri *roundIngest) close() {
 // a flood of rejections cannot hold unbounded frame buffers in flight.
 var respGate = actor.NewQueue[struct{}](256)
 
-// sendThenClose delivers msg to conn on its own goroutine and then closes
-// the connection. Every path that answers a device from an actor goroutine
-// (EdgeRound rejections and aborts) routes through here: a stalled socket
-// blocks one pooled goroutine for at most abortGrace — never an actor, never
-// the round.
-func sendThenClose(clock actor.Clock, conn transport.Conn, msg interface{}) {
-	clock.Go(func() {
-		respGate.Push(struct{}{}, clock)
-		defer respGate.Pop(clock)
+// sendThenClose delivers msg to conn on a goroutine of sys and then closes
+// the connection (at once, with sys down). Every path that answers a device
+// from an actor goroutine (EdgeRound rejections and aborts) routes through
+// here: a stalled socket blocks one pooled goroutine for at most abortGrace —
+// never an actor, never the round.
+func sendThenClose(sys *actor.System, conn transport.Conn, msg interface{}) {
+	if !sys.Go(func() {
+		defer sys.Done()
+		respGate.Push(struct{}{}, sys.Clock())
+		defer respGate.Pop(sys.Clock())
 		sendWithGrace(conn, msg)
-	})
+	}) {
+		_ = conn.Close()
+	}
 }
 
 // sendWithGrace attempts one send, bounded by abortGrace on the conn's

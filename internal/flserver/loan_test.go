@@ -23,17 +23,18 @@ import (
 )
 
 // TestMemDownloadsLendTheirLoan: an in-process round marshals its
-// checkpoint into a pooled loan, and a device on an in-memory link reads it
-// under a lease, as over TCP. Once the round has released everything and the
-// next round has marshaled its own checkpoint of the same size class, the
-// first device — which has not called Recv again — still reads its round's
-// checkpoint (released buffers are poisoned here); its Release is the last
-// reference, so the buffer goes back to the pool and the loans gauge to its
-// baseline.
+// checkpoint into a pooled loan, counted on the round's clock, and a device
+// on an in-memory link reads it under a lease, as over TCP. Once the round
+// has released everything and the next round has marshaled its own
+// checkpoint of the same size class, the first device — which has not
+// called Recv again — still reads its round's checkpoint (released buffers
+// are poisoned here); its Release is the last reference, so the buffer goes
+// back to the pool and the clock's count of loans out to zero. Each count is
+// read with the rig idle.
 func TestMemDownloadsLendTheirLoan(t *testing.T) {
 	transport.PoisonReleasedForTest()
-	loans := metrics.Default.Gauge("fl_net_buf_loans")
-	sys := actor.NewSystem()
+	clock := newWatchedClock()
+	sys := actor.NewSystem(clock)
 	defer sys.Shutdown()
 	p := testPlan(t, 1, false)
 	p.Server.SelectionTimeout, p.Server.ReportTimeout = time.Minute, time.Minute
@@ -48,9 +49,9 @@ func TestMemDownloadsLendTheirLoan(t *testing.T) {
 			Population: "pop", Plan: p, Round: r, Global: g, Dim: dim, Target: 1,
 		}, nil, func(s EdgeSeal) { seals <- s }))
 		_ = ref.Send(msgEdgeStart{})
-		srv, dev := transport.Pipe()
+		srv, dev := transport.Pipe(clock)
 		_ = ref.Send(&session{CheckinRequest: protocol.CheckinRequest{DeviceID: "d", RuntimeVersion: 3}, conn: srv})
-		msg, err := dev.Recv()
+		msg, err := dev.Recv() // the configuration needs no time to pass
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,23 +61,17 @@ func TestMemDownloadsLendTheirLoan(t *testing.T) {
 		}
 		return ref, seals, g, dev, resp
 	}
-	settle := func(want float64, what string) {
+	loans := func(want int, what string) {
 		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); loans.Value() != want; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%v loans out %s, want %v", loans.Value(), what, want)
-			}
+		clock.until(t, what, func() bool { return true })
+		if got := clock.Loans(); got != want {
+			t.Fatalf("%d loans out %s, want %d", got, what, want)
 		}
 	}
-	before := loans.Value()
 	ref, seals, g, dev, resp := open(1)
 	_ = ref.Send(msgEdgeFinalize{})
-	select {
-	case <-seals:
-	case <-time.After(10 * time.Second):
-		t.Fatal("round 1 never sealed")
-	}
-	settle(before+1, "after the round released under its device's lease")
+	clock.until(t, "round 1's seal", func() bool { return len(seals) == 1 })
+	loans(1, "after the round released under its device's lease")
 	next, _, _, nextDev, _ := open(2)
 	want, err := g.Marshal(p.DownlinkEncoding())
 	if err != nil {
@@ -90,9 +85,9 @@ func TestMemDownloadsLendTheirLoan(t *testing.T) {
 		t.Fatal("the device's Release was not the loan's last reference")
 	}
 	_ = next.Send(msgAbandonRound{Reason: "test over"})
-	settle(before+1, "after round 2 was abandoned under its device's lease")
+	loans(1, "after round 2 was abandoned under its device's lease")
 	nextDev.Release()
-	settle(before, "after both devices released")
+	loans(0, "after both devices released")
 }
 
 // TestMemDownlinkBufferIsRecycled: over in-memory links a round's downlink

@@ -2,7 +2,6 @@ package flserver
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,35 +79,23 @@ func QuerySelectorStats(sel actor.Ref, population string) (SelectorStats, error)
 // protocol-level rejection with a pace-steering hint, so misconfigured
 // devices back off instead of hammering the accept loop.
 type CheckinRouter struct {
-	clock     actor.Clock
+	sys       *actor.System // runs the handlers; its Shutdown waits for them
 	selectors []actor.Ref
 	nextSel   uint64
-	// mu orders every handlers.Add before Wait's handlers.Wait: a connection
-	// accepted while the owner tears down is closed, not counted.
-	mu       sync.Mutex
-	waited   bool
-	handlers sync.WaitGroup
 }
 
-// Serve accepts device connections from l until l closes.
+// Serve accepts device connections from l until l closes, or until the
+// router's system shuts down: a connection accepted then is closed.
 func (r *CheckinRouter) Serve(l transport.Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		r.mu.Lock()
-		if r.waited {
-			r.mu.Unlock()
+		if !r.sys.Go(func() { defer r.sys.Done(); r.handleConn(conn) }) {
 			_ = conn.Close()
 			return
 		}
-		r.handlers.Add(1)
-		r.mu.Unlock()
-		r.clock.Go(func() {
-			r.handleConn(conn)
-			r.handlers.Done()
-		})
 	}
 }
 
@@ -136,13 +123,4 @@ func (r *CheckinRouter) handleConn(conn transport.Conn) {
 	if r.selectors[idx].Send(fwd) != nil {
 		_ = conn.Close() // the Selector layer is shutting down
 	}
-}
-
-// Wait blocks until in-flight connection handlers finish (teardown, after
-// the listener closed).
-func (r *CheckinRouter) Wait() {
-	r.mu.Lock()
-	r.waited = true
-	r.mu.Unlock()
-	r.handlers.Wait()
 }

@@ -129,8 +129,8 @@ func TestSessionAllocs(t *testing.T) {
 		next++
 	})
 	t.Logf("%.0f allocations per session", allocs)
-	if allocs > 23 {
-		t.Fatalf("a session allocates %.0f objects, want at most 23", allocs)
+	if allocs > 22 {
+		t.Fatalf("a session allocates %.0f objects, want at most 22", allocs)
 	}
 }
 

@@ -137,8 +137,8 @@ func waitDone(t *testing.T, srv *Server, timeout time.Duration) {
 // ReportRequest as a connection's first frame, and a 2 KiB
 // CheckinResponse-coded frame where a configured device's report belongs.
 // Close never ends a lease, so only the refusing reader can: once the server
-// has closed the connection and shut down, the loans gauge is back where it
-// stood before the server started.
+// has closed the connection and its Close has returned, the loans gauge is
+// back where it stood before the server started.
 func TestRefusedLeasedFramesEndTheirLease(t *testing.T) {
 	loans := metrics.Default.Gauge("fl_net_buf_loans")
 	for name, configured := range map[string]bool{"first frame": false, "report": true} {
@@ -184,14 +184,12 @@ func TestRefusedLeasedFramesEndTheirLease(t *testing.T) {
 				_, err = conn.Recv()
 			}
 			conn.Close()
-			defer srv.Close()
-			defer l.Close()
-			// The round, left without a report, ends and returns its
-			// checkpoint's loan; the refused frame's is the reader's to end.
-			for deadline := time.Now().Add(10 * time.Second); loans.Value() != before; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%v loans out after the server refused a leased frame, want %v", loans.Value(), before)
-				}
+			l.Close()
+			// Close stops the round, which returns its checkpoint's loan, and
+			// waits for the readers; the refused frame's is the reader's to end.
+			srv.Close()
+			if got := loans.Value(); got != before {
+				t.Fatalf("%v loans out after the server refused a leased frame, want %v", got, before)
 			}
 		})
 	}

@@ -38,7 +38,7 @@ func NewDeviceTier(sys *actor.System, prefix string, n int, verifier *attest.Ver
 		t.selectors = append(t.selectors, sys.Spawn(fmt.Sprintf("%sselector-%d", prefix, i),
 			newSelector(verifier, defaultSteering, seed+uint64(i))))
 	}
-	t.router = &CheckinRouter{clock: sys.Clock(), selectors: t.selectors}
+	t.router = &CheckinRouter{sys: sys, selectors: t.selectors}
 	return t
 }
 
@@ -118,11 +118,8 @@ func (t *DeviceTier) Stats(population string) (SelectorStats, error) {
 }
 
 // Close stops the Selectors, then every other actor on the tier's system,
-// and waits for in-flight connection handlers.
-func (t *DeviceTier) Close() {
-	t.sys.Shutdown(t.selectors...)
-	t.router.Wait()
-}
+// and waits for them and for every goroutine the tier started.
+func (t *DeviceTier) Close() { t.sys.Shutdown(t.selectors...) }
 
 // LocalEdge is one population's Edge on a DeviceTier: opening a round is a
 // function call that starts an EdgeRound on the tier's actor system over its

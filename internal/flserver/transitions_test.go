@@ -97,7 +97,7 @@ func serverTakes(phase protocol.Phase, msg interface{}) bool {
 	self := inbox(make(chan actor.Message, 1)) // each site sends the round one message
 	_ = dev.Send(msg)
 	if phase == protocol.PhaseCheckin {
-		(&CheckinRouter{clock: actor.Wall, selectors: []actor.Ref{self}}).handleConn(srv)
+		(&CheckinRouter{selectors: []actor.Ref{self}}).handleConn(srv)
 		_, ok := (<-self).(*session)
 		return ok
 	}

@@ -34,8 +34,11 @@ const sendQueue = 64
 type Session struct {
 	conn   transport.Conn
 	opts   SessionOptions
+	clock  actor.Clock
 	sendQ  *actor.Queue[interface{}]
 	closed atomic.Bool
+	// written holds nothing; the writer closes it as it returns.
+	written *actor.Queue[struct{}]
 }
 
 // NewSession wraps an accepted connection, its writer running on clock (the
@@ -44,24 +47,25 @@ func NewSession(conn transport.Conn, opts SessionOptions, clock ...actor.Clock) 
 	if opts.Handle == nil {
 		opts.Handle = func(interface{}) {}
 	}
-	c := actor.OrWall(clock...)
-	s := &Session{conn: conn, opts: opts, sendQ: actor.NewQueue[interface{}](sendQueue)}
-	c.Go(func() { s.writer(c) })
+	s := &Session{conn: conn, opts: opts, clock: actor.OrWall(clock...),
+		sendQ: actor.NewQueue[interface{}](sendQueue), written: actor.NewQueue[struct{}](0)}
+	s.clock.Go(s.writer)
 	return s
 }
 
-// writer drains the bounded send queue to the connection, waiting on c, and
-// drops each queued message's loan reference once it is written; once the
-// session is closed, what is left drains unsent. A write error closes the
-// session (the reader in Run sees the close and returns).
-func (s *Session) writer(c actor.Clock) {
+// writer drains the bounded send queue to the connection and drops each
+// queued message's loan reference once it is written; once the session is
+// closed, what is left drains unsent. A write error closes the connection
+// (the reader in Run sees the close and closes the session).
+func (s *Session) writer() {
+	defer s.written.Close()
 	for {
-		msg, ok := s.sendQ.Pop(c)
+		msg, ok := s.sendQ.Pop(s.clock)
 		if !ok {
 			return
 		}
 		if !s.Closed() && s.conn.Send(msg) != nil {
-			s.Close()
+			s.conn.Close()
 		}
 		transport.LoanOf(msg).Release()
 	}
@@ -70,11 +74,13 @@ func (s *Session) writer(c actor.Clock) {
 // Closed reports whether the session's connection has ended.
 func (s *Session) Closed() bool { return s.closed.Load() }
 
-// Close tears the session down.
+// Close tears the session down and returns once its writer has returned,
+// every loan of what was still queued given back.
 func (s *Session) Close() {
 	s.closed.Store(true)
 	s.sendQ.Close()
 	s.conn.Close()
+	s.written.Pop(s.clock)
 }
 
 // Send enqueues one message for the writer goroutine (round configs,

@@ -2,8 +2,8 @@ package remote
 
 import (
 	"bytes"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -11,10 +11,12 @@ import (
 )
 
 // gatedConn passes one Send per token on gate, so a test decides when the
-// session's writer gets past the message it is writing.
+// session's writer gets past the message it is writing. Closing the conn
+// closes the gate, which lets a writer already at it through.
 type gatedConn struct {
 	transport.Conn
 	gate chan struct{}
+	once *sync.Once
 }
 
 func (c gatedConn) Send(msg interface{}) error {
@@ -22,10 +24,16 @@ func (c gatedConn) Send(msg interface{}) error {
 	return c.Conn.Send(msg)
 }
 
+func (c gatedConn) Close() error {
+	c.once.Do(func() { close(c.gate) })
+	return c.Conn.Close()
+}
+
 // TestQueuedSendHoldsItsLoan: a loaned message waiting in a session's send
 // queue holds its own reference, so the caller may drop its own at once and
 // the TCP peer still reads the bytes intact (released buffers are
-// poisoned); and what a closed session leaves queued goes back unsent.
+// poisoned); and what a closed session leaves queued goes back unsent by the
+// time Close returns, which waits for the writer.
 func TestQueuedSendHoldsItsLoan(t *testing.T) {
 	transport.PoisonReleasedForTest()
 	loans := metrics.Default.Gauge("fl_net_buf_loans")
@@ -44,7 +52,7 @@ func TestQueuedSendHoldsItsLoan(t *testing.T) {
 	}
 	defer server.Close()
 	base := loans.Value()
-	conn := gatedConn{Conn: raw, gate: make(chan struct{})}
+	conn := gatedConn{Conn: raw, gate: make(chan struct{}), once: new(sync.Once)}
 	sess := NewSession(conn, SessionOptions{})
 	defer sess.Close()
 
@@ -86,26 +94,26 @@ func TestQueuedSendHoldsItsLoan(t *testing.T) {
 			server.Release()
 		}
 	}
-	waitLoans(t, loans, base, "the written seals' loans")
+	// A heartbeat the writer took after the last seal has crossed.
+	if err := sess.Send(protocol.Heartbeat{Seq: 99}); err != nil {
+		t.Fatal(err)
+	}
+	conn.gate <- struct{}{}
+	if msg, err := server.Recv(); err != nil || msg != (protocol.Heartbeat{Seq: 99}) {
+		t.Fatalf("read %v (%v), want the heartbeat after the seals", msg, err)
+	}
+	if got := loans.Value(); got != base {
+		t.Fatalf("the written seals' loans: %v loans out, want %v", got, base)
+	}
 
 	// The writer holds no token when the session closes, so the seal is
 	// still queued behind the heartbeat: it is released, not written.
-	// Closing the gate lets a writer already at it through.
 	send(4)
 	sess.Close()
-	close(conn.gate)
-	waitLoans(t, loans, base, "the loan a closed session left queued")
+	if got := loans.Value(); got != base {
+		t.Fatalf("the loan a closed session left queued: %v loans out, want %v", got, base)
+	}
 	if sess.Send(transport.Lend(protocol.StripeSeal{}, nil)) == nil {
 		t.Fatal("Send on a closed session succeeded")
-	}
-}
-
-// waitLoans waits up to 10 s for the loans out to come back to base.
-func waitLoans(t *testing.T, loans *metrics.Gauge, base float64, what string) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); loans.Value() != base; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: %v loans out, want %v", what, loans.Value(), base)
-		}
 	}
 }

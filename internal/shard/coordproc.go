@@ -124,7 +124,7 @@ func (e *shardEdge) Open(cfg *flserver.EdgeRoundConfig, _ actor.Ref) error {
 			return err
 		}
 		var loan *transport.Loan
-		ckpt, err := cfg.Global.MarshalInto(cfg.Plan.DownlinkEncoding(), transport.Borrow(&loan))
+		ckpt, err := cfg.Global.MarshalInto(cfg.Plan.DownlinkEncoding(), transport.Borrow(&loan, e.cp.cfg.Clock))
 		if err != nil {
 			return err
 		}

@@ -45,6 +45,8 @@ type handCoordinator struct {
 	in   chan interface{}
 	// devices is the shard's device listener.
 	devices transport.Listener
+	// served is closed once the session's Run has returned.
+	served chan struct{}
 }
 
 func newHandCoordinator(t *testing.T) *handCoordinator {
@@ -53,7 +55,7 @@ func newHandCoordinator(t *testing.T) *handCoordinator {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	h := &handCoordinator{t: t, in: make(chan interface{}, 16)}
+	h := &handCoordinator{t: t, in: make(chan interface{}, 16), served: make(chan struct{})}
 	h.sp = NewSelectorProc(SelectorConfig{Steering: pacing.New(time.Second), Seed: 1},
 		func() (transport.Conn, error) { return transport.DialTCP(l.Addr()) })
 	t.Cleanup(h.sp.Close)
@@ -75,10 +77,17 @@ func newHandCoordinator(t *testing.T) *handCoordinator {
 			h.in <- m
 		}
 	}})
-	go h.sess.Run()
+	go func() { _ = h.sess.Run(); close(h.served) }()
 	t.Cleanup(h.sess.Close)
 	waitFor(t, "the shard's link", h.sp.peer.Alive)
 	return h
+}
+
+// close closes the shard, which waits for its rounds and their goroutines,
+// and waits for the link's end here to see it go: no loan is on its way back.
+func (h *handCoordinator) close() {
+	h.sp.Close()
+	<-h.served
 }
 
 // send puts one message on the link to the shard.
@@ -131,9 +140,9 @@ func (h *handCoordinator) config(round int64, dim int, salt float64) protocol.Ro
 
 // TestRefusedConfigsReleaseTheirFrames: every RoundConfig frame the shard
 // holds and does not hand to a round — a bad checkpoint, a bad plan, a
-// duplicate of the running round — goes back at once, and the running
-// round's goes back when it is abandoned: the count of loans out returns to
-// where it started.
+// duplicate of the running round — goes back before the abort that refuses
+// it, and the running round's once it is abandoned, by the time the shard's
+// Close returns: the count of loans out returns to where it started.
 func TestRefusedConfigsReleaseTheirFrames(t *testing.T) {
 	transport.PoisonReleasedForTest()
 	const dim = 8 << 10 // a 64 KB frame: leased
@@ -152,7 +161,7 @@ func TestRefusedConfigsReleaseTheirFrames(t *testing.T) {
 	badPlan := h.config(1, dim, 1)
 	badPlan.Plan = bytes.Repeat([]byte{0xEE}, 64)
 	refused(badPlan, "bad plan")
-	waitFor(t, "the refused frames to come back", func() bool { return loansOut() == base })
+	loans(t, base, "once the refused frames' aborts arrived")
 
 	m := h.config(1, dim, 1)
 	h.send(m)
@@ -163,10 +172,18 @@ func TestRefusedConfigsReleaseTheirFrames(t *testing.T) {
 	if st, _ := h.sp.Stats(); st.RoundsOpened != 1 {
 		t.Fatalf("%d rounds opened, want 1: the duplicate opened one", st.RoundsOpened)
 	}
-	// The refused one goes back just after its abort is sent.
-	waitFor(t, "one loan out, the running round's", func() bool { return loansOut() == base+1 })
+	loans(t, base+1, "the running round's alone")
 	h.send(protocol.RoundAbort{Population: loanPop, TaskID: m.TaskID, Round: 1, Reason: "test over"})
-	waitFor(t, "the abandoned round's frame to come back", func() bool { return loansOut() == base })
+	h.close()
+	loans(t, base, "once the abandoned round's shard closed")
+}
+
+// loans fails the test unless want loans are out.
+func loans(t *testing.T, want float64, what string) {
+	t.Helper()
+	if got := loansOut(); got != want {
+		t.Fatalf("%v loans out %s, want %v", got, what, want)
+	}
 }
 
 // TestSealJitterIsSeeded: two shards with one seed draw one retry-jitter

@@ -118,6 +118,8 @@ func TestStalledDeviceKeepsItsRoundConfig(t *testing.T) {
 	}
 	dev.Release()
 	h.send(protocol.RoundAbort{Population: loanPop, TaskID: first.TaskID, Round: 2, Reason: "test over"})
-	// Both frames, the seal's bytes and every lease on the way come back.
-	waitFor(t, "every loan to come back", func() bool { return loansOut() == before })
+	// Both frames, the seal's bytes and every lease on the way are back once
+	// the shard's Close has waited for its rounds and their goroutines.
+	h.close()
+	loans(t, before, "once the shard closed")
 }

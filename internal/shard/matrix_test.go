@@ -412,6 +412,7 @@ func (c *cell) session(i int, conn transport.Conn, clock simclock.Clock, minWait
 	case !s.Accepted:
 		return max(minWait, s.RetryAfter)
 	case c.f.drops(c.topo, i):
+		conn.Release() // Close never ends the configuration's lease
 		conn.Close()
 		return time.Hour
 	case c.f.overSelected > 0:
@@ -580,7 +581,17 @@ func (c *cell) runVirtual(t *testing.T) string {
 	if err := rig.StopDevices(time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	atBaseline(t, rig)
 	return v
+}
+
+// atBaseline closes the rig and checks that it ends as it began: no
+// goroutine, no loan and no wrapped connection left on its census.
+func atBaseline(t *testing.T, rig *chaos.Rig) {
+	rig.Close()
+	if err := chaos.Verify(chaos.TeardownProbe(rig.Clock, rig.Faults)).Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // swarm adds n stub devices to the rig, device i checking in first at
@@ -594,16 +605,6 @@ func (c *cell) swarm(rig *chaos.Rig, n int, first func(i int) time.Duration) {
 			}
 			return c.session(i, conn, rig.Clock, rig.Steering.MinWait)
 		})
-	}
-}
-
-// parallel runs a virtual cell alongside the others, except under the race
-// detector: there every rig's idle declaration is checked against a dump of
-// every rig's goroutines (simclock/race.go), which another rig's running
-// goroutines would stall.
-func parallel(t *testing.T) {
-	if !raceEnabled {
-		t.Parallel()
 	}
 }
 
@@ -645,7 +646,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 				}
 			}
 			t.Run(sh.name+"/"+topo.name, func(t *testing.T) {
-				parallel(t)
+				t.Parallel()
 				for _, r := range runs {
 					key := sh.name + "/" + topo.name + "/" + r.f.name
 					t.Run(r.f.name, func(t *testing.T) {
@@ -656,7 +657,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 							record(key, "refused")
 							return
 						}
-						parallel(t)
+						t.Parallel()
 						c := newCell(t, sh, topo, r.f, r.p, matrixK, virtualDim)
 						if v, want := c.runVirtual(t), c.expect(); v != want {
 							t.Fatalf("verdict %s, want %s", v, want)
@@ -692,7 +693,7 @@ func TestShardedCheckinStorm(t *testing.T) {
 				continue // K=4096's devices exceed the race detector's goroutine limit
 			}
 			t.Run(fmt.Sprintf("pass-%d/K-%d", pass, k), func(t *testing.T) {
-				parallel(t)
+				t.Parallel()
 				runStorm(t, k, uint64(1+pass))
 			})
 		}
@@ -708,7 +709,7 @@ func TestShardedCheckinStorm(t *testing.T) {
 func TestShardedRoundMeetsItsGoalCount(t *testing.T) {
 	for _, k := range []int{128, 2} {
 		t.Run(fmt.Sprintf("K-%d", k), func(t *testing.T) {
-			parallel(t)
+			t.Parallel()
 			runStorm(t, k, 1)
 		})
 	}
@@ -750,6 +751,7 @@ func runStorm(t *testing.T, k int, seed uint64) {
 	if err := rig.StopDevices(time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	atBaseline(t, rig)
 	checkRounds(t, c, rounds)
 }
 

@@ -167,8 +167,12 @@ func (c holdConfigs) Recv() (interface{}, error) {
 func (p *SelectorProc) onPeerMsg(msg interface{}) {
 	switch m := msg.(type) {
 	case heldConfig:
-		if !p.onRoundConfig(m.RoundConfig, m.loan) {
-			m.loan.Release()
+		kept, refusal := p.onRoundConfig(m.RoundConfig, m.loan)
+		if !kept {
+			m.loan.Release() // back before the abort that reports it
+		}
+		if refusal != "" {
+			_ = p.peer.Send(protocol.RoundAbort{Population: m.Population, TaskID: m.TaskID, Round: m.Round, Reason: refusal})
 		}
 	case protocol.RoundFinalize:
 		if e := p.tier.Edge(m.Population); e != nil {
@@ -185,30 +189,25 @@ func (p *SelectorProc) onPeerMsg(msg interface{}) {
 
 // onRoundConfig opens one edge round on the population's LocalEdge,
 // registering the population on the tier on first sight; it reports whether
-// the round kept loan. A config this shard cannot decode is refused, so the
-// coordinator stops waiting for its seal.
-func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig, loan *transport.Loan) bool {
-	refuse := func(why string, err error) bool {
-		_ = p.peer.Send(protocol.RoundAbort{Population: m.Population, TaskID: m.TaskID,
-			Round: m.Round, Reason: why + ": " + err.Error()})
-		return false
-	}
+// the round kept loan. A config this shard cannot decode is refused, with
+// the reason to send, so the coordinator stops waiting for its seal.
+func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig, loan *transport.Loan) (kept bool, refusal string) {
 	meta, err := checkpoint.ParseMeta(m.Checkpoint)
 	if err != nil {
-		return refuse("bad checkpoint", err)
+		return false, "bad checkpoint: " + err.Error()
 	}
 	pl, err := plan.Unmarshal(m.Plan)
 	if err == nil {
 		err = pl.Validate()
 	}
 	if err != nil {
-		return refuse("bad plan", err)
+		return false, "bad plan: " + err.Error()
 	}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return false
+		return false, ""
 	}
 	est := m.Estimate
 	if est <= 0 {
@@ -220,7 +219,7 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig, loan *transport.Loa
 	if err != nil || edge.Runs(m.TaskID, m.Round) {
 		// A tier shutting down takes no round; a duplicate (re-sent after a
 		// reconnect the coordinator noticed first) names the one running.
-		return false
+		return false, ""
 	}
 	_ = edge.Open(&flserver.EdgeRoundConfig{
 		Population: m.Population,
@@ -235,7 +234,7 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig, loan *transport.Loa
 		MinRuntime: m.MinRuntime,
 	}, p.relay)
 	p.roundsOpened.Add(1)
-	return true
+	return true, ""
 }
 
 // ship sends one sealed stripe upstream, marshaled into a loan on a goroutine
@@ -245,8 +244,9 @@ func (p *SelectorProc) onRoundConfig(m protocol.RoundConfig, loan *transport.Loa
 // is the round counted dropped; the coordinator's straggler timeout then
 // settles it without this shard, and its devices count as lost.
 func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
-	clock := p.sys.Clock()
-	clock.Go(func() {
+	p.sys.Go(func() {
+		defer p.sys.Done()
+		clock := p.sys.Clock()
 		start := time.Now()
 		msg := protocol.StripeSeal{
 			Population:  seal.Population,
@@ -267,7 +267,7 @@ func (p *SelectorProc) ship(seal flserver.EdgeSeal) {
 			RobustRejected: seal.RobustRejected,
 		}
 		var loan *transport.Loan
-		msg.Sum = fedavg.MarshalSumInto(seal.Seal.Sum, transport.Borrow(&loan))
+		msg.Sum = fedavg.MarshalSumInto(seal.Seal.Sum, transport.Borrow(&loan, clock))
 		defer loan.Release()
 		// The wire form is all that leaves this process: the sealed sum's
 		// vector serves the edge's next round's stripes.

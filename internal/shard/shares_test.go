@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/flserver"
 	"repro/internal/nn"
@@ -30,7 +31,7 @@ func TestRoundConfigsShareOneMarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 	global := &checkpoint.Checkpoint{TaskName: p.ID, Params: make(tensor.Vector, dim)}
-	cp := &CoordinatorProc{}
+	cp := &CoordinatorProc{cfg: CoordinatorConfig{Clock: actor.Wall}}
 	edges, peers := make([]*shardEdge, 3), make([]transport.Conn, 3)
 	cfgs := make([]*flserver.EdgeRoundConfig, 3)
 	for i, target := range []int{43, 43, 42} {

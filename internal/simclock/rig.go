@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,11 +16,26 @@ func (v *Virtual) Go(fn func()) {
 	v.add(1, -1)
 	go func() {
 		defer v.add(-1, 1)
+		defer track(v)()
 		fn()
 	}()
 }
 
+// track records the calling goroutine as v's until the func it returns runs,
+// and owns reports whether goroutine id may be v's: any a Virtual's Go
+// started, but under the race detector (race.go) only v's own.
+var (
+	track = func(*Virtual) func() { return func() {} }
+	owns  = func(v *Virtual, id string) bool { return true }
+)
+
 func (v *Virtual) park(n int) { v.add(0, n) }
+
+// Lend implements Clock.
+func (v *Virtual) Lend(n int) { v.loans.Add(int64(n)) }
+
+// Loans counts the loans lent on the clock that are not back.
+func (v *Virtual) Loans() int { return int(v.loans.Load()) }
 
 // add adds live goroutines to the rig and takes parked ones off the running.
 func (v *Virtual) add(live, parked int) {
@@ -216,7 +232,7 @@ func (v *Virtual) Run(horizon time.Duration, done func() bool) error {
 			return nil
 		}
 		// done may have stirred the rig: a stats query is a message.
-		if err := verifyIdle(v.settle()); err != nil {
+		if err := verifyIdle(v, v.settle()); err != nil {
 			return err
 		}
 		v.mu.Lock()
@@ -226,7 +242,7 @@ func (v *Virtual) Run(horizon time.Duration, done func() bool) error {
 		case e != nil:
 			v.Go(e.fn)
 		case !armed:
-			return fmt.Errorf("%w: no timer armed, every goroutine parked:\n%s", ErrDeadlock, strings.Join(waitSites(), ""))
+			return fmt.Errorf("%w: no timer armed, every goroutine parked:\n%s", ErrDeadlock, strings.Join(waitSites(v, nil), ""))
 		default:
 			return ErrHorizon
 		}
@@ -244,26 +260,29 @@ func (v *Virtual) settle() int {
 	return v.running
 }
 
-// verifyIdle checks an idle declaration under the race detector (race.go).
-var verifyIdle = func(running int) error { return nil }
+// verifyIdle checks an idle declaration of v under the race detector (race.go).
+var verifyIdle = func(v *Virtual, running int) error { return nil }
 
-// waitSites lists, from one stack dump, the goroutines any Virtual's Go
-// started, each by its state and its wait site: the innermost two frames
-// outside the runtime, sync and this package, as "function (file:line)".
-func waitSites() []string {
-	buf := make([]byte, 1<<16)
+// waitSites lists, from one stack dump, the goroutines v's Go started whose
+// state keep accepts (nil: all), each by its state and its wait site: the
+// innermost two frames outside the runtime, sync and this package, as
+// "function (file:line)".
+func waitSites(v *Virtual, keep func(state string) bool) []string {
+	buf := make([]byte, max(stackSize.Load(), 1<<16)) // one dump, not one per doubling
 	n := runtime.Stack(buf, true)
 	for ; n == len(buf); n = runtime.Stack(buf, true) {
 		buf = make([]byte, 2*len(buf))
 	}
+	stackSize.Store(int64(len(buf)))
 	var sites []string
 	for _, block := range strings.Split(string(buf[:n]), "\n\n") {
-		if !strings.Contains(block, "\ncreated by repro/internal/simclock.(*Virtual).Go") {
+		id, state, _ := strings.Cut(strings.TrimPrefix(block, "goroutine "), " [")
+		state, _, _ = strings.Cut(state, "]")
+		if state, _, _ = strings.Cut(state, ","); keep != nil && !keep(state) || !owns(v, id) ||
+			!strings.Contains(block, "\ncreated by repro/internal/simclock.(*Virtual).Go") {
 			continue
 		}
 		lines := strings.Split(block, "\n")
-		_, state, _ := strings.Cut(lines[0], " [")
-		state, _, _ = strings.Cut(strings.TrimSuffix(state, "]:"), ",")
 		var frames []string
 		for i := 1; i+1 < len(lines) && len(frames) < 2; i += 2 {
 			fn := lines[i][:strings.LastIndex(lines[i], "(")]
@@ -277,3 +296,5 @@ func waitSites() []string {
 	}
 	return sites
 }
+
+var stackSize atomic.Int64 // the last dump's buffer size

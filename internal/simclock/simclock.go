@@ -13,6 +13,7 @@ package simclock
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -27,6 +28,8 @@ type Clock interface {
 	Go(fn func())
 	// park counts n of the rig's goroutines parked (n < 0: handed back).
 	park(n int)
+	// Lend counts n loans out on the clock's rig (n < 0: back).
+	Lend(n int)
 }
 
 // Timer is an armed timer. Stop disarms it and Reset re-arms it for d from
@@ -55,6 +58,7 @@ func (wall) Now() time.Time                            { return time.Now() }
 func (wall) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 func (wall) Go(fn func())                              { go fn() }
 func (wall) park(int)                                  {}
+func (wall) Lend(int)                                  {}
 
 // Virtual is a discrete-event clock: time moves only in Advance and Run,
 // which fire the timers that come due in (time, arming order). Advance runs
@@ -73,6 +77,7 @@ type Virtual struct {
 	// those not parked; idle is signalled when running reaches zero.
 	live, running int
 	idle          sync.Cond
+	loans         atomic.Int64 // lent on this clock and not back
 }
 
 type event struct {

@@ -383,6 +383,7 @@ type Loan struct {
 	rn     int32 // the raw path's last read(2) onto a read-ahead: bytes, 0 at the end, or -errno; free in its size class
 	pooled bool
 	origin *metrics.Counter // counts a take for a frame: fresh until pooled
+	clock  simclock.Clock   // the rig the loan is counted on: Borrow's
 }
 
 // NewLoan returns an n-byte loan from the smallest class holding n, with its
@@ -394,15 +395,22 @@ func NewLoan(n int) *Loan {
 	} else if l = takeLoan(rxClass(n)); l == nil {
 		l = &Loan{b: make([]byte, rxClassSize(rxClass(n))), pooled: true, origin: obsRxBufAlloc}
 	}
-	l.b = l.b[:n]
+	l.b, l.clock = l.b[:n], simclock.Wall
 	l.refs.Store(1)
 	obsLoans.Add(1)
 	return l
 }
 
-// Borrow returns a wire.Codec.EncodeInto get that puts an n-byte loan in *dst.
-func Borrow(dst **Loan) func(n int) []byte {
-	return func(n int) []byte { *dst = NewLoan(n); (*dst).origin.Inc(); return (*dst).Bytes() }
+// Borrow returns a wire.Codec.EncodeInto get that puts an n-byte loan in
+// *dst, counted out on clock until its last Release.
+func Borrow(dst **Loan, clock simclock.Clock) func(n int) []byte {
+	return func(n int) []byte {
+		*dst = NewLoan(n)
+		(*dst).origin.Inc()
+		(*dst).clock = clock
+		clock.Lend(1)
+		return (*dst).b
+	}
 }
 
 // Bytes returns the loan's buffer.
@@ -426,6 +434,7 @@ func (l *Loan) Release() {
 		panic("transport: Release of a loan already returned")
 	case refs == 0:
 		obsLoans.Add(-1)
+		l.clock.Lend(-1)
 		if b := l.b[:cap(l.b)]; l.pooled {
 			if poisonReleased.Load() {
 				for i := range b {
@@ -510,8 +519,12 @@ func (t *tcpConn) Send(msg interface{}) error {
 		defer e.loan.Release()
 		whole, parts, err = e.marshaled()
 	} else {
-		b := NewLoan(0) // scratch: the recycling counters do not see it
-		defer b.Release()
+		// Scratch, held only inside this call: no counter sees it.
+		b, _ := rxPool.Get().(*Loan)
+		if b == nil {
+			b = &Loan{b: make([]byte, rxClassSize(0)), pooled: true, origin: obsRxBufAlloc}
+		}
+		defer rxPool.Put(b)
 		whole, w.parts, err = frame(msg, b.b, w.parts)
 		parts = w.parts
 	}
