@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/fedavg"
@@ -231,7 +232,7 @@ func SecAggCost(groupSizes []int, vectorLen, totalDevices int, dropRates []float
 		}
 		sum := make([]float64, vectorLen)
 		start := time.Now()
-		if _, err := secagg.Run(cfg, inputs, secagg.Schedule{}, sum); err != nil {
+		if _, err := secagg.Run(cfg, inputs, nil, sum); err != nil {
 			return nil, err
 		}
 		out.ServerTime = append(out.ServerTime, time.Since(start))
@@ -245,9 +246,9 @@ func SecAggCost(groupSizes []int, vectorLen, totalDevices int, dropRates []float
 		out.RecoveryTime = append(out.RecoveryTime, make([]time.Duration, len(dropRates)))
 		for ri, rate := range dropRates {
 			rng := tensor.NewRNG(uint64(1000*si + ri + 1))
-			sched := sim.SecAggChurn(n, cfg.T, sim.ChurnConfig{DropRate: rate}, rng)
+			inj := chaos.New(0, sim.SecAggChurn(n, cfg.T, sim.ChurnConfig{DropRate: rate}, rng), nil)
 			start := time.Now()
-			if _, err := secagg.Run(cfg, inputs, sched, sum); err != nil {
+			if _, err := secagg.Run(cfg, inputs, inj.SecAggLink, sum); err != nil {
 				return nil, err
 			}
 			out.RecoveryTime[si][ri] = time.Since(start)

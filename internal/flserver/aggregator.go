@@ -13,6 +13,7 @@ import (
 	"repro/internal/robust"
 	"repro/internal/secagg"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // Aggregator is the ephemeral per-group aggregation actor (Sec. 4.2) an
@@ -31,9 +32,9 @@ type Aggregator struct {
 	// defaults to the majority n/2 + 1. Set by the EdgeRound from the plan
 	// before spawn (same-package field injection).
 	threshold func(n int) int
-	// churn, when set (tests, simulation), injects additional mid-protocol
-	// churn into the group's secagg schedule on top of the real losses.
-	churn func(n, t int) secagg.Schedule
+	// link, when set (this package's tests), wraps each participant's link
+	// in the group's secagg run.
+	link func(id int, c transport.Conn) transport.Conn
 	// robustPolicy is the task's robust aggregation policy: a per-update
 	// policy makes this group the round's robust reducer, otherwise it is a
 	// secure group (plan.Validate refuses the two together). Injected by
@@ -65,7 +66,7 @@ func (a *Aggregator) Receive(ctx *actor.Context, msg actor.Message) {
 	if m.Buf != nil {
 		updates, evalCount, metrics := m.Buf.Drain()
 		res.Count, res.Metrics = evalCount, metrics
-		res.Err = a.reduce(&res, updates, m.Assigned)
+		res.Err = a.reduce(ctx.System.Clock(), &res, updates, m.Assigned)
 		// Neither reducer's result aliases the update vectors, so they go
 		// back to the edge's stock for the next round's readers at once.
 		m.Buf.Release(updates)
@@ -78,7 +79,7 @@ func (a *Aggregator) Receive(ctx *actor.Context, msg actor.Message) {
 // group's finalization error: the model updates are then gone, but eval-only
 // counts and metrics never depended on the reducer and are still reported.
 // A panic in either reducer becomes that group's error, not the process's.
-func (a *Aggregator) reduce(res *msgGroupResult, updates []robust.Update, assigned []string) (errStr string) {
+func (a *Aggregator) reduce(clock actor.Clock, res *msgGroupResult, updates []robust.Update, assigned []string) (errStr string) {
 	defer func() {
 		if r := recover(); r != nil {
 			errStr = fmt.Sprintf("group reduce panic: %v", r)
@@ -90,7 +91,7 @@ func (a *Aggregator) reduce(res *msgGroupResult, updates []robust.Update, assign
 	if len(updates) == 0 {
 		return ""
 	}
-	return a.secureReduce(res, updates, assigned)
+	return a.secureReduce(clock, res, updates, assigned)
 }
 
 // robustReduce runs the round's per-update retention policy: the buffer
@@ -122,8 +123,8 @@ func (a *Aggregator) robustReduce(res *msgGroupResult, updates []robust.Update) 
 // secureReduce runs the secagg protocol over the group's inputs, each the
 // delta with its weight in the last slot: the weight rides through the
 // secure sum so the server learns Σn without individual n's. Participant i
-// is the group's i-th retained report.
-func (a *Aggregator) secureReduce(res *msgGroupResult, updates []robust.Update, assigned []string) string {
+// is the group's i-th retained report. The run's links wait on clock.
+func (a *Aggregator) secureReduce(clock actor.Clock, res *msgGroupResult, updates []robust.Update, assigned []string) string {
 	delivered := len(updates)
 	if delivered < 2 {
 		// A singleton "group sum" IS the individual update, so a
@@ -135,10 +136,9 @@ func (a *Aggregator) secureReduce(res *msgGroupResult, updates []robust.Update, 
 	}
 	// The instance is sized by the devices assigned to the group, not by
 	// what happened to arrive: a configured device whose connection died or
-	// timed out is a real protocol dropout, entered into the churn schedule
-	// at the share-keys boundary (it checked in — advertised — but never
-	// dealt shares, so it is excluded from the mask set and its loss costs
-	// nothing at unmask time).
+	// timed out is a real protocol dropout, which enters the run with no
+	// input: it advertises but never deals shares, so it is excluded from
+	// the mask set and its loss costs nothing at unmask time.
 	n := delivered
 	var lostNames []string
 	if len(assigned) > delivered {
@@ -164,23 +164,15 @@ func (a *Aggregator) secureReduce(res *msgGroupResult, updates []robust.Update, 
 		return fmt.Sprintf("secagg: only %d of %d group devices delivered (< threshold %d); lost: %s",
 			delivered, n, t, strings.Join(lostNames, ", "))
 	}
-	sched := secagg.Schedule{}
-	if a.churn != nil {
-		sched = a.churn(n, t)
-	}
 	inputs := make(map[int][]float64, n)
 	for i, u := range updates {
 		inputs[i+1] = u.Delta
 	}
 	for id := delivered + 1; id <= n; id++ {
-		// Lost devices participate up to the phase where their loss signal
-		// places them: present at check-in, gone before dealing shares.
-		// Their nil input is never read.
 		inputs[id] = nil
-		sched.DropShareKeys = append(sched.DropShareKeys, id)
 	}
 	sum := a.spares.Take(a.dim + 1)
-	out, err := secagg.Run(secagg.Config{N: n, T: t, VectorLen: a.dim + 1}, inputs, sched, sum)
+	out, err := secagg.Run(secagg.Config{N: n, T: t, VectorLen: a.dim + 1}, inputs, a.link, sum, clock)
 	if out != nil {
 		res.Phases = out.Phases
 		for id, why := range out.Blamed {

@@ -5,12 +5,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/actor"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/robust"
-	"repro/internal/secagg"
 	"repro/internal/storage"
+	"repro/internal/tasks"
+	"repro/internal/transport"
 )
 
 // feedSecureGroup returns a secure group's buffer holding count updates
@@ -51,10 +54,10 @@ func lastGroupResults(t *testing.T, got func() []actor.Message, want int) []msgG
 // TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn extends the plain
 // concurrent-finalization test with live churn: both groups carry a
 // configured-but-lost device, one group's dealer poisons its shares, the
-// other's responder forges its unmask reveal — all while the two secagg
-// runs execute concurrently on the groups' actor goroutines. Run under
-// -race (CI does). Both groups must still commit, with the misbehaving
-// devices blamed by name.
+// other's responder forges its unmask reveal, each a fault on its link —
+// all while the two secagg runs execute concurrently on the groups' actor
+// goroutines. Run under -race (CI does). Both groups must still commit,
+// with the misbehaving devices blamed by name.
 func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
@@ -62,11 +65,11 @@ func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 	aggA := newAggregator(2, master)
 	// Participant 2 (device a1) deals poisoned shares: excluded before
 	// masking, blamed via holder complaints.
-	aggA.churn = func(n, tt int) secagg.Schedule { return secagg.Schedule{PoisonShare: []int{2}} }
+	aggA.link = groupFaults{2: poison}.link
 	aggB := newAggregator(2, master)
 	// Participant 1 (device b0) forges its unmask response: rejected at
 	// the commitment check, blamed, sum reconstructed from the rest.
-	aggB.churn = func(n, tt int) secagg.Schedule { return secagg.Schedule{ForgeUnmask: []int{1}} }
+	aggB.link = groupFaults{1: forge}.link
 	refA := sys.Spawn("agg-a", aggA)
 	refB := sys.Spawn("agg-b", aggB)
 	defer sys.Shutdown(master, refA, refB)
@@ -186,14 +189,36 @@ func TestSecureThresholdFractionOverride(t *testing.T) {
 
 // TestRoundCarriesBlamedDevices: per-group blame survives the edge's merge
 // of the group partials and the Coordinator's merge of the seals into the
-// round record and the round trace.
+// round record and the round trace. The edge is a real EdgeRound whose two
+// groups of 4 run over links that poison participant 2's deal: each group
+// blames that device by name and commits on 3.
 func TestRoundCarriesBlamedDevices(t *testing.T) {
+	p := twoGroupSecurePlan(t)
 	store := newTraceMem()
-	// Participant 2 of every group deals poisoned shares: excluded before
-	// masking, blamed via holder complaints; each group commits on 3 of 4.
-	out := runHookedRound(t, twoGroupSecurePlan(t), store, 8, func(int, int) secagg.Schedule {
-		return secagg.Schedule{PoisonShare: []int{2}}
-	})
+	ts, err := tasks.New("pop", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Seed([]*plan.Plan{p}, simStart); err != nil {
+		t.Fatal(err)
+	}
+	outcomes := make(chan roundOutcome, 1)
+	sys := actor.NewSystem()
+	defer sys.Shutdown()
+	edge := &linkedEdge{t: t, sys: sys, link: groupFaults{2: poison}.link}
+	coord := sys.Spawn("coordinator/pop", newCoordinator(CoordinatorParams{
+		Population: "pop", Lock: actor.NewLockService(), Store: store, Tasks: ts,
+		Edges: []Edge{edge}, MaxRounds: 1, onOutcome: func(out roundOutcome) { outcomes <- out },
+	}))
+	if err := coord.Send(msgTick{}); err != nil {
+		t.Fatal(err)
+	}
+	var out roundOutcome
+	select {
+	case out = <-outcomes:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the round never settled")
+	}
 	if out.Committed == nil {
 		t.Fatalf("round failed: %s", out.FailReason)
 	}
@@ -213,6 +238,46 @@ func TestRoundCarriesBlamedDevices(t *testing.T) {
 		t.Fatalf("round trace does not count the blamed devices: %+v", traces)
 	}
 }
+
+// linkedEdge is an Edge whose round is a real EdgeRound with no devices:
+// at its start its secure groups are replaced by Aggregators over link,
+// each holding one delivered report of ones from each of its assigned
+// devices, and it seals at once.
+type linkedEdge struct {
+	t    *testing.T
+	sys  *actor.System
+	link func(id int, c transport.Conn) transport.Conn
+}
+
+func (e *linkedEdge) Open(cfg *EdgeRoundConfig, coord actor.Ref) error {
+	er := newEdgeRound(*cfg, nil, func(seal EdgeSeal) { _ = DeliverSeal(coord, e, seal) })
+	ref := e.sys.Spawn("edge/pop", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		er.Receive(ctx, msg)
+		if _, start := msg.(msgEdgeStart); !start {
+			return
+		}
+		ones := make([]float64, cfg.Dim)
+		for i := range ones {
+			ones[i] = 1
+		}
+		for g, spawned := range er.aggs {
+			spawned.Stop()
+			agg := newAggregator(cfg.Dim, ctx.Self)
+			agg.link = e.link
+			er.aggs[g] = ctx.Spawn(fmt.Sprintf("edge/pop/linked-%d", g), agg)
+			for i := range 4 {
+				name := fmt.Sprintf("dev-%d", 4*g+i)
+				secureAdd(e.t, er.bufs[g], name, nil, 1, ones...)
+				er.assigned[g] = append(er.assigned[g], name)
+			}
+		}
+		_ = ctx.Self.Send(msgEdgeFinalize{})
+	}))
+	return ref.Send(msgEdgeStart{})
+}
+func (e *linkedEdge) Finalize(string, int64) error { return nil }
+func (e *linkedEdge) Abort(string, int64, string)  {}
+func (e *linkedEdge) ProbeRates(actor.Ref)         {}
 
 // traceMem is a storage.Mem that keeps the round traces it is handed (the
 // optional metrics.TraceStore half of a store), for tests that assert on them.

@@ -5,19 +5,18 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
+	"repro/internal/device"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/robust"
-	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -164,22 +163,22 @@ func TestSecureSingletonRefusesDirectSum(t *testing.T) {
 func TestSecAggFailureStillReportsMetrics(t *testing.T) {
 	// Regression: a secagg failure used to produce an empty msgGroupResult,
 	// silently dropping the group's metrics and hiding the error. The
-	// failure is injected through the protocol's churn hook: a schedule
-	// whose second dealer never deals its shares, so the mask set falls
-	// below the threshold of 2 and the run aborts — or a hook that panics,
+	// failure is injected on the group's links: the second dealer's link
+	// closes as it sends its shares, so the mask set falls below the
+	// threshold of 2 and the run aborts — or a link wrapper that panics,
 	// which must cost the group, not the process.
 	for _, tc := range []struct {
 		name, want string
-		churn      func(n, t int) secagg.Schedule
+		link       func(id int, c transport.Conn) transport.Conn
 	}{
-		{"below threshold", "secagg: abort", func(int, int) secagg.Schedule { return secagg.Schedule{DropShareKeys: []int{2}} }},
-		{"panic", "group reduce panic: injected", func(int, int) secagg.Schedule { panic("injected") }},
+		{"below threshold", "secagg: abort", groupFaults{2: dropShares}.link},
+		{"panic", "group reduce panic: injected", func(int, transport.Conn) transport.Conn { panic("injected") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := actor.NewSystem()
 			master, got, sig := collectMaster(sys)
 			group := newAggregator(2, master)
-			group.churn = tc.churn
+			group.link = tc.link
 			agg := sys.Spawn("agg", group)
 			defer sys.Shutdown(master, agg)
 
@@ -227,62 +226,50 @@ func twoGroupSecurePlan(t *testing.T) *plan.Plan {
 	return p
 }
 
-// runHookedRound runs one round of p through a real Server with the given
-// secagg churn injected into every group, and returns the Coordinator's
-// record of it.
-func runHookedRound(t *testing.T, p *plan.Plan, store storage.Store, devices int, churn func(n, t int) secagg.Schedule) roundOutcome {
-	t.Helper()
-	fed, _ := data.Blobs(data.BlobsConfig{Users: devices, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 41})
+func TestRoundSurfacesGroupErrors(t *testing.T) {
+	// A failed group's metrics still reach storage, its error reaches the
+	// Coordinator's round record, and the round commits on the healthy
+	// group. Three of the eight devices are never eligible: they are
+	// configured and never deliver, and however the two groups of 4
+	// (threshold 3) share them, one group falls below its threshold and the
+	// other commits the 3 or 4 updates it holds.
+	fed, _ := data.Blobs(data.BlobsConfig{Users: 8, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 41})
+	store := storage.NewMem()
+	p := twoGroupSecurePlan(t)
+	p.Server.MinReportFraction = 3.0 / 8 // the healthy group's 3 commit
 	outcomes := make(chan roundOutcome, 16)
 	clock := newWatchedClock()
 	srv, err := newServer(Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 42,
-	}, clock, func(out roundOutcome) { outcomes <- out }, churn)
+	}, clock, func(out roundOutcome) { outcomes <- out })
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := serveMem(t, clock, srv)
-	fl := newFleet(t, devices, fed, 3)
+	fl := newFleet(t, 8, fed, 3)
+	for _, c := range fl.clients[:3] {
+		c.Runtime.Eligibility.Set(device.Conditions{})
+	}
 	fl.run(r, r.dial)
 	defer fl.halt()
 	r.until(t, "the round to settle", func() bool { return len(outcomes) > 0 })
-	return <-outcomes
-}
-
-func TestRoundSurfacesGroupErrors(t *testing.T) {
-	// A failed group's metrics still reach storage, its error reaches the
-	// Coordinator's round record, and the round commits on the healthy
-	// group.
-	store := storage.NewMem()
-	var calls atomic.Int32
-	out := runHookedRound(t, twoGroupSecurePlan(t), store, 8, func(n, _ int) secagg.Schedule {
-		if calls.Add(1) > 1 {
-			return secagg.Schedule{}
-		}
-		// Whichever group finalizes first loses all but one dealer: the
-		// mask set falls below threshold and the run aborts.
-		var sched secagg.Schedule
-		for id := 2; id <= n; id++ {
-			sched.DropShareKeys = append(sched.DropShareKeys, id)
-		}
-		return sched
-	})
+	out := <-outcomes
 	if out.Committed == nil {
 		t.Fatalf("round failed: %s", out.FailReason)
 	}
 	if len(out.GroupErrors) != 1 || !strings.Contains(out.GroupErrors[0], "secagg") {
 		t.Fatalf("group errors not surfaced: %+v", out.GroupErrors)
 	}
-	if out.Completed != 4 {
-		t.Fatalf("completed = %d, want 4 (the failed group's updates are lost)", out.Completed)
+	if out.Completed != 3 && out.Completed != 4 {
+		t.Fatalf("completed = %d, want the healthy group's 3 or 4 (the failed group's updates are lost)", out.Completed)
 	}
 	ms, err := store.Metrics("pop/train")
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("metrics never materialized: %v", err)
 	}
-	if n := ms[0].Stats["train_loss"].Count; n != 8 {
-		t.Fatalf("train_loss count = %d, want 8 (failed group's metrics must not be dropped)", n)
+	if n := ms[0].Stats["train_loss"].Count; n != 5 {
+		t.Fatalf("train_loss count = %d, want 5 (failed group's metrics must not be dropped)", n)
 	}
 }
 

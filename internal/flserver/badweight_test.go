@@ -127,7 +127,7 @@ func refuseThenCommit(t *testing.T, secure bool, robust plan.RobustPolicy, tol f
 	srv, err := newServer(Config{
 		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
 		Steering: pacing.New(time.Second), PopulationEstimate: honest + 2, MaxRounds: 1,
-	}, clock, func(out roundOutcome) { outcomes <- out }, nil)
+	}, clock, func(out roundOutcome) { outcomes <- out })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func runBenchRound(cfg benchRoundConfig) (benchRoundResult, error) {
 		case outcomes <- out:
 		default: // only the first round is measured
 		}
-	}, nil)
+	})
 	if err != nil {
 		return stats, err
 	}

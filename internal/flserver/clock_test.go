@@ -170,7 +170,7 @@ func TestRoundTraceStartsOnTheClock(t *testing.T) {
 	opened := clock.Now()
 	store := newTraceMem()
 	srv, err := newServer(Config{Population: "pop", Plans: []*plan.Plan{testPlan(t, 4, false)}, Store: store,
-		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 1}, clock, nil, nil)
+		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 1}, clock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,9 +69,6 @@ type EdgeRoundConfig struct {
 	// rounds: the stripes, and the updates a retention buffer decodes into
 	// (fedavg.Spares); nil allocates every one.
 	Spares *fedavg.Spares
-	// churn, when set (tests), perturbs every secure group's secagg
-	// schedule on top of the real losses.
-	churn func(n, t int) secagg.Schedule
 	// devices hands a released round's devices map on, cleared, to the
 	// edge's next round (nil: each round makes its own).
 	devices chan map[string]*session
@@ -332,7 +329,6 @@ func (er *EdgeRound) start(ctx *actor.Context) {
 		for g := range er.aggs {
 			agg := newAggregator(er.cfg.Dim, ctx.Self)
 			agg.threshold = srv.SecAggThreshold
-			agg.churn = er.cfg.churn
 			agg.robustPolicy, agg.spares = srv.Robust, er.cfg.Spares
 			if srv.Robust.PerUpdate() {
 				_, agg.obsRejectedTask, agg.obsTrimmedTask = robustTaskCounters(er.cfg.Plan.ID)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/attest"
 	"repro/internal/pacing"
 	"repro/internal/plan"
-	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tasks"
 	"repro/internal/transport"
@@ -94,14 +93,13 @@ func NewFleet(cfg FleetConfig) *Fleet {
 // lock service. Safe to call while Serve is accepting connections — plans
 // can be deployed without restarting the fleet.
 func (f *Fleet) Register(spec PopulationSpec) error {
-	_, err := f.register(spec, nil, nil)
+	_, err := f.register(spec, nil)
 	return err
 }
 
-// register is Register with the round hooks tests inject: every settled
-// round is reported to onOutcome, and churn perturbs the secagg schedule of
-// every secure group.
-func (f *Fleet) register(spec PopulationSpec, onOutcome func(roundOutcome), churn func(n, t int) secagg.Schedule) (*popHost, error) {
+// register is Register with the round hook tests inject: every settled
+// round is reported to onOutcome.
+func (f *Fleet) register(spec PopulationSpec, onOutcome func(roundOutcome)) (*popHost, error) {
 	var edges []Edge
 	h, err := newPopHost(f.sys, CoordinatorParams{
 		Population: spec.Population, Lock: f.lock, Store: spec.Store,
@@ -133,7 +131,6 @@ func (f *Fleet) register(spec PopulationSpec, onOutcome func(roundOutcome), chur
 		f.mu.Unlock()
 		return nil, fmt.Errorf("flserver: register %q on selector: %w", spec.Population, err)
 	}
-	edge.churn = churn
 	edges = []Edge{edge}
 	h.start()
 	return h, nil

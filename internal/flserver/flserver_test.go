@@ -60,6 +60,8 @@ type fleet struct {
 	wg      sync.WaitGroup
 	// slow, when set, holds device i's reports back for slow[i]: stragglers.
 	slow []time.Duration
+	// late, when set, holds device i's first check-in back for late[i].
+	late []time.Duration
 
 	mu       sync.Mutex
 	shapes   map[string]int
@@ -99,6 +101,9 @@ func (f *fleet) run(clock actor.Clock, dial func() (transport.Conn, error)) *fle
 		clock.Go(func() {
 			defer f.wg.Done()
 			defer f.live.Add(-1)
+			if f.late != nil && !actor.Sleep(clock, f.late[i], &f.stop) {
+				return
+			}
 			for {
 				conn, err := dial()
 				if err != nil {
@@ -169,7 +174,7 @@ type rig struct {
 func runServer(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	clock := newWatchedClock()
-	srv, err := newServer(cfg, clock, nil, nil)
+	srv, err := newServer(cfg, clock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,13 +343,17 @@ func TestRoundCompletesDespiteDropouts(t *testing.T) {
 	})
 
 	fl := newFleet(t, 30, fed, 3)
-	// A quarter of the fleet is never eligible: they check in, get
+	// A quarter of the fleet is never eligible: they check in first, get
 	// selected, and immediately interrupt — the drop-out the 130%
-	// over-selection is there to absorb.
+	// over-selection is there to absorb. The rest check in a moment later,
+	// so which devices the rounds admit does not hang on goroutine order.
 	for i, c := range fl.clients {
+		late := time.Millisecond
 		if i%4 == 0 {
 			c.Runtime.Eligibility.Set(device.Conditions{})
+			late = 0
 		}
+		fl.late = append(fl.late, late)
 	}
 	fl.run(r, r.dial)
 	r.waitDone(t)

@@ -44,7 +44,7 @@ func TestMultiTenantDevice(t *testing.T) {
 		srv, err := newServer(Config{
 			Population: pop, Plans: []*plan.Plan{p}, Store: st,
 			Steering: pacing.New(time.Second), MaxRounds: 2, Seed: 43,
-		}, clock, nil, nil)
+		}, clock, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"repro/internal/attest"
 	"repro/internal/pacing"
 	"repro/internal/plan"
-	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -37,16 +36,16 @@ type Server struct {
 }
 
 // New builds the server and spawns its actors.
-func New(cfg Config) (*Server, error) { return newServer(cfg, nil, nil, nil) }
+func New(cfg Config) (*Server, error) { return newServer(cfg, nil, nil) }
 
 // newServer is New with what tests and benchmarks inject: the fleet's clock
-// and the round hooks (see Fleet.register).
-func newServer(cfg Config, clock actor.Clock, onOutcome func(roundOutcome), churn func(n, t int) secagg.Schedule) (*Server, error) {
+// and the round hook (see Fleet.register).
+func newServer(cfg Config, clock actor.Clock, onOutcome func(roundOutcome)) (*Server, error) {
 	f := NewFleet(FleetConfig{Verifier: cfg.Verifier, Seed: cfg.Seed, Clock: clock})
 	h, err := f.register(PopulationSpec{
 		Population: cfg.Population, Plans: cfg.Plans, Store: cfg.Store,
 		Steering: cfg.Steering, PopulationEstimate: cfg.PopulationEstimate, MaxRounds: cfg.MaxRounds,
-	}, onOutcome, churn)
+	}, onOutcome)
 	if err != nil {
 		f.Close()
 		return nil, err

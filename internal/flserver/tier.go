@@ -9,7 +9,6 @@ import (
 	"repro/internal/attest"
 	"repro/internal/fedavg"
 	"repro/internal/pacing"
-	"repro/internal/secagg"
 	"repro/internal/transport"
 )
 
@@ -134,8 +133,6 @@ type LocalEdge struct {
 	// spares carries the round vectors — stripes, retained updates — from
 	// one round to the next.
 	spares fedavg.Spares
-	// churn is injected into the secure groups of every round (tests).
-	churn func(n, t int) secagg.Schedule
 	// devices carries a released round's devices map to a later round.
 	devices chan map[string]*session
 
@@ -150,7 +147,7 @@ type LocalEdge struct {
 // Open implements Edge.
 func (e *LocalEdge) Open(cfg *EdgeRoundConfig, coord actor.Ref) error {
 	local := *cfg
-	local.Spares, local.churn, local.devices = &e.spares, e.churn, e.devices
+	local.Spares, local.devices = &e.spares, e.devices
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.abandon("superseded by a newer round")

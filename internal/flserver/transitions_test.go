@@ -23,7 +23,9 @@ func TestIllegalTransitions(t *testing.T) {
 	for _, m := range []interface{}{protocol.CheckinRequest{}, protocol.CheckinResponse{}, protocol.ReportRequest{},
 		protocol.ReportResponse{}, protocol.Abort{}, protocol.StripeSeal{}, protocol.RoundConfig{},
 		protocol.RoundFinalize{}, protocol.RoundAbort{}, protocol.ShardHello{}, protocol.CheckinRate{},
-		protocol.ActorEnvelope{}, protocol.Heartbeat{}, protocol.TelemetrySnapshot{}} {
+		protocol.ActorEnvelope{}, protocol.Heartbeat{}, protocol.TelemetrySnapshot{}, protocol.SecAggAdvertise{},
+		protocol.SecAggRoster{}, protocol.SecAggShares{}, protocol.SecAggRouted{}, protocol.SecAggComplaint{},
+		protocol.SecAggMaskSet{}, protocol.SecAggMasked{}, protocol.SecAggSurvivors{}, protocol.SecAggUnmask{}} {
 		code, _, _ := protocol.MarshalBinary(m)
 		zero[code] = m
 	}
@@ -58,8 +60,8 @@ func TestIllegalTransitions(t *testing.T) {
 			})
 		}
 	}
-	if illegal != 3*14-6 {
-		t.Fatalf("%d illegal (phase, code) pairs, want 36: the table's legal set changed", illegal)
+	if illegal != 3*23-6 {
+		t.Fatalf("%d illegal (phase, code) pairs, want 63: the table's legal set changed", illegal)
 	}
 }
 

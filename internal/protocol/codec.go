@@ -31,6 +31,16 @@ const (
 	CodeActorEnvelope
 	CodeHeartbeat
 	CodeTelemetrySnapshot
+	// Secure Aggregation's messages (secagg.go).
+	CodeSecAggAdvertise
+	CodeSecAggRoster
+	CodeSecAggShares
+	CodeSecAggRouted
+	CodeSecAggComplaint
+	CodeSecAggMaskSet
+	CodeSecAggMasked
+	CodeSecAggSurvivors
+	CodeSecAggUnmask
 	codeEnd
 )
 
@@ -54,9 +64,10 @@ const (
 	ShardLink Sender = "shard link"
 )
 
-// Phase is a device session's place in the protocol of Sec. 2.2, one bit
-// each so that a row can name a set of them.
-type Phase uint8
+// Phase is a device session's place in the protocol of Sec. 2.2, or in
+// Secure Aggregation's four rounds (Sec. 6), one bit each so that a row can
+// name a set of them.
+type Phase uint16
 
 const (
 	PhaseCheckin    Phase = 1 << iota // the check-in is sent, its verdict awaited
@@ -64,9 +75,13 @@ const (
 	PhaseReported                     // the report is sent, its verdict awaited
 	PhaseDone                         // the session ended
 	PhaseAborted                      // the server aborted the session
+	PhaseAdvertise                    // keys advertised; the roster not yet broadcast
+	PhaseShare                        // shares dealt and relayed; the mask set not yet broadcast
+	PhaseMask                         // masked inputs sent; the survivors not yet broadcast
+	PhaseUnmask                       // unmask responses sent
 )
 
-var phaseNames = [...]string{"checkin", "configured", "reported", "done", "aborted"}
+var phaseNames = [...]string{"checkin", "configured", "reported", "done", "aborted", "advertise", "share", "mask", "unmask"}
 
 // String names the phases in p.
 func (p Phase) String() string {
@@ -110,6 +125,15 @@ var table = [codeEnd]Row{
 	CodeActorEnvelope:     {"ActorEnvelope", bulkFrame, false, ShardLink, 0},
 	CodeHeartbeat:         {"Heartbeat", smallFrame, false, ShardLink, 0},
 	CodeTelemetrySnapshot: {"TelemetrySnapshot", bulkFrame, false, ShardLink, 0},
+	CodeSecAggAdvertise:   {"SecAggAdvertise", smallFrame, false, Device, PhaseAdvertise},
+	CodeSecAggRoster:      {"SecAggRoster", bulkFrame, false, Server, PhaseAdvertise},
+	CodeSecAggShares:      {"SecAggShares", bulkFrame, false, Device, PhaseShare},
+	CodeSecAggRouted:      {"SecAggRouted", bulkFrame, false, Server, PhaseShare},
+	CodeSecAggComplaint:   {"SecAggComplaint", smallFrame, false, Device, PhaseShare},
+	CodeSecAggMaskSet:     {"SecAggMaskSet", smallFrame, false, Server, PhaseShare},
+	CodeSecAggMasked:      {"SecAggMasked", bulkFrame, false, Device, PhaseMask},
+	CodeSecAggSurvivors:   {"SecAggSurvivors", smallFrame, false, Server, PhaseMask},
+	CodeSecAggUnmask:      {"SecAggUnmask", bulkFrame, false, Device, PhaseUnmask},
 }
 
 // Lookup returns code's row, so a transport can judge a frame by its header
@@ -126,12 +150,18 @@ func Lookup(code byte) (row Row, ok bool) {
 // arrived and when. A legal message costs a sizing walk, which names its
 // code, and a table read: no allocation.
 func Judge(msg interface{}, from Sender, phase Phase) (byte, error) {
-	var c wire.Codec
-	code := walk(&c, msg)
+	code := CodeOf(msg)
 	if row := table[code]; row.Sender != from || row.Phases&phase == 0 {
 		return 0, fmt.Errorf("protocol: %T from the %s is illegal in phase %s", msg, from, phase)
 	}
 	return code, nil
+}
+
+// CodeOf returns msg's type code from a sizing walk, 0 for a type without
+// one.
+func CodeOf(msg interface{}) byte {
+	var c wire.Codec
+	return walk(&c, msg)
 }
 
 // Size returns the length of msg's MarshalBinary payload from a sizing
@@ -213,6 +243,8 @@ func walkPeer(c *wire.Codec, msg interface{}) (code byte) {
 		code = m.walk(c)
 	case TelemetrySnapshot:
 		code = m.walk(c)
+	default:
+		return walkSecAgg(c, msg)
 	}
 	return code
 }
@@ -287,6 +319,15 @@ var decoders = [codeEnd]func(c wire.Codec) (any, error){
 	CodeActorEnvelope:     func(c wire.Codec) (any, error) { var m ActorEnvelope; m.walk(&c); return m, c.Finish() },
 	CodeHeartbeat:         func(c wire.Codec) (any, error) { var m Heartbeat; m.walk(&c); return m, c.Finish() },
 	CodeTelemetrySnapshot: func(c wire.Codec) (any, error) { var m TelemetrySnapshot; m.walk(&c); return m, c.Finish() },
+	CodeSecAggAdvertise:   func(c wire.Codec) (any, error) { var m SecAggAdvertise; m.walk(&c); return m, c.Finish() },
+	CodeSecAggRoster:      func(c wire.Codec) (any, error) { var m SecAggRoster; m.walk(&c); return m, c.Finish() },
+	CodeSecAggShares:      func(c wire.Codec) (any, error) { var m SecAggShares; m.walk(&c); return m, c.Finish() },
+	CodeSecAggRouted:      func(c wire.Codec) (any, error) { var m SecAggRouted; m.walk(&c); return m, c.Finish() },
+	CodeSecAggComplaint:   func(c wire.Codec) (any, error) { var m SecAggComplaint; m.walk(&c); return m, c.Finish() },
+	CodeSecAggMaskSet:     func(c wire.Codec) (any, error) { var m SecAggMaskSet; m.walk(&c); return m, c.Finish() },
+	CodeSecAggMasked:      func(c wire.Codec) (any, error) { var m SecAggMasked; m.walk(&c); return m, c.Finish() },
+	CodeSecAggSurvivors:   func(c wire.Codec) (any, error) { var m SecAggSurvivors; m.walk(&c); return m, c.Finish() },
+	CodeSecAggUnmask:      func(c wire.Codec) (any, error) { var m SecAggUnmask; m.walk(&c); return m, c.Finish() },
 }
 
 // The layouts. Each walk names the message's fields in wire order — a

@@ -208,6 +208,16 @@ func allocMessages() map[byte]interface{} {
 		CodeHeartbeat:      Heartbeat{Seq: 1, Ack: true},
 		CodeTelemetrySnapshot: TelemetrySnapshot{Shard: 1, Counters: map[string]int64{"c": 1},
 			Gauges: map[string]float64{"g": 1}, Summaries: map[string][]float64{"s": {1, 2}}},
+		CodeSecAggAdvertise: SecAggAdvertise{ID: 1, CPub: make([]byte, 32), SPub: make([]byte, 32)},
+		CodeSecAggRoster:    SecAggRoster{Adverts: make([]SecAggAdvertise, 16)},
+		CodeSecAggShares: SecAggShares{Shares: make([]RoutedShare, 15),
+			Commitments: ShareCommitments{B: make([][32]byte, 16), SK: make([][32]byte, 16)}},
+		CodeSecAggRouted:    SecAggRouted{Shares: make([]RoutedShare, 15), Commitments: make([]ShareCommitments, 16)},
+		CodeSecAggComplaint: SecAggComplaint{By: 1, Against: 2, Reason: "undecryptable bundle"},
+		CodeSecAggMaskSet:   SecAggMaskSet{IDs: make([]int, 16)},
+		CodeSecAggMasked:    SecAggMasked{ID: 1, Y: make([]uint64, 1000)},
+		CodeSecAggSurvivors: SecAggSurvivors{IDs: make([]int, 16)},
+		CodeSecAggUnmask:    SecAggUnmask{From: 1, BShares: make([]OwnerShare, 12), SKShares: make([]OwnerShare, 3)},
 	}
 }
 
@@ -222,6 +232,10 @@ func TestCodecAllocs(t *testing.T) {
 		CodeReportResponse: {2, 1}, CodeAbort: {2, 1}, CodeStripeSeal: {3, 6}, CodeRoundConfig: {3, 1},
 		CodeRoundFinalize: {2, 1}, CodeRoundAbort: {2, 1}, CodeShardHello: {2, 1}, CodeCheckinRate: {2, 1},
 		CodeActorEnvelope: {2, 1}, CodeHeartbeat: {2, 1}, CodeTelemetrySnapshot: {2, 12},
+		// The secure rows: a box and each list the message holds.
+		CodeSecAggAdvertise: {2, 1}, CodeSecAggRoster: {2, 2}, CodeSecAggShares: {2, 4}, CodeSecAggRouted: {2, 3},
+		CodeSecAggComplaint: {2, 2}, CodeSecAggMaskSet: {2, 2}, CodeSecAggMasked: {2, 2}, CodeSecAggSurvivors: {2, 2},
+		CodeSecAggUnmask: {2, 3},
 	}
 	msgs := allocMessages()
 	for _, code := range codes() {
@@ -304,6 +318,9 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		f.Add(h[0].(byte), h[1].([]byte))
 	}
 	for _, h := range hostileShardPayloads() {
+		f.Add(h[0].(byte), h[1].([]byte))
+	}
+	for _, h := range hostileSecAggPayloads() {
 		f.Add(h[0].(byte), h[1].([]byte))
 	}
 	f.Fuzz(func(t *testing.T, code byte, payload []byte) {

@@ -58,6 +58,20 @@ func goldenMessages() map[byte]interface{} {
 			Counters:  map[string]int64{"fl_checkins_total": 512, "fl_reports_total": 40},
 			Gauges:    map[string]float64{"fl_checkin_rate": 12.5, "fl_selector_pooled": 3},
 			Summaries: map[string][]float64{"fl_seal_seconds": {4, 0.5, 0.1, 0.2, 0.9, 0.5, 0.8, 0.9}, "fl_round_seconds": {1, 2}}},
+		CodeSecAggAdvertise: SecAggAdvertise{ID: 3, CPub: []byte("c-public-key"), SPub: []byte("s-public-key")},
+		CodeSecAggRoster: SecAggRoster{Adverts: []SecAggAdvertise{{ID: 1, CPub: []byte{1, 2}, SPub: []byte{3, 4}},
+			{ID: 3, CPub: []byte{5}, SPub: []byte{6}}}},
+		CodeSecAggShares: SecAggShares{Shares: []RoutedShare{{Owner: 3, Holder: 1, CT: []byte{7, 8, 9}}, {Owner: 3, Holder: 5, CT: []byte{10}}},
+			Commitments: ShareCommitments{Owner: 3, B: [][32]byte{{1}, {2}}, SK: [][32]byte{{3}, {4}}}},
+		CodeSecAggRouted: SecAggRouted{Shares: []RoutedShare{{Owner: 3, Holder: 1, CT: []byte{7, 8, 9}}, {Owner: 5, Holder: 1, CT: []byte{11}}},
+			Commitments: []ShareCommitments{{Owner: 3, B: [][32]byte{{1}}, SK: [][32]byte{{2}}}, {Owner: 5, B: [][32]byte{{3}}, SK: [][32]byte{{4}}}}},
+		CodeSecAggComplaint: SecAggComplaint{By: 1, Against: 3, Reason: "share does not open broadcast commitment"},
+		CodeSecAggMaskSet:   SecAggMaskSet{IDs: []int{1, 2, 5}},
+		CodeSecAggMasked:    SecAggMasked{ID: 2, Y: []uint64{1, 1 << 60, 42}},
+		CodeSecAggSurvivors: SecAggSurvivors{IDs: []int{1, 5}},
+		CodeSecAggUnmask: SecAggUnmask{From: 1,
+			BShares:  []OwnerShare{{Owner: 5, Share: SecretShare{X: 1, Ys: [6]uint64{1, 2, 3, 4, 5, 6}}, Blinder: [16]byte{9}}},
+			SKShares: []OwnerShare{{Owner: 2, Share: SecretShare{X: 1, Ys: [6]uint64{6, 5, 4, 3, 2, 1}}, Blinder: [16]byte{8}}}},
 	}
 }
 
@@ -147,8 +161,7 @@ func TestDesignWireTable(t *testing.T) {
 			t.Errorf("%s's walk does not follow its fields' declared order and widths", row.Name)
 		}
 		var fields []string
-		for i := range filled.NumField() {
-			f := filled.Type().Field(i)
+		for _, f := range wireFields(filled.Type()) {
 			fields = append(fields, fmt.Sprintf("`%s` %s", f.Name, layoutKind(f.Type)))
 		}
 		buffer := "owned"
@@ -185,9 +198,31 @@ func ceiling(n int) string {
 	return fmt.Sprintf("%d KiB", n>>10)
 }
 
+// wireFields are the fields of struct type t a walk visits: all but those
+// tagged `wire:"-"`.
+func wireFields(t reflect.Type) []reflect.StructField {
+	var out []reflect.StructField
+	for i := range t.NumField() {
+		if f := t.Field(i); f.Tag.Get("wire") != "-" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // layoutKind names the wire kind a field of type t is walked as.
 func layoutKind(t reflect.Type) string {
 	switch t.Kind() {
+	case reflect.Struct:
+		var kinds []string
+		for _, f := range wireFields(t) {
+			kinds = append(kinds, layoutKind(f.Type))
+		}
+		return "{" + strings.Join(kinds, " ") + "}"
+	case reflect.Array:
+		return fmt.Sprintf("%d×%s", t.Len(), layoutKind(t.Elem()))
+	case reflect.Uint8:
+		return "u8"
 	case reflect.Bool:
 		return "bool"
 	case reflect.Uint32:
@@ -216,10 +251,17 @@ func layoutKind(t reflect.Type) string {
 func byLayout(b []byte, v reflect.Value) []byte {
 	switch v.Kind() {
 	case reflect.Struct:
-		for i := range v.NumField() {
-			b = byLayout(b, v.Field(i))
+		for _, f := range wireFields(v.Type()) {
+			b = byLayout(b, v.FieldByIndex(f.Index))
 		}
 		return b
+	case reflect.Array:
+		for i := range v.Len() {
+			b = byLayout(b, v.Index(i))
+		}
+		return b
+	case reflect.Uint8:
+		return append(b, byte(v.Uint()))
 	case reflect.Bool:
 		if v.Bool() {
 			return append(b, 1)

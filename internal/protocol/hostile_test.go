@@ -204,3 +204,68 @@ func TestShardCodecHostileAllocationBounded(t *testing.T) {
 		t.Fatalf("hostile decodes allocated %d bytes total over %d iterations", grew, iters*len(hostile))
 	}
 }
+
+// hostileSecAggPayloads are secure rows whose counts promise more adverts,
+// shares, commitments, ids or elements — or longer byte strings — than the
+// payload holds.
+func hostileSecAggPayloads() map[string][2]interface{} {
+	const billion = 0x40000000
+	return map[string][2]interface{}{
+		"advertise key 4GiB":             {CodeSecAggAdvertise, hUv(hInt(nil, 1), 0xFFFFFFFF)},
+		"roster 1B adverts":              {CodeSecAggRoster, hUv(nil, billion)},
+		"shares 1B bundles":              {CodeSecAggShares, hUv(nil, billion)},
+		"shares bundle 4GiB":             {CodeSecAggShares, hUv(hInt(hInt(hUv(nil, 1), 3), 1), 0xFFFFFFFF)},
+		"shares 1B commitments":          {CodeSecAggShares, hUv(hInt(hUv(nil, 0), 3), billion)},
+		"shares commitment past the end": {CodeSecAggShares, append(hUv(hInt(hUv(nil, 0), 3), 1), make([]byte, 31)...)},
+		"routed 1B commitment sets":      {CodeSecAggRouted, hUv(hUv(nil, 0), billion)},
+		"complaint reason 4GiB":          {CodeSecAggComplaint, hUv(hInt(hInt(nil, 1), 2), 0xFFFFFFFF)},
+		"mask set 1B ids":                {CodeSecAggMaskSet, hUv(nil, billion)},
+		"masked 1B elements":             {CodeSecAggMasked, hUv(hInt(nil, 1), billion)},
+		"masked element past the end":    {CodeSecAggMasked, append(hUv(hInt(nil, 1), 2), make([]byte, 15)...)},
+		"survivors 1B ids":               {CodeSecAggSurvivors, hUv(nil, billion)},
+		"unmask 1B shares":               {CodeSecAggUnmask, hUv(hInt(nil, 1), billion)},
+		"unmask share past the end":      {CodeSecAggUnmask, append(hUv(hInt(nil, 1), 1), make([]byte, 72)...)},
+	}
+}
+
+// TestSecAggCodecHostileLengths: every hostile secure row is refused before
+// anything is made for its claim — the count is checked against the bytes
+// left first — so a hundred rounds of refusals allocate only their errors.
+func TestSecAggCodecHostileLengths(t *testing.T) {
+	hostile := hostileSecAggPayloads()
+	for name, h := range hostile {
+		if _, err := UnmarshalBinary(h[0].(byte), h[1].([]byte)); err == nil {
+			t.Errorf("%s decoded cleanly", name)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const iters = 100
+	for range iters {
+		for _, h := range hostile {
+			_, _ = UnmarshalBinary(h[0].(byte), h[1].([]byte))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(iters*len(hostile)); per > 1<<10 {
+		t.Fatalf("a refused secure row allocates %d bytes", per)
+	}
+}
+
+// TestJudgeRefusesSecureRowsFromTheWrongSender: each secure row is legal
+// from its Sender in its phase, and from no other sender in any phase.
+func TestJudgeRefusesSecureRowsFromTheWrongSender(t *testing.T) {
+	golden := goldenMessages()
+	for code := CodeSecAggAdvertise; code <= CodeSecAggUnmask; code++ {
+		row, _ := Lookup(code)
+		for _, from := range []Sender{Device, Server, ShardLink} {
+			for phase := PhaseCheckin; phase <= PhaseUnmask; phase <<= 1 {
+				_, err := Judge(golden[code], from, phase)
+				if legal := from == row.Sender && phase&row.Phases != 0; (err == nil) != legal {
+					t.Errorf("%s from the %s in phase %s: judged %v, legal %v", row.Name, from, phase, err, legal)
+				}
+			}
+		}
+	}
+}

@@ -38,14 +38,12 @@ func TestAllPhaseChurnGroupCommits(t *testing.T) {
 	cfg := Config{N: n, T: tt, VectorLen: 3}
 	inputs := seqInputs(n, cfg.VectorLen)
 
-	sched := Schedule{
-		DropAdvertise:  span(1, 5),   // gone before Round 0
-		DropShareKeys:  span(6, 10),  // advertised, never dealt shares
-		PoisonShare:    []int{11},    // dealt corrupted shares
-		DropAfterShare: span(12, 21), // dealt shares, never sent masked input
-		DropAfterMask:  span(22, 31), // sent masked input, never unmasked
-	}
-	res, err := RunSchedule(cfg, inputs, sched)
+	faults := faults{11: poison}             // dealt a poisoned deal
+	faults.set(dropAdvertise, span(1, 5)...) // gone before Round 0
+	faults.set(dropShares, span(6, 10)...)   // advertised, never dealt shares
+	faults.set(dropMasked, span(12, 21)...)  // dealt shares, never sent masked input
+	faults.set(dropUnmask, span(22, 31)...)  // sent masked input, never unmasked
+	res, err := runWith(cfg, inputs, faults)
 	if err != nil {
 		t.Fatalf("group must commit under maximal churn: %v", err)
 	}
@@ -85,7 +83,7 @@ func TestAllPhaseChurnGroupCommits(t *testing.T) {
 func TestPoisonedDealerBlamedAndExcluded(t *testing.T) {
 	cfg := Config{N: 8, T: 5, VectorLen: 2}
 	inputs := seqInputs(8, cfg.VectorLen)
-	res, err := RunSchedule(cfg, inputs, Schedule{PoisonShare: []int{3}})
+	res, err := runWith(cfg, inputs, faults{3: poison})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +112,7 @@ func TestBlameIsDeterministic(t *testing.T) {
 	sum := make([]float64, cfg.VectorLen)
 	want := map[int]string{3: "complaint from 1: share does not open broadcast commitment"}
 	for run := range 20 {
-		res, err := Run(cfg, inputs, Schedule{PoisonShare: []int{3}}, sum)
+		res, err := Run(cfg, inputs, faults{3: poison}.link, sum)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,10 +131,7 @@ func TestForgedUnmaskBlamedSumStillCorrect(t *testing.T) {
 	inputs := seqInputs(8, cfg.VectorLen)
 	// One real dropout forces the expensive recovery path (masking-key
 	// reconstruction) to run on verified shares too.
-	res, err := RunSchedule(cfg, inputs, Schedule{
-		DropAfterShare: []int{2},
-		ForgeUnmask:    []int{6},
-	})
+	res, err := runWith(cfg, inputs, faults{2: dropMasked, 6: forge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +157,16 @@ func TestBelowThresholdChurnAbortsCleanly(t *testing.T) {
 	inputs := seqInputs(8, cfg.VectorLen)
 	cases := []struct {
 		name  string
-		sched Schedule
+		drop  fault
 		phase string
 	}{
-		{"share round", Schedule{DropShareKeys: span(1, 4)}, "masked-input"},
-		{"mask round", Schedule{DropAfterShare: span(1, 4)}, "unmask"},
-		{"unmask round", Schedule{DropAfterMask: span(1, 4)}, "reconstruction"},
+		{"share round", dropShares, "masked-input"},
+		{"mask round", dropMasked, "unmask"},
+		{"unmask round", dropUnmask, "reconstruction"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunSchedule(cfg, inputs, tc.sched)
+			res, err := runWith(cfg, inputs, faults{}.set(tc.drop, span(1, 4)...))
 			if err == nil {
 				t.Fatal("below-threshold churn must abort")
 			}
@@ -188,15 +183,15 @@ func TestBelowThresholdChurnAbortsCleanly(t *testing.T) {
 	}
 }
 
-// TestMalformedInputTreatedAsDropout: a mask-set member whose update is
-// missing or the wrong length degrades to a DropAfterShare dropout —
-// the group commits without it instead of stalling or aborting.
+// TestMalformedInputTreatedAsDropout: a device whose update is missing or
+// the wrong length drops out before it deals shares — the group commits
+// without it instead of stalling or aborting.
 func TestMalformedInputTreatedAsDropout(t *testing.T) {
 	cfg := Config{N: 6, T: 4, VectorLen: 2}
 	inputs := seqInputs(6, cfg.VectorLen)
 	inputs[4] = nil                // lost before reporting
 	inputs[5] = []float64{1, 2, 3} // wrong dimension
-	res, err := RunSchedule(cfg, inputs, Schedule{})
+	res, err := runWith(cfg, inputs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,44 +10,8 @@ import (
 	"slices"
 
 	"repro/internal/field"
+	"repro/internal/protocol"
 )
-
-// KeyAdvert is a device's Round-0 message: its identity and two X25519
-// public keys (CPub for share encryption, SPub for pairwise masking).
-// cPK and sPK are those keys parsed, once an instance: by
-// Server.RegisterAdvert, whose roster broadcast carries them to every client.
-type KeyAdvert struct {
-	ID       int
-	CPub     []byte
-	SPub     []byte
-	cPK, sPK *ecdh.PublicKey
-}
-
-// RoutedShare is an encrypted Round-1 share bundle in transit: the server
-// routes it to its holder, who needs Owner to derive the decryption key.
-type RoutedShare struct {
-	Owner  int
-	Holder int
-	CT     []byte
-}
-
-// OwnerShare is one revealed share in a Round-3 unmask response. Blinder
-// opens the owner's broadcast commitment to this share, letting the
-// server verify the revelation before it enters reconstruction.
-type OwnerShare struct {
-	Owner   int
-	Share   chunkedShare
-	Blinder [field.BlinderLen]byte
-}
-
-// UnmaskResponse is a device's Round-3 message: shares of the personal mask
-// seeds of survivors and of the masking secret keys of dropped devices.
-// A correct client never reveals both kinds for the same owner.
-type UnmaskResponse struct {
-	From     int
-	BShares  []OwnerShare
-	SKShares []OwnerShare
-}
 
 // Client is one device's protocol state machine: advertise → share (dealt,
 // received) → mask → unmask → done. IDs are 1-based and must be unique
@@ -69,14 +33,6 @@ type Client struct {
 	roster roster
 	pos    int
 	peers  []peer
-
-	// poison and forge are adversary injection hooks for the churn driver
-	// and tests: poison corrupts the Round-1 share bundles after the
-	// commitments are computed (holders detect the mismatch and complain);
-	// forge corrupts the shares revealed in the Round-3 unmask response
-	// (the server detects the mismatch and blames this responder).
-	poison bool
-	forge  bool
 
 	bundles *sealScratch // what ShareKeys sealed into, until release
 }
@@ -126,16 +82,16 @@ func NewClient(id int, cfg Config) (*Client, error) {
 }
 
 // Advertise returns the Round-0 key advertisement.
-func (c *Client) Advertise() KeyAdvert {
+func (c *Client) Advertise() protocol.SecAggAdvertise {
 	cPK, sPK := c.cKey.PublicKey(), c.sKey.PublicKey()
-	return KeyAdvert{ID: c.id, CPub: cPK.Bytes(), SPub: sPK.Bytes(), cPK: cPK, sPK: sPK}
+	return protocol.SecAggAdvertise{ID: c.id, CPub: cPK.Bytes(), SPub: sPK.Bytes(), CPK: cPK, SPK: sPK}
 }
 
 // ReceiveRoster installs the server's broadcast of Round-0 adverts (the set
 // U1), which it keeps and the caller must not modify. The roster must list
 // ids in ascending order, each with its keys parsed, and contain this
 // client and at least T participants.
-func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
+func (c *Client) ReceiveRoster(roster []protocol.SecAggAdvertise) error {
 	if err := c.phase.expect(advertising, "ReceiveRoster"); err != nil {
 		return err
 	}
@@ -146,7 +102,7 @@ func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
 		if i > 0 && a.ID <= roster[i-1].ID {
 			return fmt.Errorf("secagg: duplicate or unsorted id %d in roster", a.ID)
 		}
-		if a.cPK == nil || a.sPK == nil {
+		if a.CPK == nil || a.SPK == nil {
 			return fmt.Errorf("secagg: roster entry %d carries no parsed keys", a.ID)
 		}
 	}
@@ -161,19 +117,20 @@ func (c *Client) ReceiveRoster(roster []KeyAdvert) error {
 }
 
 // roster is a broadcast of U1, ids ascending.
-type roster []KeyAdvert
+type roster []protocol.SecAggAdvertise
 
 // find returns id's position.
 func (r roster) find(id int) (int, bool) {
-	return slices.BinarySearchFunc(r, id, func(a KeyAdvert, id int) int { return cmp.Compare(a.ID, id) })
+	return slices.BinarySearchFunc(r, id, func(a protocol.SecAggAdvertise, id int) int { return cmp.Compare(a.ID, id) })
 }
 
 // ShareKeys produces the Round-1 encrypted share bundles, one per other
 // roster member, and the matching commitment broadcast, which covers this
 // client's own shares too; those stay on the device. It deals once.
-func (c *Client) ShareKeys() ([]RoutedShare, ShareCommitments, error) {
+func (c *Client) ShareKeys() ([]protocol.RoutedShare, protocol.ShareCommitments, error) {
+	var none protocol.ShareCommitments
 	if err := c.phase.expect(sharing, "ShareKeys"); err != nil {
-		return nil, ShareCommitments{}, err
+		return nil, none, err
 	}
 	n, t := len(c.roster), c.cfg.T
 	// Per-instance tables by holder position: both secrets' shares, their
@@ -181,17 +138,17 @@ func (c *Client) ShareKeys() ([]RoutedShare, ShareCommitments, error) {
 	// into pooled scratch, which release gives back.
 	deal, ys, coef := make([]chunkedShare, 2*n), make([]uint64, n), make([]byte, 8*(t-1))
 	if err := splitBytes(deal[:n], c.seed[:], t, ys, coef); err != nil {
-		return nil, ShareCommitments{}, err
+		return nil, none, err
 	}
 	if err := splitBytes(deal[n:], c.sKey.Bytes(), t, ys, coef); err != nil {
-		return nil, ShareCommitments{}, err
+		return nil, none, err
 	}
 	blind := make([]byte, 2*n*field.BlinderLen)
 	if _, err := io.ReadFull(rand.Reader, blind); err != nil {
-		return nil, ShareCommitments{}, fmt.Errorf("secagg: blinders: %w", err)
+		return nil, none, fmt.Errorf("secagg: blinders: %w", err)
 	}
 	coms := make([][field.CommitmentLen]byte, 2*n)
-	own := ShareCommitments{Owner: c.id, B: coms[:n:n], SK: coms[n:]}
+	own := protocol.ShareCommitments{Owner: c.id, B: coms[:n:n], SK: coms[n:]}
 	c.bundles = sealPool.Get().(*sealScratch)
 	out := slices.Grow(c.bundles.out[:0], n)[:n] // zero: pooled wiped
 	sealed := slices.Grow(c.bundles.sealed[:0], n*sealedLen)[:n*sealedLen]
@@ -208,22 +165,16 @@ func (c *Client) ShareKeys() ([]RoutedShare, ShareCommitments, error) {
 			c.peers[i].shares, c.peers[i].held = b, true
 			return nil
 		}
-		if c.poison {
-			// Adversary hook: commit honestly, then ship a share that does
-			// not open the commitment — the holder must detect and complain.
-			b.BShare.Ys[0] = field.Add(b.BShare.Ys[0], 1)
-			b.SKShare.Ys[0] = field.Add(b.SKShare.Ys[0], 1)
-		}
 		gcm, err := c.deriveC(i)
 		if err != nil {
 			return err
 		}
 		c.peers[i].gcm = gcm
-		out[i] = RoutedShare{Owner: c.id, Holder: b.Holder, CT: sealed[i*sealedLen : (i+1)*sealedLen : (i+1)*sealedLen]}
+		out[i] = protocol.RoutedShare{Owner: c.id, Holder: b.Holder, CT: sealed[i*sealedLen : (i+1)*sealedLen : (i+1)*sealedLen]}
 		return sealBundle(out[i].CT, gcm, &b)
 	})
 	if err != nil {
-		return nil, ShareCommitments{}, err
+		return nil, none, err
 	}
 	c.phase = dealt
 	return slices.Delete(out, c.pos, c.pos+1), own, nil
@@ -238,7 +189,7 @@ func (c *Client) ShareKeys() ([]RoutedShare, ShareCommitments, error) {
 // attributing the bad share to its owner, and the protocol continues
 // without that owner. Only a server-side routing bug (a bundle for a
 // different holder, or one from this client to itself) is a hard error.
-func (c *Client) ReceiveShares(commits []ShareCommitments, shares []RoutedShare) ([]Complaint, error) {
+func (c *Client) ReceiveShares(commits []protocol.ShareCommitments, shares []protocol.RoutedShare) ([]protocol.SecAggComplaint, error) {
 	if err := c.phase.expect(dealt, "ReceiveShares"); err != nil {
 		return nil, err
 	}
@@ -249,16 +200,16 @@ func (c *Client) ReceiveShares(commits []ShareCommitments, shares []RoutedShare)
 	}
 	c.phase = received
 	n := len(c.roster)
-	coms := make([]*ShareCommitments, n) // by owner position, into the broadcast
+	coms := make([]*protocol.ShareCommitments, n) // by owner position, into the broadcast
 	for i := range commits {
-		if p, ok := c.roster.find(commits[i].Owner); ok && commits[i].validate(n) == nil {
+		if p, ok := c.roster.find(commits[i].Owner); ok && validCommits(&commits[i], n) == nil {
 			coms[p] = &commits[i]
 		}
 	}
 	wantX := uint64(c.pos + 1)
-	var complaints []Complaint
+	var complaints []protocol.SecAggComplaint
 	complain := func(owner int, reason string) {
-		complaints = append(complaints, Complaint{By: c.id, Against: owner, Reason: reason})
+		complaints = append(complaints, protocol.SecAggComplaint{By: c.id, Against: owner, Reason: reason})
 	}
 	pt := make([]byte, 0, bundleWireLen) // every bundle opens into this
 	for _, rs := range shares {
@@ -338,7 +289,7 @@ func (c *Client) MaskedInput(x []float64) ([]uint64, error) {
 }
 
 // maskInto is MaskedInput written over the caller's VectorLen-element y: x
-// is encoded into the vector the masks are then folded into. RunSchedule
+// is encoded into the vector the masks are then folded into. Run
 // hands every client of an instance the same y, which Server.AddMasked has
 // consumed by the time the next client masks.
 func (c *Client) maskInto(y []uint64, x []float64) ([]uint64, error) {
@@ -378,7 +329,7 @@ func (c *Client) maskInto(y []uint64, x []float64) ([]uint64, error) {
 // It refuses to reveal when the survivor set is below threshold (which
 // would let a malicious server unmask an individual) and never reveals both
 // share kinds for one owner.
-func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
+func (c *Client) Unmask(survivors []int) (*protocol.SecAggUnmask, error) {
 	if err := c.phase.expect(unmasking, "Unmask"); err != nil {
 		return nil, err
 	}
@@ -396,7 +347,7 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 		}
 		surv[p] = true
 	}
-	resp := &UnmaskResponse{From: c.id, BShares: make([]OwnerShare, 0, len(survivors))}
+	resp := &protocol.SecAggUnmask{From: c.id, BShares: make([]protocol.OwnerShare, 0, len(survivors))}
 	for p, pr := range c.peers {
 		// An owner excluded before masking contributed no masks, so neither
 		// of its secrets is needed — and revealing its masking key
@@ -405,12 +356,9 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 		if !pr.masked || !pr.held {
 			continue
 		}
-		os := OwnerShare{Owner: c.roster[p].ID, Share: pr.shares.SKShare, Blinder: pr.shares.SKBlind}
+		os := protocol.OwnerShare{Owner: c.roster[p].ID, Share: pr.shares.SKShare, Blinder: pr.shares.SKBlind}
 		if surv[p] {
 			os.Share, os.Blinder = pr.shares.BShare, pr.shares.BBlind
-		}
-		if c.forge {
-			os.Share.Ys[0] = field.Add(os.Share.Ys[0], 1)
 		}
 		if surv[p] {
 			resp.BShares = append(resp.BShares, os)
@@ -425,7 +373,7 @@ func (c *Client) Unmask(survivors []int) (*UnmaskResponse, error) {
 // deriveC builds the share-encryption AEAD with the peer at roster
 // position p (cache-free; safe to call from workers).
 func (c *Client) deriveC(p int) (cipher.AEAD, error) {
-	shared, err := c.cKey.ECDH(c.roster[p].cPK)
+	shared, err := c.cKey.ECDH(c.roster[p].CPK)
 	if err != nil {
 		return nil, err
 	}
@@ -454,7 +402,7 @@ func (c *Client) maskSeed(p int) ([32]byte, error) {
 	if p == c.pos {
 		return seedKey(c.seed[:]), nil
 	}
-	shared, err := c.sKey.ECDH(c.roster[p].sPK)
+	shared, err := c.sKey.ECDH(c.roster[p].SPK)
 	if err != nil {
 		return [32]byte{}, err
 	}

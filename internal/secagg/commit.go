@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/field"
+	"repro/internal/protocol"
 )
 
 // Verifiable sharing (the Feldman-VSS role, adapted — see
@@ -46,34 +47,12 @@ func verifyChunked(owner int, kind byte, s chunkedShare, blinder [field.BlinderL
 	return field.VerifyShare(commitContext(ctx[:0], owner, kind), s.X, s.Ys[:], blinder, commitment[:])
 }
 
-// ShareCommitments is one owner's Round-1 commitment broadcast: for every
-// holder index i (evaluation point x = i+1 over the sorted roster), the
-// commitments to the b-seed share and the masking-key share sent to that
-// holder. The server relays the full set to every participant with the
-// routed shares.
-type ShareCommitments struct {
-	Owner int
-	// B[i] and SK[i] are the digests for holder index i.
-	B  [][field.CommitmentLen]byte
-	SK [][field.CommitmentLen]byte
-}
-
-// validate checks structural integrity for a roster of n holders.
-func (sc *ShareCommitments) validate(n int) error {
+// validCommits checks an owner's commitment broadcast covers a roster of n
+// holders.
+func validCommits(sc *protocol.ShareCommitments, n int) error {
 	if len(sc.B) != n || len(sc.SK) != n {
 		return fmt.Errorf("secagg: commitments from %d cover %d/%d holders, want %d",
 			sc.Owner, len(sc.B), len(sc.SK), n)
 	}
 	return nil
-}
-
-// Complaint is a holder's Round-1.5 report that an owner's share bundle
-// failed verification (undecryptable, mis-addressed, or inconsistent with
-// the owner's broadcast commitments). The server excludes blamed owners
-// from the mask set before the masked-input round — a survivor cannot be
-// evicted after its masked input has joined the online sum.
-type Complaint struct {
-	By      int
-	Against int
-	Reason  string
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/protocol"
 )
 
 // hostileHarness runs an honest instance — commitments, complaints, mask
@@ -67,7 +68,7 @@ func sharedHarness(t *testing.T, cfg Config, n int) (*Server, map[int]*Client, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []RoutedShare
+	var all []protocol.RoutedShare
 	for _, c := range clients {
 		if err := c.ReceiveRoster(roster); err != nil {
 			t.Fatal(err)
@@ -157,7 +158,7 @@ func TestServerRejectsHostileUnmaskResponses(t *testing.T) {
 	srv, clients, survivors := hostileHarness(t, cfg, 6, []int{2})
 
 	// A client unmasks once; each case tampers with a copy of its response.
-	responses := map[int]*UnmaskResponse{}
+	responses := map[int]*protocol.SecAggUnmask{}
 	for _, id := range []int{1, 3, 4} {
 		r, err := clients[id].Unmask(survivors)
 		if err != nil {
@@ -165,51 +166,51 @@ func TestServerRejectsHostileUnmaskResponses(t *testing.T) {
 		}
 		responses[id] = r
 	}
-	honest := func(id int) *UnmaskResponse {
+	honest := func(id int) *protocol.SecAggUnmask {
 		r := *responses[id]
-		r.BShares = append([]OwnerShare(nil), r.BShares...)
-		r.SKShares = append([]OwnerShare(nil), r.SKShares...)
+		r.BShares = append([]protocol.OwnerShare(nil), r.BShares...)
+		r.SKShares = append([]protocol.OwnerShare(nil), r.SKShares...)
 		return &r
 	}
 
 	cases := []struct {
 		name string
-		resp func() *UnmaskResponse
+		resp func() *protocol.SecAggUnmask
 		want string // substring the attributed error must carry
 	}{
-		{"unknown responder", func() *UnmaskResponse {
+		{"unknown responder", func() *protocol.SecAggUnmask {
 			r := honest(1)
 			r.From = 99
 			return r
 		}, "unknown device 99"},
-		{"duplicate owner in response", func() *UnmaskResponse {
+		{"duplicate owner in response", func() *protocol.SecAggUnmask {
 			r := honest(1)
 			r.BShares = append(r.BShares, r.BShares[0])
 			return r
 		}, "duplicate share for owner"},
-		{"share for non-roster device", func() *UnmaskResponse {
+		{"share for non-roster device", func() *protocol.SecAggUnmask {
 			r := honest(1)
 			r.BShares[0].Owner = 42
 			return r
 		}, "non-roster device 42"},
-		{"stolen response (wrong evaluation point)", func() *UnmaskResponse {
+		{"stolen response (wrong evaluation point)", func() *protocol.SecAggUnmask {
 			// Device 3 replays device 1's shares as its own: every share
 			// sits at evaluation point 1, not 3.
 			r := honest(1)
 			r.From = 3
 			return r
 		}, "evaluation point"},
-		{"forged share value", func() *UnmaskResponse {
+		{"forged share value", func() *protocol.SecAggUnmask {
 			r := honest(1)
 			r.BShares[0].Share.Ys[0]++
 			return r
 		}, "forged share"},
-		{"forged blinder", func() *UnmaskResponse {
+		{"forged blinder", func() *protocol.SecAggUnmask {
 			r := honest(1)
 			r.BShares[0].Blinder = [field.BlinderLen]byte{}
 			return r
 		}, "forged share"},
-		{"masking-key share for a survivor", func() *UnmaskResponse {
+		{"masking-key share for a survivor", func() *protocol.SecAggUnmask {
 			r := honest(1)
 			os := r.SKShares[0] // dropped device 2's key share
 			os.Owner = 4        // relabeled as survivor 4
@@ -217,7 +218,7 @@ func TestServerRejectsHostileUnmaskResponses(t *testing.T) {
 			r.BShares = nil // avoid tripping the duplicate-owner check first
 			return r
 		}, "refusing to unmask"},
-		{"personal-seed share for a dropped device", func() *UnmaskResponse {
+		{"personal-seed share for a dropped device", func() *protocol.SecAggUnmask {
 			r := honest(1)
 			os := r.BShares[0]
 			os.Owner = 2 // device 2 dropped; its seed must stay sealed
@@ -289,7 +290,7 @@ func TestServerRejectsHostileCommitmentsAndComplaints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.RegisterCommitments(ShareCommitments{Owner: 1}); err == nil {
+	if err := srv.RegisterCommitments(protocol.ShareCommitments{Owner: 1}); err == nil {
 		t.Fatal("commitments before roster freeze must be rejected")
 	}
 	roster, err := srv.Roster()
@@ -301,19 +302,19 @@ func TestServerRejectsHostileCommitmentsAndComplaints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.RegisterCommitments(ShareCommitments{Owner: 99}); err == nil {
+	if err := srv.RegisterCommitments(protocol.ShareCommitments{Owner: 99}); err == nil {
 		t.Fatal("commitments from unknown device must be rejected")
 	}
-	if err := srv.RegisterCommitments(ShareCommitments{Owner: 1}); err == nil {
+	if err := srv.RegisterCommitments(protocol.ShareCommitments{Owner: 1}); err == nil {
 		t.Fatal("short commitment set must be rejected")
 	}
 	if why, ok := srv.Blamed()[1]; !ok || !strings.Contains(why, "cover") {
 		t.Fatalf("malformed commitments must blame the owner: %v", srv.Blamed())
 	}
-	if err := srv.RegisterComplaint(Complaint{By: 99, Against: 2}); err == nil {
+	if err := srv.RegisterComplaint(protocol.SecAggComplaint{By: 99, Against: 2}); err == nil {
 		t.Fatal("complaint from unknown device must be rejected")
 	}
-	if err := srv.RegisterComplaint(Complaint{By: 2, Against: 99}); err == nil {
+	if err := srv.RegisterComplaint(protocol.SecAggComplaint{By: 2, Against: 99}); err == nil {
 		t.Fatal("complaint against unknown device must be rejected")
 	}
 
@@ -335,7 +336,7 @@ func TestServerRejectsHostileCommitmentsAndComplaints(t *testing.T) {
 	if len(maskIDs) != 2 || maskIDs[0] != 2 || maskIDs[1] != 3 {
 		t.Fatalf("mask set = %v, want [2 3]", maskIDs)
 	}
-	if err := srv.RegisterComplaint(Complaint{By: 2, Against: 3}); err == nil {
+	if err := srv.RegisterComplaint(protocol.SecAggComplaint{By: 2, Against: 3}); err == nil {
 		t.Fatal("complaint after mask-set freeze must be rejected")
 	}
 	if err := srv.AddMasked(1, make([]uint64, 1)); err == nil ||

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/protocol"
 )
 
 // TestSurvivorSetFreezesWhenAnnounced: once the server announces U2, a
@@ -80,15 +82,15 @@ func TestStepsRefusedOutOfPhase(t *testing.T) {
 	// What the steps exchange, filled in as the instance proceeds; a step
 	// called out of phase is refused before it reads its arguments.
 	var (
-		roster    []KeyAdvert
-		shares    []RoutedShare
-		byHolder  [][]RoutedShare // by holder position: device 1 at 0
-		commits   []ShareCommitments
-		own       ShareCommitments
+		roster    []protocol.SecAggAdvertise
+		shares    []protocol.RoutedShare
+		byHolder  [][]protocol.RoutedShare // by holder position: device 1 at 0
+		commits   []protocol.ShareCommitments
+		own       protocol.ShareCommitments
 		maskIDs   []int
 		masked    []uint64
 		survivors []int
-		response  *UnmaskResponse
+		response  *protocol.SecAggUnmask
 	)
 	steps := []struct {
 		name  string
@@ -105,7 +107,7 @@ func TestStepsRefusedOutOfPhase(t *testing.T) {
 		{"Server.Roster", advertising, func() error { _, err := srv.Roster(); return err }},
 		{"Server.RegisterCommitments", sharing, func() error { return srv.RegisterCommitments(own) }},
 		{"Server.RouteShares", sharing, func() error { _, _, err := srv.RouteShares(shares); return err }},
-		{"Server.RegisterComplaint", sharing, func() error { return srv.RegisterComplaint(Complaint{By: 2, Against: 1}) }},
+		{"Server.RegisterComplaint", sharing, func() error { return srv.RegisterComplaint(protocol.SecAggComplaint{By: 2, Against: 1}) }},
 		{"Server.MaskSet", sharing, func() error { _, err := srv.MaskSet(); return err }},
 		{"Server.AddMasked", masking, func() error { return srv.AddMasked(1, masked) }},
 		{"Server.Survivors", masking, func() error { _, err := srv.Survivors(); return err }},

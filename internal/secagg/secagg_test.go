@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/tensor"
 )
 
@@ -26,9 +27,14 @@ func encode(x []float64) []uint64 { return encodeInto(make([]uint64, len(x)), x)
 
 func decode(y []uint64) []float64 { return decodeInto(make([]float64, len(y)), y) }
 
+// runWith is Run into a fresh vector, each device's link under its fault.
+func runWith(cfg Config, inputs map[int][]float64, faults faults) (*Result, error) {
+	return Run(cfg, inputs, faults.link, make([]float64, cfg.VectorLen))
+}
+
 // run drives an honest-but-churning instance with the two dropout kinds.
 func run(cfg Config, inputs map[int][]float64, dropAfterShare, dropAfterMask []int) ([]float64, []int, error) {
-	res, err := RunSchedule(cfg, inputs, Schedule{DropAfterShare: dropAfterShare, DropAfterMask: dropAfterMask})
+	res, err := runWith(cfg, inputs, faults{}.set(dropMasked, dropAfterShare...).set(dropUnmask, dropAfterMask...))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -287,7 +293,7 @@ func TestInstanceLeavesPoolsClean(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	cfg := Config{N: 6, T: 4, VectorLen: 700}
 	// A device lost after sharing sends Server.Sum down its ECDH branch.
-	if _, err := Run(cfg, seqInputs(cfg.N, cfg.VectorLen), Schedule{DropAfterShare: []int{2}}, make([]float64, cfg.VectorLen)); err != nil {
+	if _, err := Run(cfg, seqInputs(cfg.N, cfg.VectorLen), faults{2: dropMasked}.link, make([]float64, cfg.VectorLen)); err != nil {
 		t.Fatal(err)
 	}
 	newScratch, newSeal := scratchPool.New, sealPool.New
@@ -304,7 +310,7 @@ func TestInstanceLeavesPoolsClean(t *testing.T) {
 	}
 	for b, _ := sealPool.Get().(*sealScratch); b != nil; b, _ = sealPool.Get().(*sealScratch) {
 		pooled++
-		if slices.ContainsFunc(b.out[:cap(b.out)], func(rs RoutedShare) bool { return rs.CT != nil || rs.Owner != 0 }) ||
+		if slices.ContainsFunc(b.out[:cap(b.out)], func(rs protocol.RoutedShare) bool { return rs.CT != nil || rs.Owner != 0 }) ||
 			slices.ContainsFunc(b.sealed[:cap(b.sealed)], func(x byte) bool { return x != 0 }) {
 			t.Fatal("a bundle scratch went back to the pool holding a routed share or ciphertext")
 		}
@@ -564,7 +570,7 @@ func TestServerRejectsDuplicatesAndUnknowns(t *testing.T) {
 	if _, err := srv.Roster(); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.RegisterAdvert(KeyAdvert{ID: 3}); err == nil {
+	if err := srv.RegisterAdvert(protocol.SecAggAdvertise{ID: 3}); err == nil {
 		t.Fatal("advert after roster freeze must be rejected")
 	}
 
@@ -701,28 +707,28 @@ func TestClientStateMachineErrors(t *testing.T) {
 	// Roster problems.
 	c2, _ := NewClient(2, cfg)
 	c3, _ := NewClient(3, cfg)
-	if err := c.ReceiveRoster([]KeyAdvert{c2.Advertise()}); err == nil {
+	if err := c.ReceiveRoster([]protocol.SecAggAdvertise{c2.Advertise()}); err == nil {
 		t.Fatal("roster below threshold must fail")
 	}
-	if err := c.ReceiveRoster([]KeyAdvert{c2.Advertise(), c3.Advertise()}); err == nil {
+	if err := c.ReceiveRoster([]protocol.SecAggAdvertise{c2.Advertise(), c3.Advertise()}); err == nil {
 		t.Fatal("roster without self must fail")
 	}
 	dup := c2.Advertise()
-	if err := c.ReceiveRoster([]KeyAdvert{c.Advertise(), dup, dup}); err == nil {
+	if err := c.ReceiveRoster([]protocol.SecAggAdvertise{c.Advertise(), dup, dup}); err == nil {
 		t.Fatal("duplicate roster ids must fail")
 	}
 
 	// Valid roster; then a misrouted share bundle.
-	if err := c.ReceiveRoster([]KeyAdvert{c.Advertise(), c2.Advertise(), c3.Advertise()}); err != nil {
+	if err := c.ReceiveRoster([]protocol.SecAggAdvertise{c.Advertise(), c2.Advertise(), c3.Advertise()}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.ShareKeys(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReceiveShares(nil, []RoutedShare{{Owner: 2, Holder: 99}}); err == nil {
+	if _, err := c.ReceiveShares(nil, []protocol.RoutedShare{{Owner: 2, Holder: 99}}); err == nil {
 		t.Fatal("misrouted share must fail")
 	}
-	if _, err := c.ReceiveShares(nil, []RoutedShare{{Owner: 1, Holder: 1}}); err == nil {
+	if _, err := c.ReceiveShares(nil, []protocol.RoutedShare{{Owner: 1, Holder: 1}}); err == nil {
 		t.Fatal("a share routed back to its owner must fail: a client keeps its own")
 	}
 
@@ -790,7 +796,7 @@ func TestMaskPathAllocs(t *testing.T) {
 	inputs := seqInputs(cfg.N, cfg.VectorLen)
 	sum := make([]float64, cfg.VectorLen)
 	instance := func() {
-		if _, err := Run(cfg, inputs, Schedule{}, sum); err != nil {
+		if _, err := Run(cfg, inputs, nil, sum); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -841,7 +847,7 @@ func TestCryptoOpsCounted(t *testing.T) {
 		}
 		return out
 	}
-	check := func(name string, sched Schedule, instances int, want map[string]int64) {
+	check := func(name string, faults faults, instances int, want map[string]int64) {
 		t.Helper()
 		before := ops()
 		var wg sync.WaitGroup
@@ -849,7 +855,7 @@ func TestCryptoOpsCounted(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := RunSchedule(cfg, inputs, sched); err != nil {
+				if _, err := runWith(cfg, inputs, faults); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -861,11 +867,11 @@ func TestCryptoOpsCounted(t *testing.T) {
 			}
 		}
 	}
-	check("no drop", Schedule{}, 2, map[string]int64{
+	check("no drop", nil, 2, map[string]int64{
 		"client keygen": 2 * n, "client agree": n * 2 * (n - 1), "client aead": n * (n - 1), "client prg": n * n,
 		"server prg": n,
 	})
-	check("one dropped after sharing", Schedule{DropAfterShare: []int{5}}, 1, map[string]int64{
+	check("one dropped after sharing", faults{5: dropMasked}, 1, map[string]int64{
 		"client keygen": 2 * n, "client agree": n*2*(n-1) - (n - 1), "client aead": n * (n - 1), "client prg": (n - 1) * n,
 		"server agree": n - 1, "server prg": 2 * (n - 1),
 	})
@@ -888,7 +894,7 @@ func TestConcurrentInstancesShareScratch(t *testing.T) {
 			inputs := seqInputs(cfg.N, dim) // multiples of 1/8: exact in fixed point
 			for round := 0; round < 3; round++ {
 				dropped := 1 + (g+round)%cfg.N
-				res, err := RunSchedule(cfg, inputs, Schedule{DropAfterShare: []int{dropped}})
+				res, err := runWith(cfg, inputs, faults{dropped: dropMasked})
 				if err != nil {
 					t.Errorf("group %d round %d: %v", g, round, err)
 					return

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 )
 
 // Process-wide secagg counters (cached pointers; the instruments live in
@@ -69,7 +70,7 @@ type Server struct {
 type member struct {
 	// commits is the device's broadcast share commitments; registration
 	// (a non-nil B) doubles as the "shares delivered" signal for the mask set.
-	commits ShareCommitments
+	commits protocol.ShareCommitments
 	// blamed is why the device was excluded or rejected; "" if it was not.
 	blamed string
 	// maskSet: in the mask set, frozen by MaskSet — shares delivered and
@@ -88,7 +89,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Server{cfg: cfg, roster: make([]KeyAdvert, 0, cfg.N), sum: lend(cfg.VectorLen)}, nil
+	return &Server{cfg: cfg, roster: make(roster, 0, cfg.N), sum: lend(cfg.VectorLen)}, nil
 }
 
 // release pools the running sum, wiped: Sum's result must be read first.
@@ -97,22 +98,22 @@ func (s *Server) release() { s.sum.release() }
 // RegisterAdvert records a Round-0 key advertisement, parsing its two
 // public keys once for the whole instance: the roster broadcast carries
 // them parsed to every client. Registration closes when Roster is called.
-func (s *Server) RegisterAdvert(a KeyAdvert) error {
+func (s *Server) RegisterAdvert(a protocol.SecAggAdvertise) error {
 	if err := s.phase.expect(advertising, "RegisterAdvert"); err != nil {
 		return err
 	}
 	if a.ID < 1 {
 		return fmt.Errorf("secagg: invalid id %d", a.ID)
 	}
-	if slices.ContainsFunc(s.roster, func(b KeyAdvert) bool { return b.ID == a.ID }) {
+	if slices.ContainsFunc(s.roster, func(b protocol.SecAggAdvertise) bool { return b.ID == a.ID }) {
 		return fmt.Errorf("secagg: duplicate advert from %d", a.ID)
 	}
 	if len(s.roster) >= s.cfg.N {
 		return fmt.Errorf("secagg: instance full (%d participants)", s.cfg.N)
 	}
 	var err error
-	if a.cPK, err = ecdh.X25519().NewPublicKey(a.CPub); err == nil {
-		a.sPK, err = ecdh.X25519().NewPublicKey(a.SPub)
+	if a.CPK, err = ecdh.X25519().NewPublicKey(a.CPub); err == nil {
+		a.SPK, err = ecdh.X25519().NewPublicKey(a.SPub)
 	}
 	if err != nil {
 		return fmt.Errorf("secagg: advert from %d: %w", a.ID, err)
@@ -124,14 +125,14 @@ func (s *Server) RegisterAdvert(a KeyAdvert) error {
 // Roster freezes and returns the participant set U1 for broadcast: the
 // server's own table, which every client keeps as given and no one may
 // modify. It fails if fewer than T devices advertised.
-func (s *Server) Roster() ([]KeyAdvert, error) {
+func (s *Server) Roster() ([]protocol.SecAggAdvertise, error) {
 	if err := s.phase.expect(advertising, "Roster"); err != nil {
 		return nil, err
 	}
 	if len(s.roster) < s.cfg.T {
 		return nil, fmt.Errorf("secagg: only %d adverts, need ≥ %d", len(s.roster), s.cfg.T)
 	}
-	slices.SortFunc(s.roster, func(a, b KeyAdvert) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(s.roster, func(a, b protocol.SecAggAdvertise) int { return cmp.Compare(a.ID, b.ID) })
 	s.members = make([]member, len(s.roster))
 	s.phase = sharing
 	return s.roster, nil
@@ -140,7 +141,7 @@ func (s *Server) Roster() ([]KeyAdvert, error) {
 // RegisterCommitments records an owner's Round-1 commitment broadcast.
 // Registration is the server's "shares delivered" signal: an owner with
 // no registered commitments never enters the mask set.
-func (s *Server) RegisterCommitments(sc ShareCommitments) error {
+func (s *Server) RegisterCommitments(sc protocol.ShareCommitments) error {
 	if err := s.phase.expect(sharing, "RegisterCommitments"); err != nil {
 		return err
 	}
@@ -152,7 +153,7 @@ func (s *Server) RegisterCommitments(sc ShareCommitments) error {
 	if m.commits.B != nil {
 		return fmt.Errorf("secagg: duplicate commitments from %d", sc.Owner)
 	}
-	if err := sc.validate(len(s.roster)); err != nil {
+	if err := validCommits(&sc, len(s.roster)); err != nil {
 		m.blamed = err.Error()
 		obsBlamed.Inc()
 		return err
@@ -167,19 +168,19 @@ func (s *Server) RegisterCommitments(sc ShareCommitments) error {
 // beside them. It works in all's storage: the bundles are sorted in place
 // by holder, then owner, and the result holds by holder position a window
 // of it.
-func (s *Server) RouteShares(all []RoutedShare) ([][]RoutedShare, []ShareCommitments, error) {
+func (s *Server) RouteShares(all []protocol.RoutedShare) ([][]protocol.RoutedShare, []protocol.ShareCommitments, error) {
 	if err := s.phase.expect(sharing, "RouteShares"); err != nil {
 		return nil, nil, err
 	}
-	all = slices.DeleteFunc(all, func(rs RoutedShare) bool {
+	all = slices.DeleteFunc(all, func(rs protocol.RoutedShare) bool {
 		_, owner := s.roster.find(rs.Owner)
 		_, holder := s.roster.find(rs.Holder)
 		return !owner || !holder || rs.Owner == rs.Holder
 	})
-	slices.SortFunc(all, func(a, b RoutedShare) int {
+	slices.SortFunc(all, func(a, b protocol.RoutedShare) int {
 		return cmp.Or(cmp.Compare(a.Holder, b.Holder), cmp.Compare(a.Owner, b.Owner))
 	})
-	byHolder := make([][]RoutedShare, len(s.roster))
+	byHolder := make([][]protocol.RoutedShare, len(s.roster))
 	for p, a := range s.roster {
 		n := 0
 		for n < len(all) && all[n].Holder == a.ID {
@@ -187,7 +188,7 @@ func (s *Server) RouteShares(all []RoutedShare) ([][]RoutedShare, []ShareCommitm
 		}
 		byHolder[p], all = all[:n:n], all[n:]
 	}
-	commits := make([]ShareCommitments, 0, len(s.members))
+	commits := make([]protocol.ShareCommitments, 0, len(s.members))
 	for _, m := range s.members {
 		if m.commits.B != nil {
 			commits = append(commits, m.commits)
@@ -200,7 +201,7 @@ func (s *Server) RouteShares(all []RoutedShare) ([][]RoutedShare, []ShareCommitm
 // bundle failed verification. The owner is blamed and excluded when the
 // mask set freezes; complaints after the freeze are rejected — a device
 // whose masked input may already be in the online sum cannot be evicted.
-func (s *Server) RegisterComplaint(c Complaint) error {
+func (s *Server) RegisterComplaint(c protocol.SecAggComplaint) error {
 	if err := s.phase.expect(sharing, "RegisterComplaint"); err != nil {
 		return err
 	}
@@ -313,7 +314,7 @@ func (s *Server) Survivors() ([]int, error) {
 // responder (recorded in Blamed); reconstruction then proceeds from the
 // other responders' shares, so a forger can force at most an attributed
 // abort — never a wrong sum.
-func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
+func (s *Server) AddUnmaskResponse(r *protocol.SecAggUnmask) error {
 	if err := s.phase.expect(unmasking, "AddUnmaskResponse"); err != nil {
 		return err
 	}
@@ -336,7 +337,7 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 		return err
 	}
 	seen := make([]bool, len(s.roster)) // by owner position
-	check := func(os OwnerShare, kind byte) error {
+	check := func(os protocol.OwnerShare, kind byte) error {
 		p, ok := s.roster.find(os.Owner)
 		if !ok {
 			return blame("share for non-roster device %d", os.Owner)
@@ -381,7 +382,7 @@ func (s *Server) AddUnmaskResponse(r *UnmaskResponse) error {
 	// Every share verified: admit the response atomically.
 	from.unmasked = true
 	s.responded++
-	for _, list := range [...][]OwnerShare{r.BShares, r.SKShares} {
+	for _, list := range [...][]protocol.OwnerShare{r.BShares, r.SKShares} {
 		for _, os := range list {
 			p, _ := s.roster.find(os.Owner)
 			if m := &s.members[p]; len(m.revealed) < s.cfg.T {
@@ -456,7 +457,7 @@ func (s *Server) Sum() ([]uint64, error) {
 			// Survivor v's masked input contains +PRG(s_vu) when v<u and
 			// −PRG(s_vu) when v>u; cancel that residual.
 			pv, _ := s.roster.find(v)
-			tasks = append(tasks, maskTask{owner: u, peer: v, sk: sk, pub: s.roster[pv].sPK, sub: v < u})
+			tasks = append(tasks, maskTask{owner: u, peer: v, sk: sk, pub: s.roster[pv].SPK, sub: v < u})
 		}
 	}
 

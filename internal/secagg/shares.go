@@ -11,22 +11,20 @@ import (
 	"sync"
 
 	"repro/internal/field"
+	"repro/internal/protocol"
 )
 
 // 32-byte secrets (X25519 private keys, PRG seeds) are shared through the
 // 61-bit field by chunking into 48-bit pieces: 6 chunks cover 288 ≥ 256 bits.
 const (
-	secretChunks  = 6
+	secretChunks  = len(chunkedShare{}.Ys)
 	chunkBits     = 48
 	chunkBytes    = chunkBits / 8
 	secretByteLen = 32
 )
 
 // chunkedShare is one participant's share of a 32-byte secret.
-type chunkedShare struct {
-	X  uint64
-	Ys [secretChunks]uint64
-}
+type chunkedShare = protocol.SecretShare
 
 // splitBytes Shamir-shares a 32-byte secret among len(dst) holders, dst[i]
 // at evaluation point i+1, any t of them reconstructing it. ys (len(dst)
@@ -138,7 +136,7 @@ func unmarshalBundle(buf []byte, b *shareBundle) error {
 // shares and the ciphertexts they point into. It is pooled and goes back
 // wiped, like maskScratch, and only ever holds ciphertext.
 type sealScratch struct {
-	out    []RoutedShare
+	out    []protocol.RoutedShare
 	sealed []byte
 }
 

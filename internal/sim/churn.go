@@ -1,7 +1,10 @@
 package sim
 
 import (
-	"repro/internal/secagg"
+	"strconv"
+
+	"repro/internal/chaos"
+	"repro/internal/protocol"
 	"repro/internal/tensor"
 )
 
@@ -23,35 +26,35 @@ type ChurnConfig struct {
 }
 
 // SecAggChurn draws a dropout/adversary schedule for a group of n devices
-// (ids 1..n) with Shamir threshold t. Every drop, poisoned dealer, and
-// forged responder removes at most one contribution from the final unmask
+// (ids 1..n) with Shamir threshold t, as faults on their links in
+// secagg.Run (roles "secagg:<id>", chaos.Injector.SecAggLink): a drop is a
+// reset as the device sends its advert, its shares or its unmask response,
+// or as it is told the mask set; a poisoned deal or a forged unmask is a
+// corruption of its shares or its unmask response.
+// Every fault removes at most one contribution from the final unmask
 // round, so the draw caps their total at n − t: the schedule is always
 // survivable and the group commits. Rates high enough to exceed the cap
 // are truncated, device order randomized by the draw itself (earlier ids
 // are not favoured: each device rolls independently until the budget is
 // spent).
-func SecAggChurn(n, t int, cfg ChurnConfig, rng *tensor.RNG) secagg.Schedule {
-	var sched secagg.Schedule
+func SecAggChurn(n, t int, cfg ChurnConfig, rng *tensor.RNG) chaos.Spec {
+	var spec chaos.Spec
 	budget := n - t
-	phases := []*[]int{
-		&sched.DropAdvertise,
-		&sched.DropShareKeys,
-		&sched.DropAfterShare,
-		&sched.DropAfterMask,
+	fault := func(id int, code byte, corrupt bool) {
+		role := chaos.RoleSecAgg + chaos.Role(":"+strconv.Itoa(id))
+		spec.Resets = append(spec.Resets, chaos.Reset{Role: role, Code: code, Corrupt: corrupt})
+		budget--
 	}
+	drops := []byte{protocol.CodeSecAggAdvertise, protocol.CodeSecAggShares, protocol.CodeSecAggMaskSet, protocol.CodeSecAggUnmask}
 	for id := 1; id <= n && budget > 0; id++ {
 		switch r := rng.Float64(); {
 		case r < cfg.DropRate:
-			p := phases[rng.Intn(len(phases))]
-			*p = append(*p, id)
-			budget--
+			fault(id, drops[rng.Intn(len(drops))], false)
 		case r < cfg.DropRate+cfg.PoisonRate:
-			sched.PoisonShare = append(sched.PoisonShare, id)
-			budget--
+			fault(id, protocol.CodeSecAggShares, true)
 		case r < cfg.DropRate+cfg.PoisonRate+cfg.ForgeRate:
-			sched.ForgeUnmask = append(sched.ForgeUnmask, id)
-			budget--
+			fault(id, protocol.CodeSecAggUnmask, true)
 		}
 	}
-	return sched
+	return spec
 }

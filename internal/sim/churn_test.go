@@ -1,18 +1,17 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/secagg"
 	"repro/internal/tensor"
 )
 
 // casualties is how many devices the schedule removes from the final unmask
-// round.
-func casualties(s secagg.Schedule) int {
-	return len(s.DropAdvertise) + len(s.DropShareKeys) + len(s.DropAfterShare) +
-		len(s.DropAfterMask) + len(s.PoisonShare) + len(s.ForgeUnmask)
-}
+// round: one fault each.
+func casualties(s chaos.Spec) int { return len(s.Resets) }
 
 func TestSecAggChurnRespectsSurvivalBudget(t *testing.T) {
 	rng := tensor.NewRNG(7)
@@ -27,11 +26,11 @@ func TestSecAggChurnRespectsSurvivalBudget(t *testing.T) {
 }
 
 func TestSecAggChurnDeterministicPerSeed(t *testing.T) {
-	draw := func() secagg.Schedule {
+	draw := func() chaos.Spec {
 		return SecAggChurn(32, 17, ChurnConfig{DropRate: 0.3, PoisonRate: 0.05, ForgeRate: 0.05}, tensor.NewRNG(42))
 	}
 	a, b := draw(), draw()
-	if casualties(a) != casualties(b) || len(a.PoisonShare) != len(b.PoisonShare) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed must draw the same schedule: %+v vs %+v", a, b)
 	}
 	if casualties(a) == 0 {
@@ -40,7 +39,7 @@ func TestSecAggChurnDeterministicPerSeed(t *testing.T) {
 }
 
 // TestSecAggChurnScheduleIsSurvivable closes the loop: any drawn schedule
-// runs through the real protocol and commits.
+// runs through the real protocol, as faults on its links, and commits.
 func TestSecAggChurnScheduleIsSurvivable(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	cfg := secagg.Config{N: 16, T: 9, VectorLen: 4}
@@ -49,13 +48,17 @@ func TestSecAggChurnScheduleIsSurvivable(t *testing.T) {
 		inputs[id] = []float64{float64(id), 1, 2, 3}
 	}
 	for trial := 0; trial < 5; trial++ {
-		sched := SecAggChurn(cfg.N, cfg.T, ChurnConfig{DropRate: 0.4, PoisonRate: 0.1, ForgeRate: 0.1}, rng)
-		res, err := secagg.RunSchedule(cfg, inputs, sched)
+		spec := SecAggChurn(cfg.N, cfg.T, ChurnConfig{DropRate: 0.4, PoisonRate: 0.1, ForgeRate: 0.1}, rng)
+		inj := chaos.New(uint64(trial), spec, nil)
+		res, err := secagg.Run(cfg, inputs, inj.SecAggLink, make([]float64, cfg.VectorLen))
 		if err != nil {
-			t.Fatalf("trial %d schedule %+v must commit: %v", trial, sched, err)
+			t.Fatalf("trial %d schedule %s must commit: %v", trial, inj.Plan(), err)
 		}
 		if len(res.Survivors) < cfg.T {
 			t.Fatalf("trial %d: %d survivors < T", trial, len(res.Survivors))
+		}
+		if inj.OpenConns() != 0 {
+			t.Fatalf("trial %d: %d links left open", trial, inj.OpenConns())
 		}
 	}
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // Fill sets every field reachable from ptr — recursively through structs,
-// slices and maps — to a distinct non-zero value, so that a
+// arrays, slices and maps — to a distinct non-zero value, so that a
 // codec round-trip compared with reflect.DeepEqual fails for any field the
-// codec does not carry. It panics on an unexported field or a kind it
-// cannot fill: a type that grows one must teach both its codec and, if
-// need be, this filler.
+// codec does not carry. A field tagged `wire:"-"`, which no codec carries,
+// stays zero. It panics on an unexported field or a kind it cannot fill: a
+// type that grows one must teach both its codec and, if need be, this
+// filler.
 func Fill(ptr interface{}) {
 	n := 0
 	fill(reflect.ValueOf(ptr).Elem(), &n)
@@ -36,6 +37,10 @@ func fill(v reflect.Value, n *int) {
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
 		fill(v.Index(0), n)
 		fill(v.Index(1), n)
+	case reflect.Array:
+		for i := range v.Len() {
+			fill(v.Index(i), n)
+		}
 	case reflect.Map:
 		v.Set(reflect.MakeMap(v.Type()))
 		for i := 0; i < 2; i++ {
@@ -50,6 +55,9 @@ func fill(v reflect.Value, n *int) {
 			return
 		}
 		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).Tag.Get("wire") == "-" {
+				continue
+			}
 			if !v.Field(i).CanSet() {
 				panic(fmt.Sprintf("wiretest: unexported field %s.%s", v.Type(), v.Type().Field(i).Name))
 			}
