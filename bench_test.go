@@ -15,13 +15,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/fedavg"
 	"repro/internal/nn"
 	"repro/internal/pacing"
-	"repro/internal/protocol"
 	"repro/internal/secagg"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -65,19 +63,19 @@ func BenchmarkSecAggQuadratic(b *testing.B) {
 				}
 				inputs[id] = v
 			}
-			var spec chaos.Spec
+			var faults secagg.Faults
 			switch {
 			case bc.dropRate > 0:
-				spec = sim.SecAggChurn(bc.n, cfg.T, sim.ChurnConfig{DropRate: bc.dropRate}, tensor.NewRNG(uint64(bc.n)))
+				faults = sim.SecAggChurn(bc.n, cfg.T, sim.ChurnConfig{DropRate: bc.dropRate}, tensor.NewRNG(uint64(bc.n)))
 			case bc.n >= 3:
 				// Device 1 drops after dealing: one reconstruction at unmask.
-				spec.Resets = []chaos.Reset{{Role: "secagg:1", Code: protocol.CodeSecAggMaskSet}}
+				faults = secagg.Faults{1: secagg.DropMasked}
 			}
-			inj, sum := chaos.New(0, spec, nil), make([]float64, bc.dim)
+			sum := make([]float64, bc.dim)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := secagg.Run(cfg, inputs, inj.SecAggLink, sum); err != nil {
+				if _, err := secagg.Run(cfg, inputs, faults.Link, sum); err != nil {
 					b.Fatal(err)
 				}
 			}

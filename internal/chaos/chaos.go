@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,9 +42,6 @@ const (
 	RoleDevice Role = "device"
 	// RoleShard is a shard↔coordinator link.
 	RoleShard Role = "shard"
-	// RoleSecAgg is a Secure Aggregation device's link in secagg.Run,
-	// "secagg:<id>" (SecAggLink).
-	RoleSecAgg Role = "secagg"
 )
 
 // matchRole reports whether a rule/window role selects a link role:
@@ -95,16 +91,11 @@ type Window struct {
 // Reset schedules one connection teardown: the first send on a matching
 // link at or after the trigger fails and the connection closes, as a
 // mid-stream RST would. Each reset fires at most once across the whole
-// scenario — the redialed replacement link is healthy. A reset addressed by
-// a message code (Code, a wire-table row) fires instead at each matching
-// link's first send or receipt of that code, and with Corrupt damages that
-// message, if sent, as Rule.Corrupt does, instead of tearing the link down.
+// scenario — the redialed replacement link is healthy.
 type Reset struct {
-	Role    Role
-	At      time.Duration
-	Round   int64
-	Code    byte
-	Corrupt bool
+	Role  Role
+	At    time.Duration
+	Round int64
 }
 
 // Spec is a composable fault schedule.
@@ -270,7 +261,7 @@ func (in *Injector) claimReset(role Role, t time.Time) int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for i, r := range in.resets {
-		if in.resetFired[i] || r.Code != 0 || !matchRole(r.Role, role) {
+		if in.resetFired[i] || !matchRole(r.Role, role) {
 			continue
 		}
 		if r.Round > 0 {
@@ -314,12 +305,6 @@ func (in *Injector) WrapConn(role Role, conn transport.Conn) transport.Conn {
 	in.mu.Unlock()
 	in.opened.Add(1)
 	return newFaultConn(in, role, ord, conn, in.spec.effective(role))
-}
-
-// SecAggLink wraps Secure Aggregation device id's end of its link in role
-// "secagg:<id>": it is a secagg.Run link.
-func (in *Injector) SecAggLink(id int, conn transport.Conn) transport.Conn {
-	return in.WrapConn(RoleSecAgg+Role(":"+strconv.Itoa(id)), conn)
 }
 
 // WrapListener wraps every accepted connection in the role's fault profile.

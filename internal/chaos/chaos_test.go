@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -164,49 +163,6 @@ func TestScheduledReset(t *testing.T) {
 	}
 }
 
-// TestCodeTriggers: reset@ and corrupt@ with a message code fire on each
-// matching link's first send of that code — a reset also on its first
-// receipt — and on no other message, and only once on that link.
-func TestCodeTriggers(t *testing.T) {
-	spec, err := ParseSpec("secagg:5:corrupt@SecAggUnmask;secagg:5:reset@SecAggMasked;secagg:6:reset@SecAggMaskSet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Reset{{Role: "secagg:5", Code: protocol.CodeSecAggUnmask, Corrupt: true},
-		{Role: "secagg:5", Code: protocol.CodeSecAggMasked}, {Role: "secagg:6", Code: protocol.CodeSecAggMaskSet}}
-	if !reflect.DeepEqual(spec.Resets, want) {
-		t.Fatalf("resets %+v, want %+v", spec.Resets, want)
-	}
-	in := New(1, spec, nil)
-	unmask := protocol.SecAggUnmask{From: 5, BShares: []protocol.OwnerShare{{Owner: 1}}}
-	for range 2 { // each of two links of role secagg:5 fires once
-		a, b := transport.Pipe()
-		conn := in.SecAggLink(5, a)
-		for i, m := range []interface{}{unmask, unmask, protocol.SecAggMasked{ID: 5}} {
-			if err := conn.Send(m); (err != nil) != (i == 2) {
-				t.Fatalf("send %d (%T): %v", i, m, err)
-			}
-		}
-		first, _ := b.Recv()
-		second, _ := b.Recv()
-		if first.(protocol.SecAggUnmask).BShares[0].Share.Ys[0] != 1 || !reflect.DeepEqual(second, unmask) {
-			t.Fatalf("the first unmask response must be forged, the second not: %+v, %+v", first, second)
-		}
-	}
-	a, b := transport.Pipe()
-	conn := in.SecAggLink(6, a)
-	if err := conn.Send(protocol.SecAggMasked{ID: 6}); err != nil {
-		t.Fatal(err)
-	}
-	_ = b.Send(protocol.SecAggMaskSet{IDs: []int{6}})
-	if _, err := conn.Recv(); err == nil {
-		t.Fatal("the mask set reached a link whose reset it triggers")
-	}
-	if got := in.Trace().Counts(); got[FaultCorrupt] != 2 || got[FaultReset] != 3 || in.OpenConns() != 0 {
-		t.Fatalf("faults %v, %d links open", got, in.OpenConns())
-	}
-}
-
 func TestRoundAddressedWindow(t *testing.T) {
 	in := New(1, Spec{Partitions: []Window{{Role: RoleShard, Round: 3, Dur: time.Hour}}}, nil)
 	if in.partitioned(RoleShard, time.Now()) {
@@ -329,7 +285,6 @@ func TestParseSpec(t *testing.T) {
 
 	for _, bad := range []string{
 		"drop=1.5", "drop=x", "bogus=1", "shard:partition@3s", "reset@rX", "delay=-1s", "justtext",
-		"secagg:5:corrupt@3s", "secagg:5:reset@NoSuchMessage",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted invalid spec", bad)

@@ -3,13 +3,11 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/field"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
@@ -34,9 +32,8 @@ type faultConn struct {
 
 	mu       sync.Mutex
 	rng      *rand.Rand
-	seq      int       // send index
-	rseq     int       // receive index
-	seen     [4]uint64 // the codes sent or received, a bit each, for code Resets
+	seq      int // send index
+	rseq     int // receive index
 	lastAt   time.Time
 	nextFree time.Time // bandwidth-cap cursor
 
@@ -108,8 +105,7 @@ func (c *faultConn) Send(msg interface{}) error {
 	if c.closed.Load() {
 		return fmt.Errorf("chaos: connection closed")
 	}
-	reset, corrupt := c.triggered(msg)
-	if reset || c.in.claimReset(c.role, now) >= 0 {
+	if ri := c.in.claimReset(c.role, now); ri >= 0 {
 		c.record(idx, msg, FaultReset, "scheduled")
 		_ = c.Close()
 		return fmt.Errorf("chaos: connection reset")
@@ -125,7 +121,7 @@ func (c *faultConn) Send(msg interface{}) error {
 		c.record(idx, msg, FaultDrop, "")
 		return nil
 	}
-	if d.corrupt || corrupt {
+	if d.corrupt {
 		damaged, ok := corruptMsg(msg)
 		if !ok {
 			// No structurally damageable payload: corrupt degrades to a
@@ -187,26 +183,6 @@ func (c *faultConn) Send(msg interface{}) error {
 	return nil
 }
 
-// triggered reports which of the spec's code-addressed Resets msg, sent or
-// received, fires on this link: those matching it whose code it is, if the
-// link has carried none before.
-func (c *faultConn) triggered(msg interface{}) (reset, corrupt bool) {
-	if len(c.in.resets) == 0 {
-		return false, false
-	}
-	code := protocol.CodeOf(msg)
-	c.mu.Lock()
-	first := c.seen[code/64]&(1<<(code%64)) == 0
-	c.seen[code/64] |= 1 << (code % 64)
-	c.mu.Unlock()
-	for _, r := range c.in.resets {
-		if first && r.Code == code && matchRole(r.Role, c.role) {
-			reset, corrupt = reset || !r.Corrupt, corrupt || r.Corrupt
-		}
-	}
-	return reset, corrupt
-}
-
 // sender drains the deferred-delivery queue in order, sleeping each message
 // to its delivery time; once the connection closes, the rest drains unsent.
 func (c *faultConn) sender() {
@@ -228,21 +204,14 @@ func (c *faultConn) sender() {
 }
 
 // Recv implements transport.Conn: inbound messages are discarded while a
-// partition window covers this link (the blackhole cuts both directions),
-// and a code-addressed reset fires on a received code as on a sent one.
+// partition window covers this link (the blackhole cuts both directions).
 func (c *faultConn) Recv() (interface{}, error) {
 	for {
 		msg, err := c.inner.Recv()
 		if err != nil {
 			return nil, err
 		}
-		if reset, _ := c.triggered(msg); reset {
-			c.record(c.rseq, msg, FaultReset, "scheduled")
-			_ = c.Close()
-			return nil, fmt.Errorf("chaos: connection reset")
-		}
-		// What no wire carries (secagg.Run's phase marks) crosses.
-		if c.in.partitioned(c.role, c.in.clock.Now()) && protocol.CodeOf(msg) != 0 {
+		if c.in.partitioned(c.role, c.in.clock.Now()) {
 			c.mu.Lock()
 			rseq := c.rseq
 			c.rseq++
@@ -308,8 +277,7 @@ func msgSize(msg interface{}) int {
 
 // corruptMsg returns a structurally damaged copy of msg — damage the
 // receiving codec or validator DETECTS (an undecodable checkpoint, an
-// unparseable stripe sum, shares and revealed shares that open no
-// commitment), modeling a torn frame. Bit flips that survive
+// unparseable stripe sum), modeling a torn frame. Bit flips that survive
 // decoding are out of scope: the stack trusts its own links' payload
 // integrity (no checksums), documented in DESIGN.md. Messages with no
 // damageable payload return ok=false and degrade to a drop.
@@ -336,26 +304,6 @@ func corruptMsg(msg interface{}) (interface{}, bool) {
 			return nil, false
 		}
 		m.Update = []byte{0xde, 0xad}
-		return m, true
-	case protocol.SecAggShares:
-		// A poisoned deal: every commitment is off by one bit, so no share
-		// the dealer sealed opens its commitment.
-		sc := &m.Commitments
-		sc.B, sc.SK = slices.Clone(sc.B), slices.Clone(sc.SK)
-		for _, list := range [...][][field.CommitmentLen]byte{sc.B, sc.SK} {
-			for i := range list {
-				list[i][0] ^= 1
-			}
-		}
-		return m, true
-	case protocol.SecAggUnmask:
-		// A forged response: every revealed share is off by one.
-		m.BShares, m.SKShares = slices.Clone(m.BShares), slices.Clone(m.SKShares)
-		for _, list := range [...][]protocol.OwnerShare{m.BShares, m.SKShares} {
-			for i := range list {
-				list[i].Share.Ys[0]++
-			}
-		}
 		return m, true
 	default:
 		return nil, false

@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/protocol"
 )
 
 // ParseSpec parses the CLI fault-schedule grammar used by the -chaos flags:
@@ -16,16 +14,13 @@ import (
 //	item    := key '=' value          (drop, dup, corrupt, delay, jitter,
 //	                                   rate, queue)
 //	         | 'partition@' at '+' dur
-//	         | 'reset@' (at | code)
-//	         | 'corrupt@' code
+//	         | 'reset@' at
 //	at      := duration | 'r' round
-//	code    := a wire-table row's name
 //
 // e.g. "shard:drop=0.05,jitter=200ms;shard:1:partition@3s+2s;shard:2:reset@r4"
 // — 5% drop and ≤200ms jitter on every shard link, a 2s partition of shard 1
-// opening 3s in, and a connection reset on shard 2's links at round 4 — or
-// "secagg:5:corrupt@SecAggUnmask", which damages Secure Aggregation device
-// 5's first unmask response. An empty role matches every link.
+// opening 3s in, and a connection reset on shard 2's links at round 4. An
+// empty role matches every link.
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
 	for _, clause := range strings.Split(s, ";") {
@@ -51,16 +46,8 @@ func ParseSpec(s string) (Spec, error) {
 					return Spec{}, fmt.Errorf("chaos spec %q: %v", item, err)
 				}
 				spec.Partitions = append(spec.Partitions, Window{Role: role, At: at, Round: round, Dur: dur})
-			case strings.HasPrefix(item, "reset@"), strings.HasPrefix(item, "corrupt@"):
-				kind, trigger, _ := strings.Cut(item, "@")
-				if code := codeNamed(trigger); code != 0 {
-					spec.Resets = append(spec.Resets, Reset{Role: role, Code: code, Corrupt: kind == "corrupt"})
-					continue
-				}
-				at, round, _, err := parseAtDur(trigger, false)
-				if err == nil && kind == "corrupt" {
-					err = fmt.Errorf("want a message code")
-				}
+			case strings.HasPrefix(item, "reset@"):
+				at, round, _, err := parseAtDur(strings.TrimPrefix(item, "reset@"), false)
 				if err != nil {
 					return Spec{}, fmt.Errorf("chaos spec %q: %v", item, err)
 				}
@@ -91,19 +78,6 @@ func splitClause(clause string) (Role, string, error) {
 		return Role(clause[:i]), clause[i+1:], nil
 	}
 	return "", clause, nil
-}
-
-// codeNamed returns the type code of the wire-table row named name, or 0.
-func codeNamed(name string) byte {
-	for code := byte(1); ; code++ {
-		row, ok := protocol.Lookup(code)
-		if !ok {
-			return 0
-		}
-		if row.Name == name {
-			return code
-		}
-	}
 }
 
 // parseAtDur parses "3s", "r4", "3s+2s", or "r4+2s".
@@ -218,15 +192,7 @@ func (s Spec) render() string {
 		clauses = append(clauses, clause(w.Role, "partition@"+at(w.At, w.Round)+"+"+w.Dur.String()))
 	}
 	for _, r := range s.Resets {
-		row, coded := protocol.Lookup(r.Code)
-		switch {
-		case r.Corrupt:
-			clauses = append(clauses, clause(r.Role, "corrupt@"+row.Name))
-		case coded:
-			clauses = append(clauses, clause(r.Role, "reset@"+row.Name))
-		default:
-			clauses = append(clauses, clause(r.Role, "reset@"+at(r.At, r.Round)))
-		}
+		clauses = append(clauses, clause(r.Role, "reset@"+at(r.At, r.Round)))
 	}
 	return strings.Join(clauses, ";")
 }

@@ -19,8 +19,6 @@ func FuzzChaosSpec(f *testing.F) {
 		"shard:drop=0.05,jitter=200ms;shard:1:partition@3s+2s;shard:2:reset@r4",
 		"rate=1024,queue=8;device:dup=0.1,corrupt=0.2,delay=5ms",
 		"shard:partition@r3+1h;reset@-1s", " ; x :drop=0 ;; ", "drop=NaN", "a,b::partition@1s+-2s",
-		"secagg:5:corrupt@SecAggUnmask", "secagg:1:reset@SecAggAdvertise;secagg:2:reset@SecAggShares",
-		"secagg:3:reset@SecAggMaskSet,corrupt@SecAggShares;reset@r2;secagg:4:reset@SecAggUnmask", "corrupt@Bogus",
 	} {
 		f.Add(s)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/fedavg"
@@ -246,9 +245,9 @@ func SecAggCost(groupSizes []int, vectorLen, totalDevices int, dropRates []float
 		out.RecoveryTime = append(out.RecoveryTime, make([]time.Duration, len(dropRates)))
 		for ri, rate := range dropRates {
 			rng := tensor.NewRNG(uint64(1000*si + ri + 1))
-			inj := chaos.New(0, sim.SecAggChurn(n, cfg.T, sim.ChurnConfig{DropRate: rate}, rng), nil)
+			churn := sim.SecAggChurn(n, cfg.T, sim.ChurnConfig{DropRate: rate}, rng)
 			start := time.Now()
-			if _, err := secagg.Run(cfg, inputs, inj.SecAggLink, sum); err != nil {
+			if _, err := secagg.Run(cfg, inputs, churn.Link, sum); err != nil {
 				return nil, err
 			}
 			out.RecoveryTime[si][ri] = time.Since(start)

@@ -11,9 +11,9 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/robust"
+	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tasks"
-	"repro/internal/transport"
 )
 
 // feedSecureGroup returns a secure group's buffer holding count updates
@@ -65,11 +65,11 @@ func TestTwoSecureGroupsFinalizeConcurrentlyUnderChurn(t *testing.T) {
 	aggA := newAggregator(2, master)
 	// Participant 2 (device a1) deals poisoned shares: excluded before
 	// masking, blamed via holder complaints.
-	aggA.link = groupFaults{2: poison}.link
+	aggA.link = secagg.Faults{2: secagg.Poison}.Link
 	aggB := newAggregator(2, master)
 	// Participant 1 (device b0) forges its unmask response: rejected at
 	// the commitment check, blamed, sum reconstructed from the rest.
-	aggB.link = groupFaults{1: forge}.link
+	aggB.link = secagg.Faults{1: secagg.Forge}.Link
 	refA := sys.Spawn("agg-a", aggA)
 	refB := sys.Spawn("agg-b", aggB)
 	defer sys.Shutdown(master, refA, refB)
@@ -193,32 +193,8 @@ func TestSecureThresholdFractionOverride(t *testing.T) {
 // groups of 4 run over links that poison participant 2's deal: each group
 // blames that device by name and commits on 3.
 func TestRoundCarriesBlamedDevices(t *testing.T) {
-	p := twoGroupSecurePlan(t)
 	store := newTraceMem()
-	ts, err := tasks.New("pop", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.Seed([]*plan.Plan{p}, simStart); err != nil {
-		t.Fatal(err)
-	}
-	outcomes := make(chan roundOutcome, 1)
-	sys := actor.NewSystem()
-	defer sys.Shutdown()
-	edge := &linkedEdge{t: t, sys: sys, link: groupFaults{2: poison}.link}
-	coord := sys.Spawn("coordinator/pop", newCoordinator(CoordinatorParams{
-		Population: "pop", Lock: actor.NewLockService(), Store: store, Tasks: ts,
-		Edges: []Edge{edge}, MaxRounds: 1, onOutcome: func(out roundOutcome) { outcomes <- out },
-	}))
-	if err := coord.Send(msgTick{}); err != nil {
-		t.Fatal(err)
-	}
-	var out roundOutcome
-	select {
-	case out = <-outcomes:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the round never settled")
-	}
+	out := runLinkedRound(t, store, secagg.Faults{2: secagg.Poison}, secagg.Faults{2: secagg.Poison})
 	if out.Committed == nil {
 		t.Fatalf("round failed: %s", out.FailReason)
 	}
@@ -239,14 +215,46 @@ func TestRoundCarriesBlamedDevices(t *testing.T) {
 	}
 }
 
+// runLinkedRound runs one round of twoGroupSecurePlan through a Coordinator
+// whose one Edge is a linkedEdge, group g's links under faults[g], and
+// returns the Coordinator's record of it.
+func runLinkedRound(t *testing.T, store storage.Store, faults ...secagg.Faults) roundOutcome {
+	t.Helper()
+	ts, err := tasks.New("pop", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Seed([]*plan.Plan{twoGroupSecurePlan(t)}, simStart); err != nil {
+		t.Fatal(err)
+	}
+	outcomes := make(chan roundOutcome, 1)
+	sys := actor.NewSystem()
+	defer sys.Shutdown()
+	edge := &linkedEdge{t: t, sys: sys, faults: faults}
+	coord := sys.Spawn("coordinator/pop", newCoordinator(CoordinatorParams{
+		Population: "pop", Lock: actor.NewLockService(), Store: store, Tasks: ts,
+		Edges: []Edge{edge}, MaxRounds: 1, onOutcome: func(out roundOutcome) { outcomes <- out },
+	}))
+	if err := coord.Send(msgTick{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case out := <-outcomes:
+		return out
+	case <-time.After(10 * time.Second):
+		t.Fatal("the round never settled")
+		return roundOutcome{}
+	}
+}
+
 // linkedEdge is an Edge whose round is a real EdgeRound with no devices:
-// at its start its secure groups are replaced by Aggregators over link,
-// each holding one delivered report of ones from each of its assigned
-// devices, and it seals at once.
+// at its start its secure group g is replaced by an Aggregator over
+// faults[g]'s links, holding one delivered report of ones, with a train
+// loss, from each of its 4 assigned devices, and it seals at once.
 type linkedEdge struct {
-	t    *testing.T
-	sys  *actor.System
-	link func(id int, c transport.Conn) transport.Conn
+	t      *testing.T
+	sys    *actor.System
+	faults []secagg.Faults
 }
 
 func (e *linkedEdge) Open(cfg *EdgeRoundConfig, coord actor.Ref) error {
@@ -263,11 +271,11 @@ func (e *linkedEdge) Open(cfg *EdgeRoundConfig, coord actor.Ref) error {
 		for g, spawned := range er.aggs {
 			spawned.Stop()
 			agg := newAggregator(cfg.Dim, ctx.Self)
-			agg.link = e.link
+			agg.link = e.faults[g].Link
 			er.aggs[g] = ctx.Spawn(fmt.Sprintf("edge/pop/linked-%d", g), agg)
 			for i := range 4 {
 				name := fmt.Sprintf("dev-%d", 4*g+i)
-				secureAdd(e.t, er.bufs[g], name, nil, 1, ones...)
+				secureAdd(e.t, er.bufs[g], name, map[string]float64{"train_loss": 1}, 1, ones...)
 				er.assigned[g] = append(er.assigned[g], name)
 			}
 		}

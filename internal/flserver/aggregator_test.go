@@ -11,12 +11,12 @@ import (
 	"repro/internal/actor"
 	"repro/internal/checkpoint"
 	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/nn"
 	"repro/internal/pacing"
 	"repro/internal/plan"
 	"repro/internal/protocol"
 	"repro/internal/robust"
+	"repro/internal/secagg"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -171,7 +171,7 @@ func TestSecAggFailureStillReportsMetrics(t *testing.T) {
 		name, want string
 		link       func(id int, c transport.Conn) transport.Conn
 	}{
-		{"below threshold", "secagg: abort", groupFaults{2: dropShares}.link},
+		{"below threshold", "secagg: abort", secagg.Faults{2: secagg.DropShares}.Link},
 		{"panic", "group reduce panic: injected", func(int, transport.Conn) transport.Conn { panic("injected") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,47 +229,26 @@ func twoGroupSecurePlan(t *testing.T) *plan.Plan {
 func TestRoundSurfacesGroupErrors(t *testing.T) {
 	// A failed group's metrics still reach storage, its error reaches the
 	// Coordinator's round record, and the round commits on the healthy
-	// group. Three of the eight devices are never eligible: they are
-	// configured and never deliver, and however the two groups of 4
-	// (threshold 3) share them, one group falls below its threshold and the
-	// other commits the 3 or 4 updates it holds.
-	fed, _ := data.Blobs(data.BlobsConfig{Users: 8, ExamplesPer: 20, Features: 4, Classes: 3, TestSize: 10, Seed: 41})
+	// group. Group 0's dealers 2..4 drop out as they send their shares, so
+	// its mask set falls below threshold 3 and its secagg.Run aborts.
+	drop := secagg.Faults{2: secagg.DropShares, 3: secagg.DropShares, 4: secagg.DropShares}
 	store := storage.NewMem()
-	p := twoGroupSecurePlan(t)
-	p.Server.MinReportFraction = 3.0 / 8 // the healthy group's 3 commit
-	outcomes := make(chan roundOutcome, 16)
-	clock := newWatchedClock()
-	srv, err := newServer(Config{
-		Population: "pop", Plans: []*plan.Plan{p}, Store: store,
-		Steering: pacing.New(time.Second), MaxRounds: 1, Seed: 42,
-	}, clock, func(out roundOutcome) { outcomes <- out })
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := serveMem(t, clock, srv)
-	fl := newFleet(t, 8, fed, 3)
-	for _, c := range fl.clients[:3] {
-		c.Runtime.Eligibility.Set(device.Conditions{})
-	}
-	fl.run(r, r.dial)
-	defer fl.halt()
-	r.until(t, "the round to settle", func() bool { return len(outcomes) > 0 })
-	out := <-outcomes
+	out := runLinkedRound(t, store, drop, nil)
 	if out.Committed == nil {
 		t.Fatalf("round failed: %s", out.FailReason)
 	}
-	if len(out.GroupErrors) != 1 || !strings.Contains(out.GroupErrors[0], "secagg") {
+	if len(out.GroupErrors) != 1 || !strings.Contains(out.GroupErrors[0], "secagg: abort") {
 		t.Fatalf("group errors not surfaced: %+v", out.GroupErrors)
 	}
-	if out.Completed != 3 && out.Completed != 4 {
-		t.Fatalf("completed = %d, want the healthy group's 3 or 4 (the failed group's updates are lost)", out.Completed)
+	if out.Completed != 4 {
+		t.Fatalf("completed = %d, want 4 (the failed group's updates are lost)", out.Completed)
 	}
 	ms, err := store.Metrics("pop/train")
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("metrics never materialized: %v", err)
 	}
-	if n := ms[0].Stats["train_loss"].Count; n != 5 {
-		t.Fatalf("train_loss count = %d, want 5 (failed group's metrics must not be dropped)", n)
+	if n := ms[0].Stats["train_loss"].Count; n != 8 {
+		t.Fatalf("train_loss count = %d, want 8 (failed group's metrics must not be dropped)", n)
 	}
 }
 

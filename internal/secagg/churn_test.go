@@ -38,11 +38,11 @@ func TestAllPhaseChurnGroupCommits(t *testing.T) {
 	cfg := Config{N: n, T: tt, VectorLen: 3}
 	inputs := seqInputs(n, cfg.VectorLen)
 
-	faults := faults{11: poison}             // dealt a poisoned deal
-	faults.set(dropAdvertise, span(1, 5)...) // gone before Round 0
-	faults.set(dropShares, span(6, 10)...)   // advertised, never dealt shares
-	faults.set(dropMasked, span(12, 21)...)  // dealt shares, never sent masked input
-	faults.set(dropUnmask, span(22, 31)...)  // sent masked input, never unmasked
+	faults := Faults{11: Poison}             // dealt a poisoned deal
+	faults.set(DropAdvertise, span(1, 5)...) // gone before Round 0
+	faults.set(DropShares, span(6, 10)...)   // advertised, never dealt shares
+	faults.set(DropMasked, span(12, 21)...)  // dealt shares, never sent masked input
+	faults.set(DropUnmask, span(22, 31)...)  // sent masked input, never unmasked
 	res, err := runWith(cfg, inputs, faults)
 	if err != nil {
 		t.Fatalf("group must commit under maximal churn: %v", err)
@@ -83,7 +83,7 @@ func TestAllPhaseChurnGroupCommits(t *testing.T) {
 func TestPoisonedDealerBlamedAndExcluded(t *testing.T) {
 	cfg := Config{N: 8, T: 5, VectorLen: 2}
 	inputs := seqInputs(8, cfg.VectorLen)
-	res, err := runWith(cfg, inputs, faults{3: poison})
+	res, err := runWith(cfg, inputs, Faults{3: Poison})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestBlameIsDeterministic(t *testing.T) {
 	sum := make([]float64, cfg.VectorLen)
 	want := map[int]string{3: "complaint from 1: share does not open broadcast commitment"}
 	for run := range 20 {
-		res, err := Run(cfg, inputs, faults{3: poison}.link, sum)
+		res, err := Run(cfg, inputs, Faults{3: Poison}.Link, sum)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestForgedUnmaskBlamedSumStillCorrect(t *testing.T) {
 	inputs := seqInputs(8, cfg.VectorLen)
 	// One real dropout forces the expensive recovery path (masking-key
 	// reconstruction) to run on verified shares too.
-	res, err := runWith(cfg, inputs, faults{2: dropMasked, 6: forge})
+	res, err := runWith(cfg, inputs, Faults{2: DropMasked, 6: Forge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,16 +157,16 @@ func TestBelowThresholdChurnAbortsCleanly(t *testing.T) {
 	inputs := seqInputs(8, cfg.VectorLen)
 	cases := []struct {
 		name  string
-		drop  fault
+		drop  Fault
 		phase string
 	}{
-		{"share round", dropShares, "masked-input"},
-		{"mask round", dropMasked, "unmask"},
-		{"unmask round", dropUnmask, "reconstruction"},
+		{"share round", DropShares, "masked-input"},
+		{"mask round", DropMasked, "unmask"},
+		{"unmask round", DropUnmask, "reconstruction"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := runWith(cfg, inputs, faults{}.set(tc.drop, span(1, 4)...))
+			res, err := runWith(cfg, inputs, Faults{}.set(tc.drop, span(1, 4)...))
 			if err == nil {
 				t.Fatal("below-threshold churn must abort")
 			}
@@ -205,4 +205,19 @@ func TestMalformedInputTreatedAsDropout(t *testing.T) {
 		}
 	}
 	expectSum(t, inputs, want, res.Sum)
+}
+
+// TestZeroFaultNeverFires: a Fault with no code matches nothing, not even
+// Run's phase marks, which carry none: the group commits over everyone.
+func TestZeroFaultNeverFires(t *testing.T) {
+	cfg := Config{N: 5, T: 3, VectorLen: 2}
+	inputs := seqInputs(5, cfg.VectorLen)
+	res, err := runWith(cfg, inputs, Faults{2: {}, 4: {corrupt: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Survivors) != cfg.N || len(res.Blamed) != 0 {
+		t.Fatalf("survivors %v, blamed %v: a zero fault fired", res.Survivors, res.Blamed)
+	}
+	expectSum(t, inputs, span(1, 5), res.Sum)
 }

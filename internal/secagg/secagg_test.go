@@ -28,13 +28,21 @@ func encode(x []float64) []uint64 { return encodeInto(make([]uint64, len(x)), x)
 func decode(y []uint64) []float64 { return decodeInto(make([]float64, len(y)), y) }
 
 // runWith is Run into a fresh vector, each device's link under its fault.
-func runWith(cfg Config, inputs map[int][]float64, faults faults) (*Result, error) {
-	return Run(cfg, inputs, faults.link, make([]float64, cfg.VectorLen))
+func runWith(cfg Config, inputs map[int][]float64, faults Faults) (*Result, error) {
+	return Run(cfg, inputs, faults.Link, make([]float64, cfg.VectorLen))
+}
+
+// set gives each of ids f, and returns fs.
+func (fs Faults) set(f Fault, ids ...int) Faults {
+	for _, id := range ids {
+		fs[id] = f
+	}
+	return fs
 }
 
 // run drives an honest-but-churning instance with the two dropout kinds.
 func run(cfg Config, inputs map[int][]float64, dropAfterShare, dropAfterMask []int) ([]float64, []int, error) {
-	res, err := runWith(cfg, inputs, faults{}.set(dropMasked, dropAfterShare...).set(dropUnmask, dropAfterMask...))
+	res, err := runWith(cfg, inputs, Faults{}.set(DropMasked, dropAfterShare...).set(DropUnmask, dropAfterMask...))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -293,7 +301,7 @@ func TestInstanceLeavesPoolsClean(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	cfg := Config{N: 6, T: 4, VectorLen: 700}
 	// A device lost after sharing sends Server.Sum down its ECDH branch.
-	if _, err := Run(cfg, seqInputs(cfg.N, cfg.VectorLen), faults{2: dropMasked}.link, make([]float64, cfg.VectorLen)); err != nil {
+	if _, err := Run(cfg, seqInputs(cfg.N, cfg.VectorLen), Faults{2: DropMasked}.Link, make([]float64, cfg.VectorLen)); err != nil {
 		t.Fatal(err)
 	}
 	newScratch, newSeal := scratchPool.New, sealPool.New
@@ -847,7 +855,7 @@ func TestCryptoOpsCounted(t *testing.T) {
 		}
 		return out
 	}
-	check := func(name string, faults faults, instances int, want map[string]int64) {
+	check := func(name string, faults Faults, instances int, want map[string]int64) {
 		t.Helper()
 		before := ops()
 		var wg sync.WaitGroup
@@ -871,7 +879,7 @@ func TestCryptoOpsCounted(t *testing.T) {
 		"client keygen": 2 * n, "client agree": n * 2 * (n - 1), "client aead": n * (n - 1), "client prg": n * n,
 		"server prg": n,
 	})
-	check("one dropped after sharing", faults{5: dropMasked}, 1, map[string]int64{
+	check("one dropped after sharing", Faults{5: DropMasked}, 1, map[string]int64{
 		"client keygen": 2 * n, "client agree": n*2*(n-1) - (n - 1), "client aead": n * (n - 1), "client prg": (n - 1) * n,
 		"server agree": n - 1, "server prg": 2 * (n - 1),
 	})
@@ -894,7 +902,7 @@ func TestConcurrentInstancesShareScratch(t *testing.T) {
 			inputs := seqInputs(cfg.N, dim) // multiples of 1/8: exact in fixed point
 			for round := 0; round < 3; round++ {
 				dropped := 1 + (g+round)%cfg.N
-				res, err := runWith(cfg, inputs, faults{dropped: dropMasked})
+				res, err := runWith(cfg, inputs, Faults{dropped: DropMasked})
 				if err != nil {
 					t.Errorf("group %d round %d: %v", g, round, err)
 					return

@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"strconv"
-
-	"repro/internal/chaos"
-	"repro/internal/protocol"
+	"repro/internal/secagg"
 	"repro/internal/tensor"
 )
 
@@ -27,34 +24,27 @@ type ChurnConfig struct {
 
 // SecAggChurn draws a dropout/adversary schedule for a group of n devices
 // (ids 1..n) with Shamir threshold t, as faults on their links in
-// secagg.Run (roles "secagg:<id>", chaos.Injector.SecAggLink): a drop is a
-// reset as the device sends its advert, its shares or its unmask response,
-// or as it is told the mask set; a poisoned deal or a forged unmask is a
-// corruption of its shares or its unmask response.
+// secagg.Run: a drop is a reset as the device sends its advert, its shares
+// or its unmask response, or as it is told the mask set; a poisoned deal or
+// a forged unmask is a corruption of its shares or its unmask response.
 // Every fault removes at most one contribution from the final unmask
 // round, so the draw caps their total at n − t: the schedule is always
 // survivable and the group commits. Rates high enough to exceed the cap
 // are truncated, device order randomized by the draw itself (earlier ids
 // are not favoured: each device rolls independently until the budget is
 // spent).
-func SecAggChurn(n, t int, cfg ChurnConfig, rng *tensor.RNG) chaos.Spec {
-	var spec chaos.Spec
-	budget := n - t
-	fault := func(id int, code byte, corrupt bool) {
-		role := chaos.RoleSecAgg + chaos.Role(":"+strconv.Itoa(id))
-		spec.Resets = append(spec.Resets, chaos.Reset{Role: role, Code: code, Corrupt: corrupt})
-		budget--
-	}
-	drops := []byte{protocol.CodeSecAggAdvertise, protocol.CodeSecAggShares, protocol.CodeSecAggMaskSet, protocol.CodeSecAggUnmask}
-	for id := 1; id <= n && budget > 0; id++ {
+func SecAggChurn(n, t int, cfg ChurnConfig, rng *tensor.RNG) secagg.Faults {
+	faults := secagg.Faults{}
+	drops := []secagg.Fault{secagg.DropAdvertise, secagg.DropShares, secagg.DropMasked, secagg.DropUnmask}
+	for id := 1; id <= n && len(faults) < n-t; id++ {
 		switch r := rng.Float64(); {
 		case r < cfg.DropRate:
-			fault(id, drops[rng.Intn(len(drops))], false)
+			faults[id] = drops[rng.Intn(len(drops))]
 		case r < cfg.DropRate+cfg.PoisonRate:
-			fault(id, protocol.CodeSecAggShares, true)
+			faults[id] = secagg.Poison
 		case r < cfg.DropRate+cfg.PoisonRate+cfg.ForgeRate:
-			fault(id, protocol.CodeSecAggUnmask, true)
+			faults[id] = secagg.Forge
 		}
 	}
-	return spec
+	return faults
 }

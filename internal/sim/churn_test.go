@@ -4,14 +4,13 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/secagg"
 	"repro/internal/tensor"
 )
 
 // casualties is how many devices the schedule removes from the final unmask
 // round: one fault each.
-func casualties(s chaos.Spec) int { return len(s.Resets) }
+func casualties(s secagg.Faults) int { return len(s) }
 
 func TestSecAggChurnRespectsSurvivalBudget(t *testing.T) {
 	rng := tensor.NewRNG(7)
@@ -26,7 +25,7 @@ func TestSecAggChurnRespectsSurvivalBudget(t *testing.T) {
 }
 
 func TestSecAggChurnDeterministicPerSeed(t *testing.T) {
-	draw := func() chaos.Spec {
+	draw := func() secagg.Faults {
 		return SecAggChurn(32, 17, ChurnConfig{DropRate: 0.3, PoisonRate: 0.05, ForgeRate: 0.05}, tensor.NewRNG(42))
 	}
 	a, b := draw(), draw()
@@ -48,17 +47,13 @@ func TestSecAggChurnScheduleIsSurvivable(t *testing.T) {
 		inputs[id] = []float64{float64(id), 1, 2, 3}
 	}
 	for trial := 0; trial < 5; trial++ {
-		spec := SecAggChurn(cfg.N, cfg.T, ChurnConfig{DropRate: 0.4, PoisonRate: 0.1, ForgeRate: 0.1}, rng)
-		inj := chaos.New(uint64(trial), spec, nil)
-		res, err := secagg.Run(cfg, inputs, inj.SecAggLink, make([]float64, cfg.VectorLen))
+		faults := SecAggChurn(cfg.N, cfg.T, ChurnConfig{DropRate: 0.4, PoisonRate: 0.1, ForgeRate: 0.1}, rng)
+		res, err := secagg.Run(cfg, inputs, faults.Link, make([]float64, cfg.VectorLen))
 		if err != nil {
-			t.Fatalf("trial %d schedule %s must commit: %v", trial, inj.Plan(), err)
+			t.Fatalf("trial %d schedule %v must commit: %v", trial, faults, err)
 		}
 		if len(res.Survivors) < cfg.T {
 			t.Fatalf("trial %d: %d survivors < T", trial, len(res.Survivors))
-		}
-		if inj.OpenConns() != 0 {
-			t.Fatalf("trial %d: %d links left open", trial, inj.OpenConns())
 		}
 	}
 }
