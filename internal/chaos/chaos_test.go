@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -90,6 +91,31 @@ func TestDecisionStreamIgnoresOutcome(t *testing.T) {
 	}
 	_ = ca.Close()
 	_ = cb.Close()
+}
+
+// TestQuietLinkSeedsNoRNG: a link whose profile draws nothing — here no
+// rule at all — seeds no RNG (a 4.9 KB source), and one that draws does.
+func TestQuietLinkSeedsNoRNG(t *testing.T) {
+	in := New(7, Spec{Rules: []Rule{{Role: RoleShard, Drop: 0.1}}}, nil)
+	a, _ := transport.Pipe()
+	bytesPerWrap := func(role Role) uint64 {
+		const wraps = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range wraps {
+			in.WrapConn(role, a)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / wraps
+	}
+	quiet, drawing := bytesPerWrap(RoleDevice), bytesPerWrap(RoleShard)
+	t.Logf("%d bytes per quiet wrap, %d per drawing wrap", quiet, drawing)
+	if quiet >= 4<<10 {
+		t.Fatalf("a link that draws nothing allocates %d bytes: it seeded an RNG", quiet)
+	}
+	if drawing < 4<<10 {
+		t.Fatalf("a link that draws allocates %d bytes: no RNG seeded", drawing)
+	}
 }
 
 // receiver reads one message from c on clock's rig and reports whether it

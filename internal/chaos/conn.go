@@ -23,6 +23,8 @@ type delivery struct {
 // role, link ordinal), with a FIXED number of draws per message index —
 // so the decision at index i of link (role, ordinal) is identical across
 // runs regardless of wall time, partition state, or goroutine scheduling.
+// A link whose profile draws nothing has no RNG: its decisions are all
+// false.
 type faultConn struct {
 	in    *Injector
 	role  Role
@@ -43,13 +45,9 @@ type faultConn struct {
 }
 
 func newFaultConn(in *Injector, role Role, ord int, inner transport.Conn, rule Rule) *faultConn {
-	c := &faultConn{
-		in:    in,
-		role:  role,
-		ord:   ord,
-		inner: inner,
-		rule:  rule,
-		rng:   rand.New(rand.NewSource(int64(linkSeed(in.seed, role, ord)))),
+	c := &faultConn{in: in, role: role, ord: ord, inner: inner, rule: rule}
+	if rule.Drop > 0 || rule.Dup > 0 || rule.Corrupt > 0 || rule.Jitter > 0 {
+		c.rng = rand.New(rand.NewSource(int64(linkSeed(in.seed, role, ord))))
 	}
 	if rule.delayed() {
 		c.queue = actor.NewQueue[delivery](rule.Queue)
@@ -67,13 +65,16 @@ type decision struct {
 }
 
 // draw consumes exactly four RNG values per message, whatever the outcome,
-// keeping the per-index decision stream pure.
+// keeping the per-index decision stream pure; a link without an RNG none.
 func (c *faultConn) draw() (int, decision) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	idx := c.seq
 	c.seq++
 	var d decision
+	if c.rng == nil {
+		return idx, d
+	}
 	d.drop = c.rng.Float64() < c.rule.Drop
 	d.dup = c.rng.Float64() < c.rule.Dup
 	d.corrupt = c.rng.Float64() < c.rule.Corrupt

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -252,14 +253,35 @@ func TestRoundSurfacesGroupErrors(t *testing.T) {
 	}
 }
 
+// TestTwoSecureGroupsFinalizeConcurrently: two group Aggregators receive
+// msgFinalizeGroup back to back, and each secagg run executes on its own
+// group's actor goroutine at the same time as the other. Their links meet
+// at each group's first SecAggAdvertise, where each waits up to 5 s for the
+// other; reduces run one after the other leave the first to wait alone,
+// and the test fails instead of hanging. Run under -race (CI does).
 func TestTwoSecureGroupsFinalizeConcurrently(t *testing.T) {
-	// Two group Aggregators receive msgFinalizeGroup back to back; each
-	// secagg run executes on its own group's actor goroutine, concurrently.
-	// Run under -race (CI does) to check the parallel finalization pipeline.
 	sys := actor.NewSystem()
 	master, got, sig := collectMaster(sys)
-	aggA := sys.Spawn("agg-a", newAggregator(2, master))
-	aggB := sys.Spawn("agg-b", newAggregator(2, master))
+	arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var met [2]atomic.Bool
+	meet := func(g int) func(int, transport.Conn) transport.Conn {
+		var once sync.Once
+		return func(_ int, c transport.Conn) transport.Conn {
+			return meetConn{c, func() {
+				once.Do(func() {
+					close(arrived[g])
+					select {
+					case <-arrived[1-g]:
+						met[g].Store(true)
+					case <-time.After(5 * time.Second):
+					}
+				})
+			}}
+		}
+	}
+	a, b := newAggregator(2, master), newAggregator(2, master)
+	a.link, b.link = meet(0), meet(1)
+	aggA, aggB := sys.Spawn("agg-a", a), sys.Spawn("agg-b", b)
 	defer sys.Shutdown(master, aggA, aggB)
 
 	bufA, bufB := robust.NewBuffer(3, nil), robust.NewBuffer(3, nil)
@@ -285,6 +307,23 @@ func TestTwoSecureGroupsFinalizeConcurrently(t *testing.T) {
 	if results != 2 {
 		t.Fatalf("got %d group results, want 2", results)
 	}
+	if !met[0].Load() || !met[1].Load() {
+		t.Fatalf("the groups' runs did not meet (met %v, %v): group reduces ran one after the other", met[0].Load(), met[1].Load())
+	}
+}
+
+// meetConn is a secagg link that calls advertise before its device's
+// SecAggAdvertise goes out.
+type meetConn struct {
+	transport.Conn
+	advertise func()
+}
+
+func (c meetConn) Send(msg interface{}) error {
+	if protocol.CodeOf(msg) == protocol.CodeSecAggAdvertise {
+		c.advertise()
+	}
+	return c.Conn.Send(msg)
 }
 
 func TestSecureRemainderFoldedIntoLastGroup(t *testing.T) {

@@ -153,28 +153,32 @@ func (c *Client) ShareKeys() ([]protocol.RoutedShare, protocol.ShareCommitments,
 	out := slices.Grow(c.bundles.out[:0], n)[:n] // zero: pooled wiped
 	sealed := slices.Grow(c.bundles.sealed[:0], n*sealedLen)[:n*sealedLen]
 	c.bundles.out, c.bundles.sealed = out, sealed
-	// One ECDH + AES-GCM seal per other roster member: independent work,
-	// fanned across the worker pool. Workers write only their own slots.
-	err := parallelFor(n, func(i int) error {
+	// One ECDH + AES-GCM seal per other roster member, in roster order.
+	for i, a := range c.roster {
 		bl := blind[2*i*field.BlinderLen:]
-		b := shareBundle{Owner: c.id, Holder: c.roster[i].ID, BShare: deal[i], SKShare: deal[n+i],
+		b := shareBundle{Owner: c.id, Holder: a.ID, BShare: deal[i], SKShare: deal[n+i],
 			BBlind: [field.BlinderLen]byte(bl), SKBlind: [field.BlinderLen]byte(bl[field.BlinderLen:])}
 		own.B[i] = commitChunked(c.id, kindB, b.BShare, b.BBlind)
 		own.SK[i] = commitChunked(c.id, kindSK, b.SKShare, b.SKBlind)
 		if i == c.pos {
 			c.peers[i].shares, c.peers[i].held = b, true
-			return nil
+			continue
 		}
-		gcm, err := c.deriveC(i)
+		shared, err := c.cKey.ECDH(a.CPK)
 		if err != nil {
-			return err
+			return nil, none, err
+		}
+		clientAgree.Inc()
+		clientAEAD.Inc()
+		gcm, err := bundleAEAD(shared)
+		if err != nil {
+			return nil, none, err
 		}
 		c.peers[i].gcm = gcm
 		out[i] = protocol.RoutedShare{Owner: c.id, Holder: b.Holder, CT: sealed[i*sealedLen : (i+1)*sealedLen : (i+1)*sealedLen]}
-		return sealBundle(out[i].CT, gcm, &b)
-	})
-	if err != nil {
-		return nil, none, err
+		if err := sealBundle(out[i].CT, gcm, &b); err != nil {
+			return nil, none, err
+		}
 	}
 	c.phase = dealt
 	return slices.Delete(out, c.pos, c.pos+1), own, nil
@@ -218,13 +222,8 @@ func (c *Client) ReceiveShares(commits []protocol.ShareCommitments, shares []pro
 			complain(rs.Owner, "unknown owner")
 			continue
 		}
-		gcm, err := c.pairwiseC(p)
-		if err != nil {
-			complain(rs.Owner, "no share key: "+err.Error())
-			continue
-		}
 		var b shareBundle
-		if err := openBundle(gcm, rs.CT, pt, &b); err != nil {
+		if err := openBundle(c.peers[p].gcm, rs.CT, pt, &b); err != nil {
 			complain(rs.Owner, "undecryptable bundle: "+err.Error())
 			continue
 		}
@@ -285,14 +284,15 @@ func (c *Client) ReceiveMaskSet(ids []int) error {
 // MaskedInput computes the Round-2 masked vector for input x:
 // encode(x) + PRG(b_u) + Σ_{v>u} PRG(s_uv) − Σ_{v<u} PRG(s_uv).
 func (c *Client) MaskedInput(x []float64) ([]uint64, error) {
-	return c.maskInto(make([]uint64, c.cfg.VectorLen), x)
+	return c.maskInto(make([]uint64, c.cfg.VectorLen), x, new(prgChunk))
 }
 
-// maskInto is MaskedInput written over the caller's VectorLen-element y: x
-// is encoded into the vector the masks are then folded into. Run
-// hands every client of an instance the same y, which Server.AddMasked has
-// consumed by the time the next client masks.
-func (c *Client) maskInto(y []uint64, x []float64) ([]uint64, error) {
+// maskInto is MaskedInput written over the caller's VectorLen-element y,
+// through the caller's keystream chunk: x is encoded into the vector the
+// masks are then folded into. Run hands every client of an instance the
+// same y, which Server.AddMasked has consumed by the time the next client
+// masks.
+func (c *Client) maskInto(y []uint64, x []float64, buf *prgChunk) ([]uint64, error) {
 	if err := c.phase.expect(masking, "MaskedInput"); err != nil {
 		return nil, err
 	}
@@ -300,26 +300,19 @@ func (c *Client) maskInto(y []uint64, x []float64) ([]uint64, error) {
 		return nil, fmt.Errorf("secagg: input length %d, want %d", len(x), c.cfg.VectorLen)
 	}
 	y = encodeInto(y, x)
-	// Pairwise masks over the mask set: a device excluded before this round
-	// leaves no residual mask for the server to reconstruct. The ECDH + PRG
-	// expansions dominate device-side cost; fan them across the worker pool,
-	// one task per roster position — the client's own expands its personal
-	// mask — each worker folding masks into the accumulator it is handed.
-	// ECDH on the (immutable) s-key and roster reads are safe concurrently.
-	err := parallelMasks(y, len(c.peers), func(p int, acc []uint64, buf *prgChunk) error {
-		if !c.peers[p].masked {
-			return nil
+	// Pairwise masks over the mask set, in roster order, the client's own
+	// position expanding its personal mask: a device excluded before this
+	// round leaves no residual mask for the server to reconstruct.
+	for p, pr := range c.peers {
+		if !pr.masked {
+			continue
 		}
 		seed, err := c.maskSeed(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		prgApply(seed[:], acc, p < c.pos, buf)
+		prgApply(seed[:], y, p < c.pos, buf)
 		clientPRG.Inc()
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	c.phase = unmasking
 	return y, nil
@@ -368,31 +361,6 @@ func (c *Client) Unmask(survivors []int) (*protocol.SecAggUnmask, error) {
 	}
 	c.phase = done
 	return resp, nil
-}
-
-// deriveC builds the share-encryption AEAD with the peer at roster
-// position p (cache-free; safe to call from workers).
-func (c *Client) deriveC(p int) (cipher.AEAD, error) {
-	shared, err := c.cKey.ECDH(c.roster[p].CPK)
-	if err != nil {
-		return nil, err
-	}
-	clientAgree.Inc()
-	clientAEAD.Inc()
-	return bundleAEAD(shared)
-}
-
-// pairwiseC returns the share-encryption AEAD with the peer at position p,
-// deriving and caching it on first use.
-func (c *Client) pairwiseC(p int) (cipher.AEAD, error) {
-	if c.peers[p].gcm == nil {
-		gcm, err := c.deriveC(p)
-		if err != nil {
-			return nil, err
-		}
-		c.peers[p].gcm = gcm
-	}
-	return c.peers[p].gcm, nil
 }
 
 // maskSeed derives the PRG seed of the mask for roster position p: the

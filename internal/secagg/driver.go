@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"time"
 
@@ -192,7 +193,7 @@ func Run(cfg Config, inputs map[int][]float64, link func(id int, c transport.Con
 			p.lose()
 			continue
 		}
-		y, err := p.c.maskInto(masked.vec, inputs[id])
+		y, err := p.c.maskInto(masked.vec, inputs[id], &masked.chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +288,16 @@ func (p *party) hear(phase protocol.Phase, take func(msg any)) {
 
 // told sends the device msg from the server and returns the device's first
 // read over its link up to the mark: msg, or nil once the device is lost.
+//
+// Each party's step starts here, and it starts by yielding the processor. A
+// round reduces its secure groups at the same time, one goroutine each, so
+// they share the processors a party step (about a millisecond) at a time
+// and finish together. Unyielding, a group keeps its processor for the
+// runtime's 10 ms preemption slice, and the last group's slice is the
+// round's tail: 8 groups on 2 processors took 1.03 (1.01–1.07, p10–p90)
+// times their CPU time over 2, against 1.01 (1.00–1.03) yielding.
 func (p *party) told(msg any) any {
+	runtime.Gosched()
 	if p.lost || p.srv.Send(msg) != nil || p.srv.Send(phaseEnd{}) != nil {
 		p.lose()
 		return nil

@@ -31,6 +31,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/field"
 )
@@ -154,8 +155,37 @@ func decodeInto(out []float64, y []uint64) []float64 {
 const prgChunkElems = 512
 
 // prgChunk is that buffer. Whoever expands masks owns one for as long as it
-// does (maskScratch, parallel.go) and hands it to every prgApply call.
+// does (maskScratch) and hands it to every prgApply call.
 type prgChunk [8 * prgChunkElems]byte
+
+// maskScratch is one of an instance's two vectors, the masked input and the
+// server's running sum (lend), with the keystream chunk prgApply streams
+// through while masks fold into it. Scratch is pooled package-wide, so
+// clients and servers of successive instances reuse it; it goes back
+// wiped, so no keystream or masked vector outlives its user.
+type maskScratch struct {
+	chunk prgChunk
+	vec   []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(maskScratch) }}
+
+// lend takes a pooled scratch whose vec is n zero elements.
+func lend(n int) *maskScratch {
+	s := scratchPool.Get().(*maskScratch)
+	if cap(s.vec) < n {
+		s.vec = make([]uint64, n)
+	}
+	s.vec = s.vec[:n] // zero: pooled wiped
+	return s
+}
+
+// release wipes s, all of its vec's capacity too, and pools it.
+func (s *maskScratch) release() {
+	clear(s.chunk[:])
+	clear(s.vec[:cap(s.vec)])
+	scratchPool.Put(s)
+}
 
 // zeroChunk is a shared all-zero XOR source; XORKeyStream against it writes
 // raw keystream without first clearing the destination. Its head is also

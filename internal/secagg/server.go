@@ -57,13 +57,10 @@ type Server struct {
 
 	// roster is U1: the adverts, their keys parsed, ids ascending once
 	// Roster freezes it. members holds by the same positions the rest.
-	roster  roster
-	members []member
-	sum     *maskScratch // running sum of masked inputs (online aggregation)
-	// survivors is U2, frozen by Survivors: no masked input joins the sum
-	// after it is announced, and no unmask response is taken before.
-	survivors []int
-	responded int // admitted unmask responses
+	roster    roster
+	members   []member
+	sum       *maskScratch // running sum of masked inputs (online aggregation)
+	responded int          // admitted unmask responses
 }
 
 // member is what the server keeps for one roster position.
@@ -74,8 +71,8 @@ type member struct {
 	// blamed is why the device was excluded or rejected; "" if it was not.
 	blamed string
 	// maskSet: in the mask set, frozen by MaskSet — shares delivered and
-	// unblamed. masked: its masked input is in the sum. unmasked: its
-	// unmask response was admitted.
+	// unblamed. masked: its masked input is in the sum, the set U2 that
+	// Survivors freezes. unmasked: its unmask response was admitted.
 	maskSet, masked, unmasked bool
 	// revealed holds the first T verified shares the unmask responses
 	// reveal: of a survivor's personal seed, or of a dropped member's
@@ -295,14 +292,13 @@ func (s *Server) Survivors() ([]int, error) {
 	if len(survivors) < s.cfg.T {
 		return nil, fmt.Errorf("secagg: only %d masked inputs, need ≥ %d", len(survivors), s.cfg.T)
 	}
-	s.survivors = survivors
 	n, t := len(s.roster), s.cfg.T
 	block := make([]chunkedShare, n*t)
 	for p := range s.members {
 		s.members[p].revealed = block[p*t : p*t : (p+1)*t]
 	}
 	s.phase = unmasking
-	return append([]int(nil), survivors...), nil
+	return survivors, nil
 }
 
 // AddUnmaskResponse validates and records a Round-3 response. The whole
@@ -402,82 +398,65 @@ func (s *Server) Responses() int { return s.responded }
 // encoding (decodeInto converts to reals). Every share entering a
 // reconstruction was verified on receipt, so a reconstruction can only fail
 // for lack of shares — an attributed abort, never a silently wrong sum. That
-// failure leaves the instance as it was, to take more responses; once the
-// secrets are rebuilt, Sum ends the instance, whatever the unmasking meets.
+// failure leaves the instance as it was, to take more responses; once every
+// secret has its shares, Sum ends the instance, whatever the unmasking meets.
 func (s *Server) Sum() ([]uint64, error) {
 	if err := s.phase.expect(unmasking, "Sum"); err != nil {
 		return nil, err
 	}
-	survivors := s.survivors
 	if s.responded < s.cfg.T {
 		return nil, fmt.Errorf("secagg: only %d unmask responses, need ≥ %d", s.responded, s.cfg.T)
 	}
-
-	// Reconstruct all secrets first (cheap Shamir interpolation, serial),
-	// building one task per mask expansion. The expansions — an ECDH plus a
-	// PRG stream each for dropped-device pairs, a PRG stream for survivor
-	// personal masks — are the O(dropped × survivors) hot path and run on
-	// the worker pool through its pooled scratch (parallelMasks).
-	type maskTask struct {
-		owner int
-		peer  int              // pairwise tasks only
-		seed  [32]byte         // PRG seed, when already known
-		sk    *ecdh.PrivateKey // else derive the seed from sk × pub
-		pub   *ecdh.PublicKey
-		sub   bool
+	for p, m := range s.members {
+		if m.maskSet && len(m.revealed) < s.cfg.T {
+			return nil, fmt.Errorf("secagg: %d verified shares of %d's secret, need %d", len(m.revealed), s.roster[p].ID, s.cfg.T)
+		}
 	}
-	tasks := make([]maskTask, 0, len(survivors)) // more when a member dropped
-	scratch := make([]uint64, 2*s.cfg.T)
+	s.phase = done
 
+	// Each mask is applied as its secret is rebuilt, in roster order.
 	// Survivors' personal masks PRG(b_u) are subtracted; the residual
 	// pairwise masks of mask-set devices that dropped after the share round
-	// are cancelled. Devices excluded before masking (outside the mask set)
-	// left no residuals, so their loss costs nothing here.
+	// are cancelled, an ECDH plus a PRG stream per survivor each, the
+	// O(dropped × survivors) hot path. Devices excluded before masking
+	// (outside the mask set) left no residuals, so their loss costs nothing.
+	sum, buf := s.sum.vec, &s.sum.chunk
+	scratch := make([]uint64, 2*s.cfg.T)
 	for p, m := range s.members {
 		u := s.roster[p].ID
 		if !m.maskSet {
 			continue
-		}
-		if len(m.revealed) < s.cfg.T {
-			return nil, fmt.Errorf("secagg: %d verified shares of %d's secret, need %d", len(m.revealed), u, s.cfg.T)
 		}
 		secret, err := reconstructBytes(m.revealed, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("secagg: reconstruct secret of %d: %w", u, err)
 		}
 		if m.masked {
-			tasks = append(tasks, maskTask{owner: u, seed: seedKey(secret[:]), sub: true})
+			seed := seedKey(secret[:])
+			prgApply(seed[:], sum, true, buf)
+			serverPRG.Inc()
 			continue
 		}
 		sk, err := ecdh.X25519().NewPrivateKey(secret[:])
 		if err != nil {
 			return nil, fmt.Errorf("secagg: rebuild key of %d: %w", u, err)
 		}
-		for _, v := range survivors {
+		for pv, w := range s.members {
+			if !w.masked {
+				continue
+			}
 			// Survivor v's masked input contains +PRG(s_vu) when v<u and
 			// −PRG(s_vu) when v>u; cancel that residual.
-			pv, _ := s.roster.find(v)
-			tasks = append(tasks, maskTask{owner: u, peer: v, sk: sk, pub: s.roster[pv].SPK, sub: v < u})
-		}
-	}
-
-	s.phase = done
-	err := parallelMasks(s.sum.vec, len(tasks), func(i int, acc []uint64, buf *prgChunk) error {
-		t := &tasks[i]
-		if t.sk != nil {
-			shared, err := t.sk.ECDH(t.pub)
+			v := s.roster[pv].ID
+			shared, err := sk.ECDH(s.roster[pv].SPK)
 			if err != nil {
-				return fmt.Errorf("secagg: ecdh %d×%d: %w", t.owner, t.peer, err)
+				return nil, fmt.Errorf("secagg: ecdh %d×%d: %w", u, v, err)
 			}
 			serverAgree.Inc()
-			t.seed = pairwiseSeed(shared, 'p')
+			seed := pairwiseSeed(shared, 'p')
+			prgApply(seed[:], sum, v < u, buf)
+			serverPRG.Inc()
 		}
-		prgApply(t.seed[:], acc, t.sub, buf)
-		serverPRG.Inc()
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return s.sum.vec, nil
+	return sum, nil
 }
