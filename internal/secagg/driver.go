@@ -43,8 +43,8 @@ const (
 // Run executes one Secure Aggregation instance over one transport.Pipe per
 // device on the caller's clock (the wall clock when none is given): each of
 // the protocol's messages is a wire-table row that crosses the device's
-// pipe. Run plays one Server and one Client per device, stepping the
-// clients on its own goroutine one phase at a time, each phase in roster
+// pipe. Run plays one Server and one Client per device, stepping every
+// party on the caller's goroutine one phase at a time, each phase in roster
 // order, so one masked vector serves the instance and blame comes out in
 // one order. It exists for the Aggregator actor, the simulator and the
 // experiments: the caller hands it per-group inputs and sum, cfg.VectorLen
