@@ -22,46 +22,6 @@ func BenchmarkInv(b *testing.B) {
 	}
 }
 
-// BenchmarkAddVec and BenchmarkAddBE time the vector kernels on each path
-// this host has: AddVec at a 4 096-element merge, AddBE (the integer
-// convert-and-add, which the mask path runs per keystream chunk) at the
-// benchmark's model dimension, 65 536.
-func BenchmarkAddVec(b *testing.B) {
-	rng := rand.New(rand.NewPCG(3, 0))
-	n := 4096
-	x := make([]uint64, n)
-	y := make([]uint64, n)
-	for i := range x {
-		x[i] = Reduce(rng.Uint64())
-		y[i] = Reduce(rng.Uint64())
-	}
-	eachKernelPath(func(path string) {
-		b.Run(path, func(b *testing.B) {
-			b.SetBytes(int64(8 * n))
-			for i := 0; i < b.N; i++ {
-				AddVec(x, x, y)
-			}
-		})
-	})
-}
-
-func BenchmarkAddBE(b *testing.B) {
-	rng := rand.New(rand.NewPCG(4, 0))
-	n := 65536
-	x, src := make([]uint64, n), make([]byte, 8*n)
-	for i := range src {
-		src[i] = byte(rng.Uint32())
-	}
-	eachKernelPath(func(path string) {
-		b.Run(path, func(b *testing.B) {
-			b.SetBytes(int64(8 * n))
-			for i := 0; i < b.N; i++ {
-				AddBE(x, src)
-			}
-		})
-	})
-}
-
 func BenchmarkShamirSplit(b *testing.B) {
 	ys, coef := make([]uint64, 10), make([]byte, 8*5)
 	b.ReportAllocs()

@@ -3,6 +3,7 @@ package field
 import (
 	"bytes"
 	"io"
+	"math/big"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -22,6 +23,45 @@ func TestReduce(t *testing.T) {
 		}
 		if got := Reduce(c.in); got >= P {
 			t.Errorf("Reduce(%d) = %d not in field", c.in, got)
+		}
+	}
+}
+
+// The references below share no code with the package: reduction through
+// math/big, sums and differences through % P.
+
+func refReduce(w uint64) uint64 {
+	return new(big.Int).Mod(new(big.Int).SetUint64(w), new(big.Int).SetUint64(P)).Uint64()
+}
+
+func refAdd(a, b uint64) uint64 { return (a + b) % P }
+func refSub(a, b uint64) uint64 { return (a + P - b) % P }
+
+// TestScalarOpsMatchReference holds Reduce, Add and Sub to the references
+// over the bounds of each conditional subtract, words that reduce to
+// exactly 0 or P−1 (k·P and k·P + P−1 for every k the top three bits
+// allow), and random words.
+func TestScalarOpsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 0))
+	words := []uint64{0, 1, P - 1, P, P + 1, 1 << 61, 1<<62 - 1, 1<<63 - 1, 1 << 63, ^uint64(0)}
+	for k := uint64(2); k <= 8; k++ {
+		words = append(words, k*P, k*P+P-1)
+	}
+	for range 16 {
+		words = append(words, rng.Uint64())
+	}
+	for _, w := range words {
+		if got, want := Reduce(w), refReduce(w); got != want {
+			t.Fatalf("Reduce(%#x) = %#x, want %#x", w, got, want)
+		}
+		for _, v := range words {
+			a, b := refReduce(w), refReduce(v)
+			if got, want := Add(a, b), refAdd(a, b); got != want {
+				t.Fatalf("Add(%#x, %#x) = %#x, want %#x", a, b, got, want)
+			}
+			if got, want := Sub(a, b), refSub(a, b); got != want {
+				t.Fatalf("Sub(%#x, %#x) = %#x, want %#x", a, b, got, want)
+			}
 		}
 	}
 }
@@ -98,21 +138,6 @@ func TestInvZeroPanics(t *testing.T) {
 		}
 	}()
 	Inv(0)
-}
-
-func TestVecOps(t *testing.T) {
-	a := []uint64{1, 2, P - 1}
-	b := []uint64{5, P - 1, 1}
-	dst := make([]uint64, 3)
-	AddVec(dst, a, b)
-	if dst[0] != 6 || dst[1] != 1 || dst[2] != 0 {
-		t.Fatalf("AddVec = %v", dst)
-	}
-	for i := range a {
-		if Sub(dst[i], b[i]) != a[i] {
-			t.Fatalf("Sub did not invert AddVec: %v − %v vs %v", dst, b, a)
-		}
-	}
 }
 
 // shamir shares secret among n holders with threshold t; xs are the

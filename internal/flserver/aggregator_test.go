@@ -3,6 +3,7 @@ package flserver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,6 +128,29 @@ func TestAggregatorSecureMatchesPlainSum(t *testing.T) {
 		if math.Abs(res.Sum[i]-want[i]) > 1e-3 {
 			t.Fatalf("secure sum %v != plain %v", res.Sum, want[:3])
 		}
+	}
+}
+
+// TestSecureGroupDropsANaNReport: a report the ring cannot carry (a NaN
+// here) is a malformed secure input. Its device drops out before it deals
+// shares, and the group commits the exact sum of the other reports.
+func TestSecureGroupDropsANaNReport(t *testing.T) {
+	sys := actor.NewSystem()
+	master, got, sig := collectMaster(sys)
+	agg := sys.Spawn("agg", newAggregator(3, master))
+	defer sys.Shutdown(master, agg)
+	buf := robust.NewBuffer(4, nil)
+	secureAdd(t, buf, "a", nil, 1, 1, -2, 0.5)
+	secureAdd(t, buf, "b", nil, 2, math.NaN(), 1, 1)
+	secureAdd(t, buf, "c", nil, 3, 0.25, 1, 1)
+	secureAdd(t, buf, "d", nil, 4, -1, -1, -1)
+	_ = agg.Send(msgFinalizeGroup{Buf: buf})
+	waitSignals(t, sig, 1)
+	msgs := got()
+	res := msgs[len(msgs)-1].(msgGroupResult)
+	if want := []float64{0.25, -2, 0.5}; res.Err != "" || res.Count != 3 || res.Weight != 8 || !slices.Equal(res.Sum, want) {
+		t.Fatalf("group result: err %q, count %d, weight %v, sum %v; want a, c and d alone: 3, 8, %v (blamed %v)",
+			res.Err, res.Count, res.Weight, res.Sum, want, res.Blamed)
 	}
 }
 

@@ -2,6 +2,8 @@ package secagg
 
 import (
 	"maps"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -183,9 +185,11 @@ func TestBelowThresholdChurnAbortsCleanly(t *testing.T) {
 	}
 }
 
-// TestMalformedInputTreatedAsDropout: a device whose update is missing or
-// the wrong length drops out before it deals shares — the group commits
-// without it instead of stalling or aborting.
+// TestMalformedInputTreatedAsDropout: a device whose update is missing, the
+// wrong length, or holds an element the ring cannot carry (NaN, ±Inf, or
+// |x|·2^20 rounding to 2^63/N or more, so that N inputs could wrap the sum)
+// drops out before it deals shares — the group commits without it instead
+// of stalling, aborting or committing a wrapped sum.
 func TestMalformedInputTreatedAsDropout(t *testing.T) {
 	cfg := Config{N: 6, T: 4, VectorLen: 2}
 	inputs := seqInputs(6, cfg.VectorLen)
@@ -196,15 +200,36 @@ func TestMalformedInputTreatedAsDropout(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 3, 6}
-	if len(res.Survivors) != len(want) {
+	if !slices.Equal(res.Survivors, want) {
 		t.Fatalf("survivors = %v, want %v", res.Survivors, want)
 	}
-	for i, id := range want {
-		if res.Survivors[i] != id {
-			t.Fatalf("survivors = %v, want %v", res.Survivors, want)
+	expectSum(t, inputs, want, res.Sum)
+
+	// The bound on |round(x·2^20)| is (2^63−1)/N, 2^61 − 1 at N = 4: the
+	// float64 below 2^41 is the last x within it, and 2^41 the first past.
+	cfg = Config{N: 4, T: 3, VectorLen: 3}
+	last := math.Nextafter(math.Ldexp(1, 41), 0)
+	for _, x := range []float64{1e13, 1e30, math.Inf(1), math.Inf(-1), math.NaN(), math.Ldexp(1, 41), -math.Ldexp(1, 41)} {
+		inputs := map[int][]float64{1: {x, 1, 1}, 2: {1, 1, 1}, 3: {1, 1, 1}, 4: {1, 1, 1}}
+		res, err := runWith(cfg, inputs, nil)
+		if err != nil {
+			t.Fatalf("x = %v: %v", x, err)
+		}
+		if !slices.Equal(res.Survivors, span(2, 4)) {
+			t.Fatalf("x = %v: survivors = %v, want [2 3 4]", x, res.Survivors)
+		}
+		expectSum(t, inputs, span(2, 4), res.Sum)
+	}
+	for _, x := range []float64{last, -last} {
+		inputs := map[int][]float64{1: {x, 1, 1}, 2: {x, 1, 1}, 3: {x, 1, 1}, 4: {x, 1, 1}}
+		res, err := runWith(cfg, inputs, nil)
+		if err != nil {
+			t.Fatalf("x = %v: %v", x, err)
+		}
+		if !slices.Equal(res.Survivors, span(1, 4)) || res.Sum[0] != 4*x {
+			t.Fatalf("x = %v in range: survivors %v, sum %v, want [1 2 3 4] and %v", x, res.Survivors, res.Sum, 4*x)
 		}
 	}
-	expectSum(t, inputs, want, res.Sum)
 }
 
 // TestZeroFaultNeverFires: a Fault with no code matches nothing, not even

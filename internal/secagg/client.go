@@ -296,8 +296,8 @@ func (c *Client) maskInto(y []uint64, x []float64, buf *prgChunk) ([]uint64, err
 	if err := c.phase.expect(masking, "MaskedInput"); err != nil {
 		return nil, err
 	}
-	if len(x) != c.cfg.VectorLen {
-		return nil, fmt.Errorf("secagg: input length %d, want %d", len(x), c.cfg.VectorLen)
+	if err := c.cfg.checkInput(x); err != nil {
+		return nil, err
 	}
 	y = encodeInto(y, x)
 	// Pairwise masks over the mask set, in roster order, the client's own

@@ -133,7 +133,7 @@ func Run(cfg Config, inputs map[int][]float64, link func(id int, c transport.Con
 	for i := range parties {
 		p := &parties[i]
 		r, ok := p.told(broadcast).(protocol.SecAggRoster)
-		if !ok || len(inputs[p.c.id]) != cfg.VectorLen || p.c.ReceiveRoster(r.Adverts) != nil {
+		if !ok || cfg.checkInput(inputs[p.c.id]) != nil || p.c.ReceiveRoster(r.Adverts) != nil {
 			p.lose()
 			continue
 		}

@@ -270,8 +270,55 @@ func TestServerRejectsHostileUnmaskResponses(t *testing.T) {
 		want += float64(id)
 	}
 	for i, v := range got {
-		if v < want-1e-4 || v > want+1e-4 {
-			t.Fatalf("sum[%d] = %v, want %v", i, v, want)
+		if v != want {
+			t.Fatalf("sum[%d] = %v, want exactly %v", i, v, want)
+		}
+	}
+}
+
+// TestMaskedWordsAreRingElements: a masked input is a vector of Z/2^64,
+// every word of which the server folds as it is. A device that adds δ to
+// word j of its masked vector moves decoded element j by exactly
+// int64(δ)/2^20 and nothing else. The tampered words land at 2^61 or above,
+// where no residue of GF(2^61−1) lies.
+func TestMaskedWordsAreRingElements(t *testing.T) {
+	cfg := Config{N: 4, T: 3, VectorLen: 4}
+	srv, clients, maskIDs := sharedHarness(t, cfg, cfg.N)
+	delta := []uint64{0, 3 << 60, 1<<64 - 1<<62, 0} // 0, 3·2^60, −2^62, 0
+	for _, id := range maskIDs {
+		y, err := clients[id].MaskedInput(idInput(cfg, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == 2 {
+			for j, d := range delta {
+				y[j] += d
+			}
+		}
+		if err := srv.AddMasked(id, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	survivors, err := srv.Survivors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range survivors {
+		r, err := clients[id].Unmask(survivors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.AddUnmaskResponse(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := srv.Sum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range decode(sum) {
+		if want := 10 + float64(int64(delta[j]))/FixedPointScale; v != want {
+			t.Fatalf("sum[%d] = %v, want exactly %v: δ = %#x on word %d (full: %v)", j, v, want, delta[j], j, decode(sum))
 		}
 	}
 }

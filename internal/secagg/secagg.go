@@ -21,19 +21,20 @@
 //	                           The server reconstructs and removes the masks.
 //	                           (The paper's "Finalization" phase.)
 //
-// Updates are real vectors; they are carried in GF(2^61−1) via fixed-point
-// encoding (Encode/Decode). All masks cancel exactly in the field.
+// Updates are real vectors; they are carried in Z/2^64 as fixed-point two's
+// complement (encodeInto/decodeInto), where masks are uniform words and
+// cancel exactly. Secrets are Shamir-shared, and shares committed, in
+// GF(2^61−1) (internal/field).
 package secagg
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
-
-	"repro/internal/field"
 )
 
 // Config describes one Secure Aggregation instance. The FL task defines the
@@ -119,33 +120,38 @@ func GroupSpans(n, groupSize int) [][2]int {
 // quantized to 1/FixedPointScale resolution.
 const FixedPointScale = 1 << 20
 
-// encodeInto maps a real vector into field elements over out[:len(x)],
-// whatever it held, using fixed-point, two's complement style: negative
-// values wrap mod P. The decoded sum is correct as long as |Σ x_i|·scale <
-// P/2, comfortably true for model updates.
+// checkInput refuses an input the ring cannot carry: the wrong length, or
+// an element that is NaN, ±Inf or rounds to |q| ≥ 2^63/N at the fixed-point
+// scale, so that the N inputs of an instance sum without wrapping.
+func (c Config) checkInput(x []float64) error {
+	if len(x) != c.VectorLen {
+		return fmt.Errorf("secagg: input length %d, want %d", len(x), c.VectorLen)
+	}
+	limit := math.MaxInt64 / int64(c.N) // |q|·N < 2^63 ⟺ |q| ≤ (2^63−1)/N
+	for i, v := range x {
+		// NaN fails the first test; past it, int64(q) is exact.
+		if q := math.Round(v * FixedPointScale); !(math.Abs(q) < 1<<63) || max(int64(q), -int64(q)) > limit {
+			return fmt.Errorf("secagg: input element %d is %v, outside ±2^63/%d at scale 2^20", i, v, c.N)
+		}
+	}
+	return nil
+}
+
+// encodeInto maps a real vector that passed checkInput into Z/2^64 over
+// out[:len(x)], whatever it held: fixed point, two's complement.
 func encodeInto(out []uint64, x []float64) []uint64 {
 	out = out[:len(x)]
 	for i, v := range x {
-		q := int64(math.Round(v * FixedPointScale))
-		if q >= 0 {
-			out[i] = field.Reduce(uint64(q))
-		} else {
-			out[i] = field.Sub(0, field.Reduce(uint64(-q)))
-		}
+		out[i] = uint64(int64(math.Round(v * FixedPointScale)))
 	}
 	return out
 }
 
-// decodeInto inverts encodeInto on an aggregate into out, len(y) elements,
-// mapping field elements in the top half of the field back to negative reals.
+// decodeInto inverts encodeInto on an aggregate into out, len(y) elements:
+// the sum of at most N checked inputs is an int64.
 func decodeInto(out []float64, y []uint64) []float64 {
-	half := field.P / 2
 	for i, v := range y {
-		if v > half {
-			out[i] = -float64(field.P-v) / FixedPointScale
-		} else {
-			out[i] = float64(v) / FixedPointScale
-		}
+		out[i] = float64(int64(v)) / FixedPointScale
 	}
 	return out
 }
@@ -193,12 +199,12 @@ func (s *maskScratch) release() {
 var zeroChunk prgChunk
 
 // prgApply expands a 32-byte seed with AES-256-CTR and adds (sub=false) or
-// subtracts (sub=true) the resulting field elements into dst: one
-// field.AddBE/SubBE per 4 KiB chunk of the caller's, so an expansion
+// subtracts (sub=true) the keystream, read as little-endian words, into dst
+// mod 2^64, one 4 KiB chunk of the caller's at a time, so an expansion
 // allocates only its cipher state whatever VectorLen. Device and server
-// (after reconstruction) produce identical streams: CTR over a zero IV.
-// At 4 097 elements the keystream is most of the time, about 7 µs, and the
-// AVX2 fold about 2 µs more (the scalar fold about 13; BenchmarkPRG).
+// (after reconstruction) produce identical streams: CTR over a zero IV. At
+// 4 097 words the keystream is most of the time, about 7 µs, and the fold
+// about 2 µs more (BenchmarkPRG).
 func prgApply(seed []byte, dst []uint64, sub bool, buf *prgChunk) {
 	if len(seed) != 32 {
 		panic(fmt.Sprintf("secagg: prg seed must be 32 bytes, got %d", len(seed)))
@@ -208,13 +214,27 @@ func prgApply(seed []byte, dst []uint64, sub bool, buf *prgChunk) {
 		panic("secagg: aes: " + err.Error()) // impossible for 32-byte key
 	}
 	stream := cipher.NewCTR(block, zeroChunk[:aes.BlockSize])
+	sign := uint64(1) // or −1 mod 2^64, to subtract
+	if sub {
+		sign = ^uint64(0)
+	}
 	for off := 0; off < len(dst); off += prgChunkElems {
-		n := min(len(dst)-off, prgChunkElems)
-		stream.XORKeyStream(buf[:8*n], zeroChunk[:8*n])
-		if sub {
-			field.SubBE(dst[off:off+n], buf[:8*n])
-		} else {
-			field.AddBE(dst[off:off+n], buf[:8*n])
+		d := dst[off:min(off+prgChunkElems, len(dst))]
+		ks := buf[:8*len(d)]
+		stream.XORKeyStream(ks, zeroChunk[:len(ks)])
+		for ; len(d) >= 8; d, ks = d[8:], ks[64:] {
+			w, x := ks[:64:64], d[:8:8]
+			x[0] += binary.LittleEndian.Uint64(w) * sign
+			x[1] += binary.LittleEndian.Uint64(w[8:]) * sign
+			x[2] += binary.LittleEndian.Uint64(w[16:]) * sign
+			x[3] += binary.LittleEndian.Uint64(w[24:]) * sign
+			x[4] += binary.LittleEndian.Uint64(w[32:]) * sign
+			x[5] += binary.LittleEndian.Uint64(w[40:]) * sign
+			x[6] += binary.LittleEndian.Uint64(w[48:]) * sign
+			x[7] += binary.LittleEndian.Uint64(w[56:]) * sign
+		}
+		for i := range d {
+			d[i] += binary.LittleEndian.Uint64(ks[8*i:]) * sign
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"math"
+	"math/big"
 	"runtime"
 	"slices"
 	"sync"
@@ -55,17 +56,20 @@ func prg(seed []byte, length int) []uint64 {
 	return out
 }
 
+// expectSum holds got to the exact sum over include of each input rounded
+// to the fixed-point grid: the protocol adds integers, so the sum has no
+// error beyond that rounding, which is none for inputs on the grid.
 func expectSum(t *testing.T, inputs map[int][]float64, include []int, got []float64) {
 	t.Helper()
-	want := make([]float64, len(got))
+	q := make([]int64, len(got))
 	for _, id := range include {
 		for i, v := range inputs[id] {
-			want[i] += v
+			q[i] += int64(math.Round(v * FixedPointScale))
 		}
 	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-4 {
-			t.Fatalf("sum[%d] = %v, want %v (full: %v vs %v)", i, got[i], want[i], got, want)
+	for i := range q {
+		if want := float64(q[i]) / FixedPointScale; got[i] != want {
+			t.Fatalf("sum[%d] = %v, want %v (full: %v)", i, got[i], want, got)
 		}
 	}
 }
@@ -82,8 +86,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeNegativeWraps(t *testing.T) {
 	e := encode([]float64{-1})
-	if e[0] <= field.P/2 {
-		t.Fatalf("negative value should land in top half of field: %d", e[0])
+	if want := uint64(1<<64 - FixedPointScale); e[0] != want {
+		t.Fatalf("encode(-1) = %#x, want two's complement %#x", e[0], want)
 	}
 }
 
@@ -97,9 +101,6 @@ func TestPRGDeterministicAndSeedSensitive(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("prg must be deterministic")
-		}
-		if a[i] >= field.P {
-			t.Fatal("prg output outside field")
 		}
 		if a[i] != c[i] {
 			diff = true
@@ -156,7 +157,7 @@ func TestPRGApplyMatchesOneShotExpansion(t *testing.T) {
 		cipher.NewCTR(block, make([]byte, aes.BlockSize)).XORKeyStream(raw, raw)
 		want := make([]uint64, n)
 		for i := range want {
-			want[i] = field.Reduce(binary.BigEndian.Uint64(raw[8*i:]))
+			want[i] = binary.LittleEndian.Uint64(raw[8*i:])
 		}
 		for _, sub := range []bool{false, true} {
 			dst := make([]uint64, n)
@@ -169,9 +170,9 @@ func TestPRGApplyMatchesOneShotExpansion(t *testing.T) {
 			}
 			prgApply(seed, dst, sub, buf)
 			for i := range dst {
-				expect := field.Add(orig[i], want[i])
+				expect := orig[i] + want[i]
 				if sub {
-					expect = field.Sub(orig[i], want[i])
+					expect = orig[i] - want[i]
 				}
 				if dst[i] != expect {
 					t.Fatalf("n=%d sub=%v: chunked stream diverges from one-shot stream at %d", n, sub, i)
@@ -590,21 +591,48 @@ func TestRunVariousSizes(t *testing.T) {
 	}
 }
 
-// Property: encoding is additively homomorphic under field addition for sums
-// small enough to avoid wraparound.
+// Property: encoding is additively homomorphic under addition mod 2^64 for
+// sums small enough to avoid wraparound.
 func TestEncodeHomomorphism(t *testing.T) {
 	f := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.Abs(a) > 1e6 || math.Abs(b) > 1e6 {
 			return true
 		}
 		ea, eb := encode([]float64{a}), encode([]float64{b})
-		sum := []uint64{field.Add(ea[0], eb[0])}
+		sum := []uint64{ea[0] + eb[0]}
 		got := decode(sum)[0]
 		return math.Abs(got-(a+b)) <= 2.0/FixedPointScale
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzSecAggEncode: checkInput refuses any float64 the ring cannot carry
+// for a group of N, and what it accepts decodes to within 2^-21 of itself,
+// while N copies of it sum in Z/2^64 to exactly N times its integer: no
+// accepted group sum wraps.
+func FuzzSecAggEncode(f *testing.F) {
+	f.Add(-2.25, uint16(2))
+	f.Add(math.Nextafter(math.Ldexp(1, 41), 0), uint16(4)) // the last accepted at N = 4
+	f.Add(math.Ldexp(1, 41), uint16(4))                    // the first refused
+	f.Fuzz(func(t *testing.T, x float64, n uint16) {
+		cfg := Config{N: max(int(n), 2), T: 1, VectorLen: 1}
+		if cfg.checkInput([]float64{x}) != nil {
+			return
+		}
+		e := encode([]float64{x})
+		if d := decode(e)[0]; !(math.Abs(d-x) <= 1.0/(2*FixedPointScale)) {
+			t.Fatalf("N=%d: %v accepted and decoded to %v", cfg.N, x, d)
+		}
+		var sum uint64
+		for range cfg.N {
+			sum += e[0]
+		}
+		if want := new(big.Int).Mul(big.NewInt(int64(e[0])), big.NewInt(int64(cfg.N))); !want.IsInt64() || want.Int64() != int64(sum) {
+			t.Fatalf("N=%d copies of %v (%d) wrap: the ring sum reads %d, want %v", cfg.N, x, int64(e[0]), int64(sum), want)
+		}
+	})
 }
 
 // Property: with random dropout patterns that keep at least T survivors and

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/field"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
 )
@@ -271,7 +270,9 @@ func (s *Server) AddMasked(id int, y []uint64) error {
 	if len(y) != s.cfg.VectorLen {
 		return fmt.Errorf("secagg: masked input length %d from %d, want %d", len(y), id, s.cfg.VectorLen)
 	}
-	field.AddVec(s.sum.vec, s.sum.vec, y)
+	for i, w := range y {
+		s.sum.vec[i] += w
+	}
 	m.masked = true
 	return nil
 }
@@ -394,7 +395,7 @@ func (s *Server) Responses() int { return s.responded }
 
 // Sum finalizes the protocol: reconstructs personal seeds of survivors and
 // masking keys of dropped mask-set devices, strips all masks from the
-// running sum in place, and returns it: the aggregate Σ_{u∈U2} x_u in field
+// running sum in place, and returns it: the aggregate Σ_{u∈U2} x_u in ring
 // encoding (decodeInto converts to reals). Every share entering a
 // reconstruction was verified on receipt, so a reconstruction can only fail
 // for lack of shares — an attributed abort, never a silently wrong sum. That

@@ -70,3 +70,31 @@ lutloop:
 lutdone:
 	VZEROUPPER
 	RET
+
+// func cpuAVX2() bool: CPUID reaches leaf 7, leaf 1 has OSXSAVE and AVX
+// (ECX bits 27, 28), XCR0 saves XMM and YMM state, leaf 7 has AVX2 (EBX 5).
+TEXT ·cpuAVX2(SB), NOSPLIT, $0-1
+	MOVB   $0, ret+0(FP)
+	XORL   AX, AX
+	CPUID
+	CMPL   AX, $7
+	JCS    no
+	MOVL   $1, AX
+	XORL   CX, CX
+	CPUID
+	ANDL   $0x18000000, CX
+	CMPL   CX, $0x18000000
+	JNE    no
+	XORL   CX, CX
+	XGETBV
+	ANDL   $6, AX
+	CMPL   AX, $6
+	JNE    no
+	MOVL   $7, AX
+	XORL   CX, CX
+	CPUID
+	SHRL   $5, BX
+	ANDL   $1, BX
+	MOVB   BX, ret+0(FP)
+no:
+	RET
